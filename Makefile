@@ -5,7 +5,7 @@
 
 .PHONY: check build test fmt soak soak-ci soak-net bench bench-query \
 	bench-text bench-version bench-txn bench-commit bench-mvcc bench-chaos \
-	bench-server
+	bench-server perfbench perfbench-run
 
 check: build test fmt
 
@@ -99,3 +99,18 @@ bench-server:
 # regenerate every committed benchmark baseline
 bench: bench-query bench-text bench-version bench-txn bench-commit \
 	bench-mvcc bench-chaos bench-server
+
+# the served-path benchmark (perfbench/README.md, BENCHMARK.json):
+# `perfbench` smoke-runs every workload on small stores, untraced and
+# traced, and checks that its oracle rejects planted wrong answers;
+# `perfbench-run` is one measured run, e.g.
+# `make perfbench-run W=edit PB_TRACE=1` for the per-layer breakdown
+W ?= edit
+PB_SEED ?= 1
+PB_TRACE ?= 0
+perfbench:
+	bash perfbench/run.sh self-test
+
+perfbench-run:
+	bash perfbench/run.sh --workload $(W) --seed $(PB_SEED) \
+	  --seconds 15 --trace $(PB_TRACE)

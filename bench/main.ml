@@ -361,14 +361,6 @@ let ablation () =
 
 let storage () =
   heading "P1" "storage substrate micro-benchmarks";
-  let module BT = Seed_storage.Btree.Make (Int) in
-  let grow = BT.create () in
-  let c = ref 0 in
-  let lookup_tree = BT.create () in
-  for i = 0 to 99_999 do
-    BT.insert lookup_tree i i
-  done;
-  let k = ref 0 in
   let payload = String.make 4096 'x' in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "seed_bench_journal" in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -377,14 +369,6 @@ let storage () =
   let journal = ok (Seed_storage.Journal.open_ jpath) in
   Report.bench ~name:"primitives"
     [
-      Test.make ~name:"btree insert (growing)"
-        (Staged.stage (fun () ->
-             incr c;
-             BT.insert grow !c !c));
-      Test.make ~name:"btree lookup (100k keys)"
-        (Staged.stage (fun () ->
-             k := (!k + 7919) mod 100_000;
-             ignore (BT.find lookup_tree !k)));
       Test.make ~name:"crc32 of 4 KiB"
         (Staged.stage (fun () -> ignore (Seed_storage.Crc32.digest payload)));
       Test.make ~name:"journal append 4 KiB"

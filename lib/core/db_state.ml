@@ -32,6 +32,10 @@ type root = {
   r_current_base : Version_id.t option;
   r_retrieval_version : Version_id.t option;
   r_dirty : Ident.Set.t;
+  r_unflushed : Ident.Set.t;
+      (* ids whose stored record (current state, dirty flag or history)
+         changed since the last durable flush; living in the root, it is
+         restored by every rollback swap *)
 }
 
 (* A materialized view of one saved version: the live ids per class and
@@ -110,6 +114,7 @@ let empty_root schema =
     r_current_base = None;
     r_retrieval_version = None;
     r_dirty = Ident.Set.empty;
+    r_unflushed = Ident.Set.empty;
   }
 
 let create schema =
@@ -387,7 +392,13 @@ let all_live_ids t =
 
 let add_item t (item : Item.t) =
   let r = t.working in
-  let r = { r with r_items = Ident.Map.add item.id item r.r_items } in
+  let r =
+    {
+      r with
+      r_items = Ident.Map.add item.id item r.r_items;
+      r_unflushed = Ident.Set.add item.id r.r_unflushed;
+    }
+  in
   let r = root_index_state r item item.current in
   let r =
     match item.body with
@@ -410,7 +421,8 @@ let add_loaded_item t (item : Item.t) =
   (* Like [add_item] but suitable for items loaded from storage: an item
      may exist only in history (current = None), in which case the
      relationship index must still cover its historical endpoints. Name,
-     inheritor, and extent indexes are rebuilt wholesale afterwards. *)
+     inheritor, and extent indexes are rebuilt wholesale afterwards. A
+     loaded record is the stored one, so it is not unflushed. *)
   let r = t.working in
   let r = { r with r_items = Ident.Map.add item.id item r.r_items } in
   let r =
@@ -435,52 +447,53 @@ let add_loaded_item t (item : Item.t) =
   in
   t.working <- r
 
-let remove_item t (item : Item.t) =
-  let r = t.working in
-  let item =
-    match Ident.Map.find_opt item.Item.id r.r_items with
-    | Some it -> it
-    | None -> item
-  in
-  let r = root_unindex_state r item item.current in
-  let r = { r with r_items = Ident.Map.remove item.id r.r_items } in
-  let r =
-    match item.body with
-    | Item.Dependent { parent; _ } ->
-      { r with r_children = Idmap.remove r.r_children parent item.id }
-    | Item.Independent -> r
-    | Item.Relationship -> (
-      match Item.rel_state item with
-      | Some { endpoints; _ } ->
-        {
-          r with
-          r_rels_of =
-            List.fold_left
-              (fun m e -> Idmap.remove m e item.id)
-              r.r_rels_of endpoints;
-        }
-      | None -> r)
-  in
-  t.working <- { r with r_dirty = Ident.Set.remove item.id r.r_dirty }
-
 let replace_state t id new_state =
   match Ident.Map.find_opt id t.working.r_items with
   | None -> ()
   | Some item ->
     let r = root_unindex_state t.working item item.current in
     let item' = Item.with_current item new_state in
-    let r = { r with r_items = Ident.Map.add id item' r.r_items } in
+    let r =
+      {
+        r with
+        r_items = Ident.Map.add id item' r.r_items;
+        r_unflushed = Ident.Set.add id r.r_unflushed;
+      }
+    in
     t.working <- root_index_state r item' new_state
 
 let unsafe_put_item t (item : Item.t) =
   (* Replace the stored record without any index maintenance — test
      support for tampering with an item behind the API's back. *)
+  let r = t.working in
   t.working <-
-    { t.working with r_items = Ident.Map.add item.Item.id item t.working.r_items }
+    {
+      r with
+      r_items = Ident.Map.add item.Item.id item r.r_items;
+      r_unflushed = Ident.Set.add item.Item.id r.r_unflushed;
+    }
+
+(* Whether [b] stores a different record than [a]. [Item.with_current]
+   always allocates, so states are compared by value: a branch switch
+   re-resolving an unchanged state must not re-flush it. *)
+let record_changed (a : Item.t) (b : Item.t) =
+  a != b
+  && (a.Item.dirty <> b.Item.dirty
+     || a.Item.history != b.Item.history
+     || not (a.Item.current == b.Item.current || a.Item.current = b.Item.current))
 
 let map_items t f =
   let r = t.working in
-  t.working <- { r with r_items = Ident.Map.map f r.r_items }
+  let unflushed = ref r.r_unflushed in
+  let items =
+    Ident.Map.mapi
+      (fun id it ->
+        let it' = f it in
+        if record_changed it it' then unflushed := Ident.Set.add id !unflushed;
+        it')
+      r.r_items
+  in
+  t.working <- { r with r_items = items; r_unflushed = !unflushed }
 
 (* ------------------------------------------------------------------ *)
 (* The delta set                                                        *)
@@ -494,6 +507,7 @@ let mark_dirty t (item : Item.t) =
         t.working with
         r_items = Ident.Map.add it.Item.id (Item.with_dirty it true) t.working.r_items;
         r_dirty = Ident.Set.add it.Item.id t.working.r_dirty;
+        r_unflushed = Ident.Set.add it.Item.id t.working.r_unflushed;
       }
   | Some _ | None -> ()
 
@@ -514,15 +528,17 @@ let take_dirty t =
 
 let clear_dirty t =
   let r = t.working in
-  let items =
+  let items, unflushed =
     Ident.Set.fold
-      (fun id m ->
+      (fun id ((m, u) as acc) ->
         match Ident.Map.find_opt id m with
-        | Some it -> Ident.Map.add id (Item.with_dirty it false) m
-        | None -> m)
-      r.r_dirty r.r_items
+        | Some it when it.Item.dirty ->
+          (Ident.Map.add id (Item.with_dirty it false) m, Ident.Set.add id u)
+        | Some _ | None -> acc)
+      r.r_dirty (r.r_items, r.r_unflushed)
   in
-  t.working <- { r with r_items = items; r_dirty = Ident.Set.empty }
+  t.working <-
+    { r with r_items = items; r_dirty = Ident.Set.empty; r_unflushed = unflushed }
 
 let rebuild_dirty t =
   let r = t.working in
@@ -536,22 +552,35 @@ let rebuild_dirty t =
 let stamp_dirty t vid =
   let r = t.working in
   let count = ref 0 in
-  let items =
+  let items, unflushed =
     Ident.Set.fold
-      (fun id m ->
+      (fun id ((m, u) as acc) ->
         match Ident.Map.find_opt id m with
         | Some it when it.Item.dirty ->
           incr count;
-          Ident.Map.add id (Item.stamp it vid) m
-        | Some _ | None -> m)
-      r.r_dirty r.r_items
+          (Ident.Map.add id (Item.stamp it vid) m, Ident.Set.add id u)
+        | Some _ | None -> acc)
+      r.r_dirty (r.r_items, r.r_unflushed)
   in
-  t.working <- { r with r_items = items; r_dirty = Ident.Set.empty };
+  t.working <-
+    { r with r_items = items; r_dirty = Ident.Set.empty; r_unflushed = unflushed };
   !count
 
-let drop_version_stamps t vid =
-  let r = t.working in
-  t.working <- { r with r_items = Ident.Map.map (fun it -> Item.drop_stamp it vid) r.r_items }
+let drop_version_stamps t vid = map_items t (fun it -> Item.drop_stamp it vid)
+
+(* ------------------------------------------------------------------ *)
+(* The unflushed set                                                    *)
+(*                                                                      *)
+(* Every write site above that changes a stored record adds its id, so  *)
+(* a durable flush encodes exactly these items and never scans the      *)
+(* table. The set lives in the root: a rollback swap restores it along  *)
+(* with the records it describes.                                       *)
+(* ------------------------------------------------------------------ *)
+
+let unflushed t = t.working.r_unflushed
+
+let clear_unflushed t =
+  t.working <- { t.working with r_unflushed = Ident.Set.empty }
 
 (* ------------------------------------------------------------------ *)
 (* Identity indexes                                                     *)

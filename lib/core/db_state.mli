@@ -146,10 +146,6 @@ val add_loaded_item : t -> Item.t -> unit
     extent indexes must be rebuilt with {!rebuild_state_indexes}
     afterwards. *)
 
-val remove_item : t -> Item.t -> unit
-(** Physically remove a just-created item (update rollback only — user
-    deletion is always logical). *)
-
 val replace_state : t -> Ident.t -> Item.state option -> unit
 (** Overwrite the item's current state, maintaining the name index and
     all extents (the old state is unindexed, the new one indexed).
@@ -161,7 +157,8 @@ val unsafe_put_item : t -> Item.t -> unit
 
 val map_items : t -> (Item.t -> Item.t) -> unit
 (** Replace every item by [f item] (branch switch); callers must
-    {!rebuild_state_indexes} afterwards. *)
+    {!rebuild_state_indexes} afterwards. Only items whose record
+    actually changed enter the {!unflushed} set. *)
 
 (** {1 Extents}
 
@@ -222,6 +219,19 @@ val stamp_dirty : t -> Version_id.t -> int
 
 val drop_version_stamps : t -> Version_id.t -> unit
 (** Remove every item's stamp for a deleted version. *)
+
+(** {1 The unflushed set}
+
+    The ids whose stored record — current state, dirty flag or history
+    — changed since the last durable flush. Every mutator above keeps
+    it; items loaded from storage are not in it. It lives in the root,
+    so a rollback ({!set_root}, a transaction rollback) restores it
+    with the records. *)
+
+val unflushed : t -> Ident.Set.t
+
+val clear_unflushed : t -> unit
+(** Empty the set: call only once the records are durable. *)
 
 (** {1 Identity indexes} *)
 

@@ -84,7 +84,6 @@ let drop_stamp t vid =
   else t
 
 let history_is_empty t = Version_id.Map.is_empty t.history
-let history_size t = Version_id.Map.cardinal t.history
 let history_bindings t = Version_id.Map.bindings t.history
 
 let history_of_bindings l =

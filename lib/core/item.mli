@@ -98,9 +98,6 @@ val drop_stamp : t -> Version_id.t -> t
 
 val history_is_empty : t -> bool
 
-val history_size : t -> int
-(** Number of version stamps the item carries. *)
-
 val history_bindings : t -> (Version_id.t * state) list
 (** All stamps, ordered by version label (canonical order for
     serialization; creation order requires the version tree's [seq]). *)

@@ -471,13 +471,10 @@ let load ?(verify = true) ~dir () =
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
-  type shadow = { sh_state : Item.state option; sh_history_len : int }
-
   type t = {
     database : Database.t;
     store : Store.t;
     recovery : Store.recovery;
-    shadows : shadow Ident.Tbl.t;
     mutable meta_fingerprint : string;
   }
 
@@ -485,15 +482,6 @@ module Session = struct
     let w = W.create () in
     w_meta w st;
     W.contents w
-
-  let shadow_of (it : Item.t) =
-    { sh_state = it.Item.current; sh_history_len = Item.history_size it }
-
-  let remember t (it : Item.t) = Ident.Tbl.replace t.shadows it.Item.id (shadow_of it)
-
-  let snapshot_shadows t =
-    Ident.Tbl.reset t.shadows;
-    Db_state.iter_items (Database.raw t.database) (fun it -> remember t it)
 
   let open_ ~dir ?schema ?(verify = true) ?io ?sync ?generations ?partitions
       ?retry ?sleep () =
@@ -514,11 +502,9 @@ module Session = struct
         database;
         store;
         recovery;
-        shadows = Ident.Tbl.create 256;
         meta_fingerprint = fingerprint (Database.raw database);
       }
     in
-    snapshot_shadows t;
     Db_state.set_write_stats_source (Database.raw database) (fun () ->
         Store.write_stats store);
     (* a fresh database directory gets an initial meta record so load
@@ -532,44 +518,46 @@ module Session = struct
   let db t = t.database
   let recovery t = t.recovery
 
-  let changed t (it : Item.t) =
-    match Ident.Tbl.find_opt t.shadows it.Item.id with
-    | None -> true
-    | Some sh ->
-      (not (sh.sh_state == it.Item.current))
-      || sh.sh_history_len <> Item.history_size it
-
   let flush t =
     let st = Database.raw t.database in
-    let dirty_items =
-      Db_state.fold_items st ~init:[] ~f:(fun acc it ->
-          if changed t it then it :: acc else acc)
-      |> List.sort (fun (a : Item.t) b -> Ident.compare a.Item.id b.Item.id)
-    in
-    let fp = fingerprint st in
-    let records =
-      List.map record_item dirty_items
-      @ (if String.equal fp t.meta_fingerprint then [] else [ record_meta st ])
-    in
-    (* routed by the root object of the batch: a checkin's group lands
-       whole on one journal partition, and conflicting checkins (same
-       root, serialized by the server's lock table) share a partition *)
-    let key =
-      match dirty_items with
-      | (it : Item.t) :: _ -> Some (Ident.to_string it.Item.id)
-      | [] -> None
-    in
-    (* one transaction group: a crash mid-flush durably persists either
-       the whole batch (items + meta) or none of it — recovery can no
-       longer see a prefix of a checkin *)
-    let* () = Store.append_group ?key t.store records in
-    List.iter (fun it -> remember t it) dirty_items;
-    t.meta_fingerprint <- fp;
-    Ok ()
+    (* the unflushed set lives in the root, so a rollback would restore
+       it without the ids this flush wrote: flush only at transaction
+       boundaries *)
+    if Db_state.txn_active st then
+      fail (Invalid_operation "flush inside an active transaction")
+    else
+      (* the root's unflushed set, in id order: O(items changed), never
+         a scan of the item table *)
+      let items =
+        List.filter_map (Db_state.find_item st)
+          (Ident.Set.elements (Db_state.unflushed st))
+      in
+      let fp = fingerprint st in
+      let records =
+        List.map record_item items
+        @ (if String.equal fp t.meta_fingerprint then [] else [ record_meta st ])
+      in
+      (* routed by the root object of the batch: a checkin's group lands
+         whole on one journal partition, and conflicting checkins (same
+         root, serialized by the server's lock table) share a partition *)
+      let key =
+        match items with
+        | (it : Item.t) :: _ -> Some (Ident.to_string it.Item.id)
+        | [] -> None
+      in
+      (* one transaction group: a crash mid-flush durably persists either
+         the whole batch (items + meta) or none of it — recovery can no
+         longer see a prefix of a checkin. The set is cleared only once
+         the group is durable, so a failed flush leaves the same records
+         pending for the retry. *)
+      let* () = Store.append_group ?key t.store records in
+      Db_state.clear_unflushed st;
+      t.meta_fingerprint <- fp;
+      Ok ()
 
   let compact t =
     let* () = Store.compact t.store ~snapshot:(encode_db t.database) in
-    snapshot_shadows t;
+    Db_state.clear_unflushed (Database.raw t.database);
     t.meta_fingerprint <- fingerprint (Database.raw t.database);
     Ok ()
 

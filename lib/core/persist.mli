@@ -62,15 +62,22 @@ module Session : sig
       was skipped or the snapshot fallback was used. *)
 
   val flush : t -> (unit, Seed_error.t) result
-  (** Append journal records for every item whose state or history
-      changed since the last flush, plus a metadata record when the
-      version tree, schema, or id generator advanced. The batch is one
-      atomic transaction group, routed whole to the journal partition
-      of the batch's first (root) dirty item; concurrent flushes
-      coalesce into shared fsyncs via the partition's commit daemon. *)
+  (** Append journal records for the items in the database's
+      {!Db_state.unflushed} set — every item whose state, dirty flag or
+      history changed since the last flush, in id order — plus a
+      metadata record when the version tree, schema, or id generator
+      advanced. Costs O(items changed), not O(database). The batch is
+      one atomic transaction group, routed whole to the journal
+      partition of its smallest (root) id; concurrent flushes coalesce
+      into shared fsyncs via the partition's commit daemon. The set is
+      cleared only after the group is appended, so a failed flush
+      leaves the same records pending for the next one. Refused with
+      [Invalid_operation] while a {!Database} transaction is active:
+      flush at transaction boundaries. *)
 
   val compact : t -> (unit, Seed_error.t) result
-  (** Write a fresh snapshot and truncate the journal. *)
+  (** Write a fresh snapshot and truncate the journal; the snapshot
+      holds every item, so the unflushed set is cleared. *)
 
   val journal_records : t -> int
   (** Records in the journal since the last compaction. *)

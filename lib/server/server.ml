@@ -200,7 +200,7 @@ let checkin t ~client ops =
        store's group-commit daemon: the flush is one transaction group
        routed by the batch's root object, and concurrent checkins
        coalesce into shared fsyncs. On a flush failure the locks are
-       kept and the session's shadow table is untouched, so a later
+       kept and the root's unflushed set is not cleared, so a later
        flush (or checkin) retries exactly the same records *)
     let* () =
       match t.session with

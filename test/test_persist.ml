@@ -90,14 +90,24 @@ let test_session_flush_and_reopen () =
     (DB.resolve db2 "A.Description" <> None);
   Persist.Session.close s2
 
+(* The flush writes exactly the root's unflushed set: a new object is
+   one item record, one changed value in a store of 1000 objects is one
+   item record however large the table around it, and no change writes
+   nothing. *)
 let test_session_flush_writes_only_changes () =
   let dir = tmp_dir () in
   let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
   let db = Persist.Session.db s in
-  for i = 1 to 10 do
+  for i = 1 to 1000 do
     ignore (ok (DB.create_object db ~cls:"Data" ~name:(Printf.sprintf "O%d" i) ()))
   done;
+  let a = Option.get (DB.find_object db "O500") in
+  let d =
+    ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "x") ())
+  in
   check_ok "flush" (Persist.Session.flush s);
+  Alcotest.(check int) "nothing unflushed" 0
+    (Ident.Set.cardinal (Seed_core.Db_state.unflushed (DB.raw db)));
   let after_first = Persist.Session.journal_records s in
   (* one more object -> one more item record (plus one meta record) *)
   let _ = ok (DB.create_object db ~cls:"Data" ~name:"Extra" ()) in
@@ -107,7 +117,76 @@ let test_session_flush_writes_only_changes () =
   (* no changes -> no records *)
   check_ok "noop flush" (Persist.Session.flush s);
   Alcotest.(check int) "nothing written" after_second (Persist.Session.journal_records s);
-  Persist.Session.close s
+  (* one changed value -> one item record *)
+  check_ok "set" (DB.set_value db d (Some (Value.String "y")));
+  check_ok "flush3" (Persist.Session.flush s);
+  Alcotest.(check int) "one item record" 1
+    (Persist.Session.journal_records s - after_second);
+  Persist.Session.close s;
+  let s2 = ok (Persist.Session.open_ ~dir ()) in
+  let db2 = Persist.Session.db s2 in
+  Alcotest.(check bool) "value durable" true
+    (DB.get_value db2 d = Some (Value.String "y"));
+  Persist.Session.close s2
+
+(* A flush inside an open transaction is refused: a rollback restores
+   the root's unflushed set, which would forget records written during
+   the transaction while the store still holds them. *)
+let test_session_flush_refused_in_transaction () =
+  let dir = tmp_dir () in
+  let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+  let db = Persist.Session.db s in
+  check_ok "begin" (DB.begin_transaction db);
+  let _ = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  check_err "flush in transaction"
+    (function Seed_error.Invalid_operation _ -> true | _ -> false)
+    (Persist.Session.flush s);
+  check_ok "rollback" (DB.rollback_transaction db);
+  Alcotest.(check int) "rollback restores the unflushed set" 0
+    (Ident.Set.cardinal (Seed_core.Db_state.unflushed (DB.raw db)));
+  check_ok "flush" (Persist.Session.flush s);
+  Persist.Session.close s;
+  let s2 = ok (Persist.Session.open_ ~dir ()) in
+  Alcotest.(check bool) "rolled-back object not durable" true
+    (DB.find_object (Persist.Session.db s2) "A" = None);
+  Persist.Session.close s2
+
+(* A branch switch rewrites every item record in memory, but only the
+   items whose state differs between the two versions are flushed —
+   also after a reopen, where current and history states are distinct
+   decoded values. *)
+let test_session_flush_after_branch_switch () =
+  let dir = tmp_dir () in
+  let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+  let db = Persist.Session.db s in
+  let objs =
+    List.init 20 (fun i ->
+        ok (DB.create_object db ~cls:"Data" ~name:(Printf.sprintf "O%d" i) ()))
+  in
+  let v1 = ok (DB.create_version db) in
+  List.iteri
+    (fun i id ->
+      if i < 3 then check_ok "rename" (DB.rename_object db id (Printf.sprintf "R%d" i)))
+    objs;
+  let _ = ok (DB.create_object db ~cls:"Data" ~name:"New" ()) in
+  let _v2 = ok (DB.create_version db) in
+  check_ok "flush" (Persist.Session.flush s);
+  Persist.Session.close s;
+  let s = ok (Persist.Session.open_ ~dir ()) in
+  let db = Persist.Session.db s in
+  let before = Persist.Session.journal_records s in
+  check_ok "switch" (DB.begin_alternative db ~from_:v1 ~force:true ());
+  check_ok "flush2" (Persist.Session.flush s);
+  (* 3 renamed + 1 created since v1, plus the meta record (new base) *)
+  Alcotest.(check int) "only the differing items" 5
+    (Persist.Session.journal_records s - before);
+  Persist.Session.close s;
+  let s2 = ok (Persist.Session.open_ ~dir ()) in
+  let db2 = Persist.Session.db s2 in
+  Alcotest.(check bool) "v1 names back" true
+    (DB.find_object db2 "O0" <> None && DB.find_object db2 "R0" = None);
+  Alcotest.(check bool) "v2-only object gone" true (DB.find_object db2 "New" = None);
+  Persist.Session.close s2
 
 let test_session_compact () =
   let dir = tmp_dir () in
@@ -215,6 +294,8 @@ let () =
         [
           tc "flush and reopen" test_session_flush_and_reopen;
           tc "incremental flush" test_session_flush_writes_only_changes;
+          tc "flush refused in a transaction" test_session_flush_refused_in_transaction;
+          tc "flush after branch switch" test_session_flush_after_branch_switch;
           tc "compaction" test_session_compact;
           tc "fresh dir needs schema" test_session_requires_schema_for_fresh_dir;
           tc "torn tail recovery" test_session_survives_torn_journal_tail;

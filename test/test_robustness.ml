@@ -222,6 +222,35 @@ let test_flush_atomicity_crash_sweep () =
       (recovered dir = c)
   done
 
+(* The root's unflushed set is cleared only once a flush is durable: a
+   flush that fails with ENOSPC leaves every record pending, so the next
+   flush (carrying later changes too) makes the store equal to memory. *)
+let test_failed_flush_keeps_records_pending () =
+  let dir = tmp_dir () in
+  let f = Faulty.create ~enospc_write:1 () in
+  let s =
+    ok
+      (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ~io:(Faulty.io f)
+         ~sync:`Always_fsync ())
+  in
+  let db = Persist.Session.db s in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  let _ =
+    ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "d") ())
+  in
+  check_err "flush fails" (function Seed_error.Io_error _ -> true | _ -> false)
+    (Persist.Session.flush s);
+  Alcotest.(check int) "still pending" 2
+    (Ident.Set.cardinal (Seed_core.Db_state.unflushed (DB.raw db)));
+  let _ = ok (DB.create_object db ~cls:"Action" ~name:"B" ()) in
+  check_ok "retry flushes" (Persist.Session.flush s);
+  let expected = Persist.encode_db db in
+  Persist.Session.close s;
+  let s2 = ok (Persist.Session.open_ ~dir ()) in
+  Alcotest.(check bool) "reopened = in memory" true
+    (String.equal expected (Persist.encode_db (Persist.Session.db s2)));
+  Persist.Session.close s2
+
 let test_stale_journal_records_last_wins () =
   (* many updates to the same item produce many journal records; the
      last one must win on replay *)
@@ -378,6 +407,37 @@ let test_batch_rename_then_reference () =
        ]);
   Alcotest.(check bool) "applied" true (DB.resolve db "New.Description" <> None)
 
+(* A rolled-back check-in on a durable server swaps the root back, and
+   the unflushed set with it: the next flush has nothing to write. *)
+let test_rolled_back_checkin_flushes_nothing () =
+  let dir = tmp_dir () in
+  let session = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+  let s = Server.of_session session in
+  check_ok "checkout none" (Server.checkout s ~client:"a" ~names:[]);
+  check_ok "create"
+    (Server.checkin s ~client:"a"
+       [
+         Protocol.Create_object { cls = "Data"; name = "X"; pattern = false };
+         Protocol.Create_object { cls = "Data"; name = "Y"; pattern = false };
+       ]);
+  check_ok "checkout X" (Server.checkout s ~client:"a" ~names:[ "X" ]);
+  (* the first reclassification applies, then the second fails *)
+  check_err "fails" (fun _ -> true)
+    (Server.checkin s ~client:"a"
+       [
+         Protocol.Reclassify_obj { name = "X"; to_ = "InputData" };
+         Protocol.Reclassify_obj { name = "X"; to_ = "NoSuchClass" };
+       ]);
+  let db = Server.database s in
+  Alcotest.(check (option string)) "rolled back" (Some "Data")
+    (DB.class_of db (Option.get (DB.find_object db "X")));
+  Alcotest.(check int) "nothing unflushed" 0
+    (Ident.Set.cardinal (Seed_core.Db_state.unflushed (DB.raw db)));
+  let before = Persist.Session.journal_records session in
+  check_ok "flush" (Persist.Session.flush session);
+  Alcotest.(check int) "no records" before (Persist.Session.journal_records session);
+  Persist.Session.close session
+
 let test_server_rollback_preserves_procedures () =
   let schema =
     Schema.of_defs_exn
@@ -525,6 +585,8 @@ let () =
           tc "compact interrupted" test_crash_between_compact_steps;
           tc "crash-point sweep" test_crash_point_sweep;
           tc "flush atomicity sweep" test_flush_atomicity_crash_sweep;
+          tc "failed flush keeps records pending"
+            test_failed_flush_keeps_records_pending;
           tc "last record wins" test_stale_journal_records_last_wins;
           tc "verification on load" test_load_verification_catches_tampering;
         ] );
@@ -551,5 +613,7 @@ let () =
           tc "fresh objects in one batch" test_batch_creates_and_uses_fresh_objects;
           tc "rename then reference" test_batch_rename_then_reference;
           tc "rollback keeps procedures" test_server_rollback_preserves_procedures;
+          tc "rolled-back checkin flushes nothing"
+            test_rolled_back_checkin_flushes_nothing;
         ] );
     ]

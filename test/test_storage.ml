@@ -117,106 +117,6 @@ let prop_codec_float =
       Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
 
 (* ------------------------------------------------------------------ *)
-(* B-tree                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module BT = Btree.Make (Int)
-module IM = Map.Make (Int)
-
-let test_btree_basic () =
-  let t = BT.create () in
-  Alcotest.(check bool) "empty" true (BT.is_empty t);
-  BT.insert t 1 "a";
-  BT.insert t 2 "b";
-  BT.insert t 1 "a2";
-  Alcotest.(check int) "length counts replace once" 2 (BT.length t);
-  Alcotest.(check (option string)) "find" (Some "a2") (BT.find t 1);
-  Alcotest.(check bool) "mem" true (BT.mem t 2);
-  Alcotest.(check bool) "remove" true (BT.remove t 1);
-  Alcotest.(check bool) "remove gone" false (BT.remove t 1);
-  Alcotest.(check int) "length" 1 (BT.length t)
-
-let test_btree_ordered_iteration () =
-  let t = BT.create () in
-  let keys = [ 5; 3; 9; 1; 7; 2; 8; 4; 6; 0 ] in
-  List.iter (fun k -> BT.insert t k (string_of_int k)) keys;
-  let collected = List.map fst (BT.to_list t) in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] collected;
-  Alcotest.(check (option (pair int string))) "min" (Some (0, "0")) (BT.min_binding t);
-  Alcotest.(check (option (pair int string))) "max" (Some (9, "9")) (BT.max_binding t)
-
-let test_btree_large_sequential () =
-  let t = BT.create () in
-  for i = 1 to 5000 do
-    BT.insert t i i
-  done;
-  Alcotest.(check int) "length" 5000 (BT.length t);
-  Alcotest.(check bool) "invariants" true (BT.invariants_ok t);
-  for i = 1 to 5000 do
-    if BT.find t i <> Some i then Alcotest.failf "missing %d" i
-  done;
-  (* delete odd keys *)
-  for i = 1 to 5000 do
-    if i mod 2 = 1 then ignore (BT.remove t i)
-  done;
-  Alcotest.(check int) "half left" 2500 (BT.length t);
-  Alcotest.(check bool) "invariants after delete" true (BT.invariants_ok t);
-  Alcotest.(check (option int)) "odd gone" None (BT.find t 4999);
-  Alcotest.(check (option int)) "even kept" (Some 4998) (BT.find t 4998)
-
-let test_btree_range () =
-  let t = BT.create () in
-  for i = 0 to 99 do
-    BT.insert t i (i * 10)
-  done;
-  let seen = ref [] in
-  BT.iter_range ~lo:10 ~hi:15 (fun k _ -> seen := k :: !seen) t;
-  Alcotest.(check (list int)) "range" [ 10; 11; 12; 13; 14; 15 ] (List.rev !seen);
-  let seen = ref [] in
-  BT.iter_range ~hi:2 (fun k _ -> seen := k :: !seen) t;
-  Alcotest.(check (list int)) "open lo" [ 0; 1; 2 ] (List.rev !seen);
-  let seen = ref [] in
-  BT.iter_range ~lo:97 (fun k _ -> seen := k :: !seen) t;
-  Alcotest.(check (list int)) "open hi" [ 97; 98; 99 ] (List.rev !seen)
-
-let btree_ops_gen =
-  QCheck2.Gen.(
-    list_size (int_range 0 400)
-      (oneof
-         [
-           map (fun k -> `Insert k) (int_range 0 100);
-           map (fun k -> `Remove k) (int_range 0 100);
-         ]))
-
-let prop_btree_vs_map =
-  qcheck_case ~count:300 "btree agrees with Map" btree_ops_gen (fun ops ->
-      let t = BT.create () in
-      let m = ref IM.empty in
-      List.iter
-        (function
-          | `Insert k ->
-            BT.insert t k k;
-            m := IM.add k k !m
-          | `Remove k ->
-            ignore (BT.remove t k);
-            m := IM.remove k !m)
-        ops;
-      BT.invariants_ok t
-      && BT.length t = IM.cardinal !m
-      && List.for_all2
-           (fun (k1, v1) (k2, v2) -> k1 = k2 && v1 = v2)
-           (BT.to_list t) (IM.bindings !m))
-
-let prop_btree_fold =
-  qcheck_case "fold visits ascending"
-    QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 1000))
-    (fun keys ->
-      let t = BT.create () in
-      List.iter (fun k -> BT.insert t k ()) keys;
-      let collected = List.rev (BT.fold (fun k () acc -> k :: acc) t []) in
-      collected = List.sort_uniq Int.compare keys)
-
-(* ------------------------------------------------------------------ *)
 (* Journal                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1406,15 +1306,6 @@ let () =
           prop_codec_varint;
           prop_codec_string;
           prop_codec_float;
-        ] );
-      ( "btree",
-        [
-          tc "basic" test_btree_basic;
-          tc "ordered iteration" test_btree_ordered_iteration;
-          tc "large sequential" test_btree_large_sequential;
-          tc "range scans" test_btree_range;
-          prop_btree_vs_map;
-          prop_btree_fold;
         ] );
       ( "journal",
         [
