@@ -36,12 +36,9 @@ soak:
 
 # the CI soak gate: fixed seed, 100 iterations — crash injection plus
 # the read-fault (EINTR/bit-flip/short-read) pass on every iteration,
-# the same chaos schedule against a 4-partition journal (crashes land
-# between per-partition writes; recovery merges the partitions), and
-# the multi-domain MVCC equivalence sweep
+# and the multi-domain MVCC equivalence sweep
 soak-ci:
 	dune exec test/soak.exe -- --iters 100 --seed 42
-	dune exec test/soak.exe -- --iters 50 --seed 42 --partitions 4
 	dune exec test/mvcc_stress.exe -- --iters 100 --seed 42
 
 # network chaos soak: simulated clients drive the server core through
@@ -77,7 +74,7 @@ bench-txn:
 	dune exec bench/main.exe -- txn
 
 # regenerate the committed group-commit baseline (txns/s and fsyncs/txn
-# vs writer-domain count x journal-partition count)
+# vs writer count over one journal)
 bench-commit:
 	dune exec bench/main.exe -- commit
 

@@ -987,13 +987,13 @@ let txn () =
   Fmt.pr "@.wrote BENCH_txn.json@."
 
 (* ------------------------------------------------------------------ *)
-(* T2: group-commit coalescing - writer threads x journal partitions    *)
+(* T2: group-commit coalescing - writer threads over one journal        *)
 (* ------------------------------------------------------------------ *)
 
 let commit () =
   heading "T2"
-    "group commit: committed txns/s and fsyncs/txn under `Always_fsync, \
-     writer threads x journal partitions x key distribution";
+    "group commit: committed txns/s and fsyncs/txn under `Always_fsync \
+     vs writer threads";
   let module Store = Seed_storage.Store in
   let module CD = Seed_storage.Commit_daemon in
   let fresh_dir =
@@ -1011,28 +1011,15 @@ let commit () =
       d
   in
   let payload = String.make 512 'c' in
-  (* Two key distributions. [`Uniform] draws routing keys from a 64-key
-     pool, spreading groups over all partitions — independent root
-     objects under hash routing, the fan-out case. [`Hot] routes every
-     group with the same key — concurrent writers contending on one
-     root entity, the pure-coalescing case (all load on one partition's
-     daemon). Writers are sys-threads, not domains: on few cores the
-     blocking fsync releases the runtime lock, which is exactly the
-     window where the other writers enqueue, and thread wake-up is
-     cheaper than cross-domain wake-up. *)
-  let key_of workload w n =
-    match workload with
-    | `Hot -> "hot-root"
-    | `Uniform -> Printf.sprintf "obj%d" (((w * 131) + (n * 7)) mod 64)
-  in
-  let workload_name = function `Hot -> "hot" | `Uniform -> "uniform" in
+  (* Writers are sys-threads, not domains: on few cores the blocking
+     fsync releases the runtime lock, which is exactly the window where
+     the other writers enqueue, and thread wake-up is cheaper than
+     cross-domain wake-up. *)
   let json = ref [] in
-  let baselines = Hashtbl.create 8 in
-  let run ~workload ~writers ~partitions =
+  let baseline = ref 0. in
+  let run writers =
     let dir = fresh_dir () in
-    let store, _, _, _ =
-      ok (Store.open_dir ~sync:`Always_fsync ~partitions dir)
-    in
+    let store, _, _, _ = ok (Store.open_dir ~sync:`Always_fsync dir) in
     let stop = Atomic.make false in
     let ready = Atomic.make 0 in
     let counts = Array.make writers 0 in
@@ -1045,8 +1032,7 @@ let commit () =
           done;
           let n = ref 0 in
           while not (Atomic.get stop) do
-            ok (Store.append_group ~key:(key_of workload w !n) store
-                  [ payload; payload ]);
+            ok (Store.append_group store [ payload; payload ]);
             incr n
           done;
           counts.(w) <- !n)
@@ -1065,34 +1051,21 @@ let commit () =
     List.iter Thread.join threads;
     let txns = Array.fold_left ( + ) 0 counts in
     let elapsed = Unix.gettimeofday () -. t0 in
-    let s =
-      List.fold_left
-        (fun acc (_, s) -> CD.add_stats acc s)
-        CD.empty_stats (Store.write_stats store)
-    in
+    let s = Store.write_stats store in
     Store.close store;
     let txns_s = float_of_int txns /. elapsed in
     let fsyncs_txn = float_of_int s.CD.fsyncs /. float_of_int (max 1 txns) in
-    if writers = 1 then
-      Hashtbl.replace baselines (workload_name workload, partitions) txns_s;
-    let speedup =
-      match Hashtbl.find_opt baselines (workload_name workload, partitions) with
-      | Some base when base > 0. -> txns_s /. base
-      | _ -> 1.
-    in
+    if writers = 1 then baseline := txns_s;
+    let speedup = if !baseline > 0. then txns_s /. !baseline else 1. in
     json :=
       Printf.sprintf
-        "    {\"case\": \"group_commit_scaling\", \"workload\": \"%s\", \
-         \"writers\": %d, \"partitions\": %d, \"txns_per_sec\": %.0f, \
-         \"speedup_vs_1_writer\": %.2f, \"fsyncs_per_txn\": %.3f, \
-         \"max_batch\": %d, \"queue_hwm\": %d}"
-        (workload_name workload) writers partitions txns_s speedup fsyncs_txn
-        s.CD.max_batch s.CD.queue_hwm
+        "    {\"case\": \"group_commit_scaling\", \"writers\": %d, \
+         \"txns_per_sec\": %.0f, \"speedup_vs_1_writer\": %.2f, \
+         \"fsyncs_per_txn\": %.3f, \"max_batch\": %d, \"queue_hwm\": %d}"
+        writers txns_s speedup fsyncs_txn s.CD.max_batch s.CD.queue_hwm
       :: !json;
     [
-      workload_name workload;
       string_of_int writers;
-      string_of_int partitions;
       Printf.sprintf "%.0f" txns_s;
       Printf.sprintf "%.2fx" speedup;
       Printf.sprintf "%.2f" fsyncs_txn;
@@ -1100,28 +1073,15 @@ let commit () =
       string_of_int s.CD.queue_hwm;
     ]
   in
-  let rows =
-    List.concat_map
-      (fun partitions ->
-        List.map
-          (fun writers -> run ~workload:`Uniform ~writers ~partitions)
-          [ 1; 2; 4; 8; 16; 32 ])
-      [ 1; 4 ]
-    @ List.map
-        (fun writers -> run ~workload:`Hot ~writers ~partitions:4)
-        [ 1; 2; 4; 8; 16 ]
-  in
+  let rows = List.map run [ 1; 2; 4; 8; 16; 32 ] in
   Report.table
     ~title:
       (Printf.sprintf
          "2-record transaction groups under `Always_fsync (%d cores): \
-          coalesced commits and partition fan-out"
+          coalesced commits over one journal"
          (Domain.recommended_domain_count ()))
     ~header:
-      [
-        "workload"; "writers"; "parts"; "txns/s"; "vs 1 wr"; "fsyncs/txn";
-        "max batch"; "q hwm";
-      ]
+      [ "writers"; "txns/s"; "vs 1 wr"; "fsyncs/txn"; "max batch"; "q hwm" ]
     rows;
   let oc = open_out "BENCH_commit.json" in
   Printf.fprintf oc
@@ -1129,13 +1089,11 @@ let commit () =
     \  \"bench\": \"commit\",\n\
     \  \"command\": \"dune exec bench/main.exe -- commit\",\n\
     \  \"host_cores\": %d,\n\
-    \  \"environment_note\": \"single-core host: writer wake-up and the \
-     commit-window quantum (~75us OS sleep floor) serialize between \
-     fsyncs, and concurrent fsyncs to separate journal files scale \
-     ~1.6x at 4 streams on this filesystem; the speedup from batching \
-     therefore ramps with writer count rather than arriving at 4 \
-     writers, and the fsyncs/txn column is the hardware-independent \
-     measure of coalescing\",\n\
+    \  \"environment_note\": \"each row is one 0.5 s run; writer \
+     wake-up and the commit-window quantum (the OS sleep floor, tens of \
+     microseconds) sit between fsyncs, so txns/s ramps with the writer count and varies \
+     from run to run, while the fsyncs/txn and max_batch columns are the \
+     hardware-independent measure of coalescing\",\n\
     \  \"results\": [\n\
      %s\n\
     \  ]\n\

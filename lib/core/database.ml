@@ -744,7 +744,7 @@ type stats = {
   st_text_fallbacks : int;
   st_snapshots : int;
   st_commits : int;
-  st_partitions : int;
+  st_durable : bool;
   st_txns_submitted : int;
   st_txn_batches : int;
   st_txn_fsyncs : int;
@@ -752,16 +752,10 @@ type stats = {
   st_txn_queue_hwm : int;
 }
 
-let write_stats db = Db_state.write_stats db
-
 let stats db =
   let v = view db in
   let ws = Db_state.write_stats db in
-  let total =
-    List.fold_left
-      (fun acc (_, s) -> Seed_storage.Commit_daemon.add_stats acc s)
-      Seed_storage.Commit_daemon.empty_stats ws
-  in
+  let w f = match ws with Some s -> f s | None -> 0 in
   let st_sub_objects =
     match View.version v with
     | None -> Db_state.live_dependent_count db
@@ -804,12 +798,12 @@ let stats db =
     st_text_fallbacks = text_fallbacks;
     st_snapshots = Db_state.snapshot_grabs db;
     st_commits = Db_state.commits_published db;
-    st_partitions = List.length ws;
-    st_txns_submitted = total.Seed_storage.Commit_daemon.submitted;
-    st_txn_batches = total.Seed_storage.Commit_daemon.batches;
-    st_txn_fsyncs = total.Seed_storage.Commit_daemon.fsyncs;
-    st_txn_max_batch = total.Seed_storage.Commit_daemon.max_batch;
-    st_txn_queue_hwm = total.Seed_storage.Commit_daemon.queue_hwm;
+    st_durable = ws <> None;
+    st_txns_submitted = w (fun s -> s.Seed_storage.Commit_daemon.submitted);
+    st_txn_batches = w (fun s -> s.Seed_storage.Commit_daemon.batches);
+    st_txn_fsyncs = w (fun s -> s.Seed_storage.Commit_daemon.fsyncs);
+    st_txn_max_batch = w (fun s -> s.Seed_storage.Commit_daemon.max_batch);
+    st_txn_queue_hwm = w (fun s -> s.Seed_storage.Commit_daemon.queue_hwm);
   }
 
 let pp_stats ppf s =
@@ -836,14 +830,13 @@ let pp_stats ppf s =
          (s.st_text_bytes / 1024)
      else "disabled")
     s.st_text_hits s.st_text_fallbacks s.st_snapshots s.st_commits;
-  if s.st_partitions > 0 then
+  if s.st_durable then
     Fmt.pf ppf
       "@,\
-       @[<v>journal partitions: %d@,\
-       txns committed: %d in %d writes / %d fsyncs%s@,\
+       @[<v>txns committed: %d in %d writes / %d fsyncs%s@,\
        largest coalesced batch: %d@,\
        commit queue high-water: %d@]"
-      s.st_partitions s.st_txns_submitted s.st_txn_batches s.st_txn_fsyncs
+      s.st_txns_submitted s.st_txn_batches s.st_txn_fsyncs
       (if s.st_txn_batches > 0 then
          Printf.sprintf " (%.2f txns/write)"
            (float_of_int s.st_txns_submitted /. float_of_int s.st_txn_batches)

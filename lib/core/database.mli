@@ -293,11 +293,9 @@ type stats = {
   st_text_fallbacks : int;  (** text predicates that had to scan *)
   st_snapshots : int;  (** snapshot roots grabbed via {!snapshot} *)
   st_commits : int;  (** roots published (op and transaction commits) *)
-  st_partitions : int;
-      (** journal partitions of the attached store (0 when the database
-          has no durable session) *)
+  st_durable : bool;  (** a durable session's store is attached *)
   st_txns_submitted : int;
-      (** transactions through the store's group-commit daemons *)
+      (** transactions through the store's group-commit daemon *)
   st_txn_batches : int;  (** physical journal writes those coalesced into *)
   st_txn_fsyncs : int;  (** fsyncs performed for them *)
   st_txn_max_batch : int;  (** most transactions coalesced into one write *)
@@ -308,10 +306,6 @@ val stats : t -> stats
 (** Size and state summary of the retrieval view / current state. The
     [st_txn_*] write-path counters come from the store attached by
     {!Persist.Session} (zero without one). *)
-
-val write_stats : t -> (int * Seed_storage.Commit_daemon.stats) list
-(** Per-partition group-commit counters of the attached store; [[]]
-    when the database has no durable session. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -89,8 +89,7 @@ type t = {
   (* registered by Persist.Session so Database.stats can surface the
      store's group-commit counters without the state layer holding a
      store *)
-  mutable write_stats_source :
-    (unit -> (int * Seed_storage.Commit_daemon.stats) list) option;
+  mutable write_stats_source : (unit -> Seed_storage.Commit_daemon.stats) option;
 }
 
 and proc = t -> Event.t -> (unit, Seed_error.t) result
@@ -188,8 +187,7 @@ let snapshot_grabs t = Atomic.get t.snapshot_count
 let commits_published t = Atomic.get t.commit_count
 let set_write_stats_source t f = t.write_stats_source <- Some f
 
-let write_stats t =
-  match t.write_stats_source with None -> [] | Some f -> f ()
+let write_stats t = Option.map (fun f -> f ()) t.write_stats_source
 
 let begin_txn t = t.txn_root <- Some t.working
 

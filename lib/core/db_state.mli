@@ -79,14 +79,14 @@ val commits_published : t -> int
 (** Roots published via {!publish} (op and transaction commits). *)
 
 val set_write_stats_source :
-  t -> (unit -> (int * Seed_storage.Commit_daemon.stats) list) -> unit
+  t -> (unit -> Seed_storage.Commit_daemon.stats) -> unit
 (** Registered by the durable session layer: a thunk yielding the
-    store's per-partition group-commit counters, so {!Database.stats}
-    can report the write path without this layer holding a store. *)
+    store's group-commit counters, so {!Database.stats} can report the
+    write path without this layer holding a store. *)
 
-val write_stats : t -> (int * Seed_storage.Commit_daemon.stats) list
-(** Per-partition group-commit counters of the attached store; [[]]
-    when the database has no durable session. *)
+val write_stats : t -> Seed_storage.Commit_daemon.stats option
+(** Group-commit counters of the attached store; [None] when the
+    database has no durable session. *)
 
 val begin_txn : t -> unit
 (** Pin the working root as the transaction savepoint; {!publish}

@@ -483,10 +483,10 @@ module Session = struct
     w_meta w st;
     W.contents w
 
-  let open_ ~dir ?schema ?(verify = true) ?io ?sync ?generations ?partitions
-      ?retry ?sleep () =
+  let open_ ~dir ?schema ?(verify = true) ?io ?sync ?generations ?retry ?sleep
+      () =
     let* store, snapshot, records, recovery =
-      Store.open_dir ?io ?sync ?generations ?partitions ?retry ?sleep dir
+      Store.open_dir ?io ?sync ?generations ?retry ?sleep dir
     in
     let* parts = load_parts snapshot records in
     let* database =
@@ -537,20 +537,12 @@ module Session = struct
         List.map record_item items
         @ (if String.equal fp t.meta_fingerprint then [] else [ record_meta st ])
       in
-      (* routed by the root object of the batch: a checkin's group lands
-         whole on one journal partition, and conflicting checkins (same
-         root, serialized by the server's lock table) share a partition *)
-      let key =
-        match items with
-        | (it : Item.t) :: _ -> Some (Ident.to_string it.Item.id)
-        | [] -> None
-      in
       (* one transaction group: a crash mid-flush durably persists either
          the whole batch (items + meta) or none of it — recovery can no
          longer see a prefix of a checkin. The set is cleared only once
          the group is durable, so a failed flush leaves the same records
          pending for the retry. *)
-      let* () = Store.append_group ?key t.store records in
+      let* () = Store.append_group t.store records in
       Db_state.clear_unflushed st;
       t.meta_fingerprint <- fp;
       Ok ()
@@ -562,8 +554,6 @@ module Session = struct
     Ok ()
 
   let journal_records t = Store.journal_size t.store
-  let partitions t = Store.partitions t.store
-  let write_stats t = Store.write_stats t.store
   let sync t = Store.sync t.store
 
   let close t = Store.close t.store

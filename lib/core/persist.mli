@@ -38,7 +38,7 @@ module Session : sig
   val open_ :
     dir:string -> ?schema:Schema.t -> ?verify:bool ->
     ?io:Seed_storage.Io.t -> ?sync:Seed_storage.Store.sync_policy ->
-    ?generations:int -> ?partitions:int -> ?retry:Retry.policy ->
+    ?generations:int -> ?retry:Retry.policy ->
     ?sleep:(float -> unit) ->
     unit ->
     (t, Seed_error.t) result
@@ -47,10 +47,7 @@ module Session : sig
       [`Flush_only]) sets the durability of every journal append; [io]
       substitutes the I/O environment (fault injection in tests);
       [generations] (default 2) how many old snapshots compaction keeps
-      for generation-by-generation recovery fallback; [partitions]
-      (default 1) how many journal partitions the store writes to —
-      each with its own group-commit daemon and fsync stream, merged
-      back into one replay order on open; [retry]/[sleep] the
+      for generation-by-generation recovery fallback; [retry]/[sleep] the
       bounded-backoff policy absorbing transient I/O faults (see
       {!Seed_storage.Store.open_dir}). *)
 
@@ -67,9 +64,8 @@ module Session : sig
       history changed since the last flush, in id order — plus a
       metadata record when the version tree, schema, or id generator
       advanced. Costs O(items changed), not O(database). The batch is
-      one atomic transaction group, routed whole to the journal
-      partition of its smallest (root) id; concurrent flushes coalesce
-      into shared fsyncs via the partition's commit daemon. The set is
+      one atomic transaction group; concurrent flushes coalesce into
+      shared fsyncs via the store's commit daemon. The set is
       cleared only after the group is appended, so a failed flush
       leaves the same records pending for the next one. Refused with
       [Invalid_operation] while a {!Database} transaction is active:
@@ -81,13 +77,6 @@ module Session : sig
 
   val journal_records : t -> int
   (** Records in the journal since the last compaction. *)
-
-  val partitions : t -> int
-  (** Journal partitions the session's store writes to. *)
-
-  val write_stats : t -> (int * Seed_storage.Commit_daemon.stats) list
-  (** Per-partition group-commit counters (see
-      {!Seed_storage.Store.write_stats}). *)
 
   val sync : t -> (unit, Seed_error.t) result
   (** fsync the journal: everything flushed so far becomes durable

@@ -21,9 +21,8 @@ val create : ?now:(unit -> float) -> Schema.t -> t
 val of_session : ?now:(unit -> float) -> Seed_core.Persist.Session.t -> t
 (** A server over a durable session's database: every successful
     {!checkin} flushes the committed batch through the session — one
-    atomic journal transaction group, routed to the partition of the
-    batch's root object and coalesced with concurrent checkins by the
-    store's group-commit daemon. A flush failure fails the checkin and
+    atomic journal transaction group, coalesced with concurrent
+    checkins by the store's group-commit daemon. A flush failure fails the checkin and
     keeps the client's locks; the un-flushed records stay pending, so
     the next successful flush carries them. The caller retains
     ownership of the session (close it after the server). *)

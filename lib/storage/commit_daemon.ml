@@ -32,18 +32,6 @@ type stats = {
   queue_hwm : int;
 }
 
-let empty_stats =
-  { submitted = 0; batches = 0; fsyncs = 0; max_batch = 0; queue_hwm = 0 }
-
-let add_stats a b =
-  {
-    submitted = a.submitted + b.submitted;
-    batches = a.batches + b.batches;
-    fsyncs = a.fsyncs + b.fsyncs;
-    max_batch = max a.max_batch b.max_batch;
-    queue_hwm = max a.queue_hwm b.queue_hwm;
-  }
-
 type ticket = { mutable outcome : (unit, E.t) result option }
 
 type t = {
@@ -65,8 +53,7 @@ type t = {
   mutable queue_hwm : int;
 }
 
-let create ?(coalesce = 0.) ?(siblings = fun () -> 0) ?(counts_fsync = false)
-    write =
+let create ~coalesce ~siblings ~counts_fsync write =
   {
     write;
     counts_fsync;

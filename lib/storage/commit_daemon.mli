@@ -1,4 +1,4 @@
-(** Leader/follower group-commit coalescing for one journal partition.
+(** Leader/follower group-commit coalescing for the store's journal.
 
     Concurrently arriving committers {!submit} their encoded
     transaction; the first to find no leader active takes the leader
@@ -16,25 +16,25 @@
 type t
 
 val create :
-  ?coalesce:float ->
-  ?siblings:(unit -> int) ->
-  ?counts_fsync:bool ->
+  coalesce:float ->
+  siblings:(unit -> int) ->
+  counts_fsync:bool ->
   (Journal.entry list -> (unit, Seed_util.Seed_error.t) result) ->
   t
-(** [create write] makes a daemon whose leader lands each drained batch
-    with one call to [write] (typically a retry-wrapped
-    {!Journal.append_entries} on the partition's journal). When
-    [counts_fsync] (default false), each successful batch also bumps
-    the {!stats} fsync counter — set it iff the journal's policy is
+(** [create ~coalesce ~siblings ~counts_fsync write] makes a daemon
+    whose leader lands each drained batch with one call to [write]
+    (typically a retry-wrapped {!Journal.append_entries} on the store's
+    journal). When [counts_fsync], each successful batch also bumps the
+    {!stats} fsync counter — set it iff the journal's policy is
     [`Always_fsync].
 
-    [coalesce] (default 0, disabled) enables the adaptive commit
-    window: before draining, the leader naps in increments of
+    A positive [coalesce] enables the adaptive commit window (0
+    disables it): before draining, the leader naps in increments of
     [coalesce] seconds while the round is still smaller than contention
     suggests it could reach — the larger of the previous round's size
-    and [siblings ()] (default [fun () -> 0]; the store passes its
-    count of writers currently inside the write path, the classic
-    [commit_siblings] signal) — stopping as soon as a nap brings no
+    and [siblings ()] (the store passes its count of writers currently
+    inside the write path, the classic [commit_siblings] signal) —
+    stopping as soon as a nap brings no
     new arrival. Without it, rounds under steady contention alternate
     between large and singleton batches (the writers of the batch being
     fsynced cannot re-enqueue until it lands) and the fsync
@@ -56,7 +56,7 @@ val submit : t -> Journal.entry -> (unit, Seed_util.Seed_error.t) result
 val pause : t -> unit
 (** Blocks new batches and waits for the in-flight one to finish.
     Committers arriving while paused enqueue and sleep until {!resume}.
-    Used to quiesce the partition around compaction's journal swap. *)
+    Used to quiesce the journal around compaction's journal swap. *)
 
 val resume : t -> unit
 (** Lifts {!pause}; a waiting committer takes leadership and drains
@@ -70,6 +70,4 @@ type stats = {
   queue_hwm : int;  (** queue depth high-water mark *)
 }
 
-val empty_stats : stats
-val add_stats : stats -> stats -> stats
 val stats : t -> stats

@@ -19,7 +19,7 @@ type t = {
    extent). *)
 let magic = 0x53454533l
 
-(* "SEEC": control frames — transaction begin/commit/solo markers. Same
+(* "SEEC": control frames — transaction begin/commit markers. Same
    envelope as data frames, so the CRC/torn-tail machinery covers them
    for free; a distinct magic keeps old readers from mistaking a marker
    for a record. *)
@@ -67,11 +67,10 @@ let frame_with ~magic:m epoch payload =
 
 let frame epoch payload = frame_with ~magic epoch payload
 
-(* Control payloads: [kind u8 | txn u32] for begin,
-   [kind u8 | txn u32 | count u32 | group crc u32] for commit, and
-   [kind u8 | txn u32 | crc u32] for a solo marker. The commit/solo CRC
-   covers the record payload(s), so a marker vouches for the exact
-   records it closes, not just their count. *)
+(* Control payloads: [kind u8 | txn u32] for begin and
+   [kind u8 | txn u32 | count u32 | group crc u32] for commit. The
+   commit CRC covers the record payloads, so a marker vouches for the
+   exact records it closes, not just their count. *)
 let begin_payload txn =
   let b = Buffer.create 5 in
   Buffer.add_uint8 b 0;
@@ -84,16 +83,6 @@ let commit_payload ~txn ~count ~group_crc =
   Buffer.add_int32_le b (Int32.of_int txn);
   Buffer.add_int32_le b (Int32.of_int count);
   Buffer.add_int32_le b group_crc;
-  Buffer.contents b
-
-(* A solo marker folds Begin and Commit into one control frame for
-   single-record transactions: it sequences (txn) and vouches for (crc)
-   exactly the one data frame that follows it. *)
-let solo_payload ~txn ~crc =
-  let b = Buffer.create 9 in
-  Buffer.add_uint8 b 2;
-  Buffer.add_int32_le b (Int32.of_int txn);
-  Buffer.add_int32_le b crc;
   Buffer.contents b
 
 (* Chained digests give the same value as digesting the concatenation,
@@ -111,19 +100,19 @@ let write_pending j (f : Io.file) =
 (* Appending                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type entry =
-  | Bare of string
-  | Solo of { seq : int; payload : string }
-  | Group of { seq : int; payloads : string list }
+type entry = Bare of string | Group of string list
+
+(* Group markers carry a per-journal counter: it only has to pair each
+   Begin with its Commit, so it restarts with every open. *)
+let fresh_seq j =
+  let txn = j.next_txn in
+  j.next_txn <- txn + 1;
+  txn
 
 let encode_entry j b = function
   | Bare p -> Buffer.add_string b (frame j.jepoch p)
-  | Solo { seq; payload } ->
-    Buffer.add_string b
-      (frame_with ~magic:control_magic j.jepoch
-         (solo_payload ~txn:seq ~crc:(Crc32.digest payload)));
-    Buffer.add_string b (frame j.jepoch payload)
-  | Group { seq; payloads } ->
+  | Group payloads ->
+    let seq = fresh_seq j in
     Buffer.add_string b
       (frame_with ~magic:control_magic j.jepoch (begin_payload seq));
     List.iter (fun p -> Buffer.add_string b (frame j.jepoch p)) payloads;
@@ -160,12 +149,7 @@ let append j payload =
   let* f = file_of j in
   wrap_io (fun () -> write_bytes j f (frame j.jepoch payload))
 
-let fresh_seq j =
-  let txn = j.next_txn in
-  j.next_txn <- txn + 1;
-  txn
-
-let append_group ?seq j payloads =
+let append_group j payloads =
   match payloads with
   | [] -> Ok ()
   | [ p ] ->
@@ -173,9 +157,7 @@ let append_group ?seq j payloads =
        already individually committed (all-or-nothing is trivial for one
        record), so the group framing would be pure overhead *)
     append_entries j [ Bare p ]
-  | _ ->
-    let seq = match seq with Some s -> s | None -> fresh_seq j in
-    append_entries j [ Group { seq; payloads } ]
+  | _ -> append_entries j [ Group payloads ]
 
 let sync j =
   let* f = file_of j in
@@ -205,7 +187,6 @@ type kind =
   | Data
   | Begin of { txn : int }
   | Commit of { txn : int; count : int; crc : int32 }
-  | Solo_marker of { txn : int; crc : int32 }
 
 type frame = {
   f_epoch : int;
@@ -227,13 +208,6 @@ let decode_control payload =
            txn = Int32.to_int (String.get_int32_le payload 1);
            count = Int32.to_int (String.get_int32_le payload 5);
            crc = String.get_int32_le payload 9;
-         })
-  else if len = 9 && String.get_uint8 payload 0 = 2 then
-    Some
-      (Solo_marker
-         {
-           txn = Int32.to_int (String.get_int32_le payload 1);
-           crc = String.get_int32_le payload 5;
          })
   else None
 
@@ -330,49 +304,33 @@ let quarantined s =
 (* Transaction-group resolution                                         *)
 (* ------------------------------------------------------------------ *)
 
-type unit_ = { u_seq : int option; u_frames : frame list }
-
 type groups = {
-  g_units : unit_ list;
+  g_units : frame list list;
   g_committed : frame list;
   g_dropped_records : int;
   g_tail_records : int;
   g_tail_begin : int option;
 }
 
-let max_seq frames =
-  List.fold_left
-    (fun acc f ->
-      match f.f_kind with
-      | Begin { txn } | Commit { txn; _ } | Solo_marker { txn; _ } ->
-        max acc txn
-      | Data -> acc)
-    0 frames
-
 let resolve_groups ?(damage = []) frames =
   (* Walks the intact frames in append order. A bare data frame (old
-     journals, single-record appends) is committed on its own, without a
-     sequence tag. A [Begin] opens a group; the group's records count
-     only when a matching [Commit] (same txn, right count, right group
-     CRC) closes it — anything else drops the whole group, never a
-     prefix of it. A [Solo_marker] is a fused begin+commit: it commits
-     exactly the one data frame following it, when that frame's payload
-     CRC matches.
+     journals, single-record appends) is committed on its own. A
+     [Begin] opens a group; the group's records count only when a
+     matching [Commit] (same txn, right count, right group CRC) closes
+     it — anything else drops the whole group, never a prefix of it.
 
      A quarantined [damage] region falling inside an open group is a
      barrier: the group cannot be trusted across it. The records before
      the barrier are dropped; the records after it are in limbo until
      the next marker decides them — a [Commit] means the group ran past
      the damage (a record was destroyed, so the whole group drops), a
-     [Begin]/[Solo_marker] or the end of the file means the damage most
+     [Begin] or the end of the file means the damage most
      plausibly ate the commit marker, so the limbo records are
      independent appends that must survive. *)
   let units = ref [] and dropped = ref 0 in
   let tail_records = ref 0 and tail_begin = ref None in
-  let commit_unit ?seq fs = units := { u_seq = seq; u_frames = fs } :: !units in
-  let commit_bare fs =
-    List.iter (fun f -> commit_unit [ f ]) fs
-  in
+  let commit_unit fs = units := fs :: !units in
+  let commit_bare fs = List.iter (fun f -> commit_unit [ f ]) fs in
   let barrier ~last_off f =
     List.exists (fun d -> d.d_offset > last_off && d.d_end <= f.f_offset) damage
   in
@@ -388,28 +346,7 @@ let resolve_groups ?(damage = []) frames =
         (* a stray commit with no open group: ignore the marker *)
         walk rest
       | Begin { txn } ->
-        in_group ~txn ~begin_off:f.f_offset ~last_off:f.f_offset [] rest
-      | Solo_marker { txn; crc } ->
-        solo ~txn ~crc ~off:f.f_offset rest)
-  and solo ~txn ~crc ~off frames =
-    match frames with
-    | [] ->
-      (* journal ends at the marker: the record never landed; the
-         marker itself is a truncatable dangling tail *)
-      tail_begin := Some off
-    | f :: rest ->
-      if barrier ~last_off:off f then begin
-        (* the record the marker vouches for was destroyed *)
-        walk (f :: rest)
-      end
-      else (
-        match f.f_kind with
-        | Data when Crc32.digest f.f_payload = crc ->
-          commit_unit ~seq:txn [ f ];
-          walk rest
-        | _ ->
-          (* orphaned marker: whatever follows stands on its own *)
-          walk (f :: rest))
+        in_group ~txn ~begin_off:f.f_offset ~last_off:f.f_offset [] rest)
   and in_group ~txn ~begin_off ~last_off acc frames =
     match frames with
     | [] ->
@@ -429,11 +366,6 @@ let resolve_groups ?(damage = []) frames =
           (* nested begin: the open group never committed *)
           dropped := !dropped + List.length acc;
           in_group ~txn:txn' ~begin_off:f.f_offset ~last_off:f.f_offset [] rest
-        | Solo_marker { txn = txn'; crc } ->
-          (* a marker interrupting an open group: the group never
-             committed *)
-          dropped := !dropped + List.length acc;
-          solo ~txn:txn' ~crc ~off:f.f_offset rest
         | Commit { txn = ctxn; count; crc } ->
           let recs = List.rev acc in
           let ok =
@@ -441,7 +373,7 @@ let resolve_groups ?(damage = []) frames =
             && count = List.length recs
             && crc = group_crc (List.map (fun r -> r.f_payload) recs)
           in
-          if ok then commit_unit ~seq:txn recs
+          if ok then commit_unit recs
           else dropped := !dropped + List.length recs;
           walk rest)
   and limbo acc frames =
@@ -453,9 +385,6 @@ let resolve_groups ?(damage = []) frames =
       | Begin { txn } ->
         commit_bare (List.rev acc);
         in_group ~txn ~begin_off:f.f_offset ~last_off:f.f_offset [] rest
-      | Solo_marker { txn; crc } ->
-        commit_bare (List.rev acc);
-        solo ~txn ~crc ~off:f.f_offset rest
       | Commit _ ->
         (* the open group ran past the damage: a record is missing *)
         dropped := !dropped + List.length acc;
@@ -465,7 +394,7 @@ let resolve_groups ?(damage = []) frames =
   let units = List.rev !units in
   {
     g_units = units;
-    g_committed = List.concat_map (fun u -> u.u_frames) units;
+    g_committed = List.concat units;
     g_dropped_records = !dropped;
     g_tail_records = !tail_records;
     g_tail_begin = !tail_begin;

@@ -23,17 +23,11 @@
     ({!resolve_groups}) replays a group only when all of it — including
     the commit — made it to disk; a crash mid-group durably persists
     {e none} of it. A {e single}-record group skips the markers entirely
-    (a bare frame is already its own committed transaction), and a
-    sequenced single-record transaction uses one fused {e solo} marker
-    instead of a Begin/Commit pair. Bare data frames (old journals,
-    single appends) remain individually committed, so pre-group journals
-    replay unchanged.
-
-    {e Sequence tags.} Begin, Commit and solo markers carry a caller
-    supplied transaction sequence number. A partitioned store allocates
-    these from one global counter, so recovery can merge several
-    partition journals back into one total commit order
-    ({!Store}). *)
+    (a bare frame is already its own committed transaction). Bare data
+    frames (old journals, single appends) remain individually committed,
+    so pre-group journals replay unchanged. Begin and Commit carry a
+    per-journal transaction counter that pairs them; it restarts at
+    every open. *)
 
 type t
 (** An open journal, positioned for appending. *)
@@ -41,7 +35,7 @@ type t
 val magic : int32
 
 val control_magic : int32
-(** Frame magic of transaction begin/commit/solo markers. *)
+(** Frame magic of transaction begin/commit markers. *)
 
 type sync_policy = [ `Always_fsync | `Flush_only | `None ]
 (** Durability of {!append}:
@@ -64,25 +58,18 @@ val append : t -> string -> (unit, Seed_util.Seed_error.t) result
 (** Appends one record, with the durability of the journal's
     {!sync_policy}. A bare record is its own committed transaction. *)
 
-val append_group :
-  ?seq:int -> t -> string list -> (unit, Seed_util.Seed_error.t) result
+val append_group : t -> string list -> (unit, Seed_util.Seed_error.t) result
 (** Appends the records as one atomic transaction group —
     [begin marker; records…; commit marker] — in a single write (and,
     under [`Always_fsync], a single fsync), so recovery sees either all
-    of them or none. The markers carry [seq] (default: a per-journal
-    counter). An empty list is a no-op; a singleton list is appended as
-    a bare frame (same atomicity, no marker overhead, no sequence
-    tag). *)
+    of them or none. An empty list is a no-op; a singleton list is
+    appended as a bare frame (same atomicity, no marker overhead). *)
 
 type entry =
-  | Bare of string
-      (** one record, individually committed, no sequence tag *)
-  | Solo of { seq : int; payload : string }
-      (** one record under a fused solo marker: atomic (trivially) and
-          sequenced for cross-partition merge *)
-  | Group of { seq : int; payloads : string list }
+  | Bare of string  (** one record, individually committed *)
+  | Group of string list
       (** an all-or-nothing multi-record group under Begin/Commit
-          markers carrying [seq] *)
+          markers *)
 
 val append_entries : t -> entry list -> (unit, Seed_util.Seed_error.t) result
 (** Appends a batch of independent transactions in {e one} physical
@@ -111,8 +98,6 @@ type kind =
   | Commit of { txn : int; count : int; crc : int32 }
       (** closes a group: [count] records, [crc] over their
           concatenated payloads *)
-  | Solo_marker of { txn : int; crc : int32 }
-      (** fused begin+commit for the single data frame that follows *)
 
 type frame = {
   f_epoch : int;  (** compaction epoch the record was appended under *)
@@ -151,23 +136,10 @@ val quarantined : scan_result -> damage list
     skipped during replay and left in place, pending {!Store.fsck}
     [~repair] rewriting the journal. *)
 
-val max_seq : frame list -> int
-(** The largest transaction sequence number carried by any marker in
-    [frames] (0 when there are none) — used to re-seed the global
-    sequence counter on open. *)
-
-type unit_ = {
-  u_seq : int option;
-      (** the transaction's sequence tag; [None] for bare records *)
-  u_frames : frame list;  (** the transaction's data frames, in order *)
-}
-(** One committed transaction: a bare record, a solo record, or a whole
-    group. The unit is the granularity at which partition journals are
-    merged back into a total order. *)
-
 type groups = {
-  g_units : unit_ list;
-      (** committed transactions in append order — the merge input *)
+  g_units : frame list list;
+      (** committed transactions in append order, each its data frames
+          (a bare record is a one-frame transaction) *)
   g_committed : frame list;
       (** data frames safe to replay, in append order: bare records plus
           the records of every properly committed group (the
@@ -179,8 +151,8 @@ type groups = {
       (** of the dropped records, how many sit in an unterminated group
           at the very end of the frame list *)
   g_tail_begin : int option;
-      (** offset of that unterminated tail group's begin (or dangling
-          solo) marker — the natural truncation point *)
+      (** offset of that unterminated tail group's begin marker — the
+          natural truncation point *)
 }
 
 val resolve_groups : ?damage:damage list -> frame list -> groups
@@ -188,8 +160,8 @@ val resolve_groups : ?damage:damage list -> frame list -> groups
     [damage] region falling inside an open group is a barrier: the
     group's records before it are dropped, and the frames after it are
     decided by the next marker — a [Commit] drops them too (the group
-    ran past the damage, so a record is missing), while a [Begin], a
-    solo marker or the end of the journal replays them as independent
+    ran past the damage, so a record is missing), while a [Begin] or
+    the end of the journal replays them as independent
     appends (the damage ate the commit marker, not a record). *)
 
 val read_all : string -> (string list, Seed_util.Seed_error.t) result

@@ -3,16 +3,10 @@ open Seed_error
 
 type sync_policy = Journal.sync_policy
 
-(* One journal partition: its file, its open journal, and the
-   group-commit daemon that owns all physical appends to it. Partition 0
-   keeps the legacy name [journal.log]; the rest are [journal.pK]. *)
-type partition = {
-  p_index : int;
-  p_path : string;
-  mutable p_journal : Journal.t option;
-  mutable p_records : int;  (* data records since last compaction *)
-  mutable p_daemon : Commit_daemon.t option;  (* Some after construction *)
-}
+(* The open [journal.log] and its data-record count since the last
+   compaction. Closed ([None]) only across compaction's journal swap
+   and after {!close}. *)
+type log = { mutable journal : Journal.t option; mutable records : int }
 
 type t = {
   dir : string;
@@ -22,8 +16,8 @@ type t = {
   sleep : (float -> unit) option;
   generations : int;
   mutable epoch : int;
-  parts : partition array;
-  seq : int Atomic.t;  (* global transaction sequence, shared by all partitions *)
+  log : log;
+  daemon : Commit_daemon.t;  (* owns every physical append to [log] *)
   retried : int Atomic.t;
   active : int Atomic.t;  (* writers currently inside append/append_group *)
 }
@@ -35,24 +29,12 @@ let quarantine_path dir = Filename.concat dir "snapshot.bin.corrupt"
 let journal_path dir = Filename.concat dir "journal.log"
 let generation_path dir k = Printf.sprintf "%s.%d" (snapshot_path dir) k
 
-let partition_file dir k =
-  if k = 0 then journal_path dir
-  else Filename.concat dir (Printf.sprintf "journal.p%d" k)
-
-let partition_name k =
-  if k = 0 then "journal.log" else Printf.sprintf "journal.p%d" k
-
 let default_generations = 2
 
 (* generation slots are probed, not configured, on the read side: a
    store reopened with a smaller [generations] must still see (and fsck
    must still clean) the slots an earlier configuration left behind *)
 let max_generation_probe = 9
-
-(* likewise, partition files are probed on the read side: a store
-   written with [~partitions:4] must replay all four journals even when
-   reopened with the default, so the partition count only ever grows *)
-let max_partition_probe = 15
 
 let wrap_io = Seed_error.wrap_io
 
@@ -63,6 +45,31 @@ let ensure_dir dir =
           raise (Sys_error (dir ^ " exists and is not a directory"))
       end
       else Unix.mkdir dir 0o755)
+
+(* Earlier releases could spread the journal over [journal.pK] files
+   whose records only a sequence-tag merge puts back in order. This
+   version replays [journal.log] alone, so it refuses such a directory
+   rather than silently leave committed records out. *)
+let refuse_partition_files dir =
+  let is_partition f =
+    let n = String.length f in
+    n > 9
+    && String.starts_with ~prefix:"journal.p" f
+    && String.for_all
+         (function '0' .. '9' -> true | _ -> false)
+         (String.sub f 9 (n - 9))
+  in
+  let* names = wrap_io (fun () -> Sys.readdir dir) in
+  match List.sort compare (List.filter is_partition (Array.to_list names)) with
+  | [] -> Ok ()
+  | f :: _ ->
+    fail
+      (Invalid_operation
+         (Printf.sprintf
+            "%s: journal partition files are not supported; this store was \
+             written by a release with partitioned journals — compact it \
+             there and remove its journal.pK files"
+            (Filename.concat dir f)))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                             *)
@@ -80,7 +87,6 @@ type recovery = {
   snapshot_generation : int option;
   io_retries : int;
   epoch : int;
-  partitions_merged : int;
 }
 
 let recovery_clean r =
@@ -91,21 +97,16 @@ let recovery_clean r =
   && r.snapshot_generation = None
 
 let pp_recovery ppf r =
-  let partitions =
-    if r.partitions_merged > 1 then
-      Printf.sprintf ", %d journal partitions merged" r.partitions_merged
-    else ""
-  in
   if recovery_clean r then
-    Fmt.pf ppf "clean (epoch %d, %d records replayed%s%s)" r.epoch
-      r.records_replayed partitions
+    Fmt.pf ppf "clean (epoch %d, %d records replayed%s)" r.epoch
+      r.records_replayed
       (if r.io_retries > 0 then
          Printf.sprintf ", %d transient i/o retr%s" r.io_retries
            (if r.io_retries = 1 then "y" else "ies")
        else "")
   else
-    Fmt.pf ppf "epoch %d, %d records replayed%s, %d bytes dropped%s%s%s%s%s%s%s"
-      r.epoch r.records_replayed partitions r.bytes_dropped
+    Fmt.pf ppf "epoch %d, %d records replayed, %d bytes dropped%s%s%s%s%s%s%s"
+      r.epoch r.records_replayed r.bytes_dropped
       (match r.torn_tail with
       | Some reason -> Printf.sprintf ", torn tail (%s)" reason
       | None -> "")
@@ -181,7 +182,7 @@ let load_snapshot ~io ~retry ~sleep ~count_retry dir =
   | None -> Ok (None, Src_primary, false)
   | Some (sp, src) -> Ok (Some sp, src, !primary_damaged)
 
-(* Sorts one scanned partition journal against the snapshot's epoch:
+(* Sorts the scanned journal against the snapshot's epoch:
    which transaction units to replay, how many bytes are dead (torn
    tail, stale or ahead frames), and whether the file should be cut back
    on open. [allow_ahead] is set when recovery fell back to an older
@@ -254,80 +255,38 @@ let classify ~snap_epoch ~allow_ahead ~path (s : Journal.scan_result) =
           snapshot_generation = None;
           io_retries = 0;
           epoch = snap_epoch;
-          partitions_merged = 1;
         },
         truncate_to )
 
-(* Rewrites a partition journal to contain exactly [units], under
-   [epoch], preserving each unit's shape (bare / solo / group) and
-   sequence tag so the cross-partition merge order survives the
-   rewrite. Used to drop a stale prefix, quarantined regions, or
-   epoch-ahead leftovers while keeping the committed records. *)
+(* Rewrites the journal to contain exactly [units], under [epoch],
+   preserving each unit's shape (bare record or group). Used to drop a
+   stale prefix, quarantined regions, or epoch-ahead leftovers while
+   keeping the committed records. *)
 let rewrite_journal ~io path ~epoch units =
   let* () = Journal.truncate ~io path in
   let* j = Journal.open_ ~io ~sync:`Flush_only ~epoch path in
   let* () =
     iter_result
-      (fun u ->
-        let payloads =
-          List.map (fun f -> f.Journal.f_payload) u.Journal.u_frames
-        in
-        match (u.Journal.u_seq, payloads) with
-        | None, ps -> iter_result (Journal.append j) ps
-        | Some seq, [ payload ] ->
-          Journal.append_entries j [ Journal.Solo { seq; payload } ]
-        | Some seq, ps -> Journal.append_group ~seq j ps)
+      (fun fs ->
+        Journal.append_group j (List.map (fun f -> f.Journal.f_payload) fs))
       units
   in
   let* () = Journal.sync j in
   Journal.close j;
   Ok ()
 
-(* Merges per-partition unit lists into one total replay order. Units
-   carry the globally allocated sequence tag of their commit marker; an
-   untagged (bare, legacy) unit inherits the last tag seen in its own
-   partition, so it sorts right after the transaction it followed on
-   disk. With a single populated partition the file order is kept as
-   is — exactly the pre-partitioning semantics. *)
-let merge_units per_part =
-  match List.filter (fun us -> us <> []) per_part with
-  | [] -> []
-  | [ only ] -> only
-  | _ ->
-    let tag units =
-      let last = ref 0 in
-      List.map
-        (fun u ->
-          (match u.Journal.u_seq with Some s -> last := s | None -> ());
-          (!last, u))
-        units
-    in
-    List.concat_map tag per_part
-    |> List.stable_sort (fun (s1, _) (s2, _) -> Int.compare s1 s2)
-    |> List.map snd
-
 let entry_records = function
-  | Journal.Bare _ | Journal.Solo _ -> 1
-  | Journal.Group { payloads; _ } -> List.length payloads
+  | Journal.Bare _ -> 1
+  | Journal.Group payloads -> List.length payloads
 
-(* Builds a partition handle and its commit daemon. The daemon's write
-   callback is the only code path that touches the journal for appends;
-   transient write errors are retried there. Re-appending a batch whose
-   first attempt half-landed is safe: the scanner quarantines the torn
-   bytes and resynchronizes on the retried frames' headers. *)
-let make_partition ~sync ~retry ~sleep ~retried ~active k path journal records
-    =
-  let p =
-    {
-      p_index = k;
-      p_path = path;
-      p_journal = Some journal;
-      p_records = records;
-      p_daemon = None;
-    }
-  in
+(* Builds the commit daemon over [log]. Its write callback is the only
+   code path that appends to the journal; transient write errors are
+   retried there. Re-appending a batch whose first attempt half-landed
+   is safe: the scanner quarantines the torn bytes and resynchronizes on
+   the retried frames' headers. *)
+let make_daemon ~sync ~retry ~sleep ~retried ~active ~path log =
   let write entries =
-    match p.p_journal with
+    match log.journal with
     | None -> fail (Io_error ("store closed: " ^ path))
     | Some j ->
       let* () =
@@ -335,8 +294,8 @@ let make_partition ~sync ~retry ~sleep ~retried ~active k path journal records
           ~on_retry:(fun ~attempt:_ _ -> Atomic.incr retried)
           (fun () -> Journal.append_entries j entries)
       in
-      p.p_records <-
-        p.p_records + List.fold_left (fun acc e -> acc + entry_records e) 0 entries;
+      log.records <-
+        log.records + List.fold_left (fun acc e -> acc + entry_records e) 0 entries;
       Ok ()
   in
   (* The commit window only pays off when the physical write is
@@ -345,32 +304,17 @@ let make_partition ~sync ~retry ~sleep ~retried ~active k path journal records
      because the OS floor rounds it up to tens of microseconds — about
      half an fsync — which is the hold we actually want. *)
   let coalesce = if sync = `Always_fsync then 1e-5 else 0. in
-  p.p_daemon <-
-    Some
-      (Commit_daemon.create ~coalesce
-         ~siblings:(fun () -> Atomic.get active)
-         ~counts_fsync:(sync = `Always_fsync) write);
-  p
-
-let daemon_of p = Option.get p.p_daemon
-
-(* Partition files present on disk, as a count (file indexes are dense
-   from the write side, but a missing [journal.pK] with a present
-   [journal.pK+1] — say, after a manual delete — must not hide K+1). *)
-let found_partition_count ~exists dir =
-  let rec go k best =
-    if k > max_partition_probe then best
-    else go (k + 1) (if exists (partition_file dir k) then k + 1 else best)
-  in
-  go 1 1
+  Commit_daemon.create ~coalesce
+    ~siblings:(fun () -> Atomic.get active)
+    ~counts_fsync:(sync = `Always_fsync) write
 
 let open_dir ?(io = Io.real) ?(sync = `Flush_only)
-    ?(generations = default_generations) ?(partitions = 1)
-    ?(retry = Retry.default_policy) ?sleep dir =
+    ?(generations = default_generations) ?(retry = Retry.default_policy) ?sleep
+    dir =
   let retried = Atomic.make 0 in
-  let active = Atomic.make 0 in
   let count_retry () = Atomic.incr retried in
   let* () = ensure_dir dir in
+  let* () = refuse_partition_files dir in
   let* snap, source, primary_damaged =
     load_snapshot ~io ~retry ~sleep ~count_retry dir
   in
@@ -415,111 +359,44 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
         if !dirty then io.Io.fsync_dir dir)
   in
   let snap_epoch = match snap with Some (e, _) -> e | None -> 0 in
-  let n_parts = max partitions (found_partition_count ~exists:io.Io.exists dir) in
-  (* recover each partition independently, then merge *)
-  let recover_partition k =
-    let jpath = partition_file dir k in
-    let scan_with_retry () =
-      Retry.with_retry ~policy:retry ?sleep
-        ~on_retry:(fun ~attempt:_ _ -> count_retry ())
-        (fun () -> Journal.scan ~io jpath)
-    in
-    let* scanned = scan_with_retry () in
-    let* scanned =
-      (* read-repair double check: damage may live in the read path (a
-         flipped bit on the wire, a short read), not on the medium — only
-         damage that survives a second read is trusted, so a transient
-         fault never truncates or quarantines committed records *)
-      if scanned.Journal.scan_damage = [] then Ok scanned
-      else begin
-        count_retry ();
-        scan_with_retry ()
-      end
-    in
-    let* units, report, truncate_to =
-      classify ~snap_epoch ~allow_ahead:(source <> Src_primary) ~path:jpath
-        scanned
-    in
-    let* () =
-      if report.ahead_dropped > 0 then
-        (* epoch-ahead leftovers must not linger: a future compaction
-           would reuse their epoch and mistake them for live records *)
-        rewrite_journal ~io jpath ~epoch:snap_epoch units
-      else
-        (* cut tail damage back so it does not persist into the next
-           session; quarantined mid-file regions stay (fsck rewrites) *)
-        match truncate_to with
-        | Some len when scanned.Journal.file_size > len ->
-          Journal.truncate ~io ~len jpath
-        | _ -> Ok ()
-    in
-    Ok (units, report, Journal.max_seq scanned.Journal.frames)
+  let jpath = journal_path dir in
+  let scan_with_retry () =
+    Retry.with_retry ~policy:retry ?sleep
+      ~on_retry:(fun ~attempt:_ _ -> count_retry ())
+      (fun () -> Journal.scan ~io jpath)
   in
-  let rec recover_all k acc =
-    if k >= n_parts then Ok (List.rev acc)
+  let* scanned = scan_with_retry () in
+  let* scanned =
+    (* read-repair double check: damage may live in the read path (a
+       flipped bit on the wire, a short read), not on the medium — only
+       damage that survives a second read is trusted, so a transient
+       fault never truncates or quarantines committed records *)
+    if scanned.Journal.scan_damage = [] then Ok scanned
+    else begin
+      count_retry ();
+      scan_with_retry ()
+    end
+  in
+  let* units, report, truncate_to =
+    classify ~snap_epoch ~allow_ahead:(source <> Src_primary) ~path:jpath
+      scanned
+  in
+  let* () =
+    if report.ahead_dropped > 0 then
+      (* epoch-ahead leftovers must not linger: a future compaction
+         would reuse their epoch and mistake them for live records *)
+      rewrite_journal ~io jpath ~epoch:snap_epoch units
     else
-      let* r = recover_partition k in
-      recover_all (k + 1) (r :: acc)
+      (* cut tail damage back so it does not persist into the next
+         session; quarantined mid-file regions stay (fsck rewrites) *)
+      match truncate_to with
+      | Some len when scanned.Journal.file_size > len ->
+        Journal.truncate ~io ~len jpath
+      | _ -> Ok ()
   in
-  let* recovered = recover_all 0 [] in
-  let merged = merge_units (List.map (fun (us, _, _) -> us) recovered) in
-  let live =
-    List.concat_map (fun u -> u.Journal.u_frames) merged
-    |> List.map (fun f -> f.Journal.f_payload)
-  in
-  let next_seq =
-    1 + List.fold_left (fun acc (_, _, s) -> max acc s) 0 recovered
-  in
-  let report =
-    List.fold_left
-      (fun acc (_, r, _) ->
-        {
-          records_replayed = acc.records_replayed + r.records_replayed;
-          bytes_dropped = acc.bytes_dropped + r.bytes_dropped;
-          txn_dropped = acc.txn_dropped + r.txn_dropped;
-          torn_tail =
-            (if acc.torn_tail <> None then acc.torn_tail else r.torn_tail);
-          quarantined = acc.quarantined @ r.quarantined;
-          ahead_dropped = acc.ahead_dropped + r.ahead_dropped;
-          stale_journal = acc.stale_journal || r.stale_journal;
-          used_fallback = false;
-          snapshot_generation = None;
-          io_retries = 0;
-          epoch = snap_epoch;
-          partitions_merged = n_parts;
-        })
-      {
-        records_replayed = 0;
-        bytes_dropped = 0;
-        txn_dropped = 0;
-        torn_tail = None;
-        quarantined = [];
-        ahead_dropped = 0;
-        stale_journal = false;
-        used_fallback = false;
-        snapshot_generation = None;
-        io_retries = 0;
-        epoch = snap_epoch;
-        partitions_merged = n_parts;
-      }
-      (List.map (fun (_, r, _) -> ((), r, ())) recovered)
-  in
-  let rec open_parts k acc =
-    if k >= n_parts then Ok (List.rev acc)
-    else
-      let jpath = partition_file dir k in
-      let* j = Journal.open_ ~io ~sync ~epoch:snap_epoch jpath in
-      let records =
-        match List.nth_opt recovered k with
-        | Some (us, _, _) ->
-          List.fold_left (fun a u -> a + List.length u.Journal.u_frames) 0 us
-        | None -> 0
-      in
-      open_parts (k + 1)
-        (make_partition ~sync ~retry ~sleep ~retried ~active k jpath j records
-        :: acc)
-  in
-  let* parts = open_parts 0 [] in
+  let* journal = Journal.open_ ~io ~sync ~epoch:snap_epoch jpath in
+  let log = { journal = Some journal; records = report.records_replayed } in
+  let active = Atomic.make 0 in
   Ok
     ( {
         dir;
@@ -529,13 +406,13 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
         sleep;
         generations;
         epoch = snap_epoch;
-        parts = Array.of_list parts;
-        seq = Atomic.make next_seq;
+        log;
+        daemon = make_daemon ~sync ~retry ~sleep ~retried ~active ~path:jpath log;
         retried;
         active;
       },
       Option.map snd snap,
-      live,
+      List.concat_map (List.map (fun f -> f.Journal.f_payload)) units,
       {
         report with
         used_fallback = source <> Src_primary;
@@ -548,75 +425,43 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
 (* Writes                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let partitions t = Array.length t.parts
-let next_seq t = Atomic.fetch_and_add t.seq 1
-
-(* Routing: a transaction group goes whole to one partition, chosen by
-   hashing the caller's routing key (a root-object id / class hash);
-   conflicting groups share a key — the server's lock table serializes
-   them and their sequence tags are allocated in that order — so the
-   per-partition daemons only ever run independent groups in parallel. *)
-let partition_for t key =
-  let n = Array.length t.parts in
-  if n = 1 then t.parts.(0)
-  else
-    match key with
-    | None -> t.parts.(0)
-    | Some k -> t.parts.(Hashtbl.hash (k : string) mod n)
-
-(* The in-flight writer count feeds the daemons' commit window: a
+(* The in-flight writer count feeds the daemon's commit window: a
    leader holds its drain while other writers are still between here
    and their own enqueue. *)
-let submit t p entry =
+let submit t entry =
   Atomic.incr t.active;
   Fun.protect
     ~finally:(fun () -> Atomic.decr t.active)
-    (fun () -> Commit_daemon.submit (daemon_of p) entry)
+    (fun () -> Commit_daemon.submit t.daemon entry)
 
-let append ?key t payload =
-  let p = partition_for t key in
-  let entry =
-    if Array.length t.parts = 1 then Journal.Bare payload
-    else Journal.Solo { seq = next_seq t; payload }
-  in
-  submit t p entry
+let append t payload = submit t (Journal.Bare payload)
 
-let append_group ?key t payloads =
+let append_group t payloads =
   match payloads with
   | [] -> Ok ()
-  | [ payload ] -> append ?key t payload
-  | _ ->
-    let p = partition_for t key in
-    submit t p (Journal.Group { seq = next_seq t; payloads })
+  | [ payload ] -> append t payload
+  | _ -> submit t (Journal.Group payloads)
 
 let with_retry t f =
   Retry.with_retry ~policy:t.retry ?sleep:t.sleep
     ~on_retry:(fun ~attempt:_ _ -> Atomic.incr t.retried)
     f
 
-(* Daemons are paused around direct journal access (sync, compaction):
-   [Commit_daemon.pause] waits out the in-flight batch, so the journal
-   is quiescent while we hold it. *)
+(* The daemon is paused around direct journal access (sync,
+   compaction): [Commit_daemon.pause] waits out the in-flight batch, so
+   the journal is quiescent while we hold it. *)
 let quiesced t f =
-  Array.iter (fun p -> Commit_daemon.pause (daemon_of p)) t.parts;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun p -> Commit_daemon.resume (daemon_of p)) t.parts)
-    (fun () -> f ())
+  Commit_daemon.pause t.daemon;
+  Fun.protect ~finally:(fun () -> Commit_daemon.resume t.daemon) f
 
 let sync t =
   quiesced t (fun () ->
-      Array.to_list t.parts
-      |> iter_result (fun p ->
-             match p.p_journal with
-             | None -> fail (Io_error ("store closed: " ^ t.dir))
-             | Some j -> with_retry t (fun () -> Journal.sync j)))
+      match t.log.journal with
+      | None -> fail (Io_error ("store closed: " ^ t.dir))
+      | Some j -> with_retry t (fun () -> Journal.sync j))
 
 let retries t = Atomic.get t.retried
-
-let write_stats t =
-  Array.to_list t.parts
-  |> List.map (fun p -> (p.p_index, Commit_daemon.stats (daemon_of p)))
+let write_stats t = Commit_daemon.stats t.daemon
 
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                           *)
@@ -638,30 +483,25 @@ let rotate_generations t =
         done
       end)
 
-let close_journals t =
-  Array.iter
-    (fun p ->
-      match p.p_journal with
-      | None -> ()
-      | Some j ->
-        p.p_journal <- None;
-        Journal.close j)
-    t.parts
+let close_journal t =
+  match t.log.journal with
+  | None -> ()
+  | Some j ->
+    t.log.journal <- None;
+    Journal.close j
 
-let reopen_journals t ~epoch =
-  Array.to_list t.parts
-  |> iter_result (fun p ->
-         match p.p_journal with
-         | Some _ -> Ok ()
-         | None ->
-           let* j =
-             Journal.open_ ~io:t.io ~sync:t.sync_policy ~epoch p.p_path
-           in
-           p.p_journal <- Some j;
-           Ok ())
+let reopen_journal t ~epoch =
+  match t.log.journal with
+  | Some _ -> Ok ()
+  | None ->
+    let* j =
+      Journal.open_ ~io:t.io ~sync:t.sync_policy ~epoch (journal_path t.dir)
+    in
+    t.log.journal <- Some j;
+    Ok ()
 
 let compact_quiesced t ~snapshot =
-  close_journals t;
+  close_journal t;
   let next = t.epoch + 1 in
   let io = t.io in
   let snap = snapshot_path t.dir and old = fallback_path t.dir in
@@ -669,7 +509,7 @@ let compact_quiesced t ~snapshot =
      replaced (the previous generations shift up, the oldest drops) *)
   match rotate_generations t with
   | Error e ->
-    let* () = reopen_journals t ~epoch:t.epoch in
+    let* () = reopen_journal t ~epoch:t.epoch in
     Error e
   | Ok () -> (
     (* step 1: set the previous snapshot aside as the fallback *)
@@ -677,7 +517,7 @@ let compact_quiesced t ~snapshot =
       wrap_io (fun () -> if io.Io.exists snap then io.Io.rename snap old)
     with
     | Error e ->
-      let* () = reopen_journals t ~epoch:t.epoch in
+      let* () = reopen_journal t ~epoch:t.epoch in
       Error e
     | Ok () -> (
       (* step 2: write the new snapshot under the next epoch (tmp file,
@@ -692,18 +532,15 @@ let compact_quiesced t ~snapshot =
            if io.Io.exists old && not (io.Io.exists snap) then
              io.Io.rename old snap
          with Sys_error _ | Unix.Unix_error _ -> ());
-        let* () = reopen_journals t ~epoch:t.epoch in
+        let* () = reopen_journal t ~epoch:t.epoch in
         Error e
       | Ok () ->
         (* the new snapshot is durable: the store is at [next] from here
            on, even if the housekeeping below fails — recovery skips the
-           now-stale journals by epoch mismatch *)
+           now-stale journal by epoch mismatch *)
         t.epoch <- next;
         let housekeeping =
-          let* () =
-            Array.to_list t.parts
-            |> iter_result (fun p -> Journal.truncate ~io p.p_path)
-          in
+          let* () = Journal.truncate ~io (journal_path t.dir) in
           wrap_io (fun () ->
               if io.Io.exists old then
                 if
@@ -716,17 +553,16 @@ let compact_quiesced t ~snapshot =
                 end
                 else io.Io.unlink old)
         in
-        let* () = reopen_journals t ~epoch:next in
-        Array.iter (fun p -> p.p_records <- 0) t.parts;
+        let* () = reopen_journal t ~epoch:next in
+        t.log.records <- 0;
         housekeeping))
 
 let compact t ~snapshot = quiesced t (fun () -> compact_quiesced t ~snapshot)
 
-let journal_size t =
-  Array.fold_left (fun acc p -> acc + p.p_records) 0 t.parts
+let journal_size t = t.log.records
 
 let epoch (t : t) = t.epoch
-let close t = close_journals t
+let close t = close_journal t
 let dir t = t.dir
 
 (* ------------------------------------------------------------------ *)
@@ -738,26 +574,11 @@ type file_status =
   | Intact of { epoch : int; bytes : int }
   | Damaged of string
 
-type journal_health = {
-  jh_frames : int;  (** committed data frames of the reference epoch *)
-  jh_epoch : int option;
-  jh_torn_bytes : int;
-  jh_torn_reason : string option;
-  jh_quarantined_regions : int;
-  jh_quarantined_bytes : int;
-  jh_stale : bool;
-  jh_ahead : bool;
-  jh_dangling_records : int;
-  jh_dangling_tail : bool;
-  jh_healthy : bool;
-}
-
 type fsck_report = {
   fsck_snapshot : file_status;
   fsck_fallback : file_status;
   fsck_generations : (int * file_status) list;
   fsck_tmp_leftover : bool;
-  fsck_partitions : (int * journal_health) list;
   fsck_journal_frames : int;
   fsck_journal_epoch : int option;
   fsck_torn_bytes : int;
@@ -765,6 +586,7 @@ type fsck_report = {
   fsck_quarantined_regions : int;
   fsck_quarantined_bytes : int;
   fsck_stale_journal : bool;
+  fsck_journal_ahead : bool;
   fsck_dangling_txn_records : int;
   fsck_dangling_txn_tail : bool;
   fsck_healthy : bool;
@@ -796,44 +618,14 @@ let generation_statuses ?io dir =
   in
   go 1 []
 
-let analyze_journal ?io ~reference path =
-  let* scanned = Journal.scan ?io path in
-  let frames = scanned.Journal.frames in
-  let live = List.filter (fun f -> f.Journal.f_epoch = reference) frames in
-  let stale = List.exists (fun f -> f.Journal.f_epoch < reference) frames in
-  let ahead = List.exists (fun f -> f.Journal.f_epoch > reference) frames in
-  let quarantined = Journal.quarantined scanned in
-  let groups = Journal.resolve_groups ~damage:quarantined live in
-  let prefix_end =
-    match Journal.tail_damage scanned with
-    | Some d -> d.Journal.d_offset
-    | None -> scanned.Journal.file_size
-  in
-  let torn_bytes = scanned.Journal.file_size - prefix_end in
-  Ok
-    {
-      jh_frames = List.length groups.Journal.g_committed;
-      jh_epoch =
-        (match frames with f :: _ -> Some f.Journal.f_epoch | [] -> None);
-      jh_torn_bytes = torn_bytes;
-      jh_torn_reason =
-        Option.map (fun d -> d.Journal.d_reason) (Journal.tail_damage scanned);
-      jh_quarantined_regions = List.length quarantined;
-      jh_quarantined_bytes =
-        List.fold_left
-          (fun acc d -> acc + (d.Journal.d_end - d.Journal.d_offset))
-          0 quarantined;
-      jh_stale = stale;
-      jh_ahead = ahead;
-      jh_dangling_records = groups.Journal.g_dropped_records;
-      jh_dangling_tail = groups.Journal.g_tail_begin <> None;
-      jh_healthy =
-        torn_bytes = 0 && quarantined = [] && (not stale) && (not ahead)
-        && groups.Journal.g_dropped_records = 0;
-    }
+let journal_healthy r =
+  r.fsck_torn_bytes = 0 && r.fsck_quarantined_regions = 0
+  && (not r.fsck_stale_journal) && (not r.fsck_journal_ahead)
+  && r.fsck_dangling_txn_records = 0
 
 let analyze ?io dir =
   let* () = ensure_dir dir in
+  let* () = refuse_partition_files dir in
   let* snapshot = status_of_snapshot ?io (snapshot_path dir) in
   let* fallback = status_of_snapshot ?io (fallback_path dir) in
   let* gens = generation_statuses ?io dir in
@@ -850,29 +642,49 @@ let analyze ?io dir =
       | _ -> None)
   in
   let reference = Option.value snap_epoch ~default:0 in
-  let exists =
-    match io with Some i -> i.Io.exists | None -> Sys.file_exists
+  let* scanned = Journal.scan ?io (journal_path dir) in
+  let frames = scanned.Journal.frames in
+  let live = List.filter (fun f -> f.Journal.f_epoch = reference) frames in
+  let stale = List.exists (fun f -> f.Journal.f_epoch < reference) frames in
+  let ahead = List.exists (fun f -> f.Journal.f_epoch > reference) frames in
+  let quarantined = Journal.quarantined scanned in
+  let groups = Journal.resolve_groups ~damage:quarantined live in
+  let prefix_end =
+    match Journal.tail_damage scanned with
+    | Some d -> d.Journal.d_offset
+    | None -> scanned.Journal.file_size
   in
-  let n_parts = found_partition_count ~exists dir in
-  let rec per_partition k acc =
-    if k >= n_parts then Ok (List.rev acc)
-    else
-      let* jh = analyze_journal ?io ~reference (partition_file dir k) in
-      per_partition (k + 1) ((k, jh) :: acc)
-  in
-  let* parts = per_partition 0 [] in
-  let sum f = List.fold_left (fun acc (_, jh) -> acc + f jh) 0 parts in
-  let any f = List.exists (fun (_, jh) -> f jh) parts in
-  let first f =
-    List.fold_left
-      (fun acc (_, jh) -> if acc = None then f jh else acc)
-      None parts
-  in
-  let total_frames = sum (fun jh -> jh.jh_frames) in
+  let torn_bytes = scanned.Journal.file_size - prefix_end in
+  let total_frames = List.length groups.Journal.g_committed in
   let gens_healthy =
     List.for_all
       (fun (_, st) -> match st with Intact _ -> true | _ -> false)
       gens
+  in
+  let report =
+    {
+      fsck_snapshot = snapshot;
+      fsck_fallback = fallback;
+      fsck_generations = gens;
+      fsck_tmp_leftover = tmp;
+      fsck_journal_frames = total_frames;
+      fsck_journal_epoch =
+        (match frames with f :: _ -> Some f.Journal.f_epoch | [] -> None);
+      fsck_torn_bytes = torn_bytes;
+      fsck_torn_reason =
+        Option.map (fun d -> d.Journal.d_reason) (Journal.tail_damage scanned);
+      fsck_quarantined_regions = List.length quarantined;
+      fsck_quarantined_bytes =
+        List.fold_left
+          (fun acc d -> acc + (d.Journal.d_end - d.Journal.d_offset))
+          0 quarantined;
+      fsck_stale_journal = stale;
+      fsck_journal_ahead = ahead;
+      fsck_dangling_txn_records = groups.Journal.g_dropped_records;
+      fsck_dangling_txn_tail = groups.Journal.g_tail_begin <> None;
+      fsck_healthy = false;
+      fsck_repairs = [];
+    }
   in
   let healthy =
     (match snapshot with
@@ -880,37 +692,18 @@ let analyze ?io dir =
     | Absent -> total_frames = 0 || reference = 0
     | Damaged _ -> false)
     && (match fallback with Absent -> true | _ -> false)
-    && gens_healthy && (not tmp)
-    && List.for_all (fun (_, jh) -> jh.jh_healthy) parts
+    && gens_healthy && (not tmp) && journal_healthy report
   in
-  Ok
-    {
-      fsck_snapshot = snapshot;
-      fsck_fallback = fallback;
-      fsck_generations = gens;
-      fsck_tmp_leftover = tmp;
-      fsck_partitions = parts;
-      fsck_journal_frames = total_frames;
-      fsck_journal_epoch = first (fun jh -> jh.jh_epoch);
-      fsck_torn_bytes = sum (fun jh -> jh.jh_torn_bytes);
-      fsck_torn_reason = first (fun jh -> jh.jh_torn_reason);
-      fsck_quarantined_regions = sum (fun jh -> jh.jh_quarantined_regions);
-      fsck_quarantined_bytes = sum (fun jh -> jh.jh_quarantined_bytes);
-      fsck_stale_journal = any (fun jh -> jh.jh_stale);
-      fsck_dangling_txn_records = sum (fun jh -> jh.jh_dangling_records);
-      fsck_dangling_txn_tail = any (fun jh -> jh.jh_dangling_tail);
-      fsck_healthy = healthy;
-      fsck_repairs = [];
-    }
+  Ok { report with fsck_healthy = healthy }
 
-(* Repairs one partition journal against the (already repaired)
+(* Repairs the journal against the (already repaired)
    snapshot's epoch: rewrites it when stale/ahead frames, mid-journal
    drops or quarantined damage are buried inside, otherwise truncates a
    dangling tail group and/or torn tail bytes. *)
-let repair_journal ~io ~add ~reference dir k =
+let repair_journal ~io ~add ~reference dir =
   let act fmt = Printf.ksprintf add fmt in
-  let jpath = partition_file dir k in
-  let jname = partition_name k in
+  let jpath = journal_path dir in
+  let jname = "journal.log" in
   let* scanned = Journal.scan ~io jpath in
   let frames = scanned.Journal.frames in
   let live = List.filter (fun f -> f.Journal.f_epoch = reference) frames in
@@ -1039,18 +832,14 @@ let repair_actions ~io dir report =
         | _ -> Ok ())
       report.fsck_generations
   in
-  (* re-read the (possibly repaired) snapshot, then fix each journal
-     partition — quarantine and repair stay partition-local *)
+  (* re-read the (possibly repaired) snapshot, then fix the journal
+     against its epoch *)
   let* snapshot = status_of_snapshot ~io (snapshot_path dir) in
   let reference =
     match snapshot with Intact { epoch; _ } -> epoch | _ -> 0
   in
   let* () =
-    iter_result
-      (fun (k, _) ->
-        repair_journal ~io ~add:(fun m -> actions := m :: !actions) ~reference
-          dir k)
-      report.fsck_partitions
+    repair_journal ~io ~add:(fun m -> actions := m :: !actions) ~reference dir
   in
   Ok (List.rev !actions)
 
@@ -1078,16 +867,12 @@ let pp_fsck_report ppf r =
     r.fsck_generations;
   if r.fsck_tmp_leftover then
     Fmt.pf ppf "snapshot.bin.tmp:  present (leftover of an interrupted write)@.";
-  List.iter
-    (fun (k, jh) ->
-      Fmt.pf ppf "%-18s %d live record(s)%s%s@."
-        (partition_name k ^ ":")
-        jh.jh_frames
-        (match jh.jh_epoch with
-        | Some e -> Printf.sprintf ", epoch %d" e
-        | None -> ", empty")
-        (if jh.jh_healthy then "" else " — NEEDS ATTENTION"))
-    r.fsck_partitions;
+  Fmt.pf ppf "journal.log:       %d live record(s)%s%s@."
+    r.fsck_journal_frames
+    (match r.fsck_journal_epoch with
+    | Some e -> Printf.sprintf ", epoch %d" e
+    | None -> ", empty")
+    (if journal_healthy r then "" else " — NEEDS ATTENTION");
   if r.fsck_stale_journal then
     Fmt.pf ppf "stale journal:     records predating the snapshot's epoch \
                 (skipped on open)@.";

@@ -41,23 +41,15 @@ type t
 type sync_policy = Journal.sync_policy
 (** Durability of {!append}; see {!Journal.sync_policy}. *)
 
-(** {2 Partitioned write path}
+(** {2 Group-committed write path}
 
-    A store holds one or more journal {e partitions}: partition 0 is
-    the legacy [journal.log], partitions 1..N-1 are [journal.p1..].
-    Each partition has its own group-commit daemon
-    ({!Commit_daemon}) — concurrently arriving transaction groups on
-    the same partition coalesce into one physical write and one fsync;
-    groups on different partitions proceed in parallel, each on its own
-    fsync stream. A transaction group goes {e whole} to one partition
-    (chosen by hashing the caller's routing [key]), so §9 all-or-nothing
-    semantics stay partition-local. Every group's commit marker carries
-    a sequence tag from one store-global counter; on open, the partition
-    journals are each recovered independently and then merged by tag
-    into one total replay order. The partition count is write-side
-    configuration ({!open_dir}'s [partitions]) but read-side probed: a
-    store written with 4 partitions reopens with 4 even under the
-    default. *)
+    Every append goes through one group-commit daemon
+    ({!Commit_daemon}) over the one [journal.log]: transaction groups
+    arriving concurrently coalesce into one physical write and one
+    fsync, each group still all-or-nothing on recovery, and the journal
+    order is the replay order. Earlier releases could spread the
+    journal over [journal.pK] partition files; {!open_dir} and {!fsck}
+    refuse a directory holding any. *)
 
 type recovery = {
   records_replayed : int;  (** journal records handed back to the client *)
@@ -88,9 +80,6 @@ type recovery = {
   io_retries : int;
       (** transient I/O errors absorbed by retry during open *)
   epoch : int;  (** the store's compaction epoch after open *)
-  partitions_merged : int;
-      (** journal partitions recovered and merged into the replay (1
-          for a legacy single-journal store) *)
 }
 
 val recovery_clean : recovery -> bool
@@ -103,7 +92,6 @@ val open_dir :
   ?io:Io.t ->
   ?sync:sync_policy ->
   ?generations:int ->
-  ?partitions:int ->
   ?retry:Seed_util.Retry.policy ->
   ?sleep:(float -> unit) ->
   string ->
@@ -114,42 +102,32 @@ val open_dir :
     needed to rebuild the client state, plus what recovery had to do to
     get there. [sync] (default [`Flush_only]) governs {!append};
     [generations] (default 2) how many old snapshots {!compact} keeps;
-    [partitions] (default 1) how many journal partitions to write to
-    (grown, never shrunk, by what is found on disk);
     [retry]/[sleep] the transient-fault retry policy and its clock.
-    The replayed records are the merged total order across all
-    partitions. *)
+    A directory holding a [journal.pK] partition file is refused with
+    an [Invalid_operation] error naming it. *)
 
-val append : ?key:string -> t -> string -> (unit, Seed_util.Seed_error.t) result
+val append : t -> string -> (unit, Seed_util.Seed_error.t) result
 (** Appends a journal record with the store's {!sync_policy}, through
-    the routed partition's group-commit daemon (concurrent appends
-    coalesce into shared fsyncs). A bare record is its own committed
+    the group-commit daemon (concurrent appends coalesce into shared
+    fsyncs). A bare record is its own committed
     transaction. Transient I/O errors are retried; a half-written first
     attempt is quarantined by the scanner and resynchronized over on
     recovery, so the retry cannot corrupt. *)
 
 val append_group :
-  ?key:string -> t -> string list -> (unit, Seed_util.Seed_error.t) result
+  t -> string list -> (unit, Seed_util.Seed_error.t) result
 (** Appends the records as one atomic transaction group: recovery
-    replays either all of them or none, never a prefix. The group goes
-    whole to the partition routed by [key]; callers whose groups can
-    conflict must use the same key (the server routes by root-object
-    id, which its lock table serializes on). An empty list is a no-op;
-    a singleton takes the marker-free bare/solo fast path. See
+    replays either all of them or none, never a prefix. An empty list
+    is a no-op; a singleton takes the marker-free bare fast path. See
     {!Journal.append_group}. *)
 
 val sync : t -> (unit, Seed_util.Seed_error.t) result
-(** Makes every appended record durable (fsync on every partition
-    journal, daemons quiesced around it). *)
+(** Makes every appended record durable (fsync of the journal, the
+    daemon quiesced around it). *)
 
-val partitions : t -> int
-(** How many journal partitions the store is writing to. *)
-
-val write_stats : t -> (int * Commit_daemon.stats) list
-(** Per-partition group-commit counters (partition index, daemon
-    stats): transactions submitted, physical batches, fsyncs, largest
-    coalesced batch, queue high-water. Aggregate with
-    {!Commit_daemon.add_stats}. *)
+val write_stats : t -> Commit_daemon.stats
+(** Group-commit counters: transactions submitted, physical batches,
+    fsyncs, largest coalesced batch, queue high-water. *)
 
 val compact : t -> snapshot:string -> (unit, Seed_util.Seed_error.t) result
 (** Atomically replaces the snapshot with [snapshot] (under the next
@@ -181,33 +159,15 @@ type file_status =
   | Intact of { epoch : int; bytes : int }
   | Damaged of string
 
-type journal_health = {
-  jh_frames : int;  (** committed data frames of the reference epoch *)
-  jh_epoch : int option;  (** epoch of the partition's frames *)
-  jh_torn_bytes : int;  (** bytes of damage reaching end of file *)
-  jh_torn_reason : string option;
-  jh_quarantined_regions : int;
-  jh_quarantined_bytes : int;
-  jh_stale : bool;  (** frames predating the snapshot's epoch *)
-  jh_ahead : bool;  (** frames newer than the snapshot's epoch *)
-  jh_dangling_records : int;
-  jh_dangling_tail : bool;
-  jh_healthy : bool;
-}
-(** Health of one journal partition — damage in one partition never
-    taints another ([--repair] is partition-local too). *)
-
 type fsck_report = {
   fsck_snapshot : file_status;
   fsck_fallback : file_status;  (** [snapshot.bin.old] *)
   fsck_generations : (int * file_status) list;
       (** generation slots present on disk ([snapshot.bin.k]) *)
   fsck_tmp_leftover : bool;  (** [snapshot.bin.tmp] exists *)
-  fsck_partitions : (int * journal_health) list;
-      (** per-partition journal health, partition 0 first *)
   fsck_journal_frames : int;
-      (** intact frames of the current epoch, all partitions *)
-  fsck_journal_epoch : int option;  (** epoch of the journals' frames *)
+      (** committed data frames of the current epoch *)
+  fsck_journal_epoch : int option;  (** epoch of the journal's frames *)
   fsck_torn_bytes : int;  (** bytes of damage reaching end of file *)
   fsck_torn_reason : string option;
   fsck_quarantined_regions : int;
@@ -215,6 +175,9 @@ type fsck_report = {
           [--repair]) *)
   fsck_quarantined_bytes : int;
   fsck_stale_journal : bool;  (** journal epoch predates the snapshot *)
+  fsck_journal_ahead : bool;
+      (** frames newer than the snapshot's epoch (their snapshot was
+          lost) *)
   fsck_dangling_txn_records : int;
       (** records of transaction groups that never committed — invisible
           to replay, removed by [--repair] *)
@@ -224,8 +187,6 @@ type fsck_report = {
   fsck_healthy : bool;
   fsck_repairs : string list;  (** actions taken (with [~repair:true]) *)
 }
-(** The journal-level aggregate fields sum (or OR) over
-    {!fsck_partitions}. *)
 
 val fsck :
   ?io:Io.t -> ?repair:bool -> string ->
@@ -237,6 +198,8 @@ val fsck :
     damaged generations, promotes [snapshot.bin.old] — or, failing that,
     the newest intact generation — when [snapshot.bin] is missing or
     unreadable, and quarantines an unreadable snapshot (as
-    [snapshot.bin.corrupt]) — after which {!open_dir} succeeds. *)
+    [snapshot.bin.corrupt]) — after which {!open_dir} succeeds. Like
+    {!open_dir}, refuses a directory holding a [journal.pK] partition
+    file. *)
 
 val pp_fsck_report : Format.formatter -> fsck_report -> unit

@@ -81,3 +81,8 @@ let qcheck_case ?(count = 200) name gen prop =
     (QCheck2.Test.make ~count ~name gen prop)
 
 let tc name f = Alcotest.test_case name `Quick f
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0

@@ -23,10 +23,7 @@
 
    The workload, crash point, torn-write choice and read-fault schedule
    all derive from [--seed], so a failing iteration is reproducible
-   bit-for-bit. With [--partitions N] the store journals across N
-   partitions: the same invariants must hold when the crash lands
-   between (or inside) per-partition writes and recovery has to merge
-   the partition journals back into one replay order. *)
+   bit-for-bit. *)
 
 open Seed_util
 open Seed_schema
@@ -244,11 +241,11 @@ let text_index_consistent db =
    fingerprint an in-flight flush would establish. A [Faulty.Crash]
    escapes to the caller with both refs at their moment-of-crash
    values. *)
-let run ~io ~dir ~partitions ~steps ~acked ~pending =
+let run ~io ~dir ~steps ~acked ~pending =
   let s =
     Seed_error.ok_exn
       (Persist.Session.open_ ~dir ~schema:(schema ()) ~io ~sync:`Always_fsync
-         ~partitions ())
+         ())
   in
   let db = Persist.Session.db s in
   let env = { db; objects = []; subs = []; patterns = []; versions = [] } in
@@ -364,15 +361,14 @@ exception Soak_failure of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Soak_failure m)) fmt
 
-let iteration ~seed ~iter ~partitions ~verbose =
+let iteration ~seed ~iter ~verbose =
   let rng = Random.State.make [| seed; iter |] in
   let steps = gen_steps rng in
   let empty_fp = fingerprint (DB.create (schema ())) in
   (* dry run: count the workload's I/O steps and make sure it completes *)
   let probe = Faulty.create () in
   let acked = ref empty_fp and pending = ref None in
-  run ~io:(Faulty.io probe) ~dir:(tmp_dir ()) ~partitions ~steps ~acked
-    ~pending;
+  run ~io:(Faulty.io probe) ~dir:(tmp_dir ()) ~steps ~acked ~pending;
   let total = Faulty.steps probe in
   (* a quiet workload (every batch rolled back, deltas empty) can be
      down to a handful of steps; all we need is somewhere to crash *)
@@ -384,7 +380,7 @@ let iteration ~seed ~iter ~partitions ~verbose =
   let f = Faulty.create ~crash_at ~torn () in
   let acked = ref empty_fp and pending = ref None in
   (try
-     run ~io:(Faulty.io f) ~dir ~partitions ~steps ~acked ~pending;
+     run ~io:(Faulty.io f) ~dir ~steps ~acked ~pending;
      failf "iteration %d: crash at step %d/%d did not fire" iter crash_at
        total
    with Faulty.Crash _ -> ());
@@ -474,30 +470,23 @@ let iteration ~seed ~iter ~partitions ~verbose =
 let () =
   let iters = ref 25
   and seed = ref 42
-  and partitions = ref 1
   and verbose = ref false in
   let spec =
     [
       ("--iters", Arg.Set_int iters, "N  number of iterations (default 25)");
       ("--seed", Arg.Set_int seed, "N  base random seed (default 42)");
-      ( "--partitions",
-        Arg.Set_int partitions,
-        "N  journal partitions for the workload store (default 1)" );
       ("-v", Arg.Set verbose, "  one line per iteration");
     ]
   in
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "soak [--iters N] [--seed N] [--partitions N] [-v]";
+    "soak [--iters N] [--seed N] [-v]";
   (try
      for i = 0 to !iters - 1 do
-       iteration ~seed:!seed ~iter:i ~partitions:!partitions
-         ~verbose:!verbose
+       iteration ~seed:!seed ~iter:i ~verbose:!verbose
      done
    with Soak_failure m ->
      Printf.eprintf "SOAK FAILURE: %s\n%!" m;
      exit 1);
   Printf.printf
-    "soak OK: %d iterations (seed %d, %d partition%s), all invariants held\n%!"
-    !iters !seed !partitions
-    (if !partitions = 1 then "" else "s")
+    "soak OK: %d iterations (seed %d), all invariants held\n%!" !iters !seed

@@ -4,11 +4,6 @@ open Helpers
 module DB = Seed_core.Database
 module Dot = Seed_core.Dot
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let setup () =
   let db = fresh_db () in
   let d = ok (DB.create_object db ~cls:"Data" ~name:"Alarms" ()) in

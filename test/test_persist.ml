@@ -229,6 +229,37 @@ let test_session_survives_torn_journal_tail () =
   Alcotest.(check bool) "A recovered" true (DB.find_object db2 "A" <> None);
   Persist.Session.close s2
 
+(* Database.stats reads the store's group-commit counters: every flush
+   with changes is one transaction through the commit daemon and, under
+   [`Always_fsync], one fsync. An in-memory database has no write path
+   to report. *)
+let test_session_write_stats () =
+  let dir = tmp_dir () in
+  (* create, then reopen: a fresh store's initial metadata record would
+     count as one more transaction *)
+  Persist.Session.close
+    (ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()));
+  let s = ok (Persist.Session.open_ ~dir ~sync:`Always_fsync ()) in
+  let db = Persist.Session.db s in
+  let n = 5 in
+  for i = 1 to n do
+    let _ =
+      ok (DB.create_object db ~cls:"Data" ~name:(Printf.sprintf "O%d" i) ())
+    in
+    check_ok "flush" (Persist.Session.flush s)
+  done;
+  let st = DB.stats db in
+  Alcotest.(check bool) "durable" true st.DB.st_durable;
+  Alcotest.(check int) "txns submitted" n st.DB.st_txns_submitted;
+  Alcotest.(check int) "fsyncs" n st.DB.st_txn_fsyncs;
+  Alcotest.(check bool) "pp_stats prints the write path" true
+    (contains (Fmt.str "%a" DB.pp_stats st) "txns committed: 5 in 5 writes / 5 fsyncs");
+  Persist.Session.close s;
+  let st = DB.stats (fresh_db ()) in
+  Alcotest.(check bool) "in-memory is not durable" false st.DB.st_durable;
+  Alcotest.(check bool) "pp_stats leaves the write path out" false
+    (contains (Fmt.str "%a" DB.pp_stats st) "txns committed")
+
 let test_versions_survive_roundtrip () =
   let dir = tmp_dir () in
   let db, _, v1 = populated () in
@@ -299,5 +330,6 @@ let () =
           tc "compaction" test_session_compact;
           tc "fresh dir needs schema" test_session_requires_schema_for_fresh_dir;
           tc "torn tail recovery" test_session_survives_torn_journal_tail;
+          tc "write stats through Database.stats" test_session_write_stats;
         ] );
     ]

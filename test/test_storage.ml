@@ -193,7 +193,6 @@ let kind_label = function
   | Journal.Data -> "data"
   | Journal.Begin _ -> "begin"
   | Journal.Commit _ -> "commit"
-  | Journal.Solo_marker _ -> "solo"
 
 let test_group_roundtrip () =
   let dir = tmp_dir () in
@@ -695,11 +694,6 @@ let test_fsck_dangling_txn () =
   Alcotest.(check int) "replayable frames" 1 r.Store.fsck_journal_frames;
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "repaired" true r.Store.fsck_healthy;
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    at 0
-  in
   Alcotest.(check bool) "repair names the dangling txn" true
     (List.exists (fun m -> contains m "dangling") r.Store.fsck_repairs);
   let _, _, records, report = ok (Store.open_dir dir) in
@@ -985,120 +979,29 @@ let test_salvage_sweep () =
   Alcotest.(check bool) "clean" true (Store.recovery_clean report)
 
 (* ------------------------------------------------------------------ *)
-(* Partitioned journals + group commit                                  *)
+(* Group commit over one journal; partition files refused               *)
 (* ------------------------------------------------------------------ *)
 
-(* a routing key that lands on partition [p] of [parts] — mirrors the
-   store's [Hashtbl.hash key mod n] routing *)
-let key_for ~parts p =
-  let rec go i =
-    let k = Printf.sprintf "key%d" i in
-    if Hashtbl.hash k mod parts = p then k else go (i + 1)
-  in
-  go 0
-
-let test_partitioned_merge_order () =
+let test_write_stats () =
   let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:3 dir) in
-  Alcotest.(check int) "write-side partitions" 3 (Store.partitions store);
-  (* interleave groups and solo records across all three partitions *)
-  let expect = ref [] in
-  List.iteri
-    (fun i p ->
-      let key = key_for ~parts:3 p in
-      if i mod 2 = 0 then begin
-        let rs = [ Printf.sprintf "g%d-a" i; Printf.sprintf "g%d-b" i ] in
-        check_ok "group" (Store.append_group ~key store rs);
-        expect := List.rev_append rs !expect
-      end
-      else begin
-        let r = Printf.sprintf "s%d" i in
-        check_ok "solo" (Store.append ~key store r);
-        expect := r :: !expect
-      end)
-    [ 0; 1; 2; 2; 1; 0; 1; 0; 2 ];
-  let expect = List.rev !expect in
-  Alcotest.(check int) "journal_size sums partitions" (List.length expect)
-    (Store.journal_size store);
-  Store.close store;
-  Alcotest.(check bool) "p1 file" true
-    (Sys.file_exists (Filename.concat dir "journal.p1"));
-  Alcotest.(check bool) "p2 file" true
-    (Sys.file_exists (Filename.concat dir "journal.p2"));
-  (* reopen under the default: the count is probed from disk and the
-     replay is the seq-merged total order across partitions *)
-  let store, _, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check int) "probed partitions" 3 (Store.partitions store);
-  Alcotest.(check int) "merged" 3 report.Store.partitions_merged;
-  Alcotest.(check (list string)) "merged total order" expect records;
-  Alcotest.(check bool) "clean" true (Store.recovery_clean report);
-  Store.close store
-
-let test_partition_probe_growth () =
-  let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:4 dir) in
-  check_ok "a" (Store.append ~key:(key_for ~parts:4 3) store "a");
-  Store.close store;
-  (* asking for fewer partitions cannot shrink what is on disk *)
-  let store, _, records, _ = ok (Store.open_dir ~partitions:2 dir) in
-  Alcotest.(check int) "grown to what disk holds" 4 (Store.partitions store);
-  Alcotest.(check (list string)) "record kept" [ "a" ] records;
-  check_ok "b" (Store.append ~key:(key_for ~parts:4 3) store "b");
-  Store.close store;
-  let store, _, records, _ = ok (Store.open_dir dir) in
-  Alcotest.(check int) "still 4" 4 (Store.partitions store);
-  Alcotest.(check (list string)) "order kept" [ "a"; "b" ] records;
-  Store.close store
-
-let test_partitioned_compaction () =
-  let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:2 dir) in
-  let k0 = key_for ~parts:2 0 and k1 = key_for ~parts:2 1 in
-  check_ok "g0" (Store.append_group ~key:k0 store [ "a1"; "a2" ]);
-  check_ok "g1" (Store.append_group ~key:k1 store [ "b1"; "b2" ]);
-  check_ok "compact" (Store.compact store ~snapshot:"SNAP");
-  Alcotest.(check int) "all partitions emptied" 0 (Store.journal_size store);
-  check_ok "after" (Store.append ~key:k1 store "c");
-  Store.close store;
-  let store, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "snapshot" (Some "SNAP") snap;
-  Alcotest.(check (list string)) "post-compact tail" [ "c" ] records;
-  Alcotest.(check bool) "clean" true (Store.recovery_clean report);
-  Alcotest.(check int) "epoch" 1 (Store.epoch store);
-  Store.close store
-
-let test_partitioned_write_stats () =
-  let dir = tmp_dir () in
-  let store, _, _, _ =
-    ok (Store.open_dir ~partitions:2 ~sync:`Always_fsync dir)
-  in
-  let k0 = key_for ~parts:2 0 and k1 = key_for ~parts:2 1 in
-  check_ok "a" (Store.append ~key:k0 store "a");
-  check_ok "b" (Store.append ~key:k1 store "b");
-  check_ok "g" (Store.append_group ~key:k1 store [ "c"; "d" ]);
-  let stats = Store.write_stats store in
-  Alcotest.(check (list int)) "one entry per partition" [ 0; 1 ]
-    (List.map fst stats);
-  let total =
-    List.fold_left
-      (fun acc (_, s) -> Commit_daemon.add_stats acc s)
-      Commit_daemon.empty_stats stats
-  in
-  Alcotest.(check int) "txns submitted" 3 total.Commit_daemon.submitted;
+  let store, _, _, _ = ok (Store.open_dir ~sync:`Always_fsync dir) in
+  check_ok "a" (Store.append store "a");
+  check_ok "b" (Store.append store "b");
+  check_ok "g" (Store.append_group store [ "c"; "d" ]);
+  let s = Store.write_stats store in
+  Alcotest.(check int) "txns submitted" 3 s.Commit_daemon.submitted;
   (* single-threaded: every transaction is its own batch and fsync *)
-  Alcotest.(check int) "batches" 3 total.Commit_daemon.batches;
-  Alcotest.(check int) "fsyncs" 3 total.Commit_daemon.fsyncs;
-  Alcotest.(check bool) "max batch seen" true
-    (total.Commit_daemon.max_batch >= 1);
+  Alcotest.(check int) "batches" 3 s.Commit_daemon.batches;
+  Alcotest.(check int) "fsyncs" 3 s.Commit_daemon.fsyncs;
+  Alcotest.(check int) "max batch" 1 s.Commit_daemon.max_batch;
   Store.close store
 
-let test_partitioned_concurrent_writers () =
-  (* four writer domains, one per partition: every transaction survives,
-     per-writer order is preserved by the seq merge, and the daemon
-     counters account for every submission *)
+let test_concurrent_writers () =
+  (* four writer domains on one journal: every transaction survives,
+     each writer's groups replay in its own submission order, and the
+     daemon counters account for every submission *)
   let dir = tmp_dir () in
-  let parts = 4 in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:parts dir) in
+  let store, _, _, _ = ok (Store.open_dir dir) in
   let n_domains = 4 and per = 50 in
   let ready = Atomic.make 0 in
   let worker d =
@@ -1107,10 +1010,9 @@ let test_partitioned_concurrent_writers () =
         while Atomic.get ready < n_domains do
           Domain.cpu_relax ()
         done;
-        let key = key_for ~parts d in
         for i = 0 to per - 1 do
           match
-            Store.append_group ~key store
+            Store.append_group store
               [
                 Printf.sprintf "d%d-%03d-a" d i; Printf.sprintf "d%d-%03d-b" d i;
               ]
@@ -1121,19 +1023,14 @@ let test_partitioned_concurrent_writers () =
   in
   let domains = List.init n_domains worker in
   List.iter Domain.join domains;
-  let total =
-    List.fold_left
-      (fun acc (_, s) -> Commit_daemon.add_stats acc s)
-      Commit_daemon.empty_stats (Store.write_stats store)
-  in
+  let s = Store.write_stats store in
   Alcotest.(check int) "every txn submitted" (n_domains * per)
-    total.Commit_daemon.submitted;
+    s.Commit_daemon.submitted;
   Alcotest.(check bool) "no more batches than txns" true
-    (total.Commit_daemon.batches <= total.Commit_daemon.submitted);
+    (s.Commit_daemon.batches <= s.Commit_daemon.submitted);
   Store.close store;
   let _, _, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check int) "all partitions merged" parts
-    report.Store.partitions_merged;
+  Alcotest.(check bool) "clean" true (Store.recovery_clean report);
   Alcotest.(check int) "every record survives" (n_domains * per * 2)
     (List.length records);
   for d = 0 to n_domains - 1 do
@@ -1155,138 +1052,32 @@ let test_partitioned_concurrent_writers () =
       expected mine
   done
 
-let test_partitioned_crash_sweep () =
-  (* crash at EVERY I/O step of a two-partition schedule, with torn
-     writes: whatever the step, recovery keeps every acknowledged group
-     whole, drops at most the in-flight one whole (never a prefix), the
-     merged replay is a prefix of the schedule, and a second open is
-     clean — the damage does not persist *)
-  let k0 = key_for ~parts:2 0 and k1 = key_for ~parts:2 1 in
-  let groups =
-    [
-      (k0, [ "a1"; "a2" ]);
-      (k1, [ "b1"; "b2" ]);
-      (k0, [ "a3"; "a4" ]);
-      (k1, [ "b3"; "b4" ]);
-      (k0, [ "a5" ]);
-      (k1, [ "b5" ]);
-    ]
-  in
-  let schedule ~io dir acked =
-    let store, _, _, _ =
-      ok (Store.open_dir ~io ~sync:`Always_fsync ~partitions:2 dir)
-    in
-    List.iter
-      (fun (key, rs) ->
-        check_ok "group" (Store.append_group ~key store rs);
-        acked := rs :: !acked)
-      groups;
-    Store.close store
-  in
-  let probe = Faulty_io.create () in
-  schedule ~io:(Faulty_io.io probe) (tmp_dir ()) (ref []);
-  let total = Faulty_io.steps probe in
-  Alcotest.(check bool) "schedule has crash points" true (total > 6);
-  let full = List.concat_map snd groups in
-  let rec is_prefix xs ys =
-    match (xs, ys) with
-    | [], _ -> true
-    | x :: xs', y :: ys' when String.equal x y -> is_prefix xs' ys'
-    | _ -> false
-  in
-  for k = 0 to total - 1 do
-    let name = Printf.sprintf "crash@%d/%d" k total in
-    let dir = tmp_dir () in
-    let f = Faulty_io.create ~crash_at:k ~torn:true () in
-    let acked = ref [] in
-    (try
-       schedule ~io:(Faulty_io.io f) dir acked;
-       Alcotest.failf "%s did not fire" name
-     with Faulty_io.Crash _ -> ());
-    let _, _, records, _ = ok (Store.open_dir dir) in
-    (* every group acknowledged under `Always_fsync survives whole *)
-    List.iter
-      (fun rs ->
-        List.iter
-          (fun r ->
-            Alcotest.(check bool) (name ^ ": acked " ^ r) true
-              (List.mem r records))
-          rs)
-      !acked;
-    (* all-or-nothing for every group, acknowledged or in-flight *)
-    List.iter
-      (fun (_, rs) ->
-        let live = List.filter (fun r -> List.mem r records) rs in
-        Alcotest.(check bool) (name ^ ": all-or-nothing") true
-          (live = [] || List.length live = List.length rs))
-      groups;
-    (* the merge restores submission order: the replay is a prefix *)
-    Alcotest.(check bool) (name ^ ": replay is a schedule prefix") true
-      (is_prefix records full);
-    (* recovery converges: the second open sees the same records, clean *)
-    let _, _, records2, report2 = ok (Store.open_dir dir) in
-    Alcotest.(check (list string)) (name ^ ": converged") records records2;
-    Alcotest.(check bool) (name ^ ": second open clean") true
-      (Store.recovery_clean report2)
-  done
-
-let test_fsck_partition_local_damage () =
-  (* one partition ends inside an unterminated group (the crash-mid-
-     flush signature) while another holds a corrupt frame mid-journal:
-     fsck reports each damage on its own partition, --repair heals both
-     without crossing partitions, and the survivors keep their merged
-     order *)
+let test_partition_files_refused () =
+  (* a directory holding a [journal.pK] file was written with
+     partitioned journals, whose records this version cannot put back
+     in order: open and fsck both refuse it, naming the file *)
   let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:2 dir) in
-  let k0 = key_for ~parts:2 0 and k1 = key_for ~parts:2 1 in
-  check_ok "g1" (Store.append_group ~key:k1 store [ "p1a"; "p1b" ]);
-  check_ok "g2" (Store.append_group ~key:k0 store [ "p0a"; "p0b" ]);
-  check_ok "g3" (Store.append_group ~key:k1 store [ "p1c"; "p1d" ]);
-  check_ok "g4" (Store.append_group ~key:k0 store [ "p0c"; "p0d" ]);
+  let store, _, _, _ = ok (Store.open_dir dir) in
+  check_ok "a" (Store.append store "a");
   Store.close store;
-  (* partition 0: cut g4's commit marker — a dangling tail group *)
-  let p0 = Filename.concat dir "journal.log" in
-  Unix.truncate p0 ((Unix.stat p0).Unix.st_size - commit_frame_bytes);
-  (* partition 1: flip a byte in a data frame of g1 — mid-journal rot *)
   let p1 = Filename.concat dir "journal.p1" in
-  let s = ok (Journal.scan p1) in
-  let data_frame =
-    List.find
-      (fun f -> match f.Journal.f_kind with Journal.Data -> true | _ -> false)
-      s.Journal.frames
+  close_out (open_out p1);
+  let names_p1 = function
+    | Ok _ -> false
+    | Error e -> contains (Seed_util.Seed_error.to_string e) p1
   in
-  let fd = Unix.openfile p1 [ Unix.O_RDWR ] 0o644 in
-  ignore (Unix.lseek fd (data_frame.Journal.f_offset + 16) Unix.SEEK_SET);
-  let b = Bytes.create 1 in
-  ignore (Unix.read fd b 0 1);
-  ignore (Unix.lseek fd (data_frame.Journal.f_offset + 16) Unix.SEEK_SET);
-  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x20));
-  ignore (Unix.write fd b 0 1);
-  Unix.close fd;
-  let r = ok (Store.fsck dir) in
-  Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
-  let h0 = List.assoc 0 r.Store.fsck_partitions in
-  let h1 = List.assoc 1 r.Store.fsck_partitions in
-  (* the damage is reported partition-locally: the dangling tail on
-     partition 0 only, the quarantined region on partition 1 only *)
-  Alcotest.(check bool) "p0 dangling tail" true h0.Store.jh_dangling_tail;
-  Alcotest.(check int) "p0 dangling records" 2 h0.Store.jh_dangling_records;
-  Alcotest.(check int) "p0 not quarantined" 0 h0.Store.jh_quarantined_regions;
-  Alcotest.(check bool) "p0 unhealthy" false h0.Store.jh_healthy;
-  Alcotest.(check bool) "p1 quarantined" true
-    (h1.Store.jh_quarantined_regions >= 1);
-  Alcotest.(check bool) "p1 no dangling tail" false h1.Store.jh_dangling_tail;
-  Alcotest.(check bool) "p1 unhealthy" false h1.Store.jh_healthy;
-  let r = ok (Store.fsck ~repair:true dir) in
-  Alcotest.(check bool) "healthy after repair" true r.Store.fsck_healthy;
-  Alcotest.(check bool) "repairs reported" true (r.Store.fsck_repairs <> []);
-  (* the intact groups survive, in their cross-partition merged order:
-     g2 (seq 2, partition 0) before g3 (seq 3, partition 1) *)
-  let _, _, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (list string)) "survivors merged in seq order"
-    [ "p0a"; "p0b"; "p1c"; "p1d" ]
-    records;
-  Alcotest.(check bool) "clean open" true (Store.recovery_clean report)
+  Alcotest.(check bool) "open_dir refuses, naming journal.p1" true
+    (names_p1 (Store.open_dir dir));
+  Alcotest.(check bool) "fsck refuses, naming journal.p1" true
+    (names_p1 (Store.fsck dir));
+  Alcotest.(check bool) "fsck --repair refuses too" true
+    (names_p1 (Store.fsck ~repair:true dir));
+  (* nothing was touched: without the file the store opens as before *)
+  Sys.remove p1;
+  let store, _, records, report = ok (Store.open_dir dir) in
+  Alcotest.(check (list string)) "records intact" [ "a" ] records;
+  Alcotest.(check bool) "clean" true (Store.recovery_clean report);
+  Store.close store
 
 let () =
   Alcotest.run "storage"
@@ -1374,12 +1165,8 @@ let () =
         ] );
       ( "partitions",
         [
-          tc "merged replay order" test_partitioned_merge_order;
-          tc "probe grows, never shrinks" test_partition_probe_growth;
-          tc "compaction across partitions" test_partitioned_compaction;
-          tc "write stats" test_partitioned_write_stats;
-          tc "concurrent writers" test_partitioned_concurrent_writers;
-          tc "crash sweep over two partitions" test_partitioned_crash_sweep;
-          tc "partition-local fsck damage" test_fsck_partition_local_damage;
+          tc "write stats" test_write_stats;
+          tc "concurrent writers" test_concurrent_writers;
+          tc "partition files refused" test_partition_files_refused;
         ] );
     ]
