@@ -43,13 +43,11 @@ type root = {
    version, computed by a single reconstruction sweep over the item
    table. Once built, any read against the version is a lookup instead
    of an ancestor-chain resolution per item. Id lists are sorted deduped
-   arrays: compact, cache-friendly, and O(log n) membership. *)
+   arrays: compact and cache-friendly. *)
 type version_extent = {
   ve_obj : (string, Ident.t array) Hashtbl.t;
   ve_pattern : (string, Ident.t array) Hashtbl.t;
   ve_rel : (string, Ident.t array) Hashtbl.t;
-  ve_rel_pattern : (string, Ident.t array) Hashtbl.t;
-  ve_dependents : Ident.t array;
   ve_names : (string, Ident.t) Hashtbl.t;
   ve_states : Item.state Ident.Tbl.t;
   mutable ve_text : Text_index.t option;
@@ -156,8 +154,6 @@ let publish t =
     Atomic.set t.published t.working;
     Atomic.incr t.commit_count
   end
-
-let published_root t = Atomic.get t.published
 
 let freeze t =
   let root = Atomic.get t.published in
@@ -269,28 +265,32 @@ let text_doc_of_state (item : Item.t) (state : Item.state option) =
     | Some _ | None -> None)
   | _ -> None
 
-let root_text_index r (item : Item.t) (state : Item.state option) =
-  match r.r_text with
-  | None -> r
-  | Some tx -> (
-    match text_doc_of_state item state with
-    | Some (path, s) ->
-      { r with r_text = Some (Text_index.add_doc tx item.Item.id ~path s) }
-    | None -> r)
+let build_text_index items =
+  Text_index.of_docs
+    (Seq.fold_left
+       (fun acc ((id, it) : Ident.t * Item.t) ->
+         match text_doc_of_state it it.Item.current with
+         | Some (path, s) -> (id, path, s) :: acc
+         | None -> acc)
+       [] (Ident.Map.to_rev_seq items))
 
-let root_text_unindex r (item : Item.t) (state : Item.state option) =
+(* Bring the text index in line with [item] holding [state]: index its
+   string, or drop the carrier. *)
+let root_text r (item : Item.t) (state : Item.state option) =
   match r.r_text with
   | None -> r
-  | Some tx -> (
-    match text_doc_of_state item state with
-    | Some (_, s) ->
-      { r with r_text = Some (Text_index.remove_doc tx item.Item.id s) }
-    | None -> r)
+  | Some tx ->
+    let tx' =
+      match text_doc_of_state item state with
+      | Some (path, s) -> Text_index.add_doc tx item.Item.id ~path s
+      | None -> Text_index.remove_doc tx item.Item.id
+    in
+    if tx' == tx then r else { r with r_text = Some tx' }
 
 (* Enter [state]'s extent membership for [item] into [r]; no-op for
-   deleted or absent states. *)
+   deleted or absent states. The text index has its own hook
+   ([root_text]): the wholesale rebuild builds it in one pass. *)
 let root_index_state r (item : Item.t) (state : Item.state option) =
-  let r = root_text_index r item state in
   match state with
   | None -> r
   | Some s when Item.state_deleted s -> r
@@ -322,7 +322,6 @@ let root_index_state r (item : Item.t) (state : Item.state option) =
 
 (* Drop [state]'s extent membership for [item] from [r]. *)
 let root_unindex_state r (item : Item.t) (state : Item.state option) =
-  let r = root_text_unindex r item state in
   match state with
   | None -> r
   | Some (Item.Obj o) -> (
@@ -362,23 +361,13 @@ let root_unindex_state r (item : Item.t) (state : Item.state option) =
     | Item.Independent | Item.Dependent _ -> r)
 
 let obj_extent_ids t cls = Smap.ids t.working.r_obj_extent cls
-let pattern_extent_ids t cls = Smap.ids t.working.r_pattern_extent cls
 let rel_extent_ids t assoc = Smap.ids t.working.r_rel_extent assoc
-let rel_pattern_extent_ids t assoc = Smap.ids t.working.r_rel_pattern_extent assoc
 let all_obj_extent_ids t = Smap.all_ids t.working.r_obj_extent
 let all_pattern_extent_ids t = Smap.all_ids t.working.r_pattern_extent
 let all_rel_extent_ids t = Smap.all_ids t.working.r_rel_extent
 let all_rel_pattern_extent_ids t = Smap.all_ids t.working.r_rel_pattern_extent
 let dependent_extent_ids t = Ident.Set.elements t.working.r_dependent_extent
 let live_dependent_count t = Ident.Set.cardinal t.working.r_dependent_extent
-
-let obj_extent_count t cls = Ident.Set.cardinal (Smap.set t.working.r_obj_extent cls)
-let pattern_extent_count t cls =
-  Ident.Set.cardinal (Smap.set t.working.r_pattern_extent cls)
-let rel_extent_count t assoc =
-  Ident.Set.cardinal (Smap.set t.working.r_rel_extent assoc)
-let rel_pattern_extent_count t assoc =
-  Ident.Set.cardinal (Smap.set t.working.r_rel_pattern_extent assoc)
 
 let all_live_ids t =
   all_obj_extent_ids t @ all_pattern_extent_ids t @ all_rel_extent_ids t
@@ -397,7 +386,7 @@ let add_item t (item : Item.t) =
       r_unflushed = Ident.Set.add item.id r.r_unflushed;
     }
   in
-  let r = root_index_state r item item.current in
+  let r = root_text (root_index_state r item item.current) item item.current in
   let r =
     match item.body with
     | Item.Dependent { parent; _ } ->
@@ -458,7 +447,7 @@ let replace_state t id new_state =
         r_unflushed = Ident.Set.add id r.r_unflushed;
       }
     in
-    t.working <- root_index_state r item' new_state
+    t.working <- root_text (root_index_state r item' new_state) item' new_state
 
 let unsafe_put_item t (item : Item.t) =
   (* Replace the stored record without any index maintenance — test
@@ -510,19 +499,6 @@ let mark_dirty t (item : Item.t) =
   | Some _ | None -> ()
 
 let dirty_ids t = Ident.Set.elements t.working.r_dirty
-
-let take_dirty t =
-  let r = t.working in
-  let items =
-    Ident.Set.fold
-      (fun id acc ->
-        match Ident.Map.find_opt id r.r_items with
-        | Some it when it.Item.dirty -> it :: acc
-        | Some _ | None -> acc)
-      r.r_dirty []
-  in
-  t.working <- { r with r_dirty = Ident.Set.empty };
-  items
 
 let clear_dirty t =
   let r = t.working in
@@ -599,12 +575,6 @@ let unindex_inheritor t ~pattern ~inheritor =
       r_inheritors = Idmap.remove t.working.r_inheritors pattern inheritor;
     }
 
-let index_name t name id =
-  t.working <- { t.working with r_names = Smap.add name id t.working.r_names }
-
-let unindex_name t name =
-  t.working <- { t.working with r_names = Smap.remove name t.working.r_names }
-
 let find_id_by_name t name = Smap.find_opt name t.working.r_names
 
 let rebuild_state_indexes t =
@@ -619,8 +589,8 @@ let rebuild_state_indexes t =
       r_rel_extent = Smap.empty;
       r_rel_pattern_extent = Smap.empty;
       r_dependent_extent = Ident.Set.empty;
-      (* reset but preserve enabledness *)
-      r_text = Option.map (fun _ -> Text_index.empty) r.r_text;
+      (* rebuilt in one pass, preserving enabledness *)
+      r_text = Option.map (fun _ -> build_text_index r.r_items) r.r_text;
     }
   in
   let r =
@@ -684,8 +654,6 @@ let build_version_extent t vid =
   let obj = Hashtbl.create 16 in
   let pattern = Hashtbl.create 4 in
   let rel = Hashtbl.create 16 in
-  let rel_pattern = Hashtbl.create 4 in
-  let dependents = ref [] in
   let names = Hashtbl.create 64 in
   let states = Ident.Tbl.create 256 in
   let versions = t.working.r_versions in
@@ -702,18 +670,14 @@ let build_version_extent t vid =
             (match o.Item.name with
             | Some n -> Hashtbl.replace names n it.Item.id
             | None -> ())
-          | Item.Dependent _, Item.Obj _ -> dependents := it.Item.id :: !dependents
-          | Item.Relationship, Item.Rel r ->
-            let tbl = if r.Item.rel_pattern then rel_pattern else rel in
-            ve_push tbl r.Item.assoc it.Item.id
+          | Item.Relationship, Item.Rel r when not r.Item.rel_pattern ->
+            ve_push rel r.Item.assoc it.Item.id
           | _ -> ()
         end);
   {
     ve_obj = finalize_id_lists obj;
     ve_pattern = finalize_id_lists pattern;
     ve_rel = finalize_id_lists rel;
-    ve_rel_pattern = finalize_id_lists rel_pattern;
-    ve_dependents = sorted_ids !dependents;
     ve_names = names;
     ve_states = states;
     ve_text = None;
@@ -785,36 +749,10 @@ let ve_all_ids tbl =
   Hashtbl.fold (fun _ a acc -> Array.fold_left (fun acc id -> id :: acc) acc a) tbl []
 
 let ve_obj_ids ve cls = ve_ids ve.ve_obj cls
-let ve_pattern_ids ve cls = ve_ids ve.ve_pattern cls
 let ve_rel_ids ve assoc = ve_ids ve.ve_rel assoc
-let ve_rel_pattern_ids ve assoc = ve_ids ve.ve_rel_pattern assoc
 let ve_all_obj_ids ve = ve_all_ids ve.ve_obj
 let ve_all_pattern_ids ve = ve_all_ids ve.ve_pattern
 let ve_all_rel_ids ve = ve_all_ids ve.ve_rel
-let ve_dependent_ids ve = Array.to_list ve.ve_dependents
-
-let sorted_mem a id =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = Ident.compare id a.(mid) in
-    if c = 0 then found := true
-    else if c < 0 then hi := mid
-    else lo := mid + 1
-  done;
-  !found
-
-let ve_class_mem ve cls id =
-  match Hashtbl.find_opt ve.ve_obj cls with
-  | Some a -> sorted_mem a id
-  | None -> false
-
-let ve_obj_count ve cls =
-  match Hashtbl.find_opt ve.ve_obj cls with Some a -> Array.length a | None -> 0
-
-let ve_rel_count ve assoc =
-  match Hashtbl.find_opt ve.ve_rel assoc with Some a -> Array.length a | None -> 0
 
 let ve_find_name ve name = Hashtbl.find_opt ve.ve_names name
 let ve_state ve id = Ident.Tbl.find_opt ve.ve_states id
@@ -823,25 +761,17 @@ let ve_state ve id = Ident.Tbl.find_opt ve.ve_states id
 (* Text index                                                           *)
 (*                                                                      *)
 (* The trigram index lives in the root next to the extents and is       *)
-(* maintained by the same hooks ([root_index_state] /                   *)
-(* [root_unindex_state]), so every state replacement — create, value    *)
-(* update, logical delete, re-classification, rollback by root swap —   *)
-(* keeps it exact, and [rebuild_state_indexes] rebuilds it wholesale on *)
-(* branch switch and load. Version views get their own frozen index,    *)
-(* built lazily from the materialized states and cached on the          *)
-(* version extent (handle-private, like the extent itself).             *)
+(* maintained beside them ([root_text] in [add_item] and                *)
+(* [replace_state]), so every state replacement —                       *)
+(* create, value update, logical delete, re-classification, rollback by *)
+(* root swap — keeps it exact, and [rebuild_state_indexes] builds it in *)
+(* one pass on branch switch and load. Version views get their own      *)
+(* frozen index, built lazily from the materialized states and cached   *)
+(* on the version extent (handle-private, like the extent itself).      *)
 (* ------------------------------------------------------------------ *)
 
 let text_index t = t.working.r_text
 let text_index_enabled t = t.working.r_text <> None
-
-let build_text_index items =
-  Ident.Map.fold
-    (fun _ (it : Item.t) tx ->
-      match text_doc_of_state it it.Item.current with
-      | Some (path, s) -> Text_index.add_doc tx it.Item.id ~path s
-      | None -> tx)
-    items Text_index.empty
 
 let rebuilt_text_index t = build_text_index t.working.r_items
 
@@ -864,17 +794,14 @@ let ve_text_index ve =
   | None ->
     (* mirror [text_doc_of_state]: any item holding an [Obj] state has a
        non-relationship body, so the body check is implied here *)
-    let tx =
-      Ident.Tbl.fold
-        (fun id s tx ->
-          match s with
-          | Item.Obj o when not o.Item.deleted -> (
-            match o.Item.value with
-            | Some (Value.String str) -> Text_index.add_doc tx id ~path:o.Item.cls str
-            | Some _ | None -> tx)
-          | Item.Obj _ | Item.Rel _ -> tx)
-        ve.ve_states Text_index.empty
+    let doc id s acc =
+      match s with
+      | Item.Obj { deleted = false; value = Some (Value.String str); cls; _ } ->
+        (id, cls, str) :: acc
+      | Item.Obj _ | Item.Rel _ -> acc
     in
+    (* ids are distinct, so [compare] orders by id alone *)
+    let tx = Text_index.of_docs (List.sort compare (Ident.Tbl.fold doc ve.ve_states [])) in
     ve.ve_text <- Some tx;
     tx
 

@@ -64,8 +64,6 @@ val publish : t -> unit
     observe uncommitted intermediate states. Also forces the schema's
     memoized closures so reader domains never race on [Lazy.force]. *)
 
-val published_root : t -> root
-
 val freeze : t -> t
 (** O(1): a read-only handle pinned to the currently published root,
     with its own private version cache — safe to hand to another
@@ -169,17 +167,7 @@ val map_items : t -> (Item.t -> Item.t) -> unit
 val obj_extent_ids : t -> string -> Ident.t list
 (** Live normal independent objects classified exactly in this class. *)
 
-val pattern_extent_ids : t -> string -> Ident.t list
 val rel_extent_ids : t -> string -> Ident.t list
-val rel_pattern_extent_ids : t -> string -> Ident.t list
-
-val obj_extent_count : t -> string -> int
-(** [List.length (obj_extent_ids t cls)] without building the list —
-    the planner's cardinality estimate. *)
-
-val pattern_extent_count : t -> string -> int
-val rel_extent_count : t -> string -> int
-val rel_pattern_extent_count : t -> string -> int
 
 val all_obj_extent_ids : t -> Ident.t list
 (** Union of {!obj_extent_ids} over all classes — the live normal
@@ -187,9 +175,7 @@ val all_obj_extent_ids : t -> Ident.t list
 
 val all_pattern_extent_ids : t -> Ident.t list
 val all_rel_extent_ids : t -> Ident.t list
-val all_rel_pattern_extent_ids : t -> Ident.t list
 
-val dependent_extent_ids : t -> Ident.t list
 val live_dependent_count : t -> int
 
 val all_live_ids : t -> Ident.t list
@@ -200,10 +186,6 @@ val all_live_ids : t -> Ident.t list
 val mark_dirty : t -> Item.t -> unit
 (** Add to the delta set for the next version snapshot (sets the
     per-item flag). *)
-
-val take_dirty : t -> Item.t list
-(** Items changed since the last snapshot; clears the set but not the
-    per-item flags (stamping does that). *)
 
 val clear_dirty : t -> unit
 (** Reset all dirty flags and the set (after a branch switch). *)
@@ -241,9 +223,6 @@ val inheritor_ids : t -> Ident.t -> Ident.t list
 
 val index_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 val unindex_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
-
-val index_name : t -> string -> Ident.t -> unit
-val unindex_name : t -> string -> unit
 
 val find_id_by_name : t -> string -> Ident.t option
 (** Current-state lookup through the name index. *)
@@ -292,20 +271,11 @@ val ve_obj_ids : version_extent -> string -> Ident.t list
 (** Live normal independent objects classified exactly in this class,
     in that version, in ascending id order. *)
 
-val ve_pattern_ids : version_extent -> string -> Ident.t list
 val ve_rel_ids : version_extent -> string -> Ident.t list
-val ve_rel_pattern_ids : version_extent -> string -> Ident.t list
 val ve_all_obj_ids : version_extent -> Ident.t list
 val ve_all_pattern_ids : version_extent -> Ident.t list
 val ve_all_rel_ids : version_extent -> Ident.t list
-val ve_dependent_ids : version_extent -> Ident.t list
 
-val ve_class_mem : version_extent -> string -> Ident.t -> bool
-(** O(log n) membership in one class's live objects (binary search on
-    the sorted array). *)
-
-val ve_obj_count : version_extent -> string -> int
-val ve_rel_count : version_extent -> string -> int
 val ve_find_name : version_extent -> string -> Ident.t option
 
 val ve_state : version_extent -> Ident.t -> Item.state option
@@ -315,11 +285,11 @@ val ve_state : version_extent -> Ident.t -> Item.state option
 (** {1 Text index}
 
     A {!Text_index.t} rides in the root next to the extents, maintained
-    by the same hooks: every current-state replacement — create, value
+    beside them: every current-state replacement — create, value
     update, logical delete (cascade included), re-classification, and
     rollback by root swap — keeps it exact over the live object states
     carrying string values, and {!rebuild_state_indexes} rebuilds it
-    wholesale on branch switch and load. Being persistent, it is frozen
+    in one pass on branch switch and load. Being persistent, it is frozen
     for free in every published root and MVCC snapshot. *)
 
 val text_index : t -> Text_index.t option

@@ -140,8 +140,8 @@ let not_ p = Not p
 (*     [n] — every live named independent is indexed and names are      *)
 (*     unique (the index may yield a pattern; the domain filter drops   *)
 (*     it);                                                             *)
-(*   - [Contains]/[Matches] intersect and positionally verify trigram   *)
-(*     posting lists ({!Text_index}), then map each matching carrier to *)
+(*   - [Contains]/[Matches] intersect trigram posting lists and verify  *)
+(*     the held text ({!Text_index}), then map each matching carrier to *)
 (*     its root object — a superset because pattern roots and inherited *)
 (*     subtrees wash out in the re-test; they are unbounded when the    *)
 (*     index is disabled or no needle reaches trigram length;           *)
@@ -234,14 +234,9 @@ let text_candidates src ~path needles =
     | [] ->
       Db_state.note_text_fallback src.src_db;
       None
-    | first :: rest ->
+    | worthy ->
       Db_state.note_text_hit src.src_db;
-      let carriers =
-        List.fold_left
-          (fun acc n -> Ident.Set.inter acc (Text_index.query tx ?path:qpath n))
-          (Text_index.query tx ?path:qpath first)
-          rest
-      in
+      let carriers = Text_index.query tx ?path:qpath worthy in
       Some
         (Ident.Set.fold
            (fun id acc ->
@@ -365,7 +360,7 @@ let probe_texts src p =
            let qpath = if String.equal path "" then None else Some path in
            List.map
              (fun n ->
-               let _, pr = Text_index.query_probe tx ?path:qpath n in
+               let _, pr = Text_index.query_probe tx ?path:qpath [ n ] in
                {
                      tp_path = path;
                      tp_needle = n;

@@ -47,9 +47,9 @@ val contains : string -> string -> pred
     [path] ([""] = any class path), containing [needle] as a substring.
     Information viewed through pattern inheritance is not searched.
     Planned from the trigram index ({!Text_index}): posting-list
-    intersection plus positional verification yields the candidates
-    without touching any document text; needles shorter than 3 bytes or
-    a disabled index fall back to the scan — same results. *)
+    intersection plus a check of the held text yields the candidates;
+    needles shorter than 3 bytes or a disabled index fall back to the
+    scan — same results. *)
 
 val matches : string -> string list -> pred
 (** [matches path needles]: like {!contains} but conjunctive — one
@@ -108,7 +108,7 @@ type text_probe = {
   tp_trigrams : int;  (** distinct needle trigrams consulted *)
   tp_postings : int;  (** posting entries across their lists *)
   tp_candidates : int;  (** carriers surviving the intersection *)
-  tp_verified : int;  (** carriers surviving positional verification *)
+  tp_verified : int;  (** carriers whose text contains the needle *)
 }
 (** One text-index lookup of the plan, with its access-path
     measurements. *)

@@ -1,87 +1,82 @@
-(** Trigram positional index over string values — the access path behind
+(** Trigram index over string values — the access path behind
     [Query.contains]/[Query.matches] (DESIGN.md §14).
 
-    Each indexed string is owned by exactly one carrier item; the index
-    maps every overlapping 3-byte substring to a posting map
-    [carrier id -> sorted occurrence offsets]. Containment is answered
-    by intersecting the carrier sets of the needle's trigrams and then
-    verifying positional alignment, which is exact: a carrier survives
-    iff the literal needle occurs in its text, so no document string is
-    ever fetched at query time.
-
-    The structure is persistent (built from [Smap]/[Ident.Map]), so it
-    rides inside the copy-on-write database root: snapshots freeze it
-    for free, and transaction rollback restores it by root swap. *)
+    Each indexed string (a document) is owned by exactly one carrier
+    item. An immutable packed base holds the documents in carrier order
+    — id, path and the item's own string — and per trigram a sorted
+    array of the base documents containing it; a small persistent
+    overlay holds the carriers changed since the base was built, and is
+    merged into a new base once it passes a fixed share of the
+    documents. Queries intersect the needle's base postings, verify each
+    candidate against its held text, and test the overlay directly: the
+    answer is exact. Nothing reachable from a [t] is mutated, so it
+    rides in the copy-on-write database root: snapshots freeze it, and
+    rollback restores it by root swap. *)
 
 open Seed_util
 
 type t
 
 val empty : t
-val is_empty : t -> bool
 
 val doc_count : t -> int
 (** Number of indexed carriers (documents). *)
-
-val path_of : t -> Ident.t -> string option
-(** The attribute (class) path recorded for a carrier. *)
 
 val min_needle : int
 (** Shortest needle the index can answer (3 bytes — one trigram).
     Shorter needles must fall back to a scan. *)
 
-val add_doc : t -> Ident.t -> path:string -> string -> t
-(** Index a carrier's string value under its class path. The carrier
-    must not already be indexed (callers remove the old document
-    first). Strings shorter than 3 bytes contribute no postings but are
-    still counted as documents. *)
+val of_docs : (Ident.t * string * string) list -> t
+(** The index of [(carrier, path, text)] documents in strictly ascending
+    carrier order, built in two passes (count, then fill). *)
 
-val remove_doc : t -> Ident.t -> string -> t
-(** Drop a carrier, given the exact string that was indexed for it.
-    No-op when the carrier is not indexed. *)
+val add_doc : t -> Ident.t -> path:string -> string -> t
+(** Index a carrier's string value under its class path, replacing
+    the carrier's previous document if it has one. *)
+
+val remove_doc : t -> Ident.t -> t
+(** Drop a carrier. No-op when the carrier is not indexed. *)
 
 (** {1 Queries} *)
 
 type probe = {
   pr_trigrams : int;  (** distinct needle trigrams consulted *)
-  pr_postings : int;  (** posting entries across their lists *)
-  pr_candidates : int;  (** carriers surviving the intersection *)
-  pr_verified : int;  (** carriers surviving positional verification *)
+  pr_postings : int;  (** base posting entries across their lists *)
+  pr_candidates : int;  (** base and overlay documents text-tested *)
+  pr_verified : int;  (** documents containing every needle *)
 }
 
-val query : t -> ?path:string -> string -> Ident.Set.t
-(** Exactly the carriers whose text contains the needle (restricted to
-    carriers at [path] when given). Raises [Invalid_argument] when the
-    needle is shorter than {!min_needle}. *)
+val query : t -> ?path:string -> string list -> Ident.Set.t
+(** Exactly the carriers whose text contains every needle (restricted
+    to carriers at [path] when given), in one pass over the union of the
+    needles' trigrams. Raises [Invalid_argument] on an empty list or a
+    needle shorter than {!min_needle}. *)
 
-val query_probe : t -> ?path:string -> string -> Ident.Set.t * probe
+val query_probe : t -> ?path:string -> string list -> Ident.Set.t * probe
 (** {!query} plus the access-path measurements [Query.explain]
     renders. *)
 
 val estimate : t -> string -> int
-(** Upper bound on the carriers {!query} would have to verify: the size
-    of the needle's rarest posting list (0 when one of its trigrams is
-    absent). Costs one lookup per needle trigram — the planner consults
-    it to skip needles so common that walking their postings would cost
-    more than the scan it replaces. Raises [Invalid_argument] below
-    {!min_needle}. *)
+(** Upper bound on the documents {!query} would text-test: the needle's
+    rarest base posting plus the overlay. One lookup per needle trigram,
+    so the planner can skip needles too common to beat the scan. Raises
+    [Invalid_argument] below {!min_needle}. *)
 
 val string_contains : string -> string -> bool
-(** [string_contains hay needle] — the scan-side containment test the
-    index is equivalent to. Empty needles match everything. *)
+(** [string_contains hay needle] — the containment test the index is
+    equivalent to, allocation-free. Empty needles match everything. *)
 
 (** {1 Stats and equality} *)
 
 type stats = {
-  trigrams : int;
-  postings : int;
-  positions : int;
+  trigrams : int;  (** distinct trigrams in the base *)
+  postings : int;  (** base posting slots *)
   docs : int;
-  bytes : int;  (** rough resident-size estimate *)
+  bytes : int;  (** estimate of posting slots, per-document arrays, overlay *)
 }
 
 val stats : t -> stats
 
 val equal : t -> t -> bool
-(** Structural equality — used by the soak harness to check that the
-    incrementally maintained index matches a wholesale rebuild. *)
+(** Equality of the logical documents [(carrier, path, text)] — the
+    soak harness checks the maintained index against a rebuild. *)

@@ -198,8 +198,8 @@ let checkin t ~client ops =
   | Ok () ->
     (* a durable server publishes the committed batch through the
        store's group-commit daemon: the flush is one transaction group
-       routed by the batch's root object, and concurrent checkins
-       coalesce into shared fsyncs. On a flush failure the locks are
+       on the store's single journal, and concurrent checkins coalesce
+       into shared fsyncs. On a flush failure the locks are
        kept and the root's unflushed set is not cleared, so a later
        flush (or checkin) retries exactly the same records *)
     let* () =

@@ -1,13 +1,13 @@
 (* Trigram index / scan equivalence for containment search.
 
-   [Query.contains]/[Query.matches] answer from the trigram positional
-   index; their one obligation is to return exactly what re-testing the
+   [Query.contains]/[Query.matches] answer from the trigram index; their
+   one obligation is to return exactly what re-testing the
    predicate over a naive item-table scan returns — after any operation
    sequence (text creates, updates, clears, deletes, re-classification,
    transaction rollback, branch switches), on current and on version
    views, and across an encode/decode reopen. A second invariant pins
-   the maintenance itself: the incrementally maintained index must stay
-   structurally equal to a wholesale rebuild from the live states. *)
+   the maintenance itself: the incrementally maintained index must hold
+   the same documents as a wholesale rebuild from the live states. *)
 
 open Seed_util
 open Seed_schema
@@ -25,8 +25,8 @@ module Text_index = Seed_core.Text_index
 (* ------------------------------------------------------------------ *)
 
 (* Texts share trigrams aggressively ("recovery", "recover", repeated
-   letters) so posting lists overlap and positional verification has
-   false candidates to reject. Short and empty strings ride along. *)
+   letters) so posting lists overlap and verification has false
+   candidates to reject. Short and empty strings ride along. *)
 let texts =
   [|
     "";
@@ -313,36 +313,172 @@ let prop_disable =
       off_ok && index_consistent env && select_agrees env)
 
 (* ------------------------------------------------------------------ *)
+(* Folds                                                                *)
+(*                                                                      *)
+(* The overlay folds into a rebuilt base only past 256 entries, beyond  *)
+(* the randomized runs' reach; these runs cross several folds. A fold   *)
+(* shows as a change in the base's posting count.                       *)
+(* ------------------------------------------------------------------ *)
+
+let base_postings env =
+  match Db_state.text_index (DB.raw env.db) with
+  | Some tx -> (Text_index.stats tx).Text_index.postings
+  | None -> -1
+
+(* [n] seeded text operations, mostly rewrites. *)
+let churn env rng n =
+  for _ = 1 to n do
+    let r = Random.State.int rng 1000 and t = Random.State.int rng 1000 in
+    apply_sop env
+      (match Random.State.int rng 20 with
+      | 0 -> Create (r, List.nth classes (r mod List.length classes))
+      | 1 | 2 -> MkCarrier (r, r, t)
+      | 3 -> DeleteCarrier r
+      | 4 -> ClearText r
+      | _ -> SetText (r, t))
+  done
+
+(* ~340 carriers: a Description and a Keywords on each of 150 objects,
+   a Body and a Selector on each of 20 text nodes. *)
+let seeded_env () =
+  let env = fresh_env () in
+  List.iter (apply_sop env)
+    (List.init 150 (fun i -> Create (i, List.nth classes (i mod 5)))
+    @ List.init 20 (fun i -> MkText i)
+    @ List.concat_map
+        (fun i -> [ MkCarrier (0, i, i); MkCarrier (2, i, i + 1) ])
+        (List.init 150 Fun.id)
+    @ List.concat_map
+        (fun i -> [ MkCarrier (3, i, i); MkCarrier (4, i, i + 2) ])
+        (List.init 20 Fun.id));
+  env
+
+(* Index probes straight from [Text_index.query], whatever the planner's
+   cutoff would pick, against the live strings: with an overlay of up
+   to 256 documents the planner scans these small stores. *)
+let probes_exact st =
+  let tx = Option.get (Db_state.text_index st) in
+  List.for_all
+    (fun (path, needles) ->
+      let naive =
+        Db_state.fold_items st ~init:Ident.Set.empty ~f:(fun acc it ->
+            match it.Item.current with
+            | Some
+                (Item.Obj
+                   { Item.deleted = false; value = Some (Value.String s); cls; _ })
+              when Option.fold ~none:true ~some:(String.equal cls) path
+                   && List.for_all (Text_index.string_contains s) needles ->
+              Ident.Set.add it.Item.id acc
+            | _ -> acc)
+      in
+      Ident.Set.equal naive (Text_index.query tx ?path needles))
+    [ (None, [ "recovery" ]); (None, [ "the recovery path" ]); (None, [ "issip" ]);
+      (None, [ "aaa" ]); (None, [ "abcab" ]); (None, [ "no-such-needle" ]);
+      (None, [ "spec"; "recovery path" ]); (None, [ "alarm"; "reset" ]);
+      (None, [ "recover"; "xyzzy" ]); (Some "Thing.Description", [ "recover" ]);
+      (Some "Thing.Keywords", [ "alarm" ]); (Some "Data.Text.Body", [ "spec" ]) ]
+
+let answers v = List.map (fun p -> sorted_ids (Q.select v p)) predicate_pool
+
+let test_fold_churn () =
+  let env = seeded_env () and rng = Random.State.make [| 16 |] in
+  let folds = ref 0 in
+  for batch = 1 to 20 do
+    let before = base_postings env in
+    churn env rng 100;
+    if base_postings env <> before then incr folds;
+    Alcotest.(check bool)
+      (Printf.sprintf "batch %d: incremental = rebuilt" batch)
+      true (index_consistent env);
+    Alcotest.(check bool)
+      (Printf.sprintf "batch %d: indexed select = scan" batch)
+      true (select_agrees env);
+    Alcotest.(check bool)
+      (Printf.sprintf "batch %d: index probes exact" batch)
+      true (probes_exact (DB.raw env.db))
+  done;
+  Alcotest.(check bool) "crossed several folds" true (!folds >= 3)
+
+let test_fold_snapshot () =
+  let env = seeded_env () and rng = Random.State.make [| 17 |] in
+  let snap = DB.snapshot_view env.db in
+  let pinned = answers snap and before = base_postings env in
+  churn env rng 1000;
+  Alcotest.(check bool) "folded" true (base_postings env <> before);
+  Alcotest.(check (list (list int))) "snapshot answers its own state"
+    (List.map (List.map Ident.to_int) pinned)
+    (List.map (List.map Ident.to_int) (answers snap));
+  Alcotest.(check bool) "pinned answers = scan of the snapshot" true
+    (pinned = List.map (naive_select snap) predicate_pool
+    && probes_exact (View.db snap))
+
+let test_fold_rollback () =
+  let env = seeded_env () and rng = Random.State.make [| 18 |] in
+  let index () = Option.get (Db_state.text_index (DB.raw env.db)) in
+  let tx0 = index () and before = answers (View.current (DB.raw env.db)) in
+  let folded = ref false in
+  ignore
+    (DB.with_transaction env.db (fun () ->
+         let p0 = base_postings env in
+         churn env rng 600;
+         folded := base_postings env <> p0;
+         Error (Seed_error.Invalid_operation "rollback")));
+  Alcotest.(check bool) "the transaction folded" true !folded;
+  Alcotest.(check bool) "pre-fold index restored" true
+    (Text_index.equal tx0 (index ()));
+  Alcotest.(check bool) "pre-fold answers restored" true
+    (before = answers (View.current (DB.raw env.db)));
+  Alcotest.(check bool) "consistent after rollback" true
+    (index_consistent env && select_agrees env && probes_exact (DB.raw env.db))
+
+(* ------------------------------------------------------------------ *)
 (* Directed cases                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_structure () =
   let open Text_index in
   let id i = Ident.of_int i in
-  let t = empty in
-  Alcotest.(check bool) "empty" true (is_empty t);
-  let t = add_doc t (id 1) ~path:"P" "the recovery path" in
-  let t = add_doc t (id 2) ~path:"Q" "recover quickly" in
-  let t = add_doc t (id 3) ~path:"P" "aaaa" in
-  Alcotest.(check int) "docs" 3 (doc_count t);
-  let hits needle = Ident.Set.cardinal (query t needle) in
-  Alcotest.(check int) "shared stem" 2 (hits "recover");
-  Alcotest.(check int) "full phrase" 1 (hits "the recovery path");
-  (* overlapping occurrences: "aaaa" holds "aaa" at offsets 0 and 1 *)
-  Alcotest.(check int) "overlap" 1 (hits "aaa");
-  Alcotest.(check int) "negative" 0 (hits "covery path x");
-  (* trigrams present but never adjacent: positions must reject *)
-  Alcotest.(check int) "adjacency" 0 (hits "pathrec");
-  Alcotest.(check int) "path scope" 1
-    (Ident.Set.cardinal (query t ~path:"Q" "recover"));
-  Alcotest.(check int) "wrong path" 0
-    (Ident.Set.cardinal (query t ~path:"Z" "recover"));
-  let t = remove_doc t (id 2) "recover quickly" in
-  Alcotest.(check int) "after remove" 1
-    (Ident.Set.cardinal (query t "recover"));
-  let s = stats t in
-  Alcotest.(check int) "stats docs" 2 s.docs;
-  Alcotest.(check bool) "stats positions" true (s.positions > 0);
+  Alcotest.(check int) "empty" 0 (doc_count empty);
+  let docs =
+    [ (id 1, "P", "the recovery path"); (id 2, "Q", "recover quickly");
+      (id 3, "P", "aaaa") ]
+  in
+  let added =
+    List.fold_left (fun t (i, path, s) -> add_doc t i ~path s) empty
+      (List.rev docs)
+  in
+  (* the same documents in the overlay and in a packed base *)
+  List.iter
+    (fun (label, t) ->
+      let check name = Alcotest.(check int) (label ^ ": " ^ name) in
+      check "docs" 3 (doc_count t);
+      let hits ?path needle = Ident.Set.cardinal (query t ?path [ needle ]) in
+      check "shared stem" 2 (hits "recover");
+      check "full phrase" 1 (hits "the recovery path");
+      (* overlapping occurrences: "aaaa" holds "aaa" at offsets 0 and 1 *)
+      check "overlap" 1 (hits "aaa");
+      check "negative" 0 (hits "covery path x");
+      (* trigrams present but never adjacent: verification must reject *)
+      check "adjacency" 0 (hits "pathrec");
+      check "path scope" 1 (hits ~path:"Q" "recover");
+      check "wrong path" 0 (hits ~path:"Z" "recover");
+      (* conjunctive: every needle in the same document *)
+      check "conjunction" 1 (Ident.Set.cardinal (query t [ "recover"; "path" ]));
+      check "split conjunction" 0 (Ident.Set.cardinal (query t [ "quickly"; "path" ]));
+      let t = remove_doc t (id 2) in
+      check "after remove" 1 (Ident.Set.cardinal (query t [ "recover" ]));
+      check "docs after remove" 2 (stats t).docs;
+      check "remove absent" 2 (doc_count (remove_doc t (id 9))))
+    [ ("overlay", added); ("base", of_docs docs) ];
+  Alcotest.(check bool) "equal across layouts" true (equal added (of_docs docs));
+  (* "xyzw yzwx" holds every trigram of "xyzwx" but not the needle *)
+  List.iter
+    (fun t ->
+      Alcotest.(check int) "trigrams without the needle" 0
+        (Ident.Set.cardinal (query t [ "xyz"; "xyzwx" ])))
+    [ of_docs [ (id 1, "P", "xyzw yzwx") ]; add_doc empty (id 1) ~path:"P" "xyzw yzwx" ];
+  let s = stats (of_docs docs) in
+  Alcotest.(check bool) "base postings" true (s.postings > 0 && s.trigrams > 0);
   Alcotest.check
     (Alcotest.testable
        (fun ppf e -> Format.fprintf ppf "%s" (Printexc.to_string e))
@@ -350,9 +486,22 @@ let test_structure () =
     "short needle refused"
     (Invalid_argument "Text_index.query: needle shorter than 3 bytes")
     (try
-       ignore (query t "ab");
+       ignore (query added [ "recover"; "ab" ]);
        Failure "no exception"
      with e -> e)
+
+let test_string_contains () =
+  let check name expected hay needle =
+    Alcotest.(check bool) name expected (Text_index.string_contains hay needle)
+  in
+  check "empty needle" true "abc" "";
+  check "empty both" true "" "";
+  check "needle = haystack" true "abc" "abc";
+  check "match at last offset" true "xxabc" "abc";
+  check "needle longer than haystack" false "ab" "abc";
+  check "overlapping prefix" true "aaab" "aab";
+  check "near miss" false "aabaab" "aaa";
+  check "empty haystack" false "" "a"
 
 let test_explain () =
   let db = fresh_db () in
@@ -425,10 +574,15 @@ let () =
     [
       ( "structure",
         [ tc "postings and verification" test_structure;
+          tc "string_contains edges" test_string_contains;
           tc "explain" test_explain;
           tc "counters and stats" test_counters;
           tc "version views" test_version_views ] );
       ( "equivalence",
         [ prop_select; prop_consistent; prop_all_prefixes; prop_reopen;
           prop_disable ] );
+      ( "folds",
+        [ tc "churn across folds" test_fold_churn;
+          tc "snapshot pinned before a fold" test_fold_snapshot;
+          tc "rollback of a folding transaction" test_fold_rollback ] );
     ]
