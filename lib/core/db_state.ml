@@ -360,9 +360,10 @@ let root_unindex_state r (item : Item.t) (state : Item.state option) =
         { r with r_rel_extent = Smap.remove_id r.r_rel_extent rel.Item.assoc item.id }
     | Item.Independent | Item.Dependent _ -> r)
 
-let obj_extent_ids t cls = Smap.ids t.working.r_obj_extent cls
-let rel_extent_ids t assoc = Smap.ids t.working.r_rel_extent assoc
-let all_obj_extent_ids t = Smap.all_ids t.working.r_obj_extent
+let obj_extent t cls = Smap.set t.working.r_obj_extent cls
+let rel_extent t assoc = Smap.set t.working.r_rel_extent assoc
+let fold_obj_extents t f init =
+  Smap.fold (fun _ s acc -> Ident.Set.fold f s acc) t.working.r_obj_extent init
 let all_pattern_extent_ids t = Smap.all_ids t.working.r_pattern_extent
 let all_rel_extent_ids t = Smap.all_ids t.working.r_rel_extent
 let all_rel_pattern_extent_ids t = Smap.all_ids t.working.r_rel_pattern_extent
@@ -370,8 +371,9 @@ let dependent_extent_ids t = Ident.Set.elements t.working.r_dependent_extent
 let live_dependent_count t = Ident.Set.cardinal t.working.r_dependent_extent
 
 let all_live_ids t =
-  all_obj_extent_ids t @ all_pattern_extent_ids t @ all_rel_extent_ids t
-  @ all_rel_pattern_extent_ids t @ dependent_extent_ids t
+  fold_obj_extents t List.cons
+    (all_pattern_extent_ids t @ all_rel_extent_ids t
+    @ all_rel_pattern_extent_ids t @ dependent_extent_ids t)
 
 (* ------------------------------------------------------------------ *)
 (* Item mutation (new roots)                                            *)
@@ -560,9 +562,9 @@ let clear_unflushed t =
 (* Identity indexes                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let children_ids t id = Idmap.ids t.working.r_children id
-let rels_ids t id = Idmap.ids t.working.r_rels_of id
-let inheritor_ids t id = Idmap.ids t.working.r_inheritors id
+let children_set t id = Idmap.get t.working.r_children id
+let rels_set t id = Idmap.get t.working.r_rels_of id
+let inheritor_set t id = Idmap.get t.working.r_inheritors id
 
 let index_inheritor t ~pattern ~inheritor =
   t.working <-
@@ -733,8 +735,6 @@ let set_version_cache_capacity t n =
     evict_version_lru t
   done
 
-let version_cache_capacity t = t.version_cache_capacity
-
 let version_cache_stats t =
   {
     vc_hits = t.vc_hit_count;
@@ -742,14 +742,15 @@ let version_cache_stats t =
     vc_evictions = t.vc_eviction_count;
   }
 
-let ve_ids tbl key =
-  match Hashtbl.find_opt tbl key with Some a -> Array.to_list a | None -> []
+let ve_set tbl key =
+  Option.fold ~none:Ident.Set.empty ~some:(fun a -> Ident.Set.of_list (Array.to_list a))
+    (Hashtbl.find_opt tbl key)
 
 let ve_all_ids tbl =
   Hashtbl.fold (fun _ a acc -> Array.fold_left (fun acc id -> id :: acc) acc a) tbl []
 
-let ve_obj_ids ve cls = ve_ids ve.ve_obj cls
-let ve_rel_ids ve assoc = ve_ids ve.ve_rel assoc
+let ve_obj_set ve cls = ve_set ve.ve_obj cls
+let ve_rel_set ve assoc = ve_set ve.ve_rel assoc
 let ve_all_obj_ids ve = ve_all_ids ve.ve_obj
 let ve_all_pattern_ids ve = ve_all_ids ve.ve_pattern
 let ve_all_rel_ids ve = ve_all_ids ve.ve_rel

@@ -161,17 +161,17 @@ val map_items : t -> (Item.t -> Item.t) -> unit
 (** {1 Extents}
 
     Extent membership follows the {e current} state only — version
-    views cannot use them and fall back to scans. All accessors return
-    ids in unspecified order. *)
+    views cannot use them. Sets are the root's own (no copy); lists
+    are in unspecified order. *)
 
-val obj_extent_ids : t -> string -> Ident.t list
+val obj_extent : t -> string -> Ident.Set.t
 (** Live normal independent objects classified exactly in this class. *)
 
-val rel_extent_ids : t -> string -> Ident.t list
+val rel_extent : t -> string -> Ident.Set.t
 
-val all_obj_extent_ids : t -> Ident.t list
-(** Union of {!obj_extent_ids} over all classes — the live normal
-    independent objects of the current state. *)
+val fold_obj_extents : t -> (Ident.t -> 'a -> 'a) -> 'a -> 'a
+(** Fold over every class's {!obj_extent}: the live normal independent
+    objects of the current state. *)
 
 val all_pattern_extent_ids : t -> Ident.t list
 val all_rel_extent_ids : t -> Ident.t list
@@ -215,11 +215,13 @@ val unflushed : t -> Ident.Set.t
 val clear_unflushed : t -> unit
 (** Empty the set: call only once the records are durable. *)
 
-(** {1 Identity indexes} *)
+(** {1 Identity indexes}
 
-val children_ids : t -> Ident.t -> Ident.t list
-val rels_ids : t -> Ident.t -> Ident.t list
-val inheritor_ids : t -> Ident.t -> Ident.t list
+    The root's own sets, over every item ever indexed, live or not. *)
+
+val children_set : t -> Ident.t -> Ident.Set.t
+val rels_set : t -> Ident.t -> Ident.Set.t
+val inheritor_set : t -> Ident.t -> Ident.Set.t
 
 val index_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 val unindex_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
@@ -264,14 +266,13 @@ val set_version_cache_capacity : t -> int -> unit
 (** Bound the number of materialized versions kept (default 8); excess
     entries are evicted least-recently-used. 0 disables the cache. *)
 
-val version_cache_capacity : t -> int
 val version_cache_stats : t -> version_cache_stats
 
-val ve_obj_ids : version_extent -> string -> Ident.t list
+val ve_obj_set : version_extent -> string -> Ident.Set.t
 (** Live normal independent objects classified exactly in this class,
-    in that version, in ascending id order. *)
+    in that version. *)
 
-val ve_rel_ids : version_extent -> string -> Ident.t list
+val ve_rel_set : version_extent -> string -> Ident.Set.t
 val ve_all_obj_ids : version_extent -> Ident.t list
 val ve_all_pattern_ids : version_extent -> Ident.t list
 val ve_all_rel_ids : version_extent -> Ident.t list

@@ -84,19 +84,23 @@ let is_incomplete =
    descendant sub-objects, carries a string value at the class path
    ([""] = any path) satisfying [f]. Only the object's {e own} subtree
    is walked — information viewed through pattern inheritance is not
-   searched, matching what the trigram index covers. *)
+   searched, matching what the trigram index covers. The walk reads
+   the root's children sets, resolving each node's state once. *)
 let carrier_matches v (it : Item.t) ~path f =
-  let path_ok cls = String.equal path "" || String.equal path cls in
-  let check (node : Item.t) =
-    match View.obj_state v node with
-    | Some { Item.cls; value = Some (Value.String s); _ } when path_ok cls ->
+  let db = View.db v in
+  let rec walk id (o : Item.obj_state) =
+    (match o.Item.value with
+    | Some (Value.String s) when String.equal path "" || String.equal path o.Item.cls ->
       f s
-    | Some _ | None -> false
+    | Some _ | None -> false)
+    || Ident.Set.exists
+         (fun c ->
+           match View.state_of_id v c with
+           | Some (Item.Obj o) when not o.Item.deleted -> walk c o
+           | Some _ | None -> false)
+         (Db_state.children_set db id)
   in
-  let rec walk (node : Item.t) =
-    check node || List.exists walk (View.children v node.Item.id)
-  in
-  walk it
+  match View.obj_state v it with Some o -> walk it.Item.id o | None -> false
 
 let rec test p v it =
   match p with
@@ -149,7 +153,7 @@ let not_ p = Not p
 (*     [Or] unions (sound only when both sides are bounded);            *)
 (*   - [Not] and [Opaque] are unbounded.                                *)
 (* The planner is indifferent to where the id sets come from: an        *)
-(* [extent_source] supplies per-class live ids and the name index —     *)
+(* [extent_source] supplies per-class live id sets and the name index — *)
 (* from the current-state extents for the current view, or from the     *)
 (* materialized version extent for a version view. When neither is      *)
 (* available (materialization disabled), [select] falls back to the     *)
@@ -157,7 +161,7 @@ let not_ p = Not p
 (* ------------------------------------------------------------------ *)
 
 type extent_source = {
-  src_class_ids : string -> Ident.t list;
+  src_class : string -> Ident.Set.t;
       (** live normal independents classified exactly in the class *)
   src_name : string -> Ident.t option;
   src_text : unit -> Text_index.t option;
@@ -176,7 +180,7 @@ let source_of_view v =
   | None ->
     Some
       {
-        src_class_ids = Db_state.obj_extent_ids db;
+        src_class = Db_state.obj_extent db;
         src_name = Db_state.find_id_by_name db;
         src_text = (fun () -> Db_state.text_index db);
         src_db = db;
@@ -186,7 +190,7 @@ let source_of_view v =
     | Some ve ->
       Some
         {
-          src_class_ids = Db_state.ve_obj_ids ve;
+          src_class = Db_state.ve_obj_set ve;
           src_name = Db_state.ve_find_name ve;
           src_text =
             (fun () ->
@@ -236,25 +240,21 @@ let text_candidates src ~path needles =
       None
     | worthy ->
       Db_state.note_text_hit src.src_db;
+      let owner id acc =
+        match root_owner src.src_db id with Some root -> root :: acc | None -> acc
+      in
       let carriers = Text_index.query tx ?path:qpath worthy in
-      Some
-        (Ident.Set.fold
-           (fun id acc ->
-             match root_owner src.src_db id with
-             | Some root -> Ident.Set.add root acc
-             | None -> acc)
-           carriers Ident.Set.empty))
+      Some (Ident.Set.of_list (Ident.Set.fold owner carriers [])))
 
+(* Extent sets are shared, not copied: [In_class] is the source's set
+   itself, and [Is_a] of a leaf class is a union with the empty set. *)
 let rec candidates src schema p =
   match p with
-  | In_class cls -> Some (Ident.Set.of_list (src.src_class_ids cls))
+  | In_class cls -> Some (src.src_class cls)
   | Is_a cls ->
     Some
       (List.fold_left
-         (fun acc c ->
-           List.fold_left
-             (fun acc id -> Ident.Set.add id acc)
-             acc (src.src_class_ids c))
+         (fun acc c -> Ident.Set.union acc (src.src_class c))
          Ident.Set.empty
          (Schema.class_descendants_or_self schema cls))
   | Name_is n -> (
@@ -436,58 +436,59 @@ let pp_plan ppf = function
   | Scan { reason } ->
     Fmt.pf ppf "@[<v>plan: full scan of the view@,reason: %s@]" reason
 
-let by_name v (a : Item.t) (b : Item.t) =
-  match (View.full_name v a, View.full_name v b) with
-  | Some x, Some y -> String.compare x y
-  | Some _, None -> -1
-  | None, Some _ -> 1
-  | None, None -> Ident.compare a.Item.id b.Item.id
-
-let scan_objects v p = View.all_objects v |> List.filter (test p v)
-
-let select v p =
-  let hits =
-    match source_of_view v with
-    | None -> scan_objects v p
-    | Some src -> (
-      match candidates src (View.schema v) p with
-      | None -> scan_objects v p
-      | Some ids ->
-        Ident.Set.elements ids
-        |> List.filter_map (Db_state.find_item (View.db v))
-        |> List.filter (fun it -> View.live_normal v it && test p v it))
+(* Fold [f] over the live normal independent objects satisfying [p]:
+   the planner's candidates, re-checked and re-tested, or for an
+   unbounded predicate the exact object extents of the current root
+   (or [View.all_objects] of a version view), tested. *)
+let fold_hits v p f init =
+  let db = View.db v in
+  let keep ~recheck id acc =
+    match Db_state.find_item db id with
+    | Some it when ((not recheck) || View.live_normal v it) && test p v it ->
+      f it acc
+    | Some _ | None -> acc
   in
-  List.sort (by_name v) hits
+  let scan = keep ~recheck:false in
+  match Option.bind (source_of_view v) (fun src -> candidates src (View.schema v) p) with
+  | Some ids -> Ident.Set.fold (keep ~recheck:true) ids init
+  | None when Option.is_none (View.version v) -> Db_state.fold_obj_extents db scan init
+  | None ->
+    List.fold_left (fun acc (it : Item.t) -> scan it.Item.id acc) init (View.all_objects v)
 
-let count v p =
-  match source_of_view v with
-  | None -> List.length (scan_objects v p)
-  | Some src -> (
-    let db = View.db v in
-    match candidates src (View.schema v) p with
-    | None -> List.length (scan_objects v p)
-    | Some ids ->
-      Ident.Set.fold
-        (fun id acc ->
-          match Db_state.find_item db id with
-          | Some it when View.live_normal v it && test p v it -> acc + 1
-          | Some _ | None -> acc)
-        ids 0)
+(* Hits decorated with their full names, sorted once: by name (unique
+   among live objects; unnamed ones first), ties by id. *)
+let named_hits v p =
+  let named it acc = (View.full_name v it, it) :: acc in
+  let hits = Array.of_list (fold_hits v p named []) in
+  Array.sort
+    (fun (m, (a : Item.t)) (n, (b : Item.t)) ->
+      match Option.compare String.compare m n with
+      | 0 -> Ident.compare a.Item.id b.Item.id
+      | c -> c)
+    hits;
+  hits
+
+let select v p = Array.fold_right (fun (_, it) acc -> it :: acc) (named_hits v p) []
+
+let select_names v p =
+  Array.fold_right
+    (fun (n, _) acc -> match n with Some n -> n :: acc | None -> acc)
+    (named_hits v p) []
+
+let count v p = fold_hits v p (fun _ n -> n + 1) 0
 
 let select_rels v ~assoc =
-  (* each relationship sits in exactly one association extent, so the
-     union over the association's subtree has no duplicates *)
-  let of_ids rel_ids =
+  let of_sets rel_set =
     Schema.assoc_descendants_or_self (View.schema v) assoc
-    |> List.concat_map rel_ids
-    |> List.sort Ident.compare
+    |> List.fold_left (fun acc a -> Ident.Set.union acc (rel_set a)) Ident.Set.empty
+    |> Ident.Set.elements
     |> List.filter_map (Db_state.find_item (View.db v))
   in
   match View.version v with
-  | None -> of_ids (Db_state.rel_extent_ids (View.db v))
+  | None -> of_sets (Db_state.rel_extent (View.db v))
   | Some vid -> (
     match Db_state.version_extent (View.db v) vid with
-    | Some ve -> of_ids (Db_state.ve_rel_ids ve)
+    | Some ve -> of_sets (Db_state.ve_rel_set ve)
     | None -> View.all_rels v |> List.filter (rel_is_a v ~assoc))
 
 let neighbors v (it : Item.t) ~assoc ~from_pos ~to_pos =

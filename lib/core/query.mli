@@ -93,9 +93,16 @@ val not_ : pred -> pred
 
 val select : View.t -> pred -> Item.t list
 (** All live normal independent objects satisfying the predicate, in
-    name order. *)
+    name order ([String.compare] on full names, which are unique). One
+    fold re-tests every candidate (or scans); names are derived once and
+    sorted once. *)
+
+val select_names : View.t -> pred -> string list
+(** The full names of {!select}'s result, in its order — a served
+    read's reply. *)
 
 val count : View.t -> pred -> int
+(** [List.length (select v p)], from the same loop, with no sort. *)
 
 val select_rels : View.t -> assoc:string -> Item.t list
 (** Live normal relationships of this association or a specialization. *)

@@ -41,6 +41,10 @@ let state t (item : Item.t) =
     | Some ve -> Db_state.ve_state ve item.Item.id
     | None -> Versioning.state_at (Db_state.versions t.db_) item v)
 
+let state_of_id t id =
+  Option.bind (Db_state.find_item t.db_ id) (fun (it : Item.t) ->
+      match t.mode with Current -> it.Item.current | At _ -> state t it)
+
 let live t item =
   match state t item with Some s -> not (Item.state_deleted s) | None -> false
 
@@ -99,10 +103,8 @@ let find_object t name =
       with Found it -> Some it))
 
 let children t id =
-  Db_state.children_ids t.db_ id
-  |> items_of_ids t
-  |> List.filter (live t)
-  |> List.sort (fun (a : Item.t) b -> Ident.compare a.id b.id)
+  Ident.Set.elements (Db_state.children_set t.db_ id)
+  |> items_of_ids t |> List.filter (live t)
 
 let child t id ~role ?index () =
   children t id
@@ -114,10 +116,8 @@ let child t id ~role ?index () =
          | Item.Independent | Item.Relationship -> false)
 
 let rels t id =
-  Db_state.rels_ids t.db_ id
-  |> items_of_ids t
-  |> List.filter (live t)
-  |> List.sort (fun (a : Item.t) b -> Ident.compare a.id b.id)
+  Ident.Set.elements (Db_state.rels_set t.db_ id)
+  |> items_of_ids t |> List.filter (live t)
 
 let inherits_of t item =
   match obj_state t item with Some o -> o.inherits | None -> []
@@ -125,7 +125,7 @@ let inherits_of t item =
 let inheritors_of t id =
   match t.mode with
   | Current ->
-    Db_state.inheritor_ids t.db_ id
+    Ident.Set.elements (Db_state.inheritor_set t.db_ id)
     |> items_of_ids t
     |> List.filter (fun it ->
            live t it && List.exists (Ident.equal id) (inherits_of t it))
@@ -332,7 +332,7 @@ let sorted_items_of_ids t ids =
 
 let all_objects t =
   match t.mode with
-  | Current -> Db_state.all_obj_extent_ids t.db_ |> sorted_items_of_ids t
+  | Current -> Db_state.fold_obj_extents t.db_ List.cons [] |> sorted_items_of_ids t
   | At v -> (
     match Db_state.version_extent t.db_ v with
     | Some ve -> Db_state.ve_all_obj_ids ve |> sorted_items_of_ids t

@@ -37,6 +37,10 @@ val schema : t -> Schema.t
 (** {1 State resolution} *)
 
 val state : t -> Item.t -> Item.state option
+
+val state_of_id : t -> Ident.t -> Item.state option
+(** {!state} by id: one item lookup on a current view. *)
+
 val live : t -> Item.t -> bool
 val live_normal : t -> Item.t -> bool
 val live_pattern : t -> Item.t -> bool

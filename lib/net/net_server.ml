@@ -249,15 +249,10 @@ let execute_locked t (conn : Conn.t) s (body : Wire.req_body) =
     | Some it -> Wire.Found (View.class_path_of v it)
     | None -> Wire.Found None)
   | Wire.Select_isa cls ->
-    let v = Server.snapshot t.eng in
-    let items = Query.select v (Query.is_a cls) in
-    Wire.Names
-      (List.sort String.compare (List.filter_map (View.full_name v) items))
+    Wire.Names (Query.select_names (Server.snapshot t.eng) (Query.is_a cls))
   | Wire.Search { path; needles } ->
-    let v = Server.snapshot t.eng in
-    let items = Query.select v (Query.matches path needles) in
     Wire.Names
-      (List.sort String.compare (List.filter_map (View.full_name v) items))
+      (Query.select_names (Server.snapshot t.eng) (Query.matches path needles))
   | Wire.Stats -> Wire.Stats_reply (stats_locked t)
   | Wire.Ping -> Wire.Pong
   | Wire.Bye ->

@@ -9,8 +9,6 @@ let empty : t = Ident.Map.empty
 let get (m : t) k =
   match Ident.Map.find_opt k m with Some s -> s | None -> Ident.Set.empty
 
-let ids (m : t) k = Ident.Set.elements (get m k)
-
 let add (m : t) k id =
   Ident.Map.update k
     (function

@@ -5,6 +5,5 @@ type t = Ident.Set.t Ident.Map.t
 
 val empty : t
 val get : t -> Ident.t -> Ident.Set.t
-val ids : t -> Ident.t -> Ident.t list
 val add : t -> Ident.t -> Ident.t -> t
 val remove : t -> Ident.t -> Ident.t -> t

@@ -9,8 +9,6 @@ include Map.Make (String)
 let set m k =
   match find_opt k m with Some s -> s | None -> Ident.Set.empty
 
-let ids m k = Ident.Set.elements (set m k)
-
 let add_id m k id =
   update k
     (function
@@ -28,5 +26,3 @@ let remove_id m k id =
     m
 
 let all_ids m = fold (fun _ s acc -> Ident.Set.fold List.cons s acc) m []
-
-let total_cardinal m = fold (fun _ s acc -> acc + Ident.Set.cardinal s) m 0

@@ -10,9 +10,6 @@ include Map.S with type key = string
 val set : Ident.Set.t t -> string -> Ident.Set.t
 (** The id set under a key, empty when absent. *)
 
-val ids : Ident.Set.t t -> string -> Ident.t list
-(** Elements of {!set}, ascending. *)
-
 val add_id : Ident.Set.t t -> string -> Ident.t -> Ident.Set.t t
 
 val remove_id : Ident.Set.t t -> string -> Ident.t -> Ident.Set.t t
@@ -20,5 +17,3 @@ val remove_id : Ident.Set.t t -> string -> Ident.t -> Ident.Set.t t
 
 val all_ids : Ident.Set.t t -> Ident.t list
 (** Union of all sets (keys are disjoint extents, so no duplicates). *)
-
-val total_cardinal : Ident.Set.t t -> int

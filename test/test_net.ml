@@ -14,6 +14,8 @@ module NC = Seed_net.Net_client
 module Server = Seed_server.Server
 module Protocol = Seed_server.Protocol
 module DB = Seed_core.Database
+module Query = Seed_core.Query
+module View = Seed_core.View
 
 (* --- frame ------------------------------------------------------------ *)
 
@@ -238,6 +240,67 @@ let test_session_lifecycle () =
   | _ -> Alcotest.fail "bye should close");
   let st = NS.stats core in
   Alcotest.(check int) "no sessions left" 0 st.Wire.sv_sessions
+
+(* Served [Select_isa]/[Search] replies carry exactly the names of
+   [Query.select] on a snapshot, in its order. The store holds the cases
+   retrieval must get right: a pattern whose sub-object matches (patterns
+   are invisible), an object inheriting it (inherited sub-objects are not
+   searched), a deleted keyword (matches nothing), a re-classified object
+   (leaves its old class extent for the new one), and a 2-byte needle
+   (below trigram length, so the scan answers). *)
+let test_served_reads_match_query () =
+  let core, srv, _ = make_core () in
+  let db = Server.database srv in
+  let obj ?pattern cls name = ok (DB.create_object db ~cls ~name ?pattern ()) in
+  let sub parent role s =
+    ok (DB.create_sub_object db ~parent ~role ~value:(Seed_schema.Value.String s) ())
+  in
+  let template = obj ~pattern:true "Data" "Template" in
+  ignore (sub template "Keywords" "alarm");
+  ok (DB.inherit_pattern db ~pattern:template ~inheritor:(obj "Data" "Heir"));
+  let gone = obj "OutputData" "Gone" in
+  ok (DB.delete db (sub gone "Keywords" "alarm"));
+  let kept = obj "OutputData" "Kept" in
+  ignore (sub kept "Keywords" "alarm");
+  ignore (sub kept "Description" "zz top");
+  let moved = obj "InputData" "Moved" in
+  ignore (sub moved "Description" "an alarm raised");
+  ok (DB.reclassify db moved ~to_:"OutputData");
+  let conn = NS.open_conn core in
+  ignore (hello core conn ~client:"reader" ());
+  let v = Server.snapshot srv in
+  let req = ref 1L in
+  let check what body p want =
+    req := Int64.succ !req;
+    let served =
+      match (step core conn ~req_id:!req body).Wire.rbody with
+      | Wire.Names names -> names
+      | _ -> Alcotest.failf "%s: expected names" what
+    in
+    let selected = List.filter_map (View.full_name v) (Query.select v p) in
+    Alcotest.(check (list string)) (what ^ " = Query.select") selected served;
+    Alcotest.(check (list string)) what want served
+  in
+  let isa cls = (Wire.Select_isa cls, Query.is_a cls) in
+  let search path needles =
+    (Wire.Search { path; needles }, Query.matches path needles)
+  in
+  List.iter
+    (fun (what, (body, p), want) -> check what body p want)
+    [
+      ("old class", isa "InputData", []);
+      ("new class", isa "OutputData", [ "Gone"; "Kept"; "Moved" ]);
+      ("superclass", isa "Data", [ "Alarms"; "Gone"; "Heir"; "Kept"; "Moved" ]);
+      ("any path", search "" [ "alarm" ], [ "Kept"; "Moved" ]);
+      ("keywords", search "Thing.Keywords" [ "alarm" ], [ "Kept" ]);
+      ("conjunctive", search "" [ "alarm"; "raised" ], [ "Moved" ]);
+      ("short needle", search "" [ "zz" ], [ "Kept" ]);
+      ("short needle, scanned past the pattern and the deleted keyword",
+        search "" [ "al" ], [ "Kept"; "Moved" ]);
+    ];
+  match Query.explain v (Query.matches "" [ "al" ]) with
+  | Query.Scan _ -> ()
+  | Query.Indexed _ -> Alcotest.fail "a 2-byte needle must take the scan"
 
 let test_request_before_hello_refused () =
   let core, _, _ = make_core () in
@@ -762,6 +825,7 @@ let () =
       ( "sessions",
         [
           tc "lifecycle" test_session_lifecycle;
+          tc "served reads = Query.select" test_served_reads_match_query;
           tc "request before hello" test_request_before_hello_refused;
           tc "protocol mismatch" test_protocol_mismatch_refused;
           tc "corrupt frame closes" test_corrupt_frame_closes_connection;

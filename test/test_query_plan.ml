@@ -2,12 +2,12 @@
 
    The planner in [Query] answers index-recognisable predicates from the
    class extents and the name index. Its one obligation is to return
-   exactly what a naive scan over the item table returns — for every
-   predicate shape, after any operation sequence, on current and on
-   version views. The naive reference below deliberately bypasses both
-   the extents and [View.all_objects] (which is itself extent-backed on
-   current views), so any drift in extent maintenance shows up as a
-   disagreement here. *)
+   exactly what a naive scan over the item table returns, in name
+   order — for every predicate shape, after any operation sequence, on
+   current and on version views. The naive reference below deliberately
+   bypasses both the extents and [View.all_objects] (which is itself
+   extent-backed on current views), so any drift in extent maintenance
+   shows up as a disagreement here. *)
 
 open Seed_util
 open Seed_schema
@@ -130,6 +130,18 @@ let naive_select v p =
       else acc)
   |> List.sort Ident.compare
 
+(* The naive hits in the order [select] promises: by full name (unnamed
+   ones first), the id breaking ties. *)
+let naive_in_name_order v p =
+  naive_select v p
+  |> List.filter_map (Db_state.find_item (View.db v))
+  |> List.map (fun (it : Item.t) -> (View.full_name v it, it.Item.id))
+  |> List.sort (fun (m, a) (n, b) ->
+         match compare m n with
+         | 0 -> Ident.compare a b
+         | c -> c)
+  |> List.map snd
+
 let naive_select_rels v ~assoc =
   let schema = View.schema v in
   Db_state.fold_items (View.db v) ~init:[] ~f:(fun acc it ->
@@ -176,9 +188,13 @@ let select_agrees env =
     (fun v ->
       List.for_all
         (fun p ->
-          let planned = sorted_ids (Q.select v p) in
+          let selected = Q.select v p in
+          let planned = sorted_ids selected in
           planned = naive_select v p
-          && Q.count v p = List.length planned)
+          && Q.count v p = List.length planned
+          && List.map (fun (it : Item.t) -> it.Item.id) selected
+             = naive_in_name_order v p
+          && Q.select_names v p = List.filter_map (View.full_name v) selected)
         predicate_pool)
     (views env)
 
