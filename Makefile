@@ -5,7 +5,7 @@
 
 .PHONY: check build test fmt soak soak-ci soak-net bench bench-query \
 	bench-text bench-version bench-txn bench-commit bench-mvcc bench-chaos \
-	bench-server perfbench perfbench-run
+	perfbench perfbench-run
 
 check: build test fmt
 
@@ -88,14 +88,9 @@ bench-mvcc:
 bench-chaos:
 	dune exec bench/main.exe -- chaos
 
-# regenerate the committed networked-server baseline (multi-client
-# throughput/latency over TCP and graceful-drain wall time)
-bench-server:
-	dune exec bench/main.exe -- server
-
 # regenerate every committed benchmark baseline
 bench: bench-query bench-text bench-version bench-txn bench-commit \
-	bench-mvcc bench-chaos bench-server
+	bench-mvcc bench-chaos
 
 # the served-path benchmark (perfbench/README.md, BENCHMARK.json):
 # `perfbench` smoke-runs every workload on small stores, untraced and

@@ -160,7 +160,7 @@ let fig4 () =
     [
       Test.make ~name:"current version"
         (Staged.stage (fun () -> ignore (DB.find_object db (next ()))));
-      Test.make ~name:"version 1.0 (resolved through the tree)"
+      Test.make ~name:"version 1.0 (view_at, then its extent)"
         (Staged.stage (fun () ->
              let v = ok (DB.view_at db v1) in
              ignore (Seed_core.View.find_object v (next ()))));
@@ -712,18 +712,27 @@ let text () =
 
 let version () =
   heading "V1"
-    "version reads: materialized extents (cold/warm) vs resolution scan";
+    "version reads: materialized extents (cold/warm) vs the current view";
   let module Q = Seed_core.Query in
   let module View = Seed_core.View in
-  let bench_op ~iters f =
-    ignore (f ());
-    let _, t =
-      Report.time_of (fun () ->
-          for _ = 1 to iters do
-            ignore (f ())
-          done)
+  (* mean time per call over at least 50 ms of calls *)
+  let bench_op f =
+    f ();
+    let rec go n =
+      let _, t =
+        Report.time_of (fun () ->
+            for _ = 1 to n do
+              f ()
+            done)
+      in
+      if t >= 0.05 then t /. float_of_int n else go (n * 4)
     in
-    t /. float_of_int iters
+    go 16
+  in
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
   in
   let rows = ref [] in
   let json = ref [] in
@@ -731,63 +740,60 @@ let version () =
     (fun (items, versions) ->
       let db, vids = Workloads.versioned_query_db ~items ~versions in
       (* the newest version: items untouched since round 1 resolve
-         through the whole ancestor chain — the worst case for the scan
-         path and the case the materialized extent flattens *)
+         through the whole ancestor chain — the worst case for the
+         extent build *)
       let vid = List.nth vids (List.length vids - 1) in
       let v = View.at (DB.raw db) vid in
-      let iters = if items >= 10_000 then 20 else 100 in
       let ops =
         [
-          ("select_by_class", fun () -> ignore (Q.select v (Q.in_class "C4")));
-          ("is_a_deep", fun () -> ignore (Q.select v (Q.is_a "C6")));
+          ("select_by_class", fun v -> ignore (Q.select v (Q.in_class "C4")));
+          ("is_a_deep", fun v -> ignore (Q.select v (Q.is_a "C6")));
           ( "name_lookup",
-            fun () ->
+            fun v ->
               ignore (Q.select v (Q.name_is (Workloads.query_name (items / 2))))
           );
           ( "find_object",
-            fun () ->
+            fun v ->
               ignore (View.find_object v (Workloads.query_name (items / 2))) );
         ]
       in
       List.iter
         (fun (key, f) ->
-          (* scan: materialization disabled, the retained fallback path *)
-          DB.set_version_cache_capacity db 0;
-          let scan = bench_op ~iters f in
-          (* cold: first read pays the reconstruction sweep *)
-          DB.set_version_cache_capacity db 8;
-          DB.clear_version_cache db;
-          let _, cold = Report.time_of f in
-          (* warm: every later read is served from the extent *)
-          let warm = bench_op ~iters:(iters * 10) f in
-          let hits = List.length (Q.select v (Q.in_class "C4")) in
-          ignore hits;
+          (* current: the same read on the current state's extents *)
+          let current = bench_op (fun () -> f (View.current (DB.raw db))) in
+          (* cold: a fresh frozen handle has an empty version cache, so
+             its first view pays the reconstruction sweep; median of 21 *)
+          let cold =
+            median
+              (List.init 21 (fun _ ->
+                   let fresh = Seed_core.Db_state.freeze (DB.raw db) in
+                   snd (Report.time_of (fun () -> f (View.at fresh vid)))))
+          in
+          (* warm: every later read of the view is a lookup in its extent *)
+          let warm = bench_op (fun () -> f v) in
           rows :=
             [
               string_of_int items;
               string_of_int versions;
               key;
-              Report.ms scan;
+              Printf.sprintf "%.3f ms" (current *. 1000.);
               Report.ms cold;
               Printf.sprintf "%.3f ms" (warm *. 1000.);
-              Printf.sprintf "%.1fx" (scan /. warm);
+              Printf.sprintf "%.2fx" (warm /. current);
             ]
             :: !rows;
           json :=
             Printf.sprintf
               "    {\"items\": %d, \"versions\": %d, \"query\": %S, \
-               \"scan_us\": %.2f, \"cold_us\": %.2f, \"warm_us\": %.2f, \
-               \"speedup\": %.1f}"
-              items versions key (scan *. 1e6) (cold *. 1e6) (warm *. 1e6)
-              (scan /. warm)
+               \"current_us\": %.2f, \"cold_us\": %.2f, \"warm_us\": %.2f}"
+              items versions key (current *. 1e6) (cold *. 1e6) (warm *. 1e6)
             :: !json)
         ops)
     [ (2_000, 8); (10_000, 16); (10_000, 64) ];
   Report.table
-    ~title:
-      "reads at the deepest version: resolution scan vs materialized extent"
+    ~title:"reads at the deepest version vs the same read on the current view"
     ~header:
-      [ "items"; "versions"; "query"; "scan"; "cold (build)"; "warm"; "speedup" ]
+      [ "items"; "versions"; "query"; "current"; "cold (build)"; "warm"; "warm/current" ]
     (List.rev !rows);
   let oc = open_out "BENCH_version.json" in
   Printf.fprintf oc
@@ -1454,176 +1460,6 @@ let mvcc () =
   Fmt.pr "@.wrote BENCH_mvcc.json@."
 
 (* ------------------------------------------------------------------ *)
-(* S: the networked server — concurrent clients over TCP               *)
-(* ------------------------------------------------------------------ *)
-
-module NS = Seed_net.Net_server
-module NC = Seed_net.Net_client
-
-let server () =
-  heading "S" "networked server: concurrent clients over TCP (DESIGN.md §13)";
-  let json = ref [] in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  let with_server f =
-    let srv = Seed_server.Server.create Spades_tool.Spec_model.schema in
-    ignore
-      (ok (DB.create_object (Seed_server.Server.database srv) ~cls:"Data"
-             ~name:"Shared" ()));
-    let core = NS.create srv in
-    match NS.serve ~port:0 core with
-    | Error e -> Fmt.failwith "serve: %s" (Seed_error.to_string e)
-    | Ok l ->
-      Fun.protect
-        ~finally:(fun () -> NS.shutdown ~grace:0.05 l)
-        (fun () -> f (NS.port l) core)
-  in
-  (* throughput/latency: each client thread runs a mixed workload of
-     pings, finds and check-ins (unique object per check-in) until the
-     deadline; latencies are per request, wall clock *)
-  let run_point nclients =
-    with_server (fun port _core ->
-        let duration = 0.5 in
-        let reads = Array.make nclients [] in
-        let writes = Array.make nclients [] in
-        let counts = Array.make nclients 0 in
-        let deadline = Unix.gettimeofday () +. duration in
-        let worker i () =
-          let client = Printf.sprintf "bench-%d" i in
-          let cl = NC.connect_tcp ~client ~host:"127.0.0.1" ~port () in
-          let n = ref 0 in
-          while Unix.gettimeofday () < deadline do
-            incr n;
-            let t0 = Unix.gettimeofday () in
-            let r =
-              match !n mod 4 with
-              | 0 ->
-                Result.map
-                  (fun () -> ())
-                  (NC.checkin cl
-                     [
-                       Seed_server.Protocol.Create_object
-                         {
-                           cls = "InputData";
-                           name = Printf.sprintf "B%d_%d" i !n;
-                           pattern = false;
-                         };
-                     ])
-              | 1 -> Result.map (fun _ -> ()) (NC.find cl "Shared")
-              | _ -> NC.ping cl
-            in
-            let dt = Unix.gettimeofday () -. t0 in
-            (match r with
-            | Ok () ->
-              if !n mod 4 = 0 then writes.(i) <- dt :: writes.(i)
-              else reads.(i) <- dt :: reads.(i)
-            | Error _ -> ());
-            counts.(i) <- counts.(i) + 1
-          done;
-          NC.close cl
-        in
-        let threads = List.init nclients (fun i -> Thread.create (worker i) ()) in
-        List.iter Thread.join threads;
-        let total = Array.fold_left ( + ) 0 counts in
-        let rl =
-          Array.to_list reads |> List.concat |> List.map (fun t -> t *. 1e6)
-          |> List.sort compare |> Array.of_list
-        in
-        let nwrites = Array.fold_left (fun a l -> a + List.length l) 0 writes in
-        let p50 = percentile rl 0.50
-        and p95 = percentile rl 0.95
-        and p99 = percentile rl 0.99 in
-        let reqs_s = float_of_int total /. duration in
-        let checkins_s = float_of_int nwrites /. duration in
-        json :=
-          Printf.sprintf
-            "    {\"case\": \"throughput\", \"clients\": %d, \
-             \"reqs_per_sec\": %.0f, \"checkins_per_sec\": %.0f, \
-             \"read_p50_us\": %.1f, \"read_p95_us\": %.1f, \"read_p99_us\": \
-             %.1f}"
-            nclients reqs_s checkins_s p50 p95 p99
-          :: !json;
-        [
-          string_of_int nclients;
-          Printf.sprintf "%.0f" reqs_s;
-          Printf.sprintf "%.0f" checkins_s;
-          Printf.sprintf "%.0f us" p50;
-          Printf.sprintf "%.0f us" p95;
-          Printf.sprintf "%.0f us" p99;
-        ])
-  in
-  let rows = List.map run_point [ 1; 2; 4; 8 ] in
-  Report.table
-    ~title:
-      "mixed workload over TCP (75% ping/find, 25% check-in), one session \
-       per client"
-    ~header:[ "clients"; "reqs/s"; "checkins/s"; "read p50"; "p95"; "p99" ]
-    rows;
-  (* graceful drain: clients hammering when the server shuts down must
-     see the retryable [Draining]/a clean close, never a wedge; the
-     drain itself must be quick *)
-  let drain_ms, clean =
-    let srv = Seed_server.Server.create Spades_tool.Spec_model.schema in
-    let core = NS.create srv in
-    match NS.serve ~port:0 core with
-    | Error e -> Fmt.failwith "serve: %s" (Seed_error.to_string e)
-    | Ok l ->
-      let port = NS.port l in
-      let stop = ref false in
-      let errors = ref 0 in
-      let worker i () =
-        let config =
-          {
-            (NC.default_config ~client:(Printf.sprintf "drain-%d" i)) with
-            NC.retry_window = 0.5;
-          }
-        in
-        let cl =
-          NC.connect_tcp ~config
-            ~client:(Printf.sprintf "drain-%d" i)
-            ~host:"127.0.0.1" ~port ()
-        in
-        let rec loop () =
-          if not !stop then
-            match NC.ping cl with
-            | Ok () -> loop ()
-            | Error _ -> incr errors  (* bounded exit, never a hang *)
-        in
-        loop ();
-        NC.close cl
-      in
-      let threads = List.init 4 (fun i -> Thread.create (worker i) ()) in
-      Unix.sleepf 0.1;
-      let _, t = Report.time_of (fun () -> NS.shutdown ~grace:0.1 l) in
-      stop := true;
-      List.iter Thread.join threads;
-      (t *. 1000., true)
-  in
-  json :=
-    Printf.sprintf
-      "    {\"case\": \"drain\", \"clients\": 4, \"drain_ms\": %.1f, \
-       \"clients_unwedged\": %b}"
-      drain_ms clean
-    :: !json;
-  Report.table ~title:"graceful drain under load (4 clients pinging)"
-    ~header:[ "measure"; "value" ]
-    [
-      [ "drain wall time"; Printf.sprintf "%.1f ms" drain_ms ];
-      [ "clients unwedged"; string_of_bool clean ];
-    ];
-  let oc = open_out "BENCH_server.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"server\",\n  \"command\": \"dune exec bench/main.exe \
-     -- server\",\n  \"host_cores\": %d,\n  \"results\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_server.json@."
-
-(* ------------------------------------------------------------------ *)
 
 let suites =
   [
@@ -1642,7 +1478,6 @@ let suites =
     ("storage", storage);
     ("recovery", recovery);
     ("chaos", chaos);
-    ("server", server);
   ]
 
 let () =

@@ -859,13 +859,9 @@ let check_database view =
             (List.mapi (fun i e -> (i, e)) r.Item.endpoints)
   in
   let items =
-    (* [check_item] skips non-live items, so on a current view the
-       extents already enumerate everything that can fail a check; a
-       version view still has to walk the whole table *)
-    match View.version view with
-    | None ->
-      List.filter_map (Db_state.find_item db) (Db_state.all_live_ids db)
-    | Some _ -> Db_state.fold_items db ~init:[] ~f:(fun acc it -> it :: acc)
+    (* [check_item] skips non-live items, so the view's extents already
+       enumerate everything that can fail a check *)
+    List.filter_map (Db_state.find_item db) (Db_state.all_live_ids (View.extents view))
   in
   iter_result check_item items
 

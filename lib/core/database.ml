@@ -557,17 +557,10 @@ let begin_alternative db ~from_ ?(force = false) () =
     else Ok ()
   in
   Db_state.clear_dirty db;
-  (* a materialized view of [from_] already holds every resolved state;
-     otherwise resolve each item through the ancestor chain *)
-  let resolve =
-    match Db_state.version_extent db from_ with
-    | Some ve -> fun (it : Item.t) -> Db_state.ve_state ve it.Item.id
-    | None ->
-      let versions = Db_state.versions db in
-      fun it -> Versioning.state_at versions it from_
-  in
+  (* the materialized view of [from_] holds every resolved state *)
+  let v = View.at db from_ in
   Db_state.map_items db (fun it ->
-      Item.with_dirty (Item.with_current it (resolve it)) false);
+      Item.with_dirty (Item.with_current it (View.state v it)) false);
   Db_state.rebuild_state_indexes db;
   Db_state.set_current_base db (Some from_);
   Db_state.publish db;
@@ -598,11 +591,9 @@ let delete_version db vid =
 
 let versions db = Versioning.all (Db_state.versions db)
 
-let set_version_cache_capacity db n = Db_state.set_version_cache_capacity db n
 let set_text_index_enabled db on = Db_state.set_text_index_enabled db on
 let text_index_enabled db = Db_state.text_index_enabled db
 let version_cache_stats db = Db_state.version_cache_stats db
-let clear_version_cache db = Db_state.clear_version_cache db
 
 let add_transition_rule db name rule =
   Db_state.set_transition_rules db
@@ -756,21 +747,12 @@ let stats db =
   let v = view db in
   let ws = Db_state.write_stats db in
   let w f = match ws with Some s -> f s | None -> 0 in
-  let st_sub_objects =
-    match View.version v with
-    | None -> Db_state.live_dependent_count db
-    | Some _ ->
-      Db_state.fold_items db ~init:0 ~f:(fun acc it ->
-          match it.Item.body with
-          | Item.Dependent _ when View.live v it -> acc + 1
-          | _ -> acc)
-  in
   let vc = Db_state.version_cache_stats db in
   let tx = Db_state.text_stats db in
   let text_hits, text_fallbacks = Db_state.text_counters db in
   {
     st_objects = List.length (View.all_objects v);
-    st_sub_objects;
+    st_sub_objects = Db_state.live_dependent_count (View.extents v);
     st_relationships = List.length (View.all_rels v);
     st_patterns = List.length (View.all_patterns v);
     st_versions = List.length (Versioning.all (Db_state.versions db));

@@ -213,16 +213,9 @@ val delete_version : t -> Version_id.t -> (unit, Seed_error.t) result
 val versions : t -> Versioning.node list
 (** All saved versions in creation order. *)
 
-val set_version_cache_capacity : t -> int -> unit
-(** Bound the number of materialized version views kept in memory
-    (default 8, least-recently-used eviction; 0 disables
-    materialization and version reads fall back to resolution scans).
-    See {!Db_state.version_extent}. *)
-
 val version_cache_stats : t -> Db_state.version_cache_stats
-
-val clear_version_cache : t -> unit
-(** Drop all materialized version views (they are rebuilt on demand). *)
+(** Counters of the handle's cache of materialized version views (the
+    8 most recently used; see {!Db_state.version_extent}). *)
 
 val set_text_index_enabled : t -> bool -> unit
 (** Enable or disable the trigram text index behind [Query.contains]

@@ -14,19 +14,29 @@ open Seed_error
 (* a root is ever mutated.                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The live-membership indexes of one state — the current root's, kept
+   up incrementally, or a saved version's, built once. [x_obj cls] holds
+   the live normal independent objects classified [cls], [x_pattern cls]
+   the live pattern objects, [x_rel assoc] and [x_rel_pattern assoc] the
+   live (pattern) relationships, [x_dependent] the live sub-objects, and
+   [x_names] the live named independents (patterns included). *)
+type extents = {
+  x_obj : Ident.Set.t Smap.t;
+  x_pattern : Ident.Set.t Smap.t;
+  x_rel : Ident.Set.t Smap.t;
+  x_rel_pattern : Ident.Set.t Smap.t;
+  x_dependent : Ident.Set.t;
+  x_names : Ident.t Smap.t;
+}
+
 type root = {
   r_schema : Schema.t;
   r_schemas : (int * Schema.t) list;
   r_items : Item.t Ident.Map.t;
-  r_names : Ident.t Smap.t;
   r_children : Idmap.t;
   r_rels_of : Idmap.t;
   r_inheritors : Idmap.t;
-  r_obj_extent : Ident.Set.t Smap.t;
-  r_pattern_extent : Ident.Set.t Smap.t;
-  r_rel_extent : Ident.Set.t Smap.t;
-  r_rel_pattern_extent : Ident.Set.t Smap.t;
-  r_dependent_extent : Ident.Set.t;
+  r_ext : extents;
   r_text : Text_index.t option;  (* [None] = text indexing disabled *)
   r_versions : Versioning.t;
   r_current_base : Version_id.t option;
@@ -38,18 +48,15 @@ type root = {
          restored by every rollback swap *)
 }
 
-(* A materialized view of one saved version: the live ids per class and
-   association, the name index, and every resolved state of that
-   version, computed by a single reconstruction sweep over the item
-   table. Once built, any read against the version is a lookup instead
-   of an ancestor-chain resolution per item. Id lists are sorted deduped
-   arrays: compact and cache-friendly. *)
+(* A materialized view of one saved version: its extents, every
+   resolved state and its schema revision, computed by a single
+   reconstruction sweep over the item table. Once built, any read
+   against the version is a lookup instead of an ancestor-chain
+   resolution per item. *)
 type version_extent = {
-  ve_obj : (string, Ident.t array) Hashtbl.t;
-  ve_pattern : (string, Ident.t array) Hashtbl.t;
-  ve_rel : (string, Ident.t array) Hashtbl.t;
-  ve_names : (string, Ident.t) Hashtbl.t;
+  ve_ext : extents;
   ve_states : Item.state Ident.Tbl.t;
+  ve_schema : Schema.t;
   mutable ve_text : Text_index.t option;
       (* trigram index over this version's string values, built lazily
          on the first text query against the view *)
@@ -72,13 +79,14 @@ type t = {
   (* Handle-private version-extent LRU cache. A frozen handle gets its
      own empty cache, so concurrent readers never share these tables. *)
   version_cache : (Version_id.t, version_extent) Hashtbl.t;
-  mutable version_cache_capacity : int;
   mutable version_cache_tick : int;
   mutable vc_hit_count : int;
   mutable vc_miss_count : int;
   mutable vc_eviction_count : int;
-  mutable text_hit_count : int;  (* text predicates answered from the index *)
-  mutable text_fallback_count : int;  (* text predicates that had to scan *)
+  (* shared with frozen handles, like [snapshot_count], so searches
+     served from snapshots are counted *)
+  text_hit_count : int Atomic.t;  (* text predicates answered from the index *)
+  text_fallback_count : int Atomic.t;  (* text predicates that had to scan *)
   procedures : (string, proc) Hashtbl.t;
   mutable proc_depth : int;
   mutable transition_rules :
@@ -92,20 +100,25 @@ type t = {
 
 and proc = t -> Event.t -> (unit, Seed_error.t) result
 
+let empty_extents =
+  {
+    x_obj = Smap.empty;
+    x_pattern = Smap.empty;
+    x_rel = Smap.empty;
+    x_rel_pattern = Smap.empty;
+    x_dependent = Ident.Set.empty;
+    x_names = Smap.empty;
+  }
+
 let empty_root schema =
   {
     r_schema = schema;
     r_schemas = [ (Schema.revision schema, schema) ];
     r_items = Ident.Map.empty;
-    r_names = Smap.empty;
     r_children = Idmap.empty;
     r_rels_of = Idmap.empty;
     r_inheritors = Idmap.empty;
-    r_obj_extent = Smap.empty;
-    r_pattern_extent = Smap.empty;
-    r_rel_extent = Smap.empty;
-    r_rel_pattern_extent = Smap.empty;
-    r_dependent_extent = Ident.Set.empty;
+    r_ext = empty_extents;
     r_text = Some Text_index.empty;
     r_versions = Versioning.empty;
     r_current_base = None;
@@ -124,13 +137,12 @@ let create schema =
     snapshot_count = Atomic.make 0;
     commit_count = Atomic.make 0;
     version_cache = Hashtbl.create 8;
-    version_cache_capacity = 8;
     version_cache_tick = 0;
     vc_hit_count = 0;
     vc_miss_count = 0;
     vc_eviction_count = 0;
-    text_hit_count = 0;
-    text_fallback_count = 0;
+    text_hit_count = Atomic.make 0;
+    text_fallback_count = Atomic.make 0;
     procedures = Hashtbl.create 8;
     proc_depth = 0;
     transition_rules = [];
@@ -166,13 +178,12 @@ let freeze t =
     snapshot_count = t.snapshot_count;
     commit_count = t.commit_count;
     version_cache = Hashtbl.create 8;
-    version_cache_capacity = t.version_cache_capacity;
     version_cache_tick = 0;
     vc_hit_count = 0;
     vc_miss_count = 0;
     vc_eviction_count = 0;
-    text_hit_count = 0;
-    text_fallback_count = 0;
+    text_hit_count = t.text_hit_count;
+    text_fallback_count = t.text_fallback_count;
     procedures = t.procedures;
     proc_depth = 0;
     transition_rules = [];
@@ -208,6 +219,7 @@ let schema t = t.working.r_schema
 let set_schema t s = t.working <- { t.working with r_schema = s }
 let schemas t = t.working.r_schemas
 let set_schemas t l = t.working <- { t.working with r_schemas = l }
+let schema_at_revision t rev = List.assoc_opt rev t.working.r_schemas
 let versions t = t.working.r_versions
 let set_versions t v = t.working <- { t.working with r_versions = v }
 let current_base t = t.working.r_current_base
@@ -235,19 +247,17 @@ let fold_items t ~init ~f =
   Ident.Map.fold (fun _ it acc -> f acc it) t.working.r_items init
 
 (* ------------------------------------------------------------------ *)
-(* Class / association extents                                          *)
+(* Extents                                                              *)
 (*                                                                      *)
-(* Invariant: after every replacement of an item's current state the    *)
-(* item belongs to exactly the extent matching that state —             *)
-(* [r_obj_extent cls] holds the live normal independent objects         *)
-(* classified [cls], [r_pattern_extent cls] the live pattern objects,   *)
-(* [r_rel_extent assoc] and [r_rel_pattern_extent assoc] the live       *)
-(* (pattern) relationships, and [r_dependent_extent] the live           *)
-(* sub-objects. Deleted items and items with no current state are in no *)
+(* Invariant: an item belongs to exactly the extent matching the state  *)
+(* the extents were built from — the current state for the root's, the  *)
+(* resolved state for a version's. Deleted and absent states are in no  *)
 (* extent. Re-classification moves the item between class extents,      *)
 (* deletion drops it, and a pattern flip (never produced today, but     *)
 (* handled uniformly) would move it between the normal and pattern      *)
-(* maps. [replace_state] maintains all of this in one place.            *)
+(* maps. [index_state]/[unindex_state] are the one membership rule:     *)
+(* [replace_state] keeps the root's extents with them, and every        *)
+(* wholesale build folds [index_state] over the item table.             *)
 (* ------------------------------------------------------------------ *)
 
 (* The text index covers exactly the live object states (independent or
@@ -287,93 +297,65 @@ let root_text r (item : Item.t) (state : Item.state option) =
     in
     if tx' == tx then r else { r with r_text = Some tx' }
 
-(* Enter [state]'s extent membership for [item] into [r]; no-op for
-   deleted or absent states. The text index has its own hook
-   ([root_text]): the wholesale rebuild builds it in one pass. *)
-let root_index_state r (item : Item.t) (state : Item.state option) =
-  match state with
-  | None -> r
-  | Some s when Item.state_deleted s -> r
-  | Some (Item.Obj o) -> (
-    match item.body with
-    | Item.Independent ->
-      let r =
-        if o.Item.pattern then
-          { r with r_pattern_extent = Smap.add_id r.r_pattern_extent o.Item.cls item.id }
-        else { r with r_obj_extent = Smap.add_id r.r_obj_extent o.Item.cls item.id }
-      in
-      (match o.Item.name with
-      | Some n -> { r with r_names = Smap.add n item.id r.r_names }
-      | None -> r)
-    | Item.Dependent _ ->
-      { r with r_dependent_extent = Ident.Set.add item.id r.r_dependent_extent }
-    | Item.Relationship -> r)
-  | Some (Item.Rel rel) -> (
-    match item.body with
-    | Item.Relationship ->
-      if rel.Item.rel_pattern then
-        {
-          r with
-          r_rel_pattern_extent =
-            Smap.add_id r.r_rel_pattern_extent rel.Item.assoc item.id;
-        }
-      else { r with r_rel_extent = Smap.add_id r.r_rel_extent rel.Item.assoc item.id }
-    | Item.Independent | Item.Dependent _ -> r)
+let add_or_remove_id ~add m k id =
+  if add then Smap.add_id m k id else Smap.remove_id m k id
 
-(* Drop [state]'s extent membership for [item] from [r]. *)
-let root_unindex_state r (item : Item.t) (state : Item.state option) =
-  match state with
-  | None -> r
-  | Some (Item.Obj o) -> (
-    match item.body with
-    | Item.Independent ->
-      let r =
-        if Item.state_deleted (Item.Obj o) then r
-        else if o.Item.pattern then
-          {
-            r with
-            r_pattern_extent = Smap.remove_id r.r_pattern_extent o.Item.cls item.id;
-          }
-        else
-          { r with r_obj_extent = Smap.remove_id r.r_obj_extent o.Item.cls item.id }
-      in
-      (match o.Item.name with
-      | Some n when (match Smap.find_opt n r.r_names with
-                    | Some id -> Ident.equal id item.id
-                    | None -> false) ->
-        { r with r_names = Smap.remove n r.r_names }
-      | Some _ | None -> r)
-    | Item.Dependent _ ->
-      { r with r_dependent_extent = Ident.Set.remove item.id r.r_dependent_extent }
-    | Item.Relationship -> r)
-  | Some (Item.Rel rel) -> (
-    match item.body with
-    | Item.Relationship ->
-      if Item.state_deleted (Item.Rel rel) then r
-      else if rel.Item.rel_pattern then
-        {
-          r with
-          r_rel_pattern_extent =
-            Smap.remove_id r.r_rel_pattern_extent rel.Item.assoc item.id;
-        }
-      else
-        { r with r_rel_extent = Smap.remove_id r.r_rel_extent rel.Item.assoc item.id }
-    | Item.Independent | Item.Dependent _ -> r)
+(* The one membership rule: enter ([~add:true]) or drop [state]'s extent
+   membership for [item]; no-op for deleted or absent states. A name
+   binding is dropped only while it is still this item's. The text
+   index has its own hook ([root_text]): the wholesale rebuild builds
+   it in one pass. *)
+let membership ~add x (item : Item.t) (state : Item.state option) =
+  let id = item.Item.id in
+  match (item.Item.body, state) with
+  | _, None -> x
+  | _, Some s when Item.state_deleted s -> x
+  | Item.Independent, Some (Item.Obj o) ->
+    let x_names =
+      match o.Item.name with
+      | None -> x.x_names
+      | Some n when add -> Smap.add n id x.x_names
+      | Some n -> (
+        match Smap.find_opt n x.x_names with
+        | Some bound when Ident.equal bound id -> Smap.remove n x.x_names
+        | Some _ | None -> x.x_names)
+    in
+    if o.Item.pattern then
+      { x with x_pattern = add_or_remove_id ~add x.x_pattern o.Item.cls id; x_names }
+    else { x with x_obj = add_or_remove_id ~add x.x_obj o.Item.cls id; x_names }
+  | Item.Dependent _, Some (Item.Obj _) ->
+    let op = if add then Ident.Set.add else Ident.Set.remove in
+    { x with x_dependent = op id x.x_dependent }
+  | Item.Relationship, Some (Item.Rel rel) ->
+    if rel.Item.rel_pattern then
+      { x with x_rel_pattern = add_or_remove_id ~add x.x_rel_pattern rel.Item.assoc id }
+    else { x with x_rel = add_or_remove_id ~add x.x_rel rel.Item.assoc id }
+  | (Item.Independent | Item.Dependent _), Some (Item.Rel _)
+  | Item.Relationship, Some (Item.Obj _) ->
+    x
 
-let obj_extent t cls = Smap.set t.working.r_obj_extent cls
-let rel_extent t assoc = Smap.set t.working.r_rel_extent assoc
-let fold_obj_extents t f init =
-  Smap.fold (fun _ s acc -> Ident.Set.fold f s acc) t.working.r_obj_extent init
-let all_pattern_extent_ids t = Smap.all_ids t.working.r_pattern_extent
-let all_rel_extent_ids t = Smap.all_ids t.working.r_rel_extent
-let all_rel_pattern_extent_ids t = Smap.all_ids t.working.r_rel_pattern_extent
-let dependent_extent_ids t = Ident.Set.elements t.working.r_dependent_extent
-let live_dependent_count t = Ident.Set.cardinal t.working.r_dependent_extent
+let index_state x item state = membership ~add:true x item state
+let unindex_state x item state = membership ~add:false x item state
 
-let all_live_ids t =
-  fold_obj_extents t List.cons
-    (all_pattern_extent_ids t @ all_rel_extent_ids t
-    @ all_rel_pattern_extent_ids t @ dependent_extent_ids t)
+(* One wholesale build: [index_state] folded over the item table, each
+   item at the state [state_of] resolves for it. *)
+let extents_of items state_of =
+  Ident.Map.fold (fun _ it x -> index_state x it (state_of it)) items empty_extents
+
+let extents t = t.working.r_ext
+let obj_extent x cls = Smap.set x.x_obj cls
+let rel_extent x assoc = Smap.set x.x_rel assoc
+let fold_obj_extents x f init =
+  Smap.fold (fun _ s acc -> Ident.Set.fold f s acc) x.x_obj init
+let all_pattern_extent_ids x = Smap.all_ids x.x_pattern
+let all_rel_extent_ids x = Smap.all_ids x.x_rel
+let live_dependent_count x = Ident.Set.cardinal x.x_dependent
+let find_id_by_name x name = Smap.find_opt name x.x_names
+
+let all_live_ids x =
+  fold_obj_extents x List.cons
+    (all_pattern_extent_ids x @ all_rel_extent_ids x
+    @ Smap.all_ids x.x_rel_pattern @ Ident.Set.elements x.x_dependent)
 
 (* ------------------------------------------------------------------ *)
 (* Item mutation (new roots)                                            *)
@@ -386,9 +368,10 @@ let add_item t (item : Item.t) =
       r with
       r_items = Ident.Map.add item.id item r.r_items;
       r_unflushed = Ident.Set.add item.id r.r_unflushed;
+      r_ext = index_state r.r_ext item item.current;
     }
   in
-  let r = root_text (root_index_state r item item.current) item item.current in
+  let r = root_text r item item.current in
   let r =
     match item.body with
     | Item.Dependent { parent; _ } ->
@@ -440,16 +423,17 @@ let replace_state t id new_state =
   match Ident.Map.find_opt id t.working.r_items with
   | None -> ()
   | Some item ->
-    let r = root_unindex_state t.working item item.current in
+    let r = t.working in
     let item' = Item.with_current item new_state in
     let r =
       {
         r with
         r_items = Ident.Map.add id item' r.r_items;
         r_unflushed = Ident.Set.add id r.r_unflushed;
+        r_ext = index_state (unindex_state r.r_ext item item.current) item' new_state;
       }
     in
-    t.working <- root_text (root_index_state r item' new_state) item' new_state
+    t.working <- root_text r item' new_state
 
 let unsafe_put_item t (item : Item.t) =
   (* Replace the stored record without any index maintenance — test
@@ -577,111 +561,60 @@ let unindex_inheritor t ~pattern ~inheritor =
       r_inheritors = Idmap.remove t.working.r_inheritors pattern inheritor;
     }
 
-let find_id_by_name t name = Smap.find_opt name t.working.r_names
-
 let rebuild_state_indexes t =
   let r = t.working in
-  let r =
+  let inheritors = ref Idmap.empty in
+  let current (it : Item.t) =
+    (match (it.Item.body, it.Item.current) with
+    | Item.Independent, Some (Item.Obj o) when not o.Item.deleted ->
+      List.iter
+        (fun p -> inheritors := Idmap.add !inheritors p it.Item.id)
+        o.Item.inherits
+    | _ -> ());
+    it.Item.current
+  in
+  let ext = extents_of r.r_items current in
+  t.working <-
     {
       r with
-      r_names = Smap.empty;
-      r_inheritors = Idmap.empty;
-      r_obj_extent = Smap.empty;
-      r_pattern_extent = Smap.empty;
-      r_rel_extent = Smap.empty;
-      r_rel_pattern_extent = Smap.empty;
-      r_dependent_extent = Ident.Set.empty;
+      r_ext = ext;
+      r_inheritors = !inheritors;
       (* rebuilt in one pass, preserving enabledness *)
       r_text = Option.map (fun _ -> build_text_index r.r_items) r.r_text;
     }
-  in
-  let r =
-    Ident.Map.fold
-      (fun _ it r ->
-        let r = root_index_state r it it.Item.current in
-        match (it.Item.body, it.Item.current) with
-        | Item.Independent, Some (Item.Obj o) when not o.Item.deleted ->
-          List.fold_left
-            (fun r p -> { r with r_inheritors = Idmap.add r.r_inheritors p it.Item.id })
-            r o.Item.inherits
-        | _ -> r)
-      r.r_items r
-  in
-  t.working <- r
 
 (* ------------------------------------------------------------------ *)
 (* Materialized version views                                           *)
 (*                                                                      *)
-(* A version's view is a pure function of the item histories and the    *)
-(* version tree, both of which change only at well-known points: a new  *)
-(* snapshot stamps a {e fresh} label (never a cached one — labels are   *)
-(* never reused), version deletion is leaf-only and drops exactly that  *)
+(* A version's extent is the same fold as the root's rebuild, over the  *)
+(* states [Versioning.state_at] resolves. It is a pure function of the  *)
+(* item histories and the version tree, both of which change only at    *)
+(* well-known points: a new snapshot stamps a {e fresh} label (never a  *)
+(* cached one — labels are never reused, and an unknown label is never  *)
+(* cached), version deletion is leaf-only and drops exactly that        *)
 (* label's stamps, and a load rebuilds the whole state. A cached extent *)
 (* therefore stays valid until its own version is deleted; the cache is *)
 (* invalidated per label on delete and starts empty after load/restore  *)
 (* (and in every frozen handle — the cache is private to its handle, so *)
-(* reader domains never contend on it). Capacity is configurable        *)
-(* ({!set_version_cache_capacity}); 0 disables materialization and      *)
-(* readers fall back to the resolution scan.                            *)
+(* reader domains never contend on it).                                 *)
 (* ------------------------------------------------------------------ *)
 
-let sorted_ids l =
-  let a = Array.of_list l in
-  Array.sort Ident.compare a;
-  (* dedupe in place: build sweeps each item once so duplicates should
-     not occur, but the extent promises a set *)
-  let n = Array.length a in
-  if n = 0 then a
-  else begin
-    let w = ref 1 in
-    for i = 1 to n - 1 do
-      if not (Ident.equal a.(i) a.(!w - 1)) then begin
-        a.(!w) <- a.(i);
-        incr w
-      end
-    done;
-    if !w = n then a else Array.sub a 0 !w
-  end
+let version_cache_capacity = 8
 
-let finalize_id_lists src =
-  let dst = Hashtbl.create (Hashtbl.length src) in
-  Hashtbl.iter (fun k l -> Hashtbl.replace dst k (sorted_ids l)) src;
-  dst
-
-let ve_push tbl key id =
-  Hashtbl.replace tbl key
-    (id :: (match Hashtbl.find_opt tbl key with Some l -> l | None -> []))
-
-let build_version_extent t vid =
-  let obj = Hashtbl.create 16 in
-  let pattern = Hashtbl.create 4 in
-  let rel = Hashtbl.create 16 in
-  let names = Hashtbl.create 64 in
-  let states = Ident.Tbl.create 256 in
-  let versions = t.working.r_versions in
-  iter_items t (fun it ->
-      match Versioning.state_at versions it vid with
-      | None -> ()
-      | Some s ->
-        Ident.Tbl.replace states it.Item.id s;
-        if not (Item.state_deleted s) then begin
-          match (it.Item.body, s) with
-          | Item.Independent, Item.Obj o ->
-            let tbl = if o.Item.pattern then pattern else obj in
-            ve_push tbl o.Item.cls it.Item.id;
-            (match o.Item.name with
-            | Some n -> Hashtbl.replace names n it.Item.id
-            | None -> ())
-          | Item.Relationship, Item.Rel r when not r.Item.rel_pattern ->
-            ve_push rel r.Item.assoc it.Item.id
-          | _ -> ()
-        end);
+let build_version_extent t (node : Versioning.node) =
+  let r = t.working in
+  let states = Ident.Tbl.create (Ident.Map.cardinal r.r_items) in
+  let state_at = Versioning.state_at r.r_versions node.Versioning.vid in
+  let resolved (it : Item.t) =
+    let s = state_at it in
+    Option.iter (Ident.Tbl.replace states it.Item.id) s;
+    s
+  in
   {
-    ve_obj = finalize_id_lists obj;
-    ve_pattern = finalize_id_lists pattern;
-    ve_rel = finalize_id_lists rel;
-    ve_names = names;
+    ve_ext = extents_of r.r_items resolved;
     ve_states = states;
+    ve_schema =
+      Option.value ~default:r.r_schema (schema_at_revision t node.Versioning.schema_rev);
     ve_text = None;
     ve_tick = 0;
   }
@@ -702,38 +635,33 @@ let evict_version_lru t =
   | None -> ()
 
 let version_extent t vid =
-  if
-    t.version_cache_capacity <= 0
-    || not (Versioning.mem t.working.r_versions vid)
-  then None
-  else begin
+  (* only known labels are cached, so a hit needs no tree lookup *)
+  match Hashtbl.find_opt t.version_cache vid with
+  | Some ve ->
     t.version_cache_tick <- t.version_cache_tick + 1;
-    match Hashtbl.find_opt t.version_cache vid with
-    | Some ve ->
-      ve.ve_tick <- t.version_cache_tick;
-      t.vc_hit_count <- t.vc_hit_count + 1;
-      Some ve
+    ve.ve_tick <- t.version_cache_tick;
+    t.vc_hit_count <- t.vc_hit_count + 1;
+    ve
+  | None -> (
+    match Versioning.find t.working.r_versions vid with
     | None ->
+      {
+        ve_ext = empty_extents;
+        ve_states = Ident.Tbl.create 1;
+        ve_schema = t.working.r_schema;
+        ve_text = None;
+        ve_tick = 0;
+      }
+    | Some node ->
+      t.version_cache_tick <- t.version_cache_tick + 1;
       t.vc_miss_count <- t.vc_miss_count + 1;
-      let ve = build_version_extent t vid in
-      ve.ve_tick <- t.version_cache_tick;
+      let ve = build_version_extent t node in
+    ve.ve_tick <- t.version_cache_tick;
       Hashtbl.replace t.version_cache vid ve;
-      while Hashtbl.length t.version_cache > t.version_cache_capacity do
-        evict_version_lru t
-      done;
-      Some ve
-  end
-
-let cached_version_extent t vid = Hashtbl.find_opt t.version_cache vid
+      if Hashtbl.length t.version_cache > version_cache_capacity then evict_version_lru t;
+      ve)
 
 let invalidate_version_cache t vid = Hashtbl.remove t.version_cache vid
-let clear_version_cache t = Hashtbl.reset t.version_cache
-
-let set_version_cache_capacity t n =
-  t.version_cache_capacity <- max 0 n;
-  while Hashtbl.length t.version_cache > t.version_cache_capacity do
-    evict_version_lru t
-  done
 
 let version_cache_stats t =
   {
@@ -742,20 +670,8 @@ let version_cache_stats t =
     vc_evictions = t.vc_eviction_count;
   }
 
-let ve_set tbl key =
-  Option.fold ~none:Ident.Set.empty ~some:(fun a -> Ident.Set.of_list (Array.to_list a))
-    (Hashtbl.find_opt tbl key)
-
-let ve_all_ids tbl =
-  Hashtbl.fold (fun _ a acc -> Array.fold_left (fun acc id -> id :: acc) acc a) tbl []
-
-let ve_obj_set ve cls = ve_set ve.ve_obj cls
-let ve_rel_set ve assoc = ve_set ve.ve_rel assoc
-let ve_all_obj_ids ve = ve_all_ids ve.ve_obj
-let ve_all_pattern_ids ve = ve_all_ids ve.ve_pattern
-let ve_all_rel_ids ve = ve_all_ids ve.ve_rel
-
-let ve_find_name ve name = Hashtbl.find_opt ve.ve_names name
+let ve_extents ve = ve.ve_ext
+let ve_schema ve = ve.ve_schema
 let ve_state ve id = Ident.Tbl.find_opt ve.ve_states id
 
 (* ------------------------------------------------------------------ *)
@@ -785,9 +701,9 @@ let set_text_index_enabled t on =
       { t.working with r_text = Some (build_text_index t.working.r_items) }
 
 let text_stats t = Option.map Text_index.stats t.working.r_text
-let note_text_hit t = t.text_hit_count <- t.text_hit_count + 1
-let note_text_fallback t = t.text_fallback_count <- t.text_fallback_count + 1
-let text_counters t = (t.text_hit_count, t.text_fallback_count)
+let note_text_hit t = Atomic.incr t.text_hit_count
+let note_text_fallback t = Atomic.incr t.text_fallback_count
+let text_counters t = (Atomic.get t.text_hit_count, Atomic.get t.text_fallback_count)
 
 let ve_text_index ve =
   match ve.ve_text with
@@ -821,5 +737,3 @@ let proc_depth t = t.proc_depth
 let set_proc_depth t d = t.proc_depth <- d
 let transition_rules t = t.transition_rules
 let set_transition_rules t l = t.transition_rules <- l
-
-let schema_at_revision t rev = List.assoc_opt rev t.working.r_schemas

@@ -18,7 +18,9 @@
     per-class and per-association sets of the items whose current state
     is live in that class or association. They are maintained
     incrementally on create, delete, re-classify, and rollback, and give
-    the {!Query} planner its candidate sets without a full item scan. *)
+    the {!Query} planner its candidate sets without a full item scan.
+    A saved version's view carries an extents record of the same kind,
+    built by the same membership rule. *)
 
 open Seed_util
 open Seed_schema
@@ -36,6 +38,10 @@ type t
 type proc = t -> Event.t -> (unit, Seed_error.t) result
 (** An attached procedure: called after the mutation it observes; an
     [Error] vetoes and rolls back the update. *)
+
+type extents
+(** The live-membership indexes of one state — see the {e Extents}
+    section. *)
 
 type version_extent
 (** A materialized view of one saved version — see the
@@ -160,26 +166,34 @@ val map_items : t -> (Item.t -> Item.t) -> unit
 
 (** {1 Extents}
 
-    Extent membership follows the {e current} state only — version
-    views cannot use them. Sets are the root's own (no copy); lists
-    are in unspecified order. *)
+    One record per state: the current root keeps one up to date, and
+    each materialized version view ({!ve_extents}) holds one built from
+    that version's resolved states by the same rule. Sets are the
+    record's own (no copy); lists are in unspecified order. *)
 
-val obj_extent : t -> string -> Ident.Set.t
+val extents : t -> extents
+(** The current state's extents. *)
+
+val obj_extent : extents -> string -> Ident.Set.t
 (** Live normal independent objects classified exactly in this class. *)
 
-val rel_extent : t -> string -> Ident.Set.t
+val rel_extent : extents -> string -> Ident.Set.t
+(** Live normal relationships of exactly this association. *)
 
-val fold_obj_extents : t -> (Ident.t -> 'a -> 'a) -> 'a -> 'a
+val fold_obj_extents : extents -> (Ident.t -> 'a -> 'a) -> 'a -> 'a
 (** Fold over every class's {!obj_extent}: the live normal independent
-    objects of the current state. *)
+    objects. *)
 
-val all_pattern_extent_ids : t -> Ident.t list
-val all_rel_extent_ids : t -> Ident.t list
+val all_pattern_extent_ids : extents -> Ident.t list
+val all_rel_extent_ids : extents -> Ident.t list
 
-val live_dependent_count : t -> int
+val live_dependent_count : extents -> int
 
-val all_live_ids : t -> Ident.t list
-(** Every item live in the current state (all five extent groups). *)
+val all_live_ids : extents -> Ident.t list
+(** Every live item (all five extent groups). *)
+
+val find_id_by_name : extents -> string -> Ident.t option
+(** The live independent object (patterns included) of that name. *)
 
 (** {1 The delta set} *)
 
@@ -226,58 +240,42 @@ val inheritor_set : t -> Ident.t -> Ident.Set.t
 val index_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 val unindex_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 
-val find_id_by_name : t -> string -> Ident.t option
-(** Current-state lookup through the name index. *)
-
 val rebuild_state_indexes : t -> unit
-(** Recompute the name, inheritor, and extent indexes from current item
-    states (after a branch switch or a load). The version cache is
-    untouched: it depends only on item histories and the version tree,
-    neither of which a branch switch changes. *)
+(** Recompute the inheritor index and the {!extents} from current item
+    states (after a branch switch or a load), writing the root once.
+    The version cache is untouched: it depends only on item histories
+    and the version tree, neither of which a branch switch changes. *)
 
 (** {1 Materialized version views}
 
     Reads against a saved version resolve every item through its
     ancestor chain; a {!version_extent} materializes the whole view
-    once — per-class/association live-id arrays (sorted, deduped), the
-    name index, and all resolved states — so subsequent reads are
-    lookups. Extents live in a bounded LRU cache keyed by version
-    label, private to the handle (frozen handles build their own).
+    once — its {!extents}, all resolved states and its schema
+    revision — so subsequent reads are lookups. Extents live in an LRU
+    cache of 8 keyed by version label, private to the handle (frozen
+    handles build their own).
     Validity: snapshot labels are never reused, version deletion is
     leaf-only, so a cached extent can only be invalidated by deleting
     its own version ({!invalidate_version_cache}) or replacing the
     whole state (load — the fresh state starts with an empty cache). *)
 
-val version_extent : t -> Version_id.t -> version_extent option
+val version_extent : t -> Version_id.t -> version_extent
 (** The materialized view of a version, built on first access (one
-    sweep over the item table) and served from the cache after.
-    [None] when the capacity is 0 (materialization disabled) or the
-    version is unknown — callers fall back to the resolution scan. *)
-
-val cached_version_extent : t -> Version_id.t -> version_extent option
-(** Cache probe without building, for tests and diagnostics. *)
+    sweep over the item table) and served from the cache after, each
+    access counting a hit or a miss. An unknown label yields an empty
+    view that is neither cached nor counted: the label may be created
+    later. *)
 
 val invalidate_version_cache : t -> Version_id.t -> unit
 (** Drop one version's extent (called when the version is deleted). *)
 
-val clear_version_cache : t -> unit
-
-val set_version_cache_capacity : t -> int -> unit
-(** Bound the number of materialized versions kept (default 8); excess
-    entries are evicted least-recently-used. 0 disables the cache. *)
-
 val version_cache_stats : t -> version_cache_stats
 
-val ve_obj_set : version_extent -> string -> Ident.Set.t
-(** Live normal independent objects classified exactly in this class,
-    in that version. *)
+val ve_extents : version_extent -> extents
 
-val ve_rel_set : version_extent -> string -> Ident.Set.t
-val ve_all_obj_ids : version_extent -> Ident.t list
-val ve_all_pattern_ids : version_extent -> Ident.t list
-val ve_all_rel_ids : version_extent -> Ident.t list
-
-val ve_find_name : version_extent -> string -> Ident.t option
+val ve_schema : version_extent -> Schema.t
+(** The schema revision in force for that version (the current schema
+    for an unknown label). *)
 
 val ve_state : version_extent -> Ident.t -> Item.state option
 (** The item's resolved state in that version ([None] = does not
@@ -310,8 +308,9 @@ val rebuilt_text_index : t -> Text_index.t
 val text_stats : t -> Text_index.stats option
 
 val note_text_hit : t -> unit
-(** Count a text predicate answered from the index (handle-private,
-    like the version-cache counters). *)
+(** Count a text predicate answered from the index. The counters are
+    shared by a handle and its frozen handles, so searches served from
+    snapshots count. *)
 
 val note_text_fallback : t -> unit
 (** Count a text predicate that had to scan (index disabled or needle

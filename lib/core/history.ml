@@ -55,26 +55,17 @@ let state_in db id vid =
   let st = Database.raw db in
   let* item = Db_state.find_item_res st id in
   let* _ = Versioning.find_res (Db_state.versions st) vid in
-  Ok (Versioning.state_at (Db_state.versions st) item vid)
+  Ok (Versioning.state_at (Db_state.versions st) vid item)
 
 let changed_between db v1 v2 =
   let st = Database.raw db in
   let* _ = Versioning.find_res (Db_state.versions st) v1 in
   let* _ = Versioning.find_res (Db_state.versions st) v2 in
+  (* two materialized views: two table lookups per item *)
+  let a = View.at st v1 and b = View.at st v2 in
   let changed =
-    (* with both views materialized, the diff is two table lookups per
-       item instead of two ancestor-chain resolutions *)
-    match (Db_state.version_extent st v1, Db_state.version_extent st v2) with
-    | Some e1, Some e2 ->
-      Db_state.fold_items st ~init:[] ~f:(fun acc item ->
-          if Db_state.ve_state e1 item.Item.id <> Db_state.ve_state e2 item.Item.id
-          then item.Item.id :: acc
-          else acc)
-    | _ ->
-      Db_state.fold_items st ~init:[] ~f:(fun acc item ->
-          let s1 = Versioning.state_at (Db_state.versions st) item v1 in
-          let s2 = Versioning.state_at (Db_state.versions st) item v2 in
-          if s1 <> s2 then item.Item.id :: acc else acc)
+    Db_state.fold_items st ~init:[] ~f:(fun acc item ->
+        if View.state a item <> View.state b item then item.Item.id :: acc else acc)
   in
   Ok (List.sort Ident.compare changed)
 

@@ -152,54 +152,11 @@ let not_ p = Not p
 (*   - [And] intersects (either side alone is already a superset),      *)
 (*     [Or] unions (sound only when both sides are bounded);            *)
 (*   - [Not] and [Opaque] are unbounded.                                *)
-(* The planner is indifferent to where the id sets come from: an        *)
-(* [extent_source] supplies per-class live id sets and the name index — *)
-(* from the current-state extents for the current view, or from the     *)
-(* materialized version extent for a version view. When neither is      *)
-(* available (materialization disabled), [select] falls back to the     *)
-(* scan.                                                                *)
+(* The planner is indifferent to where the id sets come from: it reads *)
+(* the view's extents and text index ({!View.extents},                  *)
+(* {!View.text_index}) — the current root's on the current view, the    *)
+(* materialized version's on a version view.                            *)
 (* ------------------------------------------------------------------ *)
-
-type extent_source = {
-  src_class : string -> Ident.Set.t;
-      (** live normal independents classified exactly in the class *)
-  src_name : string -> Ident.t option;
-  src_text : unit -> Text_index.t option;
-      (** the trigram index for this view — the current root's for the
-          current view, the lazily built per-version one for a version
-          view; [None] when text indexing is disabled *)
-  src_db : Db_state.t;
-      (** for carrier-to-root resolution (item bodies are immutable, so
-          the parent chain is version-independent) and the hit/fallback
-          counters *)
-}
-
-let source_of_view v =
-  let db = View.db v in
-  match View.version v with
-  | None ->
-    Some
-      {
-        src_class = Db_state.obj_extent db;
-        src_name = Db_state.find_id_by_name db;
-        src_text = (fun () -> Db_state.text_index db);
-        src_db = db;
-      }
-  | Some vid -> (
-    match Db_state.version_extent db vid with
-    | Some ve ->
-      Some
-        {
-          src_class = Db_state.ve_obj_set ve;
-          src_name = Db_state.ve_find_name ve;
-          src_text =
-            (fun () ->
-              if Db_state.text_index_enabled db then
-                Some (Db_state.ve_text_index ve)
-              else None);
-          src_db = db;
-        }
-    | None -> None)
 
 (* The independent object owning a carrier: the carrier itself, or the
    top of its parent chain when the match is inside a sub-object. *)
@@ -227,52 +184,57 @@ let probe_worthy tx needles =
 (* Verified root-object candidates for conjunctive containment. [None]
    (scan fallback) when the index is disabled or no needle is worth
    probing. *)
-let text_candidates src ~path needles =
-  match src.src_text () with
+let text_candidates v ~path needles =
+  let db = View.db v in
+  match View.text_index v with
   | None ->
-    Db_state.note_text_fallback src.src_db;
+    Db_state.note_text_fallback db;
     None
   | Some tx -> (
     let qpath = if String.equal path "" then None else Some path in
     match probe_worthy tx needles with
     | [] ->
-      Db_state.note_text_fallback src.src_db;
+      Db_state.note_text_fallback db;
       None
     | worthy ->
-      Db_state.note_text_hit src.src_db;
+      Db_state.note_text_hit db;
       let owner id acc =
-        match root_owner src.src_db id with Some root -> root :: acc | None -> acc
+        match root_owner db id with Some root -> root :: acc | None -> acc
       in
       let carriers = Text_index.query tx ?path:qpath worthy in
       Some (Ident.Set.of_list (Ident.Set.fold owner carriers [])))
 
-(* Extent sets are shared, not copied: [In_class] is the source's set
+(* Extent sets are shared, not copied: [In_class] is the view's set
    itself, and [Is_a] of a leaf class is a union with the empty set. *)
-let rec candidates src schema p =
-  match p with
-  | In_class cls -> Some (src.src_class cls)
-  | Is_a cls ->
-    Some
-      (List.fold_left
-         (fun acc c -> Ident.Set.union acc (src.src_class c))
-         Ident.Set.empty
-         (Schema.class_descendants_or_self schema cls))
-  | Name_is n -> (
-    match src.src_name n with
-    | Some id -> Some (Ident.Set.singleton id)
-    | None -> Some Ident.Set.empty)
-  | Contains { path; needle } -> text_candidates src ~path [ needle ]
-  | Matches { path; needles } -> text_candidates src ~path needles
-  | And (p, q) -> (
-    match (candidates src schema p, candidates src schema q) with
-    | Some a, Some b -> Some (Ident.Set.inter a b)
-    | (Some _ as s), None | None, (Some _ as s) -> s
-    | None, None -> None)
-  | Or (p, q) -> (
-    match (candidates src schema p, candidates src schema q) with
-    | Some a, Some b -> Some (Ident.Set.union a b)
-    | Some _, None | None, Some _ | None, None -> None)
-  | Not _ | Opaque _ -> None
+let candidates v p =
+  let ext = View.extents v and schema = View.schema v in
+  let rec go p =
+    match p with
+    | In_class cls -> Some (Db_state.obj_extent ext cls)
+    | Is_a cls ->
+      Some
+        (List.fold_left
+           (fun acc c -> Ident.Set.union acc (Db_state.obj_extent ext c))
+           Ident.Set.empty
+           (Schema.class_descendants_or_self schema cls))
+    | Name_is n -> (
+      match Db_state.find_id_by_name ext n with
+      | Some id -> Some (Ident.Set.singleton id)
+      | None -> Some Ident.Set.empty)
+    | Contains { path; needle } -> text_candidates v ~path [ needle ]
+    | Matches { path; needles } -> text_candidates v ~path needles
+    | And (p, q) -> (
+      match (go p, go q) with
+      | Some a, Some b -> Some (Ident.Set.inter a b)
+      | (Some _ as s), None | None, (Some _ as s) -> s
+      | None, None -> None)
+    | Or (p, q) -> (
+      match (go p, go q) with
+      | Some a, Some b -> Some (Ident.Set.union a b)
+      | Some _, None | None, Some _ | None, None -> None)
+    | Not _ | Opaque _ -> None
+  in
+  go p
 
 (* ------------------------------------------------------------------ *)
 (* Plan explanation                                                     *)
@@ -351,8 +313,8 @@ let rec text_terms p =
   | And (p, q) | Or (p, q) -> text_terms p @ text_terms q
   | In_class _ | Is_a _ | Name_is _ | Not _ | Opaque _ -> []
 
-let probe_texts src p =
-  match src.src_text () with
+let probe_texts v p =
+  match View.text_index v with
   | None -> []
   | Some tx ->
     text_terms p
@@ -372,47 +334,37 @@ let probe_texts src p =
              needles)
 
 let explain v p =
-  match source_of_view v with
+  match candidates v p with
   | None ->
     Scan
       {
         reason =
-          "version view is not materialized (version cache disabled or \
-           unknown version)";
+          (match unbounded_reason p with
+          | Some r -> r
+          | None ->
+            if text_terms p = [] then "predicate is unbounded"
+            else if View.text_index v = None then
+              "text index disabled — containment falls back to the scan"
+            else
+              "every containment needle matches too many documents — \
+               the scan is cheaper than walking their posting lists");
       }
-  | Some src -> (
-    match candidates src (View.schema v) p with
-    | None ->
-      Scan
-        {
-          reason =
-            (match unbounded_reason p with
-            | Some r -> r
-            | None ->
-              if text_terms p = [] then "predicate is unbounded"
-              else if src.src_text () = None then
-                "text index disabled — containment falls back to the scan"
-              else
-                "every containment needle matches too many documents — \
-                 the scan is cheaper than walking their posting lists");
-        }
-    | Some ids ->
-      let classes, names = index_terms p in
-      let via =
-        match View.version v with
-        | None -> "current-state extents"
-        | Some vid ->
-          Printf.sprintf "materialized view of version %s"
-            (Version_id.to_string vid)
-      in
-      Indexed
-        {
-          via;
-          classes = List.sort_uniq String.compare classes;
-          names = List.sort_uniq String.compare names;
-          texts = probe_texts src p;
-          est_candidates = Ident.Set.cardinal ids;
-        })
+  | Some ids ->
+    let classes, names = index_terms p in
+    let via =
+      match View.version v with
+      | None -> "current-state extents"
+      | Some vid ->
+        Printf.sprintf "materialized view of version %s" (Version_id.to_string vid)
+    in
+    Indexed
+      {
+        via;
+        classes = List.sort_uniq String.compare classes;
+        names = List.sort_uniq String.compare names;
+        texts = probe_texts v p;
+        est_candidates = Ident.Set.cardinal ids;
+      }
 
 let pp_plan ppf = function
   | Indexed { via; classes; names; texts; est_candidates } ->
@@ -438,8 +390,7 @@ let pp_plan ppf = function
 
 (* Fold [f] over the live normal independent objects satisfying [p]:
    the planner's candidates, re-checked and re-tested, or for an
-   unbounded predicate the exact object extents of the current root
-   (or [View.all_objects] of a version view), tested. *)
+   unbounded predicate the view's exact object extents, tested. *)
 let fold_hits v p f init =
   let db = View.db v in
   let keep ~recheck id acc =
@@ -448,12 +399,9 @@ let fold_hits v p f init =
       f it acc
     | Some _ | None -> acc
   in
-  let scan = keep ~recheck:false in
-  match Option.bind (source_of_view v) (fun src -> candidates src (View.schema v) p) with
+  match candidates v p with
   | Some ids -> Ident.Set.fold (keep ~recheck:true) ids init
-  | None when Option.is_none (View.version v) -> Db_state.fold_obj_extents db scan init
-  | None ->
-    List.fold_left (fun acc (it : Item.t) -> scan it.Item.id acc) init (View.all_objects v)
+  | None -> Db_state.fold_obj_extents (View.extents v) (keep ~recheck:false) init
 
 (* Hits decorated with their full names, sorted once: by name (unique
    among live objects; unnamed ones first), ties by id. *)
@@ -478,18 +426,13 @@ let select_names v p =
 let count v p = fold_hits v p (fun _ n -> n + 1) 0
 
 let select_rels v ~assoc =
-  let of_sets rel_set =
-    Schema.assoc_descendants_or_self (View.schema v) assoc
-    |> List.fold_left (fun acc a -> Ident.Set.union acc (rel_set a)) Ident.Set.empty
-    |> Ident.Set.elements
-    |> List.filter_map (Db_state.find_item (View.db v))
-  in
-  match View.version v with
-  | None -> of_sets (Db_state.rel_extent (View.db v))
-  | Some vid -> (
-    match Db_state.version_extent (View.db v) vid with
-    | Some ve -> of_sets (Db_state.ve_rel_set ve)
-    | None -> View.all_rels v |> List.filter (rel_is_a v ~assoc))
+  let ext = View.extents v in
+  Schema.assoc_descendants_or_self (View.schema v) assoc
+  |> List.fold_left
+       (fun acc a -> Ident.Set.union acc (Db_state.rel_extent ext a))
+       Ident.Set.empty
+  |> Ident.Set.elements
+  |> List.filter_map (Db_state.find_item (View.db v))
 
 let neighbors v (it : Item.t) ~assoc ~from_pos ~to_pos =
   let db = View.db v in

@@ -11,11 +11,11 @@
     and answer index-recognisable predicates ({!in_class}, {!is_a},
     {!name_is}, and conjunctions/disjunctions of them) from per-class
     id sets and a name index instead of enumerating every object — the
-    current-state extents on a current view, the materialized version
-    extent ({!Db_state.version_extent}) on a version view. Opaque
-    predicates ({!of_fun} and the navigation-based ones below),
-    negations, and version views with materialization disabled fall
-    back to the full scan — same results, different cost. *)
+    view's extents ({!View.extents}): the current root's on a current
+    view, the materialized version's on a version view. Opaque
+    predicates ({!of_fun} and the navigation-based ones below) and
+    negations fall back to a scan of the view's object extents — same
+    results, different cost. *)
 
 open Seed_util
 open Seed_schema

@@ -102,22 +102,17 @@ let ancestors t vid =
   | Some n -> n.ancestors
   | None -> []
 
-let state_at t item vid =
-  if Item.history_is_empty item then None
-  else
-    match find t vid with
-    | None ->
-      (* not in the tree: only an exact stamp could answer *)
-      Item.stamp_at item vid
-    | Some n ->
-      let rec first = function
-        | [] -> None
-        | v :: rest -> (
-          match Item.stamp_at item v with
-          | Some s -> Some s
-          | None -> first rest)
-      in
-      first n.ancestors
+let state_at t vid =
+  (* not in the tree: only an exact stamp could answer *)
+  let chain = match find t vid with None -> [ vid ] | Some n -> n.ancestors in
+  let rec first item = function
+    | [] -> None
+    | v :: rest -> (
+      match Item.stamp_at item v with
+      | Some s -> Some s
+      | None -> first item rest)
+  in
+  fun item -> if Item.history_is_empty item then None else first item chain
 
 let delete t vid =
   let* n = find_res t vid in

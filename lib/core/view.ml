@@ -1,30 +1,38 @@
 open Seed_util
 
-type mode = Current | At of Version_id.t
+(* A version view holds its materialized extent, resolved once here:
+   every read below is then a lookup in it. *)
+type mode = Current | At of Version_id.t * Db_state.version_extent
 
 type t = { db_ : Db_state.t; mode : mode }
 
 let current db_ = { db_; mode = Current }
-let at db_ vid = { db_; mode = At vid }
+let at db_ vid = { db_; mode = At (vid, Db_state.version_extent db_ vid) }
 
 let retrieval db_ =
   match Db_state.retrieval_version db_ with
   | None -> current db_
   | Some vid -> at db_ vid
 
-let version t = match t.mode with Current -> None | At v -> Some v
+let version t = match t.mode with Current -> None | At (vid, _) -> Some vid
 let db t = t.db_
+
+let extents t =
+  match t.mode with
+  | Current -> Db_state.extents t.db_
+  | At (_, ve) -> Db_state.ve_extents ve
+
+let text_index t =
+  match t.mode with
+  | Current -> Db_state.text_index t.db_
+  | At (_, ve) ->
+    if Db_state.text_index_enabled t.db_ then Some (Db_state.ve_text_index ve)
+    else None
 
 let schema t =
   match t.mode with
   | Current -> Db_state.schema t.db_
-  | At v -> (
-    match Versioning.find (Db_state.versions t.db_) v with
-    | None -> Db_state.schema t.db_
-    | Some node -> (
-      match Db_state.schema_at_revision t.db_ node.Versioning.schema_rev with
-      | Some s -> s
-      | None -> Db_state.schema t.db_))
+  | At (_, ve) -> Db_state.ve_schema ve
 
 let state t (item : Item.t) =
   match t.mode with
@@ -34,12 +42,7 @@ let state t (item : Item.t) =
     match Db_state.find_item t.db_ item.Item.id with
     | Some it -> it.Item.current
     | None -> None)
-  | At v -> (
-    (* a materialized view answers from its state table; otherwise walk
-       the ancestor chain *)
-    match Db_state.cached_version_extent t.db_ v with
-    | Some ve -> Db_state.ve_state ve item.Item.id
-    | None -> Versioning.state_at (Db_state.versions t.db_) item v)
+  | At (_, ve) -> Db_state.ve_state ve item.Item.id
 
 let state_of_id t id =
   Option.bind (Db_state.find_item t.db_ id) (fun (it : Item.t) ->
@@ -72,35 +75,12 @@ let items_of_ids t ids =
   List.filter_map (Db_state.find_item t.db_) ids
 
 let find_object t name =
-  match t.mode with
-  | Current -> (
-    match Db_state.find_id_by_name t.db_ name with
-    | Some id -> (
-      match Db_state.find_item t.db_ id with
-      | Some it when live t it -> Some it
-      | Some _ | None -> None)
-    | None -> None)
-  | At v -> (
-    match Db_state.version_extent t.db_ v with
-    | Some ve -> (
-      (* the materialized view carries a per-version name index *)
-      match Db_state.ve_find_name ve name with
-      | Some id -> Db_state.find_item t.db_ id
-      | None -> None)
-    | None -> (
-      (* materialization disabled: scan independent objects, stopping
-         at the first hit (names are unique among live objects) *)
-      let exception Found of Item.t in
-      try
-        Db_state.iter_items t.db_ (fun it ->
-            if it.Item.body = Item.Independent then
-              match obj_state t it with
-              | Some { name = Some n; deleted = false; _ }
-                when String.equal n name ->
-                raise_notrace (Found it)
-              | Some _ | None -> ());
-        None
-      with Found it -> Some it))
+  match Db_state.find_id_by_name (extents t) name with
+  | None -> None
+  | Some id -> (
+    match Db_state.find_item t.db_ id with
+    | Some it when live t it -> Some it
+    | Some _ | None -> None)
 
 let children t id =
   Ident.Set.elements (Db_state.children_set t.db_ id)
@@ -318,50 +298,17 @@ let rels_v t (obj : Item.t) =
   in
   real @ inherited
 
-(* In [Current] mode the class/association extents are exactly the sets
-   these functions compute, so enumeration is O(live) instead of O(all
-   items ever). Version views ([At _]) enumerate through the
-   materialized version extent, falling back to the resolution scan when
-   materialization is disabled. Either way the id sets are deliberately
-   trusted without a [live] re-check: if extent maintenance ever
-   drifted, the equivalence tests would expose it rather than the drift
-   being silently papered over. *)
+(* Enumeration reads the view's extents, so it is O(live) instead of
+   O(all items ever). The id sets are deliberately trusted without a
+   [live] re-check: if extent maintenance ever drifted, the equivalence
+   tests would expose it rather than the drift being silently papered
+   over. *)
 
 let sorted_items_of_ids t ids =
   List.sort Ident.compare ids |> items_of_ids t
 
 let all_objects t =
-  match t.mode with
-  | Current -> Db_state.fold_obj_extents t.db_ List.cons [] |> sorted_items_of_ids t
-  | At v -> (
-    match Db_state.version_extent t.db_ v with
-    | Some ve -> Db_state.ve_all_obj_ids ve |> sorted_items_of_ids t
-    | None ->
-      Db_state.fold_items t.db_ ~init:[] ~f:(fun acc it ->
-          if it.Item.body = Item.Independent && live_normal t it then it :: acc
-          else acc)
-      |> List.sort (fun (a : Item.t) b -> Ident.compare a.id b.id))
+  Db_state.fold_obj_extents (extents t) List.cons [] |> sorted_items_of_ids t
 
-let all_patterns t =
-  match t.mode with
-  | Current -> Db_state.all_pattern_extent_ids t.db_ |> sorted_items_of_ids t
-  | At v -> (
-    match Db_state.version_extent t.db_ v with
-    | Some ve -> Db_state.ve_all_pattern_ids ve |> sorted_items_of_ids t
-    | None ->
-      Db_state.fold_items t.db_ ~init:[] ~f:(fun acc it ->
-          if it.Item.body = Item.Independent && live_pattern t it then it :: acc
-          else acc)
-      |> List.sort (fun (a : Item.t) b -> Ident.compare a.id b.id))
-
-let all_rels t =
-  match t.mode with
-  | Current -> Db_state.all_rel_extent_ids t.db_ |> sorted_items_of_ids t
-  | At v -> (
-    match Db_state.version_extent t.db_ v with
-    | Some ve -> Db_state.ve_all_rel_ids ve |> sorted_items_of_ids t
-    | None ->
-      Db_state.fold_items t.db_ ~init:[] ~f:(fun acc it ->
-          if it.Item.body = Item.Relationship && live_normal t it then it :: acc
-          else acc)
-      |> List.sort (fun (a : Item.t) b -> Ident.compare a.id b.id))
+let all_patterns t = Db_state.all_pattern_extent_ids (extents t) |> sorted_items_of_ids t
+let all_rels t = Db_state.all_rel_extent_ids (extents t) |> sorted_items_of_ids t

@@ -23,7 +23,9 @@ val current : Db_state.t -> t
 (** The working state ("the current version"). *)
 
 val at : Db_state.t -> Version_id.t -> t
-(** The view of a saved version. *)
+(** The view of a saved version. Its materialized extent
+    ({!Db_state.version_extent}) is resolved here, once; every read of
+    the view is then a lookup in it. An unknown label reads as empty. *)
 
 val retrieval : Db_state.t -> t
 (** The view selected by [Database.select_version] (current by
@@ -33,6 +35,15 @@ val version : t -> Version_id.t option
 val db : t -> Db_state.t
 val schema : t -> Schema.t
 (** The schema revision in force for this view's version. *)
+
+val extents : t -> Db_state.extents
+(** The view's live-membership indexes: the current root's, or the
+    version's materialized ones. *)
+
+val text_index : t -> Text_index.t option
+(** The trigram index over the view's string values — the current
+    root's, or the version's (built on first use); [None] when text
+    indexing is disabled. *)
 
 (** {1 State resolution} *)
 

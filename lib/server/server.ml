@@ -33,18 +33,20 @@ let database t = t.db
    commit *)
 let snapshot t = Database.snapshot_view t.db
 
+(* the one name-existence check: an object, else a pattern *)
+let resolve_obj db name =
+  match Database.find_object db name with
+  | Some id -> Ok id
+  | None -> (
+    match Database.find_pattern db name with
+    | Some id -> Ok id
+    | None -> fail (Unknown_object name))
+
+let check_names t names =
+  iter_result (fun n -> Result.map ignore (resolve_obj t.db n)) names
+
 let do_checkout t ~client ~ttl ~names =
-  let* () =
-    iter_result
-      (fun n ->
-        match Database.find_object t.db n with
-        | Some _ -> Ok ()
-        | None -> (
-          match Database.find_pattern t.db n with
-          | Some _ -> Ok ()
-          | None -> fail (Unknown_object n)))
-      names
-  in
+  let* () = check_names t names in
   Lock_table.acquire t.locks ~client ?ttl names
 
 let checkout t ~client ~names = do_checkout t ~client ~ttl:None ~names
@@ -53,17 +55,7 @@ let checkout_lease t ~client ~ttl ~names =
   do_checkout t ~client ~ttl:(Some ttl) ~names
 
 let checkout_wait t ~client ?ttl ?policy ?sleep ~timeout ~names () =
-  let* () =
-    iter_result
-      (fun n ->
-        match Database.find_object t.db n with
-        | Some _ -> Ok ()
-        | None -> (
-          match Database.find_pattern t.db n with
-          | Some _ -> Ok ()
-          | None -> fail (Unknown_object n)))
-      names
-  in
+  let* () = check_names t names in
   Lock_table.acquire_wait t.locks ~client ?ttl ?policy ?sleep ~timeout names
 
 let release t ~client = Lock_table.release_all t.locks ~client
@@ -83,14 +75,6 @@ let refresh_leases t ~client ~ttl =
     ignore (Lock_table.acquire t.locks ~client ~ttl names)
 
 let lock_stats t = Lock_table.stats t.locks
-
-let resolve_obj db name =
-  match Database.find_object db name with
-  | Some id -> Ok id
-  | None -> (
-    match Database.find_pattern db name with
-    | Some id -> Ok id
-    | None -> fail (Unknown_object name))
 
 let resolve_path db path =
   match Database.resolve db path with

@@ -191,7 +191,7 @@ let name_index_agrees env =
   in
   List.for_all
     (fun (n, id) ->
-      match Seed_core.Db_state.find_id_by_name st n with
+      match Seed_core.Db_state.(find_id_by_name (extents st)) n with
       | Some found -> Ident.equal found id
       | None -> false)
     scan

@@ -120,19 +120,18 @@ let test_counters () =
   Alcotest.(check bool)
     "a commit publishes a root" true
     (s2.DB.st_commits > s1.DB.st_commits);
-  (* version-extent cache counters: first version-view query misses,
-     the second hits *)
+  (* version-extent cache counters count per view: the first view of a
+     version misses, the second hits *)
   let v = ok (DB.create_version db) in
-  let vv = View.at (DB.raw db) v in
-  let _ = Q.select vv (Q.is_a "Thing") in
+  let _ = Q.select (View.at (DB.raw db) v) (Q.is_a "Thing") in
   let s3 = DB.stats db in
   Alcotest.(check bool)
-    "first version query misses the cache" true
+    "first version view misses the cache" true
     (s3.DB.st_vc_misses > s2.DB.st_vc_misses);
-  let _ = Q.select vv (Q.is_a "Thing") in
+  let _ = Q.select (View.at (DB.raw db) v) (Q.is_a "Thing") in
   let s4 = DB.stats db in
   Alcotest.(check bool)
-    "second version query hits the cache" true
+    "second version view hits the cache" true
     (s4.DB.st_vc_hits > s3.DB.st_vc_hits);
   Alcotest.(check bool) "evictions counter exposed" true
     (s4.DB.st_vc_evictions >= 0)

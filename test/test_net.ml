@@ -302,6 +302,29 @@ let test_served_reads_match_query () =
   | Query.Scan _ -> ()
   | Query.Indexed _ -> Alcotest.fail "a 2-byte needle must take the scan"
 
+(* A served [Search] runs on a frozen snapshot, yet its text-index hit
+   shows in the database's stats. *)
+let test_served_search_counts_text_hits () =
+  let core, srv, _ = make_core () in
+  let db = Server.database srv in
+  let doc = ok (DB.create_object db ~cls:"Data" ~name:"Doc" ()) in
+  ignore
+    (ok
+       (DB.create_sub_object db ~parent:doc ~role:"Description"
+          ~value:(Seed_schema.Value.String "alarm raised") ()));
+  let conn = NS.open_conn core in
+  ignore (hello core conn ~client:"reader" ());
+  let before = (DB.stats db).DB.st_text_hits in
+  (match
+     (step core conn ~req_id:2L (Wire.Search { path = ""; needles = [ "alarm" ] }))
+       .Wire.rbody
+   with
+  | Wire.Names names -> Alcotest.(check (list string)) "found" [ "Doc" ] names
+  | _ -> Alcotest.fail "search failed");
+  Alcotest.(check bool)
+    "served search counted" true
+    ((DB.stats db).DB.st_text_hits > before)
+
 let test_request_before_hello_refused () =
   let core, _, _ = make_core () in
   let conn = NS.open_conn core in
@@ -826,6 +849,7 @@ let () =
         [
           tc "lifecycle" test_session_lifecycle;
           tc "served reads = Query.select" test_served_reads_match_query;
+          tc "served search counts text hits" test_served_search_counts_text_hits;
           tc "request before hello" test_request_before_hello_refused;
           tc "protocol mismatch" test_protocol_mismatch_refused;
           tc "corrupt frame closes" test_corrupt_frame_closes_connection;

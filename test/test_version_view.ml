@@ -1,18 +1,17 @@
 (* Cached version views must be invisible.
 
-   A materialized version extent ([Db_state.version_extent]) answers
-   [Query], [View.all_*], [View.find_object], and [History] reads for a
-   saved version. Its one obligation is to agree, always, with the
-   definition of a version view: resolve every item to the stamp of the
-   nearest ancestor of the version. The references below bypass {e all}
-   acceleration — the extent cache, the memoized ancestor chains, and
-   the planner — by walking explicit parent links with [Item.stamp_at]
-   and evaluating a private predicate AST, so drift in any layer
-   surfaces as a disagreement here. The suite drives random operation
-   sequences (including version deletion), then checks every surviving
-   version under the default cache, a capacity-1 cache (eviction paths),
-   a disabled cache (fallback scans), and after a persistence
-   roundtrip. *)
+   A version view is its materialized extent ([Db_state.version_extent]),
+   which answers [Query], [View.all_*], [View.find_object], and [History]
+   reads for a saved version. Its one obligation is to agree, always,
+   with the definition of a version view: resolve every item to the
+   stamp of the nearest ancestor of the version. The references below
+   bypass {e all} acceleration — the extent cache, the memoized ancestor
+   chains, and the planner — by walking explicit parent links with
+   [Item.stamp_at] and evaluating a private predicate AST, so drift in
+   any layer surfaces as a disagreement here. The suite drives random
+   operation sequences (including version deletion), then checks every
+   surviving version, after a persistence roundtrip too, and reads more
+   versions than the cache holds (eviction paths). *)
 
 open Seed_util
 open Seed_schema
@@ -346,25 +345,6 @@ let prop_equiv =
       let env = run_model ops in
       all_agree env.db env.versions)
 
-let prop_equiv_disabled =
-  qcheck_case ~count:40 "disabled cache falls back to agreeing scans" ops_gen
-    (fun ops ->
-      let env = run_model ops in
-      DB.set_version_cache_capacity env.db 0;
-      all_agree env.db env.versions)
-
-let prop_equiv_capacity_one =
-  qcheck_case ~count:40 "capacity-1 cache agrees through evictions" ops_gen
-    (fun ops ->
-      let env = run_model ops in
-      DB.set_version_cache_capacity env.db 1;
-      DB.clear_version_cache env.db;
-      all_agree env.db env.versions
-      &&
-      (* visiting several versions through one slot must evict *)
-      (List.length env.versions < 2
-      || (DB.version_cache_stats env.db).Db_state.vc_evictions > 0))
-
 let prop_equiv_after_load =
   qcheck_case ~count:30 "version reads agree after a persistence roundtrip"
     ops_gen
@@ -397,6 +377,38 @@ let prop_all_prefixes =
 (* Deterministic cache behaviour                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* More versions than the cache's 8 slots, read twice over: every view
+   still agrees with the reference walk, and the reads evict. *)
+let test_reads_past_capacity_agree () =
+  let cls i = List.nth classes (i mod List.length classes) in
+  let ops =
+    List.concat
+      (List.init 12 (fun i ->
+           [
+             Create (i, cls i);
+             CreateSub (i, i);
+             SetValue (i + 3, i);
+             CreateRel (i, i + 1, List.nth assocs (i mod List.length assocs));
+             Reclassify (i + 2, cls (i + 1));
+             (if i mod 4 = 3 then Delete (i + 5) else Rename (i, i));
+             (if i mod 3 = 0 then CreatePattern i else Inherit (i, i + 1));
+             (if i = 7 then Branch 2 else Snapshot);
+             Snapshot;
+           ]))
+  in
+  let env = run_model ops in
+  Alcotest.(check bool) "at least 10 versions" true (List.length env.versions >= 10);
+  List.iter
+    (fun vid ->
+      Alcotest.(check bool)
+        ("version " ^ Version_id.to_string vid ^ " agrees")
+        true (version_agrees env.db vid))
+    (env.versions @ env.versions);
+  Alcotest.(check bool) "history agrees" true (history_agrees env.db env.versions);
+  Alcotest.(check bool)
+    "reads evicted" true
+    ((DB.version_cache_stats env.db).Db_state.vc_evictions > 0)
+
 let test_delete_version_invalidates () =
   let db = fresh_db () in
   let a = ok (DB.create_object db ~cls:"Data" ~name:"a" ()) in
@@ -404,21 +416,19 @@ let test_delete_version_invalidates () =
   let _b = ok (DB.create_object db ~cls:"Data" ~name:"b" ()) in
   let v2 = ok (DB.create_version db) in
   let st = DB.raw db in
-  ignore (Q.select (View.at st v2) (Q.in_class "Data"));
-  Alcotest.(check bool)
-    "v2 materialized" true
-    (Db_state.cached_version_extent st v2 <> None);
+  Alcotest.(check int)
+    "v2 sees a and b" 2
+    (List.length (Q.select (View.at st v2) (Q.in_class "Data")));
   ok (DB.begin_alternative db ~from_:v1 ~force:true ());
   check_ok "delete v2" (DB.delete_version db v2);
+  let s0 = DB.version_cache_stats db in
+  let gone = View.at st v2 in
   Alcotest.(check bool)
-    "v2 extent dropped" true
-    (Db_state.cached_version_extent st v2 = None);
-  Alcotest.(check bool)
-    "v2 not materializable" true
-    (Db_state.version_extent st v2 = None);
+    "a deleted label is neither served from the cache nor rebuilt" true
+    (DB.version_cache_stats db = s0);
   Alcotest.(check int)
     "deleted version reads as empty" 0
-    (List.length (Q.select (View.at st v2) (Q.in_class "Data")));
+    (List.length (Q.select gone (Q.in_class "Data")));
   let ids = sorted_ids (Q.select (View.at st v1) (Q.in_class "Data")) in
   Alcotest.(check bool) "v1 still sees exactly a" true (ids = [ a ])
 
@@ -427,7 +437,6 @@ let test_cache_stats () =
   let _a = ok (DB.create_object db ~cls:"Data" ~name:"a" ()) in
   let v1 = ok (DB.create_version db) in
   let st = DB.raw db in
-  DB.clear_version_cache db;
   let s0 = DB.version_cache_stats db in
   ignore (Q.select (View.at st v1) (Q.in_class "Data"));
   ignore (Q.select (View.at st v1) (Q.is_a "Thing"));
@@ -440,30 +449,33 @@ let test_cache_stats () =
     "subsequent queries hit" true
     (s1.Db_state.vc_hits >= s0.Db_state.vc_hits + 2)
 
-let test_capacity_knob () =
+(* A view of a label not created yet reads empty and caches nothing;
+   once the label exists, a new view reads its state. *)
+let test_future_label () =
   let db = fresh_db () in
-  let _a = ok (DB.create_object db ~cls:"Data" ~name:"a" ()) in
-  let v1 = ok (DB.create_version db) in
-  let _b = ok (DB.create_object db ~cls:"Action" ~name:"b" ()) in
-  let v2 = ok (DB.create_version db) in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"a" ()) in
   let st = DB.raw db in
-  DB.set_version_cache_capacity db 0;
+  let label = Version_id.trunk 1 in
+  let s0 = DB.version_cache_stats db in
+  let early = View.at st label in
   Alcotest.(check bool)
-    "capacity 0 disables materialization" true
-    (Db_state.version_extent st v1 = None);
-  Alcotest.(check int)
-    "reads still answered by scan" 1
-    (Q.count (View.at st v1) (Q.is_a "Thing"));
-  DB.set_version_cache_capacity db 1;
-  ignore (Q.select (View.at st v1) (Q.is_a "Thing"));
-  ignore (Q.select (View.at st v2) (Q.is_a "Thing"));
-  let cached vid = Db_state.cached_version_extent st vid <> None in
+    "not counted" true
+    (DB.version_cache_stats db = s0);
   Alcotest.(check bool)
-    "one slot: v2 in, v1 evicted" true
-    (cached v2 && not (cached v1));
+    "reads empty" true
+    (View.all_objects early = []
+    && View.find_object early "a" = None
+    && Q.count early (Q.is_a "Thing") = 0);
+  let v1 = ok (DB.create_version db) in
+  Alcotest.(check bool) "the label is created" true (Version_id.equal v1 label);
+  let late = View.at st label in
   Alcotest.(check bool)
-    "eviction counted" true
-    ((DB.version_cache_stats db).Db_state.vc_evictions > 0)
+    "a new view reads its state" true
+    (sorted_ids (View.all_objects late) = [ a ]
+    && Option.map (fun (it : Item.t) -> it.Item.id) (View.find_object late "a")
+       = Some a
+    && sorted_ids (Q.select late (Q.is_a "Thing")) = [ a ]);
+  Alcotest.(check bool) "agrees with the reference walk" true (version_agrees db label)
 
 let () =
   Alcotest.run "version_view"
@@ -471,15 +483,14 @@ let () =
       ( "equivalence",
         [
           prop_equiv;
-          prop_equiv_disabled;
-          prop_equiv_capacity_one;
           prop_equiv_after_load;
           prop_all_prefixes;
         ] );
       ( "cache behaviour",
         [
+          tc "reads past capacity agree" test_reads_past_capacity_agree;
           tc "delete_version invalidates" test_delete_version_invalidates;
           tc "stats count builds and hits" test_cache_stats;
-          tc "capacity knob disables and bounds" test_capacity_knob;
+          tc "future label reads empty" test_future_label;
         ] );
     ]
