@@ -372,7 +372,8 @@ let storage () =
       Test.make ~name:"crc32 of 4 KiB"
         (Staged.stage (fun () -> ignore (Seed_storage.Crc32.digest payload)));
       Test.make ~name:"journal append 4 KiB"
-        (Staged.stage (fun () -> ok (Seed_storage.Journal.append journal payload)));
+        (Staged.stage (fun () ->
+             ok (Seed_storage.Journal.append journal [ [ payload ] ])));
     ];
   Seed_storage.Journal.close journal
 
@@ -407,7 +408,7 @@ let recovery () =
         let dir = fresh_dir () in
         let store, _, _, _ = ok (Store.open_dir dir) in
         for _ = 1 to n do
-          ok (Store.append store payload)
+          ok (Store.append store [ payload ])
         done;
         Store.close store;
         let (s1, _, replayed, _), replay_t =
@@ -448,11 +449,11 @@ let recovery () =
   Report.bench ~name:"append 512 B under each sync policy"
     [
       Test.make ~name:"`Always_fsync"
-        (Staged.stage (fun () -> ok (Store.append s_fsync payload)));
+        (Staged.stage (fun () -> ok (Store.append s_fsync [ payload ])));
       Test.make ~name:"`Flush_only"
-        (Staged.stage (fun () -> ok (Store.append s_flush payload)));
+        (Staged.stage (fun () -> ok (Store.append s_flush [ payload ])));
       Test.make ~name:"`None (buffered)"
-        (Staged.stage (fun () -> ok (Store.append s_none payload)));
+        (Staged.stage (fun () -> ok (Store.append s_none [ payload ])));
     ];
   Store.close s_fsync;
   Store.close s_flush;
@@ -532,13 +533,7 @@ let query () =
     ~title:"planner-backed select vs naive item-table scan (per query)"
     ~header:[ "items"; "query"; "hits"; "indexed"; "scan"; "speedup" ]
     (List.rev !rows);
-  let oc = open_out "BENCH_query.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"query\",\n  \"command\": \"dune exec bench/main.exe -- \
-     query\",\n  \"results\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_query.json@."
+  Report.write_json "query" (List.rev !json)
 
 (* ------------------------------------------------------------------ *)
 (* X1: content search - trigram index vs full scan                      *)
@@ -698,13 +693,7 @@ let text () =
        cost)"
     ~header:[ "docs"; "query"; "plan"; "hits"; "select"; "scan"; "speedup" ]
     (List.rev !rows);
-  let oc = open_out "BENCH_text.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"text\",\n  \"command\": \"dune exec bench/main.exe -- \
-     text\",\n  \"results\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_text.json@."
+  Report.write_json "text" (List.rev !json)
 
 (* ------------------------------------------------------------------ *)
 (* V1: materialized version views - cached reads vs resolution scans    *)
@@ -795,22 +784,16 @@ let version () =
     ~header:
       [ "items"; "versions"; "query"; "current"; "cold (build)"; "warm"; "warm/current" ]
     (List.rev !rows);
-  let oc = open_out "BENCH_version.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"version\",\n  \"command\": \"dune exec bench/main.exe \
-     -- version\",\n  \"results\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_version.json@."
+  Report.write_json "version" (List.rev !json)
 
 (* ------------------------------------------------------------------ *)
-(* T1: transaction frames - group commit, undo-log rollback,            *)
-(*     and recovery past a dangling group                               *)
+(* T1: transaction frames - one-frame commit, undo-log rollback,        *)
+(*     and recovery past a torn transaction                             *)
 (* ------------------------------------------------------------------ *)
 
 let txn () =
   heading "T1"
-    "transaction frames: group commit, undo-log rollback, dangling-group \
+    "transaction frames: one-frame commit, undo-log rollback, torn-txn \
      recovery";
   let module Store = Seed_storage.Store in
   let fresh_dir =
@@ -829,8 +812,8 @@ let txn () =
   in
   let payload = String.make 512 't' in
   let json = ref [] in
-  (* group commit: K records as K bare frames (K fsyncs) vs one
-     transaction group (one write, one fsync) under `Always_fsync`.
+  (* K records as K one-record transactions (K frames, K fsyncs) vs one
+     K-record transaction (one frame, one fsync) under `Always_fsync`.
      Each arm gets its own fresh store and the arms are interleaved
      iteration by iteration: fsync timing drifts with file growth and
      with unrelated host activity, so timing one arm's whole loop after
@@ -842,44 +825,45 @@ let txn () =
       (fun k ->
         let batch = List.init k (fun _ -> payload) in
         let iters = if k >= 64 then 10 else 100 in
-        let bare_store, _, _, _ =
+        let k_store, _, _, _ =
           ok (Store.open_dir ~sync:`Always_fsync (fresh_dir ()))
         in
         let store, _, _, _ =
           ok (Store.open_dir ~sync:`Always_fsync (fresh_dir ()))
         in
-        let bare_t = ref 0. and group_t = ref 0. in
+        let k_txns_t = ref 0. and one_txn_t = ref 0. in
         for _ = 1 to iters do
           let t0 = Unix.gettimeofday () in
-          List.iter (fun p -> ok (Store.append bare_store p)) batch;
+          List.iter (fun p -> ok (Store.append k_store [ p ])) batch;
           let t1 = Unix.gettimeofday () in
-          ok (Store.append_group store batch);
+          ok (Store.append store batch);
           let t2 = Unix.gettimeofday () in
-          bare_t := !bare_t +. (t1 -. t0);
-          group_t := !group_t +. (t2 -. t1)
+          k_txns_t := !k_txns_t +. (t1 -. t0);
+          one_txn_t := !one_txn_t +. (t2 -. t1)
         done;
-        let bare_t = !bare_t and group_t = !group_t in
-        Store.close bare_store;
+        Store.close k_store;
         Store.close store;
-        let bare = bare_t /. float_of_int iters in
-        let group = group_t /. float_of_int iters in
+        let k_txns = !k_txns_t /. float_of_int iters in
+        let one_txn = !one_txn_t /. float_of_int iters in
         json :=
           Printf.sprintf
-            "    {\"case\": \"group_commit\", \"batch\": %d, \"bare_us\": \
-             %.2f, \"group_us\": %.2f, \"speedup\": %.1f}"
-            k (bare *. 1e6) (group *. 1e6) (bare /. group)
+            "    {\"case\": \"one_frame_commit\", \"records\": %d, \
+             \"k_txns_us\": %.2f, \"one_txn_us\": %.2f, \"speedup\": %.1f}"
+            k (k_txns *. 1e6) (one_txn *. 1e6) (k_txns /. one_txn)
           :: !json;
         [
           string_of_int k;
-          Report.ms bare;
-          Report.ms group;
-          Printf.sprintf "%.1fx" (bare /. group);
+          Report.ms k_txns;
+          Report.ms one_txn;
+          Printf.sprintf "%.1fx" (k_txns /. one_txn);
         ])
       [ 1; 8; 64 ]
   in
   Report.table
-    ~title:"committing K records under `Always_fsync: bare frames vs one group"
-    ~header:[ "K records"; "K bare appends"; "one group"; "speedup" ]
+    ~title:
+      "committing K records under `Always_fsync: K one-record transactions \
+       vs one K-record transaction"
+    ~header:[ "K records"; "K transactions"; "one transaction"; "speedup" ]
     rows;
   (* rollback: a failed transaction of B ops dropped by swapping back
      to the savepoint root (O(1)) vs the pre-transaction alternative —
@@ -946,54 +930,47 @@ let txn () =
     ~header:
       [ "db objects"; "txn ops"; "undo rollback"; "snapshot restore"; "ratio" ]
     rows;
-  (* recovery past a dangling group: a crash mid-flush leaves an
-     unterminated group at the journal's tail; open must drop it whole *)
-  let commit_frame_bytes = 16 + 13 in
+  (* recovery past a torn transaction: a crash mid-flush leaves the last
+     transaction's frame cut short at the journal's tail; open must drop
+     it whole and cut it off *)
   let rows =
     List.map
       (fun n ->
         let dir = fresh_dir () in
+        let jpath = Filename.concat dir "journal.log" in
         let store, _, _, _ = ok (Store.open_dir dir) in
         for _ = 1 to n do
-          ok (Store.append store payload)
+          ok (Store.append store [ payload ])
         done;
-        ok (Store.append_group store (List.init 16 (fun _ -> payload)));
+        let before = (Unix.stat jpath).Unix.st_size in
+        ok (Store.append store (List.init 16 (fun _ -> payload)));
+        let after = (Unix.stat jpath).Unix.st_size in
         Store.close store;
-        (* cut the commit marker off, as a crash mid-flush would *)
-        let jpath = Filename.concat dir "journal.log" in
-        let fd = Unix.openfile jpath [ Unix.O_RDWR ] 0o644 in
-        let size = (Unix.fstat fd).Unix.st_size in
-        Unix.ftruncate fd (size - commit_frame_bytes);
-        Unix.close fd;
+        (* cut the 16-record frame mid-payload, as a crash mid-write would *)
+        Unix.truncate jpath (before + ((after - before) / 2));
         let (s, _, replayed, rc), t =
           Report.time_of (fun () -> ok (Store.open_dir dir))
         in
         Store.close s;
         json :=
           Printf.sprintf
-            "    {\"case\": \"dangling_recovery\", \"committed\": %d, \
-             \"replayed\": %d, \"txn_dropped\": %d, \"open_us\": %.2f}"
-            n (List.length replayed) rc.Store.txn_dropped (t *. 1e6)
+            "    {\"case\": \"torn_txn_recovery\", \"committed\": %d, \
+             \"replayed\": %d, \"bytes_dropped\": %d, \"open_us\": %.2f}"
+            n (List.length replayed) rc.Store.bytes_dropped (t *. 1e6)
           :: !json;
         [
           string_of_int n;
           string_of_int (List.length replayed);
-          string_of_int rc.Store.txn_dropped;
+          string_of_int rc.Store.bytes_dropped;
           Report.ms t;
         ])
       [ 100; 1_000; 10_000 ]
   in
   Report.table
-    ~title:"open with an unterminated 16-record group at the journal tail"
-    ~header:[ "committed records"; "replayed"; "txn dropped"; "open time" ]
+    ~title:"open with a 16-record transaction torn at the journal tail"
+    ~header:[ "committed records"; "replayed"; "bytes dropped"; "open time" ]
     rows;
-  let oc = open_out "BENCH_txn.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"txn\",\n  \"command\": \"dune exec bench/main.exe -- \
-     txn\",\n  \"results\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_txn.json@."
+  Report.write_json "txn" (List.rev !json)
 
 (* ------------------------------------------------------------------ *)
 (* T2: group-commit coalescing - writer threads over one journal        *)
@@ -1041,7 +1018,7 @@ let commit () =
           done;
           let n = ref 0 in
           while not (Atomic.get stop) do
-            ok (Store.append_group store [ payload; payload ]);
+            ok (Store.append store [ payload; payload ]);
             incr n
           done;
           counts.(w) <- !n)
@@ -1086,31 +1063,24 @@ let commit () =
   Report.table
     ~title:
       (Printf.sprintf
-         "2-record transaction groups under `Always_fsync (%d cores): \
+         "2-record transactions under `Always_fsync (%d cores): \
           coalesced commits over one journal"
          (Domain.recommended_domain_count ()))
     ~header:
       [ "writers"; "txns/s"; "vs 1 wr"; "fsyncs/txn"; "max batch"; "q hwm" ]
     rows;
-  let oc = open_out "BENCH_commit.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"commit\",\n\
-    \  \"command\": \"dune exec bench/main.exe -- commit\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"environment_note\": \"each row is one 0.5 s run; writer \
-     wake-up and the commit-window quantum (the OS sleep floor, tens of \
-     microseconds) sit between fsyncs, so txns/s ramps with the writer count and varies \
-     from run to run, while the fsyncs/txn and max_batch columns are the \
-     hardware-independent measure of coalescing\",\n\
-    \  \"results\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_commit.json@."
+  Report.write_json "commit"
+    ~extra:
+      [
+        ("host_cores", string_of_int (Domain.recommended_domain_count ()));
+        ( "environment_note",
+          "\"each row is one 0.5 s run; writer wake-up and the \
+           commit-window quantum (the OS sleep floor, tens of microseconds) \
+           sit between fsyncs, so txns/s ramps with the writer count and \
+           varies from run to run, while the fsyncs/txn and max_batch \
+           columns are the hardware-independent measure of coalescing\"" );
+      ]
+    (List.rev !json)
 
 (* ------------------------------------------------------------------ *)
 (* C1: chaos - recovery under injected corruption and read faults       *)
@@ -1147,7 +1117,7 @@ let chaos () =
         let dir = fresh_dir () in
         let store, _, _, _ = ok (Store.open_dir dir) in
         for _ = 1 to n do
-          ok (Store.append store payload)
+          ok (Store.append store [ payload ])
         done;
         Store.close store;
         let jpath = Filename.concat dir "journal.log" in
@@ -1206,11 +1176,11 @@ let chaos () =
         let snap = String.make size 's' in
         let dir = fresh_dir () in
         let store, _, _, _ = ok (Store.open_dir dir) in
-        ok (Store.append store payload);
+        ok (Store.append store [ payload ]);
         ok (Store.compact store ~snapshot:snap);
-        ok (Store.append store payload);
+        ok (Store.append store [ payload ]);
         ok (Store.compact store ~snapshot:snap);
-        ok (Store.append store payload);
+        ok (Store.append store [ payload ]);
         Store.close store;
         let path = Filename.concat dir "snapshot.bin" in
         let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
@@ -1247,10 +1217,10 @@ let chaos () =
       (fun transients ->
         let dir = fresh_dir () in
         let store, _, _, _ = ok (Store.open_dir dir) in
-        ok (Store.append store payload);
+        ok (Store.append store [ payload ]);
         ok (Store.compact store ~snapshot:(String.make 65_536 's'));
         for _ = 1 to 100 do
-          ok (Store.append store payload)
+          ok (Store.append store [ payload ])
         done;
         Store.close store;
         let iters = 50 in
@@ -1283,13 +1253,7 @@ let chaos () =
        (sleep stubbed)"
     ~header:[ "transient read faults"; "open time" ]
     rows;
-  let oc = open_out "BENCH_chaos.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"chaos\",\n  \"command\": \"dune exec bench/main.exe -- \
-     chaos\",\n  \"results\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_chaos.json@."
+  Report.write_json "chaos" (List.rev !json)
 
 (* ------------------------------------------------------------------ *)
 (* M1: MVCC read scaling - O(1) snapshots, multi-domain readers         *)
@@ -1450,14 +1414,10 @@ let mvcc () =
       [ "create_object"; Printf.sprintf "%.2f us" create_us ];
       [ "set_value"; Printf.sprintf "%.2f us" set_us ];
     ];
-  let oc = open_out "BENCH_mvcc.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"mvcc\",\n  \"command\": \"dune exec bench/main.exe -- \
-     mvcc\",\n  \"host_cores\": %d,\n  \"results\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_mvcc.json@."
+  Report.write_json "mvcc"
+    ~extra:
+      [ ("host_cores", string_of_int (Domain.recommended_domain_count ())) ]
+    (List.rev !json)
 
 (* ------------------------------------------------------------------ *)
 

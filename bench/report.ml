@@ -1,5 +1,6 @@
-(* Bechamel plumbing and plain-text tables for the non-timing metrics
-   (bytes, operation counts) the experiments report. *)
+(* Bechamel plumbing, plain-text tables for the non-timing metrics
+   (bytes, operation counts) the experiments report, and the one writer
+   of the committed BENCH_*.json files. *)
 
 open Bechamel
 open Toolkit
@@ -75,3 +76,20 @@ let time_of f =
   (r, Unix.gettimeofday () -. t0)
 
 let ms t = Printf.sprintf "%.2f ms" (t *. 1000.)
+
+(* --- BENCH_*.json --------------------------------------------------- *)
+
+(* Writes [BENCH_<suite>.json]: the suite name, the command that
+   regenerates the file, the [extra] header fields (name, raw JSON
+   value) in order, then the result objects, one per line. *)
+let write_json ?(extra = []) suite results =
+  let file = Printf.sprintf "BENCH_%s.json" suite in
+  Out_channel.with_open_bin file (fun oc ->
+      Printf.fprintf oc
+        "{\n  \"bench\": \"%s\",\n  \"command\": \"dune exec bench/main.exe \
+         -- %s\",\n"
+        suite suite;
+      List.iter (fun (k, v) -> Printf.fprintf oc "  \"%s\": %s,\n" k v) extra;
+      Printf.fprintf oc "  \"results\": [\n%s\n  ]\n}\n"
+        (String.concat ",\n" results));
+  Fmt.pr "@.wrote %s@." file

@@ -511,9 +511,10 @@ let fsck_cmd =
       value & flag
       & info [ "repair" ]
           ~doc:
-            "Fix what can be fixed: truncate a torn journal tail or a \
-             dangling (uncommitted) transaction group, drop a stale journal, \
-             promote the snapshot fallback, remove leftover temporary files. \
+            "Fix what can be fixed: truncate a torn journal tail (a \
+             transaction cut short by a crash), excise quarantined damaged \
+             transactions, drop a stale journal, promote the snapshot \
+             fallback, remove leftover temporary files. \
              An unreadable snapshot with no fallback is quarantined (its \
              data is lost).")
   in
@@ -521,7 +522,8 @@ let fsck_cmd =
     (Cmd.info "fsck"
        ~doc:
          "Check the health of the store: snapshot and journal integrity, \
-          compaction epochs, torn-tail bytes, dangling transaction groups. \
+          compaction epochs, torn-tail bytes (a transaction cut short), \
+          quarantined (damaged) transactions. \
           Exits non-zero when the store needs attention.")
     Term.(const run $ dir_arg $ repair)
 

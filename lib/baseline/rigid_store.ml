@@ -39,9 +39,6 @@ let mem t name = Hashtbl.mem t.objects name
 let class_of t name =
   Option.map (fun o -> o.ob_cls) (Hashtbl.find_opt t.objects name)
 
-let value_of t name =
-  Option.bind (Hashtbl.find_opt t.objects name) (fun o -> o.ob_value)
-
 let sub_values t name ~role =
   match Hashtbl.find_opt t.objects name with
   | None -> []

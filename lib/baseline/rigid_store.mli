@@ -57,7 +57,6 @@ val set_value :
 
 val mem : t -> string -> bool
 val class_of : t -> string -> string option
-val value_of : t -> string -> Value.t option
 val sub_values : t -> string -> role:string -> Value.t list
 val rels_of : t -> string -> (string * string list) list
 val object_count : t -> int

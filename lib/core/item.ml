@@ -49,19 +49,6 @@ let state_pattern = function
   | Obj o -> o.pattern
   | Rel r -> r.rel_pattern
 
-let is_live t =
-  match t.current with Some s -> not (state_deleted s) | None -> false
-
-let is_live_normal t =
-  match t.current with
-  | Some s -> (not (state_deleted s)) && not (state_pattern s)
-  | None -> false
-
-let is_live_pattern t =
-  match t.current with
-  | Some s -> (not (state_deleted s)) && state_pattern s
-  | None -> false
-
 let obj_state t =
   match t.current with Some (Obj o) -> Some o | Some (Rel _) | None -> None
 
@@ -91,9 +78,3 @@ let history_of_bindings l =
 
 let history_exists f t = Version_id.Map.exists (fun _ s -> f s) t.history
 let any_history_state t = Option.map snd (Version_id.Map.choose_opt t.history)
-
-let kind_name t =
-  match t.body with
-  | Independent -> "object"
-  | Dependent _ -> "sub-object"
-  | Relationship -> "relationship"

@@ -72,14 +72,6 @@ val with_dirty : t -> bool -> t
 val state_deleted : state -> bool
 val state_pattern : state -> bool
 
-val is_live : t -> bool
-(** Has a current state that is not deleted. *)
-
-val is_live_normal : t -> bool
-(** Live and not a pattern — visible to normal retrieval. *)
-
-val is_live_pattern : t -> bool
-
 val obj_state : t -> obj_state option
 (** Current state when the item is an object. *)
 
@@ -111,6 +103,3 @@ val history_exists : (state -> bool) -> t -> bool
 val any_history_state : t -> state option
 (** An arbitrary stamped state — for indexes over state components that
     never change across stamps (e.g. relationship endpoints). *)
-
-val kind_name : t -> string
-(** ["object"], ["sub-object"] or ["relationship"] for messages. *)

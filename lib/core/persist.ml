@@ -424,17 +424,7 @@ let load_parts snapshot records =
   let* base =
     match snapshot with
     | None -> Ok None
-    | Some payload ->
-      let r = R.of_string payload in
-      let* v = R.varint r in
-      let* () =
-        if v = format_version then Ok ()
-        else fail (Corrupt (Printf.sprintf "unsupported format version %d" v))
-      in
-      let* meta = r_meta r in
-      let* items = R.list r r_item in
-      let* () = R.expect_end r in
-      Ok (Some (meta, items))
+    | Some payload -> Result.map Option.some (decode_snapshot payload)
   in
   let meta_ref = ref (Option.map fst base) in
   let items_map =
@@ -510,7 +500,8 @@ module Session = struct
     (* a fresh database directory gets an initial meta record so load
        finds something even before the first flush *)
     let* () =
-      if parts = None then Store.append store (record_meta (Database.raw database))
+      if parts = None then
+        Store.append store [ record_meta (Database.raw database) ]
       else Ok ()
     in
     Ok t
@@ -537,12 +528,12 @@ module Session = struct
         List.map record_item items
         @ (if String.equal fp t.meta_fingerprint then [] else [ record_meta st ])
       in
-      (* one transaction group: a crash mid-flush durably persists either
-         the whole batch (items + meta) or none of it — recovery can no
-         longer see a prefix of a checkin. The set is cleared only once
-         the group is durable, so a failed flush leaves the same records
-         pending for the retry. *)
-      let* () = Store.append_group t.store records in
+      (* one transaction, one journal frame: a crash mid-flush durably
+         persists either the whole batch (items + meta) or none of it —
+         recovery can never see a prefix of a checkin. The set is cleared
+         only once the transaction is durable, so a failed flush leaves
+         the same records pending for the retry. *)
+      let* () = Store.append t.store records in
       Db_state.clear_unflushed st;
       t.meta_fingerprint <- fp;
       Ok ()

@@ -64,9 +64,9 @@ module Session : sig
       history changed since the last flush, in id order — plus a
       metadata record when the version tree, schema, or id generator
       advanced. Costs O(items changed), not O(database). The batch is
-      one atomic transaction group; concurrent flushes coalesce into
-      shared fsyncs via the store's commit daemon. The set is
-      cleared only after the group is appended, so a failed flush
+      one atomic transaction, one journal frame; concurrent flushes
+      coalesce into shared fsyncs via the store's commit daemon. The set
+      is cleared only after the transaction is appended, so a failed flush
       leaves the same records pending for the next one. Refused with
       [Invalid_operation] while a {!Database} transaction is active:
       flush at transaction boundaries. *)

@@ -29,8 +29,6 @@ let find_res t vid =
   | Some n -> Ok n
   | None -> fail (Unknown_version (Version_id.to_string vid))
 
-let trunk_count t = t.trunk
-
 let children n = List.rev n.children_rev
 let has_children n = n.children_rev <> []
 

@@ -44,9 +44,6 @@ val find : t -> Version_id.t -> node option
 
 val find_res : t -> Version_id.t -> (node, Seed_error.t) result
 
-val trunk_count : t -> int
-(** Number of trunk versions created so far. *)
-
 val children : node -> Version_id.t list
 (** Directly derived versions, in creation order. *)
 

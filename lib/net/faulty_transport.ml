@@ -93,20 +93,3 @@ let flush t =
   backlog
 
 let cut t = t.held <- []
-
-(* Wrap a live transport so its outgoing frames pass through the
-   injector — the peer experiences wire faults without cooperating. *)
-let wrap_send t (tr : Transport.t) =
-  {
-    tr with
-    Transport.send =
-      (fun frame ->
-        let rec send_all = function
-          | [] -> Ok ()
-          | f :: rest -> (
-            match tr.Transport.send f with
-            | Ok () -> send_all rest
-            | Error _ as e -> e)
-        in
-        send_all (apply t frame));
-  }

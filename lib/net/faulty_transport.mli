@@ -43,7 +43,3 @@ val cut : t -> unit
 
 val injected : t -> int
 (** Number of faults injected so far (monitoring the schedule). *)
-
-val wrap_send : t -> Transport.t -> Transport.t
-(** A transport whose [send] passes through the injector, so the peer
-    sees wire faults on a real connection. *)

@@ -62,8 +62,6 @@ let connect_tcp ?config ~client ~host ~port () =
   in
   create ?config ~client ~dial ()
 
-let session_id t = Option.map fst t.session
-
 let fresh_id t =
   let id = t.next_req in
   t.next_req <- Int64.add id 1L;

@@ -61,9 +61,6 @@ val connect_tcp :
 (** {!create} with a TCP dialler (connection refused/reset are treated
     as transient, so a restarting server is retried, not fatal). *)
 
-val session_id : t -> int64 option
-(** The live session, once established. *)
-
 val checkout :
   ?wait_timeout:float -> t -> string list -> (unit, error) result
 

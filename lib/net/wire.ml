@@ -438,11 +438,6 @@ let error_to_wire (e : t) =
     { code = Server_error; message; retryable = false }
   | _ -> { code = Op_failed; message; retryable = false }
 
-let retryable_resp = function
-  | Busy _ | Draining -> true
-  | Err e -> e.retryable
-  | _ -> false
-
 let pp_server_stats ppf s =
   Fmt.pf ppf
     "@[<v>sessions: %d live (max %d), %d reaped@,\

@@ -101,7 +101,6 @@ val error_to_wire : Seed_util.Seed_error.t -> wire_error
     message, and whether retrying the same operation later can succeed
     ([Locked], [Io_transient] — yes; consistency violations — no). *)
 
-val retryable_resp : resp_body -> bool
 (** [Busy], [Draining], and retryable [Err]s. *)
 
 val pp_server_stats : Format.formatter -> server_stats -> unit

@@ -34,8 +34,6 @@ let find_attr a n = List.find_opt (fun x -> String.equal x.attr_name n) a.attrs
 
 let arity a = List.length a.roles
 
-let find_role a n = List.find_opt (fun r -> String.equal r.role_name n) a.roles
-
 let role_position a n =
   let rec go i = function
     | [] -> None

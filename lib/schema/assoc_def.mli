@@ -73,8 +73,6 @@ val role :
 
 val arity : t -> int
 
-val find_role : t -> string -> role option
-
 val role_position : t -> string -> int option
 (** Position of a role by name, for positional correspondence across a
     generalization hierarchy. *)

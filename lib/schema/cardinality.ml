@@ -20,7 +20,6 @@ let equal a b = a.min = b.min && a.max = b.max
 
 let within_max c n = match c.max with None -> true | Some m -> n <= m
 let meets_min c n = n >= c.min
-let is_unbounded c = c.max = None
 
 let to_string c =
   match c.max with

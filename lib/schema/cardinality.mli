@@ -43,8 +43,6 @@ val within_max : t -> int -> bool
 val meets_min : t -> int -> bool
 (** [meets_min c n] — does a count of [n] satisfy the minimum bound? *)
 
-val is_unbounded : t -> bool
-
 val to_string : t -> string
 (** Renders as ["0..16"], ["1..*"], ... *)
 

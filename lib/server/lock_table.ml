@@ -24,21 +24,28 @@ let live_entry t name =
   | Some e when not (expired t e) -> Some e
   | Some _ | None -> None
 
+(* Removes every entry satisfying [p], returning the removed
+   [(name, holder)] pairs in no particular order. *)
+let remove_where t p =
+  let gone =
+    Hashtbl.fold
+      (fun n e acc -> if p e then (n, e.holder) :: acc else acc)
+      t.table []
+  in
+  List.iter (fun (n, _) -> Hashtbl.remove t.table n) gone;
+  gone
+
+let held_by_client client e = String.equal e.holder client
+
 (* Drops every expired lease from the table. Expired leases already read
    as free through [live_entry], but reaping on each acquisition keeps
    the table from accumulating dead entries — and guarantees a stale
    lease never blocks a fresh checkout even on code paths that consult
    the raw table. *)
-let reap_expired t =
-  let stale =
-    Hashtbl.fold
-      (fun n e acc -> if expired t e then n :: acc else acc)
-      t.table []
-  in
-  List.iter (Hashtbl.remove t.table) stale
+let remove_expired t = remove_where t (expired t)
 
 let acquire t ~client ?ttl names =
-  reap_expired t;
+  ignore (remove_expired t);
   let conflict =
     List.find_opt
       (fun n ->
@@ -56,27 +63,16 @@ let acquire t ~client ?ttl names =
     List.iter (fun n -> Hashtbl.replace t.table n { holder = client; expires }) names;
     Ok ()
 
-let release_all t ~client =
-  let mine =
-    Hashtbl.fold
-      (fun n e acc -> if String.equal e.holder client then n :: acc else acc)
-      t.table []
-  in
-  List.iter (Hashtbl.remove t.table) mine
+let release_all t ~client = ignore (remove_where t (held_by_client client))
 
 (* Session reaping: one call frees everything a dead client left behind
    — its locks (live or lapsed) and its wait-for edge, so it can neither
    block other clients nor figure in a phantom deadlock cycle. Returns
    what was freed so the server can log the reap. *)
 let release_session t ~client =
-  let mine =
-    Hashtbl.fold
-      (fun n e acc -> if String.equal e.holder client then n :: acc else acc)
-      t.table []
-  in
-  List.iter (Hashtbl.remove t.table) mine;
+  let mine = remove_where t (held_by_client client) in
   Hashtbl.remove t.waiting client;
-  List.sort String.compare mine
+  List.sort String.compare (List.map fst mine)
 
 (* Follows wait-for edges (waiter -> live holder of a wanted name)
    depth-first from [start]; a path back to [start] is a deadlock. *)
@@ -132,13 +128,7 @@ let acquire_wait t ~client ?ttl ?(policy = Seed_util.Retry.default_policy)
   attempt 1
 
 let expire_stale t =
-  let stale =
-    Hashtbl.fold
-      (fun n e acc -> if expired t e then (n, e.holder) :: acc else acc)
-      t.table []
-  in
-  List.iter (fun (n, _) -> Hashtbl.remove t.table n) stale;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) stale
+  List.sort (fun (a, _) (b, _) -> String.compare a b) (remove_expired t)
 
 type stats = {
   locks_held : int;

@@ -35,13 +35,13 @@ type stats = {
 type ticket = { mutable outcome : (unit, E.t) result option }
 
 type t = {
-  write : Journal.entry list -> (unit, E.t) result;
+  write : string list list -> (unit, E.t) result;
   counts_fsync : bool;
   coalesce : float;  (* commit-window nap length in seconds; 0 disables *)
   siblings : unit -> int;  (* writers currently in the store's write path *)
   m : Mutex.t;
   c : Condition.t;
-  mutable queue : (Journal.entry * ticket) list;  (* newest first *)
+  mutable queue : (string list * ticket) list;  (* newest first *)
   mutable queued : int;
   mutable leader : bool;
   mutable paused : bool;
@@ -143,10 +143,10 @@ let rec drive t tk =
           (fun () -> lead t);
         drive t tk)
 
-let submit t entry =
+let submit t txn =
   Mutex.lock t.m;
   let tk = { outcome = None } in
-  t.queue <- (entry, tk) :: t.queue;
+  t.queue <- (txn, tk) :: t.queue;
   t.queued <- t.queued + 1;
   t.submitted <- t.submitted + 1;
   if t.queued > t.queue_hwm then t.queue_hwm <- t.queued;

@@ -1,14 +1,15 @@
 (** Leader/follower group-commit coalescing for the store's journal.
 
-    Concurrently arriving committers {!submit} their encoded
-    transaction; the first to find no leader active takes the leader
+    Concurrently arriving committers {!submit} their transaction's
+    encoded records; the first to find no leader active takes the leader
     role, drains the whole queue, lands everything drained in {e one}
     physical append (one fsync under [`Always_fsync]) via
-    {!Journal.append_entries}, and wakes the followers with their
-    durability result. Followers block in {!submit} until their entry is
-    durable (or failed). With N writers contending, each fsync covers up
-    to N transactions — fsyncs per transaction drop well below 1 under
-    load while every acked commit is still individually durable.
+    {!Journal.append}, and wakes the followers with their
+    durability result. Followers block in {!submit} until their
+    transaction is durable (or failed). With N writers contending, each
+    fsync covers up to N transactions — fsyncs per transaction drop well
+    below 1 under load while every acked commit is still individually
+    durable.
 
     There is no background thread to manage: the daemon is a queue plus
     a leader election, driven entirely by the committers themselves. *)
@@ -19,11 +20,11 @@ val create :
   coalesce:float ->
   siblings:(unit -> int) ->
   counts_fsync:bool ->
-  (Journal.entry list -> (unit, Seed_util.Seed_error.t) result) ->
+  (string list list -> (unit, Seed_util.Seed_error.t) result) ->
   t
 (** [create ~coalesce ~siblings ~counts_fsync write] makes a daemon
     whose leader lands each drained batch with one call to [write]
-    (typically a retry-wrapped {!Journal.append_entries} on the store's
+    (typically a retry-wrapped {!Journal.append} on the store's
     journal). When [counts_fsync], each successful batch also bumps the
     {!stats} fsync counter — set it iff the journal's policy is
     [`Always_fsync].
@@ -43,10 +44,10 @@ val create :
     fires single-threaded, so uncontended commit latency is
     untouched. *)
 
-val submit : t -> Journal.entry -> (unit, Seed_util.Seed_error.t) result
-(** Enqueues the entry and blocks until it is durable per the journal's
+val submit : t -> string list -> (unit, Seed_util.Seed_error.t) result
+(** Enqueues the transaction's records and blocks until it is durable per the journal's
     sync policy, either by leading a batch or by being coalesced into
-    another committer's. [Ok ()] is a durability ack for this entry
+    another committer's. [Ok ()] is a durability ack for this transaction
     (and, transitively, the whole batch it rode in). If the leader's
     physical write raises — a fault injector's crash — waiting
     followers are failed and woken before the exception propagates from

@@ -1,41 +1,32 @@
-(** Append-only journal with CRC-framed, epoch-tagged records.
+(** Append-only journal with CRC-framed, epoch-tagged transactions.
 
-    Record frame layout (little-endian):
-    [magic u32 | epoch u32 | payload length u32 | crc32(payload) u32 | payload].
+    Frame layout (little-endian):
+    [magic u32 | epoch u32 | payload length u32 | crc32 u32 | payload].
+    One frame is one whole transaction: its payload is the
+    transaction's records encoded as a {!Codec} string list, and its CRC
+    (over epoch, length and payload) is the transaction's integrity
+    check. No byte of a transaction lies outside a CRC, so a crash or a
+    flipped bit anywhere in a transaction loses all of it and nothing
+    else.
 
-    The {e epoch} is the compaction epoch the record belongs to: a store
+    The {e epoch} is the compaction epoch the frame belongs to: a store
     bumps it on every successful compaction and tags the snapshot header
     with the same number, so a stale journal left behind by a crash
     mid-compaction is detected by epoch mismatch and skipped rather than
     replayed (see {!Store}).
 
     Recovery reads frames until end of file. Damage (partial frame, bad
-    magic, CRC mismatch) does not stop the scan: the reader records the
-    damaged region, hunts forward for the next offset where a whole
-    valid frame parses (magic + CRC resync), and continues — corrupt
-    mid-file frames are {e quarantined}, not fatal. Damage that reaches
-    end of file is the classic torn tail, truncatable as before.
-
-    {e Transaction groups.} {!append_group} brackets a batch of records
-    between a begin marker and a commit marker (control frames under a
-    distinct magic, same CRC'd envelope). The commit marker carries the
-    record count and a CRC over the concatenated payloads, so recovery
-    ({!resolve_groups}) replays a group only when all of it — including
-    the commit — made it to disk; a crash mid-group durably persists
-    {e none} of it. A {e single}-record group skips the markers entirely
-    (a bare frame is already its own committed transaction). Bare data
-    frames (old journals, single appends) remain individually committed,
-    so pre-group journals replay unchanged. Begin and Commit carry a
-    per-journal transaction counter that pairs them; it restarts at
-    every open. *)
+    magic, CRC mismatch, undecodable payload) does not stop the scan:
+    the reader records the damaged region, hunts forward for the next
+    offset where a whole valid frame parses (magic + CRC resync), and
+    continues — a damaged mid-file transaction is {e quarantined}, not
+    fatal. Damage that reaches end of file is the classic torn tail — a
+    transaction cut short by a crash — truncatable as before. A journal
+    whose first frame carries an earlier release's magic ([SEE3] record
+    frames, [SEEC] group markers) is refused by {!scan}. *)
 
 type t
 (** An open journal, positioned for appending. *)
-
-val magic : int32
-
-val control_magic : int32
-(** Frame magic of transaction begin/commit markers. *)
 
 type sync_policy = [ `Always_fsync | `Flush_only | `None ]
 (** Durability of {!append}:
@@ -54,29 +45,14 @@ val open_ :
     Records are tagged with [epoch] (default 0); durability of appends
     follows [sync] (default [`Flush_only]). *)
 
-val append : t -> string -> (unit, Seed_util.Seed_error.t) result
-(** Appends one record, with the durability of the journal's
-    {!sync_policy}. A bare record is its own committed transaction. *)
-
-val append_group : t -> string list -> (unit, Seed_util.Seed_error.t) result
-(** Appends the records as one atomic transaction group —
-    [begin marker; records…; commit marker] — in a single write (and,
-    under [`Always_fsync], a single fsync), so recovery sees either all
-    of them or none. An empty list is a no-op; a singleton list is
-    appended as a bare frame (same atomicity, no marker overhead). *)
-
-type entry =
-  | Bare of string  (** one record, individually committed *)
-  | Group of string list
-      (** an all-or-nothing multi-record group under Begin/Commit
-          markers *)
-
-val append_entries : t -> entry list -> (unit, Seed_util.Seed_error.t) result
-(** Appends a batch of independent transactions in {e one} physical
-    write (and, under [`Always_fsync], one fsync) — the group-commit
-    coalescing primitive used by {!Commit_daemon}. Each entry keeps its
-    own atomicity: a crash mid-batch leaves every entry either whole or
-    invisible to recovery. *)
+val append : t -> string list list -> (unit, Seed_util.Seed_error.t) result
+(** Appends a batch of transactions, each a list of records, as one
+    frame per transaction in {e one} physical write (and, under
+    [`Always_fsync], one fsync) — the group-commit coalescing primitive
+    used by {!Commit_daemon}. Each transaction keeps its own atomicity:
+    a crash mid-batch leaves every transaction either whole or damaged,
+    and recovery drops a damaged one whole. An empty batch is a
+    no-op. *)
 
 val sync : t -> (unit, Seed_util.Seed_error.t) result
 (** Writes any buffered records and fsyncs the journal file. *)
@@ -92,18 +68,11 @@ val sync_policy : t -> sync_policy
 
 (** {2 Recovery-side reads} *)
 
-type kind =
-  | Data  (** an ordinary record *)
-  | Begin of { txn : int }  (** opens a transaction group *)
-  | Commit of { txn : int; count : int; crc : int32 }
-      (** closes a group: [count] records, [crc] over their
-          concatenated payloads *)
-
 type frame = {
-  f_epoch : int;  (** compaction epoch the record was appended under *)
-  f_payload : string;
+  f_epoch : int;  (** compaction epoch the transaction was appended under *)
   f_offset : int;  (** byte offset of the frame's header in the file *)
-  f_kind : kind;
+  f_bytes : int;  (** frame size: header plus payload *)
+  f_records : string list;  (** the transaction's records, in order *)
 }
 
 type damage = {
@@ -115,7 +84,7 @@ type damage = {
 }
 
 type scan_result = {
-  frames : frame list;  (** intact frames, in append order *)
+  frames : frame list;  (** intact transactions, in append order *)
   scan_damage : damage list;
       (** damaged regions, in file order; [[]] when the file is intact *)
   file_size : int;
@@ -124,8 +93,10 @@ type scan_result = {
 val scan : ?io:Io.t -> string -> (scan_result, Seed_util.Seed_error.t) result
 (** Reads every intact frame of the journal at [path], skipping over
     damaged regions by magic/CRC resynchronization. A missing file
-    yields an empty, undamaged result. Only I/O failures are errors —
-    damage is data, reported in the result. *)
+    yields an empty, undamaged result. Damage is data, reported in the
+    result; the errors are I/O failures and an [Invalid_operation]
+    naming [path] when its first frame carries an earlier release's
+    magic. *)
 
 val tail_damage : scan_result -> damage option
 (** The damaged region reaching end of file, if any — a torn tail that
@@ -136,37 +107,9 @@ val quarantined : scan_result -> damage list
     skipped during replay and left in place, pending {!Store.fsck}
     [~repair] rewriting the journal. *)
 
-type groups = {
-  g_units : frame list list;
-      (** committed transactions in append order, each its data frames
-          (a bare record is a one-frame transaction) *)
-  g_committed : frame list;
-      (** data frames safe to replay, in append order: bare records plus
-          the records of every properly committed group (the
-          concatenation of [g_units]) *)
-  g_dropped_records : int;
-      (** data records discarded because their group never committed (or
-          its commit marker's count/CRC did not match) *)
-  g_tail_records : int;
-      (** of the dropped records, how many sit in an unterminated group
-          at the very end of the frame list *)
-  g_tail_begin : int option;
-      (** offset of that unterminated tail group's begin marker — the
-          natural truncation point *)
-}
-
-val resolve_groups : ?damage:damage list -> frame list -> groups
-(** Resolves transaction groups over {!scan}'s intact frames. A
-    [damage] region falling inside an open group is a barrier: the
-    group's records before it are dropped, and the frames after it are
-    decided by the next marker — a [Commit] drops them too (the group
-    ran past the damage, so a record is missing), while a [Begin] or
-    the end of the journal replays them as independent
-    appends (the damage ate the commit marker, not a record). *)
-
 val read_all : string -> (string list, Seed_util.Seed_error.t) result
-(** Committed payloads of {!scan}'s intact prefix, epoch-agnostic.
-    Records of uncommitted groups are not returned. *)
+(** The records of {!scan}'s intact frames, in order, epoch-agnostic.
+    Records of damaged transactions are not returned. *)
 
 val read_all_strict : string -> (string list, Seed_util.Seed_error.t) result
 (** Like {!read_all} but any malformed byte — including a torn tail —

@@ -1,6 +1,10 @@
 open Seed_util
 open Seed_error
 
+(* "SEE3": the snapshot header magic. Journal frames carry their own
+   ("SEE4"), so snapshots written by earlier releases still read. *)
+let magic = 0x53454533l
+
 let header_bytes = 16
 
 let wrap_io = Seed_error.wrap_io
@@ -18,7 +22,7 @@ let write ?(io = Io.real) path ~epoch payload =
       ~finally:(fun () -> f.Io.close ())
       (fun () ->
         let b = Buffer.create (String.length payload + header_bytes) in
-        Buffer.add_int32_le b Journal.magic;
+        Buffer.add_int32_le b magic;
         Buffer.add_int32_le b (Int32.of_int epoch);
         Buffer.add_int32_le b (Int32.of_int (String.length payload));
         Buffer.add_int32_le b (Crc32.digest payload);
@@ -45,7 +49,7 @@ let read ?(io = Io.real) path =
       let epoch = Int32.to_int (String.get_int32_le contents 4) in
       let len = Int32.to_int (String.get_int32_le contents 8) in
       let crc = String.get_int32_le contents 12 in
-      if m <> Journal.magic then
+      if m <> magic then
         fail (Corrupt ("snapshot " ^ path ^ ": bad magic"))
       else if epoch < 0 then
         fail (Corrupt ("snapshot " ^ path ^ ": negative epoch"))

@@ -5,7 +5,7 @@
     a crash mid-write never leaves a half-written snapshot behind, and a
     crash just after the rename cannot lose it either. A failed write
     unlinks the temporary file instead of leaving it around. The payload
-    is framed with the journal magic, the epoch, and a CRC so {!read}
+    is framed with a magic, the epoch, and a CRC so {!read}
     can detect corruption and {!Store} can match the snapshot against
     the journal's epoch. *)
 

@@ -19,7 +19,7 @@ type t = {
   log : log;
   daemon : Commit_daemon.t;  (* owns every physical append to [log] *)
   retried : int Atomic.t;
-  active : int Atomic.t;  (* writers currently inside append/append_group *)
+  active : int Atomic.t;  (* writers currently inside append *)
 }
 
 let snapshot_path dir = Filename.concat dir "snapshot.bin"
@@ -78,7 +78,6 @@ let refuse_partition_files dir =
 type recovery = {
   records_replayed : int;
   bytes_dropped : int;
-  txn_dropped : int;
   torn_tail : string option;
   quarantined : Journal.damage list;
   ahead_dropped : int;
@@ -90,7 +89,7 @@ type recovery = {
 }
 
 let recovery_clean r =
-  r.bytes_dropped = 0 && r.txn_dropped = 0
+  r.bytes_dropped = 0
   && (not r.stale_journal)
   && (not r.used_fallback)
   && r.quarantined = [] && r.ahead_dropped = 0
@@ -105,7 +104,7 @@ let pp_recovery ppf r =
            (if r.io_retries = 1 then "y" else "ies")
        else "")
   else
-    Fmt.pf ppf "epoch %d, %d records replayed, %d bytes dropped%s%s%s%s%s%s%s"
+    Fmt.pf ppf "epoch %d, %d records replayed, %d bytes dropped%s%s%s%s%s%s"
       r.epoch r.records_replayed r.bytes_dropped
       (match r.torn_tail with
       | Some reason -> Printf.sprintf ", torn tail (%s)" reason
@@ -118,10 +117,6 @@ let pp_recovery ppf r =
           (List.fold_left
              (fun acc d -> acc + (d.Journal.d_end - d.Journal.d_offset))
              0 ds))
-      (if r.txn_dropped > 0 then
-         Printf.sprintf ", %d uncommitted transaction record(s) discarded"
-           r.txn_dropped
-       else "")
       (if r.ahead_dropped > 0 then
          Printf.sprintf
            ", %d record(s) ahead of the recovered snapshot discarded"
@@ -182,12 +177,22 @@ let load_snapshot ~io ~retry ~sleep ~count_retry dir =
   | None -> Ok (None, Src_primary, false)
   | Some (sp, src) -> Ok (Some sp, src, !primary_damaged)
 
-(* Sorts the scanned journal against the snapshot's epoch:
-   which transaction units to replay, how many bytes are dead (torn
-   tail, stale or ahead frames), and whether the file should be cut back
-   on open. [allow_ahead] is set when recovery fell back to an older
-   snapshot: frames of a newer epoch are then unreplayable leftovers to
-   drop (and report), not corruption. *)
+let record_count frames =
+  List.fold_left (fun n f -> n + List.length f.Journal.f_records) 0 frames
+
+(* Where the journal's torn tail starts — the file size when there is
+   none. *)
+let intact_end (s : Journal.scan_result) =
+  match Journal.tail_damage s with
+  | Some d -> d.Journal.d_offset
+  | None -> s.Journal.file_size
+
+(* Sorts the scanned journal against the snapshot's epoch: which
+   transactions to replay, how many bytes are dead (torn tail, stale or
+   ahead frames), and whether the file should be cut back on open.
+   [allow_ahead] is set when recovery fell back to an older snapshot:
+   frames of a newer epoch are then unreplayable leftovers to drop (and
+   report), not corruption. *)
 let classify ~snap_epoch ~allow_ahead ~path (s : Journal.scan_result) =
   let ahead, rest =
     List.partition (fun f -> f.Journal.f_epoch > snap_epoch) s.Journal.frames
@@ -205,51 +210,30 @@ let classify ~snap_epoch ~allow_ahead ~path (s : Journal.scan_result) =
       List.partition (fun f -> f.Journal.f_epoch = snap_epoch) rest
     in
     let quarantined = Journal.quarantined s in
-    let groups = Journal.resolve_groups ~damage:quarantined live in
-    let committed = groups.Journal.g_committed in
-    let prefix_end =
-      match Journal.tail_damage s with
-      | Some d -> d.Journal.d_offset
-      | None -> s.Journal.file_size
-    in
-    (* an unterminated transaction group at the tail is cut back along
-       with any torn bytes: good data ends at its begin marker *)
-    let keep_end =
-      match groups.Journal.g_tail_begin with
-      | Some off -> min off prefix_end
-      | None -> prefix_end
-    in
-    let dead_tail_bytes = s.Journal.file_size - keep_end in
+    let prefix_end = intact_end s in
+    let dead_tail_bytes = s.Journal.file_size - prefix_end in
     let frame_bytes fs =
-      List.fold_left
-        (fun acc f -> acc + 16 + String.length f.Journal.f_payload)
-        0 fs
-    in
-    let stale_bytes = frame_bytes stale in
-    let ahead_data =
-      List.length
-        (List.filter (fun f -> f.Journal.f_kind = Journal.Data) ahead)
+      List.fold_left (fun acc f -> acc + f.Journal.f_bytes) 0 fs
     in
     let truncate_to =
       if
-        committed = [] && quarantined = [] && ahead = []
+        live = [] && quarantined = [] && ahead = []
         && (stale <> [] || dead_tail_bytes > 0)
       then Some 0
-      else if dead_tail_bytes > 0 then Some keep_end
+      else if dead_tail_bytes > 0 then Some prefix_end
       else None
     in
     Ok
-      ( groups.Journal.g_units,
+      ( live,
         {
-          records_replayed = List.length committed;
-          bytes_dropped = dead_tail_bytes + stale_bytes + frame_bytes ahead;
-          txn_dropped = groups.Journal.g_dropped_records;
+          records_replayed = record_count live;
+          bytes_dropped = dead_tail_bytes + frame_bytes stale + frame_bytes ahead;
           torn_tail =
             Option.map
               (fun d -> d.Journal.d_reason)
               (Journal.tail_damage s);
           quarantined;
-          ahead_dropped = ahead_data;
+          ahead_dropped = record_count ahead;
           stale_journal = stale <> [];
           used_fallback = false;
           snapshot_generation = None;
@@ -258,26 +242,16 @@ let classify ~snap_epoch ~allow_ahead ~path (s : Journal.scan_result) =
         },
         truncate_to )
 
-(* Rewrites the journal to contain exactly [units], under [epoch],
-   preserving each unit's shape (bare record or group). Used to drop a
-   stale prefix, quarantined regions, or epoch-ahead leftovers while
-   keeping the committed records. *)
-let rewrite_journal ~io path ~epoch units =
+(* Rewrites the journal to contain exactly the transactions [frames],
+   under [epoch]. Used to drop a stale prefix, quarantined regions, or
+   epoch-ahead leftovers while keeping the intact transactions. *)
+let rewrite_journal ~io path ~epoch frames =
   let* () = Journal.truncate ~io path in
   let* j = Journal.open_ ~io ~sync:`Flush_only ~epoch path in
-  let* () =
-    iter_result
-      (fun fs ->
-        Journal.append_group j (List.map (fun f -> f.Journal.f_payload) fs))
-      units
-  in
+  let* () = Journal.append j (List.map (fun f -> f.Journal.f_records) frames) in
   let* () = Journal.sync j in
   Journal.close j;
   Ok ()
-
-let entry_records = function
-  | Journal.Bare _ -> 1
-  | Journal.Group payloads -> List.length payloads
 
 (* Builds the commit daemon over [log]. Its write callback is the only
    code path that appends to the journal; transient write errors are
@@ -285,17 +259,17 @@ let entry_records = function
    is safe: the scanner quarantines the torn bytes and resynchronizes on
    the retried frames' headers. *)
 let make_daemon ~sync ~retry ~sleep ~retried ~active ~path log =
-  let write entries =
+  let write txns =
     match log.journal with
     | None -> fail (Io_error ("store closed: " ^ path))
     | Some j ->
       let* () =
         Retry.with_retry ~policy:retry ?sleep
           ~on_retry:(fun ~attempt:_ _ -> Atomic.incr retried)
-          (fun () -> Journal.append_entries j entries)
+          (fun () -> Journal.append j txns)
       in
       log.records <-
-        log.records + List.fold_left (fun acc e -> acc + entry_records e) 0 entries;
+        List.fold_left (fun n txn -> n + List.length txn) log.records txns;
       Ok ()
   in
   (* The commit window only pays off when the physical write is
@@ -377,7 +351,7 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
       scan_with_retry ()
     end
   in
-  let* units, report, truncate_to =
+  let* live, report, truncate_to =
     classify ~snap_epoch ~allow_ahead:(source <> Src_primary) ~path:jpath
       scanned
   in
@@ -385,7 +359,7 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
     if report.ahead_dropped > 0 then
       (* epoch-ahead leftovers must not linger: a future compaction
          would reuse their epoch and mistake them for live records *)
-      rewrite_journal ~io jpath ~epoch:snap_epoch units
+      rewrite_journal ~io jpath ~epoch:snap_epoch live
     else
       (* cut tail damage back so it does not persist into the next
          session; quarantined mid-file regions stay (fsck rewrites) *)
@@ -412,7 +386,7 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
         active;
       },
       Option.map snd snap,
-      List.concat_map (List.map (fun f -> f.Journal.f_payload)) units,
+      List.concat_map (fun f -> f.Journal.f_records) live,
       {
         report with
         used_fallback = source <> Src_primary;
@@ -428,19 +402,14 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
 (* The in-flight writer count feeds the daemon's commit window: a
    leader holds its drain while other writers are still between here
    and their own enqueue. *)
-let submit t entry =
-  Atomic.incr t.active;
-  Fun.protect
-    ~finally:(fun () -> Atomic.decr t.active)
-    (fun () -> Commit_daemon.submit t.daemon entry)
-
-let append t payload = submit t (Journal.Bare payload)
-
-let append_group t payloads =
-  match payloads with
+let append t records =
+  match records with
   | [] -> Ok ()
-  | [ payload ] -> append t payload
-  | _ -> submit t (Journal.Group payloads)
+  | _ ->
+    Atomic.incr t.active;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr t.active)
+      (fun () -> Commit_daemon.submit t.daemon records)
 
 let with_retry t f =
   Retry.with_retry ~policy:t.retry ?sleep:t.sleep
@@ -587,8 +556,6 @@ type fsck_report = {
   fsck_quarantined_bytes : int;
   fsck_stale_journal : bool;
   fsck_journal_ahead : bool;
-  fsck_dangling_txn_records : int;
-  fsck_dangling_txn_tail : bool;
   fsck_healthy : bool;
   fsck_repairs : string list;
 }
@@ -621,7 +588,6 @@ let generation_statuses ?io dir =
 let journal_healthy r =
   r.fsck_torn_bytes = 0 && r.fsck_quarantined_regions = 0
   && (not r.fsck_stale_journal) && (not r.fsck_journal_ahead)
-  && r.fsck_dangling_txn_records = 0
 
 let analyze ?io dir =
   let* () = ensure_dir dir in
@@ -648,14 +614,9 @@ let analyze ?io dir =
   let stale = List.exists (fun f -> f.Journal.f_epoch < reference) frames in
   let ahead = List.exists (fun f -> f.Journal.f_epoch > reference) frames in
   let quarantined = Journal.quarantined scanned in
-  let groups = Journal.resolve_groups ~damage:quarantined live in
-  let prefix_end =
-    match Journal.tail_damage scanned with
-    | Some d -> d.Journal.d_offset
-    | None -> scanned.Journal.file_size
-  in
+  let prefix_end = intact_end scanned in
   let torn_bytes = scanned.Journal.file_size - prefix_end in
-  let total_frames = List.length groups.Journal.g_committed in
+  let total_frames = record_count live in
   let gens_healthy =
     List.for_all
       (fun (_, st) -> match st with Intact _ -> true | _ -> false)
@@ -680,8 +641,6 @@ let analyze ?io dir =
           0 quarantined;
       fsck_stale_journal = stale;
       fsck_journal_ahead = ahead;
-      fsck_dangling_txn_records = groups.Journal.g_dropped_records;
-      fsck_dangling_txn_tail = groups.Journal.g_tail_begin <> None;
       fsck_healthy = false;
       fsck_repairs = [];
     }
@@ -696,10 +655,9 @@ let analyze ?io dir =
   in
   Ok { report with fsck_healthy = healthy }
 
-(* Repairs the journal against the (already repaired)
-   snapshot's epoch: rewrites it when stale/ahead frames, mid-journal
-   drops or quarantined damage are buried inside, otherwise truncates a
-   dangling tail group and/or torn tail bytes. *)
+(* Repairs the journal against the (already repaired) snapshot's
+   epoch: rewrites it when stale/ahead frames or quarantined damage are
+   buried inside, otherwise truncates torn tail bytes. *)
 let repair_journal ~io ~add ~reference dir =
   let act fmt = Printf.ksprintf add fmt in
   let jpath = journal_path dir in
@@ -708,26 +666,12 @@ let repair_journal ~io ~add ~reference dir =
   let frames = scanned.Journal.frames in
   let live = List.filter (fun f -> f.Journal.f_epoch = reference) frames in
   let quarantined = Journal.quarantined scanned in
-  let groups = Journal.resolve_groups ~damage:quarantined live in
-  let mid_dropped =
-    groups.Journal.g_dropped_records - groups.Journal.g_tail_records
-  in
-  let prefix_end =
-    match Journal.tail_damage scanned with
-    | Some d -> d.Journal.d_offset
-    | None -> scanned.Journal.file_size
-  in
+  let prefix_end = intact_end scanned in
   let torn_bytes = scanned.Journal.file_size - prefix_end in
-  if
-    List.length live <> List.length frames
-    || mid_dropped > 0 || quarantined <> []
-  then begin
-    (* stale or epoch-ahead frames, dropped groups buried mid-journal,
-       or quarantined damage — rewrite with exactly the committed
-       records the current snapshot can base *)
-    let* () =
-      rewrite_journal ~io jpath ~epoch:reference groups.Journal.g_units
-    in
+  if List.length live <> List.length frames || quarantined <> [] then begin
+    (* stale or epoch-ahead frames, or quarantined damage — rewrite with
+       exactly the intact transactions the current snapshot can base *)
+    let* () = rewrite_journal ~io jpath ~epoch:reference live in
     let other_epochs = List.length frames - List.length live in
     if other_epochs > 0 then
       act "%s: dropped %d frame(s) from other epochs" jname other_epochs;
@@ -737,30 +681,14 @@ let repair_journal ~io ~add ~reference dir =
         (List.fold_left
            (fun acc d -> acc + (d.Journal.d_end - d.Journal.d_offset))
            0 quarantined);
-    if groups.Journal.g_dropped_records > 0 then
-      act "%s: dropped %d uncommitted transaction record(s)" jname
-        groups.Journal.g_dropped_records;
     Ok ()
   end
-  else
-    match groups.Journal.g_tail_begin with
-    | Some off ->
-      (* the dangling group's begin marker is before any torn bytes,
-         so one cut removes both *)
-      let* () = Journal.truncate ~io ~len:(min off prefix_end) jpath in
-      act
-        "%s: truncated a dangling transaction (%d uncommitted record(s), %d \
-         byte(s))"
-        jname groups.Journal.g_tail_records
-        (scanned.Journal.file_size - min off prefix_end);
-      Ok ()
-    | None ->
-      if torn_bytes > 0 then begin
-        let* () = Journal.truncate ~io ~len:prefix_end jpath in
-        act "%s: truncated %d torn byte(s) off the tail" jname torn_bytes;
-        Ok ()
-      end
-      else Ok ()
+  else if torn_bytes > 0 then begin
+    let* () = Journal.truncate ~io ~len:prefix_end jpath in
+    act "%s: truncated %d torn byte(s) off the tail" jname torn_bytes;
+    Ok ()
+  end
+  else Ok ()
 
 let repair_actions ~io dir report =
   let actions = ref [] in
@@ -884,12 +812,6 @@ let pp_fsck_report ppf r =
   if r.fsck_torn_bytes > 0 then
     Fmt.pf ppf "torn tail:         %d byte(s) — %s@." r.fsck_torn_bytes
       (Option.value r.fsck_torn_reason ~default:"damaged");
-  if r.fsck_dangling_txn_records > 0 then
-    Fmt.pf ppf
-      "dangling txn:      %d uncommitted record(s)%s (discarded on open)@."
-      r.fsck_dangling_txn_records
-      (if r.fsck_dangling_txn_tail then " in an unterminated tail group"
-       else "");
   List.iter (fun a -> Fmt.pf ppf "repaired:          %s@." a) r.fsck_repairs;
   Fmt.pf ppf "status:            %s@."
     (if r.fsck_healthy then "healthy" else "NEEDS ATTENTION")

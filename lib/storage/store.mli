@@ -7,7 +7,7 @@
     [snapshot.bin.old] while the previous one is still mid-promotion.
     The client supplies a pure fold over its own state: opening a store
     loads the snapshot (if any) and replays the journal records appended
-    since; {!append} adds a record; {!compact} writes a fresh snapshot
+    since; {!append} adds a transaction's records; {!compact} writes a fresh snapshot
     and truncates the journal. All payloads are opaque strings —
     {!Seed_core.Persist} owns the encoding.
 
@@ -29,8 +29,9 @@
     retried with bounded backoff ({!Seed_util.Retry}); journal damage
     found on open is re-read once before being trusted, so a flipped bit
     or short read on the wire never costs committed data. Real damage is
-    handled by severity: a torn tail is truncated, a corrupt mid-file
-    region is {e quarantined} — skipped by magic/CRC resynchronization,
+    handled by severity: a torn tail — a transaction cut short — is
+    truncated, a corrupt mid-file region (a damaged transaction) is
+    {e quarantined} — skipped by magic/CRC resynchronization,
     left in place for [fsck --repair] to excise — and an unreadable
     snapshot falls back generation by generation (the damaged primary is
     set aside as [snapshot.bin.corrupt]). The {!recovery} report says
@@ -44,28 +45,24 @@ type sync_policy = Journal.sync_policy
 (** {2 Group-committed write path}
 
     Every append goes through one group-commit daemon
-    ({!Commit_daemon}) over the one [journal.log]: transaction groups
-    arriving concurrently coalesce into one physical write and one
-    fsync, each group still all-or-nothing on recovery, and the journal
-    order is the replay order. Earlier releases could spread the
-    journal over [journal.pK] partition files; {!open_dir} and {!fsck}
-    refuse a directory holding any. *)
+    ({!Commit_daemon}) over the one [journal.log]: transactions arriving
+    concurrently coalesce into one physical write and one fsync, each
+    transaction its own CRC'd frame and so all-or-nothing on recovery,
+    and the journal order is the replay order. Earlier releases could
+    spread the journal over [journal.pK] partition files or frame it
+    differently; {!open_dir} and {!fsck} refuse such a store. *)
 
 type recovery = {
   records_replayed : int;  (** journal records handed back to the client *)
   bytes_dropped : int;
-      (** journal bytes discarded: a torn tail, an uncommitted
-          transaction group, a stale journal and/or epoch-ahead
-          leftovers *)
-  txn_dropped : int;
-      (** records discarded because their transaction group never
-          committed — the all-or-nothing contract of
-          {!Journal.append_group} *)
+      (** journal bytes discarded: a torn tail (a transaction cut
+          short), a stale journal and/or epoch-ahead leftovers *)
   torn_tail : string option;
       (** why the journal's tail was cut, when it was *)
   quarantined : Journal.damage list;
-      (** corrupt mid-journal regions skipped by resynchronization and
-          left in place (fsck [--repair] excises them) *)
+      (** corrupt mid-journal regions — each a damaged transaction —
+          skipped by resynchronization and left in place (fsck
+          [--repair] excises them) *)
   ahead_dropped : int;
       (** records stamped with an epoch newer than the recovered
           snapshot — appended after a snapshot that was later lost —
@@ -103,23 +100,18 @@ val open_dir :
     get there. [sync] (default [`Flush_only]) governs {!append};
     [generations] (default 2) how many old snapshots {!compact} keeps;
     [retry]/[sleep] the transient-fault retry policy and its clock.
-    A directory holding a [journal.pK] partition file is refused with
-    an [Invalid_operation] error naming it. *)
+    A directory holding a [journal.pK] partition file, or a journal
+    whose first frame carries an earlier release's magic, is refused
+    with an [Invalid_operation] error naming the file. *)
 
-val append : t -> string -> (unit, Seed_util.Seed_error.t) result
-(** Appends a journal record with the store's {!sync_policy}, through
-    the group-commit daemon (concurrent appends coalesce into shared
-    fsyncs). A bare record is its own committed
-    transaction. Transient I/O errors are retried; a half-written first
+val append : t -> string list -> (unit, Seed_util.Seed_error.t) result
+(** Appends the records as one atomic transaction — one journal frame —
+    with the store's {!sync_policy}, through the group-commit daemon
+    (concurrent appends coalesce into shared fsyncs). Recovery replays
+    either all of the records or none, never a prefix. An empty list is
+    a no-op. Transient I/O errors are retried; a half-written first
     attempt is quarantined by the scanner and resynchronized over on
     recovery, so the retry cannot corrupt. *)
-
-val append_group :
-  t -> string list -> (unit, Seed_util.Seed_error.t) result
-(** Appends the records as one atomic transaction group: recovery
-    replays either all of them or none, never a prefix. An empty list
-    is a no-op; a singleton takes the marker-free bare fast path. See
-    {!Journal.append_group}. *)
 
 val sync : t -> (unit, Seed_util.Seed_error.t) result
 (** Makes every appended record durable (fsync of the journal, the
@@ -166,7 +158,7 @@ type fsck_report = {
       (** generation slots present on disk ([snapshot.bin.k]) *)
   fsck_tmp_leftover : bool;  (** [snapshot.bin.tmp] exists *)
   fsck_journal_frames : int;
-      (** committed data frames of the current epoch *)
+      (** records in the current epoch's intact transactions *)
   fsck_journal_epoch : int option;  (** epoch of the journal's frames *)
   fsck_torn_bytes : int;  (** bytes of damage reaching end of file *)
   fsck_torn_reason : string option;
@@ -178,12 +170,6 @@ type fsck_report = {
   fsck_journal_ahead : bool;
       (** frames newer than the snapshot's epoch (their snapshot was
           lost) *)
-  fsck_dangling_txn_records : int;
-      (** records of transaction groups that never committed — invisible
-          to replay, removed by [--repair] *)
-  fsck_dangling_txn_tail : bool;
-      (** a journal ends inside an unterminated group (the classic
-          crash-mid-flush signature) *)
   fsck_healthy : bool;
   fsck_repairs : string list;  (** actions taken (with [~repair:true]) *)
 }
@@ -192,14 +178,14 @@ val fsck :
   ?io:Io.t -> ?repair:bool -> string ->
   (fsck_report, Seed_util.Seed_error.t) result
 (** Reports the health of the store at [dir] without opening it for
-    appending. With [repair]: truncates a torn tail, a stale journal or
-    a dangling (uncommitted) transaction group, rewrites the journal to
-    excise quarantined mid-file damage, removes leftover temporaries and
+    appending. With [repair]: truncates a torn tail (a transaction cut
+    short by a crash) or a stale journal, rewrites the journal to excise
+    quarantined mid-file damage, removes leftover temporaries and
     damaged generations, promotes [snapshot.bin.old] — or, failing that,
     the newest intact generation — when [snapshot.bin] is missing or
     unreadable, and quarantines an unreadable snapshot (as
     [snapshot.bin.corrupt]) — after which {!open_dir} succeeds. Like
     {!open_dir}, refuses a directory holding a [journal.pK] partition
-    file. *)
+    file or an earlier release's journal. *)
 
 val pp_fsck_report : Format.formatter -> fsck_report -> unit

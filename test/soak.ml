@@ -461,10 +461,10 @@ let iteration ~seed ~iter ~verbose =
   Persist.Session.close s;
   if verbose then
     Printf.printf
-      "iter %3d: ops=%d io-steps=%d crash@%d torn=%b dangling=%d \
-       read-fault=%s retries=%d -> %s\n%!"
-      iter (count_ops steps) total crash_at torn
-      report.Store.fsck_dangling_txn_records fault_kind r.Store.io_retries
+      "iter %3d: ops=%d io-steps=%d crash@%d torn=%b torn-bytes=%d \
+       quarantined=%d read-fault=%s retries=%d -> %s\n%!"
+      iter (count_ops steps) total crash_at torn report.Store.fsck_torn_bytes
+      report.Store.fsck_quarantined_regions fault_kind r.Store.io_retries
       (Option.value ~default:"?" where)
 
 let () =

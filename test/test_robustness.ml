@@ -62,10 +62,10 @@ let test_crash_point_sweep () =
   let run io dir acked =
     let ack r = acked := !acked @ [ r ] in
     let store, _, _, _ = ok (Store.open_dir ~io ~sync:`Always_fsync dir) in
-    List.iter (fun r -> ok (Store.append store r); ack r) records;
+    List.iter (fun r -> ok (Store.append store [ r ]); ack r) records;
     ok (Store.sync store);
     ok (Store.compact store ~snapshot:(String.concat "\n" !acked));
-    List.iter (fun r -> ok (Store.append store r); ack r) tail;
+    List.iter (fun r -> ok (Store.append store [ r ]); ack r) tail;
     Store.close store
   in
   let recovered dir =
@@ -131,7 +131,7 @@ let test_crash_point_sweep () =
 
 let test_flush_atomicity_crash_sweep () =
   (* The transaction-frame contract: a multi-item [Session.flush] goes
-     into the journal as one group, so a crash at ANY I/O point leaves
+     into the journal as one frame, so a crash at ANY I/O point leaves
      either the whole transaction or none of it. Sweep a crash over
      every gated I/O step of a two-flush workload and classify the
      recovered database — a partially applied transaction (some of the
@@ -149,7 +149,7 @@ let test_flush_atomicity_crash_sweep () =
     acked := `Base;
     (* the multi-item transaction under test: two objects, a
        relationship, a valued sub-object and a rename — five dirty
-       items plus metadata, flushed as one journal group *)
+       items plus metadata, flushed as one journal frame *)
     ok
       (DB.with_transaction db (fun () ->
            let open Seed_util.Seed_error in

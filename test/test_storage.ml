@@ -120,18 +120,25 @@ let prop_codec_float =
 (* Journal                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Size of the frame holding one transaction of [records]: the 16-byte
+   header plus the records encoded as a Codec string list. *)
+let frame_bytes records =
+  let w = Codec.Writer.create () in
+  Codec.Writer.list w Codec.Writer.string records;
+  16 + Codec.Writer.length w
+
 let test_journal_roundtrip () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "a" (Journal.append j "alpha");
-  check_ok "b" (Journal.append j "beta");
+  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
+  check_ok "b" (Journal.append j [ [ "beta" ] ]);
   check_ok "sync" (Journal.sync j);
   Journal.close j;
   Alcotest.(check (list string)) "read" [ "alpha"; "beta" ] (ok (Journal.read_all path));
   (* appending after reopen preserves earlier records *)
   let j = ok (Journal.open_ path) in
-  check_ok "c" (Journal.append j "gamma");
+  check_ok "c" (Journal.append j [ [ "gamma" ] ]);
   Journal.close j;
   Alcotest.(check (list string)) "read 3" [ "alpha"; "beta"; "gamma" ]
     (ok (Journal.read_all path))
@@ -145,8 +152,8 @@ let test_journal_torn_tail () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "a" (Journal.append j "alpha");
-  check_ok "b" (Journal.append j "beta");
+  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
+  check_ok "b" (Journal.append j [ [ "beta" ] ]);
   Journal.close j;
   (* cut the file mid-record *)
   let size = (Unix.stat path).Unix.st_size in
@@ -162,12 +169,12 @@ let test_journal_corrupt_payload () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "a" (Journal.append j "alpha");
-  check_ok "b" (Journal.append j "beta");
+  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
+  check_ok "b" (Journal.append j [ [ "beta" ] ]);
   Journal.close j;
   (* flip a byte inside the second record's payload *)
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-  let first_record = 16 + 5 in
+  let first_record = frame_bytes [ "alpha" ] in
   ignore (Unix.lseek fd (first_record + 16 + 1) Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.of_string "X") 0 1);
   Unix.close fd;
@@ -177,7 +184,7 @@ let test_journal_truncate () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "a" (Journal.append j "alpha");
+  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
   Journal.close j;
   check_ok "truncate" (Journal.truncate path);
   Alcotest.(check (list string)) "empty" [] (ok (Journal.read_all path))
@@ -186,139 +193,175 @@ let test_journal_truncate () =
 (* Transaction groups                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* header (16) + commit payload [kind u8 | txn u32 | count u32 | crc u32] *)
-let commit_frame_bytes = 16 + 13
-
-let kind_label = function
-  | Journal.Data -> "data"
-  | Journal.Begin _ -> "begin"
-  | Journal.Commit _ -> "commit"
-
 let test_group_roundtrip () =
+  (* one frame per transaction: a batch of transactions lands in one
+     write, and scan hands each frame back with its records *)
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "bare" (Journal.append j "solo");
-  check_ok "group" (Journal.append_group j [ "g1"; "g2"; "g3" ]);
-  check_ok "empty group is a no-op" (Journal.append_group j []);
-  check_ok "bare after" (Journal.append j "tail");
+  check_ok "batch" (Journal.append j [ [ "solo" ]; [ "g1"; "g2"; "g3" ] ]);
+  check_ok "empty batch is a no-op" (Journal.append j []);
+  check_ok "tail" (Journal.append j [ [ "tail" ] ]);
   Journal.close j;
-  Alcotest.(check (list string)) "committed records, in order"
+  Alcotest.(check (list string)) "records, in order"
     [ "solo"; "g1"; "g2"; "g3"; "tail" ]
     (ok (Journal.read_all path));
-  (* the markers are visible to scan as control frames bracketing the
-     group's data frames *)
   let s = ok (Journal.scan path) in
-  Alcotest.(check (list string)) "frame kinds"
-    [ "data"; "begin"; "data"; "data"; "data"; "commit"; "data" ]
-    (List.map (fun f -> kind_label f.Journal.f_kind) s.Journal.frames);
+  Alcotest.(check (list (list string))) "one frame per transaction"
+    [ [ "solo" ]; [ "g1"; "g2"; "g3" ]; [ "tail" ] ]
+    (List.map (fun f -> f.Journal.f_records) s.Journal.frames);
+  Alcotest.(check (list int)) "frame offsets"
+    [ 0; frame_bytes [ "solo" ];
+      frame_bytes [ "solo" ] + frame_bytes [ "g1"; "g2"; "g3" ] ]
+    (List.map (fun f -> f.Journal.f_offset) s.Journal.frames);
   Alcotest.(check bool) "no damage" true (s.Journal.scan_damage = [])
 
-let test_group_without_commit_invisible () =
-  (* the crash-mid-flush signature: the begin marker and the records
-     landed, the commit marker did not — recovery replays none of the
-     group, and the whole thing is truncatable at the begin marker *)
-  let dir = tmp_dir () in
-  let path = Filename.concat dir "j.log" in
+(* Writes [before] and then the multi-record transaction [txn] as two
+   appends, returning the journal size between them. *)
+let journal_with path before txn =
   let j = ok (Journal.open_ path) in
-  check_ok "bare" (Journal.append j "keep");
-  check_ok "group" (Journal.append_group j [ "lost1"; "lost2" ]);
-  Journal.close j;
+  check_ok "before" (Journal.append j [ before ]);
   let size = (Unix.stat path).Unix.st_size in
-  Unix.truncate path (size - commit_frame_bytes);
-  Alcotest.(check (list string)) "group invisible" [ "keep" ]
-    (ok (Journal.read_all path));
-  (* not tail damage: every remaining byte is intact, the commit is
-     simply missing, so even the strict reader agrees *)
-  Alcotest.(check (list string)) "strict agrees" [ "keep" ]
-    (ok (Journal.read_all_strict path));
-  let s = ok (Journal.scan path) in
-  let g = Journal.resolve_groups s.Journal.frames in
-  Alcotest.(check int) "both records dropped" 2 g.Journal.g_dropped_records;
-  Alcotest.(check int) "as an unterminated tail" 2 g.Journal.g_tail_records;
-  Alcotest.(check (option int)) "truncation point = begin marker"
-    (Some (16 + 4)) (* right after the bare "keep" frame *)
-    g.Journal.g_tail_begin
+  check_ok "txn" (Journal.append j [ txn ]);
+  Journal.close j;
+  size
 
-let test_group_torn_commit_marker () =
-  (* the commit marker itself is half-written: CRC framing rejects the
-     marker, which leaves the group unterminated — all of it dropped *)
-  let dir = tmp_dir () in
-  let path = Filename.concat dir "j.log" in
-  let j = ok (Journal.open_ path) in
-  check_ok "bare" (Journal.append j "keep");
-  check_ok "group" (Journal.append_group j [ "lost1"; "lost2" ]);
-  Journal.close j;
-  let size = (Unix.stat path).Unix.st_size in
-  Unix.truncate path (size - 5);
-  Alcotest.(check (list string)) "group invisible" [ "keep" ]
-    (ok (Journal.read_all path));
-  let s = ok (Journal.scan path) in
-  Alcotest.(check bool) "torn marker is damage" true
-    (s.Journal.scan_damage <> []);
-  let g = Journal.resolve_groups s.Journal.frames in
-  Alcotest.(check int) "group dropped" 2 g.Journal.g_dropped_records
+let test_torn_txn_invisible () =
+  (* the crash-mid-flush signature: the multi-record transaction's frame
+     is cut at any byte — none of its records replays, and the cut is a
+     torn tail starting at the frame *)
+  let txn = [ "lost1"; "lost2"; "lost3" ] in
+  for cut = 1 to frame_bytes txn - 1 do
+    let name = Printf.sprintf "cut %d" cut in
+    let path = Filename.concat (tmp_dir ()) "j.log" in
+    let keep_end = journal_with path [ "keep" ] txn in
+    Unix.truncate path (keep_end + cut);
+    Alcotest.(check (list string)) (name ^ ": txn invisible") [ "keep" ]
+      (ok (Journal.read_all path));
+    check_err (name ^ ": strict fails")
+      (function Seed_util.Seed_error.Corrupt _ -> true | _ -> false)
+      (Journal.read_all_strict path);
+    let s = ok (Journal.scan path) in
+    Alcotest.(check (option int)) (name ^ ": torn tail at the frame")
+      (Some keep_end)
+      (Option.map (fun d -> d.Journal.d_offset) (Journal.tail_damage s))
+  done
 
-let test_nested_begin_drops_open_group () =
-  (* a writer that continued into a journal holding an unterminated
-     group (crash, then append without healing): the stale open group
-     must not leak into replay, and it is not a truncatable tail *)
-  let dir = tmp_dir () in
-  let path = Filename.concat dir "j.log" in
+let test_append_after_torn_txn () =
+  (* a writer that continued into a journal holding a torn transaction
+     (crash, then append without healing): the torn frame becomes
+     quarantined mid-file damage, never a prefix of records *)
+  let path = Filename.concat (tmp_dir ()) "j.log" in
+  let a_end = journal_with path [ "a0" ] [ "a1"; "a2" ] in
+  Unix.truncate path (a_end + 9);
   let j = ok (Journal.open_ path) in
-  check_ok "group a" (Journal.append_group j [ "a1"; "a2" ]);
+  check_ok "txn b" (Journal.append j [ [ "b1"; "b2" ] ]);
   Journal.close j;
-  let size = (Unix.stat path).Unix.st_size in
-  Unix.truncate path (size - commit_frame_bytes);
-  let j = ok (Journal.open_ path) in
-  check_ok "group b" (Journal.append_group j [ "b1"; "b2" ]);
-  Journal.close j;
-  Alcotest.(check (list string)) "only the committed group" [ "b1"; "b2" ]
-    (ok (Journal.read_all path));
+  Alcotest.(check (list string)) "only whole transactions"
+    [ "a0"; "b1"; "b2" ] (ok (Journal.read_all path));
   let s = ok (Journal.scan path) in
-  let g = Journal.resolve_groups s.Journal.frames in
-  Alcotest.(check int) "stale group dropped" 2 g.Journal.g_dropped_records;
-  Alcotest.(check int) "not a tail" 0 g.Journal.g_tail_records;
-  Alcotest.(check (option int)) "no truncation point" None
-    g.Journal.g_tail_begin
+  Alcotest.(check (option int)) "not a tail" None
+    (Option.map (fun d -> d.Journal.d_offset) (Journal.tail_damage s));
+  Alcotest.(check (list (pair int int))) "the torn bytes are quarantined"
+    [ (a_end, a_end + 9) ]
+    (List.map (fun d -> (d.Journal.d_offset, d.Journal.d_end))
+       (Journal.quarantined s))
 
 let test_store_group_recovery () =
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "base" (Store.append store "base");
-  check_ok "group" (Store.append_group store [ "t1"; "t2"; "t3" ]);
+  check_ok "base" (Store.append store [ "base" ]);
+  check_ok "group" (Store.append store [ "t1"; "t2"; "t3" ]);
+  check_ok "empty is a no-op" (Store.append store []);
   Alcotest.(check int) "journal_size counts records" 4
     (Store.journal_size store);
   Store.close store;
+  Alcotest.(check int) "two frames"
+    (frame_bytes [ "base" ] + frame_bytes [ "t1"; "t2"; "t3" ])
+    (Unix.stat (Filename.concat dir "journal.log")).Unix.st_size;
   let store, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "all recovered" [ "base"; "t1"; "t2"; "t3" ]
     records;
-  Alcotest.(check int) "nothing dropped" 0 report.Store.txn_dropped;
+  Alcotest.(check int) "replayed count" 4 report.Store.records_replayed;
   Alcotest.(check bool) "clean" true (Store.recovery_clean report);
   Store.close store
 
-let test_store_uncommitted_group_dropped () =
-  (* store-level all-or-nothing: an uncommitted group is reported,
-     dropped from replay, and cut from the file so recovery converges *)
+(* [base], then a 3-record transaction cut [cut] bytes into its frame,
+   as a crash mid-flush leaves it. Returns where the cut frame starts. *)
+let torn_txn_dir cut =
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "base" (Store.append store "base");
-  check_ok "group" (Store.append_group store [ "t1"; "t2"; "t3" ]);
+  check_ok "base" (Store.append store [ "base" ]);
+  check_ok "txn" (Store.append store [ "t1"; "t2"; "t3" ]);
   Store.close store;
-  let jpath = Filename.concat dir "journal.log" in
-  let size = (Unix.stat jpath).Unix.st_size in
-  Unix.truncate jpath (size - commit_frame_bytes);
-  let store, _, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (list string)) "group gone" [ "base" ] records;
-  Alcotest.(check int) "dropped count" 3 report.Store.txn_dropped;
-  Alcotest.(check bool) "bytes counted" true (report.Store.bytes_dropped > 0);
-  Alcotest.(check bool) "not clean" false (Store.recovery_clean report);
-  (* the store is immediately usable and the damage does not persist *)
-  check_ok "after" (Store.append store "after");
-  Store.close store;
-  let _, _, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (list string)) "healed" [ "base"; "after" ] records;
-  Alcotest.(check bool) "second open clean" true (Store.recovery_clean report)
+  let base_end = frame_bytes [ "base" ] in
+  Unix.truncate (Filename.concat dir "journal.log") (base_end + cut);
+  (dir, base_end)
+
+let test_store_drops_torn_txn () =
+  (* store-level all-or-nothing: a transaction cut at any byte of its
+     frame replays none of its records, open cuts it from the file, and
+     the next open is clean *)
+  for cut = 1 to frame_bytes [ "t1"; "t2"; "t3" ] - 1 do
+    let name = Printf.sprintf "cut %d" cut in
+    let dir, base_end = torn_txn_dir cut in
+    let jpath = Filename.concat dir "journal.log" in
+    let store, _, records, report = ok (Store.open_dir dir) in
+    Alcotest.(check (list string)) (name ^ ": txn gone") [ "base" ] records;
+    Alcotest.(check int) (name ^ ": bytes counted") cut
+      report.Store.bytes_dropped;
+    Alcotest.(check bool) (name ^ ": torn reported") true
+      (report.Store.torn_tail <> None);
+    Alcotest.(check bool) (name ^ ": not clean") false
+      (Store.recovery_clean report);
+    Alcotest.(check int) (name ^ ": cut back") base_end
+      (Unix.stat jpath).Unix.st_size;
+    (* the store is immediately usable and the damage does not persist *)
+    check_ok "after" (Store.append store [ "after" ]);
+    Store.close store;
+    let _, _, records, report = ok (Store.open_dir dir) in
+    Alcotest.(check (list string)) (name ^ ": healed") [ "base"; "after" ]
+      records;
+    Alcotest.(check bool) (name ^ ": second open clean") true
+      (Store.recovery_clean report)
+  done
+
+let test_flipped_record_quarantines_txn () =
+  (* a byte flipped anywhere inside a mid-journal transaction's frame —
+     its header or any of its records — quarantines exactly that
+     transaction; its neighbours replay *)
+  let mid = [ "m1"; "m2"; "m3" ] in
+  let mid_start = frame_bytes [ "a" ] in
+  let mid_end = mid_start + frame_bytes mid in
+  for off = mid_start to mid_end - 1 do
+    let name = Printf.sprintf "byte %d" off in
+    let dir = tmp_dir () in
+    let store, _, _, _ = ok (Store.open_dir dir) in
+    check_ok "a" (Store.append store [ "a" ]);
+    check_ok "mid" (Store.append store mid);
+    check_ok "z" (Store.append store [ "z" ]);
+    Store.close store;
+    let fd =
+      Unix.openfile (Filename.concat dir "journal.log") [ Unix.O_RDWR ] 0o644
+    in
+    ignore (Unix.lseek fd off Unix.SEEK_SET);
+    let b = Bytes.create 1 in
+    ignore (Unix.read fd b 0 1);
+    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x20));
+    ignore (Unix.lseek fd off Unix.SEEK_SET);
+    ignore (Unix.write fd b 0 1);
+    Unix.close fd;
+    let store, _, records, report = ok (Store.open_dir dir) in
+    Store.close store;
+    Alcotest.(check (list string)) (name ^ ": neighbours replay") [ "a"; "z" ]
+      records;
+    Alcotest.(check (list (pair int int))) (name ^ ": exactly that frame")
+      [ (mid_start, mid_end) ]
+      (List.map (fun d -> (d.Journal.d_offset, d.Journal.d_end))
+         report.Store.quarantined);
+    Alcotest.(check (option string)) (name ^ ": not a torn tail") None
+      report.Store.torn_tail
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                            *)
@@ -359,8 +402,8 @@ let test_store_lifecycle () =
   Alcotest.(check (list string)) "fresh journal" [] records;
   Alcotest.(check bool) "clean recovery" true (Store.recovery_clean report);
   Alcotest.(check int) "fresh epoch" 0 (Store.epoch store);
-  check_ok "r1" (Store.append store "r1");
-  check_ok "r2" (Store.append store "r2");
+  check_ok "r1" (Store.append store [ "r1" ]);
+  check_ok "r2" (Store.append store [ "r2" ]);
   Alcotest.(check int) "journal size" 2 (Store.journal_size store);
   Store.close store;
   let store, snap, records, report = ok (Store.open_dir dir) in
@@ -370,7 +413,7 @@ let test_store_lifecycle () =
   check_ok "compact" (Store.compact store ~snapshot:"SNAP");
   Alcotest.(check int) "journal emptied" 0 (Store.journal_size store);
   Alcotest.(check int) "epoch bumped" 1 (Store.epoch store);
-  check_ok "r3" (Store.append store "r3");
+  check_ok "r3" (Store.append store [ "r3" ]);
   Store.close store;
   let store, snap, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (option string)) "snapshot" (Some "SNAP") snap;
@@ -386,7 +429,7 @@ let test_store_append_after_close_fails () =
   Store.close store;
   check_err "closed"
     (function Seed_util.Seed_error.Io_error _ -> true | _ -> false)
-    (Store.append store "x")
+    (Store.append store [ "x" ])
 
 let test_store_sync_policies () =
   (* all three durability levels accept and recover the same records
@@ -395,10 +438,10 @@ let test_store_sync_policies () =
     (fun sync ->
       let dir = tmp_dir () in
       let store, _, _, _ = ok (Store.open_dir ~sync dir) in
-      check_ok "a" (Store.append store "a");
-      check_ok "b" (Store.append store "b");
+      check_ok "a" (Store.append store [ "a" ]);
+      check_ok "b" (Store.append store [ "b" ]);
       check_ok "sync" (Store.sync store);
-      check_ok "c" (Store.append store "c");
+      check_ok "c" (Store.append store [ "c" ]);
       Store.close store;
       let store, _, records, _ = ok (Store.open_dir dir) in
       Alcotest.(check (list string)) "all recovered" [ "a"; "b"; "c" ] records;
@@ -410,9 +453,9 @@ let test_store_unsynced_none_policy_lost_on_abandon () =
      the directory behind the session's back does not see them *)
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir ~sync:`None dir) in
-  check_ok "a" (Store.append store "a");
+  check_ok "a" (Store.append store [ "a" ]);
   check_ok "sync" (Store.sync store);
-  check_ok "b" (Store.append store "b");
+  check_ok "b" (Store.append store [ "b" ]);
   let _, _, records, _ = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "only synced" [ "a" ] records;
   Store.close store
@@ -425,7 +468,7 @@ let test_journal_epoch_tagging () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ ~epoch:7 path) in
-  check_ok "a" (Journal.append j "alpha");
+  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
   Journal.close j;
   let s = ok (Journal.scan path) in
   Alcotest.(check (list int)) "epochs" [ 7 ]
@@ -438,8 +481,8 @@ let test_stale_journal_skipped () =
      already folded into the snapshot and must NOT be replayed *)
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "r1" (Store.append store "r1");
-  check_ok "r2" (Store.append store "r2");
+  check_ok "r1" (Store.append store [ "r1" ]);
+  check_ok "r2" (Store.append store [ "r2" ]);
   Store.close store;
   (* simulate the interrupted compact: the new snapshot (epoch 1) is
      durable but the epoch-0 journal was never truncated *)
@@ -453,7 +496,7 @@ let test_stale_journal_skipped () =
   Alcotest.(check bool) "bytes counted" true (report.Store.bytes_dropped > 0);
   Alcotest.(check int) "epoch adopted" 1 (Store.epoch store);
   (* the skip is persistent: the stale journal was truncated on open *)
-  check_ok "r3" (Store.append store "r3");
+  check_ok "r3" (Store.append store [ "r3" ]);
   Store.close store;
   let _, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "new epoch records" [ "r3" ] records;
@@ -465,7 +508,7 @@ let test_journal_ahead_of_snapshot_refused () =
   let dir = tmp_dir () in
   let jpath = Filename.concat dir "journal.log" in
   let j = ok (Journal.open_ ~epoch:3 jpath) in
-  check_ok "r" (Journal.append j "orphan");
+  check_ok "r" (Journal.append j [ [ "orphan" ] ]);
   Journal.close j;
   check_err "refused"
     (function Seed_util.Seed_error.Corrupt _ -> true | _ -> false)
@@ -474,22 +517,23 @@ let test_journal_ahead_of_snapshot_refused () =
 let test_torn_tail_truncated_on_open () =
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "r1" (Store.append store "r1");
-  check_ok "r2" (Store.append store "r2");
+  check_ok "r1" (Store.append store [ "r1" ]);
+  check_ok "r2" (Store.append store [ "r2" ]);
   Store.close store;
   let jpath = Filename.concat dir "journal.log" in
-  let intact = (16 + 2) * 2 in
+  let intact = 2 * frame_bytes [ "r1" ] in
   let size = (Unix.stat jpath).Unix.st_size in
   Alcotest.(check int) "frame math" intact size;
-  (* cut the second frame in half *)
+  (* cut the second frame short *)
   Unix.truncate jpath (size - 9);
   let store, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "prefix" [ "r1" ] records;
-  Alcotest.(check int) "dropped" 9 report.Store.bytes_dropped;
+  Alcotest.(check int) "dropped" (frame_bytes [ "r2" ] - 9)
+    report.Store.bytes_dropped;
   Alcotest.(check bool) "torn reported" true (report.Store.torn_tail <> None);
   Store.close store;
   (* the damage is gone from disk, not just ignored *)
-  Alcotest.(check int) "file cut back" (16 + 2)
+  Alcotest.(check int) "file cut back" (frame_bytes [ "r1" ])
     (Unix.stat jpath).Unix.st_size;
   let _, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "stable" [ "r1" ] records;
@@ -507,9 +551,9 @@ let test_fsync_failure_on_append () =
   in
   check_err "append surfaces the fsync failure"
     (function Seed_util.Seed_error.Io_error _ -> true | _ -> false)
-    (Store.append store "r1");
+    (Store.append store [ "r1" ]);
   (* the store survives: the next append (fsync healthy again) works *)
-  check_ok "next append" (Store.append store "r2");
+  check_ok "next append" (Store.append store [ "r2" ]);
   Store.close store;
   let _, _, _, _ = ok (Store.open_dir dir) in
   ()
@@ -518,7 +562,7 @@ let test_rename_failure_during_snapshot_write () =
   let dir = tmp_dir () in
   let f = Faulty_io.create ~fail_rename:0 () in
   let store, _, _, _ = ok (Store.open_dir ~io:(Faulty_io.io f) dir) in
-  check_ok "r1" (Store.append store "r1");
+  check_ok "r1" (Store.append store [ "r1" ]);
   check_err "compact fails"
     (function Seed_util.Seed_error.Io_error _ -> true | _ -> false)
     (Store.compact store ~snapshot:"SNAP");
@@ -528,7 +572,7 @@ let test_rename_failure_during_snapshot_write () =
   Alcotest.(check bool) "no snapshot" false
     (Sys.file_exists (Filename.concat dir "snapshot.bin"));
   (* the store stays usable on its pre-compaction state *)
-  check_ok "r2" (Store.append store "r2");
+  check_ok "r2" (Store.append store [ "r2" ]);
   Store.close store;
   let _, snap, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (option string)) "still journal-only" None snap;
@@ -539,17 +583,17 @@ let test_enospc_mid_journal_frame () =
   let dir = tmp_dir () in
   let f = Faulty_io.create ~enospc_write:1 () in
   let store, _, _, _ = ok (Store.open_dir ~io:(Faulty_io.io f) dir) in
-  check_ok "r1" (Store.append store "r1");
+  check_ok "r1" (Store.append store [ "r1" ]);
   check_err "disk full"
     (function Seed_util.Seed_error.Io_error m -> String.length m > 0 | _ -> false)
-    (Store.append store "r2-too-big-for-the-disk");
+    (Store.append store [ "r2-too-big-for-the-disk" ]);
   Store.close store;
   (* the half-written frame is dropped and cut off on reopen *)
   let store, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "intact prefix" [ "r1" ] records;
   Alcotest.(check bool) "torn" true (report.Store.torn_tail <> None);
   Alcotest.(check bool) "bytes dropped" true (report.Store.bytes_dropped > 0);
-  check_ok "can append again" (Store.append store "r3");
+  check_ok "can append again" (Store.append store [ "r3" ]);
   Store.close store;
   let _, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "healed" [ "r1"; "r3" ] records;
@@ -560,9 +604,9 @@ let test_crash_during_snapshot_tmp_write () =
      snapshot + journal pair untouched *)
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "r1" (Store.append store "r1");
+  check_ok "r1" (Store.append store [ "r1" ]);
   check_ok "compact" (Store.compact store ~snapshot:"SNAP1");
-  check_ok "r2" (Store.append store "r2");
+  check_ok "r2" (Store.append store [ "r2" ]);
   Store.close store;
   (* count ops up to the tmp write: reopen (1 op), compact's open_trunc
      (1 op), then the write — crash at global step 2, mid-write *)
@@ -587,9 +631,9 @@ let is_damaged = function Store.Damaged _ -> true | _ -> false
 let populated_dir () =
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "r1" (Store.append store "r1");
+  check_ok "r1" (Store.append store [ "r1" ]);
   check_ok "compact" (Store.compact store ~snapshot:"SNAP");
-  check_ok "r2" (Store.append store "r2");
+  check_ok "r2" (Store.append store [ "r2" ]);
   Store.close store;
   dir
 
@@ -609,7 +653,8 @@ let test_fsck_torn_tail () =
   Unix.truncate jpath (size - 5);
   let r = ok (Store.fsck dir) in
   Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
-  Alcotest.(check int) "torn bytes" (16 + 2 - 5) r.Store.fsck_torn_bytes;
+  Alcotest.(check int) "torn bytes" (frame_bytes [ "r2" ] - 5)
+    r.Store.fsck_torn_bytes;
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "repaired" true r.Store.fsck_healthy;
   Alcotest.(check bool) "actions reported" true (r.Store.fsck_repairs <> []);
@@ -678,26 +723,22 @@ let test_fsck_leftover_tmp_and_fallback () =
   Alcotest.(check bool) "fallback gone" false
     (Sys.file_exists (Filename.concat dir "snapshot.bin.old"))
 
-let test_fsck_dangling_txn () =
-  let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "base" (Store.append store "base");
-  check_ok "group" (Store.append_group store [ "t1"; "t2" ]);
-  Store.close store;
-  let jpath = Filename.concat dir "journal.log" in
-  let size = (Unix.stat jpath).Unix.st_size in
-  Unix.truncate jpath (size - commit_frame_bytes);
+let test_fsck_torn_txn () =
+  (* a multi-record transaction cut mid-frame is reported as torn bytes,
+     and --repair heals it *)
+  (* mid-payload: the first record whole, the second cut short *)
+  let cut = 16 + 5 in
+  let dir, _ = torn_txn_dir cut in
   let r = ok (Store.fsck dir) in
   Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
-  Alcotest.(check int) "dangling records" 2 r.Store.fsck_dangling_txn_records;
-  Alcotest.(check bool) "tail signature" true r.Store.fsck_dangling_txn_tail;
-  Alcotest.(check int) "replayable frames" 1 r.Store.fsck_journal_frames;
+  Alcotest.(check int) "torn bytes" cut r.Store.fsck_torn_bytes;
+  Alcotest.(check int) "replayable records" 1 r.Store.fsck_journal_frames;
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "repaired" true r.Store.fsck_healthy;
-  Alcotest.(check bool) "repair names the dangling txn" true
-    (List.exists (fun m -> contains m "dangling") r.Store.fsck_repairs);
+  Alcotest.(check bool) "repair names the torn bytes" true
+    (List.exists (fun m -> contains m "torn") r.Store.fsck_repairs);
   let _, _, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (list string)) "only committed data" [ "base" ] records;
+  Alcotest.(check (list string)) "only whole transactions" [ "base" ] records;
   Alcotest.(check bool) "clean open" true (Store.recovery_clean report)
 
 (* ------------------------------------------------------------------ *)
@@ -709,17 +750,18 @@ let test_fsck_dangling_txn () =
 let corrupt_middle_frame dir =
   let jpath = Filename.concat dir "journal.log" in
   let fd = Unix.openfile jpath [ Unix.O_RDWR ] 0o644 in
-  (* frames are 16-byte header + 2-byte payload; frame 2 spans 18..35 *)
-  ignore (Unix.lseek fd (18 + 16) Unix.SEEK_SET);
+  (* every frame holds one 2-byte record; flip frame 2's first payload
+     byte *)
+  ignore (Unix.lseek fd (frame_bytes [ "r1" ] + 16) Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.of_string "!") 0 1);
   Unix.close fd
 
 let three_record_dir () =
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "r1" (Store.append store "r1");
-  check_ok "r2" (Store.append store "r2");
-  check_ok "r3" (Store.append store "r3");
+  check_ok "r1" (Store.append store [ "r1" ]);
+  check_ok "r2" (Store.append store [ "r2" ]);
+  check_ok "r3" (Store.append store [ "r3" ]);
   Store.close store;
   dir
 
@@ -734,13 +776,13 @@ let test_mid_journal_corruption_quarantined () =
   Alcotest.(check int) "one region" 1 (List.length report.Store.quarantined);
   (match report.Store.quarantined with
   | [ d ] ->
-    Alcotest.(check int) "region start" 18 d.Journal.d_offset;
-    Alcotest.(check int) "region end" 36 d.Journal.d_end
+    Alcotest.(check int) "region start" (frame_bytes [ "r1" ]) d.Journal.d_offset;
+    Alcotest.(check int) "region end" (2 * frame_bytes [ "r1" ]) d.Journal.d_end
   | _ -> Alcotest.fail "expected one damage region");
   Alcotest.(check (option string)) "not a torn tail" None report.Store.torn_tail;
   Alcotest.(check bool) "not clean" false (Store.recovery_clean report);
   (* the store stays usable; the damage stays on disk until repair *)
-  check_ok "append after" (Store.append store "r4");
+  check_ok "append after" (Store.append store [ "r4" ]);
   Store.close store;
   let _, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "stable" [ "r1"; "r3"; "r4" ] records;
@@ -753,7 +795,8 @@ let test_fsck_excises_quarantined_region () =
   let r = ok (Store.fsck dir) in
   Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
   Alcotest.(check int) "regions" 1 r.Store.fsck_quarantined_regions;
-  Alcotest.(check int) "bytes" 18 r.Store.fsck_quarantined_bytes;
+  Alcotest.(check int) "bytes" (frame_bytes [ "r2" ])
+    r.Store.fsck_quarantined_bytes;
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "healthy after repair" true r.Store.fsck_healthy;
   Alcotest.(check bool) "repairs named" true (r.Store.fsck_repairs <> []);
@@ -766,11 +809,11 @@ let generations_dir () =
      (epoch 1, "S1"), and an epoch-2 journal holding "c" *)
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "a" (Store.append store "a");
+  check_ok "a" (Store.append store [ "a" ]);
   check_ok "compact1" (Store.compact store ~snapshot:"S1");
-  check_ok "b" (Store.append store "b");
+  check_ok "b" (Store.append store [ "b" ]);
   check_ok "compact2" (Store.compact store ~snapshot:"S2");
-  check_ok "c" (Store.append store "c");
+  check_ok "c" (Store.append store [ "c" ]);
   Store.close store;
   dir
 
@@ -820,7 +863,7 @@ let test_generation_fallback_on_open () =
   Alcotest.(check bool) "damaged primary quarantined" true
     (Sys.file_exists (Filename.concat dir "snapshot.bin.corrupt"));
   (* recovery converges: life goes on from the generation's state *)
-  check_ok "append" (Store.append store "d");
+  check_ok "append" (Store.append store [ "d" ]);
   Store.close store;
   let _, snap, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (option string)) "promoted" (Some "S1") snap;
@@ -901,9 +944,9 @@ let test_lie_fsync_keeps_schedule () =
     let store, _, _, _ =
       ok (Store.open_dir ~io:(Faulty_io.io f) ~sync:`Always_fsync dir)
     in
-    check_ok "a" (Store.append store "a");
+    check_ok "a" (Store.append store [ "a" ]);
     check_ok "compact" (Store.compact store ~snapshot:"S");
-    check_ok "b" (Store.append store "b");
+    check_ok "b" (Store.append store [ "b" ]);
     Store.close store;
     let _, snap, records, _ = ok (Store.open_dir dir) in
     Alcotest.(check (option string)) "snapshot" (Some "S") snap;
@@ -921,11 +964,11 @@ let test_salvage_sweep () =
   let mk () =
     let dir = tmp_dir () in
     let store, _, _, _ = ok (Store.open_dir dir) in
-    check_ok "a" (Store.append store "a1");
+    check_ok "a" (Store.append store [ "a1" ]);
     check_ok "compact" (Store.compact store ~snapshot:"BASE");
-    check_ok "g1" (Store.append_group store [ "g1a"; "g1b" ]);
-    check_ok "solo" (Store.append store "solo");
-    check_ok "g2" (Store.append_group store [ "g2a"; "g2b" ]);
+    check_ok "g1" (Store.append store [ "g1a"; "g1b" ]);
+    check_ok "solo" (Store.append store [ "solo" ]);
+    check_ok "g2" (Store.append store [ "g2a"; "g2b" ]);
     Store.close store;
     dir
   in
@@ -933,7 +976,7 @@ let test_salvage_sweep () =
   let probe = mk () in
   let s = ok (Journal.scan (Filename.concat probe "journal.log")) in
   let frames = s.Journal.frames in
-  Alcotest.(check bool) "several frames" true (List.length frames > 5);
+  Alcotest.(check int) "one frame per transaction" 3 (List.length frames);
   List.iteri
     (fun i f ->
       let dir = mk () in
@@ -962,7 +1005,7 @@ let test_salvage_sweep () =
         (group_intact [ "g1a"; "g1b" ] || group_gone [ "g1a"; "g1b" ]);
       Alcotest.(check bool) (name ^ ": g2 all-or-nothing") true
         (group_intact [ "g2a"; "g2b" ] || group_gone [ "g2a"; "g2b" ]);
-      (* at most the damaged frame's own commit unit may be missing *)
+      (* at most the damaged frame's own transaction may be missing *)
       let units = [ [ "g1a"; "g1b" ]; [ "solo" ]; [ "g2a"; "g2b" ] ] in
       let lost = List.filter (fun u -> not (group_intact u)) units in
       Alcotest.(check bool) (name ^ ": at most one unit lost") true
@@ -979,15 +1022,15 @@ let test_salvage_sweep () =
   Alcotest.(check bool) "clean" true (Store.recovery_clean report)
 
 (* ------------------------------------------------------------------ *)
-(* Group commit over one journal; partition files refused               *)
+(* Group commit over one journal; earlier layouts refused               *)
 (* ------------------------------------------------------------------ *)
 
 let test_write_stats () =
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir ~sync:`Always_fsync dir) in
-  check_ok "a" (Store.append store "a");
-  check_ok "b" (Store.append store "b");
-  check_ok "g" (Store.append_group store [ "c"; "d" ]);
+  check_ok "a" (Store.append store [ "a" ]);
+  check_ok "b" (Store.append store [ "b" ]);
+  check_ok "g" (Store.append store [ "c"; "d" ]);
   let s = Store.write_stats store in
   Alcotest.(check int) "txns submitted" 3 s.Commit_daemon.submitted;
   (* single-threaded: every transaction is its own batch and fsync *)
@@ -1012,7 +1055,7 @@ let test_concurrent_writers () =
         done;
         for i = 0 to per - 1 do
           match
-            Store.append_group store
+            Store.append store
               [
                 Printf.sprintf "d%d-%03d-a" d i; Printf.sprintf "d%d-%03d-b" d i;
               ]
@@ -1058,7 +1101,7 @@ let test_partition_files_refused () =
      in order: open and fsck both refuse it, naming the file *)
   let dir = tmp_dir () in
   let store, _, _, _ = ok (Store.open_dir dir) in
-  check_ok "a" (Store.append store "a");
+  check_ok "a" (Store.append store [ "a" ]);
   Store.close store;
   let p1 = Filename.concat dir "journal.p1" in
   close_out (open_out p1);
@@ -1078,6 +1121,35 @@ let test_partition_files_refused () =
   Alcotest.(check (list string)) "records intact" [ "a" ] records;
   Alcotest.(check bool) "clean" true (Store.recovery_clean report);
   Store.close store
+
+let test_old_journal_refused () =
+  (* a journal whose first frame carries an earlier release's magic —
+     "SEE3" one-record frames or "SEEC" group markers — would read as
+     damage here: open and fsck refuse it, naming the file, and leave
+     it untouched *)
+  List.iter
+    (fun (old_magic, le_bytes) ->
+      let dir = tmp_dir () in
+      let jpath = Filename.concat dir "journal.log" in
+      let header = Bytes.make 21 '\000' in
+      Bytes.blit_string le_bytes 0 header 0 4;
+      Bytes.set_int32_le header 8 5l;
+      Out_channel.with_open_bin jpath (fun oc ->
+          Out_channel.output_bytes oc header);
+      let names_journal = function
+        | Ok _ -> false
+        | Error e -> contains (Seed_util.Seed_error.to_string e) jpath
+      in
+      Alcotest.(check bool) (old_magic ^ ": open_dir refuses") true
+        (names_journal (Store.open_dir dir));
+      Alcotest.(check bool) (old_magic ^ ": fsck refuses") true
+        (names_journal (Store.fsck dir));
+      Alcotest.(check bool) (old_magic ^ ": fsck --repair refuses") true
+        (names_journal (Store.fsck ~repair:true dir));
+      Alcotest.(check int) (old_magic ^ ": journal untouched") 21
+        (Unix.stat jpath).Unix.st_size)
+    (* the magics as they sit on disk, little-endian *)
+    [ ("SEE3", "3EES"); ("SEEC", "CEES") ]
 
 let () =
   Alcotest.run "storage"
@@ -1109,11 +1181,12 @@ let () =
       ( "transaction groups",
         [
           tc "roundtrip" test_group_roundtrip;
-          tc "uncommitted group invisible" test_group_without_commit_invisible;
-          tc "torn commit marker" test_group_torn_commit_marker;
-          tc "nested begin" test_nested_begin_drops_open_group;
+          tc "uncommitted group invisible" test_torn_txn_invisible;
+          tc "append after torn transaction" test_append_after_torn_txn;
           tc "store group recovery" test_store_group_recovery;
-          tc "store drops uncommitted group" test_store_uncommitted_group_dropped;
+          tc "store drops uncommitted group" test_store_drops_torn_txn;
+          tc "flipped record quarantines its transaction"
+            test_flipped_record_quarantines_txn;
         ] );
       ( "snapshot",
         [ tc "roundtrip" test_snapshot_roundtrip; tc "corrupt" test_snapshot_corrupt ] );
@@ -1145,7 +1218,7 @@ let () =
           tc "corrupt snapshot with fallback" test_fsck_corrupt_snapshot_with_fallback;
           tc "corrupt snapshot without fallback" test_fsck_corrupt_snapshot_no_fallback;
           tc "leftover tmp and fallback" test_fsck_leftover_tmp_and_fallback;
-          tc "dangling transaction" test_fsck_dangling_txn;
+          tc "torn transaction" test_fsck_torn_txn;
         ] );
       ( "self-healing",
         [
@@ -1168,5 +1241,6 @@ let () =
           tc "write stats" test_write_stats;
           tc "concurrent writers" test_concurrent_writers;
           tc "partition files refused" test_partition_files_refused;
+          tc "old journal frames refused" test_old_journal_refused;
         ] );
     ]
