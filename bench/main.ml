@@ -445,19 +445,15 @@ let recovery () =
   in
   let s_fsync = mk_store `Always_fsync in
   let s_flush = mk_store `Flush_only in
-  let s_none = mk_store `None in
   Report.bench ~name:"append 512 B under each sync policy"
     [
       Test.make ~name:"`Always_fsync"
         (Staged.stage (fun () -> ok (Store.append s_fsync [ payload ])));
       Test.make ~name:"`Flush_only"
         (Staged.stage (fun () -> ok (Store.append s_flush [ payload ])));
-      Test.make ~name:"`None (buffered)"
-        (Staged.stage (fun () -> ok (Store.append s_none [ payload ])));
     ];
   Store.close s_fsync;
-  Store.close s_flush;
-  Store.close s_none
+  Store.close s_flush
 
 (* ------------------------------------------------------------------ *)
 (* Q1: the query planner - extent/index-backed select vs a full scan    *)
@@ -1083,11 +1079,11 @@ let commit () =
     (List.rev !json)
 
 (* ------------------------------------------------------------------ *)
-(* C1: chaos - recovery under injected corruption and read faults       *)
+(* R1: chaos - recovery under injected corruption and read faults       *)
 (* ------------------------------------------------------------------ *)
 
 let chaos () =
-  heading "C1"
+  heading "R1"
     "chaos: quarantine recovery, generation fallback, transient-read \
      absorption";
   let module Store = Seed_storage.Store in

@@ -513,10 +513,11 @@ let fsck_cmd =
           ~doc:
             "Fix what can be fixed: truncate a torn journal tail (a \
              transaction cut short by a crash), excise quarantined damaged \
-             transactions, drop a stale journal, promote the snapshot \
-             fallback, remove leftover temporary files. \
-             An unreadable snapshot with no fallback is quarantined (its \
-             data is lost).")
+             transactions, drop a stale journal, quarantine an unreadable \
+             snapshot and promote the newest intact snapshot generation in \
+             its place, remove damaged generations and leftover temporary \
+             files. An unreadable snapshot with no intact generation is \
+             quarantined (its data is lost).")
   in
   Cmd.v
     (Cmd.info "fsck"
@@ -994,7 +995,8 @@ let shell_cmd =
 
 let serve_cmd =
   let run dir host port ttl max_sessions max_in_flight =
-    match Persist.Session.open_ ~dir () with
+    (* a check-in is acked only once its journal frame is fsync'd *)
+    match Persist.Session.open_ ~dir ~sync:`Always_fsync () with
     | Error e -> exit_err e
     | Ok session ->
       warn_recovery session;
@@ -1069,7 +1071,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve a database directory to networked clients. Sessions hold \
-          TTL leases, so a dead client's locks are reaped; SIGINT/SIGTERM \
+          TTL leases, so a dead client's locks are reaped; an acknowledged \
+          check-in has been fsync'd to the journal; SIGINT/SIGTERM \
           drains gracefully (in-flight requests finish, queued clients get \
           a retryable error).")
     Term.(const run $ dir_arg $ host $ port $ ttl $ max_sessions $ max_in_flight)

@@ -473,10 +473,9 @@ module Session = struct
     w_meta w st;
     W.contents w
 
-  let open_ ~dir ?schema ?(verify = true) ?io ?sync ?generations ?retry ?sleep
-      () =
+  let open_ ~dir ?schema ?(verify = true) ?io ?sync ?retry ?sleep () =
     let* store, snapshot, records, recovery =
-      Store.open_dir ?io ?sync ?generations ?retry ?sleep dir
+      Store.open_dir ?io ?sync ?retry ?sleep dir
     in
     let* parts = load_parts snapshot records in
     let* database =
@@ -545,7 +544,6 @@ module Session = struct
     Ok ()
 
   let journal_records t = Store.journal_size t.store
-  let sync t = Store.sync t.store
 
   let close t = Store.close t.store
 end

@@ -38,7 +38,7 @@ module Session : sig
   val open_ :
     dir:string -> ?schema:Schema.t -> ?verify:bool ->
     ?io:Seed_storage.Io.t -> ?sync:Seed_storage.Store.sync_policy ->
-    ?generations:int -> ?retry:Retry.policy ->
+    ?retry:Retry.policy ->
     ?sleep:(float -> unit) ->
     unit ->
     (t, Seed_error.t) result
@@ -46,17 +46,15 @@ module Session : sig
       empty directory without a schema fails. [sync] (default
       [`Flush_only]) sets the durability of every journal append; [io]
       substitutes the I/O environment (fault injection in tests);
-      [generations] (default 2) how many old snapshots compaction keeps
-      for generation-by-generation recovery fallback; [retry]/[sleep] the
-      bounded-backoff policy absorbing transient I/O faults (see
-      {!Seed_storage.Store.open_dir}). *)
+      [retry]/[sleep] the bounded-backoff policy absorbing transient I/O
+      faults (see {!Seed_storage.Store.open_dir}). *)
 
   val db : t -> Database.t
 
   val recovery : t -> Seed_storage.Store.recovery
   (** What recovery found (and repaired) when the store was opened:
       records replayed, torn-tail bytes dropped, whether a stale journal
-      was skipped or the snapshot fallback was used. *)
+      was skipped or recovery fell back to a snapshot generation. *)
 
   val flush : t -> (unit, Seed_error.t) result
   (** Append journal records for the items in the database's
@@ -77,10 +75,6 @@ module Session : sig
 
   val journal_records : t -> int
   (** Records in the journal since the last compaction. *)
-
-  val sync : t -> (unit, Seed_error.t) result
-  (** fsync the journal: everything flushed so far becomes durable
-      regardless of the session's sync policy. *)
 
   val close : t -> unit
 end

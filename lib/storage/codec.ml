@@ -44,17 +44,12 @@ module Writer = struct
   let list b f xs =
     uvarint b (List.length xs);
     List.iter (f b) xs
-
-  let pair b fa fb (a, v) =
-    fa b a;
-    fb b v
 end
 
 module Reader = struct
   type t = { src : string; mutable pos : int }
 
   let of_string src = { src; pos = 0 }
-  let pos r = r.pos
   let remaining r = String.length r.src - r.pos
   let at_end r = remaining r = 0
 
@@ -130,11 +125,6 @@ module Reader = struct
           go (v :: acc) (i - 1)
       in
       go [] n
-
-  let pair r fa fb =
-    let* a = fa r in
-    let* b = fb r in
-    Ok (a, b)
 
   let expect_end r =
     if at_end r then Ok ()

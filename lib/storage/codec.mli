@@ -29,7 +29,6 @@ module Writer : sig
 
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
-  val pair : t -> (t -> 'a -> unit) -> (t -> 'b -> unit) -> 'a * 'b -> unit
 end
 
 module Reader : sig
@@ -37,8 +36,6 @@ module Reader : sig
 
   val of_string : string -> t
 
-  val pos : t -> int
-  val remaining : t -> int
   val at_end : t -> bool
 
   val u8 : t -> (int, Seed_util.Seed_error.t) result
@@ -57,12 +54,6 @@ module Reader : sig
     t ->
     (t -> ('a, Seed_util.Seed_error.t) result) ->
     ('a list, Seed_util.Seed_error.t) result
-
-  val pair :
-    t ->
-    (t -> ('a, Seed_util.Seed_error.t) result) ->
-    (t -> ('b, Seed_util.Seed_error.t) result) ->
-    ('a * 'b, Seed_util.Seed_error.t) result
 
   val expect_end : t -> (unit, Seed_util.Seed_error.t) result
   (** Fails with [Corrupt] when trailing bytes remain. *)

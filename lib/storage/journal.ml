@@ -1,13 +1,12 @@
 open Seed_util
 open Seed_error
 
-type sync_policy = [ `Always_fsync | `Flush_only | `None ]
+type sync_policy = [ `Always_fsync | `Flush_only ]
 
 type t = {
   jpath : string;
   jepoch : int;
   sync_policy : sync_policy;
-  pending : Buffer.t;  (* frames not yet handed to the OS (`None policy) *)
   mutable file : Io.file option;
 }
 
@@ -30,13 +29,7 @@ let wrap_io = Seed_error.wrap_io
 let open_ ?(io = Io.real) ?(sync = `Flush_only) ?(epoch = 0) path =
   wrap_io (fun () ->
       let file = io.Io.open_append path in
-      {
-        jpath = path;
-        jepoch = epoch;
-        sync_policy = sync;
-        pending = Buffer.create 256;
-        file = Some file;
-      })
+      { jpath = path; jepoch = epoch; sync_policy = sync; file = Some file })
 
 let file_of j =
   match j.file with
@@ -68,26 +61,9 @@ let decode_records payload =
   | Ok records when Codec.Reader.at_end r -> Some records
   | Ok _ | Error _ -> None
 
-let write_pending j (f : Io.file) =
-  if Buffer.length j.pending > 0 then begin
-    f.Io.write (Buffer.contents j.pending);
-    Buffer.clear j.pending
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Appending                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let write_bytes j f bytes =
-  match j.sync_policy with
-  | `None -> Buffer.add_string j.pending bytes
-  | `Flush_only ->
-    write_pending j f;
-    f.Io.write bytes
-  | `Always_fsync ->
-    write_pending j f;
-    f.Io.write bytes;
-    f.Io.fsync ()
 
 let append j txns =
   match txns with
@@ -100,27 +76,19 @@ let append j txns =
         (* the whole batch goes down in one write (and, under
            [`Always_fsync], one fsync); each transaction is its own
            frame, so a crash leaves each one whole or damaged *)
-        write_bytes j f (Buffer.contents b))
+        f.Io.write (Buffer.contents b);
+        if j.sync_policy = `Always_fsync then f.Io.fsync ())
 
 let sync j =
   let* f = file_of j in
-  wrap_io (fun () ->
-      write_pending j f;
-      f.Io.fsync ())
+  wrap_io (fun () -> f.Io.fsync ())
 
 let close j =
   match j.file with
   | None -> ()
   | Some f ->
     j.file <- None;
-    (* best-effort: a failed (or crashed) flush simply loses the
-       unsynced records, which is what the `None policy promises *)
-    (try write_pending j f with _ -> Buffer.clear j.pending);
     (try f.Io.close () with _ -> ())
-
-let path j = j.jpath
-let epoch j = j.jepoch
-let sync_policy j = j.sync_policy
 
 (* ------------------------------------------------------------------ *)
 (* Recovery-side reads                                                  *)

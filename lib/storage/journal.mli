@@ -28,15 +28,14 @@
 type t
 (** An open journal, positioned for appending. *)
 
-type sync_policy = [ `Always_fsync | `Flush_only | `None ]
+type sync_policy = [ `Always_fsync | `Flush_only ]
 (** Durability of {!append}:
-    - [`Always_fsync] — every append is written and fsync'd before
-      returning; an acknowledged record survives any crash.
+    - [`Always_fsync] — every append (one batch of transactions) is
+      written and fsync'd before returning: one fsync per batch, and an
+      acknowledged transaction survives any crash.
     - [`Flush_only] — every append is written to the OS before
       returning; it survives a process crash but not a power failure
-      before the next {!sync}.
-    - [`None] — appends accumulate in memory until {!sync} or {!close};
-      fastest, loses unsynced records even on a clean process crash. *)
+      before the next {!sync}. *)
 
 val open_ :
   ?io:Io.t -> ?sync:sync_policy -> ?epoch:int -> string ->
@@ -55,16 +54,11 @@ val append : t -> string list list -> (unit, Seed_util.Seed_error.t) result
     no-op. *)
 
 val sync : t -> (unit, Seed_util.Seed_error.t) result
-(** Writes any buffered records and fsyncs the journal file. *)
+(** Fsyncs the journal file. *)
 
 val close : t -> unit
-(** Best-effort: buffered records are written if possible, then the
-    descriptor is released. Errors are swallowed — call {!sync} first
+(** Releases the descriptor; errors are swallowed — call {!sync} first
     when durability matters. *)
-
-val path : t -> string
-val epoch : t -> int
-val sync_policy : t -> sync_policy
 
 (** {2 Recovery-side reads} *)
 

@@ -14,7 +14,6 @@ type t = {
   sync_policy : sync_policy;
   retry : Retry.policy;
   sleep : (float -> unit) option;
-  generations : int;
   mutable epoch : int;
   log : log;
   daemon : Commit_daemon.t;  (* owns every physical append to [log] *)
@@ -23,18 +22,13 @@ type t = {
 }
 
 let snapshot_path dir = Filename.concat dir "snapshot.bin"
-let fallback_path dir = Filename.concat dir "snapshot.bin.old"
 let tmp_path dir = Filename.concat dir "snapshot.bin.tmp"
 let quarantine_path dir = Filename.concat dir "snapshot.bin.corrupt"
 let journal_path dir = Filename.concat dir "journal.log"
 let generation_path dir k = Printf.sprintf "%s.%d" (snapshot_path dir) k
 
-let default_generations = 2
-
-(* generation slots are probed, not configured, on the read side: a
-   store reopened with a smaller [generations] must still see (and fsck
-   must still clean) the slots an earlier configuration left behind *)
-let max_generation_probe = 9
+(* replaced snapshots compaction keeps, [snapshot.bin.1] the newest *)
+let generations = 2
 
 let wrap_io = Seed_error.wrap_io
 
@@ -46,30 +40,42 @@ let ensure_dir dir =
       end
       else Unix.mkdir dir 0o755)
 
-(* Earlier releases could spread the journal over [journal.pK] files
-   whose records only a sequence-tag merge puts back in order. This
-   version replays [journal.log] alone, so it refuses such a directory
-   rather than silently leave committed records out. *)
-let refuse_partition_files dir =
-  let is_partition f =
-    let n = String.length f in
+(* Files only an earlier release leaves behind, with why this one
+   refuses the directory rather than open it without them: [journal.pK]
+   partitions hold records only a sequence-tag merge puts back in order,
+   and [snapshot.bin.old] is the previous snapshot of a compaction that
+   release did not finish. *)
+let legacy_file f =
+  let n = String.length f in
+  if f = "snapshot.bin.old" then
+    Some
+      "compaction fallback of an earlier release, left mid-compaction; \
+       open the store once with that release to finish the compaction"
+  else if
     n > 9
     && String.starts_with ~prefix:"journal.p" f
     && String.for_all
          (function '0' .. '9' -> true | _ -> false)
          (String.sub f 9 (n - 9))
-  in
+  then
+    Some
+      "journal partition files are not supported; this store was written \
+       by a release with partitioned journals — compact it there and \
+       remove its journal.pK files"
+  else None
+
+let refuse_legacy_files dir =
   let* names = wrap_io (fun () -> Sys.readdir dir) in
-  match List.sort compare (List.filter is_partition (Array.to_list names)) with
+  match
+    List.filter_map
+      (fun f -> Option.map (fun why -> (f, why)) (legacy_file f))
+      (List.sort compare (Array.to_list names))
+  with
   | [] -> Ok ()
-  | f :: _ ->
+  | (f, why) :: _ ->
     fail
       (Invalid_operation
-         (Printf.sprintf
-            "%s: journal partition files are not supported; this store was \
-             written by a release with partitioned journals — compact it \
-             there and remove its journal.pK files"
-            (Filename.concat dir f)))
+         (Printf.sprintf "%s: %s" (Filename.concat dir f) why))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                             *)
@@ -82,7 +88,6 @@ type recovery = {
   quarantined : Journal.damage list;
   ahead_dropped : int;
   stale_journal : bool;
-  used_fallback : bool;
   snapshot_generation : int option;
   io_retries : int;
   epoch : int;
@@ -91,9 +96,13 @@ type recovery = {
 let recovery_clean r =
   r.bytes_dropped = 0
   && (not r.stale_journal)
-  && (not r.used_fallback)
   && r.quarantined = [] && r.ahead_dropped = 0
   && r.snapshot_generation = None
+
+let damage_bytes ds =
+  List.fold_left
+    (fun acc d -> acc + (d.Journal.d_end - d.Journal.d_offset))
+    0 ds
 
 let pp_recovery ppf r =
   if recovery_clean r then
@@ -113,138 +122,149 @@ let pp_recovery ppf r =
       | [] -> ""
       | ds ->
         Printf.sprintf ", %d damaged region(s) quarantined (%d byte(s))"
-          (List.length ds)
-          (List.fold_left
-             (fun acc d -> acc + (d.Journal.d_end - d.Journal.d_offset))
-             0 ds))
+          (List.length ds) (damage_bytes ds))
       (if r.ahead_dropped > 0 then
          Printf.sprintf
            ", %d record(s) ahead of the recovered snapshot discarded"
            r.ahead_dropped
        else "")
       (if r.stale_journal then ", stale journal skipped" else "")
-      (match (r.used_fallback, r.snapshot_generation) with
-      | _, Some g ->
-        Printf.sprintf ", recovered from snapshot generation %d" g
-      | true, None -> ", recovered from snapshot fallback"
-      | false, None -> "")
+      (match r.snapshot_generation with
+      | Some g -> Printf.sprintf ", recovered from snapshot generation %d" g
+      | None -> "")
       (if r.io_retries > 0 then
          Printf.sprintf ", %d transient i/o retr%s" r.io_retries
            (if r.io_retries = 1 then "y" else "ies")
        else "")
 
-type snapshot_source = Src_primary | Src_fallback | Src_generation of int
-
-(* Loads the newest readable snapshot, walking primary -> compaction
-   fallback -> generations 1..N. Transient read errors are retried per
+(* Reads one snapshot file. Transient read errors are retried per
    [retry]; a Corrupt result is re-read once (the corruption may live in
-   the transport, not the medium) before falling back a generation. *)
-let load_snapshot ~io ~retry ~sleep ~count_retry dir =
-  let read_one path =
-    let corrupt_retried = ref false in
-    Retry.with_retry ~policy:retry ?sleep
-      ~should_retry:(function
-        | Io_transient _ -> true
-        | Corrupt _ when not !corrupt_retried ->
-          corrupt_retried := true;
-          true
-        | _ -> false)
-      ~on_retry:(fun ~attempt:_ _ -> count_retry ())
-      (fun () -> Snapshot_file.read ~io path)
+   the transport, not the medium) before it is believed. *)
+let read_snapshot ~io ~retry ~sleep ~count_retry path =
+  let corrupt_retried = ref false in
+  Retry.with_retry ~policy:retry ?sleep
+    ~should_retry:(function
+      | Io_transient _ -> true
+      | Corrupt _ when not !corrupt_retried ->
+        corrupt_retried := true;
+        true
+      | _ -> false)
+    ~on_retry:(fun ~attempt:_ _ -> count_retry ())
+    (fun () -> Snapshot_file.read ~io path)
+
+(* The snapshot chain, newest first: [snapshot.bin] ([None]), then the
+   generation slots. *)
+let chain = None :: List.init generations (fun i -> Some (i + 1))
+
+let slot_path dir = function
+  | None -> snapshot_path dir
+  | Some k -> generation_path dir k
+
+type resolved = {
+  found : (int option * (int * string)) option;
+      (* the newest intact snapshot: its slot, epoch and payload *)
+  damaged : (int option * Seed_error.t) list;
+      (* unreadable files ahead of it, newest first *)
+}
+
+(* The one recovery decision for the snapshot chain, shared by open and
+   fsck: the newest intact snapshot wins, and every unreadable file
+   ahead of it is damage. [read] is asked for no slot past the winner. *)
+let resolve read =
+  let rec walk damaged = function
+    | [] -> { found = None; damaged = List.rev damaged }
+    | gen :: rest -> (
+      match read gen with
+      | Ok (Some sp) -> { found = Some (gen, sp); damaged = List.rev damaged }
+      | Ok None -> walk damaged rest
+      | Error e -> walk ((gen, e) :: damaged) rest)
   in
-  let candidates =
-    (snapshot_path dir, Src_primary)
-    :: (fallback_path dir, Src_fallback)
-    :: List.init max_generation_probe (fun i ->
-           (generation_path dir (i + 1), Src_generation (i + 1)))
-  in
-  let primary_damaged = ref false in
-  let rec walk first_err = function
-    | [] -> (
-      (* nothing readable anywhere: absent store, or surface the first
-         damage rather than silently hiding data *)
-      match first_err with None -> Ok None | Some e -> Error e)
-    | (path, src) :: rest -> (
-      match read_one path with
-      | Ok (Some sp) -> Ok (Some (sp, src))
-      | Ok None -> walk first_err rest
-      | Error e ->
-        if src = Src_primary then primary_damaged := true;
-        walk (if first_err = None then Some e else first_err) rest)
-  in
-  let* found = walk None candidates in
-  match found with
-  | None -> Ok (None, Src_primary, false)
-  | Some (sp, src) -> Ok (Some sp, src, !primary_damaged)
+  walk [] chain
+
+let resolved_epoch r = match r.found with Some (_, (e, _)) -> e | None -> 0
+
+let resolved_generation r =
+  match r.found with Some (gen, _) -> gen | None -> None
+
+(* Makes the resolved snapshot [snapshot.bin] again: a damaged primary is
+   set aside as [snapshot.bin.corrupt], then the generation recovery fell
+   back to is renamed over it (renames are atomic — a crash here is
+   safe). Returns what it did. *)
+let settle_snapshot ~io dir r =
+  wrap_io (fun () ->
+      let quarantined =
+        if not (List.mem_assoc None r.damaged) then []
+        else begin
+          io.Io.rename (snapshot_path dir) (quarantine_path dir);
+          [
+            "quarantined unreadable snapshot.bin as snapshot.bin.corrupt"
+            ^ if r.found = None then " (no intact generation — its data is lost)"
+              else "";
+          ]
+        end
+      in
+      let promoted =
+        match resolved_generation r with
+        | None -> []
+        | Some k ->
+          io.Io.rename (generation_path dir k) (snapshot_path dir);
+          [ Printf.sprintf "promoted snapshot generation %d to snapshot.bin" k ]
+      in
+      let acts = quarantined @ promoted in
+      if acts <> [] then io.Io.fsync_dir dir;
+      acts)
+
+(* An interrupted snapshot write leaves [snapshot.bin.tmp]; it holds
+   nothing the chain does not. *)
+let sweep_tmp ~io dir =
+  wrap_io (fun () ->
+      if io.Io.exists (tmp_path dir) then begin
+        io.Io.unlink (tmp_path dir);
+        io.Io.fsync_dir dir;
+        [ "removed leftover snapshot.bin.tmp" ]
+      end
+      else [])
 
 let record_count frames =
   List.fold_left (fun n f -> n + List.length f.Journal.f_records) 0 frames
 
-(* Where the journal's torn tail starts — the file size when there is
-   none. *)
-let intact_end (s : Journal.scan_result) =
-  match Journal.tail_damage s with
-  | Some d -> d.Journal.d_offset
-  | None -> s.Journal.file_size
+let frame_bytes fs = List.fold_left (fun acc f -> acc + f.Journal.f_bytes) 0 fs
 
-(* Sorts the scanned journal against the snapshot's epoch: which
-   transactions to replay, how many bytes are dead (torn tail, stale or
-   ahead frames), and whether the file should be cut back on open.
-   [allow_ahead] is set when recovery fell back to an older snapshot:
-   frames of a newer epoch are then unreplayable leftovers to drop (and
-   report), not corruption. *)
-let classify ~snap_epoch ~allow_ahead ~path (s : Journal.scan_result) =
+(* The journal sorted against the snapshot's epoch — the one
+   classification behind open's replay, fsck's report and fsck's
+   repair. *)
+type sorted = {
+  live : Journal.frame list;  (* the snapshot epoch's transactions *)
+  stale : Journal.frame list;
+      (* older epochs: already folded into the snapshot *)
+  ahead : Journal.frame list;
+      (* newer epochs: appended after a snapshot that was later lost *)
+  torn : Journal.damage option;  (* damage reaching end of file *)
+  mid : Journal.damage list;  (* quarantined mid-file regions *)
+  size : int;
+}
+
+let classify ~snap_epoch (s : Journal.scan_result) =
   let ahead, rest =
     List.partition (fun f -> f.Journal.f_epoch > snap_epoch) s.Journal.frames
   in
-  match ahead with
-  | f :: _ when not allow_ahead ->
-    fail
-      (Corrupt
-         (Printf.sprintf
-            "journal %s: frame at offset %d has epoch %d ahead of snapshot \
-             epoch %d — the snapshot it depends on is missing (run fsck)"
-            path f.Journal.f_offset f.Journal.f_epoch snap_epoch))
-  | _ ->
-    let live, stale =
-      List.partition (fun f -> f.Journal.f_epoch = snap_epoch) rest
-    in
-    let quarantined = Journal.quarantined s in
-    let prefix_end = intact_end s in
-    let dead_tail_bytes = s.Journal.file_size - prefix_end in
-    let frame_bytes fs =
-      List.fold_left (fun acc f -> acc + f.Journal.f_bytes) 0 fs
-    in
-    let truncate_to =
-      if
-        live = [] && quarantined = [] && ahead = []
-        && (stale <> [] || dead_tail_bytes > 0)
-      then Some 0
-      else if dead_tail_bytes > 0 then Some prefix_end
-      else None
-    in
-    Ok
-      ( live,
-        {
-          records_replayed = record_count live;
-          bytes_dropped = dead_tail_bytes + frame_bytes stale + frame_bytes ahead;
-          torn_tail =
-            Option.map
-              (fun d -> d.Journal.d_reason)
-              (Journal.tail_damage s);
-          quarantined;
-          ahead_dropped = record_count ahead;
-          stale_journal = stale <> [];
-          used_fallback = false;
-          snapshot_generation = None;
-          io_retries = 0;
-          epoch = snap_epoch;
-        },
-        truncate_to )
+  let live, stale =
+    List.partition (fun f -> f.Journal.f_epoch = snap_epoch) rest
+  in
+  {
+    live;
+    stale;
+    ahead;
+    torn = Journal.tail_damage s;
+    mid = Journal.quarantined s;
+    size = s.Journal.file_size;
+  }
+
+let torn_bytes j =
+  match j.torn with Some d -> j.size - d.Journal.d_offset | None -> 0
 
 (* Rewrites the journal to contain exactly the transactions [frames],
-   under [epoch]. Used to drop a stale prefix, quarantined regions, or
-   epoch-ahead leftovers while keeping the intact transactions. *)
+   under [epoch]. *)
 let rewrite_journal ~io path ~epoch frames =
   let* () = Journal.truncate ~io path in
   let* j = Journal.open_ ~io ~sync:`Flush_only ~epoch path in
@@ -252,6 +272,48 @@ let rewrite_journal ~io path ~epoch frames =
   let* () = Journal.sync j in
   Journal.close j;
   Ok ()
+
+(* Settles the journal on disk against its classification, so its
+   damage does not persist into the next session. Frames of another
+   epoch are rewritten away, keeping exactly the live transactions —
+   epoch-ahead leftovers always (a future compaction would reuse their
+   epoch and mistake them for live records), a stale prefix and the
+   quarantined regions only with [excise]; otherwise a torn tail, or a
+   journal with nothing live left, is cut back. Returns what it did. *)
+let settle_journal ~io ~excise ~epoch path j =
+  if j.ahead <> [] || (excise && (j.stale <> [] || j.mid <> [])) then
+    let* () = rewrite_journal ~io path ~epoch j.live in
+    let other = List.length j.stale + List.length j.ahead in
+    Ok
+      ((if other > 0 then
+          [
+            Printf.sprintf "journal.log: dropped %d frame(s) from other epochs"
+              other;
+          ]
+        else [])
+      @
+      if j.mid <> [] then
+        [
+          Printf.sprintf
+            "journal.log: excised %d quarantined damaged region(s) (%d byte(s))"
+            (List.length j.mid) (damage_bytes j.mid);
+        ]
+      else [])
+  else
+    let cut =
+      if j.live = [] && j.mid = [] && (j.stale <> [] || j.torn <> None) then
+        Some 0
+      else Option.map (fun d -> d.Journal.d_offset) j.torn
+    in
+    match cut with
+    | Some len when j.size > len ->
+      let* () = Journal.truncate ~io ~len path in
+      Ok
+        [
+          Printf.sprintf "journal.log: truncated %d torn byte(s) off the tail"
+            (j.size - len);
+        ]
+    | _ -> Ok []
 
 (* Builds the commit daemon over [log]. Its write callback is the only
    code path that appends to the journal; transient write errors are
@@ -273,8 +335,8 @@ let make_daemon ~sync ~retry ~sleep ~retried ~active ~path log =
       Ok ()
   in
   (* The commit window only pays off when the physical write is
-     dominated by an fsync worth amortizing; leave it off for buffered
-     policies where writes are near-free. The nap request is tiny
+     dominated by an fsync worth amortizing; leave it off under
+     [`Flush_only], where writes are near-free. The nap request is tiny
      because the OS floor rounds it up to tens of microseconds — about
      half an fsync — which is the hold we actually want. *)
   let coalesce = if sync = `Always_fsync then 1e-5 else 0. in
@@ -283,56 +345,25 @@ let make_daemon ~sync ~retry ~sleep ~retried ~active ~path log =
     ~counts_fsync:(sync = `Always_fsync) write
 
 let open_dir ?(io = Io.real) ?(sync = `Flush_only)
-    ?(generations = default_generations) ?(retry = Retry.default_policy) ?sleep
-    dir =
+    ?(retry = Retry.default_policy) ?sleep dir =
   let retried = Atomic.make 0 in
   let count_retry () = Atomic.incr retried in
   let* () = ensure_dir dir in
-  let* () = refuse_partition_files dir in
-  let* snap, source, primary_damaged =
-    load_snapshot ~io ~retry ~sleep ~count_retry dir
+  let* () = refuse_legacy_files dir in
+  let r =
+    resolve (fun gen ->
+        read_snapshot ~io ~retry ~sleep ~count_retry (slot_path dir gen))
   in
   let* () =
-    (* set a damaged primary aside before promoting anything over it *)
-    if primary_damaged && snap <> None then
-      wrap_io (fun () ->
-          io.Io.rename (snapshot_path dir) (quarantine_path dir))
-    else Ok ()
+    (* open refuses a store with nothing intact to stand on rather than
+       silently hide the damage; fsck --repair quarantines it *)
+    match (r.found, r.damaged) with
+    | None, (_, e) :: _ -> Error e
+    | _ -> Ok ()
   in
-  let* () =
-    (* normalize: promote the recovered copy so [snapshot.bin] is again
-       the authoritative one (rename is atomic — a crash here is safe) *)
-    match source with
-    | Src_primary -> Ok ()
-    | Src_fallback ->
-      wrap_io (fun () ->
-          io.Io.rename (fallback_path dir) (snapshot_path dir);
-          io.Io.fsync_dir dir)
-    | Src_generation k ->
-      wrap_io (fun () ->
-          io.Io.rename (generation_path dir k) (snapshot_path dir);
-          io.Io.fsync_dir dir)
-  in
-  let* () =
-    (* sweep compaction leftovers: an interrupted snapshot write leaves
-       [snapshot.bin.tmp]; an interrupted cleanup leaves
-       [snapshot.bin.old], which becomes generation 1 (it is the
-       previous epoch's snapshot — exactly what the slot holds) *)
-    wrap_io (fun () ->
-        let dirty = ref false in
-        if io.Io.exists (tmp_path dir) then begin
-          io.Io.unlink (tmp_path dir);
-          dirty := true
-        end;
-        if io.Io.exists (fallback_path dir) then begin
-          if generations > 0 && not (io.Io.exists (generation_path dir 1))
-          then io.Io.rename (fallback_path dir) (generation_path dir 1)
-          else io.Io.unlink (fallback_path dir);
-          dirty := true
-        end;
-        if !dirty then io.Io.fsync_dir dir)
-  in
-  let snap_epoch = match snap with Some (e, _) -> e | None -> 0 in
+  let* _ = settle_snapshot ~io dir r in
+  let* _ = sweep_tmp ~io dir in
+  let snap_epoch = resolved_epoch r in
   let jpath = journal_path dir in
   let scan_with_retry () =
     Retry.with_retry ~policy:retry ?sleep
@@ -351,25 +382,26 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
       scan_with_retry ()
     end
   in
-  let* live, report, truncate_to =
-    classify ~snap_epoch ~allow_ahead:(source <> Src_primary) ~path:jpath
-      scanned
-  in
+  let j = classify ~snap_epoch scanned in
   let* () =
-    if report.ahead_dropped > 0 then
-      (* epoch-ahead leftovers must not linger: a future compaction
-         would reuse their epoch and mistake them for live records *)
-      rewrite_journal ~io jpath ~epoch:snap_epoch live
-    else
-      (* cut tail damage back so it does not persist into the next
-         session; quarantined mid-file regions stay (fsck rewrites) *)
-      match truncate_to with
-      | Some len when scanned.Journal.file_size > len ->
-        Journal.truncate ~io ~len jpath
-      | _ -> Ok ()
+    (* frames ahead of the snapshot they were appended under: after a
+       fallback to an older generation they are unreplayable leftovers,
+       but ahead of the newest snapshot they mean it is missing *)
+    match j.ahead with
+    | f :: _ when resolved_generation r = None ->
+      fail
+        (Corrupt
+           (Printf.sprintf
+              "journal %s: frame at offset %d has epoch %d ahead of snapshot \
+               epoch %d — the snapshot it depends on is missing (run fsck)"
+              jpath f.Journal.f_offset f.Journal.f_epoch snap_epoch))
+    | _ -> Ok ()
   in
+  (* quarantined mid-file regions stay in place: fsck --repair excises *)
+  let* _ = settle_journal ~io ~excise:false ~epoch:snap_epoch jpath j in
   let* journal = Journal.open_ ~io ~sync ~epoch:snap_epoch jpath in
-  let log = { journal = Some journal; records = report.records_replayed } in
+  let records_replayed = record_count j.live in
+  let log = { journal = Some journal; records = records_replayed } in
   let active = Atomic.make 0 in
   Ok
     ( {
@@ -378,21 +410,24 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
         sync_policy = sync;
         retry;
         sleep;
-        generations;
         epoch = snap_epoch;
         log;
         daemon = make_daemon ~sync ~retry ~sleep ~retried ~active ~path:jpath log;
         retried;
         active;
       },
-      Option.map snd snap,
-      List.concat_map (fun f -> f.Journal.f_records) live,
+      Option.map (fun (_, (_, payload)) -> payload) r.found,
+      List.concat_map (fun f -> f.Journal.f_records) j.live,
       {
-        report with
-        used_fallback = source <> Src_primary;
-        snapshot_generation =
-          (match source with Src_generation k -> Some k | _ -> None);
+        records_replayed;
+        bytes_dropped = torn_bytes j + frame_bytes j.stale + frame_bytes j.ahead;
+        torn_tail = Option.map (fun d -> d.Journal.d_reason) j.torn;
+        quarantined = j.mid;
+        ahead_dropped = record_count j.ahead;
+        stale_journal = j.stale <> [];
+        snapshot_generation = resolved_generation r;
         io_retries = Atomic.get retried;
+        epoch = snap_epoch;
       } )
 
 (* ------------------------------------------------------------------ *)
@@ -436,22 +471,6 @@ let write_stats t = Commit_daemon.stats t.daemon
 (* Compaction                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Shifts snapshot generations up one slot (dropping the oldest) to free
-   [snapshot.bin.1] for the snapshot being replaced. Every operation is
-   existence-guarded, so a store without generations pays nothing. *)
-let rotate_generations t =
-  wrap_io (fun () ->
-      let io = t.io in
-      if t.generations > 0 then begin
-        let last = generation_path t.dir t.generations in
-        if io.Io.exists last then io.Io.unlink last;
-        for k = t.generations - 1 downto 1 do
-          let src = generation_path t.dir k in
-          if io.Io.exists src then
-            io.Io.rename src (generation_path t.dir (k + 1))
-        done
-      end)
-
 let close_journal t =
   match t.log.journal with
   | None -> ()
@@ -469,62 +488,64 @@ let reopen_journal t ~epoch =
     t.log.journal <- Some j;
     Ok ()
 
+(* Shifts the generation slots up one (the oldest drops) and retires
+   [snapshot.bin] into slot 1. Every operation is existence-guarded, so
+   a store without a snapshot pays nothing. Says whether a snapshot was
+   retired. *)
+let retire_snapshot t =
+  wrap_io (fun () ->
+      let io = t.io in
+      let last = generation_path t.dir generations in
+      if io.Io.exists last then io.Io.unlink last;
+      for k = generations - 1 downto 1 do
+        let src = generation_path t.dir k in
+        if io.Io.exists src then
+          io.Io.rename src (generation_path t.dir (k + 1))
+      done;
+      let snap = snapshot_path t.dir in
+      io.Io.exists snap
+      && begin
+           io.Io.rename snap (generation_path t.dir 1);
+           true
+         end)
+
 let compact_quiesced t ~snapshot =
   close_journal t;
   let next = t.epoch + 1 in
   let io = t.io in
-  let snap = snapshot_path t.dir and old = fallback_path t.dir in
-  (* step 0: make room in generation slot 1 for the snapshot being
-     replaced (the previous generations shift up, the oldest drops) *)
-  match rotate_generations t with
+  let snap = snapshot_path t.dir in
+  let written =
+    let* retired = retire_snapshot t in
+    (* write the new snapshot under the next epoch (tmp file, fsync,
+       rename, directory fsync — all inside Snapshot_file); until it
+       lands, recovery stands on generation 1 and its same-epoch
+       journal *)
+    match
+      with_retry t (fun () -> Snapshot_file.write ~io snap ~epoch:next snapshot)
+    with
+    | Ok () -> Ok ()
+    | Error e ->
+      (* the new snapshot never landed: put the retired one back, so the
+         store stays on its pre-compaction state *)
+      (try
+         if retired && not (io.Io.exists snap) then
+           io.Io.rename (generation_path t.dir 1) snap
+       with Sys_error _ | Unix.Unix_error _ -> ());
+      Error e
+  in
+  match written with
   | Error e ->
     let* () = reopen_journal t ~epoch:t.epoch in
     Error e
-  | Ok () -> (
-    (* step 1: set the previous snapshot aside as the fallback *)
-    match
-      wrap_io (fun () -> if io.Io.exists snap then io.Io.rename snap old)
-    with
-    | Error e ->
-      let* () = reopen_journal t ~epoch:t.epoch in
-      Error e
-    | Ok () -> (
-      (* step 2: write the new snapshot under the next epoch (tmp file,
-         fsync, rename, directory fsync — all inside Snapshot_file) *)
-      match
-        with_retry t (fun () ->
-            Snapshot_file.write ~io snap ~epoch:next snapshot)
-      with
-      | Error e ->
-        (* the new snapshot never landed: put the old one back *)
-        (try
-           if io.Io.exists old && not (io.Io.exists snap) then
-             io.Io.rename old snap
-         with Sys_error _ | Unix.Unix_error _ -> ());
-        let* () = reopen_journal t ~epoch:t.epoch in
-        Error e
-      | Ok () ->
-        (* the new snapshot is durable: the store is at [next] from here
-           on, even if the housekeeping below fails — recovery skips the
-           now-stale journal by epoch mismatch *)
-        t.epoch <- next;
-        let housekeeping =
-          let* () = Journal.truncate ~io (journal_path t.dir) in
-          wrap_io (fun () ->
-              if io.Io.exists old then
-                if
-                  t.generations > 0
-                  && not (io.Io.exists (generation_path t.dir 1))
-                then begin
-                  (* the replaced snapshot becomes generation 1 *)
-                  io.Io.rename old (generation_path t.dir 1);
-                  io.Io.fsync_dir t.dir
-                end
-                else io.Io.unlink old)
-        in
-        let* () = reopen_journal t ~epoch:next in
-        t.log.records <- 0;
-        housekeeping))
+  | Ok () ->
+    (* the new snapshot is durable: the store is at [next] from here on,
+       even if the truncation below fails — recovery skips the now-stale
+       journal by epoch mismatch *)
+    t.epoch <- next;
+    t.log.records <- 0;
+    let truncated = Journal.truncate ~io (journal_path t.dir) in
+    let* () = reopen_journal t ~epoch:next in
+    truncated
 
 let compact t ~snapshot = quiesced t (fun () -> compact_quiesced t ~snapshot)
 
@@ -532,7 +553,6 @@ let journal_size t = t.log.records
 
 let epoch (t : t) = t.epoch
 let close t = close_journal t
-let dir t = t.dir
 
 (* ------------------------------------------------------------------ *)
 (* Offline checking                                                     *)
@@ -545,7 +565,6 @@ type file_status =
 
 type fsck_report = {
   fsck_snapshot : file_status;
-  fsck_fallback : file_status;
   fsck_generations : (int * file_status) list;
   fsck_tmp_leftover : bool;
   fsck_journal_frames : int;
@@ -560,223 +579,103 @@ type fsck_report = {
   fsck_repairs : string list;
 }
 
-let status_of_snapshot ?io path =
-  match Snapshot_file.read ?io path with
-  | Ok None -> Ok Absent
+let file_status = function
+  | Ok None -> Absent
   | Ok (Some (epoch, payload)) ->
-    Ok (Intact { epoch; bytes = String.length payload })
-  | Error (Corrupt m) -> Ok (Damaged m)
-  | Error e -> Error e
-
-(* The generation slots on disk, present ones only (slots can be sparse
-   after an interrupted rotation). *)
-let generation_statuses ?io dir =
-  let exists =
-    match io with Some i -> i.Io.exists | None -> Sys.file_exists
-  in
-  let rec go k acc =
-    if k > max_generation_probe then Ok (List.rev acc)
-    else
-      let p = generation_path dir k in
-      if not (exists p) then go (k + 1) acc
-      else
-        let* st = status_of_snapshot ?io p in
-        go (k + 1) ((k, st) :: acc)
-  in
-  go 1 []
+    Intact { epoch; bytes = String.length payload }
+  | Error (Corrupt m) -> Damaged m
+  | Error e -> Damaged (Seed_error.to_string e)
 
 let journal_healthy r =
   r.fsck_torn_bytes = 0 && r.fsck_quarantined_regions = 0
   && (not r.fsck_stale_journal) && (not r.fsck_journal_ahead)
 
-let analyze ?io dir =
+(* Reads every file of the chain (fsck reports each) and the journal,
+   and runs them through the same resolver and classification as
+   {!open_dir}. Returns the report with what repair acts on. *)
+let analyze ~io dir =
   let* () = ensure_dir dir in
-  let* () = refuse_partition_files dir in
-  let* snapshot = status_of_snapshot ?io (snapshot_path dir) in
-  let* fallback = status_of_snapshot ?io (fallback_path dir) in
-  let* gens = generation_statuses ?io dir in
-  let tmp = Sys.file_exists (tmp_path dir) in
-  let snap_epoch =
-    match (snapshot, fallback) with
-    | Intact { epoch; _ }, _ -> Some epoch
-    | _, Intact { epoch; _ } -> Some epoch
-    | _ -> (
-      match
-        List.find_opt (fun (_, st) -> match st with Intact _ -> true | _ -> false) gens
-      with
-      | Some (_, Intact { epoch; _ }) -> Some epoch
-      | _ -> None)
+  let* () = refuse_legacy_files dir in
+  let* reads =
+    map_result
+      (fun gen ->
+        match
+          read_snapshot ~io ~retry:Retry.default_policy ~sleep:None
+            ~count_retry:ignore (slot_path dir gen)
+        with
+        | (Ok _ | Error (Corrupt _)) as read -> Ok (gen, read)
+        | Error e -> Error e)
+      chain
   in
-  let reference = Option.value snap_epoch ~default:0 in
-  let* scanned = Journal.scan ?io (journal_path dir) in
-  let frames = scanned.Journal.frames in
-  let live = List.filter (fun f -> f.Journal.f_epoch = reference) frames in
-  let stale = List.exists (fun f -> f.Journal.f_epoch < reference) frames in
-  let ahead = List.exists (fun f -> f.Journal.f_epoch > reference) frames in
-  let quarantined = Journal.quarantined scanned in
-  let prefix_end = intact_end scanned in
-  let torn_bytes = scanned.Journal.file_size - prefix_end in
-  let total_frames = record_count live in
-  let gens_healthy =
-    List.for_all
-      (fun (_, st) -> match st with Intact _ -> true | _ -> false)
-      gens
-  in
+  let r = resolve (fun gen -> List.assoc gen reads) in
+  let* scanned = Journal.scan ~io (journal_path dir) in
+  let j = classify ~snap_epoch:(resolved_epoch r) scanned in
+  let statuses = List.map (fun (gen, read) -> (gen, file_status read)) reads in
+  let tmp = io.Io.exists (tmp_path dir) in
   let report =
     {
-      fsck_snapshot = snapshot;
-      fsck_fallback = fallback;
-      fsck_generations = gens;
+      fsck_snapshot = List.assoc None statuses;
+      fsck_generations =
+        List.filter_map
+          (function
+            | Some k, (Intact _ | Damaged _ as st) -> Some (k, st)
+            | _ -> None)
+          statuses;
       fsck_tmp_leftover = tmp;
-      fsck_journal_frames = total_frames;
+      fsck_journal_frames = record_count j.live;
       fsck_journal_epoch =
-        (match frames with f :: _ -> Some f.Journal.f_epoch | [] -> None);
-      fsck_torn_bytes = torn_bytes;
-      fsck_torn_reason =
-        Option.map (fun d -> d.Journal.d_reason) (Journal.tail_damage scanned);
-      fsck_quarantined_regions = List.length quarantined;
-      fsck_quarantined_bytes =
-        List.fold_left
-          (fun acc d -> acc + (d.Journal.d_end - d.Journal.d_offset))
-          0 quarantined;
-      fsck_stale_journal = stale;
-      fsck_journal_ahead = ahead;
+        (match scanned.Journal.frames with
+        | f :: _ -> Some f.Journal.f_epoch
+        | [] -> None);
+      fsck_torn_bytes = torn_bytes j;
+      fsck_torn_reason = Option.map (fun d -> d.Journal.d_reason) j.torn;
+      fsck_quarantined_regions = List.length j.mid;
+      fsck_quarantined_bytes = damage_bytes j.mid;
+      fsck_stale_journal = j.stale <> [];
+      fsck_journal_ahead = j.ahead <> [];
       fsck_healthy = false;
       fsck_repairs = [];
     }
   in
   let healthy =
-    (match snapshot with
-    | Intact _ -> true
-    | Absent -> total_frames = 0 || reference = 0
-    | Damaged _ -> false)
-    && (match fallback with Absent -> true | _ -> false)
-    && gens_healthy && (not tmp) && journal_healthy report
+    (* healthy is what open recovers cleanly from, with nothing damaged
+       or left over anywhere *)
+    resolved_generation r = None
+    && List.for_all (function _, Damaged _ -> false | _ -> true) statuses
+    && (not tmp) && journal_healthy report
   in
-  Ok { report with fsck_healthy = healthy }
+  Ok ({ report with fsck_healthy = healthy }, r, j)
 
-(* Repairs the journal against the (already repaired) snapshot's
-   epoch: rewrites it when stale/ahead frames or quarantined damage are
-   buried inside, otherwise truncates torn tail bytes. *)
-let repair_journal ~io ~add ~reference dir =
-  let act fmt = Printf.ksprintf add fmt in
-  let jpath = journal_path dir in
-  let jname = "journal.log" in
-  let* scanned = Journal.scan ~io jpath in
-  let frames = scanned.Journal.frames in
-  let live = List.filter (fun f -> f.Journal.f_epoch = reference) frames in
-  let quarantined = Journal.quarantined scanned in
-  let prefix_end = intact_end scanned in
-  let torn_bytes = scanned.Journal.file_size - prefix_end in
-  if List.length live <> List.length frames || quarantined <> [] then begin
-    (* stale or epoch-ahead frames, or quarantined damage — rewrite with
-       exactly the intact transactions the current snapshot can base *)
-    let* () = rewrite_journal ~io jpath ~epoch:reference live in
-    let other_epochs = List.length frames - List.length live in
-    if other_epochs > 0 then
-      act "%s: dropped %d frame(s) from other epochs" jname other_epochs;
-    if quarantined <> [] then
-      act "%s: excised %d quarantined damaged region(s) (%d byte(s))" jname
-        (List.length quarantined)
-        (List.fold_left
-           (fun acc d -> acc + (d.Journal.d_end - d.Journal.d_offset))
-           0 quarantined);
-    Ok ()
-  end
-  else if torn_bytes > 0 then begin
-    let* () = Journal.truncate ~io ~len:prefix_end jpath in
-    act "%s: truncated %d torn byte(s) off the tail" jname torn_bytes;
-    Ok ()
-  end
-  else Ok ()
-
-let repair_actions ~io dir report =
-  let actions = ref [] in
-  let act fmt = Printf.ksprintf (fun m -> actions := m :: !actions) fmt in
-  let* () =
-    if report.fsck_tmp_leftover then
-      wrap_io (fun () ->
-          io.Io.unlink (tmp_path dir);
-          act "removed leftover snapshot.bin.tmp")
-    else Ok ()
-  in
-  (* resolve the snapshot first; journal repairs depend on its epoch *)
-  let newest_intact_generation =
-    List.find_opt
-      (fun (_, st) -> match st with Intact _ -> true | _ -> false)
-      report.fsck_generations
-  in
-  let* () =
-    match (report.fsck_snapshot, report.fsck_fallback) with
-    | (Absent | Damaged _), Intact _ ->
-      wrap_io (fun () ->
-          (match report.fsck_snapshot with
-          | Damaged _ ->
-            io.Io.rename (snapshot_path dir) (quarantine_path dir);
-            act "quarantined unreadable snapshot.bin as snapshot.bin.corrupt"
-          | _ -> ());
-          io.Io.rename (fallback_path dir) (snapshot_path dir);
-          io.Io.fsync_dir dir;
-          act "promoted snapshot.bin.old to snapshot.bin")
-    | (Absent | Damaged _), (Absent | Damaged _)
-      when newest_intact_generation <> None ->
-      (* no primary or fallback to stand on: fall back a generation *)
-      let k, _ = Option.get newest_intact_generation in
-      wrap_io (fun () ->
-          (match report.fsck_snapshot with
-          | Damaged _ ->
-            io.Io.rename (snapshot_path dir) (quarantine_path dir);
-            act "quarantined unreadable snapshot.bin as snapshot.bin.corrupt"
-          | _ -> ());
-          io.Io.rename (generation_path dir k) (snapshot_path dir);
-          io.Io.fsync_dir dir;
-          act "promoted snapshot generation %d to snapshot.bin" k)
-    | Damaged _, _ ->
-      wrap_io (fun () ->
-          io.Io.rename (snapshot_path dir) (quarantine_path dir);
-          io.Io.fsync_dir dir;
-          act
-            "quarantined unreadable snapshot.bin as snapshot.bin.corrupt (no \
-             usable fallback — its data is lost)")
-    | _ -> Ok ()
-  in
-  let* () =
-    (* whatever is still at snapshot.bin.old is redundant or damaged *)
-    if Sys.file_exists (fallback_path dir) then
-      wrap_io (fun () ->
-          io.Io.unlink (fallback_path dir);
-          act "removed leftover snapshot.bin.old")
-    else Ok ()
-  in
-  let* () =
-    (* a damaged generation can never be recovered from: drop it *)
-    iter_result
+(* The same settling steps as {!open_dir}, with repair's two policy
+   choices: a damaged primary with nothing behind it is quarantined
+   rather than refused, and the journal's quarantined regions and the
+   damaged generations are dropped rather than left in place. *)
+let repair_store ~io dir report r j =
+  let* tmp = sweep_tmp ~io dir in
+  let* snap = settle_snapshot ~io dir r in
+  let* gens =
+    map_result
       (fun (k, st) ->
         match st with
-        | Damaged _ when Sys.file_exists (generation_path dir k) ->
+        | Damaged _ ->
           wrap_io (fun () ->
               io.Io.unlink (generation_path dir k);
-              act "removed damaged snapshot generation %d" k)
-        | _ -> Ok ())
+              [ Printf.sprintf "removed damaged snapshot generation %d" k ])
+        | _ -> Ok [])
       report.fsck_generations
   in
-  (* re-read the (possibly repaired) snapshot, then fix the journal
-     against its epoch *)
-  let* snapshot = status_of_snapshot ~io (snapshot_path dir) in
-  let reference =
-    match snapshot with Intact { epoch; _ } -> epoch | _ -> 0
+  let* journal =
+    settle_journal ~io ~excise:true ~epoch:(resolved_epoch r)
+      (journal_path dir) j
   in
-  let* () =
-    repair_journal ~io ~add:(fun m -> actions := m :: !actions) ~reference dir
-  in
-  Ok (List.rev !actions)
+  Ok (tmp @ snap @ List.concat gens @ journal)
 
 let fsck ?(io = Io.real) ?(repair = false) dir =
-  let* report = analyze ~io dir in
+  let* report, r, j = analyze ~io dir in
   if (not repair) || report.fsck_healthy then Ok report
   else
-    let* actions = repair_actions ~io dir report in
-    let* after = analyze ~io dir in
+    let* actions = repair_store ~io dir report r j in
+    let* after, _, _ = analyze ~io dir in
     Ok { after with fsck_repairs = actions }
 
 let pp_file_status ppf = function
@@ -786,9 +685,6 @@ let pp_file_status ppf = function
 
 let pp_fsck_report ppf r =
   Fmt.pf ppf "snapshot.bin:      %a@." pp_file_status r.fsck_snapshot;
-  (match r.fsck_fallback with
-  | Absent -> ()
-  | s -> Fmt.pf ppf "snapshot.bin.old:  %a (leftover fallback)@." pp_file_status s);
   List.iter
     (fun (k, st) ->
       Fmt.pf ppf "snapshot.bin.%d:    %a (generation)@." k pp_file_status st)

@@ -1,29 +1,30 @@
 (** Snapshot + journal composition: the persistence engine.
 
     A store lives in a directory holding [snapshot.bin] and
-    [journal.log], plus [snapshot.bin.1..N] — older snapshot
-    {e generations} kept for fallback — and, transiently,
-    [snapshot.bin.tmp] while a new snapshot is being written and
-    [snapshot.bin.old] while the previous one is still mid-promotion.
-    The client supplies a pure fold over its own state: opening a store
-    loads the snapshot (if any) and replays the journal records appended
-    since; {!append} adds a transaction's records; {!compact} writes a fresh snapshot
-    and truncates the journal. All payloads are opaque strings —
-    {!Seed_core.Persist} owns the encoding.
+    [journal.log], plus [snapshot.bin.1] and [snapshot.bin.2] — the two
+    snapshots most recently replaced, kept as {e generations} to fall
+    back on — and, transiently, [snapshot.bin.tmp] while a new snapshot
+    is being written. The client supplies a pure fold over its own
+    state: opening a store loads the snapshot (if any) and replays the
+    journal records appended since; {!append} adds a transaction's
+    records; {!compact} writes a fresh snapshot and truncates the
+    journal. All payloads are opaque strings — {!Seed_core.Persist} owns
+    the encoding.
 
     {b Crash consistency.} Every compaction bumps a monotonically
     increasing {e epoch}, stamped on the snapshot header and on every
     journal frame. On open, a journal whose epoch predates the
     snapshot's is a leftover of a crash mid-compaction: its records are
     already folded into the snapshot, so it is skipped (and truncated)
-    instead of replayed — correctness no longer rests on replay being
-    idempotent. Compaction keeps the previous snapshot as
-    [snapshot.bin.old] until the new snapshot and the truncated journal
-    are both durable (including directory fsyncs), then retires it into
-    generation slot 1 (older generations shift up, the oldest drops), so
-    a crash at any point leaves at least one intact snapshot/journal
-    pair — and media corruption of the newest snapshot still leaves the
-    generations to fall back on.
+    instead of replayed — correctness does not rest on replay being
+    idempotent. Compaction shifts the generations up (the oldest drops),
+    retires [snapshot.bin] into generation 1, writes the new snapshot
+    durably, and only then truncates the journal. A crash before the new
+    snapshot lands recovers from generation 1 plus its same-epoch
+    journal; a crash after it, from the new snapshot with the stale
+    journal skipped — so a crash at any point leaves an intact
+    snapshot/journal pair, and media corruption of the newest snapshot
+    still leaves the generations to fall back on.
 
     {b Self-healing recovery.} Transient I/O errors (EINTR class) are
     retried with bounded backoff ({!Seed_util.Retry}); journal damage
@@ -34,8 +35,10 @@
     {e quarantined} — skipped by magic/CRC resynchronization,
     left in place for [fsck --repair] to excise — and an unreadable
     snapshot falls back generation by generation (the damaged primary is
-    set aside as [snapshot.bin.corrupt]). The {!recovery} report says
-    what open found and did. *)
+    set aside as [snapshot.bin.corrupt]). {!open_dir} and {!fsck} settle
+    the snapshot chain with one resolver and sort the journal with one
+    classification; the {!recovery} report says what open found and
+    did. *)
 
 type t
 
@@ -49,8 +52,9 @@ type sync_policy = Journal.sync_policy
     concurrently coalesce into one physical write and one fsync, each
     transaction its own CRC'd frame and so all-or-nothing on recovery,
     and the journal order is the replay order. Earlier releases could
-    spread the journal over [journal.pK] partition files or frame it
-    differently; {!open_dir} and {!fsck} refuse such a store. *)
+    spread the journal over [journal.pK] partition files, frame it
+    differently, or leave a compaction's [snapshot.bin.old] behind;
+    {!open_dir} and {!fsck} refuse such a store. *)
 
 type recovery = {
   records_replayed : int;  (** journal records handed back to the client *)
@@ -69,11 +73,9 @@ type recovery = {
           and therefore unreplayable *)
   stale_journal : bool;
       (** a whole journal predating the snapshot's epoch was skipped *)
-  used_fallback : bool;
-      (** the state did not come from [snapshot.bin] *)
   snapshot_generation : int option;
-      (** which generation slot recovery fell back to, when it had to go
-          past the [snapshot.bin.old] fallback *)
+      (** the generation slot recovery fell back to, when the state did
+          not come from [snapshot.bin] *)
   io_retries : int;
       (** transient I/O errors absorbed by retry during open *)
   epoch : int;  (** the store's compaction epoch after open *)
@@ -88,7 +90,6 @@ val pp_recovery : Format.formatter -> recovery -> unit
 val open_dir :
   ?io:Io.t ->
   ?sync:sync_policy ->
-  ?generations:int ->
   ?retry:Seed_util.Retry.policy ->
   ?sleep:(float -> unit) ->
   string ->
@@ -98,11 +99,13 @@ val open_dir :
     [(store, snapshot_payload, journal_records, recovery)] — everything
     needed to rebuild the client state, plus what recovery had to do to
     get there. [sync] (default [`Flush_only]) governs {!append};
-    [generations] (default 2) how many old snapshots {!compact} keeps;
     [retry]/[sleep] the transient-fault retry policy and its clock.
-    A directory holding a [journal.pK] partition file, or a journal
-    whose first frame carries an earlier release's magic, is refused
-    with an [Invalid_operation] error naming the file. *)
+    A store with no intact snapshot to stand on (a damaged
+    [snapshot.bin] and no intact generation) is refused; {!fsck}
+    [~repair] quarantines it. A directory holding a [journal.pK]
+    partition file or a [snapshot.bin.old], or a journal whose first
+    frame carries an earlier release's magic, is refused with an
+    [Invalid_operation] error naming the file. *)
 
 val append : t -> string list -> (unit, Seed_util.Seed_error.t) result
 (** Appends the records as one atomic transaction — one journal frame —
@@ -122,13 +125,13 @@ val write_stats : t -> Commit_daemon.stats
     fsyncs, largest coalesced batch, queue high-water. *)
 
 val compact : t -> snapshot:string -> (unit, Seed_util.Seed_error.t) result
-(** Atomically replaces the snapshot with [snapshot] (under the next
-    epoch), retires the previous snapshot into generation slot 1
-    (shifting older generations up and dropping the oldest), and
-    truncates the journal. On failure the store is left on its
-    pre-compaction state and stays usable; a crash anywhere inside is
-    recovered by {!open_dir} via the epoch check and the fallback
-    chain. *)
+(** Retires the previous snapshot into generation slot 1 (shifting
+    older generations up and dropping the oldest), writes [snapshot]
+    under the next epoch, and truncates the journal. If the snapshot
+    write fails, the retired snapshot is put back: the store is left on
+    its pre-compaction state and stays usable. A crash anywhere inside
+    is recovered by {!open_dir} via the epoch check and generation
+    1. *)
 
 val journal_size : t -> int
 (** Records appended since the last compaction (this process's view). *)
@@ -142,8 +145,6 @@ val retries : t -> int
 
 val close : t -> unit
 
-val dir : t -> string
-
 (** {2 Offline checking} *)
 
 type file_status =
@@ -153,7 +154,6 @@ type file_status =
 
 type fsck_report = {
   fsck_snapshot : file_status;
-  fsck_fallback : file_status;  (** [snapshot.bin.old] *)
   fsck_generations : (int * file_status) list;
       (** generation slots present on disk ([snapshot.bin.k]) *)
   fsck_tmp_leftover : bool;  (** [snapshot.bin.tmp] exists *)
@@ -178,14 +178,16 @@ val fsck :
   ?io:Io.t -> ?repair:bool -> string ->
   (fsck_report, Seed_util.Seed_error.t) result
 (** Reports the health of the store at [dir] without opening it for
-    appending. With [repair]: truncates a torn tail (a transaction cut
-    short by a crash) or a stale journal, rewrites the journal to excise
-    quarantined mid-file damage, removes leftover temporaries and
-    damaged generations, promotes [snapshot.bin.old] — or, failing that,
-    the newest intact generation — when [snapshot.bin] is missing or
-    unreadable, and quarantines an unreadable snapshot (as
-    [snapshot.bin.corrupt]) — after which {!open_dir} succeeds. Like
+    appending. Healthy means {!open_dir} would recover cleanly from
+    [snapshot.bin] with nothing damaged or left over. With [repair], the
+    store is settled by the same resolver and journal classification as
+    {!open_dir}: an unreadable [snapshot.bin] is quarantined (as
+    [snapshot.bin.corrupt]) and the newest intact generation promoted
+    when there is one; a torn tail (a transaction cut short by a crash)
+    is truncated; frames of other epochs and quarantined mid-file damage
+    are rewritten away; a leftover [snapshot.bin.tmp] and damaged
+    generations are removed — after which {!open_dir} succeeds. Like
     {!open_dir}, refuses a directory holding a [journal.pK] partition
-    file or an earlier release's journal. *)
+    file, a [snapshot.bin.old], or an earlier release's journal. *)
 
 val pp_fsck_report : Format.formatter -> fsck_report -> unit

@@ -52,20 +52,30 @@ module Faulty = Seed_storage.Faulty_io
 
 let test_crash_point_sweep () =
   (* Inject an abort at every gated I/O step of a full
-     append -> sync -> compact -> append lifecycle and prove that
-     recovery always yields a database consistent with what had been
-     acknowledged at the moment of the crash. *)
-  let records = [ "a1"; "a2"; "a3" ] and tail = [ "b1"; "b2" ] in
-  let all = records @ tail in
+     append -> sync -> compact -> append -> compact -> append lifecycle
+     and prove that recovery always yields a database consistent with
+     what had been acknowledged at the moment of the crash. The first
+     compaction starts from no snapshot; the second retires one into
+     generation 1, so crash points land on its rotate and retire steps
+     too. *)
+  let records = [ "a1"; "a2"; "a3" ] and middle = [ "b1"; "b2" ]
+  and tail = [ "c1"; "c2" ] in
+  let all = records @ middle @ tail in
   (* run the workload, recording acknowledged records in [acked] as we
      go (so the list survives a mid-run crash exception) *)
   let run io dir acked =
     let ack r = acked := !acked @ [ r ] in
     let store, _, _, _ = ok (Store.open_dir ~io ~sync:`Always_fsync dir) in
-    List.iter (fun r -> ok (Store.append store [ r ]); ack r) records;
+    let append rs = List.iter (fun r -> ok (Store.append store [ r ]); ack r) rs in
+    let compact () =
+      ok (Store.compact store ~snapshot:(String.concat "\n" !acked))
+    in
+    append records;
     ok (Store.sync store);
-    ok (Store.compact store ~snapshot:(String.concat "\n" !acked));
-    List.iter (fun r -> ok (Store.append store [ r ]); ack r) tail;
+    compact ();
+    append middle;
+    compact ();
+    append tail;
     Store.close store
   in
   let recovered dir =
@@ -93,7 +103,7 @@ let test_crash_point_sweep () =
   Alcotest.(check bool)
     (Printf.sprintf "sweep covers >= 15 crash points (got %d)" total)
     true (total >= 15);
-  let stale_seen = ref 0 in
+  let stale_seen = ref 0 and generation_seen = ref 0 in
   for n = 0 to total - 1 do
     let dir = tmp_dir () in
     let f = Faulty.create ~crash_at:n ~torn:(n mod 2 = 0) () in
@@ -104,6 +114,7 @@ let test_crash_point_sweep () =
      with Faulty.Crash _ -> ());
     let state, report = recovered dir in
     if report.Store.stale_journal then incr stale_seen;
+    if report.Store.snapshot_generation = Some 1 then incr generation_seen;
     (* with `Always_fsync every acknowledged record is durable, so the
        recovered state must extend [acked]; it may additionally contain
        the single record whose append was in flight when the crash hit;
@@ -127,7 +138,9 @@ let test_crash_point_sweep () =
       (Printf.sprintf "crash %d: second open clean" n)
       true (Store.recovery_clean report2)
   done;
-  Alcotest.(check bool) "epoch-skip path exercised" true (!stale_seen >= 1)
+  Alcotest.(check bool) "epoch-skip path exercised" true (!stale_seen >= 1);
+  Alcotest.(check bool) "generation-1 recovery exercised" true
+    (!generation_seen >= 1)
 
 let test_flush_atomicity_crash_sweep () =
   (* The transaction-frame contract: a multi-item [Session.flush] goes

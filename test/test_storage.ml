@@ -419,8 +419,8 @@ let test_store_lifecycle () =
   Alcotest.(check (option string)) "snapshot" (Some "SNAP") snap;
   Alcotest.(check (list string)) "tail" [ "r3" ] records;
   Alcotest.(check bool) "clean after compact" true (Store.recovery_clean report);
-  Alcotest.(check bool) "no fallback left" false
-    (Sys.file_exists (Filename.concat dir "snapshot.bin.old"));
+  Alcotest.(check bool) "nothing to retire into generation 1" false
+    (Sys.file_exists (Filename.concat dir "snapshot.bin.1"));
   Store.close store
 
 let test_store_append_after_close_fails () =
@@ -432,8 +432,8 @@ let test_store_append_after_close_fails () =
     (Store.append store [ "x" ])
 
 let test_store_sync_policies () =
-  (* all three durability levels accept and recover the same records
-     when the process shuts down cleanly *)
+  (* both durability levels accept and recover the same records when
+     the process shuts down cleanly *)
   List.iter
     (fun sync ->
       let dir = tmp_dir () in
@@ -446,19 +446,7 @@ let test_store_sync_policies () =
       let store, _, records, _ = ok (Store.open_dir dir) in
       Alcotest.(check (list string)) "all recovered" [ "a"; "b"; "c" ] records;
       Store.close store)
-    [ `Always_fsync; `Flush_only; `None ]
-
-let test_store_unsynced_none_policy_lost_on_abandon () =
-  (* with `None, records not yet synced never reach the OS: reopening
-     the directory behind the session's back does not see them *)
-  let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir ~sync:`None dir) in
-  check_ok "a" (Store.append store [ "a" ]);
-  check_ok "sync" (Store.sync store);
-  check_ok "b" (Store.append store [ "b" ]);
-  let _, _, records, _ = ok (Store.open_dir dir) in
-  Alcotest.(check (list string)) "only synced" [ "a" ] records;
-  Store.close store
+    [ `Always_fsync; `Flush_only ]
 
 (* ------------------------------------------------------------------ *)
 (* Epochs                                                               *)
@@ -574,10 +562,31 @@ let test_rename_failure_during_snapshot_write () =
   (* the store stays usable on its pre-compaction state *)
   check_ok "r2" (Store.append store [ "r2" ]);
   Store.close store;
-  let _, snap, records, report = ok (Store.open_dir dir) in
+  let store, snap, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (option string)) "still journal-only" None snap;
   Alcotest.(check (list string)) "nothing lost" [ "r1"; "r2" ] records;
-  Alcotest.(check bool) "clean" true (Store.recovery_clean report)
+  Alcotest.(check bool) "clean" true (Store.recovery_clean report);
+  check_ok "compact" (Store.compact store ~snapshot:"SNAP");
+  check_ok "r3" (Store.append store [ "r3" ]);
+  Store.close store;
+  (* with a snapshot to replace, compaction retires it to generation 1
+     (rename 0) before the new one's tmp-file rename (rename 1) fails:
+     the retired snapshot goes back *)
+  let f = Faulty_io.create ~fail_rename:1 () in
+  let store, _, _, _ = ok (Store.open_dir ~io:(Faulty_io.io f) dir) in
+  check_err "second compact fails"
+    (function Seed_util.Seed_error.Io_error _ -> true | _ -> false)
+    (Store.compact store ~snapshot:"SNAP2");
+  Alcotest.check snap_pair "retired snapshot restored" (Some (1, "SNAP"))
+    (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin")));
+  Alcotest.(check bool) "generation 1 empty again" false
+    (Sys.file_exists (Filename.concat dir "snapshot.bin.1"));
+  check_ok "r4" (Store.append store [ "r4" ]);
+  Store.close store;
+  let _, snap, records, report = ok (Store.open_dir dir) in
+  Alcotest.(check (option string)) "pre-compaction snapshot" (Some "SNAP") snap;
+  Alcotest.(check (list string)) "journal kept" [ "r3"; "r4" ] records;
+  Alcotest.(check bool) "clean again" true (Store.recovery_clean report)
 
 let test_enospc_mid_journal_frame () =
   let dir = tmp_dir () in
@@ -665,11 +674,11 @@ let test_fsck_torn_tail () =
 
 let test_fsck_corrupt_snapshot_with_fallback () =
   let dir = populated_dir () in
-  (* another compact leaves epoch 2; then corrupt the snapshot but
-     plant a valid fallback, as a crash between compact renames would *)
+  (* corrupt the snapshot but plant a same-epoch copy in generation 1,
+     the shape a crash inside compaction's retire window leaves *)
   let snap = Filename.concat dir "snapshot.bin" in
-  check_ok "fallback"
-    (Snapshot_file.write (Filename.concat dir "snapshot.bin.old") ~epoch:1
+  check_ok "generation 1"
+    (Snapshot_file.write (Filename.concat dir "snapshot.bin.1") ~epoch:1
        "SNAP");
   let fd = Unix.openfile snap [ Unix.O_RDWR ] 0o644 in
   ignore (Unix.lseek fd 17 Unix.SEEK_SET);
@@ -678,7 +687,8 @@ let test_fsck_corrupt_snapshot_with_fallback () =
   let r = ok (Store.fsck dir) in
   Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
   Alcotest.(check bool) "snapshot damaged" true (is_damaged r.Store.fsck_snapshot);
-  Alcotest.(check bool) "fallback intact" true (is_intact r.Store.fsck_fallback);
+  Alcotest.(check bool) "generation 1 intact" true
+    (List.exists (fun (k, st) -> k = 1 && is_intact st) r.Store.fsck_generations);
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "repaired" true r.Store.fsck_healthy;
   let _, snap_payload, records, _ = ok (Store.open_dir dir) in
@@ -711,17 +721,29 @@ let test_fsck_leftover_tmp_and_fallback () =
   let dir = populated_dir () in
   Out_channel.with_open_bin (Filename.concat dir "snapshot.bin.tmp")
     (fun oc -> Out_channel.output_string oc "garbage");
-  check_ok "stale fallback"
-    (Snapshot_file.write (Filename.concat dir "snapshot.bin.old") ~epoch:0 "OLD");
+  (* an earlier release's mid-compaction fallback: open and fsck refuse
+     the directory, naming the file, and touch nothing *)
+  let old = Filename.concat dir "snapshot.bin.old" in
+  check_ok "earlier release's fallback"
+    (Snapshot_file.write old ~epoch:0 "OLD");
+  let names_old = function
+    | Ok _ -> false
+    | Error e -> contains (Seed_util.Seed_error.to_string e) old
+  in
+  Alcotest.(check bool) "open_dir refuses, naming snapshot.bin.old" true
+    (names_old (Store.open_dir dir));
+  Alcotest.(check bool) "fsck --repair refuses too" true
+    (names_old (Store.fsck ~repair:true dir));
+  Alcotest.(check bool) "tmp untouched" true
+    (Sys.file_exists (Filename.concat dir "snapshot.bin.tmp"));
+  Sys.remove old;
   let r = ok (Store.fsck dir) in
   Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
   Alcotest.(check bool) "tmp seen" true r.Store.fsck_tmp_leftover;
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "healthy" true r.Store.fsck_healthy;
   Alcotest.(check bool) "tmp gone" false
-    (Sys.file_exists (Filename.concat dir "snapshot.bin.tmp"));
-  Alcotest.(check bool) "fallback gone" false
-    (Sys.file_exists (Filename.concat dir "snapshot.bin.old"))
+    (Sys.file_exists (Filename.concat dir "snapshot.bin.tmp"))
 
 let test_fsck_torn_txn () =
   (* a multi-record transaction cut mid-frame is reported as torn bytes,
@@ -828,17 +850,22 @@ let test_generation_rotation_on_compact () =
   Alcotest.check snap_pair "generation 1 holds the previous snapshot"
     (Some (1, "S1"))
     (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin.1")));
-  Alcotest.(check bool) "no .old left" false
-    (Sys.file_exists (Filename.concat dir "snapshot.bin.old"));
+  Alcotest.(check bool) "the first compact retired nothing" false
+    (Sys.file_exists (Filename.concat dir "snapshot.bin.2"));
+  (* with snapshot.bin intact, open reads it and the journal, never a
+     generation *)
+  let f = Faulty_io.create () in
+  let store, _, _, _ = ok (Store.open_dir ~io:(Faulty_io.io f) dir) in
+  Alcotest.(check int) "one snapshot read, one journal scan" 2
+    (Faulty_io.reads f);
   (* a third compact shifts S2 into slot 1 and retires S1 to slot 2 *)
-  let store, _, _, _ = ok (Store.open_dir dir) in
   check_ok "compact3" (Store.compact store ~snapshot:"S3");
   Store.close store;
   Alcotest.check snap_pair "slot 1 rotated" (Some (2, "S2"))
     (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin.1")));
   Alcotest.check snap_pair "slot 2 rotated" (Some (1, "S1"))
     (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin.2")));
-  (* default keeps 2 generations: a fourth compact drops S1 for good *)
+  (* two generations are kept: a fourth compact drops S1 for good *)
   let store, _, _, _ = ok (Store.open_dir dir) in
   check_ok "compact4" (Store.compact store ~snapshot:"S4");
   Store.close store;
@@ -846,15 +873,14 @@ let test_generation_rotation_on_compact () =
     (Sys.file_exists (Filename.concat dir "snapshot.bin.3"))
 
 let test_generation_fallback_on_open () =
-  (* the newest snapshot is corrupt and there is no .old: recovery must
-     walk back to generation 1, quarantine the damaged primary, and
-     drop the now-unreplayable epoch-2 journal records *)
+  (* the newest snapshot is corrupt: recovery must walk back to
+     generation 1, quarantine the damaged primary, and drop the
+     now-unreplayable epoch-2 journal records *)
   let dir = generations_dir () in
   corrupt_file (Filename.concat dir "snapshot.bin");
   let store, snap, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (option string)) "generation data" (Some "S1") snap;
   Alcotest.(check (list string)) "ahead records dropped" [] records;
-  Alcotest.(check bool) "fallback flagged" true report.Store.used_fallback;
   Alcotest.(check (option int)) "generation flagged" (Some 1)
     report.Store.snapshot_generation;
   Alcotest.(check int) "ahead counted" 1 report.Store.ahead_dropped;
@@ -1020,6 +1046,90 @@ let test_salvage_sweep () =
   Alcotest.(check (option string)) "primary wins" (Some "S2") snap;
   Alcotest.(check (list string)) "journal intact" [ "c" ] records;
   Alcotest.(check bool) "clean" true (Store.recovery_clean report)
+
+(* Open and fsck settle a store through one resolver and one journal
+   classification: for each damage case, [open_dir] alone and
+   [fsck --repair] followed by [open_dir] recover the same snapshot
+   payload and records, and a second open is clean. Open leaves
+   quarantined mid-journal regions in place (only repair excises them),
+   so after open alone the second open may still report those. *)
+let test_open_fsck_parity () =
+  let truncate_journal by dir =
+    let jpath = Filename.concat dir "journal.log" in
+    Unix.truncate jpath ((Unix.stat jpath).Unix.st_size - by)
+  in
+  let cases =
+    [
+      ( "torn tail",
+        fun () ->
+          let dir = populated_dir () in
+          truncate_journal 5 dir;
+          dir );
+      ( "quarantined mid-journal frame",
+        fun () ->
+          let dir = three_record_dir () in
+          corrupt_middle_frame dir;
+          dir );
+      ( "stale journal",
+        fun () ->
+          let dir = three_record_dir () in
+          check_ok "snapshot"
+            (Snapshot_file.write (Filename.concat dir "snapshot.bin") ~epoch:1
+               "SNAP");
+          dir );
+      ( "damaged primary, intact generation 1",
+        fun () ->
+          let dir = populated_dir () in
+          check_ok "generation 1"
+            (Snapshot_file.write (Filename.concat dir "snapshot.bin.1") ~epoch:1
+               "SNAP");
+          corrupt_file (Filename.concat dir "snapshot.bin");
+          dir );
+      ( "retired primary, new snapshot never landed",
+        fun () ->
+          let dir = populated_dir () in
+          Unix.rename
+            (Filename.concat dir "snapshot.bin")
+            (Filename.concat dir "snapshot.bin.1");
+          dir );
+      ( "epoch-ahead frames after a generation fallback",
+        fun () ->
+          let dir = generations_dir () in
+          corrupt_file (Filename.concat dir "snapshot.bin");
+          dir );
+      ( "leftover snapshot.bin.tmp",
+        fun () ->
+          let dir = populated_dir () in
+          Out_channel.with_open_bin (Filename.concat dir "snapshot.bin.tmp")
+            (fun oc -> Out_channel.output_string oc "garbage");
+          dir );
+    ]
+  in
+  let open_twice dir =
+    let s, snap, records, _ = ok (Store.open_dir dir) in
+    Store.close s;
+    let s, snap2, records2, second = ok (Store.open_dir dir) in
+    Store.close s;
+    Alcotest.(check (option string)) "second open: same snapshot" snap snap2;
+    Alcotest.(check (list string)) "second open: same records" records records2;
+    (snap, records, second)
+  in
+  List.iter
+    (fun (name, mk) ->
+      let snap_a, records_a, second_a = open_twice (mk ()) in
+      let dir_b = mk () in
+      let r = ok (Store.fsck ~repair:true dir_b) in
+      Alcotest.(check bool) (name ^ ": healthy after repair") true
+        r.Store.fsck_healthy;
+      let snap_b, records_b, second_b = open_twice dir_b in
+      Alcotest.(check (option string)) (name ^ ": same snapshot") snap_a snap_b;
+      Alcotest.(check (list string)) (name ^ ": same records") records_a
+        records_b;
+      Alcotest.(check bool) (name ^ ": second open clean after open") true
+        (Store.recovery_clean { second_a with Store.quarantined = [] });
+      Alcotest.(check bool) (name ^ ": second open clean after repair") true
+        (Store.recovery_clean second_b))
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* Group commit over one journal; earlier layouts refused               *)
@@ -1195,7 +1305,6 @@ let () =
           tc "lifecycle" test_store_lifecycle;
           tc "closed store" test_store_append_after_close_fails;
           tc "sync policies" test_store_sync_policies;
-          tc "unsynced loss under `None" test_store_unsynced_none_policy_lost_on_abandon;
         ] );
       ( "epochs",
         [
@@ -1235,6 +1344,7 @@ let () =
           tc "eio read is permanent" test_eio_read_is_permanent;
           tc "lying fsync keeps schedule" test_lie_fsync_keeps_schedule;
           tc "salvage sweep" test_salvage_sweep;
+          tc "open and fsck --repair agree" test_open_fsck_parity;
         ] );
       ( "partitions",
         [
