@@ -5,7 +5,7 @@
 
 .PHONY: check build test fmt soak soak-ci soak-net bench bench-query \
 	bench-text bench-version bench-txn bench-commit bench-mvcc bench-chaos \
-	perfbench perfbench-run
+	bench-recovery perfbench perfbench-run
 
 check: build test fmt
 
@@ -88,9 +88,15 @@ bench-mvcc:
 bench-chaos:
 	dune exec bench/main.exe -- chaos
 
+# regenerate the committed recovery baseline: Persist.Session.open_ of
+# 10^4- and 10^5-document SPADES stores, verify on, each open in a fresh
+# process (wall time, allocation, top heap)
+bench-recovery:
+	dune exec bench/main.exe -- recovery
+
 # regenerate every committed benchmark baseline
 bench: bench-query bench-text bench-version bench-txn bench-commit \
-	bench-mvcc bench-chaos
+	bench-mvcc bench-chaos bench-recovery
 
 # the served-path benchmark (perfbench/README.md, BENCHMARK.json):
 # `perfbench` smoke-runs every workload on small stores, untraced and

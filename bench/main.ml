@@ -382,6 +382,36 @@ let storage () =
 (*     and the price of each durability policy                          *)
 (* ------------------------------------------------------------------ *)
 
+(* One measured [Persist.Session.open_] (verify on) of the store in
+   [dir], run in a fresh process so its allocation and heap high-water
+   are the open's own: prints wall ms, allocated MiB, top heap MiB. *)
+let measure_open dir =
+  let a0 = Gc.allocated_bytes () in
+  let s, t = Report.time_of (fun () -> ok (Persist.Session.open_ ~dir ())) in
+  let alloc = Gc.allocated_bytes () -. a0 in
+  let top = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) in
+  Persist.Session.close s;
+  Printf.printf "%.3f %.1f %.1f\n" (t *. 1000.) (alloc /. 1048576.)
+    (float_of_int top /. 1048576.)
+
+let open_in_child dir =
+  let out, w = Unix.pipe () in
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "--measure-open"; dir |]
+      Unix.stdin w Unix.stderr
+  in
+  Unix.close w;
+  let ic = Unix.in_channel_of_descr out in
+  let line = In_channel.input_all ic in
+  In_channel.close ic;
+  ignore (Unix.waitpid [] pid);
+  Scanf.sscanf line " %f %f %f" (fun ms alloc top -> (ms, alloc, top))
+
+let median xs =
+  let a = Array.of_list (List.sort Float.compare xs) in
+  a.(Array.length a / 2)
+
 let recovery () =
   heading "P2" "recovery time and durability policy cost";
   let module Store = Seed_storage.Store in
@@ -437,6 +467,49 @@ let recovery () =
     ~header:
       [ "journal records"; "replayed"; "replay open"; "compacted open"; "ratio" ]
     rows;
+  (* the whole open of a SPADES document store: snapshot decoded into
+     the root, indexes, verify *)
+  let json = ref [] in
+  let rows =
+    List.map
+      (fun (n, repeats) ->
+        let dir = fresh_dir () in
+        let snapshot_bytes =
+          let db, _ = Workloads.text_populate n in
+          ok (Persist.save db ~dir);
+          (Unix.stat (Filename.concat dir "snapshot.bin")).Unix.st_size
+        in
+        Gc.compact ();
+        let runs = List.init repeats (fun _ -> open_in_child dir) in
+        let ms = List.map (fun (ms, _, _) -> ms) runs in
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Unix.rmdir dir;
+        let _, alloc, top = List.hd runs in
+        let lo = List.fold_left Float.min infinity ms in
+        let hi = List.fold_left Float.max neg_infinity ms in
+        json :=
+          Printf.sprintf
+            "    {\"case\": \"session_open\", \"docs\": %d, \"snapshot_bytes\": %d, \
+             \"repeats\": %d, \"open_ms\": %.1f, \"open_ms_min\": %.1f, \
+             \"open_ms_max\": %.1f, \"alloc_mib\": %.1f, \"top_heap_mib\": %.1f}"
+            n snapshot_bytes repeats (median ms) lo hi alloc top
+          :: !json;
+        [
+          string_of_int n;
+          Report.human_bytes snapshot_bytes;
+          Printf.sprintf "%.1f ms (%.1f-%.1f)" (median ms) lo hi;
+          Printf.sprintf "%.1f MiB" alloc;
+          Printf.sprintf "%.1f MiB" top;
+        ])
+      [ (10_000, 5); (100_000, 3) ]
+  in
+  Report.table
+    ~title:"Persist.Session.open_ of a SPADES document store (verify on, fresh process)"
+    ~header:[ "docs"; "snapshot"; "open (median, min-max)"; "allocated"; "top heap" ]
+    rows;
+  Report.write_json "recovery"
+    ~extra:[ ("host_cores", string_of_int (Domain.recommended_domain_count ())) ]
+    (List.rev !json);
   (* append cost per durability policy *)
   let mk_store sync =
     let dir = fresh_dir () in
@@ -1437,17 +1510,20 @@ let suites =
   ]
 
 let () =
-  let requested =
-    match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as names) -> names
-    | _ -> List.map fst suites
-  in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name suites with
-      | Some f -> f ()
-      | None ->
-        Fmt.epr "unknown suite %S; available: %s@." name
-          (String.concat ", " (List.map fst suites));
-        exit 1)
-    requested
+  match Sys.argv with
+  | [| _; "--measure-open"; dir |] -> measure_open dir
+  | _ ->
+    let requested =
+      match Array.to_list Sys.argv with
+      | _ :: (_ :: _ as names) -> names
+      | _ -> List.map fst suites
+    in
+    List.iter
+      (fun name ->
+        match List.assoc_opt name suites with
+        | Some f -> f ()
+        | None ->
+          Fmt.epr "unknown suite %S; available: %s@." name
+            (String.concat ", " (List.map fst suites));
+          exit 1)
+      requested

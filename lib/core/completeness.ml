@@ -130,11 +130,12 @@ let check_object view (obj : Item.t) =
       | Some _ | None -> acc
     in
     (* participation minima *)
+    let rels = View.rels_v view obj in
     let acc =
       List.fold_left
         (fun acc ((def : Assoc_def.t), pos, (role : Assoc_def.role)) ->
           let present =
-            Consistency.count_participation view obj ~assoc:def.Assoc_def.name
+            Consistency.count_participation view rels obj ~assoc:def.Assoc_def.name
               ~pos
           in
           if Cardinality.meets_min role.Assoc_def.card present then acc

@@ -14,18 +14,19 @@ let count_children_role view vi ~role =
          | Item.Independent | Item.Relationship -> false)
   |> List.length
 
-let count_participation view (obj : Item.t) ~assoc ~pos =
+let count_participation view rels (obj : Item.t) ~assoc ~pos =
   let schema = View.schema view in
-  View.rels_v view obj
-  |> List.filter (fun (vr : View.vrel) ->
-         match View.rel_state view vr.rel with
-         | Some rs ->
-           Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc
-           && (match List.nth_opt vr.endpoints pos with
-              | Some e -> Ident.equal e obj.Item.id
-              | None -> false)
-         | None -> false)
-  |> List.length
+  List.fold_left
+    (fun n (vr : View.vrel) ->
+      match View.fetched_state view vr.rel with
+      | Some (Item.Rel rs)
+        when Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc
+             && (match List.nth_opt vr.endpoints pos with
+                | Some e -> Ident.equal e obj.Item.id
+                | None -> false) ->
+        n + 1
+      | Some (Item.Rel _ | Item.Obj _) | None -> n)
+    0 rels
 
 let pattern_root_of view (item : Item.t) =
   let rec go (it : Item.t) =
@@ -136,14 +137,15 @@ let rel_state_res view (item : Item.t) =
   | Some r -> Ok r
   | None -> fail (Unknown_item (Ident.to_string item.Item.id))
 
+(* [element] and [subject] name the violation: built only on failure *)
 let check_max ~element ~subject ~card count =
   if Cardinality.within_max card count then Ok ()
   else
     fail
       (Cardinality_violation
          {
-           element;
-           subject;
+           element = element ();
+           subject = subject ();
            bound = "max " ^ Cardinality.to_string card;
            count;
          })
@@ -192,16 +194,17 @@ let creates_cycle view ~assoc ~src ~dst ~ignore_rel =
 let check_participation_max view (obj : Item.t) ~assoc ~pos ~extra =
   let schema = View.schema view in
   let levels = assoc :: Schema.assoc_supers schema assoc in
+  let rels = View.rels_v view obj in
   iter_result
     (fun level ->
       match Schema.find_assoc schema level with
       | None -> fail (Unknown_association level)
       | Some def ->
         let role = Assoc_def.nth_role def pos in
-        let count = count_participation view obj ~assoc:level ~pos + extra in
+        let count = count_participation view rels obj ~assoc:level ~pos + extra in
         check_max
-          ~element:(level ^ "." ^ role.Assoc_def.role_name)
-          ~subject:(item_name_for_msg view obj)
+          ~element:(fun () -> level ^ "." ^ role.Assoc_def.role_name)
+          ~subject:(fun () -> item_name_for_msg view obj)
           ~card:role.Assoc_def.card count)
     levels
 
@@ -266,8 +269,8 @@ let check_new_sub_object view ~parent ~role ~index ~value =
     if has_normal_context view parent then
       let count = count_children_role view (View.vitem_real parent) ~role in
       check_max
-        ~element:(Class_def.name def)
-        ~subject:(item_name_for_msg view parent)
+        ~element:(fun () -> Class_def.name def)
+        ~subject:(fun () -> item_name_for_msg view parent)
         ~card (count + 1)
     else Ok ()
   in
@@ -553,6 +556,7 @@ let check_reclassify_rel view (item : Item.t) ~to_ =
       iter_result
         (fun (i, (e : Item.t)) ->
           let levels = to_ :: Schema.assoc_supers schema to_ in
+          let rels = lazy (View.rels_v view e) in
           iter_result
             (fun level ->
               if List.exists (String.equal level) old_levels then Ok ()
@@ -562,11 +566,11 @@ let check_reclassify_rel view (item : Item.t) ~to_ =
                 | Some d ->
                   let role = Assoc_def.nth_role d i in
                   let count =
-                    count_participation view e ~assoc:level ~pos:i + 1
+                    count_participation view (Lazy.force rels) e ~assoc:level ~pos:i + 1
                   in
                   check_max
-                    ~element:(level ^ "." ^ role.Assoc_def.role_name)
-                    ~subject:(item_name_for_msg view e)
+                    ~element:(fun () -> level ^ "." ^ role.Assoc_def.role_name)
+                    ~subject:(fun () -> item_name_for_msg view e)
                     ~card:role.Assoc_def.card count)
             levels)
         (List.mapi (fun i e -> (i, e)) endpoints)
@@ -592,122 +596,100 @@ let check_reclassify_rel view (item : Item.t) ~to_ =
 
 (* Full-context validation of one normal object: children counts per
    role, (role, index) uniqueness, membership of inherited children,
-   participation maxima, acyclicity of its incident edges. *)
+   participation maxima, acyclicity of its incident edges. The expanded
+   relationship set is built once and shared by the last two. *)
 let check_inheritor_context view (obj : Item.t) =
   let schema = View.schema view in
   let* st = obj_state_res view obj in
-  let kids = View.children_v view (View.vitem_real obj) in
-  (* group by role *)
-  let module SM = Map.Make (String) in
+  let subject () = item_name_for_msg view obj in
+  (* the expanded children, grouped into runs of one role *)
   let by_role =
-    List.fold_left
-      (fun m (v : View.vitem) ->
+    List.filter_map
+      (fun (v : View.vitem) ->
         match v.item.Item.body with
-        | Item.Dependent d ->
-          SM.update d.role
-            (function None -> Some [ v ] | Some l -> Some (v :: l))
-            m
-        | Item.Independent | Item.Relationship -> m)
-      SM.empty kids
+        | Item.Dependent d -> Some (d.role, d.index, v.View.item)
+        | Item.Independent | Item.Relationship -> None)
+      (View.children_v view (View.vitem_real obj))
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
-  let* () =
-    iter_result
-      (fun (role, vs) ->
-        let* def = Schema.resolve_child schema ~cls:st.Item.cls ~role in
-        (* membership of each child (inherited ones may come from an
-           incompatible pattern class) *)
-        let* () =
-          iter_result
-            (fun (v : View.vitem) ->
-              match View.obj_state view v.View.item with
-              | Some cst
-                when String.equal cst.Item.cls (Class_def.name def) ->
-                Ok ()
-              | Some cst ->
-                fail
-                  (Membership_violation
-                     {
-                       expected = Class_def.name def;
-                       got = cst.Item.cls;
-                       context =
-                         Printf.sprintf "context of %s"
-                           (item_name_for_msg view obj);
-                     })
-              | None -> Ok ())
-            vs
-        in
-        (* maximum cardinality over the expanded context *)
-        let* () =
-          check_max
-            ~element:(Class_def.name def)
-            ~subject:(item_name_for_msg view obj)
-            ~card:def.Class_def.card (List.length vs)
-        in
-        (* (role, index) collisions between own and inherited *)
-        let indices =
-          List.map
-            (fun (v : View.vitem) ->
-              match v.View.item.Item.body with
-              | Item.Dependent d -> d.index
-              | Item.Independent | Item.Relationship -> None)
-            vs
-        in
-        let sorted = List.sort compare indices in
-        let rec dup = function
-          | a :: (b :: _ as rest) ->
-            if a = b then true else dup rest
-          | [ _ ] | [] -> false
-        in
-        if dup sorted then
-          fail
-            (Pattern_violation
-               (Printf.sprintf
-                  "inherited sub-objects collide with own ones at role %s of %s"
-                  role
-                  (item_name_for_msg view obj)))
-        else Ok ())
-      (SM.bindings by_role)
+  let has_dup indices =
+    let rec dup = function
+      | a :: (b :: _ as rest) -> a = b || dup rest
+      | [ _ ] | [] -> false
+    in
+    dup (List.sort compare indices)
   in
+  (* one run of [by_role] per role: membership of each child (inherited
+     ones may come from an incompatible pattern class), the maximum
+     cardinality over the expanded context, then (role, index)
+     collisions between own and inherited *)
+  let rec check_runs = function
+    | [] -> Ok ()
+    | (role, _, _) :: _ as l ->
+      let* def = Schema.resolve_child schema ~cls:st.Item.cls ~role in
+      let def_name = Class_def.name def in
+      let rec run count indices = function
+        | (r, index, item) :: rest when String.equal r role -> (
+          match View.fetched_state view item with
+          | Some (Item.Obj cst) when not (String.equal cst.Item.cls def_name) ->
+            fail
+              (Membership_violation
+                 {
+                   expected = def_name;
+                   got = cst.Item.cls;
+                   context = Printf.sprintf "context of %s" (subject ());
+                 })
+          | Some (Item.Obj _ | Item.Rel _) | None -> run (count + 1) (index :: indices) rest)
+        | rest ->
+          let* () =
+            check_max ~element:(fun () -> def_name) ~subject ~card:def.Class_def.card count
+          in
+          if has_dup indices then
+            fail
+              (Pattern_violation
+                 (Printf.sprintf
+                    "inherited sub-objects collide with own ones at role %s of %s" role
+                    (subject ())))
+          else check_runs rest
+      in
+      run 0 [] l
+  in
+  let* () = check_runs by_role in
+  let rels = View.rels_v view obj in
   (* participation maxima over the expanded relationship set *)
   let* () =
     iter_result
       (fun (def, pos, (role : Assoc_def.role)) ->
-        let count =
-          count_participation view obj ~assoc:def.Assoc_def.name ~pos
-        in
         check_max
-          ~element:(def.Assoc_def.name ^ "." ^ role.Assoc_def.role_name)
-          ~subject:(item_name_for_msg view obj)
-          ~card:role.Assoc_def.card count)
+          ~element:(fun () -> def.Assoc_def.name ^ "." ^ role.Assoc_def.role_name)
+          ~subject ~card:role.Assoc_def.card
+          (count_participation view rels obj ~assoc:def.Assoc_def.name ~pos))
       (Schema.participation_constraints schema ~cls:st.Item.cls)
   in
   (* acyclicity of incident virtual/real edges *)
-  let* () =
-    iter_result
-      (fun (vr : View.vrel) ->
-        match View.rel_state view vr.View.rel with
-        | None -> Ok ()
-        | Some rs ->
-          let levels = rs.Item.assoc :: Schema.assoc_supers schema rs.Item.assoc in
-          iter_result
-            (fun level ->
-              match Schema.find_assoc schema level with
-              | Some d when d.Assoc_def.acyclic -> (
-                match vr.View.endpoints with
-                | [ a; b ] ->
-                  (* the edge is already present; a cycle exists iff b
-                     reaches a without using this very edge *)
-                  if
-                    creates_cycle view ~assoc:level ~src:a ~dst:b
-                      ~ignore_rel:(Some vr.View.rel.Item.id)
-                  then fail (Cycle_detected level)
-                  else Ok ()
-                | _ -> Ok ())
-              | Some _ | None -> Ok ())
-            levels)
-      (View.rels_v view obj)
-  in
-  Ok ()
+  iter_result
+    (fun (vr : View.vrel) ->
+      match View.fetched_state view vr.View.rel with
+      | Some (Item.Obj _) | None -> Ok ()
+      | Some (Item.Rel rs) ->
+        let levels = rs.Item.assoc :: Schema.assoc_supers schema rs.Item.assoc in
+        iter_result
+          (fun level ->
+            match Schema.find_assoc schema level with
+            | Some d when d.Assoc_def.acyclic -> (
+              match vr.View.endpoints with
+              | [ a; b ] ->
+                (* the edge is already present; a cycle exists iff b
+                   reaches a without using this very edge *)
+                if
+                  creates_cycle view ~assoc:level ~src:a ~dst:b
+                    ~ignore_rel:(Some vr.View.rel.Item.id)
+                then fail (Cycle_detected level)
+                else Ok ()
+              | _ -> Ok ())
+            | Some _ | None -> Ok ())
+          levels)
+    rels
 
 let check_inheritance view ~pattern ~inheritor =
   let* pst = obj_state_res view pattern in
@@ -796,72 +778,62 @@ let check_delete view (item : Item.t) =
 let check_database view =
   let db = View.db view in
   let schema = View.schema view in
-  let check_item (item : Item.t) =
-    if not (View.live view item) then Ok ()
-    else
-      match View.state view item with
-      | None -> Ok ()
-      | Some (Item.Obj o) ->
-        let* def = Schema.find_class_res schema o.Item.cls in
-        let* () =
-          match (o.Item.value, def.Class_def.content) with
-          | None, _ -> Ok ()
-          | Some _, None ->
-            fail
-              (Type_mismatch
-                 { expected = "no content for " ^ o.Item.cls; got = "a value" })
-          | Some v, Some ty -> Value.check ty v
-        in
-        if
-          item.Item.body = Item.Independent
-          && (not o.Item.pattern)
-        then check_inheritor_context view item
-        else Ok ()
-      | Some (Item.Rel r) ->
-        let* def = Schema.find_assoc_res schema r.Item.assoc in
-        let* () =
-          if List.length r.Item.endpoints = Assoc_def.arity def then Ok ()
-          else fail (Invalid_operation ("arity mismatch in " ^ r.Item.assoc))
-        in
-        let* () =
-          iter_result
-            (fun (n, value) ->
-              let* decl =
-                Schema.resolve_attr schema ~assoc:r.Item.assoc ~attr:n
-              in
-              Value.check decl.Assoc_def.attr_type value)
-            r.Item.rel_attrs
-        in
-        if r.Item.rel_pattern then Ok ()
-        else
-          iter_result
-            (fun (i, e) ->
-              match Db_state.find_item db e with
-              | None -> fail (Unknown_item (Ident.to_string e))
-              | Some eit -> (
-                match View.obj_state view eit with
-                | None -> fail (Unknown_item (Ident.to_string e))
-                | Some es ->
-                  let role = Assoc_def.nth_role def i in
-                  if
-                    Schema.class_is_a schema ~sub:es.Item.cls
-                      ~super:role.Assoc_def.target
-                  then Ok ()
-                  else
-                    fail
-                      (Membership_violation
-                         {
-                           expected = role.Assoc_def.target;
-                           got = es.Item.cls;
-                           context =
-                             r.Item.assoc ^ "." ^ role.Assoc_def.role_name;
-                         })))
-            (List.mapi (fun i e -> (i, e)) r.Item.endpoints)
+  let state = View.fetched_state view in
+  let check_item (item : Item.t) = function
+    | None -> Ok ()
+    | Some s when Item.state_deleted s -> Ok ()
+    | Some (Item.Obj o) -> (
+      let valid =
+        match (Schema.find_class schema o.Item.cls, o.Item.value) with
+        | None, _ -> fail (Unknown_class o.Item.cls)
+        | Some _, None -> Ok ()
+        | Some { Class_def.content = None; _ }, Some _ ->
+          fail (Type_mismatch { expected = "no content for " ^ o.Item.cls; got = "a value" })
+        | Some { Class_def.content = Some ty; _ }, Some v -> Value.check ty v
+      in
+      match valid with
+      | Ok () when item.Item.body = Item.Independent && not o.Item.pattern ->
+        check_inheritor_context view item
+      | Ok () | Error _ -> valid)
+    | Some (Item.Rel r) ->
+      let* def = Schema.find_assoc_res schema r.Item.assoc in
+      let* () =
+        if List.length r.Item.endpoints = Assoc_def.arity def then Ok ()
+        else fail (Invalid_operation ("arity mismatch in " ^ r.Item.assoc))
+      in
+      let* () =
+        iter_result
+          (fun (n, value) ->
+            let* decl = Schema.resolve_attr schema ~assoc:r.Item.assoc ~attr:n in
+            Value.check decl.Assoc_def.attr_type value)
+          r.Item.rel_attrs
+      in
+      let rec endpoints i = function
+        | [] -> Ok ()
+        | e :: rest -> (
+          match Option.bind (Db_state.find_item db e) state with
+          | Some (Item.Obj es) ->
+            let role = Assoc_def.nth_role def i in
+            if Schema.class_is_a schema ~sub:es.Item.cls ~super:role.Assoc_def.target then
+              endpoints (i + 1) rest
+            else
+              fail
+                (Membership_violation
+                   {
+                     expected = role.Assoc_def.target;
+                     got = es.Item.cls;
+                     context = r.Item.assoc ^ "." ^ role.Assoc_def.role_name;
+                   })
+          | Some (Item.Rel _) | None -> fail (Unknown_item (Ident.to_string e)))
+      in
+      if r.Item.rel_pattern then Ok () else endpoints 0 r.Item.endpoints
   in
-  let items =
-    (* [check_item] skips non-live items, so the view's extents already
-       enumerate everything that can fail a check *)
-    List.filter_map (Db_state.find_item db) (Db_state.all_live_ids (View.extents view))
-  in
-  iter_result check_item items
-
+  (* [check_item] skips non-live items, so the view's extents already
+     enumerate everything that can fail a check; the first failure is
+     the answer *)
+  Db_state.fold_live_ids (View.extents view)
+    (fun id acc ->
+      match (acc, Db_state.find_item db id) with
+      | Ok (), Some item -> check_item item (state item)
+      | Ok (), None | Error _, _ -> acc)
+    (Ok ())

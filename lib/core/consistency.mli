@@ -25,10 +25,11 @@ open Seed_schema
 val count_children_role : View.t -> View.vitem -> role:string -> int
 (** Live sub-objects with the given role, inherited ones included. *)
 
-val count_participation : View.t -> Item.t -> assoc:string -> pos:int -> int
-(** Relationships (inherited ones included) whose association is the
-    given one or a specialization of it and that bind the object at the
-    given role position. *)
+val count_participation :
+  View.t -> View.vrel list -> Item.t -> assoc:string -> pos:int -> int
+(** Among [rels] — the object's {!View.rels_v}, built once for all its
+    counts — those of the association or a specialization of it that
+    bind the object at role position [pos]. *)
 
 val has_normal_context : View.t -> Item.t -> bool
 (** True when the item (or the pattern sub-tree it belongs to) is visible

@@ -561,7 +561,7 @@ let begin_alternative db ~from_ ?(force = false) () =
   let v = View.at db from_ in
   Db_state.map_items db (fun it ->
       Item.with_dirty (Item.with_current it (View.state v it)) false);
-  Db_state.rebuild_state_indexes db;
+  Db_state.load db (Db_state.iter_items db);
   Db_state.set_current_base db (Some from_);
   Db_state.publish db;
   Ok ()

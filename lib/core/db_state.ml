@@ -255,9 +255,10 @@ let fold_items t ~init ~f =
 (* extent. Re-classification moves the item between class extents,      *)
 (* deletion drops it, and a pattern flip (never produced today, but     *)
 (* handled uniformly) would move it between the normal and pattern      *)
-(* maps. [index_state]/[unindex_state] are the one membership rule:     *)
-(* [replace_state] keeps the root's extents with them, and every        *)
-(* wholesale build folds [index_state] over the item table.             *)
+(* maps. [slot] is the one membership rule: [index_state] and          *)
+(* [unindex_state] apply it as [replace_state] keeps the root's         *)
+(* extents, the wholesale builds fold [index_state] over the item       *)
+(* table, and a load routes each item by it ([load]).                   *)
 (* ------------------------------------------------------------------ *)
 
 (* The text index covers exactly the live object states (independent or
@@ -300,19 +301,39 @@ let root_text r (item : Item.t) (state : Item.state option) =
 let add_or_remove_id ~add m k id =
   if add then Smap.add_id m k id else Smap.remove_id m k id
 
-(* The one membership rule: enter ([~add:true]) or drop [state]'s extent
-   membership for [item]; no-op for deleted or absent states. A name
-   binding is dropped only while it is still this item's. The text
+(* The one membership rule: the extent [state] puts [item] in, if any.
+   Deleted and absent states, and a state that does not fit the body,
+   are in none. *)
+type slot =
+  | Outside
+  | Object of { pattern : bool; cls : string; name : string option }
+  | Sub_object
+  | Relation of { pattern : bool; assoc : string }
+
+let slot (item : Item.t) (state : Item.state option) =
+  match (item.Item.body, state) with
+  | _, None -> Outside
+  | _, Some s when Item.state_deleted s -> Outside
+  | Item.Independent, Some (Item.Obj o) ->
+    Object { pattern = o.Item.pattern; cls = o.Item.cls; name = o.Item.name }
+  | Item.Dependent _, Some (Item.Obj _) -> Sub_object
+  | Item.Relationship, Some (Item.Rel rel) ->
+    Relation { pattern = rel.Item.rel_pattern; assoc = rel.Item.assoc }
+  | (Item.Independent | Item.Dependent _), Some (Item.Rel _)
+  | Item.Relationship, Some (Item.Obj _) ->
+    Outside
+
+(* Enter ([~add:true]) or drop [state]'s extent membership for [item]. A
+   name binding is dropped only while it is still this item's. The text
    index has its own hook ([root_text]): the wholesale rebuild builds
    it in one pass. *)
 let membership ~add x (item : Item.t) (state : Item.state option) =
   let id = item.Item.id in
-  match (item.Item.body, state) with
-  | _, None -> x
-  | _, Some s when Item.state_deleted s -> x
-  | Item.Independent, Some (Item.Obj o) ->
+  match slot item state with
+  | Outside -> x
+  | Object { pattern; cls; name } ->
     let x_names =
-      match o.Item.name with
+      match name with
       | None -> x.x_names
       | Some n when add -> Smap.add n id x.x_names
       | Some n -> (
@@ -320,19 +341,14 @@ let membership ~add x (item : Item.t) (state : Item.state option) =
         | Some bound when Ident.equal bound id -> Smap.remove n x.x_names
         | Some _ | None -> x.x_names)
     in
-    if o.Item.pattern then
-      { x with x_pattern = add_or_remove_id ~add x.x_pattern o.Item.cls id; x_names }
-    else { x with x_obj = add_or_remove_id ~add x.x_obj o.Item.cls id; x_names }
-  | Item.Dependent _, Some (Item.Obj _) ->
+    if pattern then { x with x_pattern = add_or_remove_id ~add x.x_pattern cls id; x_names }
+    else { x with x_obj = add_or_remove_id ~add x.x_obj cls id; x_names }
+  | Sub_object ->
     let op = if add then Ident.Set.add else Ident.Set.remove in
     { x with x_dependent = op id x.x_dependent }
-  | Item.Relationship, Some (Item.Rel rel) ->
-    if rel.Item.rel_pattern then
-      { x with x_rel_pattern = add_or_remove_id ~add x.x_rel_pattern rel.Item.assoc id }
-    else { x with x_rel = add_or_remove_id ~add x.x_rel rel.Item.assoc id }
-  | (Item.Independent | Item.Dependent _), Some (Item.Rel _)
-  | Item.Relationship, Some (Item.Obj _) ->
-    x
+  | Relation { pattern; assoc } ->
+    if pattern then { x with x_rel_pattern = add_or_remove_id ~add x.x_rel_pattern assoc id }
+    else { x with x_rel = add_or_remove_id ~add x.x_rel assoc id }
 
 let index_state x item state = membership ~add:true x item state
 let unindex_state x item state = membership ~add:false x item state
@@ -352,72 +368,43 @@ let all_rel_extent_ids x = Smap.all_ids x.x_rel
 let live_dependent_count x = Ident.Set.cardinal x.x_dependent
 let find_id_by_name x name = Smap.find_opt name x.x_names
 
-let all_live_ids x =
-  fold_obj_extents x List.cons
-    (all_pattern_extent_ids x @ all_rel_extent_ids x
-    @ Smap.all_ids x.x_rel_pattern @ Ident.Set.elements x.x_dependent)
+let fold_live_ids x f init =
+  let groups m acc = Smap.fold (fun _ s acc -> Ident.Set.fold f s acc) m acc in
+  init |> groups x.x_obj |> groups x.x_pattern |> groups x.x_rel
+  |> groups x.x_rel_pattern |> Ident.Set.fold f x.x_dependent
 
 (* ------------------------------------------------------------------ *)
 (* Item mutation (new roots)                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* An item's identity-index entries: under its parent, or under each of
+   its endpoints — by the current state, or by a stamped one for a
+   relationship that exists only in history. *)
+let index_identity (children, rels_of) (item : Item.t) =
+  match item.body with
+  | Item.Dependent { parent; _ } -> (Idmap.add children parent item.id, rels_of)
+  | Item.Independent -> (children, rels_of)
+  | Item.Relationship -> (
+    let state = match item.current with Some s -> Some s | None -> Item.any_history_state item in
+    match state with
+    | Some (Item.Rel { endpoints; _ }) ->
+      (children, List.fold_left (fun m e -> Idmap.add m e item.id) rels_of endpoints)
+    | Some (Item.Obj _) | None -> (children, rels_of))
+
 let add_item t (item : Item.t) =
   let r = t.working in
+  let r_children, r_rels_of = index_identity (r.r_children, r.r_rels_of) item in
   let r =
     {
       r with
       r_items = Ident.Map.add item.id item r.r_items;
       r_unflushed = Ident.Set.add item.id r.r_unflushed;
       r_ext = index_state r.r_ext item item.current;
+      r_children;
+      r_rels_of;
     }
   in
-  let r = root_text r item item.current in
-  let r =
-    match item.body with
-    | Item.Dependent { parent; _ } ->
-      { r with r_children = Idmap.add r.r_children parent item.id }
-    | Item.Independent -> r
-    | Item.Relationship -> (
-      match Item.rel_state item with
-      | Some { endpoints; _ } ->
-        {
-          r with
-          r_rels_of =
-            List.fold_left (fun m e -> Idmap.add m e item.id) r.r_rels_of endpoints;
-        }
-      | None -> r)
-  in
-  t.working <- r
-
-let add_loaded_item t (item : Item.t) =
-  (* Like [add_item] but suitable for items loaded from storage: an item
-     may exist only in history (current = None), in which case the
-     relationship index must still cover its historical endpoints. Name,
-     inheritor, and extent indexes are rebuilt wholesale afterwards. A
-     loaded record is the stored one, so it is not unflushed. *)
-  let r = t.working in
-  let r = { r with r_items = Ident.Map.add item.id item r.r_items } in
-  let r =
-    match item.body with
-    | Item.Dependent { parent; _ } ->
-      { r with r_children = Idmap.add r.r_children parent item.id }
-    | Item.Independent -> r
-    | Item.Relationship -> (
-      let state =
-        match item.current with
-        | Some s -> Some s
-        | None -> Item.any_history_state item
-      in
-      match state with
-      | Some (Item.Rel { endpoints; _ }) ->
-        {
-          r with
-          r_rels_of =
-            List.fold_left (fun m e -> Idmap.add m e item.id) r.r_rels_of endpoints;
-        }
-      | Some (Item.Obj _) | None -> r)
-  in
-  t.working <- r
+  t.working <- root_text r item item.current
 
 let replace_state t id new_state =
   match Ident.Map.find_opt id t.working.r_items with
@@ -500,15 +487,6 @@ let clear_dirty t =
   t.working <-
     { r with r_items = items; r_dirty = Ident.Set.empty; r_unflushed = unflushed }
 
-let rebuild_dirty t =
-  let r = t.working in
-  let dirty =
-    Ident.Map.fold
-      (fun id it acc -> if it.Item.dirty then Ident.Set.add id acc else acc)
-      r.r_items Ident.Set.empty
-  in
-  t.working <- { r with r_dirty = dirty }
-
 let stamp_dirty t vid =
   let r = t.working in
   let count = ref 0 in
@@ -561,26 +539,73 @@ let unindex_inheritor t ~pattern ~inheritor =
       r_inheritors = Idmap.remove t.working.r_inheritors pattern inheritor;
     }
 
-let rebuild_state_indexes t =
+(* A set or map grown at its top end, as runs of equal size merged like
+   the digits of a binary counter: joining two runs over disjoint ranges
+   copies only their facing spines, where one insert per key copies a
+   whole search path for each key. Run sizes grow strictly downwards. *)
+let rec push_run union (n, x) = function
+  | (m, y) :: rest when m = n -> push_run union (n + m, union y x) rest
+  | runs -> (n, x) :: runs
+
+let of_runs union empty runs = List.fold_left (fun acc (_, x) -> union x acc) empty runs
+let union_disjoint a b = Ident.Map.union (fun _ x _ -> Some x) a b
+let push_id id runs = push_run Ident.Set.union (1, Ident.Set.singleton id) runs
+let set_of_runs runs = of_runs Ident.Set.union Ident.Set.empty runs
+
+(* One fold over items arriving in increasing id order: the item table
+   and every index at once, with no list of the database. Id-keyed sets
+   and the table grow as runs; the identity indexes, keyed by parent or
+   endpoint, take one persistent insert per item, whose copies die
+   young. *)
+let load t feed =
   let r = t.working in
-  let inheritors = ref Idmap.empty in
-  let current (it : Item.t) =
-    (match (it.Item.body, it.Item.current) with
-    | Item.Independent, Some (Item.Obj o) when not o.Item.deleted ->
-      List.iter
-        (fun p -> inheritors := Idmap.add !inheritors p it.Item.id)
-        o.Item.inherits
-    | _ -> ());
-    it.Item.current
+  let items = ref [] and dirty = ref [] and dependent = ref [] in
+  (* per extent group, the runs of each class or association *)
+  let objs = Hashtbl.create 16 and patterns = Hashtbl.create 16 in
+  let rels = Hashtbl.create 16 and rel_patterns = Hashtbl.create 16 in
+  let extend group key id =
+    Hashtbl.replace group key (push_id id (Option.value (Hashtbl.find_opt group key) ~default:[]))
   in
-  let ext = extents_of r.r_items current in
+  let identity = ref (Idmap.empty, Idmap.empty) in
+  let inheritors = ref Idmap.empty and names = ref Smap.empty in
+  feed (fun (it : Item.t) ->
+      let id = it.Item.id in
+      items := push_run union_disjoint (1, Ident.Map.singleton id it) !items;
+      if it.Item.dirty then dirty := push_id id !dirty;
+      identity := index_identity !identity it;
+      (match slot it it.Item.current with
+      | Outside -> ()
+      | Object { pattern; cls; name } ->
+        Option.iter (fun n -> names := Smap.add n id !names) name;
+        extend (if pattern then patterns else objs) cls id;
+        (match it.Item.current with
+        | Some (Item.Obj o) ->
+          List.iter (fun p -> inheritors := Idmap.add !inheritors p id) o.Item.inherits
+        | Some (Item.Rel _) | None -> ())
+      | Sub_object -> dependent := push_id id !dependent
+      | Relation { pattern; assoc } -> extend (if pattern then rel_patterns else rels) assoc id);
+      Ident.Gen.mark_used t.gen id);
+  let items = of_runs union_disjoint Ident.Map.empty !items in
+  let r_children, r_rels_of = !identity in
+  let group g = Hashtbl.fold (fun k runs m -> Smap.add k (set_of_runs runs) m) g Smap.empty in
   t.working <-
     {
       r with
-      r_ext = ext;
+      r_items = items;
+      r_children;
+      r_rels_of;
       r_inheritors = !inheritors;
-      (* rebuilt in one pass, preserving enabledness *)
-      r_text = Option.map (fun _ -> build_text_index r.r_items) r.r_text;
+      r_ext =
+        {
+          x_obj = group objs;
+          x_pattern = group patterns;
+          x_rel = group rels;
+          x_rel_pattern = group rel_patterns;
+          x_dependent = set_of_runs !dependent;
+          x_names = !names;
+        };
+      r_dirty = set_of_runs !dirty;
+      r_text = Option.map (fun _ -> build_text_index items) r.r_text;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -681,8 +706,8 @@ let ve_state ve id = Ident.Tbl.find_opt ve.ve_states id
 (* maintained beside them ([root_text] in [add_item] and                *)
 (* [replace_state]), so every state replacement —                       *)
 (* create, value update, logical delete, re-classification, rollback by *)
-(* root swap — keeps it exact, and [rebuild_state_indexes] builds it in *)
-(* one pass on branch switch and load. Version views get their own      *)
+(* root swap — keeps it exact, and [load] builds it in one pass on      *)
+(* branch switch and open. Version views get their own                  *)
 (* frozen index, built lazily from the materialized states and cached   *)
 (* on the version extent (handle-private, like the extent itself).      *)
 (* ------------------------------------------------------------------ *)

@@ -144,12 +144,6 @@ val add_item : t -> Item.t -> unit
 (** Insert into the item table and all identity-level indexes, the
     extent of its current state, and the name index when applicable. *)
 
-val add_loaded_item : t -> Item.t -> unit
-(** Insert an item loaded from storage: identity indexes are updated
-    (covering items that exist only in history); name, inheritor, and
-    extent indexes must be rebuilt with {!rebuild_state_indexes}
-    afterwards. *)
-
 val replace_state : t -> Ident.t -> Item.state option -> unit
 (** Overwrite the item's current state, maintaining the name index and
     all extents (the old state is unindexed, the new one indexed).
@@ -160,9 +154,9 @@ val unsafe_put_item : t -> Item.t -> unit
     support for tampering with an item behind the API's back. *)
 
 val map_items : t -> (Item.t -> Item.t) -> unit
-(** Replace every item by [f item] (branch switch); callers must
-    {!rebuild_state_indexes} afterwards. Only items whose record
-    actually changed enter the {!unflushed} set. *)
+(** Replace every item by [f item] (branch switch); callers rebuild the
+    indexes with {!load} afterwards. Only items whose record actually
+    changed enter the {!unflushed} set. *)
 
 (** {1 Extents}
 
@@ -189,8 +183,10 @@ val all_rel_extent_ids : extents -> Ident.t list
 
 val live_dependent_count : extents -> int
 
-val all_live_ids : extents -> Ident.t list
-(** Every live item (all five extent groups). *)
+val fold_live_ids : extents -> (Ident.t -> 'a -> 'a) -> 'a -> 'a
+(** Fold over every live item (all five extent groups) without building
+    a list: independent objects, patterns, relationships, pattern
+    relationships, then sub-objects, each in increasing id order. *)
 
 val find_id_by_name : extents -> string -> Ident.t option
 (** The live independent object (patterns included) of that name. *)
@@ -205,9 +201,6 @@ val clear_dirty : t -> unit
 (** Reset all dirty flags and the set (after a branch switch). *)
 
 val dirty_ids : t -> Ident.t list
-
-val rebuild_dirty : t -> unit
-(** Recompute the delta set from the per-item flags (after a load). *)
 
 val stamp_dirty : t -> Version_id.t -> int
 (** Stamp every dirty item's current state under [vid], clearing flags
@@ -240,11 +233,14 @@ val inheritor_set : t -> Ident.t -> Ident.Set.t
 val index_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 val unindex_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 
-val rebuild_state_indexes : t -> unit
-(** Recompute the inheritor index and the {!extents} from current item
-    states (after a branch switch or a load), writing the root once.
-    The version cache is untouched: it depends only on item histories
-    and the version tree, neither of which a branch switch changes. *)
+val load : t -> ((Item.t -> unit) -> unit) -> unit
+(** [load t feed] rebuilds the working root in one pass over the items
+    [feed add] passes to [add] in strictly increasing id order: item
+    table, identity indexes (a relationship existing only in history by
+    its historical endpoints), extents, inheritor, text and delta sets,
+    id generator; the unflushed set is kept. Open loads a fresh handle
+    from storage; a branch switch re-feeds the switched table
+    ({!iter_items}), leaving the version cache valid. *)
 
 (** {1 Materialized version views}
 
@@ -287,8 +283,8 @@ val ve_state : version_extent -> Ident.t -> Item.state option
     beside them: every current-state replacement — create, value
     update, logical delete (cascade included), re-classification, and
     rollback by root swap — keeps it exact over the live object states
-    carrying string values, and {!rebuild_state_indexes} rebuilds it
-    in one pass on branch switch and load. Being persistent, it is frozen
+    carrying string values, and {!load} rebuilds it in one pass on
+    branch switch and open. Being persistent, it is frozen
     for free in every published root and MVCC snapshot. *)
 
 val text_index : t -> Text_index.t option
@@ -348,3 +344,4 @@ val schema_at_revision : t -> int -> Schema.t option
 val iter_items : t -> (Item.t -> unit) -> unit
 
 val fold_items : t -> init:'a -> f:('a -> Item.t -> 'a) -> 'a
+(** Items in increasing id order, as {!iter_items} visits them. *)

@@ -148,90 +148,84 @@ let w_meta w (st : Db_state.t) =
 
 (* ------------------------------------------------------------------ *)
 (* Decoders                                                             *)
+(*                                                                      *)
+(* Direct style: each reader returns its value and aborts the enclosing *)
+(* [R.run] on malformed input, so a decoder is straight-line code.      *)
+(* Fields are bound with [let] in stream order, never read inside a     *)
+(* constructor's arguments, whose evaluation order is unspecified.      *)
 (* ------------------------------------------------------------------ *)
 
-let r_ident r =
-  let* i = R.varint r in
-  Ok (Ident.of_int i)
+(* a schema-level constructor refusing decoded values is corrupt input *)
+let checked f = try f () with Invalid_argument msg -> R.fail msg
+
+let get = function Ok v -> v | Error e -> R.fail (Seed_error.to_string e)
+
+let r_ident r = Ident.of_int (R.varint r)
 
 let r_value r =
-  let* tag = R.u8 r in
-  match tag with
-  | 0 ->
-    let* s = R.string r in
-    Ok (Value.String s)
-  | 1 ->
-    let* i = R.varint r in
-    Ok (Value.Int i)
-  | 2 ->
-    let* f = R.float r in
-    Ok (Value.Float f)
-  | 3 ->
-    let* b = R.bool r in
-    Ok (Value.Bool b)
+  match R.u8 r with
+  | 0 -> Value.String (R.string r)
+  | 1 -> Value.Int (R.varint r)
+  | 2 -> Value.Float (R.float r)
+  | 3 -> Value.Bool (R.bool r)
   | 4 ->
-    let* year = R.varint r in
-    let* month = R.varint r in
-    let* day = R.varint r in
-    Ok (Value.Date { Value.year; month; day })
-  | 5 ->
-    let* c = R.string r in
-    Ok (Value.Enum c)
-  | _ -> fail (Corrupt "bad value tag")
+    let year = R.varint r in
+    let month = R.varint r in
+    let day = R.varint r in
+    Value.Date { Value.year; month; day }
+  | 5 -> Value.Enum (R.string r)
+  | _ -> R.fail "bad value tag"
 
 let r_value_type r =
-  let* tag = R.u8 r in
-  match tag with
-  | 0 -> Ok Value_type.String
-  | 1 -> Ok Value_type.Int
-  | 2 -> Ok Value_type.Float
-  | 3 -> Ok Value_type.Bool
-  | 4 -> Ok Value_type.Date
-  | 5 ->
-    let* cs = R.list r R.string in
-    Ok (Value_type.Enum cs)
-  | _ -> fail (Corrupt "bad value-type tag")
+  match R.u8 r with
+  | 0 -> Value_type.String
+  | 1 -> Value_type.Int
+  | 2 -> Value_type.Float
+  | 3 -> Value_type.Bool
+  | 4 -> Value_type.Date
+  | 5 -> Value_type.Enum (R.list r R.string)
+  | _ -> R.fail "bad value-type tag"
 
 let r_card r =
-  let* min = R.varint r in
-  let* max = R.option r R.varint in
-  Ok (Cardinality.make min max)
+  let min = R.varint r in
+  let max = R.option r R.varint in
+  checked (fun () -> Cardinality.make min max)
 
 let r_class r =
-  let* path = R.list r R.string in
-  let* card = r_card r in
-  let* content = R.option r r_value_type in
-  let* super = R.option r R.string in
-  let* covering = R.bool r in
-  let* procedures = R.list r R.string in
-  Ok (Class_def.v ~card ?content ?super ~covering ~procedures path)
+  let path = R.list r R.string in
+  let card = r_card r in
+  let content = R.option r r_value_type in
+  let super = R.option r R.string in
+  let covering = R.bool r in
+  let procedures = R.list r R.string in
+  checked (fun () -> Class_def.v ~card ?content ?super ~covering ~procedures path)
 
 let r_role r =
-  let* role_name = R.string r in
-  let* target = R.string r in
-  let* card = r_card r in
-  Ok (Assoc_def.role ~card role_name target)
+  let role_name = R.string r in
+  let target = R.string r in
+  let card = r_card r in
+  Assoc_def.role ~card role_name target
 
 let r_attr r =
-  let* attr_name = R.string r in
-  let* attr_type = r_value_type r in
-  let* required = R.bool r in
-  Ok (Assoc_def.attr ~required attr_name attr_type)
+  let attr_name = R.string r in
+  let attr_type = r_value_type r in
+  let required = R.bool r in
+  Assoc_def.attr ~required attr_name attr_type
 
 let r_assoc r =
-  let* name = R.string r in
-  let* roles = R.list r r_role in
-  let* attrs = R.list r r_attr in
-  let* acyclic = R.bool r in
-  let* super = R.option r R.string in
-  let* covering = R.bool r in
-  let* procedures = R.list r R.string in
-  Ok (Assoc_def.v ~attrs ~acyclic ?super ~covering ~procedures name roles)
+  let name = R.string r in
+  let roles = R.list r r_role in
+  let attrs = R.list r r_attr in
+  let acyclic = R.bool r in
+  let super = R.option r R.string in
+  let covering = R.bool r in
+  let procedures = R.list r R.string in
+  checked (fun () -> Assoc_def.v ~attrs ~acyclic ?super ~covering ~procedures name roles)
 
 let r_schema r =
-  let* rev = R.varint r in
-  let* classes = R.list r r_class in
-  let* assocs = R.list r r_assoc in
+  let rev = R.varint r in
+  let classes = R.list r r_class in
+  let assocs = R.list r r_assoc in
   (* parents before children for of_defs *)
   let classes =
     List.sort
@@ -239,151 +233,100 @@ let r_schema r =
         Int.compare (List.length a.Class_def.path) (List.length b.Class_def.path))
       classes
   in
-  let* s = Schema.of_defs classes assocs in
-  Ok (Schema.with_revision s rev)
+  Schema.with_revision (get (Schema.of_defs classes assocs)) rev
 
-let r_version_id r =
-  let* ints = R.list r R.varint in
-  Version_id.of_ints ints
+let r_version_id r = get (Version_id.of_ints (R.list r R.varint))
 
 let r_state r =
-  let* tag = R.u8 r in
-  match tag with
+  match R.u8 r with
   | 0 ->
-    let* name = R.option r R.string in
-    let* cls = R.string r in
-    let* value = R.option r r_value in
-    let* pattern = R.bool r in
-    let* inherits = R.list r r_ident in
-    let* deleted = R.bool r in
-    Ok (Item.Obj { Item.name; cls; value; pattern; inherits; deleted })
+    let name = R.option r R.string in
+    let cls = R.name r in
+    let value = R.option r r_value in
+    let pattern = R.bool r in
+    let inherits = R.list r r_ident in
+    let deleted = R.bool r in
+    Item.Obj { Item.name; cls; value; pattern; inherits; deleted }
   | 1 ->
-    let* assoc = R.string r in
-    let* endpoints = R.list r r_ident in
-    let* rel_attrs =
+    let assoc = R.name r in
+    let endpoints = R.list r r_ident in
+    let rel_attrs =
       R.list r (fun r ->
-          let* n = R.string r in
-          let* v = r_value r in
-          Ok (n, v))
+          let n = R.name r in
+          (n, r_value r))
     in
-    let* rel_pattern = R.bool r in
-    let* rel_deleted = R.bool r in
-    Ok (Item.Rel { Item.assoc; endpoints; rel_attrs; rel_pattern; rel_deleted })
-  | _ -> fail (Corrupt "bad state tag")
+    let rel_pattern = R.bool r in
+    let rel_deleted = R.bool r in
+    Item.Rel { Item.assoc; endpoints; rel_attrs; rel_pattern; rel_deleted }
+  | _ -> R.fail "bad state tag"
 
-let r_body r =
-  let* tag = R.u8 r in
-  match tag with
-  | 0 -> Ok Item.Independent
+(* ids are allocated in creation order, so a sub-object's parent always
+   has the smaller id: checking it keeps parent chains acyclic *)
+let r_body r ~id =
+  match R.u8 r with
+  | 0 -> Item.Independent
   | 1 ->
-    let* parent = r_ident r in
-    let* role = R.string r in
-    let* index = R.option r R.varint in
-    Ok (Item.Dependent { parent; role; index })
-  | 2 -> Ok Item.Relationship
-  | _ -> fail (Corrupt "bad body tag")
+    let parent = r_ident r in
+    let role = R.name r in
+    let index = R.option r R.varint in
+    if Ident.compare parent id >= 0 then R.fail "sub-object precedes its parent";
+    Item.Dependent { parent; role; index }
+  | 2 -> Item.Relationship
+  | _ -> R.fail "bad body tag"
 
 let r_item r =
-  let* id = r_ident r in
-  let* body = r_body r in
-  let* current = R.option r r_state in
-  let* dirty = R.bool r in
-  let* history =
+  let id = r_ident r in
+  let body = r_body r ~id in
+  let current = R.option r r_state in
+  let dirty = R.bool r in
+  let history =
     R.list r (fun r ->
-        let* vid = r_version_id r in
-        let* s = r_state r in
-        Ok (vid, s))
+        let vid = r_version_id r in
+        (vid, r_state r))
   in
-  Ok { Item.id; body; current; dirty; history = Item.history_of_bindings history }
+  { Item.id; body; current; dirty; history = Item.history_of_bindings history }
 
 let r_raw_node r =
-  let* r_vid = r_version_id r in
-  let* r_parent = R.option r r_version_id in
-  let* r_seq = R.varint r in
-  let* r_schema_rev = R.varint r in
-  let* r_next_branch = R.varint r in
-  Ok { Versioning.r_vid; r_parent; r_seq; r_schema_rev; r_next_branch }
+  let r_vid = r_version_id r in
+  let r_parent = R.option r r_version_id in
+  let r_seq = R.varint r in
+  let r_schema_rev = R.varint r in
+  let r_next_branch = R.varint r in
+  { Versioning.r_vid; r_parent; r_seq; r_schema_rev; r_next_branch }
 
 type meta = {
   m_gen : int;
   m_trunk : int;
   m_nodes : Versioning.raw list;
   m_base : Version_id.t option;
-  m_schemas : (int * Schema.t) list;
+  m_schemas : (int * Schema.t) list;  (** newest first, never empty *)
 }
 
 let r_meta r =
-  let* m_gen = R.varint r in
-  let* m_trunk = R.varint r in
-  let* m_nodes = R.list r r_raw_node in
-  let* m_base = R.option r r_version_id in
-  let* m_schemas =
+  let m_gen = R.varint r in
+  let m_trunk = R.varint r in
+  let m_nodes = R.list r r_raw_node in
+  let m_base = R.option r r_version_id in
+  let m_schemas =
     R.list r (fun r ->
-        let* rev = R.varint r in
-        let* s = r_schema r in
-        Ok (rev, s))
+        let rev = R.varint r in
+        (rev, r_schema r))
   in
-  Ok { m_gen; m_trunk; m_nodes; m_base; m_schemas }
+  if List.is_empty m_schemas then R.fail "database without schema";
+  { m_gen; m_trunk; m_nodes; m_base; m_schemas }
 
 (* ------------------------------------------------------------------ *)
 (* Whole-database snapshot                                              *)
 (* ------------------------------------------------------------------ *)
-
-let items_in_id_order (st : Db_state.t) =
-  Db_state.fold_items st ~init:[] ~f:(fun acc it -> it :: acc)
-  |> List.sort (fun (a : Item.t) b -> Ident.compare a.Item.id b.Item.id)
 
 let encode_db db =
   let st = Database.raw db in
   let w = W.create ~initial_size:4096 () in
   W.varint w format_version;
   w_meta w st;
-  W.list w w_item (items_in_id_order st);
+  (* the item table folds in id order already *)
+  W.iter w w_item (Db_state.item_count st) (Db_state.iter_items st);
   W.contents w
-
-let build_db meta items ~verify =
-  let* schema =
-    match meta.m_schemas with
-    | (_, s) :: _ -> Ok s
-    | [] -> fail (Corrupt "database without schema")
-  in
-  let st = Db_state.create schema in
-  Db_state.set_schemas st meta.m_schemas;
-  Ident.Gen.mark_used (Db_state.gen st) (Ident.of_int meta.m_gen);
-  Db_state.set_versions st
-    (Versioning.restore ~trunk:meta.m_trunk ~nodes:meta.m_nodes);
-  Db_state.set_current_base st meta.m_base;
-  List.iter
-    (fun (it : Item.t) ->
-      Db_state.add_loaded_item st it;
-      Ident.Gen.mark_used (Db_state.gen st) it.Item.id)
-    items;
-  Db_state.rebuild_state_indexes st;
-  (* rebuild the delta set from the persisted dirty flags *)
-  Db_state.rebuild_dirty st;
-  (* the loaded state is the first committed state *)
-  Db_state.publish st;
-  let db = Database.of_raw st in
-  let* () =
-    if verify then Consistency.check_database (View.current st) else Ok ()
-  in
-  Ok db
-
-let decode_snapshot payload =
-  let r = R.of_string payload in
-  let* v = R.varint r in
-  let* () =
-    if v = format_version then Ok ()
-    else fail (Corrupt (Printf.sprintf "unsupported format version %d" v))
-  in
-  let* meta = r_meta r in
-  let* items = R.list r r_item in
-  let* () = R.expect_end r in
-  Ok (meta, items)
-
-let decode_db payload =
-  let* meta, items = decode_snapshot payload in
-  build_db meta items ~verify:true
 
 (* ------------------------------------------------------------------ *)
 (* Journal records                                                      *)
@@ -401,46 +344,91 @@ let record_item (it : Item.t) =
   w_item w it;
   W.contents w
 
-let apply_records meta_ref items_map records =
-  iter_result
-    (fun payload ->
-      let r = R.of_string payload in
-      let* tag = R.u8 r in
-      match tag with
-      | 0 ->
-        let* m = r_meta r in
-        let* () = R.expect_end r in
-        meta_ref := Some m;
-        Ok ()
-      | 1 ->
-        let* it = r_item r in
-        let* () = R.expect_end r in
-        items_map := Ident.Map.add it.Item.id it !items_map;
-        Ok ()
-      | _ -> fail (Corrupt "bad journal record tag"))
+(* The journal tail, decoded first: the last meta record and the last
+   record of each item — a map as small as the tail. *)
+let read_records records =
+  List.fold_left
+    (fun acc payload ->
+      let* meta, items = acc in
+      R.run payload (fun r ->
+          match R.u8 r with
+          | 0 -> (Some (r_meta r), items)
+          | 1 ->
+            let it = r_item r in
+            (meta, Ident.Map.add it.Item.id it items)
+          | _ -> R.fail "bad journal record tag"))
+    (Ok (None, Ident.Map.empty))
     records
 
+(* ------------------------------------------------------------------ *)
+(* Open: one fold from the snapshot into the root                       *)
+(* ------------------------------------------------------------------ *)
+
+let state_of_meta meta =
+  let schema = snd (List.hd meta.m_schemas) in
+  let st = Db_state.create schema in
+  Db_state.set_schemas st meta.m_schemas;
+  Ident.Gen.mark_used (Db_state.gen st) (Ident.of_int meta.m_gen);
+  Db_state.set_versions st (Versioning.restore ~trunk:meta.m_trunk ~nodes:meta.m_nodes);
+  Db_state.set_current_base st meta.m_base;
+  st
+
+(* Fill [st] from the items [snapshot] streams in id order, with the
+   journal's items merged in: a journal record replaces the snapshot's
+   item of its id, and the others join in id order. *)
+let load_items st journal snapshot =
+  Db_state.load st (fun add ->
+      let pending = ref (Ident.Map.bindings journal) in
+      (* add the journal's items up to [id]; true when one replaces it *)
+      let rec take_upto id =
+        match !pending with
+        | (jid, jit) :: rest when Ident.compare jid id <= 0 ->
+          add jit;
+          pending := rest;
+          Ident.equal jid id || take_upto id
+        | _ :: _ | [] -> false
+      in
+      snapshot (fun (it : Item.t) -> if not (take_upto it.Item.id) then add it);
+      List.iter (fun (_, jit) -> add jit) !pending)
+
+(* The snapshot payload decoded straight into a fresh root, with the
+   journal tail [(jmeta, jitems)] merged in. *)
+let decode_snapshot payload (jmeta, jitems) =
+  R.run payload (fun r ->
+      let v = R.varint r in
+      if v <> format_version then R.fail (Printf.sprintf "unsupported format version %d" v);
+      let meta = r_meta r in
+      let st = state_of_meta (Option.value jmeta ~default:meta) in
+      let last = ref min_int in
+      load_items st jitems (fun add ->
+          R.iter r (fun r ->
+              let it = r_item r in
+              let id = Ident.to_int it.Item.id in
+              if id <= !last then R.fail "snapshot items out of id order";
+              last := id;
+              add it));
+      st)
+
+(* The stored database, [None] when the directory holds none. *)
 let load_parts snapshot records =
-  let* base =
-    match snapshot with
-    | None -> Ok None
-    | Some payload -> Result.map Option.some (decode_snapshot payload)
-  in
-  let meta_ref = ref (Option.map fst base) in
-  let items_map =
-    ref
-      (match base with
-      | Some (_, items) ->
-        List.fold_left
-          (fun m (it : Item.t) -> Ident.Map.add it.Item.id it m)
-          Ident.Map.empty items
-      | None -> Ident.Map.empty)
-  in
-  let* () = apply_records meta_ref items_map records in
-  match !meta_ref with
-  | None -> Ok None
-  | Some meta ->
-    Ok (Some (meta, List.map snd (Ident.Map.bindings !items_map)))
+  let* ((jmeta, jitems) as journal) = read_records records in
+  match (snapshot, jmeta) with
+  | Some payload, _ -> Result.map Option.some (decode_snapshot payload journal)
+  | None, Some meta ->
+    let st = state_of_meta meta in
+    load_items st jitems ignore;
+    Ok (Some st)
+  | None, None -> Ok None
+
+(* The loaded state is the first committed state; [verify] sweeps it. *)
+let finish st ~verify =
+  Db_state.publish st;
+  let* () = if verify then Consistency.check_database (View.current st) else Ok () in
+  Ok (Database.of_raw st)
+
+let decode_db payload =
+  let* st = decode_snapshot payload (None, Ident.Map.empty) in
+  finish st ~verify:true
 
 let save db ~dir =
   let* store, _, _, _ = Store.open_dir dir in
@@ -451,10 +439,10 @@ let save db ~dir =
 let load ?(verify = true) ~dir () =
   let* store, snapshot, records, _ = Store.open_dir dir in
   Store.close store;
-  let* parts = load_parts snapshot records in
-  match parts with
+  let* st = load_parts snapshot records in
+  match st with
   | None -> fail (Io_error ("no database found in " ^ dir))
-  | Some (meta, items) -> build_db meta items ~verify
+  | Some st -> finish st ~verify
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                             *)
@@ -473,37 +461,32 @@ module Session = struct
     w_meta w st;
     W.contents w
 
+  (* the database the directory holds, or a fresh one given [schema]; a
+     fresh directory gets an initial meta record so load finds something
+     even before the first flush *)
+  let database store ~dir ~schema ~verify snapshot records =
+    let* st = load_parts snapshot records in
+    match (st, schema) with
+    | Some st, _ -> finish st ~verify
+    | None, Some schema ->
+      let database = Database.create schema in
+      let* () = Store.append store [ record_meta (Database.raw database) ] in
+      Ok database
+    | None, None -> fail (Io_error ("no database in " ^ dir ^ " and no schema given"))
+
   let open_ ~dir ?schema ?(verify = true) ?io ?sync ?retry ?sleep () =
     let* store, snapshot, records, recovery =
       Store.open_dir ?io ?sync ?retry ?sleep dir
     in
-    let* parts = load_parts snapshot records in
-    let* database =
-      match (parts, schema) with
-      | Some (meta, items), _ -> build_db meta items ~verify
-      | None, Some schema -> Ok (Database.create schema)
-      | None, None ->
-        Store.close store;
-        fail (Io_error ("no database in " ^ dir ^ " and no schema given"))
-    in
-    let t =
-      {
-        database;
-        store;
-        recovery;
-        meta_fingerprint = fingerprint (Database.raw database);
-      }
-    in
-    Db_state.set_write_stats_source (Database.raw database) (fun () ->
-        Store.write_stats store);
-    (* a fresh database directory gets an initial meta record so load
-       finds something even before the first flush *)
-    let* () =
-      if parts = None then
-        Store.append store [ record_meta (Database.raw database) ]
-      else Ok ()
-    in
-    Ok t
+    match database store ~dir ~schema ~verify snapshot records with
+    | Error _ as e ->
+      (* every refusal closes the journal [open_dir] opened *)
+      Store.close store;
+      e
+    | Ok database ->
+      let st = Database.raw database in
+      Db_state.set_write_stats_source st (fun () -> Store.write_stats store);
+      Ok { database; store; recovery; meta_fingerprint = fingerprint st }
 
   let db t = t.database
   let recovery t = t.recovery

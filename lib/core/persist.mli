@@ -13,15 +13,24 @@
     flush) and {!Session.compact} occasionally. The durability of each
     flush is set by the session's {!Seed_storage.Journal.sync_policy};
     what recovery found and repaired on open is in
-    {!Session.recovery}. *)
+    {!Session.recovery}.
+
+    Opening is one fold: the journal's records are decoded into a small
+    map, then the snapshot's items straight into the root in id order,
+    the journal's versions merged in and every index built in the same
+    pass ({!Db_state.load}); last the root is verified
+    ({!Consistency.check_database}) unless [~verify:false]. A malformed
+    payload is [Error (Corrupt _)], never an exception. *)
 
 open Seed_util
 open Seed_schema
 
 val encode_db : Database.t -> string
-(** Whole-database snapshot payload. *)
+(** Whole-database snapshot payload: the items in id order, as the item
+    table folds them. *)
 
 val decode_db : string -> (Database.t, Seed_error.t) result
+(** A snapshot payload back into a database, verified like {!load}. *)
 
 val save : Database.t -> dir:string -> (unit, Seed_error.t) result
 (** One-shot: write a snapshot of the database into [dir] (creating it),
@@ -43,7 +52,10 @@ module Session : sig
     unit ->
     (t, Seed_error.t) result
   (** Open (or create, given [schema]) the database at [dir]. Opening an
-      empty directory without a schema fails. [sync] (default
+      empty directory without a schema fails. A refused open — the
+      snapshot does not decode, verification fails, or a fresh
+      directory's first record cannot be written — closes the store it
+      opened. [sync] (default
       [`Flush_only]) sets the durability of every journal append; [io]
       substitutes the I/O environment (fault injection in tests);
       [retry]/[sleep] the bounded-backoff policy absorbing transient I/O

@@ -44,12 +44,12 @@ let state t (item : Item.t) =
     | None -> None)
   | At (_, ve) -> Db_state.ve_state ve item.Item.id
 
-let state_of_id t id =
-  Option.bind (Db_state.find_item t.db_ id) (fun (it : Item.t) ->
-      match t.mode with Current -> it.Item.current | At _ -> state t it)
+let fetched_state t (it : Item.t) =
+  match t.mode with Current -> it.Item.current | At (_, ve) -> Db_state.ve_state ve it.Item.id
 
-let live t item =
-  match state t item with Some s -> not (Item.state_deleted s) | None -> false
+let state_of_id t id = Option.bind (Db_state.find_item t.db_ id) (fetched_state t)
+let live_state = function Some s -> not (Item.state_deleted s) | None -> false
+let live t item = live_state (state t item)
 
 let live_normal t item =
   match state t item with
@@ -82,9 +82,17 @@ let find_object t name =
     | Some it when live t it -> Some it
     | Some _ | None -> None)
 
-let children t id =
-  Ident.Set.elements (Db_state.children_set t.db_ id)
-  |> items_of_ids t |> List.filter (live t)
+(* the live items among [ids], in id order *)
+let live_items t ids =
+  Ident.Set.fold
+    (fun id acc ->
+      match Db_state.find_item t.db_ id with
+      | Some it when live_state (fetched_state t it) -> it :: acc
+      | Some _ | None -> acc)
+    ids []
+  |> List.rev
+
+let children t id = live_items t (Db_state.children_set t.db_ id)
 
 let child t id ~role ?index () =
   children t id
@@ -95,9 +103,7 @@ let child t id ~role ?index () =
            && (match index with None -> true | Some i -> d.index = Some i)
          | Item.Independent | Item.Relationship -> false)
 
-let rels t id =
-  Ident.Set.elements (Db_state.rels_set t.db_ id)
-  |> items_of_ids t |> List.filter (live t)
+let rels t id = live_items t (Db_state.rels_set t.db_ id)
 
 let inherits_of t item =
   match obj_state t item with Some o -> o.inherits | None -> []
@@ -244,7 +250,7 @@ let children_v t (vi : vitem) =
             (children t p.Item.id))
         (transitive_patterns t vi.item)
     in
-    own @ inherited
+    if inherited = [] then own else own @ inherited
   | _ -> own
 
 let child_v t (vi : vitem) ~role ?index () =
@@ -260,15 +266,15 @@ let rels_v t (obj : Item.t) =
   let real =
     List.filter_map
       (fun (r : Item.t) ->
-        match rel_state t r with
-        | Some rs when not rs.rel_pattern ->
+        match fetched_state t r with
+        | Some (Item.Rel rs) when not rs.rel_pattern ->
           Some { rel = r; endpoints = rs.endpoints; via = None }
         | Some _ | None -> None)
       (rels t obj.Item.id)
   in
   let endpoint_visible e =
-    match Db_state.find_item t.db_ e with
-    | Some it -> live_normal t it
+    match Option.bind (Db_state.find_item t.db_ e) (fetched_state t) with
+    | Some s -> (not (Item.state_deleted s)) && not (Item.state_pattern s)
     | None -> false
   in
   let inherited =
@@ -276,8 +282,8 @@ let rels_v t (obj : Item.t) =
       (fun (p : Item.t) ->
         List.filter_map
           (fun (r : Item.t) ->
-            match rel_state t r with
-            | Some rs ->
+            match fetched_state t r with
+            | Some (Item.Rel rs) ->
               let endpoints =
                 List.map
                   (fun e ->
@@ -292,11 +298,11 @@ let rels_v t (obj : Item.t) =
               if List.for_all endpoint_visible others then
                 Some { rel = r; endpoints; via = Some (p.Item.id, obj.Item.id) }
               else None
-            | None -> None)
+            | Some (Item.Obj _) | None -> None)
           (rels t p.Item.id))
       (transitive_patterns t obj)
   in
-  real @ inherited
+  if inherited = [] then real else real @ inherited
 
 (* Enumeration reads the view's extents, so it is O(live) instead of
    O(all items ever). The id sets are deliberately trusted without a

@@ -52,6 +52,11 @@ val state : t -> Item.t -> Item.state option
 val state_of_id : t -> Ident.t -> Item.state option
 (** {!state} by id: one item lookup on a current view. *)
 
+val fetched_state : t -> Item.t -> Item.state option
+(** {!state} of an item just fetched from this view ({!children},
+    {!rels_v}, an id lookup...): no second lookup on a current view. A
+    handle kept across updates needs {!state}. *)
+
 val live : t -> Item.t -> bool
 val live_normal : t -> Item.t -> bool
 val live_pattern : t -> Item.t -> bool

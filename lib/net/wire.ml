@@ -100,30 +100,19 @@ let write_value w (v : Seed_schema.Value.t) =
     W.u8 w 5;
     W.string w s
 
-let read_value r : (Seed_schema.Value.t, t) result =
-  let* tag = R.u8 r in
-  match tag with
-  | 0 ->
-    let* s = R.string r in
-    Ok (Seed_schema.Value.String s)
-  | 1 ->
-    let* i = R.varint r in
-    Ok (Seed_schema.Value.Int i)
-  | 2 ->
-    let* f = R.float r in
-    Ok (Seed_schema.Value.Float f)
-  | 3 ->
-    let* b = R.bool r in
-    Ok (Seed_schema.Value.Bool b)
+let read_value r : Seed_schema.Value.t =
+  match R.u8 r with
+  | 0 -> Seed_schema.Value.String (R.string r)
+  | 1 -> Seed_schema.Value.Int (R.varint r)
+  | 2 -> Seed_schema.Value.Float (R.float r)
+  | 3 -> Seed_schema.Value.Bool (R.bool r)
   | 4 ->
-    let* year = R.varint r in
-    let* month = R.varint r in
-    let* day = R.varint r in
-    Ok (Seed_schema.Value.Date { year; month; day })
-  | 5 ->
-    let* s = R.string r in
-    Ok (Seed_schema.Value.Enum s)
-  | n -> fail (Corrupt (Printf.sprintf "unknown value tag %d" n))
+    let year = R.varint r in
+    let month = R.varint r in
+    let day = R.varint r in
+    Seed_schema.Value.Date { year; month; day }
+  | 5 -> Seed_schema.Value.Enum (R.string r)
+  | n -> R.fail (Printf.sprintf "unknown value tag %d" n)
 
 let write_op w (op : Protocol.op) =
   match op with
@@ -168,50 +157,47 @@ let write_op w (op : Protocol.op) =
     W.string w pattern;
     W.string w inheritor
 
-let read_op r : (Protocol.op, t) result =
-  let* tag = R.u8 r in
-  match tag with
+let read_op r : Protocol.op =
+  match R.u8 r with
   | 0 ->
-    let* cls = R.string r in
-    let* name = R.string r in
-    let* pattern = R.bool r in
-    Ok (Protocol.Create_object { cls; name; pattern })
+    let cls = R.string r in
+    let name = R.string r in
+    let pattern = R.bool r in
+    Protocol.Create_object { cls; name; pattern }
   | 1 ->
-    let* owner = R.string r in
-    let* role = R.string r in
-    let* index = R.option r R.varint in
-    let* value = R.option r read_value in
-    Ok (Protocol.Create_sub { owner; role; index; value })
+    let owner = R.string r in
+    let role = R.string r in
+    let index = R.option r R.varint in
+    let value = R.option r read_value in
+    Protocol.Create_sub { owner; role; index; value }
   | 2 ->
-    let* assoc = R.string r in
-    let* endpoints = R.list r R.string in
-    let* pattern = R.bool r in
-    Ok (Protocol.Create_rel { assoc; endpoints; pattern })
+    let assoc = R.string r in
+    let endpoints = R.list r R.string in
+    let pattern = R.bool r in
+    Protocol.Create_rel { assoc; endpoints; pattern }
   | 3 ->
-    let* path = R.string r in
-    let* value = R.option r read_value in
-    Ok (Protocol.Set_value { path; value })
+    let path = R.string r in
+    let value = R.option r read_value in
+    Protocol.Set_value { path; value }
   | 4 ->
-    let* name = R.string r in
-    let* new_name = R.string r in
-    Ok (Protocol.Rename { name; new_name })
+    let name = R.string r in
+    let new_name = R.string r in
+    Protocol.Rename { name; new_name }
   | 5 ->
-    let* name = R.string r in
-    let* to_ = R.string r in
-    Ok (Protocol.Reclassify_obj { name; to_ })
+    let name = R.string r in
+    let to_ = R.string r in
+    Protocol.Reclassify_obj { name; to_ }
   | 6 ->
-    let* assoc = R.string r in
-    let* endpoints = R.list r R.string in
-    let* to_ = R.string r in
-    Ok (Protocol.Reclassify_rel { assoc; endpoints; to_ })
-  | 7 ->
-    let* path = R.string r in
-    Ok (Protocol.Delete { path })
+    let assoc = R.string r in
+    let endpoints = R.list r R.string in
+    let to_ = R.string r in
+    Protocol.Reclassify_rel { assoc; endpoints; to_ }
+  | 7 -> Protocol.Delete { path = R.string r }
   | 8 ->
-    let* pattern = R.string r in
-    let* inheritor = R.string r in
-    Ok (Protocol.Inherit { pattern; inheritor })
-  | n -> fail (Corrupt (Printf.sprintf "unknown op tag %d" n))
+    let pattern = R.string r in
+    let inheritor = R.string r in
+    Protocol.Inherit { pattern; inheritor }
+  | n -> R.fail (Printf.sprintf "unknown op tag %d" n)
 
 (* --- requests --------------------------------------------------------- *)
 
@@ -248,46 +234,39 @@ let encode_request { req_id; body } =
   W.contents w
 
 let decode_request s =
-  let r = R.of_string s in
-  let* req_id = R.i64 r in
-  let* tag = R.u8 r in
-  let* body =
+  R.run s @@ fun r ->
+  let req_id = R.i64 r in
+  let tag = R.u8 r in
+  let body =
     match tag with
     | 0 ->
-      let* protocol = R.varint r in
-      let* client = R.string r in
-      let* resume =
+      let protocol = R.varint r in
+      let client = R.string r in
+      let resume =
         R.option r (fun r ->
-            let* sid = R.i64 r in
-            let* tok = R.i64 r in
-            Ok (sid, tok))
+            let sid = R.i64 r in
+            let tok = R.i64 r in
+            (sid, tok))
       in
-      Ok (Hello { protocol; client; resume })
+      Hello { protocol; client; resume }
     | 1 ->
-      let* names = R.list r R.string in
-      let* wait_timeout = R.option r R.float in
-      Ok (Checkout { names; wait_timeout })
-    | 2 ->
-      let* ops = R.list r read_op in
-      Ok (Checkin ops)
-    | 3 -> Ok Release
-    | 4 ->
-      let* name = R.string r in
-      Ok (Find name)
-    | 5 ->
-      let* cls = R.string r in
-      Ok (Select_isa cls)
-    | 6 -> Ok Stats
-    | 7 -> Ok Ping
-    | 8 -> Ok Bye
+      let names = R.list r R.string in
+      let wait_timeout = R.option r R.float in
+      Checkout { names; wait_timeout }
+    | 2 -> Checkin (R.list r read_op)
+    | 3 -> Release
+    | 4 -> Find (R.string r)
+    | 5 -> Select_isa (R.string r)
+    | 6 -> Stats
+    | 7 -> Ping
+    | 8 -> Bye
     | 9 ->
-      let* path = R.string r in
-      let* needles = R.list r R.string in
-      Ok (Search { path; needles })
-    | n -> fail (Corrupt (Printf.sprintf "unknown request tag %d" n))
+      let path = R.string r in
+      let needles = R.list r R.string in
+      Search { path; needles }
+    | n -> R.fail (Printf.sprintf "unknown request tag %d" n)
   in
-  let* () = R.expect_end r in
-  Ok { req_id; body }
+  { req_id; body }
 
 (* --- responses -------------------------------------------------------- *)
 
@@ -303,16 +282,16 @@ let code_to_int = function
   | Server_error -> 8
 
 let code_of_int = function
-  | 0 -> Ok Locked
-  | 1 -> Ok Deadlock
-  | 2 -> Ok Unknown_name
-  | 3 -> Ok Session_expired
-  | 4 -> Ok Already_connected
-  | 5 -> Ok Bad_request
-  | 6 -> Ok Unsupported_protocol
-  | 7 -> Ok Op_failed
-  | 8 -> Ok Server_error
-  | n -> fail (Corrupt (Printf.sprintf "unknown error code %d" n))
+  | 0 -> Locked
+  | 1 -> Deadlock
+  | 2 -> Unknown_name
+  | 3 -> Session_expired
+  | 4 -> Already_connected
+  | 5 -> Bad_request
+  | 6 -> Unsupported_protocol
+  | 7 -> Op_failed
+  | 8 -> Server_error
+  | n -> R.fail (Printf.sprintf "unknown error code %d" n)
 
 let write_stats w s =
   List.iter (W.varint w)
@@ -324,28 +303,27 @@ let write_stats w s =
     ]
 
 let read_stats r =
-  let* sv_sessions = R.varint r in
-  let* sv_max_sessions = R.varint r in
-  let* sv_in_flight = R.varint r in
-  let* sv_max_in_flight = R.varint r in
-  let* sv_served = R.varint r in
-  let* sv_busy_rejects = R.varint r in
-  let* sv_reaped_sessions = R.varint r in
-  let* sv_checkins = R.varint r in
-  let* sv_locks_held = R.varint r in
-  let* sv_locks_leased = R.varint r in
-  let* sv_locks_expired = R.varint r in
-  let* sv_lock_waiters = R.varint r in
-  let* sv_objects = R.varint r in
-  let* sv_relationships = R.varint r in
-  let* sv_versions = R.varint r in
-  Ok
-    {
-      sv_sessions; sv_max_sessions; sv_in_flight; sv_max_in_flight; sv_served;
-      sv_busy_rejects; sv_reaped_sessions; sv_checkins; sv_locks_held;
-      sv_locks_leased; sv_locks_expired; sv_lock_waiters; sv_objects;
-      sv_relationships; sv_versions;
-    }
+  let sv_sessions = R.varint r in
+  let sv_max_sessions = R.varint r in
+  let sv_in_flight = R.varint r in
+  let sv_max_in_flight = R.varint r in
+  let sv_served = R.varint r in
+  let sv_busy_rejects = R.varint r in
+  let sv_reaped_sessions = R.varint r in
+  let sv_checkins = R.varint r in
+  let sv_locks_held = R.varint r in
+  let sv_locks_leased = R.varint r in
+  let sv_locks_expired = R.varint r in
+  let sv_lock_waiters = R.varint r in
+  let sv_objects = R.varint r in
+  let sv_relationships = R.varint r in
+  let sv_versions = R.varint r in
+  {
+    sv_sessions; sv_max_sessions; sv_in_flight; sv_max_in_flight; sv_served;
+    sv_busy_rejects; sv_reaped_sessions; sv_checkins; sv_locks_held;
+    sv_locks_leased; sv_locks_expired; sv_lock_waiters; sv_objects;
+    sv_relationships; sv_versions;
+  }
 
 let encode_response { rsp_id; rbody } =
   let w = W.create () in
@@ -381,43 +359,34 @@ let encode_response { rsp_id; rbody } =
   W.contents w
 
 let decode_response s =
-  let r = R.of_string s in
-  let* rsp_id = R.i64 r in
-  let* tag = R.u8 r in
-  let* rbody =
+  R.run s @@ fun r ->
+  let rsp_id = R.i64 r in
+  let tag = R.u8 r in
+  let rbody =
     match tag with
     | 0 ->
-      let* protocol = R.varint r in
-      let* session = R.i64 r in
-      let* token = R.i64 r in
-      let* ttl = R.float r in
-      let* resumed = R.bool r in
-      Ok (Welcome { protocol; session; token; ttl; resumed })
-    | 1 -> Ok Done
-    | 2 ->
-      let* c = R.option r R.string in
-      Ok (Found c)
-    | 3 ->
-      let* ns = R.list r R.string in
-      Ok (Names ns)
-    | 4 ->
-      let* st = read_stats r in
-      Ok (Stats_reply st)
-    | 5 -> Ok Pong
-    | 6 ->
-      let* retry_after = R.float r in
-      Ok (Busy { retry_after })
-    | 7 -> Ok Draining
+      let protocol = R.varint r in
+      let session = R.i64 r in
+      let token = R.i64 r in
+      let ttl = R.float r in
+      let resumed = R.bool r in
+      Welcome { protocol; session; token; ttl; resumed }
+    | 1 -> Done
+    | 2 -> Found (R.option r R.string)
+    | 3 -> Names (R.list r R.string)
+    | 4 -> Stats_reply (read_stats r)
+    | 5 -> Pong
+    | 6 -> Busy { retry_after = R.float r }
+    | 7 -> Draining
     | 8 ->
-      let* ci = R.u8 r in
-      let* code = code_of_int ci in
-      let* message = R.string r in
-      let* retryable = R.bool r in
-      Ok (Err { code; message; retryable })
-    | n -> fail (Corrupt (Printf.sprintf "unknown response tag %d" n))
+      let ci = R.u8 r in
+      let code = code_of_int ci in
+      let message = R.string r in
+      let retryable = R.bool r in
+      Err { code; message; retryable }
+    | n -> R.fail (Printf.sprintf "unknown response tag %d" n)
   in
-  let* () = R.expect_end r in
-  Ok { rsp_id; rbody }
+  { rsp_id; rbody }
 
 (* --- error classification --------------------------------------------- *)
 

@@ -16,9 +16,18 @@ type gen_closure = {
   down_list : string list;  (** proper descendants (transitive) *)
 }
 
+(* Per-class answers the consistency checks ask for every object, built
+   in the same cell as the closures: computed once per schema, shared by
+   the per-update checks and the whole-database sweep. *)
+type class_memo = {
+  participation : (Assoc_def.t * int * Assoc_def.role) list;
+  child_defs : Class_def.t SMap.t;  (** by role, nearest definition *)
+}
+
 type closures = {
   class_closures : gen_closure SMap.t;
   assoc_closures : gen_closure SMap.t;
+  class_memos : class_memo SMap.t;
 }
 
 type t = {
@@ -83,12 +92,56 @@ let compute_closures_of map super_of =
       { up_list; up_set; down_list = down SSet.empty name })
     map
 
+(* Direct sub-classes of [n] in [class_map], by dotted-name prefix. *)
+let own_children_of class_map n =
+  let prefix = n ^ "." in
+  let plen = String.length prefix in
+  SMap.fold
+    (fun name c acc ->
+      if
+        String.length name > plen
+        && String.sub name 0 plen = prefix
+        && not (String.contains_from name plen '.')
+      then c :: acc
+      else acc)
+    class_map []
+  |> List.rev
+
+let compute_memos class_map assoc_map class_closures =
+  SMap.mapi
+    (fun cls _ ->
+      (* [class_closures] has an entry for every class of the map *)
+      let closure = SMap.find cls class_closures in
+      let participation =
+        SMap.fold
+          (fun _ (a : Assoc_def.t) acc ->
+            acc
+            @ List.concat
+                (List.mapi
+                   (fun i (r : Assoc_def.role) ->
+                     if SSet.mem r.target closure.up_set then [ (a, i, r) ] else [])
+                   a.roles))
+          assoc_map []
+      in
+      (* nearest first: a farther definition never shadows *)
+      let add_own m c =
+        List.fold_left
+          (fun m d ->
+            let role = Class_def.simple_name d in
+            if SMap.mem role m then m else SMap.add role d m)
+          m (own_children_of class_map c)
+      in
+      { participation; child_defs = List.fold_left add_own SMap.empty (cls :: closure.up_list) })
+    class_map
+
 let compute_closures class_map assoc_map =
+  let class_closures =
+    compute_closures_of class_map (fun (c : Class_def.t) -> c.super)
+  in
   {
-    class_closures =
-      compute_closures_of class_map (fun (c : Class_def.t) -> c.super);
-    assoc_closures =
-      compute_closures_of assoc_map (fun (a : Assoc_def.t) -> a.super);
+    class_closures;
+    assoc_closures = compute_closures_of assoc_map (fun (a : Assoc_def.t) -> a.super);
+    class_memos = compute_memos class_map assoc_map class_closures;
   }
 
 let make ~class_map ~assoc_map ~rev =
@@ -100,6 +153,7 @@ let prepare s = ignore (Lazy.force s.closures)
 
 let class_closure s n = SMap.find_opt n (Lazy.force s.closures).class_closures
 let assoc_closure s n = SMap.find_opt n (Lazy.force s.closures).assoc_closures
+let class_memo s n = SMap.find_opt n (Lazy.force s.closures).class_memos
 
 let revision s = s.rev
 let empty = make ~class_map:SMap.empty ~assoc_map:SMap.empty ~rev:0
@@ -153,19 +207,7 @@ let assocs s = List.map snd (SMap.bindings s.assoc_map)
 let top_level_classes s =
   List.filter Class_def.is_top_level (classes s)
 
-let own_children s n =
-  let prefix = n ^ "." in
-  let plen = String.length prefix in
-  SMap.fold
-    (fun name c acc ->
-      if
-        String.length name > plen
-        && String.sub name 0 plen = prefix
-        && not (String.contains_from name plen '.')
-      then c :: acc
-      else acc)
-    s.class_map []
-  |> List.rev
+let own_children s n = own_children_of s.class_map n
 
 let class_supers s n =
   match class_closure s n with Some c -> c.up_list | None -> []
@@ -241,16 +283,9 @@ let same_assoc_hierarchy s a b =
   String.equal (assoc_hierarchy_root s a) (assoc_hierarchy_root s b)
 
 let resolve_child s ~cls ~role =
-  let child_of c =
-    find_class s (c ^ "." ^ role)
-  in
-  let rec search = function
-    | [] ->
-      fail (Unknown_class (cls ^ "." ^ role))
-    | c :: rest -> (
-      match child_of c with Some def -> Ok def | None -> search rest)
-  in
-  search (cls :: class_supers s cls)
+  match Option.bind (class_memo s cls) (fun m -> SMap.find_opt role m.child_defs) with
+  | Some def -> Ok def
+  | None -> fail (Unknown_class (cls ^ "." ^ role))
 
 let effective_children s cls =
   let chain = cls :: class_supers s cls in
@@ -281,18 +316,7 @@ let resolve_attr s ~assoc ~attr =
          (Printf.sprintf "association %s has no attribute %s" assoc attr))
 
 let participation_constraints s ~cls =
-  SMap.fold
-    (fun _ (a : Assoc_def.t) acc ->
-      let indexed = List.mapi (fun i r -> (i, r)) a.roles in
-      let applicable =
-        List.filter_map
-          (fun (i, (r : Assoc_def.role)) ->
-            if class_is_a s ~sub:cls ~super:r.target then Some (a, i, r)
-            else None)
-          indexed
-      in
-      acc @ applicable)
-    s.assoc_map []
+  match class_memo s cls with Some m -> m.participation | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)

@@ -12,7 +12,12 @@
     computed lazily per schema value: [class_is_a]/[assoc_is_a] are a
     single hash/set lookup, not a hierarchy walk, and every
     schema-producing function installs a fresh cache so a new schema
-    revision can never see stale closures. *)
+    revision can never see stale closures. The same cell memoizes two
+    per-class answers the consistency checks ask for every object:
+    {!participation_constraints} and the {!resolve_child} chain (each
+    class's sub-class definitions by role, own before inherited) — built
+    once per schema value and shared by the per-update checks and the
+    load-time sweep. *)
 
 type t
 

@@ -56,10 +56,8 @@ let add_frame b epoch records =
   Buffer.add_string b payload
 
 let decode_records payload =
-  let r = Codec.Reader.of_string payload in
-  match Codec.Reader.list r Codec.Reader.string with
-  | Ok records when Codec.Reader.at_end r -> Some records
-  | Ok _ | Error _ -> None
+  Result.to_option
+    (Codec.Reader.run payload (fun r -> Codec.Reader.list r Codec.Reader.string))
 
 (* ------------------------------------------------------------------ *)
 (* Appending                                                            *)

@@ -101,6 +101,10 @@ val quarantined : scan_result -> damage list
     skipped during replay and left in place, pending {!Store.fsck}
     [~repair] rewriting the journal. *)
 
+val decode_records : string -> string list option
+(** A frame payload's records; [None] when the payload does not decode
+    (never an exception). *)
+
 val read_all : string -> (string list, Seed_util.Seed_error.t) result
 (** The records of {!scan}'s intact frames, in order, epoch-agnostic.
     Records of damaged transactions are not returned. *)

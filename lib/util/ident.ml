@@ -29,17 +29,3 @@ module Tbl = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
-
-module Hset = struct
-  type t = unit Tbl.t
-
-  let create n = Tbl.create n
-  let add s id = Tbl.replace s id ()
-  let remove s id = Tbl.remove s id
-  let mem s id = Tbl.mem s id
-  let cardinal s = Tbl.length s
-  let clear s = Tbl.reset s
-  let iter f s = Tbl.iter (fun id () -> f id) s
-  let fold f s init = Tbl.fold (fun id () acc -> f id acc) s init
-  let elements s = fold (fun id acc -> id :: acc) s []
-end

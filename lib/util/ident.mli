@@ -46,23 +46,3 @@ end
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 module Tbl : Hashtbl.S with type key = t
-
-(** A mutable hash set of identifiers: O(1) add/remove/mem, used by the
-    in-memory secondary indexes (class extents, dirty set). *)
-module Hset : sig
-  type id := t
-
-  type t
-
-  val create : int -> t
-  val add : t -> id -> unit
-  val remove : t -> id -> unit
-  val mem : t -> id -> bool
-  val cardinal : t -> int
-  val clear : t -> unit
-  val iter : (id -> unit) -> t -> unit
-  val fold : (id -> 'a -> 'a) -> t -> 'a -> 'a
-
-  val elements : t -> id list
-  (** Members in unspecified order. *)
-end

@@ -294,6 +294,160 @@ let test_decode_rejects_garbage () =
   check_err "empty" (function Seed_error.Corrupt _ -> true | _ -> false)
     (Persist.decode_db "")
 
+(* The decoders' only exception boundary is [Codec.Reader.run]: every
+   truncated prefix and every single-byte flip of a valid payload must
+   come back as a value, never as an exception. A cut payload is always
+   [Corrupt]; a flipped one may still decode, or fail verification. *)
+let mangled payload =
+  let n = String.length payload in
+  let flips =
+    List.concat_map
+      (fun mask ->
+        List.init n (fun i ->
+            let b = Bytes.of_string payload in
+            Bytes.set b i (Char.chr (Char.code payload.[i] lxor mask));
+            Bytes.to_string b))
+      [ 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0xFF ]
+  in
+  (List.init n (String.sub payload 0), flips)
+
+let never_raises what decode payload =
+  let cuts, flips = mangled payload in
+  let run p =
+    match decode p with
+    | r -> r
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  List.iter
+    (fun p ->
+      check_err (what ^ " truncated")
+        (function Seed_error.Corrupt _ -> true | _ -> false)
+        (run p))
+    cuts;
+  List.iter (fun p -> ignore (run p)) flips
+
+let test_decoders_never_raise () =
+  let db = fresh_db () in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  let h = ok (DB.create_object db ~cls:"Action" ~name:"H" ()) in
+  ignore (ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "d") ()));
+  ignore (ok (DB.create_relationship db ~assoc:"Access" ~endpoints:[ a; h ] ()));
+  ignore (ok (DB.create_version db));
+  ok (DB.reclassify db a ~to_:"InputData");
+  (* what decodes must also be usable: every item's name resolves *)
+  let names db2 =
+    let v = Seed_core.View.current (DB.raw db2) in
+    Seed_core.Db_state.iter_items (DB.raw db2) (fun it ->
+        ignore (Seed_core.View.full_name v it))
+  in
+  never_raises "snapshot" (fun p -> Result.map names (Persist.decode_db p)) (Persist.encode_db db);
+  let module W = Seed_net.Wire in
+  never_raises "request"
+    (fun p -> Result.map ignore (W.decode_request p))
+    (W.encode_request
+       {
+         W.req_id = 7L;
+         body =
+           W.Checkin
+             [
+               Seed_server.Protocol.Create_sub
+                 { owner = "A"; role = "Description"; index = Some 2; value = Some (Value.Int 3) };
+             ];
+       });
+  never_raises "response"
+    (fun p -> Result.map ignore (W.decode_response p))
+    (W.encode_response
+       { W.rsp_id = 7L; rbody = W.Err { code = W.Locked; message = "held"; retryable = true } });
+  let frame =
+    let w = Seed_storage.Codec.Writer.create () in
+    Seed_storage.Codec.Writer.list w Seed_storage.Codec.Writer.string [ "one"; "two" ];
+    Seed_storage.Codec.Writer.contents w
+  in
+  never_raises "journal records"
+    (fun p ->
+      match Seed_storage.Journal.decode_records p with
+      | Some _ -> Ok ()
+      | None -> Error (Seed_error.Corrupt "records"))
+    frame
+
+(* Reopen rebuilds the root in one fold over the snapshot with the
+   journal's records substituted. Its tail here rewrites snapshot items,
+   adds items above the snapshot's ids and carries a relationship that
+   exists only in history; the reopened root must answer exactly like
+   the incrementally maintained one. *)
+let test_reopen_equals_memory_over_journal () =
+  let module Q = Seed_core.Query in
+  let module View = Seed_core.View in
+  let module Db_state = Seed_core.Db_state in
+  let dir = tmp_dir () in
+  let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+  let db = Persist.Session.db s in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"Alarms" ()) in
+  let h = ok (DB.create_object db ~cls:"Action" ~name:"Handler" ()) in
+  let d =
+    ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "raises alarms") ())
+  in
+  let v1 = ok (DB.create_version db) in
+  check_ok "compact" (Persist.Session.compact s);
+  let flush () = check_ok "flush" (Persist.Session.flush s) in
+  (* rewrites of snapshot items *)
+  check_ok "set" (DB.set_value db d (Some (Value.String "clears alarms")));
+  ok (DB.reclassify db a ~to_:"OutputData");
+  flush ();
+  (* items above the snapshot's ids, then a relationship that a switch
+     back to 1.0 leaves with no current state *)
+  let b = ok (DB.create_object db ~cls:"Data" ~name:"Beacons" ()) in
+  ignore (ok (DB.create_sub_object db ~parent:b ~role:"Keywords" ~value:(Value.String "beacon") ()));
+  let r = ok (DB.create_relationship db ~assoc:"Access" ~endpoints:[ b; h ] ()) in
+  flush ();
+  ignore (ok (DB.create_version db));
+  ok (DB.begin_alternative db ~from_:v1 ());
+  ignore (ok (DB.create_object db ~cls:"Action" ~name:"Late" ()));
+  flush ();
+  let r_item = Option.get (Db_state.find_item (DB.raw db) r) in
+  Alcotest.(check bool) "history-only relationship" true (r_item.Seed_core.Item.current = None);
+  Persist.Session.close s;
+  let s2 = ok (Persist.Session.open_ ~dir ()) in
+  let db2 = Persist.Session.db s2 in
+  Alcotest.(check bool) "encode_db byte-equal" true
+    (String.equal (Persist.encode_db db) (Persist.encode_db db2));
+  let v = DB.view db and v2 = DB.view db2 in
+  List.iter
+    (fun n ->
+      Alcotest.(check (option int)) ("find " ^ n)
+        (Option.map Ident.to_int (DB.find_object db n))
+        (Option.map Ident.to_int (DB.find_object db2 n)))
+    [ "Alarms"; "Handler"; "Beacons"; "Late"; "Nobody" ];
+  List.iter
+    (fun p ->
+      Alcotest.(check (list string)) "select" (Q.select_names v p) (Q.select_names v2 p))
+    [ Q.is_a "Thing"; Q.is_a "Data"; Q.in_class "Action"; Q.contains "" "alarm"; Q.contains "" "beacon" ];
+  let ids st = Db_state.fold_items st ~init:[] ~f:(fun acc (it : Seed_core.Item.t) -> it.id :: acc) in
+  let st = DB.raw db and st2 = DB.raw db2 in
+  Alcotest.(check (list int)) "item table" (List.map Ident.to_int (ids st))
+    (List.map Ident.to_int (ids st2));
+  List.iter
+    (fun id ->
+      let same what f =
+        Alcotest.(check (list int)) what
+          (List.map Ident.to_int (Ident.Set.elements (f st id)))
+          (List.map Ident.to_int (Ident.Set.elements (f st2 id)))
+      in
+      same "children" Db_state.children_set;
+      same "rels of" Db_state.rels_set;
+      same "inheritors" Db_state.inheritor_set)
+    (ids st @ [ Ident.of_int 9_999 ]);
+  Alcotest.(check (list int)) "dirty ids"
+    (List.map Ident.to_int (Db_state.dirty_ids st))
+    (List.map Ident.to_int (Db_state.dirty_ids st2));
+  let content (x : DB.stats) =
+    ( (x.st_objects, x.st_sub_objects, x.st_relationships, x.st_patterns),
+      (x.st_versions, x.st_items_total, x.st_dirty, x.st_schema_revision),
+      (x.st_text_enabled, x.st_text_docs) )
+  in
+  Alcotest.(check bool) "stats" true (content (DB.stats db) = content (DB.stats db2));
+  Persist.Session.close s2
+
 let test_schema_revisions_roundtrip () =
   let db = fresh_db () in
   let classes, assocs = Spades_tool.Spec_model.schema_defs () in
@@ -320,6 +474,8 @@ let () =
           tc "history stamps" test_history_survives_roundtrip;
           tc "schema revisions" test_schema_revisions_roundtrip;
           tc "garbage rejected" test_decode_rejects_garbage;
+          tc "decoders never raise" test_decoders_never_raise;
+          tc "reopen equals memory over a journal" test_reopen_equals_memory_over_journal;
         ] );
       ( "session",
         [

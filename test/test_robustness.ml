@@ -304,6 +304,110 @@ let test_load_verification_catches_tampering () =
   check_ok "unverified load"
     (Result.map (fun _ -> ()) (Persist.load ~verify:false ~dir ()))
 
+(* Every rule the load-time sweep enforces, one tampered store each: the
+   damage is planted behind the API's back with [unsafe_put_item], the
+   store is saved, and a verified load must refuse it with the rule's own
+   error while an unverified load still opens it for forensics. *)
+module Item = Seed_core.Item
+module Db_state = Seed_core.Db_state
+
+let put db (it : Item.t) = Db_state.unsafe_put_item (DB.raw db) it
+
+let obj_state ?value cls =
+  Item.Obj { Item.name = None; cls; value; pattern = false; inherits = []; deleted = false }
+
+let put_child db ~parent ~role ?index ?value cls =
+  let id = Db_state.fresh_id (DB.raw db) in
+  put db (Item.make id (Item.Dependent { parent; role; index }) (obj_state ?value cls))
+
+let put_rel db assoc ?(attrs = []) endpoints =
+  let id = Db_state.fresh_id (DB.raw db) in
+  put db
+    (Item.make id Item.Relationship
+       (Item.Rel
+          { Item.assoc; endpoints; rel_attrs = attrs; rel_pattern = false; rel_deleted = false }))
+
+let restate db id f =
+  let it = Option.get (Db_state.find_item (DB.raw db) id) in
+  put db (Item.with_current it (Option.map f it.Item.current))
+
+let with_obj f = function Item.Obj o -> Item.Obj (f o) | s -> s
+let is_invalid = function Seed_error.Invalid_operation _ -> true | _ -> false
+let is_unknown_item = function Seed_error.Unknown_item _ -> true | _ -> false
+
+let tamper_cases =
+  [
+    ( "wrong value type",
+      is_type,
+      fun db d _ ->
+        let desc = ok (DB.create_sub_object db ~parent:d ~role:"Description" ()) in
+        restate db desc (with_obj (fun o -> { o with Item.value = Some (Value.Int 3) })) );
+    ( "value on a class without content",
+      is_type,
+      fun db d _ -> restate db d (with_obj (fun o -> { o with Item.value = Some (Value.String "x") }))
+    );
+    ( "child of the wrong class",
+      is_membership,
+      fun db d _ -> put_child db ~parent:d ~role:"Description" "Thing.Keywords" );
+    ( "child count over its maximum",
+      is_cardinality,
+      fun db d _ ->
+        put_child db ~parent:d ~role:"Description" "Thing.Description";
+        put_child db ~parent:d ~role:"Description" "Thing.Description" );
+    ( "(role, index) collision",
+      is_pattern_violation,
+      fun db d _ ->
+        put_child db ~parent:d ~role:"Keywords" ~index:1 "Thing.Keywords";
+        put_child db ~parent:d ~role:"Keywords" ~index:1 "Thing.Keywords" );
+    ( "participation over its maximum",
+      is_cardinality,
+      fun db _ a ->
+        let c1 = ok (DB.create_object db ~cls:"Action" ~name:"C1" ()) in
+        let c2 = ok (DB.create_object db ~cls:"Action" ~name:"C2" ()) in
+        put_rel db "Contained" [ a; c1 ];
+        put_rel db "Contained" [ a; c2 ] );
+    ("relationship arity", is_invalid, fun db d a -> put_rel db "Read" [ d; a; a ]);
+    ( "dangling endpoint",
+      is_unknown_item,
+      fun db d _ -> put_rel db "Read" [ d; Ident.of_int 99_999 ] );
+    ( "relationship attribute of the wrong type",
+      is_type,
+      fun db _ a ->
+        let o = ok (DB.create_object db ~cls:"OutputData" ~name:"O" ()) in
+        put_rel db "Write" ~attrs:[ ("NumberOfWrites", Value.String "x") ] [ o; a ] );
+  ]
+
+let test_verification_refuses_every_rule () =
+  List.iter
+    (fun (rule, refused, tamper) ->
+      let db = fresh_db () in
+      let d = ok (DB.create_object db ~cls:"InputData" ~name:"D" ()) in
+      let a = ok (DB.create_object db ~cls:"Action" ~name:"A" ()) in
+      check_ok (rule ^ ": consistent before") (Seed_core.Consistency.check_database (View.current (DB.raw db)));
+      tamper db d a;
+      let dir = tmp_dir () in
+      check_ok (rule ^ ": save") (Persist.save db ~dir);
+      check_err (rule ^ ": refused") refused (Persist.load ~dir ());
+      check_ok (rule ^ ": unverified load")
+        (Result.map (fun _ -> ()) (Persist.load ~verify:false ~dir ())))
+    tamper_cases
+
+(* A refused open must not leak the journal it opened: a hundred opens
+   of a tampered store leave the process's descriptor count unchanged. *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_refused_open_closes_store () =
+  let db = fresh_db () in
+  let d = ok (DB.create_object db ~cls:"InputData" ~name:"D" ()) in
+  restate db d (with_obj (fun o -> { o with Item.value = Some (Value.String "x") }));
+  let dir = tmp_dir () in
+  check_ok "save" (Persist.save db ~dir);
+  let before = open_fds () in
+  for _ = 1 to 100 do
+    check_err "refused" is_type (Result.map (fun _ -> ()) (Persist.Session.open_ ~dir ()))
+  done;
+  Alcotest.(check int) "descriptors" before (open_fds ())
+
 (* --- deep version trees ---------------------------------------------- *)
 
 let test_deep_branch_tree () =
@@ -602,6 +706,8 @@ let () =
             test_failed_flush_keeps_records_pending;
           tc "last record wins" test_stale_journal_records_last_wins;
           tc "verification on load" test_load_verification_catches_tampering;
+          tc "verification refuses every rule" test_verification_refuses_every_rule;
+          tc "refused open closes the store" test_refused_open_closes_store;
         ] );
       ( "version trees",
         [

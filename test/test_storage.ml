@@ -55,65 +55,55 @@ let test_codec_primitives () =
   Codec.Writer.option w Codec.Writer.string None;
   Codec.Writer.option w Codec.Writer.string (Some "x");
   Codec.Writer.list w Codec.Writer.varint [ 1; 2; 3 ];
-  let r = Codec.Reader.of_string (Codec.Writer.contents w) in
-  Alcotest.(check int) "u8" 255 (ok (Codec.Reader.u8 r));
-  Alcotest.(check int) "varint neg" (-123456) (ok (Codec.Reader.varint r));
-  Alcotest.(check int) "varint max" max_int (ok (Codec.Reader.varint r));
-  Alcotest.(check int) "varint min" min_int (ok (Codec.Reader.varint r));
-  Alcotest.(check int64) "i64" 0x0123456789ABCDEFL (ok (Codec.Reader.i64 r));
-  Alcotest.(check (float 0.0)) "float" 3.14159 (ok (Codec.Reader.float r));
-  Alcotest.(check bool) "bool" true (ok (Codec.Reader.bool r));
-  Alcotest.(check string) "string" "hello" (ok (Codec.Reader.string r));
-  Alcotest.(check (option string)) "none" None (ok (Codec.Reader.option r Codec.Reader.string));
-  Alcotest.(check (option string)) "some" (Some "x")
-    (ok (Codec.Reader.option r Codec.Reader.string));
-  Alcotest.(check (list int)) "list" [ 1; 2; 3 ]
-    (ok (Codec.Reader.list r Codec.Reader.varint));
-  check_ok "end" (Codec.Reader.expect_end r)
+  let module R = Codec.Reader in
+  ok
+    (R.run (Codec.Writer.contents w) (fun r ->
+         Alcotest.(check int) "u8" 255 (R.u8 r);
+         Alcotest.(check int) "varint neg" (-123456) (R.varint r);
+         Alcotest.(check int) "varint max" max_int (R.varint r);
+         Alcotest.(check int) "varint min" min_int (R.varint r);
+         Alcotest.(check int64) "i64" 0x0123456789ABCDEFL (R.i64 r);
+         Alcotest.(check (float 0.0)) "float" 3.14159 (R.float r);
+         Alcotest.(check bool) "bool" true (R.bool r);
+         Alcotest.(check string) "string" "hello" (R.string r);
+         Alcotest.(check (option string)) "none" None (R.option r R.string);
+         Alcotest.(check (option string)) "some" (Some "x") (R.option r R.string);
+         Alcotest.(check (list int)) "list" [ 1; 2; 3 ] (R.list r R.varint)))
+
+let is_corrupt = function Seed_util.Seed_error.Corrupt _ -> true | _ -> false
 
 let test_codec_truncation () =
   let w = Codec.Writer.create () in
   Codec.Writer.string w "hello world";
   let payload = Codec.Writer.contents w in
   let truncated = String.sub payload 0 (String.length payload - 3) in
-  let r = Codec.Reader.of_string truncated in
-  check_err "truncated"
-    (function Seed_util.Seed_error.Corrupt _ -> true | _ -> false)
-    (Codec.Reader.string r)
+  check_err "truncated" is_corrupt (Codec.Reader.run truncated Codec.Reader.string)
 
+(* [run] requires the decoder to consume its whole input *)
 let test_codec_trailing () =
-  let r = Codec.Reader.of_string "xx" in
-  check_err "trailing"
-    (function Seed_util.Seed_error.Corrupt _ -> true | _ -> false)
-    (Codec.Reader.expect_end r)
+  check_err "trailing" is_corrupt (Codec.Reader.run "xx" (fun _ -> ()))
 
 let test_codec_bad_tags () =
-  let r = Codec.Reader.of_string "\x07" in
-  check_err "bad option tag" (fun _ -> true)
-    (Codec.Reader.option r Codec.Reader.u8);
-  let r = Codec.Reader.of_string "\x07" in
-  check_err "bad bool" (fun _ -> true) (Codec.Reader.bool r)
+  let module R = Codec.Reader in
+  check_err "bad option tag" is_corrupt (R.run "\x07" (fun r -> R.option r R.u8));
+  check_err "bad bool" is_corrupt (R.run "\x07" R.bool)
+
+let roundtrip write read x =
+  let w = Codec.Writer.create () in
+  write w x;
+  ok (Codec.Reader.run (Codec.Writer.contents w) read)
 
 let prop_codec_varint =
   qcheck_case "varint roundtrip" QCheck2.Gen.int (fun n ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.varint w n;
-      let r = Codec.Reader.of_string (Codec.Writer.contents w) in
-      ok (Codec.Reader.varint r) = n && Codec.Reader.at_end r)
+      roundtrip Codec.Writer.varint Codec.Reader.varint n = n)
 
 let prop_codec_string =
   qcheck_case "string roundtrip" QCheck2.Gen.string (fun s ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.string w s;
-      let r = Codec.Reader.of_string (Codec.Writer.contents w) in
-      String.equal (ok (Codec.Reader.string r)) s)
+      String.equal (roundtrip Codec.Writer.string Codec.Reader.string s) s)
 
 let prop_codec_float =
   qcheck_case "float roundtrip" QCheck2.Gen.float (fun f ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.float w f;
-      let r = Codec.Reader.of_string (Codec.Writer.contents w) in
-      let g = ok (Codec.Reader.float r) in
+      let g = roundtrip Codec.Writer.float Codec.Reader.float f in
       Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
 
 (* ------------------------------------------------------------------ *)
