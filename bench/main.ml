@@ -856,13 +856,13 @@ let version () =
   Report.write_json "version" (List.rev !json)
 
 (* ------------------------------------------------------------------ *)
-(* T1: transaction frames - one-frame commit, undo-log rollback,        *)
+(* T1: transaction frames - one-frame commit, root-swap rollback,       *)
 (*     and recovery past a torn transaction                             *)
 (* ------------------------------------------------------------------ *)
 
 let txn () =
   heading "T1"
-    "transaction frames: one-frame commit, undo-log rollback, torn-txn \
+    "transaction frames: one-frame commit, root-swap rollback, torn-txn \
      recovery";
   let module Store = Seed_storage.Store in
   let fresh_dir =
@@ -993,11 +993,11 @@ let txn () =
   Report.table
     ~title:
       (Printf.sprintf
-         "rolling back a failed %d-op transaction: undo log vs snapshot \
+         "rolling back a failed %d-op transaction: root swap vs snapshot \
           restore"
          rollback_ops)
     ~header:
-      [ "db objects"; "txn ops"; "undo rollback"; "snapshot restore"; "ratio" ]
+      [ "db objects"; "txn ops"; "root-swap rollback"; "snapshot restore"; "ratio" ]
     rows;
   (* recovery past a torn transaction: a crash mid-flush leaves the last
      transaction's frame cut short at the journal's tail; open must drop

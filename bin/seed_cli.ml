@@ -598,7 +598,7 @@ let stats_cmd =
   let run dir server =
     match server with
     | Some addr -> (
-      (* live occupancy — sessions, in-flight, lock-table leases — only
+      (* live occupancy — sessions, in-flight, held locks — only
          exists in a serving process, so it is asked over the wire *)
       match parse_hostport addr with
       | Error msg ->
@@ -636,7 +636,7 @@ let stats_cmd =
       & info [ "server" ] ~docv:"HOST:PORT"
           ~doc:
             "Ask a running $(b,seed serve) instead: adds live occupancy \
-             (sessions, in-flight requests, lock leases) to the database \
+             (sessions, in-flight requests, held locks) to the database \
              summary.")
   in
   Cmd.v
@@ -1052,8 +1052,9 @@ let serve_cmd =
       value & opt float 30.0
       & info [ "ttl" ] ~docv:"SECONDS"
           ~doc:
-            "Session lease: a client silent this long loses its session \
-             and all its locks.")
+            "Session lease, restarted when each of the client's requests \
+             ends: a client silent this long loses its session and all its \
+             locks (locks have no lease of their own).")
   in
   let max_sessions =
     Arg.(
@@ -1070,8 +1071,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Serve a database directory to networked clients. Sessions hold \
-          TTL leases, so a dead client's locks are reaped; an acknowledged \
+         "Serve a database directory to networked clients. Each session \
+          holds a TTL lease, so a dead client's locks are freed with its \
+          session; an acknowledged \
           check-in has been fsync'd to the journal; SIGINT/SIGTERM \
           drains gracefully (in-flight requests finish, queued clients get \
           a retryable error).")

@@ -744,17 +744,17 @@ type stats = {
 }
 
 let stats db =
-  let v = view db in
   let ws = Db_state.write_stats db in
   let w f = match ws with Some s -> f s | None -> 0 in
   let vc = Db_state.version_cache_stats db in
   let tx = Db_state.text_stats db in
   let text_hits, text_fallbacks = Db_state.text_counters db in
+  let x = View.extents (view db) in
   {
-    st_objects = List.length (View.all_objects v);
-    st_sub_objects = Db_state.live_dependent_count (View.extents v);
-    st_relationships = List.length (View.all_rels v);
-    st_patterns = List.length (View.all_patterns v);
+    st_objects = Db_state.live_object_count x;
+    st_sub_objects = Db_state.live_dependent_count x;
+    st_relationships = Db_state.live_rel_count x;
+    st_patterns = Db_state.live_pattern_count x;
     st_versions = List.length (Versioning.all (Db_state.versions db));
     st_items_total = Db_state.item_count db;
     st_dirty =

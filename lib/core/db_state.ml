@@ -365,6 +365,10 @@ let fold_obj_extents x f init =
   Smap.fold (fun _ s acc -> Ident.Set.fold f s acc) x.x_obj init
 let all_pattern_extent_ids x = Smap.all_ids x.x_pattern
 let all_rel_extent_ids x = Smap.all_ids x.x_rel
+let cardinals m = Smap.fold (fun _ s n -> n + Ident.Set.cardinal s) m 0
+let live_object_count x = cardinals x.x_obj
+let live_pattern_count x = cardinals x.x_pattern
+let live_rel_count x = cardinals x.x_rel
 let live_dependent_count x = Ident.Set.cardinal x.x_dependent
 let find_id_by_name x name = Smap.find_opt name x.x_names
 

@@ -181,7 +181,13 @@ val fold_obj_extents : extents -> (Ident.t -> 'a -> 'a) -> 'a -> 'a
 val all_pattern_extent_ids : extents -> Ident.t list
 val all_rel_extent_ids : extents -> Ident.t list
 
+val live_object_count : extents -> int
+val live_pattern_count : extents -> int
+val live_rel_count : extents -> int
 val live_dependent_count : extents -> int
+(** Sizes of the extent groups, without building a list: live normal
+    independent objects, patterns, normal relationships and
+    sub-objects. *)
 
 val fold_live_ids : extents -> (Ident.t -> 'a -> 'a) -> 'a -> 'a
 (** Fold over every live item (all five extent groups) without building

@@ -11,7 +11,7 @@
 
     The chaos suite drives the server core through a pair of these and
     asserts the global invariants: the server never crashes or wedges,
-    no lease outlives its TTL once its session is gone, and replayed
+    no lock outlives its holder's session lease, and replayed
     request ids never double-apply a check-in. *)
 
 type config = {

@@ -2,7 +2,7 @@ open Seed_util.Seed_error
 module Crc32 = Seed_storage.Crc32
 
 let magic = "SENF"
-let version = 1
+let version = 2
 let header_size = 13
 let max_payload = 16 * 1024 * 1024
 

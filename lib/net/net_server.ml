@@ -24,6 +24,7 @@ type session = {
   token : int64;
   client : string;
   mutable expires : float;
+  mutable running : int;  (* its requests executing right now *)
   mutable last_req : int64;  (* highest executed request id; 0 = none *)
   mutable last_resp : string;  (* its encoded response payload *)
 }
@@ -75,33 +76,32 @@ type action = Reply of string | Reply_close of string | Close
 
 (* --- sessions (all with [t.m] held) ----------------------------------- *)
 
+let end_session_locked t s =
+  Hashtbl.remove t.sessions s.sid;
+  (match Hashtbl.find_opt t.by_client s.client with
+  | Some live when Int64.equal live s.sid -> Hashtbl.remove t.by_client s.client
+  | Some _ | None -> ());
+  Server.release t.eng ~client:s.client
+
+(* A session is reaped once its lease has run out and none of its
+   requests is executing: a running request (a checkout waiting with the
+   mutex released) holds its session, whose lease restarts when the
+   request ends. *)
 let reap_locked t =
   let horizon = t.now () in
   let dead =
     Hashtbl.fold
-      (fun sid s acc -> if s.expires <= horizon then (sid, s) :: acc else acc)
+      (fun _ s acc ->
+        if s.running = 0 && s.expires <= horizon then s :: acc else acc)
       t.sessions []
   in
   List.map
-    (fun (sid, s) ->
-      Hashtbl.remove t.sessions sid;
-      (match Hashtbl.find_opt t.by_client s.client with
-      | Some live when Int64.equal live sid -> Hashtbl.remove t.by_client s.client
-      | Some _ | None -> ());
+    (fun s ->
       t.reaped <- t.reaped + 1;
-      (s.client, Server.release_session t.eng ~client:s.client))
+      (s.client, end_session_locked t s))
     dead
 
-let end_session_locked t s =
-  ignore (Server.release_session t.eng ~client:s.client);
-  Hashtbl.remove t.sessions s.sid;
-  match Hashtbl.find_opt t.by_client s.client with
-  | Some live when Int64.equal live s.sid -> Hashtbl.remove t.by_client s.client
-  | Some _ | None -> ()
-
-let touch_locked t s =
-  s.expires <- t.now () +. t.cfg.session_ttl;
-  Server.refresh_leases t.eng ~client:s.client ~ttl:t.cfg.session_ttl
+let touch_locked t s = s.expires <- t.now () +. t.cfg.session_ttl
 
 let stats_locked t =
   let ls = Server.lock_stats t.eng in
@@ -116,8 +116,6 @@ let stats_locked t =
     sv_reaped_sessions = t.reaped;
     sv_checkins = Server.checkin_count t.eng;
     sv_locks_held = ls.Seed_server.Lock_table.locks_held;
-    sv_locks_leased = ls.Seed_server.Lock_table.locks_leased;
-    sv_locks_expired = ls.Seed_server.Lock_table.locks_expired;
     sv_lock_waiters = ls.Seed_server.Lock_table.waiters;
     sv_objects = ds.DB.st_objects;
     sv_relationships = ds.DB.st_relationships;
@@ -139,10 +137,8 @@ let hello_locked t (conn : Conn.t) ~protocol ~client ~resume =
     match resume with
     | Some (sid, token) -> (
       match Hashtbl.find_opt t.sessions sid with
-      | Some s
-        when Int64.equal s.token token
-             && String.equal s.client client
-             && s.expires > t.now () ->
+      | Some s when Int64.equal s.token token && String.equal s.client client
+        ->
         touch_locked t s;
         conn.Conn.session <- Some sid;
         Wire.Welcome
@@ -194,6 +190,7 @@ let hello_locked t (conn : Conn.t) ~protocol ~client ~resume =
             token;
             client;
             expires = t.now () +. t.cfg.session_ttl;
+            running = 0;
             last_req = 0L;
             last_resp = "";
           }
@@ -216,10 +213,9 @@ let hello_locked t (conn : Conn.t) ~protocol ~client ~resume =
 let execute_locked t (conn : Conn.t) s (body : Wire.req_body) =
   match body with
   | Wire.Checkout { names; wait_timeout } -> (
-    let ttl = t.cfg.session_ttl in
     let r =
       match wait_timeout with
-      | None -> Server.checkout_lease t.eng ~client:s.client ~ttl ~names
+      | None -> Server.checkout t.eng ~client:s.client ~names
       | Some timeout ->
         (* the engine mutex is released while the waiter sleeps so other
            connections can run — including the one that will release
@@ -230,8 +226,8 @@ let execute_locked t (conn : Conn.t) s (body : Wire.req_body) =
             ~finally:(fun () -> Mutex.lock t.m)
             (fun () -> t.sleep d)
         in
-        Server.checkout_wait t.eng ~client:s.client ~ttl ~sleep ~timeout ~names
-          ()
+        Server.checkout_wait t.eng ~client:s.client ~now:t.now ~sleep ~timeout
+          ~names ()
     in
     match r with
     | Ok () -> Wire.Done
@@ -241,7 +237,7 @@ let execute_locked t (conn : Conn.t) s (body : Wire.req_body) =
     | Ok () -> Wire.Done
     | Error e -> Wire.Err (Wire.error_to_wire e))
   | Wire.Release ->
-    Server.release t.eng ~client:s.client;
+    ignore (Server.release t.eng ~client:s.client);
     Wire.Done
   | Wire.Find name -> (
     let v = Server.snapshot t.eng in
@@ -256,7 +252,7 @@ let execute_locked t (conn : Conn.t) s (body : Wire.req_body) =
   | Wire.Stats -> Wire.Stats_reply (stats_locked t)
   | Wire.Ping -> Wire.Pong
   | Wire.Bye ->
-    end_session_locked t s;
+    ignore (end_session_locked t s);
     conn.Conn.session <- None;
     Wire.Done
   | Wire.Hello _ ->
@@ -315,6 +311,7 @@ let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
         end
         else begin
           t.in_flight <- t.in_flight + 1;
+          s.running <- s.running + 1;
           let rbody =
             (* a request must never take the server down: engine bugs
                surface as an error response on this one session *)
@@ -328,16 +325,21 @@ let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
                 }
           in
           t.in_flight <- t.in_flight - 1;
+          s.running <- s.running - 1;
           t.served <- t.served + 1;
           let payload = Wire.encode_response { Wire.rsp_id = req_id; rbody } in
-          let closing = match body with Wire.Bye -> true | _ -> false in
-          if not closing then begin
+          if Hashtbl.mem t.sessions s.sid then begin
             s.last_req <- req_id;
             s.last_resp <- payload;
             touch_locked t s
-          end;
-          if closing then Reply_close (Frame.encode payload)
-          else Reply (Frame.encode payload)
+          end
+          else if not (Hashtbl.mem t.by_client s.client) then
+            (* the session ended while this request ran (a [Bye], on this
+               connection or another): free whatever the request took *)
+            ignore (Server.release t.eng ~client:s.client);
+          match body with
+          | Wire.Bye -> Reply_close (Frame.encode payload)
+          | _ -> Reply (Frame.encode payload)
         end))
 
 let on_frame t conn frame =

@@ -1,4 +1,4 @@
-(** The networked SEED server: sessions with TTL leases over the
+(** The networked SEED server: sessions with a TTL lease over the
     in-process {!Seed_server.Server} engine.
 
     The core ({!create}/{!on_frame}) is transport-agnostic — one
@@ -9,13 +9,18 @@
 
     {b Session lifecycle.} A connection starts with [Hello]; the server
     answers [Welcome] with a session id, a resume token and the lease
-    TTL. Every executed request renews the session lease {e and} the
-    lease of every lock the client holds; when the lease runs out the
-    session is reaped and all its locks are bulk-released
-    ({!Seed_server.Lock_table.release_session}) — a dead client cannot
-    wedge its objects past the TTL. A disconnected client reconnects,
-    sends [Hello] with [resume = Some (id, token)] inside the lease
-    window, and is back in its session: same locks, and the {e replay
+    TTL. The session's lease is the only one: a lock carries no expiry
+    of its own and lives until the client checks in, releases, says
+    [Bye] or its session is reaped. Every executed request restarts the
+    lease when it ends, and a session is never reaped while one of its
+    requests is executing (a blocking checkout sleeps with the engine
+    mutex released). Once the lease has run out the session is reaped
+    and all its locks are bulk-released ({!Seed_server.Server.release})
+    — before any request is executed, and by {!serve}'s reaper thread
+    when idle — so a dead client cannot wedge its objects past the
+    TTL. A disconnected client reconnects, sends [Hello] with
+    [resume = Some (id, token)] inside the lease window, and is back in
+    its session: same locks, and the {e replay
     cache} (last executed request id → encoded response) means
     re-sending the request whose response was lost returns the recorded
     answer instead of applying it twice. Outside the window resume
@@ -34,7 +39,7 @@
 type config = {
   max_sessions : int;  (** admission cap on live sessions (default 64) *)
   max_in_flight : int;  (** cap on concurrently executing requests *)
-  session_ttl : float;  (** lease seconds for sessions and their locks *)
+  session_ttl : float;  (** session lease seconds; reaping frees its locks *)
   busy_retry_after : float;  (** hint returned with [Busy] *)
 }
 
@@ -48,9 +53,10 @@ val create :
   ?sleep:(float -> unit) ->
   Seed_server.Server.t ->
   t
-(** A server core over an engine. [now] must be the same clock the
-    engine's lock table uses (injectable for tests); [sleep] is used by
-    blocking checkouts (the engine mutex is released around it). *)
+(** A server core over an engine. [now] is the clock of session leases
+    and blocking-checkout deadlines, [sleep] the wait between checkout
+    attempts (the engine mutex is released around it); both default to
+    the wall clock and are injectable for tests. *)
 
 val engine : t -> Seed_server.Server.t
 
@@ -75,9 +81,9 @@ val on_frame : t -> Conn.t -> string -> action
 (** Process one incoming encoded frame. Never raises. *)
 
 val reap : t -> (string * string list) list
-(** Expire overdue sessions now; returns [(client, freed locks)] for
-    each. Called internally on every frame; exposed for idle servers
-    and tests. *)
+(** Reap every session whose lease has run out and that has no request
+    executing; returns [(client, freed locks)] for each. Called
+    internally on every frame; exposed for idle servers and tests. *)
 
 val drain : t -> unit
 (** Stop executing new requests: everything arriving from now on is

@@ -48,8 +48,6 @@ type server_stats = {
   sv_reaped_sessions : int;
   sv_checkins : int;
   sv_locks_held : int;
-  sv_locks_leased : int;
-  sv_locks_expired : int;
   sv_lock_waiters : int;
   sv_objects : int;
   sv_relationships : int;
@@ -298,8 +296,8 @@ let write_stats w s =
     [
       s.sv_sessions; s.sv_max_sessions; s.sv_in_flight; s.sv_max_in_flight;
       s.sv_served; s.sv_busy_rejects; s.sv_reaped_sessions; s.sv_checkins;
-      s.sv_locks_held; s.sv_locks_leased; s.sv_locks_expired;
-      s.sv_lock_waiters; s.sv_objects; s.sv_relationships; s.sv_versions;
+      s.sv_locks_held; s.sv_lock_waiters; s.sv_objects; s.sv_relationships;
+      s.sv_versions;
     ]
 
 let read_stats r =
@@ -312,8 +310,6 @@ let read_stats r =
   let sv_reaped_sessions = R.varint r in
   let sv_checkins = R.varint r in
   let sv_locks_held = R.varint r in
-  let sv_locks_leased = R.varint r in
-  let sv_locks_expired = R.varint r in
   let sv_lock_waiters = R.varint r in
   let sv_objects = R.varint r in
   let sv_relationships = R.varint r in
@@ -321,8 +317,7 @@ let read_stats r =
   {
     sv_sessions; sv_max_sessions; sv_in_flight; sv_max_in_flight; sv_served;
     sv_busy_rejects; sv_reaped_sessions; sv_checkins; sv_locks_held;
-    sv_locks_leased; sv_locks_expired; sv_lock_waiters; sv_objects;
-    sv_relationships; sv_versions;
+    sv_lock_waiters; sv_objects; sv_relationships; sv_versions;
   }
 
 let encode_response { rsp_id; rbody } =
@@ -413,9 +408,9 @@ let pp_server_stats ppf s =
      in flight: %d (max %d)@,\
      requests served: %d, shed busy: %d@,\
      check-ins: %d@,\
-     locks: %d held (%d leased), %d expired unreaped, %d waiters@,\
+     locks: %d held, %d waiters@,\
      objects: %d, relationships: %d, versions: %d@]"
     s.sv_sessions s.sv_max_sessions s.sv_reaped_sessions s.sv_in_flight
     s.sv_max_in_flight s.sv_served s.sv_busy_rejects s.sv_checkins
-    s.sv_locks_held s.sv_locks_leased s.sv_locks_expired s.sv_lock_waiters
+    s.sv_locks_held s.sv_lock_waiters
     s.sv_objects s.sv_relationships s.sv_versions

@@ -63,8 +63,6 @@ type server_stats = {
   sv_reaped_sessions : int;  (** sessions whose lease ran out *)
   sv_checkins : int;
   sv_locks_held : int;
-  sv_locks_leased : int;
-  sv_locks_expired : int;  (** expired-but-unreaped lease entries *)
   sv_lock_waiters : int;
   sv_objects : int;
   sv_relationships : int;

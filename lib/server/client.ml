@@ -23,7 +23,7 @@ let commit t =
 
 let abort t =
   t.queue <- [];
-  Server.release t.server ~client:t.client_name
+  ignore (Server.release t.server ~client:t.client_name)
 
 let retrieve t name_ =
   Seed_core.Database.find_object (Server.database t.server) name_

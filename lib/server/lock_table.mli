@@ -5,12 +5,10 @@
     all-or-nothing so two clients cannot deadlock on overlapping
     checkout sets.
 
-    Locks may carry a {e lease}: an optional time-to-live after which
-    the lock lapses and reads as free, so a client that died mid-edit
-    cannot wedge its objects forever. Expired leases stop covering and
-    blocking immediately, and every acquisition reaps them from the
-    table; {!expire_stale} does the same on demand and reports what
-    lapsed.
+    A lock is just its holder: it lives until {!release}. The table
+    keeps no clock and no lease; a front end that must not let a dead
+    client wedge its objects (the network server's session lease)
+    releases the client's locks when it gives the client up.
 
     {!acquire_wait} blocks (bounded backoff, injectable sleep/clock)
     until the locks come free or [timeout] elapses. Waiters form a
@@ -20,73 +18,54 @@
 
 type t
 
-val create : ?now:(unit -> float) -> unit -> t
-(** [now] is the clock used for lease arithmetic (default
-    [Unix.gettimeofday]; injectable for tests). *)
+val create : unit -> t
 
 val acquire :
-  t ->
-  client:string ->
-  ?ttl:float ->
-  string list ->
-  (unit, Seed_util.Seed_error.t) result
-(** Lock every name for [client]; already holding a lock is fine
-    (re-acquiring refreshes the lease); a name live-held by another
-    client fails the whole acquisition with [Locked] (nothing is
-    acquired). With [ttl] (seconds) the locks are leases that expire
-    [ttl] from now; without it they are held until released. *)
+  t -> client:string -> string list -> (unit, Seed_util.Seed_error.t) result
+(** Lock every name for [client]; already holding a lock is fine; a
+    name held by another client fails the whole acquisition with
+    [Locked] (nothing is acquired). *)
 
 val acquire_wait :
   t ->
   client:string ->
-  ?ttl:float ->
   ?policy:Seed_util.Retry.policy ->
+  ?now:(unit -> float) ->
   ?sleep:(float -> unit) ->
   timeout:float ->
   string list ->
   (unit, Seed_util.Seed_error.t) result
 (** Like {!acquire}, but on conflict the caller waits and retries with
     the backoff of [policy] (default {!Seed_util.Retry.default_policy})
-    until the locks come free or [timeout] seconds (on the table's
-    clock) elapse — the last [Locked] error is then returned. If waiting
-    would close a wait-for cycle, this requester is chosen as the
-    deadlock victim: its locks are released and [Deadlock] is returned.
-    [sleep] (default [Unix.sleepf]) is injectable so tests can both run
-    in zero wall-clock time and drive other clients between attempts. *)
+    until the locks come free or [timeout] seconds (on [now]) elapse —
+    the last [Locked] error is then returned. If waiting would close a
+    wait-for cycle, this requester is chosen as the deadlock victim:
+    its locks are released and [Deadlock] is returned. [now] (default
+    [Unix.gettimeofday]) and [sleep] (default [Unix.sleepf]) are
+    injectable so tests can both run in zero wall-clock time and drive
+    other clients between attempts. *)
 
-val release_all : t -> client:string -> unit
-
-val release_session : t -> client:string -> string list
-(** Free everything [client] left behind in one call: all its locks
-    (live or expired) and its wait-for edge, so a reaped session can
-    neither block other clients nor figure in a phantom deadlock cycle.
-    Returns the names freed, sorted — empty if the client held
-    nothing. *)
+val release : t -> client:string -> string list
+(** Free everything [client] holds, and its wait-for edge, so a client
+    given up on can neither block others nor figure in a phantom
+    deadlock cycle. Returns the names freed, sorted — empty if the
+    client held nothing. *)
 
 type stats = {
-  locks_held : int;  (** live locks in the table *)
-  locks_leased : int;  (** of those, lock leases with a TTL *)
-  locks_expired : int;  (** expired-but-unreaped entries still in the table *)
+  locks_held : int;  (** locks in the table *)
   waiters : int;  (** clients currently blocked in {!acquire_wait} *)
 }
 
 val stats : t -> stats
-(** Occupancy snapshot for monitoring — server health (are leases
-    piling up? is anything wedged waiting?) at a glance. *)
-
-val expire_stale : t -> (string * string) list
-(** Remove every expired lease and return the [(name, holder)] pairs
-    that lapsed, sorted by name. *)
+(** Occupancy snapshot for monitoring — are locks piling up? is
+    anything wedged waiting? *)
 
 val holder : t -> string -> string option
-(** The live holder of a name ([None] if free or the lease expired). *)
-
-val expires_at : t -> string -> float option
-(** When the name's live lease expires ([None] if free or unleased). *)
+(** The holder of a name ([None] if free). *)
 
 val held_by : t -> client:string -> string list
-(** Names this client currently (live-)locks, sorted. *)
+(** Names this client currently locks, sorted. *)
 
 val covers :
   t -> client:string -> string list -> (unit, Seed_util.Seed_error.t) result
-(** Check that [client] holds live locks on all the given names. *)
+(** Check that [client] holds locks on all the given names. *)

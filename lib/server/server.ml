@@ -9,18 +9,18 @@ type t = {
   session : Seed_core.Persist.Session.t option;
 }
 
-let create ?now schema =
+let create schema =
   {
     db = Database.create schema;
-    locks = Lock_table.create ?now ();
+    locks = Lock_table.create ();
     checkins = 0;
     session = None;
   }
 
-let of_session ?now session =
+let of_session session =
   {
     db = Seed_core.Persist.Session.db session;
-    locks = Lock_table.create ?now ();
+    locks = Lock_table.create ();
     checkins = 0;
     session = Some session;
   }
@@ -45,34 +45,17 @@ let resolve_obj db name =
 let check_names t names =
   iter_result (fun n -> Result.map ignore (resolve_obj t.db n)) names
 
-let do_checkout t ~client ~ttl ~names =
+let checkout t ~client ~names =
   let* () = check_names t names in
-  Lock_table.acquire t.locks ~client ?ttl names
+  Lock_table.acquire t.locks ~client names
 
-let checkout t ~client ~names = do_checkout t ~client ~ttl:None ~names
-
-let checkout_lease t ~client ~ttl ~names =
-  do_checkout t ~client ~ttl:(Some ttl) ~names
-
-let checkout_wait t ~client ?ttl ?policy ?sleep ~timeout ~names () =
+let checkout_wait t ~client ?policy ?now ?sleep ~timeout ~names () =
   let* () = check_names t names in
-  Lock_table.acquire_wait t.locks ~client ?ttl ?policy ?sleep ~timeout names
+  Lock_table.acquire_wait t.locks ~client ?policy ?now ?sleep ~timeout names
 
-let release t ~client = Lock_table.release_all t.locks ~client
+let release t ~client = Lock_table.release t.locks ~client
 
 let locked_by t ~client = Lock_table.held_by t.locks ~client
-
-let expire_stale t = Lock_table.expire_stale t.locks
-
-let release_session t ~client = Lock_table.release_session t.locks ~client
-
-let refresh_leases t ~client ~ttl =
-  match Lock_table.held_by t.locks ~client with
-  | [] -> ()
-  | names ->
-    (* re-acquiring one's own live locks always succeeds and pushes the
-       lease out; expired names are no longer in [held_by] *)
-    ignore (Lock_table.acquire t.locks ~client ~ttl names)
 
 let lock_stats t = Lock_table.stats t.locks
 
@@ -191,7 +174,7 @@ let checkin t ~client ops =
       | None -> Ok ()
       | Some session -> Seed_core.Persist.Session.flush session
     in
-    Lock_table.release_all t.locks ~client;
+    ignore (Lock_table.release t.locks ~client);
     t.checkins <- t.checkins + 1;
     Ok ()
   | Error _ as e ->

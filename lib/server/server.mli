@@ -13,12 +13,10 @@ open Seed_schema
 
 type t
 
-val create : ?now:(unit -> float) -> Schema.t -> t
-(** [now] is the lock table's lease clock (default [Unix.gettimeofday];
-    injectable for tests). The server is in-memory only; see
-    {!of_session} for a durable one. *)
+val create : Schema.t -> t
+(** An in-memory server; see {!of_session} for a durable one. *)
 
-val of_session : ?now:(unit -> float) -> Seed_core.Persist.Session.t -> t
+val of_session : Seed_core.Persist.Session.t -> t
 (** A server over a durable session's database: every successful
     {!checkin} flushes the committed batch through the session — one
     atomic journal transaction group, coalesced with concurrent
@@ -41,58 +39,36 @@ val checkout :
   t -> client:string -> names:string list -> (unit, Seed_error.t) result
 (** Write-lock the named independent objects for the client. All the
     objects must exist in the current version. The locks are held until
-    released (no lease). *)
-
-val checkout_lease :
-  t ->
-  client:string ->
-  ttl:float ->
-  names:string list ->
-  (unit, Seed_error.t) result
-(** Like {!checkout}, but the locks are leases expiring [ttl] seconds
-    from now: once expired they stop blocking other clients and stop
-    covering this client's check-ins (see {!Lock_table}). *)
+    the client checks in or they are released. *)
 
 val checkout_wait :
   t ->
   client:string ->
-  ?ttl:float ->
   ?policy:Seed_util.Retry.policy ->
+  ?now:(unit -> float) ->
   ?sleep:(float -> unit) ->
   timeout:float ->
   names:string list ->
   unit ->
   (unit, Seed_error.t) result
 (** Blocking {!checkout}: on lock conflict the call waits with bounded
-    backoff until the locks come free or [timeout] seconds elapse (the
-    last [Locked] error is then returned). If waiting would close a
-    wait-for cycle with other blocked clients, this client is aborted as
-    the deadlock victim ([Deadlock]; its locks are released). See
-    {!Lock_table.acquire_wait}. *)
+    backoff until the locks come free or [timeout] seconds (on [now])
+    elapse (the last [Locked] error is then returned). If waiting would
+    close a wait-for cycle with other blocked clients, this client is
+    aborted as the deadlock victim ([Deadlock]; its locks are
+    released). See {!Lock_table.acquire_wait}. *)
 
-val release : t -> client:string -> unit
-(** Abandon a checkout without applying anything. *)
+val release : t -> client:string -> string list
+(** Free everything the client holds — all its locks and its wait-for
+    edge — without applying anything; returns the names freed, sorted.
+    A client abandoning its checkout calls it, and so does a network
+    front end giving up a client whose session ended. *)
 
 val locked_by : t -> client:string -> string list
 
-val expire_stale : t -> (string * string) list
-(** Reap expired leases from the lock table; returns the
-    [(name, holder)] pairs that lapsed, sorted by name. A dead client's
-    expired locks never block acquisition even before this is called. *)
-
-val release_session : t -> client:string -> string list
-(** Free everything the client left behind — all its locks and its
-    wait-for edge — in one call; returns the names freed. This is what
-    a network front end calls when a session's lease runs out. *)
-
-val refresh_leases : t -> client:string -> ttl:float -> unit
-(** Push the expiry of every lease the client still holds out to [ttl]
-    seconds from now — a heartbeat. Locks whose lease already lapsed
-    are gone and stay gone. *)
-
 val lock_stats : t -> Lock_table.stats
-(** Lock-table occupancy (held locks, leases, expired-but-unreaped
-    entries, blocked waiters) for monitoring. *)
+(** Lock-table occupancy (held locks, blocked waiters) for
+    monitoring. *)
 
 val checkin :
   t -> client:string -> Protocol.op list -> (unit, Seed_error.t) result

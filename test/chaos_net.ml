@@ -374,7 +374,7 @@ let iteration ~seed ~iter ~steps ~nclients ~verbose =
   Seed_error.ok_exn (Persist.Session.flush s);
   let clock = ref 0.0 in
   let ttl = 5.0 in
-  let srv = Server.of_session ~now:(fun () -> !clock) s in
+  let srv = Server.of_session s in
   let core =
     NS.create
       ~config:{ NS.default_config with NS.session_ttl = ttl }
@@ -466,16 +466,12 @@ let iteration ~seed ~iter ~steps ~nclients ~verbose =
   let ls = Server.lock_stats srv in
   if
     ls.Seed_server.Lock_table.locks_held <> 0
-    || ls.Seed_server.Lock_table.locks_leased <> 0
-    || ls.Seed_server.Lock_table.locks_expired <> 0
     || ls.Seed_server.Lock_table.waiters <> 0
   then
     failf
-      "iteration %d: lock table not empty after final sweep (held %d leased \
-       %d expired %d waiters %d)"
+      "iteration %d: lock table not empty after final sweep (held %d \
+       waiters %d)"
       iter ls.Seed_server.Lock_table.locks_held
-      ls.Seed_server.Lock_table.locks_leased
-      ls.Seed_server.Lock_table.locks_expired
       ls.Seed_server.Lock_table.waiters;
   (* the store survived the schedule: durable, fsck-clean, reopenable *)
   Seed_error.ok_exn (Persist.Session.flush s);

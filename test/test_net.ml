@@ -129,12 +129,10 @@ let test_wire_response_roundtrips () =
           sv_reaped_sessions = 7;
           sv_checkins = 8;
           sv_locks_held = 9;
-          sv_locks_leased = 10;
-          sv_locks_expired = 11;
-          sv_lock_waiters = 12;
-          sv_objects = 13;
-          sv_relationships = 14;
-          sv_versions = 15;
+          sv_lock_waiters = 10;
+          sv_objects = 11;
+          sv_relationships = 12;
+          sv_versions = 13;
         };
       Wire.Pong;
       Wire.Busy { retry_after = 0.25 };
@@ -163,16 +161,21 @@ let test_error_classification () =
 
 let test_ttl = 10.0
 
-let make_core ?(config = { NS.default_config with session_ttl = test_ttl }) () =
+(* [on_sleep] runs after each backoff sleep of a blocking checkout,
+   with the engine mutex released: other clients act there. *)
+let make_core ?(config = { NS.default_config with session_ttl = test_ttl })
+    ?(on_sleep = ref ignore) () =
   let clock = ref 0.0 in
-  let srv = Server.create ~now:(fun () -> !clock) (fig3_schema ()) in
+  let srv = Server.create (fig3_schema ()) in
   let db = Server.database srv in
   ignore (ok (DB.create_object db ~cls:"Data" ~name:"Alarms" ()));
   ignore (ok (DB.create_object db ~cls:"Action" ~name:"Handler" ()));
   let core =
     NS.create ~config
       ~now:(fun () -> !clock)
-      ~sleep:(fun d -> clock := !clock +. d)
+      ~sleep:(fun d ->
+        clock := !clock +. d;
+        !on_sleep ())
       srv
   in
   (core, srv, clock)
@@ -338,15 +341,19 @@ let test_request_before_hello_refused () =
 
 let test_protocol_mismatch_refused () =
   let core, _, _ = make_core () in
-  let conn = NS.open_conn core in
-  match
-    (step core conn ~req_id:1L
-       (Wire.Hello { protocol = 99; client = "alice"; resume = None }))
-      .Wire.rbody
-  with
-  | Wire.Err w ->
-    Alcotest.(check bool) "unsupported" true (w.Wire.code = Wire.Unsupported_protocol)
-  | _ -> Alcotest.fail "expected refusal"
+  List.iter
+    (fun protocol ->
+      let conn = NS.open_conn core in
+      match
+        (step core conn ~req_id:1L
+           (Wire.Hello { protocol; client = "alice"; resume = None }))
+          .Wire.rbody
+      with
+      | Wire.Err w ->
+        Alcotest.(check bool) "unsupported" true
+          (w.Wire.code = Wire.Unsupported_protocol)
+      | _ -> Alcotest.failf "protocol %d: expected refusal" protocol)
+    [ 99; Frame.version - 1 ]
 
 let test_corrupt_frame_closes_connection () =
   let core, _, _ = make_core () in
@@ -476,6 +483,156 @@ let test_requests_renew_the_lease () =
   let st = NS.stats core in
   Alcotest.(check int) "still one live session" 1 st.Wire.sv_sessions;
   Alcotest.(check int) "nothing reaped" 0 st.Wire.sv_reaped_sessions
+
+let checkout ?wait_timeout names = Wire.Checkout { names; wait_timeout }
+
+let expect_err what code (r : Wire.response) =
+  match r.Wire.rbody with
+  | Wire.Err w when w.Wire.code = code -> ()
+  | _ -> Alcotest.failf "%s: expected an error of another kind" what
+
+(* Heartbeats carry the session, and with it its locks, past the
+   original expiry; the locks lapse exactly one TTL after the last. *)
+let test_heartbeat_carries_locks () =
+  let core, srv, clock = make_core () in
+  let conn = NS.open_conn core in
+  ignore (hello core conn ~client:"alice" ());
+  expect_done "checkout" (step core conn ~req_id:2L (checkout [ "Alarms" ]));
+  clock := 8.0;
+  ignore (step core conn ~req_id:3L Wire.Ping);
+  clock := 16.0;
+  ignore (step core conn ~req_id:4L Wire.Ping);
+  clock := 25.999;
+  Alcotest.(check (list (pair string (list string)))) "alive" [] (NS.reap core);
+  Alcotest.(check (list string)) "still held" [ "Alarms" ]
+    (Server.locked_by srv ~client:"alice");
+  clock := 26.0;
+  Alcotest.(check (list (pair string (list string)))) "lapsed with its session"
+    [ ("alice", [ "Alarms" ]) ]
+    (NS.reap core)
+
+(* The session's lease is its locks' lease, and the boundary is
+   inclusive: until then another client is refused; at exactly the
+   expiry its next request reaps the session first and takes the
+   objects, with nobody calling [reap]. *)
+let test_locks_change_hands_at_expiry () =
+  let core, srv, clock = make_core () in
+  let alice = NS.open_conn core and bob = NS.open_conn core in
+  ignore (hello core alice ~client:"alice" ());
+  expect_done "alice takes"
+    (step core alice ~req_id:2L (checkout [ "Alarms"; "Handler" ]));
+  clock := 5.0;
+  ignore (hello core bob ~client:"bob" ());
+  clock := test_ttl -. 0.001;
+  expect_err "bob refused while alice's lease lives" Wire.Locked
+    (step core bob ~req_id:2L (checkout [ "Alarms" ]));
+  clock := test_ttl;
+  expect_done "bob takes over at the boundary"
+    (step core bob ~req_id:3L (checkout [ "Alarms"; "Handler" ]));
+  expect_done "bob's edit lands"
+    (step core bob ~req_id:4L
+       (Wire.Checkin
+          [ Protocol.Reclassify_obj { name = "Alarms"; to_ = "OutputData" } ]));
+  Alcotest.(check int) "alice reaped" 1 (NS.stats core).Wire.sv_reaped_sessions;
+  Alcotest.(check int) "bob's applied" 1 (Server.checkin_count srv)
+
+(* A check-in arriving exactly at its session's expiry is refused whole,
+   the fresh-create half of a mixed batch included; a hair inside the
+   lease the same batch applies. *)
+let test_checkin_at_exact_expiry () =
+  let core, srv, clock = make_core () in
+  let db = Server.database srv in
+  let batch =
+    Wire.Checkin
+      [
+        Protocol.Create_object { cls = "Data"; name = "Fresh"; pattern = false };
+        Protocol.Reclassify_obj { name = "Alarms"; to_ = "InputData" };
+      ]
+  in
+  let class_of_alarms () = DB.class_of db (Option.get (DB.find_object db "Alarms")) in
+  let conn = NS.open_conn core in
+  ignore (hello core conn ~client:"alice" ());
+  expect_done "checkout" (step core conn ~req_id:2L (checkout [ "Alarms" ]));
+  clock := test_ttl;
+  expect_err "refused at the boundary" Wire.Session_expired
+    (step core conn ~req_id:3L batch);
+  Alcotest.(check int) "nothing counted" 0 (Server.checkin_count srv);
+  Alcotest.(check bool) "no fresh half" true (DB.find_object db "Fresh" = None);
+  Alcotest.(check (option string)) "target untouched" (Some "Data")
+    (class_of_alarms ());
+  Alcotest.(check (list string)) "locks freed" []
+    (Server.locked_by srv ~client:"alice");
+  let conn = NS.open_conn core in
+  ignore (hello core conn ~client:"alice" ());
+  expect_done "checkout again" (step core conn ~req_id:2L (checkout [ "Alarms" ]));
+  clock := (2.0 *. test_ttl) -. 0.001;
+  expect_done "applies just inside the lease" (step core conn ~req_id:3L batch);
+  Alcotest.(check bool) "fresh half" true (DB.find_object db "Fresh" <> None);
+  Alcotest.(check (option string)) "target moved" (Some "InputData")
+    (class_of_alarms ())
+
+(* Bob holds Alarms; at t=9, a second before her lease ends, alice asks
+   for it with a 20 s wait, and bob releases it past t=10.5, during her
+   wait. Her session must survive the wait, whatever bob's dispatches
+   reap meanwhile. *)
+let wait_out_the_lease () =
+  let on_sleep = ref ignore in
+  let core, srv, clock = make_core ~on_sleep () in
+  let alice = NS.open_conn core and bob = NS.open_conn core in
+  ignore (hello core alice ~client:"alice" ());
+  clock := 5.0;
+  ignore (hello core bob ~client:"bob" ());
+  expect_done "bob takes" (step core bob ~req_id:2L (checkout [ "Alarms" ]));
+  (on_sleep :=
+     fun () ->
+       if !clock >= 10.5 then begin
+         on_sleep := ignore;
+         expect_done "bob releases" (step core bob ~req_id:3L Wire.Release)
+       end);
+  clock := 9.0;
+  expect_done "alice waits it out"
+    (step core alice ~req_id:2L (checkout ~wait_timeout:20.0 [ "Alarms" ]));
+  (core, srv, clock, alice)
+
+let test_waiting_checkout_keeps_its_session () =
+  let core, srv, clock, alice = wait_out_the_lease () in
+  Alcotest.(check int) "nobody reaped" 0 (NS.stats core).Wire.sv_reaped_sessions;
+  (* the lease restarted when the wait ended *)
+  clock := !clock +. test_ttl -. 0.001;
+  expect_done "check-in on the same session"
+    (step core alice ~req_id:3L
+       (Wire.Checkin
+          [ Protocol.Reclassify_obj { name = "Alarms"; to_ = "InputData" } ]));
+  Alcotest.(check int) "applied" 1 (Server.checkin_count srv);
+  (* and the lock the wait took lapses with her session *)
+  let core, srv, clock, _ = wait_out_the_lease () in
+  Alcotest.(check (list string)) "alice holds" [ "Alarms" ]
+    (Server.locked_by srv ~client:"alice");
+  clock := !clock +. test_ttl;
+  Alcotest.(check (option (list string))) "freed with the session"
+    (Some [ "Alarms" ])
+    (List.assoc_opt "alice" (NS.reap core))
+
+(* Alice ends her session from a second connection while her first one
+   waits: the lock the wait then takes must not outlive the session. *)
+let test_bye_during_wait_frees_the_take () =
+  let on_sleep = ref ignore in
+  let core, srv, _ = make_core ~on_sleep () in
+  let alice = NS.open_conn core and bob = NS.open_conn core in
+  ignore (hello core bob ~client:"bob" ());
+  expect_done "bob takes" (step core bob ~req_id:2L (checkout [ "Alarms" ]));
+  let sid, token, _ = hello core alice ~client:"alice" () in
+  (on_sleep :=
+     fun () ->
+       on_sleep := ignore;
+       let again = NS.open_conn core in
+       ignore (hello core again ~client:"alice" ~resume:(sid, token) ());
+       expect_done "bye" (step core again ~req_id:3L Wire.Bye);
+       expect_done "bob releases" (step core bob ~req_id:3L Wire.Release));
+  expect_done "the wait ends"
+    (step core alice ~req_id:2L (checkout ~wait_timeout:5.0 [ "Alarms" ]));
+  Alcotest.(check (list string)) "nothing left locked" []
+    (Server.locked_by srv ~client:"alice")
 
 let test_max_sessions_sheds_load () =
   let config = { NS.default_config with max_sessions = 2; session_ttl = test_ttl } in
@@ -858,11 +1015,18 @@ let () =
           tc "wrong token refused" test_resume_with_wrong_token_refused;
           tc "expiry reaps session + locks" test_lease_expiry_reaps_session_and_locks;
           tc "requests renew the lease" test_requests_renew_the_lease;
+          tc "heartbeat refresh" test_heartbeat_carries_locks;
+          tc "checkin at exact expiry" test_checkin_at_exact_expiry;
+          tc "waiting checkout keeps its session"
+            test_waiting_checkout_keeps_its_session;
+          tc "bye during a wait frees the take" test_bye_during_wait_frees_the_take;
           tc "max sessions sheds" test_max_sessions_sheds_load;
           tc "duplicate client refused" test_duplicate_client_name_refused;
           tc "drain is retryable" test_drain_answers_retryable;
           tc "engine exception answered" test_engine_exception_becomes_error_response;
         ] );
+      ( "leases",
+        [ tc "exact-expiry boundary" test_locks_change_hands_at_expiry ] );
       ( "faulty-transport",
         [
           tc "deterministic" test_faulty_transport_deterministic;

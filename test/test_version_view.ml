@@ -332,8 +332,22 @@ let history_agrees db versions =
     | Error _ -> false)
   | _ -> true
 
+(* [Database.stats] counts by extent cardinality: its counts must be the
+   enumerations' lengths, on the current state and on every version *)
+let stats_agree db versions =
+  let agree () =
+    let st = DB.stats db and v = DB.view db in
+    st.DB.st_objects = List.length (View.all_objects v)
+    && st.DB.st_patterns = List.length (View.all_patterns v)
+    && st.DB.st_relationships = List.length (View.all_rels v)
+  in
+  let at vid = Result.is_ok (DB.select_version db vid) && agree () in
+  List.for_all (fun vid -> at (Some vid)) versions && at None
+
 let all_agree db versions =
-  List.for_all (version_agrees db) versions && history_agrees db versions
+  List.for_all (version_agrees db) versions
+  && history_agrees db versions
+  && stats_agree db versions
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                           *)
