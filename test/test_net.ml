@@ -516,7 +516,7 @@ let test_heartbeat_carries_locks () =
    expiry its next request reaps the session first and takes the
    objects, with nobody calling [reap]. *)
 let test_locks_change_hands_at_expiry () =
-  let core, srv, clock = make_core () in
+  let core, _, clock = make_core () in
   let alice = NS.open_conn core and bob = NS.open_conn core in
   ignore (hello core alice ~client:"alice" ());
   expect_done "alice takes"
@@ -529,25 +529,44 @@ let test_locks_change_hands_at_expiry () =
   clock := test_ttl;
   expect_done "bob takes over at the boundary"
     (step core bob ~req_id:3L (checkout [ "Alarms"; "Handler" ]));
+  Alcotest.(check int) "alice reaped" 1 (NS.stats core).Wire.sv_reaped_sessions
+
+(* A holder whose lease lapsed blocks nobody: its late check-in is
+   refused, and the other client takes the object and edits it. *)
+let test_lease_expiry_unblocks () =
+  let core, srv, clock = make_core () in
+  let alice = NS.open_conn core and bob = NS.open_conn core in
+  ignore (hello core alice ~client:"alice" ());
+  expect_done "alice takes" (step core alice ~req_id:2L (checkout [ "Alarms" ]));
+  clock := 5.0;
+  ignore (hello core bob ~client:"bob" ());
+  expect_err "bob blocked while live" Wire.Locked
+    (step core bob ~req_id:2L (checkout [ "Alarms" ]));
+  clock := test_ttl +. 1.0;
+  expect_err "stale checkin refused" Wire.Session_expired
+    (step core alice ~req_id:3L
+       (Wire.Checkin
+          [ Protocol.Reclassify_obj { name = "Alarms"; to_ = "InputData" } ]));
+  Alcotest.(check (list string)) "lease lapsed" []
+    (Server.locked_by srv ~client:"alice");
+  expect_done "bob takes over"
+    (step core bob ~req_id:3L (checkout [ "Alarms" ]));
   expect_done "bob's edit lands"
     (step core bob ~req_id:4L
        (Wire.Checkin
           [ Protocol.Reclassify_obj { name = "Alarms"; to_ = "OutputData" } ]));
-  Alcotest.(check int) "alice reaped" 1 (NS.stats core).Wire.sv_reaped_sessions;
-  Alcotest.(check int) "bob's applied" 1 (Server.checkin_count srv)
+  Alcotest.(check int) "bob's applied" 1 (Server.checkin_count srv);
+  let db = Server.database srv in
+  Alcotest.(check (option string)) "bob's class" (Some "OutputData")
+    (DB.class_of db (Option.get (DB.find_object db "Alarms")))
 
-(* A check-in arriving exactly at its session's expiry is refused whole,
-   the fresh-create half of a mixed batch included; a hair inside the
-   lease the same batch applies. *)
+(* A check-in arriving exactly at its session's expiry is refused; a
+   hair inside the lease the same check-in applies. *)
 let test_checkin_at_exact_expiry () =
   let core, srv, clock = make_core () in
   let db = Server.database srv in
   let batch =
-    Wire.Checkin
-      [
-        Protocol.Create_object { cls = "Data"; name = "Fresh"; pattern = false };
-        Protocol.Reclassify_obj { name = "Alarms"; to_ = "InputData" };
-      ]
+    Wire.Checkin [ Protocol.Reclassify_obj { name = "Alarms"; to_ = "InputData" } ]
   in
   let class_of_alarms () = DB.class_of db (Option.get (DB.find_object db "Alarms")) in
   let conn = NS.open_conn core in
@@ -557,8 +576,7 @@ let test_checkin_at_exact_expiry () =
   expect_err "refused at the boundary" Wire.Session_expired
     (step core conn ~req_id:3L batch);
   Alcotest.(check int) "nothing counted" 0 (Server.checkin_count srv);
-  Alcotest.(check bool) "no fresh half" true (DB.find_object db "Fresh" = None);
-  Alcotest.(check (option string)) "target untouched" (Some "Data")
+  Alcotest.(check (option string)) "nothing applied" (Some "Data")
     (class_of_alarms ());
   Alcotest.(check (list string)) "locks freed" []
     (Server.locked_by srv ~client:"alice");
@@ -567,9 +585,30 @@ let test_checkin_at_exact_expiry () =
   expect_done "checkout again" (step core conn ~req_id:2L (checkout [ "Alarms" ]));
   clock := (2.0 *. test_ttl) -. 0.001;
   expect_done "applies just inside the lease" (step core conn ~req_id:3L batch);
-  Alcotest.(check bool) "fresh half" true (DB.find_object db "Fresh" <> None);
   Alcotest.(check (option string)) "target moved" (Some "InputData")
     (class_of_alarms ())
+
+(* A batch mixing a lock-free op (a fresh creation) with an op on an
+   expired session's lock is refused whole: the fresh object must not
+   exist afterwards. *)
+let test_expiry_never_partial () =
+  let core, srv, clock = make_core () in
+  let db = Server.database srv in
+  let conn = NS.open_conn core in
+  ignore (hello core conn ~client:"alice" ());
+  expect_done "checkout" (step core conn ~req_id:2L (checkout [ "Alarms" ]));
+  clock := test_ttl;
+  expect_err "whole batch refused" Wire.Session_expired
+    (step core conn ~req_id:3L
+       (Wire.Checkin
+          [
+            Protocol.Create_object { cls = "Data"; name = "Fresh"; pattern = false };
+            Protocol.Reclassify_obj { name = "Alarms"; to_ = "InputData" };
+          ]));
+  Alcotest.(check int) "nothing counted" 0 (Server.checkin_count srv);
+  Alcotest.(check bool) "no partial batch" true (DB.find_object db "Fresh" = None);
+  Alcotest.(check (option string)) "target untouched" (Some "Data")
+    (DB.class_of db (Option.get (DB.find_object db "Alarms")))
 
 (* Bob holds Alarms; at t=9, a second before her lease ends, alice asks
    for it with a 20 s wait, and bob releases it past t=10.5, during her
@@ -1017,6 +1056,7 @@ let () =
           tc "requests renew the lease" test_requests_renew_the_lease;
           tc "heartbeat refresh" test_heartbeat_carries_locks;
           tc "checkin at exact expiry" test_checkin_at_exact_expiry;
+          tc "expiry never partial" test_expiry_never_partial;
           tc "waiting checkout keeps its session"
             test_waiting_checkout_keeps_its_session;
           tc "bye during a wait frees the take" test_bye_during_wait_frees_the_take;
@@ -1026,7 +1066,10 @@ let () =
           tc "engine exception answered" test_engine_exception_becomes_error_response;
         ] );
       ( "leases",
-        [ tc "exact-expiry boundary" test_locks_change_hands_at_expiry ] );
+        [
+          tc "expiry unblocks" test_lease_expiry_unblocks;
+          tc "exact-expiry boundary" test_locks_change_hands_at_expiry;
+        ] );
       ( "faulty-transport",
         [
           tc "deterministic" test_faulty_transport_deterministic;
