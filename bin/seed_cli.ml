@@ -1054,7 +1054,8 @@ let serve_cmd =
           ~doc:
             "Session lease, restarted when each of the client's requests \
              ends: a client silent this long loses its session and all its \
-             locks (locks have no lease of their own).")
+             locks (locks have no lease of their own). A blocking checkout \
+             waits at most this long.")
   in
   let max_sessions =
     Arg.(

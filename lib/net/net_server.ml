@@ -76,17 +76,23 @@ type action = Reply of string | Reply_close of string | Close
 
 (* --- sessions (all with [t.m] held) ----------------------------------- *)
 
+let forget_client_locked t s =
+  match Hashtbl.find_opt t.by_client s.client with
+  | Some live when Int64.equal live s.sid -> Hashtbl.remove t.by_client s.client
+  | Some _ | None -> ()
+
+(* Ends a session and frees its locks at once. Its client name stays
+   taken until none of its requests is executing, so a fresh session of
+   that name cannot inherit a lock that a still-running wait takes. *)
 let end_session_locked t s =
   Hashtbl.remove t.sessions s.sid;
-  (match Hashtbl.find_opt t.by_client s.client with
-  | Some live when Int64.equal live s.sid -> Hashtbl.remove t.by_client s.client
-  | Some _ | None -> ());
+  if s.running = 0 then forget_client_locked t s;
   Server.release t.eng ~client:s.client
 
 (* A session is reaped once its lease has run out and none of its
    requests is executing: a running request (a checkout waiting with the
-   mutex released) holds its session, whose lease restarts when the
-   request ends. *)
+   mutex released, for at most one ttl) holds its session, whose lease
+   restarts when the request ends. *)
 let reap_locked t =
   let horizon = t.now () in
   let dead =
@@ -217,6 +223,11 @@ let execute_locked t (conn : Conn.t) s (body : Wire.req_body) =
       match wait_timeout with
       | None -> Server.checkout t.eng ~client:s.client ~names
       | Some timeout ->
+        (* the wait holds its session, so it is capped at one ttl: a
+           dead client's locks then go at most one ttl after its last
+           request ends. [not (timeout <= ttl)] catches NaN too. *)
+        let ttl = t.cfg.session_ttl in
+        let timeout = if timeout <= ttl then timeout else ttl in
         (* the engine mutex is released while the waiter sleeps so other
            connections can run — including the one that will release
            the contended lock *)
@@ -271,6 +282,14 @@ let bad_request ~req_id message =
     (reply ~req_id
        (Wire.Err { code = Wire.Bad_request; message; retryable = false }))
 
+let session_expired =
+  Wire.Err
+    {
+      code = Wire.Session_expired;
+      message = "session lease expired";
+      retryable = false;
+    }
+
 let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
   ignore (reap_locked t);
   match body with
@@ -285,14 +304,7 @@ let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
       match Hashtbl.find_opt t.sessions sid with
       | None ->
         conn.Conn.session <- None;
-        Reply
-          (reply ~req_id
-             (Wire.Err
-                {
-                  code = Wire.Session_expired;
-                  message = "session lease expired";
-                  retryable = false;
-                }))
+        Reply (reply ~req_id session_expired)
       | Some s ->
         if Int64.compare req_id 0L <= 0 then
           bad_request ~req_id "request ids must be positive"
@@ -328,17 +340,24 @@ let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
           s.running <- s.running - 1;
           t.served <- t.served + 1;
           let payload = Wire.encode_response { Wire.rsp_id = req_id; rbody } in
-          if Hashtbl.mem t.sessions s.sid then begin
+          let live = Hashtbl.mem t.sessions s.sid in
+          if live then begin
             s.last_req <- req_id;
             s.last_resp <- payload;
             touch_locked t s
           end
-          else if not (Hashtbl.mem t.by_client s.client) then
-            (* the session ended while this request ran (a [Bye], on this
-               connection or another): free whatever the request took *)
+          else if s.running = 0 then begin
+            (* the session has ended (a [Bye], on this connection or
+               another) and this was its last running request: free
+               whatever a wait took, then release the client name *)
             ignore (Server.release t.eng ~client:s.client);
+            forget_client_locked t s
+          end;
           match body with
           | Wire.Bye -> Reply_close (Frame.encode payload)
+          | _ when not live ->
+            (* what this request took has just been freed *)
+            Reply (reply ~req_id session_expired)
           | _ -> Reply (Frame.encode payload)
         end))
 

@@ -14,11 +14,14 @@
     [Bye] or its session is reaped. Every executed request restarts the
     lease when it ends, and a session is never reaped while one of its
     requests is executing (a blocking checkout sleeps with the engine
-    mutex released). Once the lease has run out the session is reaped
-    and all its locks are bulk-released ({!Seed_server.Server.release})
-    — before any request is executed, and by {!serve}'s reaper thread
-    when idle — so a dead client cannot wedge its objects past the
-    TTL. A disconnected client reconnects, sends [Hello] with
+    mutex released, for at most one TTL whatever wait it asked for).
+    Once the lease has run out the session is reaped and all its locks
+    are bulk-released ({!Seed_server.Server.release}) — before any
+    request is executed, and by {!serve}'s reaper thread when idle — so
+    a dead client cannot wedge its objects past the TTL after its last
+    request ends. [Bye] frees the session's locks at once; a wait still
+    running then is answered [Session_expired], its take is released,
+    and the client name stays taken until it ends. A disconnected client reconnects, sends [Hello] with
     [resume = Some (id, token)] inside the lease window, and is back in
     its session: same locks, and the {e replay
     cache} (last executed request id → encoded response) means

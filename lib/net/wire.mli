@@ -22,7 +22,8 @@ type req_body =
     }
   | Checkout of { names : string list; wait_timeout : float option }
       (** [wait_timeout = Some s] blocks up to [s] seconds on conflict
-          (server-side bounded wait); [None] fails fast with [Locked]. *)
+          (server-side bounded wait, capped at the session TTL); [None]
+          fails fast with [Locked]. *)
   | Checkin of Protocol.op list
   | Release
   | Find of string  (** object name -> class path, if it exists *)

@@ -653,7 +653,9 @@ let test_waiting_checkout_keeps_its_session () =
     (List.assoc_opt "alice" (NS.reap core))
 
 (* Alice ends her session from a second connection while her first one
-   waits: the lock the wait then takes must not outlive the session. *)
+   waits: the lock the wait then takes must not outlive the session, and
+   her name cannot start a fresh session (which would inherit that lock)
+   until the wait is over. *)
 let test_bye_during_wait_frees_the_take () =
   let on_sleep = ref ignore in
   let core, srv, _ = make_core ~on_sleep () in
@@ -661,17 +663,61 @@ let test_bye_during_wait_frees_the_take () =
   ignore (hello core bob ~client:"bob" ());
   expect_done "bob takes" (step core bob ~req_id:2L (checkout [ "Alarms" ]));
   let sid, token, _ = hello core alice ~client:"alice" () in
+  let fresh = NS.open_conn core in
+  let fresh_hello () =
+    step core fresh ~req_id:1L
+      (Wire.Hello { protocol = Frame.version; client = "alice"; resume = None })
+  in
   (on_sleep :=
      fun () ->
        on_sleep := ignore;
        let again = NS.open_conn core in
        ignore (hello core again ~client:"alice" ~resume:(sid, token) ());
        expect_done "bye" (step core again ~req_id:3L Wire.Bye);
+       expect_err "re-hello while the wait runs" Wire.Already_connected
+         (fresh_hello ());
        expect_done "bob releases" (step core bob ~req_id:3L Wire.Release));
-  expect_done "the wait ends"
+  expect_err "the wait ends with its session" Wire.Session_expired
     (step core alice ~req_id:2L (checkout ~wait_timeout:5.0 [ "Alarms" ]));
   Alcotest.(check (list string)) "nothing left locked" []
+    (Server.locked_by srv ~client:"alice");
+  (match (fresh_hello ()).Wire.rbody with
+  | Wire.Welcome { resumed; _ } ->
+    Alcotest.(check bool) "a fresh session" false resumed
+  | _ -> Alcotest.fail "the name is free once the wait is over");
+  Alcotest.(check (list string)) "the fresh session holds nothing" []
     (Server.locked_by srv ~client:"alice")
+
+(* Alice holds Handler and, at t=1, asks for Alarms (held by bob, who
+   never lets go) with a wait far beyond the ttl — or a NaN one — and
+   then dies. The wait holds her session but lasts one ttl at most, so
+   Handler is freed one ttl after it ends. *)
+let test_dead_waiter_frees_its_locks () =
+  List.iter
+    (fun wait ->
+      let core, srv, clock = make_core () in
+      let alice = NS.open_conn core and bob = NS.open_conn core in
+      ignore (hello core alice ~client:"alice" ());
+      ignore (hello core bob ~client:"bob" ());
+      expect_done "alice takes"
+        (step core alice ~req_id:2L (checkout [ "Handler" ]));
+      expect_done "bob takes" (step core bob ~req_id:2L (checkout [ "Alarms" ]));
+      clock := 1.0;
+      expect_err "the wait times out" Wire.Locked
+        (step core alice ~req_id:3L (checkout ~wait_timeout:wait [ "Alarms" ]));
+      let ended = !clock in
+      Alcotest.(check bool) "capped at one ttl" true
+        (ended >= 1.0 +. test_ttl && ended < 1.0 +. (2.0 *. test_ttl));
+      let reap_alice () = List.assoc_opt "alice" (NS.reap core) in
+      clock := ended +. test_ttl -. 0.001;
+      Alcotest.(check (option (list string))) "still leased" None
+        (reap_alice ());
+      clock := ended +. test_ttl;
+      Alcotest.(check (option (list string))) "freed at the bound"
+        (Some [ "Handler" ]) (reap_alice ());
+      Alcotest.(check (list string)) "Handler free" []
+        (Server.locked_by srv ~client:"alice"))
+    [ 3600.0; Float.nan ]
 
 let test_max_sessions_sheds_load () =
   let config = { NS.default_config with max_sessions = 2; session_ttl = test_ttl } in
@@ -1060,6 +1106,7 @@ let () =
           tc "waiting checkout keeps its session"
             test_waiting_checkout_keeps_its_session;
           tc "bye during a wait frees the take" test_bye_during_wait_frees_the_take;
+          tc "dead waiter frees its locks" test_dead_waiter_frees_its_locks;
           tc "max sessions sheds" test_max_sessions_sheds_load;
           tc "duplicate client refused" test_duplicate_client_name_refused;
           tc "drain is retryable" test_drain_answers_retryable;
