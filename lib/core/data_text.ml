@@ -29,39 +29,21 @@ let render_value = function
   | Value.Date d -> Printf.sprintf "%04d-%02d-%02d" d.Value.year d.Value.month d.Value.day
   | Value.Enum c -> c
 
-let component (it : Item.t) =
-  match it.Item.body with
-  | Item.Dependent { role; index; _ } -> (
-    match index with
-    | Some i -> Printf.sprintf "%s[%d]" role i
-    | None -> role)
-  | Item.Independent | Item.Relationship -> "?"
-
 let rec export_subs v buf indent (it : Item.t) =
+  let pad = String.make indent ' ' in
   List.iter
     (fun (kid : Item.t) ->
-      let pad = String.make indent ' ' in
-      let value =
-        match View.obj_state v kid with
-        | Some { Item.value = Some value; _ } -> Some value
-        | Some _ | None -> None
-      in
-      let kids = View.children v kid.Item.id in
-      match (value, kids) with
-      | Some value, [] ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s = %s\n" pad (component kid) (render_value value))
-      | Some value, _ ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s = %s {\n" pad (component kid) (render_value value));
+      Buffer.add_string buf (pad ^ Item.component kid);
+      (match View.obj_state v kid with
+      | Some { Item.value = Some value; _ } ->
+        Buffer.add_string buf (" = " ^ render_value value)
+      | Some _ | None -> ());
+      if View.children v kid.Item.id = [] then Buffer.add_char buf '\n'
+      else begin
+        Buffer.add_string buf " {\n";
         export_subs v buf (indent + 2) kid;
         Buffer.add_string buf (pad ^ "}\n")
-      | None, [] ->
-        Buffer.add_string buf (Printf.sprintf "%s%s\n" pad (component kid))
-      | None, _ ->
-        Buffer.add_string buf (Printf.sprintf "%s%s {\n" pad (component kid));
-        export_subs v buf (indent + 2) kid;
-        Buffer.add_string buf (pad ^ "}\n"))
+      end)
     (View.children v it.Item.id)
 
 let export_object v buf ~pattern (it : Item.t) =
@@ -168,163 +150,25 @@ let export_view v =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Lexer                                                                *)
-(* ------------------------------------------------------------------ *)
-
-type token =
-  | IDENT of string
-  | INT of int
-  | FLOAT of float
-  | STRING of string
-  | LBRACE
-  | RBRACE
-  | LPAREN
-  | RPAREN
-  | LBRACKET
-  | RBRACKET
-  | EQUALS
-  | COLON
-  | COMMA
-  | MINUS
-  | EOF
-
-let token_name = function
-  | IDENT s -> Printf.sprintf "identifier %S" s
-  | INT n -> Printf.sprintf "integer %d" n
-  | FLOAT f -> Printf.sprintf "float %g" f
-  | STRING s -> Printf.sprintf "string %S" s
-  | LBRACE -> "'{'"
-  | RBRACE -> "'}'"
-  | LPAREN -> "'('"
-  | RPAREN -> "')'"
-  | LBRACKET -> "'['"
-  | RBRACKET -> "']'"
-  | EQUALS -> "'='"
-  | COLON -> "':'"
-  | COMMA -> "','"
-  | MINUS -> "'-'"
-  | EOF -> "end of input"
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_'
-
-let lex src =
-  let n = String.length src in
-  let out = ref [] in
-  let line = ref 1 in
-  let error msg =
-    fail (Invalid_operation (Printf.sprintf "data text, line %d: %s" !line msg))
-  in
-  let rec go i =
-    if i >= n then begin
-      out := (EOF, !line) :: !out;
-      Ok (List.rev !out)
-    end
-    else
-      let c = src.[i] in
-      if c = '\n' then begin
-        incr line;
-        go (i + 1)
-      end
-      else if c = ' ' || c = '\t' || c = '\r' then go (i + 1)
-      else if c = '/' && i + 1 < n && src.[i + 1] = '/' then begin
-        let rec skip j = if j < n && src.[j] <> '\n' then skip (j + 1) else j in
-        go (skip i)
-      end
-      else if c = '"' then begin
-        let buf = Buffer.create 16 in
-        let rec str j =
-          if j >= n then error "unterminated string"
-          else
-            match src.[j] with
-            | '"' ->
-              out := (STRING (Buffer.contents buf), !line) :: !out;
-              go (j + 1)
-            | '\\' when j + 1 < n ->
-              (match src.[j + 1] with
-              | 'n' -> Buffer.add_char buf '\n'
-              | 't' -> Buffer.add_char buf '\t'
-              | '"' -> Buffer.add_char buf '"'
-              | '\\' -> Buffer.add_char buf '\\'
-              | c -> Buffer.add_char buf c);
-              str (j + 2)
-            | '\n' -> error "newline in string literal"
-            | c ->
-              Buffer.add_char buf c;
-              str (j + 1)
-        in
-        str (i + 1)
-      end
-      else if c >= '0' && c <= '9' then begin
-        (* number: int, float (with '.', 'e', 'x', 'p' for %h) *)
-        let rec eat j =
-          if
-            j < n
-            && ((src.[j] >= '0' && src.[j] <= '9')
-               || src.[j] = '.' || src.[j] = 'e' || src.[j] = 'E'
-               || src.[j] = 'x' || src.[j] = 'p' || src.[j] = 'P'
-               || (src.[j] >= 'a' && src.[j] <= 'f')
-               || (src.[j] >= 'A' && src.[j] <= 'F')
-               || src.[j] = '+'
-               || (src.[j] = '-' && j > i && (src.[j - 1] = 'e' || src.[j - 1] = 'E' || src.[j - 1] = 'p' || src.[j - 1] = 'P')))
-          then eat (j + 1)
-          else j
-        in
-        let j = eat i in
-        let text = String.sub src i (j - i) in
-        (match (int_of_string_opt text, float_of_string_opt text) with
-        | Some k, _ ->
-          out := (INT k, !line) :: !out;
-          go j
-        | None, Some f ->
-          out := (FLOAT f, !line) :: !out;
-          go j
-        | None, None -> error (Printf.sprintf "bad number %S" text))
-      end
-      else if is_ident_char c then begin
-        let rec eat j = if j < n && is_ident_char src.[j] then eat (j + 1) else j in
-        let j = eat i in
-        out := (IDENT (String.sub src i (j - i)), !line) :: !out;
-        go j
-      end
-      else
-        let simple t =
-          out := (t, !line) :: !out;
-          go (i + 1)
-        in
-        match c with
-        | '{' -> simple LBRACE
-        | '}' -> simple RBRACE
-        | '(' -> simple LPAREN
-        | ')' -> simple RPAREN
-        | '[' -> simple LBRACKET
-        | ']' -> simple RBRACKET
-        | '=' -> simple EQUALS
-        | ':' -> simple COLON
-        | ',' -> simple COMMA
-        | '-' -> simple MINUS
-        | _ -> error (Printf.sprintf "unexpected character %C" c)
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
 (* Parser (to an AST, then replayed)                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* A bare word's type depends on the class it lands in: [nan] is a
+   float in a FLOAT class and a constant in an ENUM class. Every other
+   literal's form fixes its type. *)
+type literal = Typed of Value.t | Word of string
 
 type sub_ast = {
   s_role : string;
   s_index : int option;
-  s_value : Value.t option;
+  s_value : literal option;
   s_children : sub_ast list;
 }
 
 type obj_ast = {
   o_name : string;
   o_cls : string;
-  o_value : Value.t option;
+  o_value : literal option;
   o_pattern : bool;
   o_inherits : string list;
   o_children : sub_ast list;
@@ -334,177 +178,109 @@ type rel_ast = {
   r_assoc : string;
   r_endpoints : string list;
   r_pattern : bool;
-  r_attrs : (string * Value.t) list;
+  r_attrs : (string * literal) list;
 }
 
-type stream = { mutable toks : (token * int) list }
-
-let peek st = match st.toks with [] -> (EOF, 0) | t :: _ -> t
-let advance st = match st.toks with [] -> () | _ :: r -> st.toks <- r
-
-let syntax_error line what got =
-  fail
-    (Invalid_operation
-       (Printf.sprintf "data text, line %d: expected %s, found %s" line what
-          (token_name got)))
-
-let expect st tok what =
-  let got, line = peek st in
-  if got = tok then begin
-    advance st;
-    Ok ()
-  end
-  else syntax_error line what got
-
-let ident st what =
-  match peek st with
-  | IDENT s, _ ->
-    advance st;
-    Ok s
-  | got, line -> syntax_error line what got
+open Text_lexer
 
 let parse_value st =
+  let value v =
+    advance st;
+    Ok (Typed v)
+  in
   match peek st with
-  | STRING s, _ ->
-    advance st;
-    Ok (Value.String s)
-  | FLOAT f, _ ->
-    advance st;
-    Ok (Value.Float f)
-  | MINUS, _ -> (
+  | STRING s -> value (Value.String s)
+  | FLOAT f -> value (Value.Float f)
+  | MINUS -> (
     advance st;
     match peek st with
-    | INT n, _ ->
-      advance st;
-      Ok (Value.Int (-n))
-    | FLOAT f, _ ->
-      advance st;
-      Ok (Value.Float (-.f))
-    | got, line -> syntax_error line "a number after '-'" got)
-  | INT a, _ -> (
+    | INT n -> value (Value.Int (-n))
+    | FLOAT f -> value (Value.Float (-.f))
+    | IDENT "infinity" -> value (Value.Float Float.neg_infinity)
+    | IDENT "nan" -> value (Value.Float (-.Float.nan))
+    | _ -> unexpected st "a number after '-'")
+  | INT a -> (
     advance st;
     (* maybe a date: INT-INT-INT *)
     match peek st with
-    | MINUS, _ -> (
+    | MINUS -> (
       advance st;
-      match peek st with
-      | INT m, line -> (
-        advance st;
-        let* () = expect st MINUS "'-' in a date" in
-        match peek st with
-        | INT d, _ ->
-          advance st;
-          (try Ok (Value.date a m d)
-           with Invalid_argument msg -> fail (Invalid_operation msg))
-        | got, _ -> syntax_error line "a day" got)
-      | got, line -> syntax_error line "a month" got)
-    | _ -> Ok (Value.Int a))
-  | IDENT "true", _ ->
+      let* m = int st "a month" in
+      let* () = expect st MINUS "'-' in a date" in
+      let* d = int st "a day" in
+      try Ok (Typed (Value.date a m d))
+      with Invalid_argument msg -> fail (Invalid_operation msg))
+    | _ -> Ok (Typed (Value.Int a)))
+  | IDENT w ->
     advance st;
-    Ok (Value.Bool true)
-  | IDENT "false", _ ->
+    Ok (Word w)
+  | _ -> unexpected st "a value"
+
+let parse_opt_value st =
+  match peek st with
+  | EQUALS ->
     advance st;
-    Ok (Value.Bool false)
-  | IDENT c, _ ->
-    advance st;
-    Ok (Value.Enum c)
-  | got, line -> syntax_error line "a value" got
+    let* v = parse_value st in
+    Ok (Some v)
+  | _ -> Ok None
 
 let parse_opt_index st =
   match peek st with
-  | LBRACKET, _ -> (
+  | LBRACKET ->
     advance st;
-    match peek st with
-    | INT i, _ ->
-      advance st;
-      let* () = expect st RBRACKET "']'" in
-      Ok (Some i)
-    | got, line -> syntax_error line "an index" got)
+    let* i = int st "an index" in
+    let* () = expect st RBRACKET "']'" in
+    Ok (Some i)
   | _ -> Ok None
 
 let rec parse_subs st acc =
   match peek st with
-  | RBRACE, _ ->
+  | RBRACE ->
     advance st;
     Ok (List.rev acc)
-  | IDENT _, _ ->
+  | IDENT _ ->
     let* s_role = ident st "a role" in
     let* s_index = parse_opt_index st in
-    let* s_value =
-      match peek st with
-      | EQUALS, _ ->
-        advance st;
-        let* v = parse_value st in
-        Ok (Some v)
-      | _ -> Ok None
-    in
-    let* s_children =
-      match peek st with
-      | LBRACE, _ ->
-        advance st;
-        parse_subs st []
-      | _ -> Ok []
-    in
+    let* s_value = parse_opt_value st in
+    let* s_children = parse_opt_body st in
     parse_subs st ({ s_role; s_index; s_value; s_children } :: acc)
-  | got, line -> syntax_error line "a role or '}'" got
+  | _ -> unexpected st "a role or '}'"
 
-let parse_name_list st =
-  let* () = expect st LPAREN "'('" in
-  let rec go acc =
-    let* n = ident st "a name" in
-    match peek st with
-    | COMMA, _ ->
-      advance st;
-      go (n :: acc)
-    | _ ->
-      let* () = expect st RPAREN "')'" in
-      Ok (List.rev (n :: acc))
-  in
-  go []
+and parse_opt_body st =
+  match peek st with
+  | LBRACE ->
+    advance st;
+    parse_subs st []
+  | _ -> Ok []
+
+let parse_name_list st = paren_list st "'('" (fun st -> ident st "a name")
 
 let parse_object st ~pattern =
   let* o_name = ident st "an object name" in
   let* () = expect st COLON "':'" in
   let* o_cls = ident st "a class" in
-  let* o_value =
-    match peek st with
-    | EQUALS, _ ->
-      advance st;
-      let* v = parse_value st in
-      Ok (Some v)
-    | _ -> Ok None
-  in
+  let* o_value = parse_opt_value st in
   let* o_inherits =
-    if (match peek st with IDENT "inherits", _ -> true | _ -> false) then begin
-      advance st;
-      parse_name_list st
-    end
-    else Ok []
+    if eat_keyword st "inherits" then parse_name_list st else Ok []
   in
-  let* o_children =
-    match peek st with
-    | LBRACE, _ ->
-      advance st;
-      parse_subs st []
-    | _ -> Ok []
-  in
+  let* o_children = parse_opt_body st in
   Ok { o_name; o_cls; o_value; o_pattern = pattern; o_inherits; o_children }
 
 let parse_attrs st =
   match peek st with
-  | LBRACE, _ ->
+  | LBRACE ->
     advance st;
     let rec go acc =
       match peek st with
-      | RBRACE, _ ->
+      | RBRACE ->
         advance st;
         Ok (List.rev acc)
-      | IDENT _, _ ->
+      | IDENT _ ->
         let* n = ident st "an attribute" in
         let* () = expect st EQUALS "'='" in
         let* v = parse_value st in
         go ((n, v) :: acc)
-      | got, line -> syntax_error line "an attribute or '}'" got
+      | _ -> unexpected st "an attribute or '}'"
     in
     go []
   | _ -> Ok []
@@ -516,30 +292,25 @@ let parse_rel st ~pattern =
   Ok { r_assoc; r_endpoints; r_pattern = pattern; r_attrs }
 
 let parse src =
-  let* toks = lex src in
-  let st = { toks } in
+  let* st =
+    of_string ~error:(fun msg -> Invalid_operation ("data text, " ^ msg)) src
+  in
   let rec go objs rels =
-    match peek st with
-    | EOF, _ -> Ok (List.rev objs, List.rev rels)
-    | IDENT "object", _ ->
-      advance st;
+    if peek st = EOF then Ok (List.rev objs, List.rev rels)
+    else if eat_keyword st "object" then
       let* o = parse_object st ~pattern:false in
       go (o :: objs) rels
-    | IDENT "pattern", _ -> (
-      advance st;
-      match peek st with
-      | IDENT "rel", _ ->
-        advance st;
+    else if eat_keyword st "pattern" then
+      if eat_keyword st "rel" then
         let* r = parse_rel st ~pattern:true in
         go objs (r :: rels)
-      | _ ->
+      else
         let* o = parse_object st ~pattern:true in
-        go (o :: objs) rels)
-    | IDENT "rel", _ ->
-      advance st;
+        go (o :: objs) rels
+    else if eat_keyword st "rel" then
       let* r = parse_rel st ~pattern:false in
       go objs (r :: rels)
-    | got, line -> syntax_error line "'object', 'pattern' or 'rel'" got
+    else unexpected st "'object', 'pattern' or 'rel'"
   in
   go [] []
 
@@ -547,14 +318,27 @@ let parse src =
 (* Replay                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let rec create_subs db ~parent subs =
+(* the value a literal denotes in a place of content type [ty] *)
+let value_of ty = function
+  | Typed v -> v
+  | Word w -> (
+    match (ty, w) with
+    | Some (Value_type.Enum _), _ -> Value.Enum w
+    | Some Value_type.Float, "nan" -> Value.Float Float.nan
+    | Some Value_type.Float, "infinity" -> Value.Float Float.infinity
+    | _, ("true" | "false") -> Value.Bool (w = "true")
+    | _ -> Value.Enum w)
+
+let rec create_subs db ~parent ~cls subs =
   iter_result
     (fun s ->
+      let* def = Schema.resolve_child (Database.schema db) ~cls ~role:s.s_role in
       let* id =
         Database.create_sub_object db ~parent ~role:s.s_role ?index:s.s_index
-          ?value:s.s_value ()
+          ?value:(Option.map (value_of def.Class_def.content) s.s_value)
+          ()
       in
-      create_subs db ~parent:id s.s_children)
+      create_subs db ~parent:id ~cls:(Class_def.name def) s.s_children)
     subs
 
 let resolve_obj db name =
@@ -578,9 +362,15 @@ let import db src =
         let* () =
           match o.o_value with
           | None -> Ok ()
-          | Some v -> Database.set_value db id (Some v)
+          | Some lit ->
+            let ty =
+              Option.bind
+                (Schema.find_class (Database.schema db) o.o_cls)
+                (fun c -> c.Class_def.content)
+            in
+            Database.set_value db id (Some (value_of ty lit))
         in
-        create_subs db ~parent:id o.o_children)
+        create_subs db ~parent:id ~cls:o.o_cls o.o_children)
       objs
   in
   (* inheritance *)
@@ -604,6 +394,11 @@ let import db src =
           ~pattern:r.r_pattern ()
       in
       iter_result
-        (fun (n, v) -> Database.set_rel_attr db rel n (Some v))
+        (fun (n, lit) ->
+          let* decl =
+            Schema.resolve_attr (Database.schema db) ~assoc:r.r_assoc ~attr:n
+          in
+          Database.set_rel_attr db rel n
+            (Some (value_of (Some decl.Assoc_def.attr_type) lit)))
         r.r_attrs)
     rels

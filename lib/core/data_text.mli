@@ -27,10 +27,15 @@
     pattern rel Access (Template, Handler)
     v}
 
-    Values: quoted strings (with backslash escapes for quotes and
-    newlines), integers, floats, [true]/[false], dates as [1986-02-05],
-    enum constants as bare identifiers. Comments run from [//] to end
-    of line.
+    Values: quoted strings (with backslash escapes for quotes, tabs and
+    newlines), integers, floats (decimal, or the hexadecimal form export
+    writes), [true]/[false], dates as [1986-02-05], enum constants as
+    bare identifiers. A bare word is read by the content type of the
+    class or attribute it lands in: [nan] and [infinity] are floats in
+    a FLOAT place and constants in an ENUM place, [true] is a constant
+    in an ENUM place. Comments run from [//] to end of line. The tokens
+    are those of {!Seed_schema.Text_lexer}, shared with the schema
+    language; syntax errors are [Invalid_operation] naming the line.
 
     {!export_view} renders one version's view (versions themselves are
     not part of the format); {!import} replays a text into a database

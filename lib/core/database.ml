@@ -61,42 +61,22 @@ let publish_if_top db =
 (* active.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let in_transaction db = Db_state.txn_active db
-
-let begin_transaction db =
+let with_transaction db f =
   if Db_state.txn_active db then
     fail (Invalid_operation "a transaction is already active")
   else begin
     Db_state.begin_txn db;
-    Ok ()
+    match f () with
+    | Ok v ->
+      Db_state.commit_txn db;
+      Ok v
+    | Error e ->
+      Db_state.rollback_txn db;
+      Error e
+    | exception exn ->
+      Db_state.rollback_txn db;
+      raise exn
   end
-
-let commit_transaction db =
-  if Db_state.txn_active db then begin
-    Db_state.commit_txn db;
-    Ok ()
-  end
-  else fail (Invalid_operation "no active transaction")
-
-let rollback_transaction db =
-  if Db_state.txn_active db then begin
-    Db_state.rollback_txn db;
-    Ok ()
-  end
-  else fail (Invalid_operation "no active transaction")
-
-let with_transaction db f =
-  let* () = begin_transaction db in
-  match f () with
-  | Ok v ->
-    Db_state.commit_txn db;
-    Ok v
-  | Error e ->
-    Db_state.rollback_txn db;
-    Error e
-  | exception exn ->
-    Db_state.rollback_txn db;
-    raise exn
 
 let forbid_in_transaction db what =
   if Db_state.txn_active db then

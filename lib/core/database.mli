@@ -71,18 +71,6 @@ val with_transaction :
     publishes every change; [Error] (or an exception) rolls all of them
     back and re-reports. *)
 
-val in_transaction : t -> bool
-
-val begin_transaction : t -> (unit, Seed_error.t) result
-(** Explicit bracket, for drivers that cannot use
-    {!with_transaction}. Fails when a transaction is already active. *)
-
-val commit_transaction : t -> (unit, Seed_error.t) result
-(** Keep the changes and publish them to snapshot readers. *)
-
-val rollback_transaction : t -> (unit, Seed_error.t) result
-(** Undo every operation since {!begin_transaction} (one root swap). *)
-
 (** {1 Schema evolution} *)
 
 val update_schema : t -> Schema.t -> (unit, Seed_error.t) result

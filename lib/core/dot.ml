@@ -18,14 +18,7 @@ let node_id (it : Item.t) = Printf.sprintf "n%d" (Ident.to_int it.Item.id)
 let rec sub_lines v buf prefix (vi : View.vitem) =
   List.iter
     (fun (kid : View.vitem) ->
-      let comp =
-        match kid.View.item.Item.body with
-        | Item.Dependent { role; index; _ } -> (
-          match index with
-          | Some i -> Printf.sprintf "%s[%d]" role i
-          | None -> role)
-        | Item.Independent | Item.Relationship -> "?"
-      in
+      let comp = Item.component kid.View.item in
       let label = if prefix = "" then comp else prefix ^ "." ^ comp in
       (match View.obj_state v kid.View.item with
       | Some { Item.value = Some value; _ } ->

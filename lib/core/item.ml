@@ -49,6 +49,11 @@ let state_pattern = function
   | Obj o -> o.pattern
   | Rel r -> r.rel_pattern
 
+let component t =
+  match t.body with
+  | Dependent { role; index; _ } -> Path.component_to_string { Path.name = role; index }
+  | Independent | Relationship -> "?"
+
 let obj_state t =
   match t.current with Some (Obj o) -> Some o | Some (Rel _) | None -> None
 

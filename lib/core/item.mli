@@ -72,6 +72,10 @@ val with_dirty : t -> bool -> t
 val state_deleted : state -> bool
 val state_pattern : state -> bool
 
+val component : t -> string
+(** A dependent item's own name component, [role] or [role\[i\]] (see
+    {!Seed_util.Path}); ["?"] for objects and relationships. *)
+
 val obj_state : t -> obj_state option
 (** Current state when the item is an object. *)
 

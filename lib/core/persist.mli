@@ -25,6 +25,14 @@
 open Seed_util
 open Seed_schema
 
+val w_value : Seed_storage.Codec.Writer.t -> Value.t -> unit
+(** The binary value encoding of item records, shared with the wire
+    protocol: a tag byte, then the payload. *)
+
+val r_value : Seed_storage.Codec.Reader.t -> Value.t
+(** Inverse of {!w_value}; a bad tag fails the enclosing
+    [Codec.Reader.run]. *)
+
 val encode_db : Database.t -> string
 (** Whole-database snapshot payload: the items in id order, as the item
     table folds them. *)

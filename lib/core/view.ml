@@ -151,19 +151,14 @@ let rec full_name t (item : Item.t) =
     | Some { name = Some n; deleted = false; _ } -> Some n
     | Some _ | None -> None)
   | Item.Relationship -> None
-  | Item.Dependent { parent; role; index } -> (
+  | Item.Dependent { parent; _ } -> (
     match Db_state.find_item t.db_ parent with
     | None -> None
     | Some p -> (
       match full_name t p with
       | None -> None
       | Some pn ->
-        let comp =
-          match index with
-          | None -> role
-          | Some i -> Printf.sprintf "%s[%d]" role i
-        in
-        if live t item then Some (pn ^ "." ^ comp) else None))
+        if live t item then Some (pn ^ "." ^ Item.component item) else None))
 
 let resolve_name t s =
   match Path.of_string s with
@@ -207,16 +202,10 @@ let rec relative_components t (item : Item.t) ~root acc =
   if Ident.equal item.id root then Some acc
   else
     match item.body with
-    | Item.Dependent { parent; role; index } -> (
+    | Item.Dependent { parent; _ } -> (
       match Db_state.find_item t.db_ parent with
       | None -> None
-      | Some p ->
-        let comp =
-          match index with
-          | None -> role
-          | Some i -> Printf.sprintf "%s[%d]" role i
-        in
-        relative_components t p ~root (comp :: acc))
+      | Some p -> relative_components t p ~root (Item.component item :: acc))
     | Item.Independent | Item.Relationship -> None
 
 let vitem_name t (vi : vitem) =

@@ -189,17 +189,22 @@ let rpc t body =
   in
   go None
 
-let remote w = Error (Remote w)
-
-let expect_done = function
-  | Ok Wire.Done -> Ok ()
-  | Ok (Wire.Err w) -> remote w
-  | Ok _ ->
-    remote
-      { Wire.code = Wire.Server_error;
-        message = "unexpected response";
-        retryable = false }
+(* [reply] picks the expected response out of [rpc]'s result; an [Err]
+   is the server's refusal, anything else a protocol fault *)
+let expect reply = function
+  | Ok (Wire.Err w) -> Error (Remote w)
+  | Ok rbody -> (
+    match reply rbody with
+    | Some v -> Ok v
+    | None ->
+      Error
+        (Remote
+           { Wire.code = Wire.Server_error;
+             message = "unexpected response";
+             retryable = false }))
   | Error e -> Error e
+
+let expect_done = expect (function Wire.Done -> Some () | _ -> None)
 
 let checkout ?wait_timeout t names =
   expect_done (rpc t (Wire.Checkout { names; wait_timeout }))
@@ -208,59 +213,16 @@ let checkin t ops = expect_done (rpc t (Wire.Checkin ops))
 let release t = expect_done (rpc t Wire.Release)
 
 let find t name =
-  match rpc t (Wire.Find name) with
-  | Ok (Wire.Found r) -> Ok r
-  | Ok (Wire.Err w) -> remote w
-  | Ok _ ->
-    remote
-      { Wire.code = Wire.Server_error;
-        message = "unexpected response";
-        retryable = false }
-  | Error e -> Error e
+  expect (function Wire.Found r -> Some r | _ -> None) (rpc t (Wire.Find name))
 
-let select_isa t cls =
-  match rpc t (Wire.Select_isa cls) with
-  | Ok (Wire.Names ns) -> Ok ns
-  | Ok (Wire.Err w) -> remote w
-  | Ok _ ->
-    remote
-      { Wire.code = Wire.Server_error;
-        message = "unexpected response";
-        retryable = false }
-  | Error e -> Error e
-
-let search t ~path needles =
-  match rpc t (Wire.Search { path; needles }) with
-  | Ok (Wire.Names ns) -> Ok ns
-  | Ok (Wire.Err w) -> remote w
-  | Ok _ ->
-    remote
-      { Wire.code = Wire.Server_error;
-        message = "unexpected response";
-        retryable = false }
-  | Error e -> Error e
+let names_reply = function Wire.Names ns -> Some ns | _ -> None
+let select_isa t cls = expect names_reply (rpc t (Wire.Select_isa cls))
+let search t ~path needles = expect names_reply (rpc t (Wire.Search { path; needles }))
 
 let stats t =
-  match rpc t Wire.Stats with
-  | Ok (Wire.Stats_reply s) -> Ok s
-  | Ok (Wire.Err w) -> remote w
-  | Ok _ ->
-    remote
-      { Wire.code = Wire.Server_error;
-        message = "unexpected response";
-        retryable = false }
-  | Error e -> Error e
+  expect (function Wire.Stats_reply s -> Some s | _ -> None) (rpc t Wire.Stats)
 
-let ping t =
-  match rpc t Wire.Ping with
-  | Ok Wire.Pong -> Ok ()
-  | Ok (Wire.Err w) -> remote w
-  | Ok _ ->
-    remote
-      { Wire.code = Wire.Server_error;
-        message = "unexpected response";
-        retryable = false }
-  | Error e -> Error e
+let ping t = expect (function Wire.Pong -> Some () | _ -> None) (rpc t Wire.Ping)
 
 let close t =
   (match t.tr with

@@ -73,44 +73,7 @@ type resp_body =
 
 type response = { rsp_id : int64; rbody : resp_body }
 
-(* --- values and operations ------------------------------------------- *)
-
-let write_value w (v : Seed_schema.Value.t) =
-  match v with
-  | String s ->
-    W.u8 w 0;
-    W.string w s
-  | Int i ->
-    W.u8 w 1;
-    W.varint w i
-  | Float f ->
-    W.u8 w 2;
-    W.float w f
-  | Bool b ->
-    W.u8 w 3;
-    W.bool w b
-  | Date { year; month; day } ->
-    W.u8 w 4;
-    W.varint w year;
-    W.varint w month;
-    W.varint w day
-  | Enum s ->
-    W.u8 w 5;
-    W.string w s
-
-let read_value r : Seed_schema.Value.t =
-  match R.u8 r with
-  | 0 -> Seed_schema.Value.String (R.string r)
-  | 1 -> Seed_schema.Value.Int (R.varint r)
-  | 2 -> Seed_schema.Value.Float (R.float r)
-  | 3 -> Seed_schema.Value.Bool (R.bool r)
-  | 4 ->
-    let year = R.varint r in
-    let month = R.varint r in
-    let day = R.varint r in
-    Seed_schema.Value.Date { year; month; day }
-  | 5 -> Seed_schema.Value.Enum (R.string r)
-  | n -> R.fail (Printf.sprintf "unknown value tag %d" n)
+(* --- operations (values in the item-record encoding of Persist) ------ *)
 
 let write_op w (op : Protocol.op) =
   match op with
@@ -124,7 +87,7 @@ let write_op w (op : Protocol.op) =
     W.string w owner;
     W.string w role;
     W.option w W.varint index;
-    W.option w write_value value
+    W.option w Seed_core.Persist.w_value value
   | Create_rel { assoc; endpoints; pattern } ->
     W.u8 w 2;
     W.string w assoc;
@@ -133,7 +96,7 @@ let write_op w (op : Protocol.op) =
   | Set_value { path; value } ->
     W.u8 w 3;
     W.string w path;
-    W.option w write_value value
+    W.option w Seed_core.Persist.w_value value
   | Rename { name; new_name } ->
     W.u8 w 4;
     W.string w name;
@@ -166,7 +129,7 @@ let read_op r : Protocol.op =
     let owner = R.string r in
     let role = R.string r in
     let index = R.option r R.varint in
-    let value = R.option r read_value in
+    let value = R.option r Seed_core.Persist.r_value in
     Protocol.Create_sub { owner; role; index; value }
   | 2 ->
     let assoc = R.string r in
@@ -175,7 +138,7 @@ let read_op r : Protocol.op =
     Protocol.Create_rel { assoc; endpoints; pattern }
   | 3 ->
     let path = R.string r in
-    let value = R.option r read_value in
+    let value = R.option r Seed_core.Persist.r_value in
     Protocol.Set_value { path; value }
   | 4 ->
     let name = R.string r in

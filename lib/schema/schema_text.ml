@@ -2,157 +2,25 @@ open Seed_util
 open Seed_error
 
 (* ------------------------------------------------------------------ *)
-(* Lexer                                                                *)
-(* ------------------------------------------------------------------ *)
-
-type token =
-  | IDENT of string
-  | INT of int
-  | LBRACE
-  | RBRACE
-  | LPAREN
-  | RPAREN
-  | LBRACKET
-  | RBRACKET
-  | COLON
-  | COMMA
-  | DOTDOT
-  | STAR
-  | EOF
-
-let token_name = function
-  | IDENT s -> Printf.sprintf "identifier %S" s
-  | INT n -> Printf.sprintf "integer %d" n
-  | LBRACE -> "'{'"
-  | RBRACE -> "'}'"
-  | LPAREN -> "'('"
-  | RPAREN -> "')'"
-  | LBRACKET -> "'['"
-  | RBRACKET -> "']'"
-  | COLON -> "':'"
-  | COMMA -> "','"
-  | DOTDOT -> "'..'"
-  | STAR -> "'*'"
-  | EOF -> "end of input"
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_'
-
-let lex src =
-  let n = String.length src in
-  let tokens = ref [] in
-  let line = ref 1 in
-  let error msg = fail (Schema_violation (Printf.sprintf "line %d: %s" !line msg)) in
-  let rec go i =
-    if i >= n then begin
-      tokens := (EOF, !line) :: !tokens;
-      Ok (List.rev !tokens)
-    end
-    else
-      let c = src.[i] in
-      if c = '\n' then begin
-        incr line;
-        go (i + 1)
-      end
-      else if c = ' ' || c = '\t' || c = '\r' then go (i + 1)
-      else if c = '/' && i + 1 < n && src.[i + 1] = '/' then begin
-        let rec skip j = if j < n && src.[j] <> '\n' then skip (j + 1) else j in
-        go (skip i)
-      end
-      else if c = '.' && i + 1 < n && src.[i + 1] = '.' then begin
-        tokens := (DOTDOT, !line) :: !tokens;
-        go (i + 2)
-      end
-      else if c >= '0' && c <= '9' then begin
-        let rec eat j = if j < n && src.[j] >= '0' && src.[j] <= '9' then eat (j + 1) else j in
-        let j = eat i in
-        tokens := (INT (int_of_string (String.sub src i (j - i))), !line) :: !tokens;
-        go j
-      end
-      else if is_ident_char c then begin
-        let rec eat j = if j < n && is_ident_char src.[j] then eat (j + 1) else j in
-        let j = eat i in
-        tokens := (IDENT (String.sub src i (j - i)), !line) :: !tokens;
-        go j
-      end
-      else
-        let simple t =
-          tokens := (t, !line) :: !tokens;
-          go (i + 1)
-        in
-        match c with
-        | '{' -> simple LBRACE
-        | '}' -> simple RBRACE
-        | '(' -> simple LPAREN
-        | ')' -> simple RPAREN
-        | '[' -> simple LBRACKET
-        | ']' -> simple RBRACKET
-        | ':' -> simple COLON
-        | ',' -> simple COMMA
-        | '*' -> simple STAR
-        | _ -> error (Printf.sprintf "unexpected character %C" c)
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
 (* Parser                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type stream = { mutable toks : (token * int) list }
-
-let peek st = match st.toks with [] -> (EOF, 0) | t :: _ -> t
-
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
-
-let syntax_error line what got =
-  fail
-    (Schema_violation
-       (Printf.sprintf "line %d: expected %s, found %s" line what
-          (token_name got)))
-
-let expect st tok what =
-  let got, line = peek st in
-  if got = tok then begin
-    advance st;
-    Ok ()
-  end
-  else syntax_error line what got
-
-let ident st what =
-  match peek st with
-  | IDENT s, _ ->
-    advance st;
-    Ok s
-  | got, line -> syntax_error line what got
-
-(* keyword = a specific identifier appearing next *)
-let at_keyword st kw = match peek st with IDENT s, _ -> s = kw | _ -> false
-
-let eat_keyword st kw = if at_keyword st kw then (advance st; true) else false
+open Text_lexer
 
 let parse_card st =
   (* "[" INT ".." (INT | "*") "]" *)
   let* () = expect st LBRACKET "'['" in
-  let* lo =
-    match peek st with
-    | INT n, _ ->
-      advance st;
-      Ok n
-    | got, line -> syntax_error line "a minimum bound" got
-  in
+  let* lo = int st "a minimum bound" in
   let* () = expect st DOTDOT "'..'" in
   let* hi =
     match peek st with
-    | INT n, _ ->
+    | INT n ->
       advance st;
       Ok (Some n)
-    | STAR, _ ->
+    | STAR ->
       advance st;
       Ok None
-    | got, line -> syntax_error line "a maximum bound or '*'" got
+    | _ -> unexpected st "a maximum bound or '*'"
   in
   let* () = expect st RBRACKET "']'" in
   match hi with
@@ -162,7 +30,7 @@ let parse_card st =
 
 let parse_opt_card st =
   match peek st with
-  | LBRACKET, _ ->
+  | LBRACKET ->
     let* c = parse_card st in
     Ok (Some c)
   | _ -> Ok None
@@ -176,49 +44,28 @@ let parse_type st =
   | "BOOL" -> Ok Value_type.Bool
   | "DATE" -> Ok Value_type.Date
   | "ENUM" ->
-    let* () = expect st LPAREN "'(' after ENUM" in
-    let rec cases acc =
-      let* c = ident st "an enum constant" in
-      match peek st with
-      | COMMA, _ ->
-        advance st;
-        cases (c :: acc)
-      | _ ->
-        let* () = expect st RPAREN "')'" in
-        Ok (List.rev (c :: acc))
+    let* cs =
+      paren_list st "'(' after ENUM" (fun st -> ident st "an enum constant")
     in
-    let* cs = cases [] in
     Ok (Value_type.Enum cs)
   | other ->
     fail (Schema_violation (Printf.sprintf "unknown value type %s" other))
 
 let parse_procedures st =
   if not (eat_keyword st "procedures") then Ok []
-  else
-    let* () = expect st LPAREN "'('" in
-    let rec go acc =
-      let* p = ident st "a procedure name" in
-      match peek st with
-      | COMMA, _ ->
-        advance st;
-        go (p :: acc)
-      | _ ->
-        let* () = expect st RPAREN "')'" in
-        Ok (List.rev (p :: acc))
-    in
-    go []
+  else paren_list st "'('" (fun st -> ident st "a procedure name")
 
 (* members of a class body; [path] is the enclosing class path *)
 let rec parse_members st ~path acc =
   match peek st with
-  | RBRACE, _ ->
+  | RBRACE ->
     advance st;
     Ok (List.rev acc)
-  | IDENT _, _ ->
+  | IDENT _ ->
     let* name = ident st "a member name" in
     let* content =
       match peek st with
-      | COLON, _ ->
+      | COLON ->
         advance st;
         let* ty = parse_type st in
         Ok (Some ty)
@@ -231,13 +78,13 @@ let rec parse_members st ~path acc =
     let def = Class_def.v ~card ?content ~procedures member_path in
     let* nested =
       match peek st with
-      | LBRACE, _ ->
+      | LBRACE ->
         advance st;
         parse_members st ~path:member_path []
       | _ -> Ok []
     in
     parse_members st ~path (List.rev_append (def :: nested) acc)
-  | got, line -> syntax_error line "a member name or '}'" got
+  | _ -> unexpected st "a member name or '}'"
 
 let parse_class st =
   let* name = ident st "a class name" in
@@ -251,7 +98,7 @@ let parse_class st =
   let* procedures = parse_procedures st in
   let def = Class_def.v ?super ~covering ~procedures [ name ] in
   match peek st with
-  | LBRACE, _ ->
+  | LBRACE ->
     advance st;
     let* members = parse_members st ~path:[ name ] [] in
     Ok (def :: members)
@@ -266,20 +113,20 @@ let parse_role st =
 
 let parse_attrs st =
   match peek st with
-  | LBRACE, _ ->
+  | LBRACE ->
     advance st;
     let rec go acc =
       match peek st with
-      | RBRACE, _ ->
+      | RBRACE ->
         advance st;
         Ok (List.rev acc)
-      | IDENT _, _ ->
+      | IDENT _ ->
         let* attr_name = ident st "an attribute name" in
         let* () = expect st COLON "':'" in
         let* ty = parse_type st in
         let required = eat_keyword st "required" in
         go (Assoc_def.attr ~required attr_name ty :: acc)
-      | got, line -> syntax_error line "an attribute or '}'" got
+      | _ -> unexpected st "an attribute or '}'"
     in
     go []
   | _ -> Ok []
@@ -306,18 +153,7 @@ let parse_assoc st =
   in
   flags ();
   let* procedures = parse_procedures st in
-  let* () = expect st LPAREN "'(' opening the role list" in
-  let rec roles acc =
-    let* r = parse_role st in
-    match peek st with
-    | COMMA, _ ->
-      advance st;
-      roles (r :: acc)
-    | _ ->
-      let* () = expect st RPAREN "')'" in
-      Ok (List.rev (r :: acc))
-  in
-  let* roles = roles [] in
+  let* roles = paren_list st "'(' opening the role list" parse_role in
   let* attrs = parse_attrs st in
   if List.length roles < 2 then
     fail (Schema_violation (name ^ ": associations need at least two roles"))
@@ -327,20 +163,16 @@ let parse_assoc st =
          ~procedures name roles)
 
 let parse src =
-  let* toks = lex src in
-  let st = { toks } in
+  let* st = of_string ~error:(fun msg -> Schema_violation msg) src in
   let rec go classes assocs =
-    match peek st with
-    | EOF, _ -> Ok (List.rev classes, List.rev assocs)
-    | IDENT "class", _ ->
-      advance st;
+    if peek st = EOF then Ok (List.rev classes, List.rev assocs)
+    else if eat_keyword st "class" then
       let* defs = parse_class st in
       go (List.rev_append defs classes) assocs
-    | IDENT "assoc", _ ->
-      advance st;
+    else if eat_keyword st "assoc" then
       let* a = parse_assoc st in
       go classes (a :: assocs)
-    | got, line -> syntax_error line "'class' or 'assoc'" got
+    else unexpected st "'class' or 'assoc'"
   in
   let* classes, assocs = go [] [] in
   Schema.of_defs classes assocs

@@ -35,7 +35,9 @@
     carrying instances of that type; a member with a body has further
     sub-classes; both may combine. Cardinalities default to [0..*].
     [procedures (p, q)] after a class, member or association header
-    attaches procedures. Comments run from [//] to end of line. *)
+    attaches procedures. Comments run from [//] to end of line. The
+    tokens are those of {!Text_lexer}, shared with the data language;
+    an integer may also be written in hex ([0x10]). *)
 
 val parse : string -> (Schema.t, Seed_util.Seed_error.t) result
 (** Parse and validate a schema. Syntax errors are reported as

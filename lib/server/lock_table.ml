@@ -63,8 +63,8 @@ let find_cycle t start =
   in
   dfs [ start ] [ start ] start
 
-let acquire_wait t ~client ?(policy = Seed_util.Retry.default_policy)
-    ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ~timeout names =
+let acquire_wait t ~client ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf)
+    ~timeout names =
   let deadline = now () +. timeout in
   let finish r =
     Hashtbl.remove t.waiting client;
@@ -84,7 +84,9 @@ let acquire_wait t ~client ?(policy = Seed_util.Retry.default_policy)
       | None ->
         if now () >= deadline then finish err
         else begin
-          sleep (Seed_util.Retry.delay_for policy ~attempt:(min n 16));
+          sleep
+            (Seed_util.Retry.delay_for Seed_util.Retry.default_policy
+               ~attempt:(min n 16));
           attempt (n + 1)
         end)
   in

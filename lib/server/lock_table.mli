@@ -29,14 +29,13 @@ val acquire :
 val acquire_wait :
   t ->
   client:string ->
-  ?policy:Seed_util.Retry.policy ->
   ?now:(unit -> float) ->
   ?sleep:(float -> unit) ->
   timeout:float ->
   string list ->
   (unit, Seed_util.Seed_error.t) result
 (** Like {!acquire}, but on conflict the caller waits and retries with
-    the backoff of [policy] (default {!Seed_util.Retry.default_policy})
+    the backoff of {!Seed_util.Retry.default_policy}
     until the locks come free or [timeout] seconds (on [now]) elapse —
     the last [Locked] error is then returned. If waiting would close a
     wait-for cycle, this requester is chosen as the deadlock victim:

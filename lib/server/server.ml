@@ -49,9 +49,9 @@ let checkout t ~client ~names =
   let* () = check_names t names in
   Lock_table.acquire t.locks ~client names
 
-let checkout_wait t ~client ?policy ?now ?sleep ~timeout ~names () =
+let checkout_wait t ~client ?now ?sleep ~timeout ~names () =
   let* () = check_names t names in
-  Lock_table.acquire_wait t.locks ~client ?policy ?now ?sleep ~timeout names
+  Lock_table.acquire_wait t.locks ~client ?now ?sleep ~timeout names
 
 let release t ~client = Lock_table.release t.locks ~client
 

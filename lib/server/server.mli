@@ -44,7 +44,6 @@ val checkout :
 val checkout_wait :
   t ->
   client:string ->
-  ?policy:Seed_util.Retry.policy ->
   ?now:(unit -> float) ->
   ?sleep:(float -> unit) ->
   timeout:float ->

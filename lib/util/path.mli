@@ -42,6 +42,9 @@ val is_root : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val component_to_string : component -> string
+(** [role] or [role\[i\]]. *)
+
 val to_string : t -> string
 (** Renders as dotted components with [\[i\]] suffixes. *)
 

@@ -111,44 +111,109 @@ let test_import_syntax_errors () =
       "rel R (A";
       "object X : C { Sub = \"unterminated }";
       "object X : C { Sub = 1986-13 }";
+    ];
+  (* (source, line the error names): [*] and [..] are schema tokens
+     only; a bad number is one token; a string stays on one line *)
+  List.iter
+    (fun (src, line) ->
+      check_err src
+        (function
+          | Seed_error.Invalid_operation m ->
+            contains m (Printf.sprintf "data text, line %d:" line)
+          | _ -> false)
+        (DT.import db src))
+    [
+      ("object X : C = *", 1);
+      ("object X : C { Text[0..1] }", 1);
+      ("object X : C = 2x", 1);
+      ("object X : C = \"a\\\nb\"", 1);
+      ("object A : Action\n// two\nobject B = 1\n", 3);
     ]
 
 let test_value_forms () =
+  let flags = Value_type.Enum [ "true"; "nan"; "x" ] in
+  (* (role, content type, value): each value is exported and imported
+     back into a class of that type; the bare words true, nan and
+     infinity are read by the type of the class they land in *)
+  let forms =
+    [
+      ("I", Value_type.Int, Value.Int (-42));
+      ("F", Value_type.Float, Value.Float 2.5);
+      ("Fneg", Value_type.Float, Value.Float (-2.5));
+      ("Fnan", Value_type.Float, Value.Float Float.nan);
+      ("Finf", Value_type.Float, Value.Float Float.infinity);
+      ("Fneginf", Value_type.Float, Value.Float Float.neg_infinity);
+      ("B", Value_type.Bool, Value.Bool true);
+      ("D", Value_type.Date, Value.date 2000 2 29);
+      ("S", Value_type.String, Value.String "tab\there \"quoted\"");
+      ("E", Value_type.Enum [ "on"; "off" ], Value.Enum "off");
+      ("Etrue", flags, Value.Enum "true");
+      ("Enan", flags, Value.Enum "nan");
+    ]
+  in
+  (* (role, literal as written in a file, value it denotes) *)
+  let literals =
+    [
+      ("F", "-2.5", Value.Float (-2.5));
+      ("F", "0x1.4p+1", Value.Float 2.5);
+      ("F", "-0x1.4p+1", Value.Float (-2.5));
+      ("F", "1e3", Value.Float 1000.);
+      ("I", "0x10", Value.Int 16);
+      ("D", "1986-02-05", Value.date 1986 2 5);
+      ("S", {|"a\tb\"c\\"|}, Value.String "a\tb\"c\\");
+      ("Enan", "nan", Value.Enum "nan");
+    ]
+  in
   let schema =
     Schema.of_defs_exn
+      (Class_def.v [ "Box" ]
+      :: List.map
+           (fun (role, ty, _) ->
+             Class_def.v ~card:Cardinality.opt ~content:ty [ "Box"; role ])
+           forms)
       [
-        Class_def.v [ "Box" ];
-        Class_def.v ~card:Cardinality.opt ~content:Value_type.Int [ "Box"; "I" ];
-        Class_def.v ~card:Cardinality.opt ~content:Value_type.Float [ "Box"; "F" ];
-        Class_def.v ~card:Cardinality.opt ~content:Value_type.Bool [ "Box"; "B" ];
-        Class_def.v ~card:Cardinality.opt ~content:Value_type.Date [ "Box"; "D" ];
-        Class_def.v ~card:Cardinality.opt
-          ~content:(Value_type.Enum [ "on"; "off" ])
-          [ "Box"; "E" ];
+        Assoc_def.v
+          ~attrs:
+            [ Assoc_def.attr "A" Value_type.Float; Assoc_def.attr "Q" flags ]
+          "Pair"
+          [ Assoc_def.role "l" "Box"; Assoc_def.role "r" "Box" ];
       ]
-      []
   in
+  let same a b =
+    match (a, b) with
+    | Some (Value.Float x), Some (Value.Float y) when Float.is_nan x -> Float.is_nan y
+    | _ -> a = b
+  in
+  let get db role = DB.get_value db (Option.get (DB.resolve db ("b." ^ role))) in
   let db = DB.create schema in
   let b = ok (DB.create_object db ~cls:"Box" ~name:"b" ()) in
   List.iter
-    (fun (role, v) ->
+    (fun (role, _, v) ->
       ignore (ok (DB.create_sub_object db ~parent:b ~role ~value:v ())))
-    [
-      ("I", Value.Int (-42));
-      ("F", Value.Float 2.5);
-      ("B", Value.Bool true);
-      ("D", Value.date 2000 2 29);
-      ("E", Value.Enum "off");
-    ];
+    forms;
+  (* relationship attributes are read by their declared type too *)
+  let c = ok (DB.create_object db ~cls:"Box" ~name:"c" ()) in
+  let pair = ok (DB.create_relationship db ~assoc:"Pair" ~endpoints:[ b; c ] ()) in
+  check_ok "A" (DB.set_rel_attr db pair "A" (Some (Value.Float Float.infinity)));
+  check_ok "Q" (DB.set_rel_attr db pair "Q" (Some (Value.Enum "nan")));
   let text = DT.export_view (DB.view db) in
   let db2 = DB.create schema in
   check_ok "import" (DT.import db2 text);
-  let get role = DB.get_value db2 (Option.get (DB.resolve db2 ("b." ^ role))) in
-  Alcotest.(check bool) "int" true (get "I" = Some (Value.Int (-42)));
-  Alcotest.(check bool) "float" true (get "F" = Some (Value.Float 2.5));
-  Alcotest.(check bool) "bool" true (get "B" = Some (Value.Bool true));
-  Alcotest.(check bool) "date" true (get "D" = Some (Value.date 2000 2 29));
-  Alcotest.(check bool) "enum" true (get "E" = Some (Value.Enum "off"))
+  Alcotest.(check string) "stable roundtrip" text (DT.export_view (DB.view db2));
+  List.iter
+    (fun (role, _, v) ->
+      Alcotest.(check bool) role true (same (get db2 role) (Some v)))
+    forms;
+  List.iter
+    (fun (role, lit, v) ->
+      let db3 = DB.create schema in
+      let src =
+        Printf.sprintf "// a comment\nobject b : Box { // after a brace\n  %s = %s // after %s\n}\n"
+          role lit lit
+      in
+      check_ok src (DT.import db3 src);
+      Alcotest.(check bool) lit true (same (get db3 role) (Some v)))
+    literals
 
 let test_export_respects_versions () =
   let db = fresh_db () in

@@ -136,12 +136,14 @@ let test_session_flush_refused_in_transaction () =
   let dir = tmp_dir () in
   let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
   let db = Persist.Session.db s in
-  check_ok "begin" (DB.begin_transaction db);
-  let _ = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
-  check_err "flush in transaction"
-    (function Seed_error.Invalid_operation _ -> true | _ -> false)
-    (Persist.Session.flush s);
-  check_ok "rollback" (DB.rollback_transaction db);
+  check_err "rolled back"
+    (function Seed_error.Invalid_operation "roll back" -> true | _ -> false)
+    (DB.with_transaction db (fun () ->
+         let _ = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+         check_err "flush in transaction"
+           (function Seed_error.Invalid_operation _ -> true | _ -> false)
+           (Persist.Session.flush s);
+         Seed_error.fail (Seed_error.Invalid_operation "roll back")));
   Alcotest.(check int) "rollback restores the unflushed set" 0
     (Ident.Set.cardinal (Seed_core.Db_state.unflushed (DB.raw db)));
   check_ok "flush" (Persist.Session.flush s);

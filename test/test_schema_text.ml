@@ -23,7 +23,7 @@ class Action isa Thing {
   ErrorHandling : ENUM(abort,repeat) [0..1]
 }
 
-assoc Access covering (from : Data, by : Action [1..*])
+assoc Access covering (from : Data [0..*], by : Action [1..*])
 assoc Read isa Access (from : InputData, by : Action)
 assoc Write isa Access (to : OutputData, by : Action) {
   NumberOfWrites : INT required
@@ -44,6 +44,10 @@ let test_parse_fig3 () =
     (body.Class_def.content = Some Value_type.String);
   let thing = Option.get (Schema.find_class s "Thing") in
   Alcotest.(check bool) "covering" true thing.Class_def.covering;
+  let access = Option.get (Schema.find_assoc s "Access") in
+  Alcotest.(check bool) "role card" true
+    (Cardinality.equal (List.hd access.Assoc_def.roles).Assoc_def.card
+       (Cardinality.at_least 0));
   let contained = Option.get (Schema.find_assoc s "Contained") in
   Alcotest.(check bool) "acyclic" true contained.Assoc_def.acyclic;
   let write = Option.get (Schema.find_assoc s "Write") in
@@ -239,6 +243,23 @@ let test_syntax_errors () =
       "class A isa";
       "class A @";
       "assoc A (x : Missing, y : Missing)" (* unknown classes *);
+    ];
+  (* (source, line the error names): the data language's literals lex
+     but the schema grammar has no place for them *)
+  List.iter
+    (fun (src, line) ->
+      check_err src
+        (function
+          | Seed_util.Seed_error.Schema_violation m ->
+            contains m (Printf.sprintf "line %d:" line)
+          | _ -> false)
+        (Schema_text.parse src))
+    [
+      ("class Thing { Description : \"STRING\" }", 1);
+      ("class Thing { Description : STRING [0..1.5] }", 1);
+      ("class Thing { Description : STRING [0 = 1] }", 1);
+      ("class Thing { Description : STRING [0..99999999999999999999] }", 1);
+      ("class Thing {\n  Description : STRING\n  Revised [-1..1]\n}", 3);
     ]
 
 let test_semantic_validation_applies () =
@@ -248,10 +269,14 @@ let test_semantic_validation_applies () =
 
 let test_comments_and_whitespace () =
   let src =
-    "// leading comment\nclass   A// trailing\n{\n  // inner\n  B : STRING\n}\n"
+    "// leading comment\nclass   A// trailing\n{\n  // inner\n  B : STRING [0..0x10]\n}\n"
   in
   let s = ok (Schema_text.parse src) in
-  Alcotest.(check bool) "parsed" true (Schema.find_class s "A.B" <> None)
+  (* an integer may be written in hex wherever one is expected *)
+  Alcotest.(check bool) "parsed" true
+    (match Schema.find_class s "A.B" with
+    | Some b -> Cardinality.equal b.Class_def.card (Cardinality.between 0 16)
+    | None -> false)
 
 let test_loaded_schema_drives_database () =
   let s = ok (Schema_text.parse fig3_text) in
