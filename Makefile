@@ -5,7 +5,7 @@
 
 .PHONY: check build test fmt soak soak-ci soak-net bench bench-query \
 	bench-text bench-version bench-txn bench-commit bench-mvcc bench-chaos \
-	bench-recovery perfbench perfbench-run
+	bench-recovery perfbench perfbench-run loc
 
 check: build test fmt
 
@@ -14,6 +14,10 @@ build:
 
 test:
 	dune runtest
+
+# the lib/ .ml+.mli line count (tracked files), as the ROADMAP reports it
+loc:
+	@cat $$(git ls-files 'lib/*.ml' 'lib/*.mli') | wc -l
 
 fmt:
 	@if command -v ocamlformat >/dev/null 2>&1; then \

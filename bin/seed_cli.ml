@@ -141,38 +141,40 @@ let add_cmd =
 
 (* --- set ------------------------------------------------------------ *)
 
-let parse_value s =
-  match int_of_string_opt s with
-  | Some i -> Value.Int i
+(* PATH := VALUE, creating a missing single sub-object X.Role. The value
+   is read for the content type of its place (Data_text.parse_literal):
+   a STRING place takes the text verbatim. *)
+let set_path db path text =
+  let open Seed_error in
+  let schema = DB.schema db in
+  let class_of id = Option.value (DB.class_of db id) ~default:"" in
+  let read content = Seed_core.Data_text.parse_literal content text in
+  match DB.resolve db path with
+  | Some id ->
+    let content =
+      Option.bind (Schema.find_class schema (class_of id)) (fun c -> c.Class_def.content)
+    in
+    let* v = read content in
+    DB.set_value db id (Some v)
   | None -> (
-    match bool_of_string_opt s with
-    | Some b -> Value.Bool b
-    | None -> (
-      match float_of_string_opt s with
-      | Some f -> Value.Float f
-      | None -> Value.String s))
+    match String.rindex_opt path '.' with
+    | None -> fail (Unknown_object path)
+    | Some i -> (
+      let parent = String.sub path 0 i in
+      let role = String.sub path (i + 1) (String.length path - i - 1) in
+      match DB.resolve db parent with
+      | None -> fail (Unknown_object parent)
+      | Some p ->
+        let* def = Schema.resolve_child schema ~cls:(class_of p) ~role in
+        let* value = read def.Class_def.content in
+        let* _ = DB.create_sub_object db ~parent:p ~role ~value () in
+        Ok ()))
 
 let set_cmd =
   let run dir path value =
     with_session dir (fun db ->
         let open Seed_error in
-        let* id =
-          match DB.resolve db path with
-          | Some id -> Ok id
-          | None -> (
-            (* auto-create a missing single sub-object: X.Role *)
-            match String.rindex_opt path '.' with
-            | None -> fail (Unknown_object path)
-            | Some i ->
-              let parent = String.sub path 0 i in
-              let role = String.sub path (i + 1) (String.length path - i - 1) in
-              (match DB.resolve db parent with
-              | Some p ->
-                DB.create_sub_object db ~parent:p ~role
-                  ~value:(parse_value value) ()
-              | None -> fail (Unknown_object parent)))
-        in
-        let* () = DB.set_value db id (Some (parse_value value)) in
+        let* () = set_path db path value in
         Fmt.pr "%s = %s@." path value;
         Ok ())
   in
@@ -181,7 +183,9 @@ let set_cmd =
   Cmd.v
     (Cmd.info "set"
        ~doc:"Set the value of a (sub-)object, creating the sub-object if \
-             needed.")
+             needed. VALUE is read for the content type of its place: a \
+             STRING takes the text verbatim, any other type reads one \
+             data-text literal (1986-02-05, 2.5, nan, an enum constant).")
     Term.(const run $ dir_arg $ path $ value)
 
 (* --- reclassify ------------------------------------------------------ *)
@@ -862,27 +866,7 @@ let shell_cmd =
               (Result.map
                  (fun _ -> ())
                  (DB.create_object db ~cls ~name ~pattern:true ()))
-          | [ "set"; path; value ] ->
-            let open Seed_error in
-            report_result
-              (let* id =
-                 match DB.resolve db path with
-                 | Some id -> Ok id
-                 | None -> (
-                   match String.rindex_opt path '.' with
-                   | None -> fail (Unknown_object path)
-                   | Some i -> (
-                     let parent = String.sub path 0 i in
-                     let role =
-                       String.sub path (i + 1) (String.length path - i - 1)
-                     in
-                     match DB.resolve db parent with
-                     | Some p ->
-                       DB.create_sub_object db ~parent:p ~role
-                         ~value:(parse_value value) ()
-                     | None -> fail (Unknown_object parent)))
-               in
-               DB.set_value db id (Some (parse_value value)))
+          | [ "set"; path; value ] -> report_result (set_path db path value)
           | [ "link"; assoc; a; b ] ->
             resolve_or_fail a (fun x ->
                 resolve_or_fail b (fun y ->
@@ -1086,7 +1070,9 @@ let connect_help () =
     \  checkout [-w SECS] NAME...  write-lock objects (optionally waiting);\n\
     \                              a successful check-in releases the locks\n\
     \  add CLASS NAME              check in a new object\n\
-    \  set PATH VALUE              check in a value update\n\
+    \  set PATH VALUE              check in a value update; the client holds\n\
+    \                              no schema, so VALUE is typed by its\n\
+    \                              spelling: int, bool, float, else string\n\
     \  link ASSOC FROM TO          check in a relationship\n\
     \  delete PATH                 check in a deletion\n\
     \  release                     drop locks without applying\n\
@@ -1098,6 +1084,19 @@ let connect_help () =
     \  ping                        round-trip check\n\
     \  help                        this text\n\
     \  quit                        free the session's locks and exit\n"
+
+(* The client holds no schema, so a value sent by [connect]'s [set] is
+   typed by its spelling: an int, a bool, a float, else a string. *)
+let value_by_spelling s =
+  match int_of_string_opt s with
+  | Some i -> Value.Int i
+  | None -> (
+    match bool_of_string_opt s with
+    | Some b -> Value.Bool b
+    | None -> (
+      match float_of_string_opt s with
+      | Some f -> Value.Float f
+      | None -> Value.String s))
 
 (* one REPL/script command against a connected client; false = the
    command failed (used for --exec exit status) *)
@@ -1126,7 +1125,7 @@ let connect_exec cl words =
   | [ "add"; cls; name ] ->
     report (C.checkin cl [ P.Create_object { cls; name; pattern = false } ])
   | [ "set"; path; value ] -> (
-    let v = Some (parse_value value) in
+    let v = Some (value_by_spelling value) in
     match C.checkin cl [ P.Set_value { path; value = v } ] with
     | Ok () -> true
     | Error (C.Remote { code = Seed_net.Wire.Unknown_name; _ })

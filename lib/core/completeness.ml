@@ -51,19 +51,10 @@ let subject_name view vi =
 let rec check_components view (vi : View.vitem) ~cls acc =
   let schema = View.schema view in
   let kids = View.children_v view vi in
-  let count_role role =
-    List.length
-      (List.filter
-         (fun (v : View.vitem) ->
-           match v.View.item.Item.body with
-           | Item.Dependent d -> String.equal d.role role
-           | Item.Independent | Item.Relationship -> false)
-         kids)
-  in
   let acc =
     List.fold_left
       (fun acc (role, (def : Class_def.t)) ->
-        let present = count_role role in
+        let present = Consistency.count_role kids ~role in
         if Cardinality.meets_min def.card present then acc
         else
           Missing_sub_objects

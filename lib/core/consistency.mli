@@ -14,32 +14,37 @@
     evaluated in the context of each normal inheritor — at inheritance
     time and again on every pattern update.
 
+    Each rule is written once, inside the module: an item is live, an
+    endpoint fits its role, a sub-object fits its class, a value fits
+    its class's content or its attribute's declaration, an object name
+    is non-empty and free, children and participations stay within
+    their maximum, an edge closes no [ACYCLIC] cycle at any level of its
+    association. Every precondition below, and the {!check_database}
+    sweep, is a composition of these rules, run in a fixed order: the
+    first rule an input breaks is the error reported.
+
     All functions are pure checks: they never mutate. {!Database} calls
-    them before (or, for attached procedures, after) mutating. *)
+    them before mutating; attached procedures run after, in
+    {!Database}. *)
 
 open Seed_util
 open Seed_schema
 
-(** {1 Counting helpers (shared with {!Completeness})} *)
+(** {1 Shared with {!Completeness} and {!Database}}
 
-val count_children_role : View.t -> View.vitem -> role:string -> int
-(** Live sub-objects with the given role, inherited ones included. *)
+    {!Completeness} counts with the same functions as the maximum
+    checks; {!Database} re-validates the contexts a pattern update
+    reaches. *)
+
+val count_role : View.vitem list -> role:string -> int
+(** Among [kids] — an object's {!View.children_v}, inherited ones
+    included — the sub-objects with the given role. *)
 
 val count_participation :
   View.t -> View.vrel list -> Item.t -> assoc:string -> pos:int -> int
 (** Among [rels] — the object's {!View.rels_v}, built once for all its
     counts — those of the association or a specialization of it that
     bind the object at role position [pos]. *)
-
-val has_normal_context : View.t -> Item.t -> bool
-(** True when the item (or the pattern sub-tree it belongs to) is visible
-    in some normal object's context — i.e. counting checks apply. Normal
-    items trivially qualify; pattern roots qualify iff some transitive
-    inheritor is a live normal object. *)
-
-val pattern_root_of : View.t -> Item.t -> Item.t option
-(** The independent ancestor of a sub-object ([item] itself when
-    independent); [None] for relationships or dangling parents. *)
 
 val normal_inheritor_contexts : View.t -> Item.t -> Item.t list
 (** The live normal objects whose expanded context exposes the given

@@ -21,6 +21,9 @@ let escape_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
+(* a name that does not lex as one identifier is written as a string *)
+let render_name n = if Text_lexer.is_ident n then n else escape_string n
+
 let render_value = function
   | Value.String s -> escape_string s
   | Value.Int i -> string_of_int i
@@ -54,7 +57,7 @@ let export_object v buf ~pattern (it : Item.t) =
   in
   let cls = Option.value (View.class_path_of v it) ~default:"?" in
   Buffer.add_string buf (if pattern then "pattern " else "object ");
-  Buffer.add_string buf (Printf.sprintf "%s : %s" name cls);
+  Buffer.add_string buf (Printf.sprintf "%s : %s" (render_name name) cls);
   (match View.obj_state v it with
   | Some { Item.value = Some value; _ } ->
     Buffer.add_string buf (" = " ^ render_value value)
@@ -63,7 +66,8 @@ let export_object v buf ~pattern (it : Item.t) =
     View.inherits_of v it
     |> List.filter_map (fun pid ->
            match Db_state.find_item (View.db v) pid with
-           | Some p when View.live_pattern v p -> View.full_name v p
+           | Some p when View.live_pattern v p ->
+             Option.map render_name (View.full_name v p)
            | Some _ | None -> None)
   in
   if inherits <> [] then
@@ -79,18 +83,16 @@ let export_object v buf ~pattern (it : Item.t) =
 let by_name v (a : Item.t) (b : Item.t) =
   compare (View.full_name v a) (View.full_name v b)
 
+let endpoint_name v e =
+  match Db_state.find_item (View.db v) e with
+  | Some it -> Option.value (View.full_name v it) ~default:(Ident.to_string e)
+  | None -> Ident.to_string e
+
 let export_rel v buf ~pattern (rel : Item.t) =
   match View.rel_state v rel with
   | None -> ()
   | Some rs ->
-    let names =
-      List.map
-        (fun e ->
-          match Db_state.find_item (View.db v) e with
-          | Some it -> Option.value (View.full_name v it) ~default:(Ident.to_string e)
-          | None -> Ident.to_string e)
-        rs.Item.endpoints
-    in
+    let names = List.map (fun e -> render_name (endpoint_name v e)) rs.Item.endpoints in
     Buffer.add_string buf
       (Printf.sprintf "%srel %s (%s)"
          (if pattern then "pattern " else "")
@@ -124,11 +126,6 @@ let export_view v =
             it :: acc
           else acc)
   in
-  let endpoint_name e =
-    match Db_state.find_item (View.db v) e with
-    | Some it -> Option.value (View.full_name v it) ~default:(Ident.to_string e)
-    | None -> Ident.to_string e
-  in
   let keyed =
     List.map
       (fun (r : Item.t) ->
@@ -136,7 +133,7 @@ let export_view v =
           match View.rel_state v r with
           | Some rs ->
             ( rs.Item.assoc,
-              List.map endpoint_name rs.Item.endpoints,
+              List.map (endpoint_name v) rs.Item.endpoints,
               rs.Item.rel_pattern )
           | None -> ("", [], false)
         in
@@ -207,9 +204,15 @@ let parse_value st =
       advance st;
       let* m = int st "a month" in
       let* () = expect st MINUS "'-' in a date" in
-      let* d = int st "a day" in
-      try Ok (Typed (Value.date a m d))
-      with Invalid_argument msg -> fail (Invalid_operation msg))
+      match peek st with
+      | INT d -> (
+        (* an impossible date is reported at its line *)
+        match Value.date a m d with
+        | v ->
+          advance st;
+          Ok (Typed v)
+        | exception Invalid_argument msg -> fail_here st msg)
+      | _ -> unexpected st "a day")
     | _ -> Ok (Typed (Value.Int a)))
   | IDENT w ->
     advance st;
@@ -253,10 +256,10 @@ and parse_opt_body st =
     parse_subs st []
   | _ -> Ok []
 
-let parse_name_list st = paren_list st "'('" (fun st -> ident st "a name")
+let parse_name_list st = paren_list st "'('" (fun st -> name st "a name")
 
 let parse_object st ~pattern =
-  let* o_name = ident st "an object name" in
+  let* o_name = name st "an object name" in
   let* () = expect st COLON "':'" in
   let* o_cls = ident st "a class" in
   let* o_value = parse_opt_value st in
@@ -291,10 +294,10 @@ let parse_rel st ~pattern =
   let* r_attrs = parse_attrs st in
   Ok { r_assoc; r_endpoints; r_pattern = pattern; r_attrs }
 
+let syntax_error msg = Invalid_operation ("data text, " ^ msg)
+
 let parse src =
-  let* st =
-    of_string ~error:(fun msg -> Invalid_operation ("data text, " ^ msg)) src
-  in
+  let* st = of_string ~error:syntax_error src in
   let rec go objs rels =
     if peek st = EOF then Ok (List.rev objs, List.rev rels)
     else if eat_keyword st "object" then
@@ -328,6 +331,15 @@ let value_of ty = function
     | Some Value_type.Float, "infinity" -> Value.Float Float.infinity
     | _, ("true" | "false") -> Value.Bool (w = "true")
     | _ -> Value.Enum w)
+
+let parse_literal ty text =
+  match ty with
+  | Some Value_type.String -> Ok (Value.String text)
+  | Some _ | None ->
+    let* st = of_string ~error:syntax_error text in
+    let* lit = parse_value st in
+    let* () = expect st EOF "the end of the value" in
+    Ok (value_of ty lit)
 
 let rec create_subs db ~parent ~cls subs =
   iter_result

@@ -33,7 +33,9 @@
     bare identifiers. A bare word is read by the content type of the
     class or attribute it lands in: [nan] and [infinity] are floats in
     a FLOAT place and constants in an ENUM place, [true] is a constant
-    in an ENUM place. Comments run from [//] to end of line. The tokens
+    in an ENUM place. A name that is not an identifier ([a-b],
+    [9lives]) is written as a string literal, accepted wherever a name
+    stands. Comments run from [//] to end of line. The tokens
     are those of {!Seed_schema.Text_lexer}, shared with the schema
     language; syntax errors are [Invalid_operation] naming the line.
 
@@ -43,6 +45,18 @@
     — so imports are consistency-checked like any other update. *)
 
 val export_view : View.t -> string
+
+val parse_literal :
+  Seed_schema.Value_type.t option ->
+  string ->
+  (Seed_schema.Value.t, Seed_util.Seed_error.t) result
+(** [parse_literal ty text] is the value [text] denotes in a place of
+    content type [ty]: a STRING place takes the text verbatim; any other
+    reads it as one literal of this language, typed as {!import} types
+    it ([2.5], [1986-02-05], [nan] as a FLOAT, an ENUM constant as a bare
+    word). A syntax error or an impossible date is [Invalid_operation].
+    The value is not checked against [ty]: the update that stores it
+    does that. *)
 
 val import : Database.t -> string -> (unit, Seed_util.Seed_error.t) result
 (** Creates every object (patterns included), then the inheritance

@@ -44,6 +44,8 @@ let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_ident_char c =
   is_digit c || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
+let is_ident s = s <> "" && (not (is_digit s.[0])) && String.for_all is_ident_char s
+
 let rec skip_while p src j =
   if j < String.length src && p src.[j] then skip_while p src (j + 1) else j
 
@@ -149,11 +151,12 @@ let of_string ~error src =
 let peek st = match st.toks with (t, _) :: _ -> t | [] -> EOF
 let advance st = match st.toks with [] | [ _ ] -> () | _ :: rest -> st.toks <- rest
 
+let fail_here st msg =
+  let line = match st.toks with (_, line) :: _ -> line | [] -> 0 in
+  fail (st.error (Printf.sprintf "line %d: %s" line msg))
+
 let unexpected st what =
-  let got, line = match st.toks with t :: _ -> t | [] -> (EOF, 0) in
-  fail
-    (st.error
-       (Printf.sprintf "line %d: expected %s, found %s" line what (token_name got)))
+  fail_here st (Printf.sprintf "expected %s, found %s" what (token_name (peek st)))
 
 let expect st tok what =
   if peek st = tok then begin
@@ -165,6 +168,13 @@ let expect st tok what =
 let ident st what =
   match peek st with
   | IDENT s ->
+    advance st;
+    Ok s
+  | _ -> unexpected st what
+
+let name st what =
+  match peek st with
+  | IDENT s | STRING s ->
     advance st;
     Ok s
   | _ -> unexpected st what

@@ -47,6 +47,14 @@ val peek : t -> token
 
 val advance : t -> unit
 
+val is_ident : string -> bool
+(** Whether the text lexes as one {!IDENT}: non-empty, of letters,
+    digits and underscores, not starting with a digit. *)
+
+val fail_here : t -> string -> ('a, Seed_util.Seed_error.t) result
+(** [fail_here st msg] fails with ["line N: MSG"], where [N] is the line
+    of the next token. *)
+
 val unexpected : t -> string -> ('a, Seed_util.Seed_error.t) result
 (** [unexpected st what] fails with ["line N: expected WHAT, found T"],
     where [T] is the next token and [N] its line. *)
@@ -56,6 +64,10 @@ val expect : t -> token -> string -> (unit, Seed_util.Seed_error.t) result
 
 val ident : t -> string -> (string, Seed_util.Seed_error.t) result
 val int : t -> string -> (int, Seed_util.Seed_error.t) result
+
+val name : t -> string -> (string, Seed_util.Seed_error.t) result
+(** A name: an identifier, or a string literal for a name that is not
+    one. *)
 
 val eat_keyword : t -> string -> bool
 (** Consumes the identifier given when it comes next. *)

@@ -164,8 +164,8 @@ let checkin t ~client ops =
   with
   | Ok () ->
     (* a durable server publishes the committed batch through the
-       store's group-commit daemon: the flush is one transaction group
-       on the store's single journal, and concurrent checkins coalesce
+       store's group-commit daemon: the flush is one transaction, one
+       frame on the store's single journal, and concurrent checkins coalesce
        into shared fsyncs. On a flush failure the locks are
        kept and the root's unflushed set is not cleared, so a later
        flush (or checkin) retries exactly the same records *)

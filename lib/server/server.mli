@@ -19,7 +19,7 @@ val create : Schema.t -> t
 val of_session : Seed_core.Persist.Session.t -> t
 (** A server over a durable session's database: every successful
     {!checkin} flushes the committed batch through the session — one
-    atomic journal transaction group, coalesced with concurrent
+    transaction, written as one journal frame, coalesced with concurrent
     checkins by the store's group-commit daemon. A flush failure fails the checkin and
     keeps the client's locks; the un-flushed records stay pending, so
     the next successful flush carries them. The caller retains

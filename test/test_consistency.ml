@@ -216,6 +216,49 @@ let test_reclassify_relationship () =
     (function Seed_error.Not_in_generalization _ -> true | _ -> false)
     (DB.reclassify db r ~to_:"Contained")
 
+(* Re-classifying a relationship into a level it was not in before
+   counts it there: against that level's participation maximum and, for
+   an ACYCLIC level, against the edges already present. *)
+let test_reclassify_rel_new_levels () =
+  let schema =
+    Schema.of_defs_exn
+      [ Class_def.v [ "D" ]; Class_def.v [ "A" ] ]
+      [
+        Assoc_def.v "Use" [ Assoc_def.role "from" "D"; Assoc_def.role "by" "A" ];
+        Assoc_def.v ~super:"Use" "Loose"
+          [ Assoc_def.role "from" "D"; Assoc_def.role "by" "A" ];
+        Assoc_def.v ~super:"Use" "Bounded"
+          [
+            Assoc_def.role ~card:(Cardinality.between 0 1) "from" "D";
+            Assoc_def.role "by" "A";
+          ];
+        Assoc_def.v "Edge" [ Assoc_def.role "up" "A"; Assoc_def.role "down" "A" ];
+        Assoc_def.v ~super:"Edge" "Plain"
+          [ Assoc_def.role "up" "A"; Assoc_def.role "down" "A" ];
+        Assoc_def.v ~super:"Edge" ~acyclic:true "Tree"
+          [ Assoc_def.role "up" "A"; Assoc_def.role "down" "A" ];
+      ]
+  in
+  let db = DB.create schema in
+  let d = ok (DB.create_object db ~cls:"D" ~name:"d" ()) in
+  let a = ok (DB.create_object db ~cls:"A" ~name:"a" ()) in
+  let b = ok (DB.create_object db ~cls:"A" ~name:"b" ()) in
+  let _ = ok (DB.create_relationship db ~assoc:"Bounded" ~endpoints:[ d; a ] ()) in
+  let loose = ok (DB.create_relationship db ~assoc:"Loose" ~endpoints:[ d; b ] ()) in
+  check_err "second Bounded of d" is_cardinality (DB.reclassify db loose ~to_:"Bounded");
+  Alcotest.(check (option string)) "still loose" (Some "Loose") (DB.assoc_of db loose);
+  let _ = ok (DB.create_relationship db ~assoc:"Tree" ~endpoints:[ a; b ] ()) in
+  let back = ok (DB.create_relationship db ~assoc:"Plain" ~endpoints:[ b; a ] ()) in
+  check_err "b over a closes a Tree cycle" is_cycle (DB.reclassify db back ~to_:"Tree");
+  Alcotest.(check (option string)) "still plain" (Some "Plain") (DB.assoc_of db back)
+
+let test_empty_name_refused () =
+  let db = fresh_db () in
+  let is_invalid = function Seed_error.Invalid_operation _ -> true | _ -> false in
+  check_err "create" is_invalid (DB.create_object db ~cls:"Thing" ~name:"" ());
+  let a = ok (DB.create_object db ~cls:"Thing" ~name:"A" ()) in
+  check_err "rename" is_invalid (DB.rename_object db a "")
+
 let test_reclassify_fig3_walkthrough () =
   (* the paper's full §Vague data walkthrough *)
   let db = fresh_db () in
@@ -335,6 +378,7 @@ let () =
           tc "specialized associations" test_specialized_membership;
           tc "value types" test_value_type_enforced;
           tc "set_value" test_set_value_checks_type;
+          tc "empty names" test_empty_name_refused;
         ] );
       ( "acyclic",
         [ tc "cycles refused" test_acyclic; tc "delete frees" test_acyclic_after_delete ] );
@@ -345,6 +389,7 @@ let () =
           tc "relationships pin classes" test_reclassify_sideways_with_rels;
           tc "children pin classes" test_reclassify_up_with_children;
           tc "relationship reclassification" test_reclassify_relationship;
+          tc "relationship enters new levels" test_reclassify_rel_new_levels;
           tc "fig 3 walkthrough" test_reclassify_fig3_walkthrough;
         ] );
       ( "attached procedures",

@@ -46,6 +46,12 @@ let populated () =
       (DB.create_relationship db ~assoc:"Access" ~endpoints:[ po; sensor ]
          ~pattern:true ())
   in
+  (* names that are not identifiers are written as strings *)
+  let ab = ok (DB.create_object db ~cls:"Action" ~name:"a-b" ()) in
+  let lives = ok (DB.create_object db ~cls:"Data" ~name:"9lives" ~pattern:true ()) in
+  let weird = ok (DB.create_object db ~cls:"Data" ~name:"Weird\"Name" ()) in
+  check_ok "inherit 9lives" (DB.inherit_pattern db ~pattern:lives ~inheritor:weird);
+  let _ = ok (DB.create_relationship db ~assoc:"Access" ~endpoints:[ weird; ab ] ()) in
   db
 
 let test_export_shape () =
@@ -66,7 +72,11 @@ let test_export_shape () =
   Alcotest.(check bool) "attr" true (contains "NumberOfWrites = 3");
   Alcotest.(check bool) "enum attr" true (contains "OnError = repeat");
   Alcotest.(check bool) "pattern rel" true
-    (contains "pattern rel Access (Template, Sensor)")
+    (contains "pattern rel Access (Template, Sensor)");
+  Alcotest.(check bool) "quoted names" true
+    (contains "object \"Weird\\\"Name\" : Data inherits (\"9lives\")");
+  Alcotest.(check bool) "quoted endpoints" true
+    (contains "rel Access (\"Weird\\\"Name\", \"a-b\")")
 
 let test_roundtrip () =
   let db = populated () in
@@ -128,6 +138,7 @@ let test_import_syntax_errors () =
       ("object X : C = 2x", 1);
       ("object X : C = \"a\\\nb\"", 1);
       ("object A : Action\n// two\nobject B = 1\n", 3);
+      ("object A : Action\n\nobject X : Data { Revised = 1986-02-31 }", 3);
     ]
 
 let test_value_forms () =
@@ -214,6 +225,27 @@ let test_value_forms () =
       check_ok src (DT.import db3 src);
       Alcotest.(check bool) lit true (same (get db3 role) (Some v)))
     literals
+
+(* a value given as text for a place of a known content type, as
+   [seed set] reads it *)
+let test_parse_literal () =
+  let check ty text v =
+    match (DT.parse_literal (Some ty) text, v) with
+    | Ok (Value.Float x), Value.Float y -> Alcotest.(check bool) text true (Float.equal x y)
+    | Ok got, _ -> Alcotest.(check bool) text true (got = v)
+    | Error e, _ -> Alcotest.failf "%s: %s" text (Seed_error.to_string e)
+  in
+  check Value_type.Date "1986-02-05" (Value.date 1986 2 5);
+  check (Value_type.Enum [ "on"; "off" ]) "off" (Value.Enum "off");
+  check Value_type.Int "42" (Value.Int 42);
+  check Value_type.Float "nan" (Value.Float Float.nan);
+  check Value_type.String "42" (Value.String "42");
+  check_err "impossible date"
+    (function Seed_error.Invalid_operation _ -> true | _ -> false)
+    (DT.parse_literal (Some Value_type.Date) "1986-02-31");
+  check_err "two literals"
+    (function Seed_error.Invalid_operation _ -> true | _ -> false)
+    (DT.parse_literal (Some Value_type.Int) "1 2")
 
 let test_export_respects_versions () =
   let db = fresh_db () in
@@ -322,5 +354,6 @@ let () =
           tc "consistency checked" test_import_is_checked;
           tc "syntax errors" test_import_syntax_errors;
           tc "empty input" test_import_empty_and_comments;
+          tc "one literal" test_parse_literal;
         ] );
     ]

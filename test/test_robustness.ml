@@ -334,6 +334,7 @@ let restate db id f =
 let with_obj f = function Item.Obj o -> Item.Obj (f o) | s -> s
 let is_invalid = function Seed_error.Invalid_operation _ -> true | _ -> false
 let is_unknown_item = function Seed_error.Unknown_item _ -> true | _ -> false
+let is_unknown_class = function Seed_error.Unknown_class _ -> true | _ -> false
 
 let tamper_cases =
   [
@@ -366,6 +367,15 @@ let tamper_cases =
         let c2 = ok (DB.create_object db ~cls:"Action" ~name:"C2" ()) in
         put_rel db "Contained" [ a; c1 ];
         put_rel db "Contained" [ a; c2 ] );
+    ( "cycle in an ACYCLIC association",
+      is_cycle,
+      fun db _ a ->
+        let c = ok (DB.create_object db ~cls:"Action" ~name:"C" ()) in
+        put_rel db "Contained" [ a; c ];
+        put_rel db "Contained" [ c; a ] );
+    ( "object of an unknown class",
+      is_unknown_class,
+      fun db d _ -> restate db d (with_obj (fun o -> { o with Item.cls = "Nowhere" })) );
     ("relationship arity", is_invalid, fun db d a -> put_rel db "Read" [ d; a; a ]);
     ( "dangling endpoint",
       is_unknown_item,
