@@ -389,8 +389,8 @@ let () =
           tc "relationships pin classes" test_reclassify_sideways_with_rels;
           tc "children pin classes" test_reclassify_up_with_children;
           tc "relationship reclassification" test_reclassify_relationship;
-          tc "relationship enters new levels" test_reclassify_rel_new_levels;
           tc "fig 3 walkthrough" test_reclassify_fig3_walkthrough;
+          tc "relationship enters new levels" test_reclassify_rel_new_levels;
         ] );
       ( "attached procedures",
         [
