@@ -321,8 +321,10 @@ let parse src =
 (* Replay                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* the value a literal denotes in a place of content type [ty] *)
+(* the value a literal denotes in a place of content type [ty]; an
+   integer written into a FLOAT place is that float *)
 let value_of ty = function
+  | Typed (Value.Int n) when ty = Some Value_type.Float -> Value.Float (Float.of_int n)
   | Typed v -> v
   | Word w -> (
     match (ty, w) with

@@ -692,7 +692,7 @@ let inheritors db id =
   let v = view db in
   View.inheritors_of v id |> List.map (fun (it : Item.t) -> it.Item.id)
 
-let object_count db = List.length (View.all_objects (view db))
+let object_count db = Db_state.live_object_count (View.extents (view db))
 
 type stats = {
   st_objects : int;

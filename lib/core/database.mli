@@ -270,8 +270,11 @@ type stats = {
   st_text_postings : int;  (** posting entries (carrier per trigram) *)
   st_text_docs : int;  (** indexed string values *)
   st_text_bytes : int;  (** rough resident-size estimate *)
-  st_text_hits : int;  (** text predicates answered from the index *)
-  st_text_fallbacks : int;  (** text predicates that had to scan *)
+  st_text_hits : int;
+      (** text predicates of executed queries answered from the index
+          ({!Query.explain} counts none) *)
+  st_text_fallbacks : int;
+      (** text predicates of executed queries that had to scan *)
   st_snapshots : int;  (** snapshot roots grabbed via {!snapshot} *)
   st_commits : int;  (** roots published (op and transaction commits) *)
   st_durable : bool;  (** a durable session's store is attached *)

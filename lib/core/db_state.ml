@@ -730,8 +730,9 @@ let set_text_index_enabled t on =
       { t.working with r_text = Some (build_text_index t.working.r_items) }
 
 let text_stats t = Option.map Text_index.stats t.working.r_text
-let note_text_hit t = Atomic.incr t.text_hit_count
-let note_text_fallback t = Atomic.incr t.text_fallback_count
+let note_text_queries t ~hits ~fallbacks =
+  if hits > 0 then ignore (Atomic.fetch_and_add t.text_hit_count hits);
+  if fallbacks > 0 then ignore (Atomic.fetch_and_add t.text_fallback_count fallbacks)
 let text_counters t = (Atomic.get t.text_hit_count, Atomic.get t.text_fallback_count)
 
 let ve_text_index ve =

@@ -309,14 +309,11 @@ val rebuilt_text_index : t -> Text_index.t
 
 val text_stats : t -> Text_index.stats option
 
-val note_text_hit : t -> unit
-(** Count a text predicate answered from the index. The counters are
-    shared by a handle and its frozen handles, so searches served from
-    snapshots count. *)
-
-val note_text_fallback : t -> unit
-(** Count a text predicate that had to scan (index disabled or needle
-    too short). *)
+val note_text_queries : t -> hits:int -> fallbacks:int -> unit
+(** Count the text predicates of one executed query: [hits] answered
+    from the index, [fallbacks] left to the scan (index disabled, or no
+    needle long and rare enough). The counters are shared by a handle
+    and its frozen handles, so searches served from snapshots count. *)
 
 val text_counters : t -> int * int
 (** [(hits, fallbacks)]. *)

@@ -27,16 +27,7 @@ let cardinality t = List.length t.rows
 let is_empty t = t.rows = []
 
 let objects view ~cls =
-  let schema = View.schema view in
-  let rows =
-    View.all_objects view
-    |> List.filter (fun it ->
-           match View.obj_state view it with
-           | Some o -> Schema.class_is_a schema ~sub:o.Item.cls ~super:cls
-           | None -> false)
-    |> List.map (fun it -> [ it ])
-  in
-  make 1 rows
+  make 1 (List.map (fun it -> [ it ]) (Query.select view (Query.is_a cls)))
 
 let relationship view ~assoc =
   let schema = View.schema view in

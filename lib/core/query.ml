@@ -131,11 +131,13 @@ let not_ p = Not p
 (* ------------------------------------------------------------------ *)
 (* Planner                                                              *)
 (*                                                                      *)
-(* [candidates] computes a superset — within the live normal            *)
-(* independent objects of the current state — of the items a predicate  *)
-(* can match; [None] means unbounded. The caller re-tests the full      *)
-(* predicate on every candidate, so a constructor only needs to be      *)
-(* sound (never omit a match), not exact:                               *)
+(* One walk over the predicate yields the plan: a superset — within the *)
+(* live normal independent objects of the current state — of the items  *)
+(* the predicate can match, or the reason the walk gave up (unbounded), *)
+(* plus the extents, names and text lookups it consulted. {!select} and *)
+(* {!count} execute the plan, re-testing the full predicate on every    *)
+(* candidate, so a constructor only needs to be sound (never omit a     *)
+(* match), not exact; {!explain} renders the same plan.                 *)
 (*   - [In_class c] matches exactly the extent of [c];                  *)
 (*   - [Is_a c] matches the union of the extents of [c] and its         *)
 (*     descendants, because [class_is_a ~sub ~super:c] holds iff [sub]  *)
@@ -144,11 +146,12 @@ let not_ p = Not p
 (*     [n] — every live named independent is indexed and names are      *)
 (*     unique (the index may yield a pattern; the domain filter drops   *)
 (*     it);                                                             *)
-(*   - [Contains]/[Matches] intersect trigram posting lists and verify  *)
-(*     the held text ({!Text_index}), then map each matching carrier to *)
-(*     its root object — a superset because pattern roots and inherited *)
-(*     subtrees wash out in the re-test; they are unbounded when the    *)
-(*     index is disabled or no needle reaches trigram length;           *)
+(*   - [Contains]/[Matches] make one trigram lookup over their needles  *)
+(*     worth probing and verify the held text ({!Text_index}), then map *)
+(*     each matching carrier to its root object — a superset because    *)
+(*     pattern roots and inherited subtrees wash out in the re-test;    *)
+(*     they are unbounded when no needle reaches trigram length, the    *)
+(*     index is disabled, or every needle is too common;                *)
 (*   - [And] intersects (either side alone is already a superset),      *)
 (*     [Or] unions (sound only when both sides are bounded);            *)
 (*   - [Not] and [Opaque] are unbounded.                                *)
@@ -166,6 +169,8 @@ let rec root_owner db id =
   | Some { Item.body = Item.Independent; _ } -> Some id
   | Some { Item.body = Item.Relationship; _ } | None -> None
 
+let long_enough n = String.length n >= Text_index.min_needle
+
 (* Needles worth probing: long enough for a trigram and rare enough to
    beat the scan. Dropping a needle is always sound — the remaining
    ones still bound a superset and the re-test applies the full
@@ -176,78 +181,109 @@ let rec root_owner db id =
 let probe_worthy tx needles =
   let cutoff = max 64 (Text_index.doc_count tx / 10) in
   List.filter
-    (fun n ->
-      String.length n >= Text_index.min_needle
-      && Text_index.estimate tx n <= cutoff)
+    (fun n -> long_enough n && Text_index.estimate tx n <= cutoff)
     needles
-
-(* Verified root-object candidates for conjunctive containment. [None]
-   (scan fallback) when the index is disabled or no needle is worth
-   probing. *)
-let text_candidates v ~path needles =
-  let db = View.db v in
-  match View.text_index v with
-  | None ->
-    Db_state.note_text_fallback db;
-    None
-  | Some tx -> (
-    let qpath = if String.equal path "" then None else Some path in
-    match probe_worthy tx needles with
-    | [] ->
-      Db_state.note_text_fallback db;
-      None
-    | worthy ->
-      Db_state.note_text_hit db;
-      let owner id acc =
-        match root_owner db id with Some root -> root :: acc | None -> acc
-      in
-      let carriers = Text_index.query tx ?path:qpath worthy in
-      Some (Ident.Set.of_list (Ident.Set.fold owner carriers [])))
-
-(* Extent sets are shared, not copied: [In_class] is the view's set
-   itself, and [Is_a] of a leaf class is a union with the empty set. *)
-let candidates v p =
-  let ext = View.extents v and schema = View.schema v in
-  let rec go p =
-    match p with
-    | In_class cls -> Some (Db_state.obj_extent ext cls)
-    | Is_a cls ->
-      Some
-        (List.fold_left
-           (fun acc c -> Ident.Set.union acc (Db_state.obj_extent ext c))
-           Ident.Set.empty
-           (Schema.class_descendants_or_self schema cls))
-    | Name_is n -> (
-      match Db_state.find_id_by_name ext n with
-      | Some id -> Some (Ident.Set.singleton id)
-      | None -> Some Ident.Set.empty)
-    | Contains { path; needle } -> text_candidates v ~path [ needle ]
-    | Matches { path; needles } -> text_candidates v ~path needles
-    | And (p, q) -> (
-      match (go p, go q) with
-      | Some a, Some b -> Some (Ident.Set.inter a b)
-      | (Some _ as s), None | None, (Some _ as s) -> s
-      | None, None -> None)
-    | Or (p, q) -> (
-      match (go p, go q) with
-      | Some a, Some b -> Some (Ident.Set.union a b)
-      | Some _, None | None, Some _ | None, None -> None)
-    | Not _ | Opaque _ -> None
-  in
-  go p
-
-(* ------------------------------------------------------------------ *)
-(* Plan explanation                                                     *)
-(* ------------------------------------------------------------------ *)
 
 type text_probe = {
   tp_path : string;  (* "" = any path *)
-  tp_needle : string;
+  tp_needles : string list;
   tp_trigrams : int;
   tp_postings : int;
   tp_candidates : int;
   tp_verified : int;
 }
+
+(* What one walk consulted, newest first. Every text node made one
+   lookup (a [texts] entry) or fell back to the scan (counted in
+   [fallbacks]). *)
+type consulted = {
+  mutable classes : string list;
+  mutable names : string list;
+  mutable texts : text_probe list;
+  mutable fallbacks : int;
+}
+
+(* The plan: the candidate ids or why the walk gave up, and what it
+   consulted. Extent sets are shared, not copied: [In_class] is the
+   view's set itself, and [Is_a] of a leaf class is a union with the
+   empty set. *)
+let walk v p =
+  let ext = View.extents v and schema = View.schema v and db = View.db v in
+  let w = { classes = []; names = []; texts = []; fallbacks = 0 } in
+  let fallback reason =
+    w.fallbacks <- w.fallbacks + 1;
+    Error reason
+  in
+  let text ~path needles =
+    match View.text_index v with
+    | None -> fallback "text index disabled — containment falls back to the scan"
+    | Some tx -> (
+      match probe_worthy tx needles with
+      | [] ->
+        fallback
+          "every containment needle matches too many documents — the scan \
+           is cheaper than walking their posting lists"
+      | worthy ->
+        let qpath = if String.equal path "" then None else Some path in
+        let carriers, pr = Text_index.query_probe tx ?path:qpath worthy in
+        w.texts <-
+          {
+            tp_path = path;
+            tp_needles = worthy;
+            tp_trigrams = pr.Text_index.pr_trigrams;
+            tp_postings = pr.Text_index.pr_postings;
+            tp_candidates = pr.Text_index.pr_candidates;
+            tp_verified = pr.Text_index.pr_verified;
+          }
+          :: w.texts;
+        let owner id acc =
+          match root_owner db id with Some root -> root :: acc | None -> acc
+        in
+        Ok (Ident.Set.of_list (Ident.Set.fold owner carriers [])))
+  in
+  let rec go p =
+    match p with
+    | In_class cls ->
+      w.classes <- cls :: w.classes;
+      Ok (Db_state.obj_extent ext cls)
+    | Is_a cls ->
+      w.classes <- (cls ^ " (and descendants)") :: w.classes;
+      Ok
+        (List.fold_left
+           (fun acc c -> Ident.Set.union acc (Db_state.obj_extent ext c))
+           Ident.Set.empty
+           (Schema.class_descendants_or_self schema cls))
+    | Name_is n -> (
+      w.names <- n :: w.names;
+      match Db_state.find_id_by_name ext n with
+      | Some id -> Ok (Ident.Set.singleton id)
+      | None -> Ok Ident.Set.empty)
+    | Contains { needle; _ } when not (long_enough needle) ->
+      fallback
+        (Printf.sprintf
+           "needle %S is shorter than %d bytes (below trigram length)" needle
+           Text_index.min_needle)
+    | Contains { path; needle } -> text ~path [ needle ]
+    | Matches { needles; _ } when not (List.exists long_enough needles) ->
+      fallback "no needle reaches trigram length (3 bytes)"
+    | Matches { path; needles } -> text ~path needles
+    | And (p, q) -> (
+      (* both sides are walked, in order, so every text node counts *)
+      let a = go p in
+      match (a, go q) with
+      | Ok a, Ok b -> Ok (Ident.Set.inter a b)
+      | (Ok _ as s), Error _ | Error _, (Ok _ as s) -> s
+      | (Error _ as e), Error _ -> e)
+    | Or (p, q) -> (
+      let a = go p in
+      match (a, go q) with
+      | Ok a, Ok b -> Ok (Ident.Set.union a b)
+      | Error r, _ | _, Error r ->
+        Error ("disjunction with an unbounded arm: " ^ r))
+    | Not _ -> Error "negation is unbounded"
+    | Opaque _ -> Error "opaque predicate (no index structure)"
+  in
+  (go p, w)
 
 type plan =
   | Indexed of {
@@ -259,98 +295,10 @@ type plan =
     }
   | Scan of { reason : string }
 
-(* The first structural reason the candidate computation gives up — for
-   the [Scan] diagnosis. Mirrors [candidates]'s bounding rules. *)
-let rec unbounded_reason p =
-  match p with
-  | In_class _ | Is_a _ | Name_is _ -> None
-  | Contains { needle; _ } ->
-    if String.length needle >= Text_index.min_needle then None
-    else
-      Some
-        (Printf.sprintf
-           "needle %S is shorter than %d bytes (below trigram length)" needle
-           Text_index.min_needle)
-  | Matches { needles; _ } ->
-    if
-      List.exists
-        (fun n -> String.length n >= Text_index.min_needle)
-        needles
-    then None
-    else Some "no needle reaches trigram length (3 bytes)"
-  | And (p, q) -> (
-    (* bounded as soon as either side is *)
-    match (unbounded_reason p, unbounded_reason q) with
-    | Some a, Some _ -> Some a
-    | _ -> None)
-  | Or (p, q) -> (
-    match unbounded_reason p with
-    | Some r -> Some ("disjunction with an unbounded arm: " ^ r)
-    | None -> (
-      match unbounded_reason q with
-      | Some r -> Some ("disjunction with an unbounded arm: " ^ r)
-      | None -> None))
-  | Not _ -> Some "negation is unbounded"
-  | Opaque _ -> Some "opaque predicate (no index structure)"
-
-(* Index terms the planner would consult, in appearance order. *)
-let rec index_terms p =
-  match p with
-  | In_class c -> ([ c ], [])
-  | Is_a c -> ([ c ^ " (and descendants)" ], [])
-  | Name_is n -> ([], [ n ])
-  | Contains _ | Matches _ -> ([], [])
-  | And (p, q) | Or (p, q) ->
-    let pc, pn = index_terms p and qc, qn = index_terms q in
-    (pc @ qc, pn @ qn)
-  | Not _ | Opaque _ -> ([], [])
-
-(* Text-index lookups the planner would make: (path, needles) per node. *)
-let rec text_terms p =
-  match p with
-  | Contains { path; needle } -> [ (path, [ needle ]) ]
-  | Matches { path; needles } -> [ (path, needles) ]
-  | And (p, q) | Or (p, q) -> text_terms p @ text_terms q
-  | In_class _ | Is_a _ | Name_is _ | Not _ | Opaque _ -> []
-
-let probe_texts v p =
-  match View.text_index v with
-  | None -> []
-  | Some tx ->
-    text_terms p
-    |> List.concat_map (fun (path, needles) ->
-           let qpath = if String.equal path "" then None else Some path in
-           List.map
-             (fun n ->
-               let _, pr = Text_index.query_probe tx ?path:qpath [ n ] in
-               {
-                     tp_path = path;
-                     tp_needle = n;
-                     tp_trigrams = pr.Text_index.pr_trigrams;
-                     tp_postings = pr.Text_index.pr_postings;
-                     tp_candidates = pr.Text_index.pr_candidates;
-                     tp_verified = pr.Text_index.pr_verified;
-                   })
-             needles)
-
 let explain v p =
-  match candidates v p with
-  | None ->
-    Scan
-      {
-        reason =
-          (match unbounded_reason p with
-          | Some r -> r
-          | None ->
-            if text_terms p = [] then "predicate is unbounded"
-            else if View.text_index v = None then
-              "text index disabled — containment falls back to the scan"
-            else
-              "every containment needle matches too many documents — \
-               the scan is cheaper than walking their posting lists");
-      }
-  | Some ids ->
-    let classes, names = index_terms p in
+  match walk v p with
+  | Error reason, _ -> Scan { reason }
+  | Ok ids, w ->
     let via =
       match View.version v with
       | None -> "current-state extents"
@@ -360,9 +308,9 @@ let explain v p =
     Indexed
       {
         via;
-        classes = List.sort_uniq String.compare classes;
-        names = List.sort_uniq String.compare names;
-        texts = probe_texts v p;
+        classes = List.sort_uniq String.compare w.classes;
+        names = List.sort_uniq String.compare w.names;
+        texts = List.rev w.texts;
         est_candidates = Ident.Set.cardinal ids;
       }
 
@@ -376,10 +324,11 @@ let pp_plan ppf = function
     List.iter
       (fun tp ->
         Fmt.pf ppf
-          "text index: %s contains %S (%d trigrams, %d postings, %d \
+          "text index: %s contains %a (%d trigrams, %d postings, %d \
            candidates, %d verified)@,"
           (if tp.tp_path = "" then "any path" else tp.tp_path)
-          tp.tp_needle tp.tp_trigrams tp.tp_postings tp.tp_candidates
+          Fmt.(list ~sep:(any " and ") (fmt "%S"))
+          tp.tp_needles tp.tp_trigrams tp.tp_postings tp.tp_candidates
           tp.tp_verified)
       texts;
     Fmt.pf ppf
@@ -389,19 +338,23 @@ let pp_plan ppf = function
     Fmt.pf ppf "@[<v>plan: full scan of the view@,reason: %s@]" reason
 
 (* Fold [f] over the live normal independent objects satisfying [p]:
-   the planner's candidates, re-checked and re-tested, or for an
-   unbounded predicate the view's exact object extents, tested. *)
+   the plan's candidates, re-checked and re-tested, or for an unbounded
+   predicate the view's exact object extents, tested. Executing a plan,
+   not explaining it, is what the text hit/fallback counters count. *)
 let fold_hits v p f init =
   let db = View.db v in
+  let bound, w = walk v p in
+  Db_state.note_text_queries db ~hits:(List.length w.texts)
+    ~fallbacks:w.fallbacks;
   let keep ~recheck id acc =
     match Db_state.find_item db id with
     | Some it when ((not recheck) || View.live_normal v it) && test p v it ->
       f it acc
     | Some _ | None -> acc
   in
-  match candidates v p with
-  | Some ids -> Ident.Set.fold (keep ~recheck:true) ids init
-  | None -> Db_state.fold_obj_extents (View.extents v) (keep ~recheck:false) init
+  match bound with
+  | Ok ids -> Ident.Set.fold (keep ~recheck:true) ids init
+  | Error _ -> Db_state.fold_obj_extents (View.extents v) (keep ~recheck:false) init
 
 (* Hits decorated with their full names, sorted once: by name (unique
    among live objects; unnamed ones first), ties by id. *)

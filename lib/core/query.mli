@@ -7,12 +7,14 @@
     over a {!View} — so queries are version-aware and see inherited
     pattern information, like every other retrieval operation.
 
-    Predicates are reified: {!select} and {!count} inspect their shape
-    and answer index-recognisable predicates ({!in_class}, {!is_a},
-    {!name_is}, and conjunctions/disjunctions of them) from per-class
-    id sets and a name index instead of enumerating every object — the
-    view's extents ({!View.extents}): the current root's on a current
-    view, the materialized version's on a version view. Opaque
+    Predicates are reified: one walk over a predicate's shape yields its
+    plan, which {!select} and {!count} run and {!explain} renders.
+    Index-recognisable predicates ({!in_class}, {!is_a}, {!name_is},
+    {!contains}, {!matches}, and conjunctions/disjunctions of them) are
+    answered from per-class id sets, a name index and the trigram index
+    instead of enumerating every object — the view's extents
+    ({!View.extents}): the current root's on a current view, the
+    materialized version's on a version view. Opaque
     predicates ({!of_fun} and the navigation-based ones below) and
     negations fall back to a scan of the view's object extents — same
     results, different cost. *)
@@ -54,8 +56,9 @@ val contains : string -> string -> pred
 val matches : string -> string list -> pred
 (** [matches path needles]: like {!contains} but conjunctive — one
     carrier at [path] must contain {e all} the needles. Needles below
-    trigram length are dropped from the planning intersection (the
-    re-test still applies them); if none remain, the query scans. *)
+    trigram length or too common to beat the scan are dropped from the
+    planner's one lookup (the re-test still applies them); if none
+    remain, the query scans. *)
 
 val name_matches : (string -> bool) -> pred
 (** Applied to the composed full name. *)
@@ -111,21 +114,23 @@ val select_rels : View.t -> assoc:string -> Item.t list
 
 type text_probe = {
   tp_path : string;  (** attribute path probed; [""] = any path *)
-  tp_needle : string;
+  tp_needles : string list;
+      (** the needles the lookup intersected: those of the node long and
+          rare enough to probe, in the predicate's order *)
   tp_trigrams : int;  (** distinct needle trigrams consulted *)
   tp_postings : int;  (** posting entries across their lists *)
   tp_candidates : int;  (** carriers surviving the intersection *)
-  tp_verified : int;  (** carriers whose text contains the needle *)
+  tp_verified : int;  (** carriers whose text contains every needle *)
 }
-(** One text-index lookup of the plan, with its access-path
-    measurements. *)
+(** One text-index lookup the plan makes — one per [contains]/[matches]
+    node answered from the index — with its access-path measurements. *)
 
 type plan =
   | Indexed of {
       via : string;  (** where the candidate ids come from *)
       classes : string list;  (** class extents the planner consults *)
       names : string list;  (** name-index lookups the planner makes *)
-      texts : text_probe list;  (** text-index probes the planner makes *)
+      texts : text_probe list;  (** text-index lookups the planner makes *)
       est_candidates : int;
           (** candidate-set cardinality — the number of items {!select}
               would re-test, against the extents as they stand now *)
@@ -133,9 +138,12 @@ type plan =
   | Scan of { reason : string }
 
 val explain : View.t -> pred -> plan
-(** The access path {!select}/{!count} would take for this predicate on
-    this view, without running it: an indexed candidate set (with its
-    estimated cardinality) or a full scan and why. *)
+(** The plan {!select}/{!count} run for this predicate on this view: an
+    indexed candidate set (with its cardinality and every lookup the
+    planner made) or a full scan and why. It is the same walk over the
+    predicate, without the re-test; the text lookups are made, but the
+    text hit/fallback counters ({!Database.stats}) are left alone — they
+    count executed queries only. *)
 
 val pp_plan : Format.formatter -> plan -> unit
 

@@ -86,3 +86,27 @@ let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
+
+(* [Query.explain] renders the plan [select] runs, without running it:
+   it never raises, its candidate estimate bounds the [hits] the
+   predicate has, every text lookup it reports intersects needles of
+   the predicate ([needles]) long enough for a trigram, and it counts
+   no text query. *)
+let explain_sound ~needles ~hits v p =
+  let module Q = Seed_core.Query in
+  let counters () = Seed_core.Db_state.text_counters (Seed_core.View.db v) in
+  let before = counters () in
+  let plan = Q.explain v p in
+  counters () = before
+  &&
+  match plan with
+  | Q.Scan _ -> true
+  | Q.Indexed { est_candidates; texts; _ } ->
+    est_candidates >= hits
+    && List.for_all
+         (fun tp ->
+           tp.Q.tp_needles <> []
+           && List.for_all
+                (fun n -> String.length n >= 3 && List.mem n needles)
+                tp.Q.tp_needles)
+         texts

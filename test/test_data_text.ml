@@ -169,6 +169,8 @@ let test_value_forms () =
       ("F", "0x1.4p+1", Value.Float 2.5);
       ("F", "-0x1.4p+1", Value.Float (-2.5));
       ("F", "1e3", Value.Float 1000.);
+      ("F", "3", Value.Float 3.);
+      ("F", "-3", Value.Float (-3.));
       ("I", "0x10", Value.Int 16);
       ("D", "1986-02-05", Value.date 1986 2 5);
       ("S", {|"a\tb\"c\\"|}, Value.String "a\tb\"c\\");
@@ -224,7 +226,13 @@ let test_value_forms () =
       in
       check_ok src (DT.import db3 src);
       Alcotest.(check bool) lit true (same (get db3 role) (Some v)))
-    literals
+    literals;
+  (* an integer literal in a FLOAT relationship attribute *)
+  let db4 = DB.create schema in
+  check_ok "integer attribute"
+    (DT.import db4 "object b : Box\nobject c : Box\nrel Pair (b, c) { A = 3 }\n");
+  let pair4 = List.hd (DB.relationships db4 (Option.get (DB.resolve db4 "b"))) in
+  Alcotest.(check bool) "A = 3" true (DB.rel_attr db4 pair4 "A" = Some (Value.Float 3.))
 
 (* a value given as text for a place of a known content type, as
    [seed set] reads it *)
@@ -239,6 +247,7 @@ let test_parse_literal () =
   check (Value_type.Enum [ "on"; "off" ]) "off" (Value.Enum "off");
   check Value_type.Int "42" (Value.Int 42);
   check Value_type.Float "nan" (Value.Float Float.nan);
+  check Value_type.Float "3" (Value.Float 3.);
   check Value_type.String "42" (Value.String "42");
   check_err "impossible date"
     (function Seed_error.Invalid_operation _ -> true | _ -> false)

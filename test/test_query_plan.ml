@@ -192,6 +192,7 @@ let select_agrees env =
           let planned = sorted_ids selected in
           planned = naive_select v p
           && Q.count v p = List.length planned
+          && explain_sound ~needles:[] ~hits:(List.length planned) v p
           && List.map (fun (it : Item.t) -> it.Item.id) selected
              = naive_in_name_order v p
           && Q.select_names v p = List.filter_map (View.full_name v) selected)

@@ -220,34 +220,37 @@ let naive_select v p =
 
 (* Planted needles, common needles, negatives, sub-trigram shorties
    (scan fallback), path-scoped probes at both nesting depths, and
-   conjunctions with the class planner. *)
-let predicate_pool =
+   conjunctions with the class planner — each with the needles it names,
+   which bound what [explain] may report probing. *)
+let needled_pool =
   [
-    Q.contains "" "recovery";
-    Q.contains "" "recover";
-    Q.contains "" "the recovery path";
-    Q.contains "" "issip";
-    Q.contains "" "aaa";
-    Q.contains "" "abcab";
-    Q.contains "" "no-such-needle";
-    Q.contains "" "ab";
-    Q.contains "" "z";
-    Q.contains "" "";
-    Q.contains "Thing.Description" "recovery";
-    Q.contains "Thing.Keywords" "alarm";
-    Q.contains "Data.Text.Body" "spec";
-    Q.contains "Data.Text.Selector" "recovery";
-    Q.contains "No.Such.Path" "recovery";
-    Q.matches "" [ "spec"; "recovery path" ];
-    Q.matches "" [ "alarm"; "reset" ];
-    Q.matches "" [ "recovery"; "xyzzy" ];
-    Q.matches "" [ "ab"; "recovery" ];
-    Q.matches "" [];
-    Q.(is_a "Data" &&& contains "" "recovery");
-    Q.(in_class "Action" &&& contains "Thing.Description" "alarm");
-    Q.(contains "" "spec" ||| contains "" "alarm");
-    Q.(not_ (contains "" "recovery"));
+    ([ "recovery" ], Q.contains "" "recovery");
+    ([ "recover" ], Q.contains "" "recover");
+    ([ "the recovery path" ], Q.contains "" "the recovery path");
+    ([ "issip" ], Q.contains "" "issip");
+    ([ "aaa" ], Q.contains "" "aaa");
+    ([ "abcab" ], Q.contains "" "abcab");
+    ([ "no-such-needle" ], Q.contains "" "no-such-needle");
+    ([ "ab" ], Q.contains "" "ab");
+    ([ "z" ], Q.contains "" "z");
+    ([ "" ], Q.contains "" "");
+    ([ "recovery" ], Q.contains "Thing.Description" "recovery");
+    ([ "alarm" ], Q.contains "Thing.Keywords" "alarm");
+    ([ "spec" ], Q.contains "Data.Text.Body" "spec");
+    ([ "recovery" ], Q.contains "Data.Text.Selector" "recovery");
+    ([ "recovery" ], Q.contains "No.Such.Path" "recovery");
+    ([ "spec"; "recovery path" ], Q.matches "" [ "spec"; "recovery path" ]);
+    ([ "alarm"; "reset" ], Q.matches "" [ "alarm"; "reset" ]);
+    ([ "recovery"; "xyzzy" ], Q.matches "" [ "recovery"; "xyzzy" ]);
+    ([ "ab"; "recovery" ], Q.matches "" [ "ab"; "recovery" ]);
+    ([], Q.matches "" []);
+    ([ "recovery" ], Q.(is_a "Data" &&& contains "" "recovery"));
+    ([ "alarm" ], Q.(in_class "Action" &&& contains "Thing.Description" "alarm"));
+    ([ "spec"; "alarm" ], Q.(contains "" "spec" ||| contains "" "alarm"));
+    ([ "recovery" ], Q.(not_ (contains "" "recovery")));
   ]
+
+let predicate_pool = List.map snd needled_pool
 
 let views env =
   let st = DB.raw env.db in
@@ -257,11 +260,12 @@ let select_agrees env =
   List.for_all
     (fun v ->
       List.for_all
-        (fun p ->
+        (fun (needles, p) ->
           let planned = sorted_ids (Q.select v p) in
           planned = naive_select v p
-          && Q.count v p = List.length planned)
-        predicate_pool)
+          && Q.count v p = List.length planned
+          && explain_sound ~needles ~hits:(List.length planned) v p)
+        needled_pool)
     (views env)
 
 let index_consistent env =
@@ -514,7 +518,7 @@ let test_explain () =
   let v = View.current (DB.raw db) in
   (match Q.explain v (Q.contains "" "recovery") with
   | Q.Indexed { texts = [ tp ]; est_candidates; _ } ->
-    Alcotest.(check string) "needle" "recovery" tp.Q.tp_needle;
+    Alcotest.(check (list string)) "needles" [ "recovery" ] tp.Q.tp_needles;
     Alcotest.(check int) "trigrams" 6 tp.Q.tp_trigrams;
     Alcotest.(check bool) "verified" true (tp.Q.tp_verified >= 1);
     Alcotest.(check int) "candidates bound" 1 est_candidates
