@@ -5,7 +5,7 @@
 
 .PHONY: check build test fmt soak soak-ci soak-net bench bench-query \
 	bench-text bench-version bench-txn bench-commit bench-mvcc bench-chaos \
-	bench-recovery perfbench perfbench-run loc
+	bench-recovery perfbench perfbench-run loc unused
 
 check: build test fmt
 
@@ -18,6 +18,12 @@ test:
 # the lib/ .ml+.mli line count (tracked files), as the ROADMAP reports it
 loc:
 	@cat $$(git ls-files 'lib/*.ml' 'lib/*.mli') | wc -l
+
+# exports of lib/**/*.mli with no caller outside their own module
+# ("(test only)" when only test/ calls them). A report, not a gate:
+# matching is by word, so a name two modules share hides both.
+unused:
+	@bash test/unused_exports.sh
 
 fmt:
 	@if command -v ocamlformat >/dev/null 2>&1; then \

@@ -241,53 +241,76 @@ let link_cmd =
     (Cmd.info "link" ~doc:"Relate two objects.")
     Term.(const run $ dir_arg $ assoc $ from_ $ by)
 
+(* --- listings ---------------------------------------------------------- *)
+
+(* What [show], [report] and [versions] print; the subcommands and the
+   shell's commands of the same names share them. *)
+
+(* one object tree, or (no name) every object and then the patterns *)
+let print_show db name =
+  let v = DB.view db in
+  let module View = Seed_core.View in
+  let rec print_tree indent (vi : View.vitem) =
+    let label =
+      match View.vitem_name v vi with
+      | Some n -> n
+      | None -> Ident.to_string vi.View.item.Seed_core.Item.id
+    in
+    let value =
+      match View.obj_state v vi.View.item with
+      | Some { Seed_core.Item.value = Some value; _ } ->
+        " = " ^ Value.to_string value
+      | _ -> ""
+    in
+    let cls =
+      match View.obj_state v vi.View.item with
+      | Some o -> o.Seed_core.Item.cls
+      | None -> "?"
+    in
+    let inherited = if vi.View.via <> None then "  (inherited)" else "" in
+    Fmt.pr "%s%s : %s%s%s@." (String.make indent ' ') label cls value
+      inherited;
+    List.iter (print_tree (indent + 2)) (View.children_v v vi)
+  in
+  match name with
+  | Some n -> (
+    match View.resolve_name v n with
+    | Some item ->
+      print_tree 0 (View.vitem_real item);
+      Ok ()
+    | None -> Seed_error.fail (Seed_error.Unknown_object n))
+  | None ->
+    List.iter (fun it -> print_tree 0 (View.vitem_real it)) (View.all_objects v);
+    let patterns = View.all_patterns v in
+    if patterns <> [] then begin
+      Fmt.pr "@.patterns:@.";
+      List.iter (fun it -> print_tree 2 (View.vitem_real it)) patterns
+    end;
+    Ok ()
+
+let print_report db =
+  let report = DB.completeness_report db in
+  if report = [] then Fmt.pr "the database is complete@."
+  else begin
+    Fmt.pr "%d incompleteness finding(s):@." (List.length report);
+    List.iter
+      (fun d -> Fmt.pr "  - %a@." Seed_core.Completeness.pp_diagnostic d)
+      report
+  end
+
+let print_versions db =
+  List.iter
+    (fun (n : Seed_core.Versioning.node) ->
+      Fmt.pr "%a%s@." Version_id.pp n.Seed_core.Versioning.vid
+        (match n.Seed_core.Versioning.parent with
+        | Some p -> "  (from " ^ Version_id.to_string p ^ ")"
+        | None -> ""))
+    (DB.versions db)
+
 (* --- show ------------------------------------------------------------ *)
 
 let show_cmd =
-  let run dir name =
-    with_session dir (fun db ->
-        let v = DB.view db in
-        let module View = Seed_core.View in
-        let rec print_tree indent (vi : View.vitem) =
-          let label =
-            match View.vitem_name v vi with
-            | Some n -> n
-            | None -> Ident.to_string vi.View.item.Seed_core.Item.id
-          in
-          let value =
-            match View.obj_state v vi.View.item with
-            | Some { Seed_core.Item.value = Some value; _ } ->
-              " = " ^ Value.to_string value
-            | _ -> ""
-          in
-          let cls =
-            match View.obj_state v vi.View.item with
-            | Some o -> o.Seed_core.Item.cls
-            | None -> "?"
-          in
-          let inherited = if vi.View.via <> None then "  (inherited)" else "" in
-          Fmt.pr "%s%s : %s%s%s@." (String.make indent ' ') label cls value
-            inherited;
-          List.iter (print_tree (indent + 2)) (View.children_v v vi)
-        in
-        match name with
-        | Some n -> (
-          match View.resolve_name v n with
-          | Some item ->
-            print_tree 0 (View.vitem_real item);
-            Ok ()
-          | None -> Seed_error.fail (Seed_error.Unknown_object n))
-        | None ->
-          List.iter
-            (fun it -> print_tree 0 (View.vitem_real it))
-            (View.all_objects v);
-          let patterns = View.all_patterns v in
-          if patterns <> [] then begin
-            Fmt.pr "@.patterns:@.";
-            List.iter (fun it -> print_tree 2 (View.vitem_real it)) patterns
-          end;
-          Ok ())
-  in
+  let run dir name = with_session dir (fun db -> print_show db name) in
   let name_arg = Arg.(value & pos 1 (some string) None & info [] ~docv:"NAME") in
   Cmd.v
     (Cmd.info "show" ~doc:"Print an object tree (or the whole database).")
@@ -479,14 +502,7 @@ let import_cmd =
 let report_cmd =
   let run dir =
     with_session dir (fun db ->
-        let report = DB.completeness_report db in
-        if report = [] then Fmt.pr "the database is complete@."
-        else begin
-          Fmt.pr "%d incompleteness finding(s):@." (List.length report);
-          List.iter
-            (fun d -> Fmt.pr "  - %a@." Seed_core.Completeness.pp_diagnostic d)
-            report
-        end;
+        print_report db;
         Ok ())
   in
   Cmd.v
@@ -664,13 +680,7 @@ let snapshot_cmd =
 let versions_cmd =
   let run dir =
     with_session dir (fun db ->
-        List.iter
-          (fun (n : Seed_core.Versioning.node) ->
-            Fmt.pr "%a%s@." Version_id.pp n.Seed_core.Versioning.vid
-              (match n.Seed_core.Versioning.parent with
-              | Some p -> "  (from " ^ Version_id.to_string p ^ ")"
-              | None -> ""))
-          (DB.versions db);
+        print_versions db;
         Ok ())
   in
   Cmd.v (Cmd.info "versions" ~doc:"List saved versions.") Term.(const run $ dir_arg)
@@ -885,35 +895,9 @@ let shell_cmd =
             | _ -> Fmt.pr "error: unknown pattern or object@.")
           | [ "delete"; path ] ->
             resolve_or_fail path (fun id -> report_result (DB.delete db id))
-          | [ "show" ] | [ "show"; _ ] -> (
-            let v = DB.view db in
-            let module View = Seed_core.View in
-            let rec tree indent (vi : View.vitem) =
-              (match View.vitem_name v vi with
-              | Some n ->
-                Fmt.pr "%s%s : %s%s@." (String.make indent ' ') n
-                  (Option.value (View.class_path_of v vi.View.item) ~default:"?")
-                  (match View.obj_state v vi.View.item with
-                  | Some { Seed_core.Item.value = Some value; _ } ->
-                    " = " ^ Seed_schema.Value.to_string value
-                  | _ -> "")
-              | None -> ());
-              List.iter (tree (indent + 2)) (View.children_v v vi)
-            in
-            match split_words line with
-            | [ "show"; name ] -> (
-              match View.resolve_name v name with
-              | Some it -> tree 0 (View.vitem_real it)
-              | None -> Fmt.pr "error: unknown object %s@." name)
-            | _ ->
-              List.iter (fun it -> tree 0 (View.vitem_real it)) (View.all_objects v))
-          | [ "report" ] ->
-            let findings = DB.completeness_report db in
-            if findings = [] then Fmt.pr "complete@."
-            else
-              List.iter
-                (fun d -> Fmt.pr "- %a@." Seed_core.Completeness.pp_diagnostic d)
-                findings
+          | [ "show" ] -> report_result (print_show db None)
+          | [ "show"; name ] -> report_result (print_show db (Some name))
+          | [ "report" ] -> print_report db
           | "explain" :: tokens -> report_result (explain_pred db tokens)
           | "search" :: tokens -> (
             match tokens with
@@ -946,11 +930,7 @@ let shell_cmd =
               (Result.map
                  (fun v -> Fmt.pr "version %a@." Version_id.pp v)
                  (DB.create_version db))
-          | [ "versions" ] ->
-            List.iter
-              (fun (n : Seed_core.Versioning.node) ->
-                Fmt.pr "%a@." Version_id.pp n.Seed_core.Versioning.vid)
-              (DB.versions db)
+          | [ "versions" ] -> print_versions db
           | [ "select" ] -> report_result (DB.select_version db None)
           | [ "select"; v ] ->
             let open Seed_error in

@@ -46,8 +46,6 @@ val check_object : View.t -> Item.t -> diagnostic list
 (** All incompleteness of one live normal independent object, including
     its (inherited) sub-object tree and its participation minima. *)
 
-val check_relationship : View.t -> Item.t -> diagnostic list
-
 val check_database : View.t -> diagnostic list
 (** Incompleteness report over the whole view, in object-name order. *)
 

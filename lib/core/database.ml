@@ -14,7 +14,6 @@ let raw db = db
 let of_raw st = st
 
 let view db = View.retrieval db
-let view_current db = View.current db
 
 let view_at db vid =
   if Versioning.mem (Db_state.versions db) vid then Ok (View.at db vid)
@@ -522,8 +521,6 @@ let select_version db vid_opt =
     end
     else fail (Unknown_version (Version_id.to_string vid))
 
-let selected_version (db : t) = Db_state.retrieval_version db
-
 let begin_alternative db ~from_ ?(force = false) () =
   let* () = forbid_in_transaction db "begin_alternative" in
   let* _node = Versioning.find_res (Db_state.versions db) from_ in
@@ -653,15 +650,6 @@ let get_value db id =
     | Some o -> o.Item.value
     | None -> None)
   | None -> None
-
-let is_pattern db id =
-  let v = view db in
-  match Db_state.find_item db id with
-  | Some it -> (
-    match View.state v it with
-    | Some s -> Item.state_pattern s
-    | None -> false)
-  | None -> false
 
 let exists db id =
   let v = view db in

@@ -36,7 +36,6 @@ val of_raw : Db_state.t -> t
 val view : t -> View.t
 (** The retrieval view: the selected version, or the current state. *)
 
-val view_current : t -> View.t
 val view_at : t -> Version_id.t -> (View.t, Seed_error.t) result
 
 (** {1 Snapshots}
@@ -175,8 +174,6 @@ val select_version : t -> Version_id.t option -> (unit, Seed_error.t) result
 (** Choose the version retrieval operations read from; [None] restores
     the current version. *)
 
-val selected_version : t -> Version_id.t option
-
 val current_base : t -> Version_id.t option
 (** The saved version the current state derives from. *)
 
@@ -236,7 +233,6 @@ val full_name : t -> Ident.t -> string option
 val class_of : t -> Ident.t -> string option
 val assoc_of : t -> Ident.t -> string option
 val get_value : t -> Ident.t -> Value.t option
-val is_pattern : t -> Ident.t -> bool
 val exists : t -> Ident.t -> bool
 
 val children : t -> Ident.t -> Ident.t list

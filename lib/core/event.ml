@@ -9,15 +9,6 @@ type t =
   | Deleted of Ident.t
   | Inherited of { pattern : Ident.t; inheritor : Ident.t }
 
-let subject = function
-  | Created id
-  | Value_updated { id; _ }
-  | Renamed { id; _ }
-  | Reclassified { id; _ }
-  | Deleted id ->
-    id
-  | Inherited { inheritor; _ } -> inheritor
-
 let pp ppf = function
   | Created id -> Fmt.pf ppf "created %a" Ident.pp id
   | Value_updated { id; _ } -> Fmt.pf ppf "value-updated %a" Ident.pp id

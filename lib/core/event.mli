@@ -15,7 +15,4 @@ type t =
   | Deleted of Ident.t
   | Inherited of { pattern : Ident.t; inheritor : Ident.t }
 
-val subject : t -> Ident.t
-(** The item the event is about (the inheritor for [Inherited]). *)
-
 val pp : Format.formatter -> t -> unit

@@ -2,7 +2,7 @@ open Seed_util
 open Seed_schema
 
 (* Predicates are reified so [select] can plan: the structured
-   constructors below are recognised by [candidates] and answered from
+   constructors below are recognised by [walk] and answered from
    the class extents and the name index; anything else is wrapped in
    [Opaque] and forces a scan of the view. *)
 type pred =
@@ -22,60 +22,6 @@ let name_is n = Name_is n
 let contains path needle = Contains { path; needle }
 let matches path needles = Matches { path; needles }
 let of_fun f = Opaque f
-
-let name_matches f =
-  Opaque
-    (fun v it ->
-      match View.full_name v it with Some m -> f m | None -> false)
-
-let has_value f =
-  Opaque
-    (fun v it ->
-      match View.obj_state v it with
-      | Some { Item.value = Some value; _ } -> f value
-      | Some { Item.value = None; _ } | None -> false)
-
-let has_child ~role =
-  Opaque (fun v it -> View.child_v v (View.vitem_real it) ~role () <> None)
-
-let child_value ~role f =
-  Opaque
-    (fun v it ->
-      View.children_v v (View.vitem_real it)
-      |> List.exists (fun (vi : View.vitem) ->
-             match vi.View.item.Item.body with
-             | Item.Dependent d when String.equal d.role role -> (
-               match View.obj_state v vi.View.item with
-               | Some { Item.value = Some value; _ } -> f value
-               | Some _ | None -> false)
-             | Item.Dependent _ | Item.Independent | Item.Relationship ->
-               false))
-
-let rel_is_a v ~assoc (rel : Item.t) =
-  match View.rel_state v rel with
-  | Some rs -> Schema.assoc_is_a (View.schema v) ~sub:rs.Item.assoc ~super:assoc
-  | None -> false
-
-let related ~assoc =
-  Opaque
-    (fun v it ->
-      View.rels_v v it
-      |> List.exists (fun (vr : View.vrel) -> rel_is_a v ~assoc vr.View.rel))
-
-let related_to ~assoc other =
-  Opaque
-    (fun v it ->
-      View.rels_v v it
-      |> List.exists (fun (vr : View.vrel) ->
-             rel_is_a v ~assoc vr.View.rel
-             &&
-             let occurrences =
-               List.length (List.filter (Ident.equal other) vr.View.endpoints)
-             in
-             (* the object's own binding does not make it "related to
-                itself"; a genuine self-loop binds it twice *)
-             if Ident.equal other it.Item.id then occurrences >= 2
-             else occurrences >= 1))
 
 let is_incomplete =
   Opaque (fun v it -> Completeness.check_object v it <> [])
@@ -386,36 +332,3 @@ let select_rels v ~assoc =
        Ident.Set.empty
   |> Ident.Set.elements
   |> List.filter_map (Db_state.find_item (View.db v))
-
-let neighbors v (it : Item.t) ~assoc ~from_pos ~to_pos =
-  let db = View.db v in
-  View.rels_v v it
-  |> List.filter_map (fun (vr : View.vrel) ->
-         if not (rel_is_a v ~assoc vr.View.rel) then None
-         else
-           match
-             (List.nth_opt vr.View.endpoints from_pos,
-              List.nth_opt vr.View.endpoints to_pos)
-           with
-           | Some f, Some t when Ident.equal f it.Item.id -> (
-             match Db_state.find_item db t with
-             | Some other when View.live_normal v other -> Some other
-             | Some _ | None -> None)
-           | _ -> None)
-  |> List.sort_uniq (fun (a : Item.t) b -> Ident.compare a.Item.id b.Item.id)
-
-let reachable v it ~assoc ~from_pos ~to_pos =
-  let seen = ref Ident.Set.empty in
-  let order = ref [] in
-  let rec go (node : Item.t) =
-    List.iter
-      (fun (next : Item.t) ->
-        if not (Ident.Set.mem next.Item.id !seen) then begin
-          seen := Ident.Set.add next.Item.id !seen;
-          order := next :: !order;
-          go next
-        end)
-      (neighbors v node ~assoc ~from_pos ~to_pos)
-  in
-  go it;
-  List.rev !order

@@ -3,9 +3,9 @@
     The SEED prototype provides the procedures for data creation, update,
     and simple retrieval by name; retrieval with complex queries is not
     supported (paper, §Data manipulation). This module supplies the
-    missing complex retrieval as composable predicates and navigation
-    over a {!View} — so queries are version-aware and see inherited
-    pattern information, like every other retrieval operation.
+    missing complex retrieval as composable predicates over a {!View} —
+    so queries are version-aware and see inherited pattern information,
+    like every other retrieval operation.
 
     Predicates are reified: one walk over a predicate's shape yields its
     plan, which {!select} and {!count} run and {!explain} renders.
@@ -14,13 +14,9 @@
     answered from per-class id sets, a name index and the trigram index
     instead of enumerating every object — the view's extents
     ({!View.extents}): the current root's on a current view, the
-    materialized version's on a version view. Opaque
-    predicates ({!of_fun} and the navigation-based ones below) and
-    negations fall back to a scan of the view's object extents — same
-    results, different cost. *)
-
-open Seed_util
-open Seed_schema
+    materialized version's on a version view. Opaque predicates
+    ({!of_fun}, {!is_incomplete}) and negations fall back to a scan of
+    the view's object extents — same results, different cost. *)
 
 type pred
 (** A predicate over live items of a view, as an inspectable term. *)
@@ -59,29 +55,6 @@ val matches : string -> string list -> pred
     trigram length or too common to beat the scan are dropped from the
     planner's one lookup (the re-test still applies them); if none
     remain, the query scans. *)
-
-val name_matches : (string -> bool) -> pred
-(** Applied to the composed full name. *)
-
-val has_value : (Value.t -> bool) -> pred
-(** The object carries a value satisfying the given test. Undefined
-    values match nothing (paper, §Manipulating vague and incomplete
-    data). *)
-
-val has_child : role:string -> pred
-(** Some live (possibly inherited) sub-object with this role exists. *)
-
-val child_value : role:string -> (Value.t -> bool) -> pred
-(** Some sub-object with this role carries a matching value; undefined
-    values match nothing. *)
-
-val related : assoc:string -> pred
-(** Participates in a relationship of this association or a
-    specialization (inherited relationships included). *)
-
-val related_to : assoc:string -> Ident.t -> pred
-(** Related to the given object through this association (or a
-    specialization). *)
 
 val is_incomplete : pred
 (** The object has at least one completeness diagnostic. *)
@@ -146,18 +119,3 @@ val explain : View.t -> pred -> plan
     count executed queries only. *)
 
 val pp_plan : Format.formatter -> plan -> unit
-
-(** {1 Navigation} *)
-
-val neighbors :
-  View.t -> Item.t -> assoc:string -> from_pos:int -> to_pos:int -> Item.t list
-(** Objects bound at [to_pos] of relationships (of the association's
-    subtree, inherited ones included) that bind the given object at
-    [from_pos]. This is join-by-relationship: undefined items never
-    appear because entity-relationship operations are defined on
-    existing relationships only. *)
-
-val reachable :
-  View.t -> Item.t -> assoc:string -> from_pos:int -> to_pos:int -> Item.t list
-(** Transitive closure of {!neighbors}, cycle-safe, excluding the start
-    object unless it lies on a cycle. *)

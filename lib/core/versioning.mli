@@ -47,8 +47,6 @@ val find_res : t -> Version_id.t -> (node, Seed_error.t) result
 val children : node -> Version_id.t list
 (** Directly derived versions, in creation order. *)
 
-val has_children : node -> bool
-
 val derive :
   t ->
   base:Version_id.t option ->

@@ -28,22 +28,15 @@ val version : int
 val header_size : int
 (** 13 bytes. *)
 
-val max_payload : int
-(** Upper bound on a payload (16 MiB); a length field above it is
-    treated as corruption. *)
-
 val encode : string -> string
 (** [encode payload] is the full frame for [payload]. Raises
-    [Invalid_argument] if the payload exceeds {!max_payload}. *)
+    [Invalid_argument] if the payload exceeds 16 MiB, the bound above
+    which a length field is treated as corruption. *)
 
 val parse_header :
   string -> (int * int * int32, Seed_util.Seed_error.t) result
 (** [parse_header h] checks magic and bounds on the 13 header bytes and
     returns [(version, payload_len, crc)]. *)
-
-val check_payload :
-  crc:int32 -> string -> (unit, Seed_util.Seed_error.t) result
-(** Verify a received payload against the header's CRC. *)
 
 val decode : string -> (string, Seed_util.Seed_error.t) result
 (** [decode frame] parses a complete frame held in one string (the

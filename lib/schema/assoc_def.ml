@@ -30,8 +30,6 @@ let v ?(attrs = []) ?(acyclic = false) ?super ?(covering = false)
   then invalid_arg ("Assoc_def.v: duplicate attribute names in " ^ name);
   { name; roles; attrs; acyclic; super; covering; procedures }
 
-let find_attr a n = List.find_opt (fun x -> String.equal x.attr_name n) a.attrs
-
 let arity a = List.length a.roles
 
 let role_position a n =

@@ -60,10 +60,6 @@ val attr : ?required:bool -> string -> Value_type.t -> attr
 (** [attr name ty] builds an attribute declaration ([required] defaults
     to [false]). *)
 
-val find_attr : t -> string -> attr option
-(** Own attributes only; {!Schema.resolve_attr} searches the
-    generalization chain. *)
-
 val role :
   ?card:Cardinality.t ->
   string ->

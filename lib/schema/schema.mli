@@ -31,13 +31,6 @@ val prepare : t -> unit
 
 val empty : t
 
-val add_class : t -> Class_def.t -> (t, Seed_util.Seed_error.t) result
-(** Adds a class; checks the name is fresh and the parent (for
-    sub-classes) is already present. Global conditions are only checked
-    by {!validate}. *)
-
-val add_assoc : t -> Assoc_def.t -> (t, Seed_util.Seed_error.t) result
-
 val validate : t -> (unit, Seed_util.Seed_error.t) result
 (** Whole-schema validation: existence and top-levelness of
     generalization targets, acyclic generalization hierarchies, no
@@ -49,7 +42,9 @@ val validate : t -> (unit, Seed_util.Seed_error.t) result
 val of_defs :
   Class_def.t list -> Assoc_def.t list -> (t, Seed_util.Seed_error.t) result
 (** [of_defs classes assocs] adds everything and validates. Classes may
-    be given in any order provided parents precede children. *)
+    be given in any order provided parents precede children. Adding a
+    class checks that its name is fresh and its parent (for sub-classes)
+    is already present; global conditions are checked by {!validate}. *)
 
 val of_defs_exn : Class_def.t list -> Assoc_def.t list -> t
 
@@ -85,30 +80,20 @@ val class_supers : t -> string -> string list
 val class_is_a : t -> sub:string -> super:string -> bool
 (** Reflexive: [class_is_a ~sub:c ~super:c] is [true]. *)
 
-val class_specializations : t -> string -> string list
-(** Direct specializations. *)
-
-val class_descendants : t -> string -> string list
-(** Proper descendants (transitive). *)
-
 val class_descendants_or_self : t -> string -> string list
 (** The class and its proper descendants — exactly the classes [c] with
     [class_is_a ~sub:c ~super:n]; the extent of an [is_a] query is the
     union of these classes' extents. *)
 
-val class_hierarchy_root : t -> string -> string
-(** Topmost ancestor ([t] itself if it has no super). *)
-
 val same_class_hierarchy : t -> string -> string -> bool
+(** Both classes have the same topmost ancestor (a class without a
+    super is its own). *)
 
 (** {1 Association generalization} *)
 
 val assoc_supers : t -> string -> string list
 val assoc_is_a : t -> sub:string -> super:string -> bool
-val assoc_specializations : t -> string -> string list
-val assoc_descendants : t -> string -> string list
 val assoc_descendants_or_self : t -> string -> string list
-val assoc_hierarchy_root : t -> string -> string
 val same_assoc_hierarchy : t -> string -> string -> bool
 
 (** {1 Structure resolution} *)

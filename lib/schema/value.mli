@@ -15,10 +15,6 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val type_name : t -> string
-(** The {!Value_type} rendering a value belongs to (enum constants render
-    as [ENUM]). *)
-
 val date : int -> int -> int -> t
 (** [date y m d] builds a date value; raises [Invalid_argument] when the
     triple is not a plausible calendar date. *)

@@ -44,8 +44,6 @@ let refine_class t name target =
 
 let classify_data t name = refine_class t name "Data"
 let classify_action t name = refine_class t name "Action"
-let classify_input t name = refine_class t name "InputData"
-let classify_output t name = refine_class t name "OutputData"
 
 let set_single_sub t name ~role value =
   let* id = obj t name in

@@ -35,11 +35,6 @@ val classify_data : t -> string -> (unit, Seed_error.t) result
 
 val classify_action : t -> string -> (unit, Seed_error.t) result
 
-val classify_input : t -> string -> (unit, Seed_error.t) result
-(** Data → InputData. Also accepts a [Thing] directly. *)
-
-val classify_output : t -> string -> (unit, Seed_error.t) result
-
 val describe : t -> string -> string -> (unit, Seed_error.t) result
 (** Set or replace the [Description] of a thing. *)
 

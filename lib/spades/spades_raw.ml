@@ -11,15 +11,6 @@ let note_thing t name ?description () =
   | None -> ()
   | Some d -> Raw.set_attr t ~name ~attr:"Description" (Value.String d)
 
-let reclass t name cls = Raw.put_object t ~name ~cls
-
-let classify_data t name = reclass t name "Data"
-let classify_action t name = reclass t name "Action"
-let classify_input t name = reclass t name "InputData"
-let classify_output t name = reclass t name "OutputData"
-
-let describe t name d = Raw.set_attr t ~name ~attr:"Description" (Value.String d)
-
 let add_keyword t name kw =
   (* raw stores overwrite; keywords concatenate to stay comparable *)
   let prev =
@@ -48,9 +39,6 @@ let refine_flow t ~data ~action flow =
   Raw.put_object t ~name:data ~cls:"Data";
   List.iter (fun (a, f, to_) -> Raw.add_rel t ~assoc:a ~from_:f ~to_) keep;
   Raw.add_rel t ~assoc:(assoc_name flow) ~from_:data ~to_:action
-
-let contain t ~container ~action =
-  Raw.add_rel t ~assoc:"Contained" ~from_:action ~to_:container
 
 let object_count = Raw.object_count
 let flow_count = Raw.rel_count

@@ -12,19 +12,12 @@ type t
 val create : unit -> t
 
 val note_thing : t -> string -> ?description:string -> unit -> unit
-val classify_data : t -> string -> unit
-val classify_action : t -> string -> unit
-val classify_input : t -> string -> unit
-val classify_output : t -> string -> unit
-val describe : t -> string -> string -> unit
 val add_keyword : t -> string -> string -> unit
 
 val add_flow : t -> data:string -> action:string -> Spades.flow -> unit
 val refine_flow : t -> data:string -> action:string -> Spades.flow -> unit
 (** Raw structures have no relationship identity; refinement rewrites
     the triple in place. *)
-
-val contain : t -> container:string -> action:string -> unit
 
 val object_count : t -> int
 val flow_count : t -> int

@@ -10,7 +10,6 @@ type t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val to_string : t -> string
 (** Renders as ["#<n>"]. *)

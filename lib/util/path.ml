@@ -13,10 +13,6 @@ let last = function
   | [] -> invalid_arg "Path.last: empty path"
   | p -> List.nth p (List.length p - 1)
 
-let basename p = (last p).name
-let depth = List.length
-let is_root p = depth p = 1
-
 let component_equal a b = String.equal a.name b.name && a.index = b.index
 
 let equal a b = List.length a = List.length b && List.for_all2 component_equal a b
@@ -34,7 +30,6 @@ let component_to_string c =
   | Some i -> Printf.sprintf "%s[%d]" c.name i
 
 let to_string p = String.concat "." (List.map component_to_string p)
-let pp ppf p = Fmt.string ppf (to_string p)
 
 let parse_component s =
   let invalid () =
@@ -63,18 +58,3 @@ let of_string s =
     Seed_error.map_result parse_component (String.split_on_char '.' s)
 
 let of_string_exn s = Seed_error.ok_exn (of_string s)
-
-let strip_indices p = List.map (fun c -> c.name) p
-let class_path_string p = String.concat "." (strip_indices p)
-
-let rec is_prefix p q =
-  match (p, q) with
-  | [], _ -> true
-  | _, [] -> false
-  | a :: p', b :: q' -> component_equal a b && is_prefix p' q'
-
-module Map = Map.Make (struct
-  type nonrec t = t
-
-  let compare = compare
-end)

@@ -31,14 +31,6 @@ val parent : t -> t option
 val last : t -> component
 (** Final component. Raises [Invalid_argument] on the empty list. *)
 
-val basename : t -> string
-(** Name of the final component, without index. *)
-
-val depth : t -> int
-(** Number of components. *)
-
-val is_root : t -> bool
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
@@ -48,23 +40,9 @@ val component_to_string : component -> string
 val to_string : t -> string
 (** Renders as dotted components with [\[i\]] suffixes. *)
 
-val pp : Format.formatter -> t -> unit
-
 val of_string : string -> (t, Seed_error.t) result
 (** Parses the dotted syntax. Fails with [Invalid_operation] on empty
     components, malformed indices, or an empty string. *)
 
 val of_string_exn : string -> t
 (** Like {!of_string} but raises {!Seed_error.Error}. *)
-
-val strip_indices : t -> string list
-(** The role names only — this is the class path a data path instantiates. *)
-
-val class_path_string : t -> string
-(** [strip_indices] rendered with dots: the class path denoted by a data
-    path. *)
-
-val is_prefix : t -> t -> bool
-(** [is_prefix p q] is true iff [q] starts with all of [p]'s components. *)
-
-module Map : Map.S with type key = t

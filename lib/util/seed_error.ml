@@ -118,8 +118,6 @@ let rec iter_result f = function
   | x :: xs -> (
     match f x with Stdlib.Ok () -> iter_result f xs | Stdlib.Error _ as e -> e)
 
-let all_unit rs = iter_result (fun r -> r) rs
-
 let map_result f xs =
   let rec go acc = function
     | [] -> Stdlib.Ok (List.rev acc)

@@ -72,10 +72,6 @@ val ( let* ) : ('a, t) result -> ('a -> ('b, t) result) -> ('b, t) result
 val ( let+ ) : ('a, t) result -> ('a -> 'b) -> ('b, t) result
 (** Map for result-typed SEED operations. *)
 
-val all_unit : (unit, t) result list -> (unit, t) result
-(** [all_unit rs] is [Ok ()] iff every element is [Ok ()], otherwise the
-    first error. *)
-
 val iter_result : ('a -> (unit, t) result) -> 'a list -> (unit, t) result
 (** [iter_result f xs] applies [f] to each element, stopping at the first
     error. *)

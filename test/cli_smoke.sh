@@ -2,7 +2,8 @@
 # End-to-end smoke of the seed command line in a temporary directory:
 # init, add, set, select, explain (an indexed probe, and a conjunction
 # whose short needle the planner leaves to the re-test), an
-# export/import/export round trip into a fresh store, and fsck.
+# export/import/export round trip into a fresh store, fsck, and the
+# shell's show/versions/report printing what the subcommands print.
 #
 # Usage: test/cli_smoke.sh PATH/TO/seed_cli.exe
 set -euo pipefail
@@ -43,3 +44,26 @@ cmp -s export1.txt export2.txt || fail "export of the imported store differs"
 
 "$seed" fsck db >fsck.out || fail "fsck exited $?: $(cat fsck.out)"
 grep -q 'status: *healthy' fsck.out || fail "fsck: $(cat fsck.out)"
+
+# a store with a pattern, an inheritor and a derived version: the shell
+# prints each listing exactly as its subcommand does
+"$seed" init lst >/dev/null
+"$seed" add lst Common --class Data --pattern >/dev/null
+"$seed" set lst Common.Description "shared text" >/dev/null
+"$seed" add lst Alarms --class Data >/dev/null
+"$seed" add lst Sensor --class Action >/dev/null
+echo "inherit Common Alarms" | "$seed" shell lst >/dev/null
+"$seed" snapshot lst >/dev/null
+"$seed" set lst Alarms.Revised 1986-02-05 >/dev/null
+"$seed" snapshot lst >/dev/null
+"$seed" branch lst 1.0 >/dev/null
+"$seed" snapshot lst >/dev/null
+for cmd in show versions report; do
+  "$seed" "$cmd" lst >"$cmd.cli" || fail "$cmd exited $?"
+  echo "$cmd" | "$seed" shell lst | sed 's/seed> //g' >"$cmd.shell"
+  cmp -s "$cmd.cli" "$cmd.shell" ||
+    fail "shell $cmd differs from seed $cmd: $(diff "$cmd.cli" "$cmd.shell")"
+done
+grep -q '(inherited)' show.cli || fail "show lists no inherited item"
+grep -q '^patterns:' show.cli || fail "show lists no patterns"
+grep -q '(from 1.0)' versions.cli || fail "versions shows no derivation"

@@ -39,33 +39,16 @@ let test_name_predicates () =
   let v = DB.view db in
   Alcotest.(check (list string)) "name_is" [ "Alarms" ]
     (names v (Q.select v (Q.name_is "Alarms")));
-  let starts_with_a s = String.length s > 0 && s.[0] = 'A' in
-  Alcotest.(check (list string)) "prefix" [ "AlarmHandler"; "Alarms" ]
-    (names v (Q.select v (Q.name_matches starts_with_a)))
-
-let test_related () =
-  let db, _, _, _, sensor, handler, _ = setup () in
-  let v = DB.view db in
-  (* who accesses anything, generalization-aware *)
-  Alcotest.(check (list string)) "writers" [ "Alarms"; "Sensor" ]
-    (names v (Q.select v (Q.related ~assoc:"Write")));
-  (* Access covers Read, Write and itself: Alarms, Sensor, Events,
-     AlarmHandler, Config take part; Misc does not *)
-  Alcotest.(check int) "access participants" 5
-    (Q.count v (Q.related ~assoc:"Access"));
-  Alcotest.(check (list string)) "related to sensor (not sensor itself)"
-    [ "Alarms" ]
-    (names v (Q.select v (Q.related_to ~assoc:"Access" sensor)));
-  Alcotest.(check (list string)) "related to handler via Read" [ "Events" ]
-    (names v (Q.select v Q.(related_to ~assoc:"Read" handler &&& is_a "Data")))
+  Alcotest.(check (list string)) "unknown name" []
+    (names v (Q.select v (Q.name_is "Alarm")))
 
 let test_combinators () =
   let db, _, _, _, _, _, _ = setup () in
   let v = DB.view db in
   Alcotest.(check (list string)) "and" [ "Events" ]
-    (names v (Q.select v Q.(is_a "Data" &&& related ~assoc:"Read")));
+    (names v (Q.select v Q.(is_a "Data" &&& in_class "InputData")));
   Alcotest.(check (list string)) "or includes both" [ "Alarms"; "Events" ]
-    (names v (Q.select v Q.(related ~assoc:"Read" ||| related ~assoc:"Write")
+    (names v (Q.select v Q.(name_is "Events" ||| in_class "OutputData" ||| name_is "Sensor")
              |> List.filter (Q.test (Q.is_a "Data") v)));
   Alcotest.(check (list string)) "not" [ "Misc" ]
     (names v (Q.select v Q.(not_ (is_a "Data") &&& not_ (is_a "Action"))))
@@ -78,10 +61,9 @@ let test_undefined_matches_nothing () =
   let desc = ok (DB.create_sub_object db ~parent:d ~role:"Description" ()) in
   let v = DB.view db in
   Alcotest.(check int) "undefined value matches nothing" 0
-    (Q.count v (Q.child_value ~role:"Description" (fun _ -> true)));
+    (Q.count v (Q.contains "" ""));
   check_ok "define" (DB.set_value db desc (Some (Value.String "x")));
-  Alcotest.(check int) "defined matches" 1
-    (Q.count v (Q.child_value ~role:"Description" (fun _ -> true)))
+  Alcotest.(check int) "defined matches" 1 (Q.count v (Q.contains "" ""))
 
 let test_has_child_and_value () =
   let db = fresh_db () in
@@ -89,12 +71,10 @@ let test_has_child_and_value () =
   let _ = ok (DB.create_sub_object db ~parent:d ~role:"Keywords" ~value:(Value.String "alarm") ()) in
   let _e = ok (DB.create_object db ~cls:"Data" ~name:"E" ()) in
   let v = DB.view db in
-  Alcotest.(check (list string)) "has_child" [ "D" ]
-    (names v (Q.select v (Q.has_child ~role:"Keywords")));
-  Alcotest.(check (list string)) "child_value" [ "D" ]
-    (names v
-       (Q.select v
-          (Q.child_value ~role:"Keywords" (fun x -> x = Value.String "alarm"))))
+  Alcotest.(check (list string)) "sub-object value" [ "D" ]
+    (names v (Q.select v (Q.contains "Thing.Keywords" "alarm")));
+  Alcotest.(check (list string)) "other path" []
+    (names v (Q.select v (Q.contains "Thing.Description" "alarm")))
 
 let test_is_incomplete_predicate () =
   let db = fresh_db () in
@@ -116,50 +96,73 @@ let test_select_rels () =
   Alcotest.(check int) "accesses include specializations" 3
     (List.length (Q.select_rels v ~assoc:"Access"))
 
-let test_neighbors () =
-  let db, alarms, _, _, _sensor, _, _ = setup () in
+let test_no_phantom_rows_for_undefined () =
+  (* relationships exist only between defined objects: Misc, related to
+     nothing, appears in no retrieved relationship *)
+  let db, _, _, _, _, _, misc = setup () in
   let v = DB.view db in
-  let item id = Option.get (Seed_core.Db_state.find_item (DB.raw db) id) in
-  let ns = Q.neighbors v (item alarms) ~assoc:"Access" ~from_pos:0 ~to_pos:1 in
-  Alcotest.(check (list string)) "alarms accessed by" [ "Sensor" ] (names v ns)
+  Alcotest.(check bool) "no phantom rows" false
+    (List.exists
+       (fun rel -> List.mem misc (DB.endpoints db rel.Item.id))
+       (Q.select_rels v ~assoc:"Access"))
 
-let test_reachable_containment () =
-  let db = fresh_db () in
-  let mk n = ok (DB.create_object db ~cls:"Action" ~name:n ()) in
-  let root = mk "Root" and a = mk "A" and b = mk "B" and c = mk "C" in
-  let edge child parent =
-    ignore (ok (DB.create_relationship db ~assoc:"Contained" ~endpoints:[ child; parent ] ()))
-  in
-  edge a root;
-  edge b root;
-  edge c a;
-  let v = DB.view db in
-  let item id = Option.get (Seed_core.Db_state.find_item (DB.raw db) id) in
-  (* everything transitively contained in Root: follow container->contained *)
-  let inside =
-    Q.reachable v (item root) ~assoc:"Contained" ~from_pos:1 ~to_pos:0
-  in
-  Alcotest.(check (list string)) "subtree" [ "A"; "B"; "C" ]
-    (List.sort String.compare (names v inside));
-  (* and upward: C's ancestors *)
-  let up = Q.reachable v (item c) ~assoc:"Contained" ~from_pos:0 ~to_pos:1 in
-  Alcotest.(check (list string)) "ancestors" [ "A"; "Root" ]
-    (List.sort String.compare (names v up))
-
-let test_queries_see_inherited_relationships () =
+let test_pattern_expansion () =
   let db = fresh_db () in
   let common = ok (DB.create_object db ~cls:"Action" ~name:"Common" ()) in
   let po = ok (DB.create_object db ~cls:"Data" ~name:"PO" ~pattern:true ()) in
-  let _pr =
+  let _ =
     ok
       (DB.create_relationship db ~assoc:"Access" ~endpoints:[ po; common ]
          ~pattern:true ())
   in
-  let variant = ok (DB.create_object db ~cls:"Data" ~name:"V" ()) in
-  check_ok "inherit" (DB.inherit_pattern db ~pattern:po ~inheritor:variant);
+  let v1 = ok (DB.create_object db ~cls:"Data" ~name:"V1" ()) in
+  let v2 = ok (DB.create_object db ~cls:"Data" ~name:"V2" ()) in
+  check_ok "v1 joins" (DB.inherit_pattern db ~pattern:po ~inheritor:v1);
+  check_ok "v2 joins" (DB.inherit_pattern db ~pattern:po ~inheritor:v2);
   let v = DB.view db in
-  Alcotest.(check (list string)) "inherited rel visible to queries" [ "V" ]
-    (names v (Q.select v (Q.related_to ~assoc:"Access" common)))
+  (* each inheritor sees the pattern relationship with itself
+     substituted; the pattern relationship itself is not retrieved *)
+  let expanded id =
+    let item = Option.get (Seed_core.Db_state.find_item (DB.raw db) id) in
+    List.map (fun (vr : View.vrel) -> vr.View.endpoints) (View.rels_v v item)
+  in
+  Alcotest.(check bool) "V1 expanded" true (expanded v1 = [ [ v1; common ] ]);
+  Alcotest.(check bool) "V2 expanded" true (expanded v2 = [ [ v2; common ] ]);
+  Alcotest.(check int) "pattern rel not retrieved" 0
+    (List.length (Q.select_rels v ~assoc:"Access"))
+
+let test_relationships_respect_versions () =
+  let db = fresh_db () in
+  let d = ok (DB.create_object db ~cls:"InputData" ~name:"D" ()) in
+  let a = ok (DB.create_object db ~cls:"Action" ~name:"A" ()) in
+  let r = ok (DB.create_relationship db ~assoc:"Read" ~endpoints:[ d; a ] ()) in
+  let v1 = ok (DB.create_version db) in
+  ok (DB.delete db r);
+  let _v2 = ok (DB.create_version db) in
+  Alcotest.(check int) "gone now" 0
+    (List.length (Q.select_rels (DB.view db) ~assoc:"Read"));
+  let old_view = ok (DB.view_at db v1) in
+  Alcotest.(check bool) "in 1.0" true
+    (List.map (fun (it : Item.t) -> it.Item.id) (Q.select_rels old_view ~assoc:"Read")
+    = [ r ])
+
+let test_queries_see_inherited_relationships () =
+  (* an Action needs one Access in role [by]; an inherited pattern
+     relationship supplies it *)
+  let db = fresh_db () in
+  let d = ok (DB.create_object db ~cls:"Data" ~name:"D" ()) in
+  let pa = ok (DB.create_object db ~cls:"Action" ~name:"PA" ~pattern:true ()) in
+  let _pr =
+    ok
+      (DB.create_relationship db ~assoc:"Access" ~endpoints:[ d; pa ]
+         ~pattern:true ())
+  in
+  let a = ok (DB.create_object db ~cls:"Action" ~name:"A" ()) in
+  let incomplete () = names (DB.view db) (Q.select (DB.view db) Q.is_incomplete) in
+  Alcotest.(check bool) "incomplete alone" true (List.mem "A" (incomplete ()));
+  check_ok "inherit" (DB.inherit_pattern db ~pattern:pa ~inheritor:a);
+  Alcotest.(check bool) "inherited rel completes it" false
+    (List.mem "A" (incomplete ()))
 
 let test_queries_respect_versions () =
   let db = fresh_db () in
@@ -180,7 +183,6 @@ let () =
         [
           tc "in_class vs is_a" test_in_class_vs_is_a;
           tc "names" test_name_predicates;
-          tc "related" test_related;
           tc "combinators" test_combinators;
           tc "undefined matches nothing" test_undefined_matches_nothing;
           tc "children and values" test_has_child_and_value;
@@ -189,12 +191,16 @@ let () =
       ( "navigation",
         [
           tc "select_rels" test_select_rels;
-          tc "neighbors" test_neighbors;
-          tc "reachable" test_reachable_containment;
         ] );
       ( "integration",
         [
           tc "inherited relationships" test_queries_see_inherited_relationships;
           tc "version views" test_queries_respect_versions;
+        ] );
+      ( "semantics",
+        [
+          tc "no phantom rows" test_no_phantom_rows_for_undefined;
+          tc "pattern expansion" test_pattern_expansion;
+          tc "version views" test_relationships_respect_versions;
         ] );
     ]

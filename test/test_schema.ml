@@ -248,26 +248,29 @@ let test_class_is_a () =
 
 let test_class_descendants () =
   let s = fig3_schema () in
-  let d = List.sort String.compare (Schema.class_descendants s "Data") in
-  Alcotest.(check (list string)) "data desc" [ "InputData"; "OutputData" ] d;
-  let t = List.sort String.compare (Schema.class_descendants s "Thing") in
+  let d = List.sort String.compare (Schema.class_descendants_or_self s "Data") in
+  Alcotest.(check (list string)) "data desc" [ "Data"; "InputData"; "OutputData" ] d;
+  let t = List.sort String.compare (Schema.class_descendants_or_self s "Thing") in
   Alcotest.(check (list string)) "thing desc"
-    [ "Action"; "Data"; "InputData"; "OutputData" ]
+    [ "Action"; "Data"; "InputData"; "OutputData"; "Thing" ]
     t
 
 let test_hierarchy_root () =
   let s = fig3_schema () in
-  Alcotest.(check string) "root" "Thing" (Schema.class_hierarchy_root s "OutputData");
+  Alcotest.(check bool) "root" true
+    (Schema.same_class_hierarchy s "OutputData" "Thing");
   Alcotest.(check bool) "same hierarchy" true
-    (Schema.same_class_hierarchy s "InputData" "Action")
+    (Schema.same_class_hierarchy s "InputData" "Action");
+  Alcotest.(check bool) "other hierarchy" false
+    (Schema.same_class_hierarchy s "Data" "Data.Text")
 
 let test_assoc_generalization () =
   let s = fig3_schema () in
   Alcotest.(check (list string)) "Read supers" [ "Access" ] (Schema.assoc_supers s "Read");
   Alcotest.(check bool) "Write isa Access" true
     (Schema.assoc_is_a s ~sub:"Write" ~super:"Access");
-  let d = List.sort String.compare (Schema.assoc_descendants s "Access") in
-  Alcotest.(check (list string)) "Access desc" [ "Read"; "Write" ] d;
+  let d = List.sort String.compare (Schema.assoc_descendants_or_self s "Access") in
+  Alcotest.(check (list string)) "Access desc" [ "Access"; "Read"; "Write" ] d;
   Alcotest.(check bool) "Contained separate" false
     (Schema.same_assoc_hierarchy s "Contained" "Read")
 

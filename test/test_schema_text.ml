@@ -53,9 +53,9 @@ let test_parse_fig3 () =
   let write = Option.get (Schema.find_assoc s "Write") in
   Alcotest.(check int) "write attrs" 2 (List.length write.Assoc_def.attrs);
   Alcotest.(check bool) "required" true
-    (match Assoc_def.find_attr write "NumberOfWrites" with
-    | Some a -> a.Assoc_def.required
-    | None -> false)
+    (match Schema.resolve_attr s ~assoc:"Write" ~attr:"NumberOfWrites" with
+    | Ok a -> a.Assoc_def.required
+    | Error _ -> false)
 
 let test_parsed_schema_equals_builtin () =
   (* the textual Fig. 3 schema behaves like the programmatic one *)

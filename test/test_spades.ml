@@ -135,17 +135,19 @@ let test_milestones_are_versions () =
   ok (DB.select_version db None)
 
 let test_spades_raw_equivalent_workload () =
-  (* the raw backend accepts the same workload (without any guarantees) *)
+  (* the raw backend accepts the session benchmark S1 drives through
+     both backends (without any guarantees: test_baseline's raw store
+     case shows it checks nothing) *)
   let t = SR.create () in
   SR.note_thing t "Alarms" ~description:"d" ();
   SR.note_thing t "Sensor" ();
-  SR.classify_action t "Sensor";
   SR.add_flow t ~data:"Alarms" ~action:"Sensor" S.Vague;
+  Alcotest.(check int) "flows" 1 (SR.flow_count t);
   SR.refine_flow t ~data:"Alarms" ~action:"Sensor" S.Writing;
-  SR.contain t ~container:"Sensor" ~action:"Sensor";
-  (* ^ raw happily stores a containment cycle: no checking *)
+  SR.add_keyword t "Alarms" "bench";
   Alcotest.(check int) "objects" 2 (SR.object_count t);
-  Alcotest.(check bool) "flows" true (SR.flow_count t >= 2)
+  (* refinement rewrites the triple in place rather than adding one *)
+  Alcotest.(check int) "flows after refine" 1 (SR.flow_count t)
 
 let () =
   Alcotest.run "spades"

@@ -11,15 +11,15 @@ let path_roundtrip s () =
 
 let test_path_parse_simple () =
   let p = Path.of_string_exn "Alarms" in
-  Alcotest.(check int) "depth" 1 (Path.depth p);
-  Alcotest.(check bool) "root" true (Path.is_root p);
-  Alcotest.(check string) "basename" "Alarms" (Path.basename p)
+  Alcotest.(check int) "depth" 1 (List.length p);
+  Alcotest.(check bool) "root" true (Path.parent p = None);
+  Alcotest.(check string) "last" "Alarms" (Path.last p).Path.name
 
 let test_path_parse_nested () =
   let p = Path.of_string_exn "Alarms.Text.Body.Keywords[1]" in
-  Alcotest.(check int) "depth" 4 (Path.depth p);
-  Alcotest.(check string) "basename" "Keywords" (Path.basename p);
+  Alcotest.(check int) "depth" 4 (List.length p);
   let last = Path.last p in
+  Alcotest.(check string) "last" "Keywords" last.Path.name;
   Alcotest.(check (option int)) "index" (Some 1) last.Path.index
 
 let test_path_parent () =
@@ -47,17 +47,6 @@ let test_path_bad () =
   bad "A[-1]";
   bad "A[1";
   bad "A]b"
-
-let test_path_class_path () =
-  let p = Path.of_string_exn "Alarms.Text[2].Body" in
-  Alcotest.(check string) "class path" "Alarms.Text.Body"
-    (Path.class_path_string p)
-
-let test_path_prefix () =
-  let p = Path.of_string_exn "A.B" and q = Path.of_string_exn "A.B.C" in
-  Alcotest.(check bool) "prefix" true (Path.is_prefix p q);
-  Alcotest.(check bool) "not prefix" false (Path.is_prefix q p);
-  Alcotest.(check bool) "self" true (Path.is_prefix p p)
 
 let test_path_compare () =
   let a = Path.of_string_exn "A.B" and b = Path.of_string_exn "A.C" in
@@ -151,10 +140,11 @@ let test_ident_mark_used () =
 
 let test_error_combinators () =
   let open Seed_error in
-  Alcotest.(check bool) "all_unit ok" true (all_unit [ Ok (); Ok () ] = Ok ());
   let e = Unknown_object "x" in
-  Alcotest.(check bool) "all_unit err" true
-    (all_unit [ Ok (); Error e ] = Error e);
+  Alcotest.(check bool) "iter_result ok" true
+    (iter_result (fun _ -> Ok ()) [ 1; 2 ] = Ok ());
+  Alcotest.(check bool) "iter_result err" true
+    (iter_result (fun x -> if x > 1 then Error e else Ok ()) [ 1; 2; 3 ] = Error e);
   let r = map_result (fun x -> if x > 0 then Ok (x * 2) else Error e) [ 1; 2 ] in
   Alcotest.(check bool) "map_result" true (r = Ok [ 2; 4 ]);
   let r = map_result (fun x -> if x > 0 then Ok x else Error e) [ 1; -1; 2 ] in
@@ -406,8 +396,6 @@ let () =
           tc "parent" test_path_parent;
           tc "child" test_path_child;
           tc "malformed inputs" test_path_bad;
-          tc "class path strips indices" test_path_class_path;
-          tc "prefix" test_path_prefix;
           tc "compare" test_path_compare;
           prop_path_roundtrip;
         ] );
