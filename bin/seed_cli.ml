@@ -19,6 +19,7 @@ open Seed_util
 open Seed_schema
 module DB = Seed_core.Database
 module Persist = Seed_core.Persist
+module Protocol = Seed_server.Protocol
 
 let exit_err e =
   Fmt.epr "seed: %s@." (Seed_error.to_string e);
@@ -110,18 +111,20 @@ let schema_cmd =
                              schema language.")
     Term.(const run $ dir_arg)
 
-(* --- add ------------------------------------------------------------ *)
+(* --- add / set / reclassify / link --------------------------------------
+
+   Each update subcommand is one operation of the update language,
+   applied by the interpreter a served check-in runs; [confirm] prints
+   its line from the item the operation created or changed. *)
+let update dir op confirm =
+  with_session dir (fun db -> Result.map confirm (Protocol.apply db op))
 
 let add_cmd =
   let run dir cls pattern name =
-    with_session dir (fun db ->
-        match DB.create_object db ~cls ~name ~pattern () with
-        | Ok id ->
-          Fmt.pr "created %s %s (%a)@."
-            (if pattern then "pattern" else "object")
-            name Ident.pp id;
-          Ok ()
-        | Error e -> Error e)
+    update dir (Create_object { cls; name; pattern }) (fun id ->
+        Fmt.pr "created %s %s (%a)@."
+          (if pattern then "pattern" else "object")
+          name Ident.pp id)
   in
   let cls =
     Arg.(
@@ -139,44 +142,10 @@ let add_cmd =
     (Cmd.info "add" ~doc:"Add an independent object.")
     Term.(const run $ dir_arg $ cls $ pattern $ name_arg)
 
-(* --- set ------------------------------------------------------------ *)
-
-(* PATH := VALUE, creating a missing single sub-object X.Role. The value
-   is read for the content type of its place (Data_text.parse_literal):
-   a STRING place takes the text verbatim. *)
-let set_path db path text =
-  let open Seed_error in
-  let schema = DB.schema db in
-  let class_of id = Option.value (DB.class_of db id) ~default:"" in
-  let read content = Seed_core.Data_text.parse_literal content text in
-  match DB.resolve db path with
-  | Some id ->
-    let content =
-      Option.bind (Schema.find_class schema (class_of id)) (fun c -> c.Class_def.content)
-    in
-    let* v = read content in
-    DB.set_value db id (Some v)
-  | None -> (
-    match String.rindex_opt path '.' with
-    | None -> fail (Unknown_object path)
-    | Some i -> (
-      let parent = String.sub path 0 i in
-      let role = String.sub path (i + 1) (String.length path - i - 1) in
-      match DB.resolve db parent with
-      | None -> fail (Unknown_object parent)
-      | Some p ->
-        let* def = Schema.resolve_child schema ~cls:(class_of p) ~role in
-        let* value = read def.Class_def.content in
-        let* _ = DB.create_sub_object db ~parent:p ~role ~value () in
-        Ok ()))
-
 let set_cmd =
   let run dir path value =
-    with_session dir (fun db ->
-        let open Seed_error in
-        let* () = set_path db path value in
-        Fmt.pr "%s = %s@." path value;
-        Ok ())
+    update dir (Set_text { path; text = value }) (fun _ ->
+        Fmt.pr "%s = %s@." path value)
   in
   let path = Arg.(required & pos 1 (some string) None & info [] ~docv:"PATH") in
   let value = Arg.(required & pos 2 (some string) None & info [] ~docv:"VALUE") in
@@ -188,20 +157,10 @@ let set_cmd =
              data-text literal (1986-02-05, 2.5, nan, an enum constant).")
     Term.(const run $ dir_arg $ path $ value)
 
-(* --- reclassify ------------------------------------------------------ *)
-
 let reclassify_cmd =
   let run dir name cls =
-    with_session dir (fun db ->
-        let open Seed_error in
-        let* id =
-          match DB.resolve db name with
-          | Some id -> Ok id
-          | None -> fail (Unknown_object name)
-        in
-        let* () = DB.reclassify db id ~to_:cls in
-        Fmt.pr "%s is now a %s@." name cls;
-        Ok ())
+    update dir (Reclassify_obj { name; to_ = cls }) (fun _ ->
+        Fmt.pr "%s is now a %s@." name cls)
   in
   let name_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"NAME") in
   let cls = Arg.(required & pos 2 (some string) None & info [] ~docv:"CLASS") in
@@ -211,22 +170,10 @@ let reclassify_cmd =
              object within its generalization hierarchy.")
     Term.(const run $ dir_arg $ name_arg $ cls)
 
-(* --- link ------------------------------------------------------------ *)
-
 let link_cmd =
   let run dir assoc from_ by =
-    with_session dir (fun db ->
-        let open Seed_error in
-        let resolve n =
-          match DB.find_object db n with
-          | Some id -> Ok id
-          | None -> fail (Unknown_object n)
-        in
-        let* a = resolve from_ in
-        let* b = resolve by in
-        let* id = DB.create_relationship db ~assoc ~endpoints:[ a; b ] () in
-        Fmt.pr "%s(%s, %s) created (%a)@." assoc from_ by Ident.pp id;
-        Ok ())
+    update dir (Create_rel { assoc; endpoints = [ from_; by ]; pattern = false })
+      (fun id -> Fmt.pr "%s(%s, %s) created (%a)@." assoc from_ by Ident.pp id)
   in
   let assoc =
     Arg.(
@@ -374,6 +321,14 @@ let select_cmd =
 
 (* --- explain ----------------------------------------------------------- *)
 
+(* [PATH:]NEEDLE, as explain's contains= and the search commands take
+   it: class paths never contain ':', so the first one splits off the
+   path; without one the needle searches every path *)
+let split_needle s =
+  match String.index_opt s ':' with
+  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  | None -> ("", s)
+
 (* tiny predicate language for the planner: terms [class=C], [isa=C],
    [name=N], [contains=PATH:NEEDLE] (or [contains=NEEDLE] for any path),
    [incomplete], combined with [and], [or], [not] — binding tightest to
@@ -390,15 +345,9 @@ let parse_pred tokens =
       | "class" -> Ok (Q.in_class v)
       | "isa" -> Ok (Q.is_a v)
       | "name" -> Ok (Q.name_is v)
-      | "contains" -> (
-        (* class paths never contain ':', so the first one splits
-           PATH:NEEDLE; without it the needle searches every path *)
-        match String.index_opt v ':' with
-        | Some j ->
-          let path = String.sub v 0 j
-          and needle = String.sub v (j + 1) (String.length v - j - 1) in
-          Ok (Q.contains path needle)
-        | None -> Ok (Q.contains "" v))
+      | "contains" ->
+        let path, needle = split_needle v in
+        Ok (Q.contains path needle)
       | _ -> fail (Invalid_operation ("unknown predicate term " ^ tok)))
     | None -> (
       match tok with
@@ -821,26 +770,44 @@ let split_words line =
   go 0 false;
   List.rev !words
 
+(* The update commands of [shell] and [connect]: each is one operation of
+   the update language, which [shell] applies to its database and
+   [connect] checks in. *)
+let update_op : string list -> Protocol.op option = function
+  | [ "add"; cls; name ] -> Some (Create_object { cls; name; pattern = false })
+  | [ "add"; "-p"; cls; name ] ->
+    Some (Create_object { cls; name; pattern = true })
+  | [ "set"; path; text ] -> Some (Set_text { path; text })
+  | [ "link"; assoc; a; b ] ->
+    Some (Create_rel { assoc; endpoints = [ a; b ]; pattern = false })
+  | [ "reclassify"; name; to_ ] -> Some (Reclassify_obj { name; to_ })
+  | [ "inherit"; pattern; inheritor ] -> Some (Inherit { pattern; inheritor })
+  | [ "delete"; path ] -> Some (Delete { path })
+  | _ -> None
+
+let update_help =
+  "  add [-p] CLASS NAME         create an object (-p: a pattern)\n\
+  \  set PATH VALUE              set a value, VALUE read for the type of\n\
+  \                              its place (creates a missing sub-object)\n\
+  \  link ASSOC FROM TO          relate two objects\n\
+  \  reclassify NAME CLASS       move within the generalization hierarchy\n\
+  \  inherit PATTERN NAME        NAME inherits PATTERN\n\
+  \  delete PATH                 logical deletion\n"
+
 let shell_help () =
   print_string
-    "commands:\n\
-    \  add [-p] CLASS NAME        create an (optionally pattern) object\n\
-    \  set PATH VALUE             set a value (creates the sub-object)\n\
-    \  link ASSOC FROM TO         relate two objects\n\
-    \  reclassify NAME CLASS      move within the generalization hierarchy\n\
-    \  inherit PATTERN NAME       NAME inherits PATTERN\n\
-    \  delete PATH                logical deletion\n\
-    \  show [NAME]                object tree(s)\n\
-    \  report                     completeness findings\n\
-    \  explain PRED...            planner access path for a predicate\n\
-    \  search [PATH:]N [N...]     objects whose text contains every needle\n\
-    \  stats                      database summary\n\
-    \  snapshot                   save a version\n\
-    \  versions                   list versions\n\
-    \  select [VERSION]           choose the retrieval version\n\
-    \  branch VERSION             rebase the current state\n\
-    \  help                       this text\n\
-    \  quit                       flush and exit\n"
+    ("commands:\n" ^ update_help
+   ^ "  show [NAME]                 object tree(s)\n\
+      \  report                      completeness findings\n\
+      \  explain PRED...             planner access path for a predicate\n\
+      \  search [PATH:]N [N...]      objects whose text contains every needle\n\
+      \  stats                       database summary\n\
+      \  snapshot                    save a version\n\
+      \  versions                    list versions\n\
+      \  select [VERSION]            choose the retrieval version\n\
+      \  branch VERSION              rebase the current state\n\
+      \  help                        this text\n\
+      \  quit                        flush and exit\n")
 
 let shell_cmd =
   let run dir =
@@ -853,11 +820,6 @@ let shell_cmd =
         | Ok () -> ()
         | Error e -> Fmt.pr "error: %s@." (Seed_error.to_string e)
       in
-      let resolve_or_fail name k =
-        match DB.resolve db name with
-        | Some id -> k id
-        | None -> Fmt.pr "error: unknown object %s@." name
-      in
       let running = ref true in
       while !running do
         print_string "seed> ";
@@ -868,62 +830,24 @@ let shell_cmd =
           | [] -> ()
           | [ "quit" ] | [ "exit" ] -> running := false
           | [ "help" ] -> shell_help ()
-          | [ "add"; cls; name ] ->
-            report_result
-              (Result.map (fun _ -> ()) (DB.create_object db ~cls ~name ()))
-          | [ "add"; "-p"; cls; name ] ->
-            report_result
-              (Result.map
-                 (fun _ -> ())
-                 (DB.create_object db ~cls ~name ~pattern:true ()))
-          | [ "set"; path; value ] -> report_result (set_path db path value)
-          | [ "link"; assoc; a; b ] ->
-            resolve_or_fail a (fun x ->
-                resolve_or_fail b (fun y ->
-                    report_result
-                      (Result.map
-                         (fun _ -> ())
-                         (DB.create_relationship db ~assoc
-                            ~endpoints:[ x; y ] ()))))
-          | [ "reclassify"; name; cls ] ->
-            resolve_or_fail name (fun id ->
-                report_result (DB.reclassify db id ~to_:cls))
-          | [ "inherit"; pname; iname ] -> (
-            match (DB.find_pattern db pname, DB.find_object db iname) with
-            | Some pattern, Some inheritor ->
-              report_result (DB.inherit_pattern db ~pattern ~inheritor)
-            | _ -> Fmt.pr "error: unknown pattern or object@.")
-          | [ "delete"; path ] ->
-            resolve_or_fail path (fun id -> report_result (DB.delete db id))
           | [ "show" ] -> report_result (print_show db None)
           | [ "show"; name ] -> report_result (print_show db (Some name))
           | [ "report" ] -> print_report db
           | "explain" :: tokens -> report_result (explain_pred db tokens)
-          | "search" :: tokens -> (
-            match tokens with
-            | [] -> Fmt.pr "error: search needs at least one needle@."
-            | first :: rest ->
-              (* a ':' in the first token scopes the search to one class
-                 path, mirroring the explain syntax contains=PATH:NEEDLE *)
-              let path, needles =
-                match String.index_opt first ':' with
-                | Some i ->
-                  ( String.sub first 0 i,
-                    String.sub first (i + 1) (String.length first - i - 1)
-                    :: rest )
-                | None -> ("", first :: rest)
-              in
-              let module Q = Seed_core.Query in
-              let v = DB.view db in
-              let hits = Q.select v (Q.matches path needles) in
-              if hits = [] then Fmt.pr "no matches@."
-              else
-                List.iter
-                  (fun it ->
-                    match Seed_core.View.full_name v it with
-                    | Some n -> Fmt.pr "%s@." n
-                    | None -> ())
-                  hits)
+          | [ "search" ] -> Fmt.pr "error: search needs at least one needle@."
+          | "search" :: first :: rest ->
+            let path, needle = split_needle first in
+            let module Q = Seed_core.Query in
+            let v = DB.view db in
+            let hits = Q.select v (Q.matches path (needle :: rest)) in
+            if hits = [] then Fmt.pr "no matches@."
+            else
+              List.iter
+                (fun it ->
+                  match Seed_core.View.full_name v it with
+                  | Some n -> Fmt.pr "%s@." n
+                  | None -> ())
+                hits
           | [ "stats" ] -> Fmt.pr "%a@." DB.pp_stats (DB.stats db)
           | [ "snapshot" ] ->
             report_result
@@ -942,7 +866,11 @@ let shell_cmd =
             report_result
               (let* vid = Version_id.of_string v in
                DB.begin_alternative db ~from_:vid ())
-          | w :: _ -> Fmt.pr "error: unknown command %s (try 'help')@." w)
+          | w :: _ as words -> (
+            match update_op words with
+            | Some op ->
+              report_result (Result.map ignore (Protocol.apply db op))
+            | None -> Fmt.pr "error: unknown command %s (try 'help')@." w))
       done;
       (match Persist.Session.flush session with
       | Ok () -> ()
@@ -966,12 +894,7 @@ let serve_cmd =
       warn_recovery session;
       let engine = Seed_server.Server.of_session session in
       let config =
-        {
-          Seed_net.Net_server.default_config with
-          session_ttl = ttl;
-          max_sessions;
-          max_in_flight;
-        }
+        { Seed_net.Net_server.session_ttl = ttl; max_sessions; max_in_flight }
       in
       let core = Seed_net.Net_server.create ~config engine in
       (match Seed_net.Net_server.serve ~host ~port core with
@@ -1046,43 +969,25 @@ let serve_cmd =
 
 let connect_help () =
   print_string
-    "commands:\n\
-    \  checkout [-w SECS] NAME...  write-lock objects (optionally waiting);\n\
-    \                              a successful check-in releases the locks\n\
-    \  add CLASS NAME              check in a new object\n\
-    \  set PATH VALUE              check in a value update; the client holds\n\
-    \                              no schema, so VALUE is typed by its\n\
-    \                              spelling: int, bool, float, else string\n\
-    \  link ASSOC FROM TO          check in a relationship\n\
-    \  delete PATH                 check in a deletion\n\
-    \  release                     drop locks without applying\n\
-    \  find NAME                   class of an object, via a server snapshot\n\
-    \  select CLASS                names of objects that are-a CLASS\n\
-    \  search [PATH:]N [N...]      objects whose text contains every needle\n\
-    \                              (trigram-indexed on the server)\n\
-    \  stats                       server occupancy and database summary\n\
-    \  ping                        round-trip check\n\
-    \  help                        this text\n\
-    \  quit                        free the session's locks and exit\n"
-
-(* The client holds no schema, so a value sent by [connect]'s [set] is
-   typed by its spelling: an int, a bool, a float, else a string. *)
-let value_by_spelling s =
-  match int_of_string_opt s with
-  | Some i -> Value.Int i
-  | None -> (
-    match bool_of_string_opt s with
-    | Some b -> Value.Bool b
-    | None -> (
-      match float_of_string_opt s with
-      | Some f -> Value.Float f
-      | None -> Value.String s))
+    ("commands:\n\
+     \  checkout [-w SECS] NAME...  write-lock objects (optionally waiting);\n\
+     \                              a successful check-in releases the locks\n\
+     \  each update below is checked in as one operation:\n"
+   ^ update_help
+   ^ "  release                     drop locks without applying\n\
+      \  find NAME                   class of an object, via a server snapshot\n\
+      \  select CLASS                names of objects that are-a CLASS\n\
+      \  search [PATH:]N [N...]      objects whose text contains every needle\n\
+      \                              (trigram-indexed on the server)\n\
+      \  stats                       server occupancy and database summary\n\
+      \  ping                        round-trip check\n\
+      \  help                        this text\n\
+      \  quit                        free the session's locks and exit\n")
 
 (* one REPL/script command against a connected client; false = the
    command failed (used for --exec exit status) *)
 let connect_exec cl words =
   let module C = Seed_net.Net_client in
-  let module P = Seed_server.Protocol in
   let report = function
     | Ok () -> true
     | Error e ->
@@ -1102,29 +1007,6 @@ let connect_exec cl words =
       Fmt.pr "error: usage: checkout -w SECS NAME...@.";
       false)
   | "checkout" :: (_ :: _ as names) -> report (C.checkout cl names)
-  | [ "add"; cls; name ] ->
-    report (C.checkin cl [ P.Create_object { cls; name; pattern = false } ])
-  | [ "set"; path; value ] -> (
-    let v = Some (value_by_spelling value) in
-    match C.checkin cl [ P.Set_value { path; value = v } ] with
-    | Ok () -> true
-    | Error (C.Remote { code = Seed_net.Wire.Unknown_name; _ })
-      when String.contains path '.' ->
-      (* mirror the local CLI: a missing sub-object is created on first
-         set *)
-      let i = String.rindex path '.' in
-      let owner = String.sub path 0 i in
-      let role = String.sub path (i + 1) (String.length path - i - 1) in
-      report
-        (C.checkin cl [ P.Create_sub { owner; role; index = None; value = v } ])
-    | Error e ->
-      Fmt.pr "error: %a@." C.pp_error e;
-      false)
-  | [ "link"; assoc; from_; to_ ] ->
-    report
-      (C.checkin cl
-         [ P.Create_rel { assoc; endpoints = [ from_; to_ ]; pattern = false } ])
-  | [ "delete"; path ] -> report (C.checkin cl [ P.Delete { path } ])
   | [ "release" ] -> report (C.release cl)
   | [ "find"; name ] -> (
     match C.find cl name with
@@ -1146,14 +1028,8 @@ let connect_exec cl words =
       Fmt.pr "error: %a@." C.pp_error e;
       false)
   | "search" :: first :: rest -> (
-    let path, needles =
-      match String.index_opt first ':' with
-      | Some i ->
-        ( String.sub first 0 i,
-          String.sub first (i + 1) (String.length first - i - 1) :: rest )
-      | None -> ("", first :: rest)
-    in
-    match C.search cl ~path needles with
+    let path, needle = split_needle first in
+    match C.search cl ~path (needle :: rest) with
     | Ok [] ->
       Fmt.pr "no matches@.";
       true
@@ -1179,9 +1055,12 @@ let connect_exec cl words =
     | Error e ->
       Fmt.pr "error: %a@." C.pp_error e;
       false)
-  | w :: _ ->
-    Fmt.pr "error: unknown command %s (try 'help')@." w;
-    false
+  | w :: _ -> (
+    match update_op words with
+    | Some op -> report (C.checkin cl [ op ])
+    | None ->
+      Fmt.pr "error: unknown command %s (try 'help')@." w;
+      false)
 
 let connect_cmd =
   let run addr client execs =

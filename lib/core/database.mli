@@ -227,7 +227,9 @@ val find_object : t -> string -> Ident.t option
 val find_pattern : t -> string -> Ident.t option
 
 val resolve : t -> string -> Ident.t option
-(** Object or sub-object by composed name (["Alarms.Text.Body"]). *)
+(** Object, pattern or sub-object of either by composed name
+    (["Alarms.Text.Body"]) in the retrieval view (the selected
+    version). *)
 
 val full_name : t -> Ident.t -> string option
 val class_of : t -> Ident.t -> string option

@@ -4,7 +4,7 @@
 
     {v
       offset 0   magic "SENF"          (4 bytes)
-      offset 4   protocol version      (1 byte, currently 2)
+      offset 4   protocol version      (1 byte, currently 3)
       offset 5   payload length        (4 bytes, little-endian)
       offset 9   CRC-32 of the payload (4 bytes, little-endian)
       offset 13  payload               (length bytes)
@@ -22,7 +22,7 @@ val magic : string
 (** ["SENF"]. *)
 
 val version : int
-(** Current frame/protocol version (2). A server refuses a hello whose
+(** Current frame/protocol version (3). A server refuses a hello whose
     version it does not speak, so old clients fail loudly and early. *)
 
 val header_size : int

@@ -8,16 +8,13 @@ type config = {
   max_sessions : int;
   max_in_flight : int;
   session_ttl : float;
-  busy_retry_after : float;
 }
 
 let default_config =
-  {
-    max_sessions = 64;
-    max_in_flight = 128;
-    session_ttl = 30.0;
-    busy_retry_after = 0.05;
-  }
+  { max_sessions = 64; max_in_flight = 128; session_ttl = 30.0 }
+
+(* the pause a [Busy] answer suggests before the client retries *)
+let busy_retry_after = 0.05
 
 type session = {
   sid : int64;
@@ -167,7 +164,7 @@ let hello_locked t (conn : Conn.t) ~protocol ~client ~resume =
     | None ->
       if Hashtbl.length t.sessions >= t.cfg.max_sessions then begin
         t.busy_rejects <- t.busy_rejects + 1;
-        Wire.Busy { retry_after = t.cfg.busy_retry_after }
+        Wire.Busy { retry_after = busy_retry_after }
       end
       else if Hashtbl.mem t.by_client client then
         Wire.Err
@@ -319,7 +316,7 @@ let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
         else if t.in_flight >= t.cfg.max_in_flight then begin
           t.busy_rejects <- t.busy_rejects + 1;
           Reply
-            (reply ~req_id (Wire.Busy { retry_after = t.cfg.busy_retry_after }))
+            (reply ~req_id (Wire.Busy { retry_after = busy_retry_after }))
         end
         else begin
           t.in_flight <- t.in_flight + 1;

@@ -43,7 +43,6 @@ type config = {
   max_sessions : int;  (** admission cap on live sessions (default 64) *)
   max_in_flight : int;  (** cap on concurrently executing requests *)
   session_ttl : float;  (** session lease seconds; reaping frees its locks *)
-  busy_retry_after : float;  (** hint returned with [Busy] *)
 }
 
 val default_config : config

@@ -117,6 +117,10 @@ let write_op w (op : Protocol.op) =
     W.u8 w 8;
     W.string w pattern;
     W.string w inheritor
+  | Set_text { path; text } ->
+    W.u8 w 9;
+    W.string w path;
+    W.string w text
 
 let read_op r : Protocol.op =
   match R.u8 r with
@@ -158,6 +162,10 @@ let read_op r : Protocol.op =
     let pattern = R.string r in
     let inheritor = R.string r in
     Protocol.Inherit { pattern; inheritor }
+  | 9 ->
+    let path = R.string r in
+    let text = R.string r in
+    Protocol.Set_text { path; text }
   | n -> R.fail (Printf.sprintf "unknown op tag %d" n)
 
 (* --- requests --------------------------------------------------------- *)

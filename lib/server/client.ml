@@ -24,6 +24,3 @@ let commit t =
 let abort t =
   t.queue <- [];
   ignore (Server.release t.server ~client:t.client_name)
-
-let retrieve t name_ =
-  Seed_core.Database.find_object (Server.database t.server) name_

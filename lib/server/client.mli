@@ -1,8 +1,9 @@
 (** A client of the central SEED server.
 
-    Clients use the server for retrieval but accumulate their updates
-    locally; {!commit} sends the staged operations to the server, which
-    applies them in a single transaction (paper, §Discussion). *)
+    Clients read through the server's lock-free {!Server.snapshot} but
+    accumulate their updates locally; {!commit} sends the staged
+    operations to the server, which applies them in a single
+    transaction (paper, §Discussion). *)
 
 open Seed_util
 
@@ -27,6 +28,3 @@ val commit : t -> (unit, Seed_error.t) result
 
 val abort : t -> unit
 (** Drop the staged operations and release the locks. *)
-
-val retrieve : t -> string -> Ident.t option
-(** Lock-free retrieval by name through the server's database. *)

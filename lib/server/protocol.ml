@@ -1,4 +1,8 @@
+open Seed_util
 open Seed_schema
+open Seed_error
+module Database = Seed_core.Database
+module View = Seed_core.View
 
 type op =
   | Create_object of { cls : string; name : string; pattern : bool }
@@ -10,6 +14,7 @@ type op =
     }
   | Create_rel of { assoc : string; endpoints : string list; pattern : bool }
   | Set_value of { path : string; value : Value.t option }
+  | Set_text of { path : string; text : string }
   | Rename of { name : string; new_name : string }
   | Reclassify_obj of { name : string; to_ : string }
   | Reclassify_rel of { assoc : string; endpoints : string list; to_ : string }
@@ -27,14 +32,104 @@ let touches = function
   (* endpoint paths may address sub-objects: the lockable unit is the
      root object, not the raw path string *)
   | Create_rel { endpoints; _ } -> List.map root_of endpoints
-  | Set_value { path; _ } -> [ root_of path ]
+  | Set_value { path; _ } | Set_text { path; _ } -> [ root_of path ]
   (* the target name is touched too: renaming onto an existing object's
      name contends with that object's namespace *)
   | Rename { name; new_name } -> [ name; new_name ]
-  | Reclassify_obj { name; _ } -> [ name ]
+  | Reclassify_obj { name; _ } -> [ root_of name ]
   | Reclassify_rel { endpoints; _ } -> List.map root_of endpoints
   | Delete { path } -> [ root_of path ]
   | Inherit { pattern; inheritor } -> [ pattern; inheritor ]
+
+(* updates always apply to the current version, so every name resolves
+   in the current state, whatever version retrieval has selected *)
+let find_name db name =
+  match View.find_object (View.current (Database.raw db)) name with
+  | Some it -> Ok it.Seed_core.Item.id
+  | None -> fail (Unknown_object name)
+
+let find_path v path =
+  match View.resolve_name v path with
+  | Some it -> Ok it.Seed_core.Item.id
+  | None -> fail (Unknown_object path)
+
+let find_rel v ~assoc ~endpoints =
+  let* ids = map_result (find_path v) endpoints in
+  let matches it =
+    View.live_normal v it
+    &&
+    match View.rel_state v it with
+    | Some r ->
+      String.equal r.Seed_core.Item.assoc assoc
+      && List.equal Ident.equal r.Seed_core.Item.endpoints ids
+    | None -> false
+  in
+  let candidates = match ids with id :: _ -> View.rels v id | [] -> [] in
+  match List.find_opt matches candidates with
+  | Some r -> Ok r.Seed_core.Item.id
+  | None ->
+    fail
+      (Unknown_item
+         (Printf.sprintf "%s(%s)" assoc (String.concat ", " endpoints)))
+
+(* PATH := TEXT, the text read for the content type of its place; a
+   missing single sub-object Owner.Role is created holding the value *)
+let set_text db v path text =
+  let schema = View.schema v in
+  let cls id =
+    match View.state_of_id v id with
+    | Some (Seed_core.Item.Obj o) -> o.cls
+    | Some (Seed_core.Item.Rel _) | None -> ""
+  in
+  let read content = Seed_core.Data_text.parse_literal content text in
+  match find_path v path with
+  | Ok id ->
+    let class_def = Schema.find_class schema (cls id) in
+    let* value = read (Option.bind class_def (fun c -> c.Class_def.content)) in
+    let* () = Database.set_value db id (Some value) in
+    Ok id
+  | Error _ as missing -> (
+    match String.rindex_opt path '.' with
+    | None -> missing
+    | Some i ->
+      let role = String.sub path (i + 1) (String.length path - i - 1) in
+      let* parent = find_path v (String.sub path 0 i) in
+      let* def = Schema.resolve_child schema ~cls:(cls parent) ~role in
+      let* value = read def.Class_def.content in
+      Database.create_sub_object db ~parent ~role ~value ())
+
+let apply db op =
+  let v = View.current (Database.raw db) in
+  let on id r = Result.map (fun () -> id) r in
+  match op with
+  | Create_object { cls; name; pattern } ->
+    Database.create_object db ~cls ~name ~pattern ()
+  | Create_sub { owner; role; index; value } ->
+    let* parent = find_path v owner in
+    Database.create_sub_object db ~parent ~role ?index ?value ()
+  | Create_rel { assoc; endpoints; pattern } ->
+    let* ids = map_result (find_path v) endpoints in
+    Database.create_relationship db ~assoc ~endpoints:ids ~pattern ()
+  | Set_value { path; value } ->
+    let* id = find_path v path in
+    on id (Database.set_value db id value)
+  | Set_text { path; text } -> set_text db v path text
+  | Rename { name; new_name } ->
+    let* id = find_name db name in
+    on id (Database.rename_object db id new_name)
+  | Reclassify_obj { name; to_ } ->
+    let* id = find_path v name in
+    on id (Database.reclassify db id ~to_)
+  | Reclassify_rel { assoc; endpoints; to_ } ->
+    let* rel = find_rel v ~assoc ~endpoints in
+    on rel (Database.reclassify db rel ~to_)
+  | Delete { path } ->
+    let* id = find_path v path in
+    on id (Database.delete db id)
+  | Inherit { pattern; inheritor } ->
+    let* p = find_name db pattern in
+    let* i = find_name db inheritor in
+    on i (Database.inherit_pattern db ~pattern:p ~inheritor:i)
 
 let pp ppf = function
   | Create_object { cls; name; pattern } ->
@@ -49,6 +144,7 @@ let pp ppf = function
   | Set_value { path; value } ->
     Fmt.pf ppf "set %s = %s" path
       (match value with Some v -> Value.to_string v | None -> "(undefined)")
+  | Set_text { path; text } -> Fmt.pf ppf "set %s = %S" path text
   | Rename { name; new_name } -> Fmt.pf ppf "rename %s -> %s" name new_name
   | Reclassify_obj { name; to_ } -> Fmt.pf ppf "reclassify %s as %s" name to_
   | Reclassify_rel { assoc; endpoints; to_ } ->

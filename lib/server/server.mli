@@ -37,8 +37,9 @@ val snapshot : t -> Seed_core.View.t
 
 val checkout :
   t -> client:string -> names:string list -> (unit, Seed_error.t) result
-(** Write-lock the named independent objects for the client. All the
-    objects must exist in the current version. The locks are held until
+(** Write-lock the named independent objects (or patterns) for the
+    client. All of them must exist in the current version
+    ({!Protocol.find_name}). The locks are held until
     the client checks in or they are released. *)
 
 val checkout_wait :
@@ -71,7 +72,7 @@ val lock_stats : t -> Lock_table.stats
 
 val checkin :
   t -> client:string -> Protocol.op list -> (unit, Seed_error.t) result
-(** Apply the client's operations in one transaction
+(** Apply the client's operations ({!Protocol.apply}) in one transaction
     ({!Seed_core.Database.with_transaction}): either every operation
     succeeds, or the whole batch is rolled back by an O(1) root swap —
     attached procedures and transition rules are untouched either way,

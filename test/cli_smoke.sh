@@ -2,15 +2,32 @@
 # End-to-end smoke of the seed command line in a temporary directory:
 # init, add, set, select, explain (an indexed probe, and a conjunction
 # whose short needle the planner leaves to the re-test), an
-# export/import/export round trip into a fresh store, fsck, and the
-# shell's show/versions/report printing what the subcommands print.
+# export/import/export round trip into a fresh store, fsck, the shell's
+# show/versions/report printing what the subcommands print, shell updates
+# while an old version is selected, and the update commands of `connect`
+# against a background `serve`.
 #
 # Usage: test/cli_smoke.sh PATH/TO/seed_cli.exe
 set -euo pipefail
 
 seed="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
 work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
+serve_pid=""
+# SIGTERM the background server, wait up to 10 s for it to exit, then
+# kill it; false when it had to be killed
+stop_serve() {
+  local pid=$serve_pid
+  serve_pid=""
+  [ -n "$pid" ] || return 0
+  kill -TERM "$pid" 2>/dev/null || true
+  for _ in $(seq 100); do
+    kill -0 "$pid" 2>/dev/null || return 0
+    sleep 0.1
+  done
+  kill -KILL "$pid" 2>/dev/null || true
+  return 1
+}
+trap 'stop_serve || true; rm -rf "$work"' EXIT
 cd "$work"
 
 fail() {
@@ -67,3 +84,41 @@ done
 grep -q '(inherited)' show.cli || fail "show lists no inherited item"
 grep -q '^patterns:' show.cli || fail "show lists no patterns"
 grep -q '(from 1.0)' versions.cli || fail "versions shows no derivation"
+
+# shell updates resolve names in the current state, whatever version is
+# selected for retrieval: Foo's item here is younger than version 1.0
+"$seed" init sel >/dev/null
+"$seed" add sel Foo --class Data >/dev/null
+printf 'snapshot\ndelete Foo\nadd Data Foo\nselect 1.0\nset Foo.Description new\n' |
+  "$seed" shell sel >sel.out
+! grep -q 'error' sel.out || fail "shell update under select 1.0: $(cat sel.out)"
+"$seed" show sel Foo | grep -q 'Foo.Description .* = "new"' ||
+  fail "shell set under select 1.0 not applied: $("$seed" show sel Foo)"
+
+# connect's update commands are applied by the server, and a value is
+# read for the type of its place: "42" stays a STRING, a DATE literal
+# is a date
+"$seed" init srv >/dev/null
+"$seed" add srv Alpha --class Data >/dev/null
+"$seed" add srv Beta --class Action >/dev/null
+"$seed" serve srv --port 0 >serve.log 2>&1 &
+serve_pid=$!
+port=""
+for _ in $(seq 100); do
+  port="$(sed -n 's/^seed: serving .* on .*:\([0-9][0-9]*\) .*/\1/p' serve.log)"
+  [ -n "$port" ] && break
+  sleep 0.1
+done
+[ -n "$port" ] || fail "serve printed no address: $(cat serve.log)"
+"$seed" connect "127.0.0.1:$port" --client smoke -e "checkout Alpha; \
+  set Alpha.Description 42; checkout Alpha; set Alpha.Revised 1986-02-05; \
+  add Data Gamma; checkout Gamma Beta; link Access Gamma Beta; \
+  checkout Gamma; reclassify Gamma InputData" >connect.out ||
+  fail "connect updates: $(cat connect.out)"
+stop_serve || fail "serve did not stop on SIGTERM"
+"$seed" show srv >srv.out
+grep -q 'Alpha.Description .* = "42"' srv.out || fail "STRING 42: $(cat srv.out)"
+grep -q 'Alpha.Revised .* = 1986-02-05' srv.out || fail "DATE: $(cat srv.out)"
+grep -q '^Gamma : InputData' srv.out || fail "reclassify: $(cat srv.out)"
+"$seed" export srv | grep -q '^rel Access (Gamma, Beta)' ||
+  fail "link: $("$seed" export srv)"

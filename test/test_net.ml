@@ -99,6 +99,7 @@ let test_wire_request_roundtrips () =
             { assoc = "Read"; endpoints = [ "X"; "Y" ]; to_ = "Write" };
           Protocol.Delete { path = "X.r[1]" };
           Protocol.Inherit { pattern = "P"; inheritor = "X" };
+          Protocol.Set_text { path = "X.Revised"; text = "1986-02-05" };
         ];
       Wire.Release;
       Wire.Find "Alarms";

@@ -227,7 +227,8 @@ let test_client_api () =
   Alcotest.(check int) "staged" 2 (List.length (Client.staged alice));
   check_ok "commit" (Client.commit alice);
   Alcotest.(check int) "queue cleared" 0 (List.length (Client.staged alice));
-  Alcotest.(check bool) "visible" true (Client.retrieve alice "Alarms" <> None)
+  Alcotest.(check bool) "visible" true
+    (Seed_core.View.find_object (Server.snapshot s) "Alarms" <> None)
 
 let test_client_abort () =
   let s = with_seeded_server () in
@@ -395,6 +396,106 @@ let test_pattern_ops_through_protocol () =
   let p = Option.get (DB.find_pattern db "Template") in
   Alcotest.(check int) "inherited" 1 (List.length (DB.inheritors db p))
 
+(* Set_text reads its text for the content type of its place, as the
+   command line's [set] does *)
+let set_text path text = Protocol.Set_text { path; text }
+
+let value_at db path =
+  Option.bind (DB.resolve db path) (DB.get_value db)
+
+let test_set_text_typed_by_place () =
+  let s = with_seeded_server () in
+  let db = Server.database s in
+  check_ok "checkout" (Server.checkout s ~client:"alice" ~names:[ "Alarms" ]);
+  check_ok "checkin"
+    (Server.checkin s ~client:"alice"
+       [
+         set_text "Alarms.Description" "42";
+         set_text "Alarms.Revised" "1986-02-05";
+       ]);
+  Alcotest.(check bool) "STRING verbatim" true
+    (value_at db "Alarms.Description" = Some (Seed_schema.Value.String "42"));
+  Alcotest.(check bool) "DATE literal" true
+    (value_at db "Alarms.Revised" = Some (Seed_schema.Value.date 1986 2 5));
+  (* an existing place is overwritten, read again for its type *)
+  check_ok "checkout again"
+    (Server.checkout s ~client:"alice" ~names:[ "Alarms" ]);
+  check_ok "overwrite"
+    (Server.checkin s ~client:"alice" [ set_text "Alarms.Revised" "1986-03-01" ]);
+  Alcotest.(check bool) "DATE overwritten" true
+    (value_at db "Alarms.Revised" = Some (Seed_schema.Value.date 1986 3 1))
+
+let test_set_text_bad_literal () =
+  let s = with_seeded_server () in
+  let db = Server.database s in
+  check_ok "checkout" (Server.checkout s ~client:"alice" ~names:[ "Alarms" ]);
+  check_err "impossible date"
+    (function Seed_error.Invalid_operation _ -> true | _ -> false)
+    (Server.checkin s ~client:"alice"
+       [
+         set_text "Alarms.Description" "kept?";
+         set_text "Alarms.Revised" "1986-02-31";
+       ]);
+  Alcotest.(check bool) "nothing applied" true
+    (DB.resolve db "Alarms.Description" = None
+    && DB.resolve db "Alarms.Revised" = None);
+  Alcotest.(check (list string)) "locks kept" [ "Alarms" ]
+    (Server.locked_by s ~client:"alice")
+
+let test_set_text_creates_sub_in_batch () =
+  let s = with_seeded_server () in
+  let db = Server.database s in
+  check_ok "checkout" (Server.checkout s ~client:"alice" ~names:[ "Alarms" ]);
+  check_err "later op fails" is_duplicate
+    (Server.checkin s ~client:"alice"
+       [
+         set_text "Alarms.Description" "created";
+         Protocol.Create_object { cls = "Data"; name = "Handler"; pattern = false };
+       ]);
+  Alcotest.(check bool) "created sub-object rolled back" true
+    (DB.resolve db "Alarms.Description" = None);
+  check_ok "retry"
+    (Server.checkin s ~client:"alice" [ set_text "Alarms.Description" "created" ]);
+  Alcotest.(check bool) "created" true
+    (value_at db "Alarms.Description"
+    = Some (Seed_schema.Value.String "created"))
+
+let test_set_text_needs_root_lock () =
+  let s = with_seeded_server () in
+  let db = Server.database s in
+  check_ok "bob holds Alarms"
+    (Server.checkout s ~client:"bob" ~names:[ "Alarms" ]);
+  check_ok "alice holds Handler"
+    (Server.checkout s ~client:"alice" ~names:[ "Handler" ]);
+  check_err "path's root not locked"
+    (function Seed_error.Locked _ -> true | _ -> false)
+    (Server.checkin s ~client:"alice" [ set_text "Alarms.Description" "x" ]);
+  Alcotest.(check bool) "nothing applied" true
+    (DB.resolve db "Alarms.Description" = None);
+  Alcotest.(check (list string)) "touches the root" [ "Alarms" ]
+    (Protocol.touches (set_text "Alarms.Description" "x"))
+
+let test_ops_resolve_in_current_state () =
+  (* updates apply to the current version: a version selected for
+     retrieval, in which Late does not exist, changes no resolution *)
+  let s = with_seeded_server () in
+  let db = Server.database s in
+  let v = ok (DB.create_version db) in
+  let _ = ok (DB.create_object db ~cls:"Data" ~name:"Late" ()) in
+  check_ok "select" (DB.select_version db (Some v));
+  check_ok "checkout" (Server.checkout s ~client:"alice" ~names:[ "Late" ]);
+  check_ok "checkin"
+    (Server.checkin s ~client:"alice"
+       [
+         set_text "Late.Description" "now";
+         Protocol.Reclassify_obj { name = "Late"; to_ = "InputData" };
+       ]);
+  check_ok "back to current" (DB.select_version db None);
+  Alcotest.(check (option string)) "reclassified" (Some "InputData")
+    (DB.class_of db (Option.get (DB.find_object db "Late")));
+  Alcotest.(check bool) "set" true
+    (value_at db "Late.Description" = Some (Seed_schema.Value.String "now"))
+
 let test_protocol_printing () =
   List.iter
     (fun op ->
@@ -410,6 +511,7 @@ let test_protocol_printing () =
       Protocol.Reclassify_rel { assoc = "A"; endpoints = [ "X"; "Y" ]; to_ = "B" };
       Protocol.Delete { path = "X" };
       Protocol.Inherit { pattern = "P"; inheritor = "X" };
+      set_text "X.r" "1986-02-05";
     ]
 
 let () =
@@ -429,6 +531,14 @@ let () =
           tc "rename collision locking" test_rename_collision_needs_target_lock;
           tc "touches" test_touches_roots_and_rename;
           tc "disjoint clients" test_two_clients_disjoint_edits;
+        ] );
+      ( "set text",
+        [
+          tc "typed by place" test_set_text_typed_by_place;
+          tc "bad literal refused" test_set_text_bad_literal;
+          tc "sub-object created in the batch" test_set_text_creates_sub_in_batch;
+          tc "root lock" test_set_text_needs_root_lock;
+          tc "current state" test_ops_resolve_in_current_state;
         ] );
       ( "sessions",
         [
