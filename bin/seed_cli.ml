@@ -154,7 +154,9 @@ let set_cmd =
        ~doc:"Set the value of a (sub-)object, creating the sub-object if \
              needed. VALUE is read for the content type of its place: a \
              STRING takes the text verbatim, any other type reads one \
-             data-text literal (1986-02-05, 2.5, nan, an enum constant).")
+             data-text literal (1986-02-05, 2.5, nan, an enum constant). \
+             A sub-object of a multi-valued role is named by its index \
+             (Alarms.Keywords[2]).")
     Term.(const run $ dir_arg $ path $ value)
 
 let reclassify_cmd =
@@ -788,7 +790,8 @@ let update_op : string list -> Protocol.op option = function
 let update_help =
   "  add [-p] CLASS NAME         create an object (-p: a pattern)\n\
   \  set PATH VALUE              set a value, VALUE read for the type of\n\
-  \                              its place (creates a missing sub-object)\n\
+  \                              its place (creates a missing sub-object;\n\
+  \                              a multi-valued role takes an index: K[2])\n\
   \  link ASSOC FROM TO          relate two objects\n\
   \  reclassify NAME CLASS       move within the generalization hierarchy\n\
   \  inherit PATTERN NAME        NAME inherits PATTERN\n\

@@ -22,65 +22,35 @@ let view_at db vid =
 let register_procedure db name p = Db_state.register_procedure db name p
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots and rollback                                               *)
+(* Atomic steps                                                         *)
 (*                                                                      *)
-(* Every mutation below builds a new working root; [Db_state.publish]   *)
-(* at the end of a successful top-level operation makes it visible to   *)
-(* snapshot readers in one atomic store. Rollback — whether of a single *)
-(* failed operation or of a whole transaction — is a root swap: restore *)
-(* the root captured before the work began and {e everything} it did    *)
-(* (item states, indexes, extents, the dirty set, nested mutations by   *)
-(* attached procedures) is undone at once, in O(1).                     *)
+(* Every update, transaction, version and schema operation below is one *)
+(* [Db_state.atomically] step. It builds new working roots; a failure — *)
+(* a refused check, a vetoing procedure or rule, an exception — swaps   *)
+(* back the root the step started from, undoing {e everything} at once  *)
+(* in O(1) (item states, indexes, extents, the dirty and unflushed      *)
+(* sets, nested updates by attached procedures). Steps nest, and only   *)
+(* the outermost publishes: snapshot readers never observe a state that *)
+(* a step might still undo.                                             *)
 (* ------------------------------------------------------------------ *)
-
-type saved = Db_state.root
-
-let save db : saved = Db_state.root db
-let restore db (r : saved) = Db_state.set_root db r
 
 let snapshot db = Db_state.freeze db
 let snapshot_view db = View.current (Db_state.freeze db)
 
-(* Publish after a successful top-level mutation. Mutations nested
-   inside an attached procedure must not publish the enclosing
-   operation's intermediate state; [publish] itself already no-ops
-   inside a transaction. *)
-let publish_if_top db =
-  if Db_state.proc_depth db = 0 then Db_state.publish db
-
-(* ------------------------------------------------------------------ *)
-(* Transactions                                                         *)
-(*                                                                      *)
-(* A transaction pins the working root as a savepoint and suppresses    *)
-(* publication until commit: readers never observe a half-applied       *)
-(* batch, and rollback is the same O(1) root swap as a single failed    *)
-(* operation. Transactions do not nest, and version or schema           *)
-(* operations ({!create_version}, {!begin_alternative},                 *)
-(* {!delete_version}, {!update_schema}) are refused while one is        *)
-(* active.                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let with_transaction db f =
-  if Db_state.txn_active db then
-    fail (Invalid_operation "a transaction is already active")
-  else begin
-    Db_state.begin_txn db;
-    match f () with
-    | Ok v ->
-      Db_state.commit_txn db;
-      Ok v
-    | Error e ->
-      Db_state.rollback_txn db;
-      Error e
-    | exception exn ->
-      Db_state.rollback_txn db;
-      raise exn
-  end
-
-let forbid_in_transaction db what =
-  if Db_state.txn_active db then
-    fail (Invalid_operation (what ^ " is not allowed inside a transaction"))
+(* A transaction, a version or a schema operation starts only between
+   updates: inside a transaction, an attached procedure or a transition
+   rule it is refused. *)
+let forbid_nested db what =
+  if Db_state.depth db > 0 then
+    fail (Invalid_operation (what ^ " is not allowed inside a transaction or an update"))
   else Ok ()
+
+(* A transaction is one step around a batch of operations, each of
+   them a nested step: the batch publishes once, or not at all. *)
+let with_transaction db f =
+  match forbid_nested db "a transaction" with
+  | Ok () -> Db_state.atomically db f
+  | Error _ as e -> e
 
 (* ------------------------------------------------------------------ *)
 (* Attached procedures                                                  *)
@@ -130,19 +100,16 @@ let procedure_names db (it : Item.t) =
 let run_procedures db (it : Item.t) event =
   let names = procedure_names db it in
   if names = [] then Ok ()
-  else if Db_state.proc_depth db >= 16 then
+  else if Db_state.depth db >= 16 then
     fail (Invalid_operation "attached procedure recursion too deep")
   else
     let* procs = map_result (Db_state.find_procedure db) names in
-    Db_state.set_proc_depth db (Db_state.proc_depth db + 1);
-    let result = iter_result (fun p -> p db event) procs in
-    Db_state.set_proc_depth db (Db_state.proc_depth db - 1);
-    result
+    iter_result (fun p -> p db event) procs
 
-(* After a mutation touching the item [id], re-validate the normal
-   contexts that see it through pattern inheritance, then run attached
-   procedures. Any failure restores [before] (the pre-operation root).
-   On success the new root is published (top-level operations only).
+(* After a mutation touching the item [id], inside its step,
+   re-validate the normal contexts that see it through pattern
+   inheritance, then run attached procedures; an [Error] makes the
+   step roll the mutation back.
 
    The item is re-fetched here: the handle the caller started from was
    superseded by the mutation.
@@ -151,7 +118,7 @@ let run_procedures db (it : Item.t) event =
    constraints (value changes, renames): their structural checks have
    already run, so pattern value updates stay O(1) regardless of the
    number of inheritors — the point of patterns. *)
-let commit ?(recheck_contexts = true) db id event ~before =
+let validate ?(recheck_contexts = true) db id event =
   let v = View.current db in
   let it =
     match Db_state.find_item db id with
@@ -164,19 +131,8 @@ let commit ?(recheck_contexts = true) db id event ~before =
       Consistency.normal_inheritor_contexts v it
     | Some _ | None -> []
   in
-  let result =
-    let* () = iter_result (Consistency.check_inheritor_context v) contexts in
-    run_procedures db it event
-  in
-  match result with
-  | Ok () ->
-    publish_if_top db;
-    Ok ()
-  | Error e ->
-    Log.debug (fun m ->
-        m "update of %a rolled back: %a" Ident.pp id Seed_error.pp e);
-    restore db before;
-    Error e
+  let* () = iter_result (Consistency.check_inheritor_context v) contexts in
+  run_procedures db it event
 
 (* ------------------------------------------------------------------ *)
 (* Creation                                                             *)
@@ -189,7 +145,7 @@ let add_new_item db item =
 let create_object db ~cls ~name ?(pattern = false) () =
   let v = View.current db in
   let* () = Consistency.check_new_object v ~cls ~name in
-  let before = save db in
+  Db_state.atomically db @@ fun () ->
   let id = Db_state.fresh_id db in
   let state =
     Item.Obj
@@ -204,7 +160,7 @@ let create_object db ~cls ~name ?(pattern = false) () =
   in
   let item = Item.make id Item.Independent state in
   add_new_item db item;
-  let* () = commit db id (Event.Created id) ~before in
+  let* () = validate db id (Event.Created id) in
   Ok id
 
 let used_indices v parent ~role =
@@ -242,7 +198,7 @@ let create_sub_object db ~parent ~role ?index ?value () =
     | Some o -> o.Item.pattern
     | None -> false
   in
-  let before = save db in
+  Db_state.atomically db @@ fun () ->
   let id = Db_state.fresh_id db in
   let state =
     Item.Obj
@@ -257,7 +213,7 @@ let create_sub_object db ~parent ~role ?index ?value () =
   in
   let item = Item.make id (Item.Dependent { parent; role; index }) state in
   add_new_item db item;
-  let* () = commit db id (Event.Created id) ~before in
+  let* () = validate db id (Event.Created id) in
   Ok id
 
 let create_relationship db ~assoc ~endpoints ?(pattern = false) () =
@@ -267,7 +223,7 @@ let create_relationship db ~assoc ~endpoints ?(pattern = false) () =
     Consistency.check_new_relationship v ~assoc ~endpoints:endpoint_items
       ~pattern
   in
-  let before = save db in
+  Db_state.atomically db @@ fun () ->
   let id = Db_state.fresh_id db in
   let state =
     Item.Rel
@@ -281,7 +237,7 @@ let create_relationship db ~assoc ~endpoints ?(pattern = false) () =
   in
   let item = Item.make id Item.Relationship state in
   add_new_item db item;
-  let* () = commit db id (Event.Created id) ~before in
+  let* () = validate db id (Event.Created id) in
   Ok id
 
 let create_relationship_named db ~assoc ~bindings ?(pattern = false) () =
@@ -327,12 +283,10 @@ let set_value db id value =
   match View.obj_state v item with
   | None -> fail (Unknown_item (Ident.to_string id))
   | Some o ->
-    let before = save db in
+    Db_state.atomically db @@ fun () ->
     let old_value = o.Item.value in
     update_item_state db item (Item.Obj { o with Item.value });
-    commit ~recheck_contexts:false db id
-      (Event.Value_updated { id; old_value })
-      ~before
+    validate ~recheck_contexts:false db id (Event.Value_updated { id; old_value })
 
 let set_rel_attr db id name value =
   let v = View.current db in
@@ -341,16 +295,15 @@ let set_rel_attr db id name value =
   match View.rel_state v item with
   | None -> fail (Unknown_item (Ident.to_string id))
   | Some r ->
-    let before = save db in
+    Db_state.atomically db @@ fun () ->
     let attrs = List.remove_assoc name r.Item.rel_attrs in
     let attrs =
       match value with None -> attrs | Some value -> (name, value) :: attrs
     in
     update_item_state db item (Item.Rel { r with Item.rel_attrs = attrs });
-    commit ~recheck_contexts:false db id
+    validate ~recheck_contexts:false db id
       (Event.Value_updated
          { id; old_value = List.assoc_opt name r.Item.rel_attrs })
-      ~before
 
 let rel_attr db id name =
   let v = view db in
@@ -368,10 +321,10 @@ let rename_object db id new_name =
   match View.obj_state v item with
   | None -> fail (Unknown_item (Ident.to_string id))
   | Some o ->
-    let before = save db in
+    Db_state.atomically db @@ fun () ->
     let old_name = Option.value o.Item.name ~default:"" in
     update_item_state db item (Item.Obj { o with Item.name = Some new_name });
-    commit ~recheck_contexts:false db id (Event.Renamed { id; old_name }) ~before
+    validate ~recheck_contexts:false db id (Event.Renamed { id; old_name })
 
 let reclassify db id ~to_ =
   let v = View.current db in
@@ -380,16 +333,16 @@ let reclassify db id ~to_ =
   | None -> fail (Unknown_item (Ident.to_string id))
   | Some (Item.Obj o) ->
     let* () = Consistency.check_reclassify_object v item ~to_ in
-    let before = save db in
+    Db_state.atomically db @@ fun () ->
     let from_ = o.Item.cls in
     update_item_state db item (Item.Obj { o with Item.cls = to_ });
-    commit db id (Event.Reclassified { id; from_ }) ~before
+    validate db id (Event.Reclassified { id; from_ })
   | Some (Item.Rel r) ->
     let* () = Consistency.check_reclassify_rel v item ~to_ in
-    let before = save db in
+    Db_state.atomically db @@ fun () ->
     let from_ = r.Item.assoc in
     update_item_state db item (Item.Rel { r with Item.assoc = to_ });
-    commit db id (Event.Reclassified { id; from_ }) ~before
+    validate db id (Event.Reclassified { id; from_ })
 
 (* the sub-object tree below an object, live items only *)
 let rec subtree v acc (item : Item.t) =
@@ -409,7 +362,7 @@ let delete db id =
       tree @ incident
     | Item.Dependent _ -> subtree v [] item
   in
-  let before = save db in
+  Db_state.atomically db @@ fun () ->
   let mark_deleted (it : Item.t) =
     match it.Item.current with
     | Some (Item.Obj o) ->
@@ -419,7 +372,7 @@ let delete db id =
     | None -> ()
   in
   List.iter mark_deleted cascade;
-  commit db id (Event.Deleted id) ~before
+  validate db id (Event.Deleted id)
 
 (* ------------------------------------------------------------------ *)
 (* Patterns                                                             *)
@@ -433,20 +386,16 @@ let inherit_pattern db ~pattern ~inheritor =
   match View.obj_state v inh with
   | None -> fail (Unknown_item (Ident.to_string inheritor))
   | Some o ->
-    let before = save db in
+    Db_state.atomically db @@ fun () ->
     update_item_state db inh
       (Item.Obj { o with Item.inherits = o.Item.inherits @ [ pattern ] });
     Db_state.index_inheritor db ~pattern ~inheritor;
-    let result =
-      (* the combined context must be consistent right away *)
+    (* the combined context must be consistent right away *)
+    let* () =
       if View.live_normal v inh then Consistency.check_inheritor_context v inh
       else Ok ()
     in
-    (match result with
-    | Error e ->
-      restore db before;
-      Error e
-    | Ok () -> commit db inheritor (Event.Inherited { pattern; inheritor }) ~before)
+    validate db inheritor (Event.Inherited { pattern; inheritor })
 
 let uninherit_pattern db ~pattern ~inheritor =
   let v = View.current db in
@@ -456,15 +405,14 @@ let uninherit_pattern db ~pattern ~inheritor =
   | Some o ->
     if not (List.exists (Ident.equal pattern) o.Item.inherits) then
       fail (Pattern_violation "pattern is not inherited by this object")
-    else begin
+    else
+      Db_state.atomically db @@ fun () ->
       let inherits =
         List.filter (fun p -> not (Ident.equal p pattern)) o.Item.inherits
       in
       update_item_state db inh (Item.Obj { o with Item.inherits });
       Db_state.unindex_inheritor db ~pattern ~inheritor;
-      publish_if_top db;
       Ok ()
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Versions                                                             *)
@@ -480,49 +428,39 @@ let is_dirty db =
       | None -> false)
     (Db_state.dirty_ids db)
 
+(* Transition rules run inside the step: an update a rule makes is
+   rolled back with the version when a later rule refuses it. *)
 let create_version db =
-  let* () = forbid_in_transaction db "create_version" in
-  let before = save db in
-  match
-    let* () =
-      iter_result
-        (fun (_, rule) -> rule db ~base:(Db_state.current_base db))
-        (Db_state.transition_rules db)
-    in
-    let* vid, vt =
-      Versioning.derive (Db_state.versions db)
-        ~base:(Db_state.current_base db)
-        ~schema_rev:(Schema.revision (Db_state.schema db))
-    in
-    Db_state.set_versions db vt;
-    let stamped = Db_state.stamp_dirty db vid in
-    Db_state.set_current_base db (Some vid);
-    Db_state.publish db;
-    Log.info (fun m ->
-        m "version %a created (%d items stamped)" Version_id.pp vid stamped);
-    Ok vid
-  with
-  | Ok vid -> Ok vid
-  | Error e ->
-    restore db before;
-    Error e
+  let* () = forbid_nested db "create_version" in
+  Db_state.atomically db @@ fun () ->
+  let* () =
+    iter_result
+      (fun (_, rule) -> rule db ~base:(Db_state.current_base db))
+      (Db_state.transition_rules db)
+  in
+  let* vid, vt =
+    Versioning.derive (Db_state.versions db)
+      ~base:(Db_state.current_base db)
+      ~schema_rev:(Schema.revision (Db_state.schema db))
+  in
+  Db_state.set_versions db vt;
+  let stamped = Db_state.stamp_dirty db vid in
+  Db_state.set_current_base db (Some vid);
+  Log.info (fun m ->
+      m "version %a created (%d items stamped)" Version_id.pp vid stamped);
+  Ok vid
 
 let select_version db vid_opt =
+  Db_state.atomically db @@ fun () ->
   match vid_opt with
-  | None ->
-    Db_state.set_retrieval_version db None;
-    Db_state.publish db;
+  | Some vid when not (Versioning.mem (Db_state.versions db) vid) ->
+    fail (Unknown_version (Version_id.to_string vid))
+  | Some _ | None ->
+    Db_state.set_retrieval_version db vid_opt;
     Ok ()
-  | Some vid ->
-    if Versioning.mem (Db_state.versions db) vid then begin
-      Db_state.set_retrieval_version db (Some vid);
-      Db_state.publish db;
-      Ok ()
-    end
-    else fail (Unknown_version (Version_id.to_string vid))
 
 let begin_alternative db ~from_ ?(force = false) () =
-  let* () = forbid_in_transaction db "begin_alternative" in
+  let* () = forbid_nested db "begin_alternative" in
   let* _node = Versioning.find_res (Db_state.versions db) from_ in
   let* () =
     if is_dirty db && not force then
@@ -533,6 +471,7 @@ let begin_alternative db ~from_ ?(force = false) () =
            | None -> "(unsaved initial state)"))
     else Ok ()
   in
+  Db_state.atomically db @@ fun () ->
   Db_state.clear_dirty db;
   (* the materialized view of [from_] holds every resolved state *)
   let v = View.at db from_ in
@@ -540,11 +479,10 @@ let begin_alternative db ~from_ ?(force = false) () =
       Item.with_dirty (Item.with_current it (View.state v it)) false);
   Db_state.load db (Db_state.iter_items db);
   Db_state.set_current_base db (Some from_);
-  Db_state.publish db;
   Ok ()
 
 let delete_version db vid =
-  let* () = forbid_in_transaction db "delete_version" in
+  let* () = forbid_nested db "delete_version" in
   let* () =
     match Db_state.current_base db with
     | Some b when Version_id.equal b vid ->
@@ -560,10 +498,10 @@ let delete_version db vid =
     | Some _ | None -> Ok ()
   in
   let* vt = Versioning.delete (Db_state.versions db) vid in
+  Db_state.atomically db @@ fun () ->
   Db_state.set_versions db vt;
   Db_state.drop_version_stamps db vid;
   Db_state.invalidate_version_cache db vid;
-  Db_state.publish db;
   Ok ()
 
 let versions db = Versioning.all (Db_state.versions db)
@@ -581,20 +519,15 @@ let add_transition_rule db name rule =
 (* ------------------------------------------------------------------ *)
 
 let update_schema db new_schema =
-  let* () = forbid_in_transaction db "update_schema" in
+  let* () = forbid_nested db "update_schema" in
   let* () = Schema.validate new_schema in
-  let before = save db in
+  Db_state.atomically db @@ fun () ->
   let rev = Schema.revision (Db_state.schema db) + 1 in
   let stamped = Schema.with_revision new_schema rev in
   Db_state.set_schema db stamped;
-  match Consistency.check_database (View.current db) with
-  | Error e ->
-    restore db before;
-    Error e
-  | Ok () ->
-    Db_state.set_schemas db ((rev, stamped) :: Db_state.schemas db);
-    Db_state.publish db;
-    Ok ()
+  let* () = Consistency.check_database (View.current db) in
+  Db_state.set_schemas db ((rev, stamped) :: Db_state.schemas db);
+  Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Retrieval                                                            *)

@@ -55,14 +55,20 @@ val snapshot_view : t -> View.t
 
 (** {1 Transactions}
 
-    A transaction pins the pre-transaction root as a savepoint and
-    holds back publication until commit: concurrent snapshot readers
-    never observe a half-applied batch. Rollback restores the savepoint
-    root — O(1), independent of how many operations the transaction
-    made (including mutations by attached procedures along the way).
-    Transactions do not nest, and version or schema operations
-    ({!create_version}, {!begin_alternative}, {!delete_version},
-    {!update_schema}) are refused while one is active. *)
+    Every update below, and every version and schema operation, is one
+    atomic step ({!Db_state.atomically}): the root it starts from is its
+    savepoint, a failure — a refused check, a vetoing procedure or
+    transition rule, an exception — restores that root in O(1), and the
+    step publishes only when it is the outermost one. A transaction is
+    the same step around a batch: the operations inside it are nested
+    steps, so concurrent snapshot readers never observe a half-applied
+    batch, and rollback undoes the whole batch, mutations by attached
+    procedures included, whatever its size.
+
+    Transactions, {!create_version}, {!begin_alternative},
+    {!delete_version} and {!update_schema} start only between updates:
+    inside a transaction, an attached procedure or a transition rule
+    they are refused with [Invalid_operation]. *)
 
 val with_transaction :
   t -> (unit -> ('a, Seed_error.t) result) -> ('a, Seed_error.t) result
@@ -83,7 +89,11 @@ val update_schema : t -> Schema.t -> (unit, Seed_error.t) result
 val register_procedure : t -> string -> Db_state.proc -> unit
 (** Bind an implementation to a procedure name referenced by the schema.
     Updating an item whose schema element names an unregistered
-    procedure fails with [Unknown_procedure]. *)
+    procedure fails with [Unknown_procedure]. A procedure runs inside
+    the update that triggered it: it may read, and make further
+    updates ({!of_raw} on its handle), which commit or roll back with
+    that update; updates nested 16 deep are refused. It may not start a
+    transaction, a version or a schema operation. *)
 
 (** {1 Data creation} *)
 
@@ -216,7 +226,10 @@ val add_transition_rule :
   (Db_state.t -> base:Version_id.t option -> (unit, Seed_error.t) result) ->
   unit
 (** Register a history-sensitive consistency rule, evaluated at
-    {!create_version} against the current state and its base version. *)
+    {!create_version} against the current state and its base version.
+    Rules run inside the version's step: an update a rule makes commits
+    with the version, and is rolled back with it when a later rule
+    refuses. *)
 
 (** {1 Retrieval} *)
 

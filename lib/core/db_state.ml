@@ -72,7 +72,7 @@ type version_cache_stats = {
 type t = {
   mutable working : root;
   published : root Atomic.t;
-  mutable txn_root : root option;
+  mutable depth : int;  (* atomic steps open on this handle *)
   gen : Ident.Gen.t;
   snapshot_count : int Atomic.t;
   commit_count : int Atomic.t;
@@ -88,7 +88,6 @@ type t = {
   text_hit_count : int Atomic.t;  (* text predicates answered from the index *)
   text_fallback_count : int Atomic.t;  (* text predicates that had to scan *)
   procedures : (string, proc) Hashtbl.t;
-  mutable proc_depth : int;
   mutable transition_rules :
     (string * (t -> base:Version_id.t option -> (unit, Seed_error.t) result))
     list;
@@ -132,7 +131,7 @@ let create schema =
   {
     working = root;
     published = Atomic.make root;
-    txn_root = None;
+    depth = 0;
     gen = Ident.Gen.create ();
     snapshot_count = Atomic.make 0;
     commit_count = Atomic.make 0;
@@ -144,7 +143,6 @@ let create schema =
     text_hit_count = Atomic.make 0;
     text_fallback_count = Atomic.make 0;
     procedures = Hashtbl.create 8;
-    proc_depth = 0;
     transition_rules = [];
     write_stats_source = None;
   }
@@ -153,19 +151,40 @@ let create schema =
 (* Roots, publication, snapshots                                        *)
 (* ------------------------------------------------------------------ *)
 
-let root t = t.working
-let set_root t root = t.working <- root
-
 let publish t =
-  if t.txn_root = None then begin
-    (* Schema closures are memoized behind [Lazy.t]; force them on the
-       writer before the root escapes so no reader domain ever races on
-       [Lazy.force]. *)
-    Schema.prepare t.working.r_schema;
-    List.iter (fun (_, s) -> Schema.prepare s) t.working.r_schemas;
-    Atomic.set t.published t.working;
-    Atomic.incr t.commit_count
-  end
+  (* Schema closures are memoized behind [Lazy.t]; force them on the
+     writer before the root escapes so no reader domain ever races on
+     [Lazy.force]. *)
+  Schema.prepare t.working.r_schema;
+  List.iter (fun (_, s) -> Schema.prepare s) t.working.r_schemas;
+  Atomic.set t.published t.working;
+  Atomic.incr t.commit_count
+
+(* The one atomic step: the root it starts from is the savepoint, and
+   every step nested inside it (an attached procedure's update, a
+   transaction's operations) only deepens the count. An [Error] or an
+   exception swaps the savepoint back — O(1), whatever the step did —
+   and only the outermost step publishes. *)
+let rewind t savepoint =
+  t.working <- savepoint;
+  t.depth <- t.depth - 1
+
+let atomically t f =
+  let savepoint = t.working in
+  t.depth <- t.depth + 1;
+  match f () with
+  | Ok _ as ok ->
+    t.depth <- t.depth - 1;
+    if t.depth = 0 then publish t;
+    ok
+  | Error _ as e ->
+    rewind t savepoint;
+    e
+  | exception exn ->
+    rewind t savepoint;
+    raise exn
+
+let depth t = t.depth
 
 let freeze t =
   let root = Atomic.get t.published in
@@ -173,7 +192,7 @@ let freeze t =
   {
     working = root;
     published = Atomic.make root;
-    txn_root = None;
+    depth = 0;
     gen = t.gen;
     snapshot_count = t.snapshot_count;
     commit_count = t.commit_count;
@@ -185,7 +204,6 @@ let freeze t =
     text_hit_count = t.text_hit_count;
     text_fallback_count = t.text_fallback_count;
     procedures = t.procedures;
-    proc_depth = 0;
     transition_rules = [];
     write_stats_source = t.write_stats_source;
   }
@@ -195,21 +213,6 @@ let commits_published t = Atomic.get t.commit_count
 let set_write_stats_source t f = t.write_stats_source <- Some f
 
 let write_stats t = Option.map (fun f -> f ()) t.write_stats_source
-
-let begin_txn t = t.txn_root <- Some t.working
-
-let commit_txn t =
-  t.txn_root <- None;
-  publish t
-
-let rollback_txn t =
-  match t.txn_root with
-  | Some r ->
-    t.working <- r;
-    t.txn_root <- None
-  | None -> ()
-
-let txn_active t = t.txn_root <> None
 
 (* ------------------------------------------------------------------ *)
 (* Root-level field accessors                                           *)
@@ -763,7 +766,5 @@ let find_procedure t name =
   | Some p -> Ok p
   | None -> fail (Unknown_procedure name)
 
-let proc_depth t = t.proc_depth
-let set_proc_depth t d = t.proc_depth <- d
 let transition_rules t = t.transition_rules
 let set_transition_rules t l = t.transition_rules <- l

@@ -5,11 +5,11 @@
     {!Database} is the checked operational interface; {!Consistency} and
     {!Completeness} read through these accessors.
 
-    The data lives in an immutable {!root} of persistent maps; a handle
+    The data lives in an immutable {e root} of persistent maps; a handle
     ([t]) carries a mutable {e working} root plus an atomically
     {e published} root. Mutators replace the working root (sharing all
-    untouched branches with the previous one); {!publish} makes it the
-    published root with a single atomic store. {!freeze} grabs the
+    untouched branches with the previous one); the outermost
+    {!atomically} step publishes it with a single atomic store. {!freeze} grabs the
     published root into a read-only handle in O(1) — the basis of
     {!Database.snapshot_view} and lock-free multi-domain readers:
     nothing reachable from a published root is ever mutated.
@@ -24,10 +24,6 @@
 
 open Seed_util
 open Seed_schema
-
-type root
-(** An immutable, internally consistent state of the whole database.
-    Cheap to retain: two roots share every branch they did not change. *)
 
 type t
 (** A state handle: working/published roots plus handle-private caches
@@ -57,18 +53,27 @@ val create : Schema.t -> t
 
 (** {1 Roots, publication, snapshots} *)
 
-val root : t -> root
-(** The working root — every accessor below reads from it. *)
-
-val set_root : t -> root -> unit
-(** Replace the working root (op-level rollback: restoring the root
-    captured before the op undoes {e everything} the op did). *)
-
 val publish : t -> unit
 (** Make the working root the published root (one atomic store) and
-    count a commit. No-op while a transaction is open — readers never
-    observe uncommitted intermediate states. Also forces the schema's
-    memoized closures so reader domains never race on [Lazy.force]. *)
+    count a commit. Also forces the schema's memoized closures so
+    reader domains never race on [Lazy.force]. Called by {!atomically}
+    and by the loader, whose loaded state is the first committed one. *)
+
+val atomically :
+  t -> (unit -> ('a, Seed_error.t) result) -> ('a, Seed_error.t) result
+(** [atomically t f] runs [f] as one atomic step, the only way an update
+    commits. The working root on entry is the savepoint; on [Error] or
+    an exception it is restored — O(1), undoing everything [f] did,
+    nested steps included — and the result re-reported. Steps nest: an
+    attached procedure's update or a transaction's operation runs inside
+    its caller's step, and only the outermost step publishes, so
+    snapshot readers never observe a state that a step might still
+    undo. *)
+
+val depth : t -> int
+(** The number of {!atomically} steps open on the handle: 0 between
+    updates, at least 1 inside an update, its attached procedures and
+    transition rules, or a transaction. *)
 
 val freeze : t -> t
 (** O(1): a read-only handle pinned to the currently published root,
@@ -80,7 +85,7 @@ val snapshot_grabs : t -> int
     with its frozen handles). *)
 
 val commits_published : t -> int
-(** Roots published via {!publish} (op and transaction commits). *)
+(** Roots published via {!publish} (outermost steps, and the load). *)
 
 val set_write_stats_source :
   t -> (unit -> Seed_storage.Commit_daemon.stats) -> unit
@@ -91,19 +96,6 @@ val set_write_stats_source :
 val write_stats : t -> Seed_storage.Commit_daemon.stats option
 (** Group-commit counters of the attached store; [None] when the
     database has no durable session. *)
-
-val begin_txn : t -> unit
-(** Pin the working root as the transaction savepoint; {!publish}
-    becomes a no-op until commit/rollback. *)
-
-val commit_txn : t -> unit
-(** Drop the savepoint and publish the working root. *)
-
-val rollback_txn : t -> unit
-(** Restore the working root to the savepoint — O(1), nothing to
-    replay. *)
-
-val txn_active : t -> bool
 
 (** {1 Root fields} *)
 
@@ -220,8 +212,8 @@ val drop_version_stamps : t -> Version_id.t -> unit
     The ids whose stored record — current state, dirty flag or history
     — changed since the last durable flush. Every mutator above keeps
     it; items loaded from storage are not in it. It lives in the root,
-    so a rollback ({!set_root}, a transaction rollback) restores it
-    with the records. *)
+    so a rollback ({!atomically}'s savepoint swap) restores it with the
+    records. *)
 
 val unflushed : t -> Ident.Set.t
 
@@ -328,9 +320,6 @@ val ve_text_index : version_extent -> Text_index.t
 val register_procedure : t -> string -> proc -> unit
 
 val find_procedure : t -> string -> (proc, Seed_error.t) result
-
-val proc_depth : t -> int
-val set_proc_depth : t -> int -> unit
 
 val transition_rules :
   t ->

@@ -494,10 +494,10 @@ module Session = struct
   let flush t =
     let st = Database.raw t.database in
     (* the unflushed set lives in the root, so a rollback would restore
-       it without the ids this flush wrote: flush only at transaction
-       boundaries *)
-    if Db_state.txn_active st then
-      fail (Invalid_operation "flush inside an active transaction")
+       it without the ids this flush wrote: flush only between updates,
+       never inside a transaction, an attached procedure or a rule *)
+    if Db_state.depth st > 0 then
+      fail (Invalid_operation "flush inside a transaction or an update")
     else
       (* the root's unflushed set, in id order: O(items changed), never
          a scan of the item table *)

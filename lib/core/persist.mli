@@ -8,8 +8,8 @@
     rather than replayed (see {!Seed_storage.Store}).
 
     {!Session} is the intended interface: open a directory, mutate the
-    database through {!Database}, call {!Session.flush} at transaction
-    boundaries (it appends only the items that changed since the last
+    database through {!Database}, call {!Session.flush} between
+    updates (it appends only the items that changed since the last
     flush) and {!Session.compact} occasionally. The durability of each
     flush is set by the session's {!Seed_storage.Journal.sync_policy};
     what recovery found and repaired on open is in
@@ -86,8 +86,10 @@ module Session : sig
       coalesce into shared fsyncs via the store's commit daemon. The set
       is cleared only after the transaction is appended, so a failed flush
       leaves the same records pending for the next one. Refused with
-      [Invalid_operation] while a {!Database} transaction is active:
-      flush at transaction boundaries. *)
+      [Invalid_operation] inside any atomic step ({!Db_state.depth}
+      above 0: a transaction, an attached procedure, a transition rule),
+      whose rollback would restore the set without the ids the flush
+      wrote: flush between updates. *)
 
   val compact : t -> (unit, Seed_error.t) result
   (** Write a fresh snapshot and truncate the journal; the snapshot

@@ -94,14 +94,15 @@ let live_items t ids =
 
 let children t id = live_items t (Db_state.children_set t.db_ id)
 
-let child t id ~role ?index () =
-  children t id
-  |> List.find_opt (fun (it : Item.t) ->
-         match it.body with
-         | Item.Dependent d ->
-           String.equal d.role role
-           && (match index with None -> true | Some i -> d.index = Some i)
-         | Item.Independent | Item.Relationship -> false)
+(* The one component match: the child with this role and exactly this
+   index, so a component without an index names only an unindexed
+   (single-valued) child and [resolve_name] inverts [full_name]. *)
+let is_child ~role ~index (it : Item.t) =
+  match it.body with
+  | Item.Dependent d -> String.equal d.role role && d.index = index
+  | Item.Independent | Item.Relationship -> false
+
+let child t id ~role ?index () = List.find_opt (is_child ~role ~index) (children t id)
 
 let rels t id = live_items t (Db_state.rels_set t.db_ id)
 
@@ -243,13 +244,7 @@ let children_v t (vi : vitem) =
   | _ -> own
 
 let child_v t (vi : vitem) ~role ?index () =
-  children_v t vi
-  |> List.find_opt (fun v ->
-         match v.item.Item.body with
-         | Item.Dependent d ->
-           String.equal d.role role
-           && (match index with None -> true | Some i -> d.index = Some i)
-         | Item.Independent | Item.Relationship -> false)
+  List.find_opt (fun v -> is_child ~role ~index v.item) (children_v t vi)
 
 let rels_v t (obj : Item.t) =
   let real =

@@ -72,6 +72,9 @@ val children : t -> Ident.t -> Item.t list
 (** Live sub-objects, in creation order. *)
 
 val child : t -> Ident.t -> role:string -> ?index:int -> unit -> Item.t option
+(** The live sub-object with this role and exactly this index: without
+    [index], only an unindexed (single-valued) one — the inverse of the
+    component {!full_name} prints. *)
 
 val rels : t -> Ident.t -> Item.t list
 (** Live relationships the object takes part in. *)
@@ -92,7 +95,8 @@ val full_name : t -> Item.t -> string option
 
 val resolve_name : t -> string -> Item.t option
 (** Inverse of {!full_name}: finds an object or sub-object by composed
-    name. Does not traverse pattern inheritance. *)
+    name, each component matched by {!child} (a multi-valued role needs
+    its index). Does not traverse pattern inheritance. *)
 
 val class_path_of : t -> Item.t -> string option
 (** The class (independent) or class path (dependent) of an object. *)
@@ -123,6 +127,7 @@ val children_v : t -> vitem -> vitem list
     operation. *)
 
 val child_v : t -> vitem -> role:string -> ?index:int -> unit -> vitem option
+(** {!child} over {!children_v}: the same component match. *)
 
 val rels_v : t -> Item.t -> vrel list
 (** Relationships of an object including inherited pattern

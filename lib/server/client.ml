@@ -12,10 +12,8 @@ let checkout t names = Server.checkout t.server ~client:t.client_name ~names
 
 let stage t op = t.queue <- op :: t.queue
 
-let staged t = List.rev t.queue
-
 let commit t =
-  match Server.checkin t.server ~client:t.client_name (staged t) with
+  match Server.checkin t.server ~client:t.client_name (List.rev t.queue) with
   | Ok () ->
     t.queue <- [];
     Ok ()

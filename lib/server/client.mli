@@ -19,12 +19,11 @@ val checkout : t -> string list -> (unit, Seed_error.t) result
 val stage : t -> Protocol.op -> unit
 (** Queue an operation locally; nothing reaches the server yet. *)
 
-val staged : t -> Protocol.op list
-
 val commit : t -> (unit, Seed_error.t) result
 (** Send the staged operations as one check-in. On success the queue is
     cleared and the locks released; on failure the queue and locks are
     kept so the client can amend and retry. *)
 
 val abort : t -> unit
-(** Drop the staged operations and release the locks. *)
+(** Drop the staged operations and release the locks: how a client whose
+    {!commit} failed gives its batch up. *)

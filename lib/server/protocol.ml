@@ -72,8 +72,10 @@ let find_rel v ~assoc ~endpoints =
       (Unknown_item
          (Printf.sprintf "%s(%s)" assoc (String.concat ", " endpoints)))
 
-(* PATH := TEXT, the text read for the content type of its place; a
-   missing single sub-object Owner.Role is created holding the value *)
+(* PATH := TEXT, the text read for the content type of its place. A
+   missing sub-object is created holding the value, its role and index
+   read from the path's last component; a multi-valued role needs the
+   index, so setting one path twice sets one place *)
 let set_text db v path text =
   let schema = View.schema v in
   let cls id =
@@ -89,14 +91,24 @@ let set_text db v path text =
     let* () = Database.set_value db id (Some value) in
     Ok id
   | Error _ as missing -> (
-    match String.rindex_opt path '.' with
+    let components = Result.value (Path.of_string path) ~default:[] in
+    match Path.parent components with
     | None -> missing
-    | Some i ->
-      let role = String.sub path (i + 1) (String.length path - i - 1) in
-      let* parent = find_path v (String.sub path 0 i) in
+    | Some owner ->
+      let { Path.name = role; index } = Path.last components in
+      let* parent = find_path v (Path.to_string owner) in
       let* def = Schema.resolve_child schema ~cls:(cls parent) ~role in
+      let* () =
+        if index = None && def.Class_def.card.Cardinality.max <> Some 1 then
+          fail
+            (Invalid_operation
+               (Printf.sprintf
+                  "%s: role %s admits several instances; name one by index" path
+                  role))
+        else Ok ()
+      in
       let* value = read def.Class_def.content in
-      Database.create_sub_object db ~parent ~role ~value ())
+      Database.create_sub_object db ~parent ~role ?index ~value ())
 
 let apply db op =
   let v = View.current (Database.raw db) in

@@ -76,12 +76,14 @@ let checkin t ~client ops =
   in
   let touched = List.sort_uniq String.compare touched in
   let* () = Lock_table.covers t.locks ~client touched in
-  (* one in-memory transaction: on failure the rollback is a single
-     root swap back to the savepoint — O(1), not O(ops applied) — and
-     registered closures (attached procedures, transition rules) are
-     never disturbed because the database instance is never replaced;
-     no intermediate root is published, so concurrent snapshots never
-     observe a half-applied batch *)
+  (* one in-memory transaction, the outermost atomic step: on failure
+     the rollback is a single root swap back to its savepoint — O(1),
+     not O(ops applied) — and registered closures (attached procedures,
+     transition rules) are never disturbed because the database
+     instance is never replaced. Its publication on success is the
+     check-in's one commit point (the ops inside are nested steps and
+     publish nothing), so concurrent snapshots never observe a
+     half-applied batch; it still precedes the flush below *)
   match
     Database.with_transaction t.db (fun () ->
         iter_result (fun op -> Result.map ignore (Protocol.apply t.db op)) ops)

@@ -55,8 +55,6 @@ let set_single_sub t name ~role value =
     in
     Ok ()
 
-let describe t name text = set_single_sub t name ~role:"Description" (Value.String text)
-
 let add_keyword t name kw =
   let* id = obj t name in
   let* _ =

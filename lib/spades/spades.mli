@@ -35,9 +35,6 @@ val classify_data : t -> string -> (unit, Seed_error.t) result
 
 val classify_action : t -> string -> (unit, Seed_error.t) result
 
-val describe : t -> string -> string -> (unit, Seed_error.t) result
-(** Set or replace the [Description] of a thing. *)
-
 val add_keyword : t -> string -> string -> (unit, Seed_error.t) result
 
 val add_text : t -> data:string -> body:string -> ?selector:string -> unit ->

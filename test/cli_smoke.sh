@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the seed command line in a temporary directory:
-# init, add, set, select, explain (an indexed probe, and a conjunction
+# init, add, set (indexed and unindexed paths), select, explain (an indexed probe, and a conjunction
 # whose short needle the planner leaves to the re-test), an
 # export/import/export round trip into a fresh store, fsck, the shell's
 # show/versions/report printing what the subcommands print, shell updates
@@ -39,6 +39,19 @@ fail() {
 "$seed" add db Alpha --class Data >/dev/null
 "$seed" add db Beta --class Action >/dev/null
 "$seed" set db Alpha.Description "the recovery path" >/dev/null
+
+# a path names one place: Keywords is multi-valued, so an unindexed set
+# is refused and leaves Keywords[0] alone, and an indexed one creates
+# its place; setting it again sets the same place
+"$seed" set db 'Alpha.Keywords[0]' kw1 >/dev/null
+! "$seed" set db Alpha.Keywords kw2 >/dev/null 2>&1 ||
+  fail "set of an unindexed multi-valued role accepted"
+"$seed" set db 'Alpha.Keywords[2]' kw >/dev/null || fail "set Alpha.Keywords[2] refused"
+"$seed" set db 'Alpha.Keywords[2]' kw >/dev/null || fail "second set Alpha.Keywords[2] refused"
+"$seed" show db Alpha >kw.out
+[ "$(grep -c 'Alpha.Keywords' kw.out)" = 2 ] &&
+  grep -q 'Alpha.Keywords\[0\] .* = "kw1"' kw.out &&
+  grep -q 'Alpha.Keywords\[2\] .* = "kw"' kw.out || fail "keywords: $(cat kw.out)"
 
 "$seed" select db --class Data >select.out
 [ "$(cat select.out)" = "Alpha : Data" ] || fail "select --class Data: $(cat select.out)"

@@ -345,6 +345,41 @@ let test_procedure_veto_rolls_back_creation () =
   allow := true;
   check_ok "name still free" (Result.map (fun _ -> ()) (DB.create_object db ~cls:"Doc" ~name:"E" ()))
 
+(* a procedure's own updates run inside the update that called it:
+   neither they nor the vetoed update reach snapshot readers *)
+let test_procedure_veto_after_select_version () =
+  let db = DB.create (schema_with_proc ()) in
+  let allow = ref true in
+  DB.register_procedure db "audit" (fun st _ ->
+      if !allow then Ok ()
+      else
+        let open Seed_error in
+        let* () = DB.select_version (DB.of_raw st) None in
+        Error (Seed_error.Vetoed { procedure = "audit"; reason = "no" }));
+  let _d = ok (DB.create_object db ~cls:"Doc" ~name:"D" ()) in
+  allow := false;
+  check_err "creation vetoed" is_vetoed (DB.create_object db ~cls:"Doc" ~name:"E" ());
+  Alcotest.(check bool) "E never published" true
+    (Seed_core.View.find_object (DB.snapshot_view db) "E" = None)
+
+let test_procedure_exception_rolls_back () =
+  let db = DB.create (schema_with_proc ()) in
+  let crash = ref true in
+  DB.register_procedure db "audit" (fun _ _ ->
+      if !crash then begin
+        crash := false;
+        failwith "audit crashed"
+      end
+      else Ok ());
+  (match DB.create_object db ~cls:"Doc" ~name:"E" () with
+  | exception Failure _ -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected the procedure's exception");
+  Alcotest.(check (option Alcotest.reject)) "raising create rolled back" None
+    (DB.find_object db "E");
+  let _f = ok (DB.create_object db ~cls:"Doc" ~name:"F" ()) in
+  Alcotest.(check bool) "F published at once" true
+    (Seed_core.View.find_object (DB.snapshot_view db) "F" <> None)
+
 let test_procedure_runs_along_generalization () =
   let schema =
     Schema.of_defs_exn
@@ -398,6 +433,8 @@ let () =
           tc "observe events" test_procedure_observes_events;
           tc "veto rolls back update" test_procedure_veto_rolls_back;
           tc "veto rolls back creation" test_procedure_veto_rolls_back_creation;
+          tc "veto after select_version" test_procedure_veto_after_select_version;
+          tc "exception rolls back" test_procedure_exception_rolls_back;
           tc "generalization chain" test_procedure_runs_along_generalization;
         ] );
     ]

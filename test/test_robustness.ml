@@ -665,6 +665,34 @@ let test_procedure_recursion_guard () =
     (DB.create_object db ~cls:"Doc" ~name:"Doc0" ());
   Alcotest.(check bool) "bounded" true (!n <= 32)
 
+let test_rule_update_rolled_back_with_version () =
+  (* a transition rule's update belongs to the version it checks: a
+     later rule's refusal takes both back, and readers saw neither *)
+  let db = fresh_db () in
+  DB.add_transition_rule db "log" (fun st ~base:_ ->
+      Result.map ignore
+        (DB.create_object (DB.of_raw st) ~cls:"Data" ~name:"Log" ()));
+  DB.add_transition_rule db "refuse" (fun _ ~base:_ ->
+      Error (Seed_error.Vetoed { procedure = "refuse"; reason = "no" }));
+  check_err "version refused" is_vetoed (DB.create_version db);
+  Alcotest.(check (option Alcotest.reject)) "Log rolled back" None
+    (DB.find_object db "Log");
+  Alcotest.(check bool) "Log never published" true
+    (View.find_object (DB.snapshot_view db) "Log" = None)
+
+let test_transaction_refused_in_procedure () =
+  (* a transaction started inside an update would publish the update's
+     half-applied state *)
+  let db = DB.create (reentrant_schema ()) in
+  let nested = ref (Ok ()) in
+  DB.register_procedure db "derive" (fun st _ ->
+      nested := DB.with_transaction (DB.of_raw st) (fun () -> Ok ());
+      Ok ());
+  let _ = ok (DB.create_object db ~cls:"Doc" ~name:"D" ()) in
+  check_err "refused"
+    (function Seed_error.Invalid_operation _ -> true | _ -> false)
+    !nested
+
 (* --- miscellaneous ------------------------------------------------------ *)
 
 let test_uninherit_then_delete_pattern_subtree () =
@@ -736,6 +764,10 @@ let () =
         [
           tc "derived updates" test_procedure_performs_derived_update;
           tc "recursion guard" test_procedure_recursion_guard;
+          tc "rule update rolled back with version"
+            test_rule_update_rolled_back_with_version;
+          tc "transaction refused in procedure"
+            test_transaction_refused_in_procedure;
         ] );
       ( "server batches",
         [

@@ -141,7 +141,7 @@ let test_checkin_rollback_mixed_batch () =
   Alcotest.(check bool) "value restored" true
     (DB.get_value db desc = Some (Seed_schema.Value.String "old"));
   Alcotest.(check (option Alcotest.reject)) "created sub gone" None
-    (DB.resolve db "Alarms.Keywords");
+    (DB.resolve db "Alarms.Keywords[0]");
   let handler = Option.get (DB.find_object db "Handler") in
   Alcotest.(check (list Alcotest.reject)) "relationship gone" []
     (DB.relationships db handler);
@@ -224,9 +224,10 @@ let test_client_api () =
     (Protocol.Create_sub
        { owner = "Alarms"; role = "Keywords"; index = None;
          value = Some (Seed_schema.Value.String "alarm") });
-  Alcotest.(check int) "staged" 2 (List.length (Client.staged alice));
   check_ok "commit" (Client.commit alice);
-  Alcotest.(check int) "queue cleared" 0 (List.length (Client.staged alice));
+  (* the locks went with the check-in: a second commit succeeds only if
+     the queue was cleared *)
+  check_ok "queue cleared" (Client.commit alice);
   Alcotest.(check bool) "visible" true
     (Seed_core.View.find_object (Server.snapshot s) "Alarms" <> None)
 
@@ -236,9 +237,11 @@ let test_client_abort () =
   check_ok "checkout" (Client.checkout alice [ "Alarms" ]);
   Client.stage alice (Protocol.Delete { path = "Alarms" });
   Client.abort alice;
-  Alcotest.(check int) "queue dropped" 0 (List.length (Client.staged alice));
   Alcotest.(check (list string)) "locks released" []
     (Server.locked_by s ~client:"alice");
+  (* a commit after the abort sends nothing *)
+  check_ok "checkout again" (Client.checkout alice [ "Alarms" ]);
+  check_ok "queue dropped" (Client.commit alice);
   let db = Server.database s in
   Alcotest.(check bool) "nothing applied" true (DB.find_object db "Alarms" <> None)
 
@@ -475,6 +478,41 @@ let test_set_text_needs_root_lock () =
   Alcotest.(check (list string)) "touches the root" [ "Alarms" ]
     (Protocol.touches (set_text "Alarms.Description" "x"))
 
+(* a path names one place: a component without an index names only an
+   unindexed sub-object, so a multi-valued role is set by index *)
+let test_set_text_unindexed_multi_refused () =
+  let s = with_seeded_server () in
+  let db = Server.database s in
+  let alarms = Option.get (DB.find_object db "Alarms") in
+  let _ =
+    ok
+      (DB.create_sub_object db ~parent:alarms ~role:"Keywords"
+         ~value:(Seed_schema.Value.String "kw1") ())
+  in
+  check_ok "checkout" (Server.checkout s ~client:"alice" ~names:[ "Alarms" ]);
+  check_err "ambiguous place"
+    (function Seed_error.Invalid_operation _ -> true | _ -> false)
+    (Server.checkin s ~client:"alice" [ set_text "Alarms.Keywords" "kw2" ]);
+  Alcotest.(check bool) "Keywords[0] kept" true
+    (value_at db "Alarms.Keywords[0]" = Some (Seed_schema.Value.String "kw1"));
+  Alcotest.(check (option Alcotest.reject)) "nothing added" None
+    (DB.resolve db "Alarms.Keywords[1]")
+
+let test_set_text_indexed_place () =
+  let s = with_seeded_server () in
+  let db = Server.database s in
+  let set () =
+    check_ok "checkout" (Server.checkout s ~client:"alice" ~names:[ "Alarms" ]);
+    check_ok "checkin"
+      (Server.checkin s ~client:"alice" [ set_text "Alarms.Keywords[2]" "kw" ])
+  in
+  set ();
+  Alcotest.(check bool) "created at its index" true
+    (value_at db "Alarms.Keywords[2]" = Some (Seed_schema.Value.String "kw"));
+  set ();
+  Alcotest.(check int) "set twice, one place" 1
+    (List.length (DB.children db (Option.get (DB.find_object db "Alarms"))))
+
 let test_ops_resolve_in_current_state () =
   (* updates apply to the current version: a version selected for
      retrieval, in which Late does not exist, changes no resolution *)
@@ -538,6 +576,9 @@ let () =
           tc "bad literal refused" test_set_text_bad_literal;
           tc "sub-object created in the batch" test_set_text_creates_sub_in_batch;
           tc "root lock" test_set_text_needs_root_lock;
+          tc "unindexed multi-valued role refused"
+            test_set_text_unindexed_multi_refused;
+          tc "indexed place" test_set_text_indexed_place;
           tc "current state" test_ops_resolve_in_current_state;
         ] );
       ( "sessions",

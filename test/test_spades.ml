@@ -83,15 +83,6 @@ let test_texts_and_keywords () =
     | Some id -> DB.get_value db id = Some (Value.String "Display")
     | None -> false)
 
-let test_describe_overwrites () =
-  let t = S.create () in
-  let _ = ok (S.note_thing t "X" ~description:"first" ()) in
-  check_ok "redescribe" (S.describe t "X" "second");
-  let db = S.db t in
-  Alcotest.(check bool) "replaced" true
-    (DB.get_value db (Option.get (DB.resolve db "X.Description"))
-    = Some (Value.String "second"))
-
 let test_containment_tree () =
   let t = S.create () in
   List.iter (fun n -> ignore (ok (S.note_thing t n ()))) [ "Main"; "Init"; "Loop" ];
@@ -106,7 +97,12 @@ let test_set_revised () =
   let _ = ok (S.note_thing t "X" ()) in
   check_ok "revised" (S.set_revised t "X" { Value.year = 1986; month = 2; day = 5 });
   let db = S.db t in
-  Alcotest.(check bool) "stored" true (DB.resolve db "X.Revised" <> None)
+  Alcotest.(check bool) "stored" true (DB.resolve db "X.Revised" <> None);
+  (* the single sub-object is replaced, not added *)
+  check_ok "revised again" (S.set_revised t "X" { Value.year = 1986; month = 3; day = 1 });
+  Alcotest.(check bool) "replaced" true
+    (DB.get_value db (Option.get (DB.resolve db "X.Revised"))
+    = Some (Value.Date { Value.year = 1986; month = 3; day = 1 }))
 
 let test_maturity_progression_to_implementable () =
   let t = S.create () in
@@ -157,7 +153,6 @@ let () =
           tc "vague entry" test_vague_entry;
           tc "duplicates" test_duplicate_thing;
           tc "texts and keywords" test_texts_and_keywords;
-          tc "describe" test_describe_overwrites;
           tc "revised dates" test_set_revised;
         ] );
       ( "refinement",
