@@ -1375,10 +1375,26 @@ let mvcc () =
   let run_mode mode domains =
     let stop = Atomic.make false in
     let commits = Atomic.make 0 in
-    let mutex = Mutex.create () in
+    (* one global lock, handed off in FIFO order: a ticket taken under
+       the mutex is served in turn, so readers re-taking the lock back
+       to back cannot starve the writer (a bare [Mutex] is unfair) *)
+    let mutex = Mutex.create () and turn = Condition.create () in
+    let next_ticket = ref 0 and serving = ref 0 in
     let locked f =
       Mutex.lock mutex;
-      Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+      let ticket = !next_ticket in
+      incr next_ticket;
+      while !serving <> ticket do
+        Condition.wait turn mutex
+      done;
+      Mutex.unlock mutex;
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.lock mutex;
+          incr serving;
+          Condition.broadcast turn;
+          Mutex.unlock mutex)
+        f
     in
     let reader () =
       let c = ref 0 in

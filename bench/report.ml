@@ -79,8 +79,34 @@ let ms t = Printf.sprintf "%.2f ms" (t *. 1000.)
 
 (* --- BENCH_*.json --------------------------------------------------- *)
 
+(* The checkout's HEAD commit, read from [.git] without running git. *)
+let git_rev () =
+  let read f = String.trim (In_channel.with_open_text f In_channel.input_all) in
+  try
+    let head = read ".git/HEAD" in
+    if String.starts_with ~prefix:"ref: " head then
+      read (Filename.concat ".git" (String.sub head 5 (String.length head - 5)))
+    else head
+  with Sys_error _ -> "unknown"
+
+(* A digest of the library sources: it names the code measured also
+   when the working tree differs from HEAD. *)
+let lib_digest () =
+  let rec files dir =
+    Array.to_list (Sys.readdir dir)
+    |> List.sort String.compare
+    |> List.concat_map (fun f ->
+           let p = Filename.concat dir f in
+           if Sys.is_directory p then files p
+           else if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli" then [ p ]
+           else [])
+  in
+  try Digest.to_hex (Digest.string (String.concat "" (List.map Digest.file (files "lib"))))
+  with Sys_error _ -> "unknown"
+
 (* Writes [BENCH_<suite>.json]: the suite name, the command that
-   regenerates the file, the [extra] header fields (name, raw JSON
+   regenerates the file, the environment it ran in (the fields of
+   perfbench's [env:] line), the [extra] header fields (name, raw JSON
    value) in order, then the result objects, one per line. *)
 let write_json ?(extra = []) suite results =
   let file = Printf.sprintf "BENCH_%s.json" suite in
@@ -89,6 +115,11 @@ let write_json ?(extra = []) suite results =
         "{\n  \"bench\": \"%s\",\n  \"command\": \"dune exec bench/main.exe \
          -- %s\",\n"
         suite suite;
+      Printf.fprintf oc
+        "  \"env\": {\"git_rev\": %S, \"lib_digest\": %S, \"nproc\": %d, \
+         \"ocaml\": %S},\n"
+        (git_rev ()) (lib_digest ()) (Domain.recommended_domain_count ())
+        Sys.ocaml_version;
       List.iter (fun (k, v) -> Printf.fprintf oc "  \"%s\": %s,\n" k v) extra;
       Printf.fprintf oc "  \"results\": [\n%s\n  ]\n}\n"
         (String.concat ",\n" results));

@@ -114,6 +114,10 @@ val current_base : t -> Version_id.t option
 (** The saved version the current state derives from. *)
 
 val set_current_base : t -> Version_id.t option -> unit
+(** [set_schemas], [set_versions] and [set_current_base] are the only
+    writers of the stored meta's fields. A flush writes a meta record
+    when one of them holds another value (by identity) than at the
+    last durable flush, so call them only to change the meta. *)
 
 val retrieval_version : t -> Version_id.t option
 (** The version retrieval operations read from; [None] = current. *)
@@ -236,9 +240,10 @@ val load : t -> ((Item.t -> unit) -> unit) -> unit
     [feed add] passes to [add] in strictly increasing id order: item
     table, identity indexes (a relationship existing only in history by
     its historical endpoints), extents, inheritor, text and delta sets,
-    id generator; the unflushed set is kept. Open loads a fresh handle
-    from storage; a branch switch re-feeds the switched table
-    ({!iter_items}), leaving the version cache valid. *)
+    id generator (raised to the largest id fed); the unflushed set is
+    kept. Open loads a fresh handle from storage; a branch switch
+    re-feeds the switched table ({!iter_items}), leaving the version
+    cache valid. *)
 
 (** {1 Materialized version views}
 

@@ -449,17 +449,38 @@ let load ?(verify = true) ~dir () =
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
+  (* The meta's three root fields as the last durable flush left them.
+     Only [Db_state.set_schemas], [set_versions] and [set_current_base]
+     replace them, so an unchanged meta is physically the same value,
+     and a rollback swap brings the savepoint's own values back. The id
+     counter is no meta change: on open it is the max of the meta's
+     value and every loaded id, and every durable id is a loaded one. *)
+  type fingerprint = {
+    f_schemas : (int * Schema.t) list;
+    f_versions : Versioning.t;
+    f_base : Version_id.t option;
+  }
+
   type t = {
     database : Database.t;
     store : Store.t;
     recovery : Store.recovery;
-    mutable meta_fingerprint : string;
+    mutable meta_fingerprint : fingerprint;
   }
 
   let fingerprint st =
-    let w = W.create () in
-    w_meta w st;
-    W.contents w
+    {
+      f_schemas = Db_state.schemas st;
+      f_versions = Db_state.versions st;
+      f_base = Db_state.current_base st;
+    }
+
+  (* by identity: an equal value that was rebuilt only costs one more
+     meta record *)
+  let meta_unchanged fp st =
+    fp.f_schemas == Db_state.schemas st
+    && fp.f_versions == Db_state.versions st
+    && fp.f_base == Db_state.current_base st
 
   (* the database the directory holds, or a fresh one given [schema]; a
      fresh directory gets an initial meta record so load finds something
@@ -505,19 +526,18 @@ module Session = struct
         List.filter_map (Db_state.find_item st)
           (Ident.Set.elements (Db_state.unflushed st))
       in
-      let fp = fingerprint st in
+      let meta = not (meta_unchanged t.meta_fingerprint st) in
       let records =
-        List.map record_item items
-        @ (if String.equal fp t.meta_fingerprint then [] else [ record_meta st ])
+        List.map record_item items @ if meta then [ record_meta st ] else []
       in
       (* one transaction, one journal frame: a crash mid-flush durably
          persists either the whole batch (items + meta) or none of it —
-         recovery can never see a prefix of a checkin. The set is cleared
-         only once the transaction is durable, so a failed flush leaves
-         the same records pending for the retry. *)
+         recovery can never see a prefix of a checkin. The set and the
+         fingerprint move only once the transaction is durable, so a
+         failed flush leaves the same records pending for the retry. *)
       let* () = Store.append t.store records in
       Db_state.clear_unflushed st;
-      t.meta_fingerprint <- fp;
+      if meta then t.meta_fingerprint <- fingerprint st;
       Ok ()
 
   let compact t =

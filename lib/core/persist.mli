@@ -80,11 +80,16 @@ module Session : sig
   (** Append journal records for the items in the database's
       {!Db_state.unflushed} set — every item whose state, dirty flag or
       history changed since the last flush, in id order — plus a
-      metadata record when the version tree, schema, or id generator
-      advanced. Costs O(items changed), not O(database). The batch is
-      one atomic transaction, one journal frame; concurrent flushes
-      coalesce into shared fsyncs via the store's commit daemon. The set
-      is cleared only after the transaction is appended, so a failed flush
+      metadata record when the schema list, the version tree or the
+      current base was replaced since the last durable flush, compared
+      by identity: nothing is encoded to decide. A moved id counter
+      alone writes no record: open takes the counter as the max of the
+      stored meta's value and every loaded id, and every durable id
+      belongs to a stored item. Costs O(records written), not
+      O(database). The batch is one atomic transaction, one journal
+      frame; concurrent flushes coalesce into shared fsyncs via the
+      store's commit daemon. The set is cleared, and the flushed meta
+      noted, only after the transaction is appended, so a failed flush
       leaves the same records pending for the next one. Refused with
       [Invalid_operation] inside any atomic step ({!Db_state.depth}
       above 0: a transaction, an attached procedure, a transition rule),

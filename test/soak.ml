@@ -13,6 +13,7 @@
    - the recovered state passes the full consistency sweep;
    - the query planner agrees with a naive table scan on the recovered
      state, on the current view and on every version view;
+   - a create after recovery gets an id no recovered item has;
    - [Store.fsck] runs on the crashed directory, and is healthy again
      after recovery;
    - a read-fault pass reopens the recovered directory under injected
@@ -422,6 +423,20 @@ let iteration ~seed ~iter ~verbose =
       iter;
   if not (text_index_consistent db) then
     failf "iteration %d: text index inconsistent after recovery" iter;
+  (* no meta record follows the id counter, so recovery takes it from
+     the loaded ids: a fresh create must get an id no durable item has
+     (it is never flushed, so the directory keeps its state) *)
+  let durable = Db_state.fold_items (DB.raw db) ~init:Ident.Set.empty ~f:(fun acc it ->
+      Ident.Set.add it.Item.id acc)
+  in
+  (match DB.create_object db ~cls:"Data" ~name:"fresh-after-recovery" () with
+  | Ok id when Ident.Set.mem id durable ->
+    failf "iteration %d: a create after recovery reused the durable id %s" iter
+      (Ident.to_string id)
+  | Ok _ -> ()
+  | Error e ->
+    failf "iteration %d: a create after recovery failed: %s" iter
+      (Seed_error.to_string e));
   Persist.Session.close s;
   (* recovery healed the directory: fsck is happy now *)
   let after = Seed_error.ok_exn (Store.fsck dir) in

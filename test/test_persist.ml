@@ -109,11 +109,12 @@ let test_session_flush_writes_only_changes () =
   Alcotest.(check int) "nothing unflushed" 0
     (Ident.Set.cardinal (Seed_core.Db_state.unflushed (DB.raw db)));
   let after_first = Persist.Session.journal_records s in
-  (* one more object -> one more item record (plus one meta record) *)
+  (* one more object -> one item record; the id counter it moves is no
+     meta change (reopen takes the max of the loaded ids) *)
   let _ = ok (DB.create_object db ~cls:"Data" ~name:"Extra" ()) in
   check_ok "flush2" (Persist.Session.flush s);
   let after_second = Persist.Session.journal_records s in
-  Alcotest.(check int) "incremental" 2 (after_second - after_first);
+  Alcotest.(check int) "incremental" 1 (after_second - after_first);
   (* no changes -> no records *)
   check_ok "noop flush" (Persist.Session.flush s);
   Alcotest.(check int) "nothing written" after_second (Persist.Session.journal_records s);
@@ -189,6 +190,185 @@ let test_session_flush_after_branch_switch () =
     (DB.find_object db2 "O0" <> None && DB.find_object db2 "R0" = None);
   Alcotest.(check bool) "v2-only object gone" true (DB.find_object db2 "New" = None);
   Persist.Session.close s2
+
+(* The meta a store holds: the schema revisions, the version tree and
+   the current base. *)
+let meta_of db =
+  let st = DB.raw db in
+  ( List.map
+      (fun (rev, sc) -> Fmt.str "%d:%a" rev Schema.pp sc)
+      (Seed_core.Db_state.schemas st),
+    Seed_core.Versioning.dump (Seed_core.Db_state.versions st),
+    Option.map Version_id.to_string (DB.current_base db) )
+
+let item_ids db =
+  Seed_core.Db_state.fold_items (DB.raw db) ~init:[] ~f:(fun acc (it : Seed_core.Item.t) ->
+      it.Seed_core.Item.id :: acc)
+
+(* A flush writes no meta record for a moved id counter, so after a
+   crash the counter is the max of the loaded ids: a create after
+   recovery still gets an id no durable item has. An id burned by a
+   rolled-back create was never durable and may be handed out again. *)
+let test_fresh_id_after_crash ~burn () =
+  let dir = tmp_dir () in
+  let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+  let db = Persist.Session.db s in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  let _ = ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "d") ()) in
+  check_ok "flush" (Persist.Session.flush s);
+  let before = Persist.Session.journal_records s in
+  let _ = ok (DB.create_object db ~cls:"Action" ~name:"B" ()) in
+  check_ok "flush2" (Persist.Session.flush s);
+  Alcotest.(check int) "one item record, no meta" 1
+    (Persist.Session.journal_records s - before);
+  if burn then begin
+    check_err "rolled back"
+      (function Seed_error.Invalid_operation "roll back" -> true | _ -> false)
+      (DB.with_transaction db (fun () ->
+           let _ = ok (DB.create_object db ~cls:"Data" ~name:"Burned" ()) in
+           Seed_error.fail (Seed_error.Invalid_operation "roll back")));
+    check_ok "flush3" (Persist.Session.flush s)
+  end;
+  let durable = item_ids db in
+  (* crash: the session is dropped, never closed or compacted *)
+  let s2 = ok (Persist.Session.open_ ~dir ()) in
+  let db2 = Persist.Session.db s2 in
+  Alcotest.(check (list int)) "every durable item back"
+    (List.map Ident.to_int durable)
+    (List.map Ident.to_int (item_ids db2));
+  let c = ok (DB.create_object db2 ~cls:"Data" ~name:"C" ()) in
+  Alcotest.(check bool) "fresh id unused" false (List.mem c durable);
+  check_ok "flush after recovery" (Persist.Session.flush s2);
+  Persist.Session.close s2;
+  Persist.Session.close s;
+  let s3 = ok (Persist.Session.open_ ~dir ()) in
+  let db3 = Persist.Session.db s3 in
+  Alcotest.(check (list (option int))) "each name keeps its own id"
+    (List.map (fun id -> Some (Ident.to_int id)) [ a; c ])
+    (List.map
+       (fun n -> Option.map Ident.to_int (DB.find_object db3 n))
+       [ "A"; "C" ]);
+  Alcotest.(check int) "no id shared" (List.length durable + 1)
+    (List.length (List.sort_uniq Ident.compare (item_ids db3)));
+  Persist.Session.close s3
+
+(* Each operation that replaces the meta — schema update, version
+   create, select, branch switch, version delete — is flushed, and the
+   journal alone (no compaction) reopens to the same schema list,
+   version tree and current base. *)
+let test_meta_operations_reopen () =
+  let setup () =
+    let dir = tmp_dir () in
+    let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+    let db = Persist.Session.db s in
+    let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+    let v1 = ok (DB.create_version db) in
+    ok (DB.rename_object db a "A2");
+    let v2 = ok (DB.create_version db) in
+    ok (DB.begin_alternative db ~from_:v1 ());
+    ok (DB.reclassify db a ~to_:"InputData");
+    let _alt = ok (DB.create_version db) in
+    check_ok "flush" (Persist.Session.flush s);
+    (dir, s, db, v1, v2)
+  in
+  let evolve db =
+    let classes, assocs = Spades_tool.Spec_model.schema_defs () in
+    DB.update_schema db
+      (Schema.of_defs_exn (classes @ [ Class_def.v ~super:"Thing" [ "Module" ] ]) assocs)
+  in
+  List.iter
+    (fun (what, op) ->
+      let dir, s, db, v1, v2 = setup () in
+      let before = meta_of db in
+      check_ok what (op db ~v1 ~v2);
+      (* a selection is retrieval state, not meta *)
+      Alcotest.(check bool) (what ^ " changes the meta") (what <> "select_version")
+        (meta_of db <> before);
+      check_ok (what ^ " flush") (Persist.Session.flush s);
+      let s2 = ok (Persist.Session.open_ ~dir ()) in
+      Alcotest.(check bool) (what ^ ": reopened meta = in memory") true
+        (meta_of (Persist.Session.db s2) = meta_of db);
+      Persist.Session.close s2;
+      Persist.Session.close s)
+    [
+      ("update_schema", fun db ~v1:_ ~v2:_ -> evolve db);
+      ("create_version", fun db ~v1:_ ~v2:_ -> Result.map ignore (DB.create_version db));
+      ("select_version", fun db ~v1 ~v2:_ -> DB.select_version db (Some v1));
+      ("begin_alternative", fun db ~v1:_ ~v2 -> DB.begin_alternative db ~from_:v2 ~force:true ());
+      ("delete_version", fun db ~v1:_ ~v2 -> DB.delete_version db v2);
+    ]
+
+(* A version refused by a transition rule is rolled back whole — the
+   version tree, the base and an item the rule created — so the next
+   flush has nothing to write, not even a meta record. *)
+let test_refused_version_writes_nothing () =
+  let dir = tmp_dir () in
+  let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+  let db = Persist.Session.db s in
+  let _ = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  let _ = ok (DB.create_version db) in
+  check_ok "flush" (Persist.Session.flush s);
+  let before = Persist.Session.journal_records s in
+  DB.add_transition_rule db "log then refuse" (fun st ~base:_ ->
+      let _ = ok (DB.create_object (DB.of_raw st) ~cls:"Data" ~name:"Log" ()) in
+      Seed_error.fail (Seed_error.Invalid_operation "refused"));
+  check_err "refused"
+    (function Seed_error.Invalid_operation "refused" -> true | _ -> false)
+    (DB.create_version db);
+  check_ok "flush" (Persist.Session.flush s);
+  Alcotest.(check int) "no record" before (Persist.Session.journal_records s);
+  Persist.Session.close s
+
+(* A flush of a new version that fails with ENOSPC keeps its meta
+   record pending: the retry writes it. *)
+let test_failed_flush_keeps_meta_pending () =
+  let dir = tmp_dir () in
+  (* write 0 is the fresh store's initial meta record, write 1 the flush *)
+  let f = Seed_storage.Faulty_io.create ~enospc_write:1 () in
+  let s =
+    ok
+      (Persist.Session.open_ ~dir ~schema:(fig3_schema ())
+         ~io:(Seed_storage.Faulty_io.io f) ())
+  in
+  let db = Persist.Session.db s in
+  let v = ok (DB.create_version db) in
+  let before = Persist.Session.journal_records s in
+  check_err "flush fails" (function Seed_error.Io_error _ -> true | _ -> false)
+    (Persist.Session.flush s);
+  check_ok "retry" (Persist.Session.flush s);
+  Alcotest.(check int) "the meta record" 1 (Persist.Session.journal_records s - before);
+  Persist.Session.close s;
+  let s2 = ok (Persist.Session.open_ ~dir ()) in
+  let db2 = Persist.Session.db s2 in
+  Alcotest.(check (option string)) "version durable" (Some (Version_id.to_string v))
+    (Option.map Version_id.to_string (DB.current_base db2));
+  Alcotest.(check bool) "meta durable" true (meta_of db2 = meta_of db);
+  Persist.Session.close s2
+
+(* An empty flush costs O(1): it compares the meta by identity and
+   encodes nothing, whatever the size of the schema and version tree.
+   Encoding the SPADES schema and a few versions per flush allocated
+   ~14 KiB; the bound is generous and measures words, not time. *)
+let test_empty_flush_allocation () =
+  let dir = tmp_dir () in
+  let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+  let db = Persist.Session.db s in
+  for i = 1 to 4 do
+    let o = ok (DB.create_object db ~cls:"Data" ~name:(Printf.sprintf "O%d" i) ()) in
+    let _ =
+      ok (DB.create_sub_object db ~parent:o ~role:"Description" ~value:(Value.String "d") ())
+    in
+    ignore (ok (DB.create_version db))
+  done;
+  check_ok "flush" (Persist.Session.flush s);
+  check_ok "warm-up" (Persist.Session.flush s);
+  let before = Gc.minor_words () in
+  let r = Persist.Session.flush s in
+  let words = Gc.minor_words () -. before in
+  check_ok "empty flush" r;
+  if words >= 128. then
+    Alcotest.failf "an empty flush allocated %.0f words (bound 128)" words;
+  Persist.Session.close s
 
 let test_session_compact () =
   let dir = tmp_dir () in
@@ -489,5 +669,14 @@ let () =
           tc "fresh dir needs schema" test_session_requires_schema_for_fresh_dir;
           tc "torn tail recovery" test_session_survives_torn_journal_tail;
           tc "write stats through Database.stats" test_session_write_stats;
+        ] );
+      ( "meta",
+        [
+          tc "fresh id after a crash" (test_fresh_id_after_crash ~burn:false);
+          tc "fresh id after a crash, burned id" (test_fresh_id_after_crash ~burn:true);
+          tc "meta operations reopen" test_meta_operations_reopen;
+          tc "refused version writes nothing" test_refused_version_writes_nothing;
+          tc "failed flush keeps the meta pending" test_failed_flush_keeps_meta_pending;
+          tc "empty flush allocation" test_empty_flush_allocation;
         ] );
     ]
