@@ -1363,8 +1363,11 @@ let mvcc () =
     ~header:[ "physical items"; "grab" ] rows;
   (* reader scaling: D reader domains each run a planner query per
      iteration against a freshly pinned snapshot while one writer
-     domain commits continuously; the mutex baseline serializes the
-     same query and the same writer behind one global lock *)
+     domain commits at a fixed pace; the mutex baseline serializes the
+     same query and the same writer behind one global lock. Both modes
+     hold the writer to [writer_rate], so their readers run under the
+     same write load; each row reports the rate the writer reached. *)
+  let writer_rate = 500. in
   let n = 1_000 in
   let db = Workloads.seed_populate n in
   let subs =
@@ -1409,8 +1412,11 @@ let mvcc () =
       !c
     in
     let writer () =
-      let i = ref 0 in
+      let i = ref 0 and t0 = Unix.gettimeofday () in
       while not (Atomic.get stop) do
+        (* commit [i] is due at [t0 + i / writer_rate] *)
+        let wait = t0 +. (float_of_int !i /. writer_rate) -. Unix.gettimeofday () in
+        if wait > 0. then Unix.sleepf wait;
         incr i;
         let id = subs.(!i mod n) in
         let commit () =
@@ -1420,7 +1426,7 @@ let mvcc () =
         Atomic.incr commits
       done
     in
-    let dur = 0.4 in
+    let dur = 1.0 in
     let rds = List.init domains (fun _ -> Domain.spawn reader) in
     let wr = Domain.spawn writer in
     Unix.sleepf dur;
@@ -1458,46 +1464,44 @@ let mvcc () =
     ~title:
       (Printf.sprintf
          "planner query on a db of %d clusters under sustained writer load \
-          (%d cores — domains timeslice when cores < domains + 1)"
+          (%d cores — domains timeslice when cores < domains + 1), writer \
+          paced at %.0f commits/s"
          n
-         (Domain.recommended_domain_count ()))
-    ~header:[ "mode"; "reader domains"; "reads/s"; "commits/s" ] rows;
+         (Domain.recommended_domain_count ())
+         writer_rate)
+    ~header:[ "mode"; "reader domains"; "reads/s"; "commits/s reached" ] rows;
   (* single-threaded write path: the copy-on-write commit must stay
-     within a small factor of the old in-place write *)
+     within a small factor of the old in-place write. Minor words per op
+     show where a change to the root's write path allocates. *)
   let db = Workloads.seed_populate 1_000 in
   let iters = 2_000 in
-  let _, t =
-    Report.time_of (fun () ->
-        for i = 1 to iters do
-          ignore
-            (ok
-               (DB.create_object db ~cls:"Action"
-                  ~name:(Printf.sprintf "Write%05d" i) ()))
-        done)
+  let per_op f =
+    let w0 = Gc.minor_words () in
+    let (), t = Report.time_of (fun () -> for i = 1 to iters do f i done) in
+    let per x = x /. float_of_int iters in
+    (per t *. 1e6, per (Gc.minor_words () -. w0))
   in
-  let create_us = t /. float_of_int iters *. 1e6 in
+  let names = Array.init (iters + 1) (Printf.sprintf "Write%05d") in
+  let create_us, create_words =
+    per_op (fun i -> ignore (ok (DB.create_object db ~cls:"Action" ~name:names.(i) ())))
+  in
   let subs =
     Array.init 1_000 (fun i ->
         Option.get (DB.resolve db (Workloads.data_name i ^ ".Description")))
   in
-  let _, t =
-    Report.time_of (fun () ->
-        for i = 1 to iters do
-          ok (DB.set_value db subs.(i mod 1_000) (Some (Value.String "w")))
-        done)
-  in
-  let set_us = t /. float_of_int iters *. 1e6 in
+  let value = Some (Value.String "w") in
+  let set_us, set_words = per_op (fun i -> ok (DB.set_value db subs.(i mod 1_000) value)) in
   json :=
     Printf.sprintf
       "    {\"case\": \"write_path\", \"objects\": %d, \"create_us\": %.2f, \
-       \"set_value_us\": %.2f}"
-      (DB.object_count db) create_us set_us
+       \"create_words\": %.0f, \"set_value_us\": %.2f, \"set_value_words\": %.0f}"
+      (DB.object_count db) create_us create_words set_us set_words
     :: !json;
   Report.table ~title:"single-threaded write path (db of 1000 clusters)"
-    ~header:[ "op"; "per op" ]
+    ~header:[ "op"; "per op"; "minor words" ]
     [
-      [ "create_object"; Printf.sprintf "%.2f us" create_us ];
-      [ "set_value"; Printf.sprintf "%.2f us" set_us ];
+      [ "create_object"; Printf.sprintf "%.2f us" create_us; Printf.sprintf "%.0f" create_words ];
+      [ "set_value"; Printf.sprintf "%.2f us" set_us; Printf.sprintf "%.0f" set_words ];
     ];
   Report.write_json "mvcc"
     ~extra:

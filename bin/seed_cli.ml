@@ -889,16 +889,14 @@ let shell_cmd =
 (* --- serve / connect ---------------------------------------------------- *)
 
 let serve_cmd =
-  let run dir host port ttl max_sessions max_in_flight =
+  let run dir host port ttl max_sessions =
     (* a check-in is acked only once its journal frame is fsync'd *)
     match Persist.Session.open_ ~dir ~sync:`Always_fsync () with
     | Error e -> exit_err e
     | Ok session ->
       warn_recovery session;
       let engine = Seed_server.Server.of_session session in
-      let config =
-        { Seed_net.Net_server.session_ttl = ttl; max_sessions; max_in_flight }
-      in
+      let config = { Seed_net.Net_server.session_ttl = ttl; max_sessions } in
       let core = Seed_net.Net_server.create ~config engine in
       (match Seed_net.Net_server.serve ~host ~port core with
       | Error e ->
@@ -953,12 +951,6 @@ let serve_cmd =
       & info [ "max-sessions" ] ~docv:"N"
           ~doc:"Admission cap; further clients get a retryable Busy.")
   in
-  let max_in_flight =
-    Arg.(
-      value & opt int 128
-      & info [ "max-in-flight" ] ~docv:"N"
-          ~doc:"Cap on concurrently executing requests (load shedding).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -968,7 +960,7 @@ let serve_cmd =
           check-in has been fsync'd to the journal; SIGINT/SIGTERM \
           drains gracefully (in-flight requests finish, queued clients get \
           a retryable error).")
-    Term.(const run $ dir_arg $ host $ port $ ttl $ max_sessions $ max_in_flight)
+    Term.(const run $ dir_arg $ host $ port $ ttl $ max_sessions)
 
 let connect_help () =
   print_string

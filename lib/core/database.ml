@@ -138,10 +138,6 @@ let validate ?(recheck_contexts = true) db id event =
 (* Creation                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let add_new_item db item =
-  Db_state.add_item db item;
-  Db_state.mark_dirty db item
-
 let create_object db ~cls ~name ?(pattern = false) () =
   let v = View.current db in
   let* () = Consistency.check_new_object v ~cls ~name in
@@ -159,7 +155,7 @@ let create_object db ~cls ~name ?(pattern = false) () =
       }
   in
   let item = Item.make id Item.Independent state in
-  add_new_item db item;
+  Db_state.add_item db item;
   let* () = validate db id (Event.Created id) in
   Ok id
 
@@ -212,7 +208,7 @@ let create_sub_object db ~parent ~role ?index ?value () =
       }
   in
   let item = Item.make id (Item.Dependent { parent; role; index }) state in
-  add_new_item db item;
+  Db_state.add_item db item;
   let* () = validate db id (Event.Created id) in
   Ok id
 
@@ -236,7 +232,7 @@ let create_relationship db ~assoc ~endpoints ?(pattern = false) () =
       }
   in
   let item = Item.make id Item.Relationship state in
-  add_new_item db item;
+  Db_state.add_item db item;
   let* () = validate db id (Event.Created id) in
   Ok id
 
@@ -272,10 +268,6 @@ let create_relationship_named db ~assoc ~bindings ?(pattern = false) () =
 (* Updates                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let update_item_state db (item : Item.t) new_state =
-  Db_state.replace_state db item.Item.id (Some new_state);
-  Db_state.mark_dirty db item
-
 let set_value db id value =
   let v = View.current db in
   let* item = Db_state.find_item_res db id in
@@ -285,7 +277,7 @@ let set_value db id value =
   | Some o ->
     Db_state.atomically db @@ fun () ->
     let old_value = o.Item.value in
-    update_item_state db item (Item.Obj { o with Item.value });
+    Db_state.replace_state db id (Item.Obj { o with Item.value });
     validate ~recheck_contexts:false db id (Event.Value_updated { id; old_value })
 
 let set_rel_attr db id name value =
@@ -300,7 +292,7 @@ let set_rel_attr db id name value =
     let attrs =
       match value with None -> attrs | Some value -> (name, value) :: attrs
     in
-    update_item_state db item (Item.Rel { r with Item.rel_attrs = attrs });
+    Db_state.replace_state db id (Item.Rel { r with Item.rel_attrs = attrs });
     validate ~recheck_contexts:false db id
       (Event.Value_updated
          { id; old_value = List.assoc_opt name r.Item.rel_attrs })
@@ -323,7 +315,7 @@ let rename_object db id new_name =
   | Some o ->
     Db_state.atomically db @@ fun () ->
     let old_name = Option.value o.Item.name ~default:"" in
-    update_item_state db item (Item.Obj { o with Item.name = Some new_name });
+    Db_state.replace_state db id (Item.Obj { o with Item.name = Some new_name });
     validate ~recheck_contexts:false db id (Event.Renamed { id; old_name })
 
 let reclassify db id ~to_ =
@@ -335,13 +327,13 @@ let reclassify db id ~to_ =
     let* () = Consistency.check_reclassify_object v item ~to_ in
     Db_state.atomically db @@ fun () ->
     let from_ = o.Item.cls in
-    update_item_state db item (Item.Obj { o with Item.cls = to_ });
+    Db_state.replace_state db id (Item.Obj { o with Item.cls = to_ });
     validate db id (Event.Reclassified { id; from_ })
   | Some (Item.Rel r) ->
     let* () = Consistency.check_reclassify_rel v item ~to_ in
     Db_state.atomically db @@ fun () ->
     let from_ = r.Item.assoc in
-    update_item_state db item (Item.Rel { r with Item.assoc = to_ });
+    Db_state.replace_state db id (Item.Rel { r with Item.assoc = to_ });
     validate db id (Event.Reclassified { id; from_ })
 
 (* the sub-object tree below an object, live items only *)
@@ -366,9 +358,9 @@ let delete db id =
   let mark_deleted (it : Item.t) =
     match it.Item.current with
     | Some (Item.Obj o) ->
-      update_item_state db it (Item.Obj { o with Item.deleted = true })
+      Db_state.replace_state db it.Item.id (Item.Obj { o with Item.deleted = true })
     | Some (Item.Rel r) ->
-      update_item_state db it (Item.Rel { r with Item.rel_deleted = true })
+      Db_state.replace_state db it.Item.id (Item.Rel { r with Item.rel_deleted = true })
     | None -> ()
   in
   List.iter mark_deleted cascade;
@@ -387,7 +379,7 @@ let inherit_pattern db ~pattern ~inheritor =
   | None -> fail (Unknown_item (Ident.to_string inheritor))
   | Some o ->
     Db_state.atomically db @@ fun () ->
-    update_item_state db inh
+    Db_state.replace_state db inheritor
       (Item.Obj { o with Item.inherits = o.Item.inherits @ [ pattern ] });
     Db_state.index_inheritor db ~pattern ~inheritor;
     (* the combined context must be consistent right away *)
@@ -410,7 +402,7 @@ let uninherit_pattern db ~pattern ~inheritor =
       let inherits =
         List.filter (fun p -> not (Ident.equal p pattern)) o.Item.inherits
       in
-      update_item_state db inh (Item.Obj { o with Item.inherits });
+      Db_state.replace_state db inheritor (Item.Obj { o with Item.inherits });
       Db_state.unindex_inheritor db ~pattern ~inheritor;
       Ok ()
 
@@ -420,13 +412,7 @@ let uninherit_pattern db ~pattern ~inheritor =
 
 let current_base (db : t) = Db_state.current_base db
 
-let is_dirty db =
-  List.exists
-    (fun id ->
-      match Db_state.find_item db id with
-      | Some it -> it.Item.dirty
-      | None -> false)
-    (Db_state.dirty_ids db)
+let is_dirty db = not (Ident.Set.is_empty (Db_state.dirty db))
 
 (* Transition rules run inside the step: an update a rule makes is
    rolled back with the version when a later rule refuses it. *)
@@ -475,9 +461,8 @@ let begin_alternative db ~from_ ?(force = false) () =
   Db_state.clear_dirty db;
   (* the materialized view of [from_] holds every resolved state *)
   let v = View.at db from_ in
-  Db_state.map_items db (fun it ->
-      Item.with_dirty (Item.with_current it (View.state v it)) false);
-  Db_state.load db (Db_state.iter_items db);
+  Db_state.map_items db (fun it -> Item.with_current it (View.state v it));
+  Db_state.load db (fun add -> Db_state.iter_items db (fun it -> add it false));
   Db_state.set_current_base db (Some from_);
   Ok ()
 
@@ -658,14 +643,7 @@ let stats db =
     st_patterns = Db_state.live_pattern_count x;
     st_versions = List.length (Versioning.all (Db_state.versions db));
     st_items_total = Db_state.item_count db;
-    st_dirty =
-      List.length
-        (List.filter
-           (fun id ->
-             match Db_state.find_item db id with
-             | Some it -> it.Item.dirty
-             | None -> false)
-           (Db_state.dirty_ids db));
+    st_dirty = Ident.Set.cardinal (Db_state.dirty db);
     st_schema_revision = Schema.revision (Db_state.schema db);
     st_vc_hits = vc.Db_state.vc_hits;
     st_vc_misses = vc.Db_state.vc_misses;

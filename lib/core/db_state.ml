@@ -43,7 +43,7 @@ type root = {
   r_retrieval_version : Version_id.t option;
   r_dirty : Ident.Set.t;
   r_unflushed : Ident.Set.t;
-      (* ids whose stored record (current state, dirty flag or history)
+      (* ids whose stored record (current state, delta membership or history)
          changed since the last durable flush; living in the root, it is
          restored by every rollback swap *)
 }
@@ -279,27 +279,32 @@ let text_doc_of_state (item : Item.t) (state : Item.state option) =
     | Some _ | None -> None)
   | _ -> None
 
-let build_text_index items =
+(* One wholesale build over the item table, each item at the state
+   [state_of] resolves for it: the current state for the root's index, the
+   resolved one for a version's. *)
+let build_text_index items state_of =
   Text_index.of_docs
     (Seq.fold_left
        (fun acc ((id, it) : Ident.t * Item.t) ->
-         match text_doc_of_state it it.Item.current with
+         match text_doc_of_state it (state_of it) with
          | Some (path, s) -> (id, path, s) :: acc
          | None -> acc)
        [] (Ident.Map.to_rev_seq items))
 
-(* Bring the text index in line with [item] holding [state]: index its
-   string, or drop the carrier. *)
-let root_text r (item : Item.t) (state : Item.state option) =
+let current_state (it : Item.t) = it.Item.current
+
+(* The root's text index brought in line with [item] holding [state]: its
+   string indexed, or the carrier dropped. *)
+let text_of r (item : Item.t) (state : Item.state option) =
   match r.r_text with
-  | None -> r
+  | None -> None
   | Some tx ->
     let tx' =
       match text_doc_of_state item state with
       | Some (path, s) -> Text_index.add_doc tx item.Item.id ~path s
       | None -> Text_index.remove_doc tx item.Item.id
     in
-    if tx' == tx then r else { r with r_text = Some tx' }
+    if tx' == tx then r.r_text else Some tx'
 
 let add_or_remove_id ~add m k id =
   if add then Smap.add_id m k id else Smap.remove_id m k id
@@ -328,7 +333,7 @@ let slot (item : Item.t) (state : Item.state option) =
 
 (* Enter ([~add:true]) or drop [state]'s extent membership for [item]. A
    name binding is dropped only while it is still this item's. The text
-   index has its own hook ([root_text]): the wholesale rebuild builds
+   index has its own hook ([text_of]): the wholesale rebuild builds
    it in one pass. *)
 let membership ~add x (item : Item.t) (state : Item.state option) =
   let id = item.Item.id in
@@ -398,55 +403,60 @@ let index_identity (children, rels_of) (item : Item.t) =
       (children, List.fold_left (fun m e -> Idmap.add m e item.id) rels_of endpoints)
     | Some (Item.Obj _) | None -> (children, rels_of))
 
+(* The one single-item writer of the item table: [r]'s table with [item]
+   stored, and its unflushed set with [item]'s id — every record it
+   stores is one the next flush must write. Its callers build one root
+   from the pair. *)
+let put r (item : Item.t) =
+  (Ident.Map.add item.id item r.r_items, Ident.Set.add item.id r.r_unflushed)
+
+(* The two writers of an item's current state; each enters the item in
+   the delta set in the same root update. *)
 let add_item t (item : Item.t) =
   let r = t.working in
+  let r_items, r_unflushed = put r item in
   let r_children, r_rels_of = index_identity (r.r_children, r.r_rels_of) item in
-  let r =
+  t.working <-
     {
       r with
-      r_items = Ident.Map.add item.id item r.r_items;
-      r_unflushed = Ident.Set.add item.id r.r_unflushed;
+      r_items;
+      r_unflushed;
+      r_dirty = Ident.Set.add item.id r.r_dirty;
       r_ext = index_state r.r_ext item item.current;
+      r_text = text_of r item item.current;
       r_children;
       r_rels_of;
     }
-  in
-  t.working <- root_text r item item.current
 
 let replace_state t id new_state =
   match Ident.Map.find_opt id t.working.r_items with
   | None -> ()
   | Some item ->
     let r = t.working in
-    let item' = Item.with_current item new_state in
-    let r =
+    let item' = Item.with_current item (Some new_state) in
+    let r_items, r_unflushed = put r item' in
+    t.working <-
       {
         r with
-        r_items = Ident.Map.add id item' r.r_items;
-        r_unflushed = Ident.Set.add id r.r_unflushed;
-        r_ext = index_state (unindex_state r.r_ext item item.current) item' new_state;
+        r_items;
+        r_unflushed;
+        r_dirty = Ident.Set.add id r.r_dirty;
+        r_ext = index_state (unindex_state r.r_ext item item.current) item' item'.current;
+        r_text = text_of r item' item'.current;
       }
-    in
-    t.working <- root_text r item' new_state
 
-let unsafe_put_item t (item : Item.t) =
-  (* Replace the stored record without any index maintenance — test
-     support for tampering with an item behind the API's back. *)
-  let r = t.working in
-  t.working <-
-    {
-      r with
-      r_items = Ident.Map.add item.Item.id item r.r_items;
-      r_unflushed = Ident.Set.add item.Item.id r.r_unflushed;
-    }
+(* Replace the stored record without any index maintenance: a version
+   stamp, or a test tampering with an item behind the API's back. *)
+let unsafe_put_item t item =
+  let r_items, r_unflushed = put t.working item in
+  t.working <- { t.working with r_items; r_unflushed }
 
 (* Whether [b] stores a different record than [a]. [Item.with_current]
    always allocates, so states are compared by value: a branch switch
    re-resolving an unchanged state must not re-flush it. *)
 let record_changed (a : Item.t) (b : Item.t) =
   a != b
-  && (a.Item.dirty <> b.Item.dirty
-     || a.Item.history != b.Item.history
+  && (a.Item.history != b.Item.history
      || not (a.Item.current == b.Item.current || a.Item.current = b.Item.current))
 
 let map_items t f =
@@ -464,52 +474,30 @@ let map_items t f =
 
 (* ------------------------------------------------------------------ *)
 (* The delta set                                                        *)
+(*                                                                      *)
+(* [r_dirty] alone says what the next version stamps. A stored record   *)
+(* carries its membership as a byte written from the set, so emptying   *)
+(* the set changes the stored record of each former member.             *)
 (* ------------------------------------------------------------------ *)
 
-let mark_dirty t (item : Item.t) =
-  match Ident.Map.find_opt item.Item.id t.working.r_items with
-  | Some it when not it.Item.dirty ->
-    t.working <-
-      {
-        t.working with
-        r_items = Ident.Map.add it.Item.id (Item.with_dirty it true) t.working.r_items;
-        r_dirty = Ident.Set.add it.Item.id t.working.r_dirty;
-        r_unflushed = Ident.Set.add it.Item.id t.working.r_unflushed;
-      }
-  | Some _ | None -> ()
-
-let dirty_ids t = Ident.Set.elements t.working.r_dirty
+let dirty t = t.working.r_dirty
 
 let clear_dirty t =
   let r = t.working in
-  let items, unflushed =
-    Ident.Set.fold
-      (fun id ((m, u) as acc) ->
-        match Ident.Map.find_opt id m with
-        | Some it when it.Item.dirty ->
-          (Ident.Map.add id (Item.with_dirty it false) m, Ident.Set.add id u)
-        | Some _ | None -> acc)
-      r.r_dirty (r.r_items, r.r_unflushed)
-  in
   t.working <-
-    { r with r_items = items; r_dirty = Ident.Set.empty; r_unflushed = unflushed }
+    {
+      r with
+      r_dirty = Ident.Set.empty;
+      r_unflushed = Ident.Set.union r.r_dirty r.r_unflushed;
+    }
 
 let stamp_dirty t vid =
-  let r = t.working in
-  let count = ref 0 in
-  let items, unflushed =
-    Ident.Set.fold
-      (fun id ((m, u) as acc) ->
-        match Ident.Map.find_opt id m with
-        | Some it when it.Item.dirty ->
-          incr count;
-          (Ident.Map.add id (Item.stamp it vid) m, Ident.Set.add id u)
-        | Some _ | None -> acc)
-      r.r_dirty (r.r_items, r.r_unflushed)
-  in
-  t.working <-
-    { r with r_items = items; r_dirty = Ident.Set.empty; r_unflushed = unflushed };
-  !count
+  let delta = t.working.r_dirty in
+  Ident.Set.iter
+    (fun id -> Option.iter (fun it -> unsafe_put_item t (Item.stamp it vid)) (find_item t id))
+    delta;
+  t.working <- { t.working with r_dirty = Ident.Set.empty };
+  Ident.Set.cardinal delta
 
 let drop_version_stamps t vid = map_items t (fun it -> Item.drop_stamp it vid)
 
@@ -575,10 +563,10 @@ let load t feed =
   in
   let identity = ref (Idmap.empty, Idmap.empty) in
   let inheritors = ref Idmap.empty and names = ref Smap.empty in
-  feed (fun (it : Item.t) ->
+  feed (fun (it : Item.t) in_delta ->
       let id = it.Item.id in
       items := push_run union_disjoint (1, Ident.Map.singleton id it) !items;
-      if it.Item.dirty then dirty := push_id id !dirty;
+      if in_delta then dirty := push_id id !dirty;
       identity := index_identity !identity it;
       (match slot it it.Item.current with
       | Outside -> ()
@@ -612,7 +600,7 @@ let load t feed =
           x_names = !names;
         };
       r_dirty = set_of_runs !dirty;
-      r_text = Option.map (fun _ -> build_text_index items) r.r_text;
+      r_text = Option.map (fun _ -> build_text_index items current_state) r.r_text;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -710,7 +698,7 @@ let ve_state ve id = Ident.Tbl.find_opt ve.ve_states id
 (* Text index                                                           *)
 (*                                                                      *)
 (* The trigram index lives in the root next to the extents and is       *)
-(* maintained beside them ([root_text] in [add_item] and                *)
+(* maintained beside them ([text_of] in [add_item] and                 *)
 (* [replace_state]), so every state replacement —                       *)
 (* create, value update, logical delete, re-classification, rollback by *)
 (* root swap — keeps it exact, and [load] builds it in one pass on      *)
@@ -722,7 +710,7 @@ let ve_state ve id = Ident.Tbl.find_opt ve.ve_states id
 let text_index t = t.working.r_text
 let text_index_enabled t = t.working.r_text <> None
 
-let rebuilt_text_index t = build_text_index t.working.r_items
+let rebuilt_text_index t = build_text_index t.working.r_items current_state
 
 let set_text_index_enabled t on =
   match (t.working.r_text, on) with
@@ -730,7 +718,7 @@ let set_text_index_enabled t on =
   | Some _, false -> t.working <- { t.working with r_text = None }
   | None, true ->
     t.working <-
-      { t.working with r_text = Some (build_text_index t.working.r_items) }
+      { t.working with r_text = Some (build_text_index t.working.r_items current_state) }
 
 let text_stats t = Option.map Text_index.stats t.working.r_text
 let note_text_queries t ~hits ~fallbacks =
@@ -738,20 +726,11 @@ let note_text_queries t ~hits ~fallbacks =
   if fallbacks > 0 then ignore (Atomic.fetch_and_add t.text_fallback_count fallbacks)
 let text_counters t = (Atomic.get t.text_hit_count, Atomic.get t.text_fallback_count)
 
-let ve_text_index ve =
+let ve_text_index t ve =
   match ve.ve_text with
   | Some tx -> tx
   | None ->
-    (* mirror [text_doc_of_state]: any item holding an [Obj] state has a
-       non-relationship body, so the body check is implied here *)
-    let doc id s acc =
-      match s with
-      | Item.Obj { deleted = false; value = Some (Value.String str); cls; _ } ->
-        (id, cls, str) :: acc
-      | Item.Obj _ | Item.Rel _ -> acc
-    in
-    (* ids are distinct, so [compare] orders by id alone *)
-    let tx = Text_index.of_docs (List.sort compare (Ident.Tbl.fold doc ve.ve_states [])) in
+    let tx = build_text_index t.working.r_items (fun it -> ve_state ve it.Item.id) in
     ve.ve_text <- Some tx;
     tx
 

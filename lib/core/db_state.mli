@@ -138,12 +138,13 @@ val fresh_id : t -> Ident.t
 
 val add_item : t -> Item.t -> unit
 (** Insert into the item table and all identity-level indexes, the
-    extent of its current state, and the name index when applicable. *)
+    extent of its current state, and the name index when applicable;
+    the item enters the delta set. *)
 
-val replace_state : t -> Ident.t -> Item.state option -> unit
+val replace_state : t -> Ident.t -> Item.state -> unit
 (** Overwrite the item's current state, maintaining the name index and
-    all extents (the old state is unindexed, the new one indexed).
-    Does not touch the dirty flag — callers {!mark_dirty}. *)
+    all extents (the old state is unindexed, the new one indexed); the
+    item enters the delta set. An unknown id is ignored. *)
 
 val unsafe_put_item : t -> Item.t -> unit
 (** Replace the stored record with {e no} index maintenance — test
@@ -193,28 +194,30 @@ val fold_live_ids : extents -> (Ident.t -> 'a -> 'a) -> 'a -> 'a
 val find_id_by_name : extents -> string -> Ident.t option
 (** The live independent object (patterns included) of that name. *)
 
-(** {1 The delta set} *)
+(** {1 The delta set}
 
-val mark_dirty : t -> Item.t -> unit
-(** Add to the delta set for the next version snapshot (sets the
-    per-item flag). *)
+    The ids whose current state changed since the last version stamp:
+    what the next version stamps. {!add_item} and {!replace_state} are
+    its only writers; it is the only record of it (a stored item
+    carries its membership, written from the set). *)
+
+val dirty : t -> Ident.Set.t
 
 val clear_dirty : t -> unit
-(** Reset all dirty flags and the set (after a branch switch). *)
-
-val dirty_ids : t -> Ident.t list
+(** Empty the set (after a branch switch); its former members become
+    unflushed. *)
 
 val stamp_dirty : t -> Version_id.t -> int
-(** Stamp every dirty item's current state under [vid], clearing flags
-    and the set; returns the number of items stamped — the delta. *)
+(** Stamp every member's current state under [vid] and empty the set;
+    returns the number of items stamped — the delta. *)
 
 val drop_version_stamps : t -> Version_id.t -> unit
 (** Remove every item's stamp for a deleted version. *)
 
 (** {1 The unflushed set}
 
-    The ids whose stored record — current state, dirty flag or history
-    — changed since the last durable flush. Every mutator above keeps
+    The ids whose stored record — current state, delta membership or
+    history — changed since the last durable flush. Every mutator above keeps
     it; items loaded from storage are not in it. It lives in the root,
     so a rollback ({!atomically}'s savepoint swap) restores it with the
     records. *)
@@ -235,15 +238,16 @@ val inheritor_set : t -> Ident.t -> Ident.Set.t
 val index_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 val unindex_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 
-val load : t -> ((Item.t -> unit) -> unit) -> unit
+val load : t -> ((Item.t -> bool -> unit) -> unit) -> unit
 (** [load t feed] rebuilds the working root in one pass over the items
-    [feed add] passes to [add] in strictly increasing id order: item
-    table, identity indexes (a relationship existing only in history by
-    its historical endpoints), extents, inheritor, text and delta sets,
-    id generator (raised to the largest id fed); the unflushed set is
-    kept. Open loads a fresh handle from storage; a branch switch
-    re-feeds the switched table ({!iter_items}), leaving the version
-    cache valid. *)
+    [feed add] passes to [add item in_delta] in strictly increasing id
+    order: item table, identity indexes (a relationship existing only in
+    history by its historical endpoints), extents, inheritor and text
+    sets, the delta set (the items fed with [in_delta]), id generator
+    (raised to the largest id fed); the unflushed set is kept. Open
+    loads a fresh handle from storage, each item with its stored delta
+    byte; a branch switch re-feeds the switched table ({!iter_items})
+    with an empty delta, leaving the version cache valid. *)
 
 (** {1 Materialized version views}
 
@@ -315,9 +319,10 @@ val note_text_queries : t -> hits:int -> fallbacks:int -> unit
 val text_counters : t -> int * int
 (** [(hits, fallbacks)]. *)
 
-val ve_text_index : version_extent -> Text_index.t
-(** The trigram index over a materialized version's string values,
-    built lazily on first use and cached on the extent — historical
+val ve_text_index : t -> version_extent -> Text_index.t
+(** The trigram index over a materialized version's string values, built
+    lazily on first use by the same sweep as the current state's (each
+    item at its resolved state) and cached on the extent — historical
     text queries plan too. *)
 
 (** {1 Registries (handle-level, not part of the root)} *)

@@ -29,17 +29,12 @@ type t = {
   id : Ident.t;
   body : body;
   current : state option;
-  dirty : bool;
   history : state Version_id.Map.t;
 }
 
-(* dirty starts false so that Db_state.mark_dirty both sets the flag and
-   enqueues the item in the delta set *)
-let make id body state =
-  { id; body; current = Some state; dirty = false; history = Version_id.Map.empty }
+let make id body state = { id; body; current = Some state; history = Version_id.Map.empty }
 
 let with_current t current = { t with current }
-let with_dirty t dirty = if t.dirty = dirty then t else { t with dirty }
 
 let state_deleted = function
   | Obj o -> o.deleted
@@ -68,7 +63,7 @@ let stamp t vid =
     | Some s -> Version_id.Map.add vid s t.history
     | None -> t.history
   in
-  { t with history; dirty = false }
+  { t with history }
 
 let drop_stamp t vid =
   if Version_id.Map.mem vid t.history then

@@ -48,7 +48,6 @@ type t = {
   current : state option;
       (** working state; [None] when the item does not exist in the
           current alternative (it was created on another branch) *)
-  dirty : bool;  (** changed since the last version stamp — the delta set *)
   history : state Version_id.Map.t;
       (** version stamps keyed by version label, so resolving one stamp
           is a map lookup instead of an assoc-list walk; grow-only
@@ -59,15 +58,12 @@ type t = {
     snapshot of an older root keeps seeing the unmodified item. *)
 
 val make : Ident.t -> body -> state -> t
-(** Fresh item with the given initial current state. The dirty flag
-    starts clear; creation paths call [Db_state.mark_dirty], which both
-    sets it and enqueues the item in the delta set. *)
+(** Fresh item with the given initial current state and no stamps.
+    Whether it belongs to the next version's delta is the root's
+    business: {!Db_state.add_item} enters it there. *)
 
 val with_current : t -> state option -> t
 (** Copy with a different working state. *)
-
-val with_dirty : t -> bool -> t
-(** Copy with the dirty flag set/cleared ([t] itself when unchanged). *)
 
 val state_deleted : state -> bool
 val state_pattern : state -> bool
@@ -85,8 +81,7 @@ val stamp_at : t -> Version_id.t -> state option
 (** The state stamped exactly at the given version, if any. *)
 
 val stamp : t -> Version_id.t -> t
-(** Copy with the current state recorded under [vid] and the dirty flag
-    cleared. *)
+(** Copy with the current state recorded under [vid]. *)
 
 val drop_stamp : t -> Version_id.t -> t
 (** Copy without the stamp for a deleted version ([t] itself when the

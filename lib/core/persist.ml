@@ -118,11 +118,12 @@ let w_body w (b : Item.body) =
     W.option w W.varint index
   | Item.Relationship -> W.u8 w 2
 
-let w_item w (it : Item.t) =
+(* the dirty byte is the item's membership in the delta set [delta] *)
+let w_item delta w (it : Item.t) =
   w_ident w it.Item.id;
   w_body w it.Item.body;
   W.option w w_state it.Item.current;
-  W.bool w it.Item.dirty;
+  W.bool w (Ident.Set.mem it.Item.id delta);
   W.list w
     (fun w (vid, s) -> w_version_id w vid; w_state w s)
     (Item.history_bindings it)
@@ -274,6 +275,7 @@ let r_body r ~id =
   | 2 -> Item.Relationship
   | _ -> R.fail "bad body tag"
 
+(* an item and its dirty byte: whether it is in the delta set *)
 let r_item r =
   let id = r_ident r in
   let body = r_body r ~id in
@@ -284,7 +286,7 @@ let r_item r =
         let vid = r_version_id r in
         (vid, r_state r))
   in
-  { Item.id; body; current; dirty; history = Item.history_of_bindings history }
+  ({ Item.id; body; current; history = Item.history_of_bindings history }, dirty)
 
 let r_raw_node r =
   let r_vid = r_version_id r in
@@ -325,7 +327,7 @@ let encode_db db =
   W.varint w format_version;
   w_meta w st;
   (* the item table folds in id order already *)
-  W.iter w w_item (Db_state.item_count st) (Db_state.iter_items st);
+  W.iter w (w_item (Db_state.dirty st)) (Db_state.item_count st) (Db_state.iter_items st);
   W.contents w
 
 (* ------------------------------------------------------------------ *)
@@ -338,10 +340,10 @@ let record_meta st =
   w_meta w st;
   W.contents w
 
-let record_item (it : Item.t) =
+let record_item delta it =
   let w = W.create () in
   W.u8 w 1;
-  w_item w it;
+  w_item delta w it;
   W.contents w
 
 (* The journal tail, decoded first: the last meta record and the last
@@ -354,8 +356,8 @@ let read_records records =
           match R.u8 r with
           | 0 -> (Some (r_meta r), items)
           | 1 ->
-            let it = r_item r in
-            (meta, Ident.Map.add it.Item.id it items)
+            let ((it, _) as item) = r_item r in
+            (meta, Ident.Map.add it.Item.id item items)
           | _ -> R.fail "bad journal record tag"))
     (Ok (None, Ident.Map.empty))
     records
@@ -382,14 +384,14 @@ let load_items st journal snapshot =
       (* add the journal's items up to [id]; true when one replaces it *)
       let rec take_upto id =
         match !pending with
-        | (jid, jit) :: rest when Ident.compare jid id <= 0 ->
-          add jit;
+        | (jid, (jit, jdirty)) :: rest when Ident.compare jid id <= 0 ->
+          add jit jdirty;
           pending := rest;
           Ident.equal jid id || take_upto id
         | _ :: _ | [] -> false
       in
-      snapshot (fun (it : Item.t) -> if not (take_upto it.Item.id) then add it);
-      List.iter (fun (_, jit) -> add jit) !pending)
+      snapshot (fun (it : Item.t) dirty -> if not (take_upto it.Item.id) then add it dirty);
+      List.iter (fun (_, (jit, jdirty)) -> add jit jdirty) !pending)
 
 (* The snapshot payload decoded straight into a fresh root, with the
    journal tail [(jmeta, jitems)] merged in. *)
@@ -402,11 +404,11 @@ let decode_snapshot payload (jmeta, jitems) =
       let last = ref min_int in
       load_items st jitems (fun add ->
           R.iter r (fun r ->
-              let it = r_item r in
+              let it, dirty = r_item r in
               let id = Ident.to_int it.Item.id in
               if id <= !last then R.fail "snapshot items out of id order";
               last := id;
-              add it));
+              add it dirty));
       st)
 
 (* The stored database, [None] when the directory holds none. *)
@@ -528,7 +530,8 @@ module Session = struct
       in
       let meta = not (meta_unchanged t.meta_fingerprint st) in
       let records =
-        List.map record_item items @ if meta then [ record_meta st ] else []
+        List.map (record_item (Db_state.dirty st)) items
+        @ if meta then [ record_meta st ] else []
       in
       (* one transaction, one journal frame: a crash mid-flush durably
          persists either the whole batch (items + meta) or none of it —

@@ -18,7 +18,9 @@
     Opening is one fold: the journal's records are decoded into a small
     map, then the snapshot's items straight into the root in id order,
     the journal's versions merged in and every index built in the same
-    pass ({!Db_state.load}); last the root is verified
+    pass ({!Db_state.load}) — the delta set from each item's stored
+    dirty byte, the journal's record of an item overriding the
+    snapshot's; last the root is verified
     ({!Consistency.check_database}) unless [~verify:false]. A malformed
     payload is [Error (Corrupt _)], never an exception. *)
 
@@ -78,8 +80,9 @@ module Session : sig
 
   val flush : t -> (unit, Seed_error.t) result
   (** Append journal records for the items in the database's
-      {!Db_state.unflushed} set — every item whose state, dirty flag or
-      history changed since the last flush, in id order — plus a
+      {!Db_state.unflushed} set — every item whose state, history or
+      membership of the delta set (its dirty byte, written from
+      {!Db_state.dirty}) changed since the last flush, in id order — plus a
       metadata record when the schema list, the version tree or the
       current base was replaced since the last durable flush, compared
       by identity: nothing is encoded to decide. A moved id counter

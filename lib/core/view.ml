@@ -26,7 +26,7 @@ let text_index t =
   match t.mode with
   | Current -> Db_state.text_index t.db_
   | At (_, ve) ->
-    if Db_state.text_index_enabled t.db_ then Some (Db_state.ve_text_index ve)
+    if Db_state.text_index_enabled t.db_ then Some (Db_state.ve_text_index t.db_ ve)
     else None
 
 let schema t =

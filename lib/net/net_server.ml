@@ -6,12 +6,15 @@ module Query = Seed_core.Query
 
 type config = {
   max_sessions : int;
-  max_in_flight : int;
   session_ttl : float;
 }
 
-let default_config =
-  { max_sessions = 64; max_in_flight = 128; session_ttl = 30.0 }
+let default_config = { max_sessions = 64; session_ttl = 30.0 }
+
+(* Every request runs under the engine mutex except a blocking checkout
+   while it sleeps, so at most one request plus the waiting checkouts
+   are in flight: a cap nothing needs to set. *)
+let max_in_flight = 128
 
 (* the pause a [Busy] answer suggests before the client retries *)
 let busy_retry_after = 0.05
@@ -113,7 +116,7 @@ let stats_locked t =
     Wire.sv_sessions = Hashtbl.length t.sessions;
     sv_max_sessions = t.cfg.max_sessions;
     sv_in_flight = t.in_flight;
-    sv_max_in_flight = t.cfg.max_in_flight;
+    sv_max_in_flight = max_in_flight;
     sv_served = t.served;
     sv_busy_rejects = t.busy_rejects;
     sv_reaped_sessions = t.reaped;
@@ -313,7 +316,7 @@ let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
         end
         else if Int64.compare req_id s.last_req < 0 then
           bad_request ~req_id "stale request id"
-        else if t.in_flight >= t.cfg.max_in_flight then begin
+        else if t.in_flight >= max_in_flight then begin
           t.busy_rejects <- t.busy_rejects + 1;
           Reply
             (reply ~req_id (Wire.Busy { retry_after = busy_retry_after }))

@@ -33,15 +33,14 @@
     {b Robustness rules.} Framing corruption closes the connection (a
     byte stream that lost sync is untrustworthy); the session survives
     for the lease window. Admission control sheds load instead of
-    queueing it: too many sessions or too many in-flight requests get
-    [Busy] — never a hang. {!drain} makes the server finish what it is
+    queueing it: too many sessions, or more than 128 requests in
+    flight, get [Busy] — never a hang. {!drain} makes the server finish what it is
     executing and answer everything newly arriving with the retryable
     [Draining]. No client input may crash the server: [on_frame]
     converts engine exceptions into [Server_error] responses. *)
 
 type config = {
   max_sessions : int;  (** admission cap on live sessions (default 64) *)
-  max_in_flight : int;  (** cap on concurrently executing requests *)
   session_ttl : float;  (** session lease seconds; reaping frees its locks *)
 }
 

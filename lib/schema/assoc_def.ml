@@ -41,17 +41,3 @@ let role_position a n =
   go 0 a.roles
 
 let nth_role a i = List.nth a.roles i
-
-let pp_role ppf r =
-  Fmt.pf ppf "%s: %s %a" r.role_name r.target Cardinality.pp r.card
-
-let pp ppf a =
-  Fmt.pf ppf "@[<h>assoc %s(%a)%s%a%s@]" a.name
-    (Fmt.list ~sep:(Fmt.any ", ") pp_role)
-    a.roles
-    (if a.acyclic then " ACYCLIC" else "")
-    (fun ppf -> function
-      | None -> ()
-      | Some s -> Fmt.pf ppf " isa %s" s)
-    a.super
-    (if a.covering then " (covering)" else "")

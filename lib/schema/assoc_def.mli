@@ -74,5 +74,3 @@ val role_position : t -> string -> int option
     generalization hierarchy. *)
 
 val nth_role : t -> int -> role
-
-val pp : Format.formatter -> t -> unit

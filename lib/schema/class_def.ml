@@ -22,18 +22,3 @@ let parent_name c =
   match c.path with
   | [] | [ _ ] -> None
   | p -> Some (String.concat "." (List.filteri (fun i _ -> i < List.length p - 1) p))
-
-let pp ppf c =
-  Fmt.pf ppf "@[<h>class %s%a%a%a%s@]" (name c)
-    (fun ppf () ->
-      if is_top_level c then () else Fmt.pf ppf " %a" Cardinality.pp c.card)
-    ()
-    (fun ppf -> function
-      | None -> ()
-      | Some ty -> Fmt.pf ppf " : %a" Value_type.pp ty)
-    c.content
-    (fun ppf -> function
-      | None -> ()
-      | Some s -> Fmt.pf ppf " isa %s" s)
-    c.super
-    (if c.covering then " (covering)" else "")

@@ -47,5 +47,3 @@ val is_top_level : t -> bool
 
 val parent_name : t -> string option
 (** Dotted path of the enclosing class, for sub-classes. *)
-
-val pp : Format.formatter -> t -> unit

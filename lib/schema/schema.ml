@@ -484,9 +484,3 @@ let of_defs class_defs assoc_defs =
   Ok (with_revision s 1)
 
 let of_defs_exn class_defs assoc_defs = ok_exn (of_defs class_defs assoc_defs)
-
-let pp ppf s =
-  Fmt.pf ppf "@[<v>schema (revision %d)@," s.rev;
-  List.iter (fun c -> Fmt.pf ppf "  %a@," Class_def.pp c) (classes s);
-  List.iter (fun a -> Fmt.pf ppf "  %a@," Assoc_def.pp a) (assocs s);
-  Fmt.pf ppf "@]"

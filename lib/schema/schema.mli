@@ -125,6 +125,3 @@ val participation_constraints :
 (** Every [(assoc, position, role)] whose role target is [cls] or one of
     its generalization ancestors — i.e. every participation bound that
     applies to instances of [cls]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Multi-line schema listing. *)

@@ -330,7 +330,17 @@ let test_procedure_veto_rolls_back () =
   check_err "vetoed" is_vetoed (DB.set_value db pages (Some (Value.Int 100)));
   (* the update was rolled back *)
   Alcotest.(check bool) "rolled back" true
-    (DB.get_value db pages = Some (Value.Int 50))
+    (DB.get_value db pages = Some (Value.Int 50));
+  (* a vetoed first update of a clean item leaves it out of the delta
+     set and writes nothing for the next flush *)
+  ignore (ok (DB.create_version db));
+  let st = DB.raw db in
+  let unflushed = Db_state.unflushed st in
+  check_err "vetoed when clean" is_vetoed (DB.set_value db pages (Some (Value.Int 200)));
+  Alcotest.(check bool) "still clean" false (DB.is_dirty db);
+  Alcotest.(check int) "delta empty" 0 (Ident.Set.cardinal (Db_state.dirty st));
+  Alcotest.(check bool) "unflushed unchanged" true
+    (Ident.Set.equal unflushed (Db_state.unflushed st))
 
 let test_procedure_veto_rolls_back_creation () =
   let db = DB.create (schema_with_proc ()) in

@@ -721,7 +721,7 @@ let test_dead_waiter_frees_its_locks () =
     [ 3600.0; Float.nan ]
 
 let test_max_sessions_sheds_load () =
-  let config = { NS.default_config with max_sessions = 2; session_ttl = test_ttl } in
+  let config = { NS.max_sessions = 2; session_ttl = test_ttl } in
   let core, _, clock = make_core ~config () in
   let c1 = NS.open_conn core in
   let _ = hello core c1 ~client:"a" () in
@@ -938,7 +938,7 @@ let test_client_surfaces_expired_session () =
   Alcotest.(check int) "no double apply" (before + 1) (Server.checkin_count srv)
 
 let test_client_retries_busy () =
-  let config = { NS.default_config with max_sessions = 1; session_ttl = 5.0 } in
+  let config = { NS.max_sessions = 1; session_ttl = 5.0 } in
   let core, _, clock = make_core ~config () in
   (* occupy the only slot with a session that dies at t=5 *)
   let c1 = NS.open_conn core in

@@ -196,7 +196,7 @@ let test_session_flush_after_branch_switch () =
 let meta_of db =
   let st = DB.raw db in
   ( List.map
-      (fun (rev, sc) -> Fmt.str "%d:%a" rev Schema.pp sc)
+      (fun (rev, sc) -> (rev, Schema.revision sc, Schema_text.print sc))
       (Seed_core.Db_state.schemas st),
     Seed_core.Versioning.dump (Seed_core.Db_state.versions st),
     Option.map Version_id.to_string (DB.current_base db) )
@@ -557,7 +557,10 @@ let test_decoders_never_raise () =
    adds items above the snapshot's ids and carries a relationship that
    exists only in history; the reopened root must answer exactly like
    the incrementally maintained one. *)
-let test_reopen_equals_memory_over_journal () =
+(* [compaction]: the store is compacted after the first version (a
+   snapshot under a journal), never (the journal alone), or after the
+   last flush (the snapshot alone). *)
+let test_reopen_equals_memory ~compaction () =
   let module Q = Seed_core.Query in
   let module View = Seed_core.View in
   let module Db_state = Seed_core.Db_state in
@@ -570,7 +573,7 @@ let test_reopen_equals_memory_over_journal () =
     ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "raises alarms") ())
   in
   let v1 = ok (DB.create_version db) in
-  check_ok "compact" (Persist.Session.compact s);
+  if compaction = `Midway then check_ok "compact" (Persist.Session.compact s);
   let flush () = check_ok "flush" (Persist.Session.flush s) in
   (* rewrites of snapshot items *)
   check_ok "set" (DB.set_value db d (Some (Value.String "clears alarms")));
@@ -583,9 +586,14 @@ let test_reopen_equals_memory_over_journal () =
   let r = ok (DB.create_relationship db ~assoc:"Access" ~endpoints:[ b; h ] ()) in
   flush ();
   ignore (ok (DB.create_version db));
-  ok (DB.begin_alternative db ~from_:v1 ());
+  (* back to its 1.0 value, unsaved: the switch to 1.0 keeps the record
+     and only drops it from the delta set, which the journal must hear *)
+  check_ok "set back" (DB.set_value db d (Some (Value.String "raises alarms")));
+  flush ();
+  ok (DB.begin_alternative db ~from_:v1 ~force:true ());
   ignore (ok (DB.create_object db ~cls:"Action" ~name:"Late" ()));
   flush ();
+  if compaction = `At_end then check_ok "compact" (Persist.Session.compact s);
   let r_item = Option.get (Db_state.find_item (DB.raw db) r) in
   Alcotest.(check bool) "history-only relationship" true (r_item.Seed_core.Item.current = None);
   Persist.Session.close s;
@@ -619,15 +627,24 @@ let test_reopen_equals_memory_over_journal () =
       same "rels of" Db_state.rels_set;
       same "inheritors" Db_state.inheritor_set)
     (ids st @ [ Ident.of_int 9_999 ]);
-  Alcotest.(check (list int)) "dirty ids"
-    (List.map Ident.to_int (Db_state.dirty_ids st))
-    (List.map Ident.to_int (Db_state.dirty_ids st2));
+  let delta st = List.map Ident.to_int (Ident.Set.elements (Db_state.dirty st)) in
+  let reopened = delta st2 in
+  Alcotest.(check (list int)) "dirty ids" (delta st) reopened;
+  Alcotest.(check bool) "dirty and clean items" true
+    (reopened <> [] && List.length reopened < Db_state.item_count st2);
   let content (x : DB.stats) =
     ( (x.st_objects, x.st_sub_objects, x.st_relationships, x.st_patterns),
       (x.st_versions, x.st_items_total, x.st_dirty, x.st_schema_revision),
       (x.st_text_enabled, x.st_text_docs) )
   in
   Alcotest.(check bool) "stats" true (content (DB.stats db) = content (DB.stats db2));
+  (* the next version stamps exactly the reopened delta *)
+  let vid = ok (DB.create_version db2) in
+  let stamped =
+    Db_state.fold_items st2 ~init:[] ~f:(fun acc (it : Seed_core.Item.t) ->
+        if Seed_core.Item.stamp_at it vid <> None then Ident.to_int it.id :: acc else acc)
+  in
+  Alcotest.(check (list int)) "next version stamps the delta" reopened (List.rev stamped);
   Persist.Session.close s2
 
 let test_schema_revisions_roundtrip () =
@@ -657,7 +674,9 @@ let () =
           tc "schema revisions" test_schema_revisions_roundtrip;
           tc "garbage rejected" test_decode_rejects_garbage;
           tc "decoders never raise" test_decoders_never_raise;
-          tc "reopen equals memory over a journal" test_reopen_equals_memory_over_journal;
+          tc "reopen equals memory over a journal" (test_reopen_equals_memory ~compaction:`Midway);
+          tc "reopen equals memory, journal alone" (test_reopen_equals_memory ~compaction:`Never);
+          tc "reopen equals memory after compaction" (test_reopen_equals_memory ~compaction:`At_end);
         ] );
       ( "session",
         [
