@@ -532,6 +532,20 @@ let recovery () =
 (* Q1: the query planner - extent/index-backed select vs a full scan    *)
 (* ------------------------------------------------------------------ *)
 
+(* Seconds and minor words per call of [f], over the calls [f 1] to
+   [f iters] after the warm-up call [f 0]. *)
+let bench_op ~iters f =
+  ignore (f 0);
+  let w0 = Gc.minor_words () in
+  let _, t =
+    Report.time_of (fun () ->
+        for i = 1 to iters do
+          ignore (f i)
+        done)
+  in
+  let per x = x /. float_of_int iters in
+  (per t, per (Gc.minor_words () -. w0))
+
 let query () =
   heading "Q1" "query planner: extent/index-backed select vs full scan";
   let module Q = Seed_core.Query in
@@ -551,16 +565,6 @@ let query () =
         else acc)
     |> List.sort (fun (a : Item.t) b -> Ident.compare a.Item.id b.Item.id)
   in
-  let bench_op ~iters f =
-    ignore (f ());
-    let _, t =
-      Report.time_of (fun () ->
-          for _ = 1 to iters do
-            ignore (f ())
-          done)
-    in
-    t /. float_of_int iters
-  in
   let rows = ref [] in
   let json = ref [] in
   List.iter
@@ -577,8 +581,8 @@ let query () =
       in
       List.iter
         (fun (key, p) ->
-          let indexed = bench_op ~iters (fun () -> Q.select v p) in
-          let scan = bench_op ~iters (fun () -> naive_select v p) in
+          let indexed, words = bench_op ~iters (fun _ -> Q.select v p) in
+          let scan, _ = bench_op ~iters (fun _ -> naive_select v p) in
           let hits = List.length (Q.select v p) in
           rows :=
             [
@@ -586,6 +590,7 @@ let query () =
               key;
               string_of_int hits;
               Report.ms indexed;
+              Printf.sprintf "%.0f" words;
               Report.ms scan;
               Printf.sprintf "%.1fx" (scan /. indexed);
             ]
@@ -593,14 +598,15 @@ let query () =
           json :=
             Printf.sprintf
               "    {\"items\": %d, \"query\": %S, \"hits\": %d, \
-               \"indexed_us\": %.2f, \"scan_us\": %.2f, \"speedup\": %.1f}"
-              n key hits (indexed *. 1e6) (scan *. 1e6) (scan /. indexed)
+               \"indexed_us\": %.2f, \"select_words\": %.0f, \"scan_us\": \
+               %.2f, \"speedup\": %.1f}"
+              n key hits (indexed *. 1e6) words (scan *. 1e6) (scan /. indexed)
             :: !json)
         ops)
     [ 1_000; 10_000; 100_000 ];
   Report.table
     ~title:"planner-backed select vs naive item-table scan (per query)"
-    ~header:[ "items"; "query"; "hits"; "indexed"; "scan"; "speedup" ]
+    ~header:[ "items"; "query"; "hits"; "indexed"; "minor words"; "scan"; "speedup" ]
     (List.rev !rows);
   Report.write_json "query" (List.rev !json)
 
@@ -634,16 +640,6 @@ let text () =
         else acc)
     |> List.sort (by_name v)
   in
-  let bench_op ~iters f =
-    ignore (f ());
-    let _, t =
-      Report.time_of (fun () ->
-          for _ = 1 to iters do
-            ignore (f ())
-          done)
-    in
-    t /. float_of_int iters
-  in
   let rows = ref [] in
   let json = ref [] in
   List.iter
@@ -669,8 +665,8 @@ let text () =
             | Q.Scan _ -> "scan"
           in
           let select_iters = if plan = "scan" then scan_iters else 200 in
-          let indexed = bench_op ~iters:select_iters (fun () -> Q.select v p) in
-          let scan = bench_op ~iters:scan_iters (fun () -> naive_select v p) in
+          let indexed, words = bench_op ~iters:select_iters (fun _ -> Q.select v p) in
+          let scan, _ = bench_op ~iters:scan_iters (fun _ -> naive_select v p) in
           let hits = List.length (Q.select v p) in
           rows :=
             [
@@ -679,6 +675,7 @@ let text () =
               plan;
               string_of_int hits;
               Report.ms indexed;
+              Printf.sprintf "%.0f" words;
               Report.ms scan;
               Printf.sprintf "%.1fx" (scan /. indexed);
             ]
@@ -687,8 +684,8 @@ let text () =
             Printf.sprintf
               "    {\"case\": \"search\", \"docs\": %d, \"query\": %S, \
                \"plan\": %S, \"hits\": %d, \"select_us\": %.2f, \
-               \"scan_us\": %.2f, \"speedup\": %.1f}"
-              n key plan hits (indexed *. 1e6) (scan *. 1e6) (scan /. indexed)
+               \"select_words\": %.0f, \"scan_us\": %.2f, \"speedup\": %.1f}"
+              n key plan hits (indexed *. 1e6) words (scan *. 1e6) (scan /. indexed)
             :: !json)
         ops;
       (* wholesale build: what a branch switch or reopen pays *)
@@ -705,6 +702,7 @@ let text () =
           "-";
           string_of_int st.DB.st_text_docs;
           Report.ms rebuild_t;
+          "-";
           "-";
           Printf.sprintf "%d KiB" (st.DB.st_text_bytes / 1024);
         ]
@@ -745,6 +743,7 @@ let text () =
           "-";
           string_of_int touches;
           Report.ms on_us;
+          "-";
           Report.ms off_us;
           Printf.sprintf "%.2fx" (on_us /. off_us);
         ]
@@ -760,7 +759,8 @@ let text () =
     ~title:
       "containment select: trigram index vs naive scan (plus build/update \
        cost)"
-    ~header:[ "docs"; "query"; "plan"; "hits"; "select"; "scan"; "speedup" ]
+    ~header:
+      [ "docs"; "query"; "plan"; "hits"; "select"; "minor words"; "scan"; "speedup" ]
     (List.rev !rows);
   Report.write_json "text" (List.rev !json)
 
@@ -1476,10 +1476,8 @@ let mvcc () =
   let db = Workloads.seed_populate 1_000 in
   let iters = 2_000 in
   let per_op f =
-    let w0 = Gc.minor_words () in
-    let (), t = Report.time_of (fun () -> for i = 1 to iters do f i done) in
-    let per x = x /. float_of_int iters in
-    (per t *. 1e6, per (Gc.minor_words () -. w0))
+    let t, words = bench_op ~iters f in
+    (t *. 1e6, words)
   in
   let names = Array.init (iters + 1) (Printf.sprintf "Write%05d") in
   let create_us, create_words =
@@ -1489,8 +1487,14 @@ let mvcc () =
     Array.init 1_000 (fun i ->
         Option.get (DB.resolve db (Workloads.data_name i ^ ".Description")))
   in
-  let value = Some (Value.String "w") in
-  let set_us, set_words = per_op (fun i -> ok (DB.set_value db subs.(i mod 1_000) value)) in
+  (* a distinct value per iteration, so no [set_value] stores the value
+     already there *)
+  let values =
+    Array.init (iters + 1) (fun i -> Some (Value.String (Printf.sprintf "w%05d" i)))
+  in
+  let set_us, set_words =
+    per_op (fun i -> ok (DB.set_value db subs.(i mod 1_000) values.(i)))
+  in
   json :=
     Printf.sprintf
       "    {\"case\": \"write_path\", \"objects\": %d, \"create_us\": %.2f, \

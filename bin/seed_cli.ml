@@ -407,8 +407,9 @@ let explain_cmd =
     (Cmd.info "explain"
        ~doc:
          "Show the access path the query planner would take for a \
-          predicate — indexed candidate set with estimated cardinality, \
-          or a full scan and why — without running the query.")
+          predicate — indexed candidate set with estimated cardinality \
+          and whether it is exact, or a full scan and why — without \
+          running the query.")
     Term.(const run $ dir_arg $ tokens)
 
 (* --- export / import ---------------------------------------------------- *)

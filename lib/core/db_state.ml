@@ -428,6 +428,8 @@ let add_item t (item : Item.t) =
       r_rels_of;
     }
 
+(* A state in the same extent slot (a value update) keeps the extents;
+   a rename, reclassification or delete moves the item. *)
 let replace_state t id new_state =
   match Ident.Map.find_opt id t.working.r_items with
   | None -> ()
@@ -441,7 +443,9 @@ let replace_state t id new_state =
         r_items;
         r_unflushed;
         r_dirty = Ident.Set.add id r.r_dirty;
-        r_ext = index_state (unindex_state r.r_ext item item.current) item' item'.current;
+        r_ext =
+          (if slot item item.current = slot item' item'.current then r.r_ext
+           else index_state (unindex_state r.r_ext item item.current) item' item'.current);
         r_text = text_of r item' item'.current;
       }
 

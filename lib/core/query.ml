@@ -9,7 +9,6 @@ type pred =
   | In_class of string
   | Is_a of string
   | Name_is of string
-  | Contains of { path : string; needle : string }
   | Matches of { path : string; needles : string list }
   | And of pred * pred
   | Or of pred * pred
@@ -19,7 +18,7 @@ type pred =
 let in_class cls = In_class cls
 let is_a cls = Is_a cls
 let name_is n = Name_is n
-let contains path needle = Contains { path; needle }
+let contains path needle = Matches { path; needles = [ needle ] }
 let matches path needles = Matches { path; needles }
 let of_fun f = Opaque f
 
@@ -28,16 +27,16 @@ let is_incomplete =
 
 (* Containment semantics: the object itself, or any of its live
    descendant sub-objects, carries a string value at the class path
-   ([""] = any path) satisfying [f]. Only the object's {e own} subtree
-   is walked — information viewed through pattern inheritance is not
-   searched, matching what the trigram index covers. The walk reads
-   the root's children sets, resolving each node's state once. *)
-let carrier_matches v (it : Item.t) ~path f =
+   ([""] = any path) containing every needle. Only the object's {e own}
+   subtree is walked — information viewed through pattern inheritance
+   is not searched, matching what the trigram index covers. The walk
+   reads the root's children sets, resolving each node's state once. *)
+let carrier_matches v (it : Item.t) ~path needles =
   let db = View.db v in
   let rec walk id (o : Item.obj_state) =
     (match o.Item.value with
     | Some (Value.String s) when String.equal path "" || String.equal path o.Item.cls ->
-      f s
+      Text_index.contains_all s needles
     | Some _ | None -> false)
     || Ident.Set.exists
          (fun c ->
@@ -60,11 +59,7 @@ let rec test p v it =
     | None -> false)
   | Name_is n -> (
     match View.full_name v it with Some m -> String.equal m n | None -> false)
-  | Contains { path; needle } ->
-    carrier_matches v it ~path (fun s -> Text_index.string_contains s needle)
-  | Matches { path; needles } ->
-    carrier_matches v it ~path (fun s ->
-        List.for_all (Text_index.string_contains s) needles)
+  | Matches { path; needles } -> carrier_matches v it ~path needles
   | And (p, q) -> test p v it && test q v it
   | Or (p, q) -> test p v it || test q v it
   | Not p -> not (test p v it)
@@ -79,32 +74,27 @@ let not_ p = Not p
 (*                                                                      *)
 (* One walk over the predicate yields the plan: a superset — within the *)
 (* live normal independent objects of the current state — of the items  *)
-(* the predicate can match, or the reason the walk gave up (unbounded), *)
-(* plus the extents, names and text lookups it consulted. {!select} and *)
-(* {!count} execute the plan, re-testing the full predicate on every    *)
-(* candidate, so a constructor only needs to be sound (never omit a     *)
-(* match), not exact; {!explain} renders the same plan.                 *)
-(*   - [In_class c] matches exactly the extent of [c];                  *)
-(*   - [Is_a c] matches the union of the extents of [c] and its         *)
-(*     descendants, because [class_is_a ~sub ~super:c] holds iff [sub]  *)
-(*     is in [class_descendants_or_self c];                             *)
-(*   - [Name_is n] can only match the object the name index binds to    *)
-(*     [n] — every live named independent is indexed and names are      *)
-(*     unique (the index may yield a pattern; the domain filter drops   *)
-(*     it);                                                             *)
-(*   - [Contains]/[Matches] make one trigram lookup over their needles  *)
-(*     worth probing and verify the held text ({!Text_index}), then map *)
-(*     each matching carrier to its root object — a superset because    *)
-(*     pattern roots and inherited subtrees wash out in the re-test;    *)
-(*     they are unbounded when no needle reaches trigram length, the    *)
-(*     index is disabled, or every needle is too common;                *)
-(*   - [And] intersects (either side alone is already a superset),      *)
-(*     [Or] unions (sound only when both sides are bounded);            *)
+(* the predicate can match and whether it is exact (every live normal   *)
+(* candidate matches), or the reason the walk gave up (unbounded), plus *)
+(* what it consulted. {!select} and {!count} check each candidate live  *)
+(* and normal, and re-test the predicate only on an inexact plan; so a  *)
+(* node must be sound (never omit a match) and is exact only as marked: *)
+(*   - [In_class c] is exactly the extent of [c];                       *)
+(*   - [Is_a c] is exactly the union of the extents of                 *)
+(*     [class_descendants_or_self c];                                   *)
+(*   - [Name_is n] is the object the name index binds to [n] (exact:    *)
+(*     names are unique, and a pattern binding fails the live check);   *)
+(*   - [Matches] ([contains] is its one-needle form) makes one trigram *)
+(*     lookup over its needles worth probing and maps the verified      *)
+(*     carriers ({!Text_index}) to their roots — exact when every       *)
+(*     needle was probed; unbounded when no needle reaches trigram      *)
+(*     length, the index is disabled, or every needle is too common;    *)
+(*   - [And] intersects (one bounded side suffices), [Or] unions (both  *)
+(*     sides bounded); either is exact when both sides are bounded and  *)
+(*     exact;                                                           *)
 (*   - [Not] and [Opaque] are unbounded.                                *)
-(* The planner is indifferent to where the id sets come from: it reads *)
-(* the view's extents and text index ({!View.extents},                  *)
-(* {!View.text_index}) — the current root's on the current view, the    *)
-(* materialized version's on a version view.                            *)
+(* The planner reads the view's extents and text index ({!View.extents},*)
+(* {!View.text_index}): the current root's or the version's.            *)
 (* ------------------------------------------------------------------ *)
 
 (* The independent object owning a carrier: the carrier itself, or the
@@ -118,12 +108,12 @@ let rec root_owner db id =
 let long_enough n = String.length n >= Text_index.min_needle
 
 (* Needles worth probing: long enough for a trigram and rare enough to
-   beat the scan. Dropping a needle is always sound — the remaining
-   ones still bound a superset and the re-test applies the full
-   conjunction — so a needle whose rarest posting list covers over a
-   tenth of the documents is answered by the scan instead of by walking
-   a posting list of comparable size (tiny lists always pass: below 64
-   candidates the walk is cheap at any ratio). *)
+   beat the scan. Dropping a needle is always sound — the rest bound an
+   inexact superset, which the re-test narrows — so a needle whose
+   rarest posting list covers over a tenth of the documents is answered
+   by the scan instead of by walking a posting list of comparable size
+   (tiny lists always pass: below 64 candidates the walk is cheap at any
+   ratio). *)
 let probe_worthy tx needles =
   let cutoff = max 64 (Text_index.doc_count tx / 10) in
   List.filter
@@ -149,10 +139,10 @@ type consulted = {
   mutable fallbacks : int;
 }
 
-(* The plan: the candidate ids or why the walk gave up, and what it
-   consulted. Extent sets are shared, not copied: [In_class] is the
-   view's set itself, and [Is_a] of a leaf class is a union with the
-   empty set. *)
+(* The plan: the candidate ids and their exactness, or why the walk
+   gave up, and what it consulted. Extent sets are shared, not copied:
+   [In_class] is the view's set itself, and [Is_a] of a leaf class is a
+   union with the empty set. *)
 let walk v p =
   let ext = View.extents v and schema = View.schema v and db = View.db v in
   let w = { classes = []; names = []; texts = []; fallbacks = 0 } in
@@ -182,34 +172,26 @@ let walk v p =
             tp_verified = pr.Text_index.pr_verified;
           }
           :: w.texts;
-        let owner id acc =
-          match root_owner db id with Some root -> root :: acc | None -> acc
-        in
-        Ok (Ident.Set.of_list (Ident.Set.fold owner carriers [])))
+        let exact = List.compare_lengths worthy needles = 0 in
+        Ok (Ident.Set.of_list (List.filter_map (root_owner db) carriers), exact))
   in
   let rec go p =
     match p with
     | In_class cls ->
       w.classes <- cls :: w.classes;
-      Ok (Db_state.obj_extent ext cls)
+      Ok (Db_state.obj_extent ext cls, true)
     | Is_a cls ->
       w.classes <- (cls ^ " (and descendants)") :: w.classes;
       Ok
-        (List.fold_left
-           (fun acc c -> Ident.Set.union acc (Db_state.obj_extent ext c))
-           Ident.Set.empty
-           (Schema.class_descendants_or_self schema cls))
-    | Name_is n -> (
+        ( List.fold_left
+            (fun acc c -> Ident.Set.union acc (Db_state.obj_extent ext c))
+            Ident.Set.empty
+            (Schema.class_descendants_or_self schema cls),
+          true )
+    | Name_is n ->
       w.names <- n :: w.names;
-      match Db_state.find_id_by_name ext n with
-      | Some id -> Ok (Ident.Set.singleton id)
-      | None -> Ok Ident.Set.empty)
-    | Contains { needle; _ } when not (long_enough needle) ->
-      fallback
-        (Printf.sprintf
-           "needle %S is shorter than %d bytes (below trigram length)" needle
-           Text_index.min_needle)
-    | Contains { path; needle } -> text ~path [ needle ]
+      let id = Db_state.find_id_by_name ext n in
+      Ok (Option.fold ~none:Ident.Set.empty ~some:Ident.Set.singleton id, true)
     | Matches { needles; _ } when not (List.exists long_enough needles) ->
       fallback "no needle reaches trigram length (3 bytes)"
     | Matches { path; needles } -> text ~path needles
@@ -217,13 +199,13 @@ let walk v p =
       (* both sides are walked, in order, so every text node counts *)
       let a = go p in
       match (a, go q) with
-      | Ok a, Ok b -> Ok (Ident.Set.inter a b)
-      | (Ok _ as s), Error _ | Error _, (Ok _ as s) -> s
+      | Ok (a, x), Ok (b, y) -> Ok (Ident.Set.inter a b, x && y)
+      | Ok (s, _), Error _ | Error _, Ok (s, _) -> Ok (s, false)
       | (Error _ as e), Error _ -> e)
     | Or (p, q) -> (
       let a = go p in
       match (a, go q) with
-      | Ok a, Ok b -> Ok (Ident.Set.union a b)
+      | Ok (a, x), Ok (b, y) -> Ok (Ident.Set.union a b, x && y)
       | Error r, _ | _, Error r ->
         Error ("disjunction with an unbounded arm: " ^ r))
     | Not _ -> Error "negation is unbounded"
@@ -237,14 +219,16 @@ type plan =
       classes : string list;
       names : string list;
       texts : text_probe list;
+      candidates : Ident.Set.t;
       est_candidates : int;
+      exact : bool;
     }
   | Scan of { reason : string }
 
 let explain v p =
   match walk v p with
   | Error reason, _ -> Scan { reason }
-  | Ok ids, w ->
+  | Ok (ids, exact), w ->
     let via =
       match View.version v with
       | None -> "current-state extents"
@@ -257,11 +241,13 @@ let explain v p =
         classes = List.sort_uniq String.compare w.classes;
         names = List.sort_uniq String.compare w.names;
         texts = List.rev w.texts;
+        candidates = ids;
         est_candidates = Ident.Set.cardinal ids;
+        exact;
       }
 
 let pp_plan ppf = function
-  | Indexed { via; classes; names; texts; est_candidates } ->
+  | Indexed { via; classes; names; texts; est_candidates; exact; _ } ->
     Fmt.pf ppf "@[<v>plan: indexed candidate set@,source: %s@," via;
     if classes <> [] then
       Fmt.pf ppf "class extents: %s@," (String.concat ", " classes);
@@ -277,30 +263,34 @@ let pp_plan ppf = function
           tp.tp_needles tp.tp_trigrams tp.tp_postings tp.tp_candidates
           tp.tp_verified)
       texts;
-    Fmt.pf ppf
-      "estimated candidates: %d (each re-tested against the full predicate)@]"
-      est_candidates
+    Fmt.pf ppf "estimated candidates: %d (%s)@]" est_candidates
+      (if exact then "exact: each only checked live and normal"
+       else "each re-tested against the full predicate")
   | Scan { reason } ->
     Fmt.pf ppf "@[<v>plan: full scan of the view@,reason: %s@]" reason
 
 (* Fold [f] over the live normal independent objects satisfying [p]:
-   the plan's candidates, re-checked and re-tested, or for an unbounded
-   predicate the view's exact object extents, tested. Executing a plan,
-   not explaining it, is what the text hit/fallback counters count. *)
+   the plan's candidates, re-checked on the state fetched with them and
+   re-tested unless the plan is exact, or for an unbounded predicate the
+   view's exact object extents, tested. Executing a plan, not explaining
+   it, is what the text hit/fallback counters count. *)
 let fold_hits v p f init =
   let db = View.db v in
   let bound, w = walk v p in
   Db_state.note_text_queries db ~hits:(List.length w.texts)
     ~fallbacks:w.fallbacks;
-  let keep ~recheck id acc =
+  let keep ~recheck ~exact id acc =
     match Db_state.find_item db id with
-    | Some it when ((not recheck) || View.live_normal v it) && test p v it ->
+    | Some it
+      when ((not recheck) || View.live_normal_state (View.fetched_state v it))
+           && (exact || test p v it) ->
       f it acc
     | Some _ | None -> acc
   in
   match bound with
-  | Ok ids -> Ident.Set.fold (keep ~recheck:true) ids init
-  | Error _ -> Db_state.fold_obj_extents (View.extents v) (keep ~recheck:false) init
+  | Ok (ids, exact) -> Ident.Set.fold (keep ~recheck:true ~exact) ids init
+  | Error _ ->
+    Db_state.fold_obj_extents (View.extents v) (keep ~recheck:false ~exact:false) init
 
 (* Hits decorated with their full names, sorted once: by name (unique
    among live objects; unnamed ones first), ties by id. *)

@@ -53,8 +53,8 @@ val matches : string -> string list -> pred
 (** [matches path needles]: like {!contains} but conjunctive — one
     carrier at [path] must contain {e all} the needles. Needles below
     trigram length or too common to beat the scan are dropped from the
-    planner's one lookup (the re-test still applies them); if none
-    remain, the query scans. *)
+    planner's one lookup, which makes the plan inexact (the re-test then
+    applies them); if none remain, the query scans. *)
 
 val is_incomplete : pred
 (** The object has at least one completeness diagnostic. *)
@@ -70,8 +70,8 @@ val not_ : pred -> pred
 val select : View.t -> pred -> Item.t list
 (** All live normal independent objects satisfying the predicate, in
     name order ([String.compare] on full names, which are unique). One
-    fold re-tests every candidate (or scans); names are derived once and
-    sorted once. *)
+    fold checks each candidate live and normal and re-tests it only when
+    the plan is inexact (or scans); names are derived and sorted once. *)
 
 val select_names : View.t -> pred -> string list
 (** The full names of {!select}'s result, in its order — a served
@@ -104,17 +104,20 @@ type plan =
       classes : string list;  (** class extents the planner consults *)
       names : string list;  (** name-index lookups the planner makes *)
       texts : text_probe list;  (** text-index lookups the planner makes *)
-      est_candidates : int;
-          (** candidate-set cardinality — the number of items {!select}
-              would re-test, against the extents as they stand now *)
+      candidates : Seed_util.Ident.Set.t;
+          (** the ids {!select} folds over, as the extents stand now *)
+      est_candidates : int;  (** their cardinality *)
+      exact : bool;
+          (** every live normal candidate matches, so {!select} re-tests
+              none of them *)
     }
   | Scan of { reason : string }
 
 val explain : View.t -> pred -> plan
 (** The plan {!select}/{!count} run for this predicate on this view: an
-    indexed candidate set (with its cardinality and every lookup the
+    indexed candidate set (with its exactness and every lookup the
     planner made) or a full scan and why. It is the same walk over the
-    predicate, without the re-test; the text lookups are made, but the
+    predicate, without the fold; the text lookups are made, but the
     text hit/fallback counters ({!Database.stats}) are left alone — they
     count executed queries only. *)
 

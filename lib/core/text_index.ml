@@ -293,6 +293,10 @@ let string_contains hay needle =
   || contains_from hay needle (String.unsafe_get needle 0) 0
        (String.length hay - n) n
 
+let rec contains_all hay = function
+  | [] -> true
+  | n :: ns -> string_contains hay n && contains_all hay ns
+
 (* The base postings of the needles' distinct trigrams, rarest first. *)
 let needle_postings t fn needles =
   List.concat_map
@@ -325,7 +329,7 @@ let query_probe t ?path needles =
   let test id d =
     if (match path with None -> true | Some p -> String.equal p d.path) then begin
       incr candidates;
-      if List.for_all (string_contains d.text) needles then hits := id :: !hits
+      if contains_all d.text needles then hits := id :: !hits
     end
   in
   let rarest = List.hd postings in
@@ -342,16 +346,15 @@ let query_probe t ?path needles =
         test id d
       | Some _ | None -> ())
     t.over;
-  let verified = Ident.Set.of_list !hits in
-  ( verified,
+  ( !hits,
     {
       pr_trigrams = List.length postings;
       pr_postings = List.fold_left (fun acc p -> acc + plen p) 0 postings;
       pr_candidates = !candidates;
-      pr_verified = Ident.Set.cardinal verified;
+      pr_verified = List.length !hits;
     } )
 
-let query t ?path needles = fst (query_probe t ?path needles)
+let query t ?path needles = Ident.Set.of_list (fst (query_probe t ?path needles))
 
 let estimate t needle =
   plen (List.hd (needle_postings t "estimate" [ needle ])) + t.nover

@@ -52,9 +52,9 @@ val query : t -> ?path:string -> string list -> Ident.Set.t
     needles' trigrams. Raises [Invalid_argument] on an empty list or a
     needle shorter than {!min_needle}. *)
 
-val query_probe : t -> ?path:string -> string list -> Ident.Set.t * probe
-(** {!query} plus the access-path measurements [Query.explain]
-    renders. *)
+val query_probe : t -> ?path:string -> string list -> Ident.t list * probe
+(** {!query}'s carriers as a list, each once, in no particular order,
+    plus the access-path measurements [Query.explain] renders. *)
 
 val estimate : t -> string -> int
 (** Upper bound on the documents {!query} would text-test: the needle's
@@ -65,6 +65,9 @@ val estimate : t -> string -> int
 val string_contains : string -> string -> bool
 (** [string_contains hay needle] — the containment test the index is
     equivalent to, allocation-free. Empty needles match everything. *)
+
+val contains_all : string -> string list -> bool
+(** Every needle occurs in the haystack ({!string_contains}); allocation-free. *)
 
 (** {1 Stats and equality} *)
 

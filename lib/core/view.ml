@@ -51,15 +51,13 @@ let state_of_id t id = Option.bind (Db_state.find_item t.db_ id) (fetched_state 
 let live_state = function Some s -> not (Item.state_deleted s) | None -> false
 let live t item = live_state (state t item)
 
-let live_normal t item =
-  match state t item with
-  | Some s -> (not (Item.state_deleted s)) && not (Item.state_pattern s)
+let live_as ~pattern = function
+  | Some s -> (not (Item.state_deleted s)) && Item.state_pattern s = pattern
   | None -> false
 
-let live_pattern t item =
-  match state t item with
-  | Some s -> (not (Item.state_deleted s)) && Item.state_pattern s
-  | None -> false
+let live_normal_state = live_as ~pattern:false
+let live_normal t item = live_normal_state (state t item)
+let live_pattern t item = live_as ~pattern:true (state t item)
 
 let obj_state t item =
   match state t item with
@@ -256,11 +254,7 @@ let rels_v t (obj : Item.t) =
         | Some _ | None -> None)
       (rels t obj.Item.id)
   in
-  let endpoint_visible e =
-    match Option.bind (Db_state.find_item t.db_ e) (fetched_state t) with
-    | Some s -> (not (Item.state_deleted s)) && not (Item.state_pattern s)
-    | None -> false
-  in
+  let endpoint_visible e = live_normal_state (state_of_id t e) in
   let inherited =
     List.concat_map
       (fun (p : Item.t) ->

@@ -59,6 +59,9 @@ val fetched_state : t -> Item.t -> Item.state option
 
 val live : t -> Item.t -> bool
 val live_normal : t -> Item.t -> bool
+val live_normal_state : Item.state option -> bool
+(** {!live_normal} of a state already resolved, e.g. by {!fetched_state}. *)
+
 val live_pattern : t -> Item.t -> bool
 val obj_state : t -> Item.t -> Item.obj_state option
 val rel_state : t -> Item.t -> Item.rel_state option

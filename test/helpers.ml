@@ -89,20 +89,28 @@ let contains haystack needle =
 
 (* [Query.explain] renders the plan [select] runs, without running it:
    it never raises, its candidate estimate bounds the [hits] the
-   predicate has, every text lookup it reports intersects needles of
-   the predicate ([needles]) long enough for a trigram, and it counts
-   no text query. *)
+   predicate has — and when it says exact, the live normal candidates
+   are exactly that many — every text lookup it reports intersects
+   needles of the predicate ([needles]) long enough for a trigram, and
+   it counts no text query. *)
 let explain_sound ~needles ~hits v p =
   let module Q = Seed_core.Query in
-  let counters () = Seed_core.Db_state.text_counters (Seed_core.View.db v) in
+  let module View = Seed_core.View in
+  let counters () = Seed_core.Db_state.text_counters (View.db v) in
+  let live_normal id n =
+    match Seed_core.Db_state.find_item (View.db v) id with
+    | Some it when View.live_normal v it -> n + 1
+    | Some _ | None -> n
+  in
   let before = counters () in
   let plan = Q.explain v p in
   counters () = before
   &&
   match plan with
   | Q.Scan _ -> true
-  | Q.Indexed { est_candidates; texts; _ } ->
+  | Q.Indexed { est_candidates; candidates; exact; texts; _ } ->
     est_candidates >= hits
+    && ((not exact) || Ident.Set.fold live_normal candidates 0 = hits)
     && List.for_all
          (fun tp ->
            tp.Q.tp_needles <> []

@@ -573,6 +573,88 @@ let test_version_views () =
   Alcotest.(check (list string)) "current sees new text" [ "A" ]
     (names cur_v (Q.contains "" "new words"))
 
+(* ------------------------------------------------------------------ *)
+(* Exactness                                                            *)
+(*                                                                      *)
+(* An exact plan answers its live normal candidates without re-testing  *)
+(* the predicate; these cases pin where a text node may claim it.       *)
+(* ------------------------------------------------------------------ *)
+
+let describe db ~parent ?(role = "Description") text =
+  ignore
+    (ok (DB.create_sub_object db ~parent ~role ~value:(Value.String text) ()))
+
+let selected_names v p = List.filter_map (View.full_name v) (Q.select v p)
+
+(* An indexed plan's text lookups, candidates and exactness. *)
+let indexed_plan v p =
+  match Q.explain v p with
+  | Q.Indexed { texts; candidates; exact; _ } -> (texts, candidates, exact)
+  | Q.Scan { reason } -> Alcotest.failf "expected an indexed plan, got a scan: %s" reason
+
+(* A pattern's sub-object carries the needle: its root is a candidate
+   of an exact plan, and only the live-normal check keeps it out. *)
+let test_exact_pattern () =
+  let db = fresh_db () in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  let p = ok (DB.create_object db ~cls:"Data" ~name:"P" ~pattern:true ()) in
+  describe db ~parent:a "the recovery path";
+  describe db ~parent:p "a recovery template";
+  let v = View.current (DB.raw db) in
+  let q = Q.contains "" "recovery" in
+  let _, candidates, exact = indexed_plan v q in
+  Alcotest.(check bool) "exact" true exact;
+  Alcotest.(check bool) "pattern root is a candidate" true (Ident.Set.mem p candidates);
+  Alcotest.(check (list string)) "pattern root dropped" [ "A" ] (selected_names v q);
+  Alcotest.(check int) "count" 1 (Q.count v q)
+
+(* A conjunction whose common needle is too common to probe: the lookup
+   over the rare one alone is a superset, so the plan is inexact and the
+   roots holding only the rare needle are re-tested away. *)
+let test_dropped_needle () =
+  let db = fresh_db () in
+  let doc i text =
+    let o = ok (DB.create_object db ~cls:"Data" ~name:(Printf.sprintf "D%03d" i) ()) in
+    describe db ~parent:o text
+  in
+  for i = 0 to 99 do
+    doc i "common filler text"
+  done;
+  for i = 100 to 102 do
+    doc i "zebra stripes"
+  done;
+  doc 103 "a zebra in common";
+  (* a rebuild leaves the overlay empty, so the estimates are the
+     postings alone *)
+  DB.set_text_index_enabled db false;
+  DB.set_text_index_enabled db true;
+  let v = View.current (DB.raw db) in
+  let q = Q.matches "" [ "zebra"; "common" ] in
+  let texts, _, exact = indexed_plan v q in
+  Alcotest.(check (list (list string))) "only the rare needle probed"
+    [ [ "zebra" ] ]
+    (List.map (fun tp -> tp.Q.tp_needles) texts);
+  Alcotest.(check bool) "inexact" false exact;
+  Alcotest.(check (list string)) "rare-only roots re-tested away" [ "D103" ]
+    (selected_names v q);
+  Alcotest.(check int) "count" 1 (Q.count v q)
+
+(* Two needles held by different carriers of one root: no carrier holds
+   both, so the root is no hit. *)
+let test_split_needles () =
+  let db = fresh_db () in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  let b = ok (DB.create_object db ~cls:"Data" ~name:"B" ()) in
+  describe db ~parent:a "alpha text";
+  describe db ~parent:a ~role:"Keywords" "beta word";
+  describe db ~parent:b "alpha and beta";
+  let v = View.current (DB.raw db) in
+  let q = Q.matches "" [ "alpha"; "beta" ] in
+  let _, _, exact = indexed_plan v q in
+  Alcotest.(check bool) "exact" true exact;
+  Alcotest.(check (list string)) "one carrier holds both" [ "B" ] (selected_names v q);
+  Alcotest.(check int) "count" 1 (Q.count v q)
+
 let () =
   Alcotest.run "text_index"
     [
@@ -589,4 +671,8 @@ let () =
         [ tc "churn across folds" test_fold_churn;
           tc "snapshot pinned before a fold" test_fold_snapshot;
           tc "rollback of a folding transaction" test_fold_rollback ] );
+      ( "exactness",
+        [ tc "pattern root under an exact plan" test_exact_pattern;
+          tc "too-common needle makes the plan inexact" test_dropped_needle;
+          tc "needles split across carriers" test_split_needles ] );
     ]
