@@ -723,18 +723,21 @@ let text () =
         let c = carriers.(i * 7919 mod n) in
         ok (DB.set_value db c (Some (Value.String (Workloads.text_body ~n i))))
       in
+      (* seconds and minor words per touch *)
       let time_touches () =
+        let w0 = Gc.minor_words () in
         let _, t =
           Report.time_of (fun () ->
               for i = 1 to touches do
                 touch i
               done)
         in
-        t /. float_of_int touches
+        let per x = x /. float_of_int touches in
+        (per t, per (Gc.minor_words () -. w0))
       in
-      let on_us = time_touches () in
+      let on_us, on_words = time_touches () in
       DB.set_text_index_enabled db false;
-      let off_us = time_touches () in
+      let off_us, off_words = time_touches () in
       DB.set_text_index_enabled db true;
       rows :=
         [
@@ -743,7 +746,7 @@ let text () =
           "-";
           string_of_int touches;
           Report.ms on_us;
-          "-";
+          Printf.sprintf "%.0f/%.0f" on_words off_words;
           Report.ms off_us;
           Printf.sprintf "%.2fx" (on_us /. off_us);
         ]
@@ -751,8 +754,9 @@ let text () =
       json :=
         Printf.sprintf
           "    {\"case\": \"update\", \"docs\": %d, \"touches\": %d, \
-           \"indexed_us\": %.2f, \"plain_us\": %.2f, \"overhead\": %.2f}"
-          n touches (on_us *. 1e6) (off_us *. 1e6) (on_us /. off_us)
+           \"indexed_us\": %.2f, \"plain_us\": %.2f, \"overhead\": %.2f, \
+           \"indexed_words\": %.0f, \"plain_words\": %.0f}"
+          n touches (on_us *. 1e6) (off_us *. 1e6) (on_us /. off_us) on_words off_words
         :: !json)
     [ 10_000; 100_000 ];
   Report.table

@@ -6,7 +6,63 @@ module W = Codec.Writer
 module R = Codec.Reader
 module Store = Seed_storage.Store
 
-let format_version = 1
+(* The snapshot's format. Version 1 spells every schema-element name
+   out; version 2 numbers them (below). The reader takes both, the
+   writer writes only 2. *)
+let format_version = 2
+
+(* ------------------------------------------------------------------ *)
+(* Schema-element names, by number                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The names an item under schema [s] can hold: class paths
+   ([Item.cls]), sub-object roles ([Item.Dependent.role]), association
+   and relationship-attribute names. *)
+let element_names s =
+  List.concat_map
+    (fun c ->
+      if Class_def.is_top_level c then [ Class_def.name c ]
+      else [ Class_def.name c; Class_def.simple_name c ])
+    (Schema.classes s)
+  @ List.concat_map
+      (fun (a : Assoc_def.t) ->
+        a.Assoc_def.name
+        :: List.map (fun (x : Assoc_def.attr) -> x.Assoc_def.attr_name) a.Assoc_def.attrs)
+      (Schema.assocs s)
+
+module Numbers = Hashtbl.Make (String)
+
+(* The one place the table is built. Each name is numbered at its first
+   appearance over the schema revisions, oldest first, each revision's
+   new names in sorted order; the table is derived from the meta's
+   schema list and never stored. [Database.update_schema] only ever
+   prepends a revision, so the table of a later meta extends the table
+   of every earlier one: no number ever moves, and an item record
+   decodes with the table of the last meta before it. *)
+let numbers_of schemas =
+  let numbers = Numbers.create 64 in
+  List.iter
+    (fun (_, s) ->
+      List.iter
+        (fun n ->
+          if not (Numbers.mem numbers n) then Numbers.add numbers n (Numbers.length numbers))
+        (List.sort_uniq String.compare (element_names s)))
+    (List.rev schemas);
+  numbers
+
+(* the reader's side: the name of each number *)
+let numbered_names schemas =
+  let numbers = numbers_of schemas in
+  let names = Array.make (Numbers.length numbers) "" in
+  Numbers.iter (fun n i -> names.(i) <- n) numbers;
+  names
+
+(* every name an item holds was checked against a schema revision on
+   its way in, so a name without a number is a bug, not bad input *)
+let w_name numbers w n =
+  match Numbers.find numbers n with
+  | i -> W.varint w i
+  | exception Not_found -> invalid_arg ("Persist: no schema element is named " ^ n)
 
 (* ------------------------------------------------------------------ *)
 (* Encoders                                                             *)
@@ -86,46 +142,50 @@ let w_schema w s =
 
 let w_version_id w (v : Version_id.t) = W.list w W.varint (v :> int list)
 
-let w_state w (s : Item.state) =
+let w_state numbers w (s : Item.state) =
   match s with
   | Item.Obj o ->
     W.u8 w 0;
     W.option w W.string o.Item.name;
-    W.string w o.Item.cls;
+    w_name numbers w o.Item.cls;
     W.option w w_value o.Item.value;
     W.bool w o.Item.pattern;
     W.list w w_ident o.Item.inherits;
     W.bool w o.Item.deleted
   | Item.Rel r ->
     W.u8 w 1;
-    W.string w r.Item.assoc;
+    w_name numbers w r.Item.assoc;
     W.list w w_ident r.Item.endpoints;
     W.list w
       (fun w (n, v) ->
-        W.string w n;
+        w_name numbers w n;
         w_value w v)
       r.Item.rel_attrs;
     W.bool w r.Item.rel_pattern;
     W.bool w r.Item.rel_deleted
 
-let w_body w (b : Item.body) =
+let w_body numbers w (b : Item.body) =
   match b with
   | Item.Independent -> W.u8 w 0
   | Item.Dependent { parent; role; index } ->
     W.u8 w 1;
     w_ident w parent;
-    W.string w role;
+    w_name numbers w role;
     W.option w W.varint index
   | Item.Relationship -> W.u8 w 2
 
 (* the dirty byte is the item's membership in the delta set [delta] *)
-let w_item delta w (it : Item.t) =
+let w_item numbers delta w (it : Item.t) =
   w_ident w it.Item.id;
-  w_body w it.Item.body;
-  W.option w w_state it.Item.current;
+  w_body numbers w it.Item.body;
+  (match it.Item.current with
+  | None -> W.u8 w 0
+  | Some s ->
+    W.u8 w 1;
+    w_state numbers w s);
   W.bool w (Ident.Set.mem it.Item.id delta);
   W.list w
-    (fun w (vid, s) -> w_version_id w vid; w_state w s)
+    (fun w (vid, s) -> w_version_id w vid; w_state numbers w s)
     (Item.history_bindings it)
 
 let w_raw_node w (r : Versioning.raw) =
@@ -159,7 +219,10 @@ let w_meta w (st : Db_state.t) =
 (* a schema-level constructor refusing decoded values is corrupt input *)
 let checked f = try f () with Invalid_argument msg -> R.fail msg
 
-let get = function Ok v -> v | Error e -> R.fail (Seed_error.to_string e)
+let get = function
+  | Ok v -> v
+  | Error (Corrupt msg) -> R.fail msg
+  | Error e -> R.fail (Seed_error.to_string e)
 
 let r_ident r = Ident.of_int (R.varint r)
 
@@ -238,22 +301,29 @@ let r_schema r =
 
 let r_version_id r = get (Version_id.of_ints (R.list r R.varint))
 
-let r_state r =
+(* How a record reads a schema-element name: format 1 spells it out
+   ([R.name]), format 2 gives its number in a table ([numbered]). *)
+let numbered names r =
+  let i = R.varint r in
+  if i < 0 || i >= Array.length names then R.fail "unknown schema-element number";
+  Array.unsafe_get names i
+
+let r_state elt r =
   match R.u8 r with
   | 0 ->
     let name = R.option r R.string in
-    let cls = R.name r in
+    let cls = elt r in
     let value = R.option r r_value in
     let pattern = R.bool r in
     let inherits = R.list r r_ident in
     let deleted = R.bool r in
     Item.Obj { Item.name; cls; value; pattern; inherits; deleted }
   | 1 ->
-    let assoc = R.name r in
+    let assoc = elt r in
     let endpoints = R.list r r_ident in
     let rel_attrs =
       R.list r (fun r ->
-          let n = R.name r in
+          let n = elt r in
           (n, r_value r))
     in
     let rel_pattern = R.bool r in
@@ -263,12 +333,12 @@ let r_state r =
 
 (* ids are allocated in creation order, so a sub-object's parent always
    has the smaller id: checking it keeps parent chains acyclic *)
-let r_body r ~id =
+let r_body elt r ~id =
   match R.u8 r with
   | 0 -> Item.Independent
   | 1 ->
     let parent = r_ident r in
-    let role = R.name r in
+    let role = elt r in
     let index = R.option r R.varint in
     if Ident.compare parent id >= 0 then R.fail "sub-object precedes its parent";
     Item.Dependent { parent; role; index }
@@ -276,15 +346,15 @@ let r_body r ~id =
   | _ -> R.fail "bad body tag"
 
 (* an item and its dirty byte: whether it is in the delta set *)
-let r_item r =
+let r_item elt r =
   let id = r_ident r in
-  let body = r_body r ~id in
-  let current = R.option r r_state in
+  let body = r_body elt r ~id in
+  let current = R.option r (r_state elt) in
   let dirty = R.bool r in
   let history =
     R.list r (fun r ->
         let vid = r_version_id r in
-        (vid, r_state r))
+        (vid, r_state elt r))
   in
   ({ Item.id; body; current; history = Item.history_of_bindings history }, dirty)
 
@@ -321,43 +391,61 @@ let r_meta r =
 (* Whole-database snapshot                                              *)
 (* ------------------------------------------------------------------ *)
 
-let encode_db db =
-  let st = Database.raw db in
+(* the items' names in the numbers of the meta written before them *)
+let encode_state numbers st =
   let w = W.create ~initial_size:4096 () in
   W.varint w format_version;
   w_meta w st;
   (* the item table folds in id order already *)
-  W.iter w (w_item (Db_state.dirty st)) (Db_state.item_count st) (Db_state.iter_items st);
+  W.iter w
+    (w_item numbers (Db_state.dirty st))
+    (Db_state.item_count st) (Db_state.iter_items st);
   W.contents w
+
+let encode_db db =
+  let st = Database.raw db in
+  encode_state (numbers_of (Db_state.schemas st)) st
 
 (* ------------------------------------------------------------------ *)
 (* Journal records                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Record tags: 0 the meta, 1 an item with its names spelled out
+   (format 1, read only), 2 an item with its names numbered in the
+   table of the last meta before it in stream order. *)
 let record_meta st =
   let w = W.create () in
   W.u8 w 0;
   w_meta w st;
   W.contents w
 
-let record_item delta it =
+let record_item numbers delta it =
   let w = W.create () in
-  W.u8 w 1;
-  w_item delta w it;
+  W.u8 w 2;
+  w_item numbers delta w it;
   W.contents w
 
 (* The journal tail, decoded first: the last meta record and the last
-   record of each item — a map as small as the tail. *)
-let read_records records =
+   record of each item — a map as small as the tail. [names] is the
+   table of the meta the journal continues (the snapshot's), [None]
+   without a snapshot; a table is built only if a record needs it. *)
+let read_records names records =
+  let names = ref names in
   List.fold_left
     (fun acc payload ->
       let* meta, items = acc in
       R.run payload (fun r ->
+          let add ((it, _) as item) = (meta, Ident.Map.add it.Item.id item items) in
           match R.u8 r with
-          | 0 -> (Some (r_meta r), items)
-          | 1 ->
-            let ((it, _) as item) = r_item r in
-            (meta, Ident.Map.add it.Item.id item items)
+          | 0 ->
+            let m = r_meta r in
+            names := Some (lazy (numbered_names m.m_schemas));
+            (Some m, items)
+          | 1 -> add (r_item R.name r)
+          | 2 -> (
+            match !names with
+            | Some names -> add (r_item (numbered (Lazy.force names)) r)
+            | None -> R.fail "item record before any meta")
           | _ -> R.fail "bad journal record tag"))
     (Ok (None, Ident.Map.empty))
     records
@@ -394,17 +482,22 @@ let load_items st journal snapshot =
       List.iter (fun (_, (jit, jdirty)) -> add jit jdirty) !pending)
 
 (* The snapshot payload decoded straight into a fresh root, with the
-   journal tail [(jmeta, jitems)] merged in. *)
-let decode_snapshot payload (jmeta, jitems) =
+   journal's [records] merged in. The snapshot's meta comes first: its
+   table numbers the names of the journal's first records. *)
+let decode_snapshot payload records =
   R.run payload (fun r ->
       let v = R.varint r in
-      if v <> format_version then R.fail (Printf.sprintf "unsupported format version %d" v);
+      if v <> 1 && v <> format_version then
+        R.fail (Printf.sprintf "unsupported format version %d" v);
       let meta = r_meta r in
+      let names = lazy (numbered_names meta.m_schemas) in
+      let jmeta, jitems = get (read_records (Some names) records) in
       let st = state_of_meta (Option.value jmeta ~default:meta) in
+      let elt = if v = 1 then R.name else numbered (Lazy.force names) in
       let last = ref min_int in
       load_items st jitems (fun add ->
           R.iter r (fun r ->
-              let it, dirty = r_item r in
+              let it, dirty = r_item elt r in
               let id = Ident.to_int it.Item.id in
               if id <= !last then R.fail "snapshot items out of id order";
               last := id;
@@ -413,14 +506,16 @@ let decode_snapshot payload (jmeta, jitems) =
 
 (* The stored database, [None] when the directory holds none. *)
 let load_parts snapshot records =
-  let* ((jmeta, jitems) as journal) = read_records records in
-  match (snapshot, jmeta) with
-  | Some payload, _ -> Result.map Option.some (decode_snapshot payload journal)
-  | None, Some meta ->
-    let st = state_of_meta meta in
-    load_items st jitems ignore;
-    Ok (Some st)
-  | None, None -> Ok None
+  match snapshot with
+  | Some payload -> Result.map Option.some (decode_snapshot payload records)
+  | None -> (
+    let* jmeta, jitems = read_records None records in
+    match jmeta with
+    | Some meta ->
+      let st = state_of_meta meta in
+      load_items st jitems ignore;
+      Ok (Some st)
+    | None -> Ok None)
 
 (* The loaded state is the first committed state; [verify] sweeps it. *)
 let finish st ~verify =
@@ -429,7 +524,7 @@ let finish st ~verify =
   Ok (Database.of_raw st)
 
 let decode_db payload =
-  let* st = decode_snapshot payload (None, Ident.Map.empty) in
+  let* st = decode_snapshot payload [] in
   finish st ~verify:true
 
 let save db ~dir =
@@ -463,11 +558,14 @@ module Session = struct
     f_base : Version_id.t option;
   }
 
+  (* [numbers]: the writer's table of the schema list it is keyed by,
+     physically; only a schema update replaces the list *)
   type t = {
     database : Database.t;
     store : Store.t;
     recovery : Store.recovery;
     mutable meta_fingerprint : fingerprint;
+    mutable numbers : (int * Schema.t) list * int Numbers.t;
   }
 
   let fingerprint st =
@@ -509,7 +607,24 @@ module Session = struct
     | Ok database ->
       let st = Database.raw database in
       Db_state.set_write_stats_source st (fun () -> Store.write_stats store);
-      Ok { database; store; recovery; meta_fingerprint = fingerprint st }
+      let schemas = Db_state.schemas st in
+      Ok
+        {
+          database;
+          store;
+          recovery;
+          meta_fingerprint = fingerprint st;
+          numbers = (schemas, numbers_of schemas);
+        }
+
+  let numbers t st =
+    let schemas = Db_state.schemas st in
+    match t.numbers with
+    | keyed, numbers when keyed == schemas -> numbers
+    | _ ->
+      let numbers = numbers_of schemas in
+      t.numbers <- (schemas, numbers);
+      numbers
 
   let db t = t.database
   let recovery t = t.recovery
@@ -529,12 +644,13 @@ module Session = struct
           (Ident.Set.elements (Db_state.unflushed st))
       in
       let meta = not (meta_unchanged t.meta_fingerprint st) in
-      let records =
-        List.map (record_item (Db_state.dirty st)) items
-        @ if meta then [ record_meta st ] else []
-      in
+      let records = List.map (record_item (numbers t st) (Db_state.dirty st)) items in
+      (* the meta first: the item records number their names in its
+         table, which may be the one a schema update in this batch
+         extended *)
+      let records = if meta then record_meta st :: records else records in
       (* one transaction, one journal frame: a crash mid-flush durably
-         persists either the whole batch (items + meta) or none of it —
+         persists either the whole batch (meta + items) or none of it —
          recovery can never see a prefix of a checkin. The set and the
          fingerprint move only once the transaction is durable, so a
          failed flush leaves the same records pending for the retry. *)
@@ -544,9 +660,10 @@ module Session = struct
       Ok ()
 
   let compact t =
-    let* () = Store.compact t.store ~snapshot:(encode_db t.database) in
-    Db_state.clear_unflushed (Database.raw t.database);
-    t.meta_fingerprint <- fingerprint (Database.raw t.database);
+    let st = Database.raw t.database in
+    let* () = Store.compact t.store ~snapshot:(encode_state (numbers t st) st) in
+    Db_state.clear_unflushed st;
+    t.meta_fingerprint <- fingerprint st;
     Ok ()
 
   let journal_records t = Store.journal_size t.store

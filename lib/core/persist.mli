@@ -15,8 +15,20 @@
     what recovery found and repaired on open is in
     {!Session.recovery}.
 
-    Opening is one fold: the journal's records are decoded into a small
-    map, then the snapshot's items straight into the root in id order,
+    Items name their schema elements — class path, sub-object role,
+    association and relationship-attribute names — by number: a varint
+    index into a table derived from the meta's schema revisions (oldest
+    first, each revision's new names in sorted order) and never stored.
+    Revisions are only ever prepended, so no number moves, and a record
+    is decoded with the table of the last meta before it in stream
+    order. The snapshot is [format_version] 2 and journal item records
+    carry tag 2; format-1 snapshots and tag-1 records, which spell the
+    names out, are still read, and compaction rewrites them as format 2
+    (DESIGN.md §6, {i Record format}).
+
+    Opening is one fold: the snapshot's version and meta are decoded
+    first, then the journal's records into a small map, then the
+    snapshot's items straight into the root in id order,
     the journal's versions merged in and every index built in the same
     pass ({!Db_state.load}) — the delta set from each item's stored
     dirty byte, the journal's record of an item overriding the
@@ -36,11 +48,15 @@ val r_value : Seed_storage.Codec.Reader.t -> Value.t
     [Codec.Reader.run]. *)
 
 val encode_db : Database.t -> string
-(** Whole-database snapshot payload: the items in id order, as the item
-    table folds them. *)
+(** Whole-database snapshot payload, format 2: the meta, then the items
+    in id order, as the item table folds them, their names numbered in
+    the meta's table. Raises [Invalid_argument] on an item naming no
+    element of any schema revision — a bug, since every update checks
+    its names against the schema. *)
 
 val decode_db : string -> (Database.t, Seed_error.t) result
-(** A snapshot payload back into a database, verified like {!load}. *)
+(** A snapshot payload, format 1 or 2, back into a database, verified
+    like {!load}. *)
 
 val save : Database.t -> dir:string -> (unit, Seed_error.t) result
 (** One-shot: write a snapshot of the database into [dir] (creating it),
@@ -85,7 +101,11 @@ module Session : sig
       {!Db_state.dirty}) changed since the last flush, in id order — plus a
       metadata record when the schema list, the version tree or the
       current base was replaced since the last durable flush, compared
-      by identity: nothing is encoded to decide. A moved id counter
+      by identity: nothing is encoded to decide. The meta record comes
+      first, so a class a schema update in the same batch added is
+      numbered before an item names it; the item records number their
+      names in a table the session keeps per schema list (by identity),
+      so no flush rebuilds it unless the schema changed. A moved id counter
       alone writes no record: open takes the counter as the max of the
       stored meta's value and every loaded id, and every durable id
       belongs to a stored item. Costs O(records written), not
@@ -100,8 +120,9 @@ module Session : sig
       wrote: flush between updates. *)
 
   val compact : t -> (unit, Seed_error.t) result
-  (** Write a fresh snapshot and truncate the journal; the snapshot
-      holds every item, so the unflushed set is cleared. *)
+  (** Write a fresh snapshot (format 2, whatever format the store held)
+      and truncate the journal; the snapshot holds every item, so the
+      unflushed set is cleared. *)
 
   val journal_records : t -> int
   (** Records in the journal since the last compaction. *)

@@ -107,17 +107,22 @@ let rec root_owner db id =
 
 let long_enough n = String.length n >= Text_index.min_needle
 
-(* Needles worth probing: long enough for a trigram and rare enough to
-   beat the scan. Dropping a needle is always sound — the rest bound an
-   inexact superset, which the re-test narrows — so a needle whose
-   rarest posting list covers over a tenth of the documents is answered
-   by the scan instead of by walking a posting list of comparable size
-   (tiny lists always pass: below 64 candidates the walk is cheap at any
-   ratio). *)
+(* The lookups of the needles worth probing: long enough for a trigram
+   and rare enough to beat the scan. Dropping a needle is always sound —
+   the rest bound an inexact superset, which the re-test narrows — so a
+   needle whose rarest posting list covers over a tenth of the documents
+   is answered by the scan instead of by walking a posting list of
+   comparable size (tiny lists always pass: below 64 candidates the walk
+   is cheap at any ratio). Each needle is looked up once; the probe
+   intersects the same lookups. *)
 let probe_worthy tx needles =
   let cutoff = max 64 (Text_index.doc_count tx / 10) in
-  List.filter
-    (fun n -> long_enough n && Text_index.estimate tx n <= cutoff)
+  List.filter_map
+    (fun n ->
+      if not (long_enough n) then None
+      else
+        let l = Text_index.lookup tx n in
+        if Text_index.estimate tx l <= cutoff then Some l else None)
     needles
 
 type text_probe = {
@@ -165,7 +170,7 @@ let walk v p =
         w.texts <-
           {
             tp_path = path;
-            tp_needles = worthy;
+            tp_needles = List.map Text_index.needle worthy;
             tp_trigrams = pr.Text_index.pr_trigrams;
             tp_postings = pr.Text_index.pr_postings;
             tp_candidates = pr.Text_index.pr_candidates;

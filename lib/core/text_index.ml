@@ -34,18 +34,17 @@ let trigram s i =
   lor (Char.code (String.unsafe_get s (i + 1)) lsl 8)
   lor Char.code (String.unsafe_get s (i + 2))
 
-let signature texts =
-  let lo = ref 0 and hi = ref 0 in
-  let add s i =
-    let bit = ((((trigram s i * 0x9E3779B1) lsr 16) land 0xFFFFFF) * 126) lsr 24 in
-    if bit < 63 then lo := !lo lor (1 lsl bit) else hi := !hi lor (1 lsl (bit - 63))
-  in
-  List.iter (fun s -> for i = 0 to String.length s - 3 do add s i done) texts;
-  (!lo, !hi)
+(* set a trigram's signature bit, one of 126, in [lo] or [hi] *)
+let sign lo hi code =
+  let bit = ((((code * 0x9E3779B1) lsr 16) land 0xFFFFFF) * 126) lsr 24 in
+  if bit < 63 then lo := !lo lor (1 lsl bit) else hi := !hi lor (1 lsl (bit - 63))
 
 let signed path text =
-  let sig_lo, sig_hi = signature [ text ] in
-  { path; text; sig_lo; sig_hi }
+  let lo = ref 0 and hi = ref 0 in
+  for i = 0 to String.length text - 3 do
+    sign lo hi (trigram text i)
+  done;
+  { path; text; sig_lo = !lo; sig_hi = !hi }
 
 let unsigned path text = { path; text; sig_lo = -1; sig_hi = -1 }
 
@@ -297,23 +296,43 @@ let rec contains_all hay = function
   | [] -> true
   | n :: ns -> string_contains hay n && contains_all hay ns
 
-(* The base postings of the needles' distinct trigrams, rarest first. *)
-let needle_postings t fn needles =
-  List.concat_map
-    (fun n ->
-      if String.length n < min_needle then
-        invalid_arg ("Text_index." ^ fn ^ ": needle shorter than 3 bytes");
-      List.init (String.length n - 2) (trigram n))
-    needles
-  |> List.sort_uniq Int.compare
-  |> List.map (fun code ->
-         let i = find t.base.grams code in
-         if i < 0 then Bytes.empty else t.base.posts.(i))
-  |> List.sort (fun a b -> Int.compare (plen a) (plen b))
+(* A needle's distinct trigrams with their base postings, rarest
+   first: looked up once, to size the needle and to intersect. *)
+type lookup = { needle : string; grams : (int * Bytes.t) list }
 
-let query_probe t ?path needles =
-  if needles = [] then invalid_arg "Text_index.query: no needle";
-  let postings = needle_postings t "query" needles in
+let needle l = l.needle
+let by_length (_, a) (_, b) = Int.compare (plen a) (plen b)
+
+let lookup_in t fn n =
+  if String.length n < min_needle then
+    invalid_arg ("Text_index." ^ fn ^ ": needle shorter than 3 bytes");
+  let grams =
+    List.init (String.length n - 2) (trigram n)
+    |> List.sort_uniq Int.compare
+    |> List.map (fun code ->
+           let i = find t.base.grams code in
+           (code, if i < 0 then Bytes.empty else t.base.posts.(i)))
+    |> List.sort by_length
+  in
+  { needle = n; grams }
+
+let lookup t n = lookup_in t "lookup" n
+
+let estimate t l = plen (snd (List.hd l.grams)) + t.nover
+
+(* the lookups' distinct trigrams, rarest first: one needle's are
+   already *)
+let union_grams = function
+  | [ l ] -> l.grams
+  | ls ->
+    List.concat_map (fun l -> l.grams) ls
+    |> List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.sort by_length
+
+let query_probe t ?path lookups =
+  if lookups = [] then invalid_arg "Text_index.query: no needle";
+  let grams = union_grams lookups and needles = List.map needle lookups in
+  let postings = List.map snd grams in
   let rest = Array.of_list (List.tl postings) in
   let cursor = Array.make (Array.length rest) 0 in
   (* [slot] is in every other posting; cursors only move forward *)
@@ -338,14 +357,17 @@ let query_probe t ?path needles =
     let id = Ident.of_int t.base.ids.(slot) in
     if in_rest slot 0 && not (Ident.Map.mem id t.over) then test id t.base.docs.(slot)
   done;
-  let lo, hi = signature needles in
-  Ident.Map.iter
-    (fun id e ->
-      match e with
-      | Some d when d.sig_lo land lo = lo && d.sig_hi land hi = hi ->
-        test id d
-      | Some _ | None -> ())
-    t.over;
+  if not (Ident.Map.is_empty t.over) then begin
+    let lo = ref 0 and hi = ref 0 in
+    List.iter (fun (code, _) -> sign lo hi code) grams;
+    let lo = !lo and hi = !hi in
+    Ident.Map.iter
+      (fun id e ->
+        match e with
+        | Some d when d.sig_lo land lo = lo && d.sig_hi land hi = hi -> test id d
+        | Some _ | None -> ())
+      t.over
+  end;
   ( !hits,
     {
       pr_trigrams = List.length postings;
@@ -354,10 +376,8 @@ let query_probe t ?path needles =
       pr_verified = List.length !hits;
     } )
 
-let query t ?path needles = Ident.Set.of_list (fst (query_probe t ?path needles))
-
-let estimate t needle =
-  plen (List.hd (needle_postings t "estimate" [ needle ])) + t.nover
+let query t ?path needles =
+  Ident.Set.of_list (fst (query_probe t ?path (List.map (lookup_in t "query") needles)))
 
 type stats = { trigrams : int; postings : int; docs : int; bytes : int }
 

@@ -52,15 +52,26 @@ val query : t -> ?path:string -> string list -> Ident.Set.t
     needles' trigrams. Raises [Invalid_argument] on an empty list or a
     needle shorter than {!min_needle}. *)
 
-val query_probe : t -> ?path:string -> string list -> Ident.t list * probe
-(** {!query}'s carriers as a list, each once, in no particular order,
-    plus the access-path measurements [Query.explain] renders. *)
+type lookup
+(** A needle's distinct trigrams and their base postings, rarest first:
+    looked up once, both to size the needle ({!estimate}) and to answer
+    it ({!query_probe}). *)
 
-val estimate : t -> string -> int
-(** Upper bound on the documents {!query} would text-test: the needle's
-    rarest base posting plus the overlay. One lookup per needle trigram,
-    so the planner can skip needles too common to beat the scan. Raises
-    [Invalid_argument] below {!min_needle}. *)
+val lookup : t -> string -> lookup
+(** One binary search per needle trigram. Raises [Invalid_argument]
+    below {!min_needle}. *)
+
+val needle : lookup -> string
+
+val estimate : t -> lookup -> int
+(** Upper bound on the documents {!query} would text-test for the
+    needle: its rarest base posting plus the overlay, so the planner can
+    skip needles too common to beat the scan. *)
+
+val query_probe : t -> ?path:string -> lookup list -> Ident.t list * probe
+(** {!query} over looked-up needles: the carriers as a list, each once,
+    in no particular order, plus the access-path measurements
+    [Query.explain] renders. The lookups must be of this [t]. *)
 
 val string_contains : string -> string -> bool
 (** [string_contains hay needle] — the containment test the index is

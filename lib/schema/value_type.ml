@@ -16,8 +16,6 @@ let to_string = function
   | Date -> "DATE"
   | Enum cs -> Printf.sprintf "ENUM(%s)" (String.concat "," cs)
 
-let pp ppf t = Fmt.string ppf (to_string t)
-
 let of_string s =
   match s with
   | "STRING" -> Ok String

@@ -16,7 +16,6 @@ type t =
           [(abort, repeat)] of Fig. 3 *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 (** Upper-case schema rendering: [STRING], [INT], [ENUM(a,b)] ... *)

@@ -4,13 +4,15 @@
 # whose short needle the planner leaves to the re-test), an
 # export/import/export round trip into a fresh store, fsck, the shell's
 # show/versions/report printing what the subcommands print, shell updates
-# while an old version is selected, and the update commands of `connect`
-# against a background `serve`.
+# while an old version is selected, the update commands of `connect`
+# against a background `serve`, and a store written in snapshot format 1
+# (test/fixtures/v1_store) opened, appended to and salvaged.
 #
 # Usage: test/cli_smoke.sh PATH/TO/seed_cli.exe
 set -euo pipefail
 
 seed="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
+fixture="$(cd "$(dirname "$0")" && pwd)/fixtures/v1_store"
 work="$(mktemp -d)"
 serve_pid=""
 # SIGTERM the background server, wait up to 10 s for it to exit, then
@@ -135,3 +137,20 @@ grep -q 'Alpha.Revised .* = 1986-02-05' srv.out || fail "DATE: $(cat srv.out)"
 grep -q '^Gamma : InputData' srv.out || fail "reclassify: $(cat srv.out)"
 "$seed" export srv | grep -q '^rel Access (Gamma, Beta)' ||
   fail "link: $("$seed" export srv)"
+
+# a store the previous release wrote (snapshot format 1) prints what
+# that release printed, takes appends, and salvage rewrites it as
+# format 2: the payload's first byte, after the 16-byte header, is the
+# zig-zag varint 2
+cp -r "$fixture/db" v1
+chmod -R u+w v1
+"$seed" export v1 | cmp -s - "$fixture/export.txt" || fail "format-1 export differs"
+"$seed" stats v1 | cmp -s - "$fixture/stats.txt" || fail "format-1 stats differ"
+"$seed" fsck v1 | cmp -s - "$fixture/fsck.txt" || fail "format-1 fsck differs"
+"$seed" add v1 Late --class Module >/dev/null
+"$seed" export v1 >v1.before
+"$seed" salvage v1 >/dev/null || fail "salvage of a format-1 store exited $?"
+[ "$(od -An -tu1 -j16 -N1 v1/snapshot.bin | tr -d ' ')" = 4 ] ||
+  fail "salvage did not write format 2"
+"$seed" export v1 | cmp -s - v1.before || fail "salvage changed the export"
+grep -q '^object Late : Module' v1.before || fail "append to a format-1 store lost"

@@ -661,6 +661,151 @@ let test_schema_revisions_roundtrip () =
   Alcotest.(check bool) "old revision kept" true
     (Seed_core.Db_state.schema_at_revision (DB.raw db2) 1 <> None)
 
+(* A store written by the previous release (snapshot format 1, item
+   records that spell their names out), committed with the export, stats
+   and fsck report of the binary that wrote it: a snapshot and a journal
+   holding dirty and clean items, four versions with a branch, and a
+   schema update in the journal. See fixtures/v1_store/README.md. *)
+let fixture = Filename.concat "fixtures" "v1_store"
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let copy_fixture () =
+  let src = Filename.concat fixture "db" and dir = tmp_dir () in
+  Unix.mkdir dir 0o755;
+  Array.iter
+    (fun f ->
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          Out_channel.output_string oc (read_file (Filename.concat src f))))
+    (Sys.readdir src);
+  dir
+
+(* the snapshot's format version and the tag of each journal record *)
+let stored_format dir =
+  let module R = Seed_storage.Codec.Reader in
+  let store, snapshot, records, _ = ok (Seed_storage.Store.open_dir dir) in
+  Seed_storage.Store.close store;
+  let version = Option.map (fun p -> ok (R.run (String.sub p 0 1) R.varint)) snapshot in
+  (version, List.map (fun r -> Char.code r.[0]) records)
+
+let test_v1_fixture () =
+  let expected f = read_file (Filename.concat fixture f) in
+  let dir = copy_fixture () in
+  let version, tags = stored_format dir in
+  Alcotest.(check (option int)) "a format-1 snapshot" (Some 1) version;
+  Alcotest.(check bool) "format-1 item records and a meta" true
+    (List.mem 1 tags && List.mem 0 tags && not (List.mem 2 tags));
+  let report = ok (Seed_storage.Store.fsck dir) in
+  Alcotest.(check bool) "fsck healthy" true report.Seed_storage.Store.fsck_healthy;
+  Alcotest.(check string) "fsck report" (expected "fsck.txt")
+    (Fmt.str "%a" Seed_storage.Store.pp_fsck_report report);
+  let export db = Seed_core.Data_text.export_view (DB.view db) in
+  let s = ok (Persist.Session.open_ ~dir ()) in
+  let db = Persist.Session.db s in
+  Alcotest.(check string) "export" (expected "export.txt") (export db);
+  Alcotest.(check string) "stats" (expected "stats.txt")
+    (Fmt.str "%a@." DB.pp_stats (DB.stats db));
+  (* the new binary appends numbered records to the format-1 journal *)
+  let kernel = Option.get (DB.find_object db "Kernel") in
+  let _ =
+    ok (DB.create_sub_object db ~parent:kernel ~role:"Description" ~value:(Value.String "core") ())
+  in
+  let m = ok (DB.create_object db ~cls:"Module" ~name:"Driver" ()) in
+  let _ = ok (DB.create_sub_object db ~parent:m ~role:"Owner" ~value:(Value.String "hw") ()) in
+  let log = Option.get (DB.find_object db "Log")
+  and main = Option.get (DB.find_object db "Main") in
+  let w = ok (DB.create_relationship db ~assoc:"Write" ~endpoints:[ log; main ] ()) in
+  ok (DB.set_rel_attr db w "NumberOfWrites" (Some (Value.Int 1)));
+  ok (DB.reclassify db (Option.get (DB.find_object db "Draft")) ~to_:"InputData");
+  check_ok "flush" (Persist.Session.flush s);
+  let _ = ok (DB.create_version db) in
+  check_ok "flush" (Persist.Session.flush s);
+  Persist.Session.close s;
+  let version, tags' = stored_format dir in
+  Alcotest.(check (option int)) "snapshot untouched" (Some 1) version;
+  let appended = List.filteri (fun i _ -> i >= List.length tags) tags' in
+  Alcotest.(check bool) "numbered item records appended" true
+    (List.mem 2 appended && List.for_all (fun t -> t = 0 || t = 2) appended);
+  let reopened () =
+    let s2 = ok (Persist.Session.open_ ~dir ()) in
+    let db2 = Persist.Session.db s2 in
+    Alcotest.(check bool) "encode_db byte-equal" true
+      (String.equal (Persist.encode_db db) (Persist.encode_db db2));
+    Alcotest.(check string) "export equal" (export db) (export db2);
+    Alcotest.(check bool) "meta equal" true (meta_of db = meta_of db2);
+    s2
+  in
+  let s2 = reopened () in
+  check_ok "compact" (Persist.Session.compact s2);
+  Persist.Session.close s2;
+  Alcotest.(check bool) "compaction writes format 2" true
+    (stored_format dir = (Some 2, []));
+  let s3 = reopened () in
+  Persist.Session.close s3
+
+(* One flush holds a schema update that adds a class and a create of
+   that class: its item records number the class in the table the
+   frame's own meta record extends, so the meta goes first. A crash at
+   every gated step of that flush recovers the state before it or the
+   state after it. *)
+let test_schema_update_frame_crash_sweep () =
+  let module Faulty = Seed_storage.Faulty_io in
+  (* the states before and after the flush under test, and the gated
+     step it starts at *)
+  let before = ref "" and after = ref "" and first = ref 0 in
+  let run f dir =
+    let s =
+      ok
+        (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ~io:(Faulty.io f)
+           ~sync:`Always_fsync ())
+    in
+    let db = Persist.Session.db s in
+    let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+    let _ = ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "d") ()) in
+    check_ok "flush" (Persist.Session.flush s);
+    before := Persist.encode_db db;
+    first := Faulty.steps f;
+    let classes, assocs = Spades_tool.Spec_model.schema_defs () in
+    check_ok "evolve"
+      (DB.update_schema db
+         (Schema.of_defs_exn
+            (classes
+            @ [
+                Class_def.v ~super:"Thing" [ "Module" ];
+                Class_def.v ~card:(Cardinality.between 0 1) ~content:Value_type.String
+                  [ "Module"; "Owner" ];
+              ])
+            assocs));
+    let m = ok (DB.create_object db ~cls:"Module" ~name:"Kernel" ()) in
+    let _ = ok (DB.create_sub_object db ~parent:m ~role:"Owner" ~value:(Value.String "ops") ()) in
+    check_ok "the flush under test" (Persist.Session.flush s);
+    after := Persist.encode_db db;
+    Persist.Session.close s
+  in
+  let recovered dir =
+    let s = ok (Persist.Session.open_ ~dir ()) in
+    let p = Persist.encode_db (Persist.Session.db s) in
+    Persist.Session.close s;
+    p
+  in
+  let probe = Faulty.create () in
+  let dir = tmp_dir () in
+  run probe dir;
+  Alcotest.(check bool) "the flush reopens" true (String.equal !after (recovered dir));
+  let total = Faulty.steps probe in
+  Alcotest.(check bool) "the flush has gated steps" true (total > !first);
+  let pre = !before and post = !after in
+  for n = !first to total - 1 do
+    let dir = tmp_dir () in
+    let f = Faulty.create ~crash_at:n ~torn:(n mod 2 = 0) () in
+    (try
+       run f dir;
+       Alcotest.failf "crash point %d did not fire" n
+     with Faulty.Crash _ -> ());
+    let got = recovered dir in
+    if not (String.equal got pre || String.equal got post) then
+      Alcotest.failf "crash %d: recovered neither the state before the flush nor after it" n
+  done
+
 let () =
   Alcotest.run "persist"
     [
@@ -688,6 +833,11 @@ let () =
           tc "fresh dir needs schema" test_session_requires_schema_for_fresh_dir;
           tc "torn tail recovery" test_session_survives_torn_journal_tail;
           tc "write stats through Database.stats" test_session_write_stats;
+        ] );
+      ( "format",
+        [
+          tc "a format-1 store opens, takes appends, compacts to 2" test_v1_fixture;
+          tc "schema update and its class in one frame" test_schema_update_frame_crash_sweep;
         ] );
       ( "meta",
         [

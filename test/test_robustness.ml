@@ -373,9 +373,11 @@ let tamper_cases =
         let c = ok (DB.create_object db ~cls:"Action" ~name:"C" ()) in
         put_rel db "Contained" [ a; c ];
         put_rel db "Contained" [ c; a ] );
+    (* a stored name is a number in the table of the schemas' names, so
+       the unknown class is a name the store knows that is no class *)
     ( "object of an unknown class",
       is_unknown_class,
-      fun db d _ -> restate db d (with_obj (fun o -> { o with Item.cls = "Nowhere" })) );
+      fun db d _ -> restate db d (with_obj (fun o -> { o with Item.cls = "Read" })) );
     ("relationship arity", is_invalid, fun db d a -> put_rel db "Read" [ d; a; a ]);
     ( "dangling endpoint",
       is_unknown_item,
