@@ -412,6 +412,19 @@ let median xs =
   let a = Array.of_list (List.sort Float.compare xs) in
   a.(Array.length a / 2)
 
+(* The open's verify sweep alone, over the store in [dir] loaded
+   unverified: the minor words of one sweep (deterministic, what an open
+   pays) and the minimum wall ms of 7 more. *)
+let measure_verify dir =
+  let db = ok (Persist.load ~verify:false ~dir ()) in
+  let v = Seed_core.View.current (DB.raw db) in
+  let sweep () = ok (Seed_core.Consistency.check_database v) in
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. w0 in
+  let ms = List.init 7 (fun _ -> 1000. *. snd (Report.time_of sweep)) in
+  (List.fold_left Float.min infinity ms, words)
+
 let recovery () =
   heading "P2" "recovery time and durability policy cost";
   let module Store = Seed_storage.Store in
@@ -482,6 +495,7 @@ let recovery () =
         Gc.compact ();
         let runs = List.init repeats (fun _ -> open_in_child dir) in
         let ms = List.map (fun (ms, _, _) -> ms) runs in
+        let verify_ms, verify_words = measure_verify dir in
         Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
         Unix.rmdir dir;
         let _, alloc, top = List.hd runs in
@@ -489,10 +503,14 @@ let recovery () =
         let hi = List.fold_left Float.max neg_infinity ms in
         json :=
           Printf.sprintf
-            "    {\"case\": \"session_open\", \"docs\": %d, \"snapshot_bytes\": %d, \
-             \"repeats\": %d, \"open_ms\": %.1f, \"open_ms_min\": %.1f, \
-             \"open_ms_max\": %.1f, \"alloc_mib\": %.1f, \"top_heap_mib\": %.1f}"
-            n snapshot_bytes repeats (median ms) lo hi alloc top
+            "    {\"case\": \"verify\", \"docs\": %d, \"repeats\": 7, \
+             \"verify_ms_min\": %.1f, \"minor_words\": %.0f}"
+            n verify_ms verify_words
+          :: Printf.sprintf
+               "    {\"case\": \"session_open\", \"docs\": %d, \"snapshot_bytes\": %d, \
+                \"repeats\": %d, \"open_ms\": %.1f, \"open_ms_min\": %.1f, \
+                \"open_ms_max\": %.1f, \"alloc_mib\": %.1f, \"top_heap_mib\": %.1f}"
+               n snapshot_bytes repeats (median ms) lo hi alloc top
           :: !json;
         [
           string_of_int n;
@@ -500,12 +518,20 @@ let recovery () =
           Printf.sprintf "%.1f ms (%.1f-%.1f)" (median ms) lo hi;
           Printf.sprintf "%.1f MiB" alloc;
           Printf.sprintf "%.1f MiB" top;
+          Printf.sprintf "%.1f ms" verify_ms;
+          Printf.sprintf "%.0f" verify_words;
         ])
       [ (10_000, 5); (100_000, 3) ]
   in
   Report.table
-    ~title:"Persist.Session.open_ of a SPADES document store (verify on, fresh process)"
-    ~header:[ "docs"; "snapshot"; "open (median, min-max)"; "allocated"; "top heap" ]
+    ~title:
+      "Persist.Session.open_ of a SPADES document store (verify on, fresh process), \
+       and its verify sweep alone (in process)"
+    ~header:
+      [
+        "docs"; "snapshot"; "open (median, min-max)"; "allocated"; "top heap";
+        "verify (min of 7)"; "verify words";
+      ]
     rows;
   Report.write_json "recovery"
     ~extra:[ ("host_cores", string_of_int (Domain.recommended_domain_count ())) ]

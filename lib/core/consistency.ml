@@ -26,7 +26,7 @@ let count_participation view rels (obj : Item.t) ~assoc ~pos =
   let schema = View.schema view in
   List.fold_left
     (fun n (vr : View.vrel) ->
-      match View.fetched_state view vr.rel with
+      match View.state view vr.rel with
       | Some (Item.Rel rs)
         when Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc
              && (match List.nth_opt vr.endpoints pos with
@@ -156,6 +156,16 @@ let name_free view ?self name =
     when (match self with Some id -> not (Ident.equal id other.Item.id) | None -> true) ->
     refuse (Duplicate_name name)
   | Some _ | None -> ()
+
+(* Name bound: the extents bind a live object's name to that object. A
+   load keeps the last of two bindings of one name, so the first object
+   would be unreachable by name. *)
+let name_bound view (item : Item.t) = function
+  | None -> ()
+  | Some name -> (
+    match Db_state.find_id_by_name (View.extents view) name with
+    | Some id when not (Ident.equal id item.Item.id) -> refuse (Duplicate_name name)
+    | Some _ | None -> ())
 
 (* Value fits content: only a class with content holds a value, of its
    content type. *)
@@ -371,7 +381,7 @@ let inheritor_context view (obj : Item.t) =
       let expected = Some (Class_def.name def) in
       let rec run count indices = function
         | (r, index, item) :: rest when String.equal r role ->
-          (match View.fetched_state view item with
+          (match View.state view item with
           | Some (Item.Obj cst) ->
             child_fits_class ~cls:st.cls ~role ~got:cst.cls ~context expected
           | Some (Item.Rel _) | None -> ());
@@ -395,7 +405,7 @@ let inheritor_context view (obj : Item.t) =
     (Schema.participation_constraints schema ~cls:st.cls);
   List.iter
     (fun (vr : View.vrel) ->
-      match View.fetched_state view vr.View.rel with
+      match View.state view vr.View.rel with
       | Some (Item.Rel rs) ->
         acyclic view ~levels:(levels schema rs.assoc)
           ~ignore_rel:(Some vr.View.rel.Item.id) vr.View.endpoints
@@ -587,12 +597,15 @@ let check_database view =
   let db = View.db view in
   let schema = View.schema view in
   let check_item (item : Item.t) =
-    match View.fetched_state view item with
+    match View.state view item with
     | None -> ()
     | Some s when Item.state_deleted s -> ()
     | Some (Item.Obj o) ->
       value_fits_content (find_class schema o.cls) o.value;
-      if independent item && not o.pattern then inheritor_context view item
+      if independent item then begin
+        name_bound view item o.name;
+        if not o.pattern then inheritor_context view item
+      end
     | Some (Item.Rel r) ->
       let def = find_assoc schema r.assoc in
       arity_fits def r.endpoints;

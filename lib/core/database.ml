@@ -298,13 +298,9 @@ let set_rel_attr db id name value =
          { id; old_value = List.assoc_opt name r.Item.rel_attrs })
 
 let rel_attr db id name =
-  let v = view db in
-  match Db_state.find_item db id with
-  | Some it -> (
-    match View.rel_state v it with
-    | Some r -> List.assoc_opt name r.Item.rel_attrs
-    | None -> None)
-  | None -> None
+  match View.state_of_id (view db) id with
+  | Some (Item.Rel r) -> List.assoc_opt name r.Item.rel_attrs
+  | Some (Item.Obj _) | None -> None
 
 let rename_object db id new_name =
   let v = View.current db in
@@ -382,7 +378,9 @@ let inherit_pattern db ~pattern ~inheritor =
     Db_state.replace_state db inheritor
       (Item.Obj { o with Item.inherits = o.Item.inherits @ [ pattern ] });
     Db_state.index_inheritor db ~pattern ~inheritor;
-    (* the combined context must be consistent right away *)
+    (* the combined context must be consistent right away, read from
+       the record this update wrote: [inh] is the one it superseded *)
+    let* inh = Db_state.find_item_res db inheritor in
     let* () =
       if View.live_normal v inh then Consistency.check_inheritor_context v inh
       else Ok ()
@@ -538,41 +536,26 @@ let resolve db path =
 
 let full_name db id =
   let v = view db in
-  match Db_state.find_item db id with
-  | Some it -> View.full_name v it
-  | None -> None
+  Option.bind (Db_state.find_item db id) (View.full_name v)
 
 let class_of db id =
-  let v = view db in
-  match Db_state.find_item db id with
-  | Some it -> (
-    match View.obj_state v it with
-    | Some o -> Some o.Item.cls
-    | None -> None)
-  | None -> None
+  match View.state_of_id (view db) id with
+  | Some (Item.Obj o) -> Some o.Item.cls
+  | Some (Item.Rel _) | None -> None
 
 let assoc_of db id =
-  let v = view db in
-  match Db_state.find_item db id with
-  | Some it -> (
-    match View.rel_state v it with
-    | Some r -> Some r.Item.assoc
-    | None -> None)
-  | None -> None
+  match View.state_of_id (view db) id with
+  | Some (Item.Rel r) -> Some r.Item.assoc
+  | Some (Item.Obj _) | None -> None
 
 let get_value db id =
-  let v = view db in
-  match Db_state.find_item db id with
-  | Some it -> (
-    match View.obj_state v it with
-    | Some o -> o.Item.value
-    | None -> None)
-  | None -> None
+  match View.state_of_id (view db) id with
+  | Some (Item.Obj o) -> o.Item.value
+  | Some (Item.Rel _) | None -> None
 
 let exists db id =
-  let v = view db in
   match Db_state.find_item db id with
-  | Some it -> View.live v it
+  | Some it -> View.live (view db) it
   | None -> false
 
 let children db id =
@@ -586,13 +569,9 @@ let relationships db id =
   |> List.map (fun (it : Item.t) -> it.Item.id)
 
 let endpoints db id =
-  let v = view db in
-  match Db_state.find_item db id with
-  | Some it -> (
-    match View.rel_state v it with
-    | Some r -> r.Item.endpoints
-    | None -> [])
-  | None -> []
+  match View.state_of_id (view db) id with
+  | Some (Item.Rel r) -> r.Item.endpoints
+  | Some (Item.Obj _) | None -> []
 
 let inheritors db id =
   let v = view db in

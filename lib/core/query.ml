@@ -287,7 +287,7 @@ let fold_hits v p f init =
   let keep ~recheck ~exact id acc =
     match Db_state.find_item db id with
     | Some it
-      when ((not recheck) || View.live_normal_state (View.fetched_state v it))
+      when ((not recheck) || View.live_normal v it)
            && (exact || test p v it) ->
       f it acc
     | Some _ | None -> acc

@@ -303,9 +303,9 @@ type lookup = { needle : string; grams : (int * Bytes.t) list }
 let needle l = l.needle
 let by_length (_, a) (_, b) = Int.compare (plen a) (plen b)
 
-let lookup_in t fn n =
+let lookup t n =
   if String.length n < min_needle then
-    invalid_arg ("Text_index." ^ fn ^ ": needle shorter than 3 bytes");
+    invalid_arg "Text_index.lookup: needle shorter than 3 bytes";
   let grams =
     List.init (String.length n - 2) (trigram n)
     |> List.sort_uniq Int.compare
@@ -315,8 +315,6 @@ let lookup_in t fn n =
     |> List.sort by_length
   in
   { needle = n; grams }
-
-let lookup t n = lookup_in t "lookup" n
 
 let estimate t l = plen (snd (List.hd l.grams)) + t.nover
 
@@ -330,7 +328,7 @@ let union_grams = function
     |> List.sort by_length
 
 let query_probe t ?path lookups =
-  if lookups = [] then invalid_arg "Text_index.query: no needle";
+  if lookups = [] then invalid_arg "Text_index.query_probe: no needle";
   let grams = union_grams lookups and needles = List.map needle lookups in
   let postings = List.map snd grams in
   let rest = Array.of_list (List.tl postings) in
@@ -375,9 +373,6 @@ let query_probe t ?path lookups =
       pr_candidates = !candidates;
       pr_verified = List.length !hits;
     } )
-
-let query t ?path needles =
-  Ident.Set.of_list (fst (query_probe t ?path (List.map (lookup_in t "query") needles)))
 
 type stats = { trigrams : int; postings : int; docs : int; bytes : int }
 

@@ -46,12 +46,6 @@ type probe = {
   pr_verified : int;  (** documents containing every needle *)
 }
 
-val query : t -> ?path:string -> string list -> Ident.Set.t
-(** Exactly the carriers whose text contains every needle (restricted
-    to carriers at [path] when given), in one pass over the union of the
-    needles' trigrams. Raises [Invalid_argument] on an empty list or a
-    needle shorter than {!min_needle}. *)
-
 type lookup
 (** A needle's distinct trigrams and their base postings, rarest first:
     looked up once, both to size the needle ({!estimate}) and to answer
@@ -64,21 +58,22 @@ val lookup : t -> string -> lookup
 val needle : lookup -> string
 
 val estimate : t -> lookup -> int
-(** Upper bound on the documents {!query} would text-test for the
+(** Upper bound on the documents {!query_probe} would text-test for the
     needle: its rarest base posting plus the overlay, so the planner can
     skip needles too common to beat the scan. *)
 
 val query_probe : t -> ?path:string -> lookup list -> Ident.t list * probe
-(** {!query} over looked-up needles: the carriers as a list, each once,
-    in no particular order, plus the access-path measurements
-    [Query.explain] renders. The lookups must be of this [t]. *)
-
-val string_contains : string -> string -> bool
-(** [string_contains hay needle] — the containment test the index is
-    equivalent to, allocation-free. Empty needles match everything. *)
+(** Exactly the carriers whose text contains every looked-up needle
+    (restricted to carriers at [path] when given), in one pass over the
+    union of the needles' trigrams: a list, each once, in no particular
+    order, plus the access-path measurements [Query.explain] renders.
+    The lookups must be of this [t]; raises [Invalid_argument] on an
+    empty list. *)
 
 val contains_all : string -> string list -> bool
-(** Every needle occurs in the haystack ({!string_contains}); allocation-free. *)
+(** Every needle occurs in the haystack: the containment test the index
+    is equivalent to, allocation-free. An empty needle matches
+    everything. *)
 
 (** {1 Stats and equality} *)
 

@@ -34,20 +34,10 @@ let schema t =
   | Current -> Db_state.schema t.db_
   | At (_, ve) -> Db_state.ve_schema ve
 
-let state t (item : Item.t) =
-  match t.mode with
-  | Current -> (
-    (* resolve by id: items are immutable values, so a handle obtained
-       before an update still points at the superseded record *)
-    match Db_state.find_item t.db_ item.Item.id with
-    | Some it -> it.Item.current
-    | None -> None)
-  | At (_, ve) -> Db_state.ve_state ve item.Item.id
-
-let fetched_state t (it : Item.t) =
+let state t (it : Item.t) =
   match t.mode with Current -> it.Item.current | At (_, ve) -> Db_state.ve_state ve it.Item.id
 
-let state_of_id t id = Option.bind (Db_state.find_item t.db_ id) (fetched_state t)
+let state_of_id t id = Option.bind (Db_state.find_item t.db_ id) (state t)
 let live_state = function Some s -> not (Item.state_deleted s) | None -> false
 let live t item = live_state (state t item)
 
@@ -55,8 +45,7 @@ let live_as ~pattern = function
   | Some s -> (not (Item.state_deleted s)) && Item.state_pattern s = pattern
   | None -> false
 
-let live_normal_state = live_as ~pattern:false
-let live_normal t item = live_normal_state (state t item)
+let live_normal t item = live_as ~pattern:false (state t item)
 let live_pattern t item = live_as ~pattern:true (state t item)
 
 let obj_state t item =
@@ -85,7 +74,7 @@ let live_items t ids =
   Ident.Set.fold
     (fun id acc ->
       match Db_state.find_item t.db_ id with
-      | Some it when live_state (fetched_state t it) -> it :: acc
+      | Some it when live t it -> it :: acc
       | Some _ | None -> acc)
     ids []
   |> List.rev
@@ -248,19 +237,19 @@ let rels_v t (obj : Item.t) =
   let real =
     List.filter_map
       (fun (r : Item.t) ->
-        match fetched_state t r with
+        match state t r with
         | Some (Item.Rel rs) when not rs.rel_pattern ->
           Some { rel = r; endpoints = rs.endpoints; via = None }
         | Some _ | None -> None)
       (rels t obj.Item.id)
   in
-  let endpoint_visible e = live_normal_state (state_of_id t e) in
+  let endpoint_visible e = live_as ~pattern:false (state_of_id t e) in
   let inherited =
     List.concat_map
       (fun (p : Item.t) ->
         List.filter_map
           (fun (r : Item.t) ->
-            match fetched_state t r with
+            match state t r with
             | Some (Item.Rel rs) ->
               let endpoints =
                 List.map

@@ -45,23 +45,25 @@ val text_index : t -> Text_index.t option
     root's, or the version's (built on first use); [None] when text
     indexing is disabled. *)
 
-(** {1 State resolution} *)
+(** {1 State resolution}
+
+    Items are immutable values: an update replaces an item's record in
+    the working root, and a handle fetched before it still holds the
+    superseded record. Readers taking an [Item.t] read the handle they
+    are given, with no id lookup on a current view, so a handle fetched
+    before an update of its item is stale. A writer that reads an item
+    after updating it fetches it again ({!state_of_id},
+    [Db_state.find_item]). *)
 
 val state : t -> Item.t -> Item.state option
+(** The handle's state on a current view; the version's resolved state
+    of its id on a version view. *)
 
 val state_of_id : t -> Ident.t -> Item.state option
-(** {!state} by id: one item lookup on a current view. *)
-
-val fetched_state : t -> Item.t -> Item.state option
-(** {!state} of an item just fetched from this view ({!children},
-    {!rels_v}, an id lookup...): no second lookup on a current view. A
-    handle kept across updates needs {!state}. *)
+(** {!state} of the item fetched by id: the one by-id reader. *)
 
 val live : t -> Item.t -> bool
 val live_normal : t -> Item.t -> bool
-val live_normal_state : Item.state option -> bool
-(** {!live_normal} of a state already resolved, e.g. by {!fetched_state}. *)
-
 val live_pattern : t -> Item.t -> bool
 val obj_state : t -> Item.t -> Item.obj_state option
 val rel_state : t -> Item.t -> Item.rel_state option

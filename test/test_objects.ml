@@ -110,6 +110,26 @@ let test_values () =
   check_ok "clear" (DB.set_value db d None);
   Alcotest.(check (option Alcotest.reject)) "cleared" None (DB.get_value db d)
 
+(* The freshness rule: a handle reads the record it was fetched with.
+   After an update of its item it is stale; the by-id readers see the
+   update. *)
+let test_stale_handle () =
+  let db = fresh_db () in
+  let alarms = ok (DB.create_object db ~cls:"Data" ~name:"Alarms" ()) in
+  let d =
+    ok (DB.create_sub_object db ~parent:alarms ~role:"Description" ~value:(Value.String "old") ())
+  in
+  let v = View.current (DB.raw db) in
+  let handle = Option.get (Seed_core.Db_state.find_item (DB.raw db) d) in
+  check_ok "set" (DB.set_value db d (Some (Value.String "new")));
+  let value = function Some (Item.Obj o) -> o.Item.value | Some (Item.Rel _) | None -> None in
+  Alcotest.(check bool) "the handle reads the old value" true
+    (value (View.state v handle) = Some (Value.String "old"));
+  Alcotest.(check bool) "by id: the new value" true
+    (value (View.state_of_id v d) = Some (Value.String "new"));
+  Alcotest.(check bool) "Database.get_value: the new value" true
+    (DB.get_value db d = Some (Value.String "new"))
+
 let test_rename () =
   let db = fresh_db () in
   let a = ok (DB.create_object db ~cls:"Data" ~name:"Alarms" ()) in
@@ -236,6 +256,7 @@ let () =
           tc "duplicate names" test_duplicate_name_rejected;
           tc "rename" test_rename;
           tc "values" test_values;
+          tc "a handle fetched before an update is stale" test_stale_handle;
           tc "view filters patterns" test_view_all_objects;
         ] );
       ( "sub-objects",

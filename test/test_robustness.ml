@@ -313,8 +313,8 @@ module Db_state = Seed_core.Db_state
 
 let put db (it : Item.t) = Db_state.unsafe_put_item (DB.raw db) it
 
-let obj_state ?value cls =
-  Item.Obj { Item.name = None; cls; value; pattern = false; inherits = []; deleted = false }
+let obj_state ?name ?value cls =
+  Item.Obj { Item.name; cls; value; pattern = false; inherits = []; deleted = false }
 
 let put_child db ~parent ~role ?index ?value cls =
   let id = Db_state.fresh_id (DB.raw db) in
@@ -378,6 +378,12 @@ let tamper_cases =
     ( "object of an unknown class",
       is_unknown_class,
       fun db d _ -> restate db d (with_obj (fun o -> { o with Item.cls = "Read" })) );
+    (* a load keeps the last of two bindings of one name *)
+    ( "two objects bound to one name",
+      is_duplicate,
+      fun db _ _ ->
+        let id = Db_state.fresh_id (DB.raw db) in
+        put db (Item.make id Item.Independent (obj_state ~name:"D" "InputData")) );
     ("relationship arity", is_invalid, fun db d a -> put_rel db "Read" [ d; a; a ]);
     ( "dangling endpoint",
       is_unknown_item,

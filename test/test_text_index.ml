@@ -357,9 +357,16 @@ let seeded_env () =
         (List.init 20 Fun.id));
   env
 
-(* Index probes straight from [Text_index.query], whatever the planner's
-   cutoff would pick, against the live strings: with an overlay of up
-   to 256 documents the planner scans these small stores. *)
+(* The carriers of every needle, as a set: one lookup per needle, one
+   probe *)
+let query tx ?path needles =
+  Ident.Set.of_list
+    (fst (Text_index.query_probe tx ?path (List.map (Text_index.lookup tx) needles)))
+
+(* Index probes straight from [Text_index.query_probe], whatever the
+   planner's cutoff would pick, against the live strings: with an
+   overlay of up to 256 documents the planner scans these small
+   stores. *)
 let probes_exact st =
   let tx = Option.get (Db_state.text_index st) in
   List.for_all
@@ -371,11 +378,11 @@ let probes_exact st =
                 (Item.Obj
                    { Item.deleted = false; value = Some (Value.String s); cls; _ })
               when Option.fold ~none:true ~some:(String.equal cls) path
-                   && List.for_all (Text_index.string_contains s) needles ->
+                   && Text_index.contains_all s needles ->
               Ident.Set.add it.Item.id acc
             | _ -> acc)
       in
-      Ident.Set.equal naive (Text_index.query tx ?path needles))
+      Ident.Set.equal naive (query tx ?path needles))
     [ (None, [ "recovery" ]); (None, [ "the recovery path" ]); (None, [ "issip" ]);
       (None, [ "aaa" ]); (None, [ "abcab" ]); (None, [ "no-such-needle" ]);
       (None, [ "spec"; "recovery path" ]); (None, [ "alarm"; "reset" ]);
@@ -488,7 +495,7 @@ let test_structure () =
        (fun ppf e -> Format.fprintf ppf "%s" (Printexc.to_string e))
        (fun a b -> a = b))
     "short needle refused"
-    (Invalid_argument "Text_index.query: needle shorter than 3 bytes")
+    (Invalid_argument "Text_index.lookup: needle shorter than 3 bytes")
     (try
        ignore (query added [ "recover"; "ab" ]);
        Failure "no exception"
@@ -496,7 +503,7 @@ let test_structure () =
 
 let test_string_contains () =
   let check name expected hay needle =
-    Alcotest.(check bool) name expected (Text_index.string_contains hay needle)
+    Alcotest.(check bool) name expected (Text_index.contains_all hay [ needle ])
   in
   check "empty needle" true "abc" "";
   check "empty both" true "" "";
