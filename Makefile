@@ -5,7 +5,7 @@
 
 .PHONY: check build test fmt soak soak-ci soak-net bench bench-query \
 	bench-text bench-version bench-txn bench-commit bench-mvcc bench-chaos \
-	bench-recovery perfbench perfbench-run loc unused
+	bench-recovery bench-spades perfbench perfbench-run loc unused
 
 check: build test fmt
 
@@ -66,47 +66,56 @@ soak-net:
 	dune exec test/chaos_net.exe -- --iters $(SOAK_NET_ITERS) \
 	  --steps $(SOAK_NET_STEPS) --clients 8 --seed $(SOAK_SEED)
 
-# regenerate the committed query-planner baseline
+# Each bench-* target regenerates one committed BENCH_<suite>.json. Every
+# timed value in it is the median of Report.rounds rounds, with its min
+# and max beside it; where a row compares two arms they alternate round
+# by round (bench/report.ml, EXPERIMENTS.md).
+
+# query planner: extent/index-backed select vs a naive table scan
 bench-query:
 	dune exec bench/main.exe -- query
 
-# regenerate the committed content-search baseline (trigram index vs
-# full scan, plus index build and incremental-update cost)
+# content search: trigram index vs full scan, plus index build and
+# set_value with the index on vs off
 bench-text:
 	dune exec bench/main.exe -- text
 
-# regenerate the committed version-read baseline
+# version reads: current view vs cold and warm version views
 bench-version:
 	dune exec bench/main.exe -- version
 
-# regenerate the committed transaction/recovery baseline
+# transactions: one-frame commit, root-swap rollback, torn-txn recovery
 bench-txn:
 	dune exec bench/main.exe -- txn
 
-# regenerate the committed group-commit baseline (txns/s and fsyncs/txn
-# vs writer count over one journal)
+# group commit: txns/s and fsyncs/txn vs writer count over one journal
 bench-commit:
 	dune exec bench/main.exe -- commit
 
-# regenerate the committed MVCC baseline (snapshot-grab latency, reader
-# domains vs a committing writer, single-threaded write-path cost)
+# MVCC: snapshot-grab latency, reader domains vs a committing writer,
+# single-threaded write-path cost
 bench-mvcc:
 	dune exec bench/main.exe -- mvcc
 
-# regenerate the committed chaos baseline (recovery time and data
-# survival under injected corruption and read faults)
+# chaos: recovery time and data survival under injected corruption and
+# read faults
 bench-chaos:
 	dune exec bench/main.exe -- chaos
 
-# regenerate the committed recovery baseline: Persist.Session.open_ of
-# 10^4- and 10^5-document SPADES stores, verify on, each open in a fresh
-# process (wall time, allocation, top heap)
+# recovery: Persist.Session.open_ of 10^4- and 10^5-document SPADES
+# stores, verify on, each open in a fresh process (wall time, allocation,
+# top heap), and the verify sweep alone
 bench-recovery:
 	dune exec bench/main.exe -- recovery
 
+# S1, the paper's claim: a SPADES session on raw structures vs on SEED,
+# and the slowdown factor
+bench-spades:
+	dune exec bench/main.exe -- spades
+
 # regenerate every committed benchmark baseline
 bench: bench-query bench-text bench-version bench-txn bench-commit \
-	bench-mvcc bench-chaos bench-recovery
+	bench-mvcc bench-chaos bench-recovery bench-spades
 
 # the served-path benchmark (perfbench/README.md, BENCHMARK.json):
 # `perfbench` smoke-runs every workload on small stores, untraced and

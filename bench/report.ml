@@ -1,83 +1,154 @@
-(* Bechamel plumbing, plain-text tables for the non-timing metrics
-   (bytes, operation counts) the experiments report, and the one writer
-   of the committed BENCH_*.json files. *)
+(* The bench harness: one measurement, one row type and one writer.
 
-open Bechamel
-open Toolkit
+   Every timed number is [rounds] rounds of the same calls. A round
+   times a batch of calls sized so that it lasts at least [round_s]; a
+   case with a per-call set-up times one call per round, after its
+   set-up. The median, min and max are over the rounds' seconds per
+   call. Where a row compares arms, the arms alternate round by round,
+   so drift in the host (fsync latency, a neighbour's load) lands on
+   every arm alike. *)
 
-let run_tests ?(quota = 0.5) tests =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
+let rounds = 7
+
+let round_s = 0.005
+
+(* seconds per call over the rounds, and minor words per timed call *)
+type timing = { med : float; min : float; max : float; words : float }
+
+type arm = { setup : (unit -> unit) option; call : unit -> unit }
+
+let arm ?setup call = { setup; call }
+
+(* seconds and minor words of [n] calls of [f] *)
+let time_calls f n =
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to n do
+    f ()
+  done;
+  let t = Unix.gettimeofday () -. t0 in
+  (t, Gc.minor_words () -. w0)
+
+let median a =
+  let a = Array.copy a in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* the batch size of a round; the calibration calls warm the arm up *)
+let rec batch f n = if fst (time_calls f n) >= round_s then n else batch f (2 * n)
+
+let measure_arms arms =
+  let arms = Array.of_list arms in
+  let sizes =
+    Array.map (fun a -> if Option.is_none a.setup then batch a.call 1 else 1) arms
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 1000) ()
-  in
-  let raw_results = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
-  in
-  Analyze.merge ols instances results
+  let secs = Array.make_matrix (Array.length arms) rounds 0. in
+  let words = Array.make (Array.length arms) 0. in
+  for r = 0 to rounds - 1 do
+    Array.iteri
+      (fun i a ->
+        Option.iter (fun setup -> setup ()) a.setup;
+        let t, w = time_calls a.call sizes.(i) in
+        secs.(i).(r) <- t /. float_of_int sizes.(i);
+        words.(i) <- words.(i) +. w)
+      arms
+  done;
+  Array.mapi
+    (fun i s ->
+      {
+        med = median s;
+        min = Array.fold_left Float.min infinity s;
+        max = Array.fold_left Float.max neg_infinity s;
+        words = words.(i) /. float_of_int (rounds * sizes.(i));
+      })
+    secs
 
-let () =
-  List.iter
-    (fun v -> Bechamel_notty.Unit.add v (Measure.unit v))
-    Instance.[ monotonic_clock ]
+let measure ?setup call = (measure_arms [ arm ?setup call ]).(0)
 
-let print_results window results =
-  let img =
-    Bechamel_notty.Multiple.image_of_ols_results ~rect:window
-      ~predictor:Measure.run results
-  in
-  Notty_unix.output_image (Notty_unix.eol img)
+let measure_ab a b =
+  let t = measure_arms [ a; b ] in
+  (t.(0), t.(1))
 
-let window =
-  match Notty_unix.winsize Unix.stdout with
-  | Some (w, h) -> { Bechamel_notty.w; h }
-  | None -> { Bechamel_notty.w = 100; h = 1 }
+(* a timing of calls that each do [n] operations, per operation *)
+let per n t =
+  let f = float_of_int n in
+  { med = t.med /. f; min = t.min /. f; max = t.max /. f; words = t.words /. f }
 
-let bench ?quota ~name tests =
-  Fmt.pr "@.### %s@.@." name;
-  let results = run_tests ?quota (Test.make_grouped ~name tests) in
-  print_results window results
+(* --- rows ------------------------------------------------------------ *)
 
-(* --- plain tables --------------------------------------------------- *)
+(* A [Range] is a timed value: median, min, max. Numbers carry their
+   decimals, so the table and the JSON print the same digits. *)
+type value =
+  | Int of int
+  | Num of int * float
+  | Text of string
+  | Bool of bool
+  | Range of int * float * float * float
 
-let table ~title ~header rows =
+type row = (string * value) list
+
+let scaled dec k t = Range (dec, t.med *. k, t.min *. k, t.max *. k)
+let ns = scaled 1 1e9
+let us = scaled 2 1e6
+let ms = scaled 3 1e3
+
+(* [count] operations per call, as operations per second *)
+let rate ~count t =
+  let c = float_of_int count in
+  Range (0, c /. t.med, c /. t.max, c /. t.min)
+
+let words t = Num (0, t.words)
+
+(* the ratio of two medians *)
+let ratio a b = Num (2, a.med /. b.med)
+
+let num dec x = Printf.sprintf "%.*f" dec x
+
+let cell = function
+  | Int i -> string_of_int i
+  | Num (d, x) -> num d x
+  | Text s -> s
+  | Bool b -> string_of_bool b
+  | Range (d, m, lo, hi) -> Printf.sprintf "%s (%s-%s)" (num d m) (num d lo) (num d hi)
+
+(* The console table of [rows]: a column per key, in order of first
+   appearance; a row without a key shows "-" there. Timed cells read
+   "median (min-max)". *)
+let table ~title rows =
   Fmt.pr "@.### %s@.@." title;
-  let widths =
+  let keys =
     List.fold_left
-      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
-      (List.map String.length header)
+      (fun ks row ->
+        List.fold_left
+          (fun ks (k, _) -> if List.mem k ks then ks else ks @ [ k ])
+          ks row)
+      [] rows
+  in
+  let cells =
+    List.map
+      (fun row ->
+        List.map
+          (fun k -> match List.assoc_opt k row with Some v -> cell v | None -> "-")
+          keys)
       rows
   in
-  let print_row row =
+  let widths =
+    List.fold_left
+      (fun ws r -> List.map2 (fun w c -> max w (String.length c)) ws r)
+      (List.map String.length keys)
+      cells
+  in
+  let print_row r =
     Fmt.pr "| %s |@."
       (String.concat " | "
-         (List.map2
-            (fun w c -> c ^ String.make (w - String.length c) ' ')
-            widths row))
+         (List.map2 (fun w c -> c ^ String.make (w - String.length c) ' ') widths r))
   in
-  print_row header;
+  print_row keys;
   Fmt.pr "|%s|@."
     (String.concat "|" (List.map (fun w -> String.make (w + 2) '-') widths));
-  List.iter print_row rows
+  List.iter print_row cells
 
-let human_bytes n =
-  if n > 1_048_576 then Printf.sprintf "%.1f MiB" (float_of_int n /. 1_048_576.)
-  else if n > 1024 then Printf.sprintf "%.1f KiB" (float_of_int n /. 1024.)
-  else Printf.sprintf "%d B" n
-
-(* wall-clock of a thunk, for macro measurements where bechamel's
-   micro-benchmark harness does not fit (one-shot workloads) *)
-let time_of f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let ms t = Printf.sprintf "%.2f ms" (t *. 1000.)
-
-(* --- BENCH_*.json --------------------------------------------------- *)
+(* --- BENCH_*.json ---------------------------------------------------- *)
 
 (* The checkout's HEAD commit, read from [.git] without running git. *)
 let git_rev () =
@@ -104,11 +175,19 @@ let lib_digest () =
   try Digest.to_hex (Digest.string (String.concat "" (List.map Digest.file (files "lib"))))
   with Sys_error _ -> "unknown"
 
+let json_field (k, v) =
+  match v with
+  | Range (d, m, lo, hi) ->
+    Printf.sprintf "%S: %s, \"%s_min\": %s, \"%s_max\": %s" k (num d m) k (num d lo) k
+      (num d hi)
+  | Text s -> Printf.sprintf "%S: %S" k s
+  | v -> Printf.sprintf "%S: %s" k (cell v)
+
 (* Writes [BENCH_<suite>.json]: the suite name, the command that
    regenerates the file, the environment it ran in (the fields of
-   perfbench's [env:] line), the [extra] header fields (name, raw JSON
-   value) in order, then the result objects, one per line. *)
-let write_json ?(extra = []) suite results =
+   perfbench's [env:] line), the rounds behind every timed value, the
+   suite's [notes] (name, text), then the rows, one per line. *)
+let write_json ?(notes = []) suite rows =
   let file = Printf.sprintf "BENCH_%s.json" suite in
   Out_channel.with_open_bin file (fun oc ->
       Printf.fprintf oc
@@ -120,7 +199,52 @@ let write_json ?(extra = []) suite results =
          \"ocaml\": %S},\n"
         (git_rev ()) (lib_digest ()) (Domain.recommended_domain_count ())
         Sys.ocaml_version;
-      List.iter (fun (k, v) -> Printf.fprintf oc "  \"%s\": %s,\n" k v) extra;
+      Printf.fprintf oc "  \"repeats\": %d,\n" rounds;
+      List.iter (fun (k, s) -> Printf.fprintf oc "  %S: %S,\n" k s) notes;
       Printf.fprintf oc "  \"results\": [\n%s\n  ]\n}\n"
-        (String.concat ",\n" results));
+        (String.concat ",\n"
+           (List.map
+              (fun row ->
+                Printf.sprintf "    {%s}" (String.concat ", " (List.map json_field row)))
+              rows)));
   Fmt.pr "@.wrote %s@." file
+
+(* --- scratch stores ---------------------------------------------------- *)
+
+let clear dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+
+(* A new empty directory under the temp dir; every one is removed when
+   the harness exits. *)
+let fresh_dir =
+  let made = ref [] in
+  at_exit (fun () ->
+      List.iter
+        (fun d ->
+          if Sys.file_exists d then begin
+            clear d;
+            Sys.rmdir d
+          end)
+        !made);
+  fun () ->
+    let d =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "seed_bench_%d_%d" (Unix.getpid ()) (List.length !made))
+    in
+    Sys.mkdir d 0o755;
+    made := d :: !made;
+    d
+
+(* The files of [dir] and their bytes, for [restore]. *)
+let files dir =
+  List.map
+    (fun f -> (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+    (Array.to_list (Sys.readdir dir))
+
+(* Makes [dir] hold exactly [files] again. *)
+let restore dir files =
+  clear dir;
+  List.iter
+    (fun (f, bytes) ->
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc bytes))
+    files

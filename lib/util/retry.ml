@@ -10,15 +10,8 @@ let default_policy =
 
 let no_delay = { default_policy with base_delay = 0.0; max_delay = 0.0 }
 
-(* Knuth multiplicative hash of the attempt index: deterministic "jitter"
-   in [0.5, 1.0] without consulting Random (replays must be stable). *)
-let jitter ~attempt =
-  let h = attempt * 2654435761 land 0xFFFF in
-  0.5 +. (float_of_int h /. 65535.0 /. 2.0)
-
 let delay_for p ~attempt =
-  let exp = p.base_delay *. (p.multiplier ** float_of_int (attempt - 1)) in
-  Float.min p.max_delay exp *. jitter ~attempt
+  Float.min p.max_delay (p.base_delay *. (p.multiplier ** float_of_int (attempt - 1)))
 
 let transient_only = function Seed_error.Io_transient _ -> true | _ -> false
 

@@ -1,12 +1,11 @@
-(** Bounded retry with exponential backoff and deterministic jitter.
+(** Bounded retry with exponential backoff.
 
     Transient faults (interrupted syscalls, short reads that succeed on the
     next attempt, a lock briefly held by a dying client) should be absorbed
     close to where they happen instead of bubbling up to the user.  [Retry]
     packages the loop: a policy bounds the number of attempts and shapes the
-    delay curve, the sleep and clock are injectable so tests run in zero
-    wall-clock time, and the jitter is a pure function of the attempt index
-    so replays are reproducible. *)
+    delay curve, and the sleep and clock are injectable so tests run in zero
+    wall-clock time. *)
 
 type policy = {
   attempts : int;  (** total tries, including the first (>= 1) *)
@@ -23,8 +22,7 @@ val no_delay : policy
 
 val delay_for : policy -> attempt:int -> float
 (** [delay_for p ~attempt] is the backoff before retry number [attempt]
-    (1-based): [base * multiplier^(attempt-1)] capped at [max_delay], scaled
-    by a deterministic jitter in [0.5, 1.0] derived from [attempt] alone. *)
+    (1-based): [min max_delay (base * multiplier^(attempt-1))]. *)
 
 val with_retry :
   ?policy:policy ->

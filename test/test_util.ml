@@ -261,25 +261,14 @@ let test_retry_delay_curve () =
   let p =
     { Retry.attempts = 10; base_delay = 0.001; max_delay = 0.05; multiplier = 2.0 }
   in
-  (* deterministic: same attempt, same delay — replays are stable *)
+  (* exactly the capped exponential *)
   List.iter
-    (fun a ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "attempt %d deterministic" a)
-        (Retry.delay_for p ~attempt:a)
-        (Retry.delay_for p ~attempt:a))
-    [ 1; 2; 3; 7 ];
-  (* jittered exponential: within [0.5x, 1x] of the nominal value,
-     capped by max_delay *)
-  List.iter
-    (fun a ->
-      let nominal = Float.min p.Retry.max_delay (0.001 *. (2.0 ** float_of_int (a - 1))) in
-      let d = Retry.delay_for p ~attempt:a in
-      Alcotest.(check bool)
-        (Printf.sprintf "attempt %d in band" a)
-        true
-        (d >= (0.5 *. nominal) -. 1e-12 && d <= nominal +. 1e-12))
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+    (fun (a, expected) ->
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "attempt %d" a)
+        expected (Retry.delay_for p ~attempt:a))
+    [ (1, 0.001); (2, 0.002); (3, 0.004); (4, 0.008); (5, 0.016); (6, 0.032);
+      (7, 0.05); (8, 0.05) ];
   (* the cap holds even deep into the schedule *)
   Alcotest.(check bool) "capped" true
     (Retry.delay_for p ~attempt:40 <= p.Retry.max_delay)
