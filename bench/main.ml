@@ -21,6 +21,9 @@ module Persist = Seed_core.Persist
 module Store = Seed_storage.Store
 module View = Seed_core.View
 module Q = Seed_core.Query
+module Frame = Seed_net.Frame
+module Wire = Seed_net.Wire
+module NS = Seed_net.Net_server
 
 let ok = Seed_error.ok_exn
 
@@ -522,6 +525,56 @@ let against_scan ~order v p =
     (arm (fun () -> ignore (Q.select v p)))
     (arm (fun () -> ignore (naive_select ~order v p)))
 
+(* A served read, in process: one session's request frame, re-sent with
+   the session's next request id [id] (and its CRC) written in place, so
+   a call allocates what the server does plus the two boxed numbers of
+   the patch. *)
+let served_request core conn id body =
+  let frame = Bytes.of_string (Frame.encode (Wire.encode_request { Wire.req_id = 0L; body })) in
+  let len = Bytes.length frame in
+  fun () ->
+    id := Int64.succ !id;
+    Bytes.set_int64_le frame Frame.header_size !id;
+    Bytes.set_int32_le frame 9
+      (Seed_storage.Crc32.digest_sub frame ~pos:Frame.header_size
+         ~len:(len - Frame.header_size));
+    match NS.on_frame core conn (Bytes.unsafe_to_string frame) with
+    | NS.Reply _ -> ()
+    | NS.Reply_close _ | NS.Close -> failwith "served read refused"
+
+let served_reads n =
+  let srv = Seed_server.Server.create Workloads.schema in
+  Workloads.served_populate (Seed_server.Server.database srv) n;
+  let core = NS.create srv in
+  let conn = NS.open_conn core in
+  (match
+     NS.on_frame core conn
+       (Frame.encode
+          (Wire.encode_request
+             {
+               Wire.req_id = 1L;
+               body = Wire.Hello { protocol = Frame.version; client = "bench"; resume = None };
+             }))
+   with
+  | NS.Reply _ -> ()
+  | NS.Reply_close _ | NS.Close -> failwith "hello refused");
+  let id = ref 1L in
+  List.map
+    (fun (key, body) ->
+      let t = measure (served_request core conn id body) in
+      [
+        ("items", Int n);
+        ("served", Text key);
+        ("served_us", us t);
+        ("served_words", words t);
+      ])
+    [
+      ("find", Wire.Find (Workloads.text_doc_name (n / 2)));
+      ("select_isa", Wire.Select_isa "OutputData");
+      ( "search_keyword",
+        Wire.Search { path = "Thing.Keywords"; needles = [ Workloads.served_keyword 17 ] } );
+    ]
+
 let query () =
   heading "Q1" "query planner: extent/index-backed select vs full scan";
   let by_id (a : Seed_core.Item.t) (b : Seed_core.Item.t) = Ident.compare a.id b.id in
@@ -550,7 +603,9 @@ let query () =
       [ 1_000; 10_000; 100_000 ]
   in
   table ~title:"planner-backed select vs naive item-table scan (per query)" rows;
-  write_json "query" rows
+  let served = served_reads 10_000 in
+  table ~title:"served reads through Net_server.on_frame (per request)" served;
+  write_json "query" (rows @ served)
 
 let text () =
   heading "X1" "content search: trigram index vs full scan";

@@ -374,3 +374,28 @@ let text_populate n =
            ~value:(Value.String (text_body ~n i)) ())
   done;
   (db, carriers)
+
+(* --- Q1: served reads -------------------------------------------------- *)
+
+(* The [text_populate] documents as a browsing store: every 100th is an
+   [OutputData] (the class a served [Select_isa] lists), and document i
+   carries [i mod 4] keywords from a pool of 64, so one keyword is on
+   ~2% of the documents. *)
+let served_keyword i = Printf.sprintf "kw%03d" i
+
+let served_populate db n =
+  for i = 0 to n - 1 do
+    let cls = if i mod 100 = 0 then "OutputData" else "Data" in
+    let d = ok (DB.create_object db ~cls ~name:(text_doc_name i) ()) in
+    ignore
+      (ok
+         (DB.create_sub_object db ~parent:d ~role:"Description"
+            ~value:(Value.String (text_body ~n i)) ()));
+    for k = 0 to (i mod 4) - 1 do
+      ignore
+        (ok
+           (DB.create_sub_object db ~parent:d ~role:"Keywords" ~index:k
+              ~value:(Value.String (served_keyword (((i * 7) + (k * 13)) mod 64)))
+              ()))
+    done
+  done

@@ -69,6 +69,15 @@ type version_cache_stats = {
   vc_evictions : int;
 }
 
+(* A handle's version-extent LRU cache and its counters. *)
+type version_cache = {
+  vc_table : (Version_id.t, version_extent) Hashtbl.t;
+  mutable vc_tick : int;
+  mutable vc_hit_count : int;
+  mutable vc_miss_count : int;
+  mutable vc_eviction_count : int;
+}
+
 type t = {
   mutable working : root;
   published : root Atomic.t;
@@ -76,13 +85,11 @@ type t = {
   gen : Ident.Gen.t;
   snapshot_count : int Atomic.t;
   commit_count : int Atomic.t;
-  (* Handle-private version-extent LRU cache. A frozen handle gets its
-     own empty cache, so concurrent readers never share these tables. *)
-  version_cache : (Version_id.t, version_extent) Hashtbl.t;
-  mutable version_cache_tick : int;
-  mutable vc_hit_count : int;
-  mutable vc_miss_count : int;
-  mutable vc_eviction_count : int;
+  (* Handle-private version-extent LRU cache, made on the handle's first
+     version read: a frozen handle starts without one, so concurrent
+     readers never share these tables and a snapshot that reads no
+     version never makes one. *)
+  mutable version_cache : version_cache option;
   (* shared with frozen handles, like [snapshot_count], so searches
      served from snapshots are counted *)
   text_hit_count : int Atomic.t;  (* text predicates answered from the index *)
@@ -135,11 +142,7 @@ let create schema =
     gen = Ident.Gen.create ();
     snapshot_count = Atomic.make 0;
     commit_count = Atomic.make 0;
-    version_cache = Hashtbl.create 8;
-    version_cache_tick = 0;
-    vc_hit_count = 0;
-    vc_miss_count = 0;
-    vc_eviction_count = 0;
+    version_cache = None;
     text_hit_count = Atomic.make 0;
     text_fallback_count = Atomic.make 0;
     procedures = Hashtbl.create 8;
@@ -196,11 +199,7 @@ let freeze t =
     gen = t.gen;
     snapshot_count = t.snapshot_count;
     commit_count = t.commit_count;
-    version_cache = Hashtbl.create 8;
-    version_cache_tick = 0;
-    vc_hit_count = 0;
-    vc_miss_count = 0;
-    vc_eviction_count = 0;
+    version_cache = None;
     text_hit_count = t.text_hit_count;
     text_fallback_count = t.text_fallback_count;
     procedures = t.procedures;
@@ -551,6 +550,13 @@ let union_disjoint a b = Ident.Map.union (fun _ x _ -> Some x) a b
 let push_id id runs = push_run Ident.Set.union (1, Ident.Set.singleton id) runs
 let set_of_runs runs = of_runs Ident.Set.union Ident.Set.empty runs
 
+let set_of_ascending n id_at =
+  let runs = ref [] in
+  for i = 0 to n - 1 do
+    runs := push_id (id_at i) !runs
+  done;
+  set_of_runs !runs
+
 (* One fold over items arriving in increasing id order: the item table
    and every index at once, with no list of the database. Id-keyed sets
    and the table grow as runs; the identity indexes, keyed by parent or
@@ -643,28 +649,45 @@ let build_version_extent t (node : Versioning.node) =
     ve_tick = 0;
   }
 
-let evict_version_lru t =
+let evict_version_lru vc =
   let victim =
     Hashtbl.fold
       (fun vid ve acc ->
         match acc with
         | Some (_, best) when best <= ve.ve_tick -> acc
         | _ -> Some (vid, ve.ve_tick))
-      t.version_cache None
+      vc.vc_table None
   in
   match victim with
   | Some (vid, _) ->
-    Hashtbl.remove t.version_cache vid;
-    t.vc_eviction_count <- t.vc_eviction_count + 1
+    Hashtbl.remove vc.vc_table vid;
+    vc.vc_eviction_count <- vc.vc_eviction_count + 1
   | None -> ()
 
+let version_cache t =
+  match t.version_cache with
+  | Some vc -> vc
+  | None ->
+    let vc =
+      {
+        vc_table = Hashtbl.create 8;
+        vc_tick = 0;
+        vc_hit_count = 0;
+        vc_miss_count = 0;
+        vc_eviction_count = 0;
+      }
+    in
+    t.version_cache <- Some vc;
+    vc
+
 let version_extent t vid =
+  let vc = version_cache t in
   (* only known labels are cached, so a hit needs no tree lookup *)
-  match Hashtbl.find_opt t.version_cache vid with
+  match Hashtbl.find_opt vc.vc_table vid with
   | Some ve ->
-    t.version_cache_tick <- t.version_cache_tick + 1;
-    ve.ve_tick <- t.version_cache_tick;
-    t.vc_hit_count <- t.vc_hit_count + 1;
+    vc.vc_tick <- vc.vc_tick + 1;
+    ve.ve_tick <- vc.vc_tick;
+    vc.vc_hit_count <- vc.vc_hit_count + 1;
     ve
   | None -> (
     match Versioning.find t.working.r_versions vid with
@@ -677,22 +700,26 @@ let version_extent t vid =
         ve_tick = 0;
       }
     | Some node ->
-      t.version_cache_tick <- t.version_cache_tick + 1;
-      t.vc_miss_count <- t.vc_miss_count + 1;
+      vc.vc_tick <- vc.vc_tick + 1;
+      vc.vc_miss_count <- vc.vc_miss_count + 1;
       let ve = build_version_extent t node in
-    ve.ve_tick <- t.version_cache_tick;
-      Hashtbl.replace t.version_cache vid ve;
-      if Hashtbl.length t.version_cache > version_cache_capacity then evict_version_lru t;
+      ve.ve_tick <- vc.vc_tick;
+      Hashtbl.replace vc.vc_table vid ve;
+      if Hashtbl.length vc.vc_table > version_cache_capacity then evict_version_lru vc;
       ve)
 
-let invalidate_version_cache t vid = Hashtbl.remove t.version_cache vid
+let invalidate_version_cache t vid =
+  Option.iter (fun vc -> Hashtbl.remove vc.vc_table vid) t.version_cache
 
 let version_cache_stats t =
-  {
-    vc_hits = t.vc_hit_count;
-    vc_misses = t.vc_miss_count;
-    vc_evictions = t.vc_eviction_count;
-  }
+  match t.version_cache with
+  | None -> { vc_hits = 0; vc_misses = 0; vc_evictions = 0 }
+  | Some vc ->
+    {
+      vc_hits = vc.vc_hit_count;
+      vc_misses = vc.vc_miss_count;
+      vc_evictions = vc.vc_eviction_count;
+    }
 
 let ve_extents ve = ve.ve_ext
 let ve_schema ve = ve.ve_schema

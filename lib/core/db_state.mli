@@ -76,9 +76,10 @@ val depth : t -> int
     transition rules, or a transaction. *)
 
 val freeze : t -> t
-(** O(1): a read-only handle pinned to the currently published root,
-    with its own private version cache — safe to hand to another
-    domain. Counts a snapshot grab. *)
+(** O(1) words: a read-only handle pinned to the currently published
+    root, with its own private version cache, made when it first reads
+    a version — safe to hand to another domain. Counts a snapshot
+    grab. *)
 
 val snapshot_grabs : t -> int
 (** Snapshots grabbed via {!freeze} over the handle's lifetime (shared
@@ -238,6 +239,12 @@ val inheritor_set : t -> Ident.t -> Ident.Set.t
 val index_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 val unindex_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 
+val set_of_ascending : int -> (int -> Ident.t) -> Ident.Set.t
+(** [set_of_ascending n id_at] is the set of the [n] ids
+    [id_at 0 < id_at 1 < ...], built as {!load} builds its sets: from
+    runs of equal size merged like the digits of a binary counter,
+    with no sort. *)
+
 val load : t -> ((Item.t -> bool -> unit) -> unit) -> unit
 (** [load t feed] rebuilds the working root in one pass over the items
     [feed add] passes to [add item in_delta] in strictly increasing id
@@ -255,8 +262,8 @@ val load : t -> ((Item.t -> bool -> unit) -> unit) -> unit
     ancestor chain; a {!version_extent} materializes the whole view
     once — its {!extents}, all resolved states and its schema
     revision — so subsequent reads are lookups. Extents live in an LRU
-    cache of 8 keyed by version label, private to the handle (frozen
-    handles build their own).
+    cache of 8 keyed by version label, private to the handle and made
+    on its first version read (frozen handles build their own).
     Validity: snapshot labels are never reused, version deletion is
     leaf-only, so a cached extent can only be invalidated by deleting
     its own version ({!invalidate_version_cache}) or replacing the

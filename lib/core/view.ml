@@ -148,13 +148,16 @@ let rec full_name t (item : Item.t) =
       | Some pn ->
         if live t item then Some (pn ^ "." ^ Item.component item) else None))
 
+(* A plain name (no [.], [[] or []]) is an object's own: looked up
+   without parsing a path. *)
+let is_plain s = not (String.exists (function '.' | '[' | ']' -> true | _ -> false) s)
+
 let resolve_name t s =
-  match Path.of_string s with
-  | Error _ -> None
-  | Ok path -> (
-    match path with
-    | [] -> None
-    | root_comp :: rest ->
+  if is_plain s then find_object t s
+  else
+    match Path.of_string s with
+    | Error _ | Ok [] -> None
+    | Ok (root_comp :: rest) ->
       if root_comp.Path.index <> None then None
       else
         let rec descend item = function
@@ -164,9 +167,7 @@ let resolve_name t s =
             | Some k -> descend k rest
             | None -> None)
         in
-        (match find_object t root_comp.Path.name with
-        | Some obj -> descend obj rest
-        | None -> None))
+        Option.bind (find_object t root_comp.Path.name) (fun obj -> descend obj rest)
 
 let class_path_of t item =
   match obj_state t item with Some o -> Some o.cls | None -> None

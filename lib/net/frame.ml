@@ -5,12 +5,7 @@ let magic = "SENF"
 let version = 3
 let header_size = 13
 let max_payload = 16 * 1024 * 1024
-
-let put_u32 b v =
-  Buffer.add_char b (Char.chr (v land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff))
+let kept_buffer = 65536
 
 let get_u32 s off =
   Char.code s.[off]
@@ -18,39 +13,61 @@ let get_u32 s off =
   lor (Char.code s.[off + 2] lsl 16)
   lor (Char.code s.[off + 3] lsl 24)
 
+(* The header of the payload held in [b] after it, in place. *)
+let put_header b len =
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_uint8 b 4 version;
+  Bytes.set_int32_le b 5 (Int32.of_int len);
+  Bytes.set_int32_le b 9 (Crc32.digest_sub b ~pos:header_size ~len)
+
 let encode payload =
   let len = String.length payload in
   if len > max_payload then invalid_arg "Frame.encode: payload too large";
-  let b = Buffer.create (header_size + len) in
-  Buffer.add_string b magic;
-  Buffer.add_char b (Char.chr version);
-  put_u32 b len;
-  put_u32 b (Int32.to_int (Crc32.digest payload) land 0xffffffff);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let b = Bytes.create (header_size + len) in
+  Bytes.blit_string payload 0 b header_size len;
+  put_header b len;
+  Bytes.unsafe_to_string b
 
-let parse_header h =
-  if String.length h < header_size then
-    fail (Corrupt "frame header truncated")
-  else if not (String.equal (String.sub h 0 4) magic) then
-    fail (Corrupt "bad frame magic")
+let blank_header = String.make header_size '\000'
+
+let start w =
+  Buffer.clear w;
+  Buffer.add_string w blank_header
+
+let seal w =
+  let len = Buffer.length w - header_size in
+  if len > max_payload then invalid_arg "Frame.seal: payload too large";
+  let b = Bytes.create (Buffer.length w) in
+  Buffer.blit w header_size b header_size len;
+  put_header b len;
+  Bytes.unsafe_to_string b
+
+let payload_length h =
+  if String.length h < header_size then fail (Corrupt "frame header truncated")
+  else if
+    not (h.[0] = magic.[0] && h.[1] = magic.[1] && h.[2] = magic.[2] && h.[3] = magic.[3])
+  then fail (Corrupt "bad frame magic")
   else
-    let v = Char.code h.[4] in
     let len = get_u32 h 5 in
-    let crc = Int32.of_int (get_u32 h 9) in
-    if len < 0 || len > max_payload then
+    if len > max_payload then
       fail (Corrupt (Printf.sprintf "implausible frame length %d" len))
-    else Ok (v, len, crc)
+    else Ok len
 
-let check_payload ~crc payload =
-  if Int32.equal (Crc32.digest payload) crc then Ok ()
-  else fail (Corrupt "frame payload CRC mismatch")
+let check s ~len:n =
+  match payload_length s with
+  | Error _ as e -> e
+  | Ok len ->
+    if n <> header_size + len || n > String.length s then
+      fail (Corrupt "frame length does not match header")
+    else if
+      get_u32 s 9
+      <> Int32.to_int
+           (Crc32.digest_sub (Bytes.unsafe_of_string s) ~pos:header_size ~len)
+         land 0xffffffff
+    then fail (Corrupt "frame payload CRC mismatch")
+    else Ok len
 
 let decode frame =
-  let* _v, len, crc = parse_header frame in
-  if String.length frame <> header_size + len then
-    fail (Corrupt "frame length does not match header")
-  else
-    let payload = String.sub frame header_size len in
-    let* () = check_payload ~crc payload in
-    Ok payload
+  match check frame ~len:(String.length frame) with
+  | Error _ as e -> e
+  | Ok len -> Ok (String.sub frame header_size len)

@@ -26,7 +26,7 @@ type session = {
   mutable expires : float;
   mutable running : int;  (* its requests executing right now *)
   mutable last_req : int64;  (* highest executed request id; 0 = none *)
-  mutable last_resp : string;  (* its encoded response payload *)
+  mutable last_frame : string;  (* its response, as the frame sent *)
 }
 
 type t = {
@@ -38,6 +38,7 @@ type t = {
   sessions : (int64, session) Hashtbl.t;
   by_client : (string, int64) Hashtbl.t;
   mutable next_sid : int64;
+  mutable reap_at : float;  (* no lease runs out before this *)
   mutable in_flight : int;
   mutable is_draining : bool;
   mutable served : int;
@@ -56,6 +57,7 @@ let create ?(config = default_config) ?(now = Unix.gettimeofday)
     sessions = Hashtbl.create 32;
     by_client = Hashtbl.create 32;
     next_sid = 1L;
+    reap_at = infinity;
     in_flight = 0;
     is_draining = false;
     served = 0;
@@ -65,11 +67,12 @@ let create ?(config = default_config) ?(now = Unix.gettimeofday)
 
 let engine t = t.eng
 
+(* [out]: the connection's response buffer, reused for every frame *)
 module Conn = struct
-  type t = { mutable session : int64 option }
+  type t = { mutable session : int64 option; out : Buffer.t }
 end
 
-let open_conn _t = { Conn.session = None }
+let open_conn _t = { Conn.session = None; out = Buffer.create 256 }
 let close_conn _t (c : Conn.t) = c.Conn.session <- None
 
 type action = Reply of string | Reply_close of string | Close
@@ -89,25 +92,43 @@ let end_session_locked t s =
   if s.running = 0 then forget_client_locked t s;
   Server.release t.eng ~client:s.client
 
+(* Every lease is set here, so [reap_at] stays at or below each live
+   session's expiry. *)
+let set_expiry t s expires =
+  s.expires <- expires;
+  if expires < t.reap_at then t.reap_at <- expires
+
 (* A session is reaped once its lease has run out and none of its
    requests is executing: a running request (a checkout waiting with the
    mutex released, for at most one ttl) holds its session, whose lease
-   restarts when the request ends. *)
+   restarts when the request ends. Sessions are looked at only once a
+   lease can have run out; the sweep then sets [reap_at] to the earliest
+   lease left, skipping the running sessions, whose leases are set again
+   when their requests end. *)
 let reap_locked t =
   let horizon = t.now () in
-  let dead =
-    Hashtbl.fold
-      (fun _ s acc ->
-        if s.running = 0 && s.expires <= horizon then s :: acc else acc)
-      t.sessions []
-  in
-  List.map
-    (fun s ->
-      t.reaped <- t.reaped + 1;
-      (s.client, end_session_locked t s))
-    dead
+  if horizon < t.reap_at then []
+  else begin
+    t.reap_at <- infinity;
+    let dead =
+      Hashtbl.fold
+        (fun _ s acc ->
+          if s.running > 0 then acc
+          else if s.expires <= horizon then s :: acc
+          else begin
+            if s.expires < t.reap_at then t.reap_at <- s.expires;
+            acc
+          end)
+        t.sessions []
+    in
+    List.map
+      (fun s ->
+        t.reaped <- t.reaped + 1;
+        (s.client, end_session_locked t s))
+      dead
+  end
 
-let touch_locked t s = s.expires <- t.now () +. t.cfg.session_ttl
+let touch_locked t s = set_expiry t s (t.now () +. t.cfg.session_ttl)
 
 let stats_locked t =
   let ls = Server.lock_stats t.eng in
@@ -195,12 +216,13 @@ let hello_locked t (conn : Conn.t) ~protocol ~client ~resume =
             sid;
             token;
             client;
-            expires = t.now () +. t.cfg.session_ttl;
+            expires = infinity;
             running = 0;
             last_req = 0L;
-            last_resp = "";
+            last_frame = "";
           }
         in
+        touch_locked t s;
         Hashtbl.replace t.sessions sid s;
         Hashtbl.replace t.by_client client sid;
         conn.Conn.session <- Some sid;
@@ -274,12 +296,14 @@ let execute_locked t (conn : Conn.t) s (body : Wire.req_body) =
         retryable = false;
       }
 
-let reply ~req_id rbody =
-  Frame.encode (Wire.encode_response { Wire.rsp_id = req_id; rbody })
+let reply (conn : Conn.t) ~req_id rbody =
+  let frame = Wire.response_frame conn.Conn.out { Wire.rsp_id = req_id; rbody } in
+  if Buffer.length conn.Conn.out > Frame.kept_buffer then Buffer.reset conn.Conn.out;
+  frame
 
-let bad_request ~req_id message =
+let bad_request conn ~req_id message =
   Reply_close
-    (reply ~req_id
+    (reply conn ~req_id
        (Wire.Err { code = Wire.Bad_request; message; retryable = false }))
 
 let session_expired =
@@ -295,31 +319,31 @@ let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
   match body with
   | Wire.Hello { protocol; client; resume } ->
     let rbody = hello_locked t conn ~protocol ~client ~resume in
-    Reply (reply ~req_id rbody)
-  | _ when t.is_draining -> Reply (reply ~req_id Wire.Draining)
+    Reply (reply conn ~req_id rbody)
+  | _ when t.is_draining -> Reply (reply conn ~req_id Wire.Draining)
   | _ -> (
     match conn.Conn.session with
-    | None -> bad_request ~req_id "request before hello"
+    | None -> bad_request conn ~req_id "request before hello"
     | Some sid -> (
       match Hashtbl.find_opt t.sessions sid with
       | None ->
         conn.Conn.session <- None;
-        Reply (reply ~req_id session_expired)
+        Reply (reply conn ~req_id session_expired)
       | Some s ->
         if Int64.compare req_id 0L <= 0 then
-          bad_request ~req_id "request ids must be positive"
+          bad_request conn ~req_id "request ids must be positive"
         else if Int64.equal req_id s.last_req then begin
           (* replay of the request whose response was lost: answer from
              the cache, never re-apply *)
           touch_locked t s;
-          Reply (Frame.encode s.last_resp)
+          Reply s.last_frame
         end
         else if Int64.compare req_id s.last_req < 0 then
-          bad_request ~req_id "stale request id"
+          bad_request conn ~req_id "stale request id"
         else if t.in_flight >= max_in_flight then begin
           t.busy_rejects <- t.busy_rejects + 1;
           Reply
-            (reply ~req_id (Wire.Busy { retry_after = busy_retry_after }))
+            (reply conn ~req_id (Wire.Busy { retry_after = busy_retry_after }))
         end
         else begin
           t.in_flight <- t.in_flight + 1;
@@ -339,11 +363,11 @@ let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
           t.in_flight <- t.in_flight - 1;
           s.running <- s.running - 1;
           t.served <- t.served + 1;
-          let payload = Wire.encode_response { Wire.rsp_id = req_id; rbody } in
+          let frame = reply conn ~req_id rbody in
           let live = Hashtbl.mem t.sessions s.sid in
           if live then begin
             s.last_req <- req_id;
-            s.last_resp <- payload;
+            s.last_frame <- frame;
             touch_locked t s
           end
           else if s.running = 0 then begin
@@ -354,27 +378,38 @@ let dispatch_locked t conn ({ Wire.req_id; body } : Wire.request) =
             forget_client_locked t s
           end;
           match body with
-          | Wire.Bye -> Reply_close (Frame.encode payload)
+          | Wire.Bye -> Reply_close frame
           | _ when not live ->
             (* what this request took has just been freed *)
-            Reply (reply ~req_id session_expired)
-          | _ -> Reply (Frame.encode payload)
+            Reply (reply conn ~req_id session_expired)
+          | _ -> Reply frame
         end))
 
-let on_frame t conn frame =
-  match Frame.decode frame with
+(* The frame is checked and its request decoded in place, outside the
+   mutex; the response is encoded under it, into the connection's
+   buffer. *)
+let on_buffer t conn buf ~len =
+  let s = Bytes.unsafe_to_string buf in
+  match Frame.check s ~len with
   | Error _ ->
     (* framing is gone: no way to answer reliably, drop the connection
        and let the lease-protected session carry the client over *)
     Close
-  | Ok payload -> (
-    Mutex.lock t.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.m)
-      (fun () ->
-        match Wire.decode_request payload with
-        | Error e -> bad_request ~req_id:0L (Seed_error.to_string e)
-        | Ok req -> dispatch_locked t conn req))
+  | Ok n -> (
+    match Wire.decode_request_sub s ~pos:Frame.header_size ~len:n with
+    | Error e -> bad_request conn ~req_id:0L (Seed_error.to_string e)
+    | Ok req -> (
+      Mutex.lock t.m;
+      match dispatch_locked t conn req with
+      | action ->
+        Mutex.unlock t.m;
+        action
+      | exception exn ->
+        Mutex.unlock t.m;
+        raise exn))
+
+let on_frame t conn frame =
+  on_buffer t conn (Bytes.unsafe_of_string frame) ~len:(String.length frame)
 
 let reap t =
   Mutex.lock t.m;
@@ -421,14 +456,15 @@ let unregister_conn l fd =
 
 let handle_conn l fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  let tr = Transport.of_fd fd in
+  let rd = Transport.reader fd in
+  let tr = Transport.of_reader rd in
   let conn = open_conn l.core in
   let rec loop () =
-    match tr.Transport.recv ~timeout:(Some 0.25) with
+    match Transport.read_frame rd ~timeout:(Some 0.25) with
     | Error (Seed_error.Io_transient _) -> if l.stop then () else loop ()
     | Error _ -> ()
-    | Ok frame -> (
-      match on_frame l.core conn frame with
+    | Ok len -> (
+      match on_buffer l.core conn (Transport.frame_buffer rd) ~len with
       | Reply r -> ( match tr.Transport.send r with Ok () -> loop () | Error _ -> ())
       | Reply_close r -> ignore (tr.Transport.send r)
       | Close -> ())

@@ -79,12 +79,22 @@ type action =
   | Close  (** drop the connection without a reply *)
 
 val on_frame : t -> Conn.t -> string -> action
-(** Process one incoming encoded frame. Never raises. *)
+(** Process one incoming encoded frame. Never raises. The response is
+    encoded into a buffer the connection keeps, header and CRC
+    included, and copied out once. *)
+
+val on_buffer : t -> Conn.t -> Bytes.t -> len:int -> action
+(** {!on_frame} of the frame held in the first [len] bytes of the
+    buffer, checked and decoded in place, with no copy of the frame or
+    its payload: the TCP loop's receive buffer
+    ({!Transport.read_frame}). *)
 
 val reap : t -> (string * string list) list
 (** Reap every session whose lease has run out and that has no request
     executing; returns [(client, freed locks)] for each. Called
-    internally on every frame; exposed for idle servers and tests. *)
+    internally on every frame, where it looks at the sessions only once
+    the earliest lease can have run out; exposed for idle servers and
+    tests. *)
 
 val drain : t -> unit
 (** Stop executing new requests: everything arriving from now on is

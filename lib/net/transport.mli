@@ -20,10 +20,29 @@ type t = {
 }
 
 val of_fd : Unix.file_descr -> t
-(** Framed transport over a stream socket. [send] writes the frame
-    fully (absorbing EINTR/partial writes); [recv] reads header then
-    payload, using [SO_RCVTIMEO] for the timeout. The fd is closed by
-    [close]. *)
+(** Framed transport over a stream socket: [of_reader (reader fd)]. *)
+
+type reader
+(** A stream socket's receive side: one buffer, reused for every frame
+    up to {!Frame.kept_buffer}, and the receive timeout last set on the
+    socket. *)
+
+val reader : Unix.file_descr -> reader
+
+val read_frame : reader -> timeout:float option -> (int, Seed_util.Seed_error.t) result
+(** Read one whole frame: [Ok n] when it is the first [n] bytes of
+    {!frame_buffer}, which hold it until the next [read_frame]. Reads
+    header then payload, checking the header's magic and length bound
+    (the CRC is the receiver's to check, {!Frame.check}); [SO_RCVTIMEO]
+    is set only when [timeout] differs from the last one set. Errors as
+    for [recv]. *)
+
+val frame_buffer : reader -> Bytes.t
+
+val of_reader : reader -> t
+(** The transport over a reader's socket. [send] writes the frame fully
+    (absorbing EINTR/partial writes); [recv] is {!read_frame} with the
+    frame copied out once. The fd is closed by [close]. *)
 
 val of_functions :
   send:(string -> (unit, Seed_util.Seed_error.t) result) ->

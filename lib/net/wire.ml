@@ -202,8 +202,8 @@ let encode_request { req_id; body } =
     W.list w W.string needles);
   W.contents w
 
-let decode_request s =
-  R.run s @@ fun r ->
+let decode_request_sub s ~pos ~len =
+  R.run_sub s ~pos ~len @@ fun r ->
   let req_id = R.i64 r in
   let tag = R.u8 r in
   let body =
@@ -236,6 +236,8 @@ let decode_request s =
     | n -> R.fail (Printf.sprintf "unknown request tag %d" n)
   in
   { req_id; body }
+
+let decode_request s = decode_request_sub s ~pos:0 ~len:(String.length s)
 
 (* --- responses -------------------------------------------------------- *)
 
@@ -291,8 +293,7 @@ let read_stats r =
     sv_lock_waiters; sv_objects; sv_relationships; sv_versions;
   }
 
-let encode_response { rsp_id; rbody } =
-  let w = W.create () in
+let write_response w { rsp_id; rbody } =
   W.i64 w rsp_id;
   (match rbody with
   | Welcome { protocol; session; token; ttl; resumed } ->
@@ -321,8 +322,17 @@ let encode_response { rsp_id; rbody } =
     W.u8 w 8;
     W.u8 w (code_to_int code);
     W.string w message;
-    W.bool w retryable);
+    W.bool w retryable)
+
+let encode_response r =
+  let w = W.create () in
+  write_response w r;
   W.contents w
+
+let response_frame w r =
+  Frame.start w;
+  write_response w r;
+  Frame.seal w
 
 let decode_response s =
   R.run s @@ fun r ->

@@ -92,8 +92,18 @@ type response = { rsp_id : int64; rbody : resp_body }
 
 val encode_request : request -> string
 val decode_request : string -> (request, Seed_util.Seed_error.t) result
+
+val decode_request_sub :
+  string -> pos:int -> len:int -> (request, Seed_util.Seed_error.t) result
+(** {!decode_request} of the [len] bytes of the string at [pos], read in
+    place. *)
+
 val encode_response : response -> string
 val decode_response : string -> (response, Seed_util.Seed_error.t) result
+
+val response_frame : Buffer.t -> response -> string
+(** [response_frame w r] is [Frame.encode (encode_response r)], written
+    into [w] (its previous contents are dropped) and copied out once. *)
 
 val error_to_wire : Seed_util.Seed_error.t -> wire_error
 (** Classify an engine error for the wire: the code, the rendered

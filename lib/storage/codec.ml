@@ -55,6 +55,7 @@ module Reader = struct
   type t = {
     src : string;
     mutable pos : int;
+    stop : int;  (* the end of the input within [src] *)
     mutable names : (string, string) Hashtbl.t option;
   }
 
@@ -62,16 +63,20 @@ module Reader = struct
   exception Malformed of string
 
   let fail msg = raise (Malformed msg)
-  let remaining r = String.length r.src - r.pos
+  let remaining r = r.stop - r.pos
 
-  let run src f =
-    let r = { src; pos = 0; names = None } in
+  let run_sub src ~pos ~len f =
+    if pos < 0 || len < 0 || pos + len > String.length src then
+      invalid_arg "Codec.Reader.run_sub";
+    let r = { src; pos; stop = pos + len; names = None } in
     match f r with
     | v when remaining r = 0 -> Ok v
     | _ ->
       Error
         (Seed_error.Corrupt (Printf.sprintf "codec: %d trailing bytes" (remaining r)))
     | exception Malformed msg -> Error (Seed_error.Corrupt msg)
+
+  let run src f = run_sub src ~pos:0 ~len:(String.length src) f
 
   let u8 r =
     if remaining r < 1 then fail "codec: truncated u8";

@@ -7,7 +7,9 @@
     primitives. *)
 
 module Writer : sig
-  type t
+  type t = Buffer.t
+  (** A buffer: a framing layer may reserve a header before the encoded
+      bytes and copy the whole out once. *)
 
   val create : ?initial_size:int -> unit -> t
   val contents : t -> string
@@ -48,6 +50,11 @@ module Reader : sig
   val run : string -> (t -> 'a) -> ('a, Seed_util.Seed_error.t) result
   (** [run s f] decodes [s] with [f], which must consume all of [s]:
       trailing bytes are [Corrupt] like truncation. *)
+
+  val run_sub : string -> pos:int -> len:int -> (t -> 'a) -> ('a, Seed_util.Seed_error.t) result
+  (** [run_sub s ~pos ~len f] is {!run} over the [len] bytes of [s] at
+      [pos], read in place. Raises [Invalid_argument] if they are not
+      within [s]. *)
 
   val fail : string -> 'a
   (** Abort the enclosing {!run} with [Corrupt msg] (a bad tag, a value

@@ -109,9 +109,10 @@ let test_wire_request_roundtrips () =
       Wire.Bye;
     ]
 
-let test_wire_response_roundtrips () =
-  List.iteri
-    (fun i rbody -> roundtrip_resp { Wire.rsp_id = Int64.of_int i; rbody })
+(* one response of every kind *)
+let every_response =
+  List.mapi
+    (fun i rbody -> { Wire.rsp_id = Int64.of_int i; rbody })
     [
       Wire.Welcome
         { protocol = 1; session = 7L; token = -3L; ttl = 30.0; resumed = true };
@@ -141,6 +142,29 @@ let test_wire_response_roundtrips () =
       Wire.Err
         { code = Wire.Session_expired; message = "gone"; retryable = false };
     ]
+
+let test_wire_response_roundtrips () = List.iter roundtrip_resp every_response
+
+(* The one-buffer encoder gives the bytes of the payload encoder and
+   [Frame.encode], for every kind of response, with one buffer reused
+   across them, a reply past the buffer's kept size among them. Two
+   frames are pinned byte for byte as the protocol-3 encoder wrote them
+   before the one-buffer path existed. *)
+let test_response_frame_bytes () =
+  let w = Buffer.create 16 in
+  let big = { Wire.rsp_id = 99L; rbody = Wire.Names (List.init 20_000 (Printf.sprintf "Name%06d")) } in
+  List.iter
+    (fun r ->
+      Alcotest.(check string) "one-buffer frame"
+        (Frame.encode (Wire.encode_response r))
+        (Wire.response_frame w r))
+    (every_response @ [ big ] @ every_response);
+  Alcotest.(check string) "found frame"
+    "\x53\x45\x4e\x46\x03\x0f\x00\x00\x00\xf0\xeb\x14\xc9\x07\x00\x00\x00\x00\x00\x00\x00\x02\x01\x04\x44\x61\x74\x61"
+    (Wire.response_frame w { Wire.rsp_id = 7L; rbody = Wire.Found (Some "Data") });
+  Alcotest.(check string) "names frame"
+    "\x53\x45\x4e\x46\x03\x16\x00\x00\x00\x25\x09\x3b\x64\x09\x00\x00\x00\x00\x00\x00\x00\x03\x02\x06\x41\x6c\x61\x72\x6d\x73\x04\x4b\x65\x70\x74"
+    (Wire.response_frame w { Wire.rsp_id = 9L; rbody = Wire.Names [ "Alarms"; "Kept" ] })
 
 let test_wire_garbage_rejected () =
   check_err "garbage request"
@@ -250,8 +274,11 @@ let test_session_lifecycle () =
    retrieval must get right: a pattern whose sub-object matches (patterns
    are invisible), an object inheriting it (inherited sub-objects are not
    searched), a deleted keyword (matches nothing), a re-classified object
-   (leaves its old class extent for the new one), and a 2-byte needle
-   (below trigram length, so the scan answers). *)
+   (leaves its old class extent for the new one), an object with two
+   matching keywords (listed once), and a 2-byte needle (below trigram
+   length, so the scan answers). Then the order's ties: two unnamed
+   owners (equal, absent names: by id, first) and two owners bound to
+   one name (a state only the item table can hold: by id). *)
 let test_served_reads_match_query () =
   let core, srv, _ = make_core () in
   let db = Server.database srv in
@@ -270,11 +297,15 @@ let test_served_reads_match_query () =
   let moved = obj "InputData" "Moved" in
   ignore (sub moved "Description" "an alarm raised");
   ok (DB.reclassify db moved ~to_:"OutputData");
+  let twice = obj "Data" "Twice" in
+  ignore (sub twice "Keywords" "alarm bell");
+  ignore (sub twice "Keywords" "alarm clock");
   let conn = NS.open_conn core in
   ignore (hello core conn ~client:"reader" ());
-  let v = Server.snapshot srv in
+  let v = ref (Server.snapshot srv) in
   let req = ref 1L in
   let check what body p want =
+    let v = !v in
     req := Int64.succ !req;
     let served =
       match (step core conn ~req_id:!req body).Wire.rbody with
@@ -294,17 +325,63 @@ let test_served_reads_match_query () =
     [
       ("old class", isa "InputData", []);
       ("new class", isa "OutputData", [ "Gone"; "Kept"; "Moved" ]);
-      ("superclass", isa "Data", [ "Alarms"; "Gone"; "Heir"; "Kept"; "Moved" ]);
-      ("any path", search "" [ "alarm" ], [ "Kept"; "Moved" ]);
-      ("keywords", search "Thing.Keywords" [ "alarm" ], [ "Kept" ]);
+      ("superclass", isa "Data", [ "Alarms"; "Gone"; "Heir"; "Kept"; "Moved"; "Twice" ]);
+      ("any path", search "" [ "alarm" ], [ "Kept"; "Moved"; "Twice" ]);
+      ("keywords", search "Thing.Keywords" [ "alarm" ], [ "Kept"; "Twice" ]);
+      ("two keywords of one owner", search "Thing.Keywords" [ "alarm c" ], [ "Twice" ]);
       ("conjunctive", search "" [ "alarm"; "raised" ], [ "Moved" ]);
       ("short needle", search "" [ "zz" ], [ "Kept" ]);
       ("short needle, scanned past the pattern and the deleted keyword",
-        search "" [ "al" ], [ "Kept"; "Moved" ]);
+        search "" [ "al" ], [ "Kept"; "Moved"; "Twice" ]);
     ];
-  match Query.explain v (Query.matches "" [ "al" ]) with
+  (match Query.explain !v (Query.matches "" [ "al" ]) with
   | Query.Scan _ -> ()
-  | Query.Indexed _ -> Alcotest.fail "a 2-byte needle must take the scan"
+  | Query.Indexed _ -> Alcotest.fail "a 2-byte needle must take the scan");
+  let raw = DB.raw db in
+  let raw_obj name =
+    let id =
+      ok
+        (Seed_core.Db_state.atomically raw (fun () ->
+             let id = Seed_core.Db_state.fresh_id raw in
+             Seed_core.Db_state.add_item raw
+               (Seed_core.Item.make id Seed_core.Item.Independent
+                  (Seed_core.Item.Obj
+                     {
+                       Seed_core.Item.name;
+                       cls = "Data";
+                       value = None;
+                       pattern = false;
+                       inherits = [];
+                       deleted = false;
+                     }));
+             Ok id))
+    in
+    ignore (sub id "Keywords" "alarm");
+    id
+  in
+  let unnamed1 = raw_obj None in
+  let unnamed2 = raw_obj None in
+  let kept_too = raw_obj (Some "Kept") in
+  v := Server.snapshot srv;
+  List.iter
+    (fun (what, (body, p), want) -> check what body p want)
+    [
+      ("ties, by index", search "Thing.Keywords" [ "alarm" ], [ "Kept"; "Kept"; "Twice" ]);
+      ("ties, by scan", search "" [ "al" ], [ "Kept"; "Kept"; "Moved"; "Twice" ]);
+    ];
+  List.iter
+    (fun p ->
+      Alcotest.(check (list int))
+        "unnamed first, then by name, ties by id"
+        (List.map Ident.to_int [ unnamed1; unnamed2; kept; kept_too; twice ])
+        (List.map (fun (it : Seed_core.Item.t) -> Ident.to_int it.Seed_core.Item.id)
+           (Query.select !v p)))
+    Query.
+      [
+        matches "Thing.Keywords" [ "alarm" ];
+        is_a "Data" &&& matches "Thing.Keywords" [ "alarm" ];
+        matches "Thing.Keywords" [ "alarm" ] ||| name_is "Twice";
+      ]
 
 (* A served [Search] runs on a frozen snapshot, yet its text-index hit
    shows in the database's stats. *)
@@ -370,6 +447,81 @@ let test_corrupt_frame_closes_connection () =
   match NS.on_frame core conn (Frame.encode "\xF0garbage") with
   | NS.Reply_close _ -> ()
   | _ -> Alcotest.fail "unparseable request must answer then close"
+
+(* Frames read off a real socket by [Transport.read_frame] and handed to
+   [Net_server.on_buffer] in place: good frames are answered (a large one
+   between two small ones on one reader), and every corruption
+   [corruption detected] covers is still refused — by the reader (bad
+   magic, an oversize length, a frame or header cut short) or by the
+   in-place check (a flipped payload bit closes the connection). An idle
+   read is a clean timeout, twice. *)
+let test_socket_frames_decoded_in_place () =
+  let core, _, _ = make_core () in
+  let request req_id body = Frame.encode (Wire.encode_request { Wire.req_id; body }) in
+  let hello = request 1L (Wire.Hello { protocol = Frame.version; client = "sock"; resume = None }) in
+  let with_socket ~bytes ~close_writer f =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    ignore (Unix.write_substring a bytes 0 (String.length bytes));
+    if close_writer then Unix.close a;
+    let rd = Transport.reader b in
+    Fun.protect
+      ~finally:(fun () ->
+        if not close_writer then Unix.close a;
+        Unix.close b)
+      (fun () -> f rd)
+  in
+  let serve conn rd =
+    match Transport.read_frame rd ~timeout:(Some 1.0) with
+    | Ok len -> NS.on_buffer core conn (Transport.frame_buffer rd) ~len
+    | Error e -> Alcotest.failf "read: %s" (Seed_error.to_string e)
+  in
+  let answered what = function
+    | NS.Reply f -> (
+      match Wire.decode_response (ok (Frame.decode f)) with
+      | Ok { Wire.rbody = Wire.Err w; _ } -> Alcotest.failf "%s: %s" what w.Wire.message
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" what (Seed_error.to_string e))
+    | NS.Reply_close _ | NS.Close -> Alcotest.failf "%s: not answered" what
+  in
+  let long = String.make 70_000 'x' in
+  with_socket
+    ~bytes:(hello ^ request 2L (Wire.Find long) ^ request 3L (Wire.Find "Alarms"))
+    ~close_writer:false (fun rd ->
+      let conn = NS.open_conn core in
+      answered "hello" (serve conn rd);
+      answered "large find" (serve conn rd);
+      answered "small find after it" (serve conn rd);
+      List.iter
+        (fun what ->
+          check_err what
+            (function Seed_error.Io_transient _ -> true | _ -> false)
+            (Transport.read_frame rd ~timeout:(Some 0.01)))
+        [ "idle"; "idle again" ]);
+  let flip i s =
+    let b = Bytes.of_string s in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+    Bytes.to_string b
+  in
+  with_socket ~bytes:(flip (Frame.header_size + 3) hello) ~close_writer:false (fun rd ->
+      match serve (NS.open_conn core) rd with
+      | NS.Close -> ()
+      | _ -> Alcotest.fail "bit flip: the connection must close");
+  let bad_magic = Bytes.of_string hello and oversize = Bytes.of_string hello in
+  Bytes.set bad_magic 0 'X';
+  Bytes.set oversize 7 '\xFF';
+  Bytes.set oversize 8 '\x7F';
+  List.iter
+    (fun (what, bytes, is_refusal) ->
+      with_socket ~bytes ~close_writer:true (fun rd ->
+          check_err what is_refusal (Transport.read_frame rd ~timeout:(Some 1.0))))
+    [
+      ("bad magic", Bytes.to_string bad_magic, function Seed_error.Corrupt _ -> true | _ -> false);
+      ("oversize length", Bytes.to_string oversize, function Seed_error.Corrupt _ -> true | _ -> false);
+      ( "truncated",
+        String.sub hello 0 (String.length hello - 3),
+        function Seed_error.Io_error _ -> true | _ -> false );
+      ("short header", String.sub hello 0 5, function Seed_error.Io_error _ -> true | _ -> false);
+    ]
 
 let test_replay_returns_cache_without_reapplying () =
   let core, srv, _ = make_core () in
@@ -1085,6 +1237,7 @@ let () =
         [
           tc "request roundtrips" test_wire_request_roundtrips;
           tc "response roundtrips" test_wire_response_roundtrips;
+          tc "one-buffer response frames" test_response_frame_bytes;
           tc "garbage rejected" test_wire_garbage_rejected;
           tc "error classification" test_error_classification;
         ] );
@@ -1096,6 +1249,7 @@ let () =
           tc "request before hello" test_request_before_hello_refused;
           tc "protocol mismatch" test_protocol_mismatch_refused;
           tc "corrupt frame closes" test_corrupt_frame_closes_connection;
+          tc "socket frames decoded in place" test_socket_frames_decoded_in_place;
           tc "replay answers from cache" test_replay_returns_cache_without_reapplying;
           tc "resume within lease" test_resume_within_lease;
           tc "wrong token refused" test_resume_with_wrong_token_refused;
