@@ -669,8 +669,11 @@ let text () =
     (* incremental maintenance: set_value with the index on vs off, each
        to a text not stored before. The index folds its overlay once it
        passes 1/16 of the documents (at least 256): distinct touches
-       enough for five overlays put at least four folds in every round,
-       and the round that turns the index on starts from a fresh build. *)
+       enough for five overlays put at least four folds, and one merge
+       of the recent tier into the main one, in every round; the round
+       that turns the index on starts from a fresh build. Words are
+       minor and direct major: a fold's postings are large blocks,
+       allocated straight in the major heap. *)
     let touches = 5 * max 257 ((n / 16) + 1) in
     let body = ref n in
     let touch_all () =
@@ -699,6 +702,8 @@ let text () =
         ("overhead", ratio on off);
         ("indexed_words", words on);
         ("plain_words", words off);
+        ("indexed_major", major_words on);
+        ("plain_major", major_words off);
       ]
     in
     (searches, build, update)

@@ -12,22 +12,33 @@ let rounds = 7
 
 let round_s = 0.005
 
-(* seconds per call over the rounds, and minor words per timed call *)
-type timing = { med : float; min : float; max : float; words : float }
+(* seconds per call over the rounds, and minor and direct major words
+   per timed call *)
+type timing = { med : float; min : float; max : float; words : float; major : float }
 
 type arm = { setup : (unit -> unit) option; call : unit -> unit }
 
 let arm ?setup call = { setup; call }
 
-(* seconds and minor words of [n] calls of [f] *)
+(* words allocated directly in the major heap: what [Gc.counters] counts
+   as major but not promoted (large blocks). [Gc.quick_stat]'s major
+   words lag until the next minor collection, so they are not used. *)
+let direct_major () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* seconds, minor words and direct major words of [n] calls of [f] *)
 let time_calls f n =
+  let m0 = direct_major () in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to n do
     f ()
   done;
   let t = Unix.gettimeofday () -. t0 in
-  (t, Gc.minor_words () -. w0)
+  (* the minor words first: reading the counters allocates *)
+  let w = Gc.minor_words () -. w0 in
+  (t, w, direct_major () -. m0)
 
 let median a =
   let a = Array.copy a in
@@ -35,7 +46,9 @@ let median a =
   a.(Array.length a / 2)
 
 (* the batch size of a round; the calibration calls warm the arm up *)
-let rec batch f n = if fst (time_calls f n) >= round_s then n else batch f (2 * n)
+let rec batch f n =
+  let t, _, _ = time_calls f n in
+  if t >= round_s then n else batch f (2 * n)
 
 let measure_arms arms =
   let arms = Array.of_list arms in
@@ -44,22 +57,26 @@ let measure_arms arms =
   in
   let secs = Array.make_matrix (Array.length arms) rounds 0. in
   let words = Array.make (Array.length arms) 0. in
+  let major = Array.make (Array.length arms) 0. in
   for r = 0 to rounds - 1 do
     Array.iteri
       (fun i a ->
         Option.iter (fun setup -> setup ()) a.setup;
-        let t, w = time_calls a.call sizes.(i) in
+        let t, w, m = time_calls a.call sizes.(i) in
         secs.(i).(r) <- t /. float_of_int sizes.(i);
-        words.(i) <- words.(i) +. w)
+        words.(i) <- words.(i) +. w;
+        major.(i) <- major.(i) +. m)
       arms
   done;
   Array.mapi
     (fun i s ->
+      let calls = float_of_int (rounds * sizes.(i)) in
       {
         med = median s;
         min = Array.fold_left Float.min infinity s;
         max = Array.fold_left Float.max neg_infinity s;
-        words = words.(i) /. float_of_int (rounds * sizes.(i));
+        words = words.(i) /. calls;
+        major = major.(i) /. calls;
       })
     secs
 
@@ -72,7 +89,8 @@ let measure_ab a b =
 (* a timing of calls that each do [n] operations, per operation *)
 let per n t =
   let f = float_of_int n in
-  { med = t.med /. f; min = t.min /. f; max = t.max /. f; words = t.words /. f }
+  { med = t.med /. f; min = t.min /. f; max = t.max /. f; words = t.words /. f;
+    major = t.major /. f }
 
 (* --- rows ------------------------------------------------------------ *)
 
@@ -98,6 +116,7 @@ let rate ~count t =
   Range (0, c /. t.med, c /. t.max, c /. t.min)
 
 let words t = Num (0, t.words)
+let major_words t = Num (0, t.major)
 
 (* the ratio of two medians *)
 let ratio a b = Num (2, a.med /. b.med)

@@ -2,16 +2,21 @@
     [Query.contains]/[Query.matches] (DESIGN.md §14).
 
     Each indexed string (a document) is owned by exactly one carrier
-    item. An immutable packed base holds the documents in carrier order
-    — id, path and the item's own string — and per trigram a sorted
-    array of the base documents containing it; a small persistent
-    overlay holds the carriers changed since the base was built, and is
-    merged into a new base once it passes a fixed share of the
-    documents. Queries intersect the needle's base postings, verify each
-    candidate against its held text, and test the overlay directly: the
-    answer is exact. Nothing reachable from a [t] is mutated, so it
-    rides in the copy-on-write database root: snapshots freeze it, and
-    rollback restores it by root swap. *)
+    item. Two immutable packed tiers, [main] and a smaller [recent],
+    each hold documents in carrier order — id, path and the item's own
+    string — and per trigram a sorted array of the tier's documents
+    containing it. A small persistent overlay holds the carriers changed
+    since. A carrier's newest entry shadows its older ones; a removal
+    that must shadow a tier entry is a tombstone. Once the overlay
+    passes a fixed share of the documents it is merged into [recent],
+    and once [recent] passes a fixed share of [main] it is merged into
+    [main], so a fold rewrites the small tier and [main] is rewritten
+    several times less often. Queries intersect the needle's postings in
+    each tier, skip shadowed slots, verify each candidate against its
+    held text, and test the overlay directly: the answer is exact.
+    Nothing reachable from a [t] is mutated, so it rides in the
+    copy-on-write database root: snapshots freeze it, and rollback
+    restores it by root swap. *)
 
 open Seed_util
 
@@ -28,7 +33,7 @@ val min_needle : int
 
 val of_docs : (Ident.t * string * string) list -> t
 (** The index of [(carrier, path, text)] documents in strictly ascending
-    carrier order, built in two passes (count, then fill). *)
+    carrier order, built in two passes (count, then fill), as one tier. *)
 
 val add_doc : t -> Ident.t -> path:string -> string -> t
 (** Index a carrier's string value under its class path, replacing
@@ -41,31 +46,31 @@ val remove_doc : t -> Ident.t -> t
 
 type probe = {
   pr_trigrams : int;  (** distinct needle trigrams consulted *)
-  pr_postings : int;  (** base posting entries across their lists *)
-  pr_candidates : int;  (** base and overlay documents text-tested *)
+  pr_postings : int;  (** posting entries across their lists, every tier *)
+  pr_candidates : int;  (** tier and overlay documents text-tested *)
   pr_verified : int;  (** documents containing every needle *)
 }
 
 type lookup
-(** A needle's distinct trigrams and their base postings, rarest first:
-    looked up once, both to size the needle ({!estimate}) and to answer
-    it ({!query_probe}). *)
+(** A needle's distinct trigrams and their postings in every tier,
+    rarest first: looked up once, both to size the needle ({!estimate})
+    and to answer it ({!query_probe}). *)
 
 val lookup : t -> string -> lookup
-(** One binary search per needle trigram. Raises [Invalid_argument]
+(** One binary search per needle trigram and tier. Raises [Invalid_argument]
     below {!min_needle}. *)
 
 val needle : lookup -> string
 
 val estimate : t -> lookup -> int
 (** Upper bound on the documents {!query_probe} would text-test for the
-    needle: its rarest base posting plus the overlay, so the planner can
-    skip needles too common to beat the scan. *)
+    needle: its rarest trigram's postings plus the overlay, so the
+    planner can skip needles too common to beat the scan. *)
 
 val query_probe : t -> ?path:string -> lookup list -> Ident.t list * probe
 (** Exactly the carriers whose text contains every looked-up needle
-    (restricted to carriers at [path] when given), in one pass over the
-    union of the needles' trigrams: a list, each once, in no particular
+    (restricted to carriers at [path] when given), in one pass per tier
+    over the union of the needles' trigrams: a list, each once, in no particular
     order, plus the access-path measurements [Query.explain] renders.
     The lookups must be of this [t]; raises [Invalid_argument] on an
     empty list. *)
@@ -78,10 +83,11 @@ val contains_all : string -> string list -> bool
 (** {1 Stats and equality} *)
 
 type stats = {
-  trigrams : int;  (** distinct trigrams in the base *)
-  postings : int;  (** base posting slots *)
+  trigrams : int;  (** distinct trigrams across the tiers *)
+  postings : int;  (** posting slots of both tiers, shadowed ones included *)
   docs : int;
   bytes : int;  (** estimate of posting slots, per-document arrays, overlay *)
+  tiers : int;  (** 1, or 2 while [recent] holds entries *)
 }
 
 val stats : t -> stats

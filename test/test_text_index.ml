@@ -342,16 +342,16 @@ let churn env rng n =
       | _ -> SetText (r, t))
   done
 
-(* ~340 carriers: a Description and a Keywords on each of 150 objects,
-   a Body and a Selector on each of 20 text nodes. *)
-let seeded_env () =
+(* A Description and a Keywords on each of [objects] objects, a Body and
+   a Selector on each of 20 text nodes: ~340 carriers by default. *)
+let seeded_env ?(objects = 150) () =
   let env = fresh_env () in
   List.iter (apply_sop env)
-    (List.init 150 (fun i -> Create (i, List.nth classes (i mod 5)))
+    (List.init objects (fun i -> Create (i, List.nth classes (i mod 5)))
     @ List.init 20 (fun i -> MkText i)
     @ List.concat_map
         (fun i -> [ MkCarrier (0, i, i); MkCarrier (2, i, i + 1) ])
-        (List.init 150 Fun.id)
+        (List.init objects Fun.id)
     @ List.concat_map
         (fun i -> [ MkCarrier (3, i, i); MkCarrier (4, i, i + 2) ])
         (List.init 20 Fun.id));
@@ -441,6 +441,150 @@ let test_fold_rollback () =
     (before = answers (View.current (DB.raw env.db)));
   Alcotest.(check bool) "consistent after rollback" true
     (index_consistent env && select_agrees env && probes_exact (DB.raw env.db))
+
+(* ------------------------------------------------------------------ *)
+(* Tiers                                                                *)
+(*                                                                      *)
+(* A fold merges the overlay into the recent tier, and the recent tier  *)
+(* merges into the main one once it holds over 1/4 as many entries.     *)
+(* Under the 256-entry fold floor a recent tier outlives its first fold *)
+(* only past ~1030 documents, so these cases keep ~1200. At every step  *)
+(* they check the index against [of_docs] of the same documents and     *)
+(* every probe against naive containment.                               *)
+(* ------------------------------------------------------------------ *)
+
+let tiers tx = (Text_index.stats tx).Text_index.tiers
+
+(* The documents an index should hold: carrier -> (path, text). *)
+module Model = Map.Make (Int)
+
+let model_index m =
+  Text_index.of_docs
+    (List.map (fun (id, (path, s)) -> (Ident.of_int id, path, s)) (Model.bindings m))
+
+let model_probes =
+  [ (None, [ "issip" ]); (None, [ "alarm reset" ]); (None, [ "no-such-needle" ]);
+    (None, [ "spec"; "recovery path" ]); (Some "P", [ "recover" ]); (Some "Q", [ "abcab" ]) ]
+
+(* [tx] holds exactly [m]'s documents, and answers every probe as
+   containment over them does. *)
+let model_agrees tx m =
+  Text_index.equal tx (model_index m)
+  && Text_index.doc_count tx = Model.cardinal m
+  && List.for_all
+       (fun (path, needles) ->
+         let naive =
+           Model.fold
+             (fun id (p, s) acc ->
+               if
+                 Option.fold ~none:true ~some:(String.equal p) path
+                 && Text_index.contains_all s needles
+               then Ident.Set.add (Ident.of_int id) acc
+               else acc)
+             m Ident.Set.empty
+         in
+         Ident.Set.equal naive (query tx ?path needles))
+       model_probes
+
+(* 1200 documents over carriers 0..1199, one tier. *)
+let model_start rng =
+  let m =
+    Seq.fold_left
+      (fun m id ->
+        Model.add id ((if id mod 2 = 0 then "P" else "Q"), text (Random.State.int rng 1000)) m)
+      Model.empty (Seq.init 1200 Fun.id)
+  in
+  (model_index m, m)
+
+(* One seeded step over carriers 0..1499: a removal one time in five,
+   else a text (a fresh copy, so never a no-op). *)
+let model_step rng (tx, m) =
+  let id = Random.State.int rng 1500 in
+  if Random.State.int rng 5 = 0 then (Text_index.remove_doc tx (Ident.of_int id), Model.remove id m)
+  else
+    let path = if Random.State.bool rng then "P" else "Q" in
+    let s = Bytes.to_string (Bytes.of_string (text (Random.State.int rng 1000))) in
+    (Text_index.add_doc tx (Ident.of_int id) ~path s, Model.add id (path, s) m)
+
+(* Steps until [stop] holds of the tier counts before and after a step,
+   checking the index against its model at every step. *)
+let model_until rng state stop =
+  let rec go n ((tx, _) as state) =
+    if n = 0 then Alcotest.fail "no tier change within 5000 steps";
+    let ((tx', m') as state') = model_step rng state in
+    Alcotest.(check bool) "index = of_docs, probes = containment" true
+      (model_agrees tx' m');
+    if stop (tiers tx) (tiers tx') then state' else go (n - 1) state'
+  in
+  go 5000 state
+
+(* Rewrites, removals and new carriers across several tier merges.
+   Removals of carriers the main tier holds shadow them as tombstones in
+   the recent tier: each fold into an empty recent tier carries those
+   since the last tier merge. *)
+let test_tier_churn () =
+  let rng = Random.State.make [| 36 |] in
+  let state = ref (model_start rng) in
+  let main = ref (snd !state) and merges = ref 0 and tombstones = ref 0 in
+  while !merges < 2 do
+    (* a fold into the empty recent tier *)
+    state := model_until rng !state (fun a b -> a = 1 && b = 2);
+    let m = snd !state in
+    tombstones :=
+      !tombstones + Model.cardinal (Model.filter (fun id _ -> not (Model.mem id m)) !main);
+    (* then the fold that merges the recent tier into the main one *)
+    state := model_until rng !state (fun a b -> a = 2 && b = 1);
+    main := snd !state;
+    incr merges
+  done;
+  Alcotest.(check bool) "main-tier carriers removed through the recent tier" true
+    (!tombstones > 0)
+
+let test_tier_snapshot () =
+  let rng = Random.State.make [| 37 |] in
+  let state = model_until rng (model_start rng) (fun a b -> a = 1 && b = 2) in
+  let pinned, pinned_m = state in
+  let answers tx = List.map (fun (path, needles) -> query tx ?path needles) model_probes in
+  let before = answers pinned in
+  let tx, _ = model_until rng state (fun a b -> a = 2 && b = 1) in
+  Alcotest.(check int) "merged into one tier" 1 (tiers tx);
+  Alcotest.(check int) "pinned index keeps its recent tier" 2 (tiers pinned);
+  Alcotest.(check bool) "pinned index = of_docs, probes = containment" true
+    (model_agrees pinned pinned_m);
+  Alcotest.(check bool) "pinned answers unchanged" true
+    (List.for_all2 Ident.Set.equal before (answers pinned))
+
+(* Through the database: a transaction whose update merges the recent
+   tier into the main one rolls back to the two-tier index. *)
+let test_tier_rollback () =
+  let env = seeded_env ~objects:600 () and rng = Random.State.make [| 38 |] in
+  let index () = Option.get (Db_state.text_index (DB.raw env.db)) in
+  let agrees () = index_consistent env && probes_exact (DB.raw env.db) in
+  (* one op at a time until [stop] holds of the tier counts around it *)
+  let until stop =
+    let rec go n =
+      if n = 0 then Alcotest.fail "no tier change within 5000 operations";
+      let a = tiers (index ()) in
+      churn env rng 1;
+      Alcotest.(check bool) "incremental = rebuilt, probes exact" true (agrees ());
+      if not (stop a (tiers (index ()))) then go (n - 1)
+    in
+    go 5000
+  in
+  until (fun a b -> a = 1 && b = 2);
+  let tx0 = index () and before = answers (View.current (DB.raw env.db)) in
+  let merged = ref false in
+  ignore
+    (DB.with_transaction env.db (fun () ->
+         until (fun a b -> a = 2 && b = 1);
+         merged := select_agrees env;
+         Error (Seed_error.Invalid_operation "rollback")));
+  Alcotest.(check bool) "the transaction merged the tiers, selects exact" true !merged;
+  Alcotest.(check bool) "two-tier index restored" true
+    (Text_index.equal tx0 (index ()) && tiers (index ()) = 2);
+  Alcotest.(check bool) "answers restored" true
+    (before = answers (View.current (DB.raw env.db)));
+  Alcotest.(check bool) "consistent after rollback" true (agrees () && select_agrees env)
 
 (* ------------------------------------------------------------------ *)
 (* Directed cases                                                       *)
@@ -678,6 +822,10 @@ let () =
         [ tc "churn across folds" test_fold_churn;
           tc "snapshot pinned before a fold" test_fold_snapshot;
           tc "rollback of a folding transaction" test_fold_rollback ] );
+      ( "tiers",
+        [ tc "churn across tier merges" test_tier_churn;
+          tc "snapshot pinned before a tier merge" test_tier_snapshot;
+          tc "rollback of a tier-merging transaction" test_tier_rollback ] );
       ( "exactness",
         [ tc "pattern root under an exact plan" test_exact_pattern;
           tc "too-common needle makes the plan inexact" test_dropped_needle;
