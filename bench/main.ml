@@ -447,7 +447,9 @@ let recovery () =
   table ~title:"Store.open_dir: replaying an uncompacted journal vs a snapshot"
     (List.map replay [ 100; 1_000; 10_000 ]);
   (* the whole open of a SPADES document store: snapshot decoded into
-     the root, indexes, verify; beside it the verify sweep alone *)
+     the root, indexes, verify; beside it the verify sweep alone. The
+     opened database's live words are counted in this process, outside
+     the timed child. *)
   let session n =
     let dir = fresh_dir () in
     let snapshot_bytes =
@@ -460,6 +462,7 @@ let recovery () =
     let open_t = measure (fun () -> usage := open_in_child dir) in
     let alloc, top = !usage in
     let db = ok (Persist.load ~verify:false ~dir ()) in
+    let live = Obj.reachable_words (Obj.repr db) * (Sys.word_size / 8) in
     let v = View.current (DB.raw db) in
     let verify_t = measure (fun () -> ok (Seed_core.Consistency.check_database v)) in
     ( [
@@ -469,6 +472,7 @@ let recovery () =
         ("open_ms", ms open_t);
         ("alloc_mib", Num (1, alloc));
         ("top_heap_mib", Num (1, top));
+        ("live_mib", Num (1, float_of_int live /. 1048576.));
       ],
       [
         ("case", Text "verify");

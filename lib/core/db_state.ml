@@ -537,46 +537,45 @@ let unindex_inheritor t ~pattern ~inheritor =
       r_inheritors = Idmap.remove t.working.r_inheritors pattern inheritor;
     }
 
-(* A set or map grown at its top end, as runs of equal size merged like
-   the digits of a binary counter: joining two runs over disjoint ranges
-   copies only their facing spines, where one insert per key copies a
-   whole search path for each key. Run sizes grow strictly downwards. *)
-let rec push_run union (n, x) = function
-  | (m, y) :: rest when m = n -> push_run union (n + m, union y x) rest
+(* The item table grown at its top end, as runs of equal size merged
+   like the digits of a binary counter: joining two runs over disjoint
+   ranges copies only their facing spines, where one insert per key
+   copies a whole search path for each key. Run sizes grow strictly
+   downwards. *)
+let union_disjoint a b = Ident.Map.union (fun _ x _ -> Some x) a b
+
+let rec push_run (n, x) = function
+  | (m, y) :: rest when m = n -> push_run (n + m, union_disjoint y x) rest
   | runs -> (n, x) :: runs
 
-let of_runs union empty runs = List.fold_left (fun acc (_, x) -> union x acc) empty runs
-let union_disjoint a b = Ident.Map.union (fun _ x _ -> Some x) a b
-let push_id id runs = push_run Ident.Set.union (1, Ident.Set.singleton id) runs
-let set_of_runs runs = of_runs Ident.Set.union Ident.Set.empty runs
-
-let set_of_ascending n id_at =
-  let runs = ref [] in
-  for i = 0 to n - 1 do
-    runs := push_id (id_at i) !runs
-  done;
-  set_of_runs !runs
+let of_runs runs = List.fold_left (fun acc (_, x) -> union_disjoint x acc) Ident.Map.empty runs
 
 (* One fold over items arriving in increasing id order: the item table
-   and every index at once, with no list of the database. Id-keyed sets
-   and the table grow as runs; the identity indexes, keyed by parent or
-   endpoint, take one persistent insert per item, whose copies die
-   young. *)
+   and every index at once, with no list of the database. The table
+   grows as runs and the id sets through {!Ident.Set.push}; the identity
+   indexes, keyed by parent or endpoint, take one persistent insert per
+   item, whose copies die young. *)
 let load t feed =
   let r = t.working in
-  let items = ref [] and dirty = ref [] and dependent = ref [] in
-  (* per extent group, the runs of each class or association *)
+  let items = ref [] in
+  let dirty = Ident.Set.builder () and dependent = Ident.Set.builder () in
+  (* per extent group, a builder for each class or association *)
   let objs = Hashtbl.create 16 and patterns = Hashtbl.create 16 in
   let rels = Hashtbl.create 16 and rel_patterns = Hashtbl.create 16 in
   let extend group key id =
-    Hashtbl.replace group key (push_id id (Option.value (Hashtbl.find_opt group key) ~default:[]))
+    match Hashtbl.find group key with
+    | b -> Ident.Set.push b id
+    | exception Not_found ->
+      let b = Ident.Set.builder () in
+      Ident.Set.push b id;
+      Hashtbl.add group key b
   in
   let identity = ref (Idmap.empty, Idmap.empty) in
   let inheritors = ref Idmap.empty and names = ref Smap.empty in
   feed (fun (it : Item.t) in_delta ->
       let id = it.Item.id in
-      items := push_run union_disjoint (1, Ident.Map.singleton id it) !items;
-      if in_delta then dirty := push_id id !dirty;
+      items := push_run (1, Ident.Map.singleton id it) !items;
+      if in_delta then Ident.Set.push dirty id;
       identity := index_identity !identity it;
       (match slot it it.Item.current with
       | Outside -> ()
@@ -587,12 +586,12 @@ let load t feed =
         | Some (Item.Obj o) ->
           List.iter (fun p -> inheritors := Idmap.add !inheritors p id) o.Item.inherits
         | Some (Item.Rel _) | None -> ())
-      | Sub_object -> dependent := push_id id !dependent
+      | Sub_object -> Ident.Set.push dependent id
       | Relation { pattern; assoc } -> extend (if pattern then rel_patterns else rels) assoc id);
       Ident.Gen.mark_used t.gen id);
-  let items = of_runs union_disjoint Ident.Map.empty !items in
+  let items = of_runs !items in
   let r_children, r_rels_of = !identity in
-  let group g = Hashtbl.fold (fun k runs m -> Smap.add k (set_of_runs runs) m) g Smap.empty in
+  let group g = Hashtbl.fold (fun k b m -> Smap.add k (Ident.Set.build b) m) g Smap.empty in
   t.working <-
     {
       r with
@@ -606,10 +605,10 @@ let load t feed =
           x_pattern = group patterns;
           x_rel = group rels;
           x_rel_pattern = group rel_patterns;
-          x_dependent = set_of_runs !dependent;
+          x_dependent = Ident.Set.build dependent;
           x_names = !names;
         };
-      r_dirty = set_of_runs !dirty;
+      r_dirty = Ident.Set.build dirty;
       r_text = Option.map (fun _ -> build_text_index items current_state) r.r_text;
     }
 

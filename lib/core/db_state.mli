@@ -239,12 +239,6 @@ val inheritor_set : t -> Ident.t -> Ident.Set.t
 val index_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 val unindex_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
 
-val set_of_ascending : int -> (int -> Ident.t) -> Ident.Set.t
-(** [set_of_ascending n id_at] is the set of the [n] ids
-    [id_at 0 < id_at 1 < ...], built as {!load} builds its sets: from
-    runs of equal size merged like the digits of a binary counter,
-    with no sort. *)
-
 val load : t -> ((Item.t -> bool -> unit) -> unit) -> unit
 (** [load t feed] rebuilds the working root in one pass over the items
     [feed add] passes to [add item in_delta] in strictly increasing id

@@ -38,12 +38,11 @@ let carrier_matches v (it : Item.t) ~path needles =
     | Some (Value.String s) when String.equal path "" || String.equal path o.Item.cls ->
       Text_index.contains_all s needles
     | Some _ | None -> false)
-    || Ident.Set.exists
-         (fun c ->
-           match View.state_of_id v c with
-           | Some (Item.Obj o) when not o.Item.deleted -> walk c o
-           | Some _ | None -> false)
-         (Db_state.children_set db id)
+    || Ident.Set.exists child (Db_state.children_set db id)
+  and child c =
+    match View.state_of_id v c with
+    | Some (Item.Obj o) when not o.Item.deleted -> walk c o
+    | Some _ | None -> false
   in
   match View.obj_state v it with Some o -> walk it.Item.id o | None -> false
 
@@ -129,7 +128,10 @@ let owners db carriers =
 
 let ids = function
   | Ids s -> s
-  | Owners a -> Db_state.set_of_ascending (Array.length a) (fun i -> a.(i).Item.id)
+  | Owners a ->
+    let b = Ident.Set.builder () in
+    Array.iter (fun (o : Item.t) -> Ident.Set.push b o.Item.id) a;
+    Ident.Set.build b
 
 let cardinal = function Ids s -> Ident.Set.cardinal s | Owners a -> Array.length a
 

@@ -134,6 +134,99 @@ let test_ident_mark_used () =
   Ident.Gen.mark_used g (Ident.of_int 5);
   Alcotest.(check int) "never goes back" 12 (Ident.to_int (Ident.Gen.next g))
 
+(* Ident.Set against Stdlib's Set.Make (Int): random operation
+   sequences over keys at leaf boundaries (a leaf holds 32 ids), around
+   0, negatives and the ends of the int range. Every intermediate set is
+   kept and re-checked at the end, so no operation may have changed a set
+   an earlier step still holds. *)
+module M = Set.Make (Int)
+
+type set_op = Add of int | Remove of int | Union of int list | Inter of int list
+
+let special_keys =
+  [ 0; 1; 31; 32; 33; 63; 64; 65; -1; -31; -32; -33; -64; min_int; min_int + 1; max_int;
+    max_int - 1; max_int - 32 ]
+
+let key_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (3, oneofl special_keys); (4, int_range (-70) 200); (1, int); (1, int_range 0 5000) ])
+
+let set_op_gen =
+  QCheck2.Gen.(
+    let keys = list_size (int_range 0 40) key_gen in
+    frequency
+      [
+        (4, map (fun k -> Add k) key_gen);
+        (2, map (fun k -> Remove k) key_gen);
+        (1, map (fun l -> Union l) keys);
+        (1, map (fun l -> Inter l) keys);
+      ])
+
+let ints s = List.map Ident.to_int (Ident.Set.elements s)
+let set_of l = Ident.Set.of_list (List.map Ident.of_int l)
+
+let built l =
+  let b = Ident.Set.builder () in
+  List.iter (fun i -> Ident.Set.push b (Ident.of_int i)) l;
+  Ident.Set.build b
+
+(* every reader of [s] agrees with the model [m] *)
+let agrees (s, m) =
+  let e = M.elements m in
+  let via_fold = List.rev (Ident.Set.fold (fun i acc -> Ident.to_int i :: acc) s []) in
+  let via_iter = ref [] in
+  Ident.Set.iter (fun i -> via_iter := Ident.to_int i :: !via_iter) s;
+  let has k = Ident.Set.mem (Ident.of_int k) s = M.mem k m in
+  let ex p = Ident.Set.exists (fun i -> p (Ident.to_int i)) s = M.exists p m in
+  ints s = e && via_fold = e && List.rev !via_iter = e
+  && Ident.Set.cardinal s = M.cardinal m
+  && Ident.Set.is_empty s = M.is_empty m
+  && List.for_all has special_keys && List.for_all has e
+  && ex (fun i -> i mod 3 = 0) && ex (fun i -> i < 0) && ex (fun i -> i = 33)
+  && Ident.Set.equal s (set_of e) && s = set_of e && s = built e
+
+let step (s, m) op =
+  let against l f g =
+    let t = set_of l and n = M.of_list l in
+    let same = M.equal m n in
+    (Ident.Set.equal s t = same && (s = t) = same && agrees (t, n), (f s t, g m n))
+  in
+  match op with
+  | Add k ->
+    let s' = Ident.Set.add (Ident.of_int k) s in
+    ((not (M.mem k m)) || s' == s, (s', M.add k m))
+  | Remove k ->
+    let s' = Ident.Set.remove (Ident.of_int k) s in
+    (M.mem k m || s' == s, (s', M.remove k m))
+  | Union l -> against l Ident.Set.union M.union
+  | Inter l -> against l Ident.Set.inter M.inter
+
+let prop_ident_set_model =
+  qcheck_case ~count:500 "Ident.Set agrees with Set.Make (Int)"
+    QCheck2.Gen.(list_size (int_range 0 80) set_op_gen)
+    (fun ops ->
+      let _, ok, kept =
+        List.fold_left
+          (fun (cur, ok, kept) op ->
+            let same, next = step cur op in
+            (next, ok && same && agrees next, next :: kept))
+          ((Ident.Set.empty, M.empty), true, [])
+          ops
+      in
+      ok && List.for_all agrees kept)
+
+let test_ident_set_builder () =
+  let b = Ident.Set.builder () in
+  Alcotest.(check bool) "empty" true (Ident.Set.is_empty (Ident.Set.build b));
+  List.iter (fun i -> Ident.Set.push b (Ident.of_int i)) [ min_int; -33; 0; 31; 32 ];
+  Alcotest.(check (list int)) "built" [ min_int; -33; 0; 31; 32 ] (ints (Ident.Set.build b));
+  Ident.Set.push b (Ident.of_int max_int);
+  Alcotest.(check (list int)) "push after build" [ min_int; -33; 0; 31; 32; max_int ]
+    (ints (Ident.Set.build b));
+  Alcotest.check_raises "descending" (Invalid_argument "Ident.Set.push: ids not ascending")
+    (fun () -> Ident.Set.push b (Ident.of_int 64))
+
 (* ------------------------------------------------------------------ *)
 (* Seed_error combinators                                               *)
 (* ------------------------------------------------------------------ *)
@@ -398,7 +491,12 @@ let () =
           prop_vid_roundtrip;
         ] );
       ( "ident",
-        [ tc "generator" test_ident_gen; tc "mark_used" test_ident_mark_used ] );
+        [
+          tc "generator" test_ident_gen;
+          tc "mark_used" test_ident_mark_used;
+          tc "set builder" test_ident_set_builder;
+          prop_ident_set_model;
+        ] );
       ( "error",
         [
           tc "combinators" test_error_combinators;
