@@ -284,30 +284,30 @@ let spades () =
 (* C1: ablation - what the permanent consistency checking costs         *)
 (* ------------------------------------------------------------------ *)
 
+(* A fresh db holding a [depth]-deep [Contained] chain of actions, and
+   one call that adds an edge from a new leaf to the chain's deepest
+   action and deletes it again: the ACYCLIC check walks the chain. *)
+let edge_below_chain depth =
+  let db = DB.create Workloads.schema in
+  let prev = ref None in
+  for i = 0 to depth - 1 do
+    let a = ok (DB.create_object db ~cls:"Action" ~name:(Workloads.action_name i) ()) in
+    Option.iter
+      (fun p -> ignore (ok (DB.create_relationship db ~assoc:"Contained" ~endpoints:[ a; p ] ())))
+      !prev;
+    prev := Some a
+  done;
+  let deepest = Option.get !prev in
+  let leaf = ok (DB.create_object db ~cls:"Action" ~name:"Leaf" ()) in
+  fun () ->
+    let r = ok (DB.create_relationship db ~assoc:"Contained" ~endpoints:[ leaf; deepest ] ()) in
+    ok (DB.delete db r)
+
 let ablation () =
   heading "C1" "cost of the permanent consistency checks";
   (* acyclicity: the DFS grows with the containment chain depth *)
   let acyclic depth =
-    let db = DB.create Workloads.schema in
-    let prev = ref None in
-    for i = 0 to depth - 1 do
-      let a = ok (DB.create_object db ~cls:"Action" ~name:(Workloads.action_name i) ()) in
-      Option.iter
-        (fun p ->
-          ignore (ok (DB.create_relationship db ~assoc:"Contained" ~endpoints:[ a; p ] ())))
-        !prev;
-      prev := Some a
-    done;
-    let deepest = Option.get !prev in
-    let leaf = ok (DB.create_object db ~cls:"Action" ~name:"Leaf" ()) in
-    let t =
-      measure (fun () ->
-          let r =
-            ok (DB.create_relationship db ~assoc:"Contained" ~endpoints:[ leaf; deepest ] ())
-          in
-          ok (DB.delete db r))
-    in
-    [ ("chain_depth", Int depth); ("add_remove_us", us t) ]
+    [ ("chain_depth", Int depth); ("add_remove_us", us (measure (edge_below_chain depth))) ]
   in
   table ~title:"ACYCLIC check: add+remove an edge below a chain"
     (List.map acyclic [ 10; 100; 500 ]);
@@ -1238,8 +1238,33 @@ let mvcc () =
       ("set_value_words", words set_t);
     ]
   in
+  (* edge churn: a create+delete of an edge costs the same however many
+     came and went before it. Four batches of 1000 pairs on one fresh
+     db, each timed whole; the row shows the first and the fourth. *)
+  let pairs = 1_000 in
+  let pair = edge_below_chain 10 in
+  let batch () =
+    let t, w, _ = time_calls pair pairs in
+    (t /. float_of_int pairs, w /. float_of_int pairs)
+  in
+  let fresh_t, fresh_w = batch () in
+  ignore (batch ());
+  ignore (batch ());
+  let late_t, late_w = batch () in
+  let churn =
+    [
+      ("case", Text "edge_churn");
+      ("chain_depth", Int 10);
+      ("pairs_per_batch", Int pairs);
+      ("fresh_us", Num (2, fresh_t *. 1e6));
+      ("fresh_words", Num (0, fresh_w));
+      ("after_3000_us", Num (2, late_t *. 1e6));
+      ("after_3000_words", Num (0, late_w));
+    ]
+  in
   table ~title:"single-threaded write path (db of 1000 clusters)" [ write_path ];
-  write_json "mvcc" (grabs @ readers @ [ write_path ])
+  table ~title:"edge churn: create+delete of an edge below a 10-deep chain" [ churn ];
+  write_json "mvcc" (grabs @ readers @ [ write_path; churn ])
 
 (* ------------------------------------------------------------------ *)
 

@@ -346,7 +346,7 @@ let delete db id =
     | Item.Relationship -> [ item ]
     | Item.Independent ->
       let tree = subtree v [] item in
-      let incident = View.rels v item.Item.id |> List.filter (View.live v) in
+      let incident = View.rels v item.Item.id in
       tree @ incident
     | Item.Dependent _ -> subtree v [] item
   in
@@ -377,7 +377,6 @@ let inherit_pattern db ~pattern ~inheritor =
     Db_state.atomically db @@ fun () ->
     Db_state.replace_state db inheritor
       (Item.Obj { o with Item.inherits = o.Item.inherits @ [ pattern ] });
-    Db_state.index_inheritor db ~pattern ~inheritor;
     (* the combined context must be consistent right away, read from
        the record this update wrote: [inh] is the one it superseded *)
     let* inh = Db_state.find_item_res db inheritor in
@@ -401,7 +400,6 @@ let uninherit_pattern db ~pattern ~inheritor =
         List.filter (fun p -> not (Ident.equal p pattern)) o.Item.inherits
       in
       Db_state.replace_state db inheritor (Item.Obj { o with Item.inherits });
-      Db_state.unindex_inheritor db ~pattern ~inheritor;
       Ok ()
 
 (* ------------------------------------------------------------------ *)

@@ -19,7 +19,11 @@ open Seed_error
    the live normal independent objects classified [cls], [x_pattern cls]
    the live pattern objects, [x_rel assoc] and [x_rel_pattern assoc] the
    live (pattern) relationships, [x_dependent] the live sub-objects, and
-   [x_names] the live named independents (patterns included). *)
+   [x_names] the live named independents (patterns included). The
+   adjacency is membership too: [x_children] holds the live sub-objects
+   by parent, [x_rels_of] the live relationships (patterns included) by
+   endpoint, and [x_inheritors] the live independents by inherited
+   pattern. *)
 type extents = {
   x_obj : Ident.Set.t Smap.t;
   x_pattern : Ident.Set.t Smap.t;
@@ -27,15 +31,15 @@ type extents = {
   x_rel_pattern : Ident.Set.t Smap.t;
   x_dependent : Ident.Set.t;
   x_names : Ident.t Smap.t;
+  x_children : Idmap.t;
+  x_rels_of : Idmap.t;
+  x_inheritors : Idmap.t;
 }
 
 type root = {
   r_schema : Schema.t;
   r_schemas : (int * Schema.t) list;
   r_items : Item.t Ident.Map.t;
-  r_children : Idmap.t;
-  r_rels_of : Idmap.t;
-  r_inheritors : Idmap.t;
   r_ext : extents;
   r_text : Text_index.t option;  (* [None] = text indexing disabled *)
   r_versions : Versioning.t;
@@ -114,6 +118,9 @@ let empty_extents =
     x_rel_pattern = Smap.empty;
     x_dependent = Ident.Set.empty;
     x_names = Smap.empty;
+    x_children = Idmap.empty;
+    x_rels_of = Idmap.empty;
+    x_inheritors = Idmap.empty;
   }
 
 let empty_root schema =
@@ -121,9 +128,6 @@ let empty_root schema =
     r_schema = schema;
     r_schemas = [ (Schema.revision schema, schema) ];
     r_items = Ident.Map.empty;
-    r_children = Idmap.empty;
-    r_rels_of = Idmap.empty;
-    r_inheritors = Idmap.empty;
     r_ext = empty_extents;
     r_text = Some Text_index.empty;
     r_versions = Versioning.empty;
@@ -257,10 +261,10 @@ let fold_items t ~init ~f =
 (* extent. Re-classification moves the item between class extents,      *)
 (* deletion drops it, and a pattern flip (never produced today, but     *)
 (* handled uniformly) would move it between the normal and pattern      *)
-(* maps. [slot] is the one membership rule: [index_state] and          *)
-(* [unindex_state] apply it as [replace_state] keeps the root's         *)
-(* extents, the wholesale builds fold [index_state] over the item       *)
-(* table, and a load routes each item by it ([load]).                   *)
+(* maps. [slot] is the one membership rule, adjacency included:         *)
+(* [membership] applies it as [add_item] and [replace_state] keep the   *)
+(* root's extents, and [extents_of] in one wholesale build for open,    *)
+(* branch switch and every version view.                                *)
 (* ------------------------------------------------------------------ *)
 
 (* The text index covers exactly the live object states (independent or
@@ -308,27 +312,55 @@ let text_of r (item : Item.t) (state : Item.state option) =
 let add_or_remove_id ~add m k id =
   if add then Smap.add_id m k id else Smap.remove_id m k id
 
-(* The one membership rule: the extent [state] puts [item] in, if any.
-   Deleted and absent states, and a state that does not fit the body,
-   are in none. *)
+(* The one membership rule: the extent [state] puts [item] in, if any,
+   with the keys its adjacency lists it under: a sub-object's parent, a
+   relationship's endpoints, an object's inherited patterns. Deleted and
+   absent states, and a state that does not fit the body, are in none. *)
 type slot =
   | Outside
-  | Object of { pattern : bool; cls : string; name : string option }
-  | Sub_object
-  | Relation of { pattern : bool; assoc : string }
+  | Object of { pattern : bool; cls : string; name : string option; inherits : Ident.t list }
+  | Sub_object of Ident.t
+  | Relation of { pattern : bool; assoc : string; endpoints : Ident.t list }
 
 let slot (item : Item.t) (state : Item.state option) =
   match (item.Item.body, state) with
   | _, None -> Outside
   | _, Some s when Item.state_deleted s -> Outside
   | Item.Independent, Some (Item.Obj o) ->
-    Object { pattern = o.Item.pattern; cls = o.Item.cls; name = o.Item.name }
-  | Item.Dependent _, Some (Item.Obj _) -> Sub_object
+    Object
+      { pattern = o.Item.pattern; cls = o.Item.cls; name = o.Item.name; inherits = o.Item.inherits }
+  | Item.Dependent { parent; _ }, Some (Item.Obj _) -> Sub_object parent
   | Item.Relationship, Some (Item.Rel rel) ->
-    Relation { pattern = rel.Item.rel_pattern; assoc = rel.Item.assoc }
+    Relation
+      { pattern = rel.Item.rel_pattern; assoc = rel.Item.assoc; endpoints = rel.Item.endpoints }
   | (Item.Independent | Item.Dependent _), Some (Item.Rel _)
   | Item.Relationship, Some (Item.Obj _) ->
     Outside
+
+(* [slot item a = slot item b] read off the states without building
+   either slot, so a value update allocates nothing here; [false] for
+   two [Outside] states only costs a move that changes nothing. *)
+let same_slot (item : Item.t) a b =
+  match (a, b) with
+  | Some (Item.Obj o), Some (Item.Obj p) -> (
+    (not (o.Item.deleted || p.Item.deleted))
+    &&
+    match item.Item.body with
+    | Item.Independent ->
+      o.pattern = p.pattern && o.cls = p.cls && o.name = p.name && o.inherits = p.inherits
+    | Item.Dependent _ | Item.Relationship -> true)
+  | Some (Item.Rel r), Some (Item.Rel q) ->
+    (not (r.Item.rel_deleted || q.Item.rel_deleted))
+    && r.rel_pattern = q.rel_pattern && r.assoc = q.assoc && r.endpoints = q.endpoints
+  | _ -> false
+
+(* [m] with [id] entered ([~add:true]) or dropped under [k], or under
+   each of [keys] *)
+let adjacency ~add m k id = if add then Idmap.add m k id else Idmap.remove m k id
+
+let rec under ~add m id = function
+  | [] -> m
+  | k :: keys -> under ~add (adjacency ~add m k id) id keys
 
 (* Enter ([~add:true]) or drop [state]'s extent membership for [item]. A
    name binding is dropped only while it is still this item's. The text
@@ -338,7 +370,7 @@ let membership ~add x (item : Item.t) (state : Item.state option) =
   let id = item.Item.id in
   match slot item state with
   | Outside -> x
-  | Object { pattern; cls; name } ->
+  | Object { pattern; cls; name; inherits } ->
     let x_names =
       match name with
       | None -> x.x_names
@@ -348,22 +380,65 @@ let membership ~add x (item : Item.t) (state : Item.state option) =
         | Some bound when Ident.equal bound id -> Smap.remove n x.x_names
         | Some _ | None -> x.x_names)
     in
-    if pattern then { x with x_pattern = add_or_remove_id ~add x.x_pattern cls id; x_names }
-    else { x with x_obj = add_or_remove_id ~add x.x_obj cls id; x_names }
-  | Sub_object ->
+    let x_inheritors = under ~add x.x_inheritors id inherits in
+    if pattern then
+      { x with x_pattern = add_or_remove_id ~add x.x_pattern cls id; x_names; x_inheritors }
+    else { x with x_obj = add_or_remove_id ~add x.x_obj cls id; x_names; x_inheritors }
+  | Sub_object parent ->
     let op = if add then Ident.Set.add else Ident.Set.remove in
-    { x with x_dependent = op id x.x_dependent }
-  | Relation { pattern; assoc } ->
-    if pattern then { x with x_rel_pattern = add_or_remove_id ~add x.x_rel_pattern assoc id }
-    else { x with x_rel = add_or_remove_id ~add x.x_rel assoc id }
+    { x with x_dependent = op id x.x_dependent; x_children = adjacency ~add x.x_children parent id }
+  | Relation { pattern; assoc; endpoints } ->
+    let x_rels_of = under ~add x.x_rels_of id endpoints in
+    if pattern then
+      { x with x_rel_pattern = add_or_remove_id ~add x.x_rel_pattern assoc id; x_rels_of }
+    else { x with x_rel = add_or_remove_id ~add x.x_rel assoc id; x_rels_of }
 
-let index_state x item state = membership ~add:true x item state
-let unindex_state x item state = membership ~add:false x item state
-
-(* One wholesale build: [index_state] folded over the item table, each
-   item at the state [state_of] resolves for it. *)
-let extents_of items state_of =
-  Ident.Map.fold (fun _ it x -> index_state x it (state_of it)) items empty_extents
+(* The one wholesale build, of the items [iter add] passes to [add item
+   state] in increasing id order: routed by [slot] as [membership] routes
+   them, but the groups grow through {!Ident.Set.push}. The adjacency
+   maps take one persistent insert per entry, whose copies die young: a
+   builder per key would keep one live per parent. *)
+let extents_of iter =
+  (* per extent group, a builder for each class or association *)
+  let objs = Hashtbl.create 16 and patterns = Hashtbl.create 16 in
+  let rels = Hashtbl.create 16 and rel_patterns = Hashtbl.create 16 in
+  let extend group key id =
+    match Hashtbl.find group key with
+    | b -> Ident.Set.push b id
+    | exception Not_found ->
+      let b = Ident.Set.builder () in
+      Ident.Set.push b id;
+      Hashtbl.add group key b
+  in
+  let dependent = Ident.Set.builder () and names = ref Smap.empty in
+  let children = ref Idmap.empty and rels_of = ref Idmap.empty in
+  let inheritors = ref Idmap.empty in
+  iter (fun (it : Item.t) state ->
+      let id = it.Item.id in
+      match slot it state with
+      | Outside -> ()
+      | Object { pattern; cls; name; inherits } ->
+        Option.iter (fun n -> names := Smap.add n id !names) name;
+        inheritors := under ~add:true !inheritors id inherits;
+        extend (if pattern then patterns else objs) cls id
+      | Sub_object parent ->
+        Ident.Set.push dependent id;
+        children := Idmap.add !children parent id
+      | Relation { pattern; assoc; endpoints } ->
+        rels_of := under ~add:true !rels_of id endpoints;
+        extend (if pattern then rel_patterns else rels) assoc id);
+  let group g = Hashtbl.fold (fun k b m -> Smap.add k (Ident.Set.build b) m) g Smap.empty in
+  {
+    x_obj = group objs;
+    x_pattern = group patterns;
+    x_rel = group rels;
+    x_rel_pattern = group rel_patterns;
+    x_dependent = Ident.Set.build dependent;
+    x_names = !names;
+    x_children = !children;
+    x_rels_of = !rels_of;
+    x_inheritors = !inheritors;
+  }
 
 let extents t = t.working.r_ext
 let obj_extent x cls = Smap.set x.x_obj cls
@@ -378,6 +453,9 @@ let live_pattern_count x = cardinals x.x_pattern
 let live_rel_count x = cardinals x.x_rel
 let live_dependent_count x = Ident.Set.cardinal x.x_dependent
 let find_id_by_name x name = Smap.find_opt name x.x_names
+let children_of x id = Idmap.get x.x_children id
+let rels_of x id = Idmap.get x.x_rels_of id
+let inheritors_of x id = Idmap.get x.x_inheritors id
 
 let fold_live_ids x f init =
   let groups m acc = Smap.fold (fun _ s acc -> Ident.Set.fold f s acc) m acc in
@@ -387,20 +465,6 @@ let fold_live_ids x f init =
 (* ------------------------------------------------------------------ *)
 (* Item mutation (new roots)                                            *)
 (* ------------------------------------------------------------------ *)
-
-(* An item's identity-index entries: under its parent, or under each of
-   its endpoints — by the current state, or by a stamped one for a
-   relationship that exists only in history. *)
-let index_identity (children, rels_of) (item : Item.t) =
-  match item.body with
-  | Item.Dependent { parent; _ } -> (Idmap.add children parent item.id, rels_of)
-  | Item.Independent -> (children, rels_of)
-  | Item.Relationship -> (
-    let state = match item.current with Some s -> Some s | None -> Item.any_history_state item in
-    match state with
-    | Some (Item.Rel { endpoints; _ }) ->
-      (children, List.fold_left (fun m e -> Idmap.add m e item.id) rels_of endpoints)
-    | Some (Item.Obj _) | None -> (children, rels_of))
 
 (* The one single-item writer of the item table: [r]'s table with [item]
    stored, and its unflushed set with [item]'s id — every record it
@@ -414,21 +478,19 @@ let put r (item : Item.t) =
 let add_item t (item : Item.t) =
   let r = t.working in
   let r_items, r_unflushed = put r item in
-  let r_children, r_rels_of = index_identity (r.r_children, r.r_rels_of) item in
   t.working <-
     {
       r with
       r_items;
       r_unflushed;
       r_dirty = Ident.Set.add item.id r.r_dirty;
-      r_ext = index_state r.r_ext item item.current;
+      r_ext = membership ~add:true r.r_ext item item.current;
       r_text = text_of r item item.current;
-      r_children;
-      r_rels_of;
     }
 
 (* A state in the same extent slot (a value update) keeps the extents;
-   a rename, reclassification or delete moves the item. *)
+   a rename, reclassification, (un-)inheritance or delete moves the
+   item. *)
 let replace_state t id new_state =
   match Ident.Map.find_opt id t.working.r_items with
   | None -> ()
@@ -443,8 +505,11 @@ let replace_state t id new_state =
         r_unflushed;
         r_dirty = Ident.Set.add id r.r_dirty;
         r_ext =
-          (if slot item item.current = slot item' item'.current then r.r_ext
-           else index_state (unindex_state r.r_ext item item.current) item' item'.current);
+          (if same_slot item item.current item'.current then r.r_ext
+           else
+             membership ~add:true
+               (membership ~add:false r.r_ext item item.current)
+               item' item'.current);
         r_text = text_of r item' item'.current;
       }
 
@@ -518,25 +583,6 @@ let unflushed t = t.working.r_unflushed
 let clear_unflushed t =
   t.working <- { t.working with r_unflushed = Ident.Set.empty }
 
-(* ------------------------------------------------------------------ *)
-(* Identity indexes                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let children_set t id = Idmap.get t.working.r_children id
-let rels_set t id = Idmap.get t.working.r_rels_of id
-let inheritor_set t id = Idmap.get t.working.r_inheritors id
-
-let index_inheritor t ~pattern ~inheritor =
-  t.working <-
-    { t.working with r_inheritors = Idmap.add t.working.r_inheritors pattern inheritor }
-
-let unindex_inheritor t ~pattern ~inheritor =
-  t.working <-
-    {
-      t.working with
-      r_inheritors = Idmap.remove t.working.r_inheritors pattern inheritor;
-    }
-
 (* The item table grown at its top end, as runs of equal size merged
    like the digits of a binary counter: joining two runs over disjoint
    ranges copies only their facing spines, where one insert per key
@@ -550,64 +596,29 @@ let rec push_run (n, x) = function
 
 let of_runs runs = List.fold_left (fun acc (_, x) -> union_disjoint x acc) Ident.Map.empty runs
 
-(* One fold over items arriving in increasing id order: the item table
-   and every index at once, with no list of the database. The table
-   grows as runs and the id sets through {!Ident.Set.push}; the identity
-   indexes, keyed by parent or endpoint, take one persistent insert per
-   item, whose copies die young. *)
+(* One fold over items arriving in increasing id order: the item table,
+   the delta set and every extent at once, with no list of the database.
+   The table grows as runs, the delta set through {!Ident.Set.push}, the
+   extents through the wholesale build as each item arrives, which
+   spares a second walk over the finished table (DESIGN §6). *)
 let load t feed =
   let r = t.working in
-  let items = ref [] in
-  let dirty = Ident.Set.builder () and dependent = Ident.Set.builder () in
-  (* per extent group, a builder for each class or association *)
-  let objs = Hashtbl.create 16 and patterns = Hashtbl.create 16 in
-  let rels = Hashtbl.create 16 and rel_patterns = Hashtbl.create 16 in
-  let extend group key id =
-    match Hashtbl.find group key with
-    | b -> Ident.Set.push b id
-    | exception Not_found ->
-      let b = Ident.Set.builder () in
-      Ident.Set.push b id;
-      Hashtbl.add group key b
+  let items = ref [] and dirty = Ident.Set.builder () in
+  let r_ext =
+    extents_of (fun add ->
+        feed (fun (it : Item.t) in_delta ->
+            let id = it.Item.id in
+            items := push_run (1, Ident.Map.singleton id it) !items;
+            if in_delta then Ident.Set.push dirty id;
+            add it it.Item.current;
+            Ident.Gen.mark_used t.gen id))
   in
-  let identity = ref (Idmap.empty, Idmap.empty) in
-  let inheritors = ref Idmap.empty and names = ref Smap.empty in
-  feed (fun (it : Item.t) in_delta ->
-      let id = it.Item.id in
-      items := push_run (1, Ident.Map.singleton id it) !items;
-      if in_delta then Ident.Set.push dirty id;
-      identity := index_identity !identity it;
-      (match slot it it.Item.current with
-      | Outside -> ()
-      | Object { pattern; cls; name } ->
-        Option.iter (fun n -> names := Smap.add n id !names) name;
-        extend (if pattern then patterns else objs) cls id;
-        (match it.Item.current with
-        | Some (Item.Obj o) ->
-          List.iter (fun p -> inheritors := Idmap.add !inheritors p id) o.Item.inherits
-        | Some (Item.Rel _) | None -> ())
-      | Sub_object -> Ident.Set.push dependent id
-      | Relation { pattern; assoc } -> extend (if pattern then rel_patterns else rels) assoc id);
-      Ident.Gen.mark_used t.gen id);
   let items = of_runs !items in
-  let r_children, r_rels_of = !identity in
-  let group g = Hashtbl.fold (fun k b m -> Smap.add k (Ident.Set.build b) m) g Smap.empty in
   t.working <-
     {
       r with
       r_items = items;
-      r_children;
-      r_rels_of;
-      r_inheritors = !inheritors;
-      r_ext =
-        {
-          x_obj = group objs;
-          x_pattern = group patterns;
-          x_rel = group rels;
-          x_rel_pattern = group rel_patterns;
-          x_dependent = Ident.Set.build dependent;
-          x_names = !names;
-        };
+      r_ext;
       r_dirty = Ident.Set.build dirty;
       r_text = Option.map (fun _ -> build_text_index items current_state) r.r_text;
     }
@@ -640,7 +651,7 @@ let build_version_extent t (node : Versioning.node) =
     s
   in
   {
-    ve_ext = extents_of r.r_items resolved;
+    ve_ext = extents_of (fun add -> Ident.Map.iter (fun _ it -> add it (resolved it)) r.r_items);
     ve_states = states;
     ve_schema =
       Option.value ~default:r.r_schema (schema_at_revision t node.Versioning.schema_rev);

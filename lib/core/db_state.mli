@@ -14,13 +14,15 @@
     {!Database.snapshot_view} and lock-free multi-domain readers:
     nothing reachable from a published root is ever mutated.
 
-    Beyond the identity-level indexes, the root maintains {e extents}:
-    per-class and per-association sets of the items whose current state
-    is live in that class or association. They are maintained
-    incrementally on create, delete, re-classify, and rollback, and give
-    the {!Query} planner its candidate sets without a full item scan.
-    A saved version's view carries an extents record of the same kind,
-    built by the same membership rule. *)
+    Beside the item table, the root maintains {e extents}: per-class
+    and per-association sets of the items whose current state is live
+    in that class or association, and the adjacency of live items —
+    sub-objects by parent, relationships by endpoint, inheritors by
+    pattern. They are maintained incrementally on create, delete,
+    re-classify, (un-)inherit and rollback, and give the {!Query}
+    planner and {!View}'s navigation their sets without a full item
+    scan. A saved version's view carries an extents record of the same
+    kind, built by the same membership rule. *)
 
 open Seed_util
 open Seed_schema
@@ -138,14 +140,15 @@ val fresh_id : t -> Ident.t
     change; none publishes. *)
 
 val add_item : t -> Item.t -> unit
-(** Insert into the item table and all identity-level indexes, the
-    extent of its current state, and the name index when applicable;
-    the item enters the delta set. *)
+(** Insert into the item table, and into the extents of its current
+    state (its group, the name index, and its place under its parent,
+    endpoints or inherited patterns); the item enters the delta set. *)
 
 val replace_state : t -> Ident.t -> Item.state -> unit
-(** Overwrite the item's current state, maintaining the name index and
-    all extents (the old state is unindexed, the new one indexed); the
-    item enters the delta set. An unknown id is ignored. *)
+(** Overwrite the item's current state, maintaining all extents (the
+    old state is unindexed, the new one indexed, unless both give the
+    item the same membership, as a value update does); the item enters
+    the delta set. An unknown id is ignored. *)
 
 val unsafe_put_item : t -> Item.t -> unit
 (** Replace the stored record with {e no} index maintenance — test
@@ -155,6 +158,17 @@ val map_items : t -> (Item.t -> Item.t) -> unit
 (** Replace every item by [f item] (branch switch); callers rebuild the
     indexes with {!load} afterwards. Only items whose record actually
     changed enter the {!unflushed} set. *)
+
+val load : t -> ((Item.t -> bool -> unit) -> unit) -> unit
+(** [load t feed] rebuilds the working root from the items [feed add]
+    passes to [add item in_delta] in strictly increasing id order: the
+    item table, the delta set (the items fed with [in_delta]), the id
+    generator (raised to the largest id fed) and the extents (by the
+    rule that keeps them incrementally) as they arrive, then the text
+    index; the unflushed set is kept. Open
+    loads a fresh handle from storage, each item with its stored delta
+    byte; a branch switch re-feeds the switched table ({!iter_items})
+    with an empty delta, leaving the version cache valid. *)
 
 (** {1 Extents}
 
@@ -195,6 +209,17 @@ val fold_live_ids : extents -> (Ident.t -> 'a -> 'a) -> 'a -> 'a
 val find_id_by_name : extents -> string -> Ident.t option
 (** The live independent object (patterns included) of that name. *)
 
+val children_of : extents -> Ident.t -> Ident.Set.t
+(** The live sub-objects whose parent is the given item. *)
+
+val rels_of : extents -> Ident.t -> Ident.Set.t
+(** The live relationships, patterns included, with the given item
+    among their endpoints. *)
+
+val inheritors_of : extents -> Ident.t -> Ident.Set.t
+(** The live independent objects, patterns included, that directly
+    inherit the given pattern. *)
+
 (** {1 The delta set}
 
     The ids whose current state changed since the last version stamp:
@@ -227,28 +252,6 @@ val unflushed : t -> Ident.Set.t
 
 val clear_unflushed : t -> unit
 (** Empty the set: call only once the records are durable. *)
-
-(** {1 Identity indexes}
-
-    The root's own sets, over every item ever indexed, live or not. *)
-
-val children_set : t -> Ident.t -> Ident.Set.t
-val rels_set : t -> Ident.t -> Ident.Set.t
-val inheritor_set : t -> Ident.t -> Ident.Set.t
-
-val index_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
-val unindex_inheritor : t -> pattern:Ident.t -> inheritor:Ident.t -> unit
-
-val load : t -> ((Item.t -> bool -> unit) -> unit) -> unit
-(** [load t feed] rebuilds the working root in one pass over the items
-    [feed add] passes to [add item in_delta] in strictly increasing id
-    order: item table, identity indexes (a relationship existing only in
-    history by its historical endpoints), extents, inheritor and text
-    sets, the delta set (the items fed with [in_delta]), id generator
-    (raised to the largest id fed); the unflushed set is kept. Open
-    loads a fresh handle from storage, each item with its stored delta
-    byte; a branch switch re-feeds the switched table ({!iter_items})
-    with an empty delta, leaving the version cache valid. *)
 
 (** {1 Materialized version views}
 

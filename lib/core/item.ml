@@ -77,4 +77,3 @@ let history_of_bindings l =
   List.fold_left (fun m (v, s) -> Version_id.Map.add v s m) Version_id.Map.empty l
 
 let history_exists f t = Version_id.Map.exists (fun _ s -> f s) t.history
-let any_history_state t = Option.map snd (Version_id.Map.choose_opt t.history)

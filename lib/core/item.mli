@@ -98,7 +98,3 @@ val history_of_bindings : (Version_id.t * state) list -> state Version_id.Map.t
 
 val history_exists : (state -> bool) -> t -> bool
 (** Some stamp satisfies the predicate. *)
-
-val any_history_state : t -> state option
-(** An arbitrary stamped state — for indexes over state components that
-    never change across stamps (e.g. relationship endpoints). *)

@@ -30,19 +30,19 @@ let is_incomplete =
    ([""] = any path) containing every needle. Only the object's {e own}
    subtree is walked — information viewed through pattern inheritance
    is not searched, matching what the trigram index covers. The walk
-   reads the root's children sets, resolving each node's state once. *)
+   reads the view's children sets, resolving each node's state once. *)
 let carrier_matches v (it : Item.t) ~path needles =
-  let db = View.db v in
+  let x = View.extents v in
   let rec walk id (o : Item.obj_state) =
     (match o.Item.value with
     | Some (Value.String s) when String.equal path "" || String.equal path o.Item.cls ->
       Text_index.contains_all s needles
     | Some _ | None -> false)
-    || Ident.Set.exists child (Db_state.children_set db id)
+    || Ident.Set.exists child (Db_state.children_of x id)
   and child c =
     match View.state_of_id v c with
-    | Some (Item.Obj o) when not o.Item.deleted -> walk c o
-    | Some _ | None -> false
+    | Some (Item.Obj o) -> walk c o
+    | Some (Item.Rel _) | None -> false
   in
   match View.obj_state v it with Some o -> walk it.Item.id o | None -> false
 

@@ -58,9 +58,6 @@ let rel_state t item =
   | Some (Item.Rel r) -> Some r
   | Some (Item.Obj _) | None -> None
 
-let items_of_ids t ids =
-  List.filter_map (Db_state.find_item t.db_) ids
-
 let find_object t name =
   match Db_state.find_id_by_name (extents t) name with
   | None -> None
@@ -69,17 +66,16 @@ let find_object t name =
     | Some it when live t it -> Some it
     | Some _ | None -> None)
 
-(* the live items among [ids], in id order *)
-let live_items t ids =
+(* The items of an extent's id set, in id order. The set holds live
+   items only, so nothing is re-checked. *)
+let items_of_set t ids =
   Ident.Set.fold
     (fun id acc ->
-      match Db_state.find_item t.db_ id with
-      | Some it when live t it -> it :: acc
-      | Some _ | None -> acc)
+      match Db_state.find_item t.db_ id with Some it -> it :: acc | None -> acc)
     ids []
   |> List.rev
 
-let children t id = live_items t (Db_state.children_set t.db_ id)
+let children t id = items_of_set t (Db_state.children_of (extents t) id)
 
 (* The one component match: the child with this role and exactly this
    index, so a component without an index names only an unindexed
@@ -91,27 +87,12 @@ let is_child ~role ~index (it : Item.t) =
 
 let child t id ~role ?index () = List.find_opt (is_child ~role ~index) (children t id)
 
-let rels t id = live_items t (Db_state.rels_set t.db_ id)
+let rels t id = items_of_set t (Db_state.rels_of (extents t) id)
 
 let inherits_of t item =
   match obj_state t item with Some o -> o.inherits | None -> []
 
-let inheritors_of t id =
-  match t.mode with
-  | Current ->
-    Ident.Set.elements (Db_state.inheritor_set t.db_ id)
-    |> items_of_ids t
-    |> List.filter (fun it ->
-           live t it && List.exists (Ident.equal id) (inherits_of t it))
-  | At _ ->
-    Db_state.fold_items t.db_ ~init:[] ~f:(fun acc it ->
-        if
-          it.Item.body = Item.Independent
-          && live t it
-          && List.exists (Ident.equal id) (inherits_of t it)
-        then it :: acc
-        else acc)
-    |> List.sort (fun (a : Item.t) b -> Ident.compare a.id b.id)
+let inheritors_of t id = items_of_set t (Db_state.inheritors_of (extents t) id)
 
 let transitive_patterns t item =
   let seen = ref Ident.Set.empty in
@@ -279,7 +260,7 @@ let rels_v t (obj : Item.t) =
    over. *)
 
 let sorted_items_of_ids t ids =
-  List.sort Ident.compare ids |> items_of_ids t
+  List.sort Ident.compare ids |> List.filter_map (Db_state.find_item t.db_)
 
 let all_objects t =
   Db_state.fold_obj_extents (extents t) List.cons [] |> sorted_items_of_ids t

@@ -1,6 +1,6 @@
-(* Persistent ident-keyed id-set multimaps: the copy-on-write
-   replacement for the mutable [Ident.Set.t ref Ident.Tbl.t] identity
-   indexes (children, rels-of, inheritors). *)
+(* Persistent ident-keyed id-set multimaps: the adjacency extents
+   (children by parent, relationships by endpoint, inheritors by
+   pattern). *)
 
 type t = Ident.Set.t Ident.Map.t
 

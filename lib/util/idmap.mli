@@ -1,5 +1,6 @@
-(** Persistent ident-keyed id-set multimaps (children, rels-of,
-    inheritors indexes of the copy-on-write database root). *)
+(** Persistent ident-keyed id-set multimaps: the adjacency extents of
+    the copy-on-write database root (children by parent, relationships
+    by endpoint, inheritors by pattern). *)
 
 type t = Ident.Set.t Ident.Map.t
 

@@ -118,3 +118,41 @@ let explain_sound ~needles ~hits v p =
                 (fun n -> String.length n >= 3 && List.mem n needles)
                 tp.Q.tp_needles)
          texts
+
+(* Every item's [View.children], [View.rels] and [View.inheritors_of] in
+   [v] (in the view's order, so id order is checked too) against a scan
+   of the item table at the states [state_of] gives: live sub-objects by
+   the parent in their body, live relationships by their endpoints, live
+   independents by their [inherits]. *)
+let adjacency_agrees st v state_of =
+  let module Item = Seed_core.Item in
+  let module View = Seed_core.View in
+  let module Db_state = Seed_core.Db_state in
+  let ids_of items = List.map (fun (it : Item.t) -> it.Item.id) items in
+  let scan keep =
+    Db_state.fold_items st ~init:[] ~f:(fun acc it ->
+        match state_of it with
+        | Some s when keep it s -> it.Item.id :: acc
+        | Some _ | None -> acc)
+    |> List.sort Ident.compare
+  in
+  Db_state.fold_items st ~init:true ~f:(fun agree (p : Item.t) ->
+      let id = p.Item.id in
+      let mem l = List.exists (Ident.equal id) l in
+      agree
+      && ids_of (View.children v id)
+         = scan (fun it s ->
+               match (it.Item.body, s) with
+               | Item.Dependent { parent; _ }, Item.Obj o ->
+                 (not o.Item.deleted) && Ident.equal parent id
+               | _ -> false)
+      && ids_of (View.rels v id)
+         = scan (fun it s ->
+               match (it.Item.body, s) with
+               | Item.Relationship, Item.Rel rs -> (not rs.Item.rel_deleted) && mem rs.Item.endpoints
+               | _ -> false)
+      && ids_of (View.inheritors_of v id)
+         = scan (fun it s ->
+               match (it.Item.body, s) with
+               | Item.Independent, Item.Obj o -> (not o.Item.deleted) && mem o.Item.inherits
+               | _ -> false))

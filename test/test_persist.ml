@@ -623,9 +623,10 @@ let test_reopen_equals_memory ~compaction () =
           (List.map Ident.to_int (Ident.Set.elements (f st id)))
           (List.map Ident.to_int (Ident.Set.elements (f st2 id)))
       in
-      same "children" Db_state.children_set;
-      same "rels of" Db_state.rels_set;
-      same "inheritors" Db_state.inheritor_set)
+      let of_ext f st id = f (Db_state.extents st) id in
+      same "children" (of_ext Db_state.children_of);
+      same "rels of" (of_ext Db_state.rels_of);
+      same "inheritors" (of_ext Db_state.inheritors_of))
     (ids st @ [ Ident.of_int 9_999 ]);
   let delta st = List.map Ident.to_int (Ident.Set.elements (Db_state.dirty st)) in
   let reopened = delta st2 in

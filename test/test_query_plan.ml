@@ -209,8 +209,9 @@ let select_rels_agrees env =
     (views env)
 
 let extents_agree env =
-  (* View.all_objects / all_patterns / all_rels on the current view are
-     extent-backed; a raw table scan must see the same sets *)
+  (* View.all_objects / all_patterns / all_rels and each item's children,
+     relationships and inheritors on the current view are extent-backed;
+     a raw table scan must see the same sets, in id order *)
   let st = DB.raw env.db in
   let v = View.current st in
   let scan keep =
@@ -224,6 +225,7 @@ let extents_agree env =
      = scan (fun it -> it.Item.body = Item.Independent && View.live_pattern v it)
   && sorted_ids (View.all_rels v)
      = scan (fun it -> it.Item.body = Item.Relationship && View.live_normal v it)
+  && adjacency_agrees st v (fun it -> it.Item.current)
 
 let prop_select =
   qcheck_case ~count:100 "planned select/count = naive scan" ops_gen (fun ops ->

@@ -322,6 +322,7 @@ let version_agrees db vid =
   && sorted_ids (View.all_objects v) = ref_all_objects st vid
   && sorted_ids (View.all_patterns v) = ref_all_patterns st vid
   && sorted_ids (View.all_rels v) = ref_all_rels st vid
+  && adjacency_agrees st v (fun it -> ref_state st it vid)
 
 let history_agrees db versions =
   let st = DB.raw db in
@@ -344,8 +345,15 @@ let stats_agree db versions =
   let at vid = Result.is_ok (DB.select_version db vid) && agree () in
   List.for_all (fun vid -> at (Some vid)) versions && at None
 
+(* the current view's adjacency, kept by every update, against the
+   current states *)
+let current_agrees db =
+  let st = DB.raw db in
+  adjacency_agrees st (View.current st) (fun it -> it.Item.current)
+
 let all_agree db versions =
   List.for_all (version_agrees db) versions
+  && current_agrees db
   && history_agrees db versions
   && stats_agree db versions
 
@@ -491,6 +499,44 @@ let test_future_label () =
     && sorted_ids (Q.select late (Q.is_a "Thing")) = [ a ]);
   Alcotest.(check bool) "agrees with the reference walk" true (version_agrees db label)
 
+(* A version keeps the adjacency its states had: a relationship deleted
+   and a pattern un-inherited after it are still listed there, and gone
+   from the current view. Deleted relationships leave no trace in the
+   current state's sets, however many come and go. *)
+let test_adjacency_at_version () =
+  let db = fresh_db () in
+  let a = ok (DB.create_object db ~cls:"Action" ~name:"a" ()) in
+  let b = ok (DB.create_object db ~cls:"Action" ~name:"b" ()) in
+  let p = ok (DB.create_object db ~cls:"Data" ~name:"p" ~pattern:true ()) in
+  let d = ok (DB.create_object db ~cls:"Data" ~name:"d" ()) in
+  let r = ok (DB.create_relationship db ~assoc:"Contained" ~endpoints:[ a; b ] ()) in
+  check_ok "inherit" (DB.inherit_pattern db ~pattern:p ~inheritor:d);
+  let v1 = ok (DB.create_version db) in
+  check_ok "delete" (DB.delete db r);
+  check_ok "uninherit" (DB.uninherit_pattern db ~pattern:p ~inheritor:d);
+  let st = DB.raw db in
+  let at = View.at st v1 and now = View.current st in
+  let ids = Alcotest.(list int) in
+  let ints l = List.map (fun (it : Item.t) -> Ident.to_int it.Item.id) l in
+  Alcotest.(check ids) "v1 rels of a" [ Ident.to_int r ] (ints (View.rels at a));
+  Alcotest.(check ids) "v1 rels of b" [ Ident.to_int r ] (ints (View.rels at b));
+  Alcotest.(check ids) "v1 inheritors" [ Ident.to_int d ] (ints (View.inheritors_of at p));
+  Alcotest.(check ids) "current rels of a" [] (ints (View.rels now a));
+  Alcotest.(check ids) "current rels of b" [] (ints (View.rels now b));
+  Alcotest.(check ids) "current inheritors" [] (ints (View.inheritors_of now p));
+  let leaf = ok (DB.create_object db ~cls:"Action" ~name:"leaf" ()) in
+  for _ = 1 to 100 do
+    let e = ok (DB.create_relationship db ~assoc:"Contained" ~endpoints:[ leaf; b ] ()) in
+    check_ok "delete edge" (DB.delete db e)
+  done;
+  let live = ok (DB.create_relationship db ~assoc:"Contained" ~endpoints:[ leaf; b ] ()) in
+  let rels_of id = Db_state.rels_of (Db_state.extents (DB.raw db)) id in
+  Alcotest.(check ids) "only the live edge" [ Ident.to_int live ]
+    (List.map Ident.to_int (Ident.Set.elements (rels_of leaf)));
+  Alcotest.(check ids) "only the live edge at the other end" [ Ident.to_int live ]
+    (List.map Ident.to_int (Ident.Set.elements (rels_of b)));
+  Alcotest.(check bool) "agrees with the reference walk" true (version_agrees db v1)
+
 let () =
   Alcotest.run "version_view"
     [
@@ -507,4 +553,5 @@ let () =
           tc "stats count builds and hits" test_cache_stats;
           tc "future label reads empty" test_future_label;
         ] );
+      ("adjacency", [ tc "kept by versions, dropped by deletion" test_adjacency_at_version ]);
     ]
