@@ -1,13 +1,13 @@
 # Developer entry points. `make check` is the gate every change should
 # pass before review: build, full test suite (including the randomized
-# planner/scan equivalence properties and a fixed-seed smoke soak), and
-# formatting when the formatter is available.
+# planner/scan equivalence properties and a fixed-seed smoke soak), the
+# unused-exports check, and formatting when the formatter is available.
 
 .PHONY: check build test fmt soak soak-ci soak-net bench bench-query \
 	bench-text bench-version bench-txn bench-commit bench-mvcc bench-chaos \
 	bench-recovery bench-spades perfbench perfbench-run loc unused
 
-check: build test fmt
+check: build test unused fmt
 
 build:
 	dune build
@@ -20,8 +20,9 @@ loc:
 	@cat $$(git ls-files 'lib/*.ml' 'lib/*.mli') | wc -l
 
 # exports of lib/**/*.mli with no caller outside their own module
-# ("(test only)" when only test/ calls them). A report, not a gate:
-# matching is by word, so a name two modules share hides both.
+# ("(test only)" when only test/ calls them), except the deliberate ones
+# test/unused_exports.allow lists with their reasons: exits 1 on any
+# other. Matching is by word, so a name two modules share hides both.
 unused:
 	@bash test/unused_exports.sh
 

@@ -47,14 +47,6 @@ let sub_values t name ~role =
       (fun s -> if String.equal s.su_role role then s.su_value else None)
       o.ob_subs
 
-let rels_of t name =
-  List.filter_map
-    (fun r ->
-      if List.exists (String.equal name) r.re_endpoints then
-        Some (r.re_assoc, r.re_endpoints)
-      else None)
-    t.rels
-
 let object_count t = Hashtbl.length t.objects
 let rel_count t = List.length t.rels
 

@@ -58,7 +58,6 @@ val set_value :
 val mem : t -> string -> bool
 val class_of : t -> string -> string option
 val sub_values : t -> string -> role:string -> Value.t list
-val rels_of : t -> string -> (string * string list) list
 val object_count : t -> int
 val rel_count : t -> int
 

@@ -488,7 +488,6 @@ let delete_version db vid =
 let versions db = Versioning.all (Db_state.versions db)
 
 let set_text_index_enabled db on = Db_state.set_text_index_enabled db on
-let text_index_enabled db = Db_state.text_index_enabled db
 let version_cache_stats db = Db_state.version_cache_stats db
 
 let add_transition_rule db name rule =
@@ -505,10 +504,9 @@ let update_schema db new_schema =
   Db_state.atomically db @@ fun () ->
   let rev = Schema.revision (Db_state.schema db) + 1 in
   let stamped = Schema.with_revision new_schema rev in
-  Db_state.set_schema db stamped;
-  let* () = Consistency.check_database (View.current db) in
+  (* on a refusal the step's savepoint takes the revision back off *)
   Db_state.set_schemas db ((rev, stamped) :: Db_state.schemas db);
-  Ok ()
+  Consistency.check_database (View.current db)
 
 (* ------------------------------------------------------------------ *)
 (* Retrieval                                                            *)

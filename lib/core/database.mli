@@ -79,10 +79,11 @@ val with_transaction :
 (** {1 Schema evolution} *)
 
 val update_schema : t -> Schema.t -> (unit, Seed_error.t) result
-(** Replace the schema. The new schema is validated, the whole current
-    state is re-checked against it, and the revision is recorded so
-    versions created earlier keep their own schema version (paper:
-    "we must generate schema versions, too"). *)
+(** Replace the schema. The new schema is validated, its revision is
+    recorded at the head of {!Db_state.schemas} so versions created
+    earlier keep their own schema version (paper: "we must generate
+    schema versions, too"), and the whole current state is re-checked
+    against it; a refusal takes the revision back off. *)
 
 (** {1 Attached procedures} *)
 
@@ -218,7 +219,6 @@ val set_text_index_enabled : t -> bool -> unit
     scan; re-enabling rebuilds it in one sweep over the item table. See
     {!Db_state.text_index}. *)
 
-val text_index_enabled : t -> bool
 
 val add_transition_rule :
   t ->

@@ -31,13 +31,12 @@ type extents = {
   x_rel_pattern : Ident.Set.t Smap.t;
   x_dependent : Ident.Set.t;
   x_names : Ident.t Smap.t;
-  x_children : Idmap.t;
-  x_rels_of : Idmap.t;
-  x_inheritors : Idmap.t;
+  x_children : Ident.Set.t Ident.Map.t;
+  x_rels_of : Ident.Set.t Ident.Map.t;
+  x_inheritors : Ident.Set.t Ident.Map.t;
 }
 
 type root = {
-  r_schema : Schema.t;
   r_schemas : (int * Schema.t) list;
   r_items : Item.t Ident.Map.t;
   r_ext : extents;
@@ -118,14 +117,13 @@ let empty_extents =
     x_rel_pattern = Smap.empty;
     x_dependent = Ident.Set.empty;
     x_names = Smap.empty;
-    x_children = Idmap.empty;
-    x_rels_of = Idmap.empty;
-    x_inheritors = Idmap.empty;
+    x_children = Ident.Map.empty;
+    x_rels_of = Ident.Map.empty;
+    x_inheritors = Ident.Map.empty;
   }
 
 let empty_root schema =
   {
-    r_schema = schema;
     r_schemas = [ (Schema.revision schema, schema) ];
     r_items = Ident.Map.empty;
     r_ext = empty_extents;
@@ -162,7 +160,6 @@ let publish t =
   (* Schema closures are memoized behind [Lazy.t]; force them on the
      writer before the root escapes so no reader domain ever races on
      [Lazy.force]. *)
-  Schema.prepare t.working.r_schema;
   List.iter (fun (_, s) -> Schema.prepare s) t.working.r_schemas;
   Atomic.set t.published t.working;
   Atomic.incr t.commit_count
@@ -221,8 +218,8 @@ let write_stats t = Option.map (fun f -> f ()) t.write_stats_source
 (* Root-level field accessors                                           *)
 (* ------------------------------------------------------------------ *)
 
-let schema t = t.working.r_schema
-let set_schema t s = t.working <- { t.working with r_schema = s }
+let head_schema r = snd (List.hd r.r_schemas)
+let schema t = head_schema t.working
 let schemas t = t.working.r_schemas
 let set_schemas t l = t.working <- { t.working with r_schemas = l }
 let schema_at_revision t rev = List.assoc_opt rev t.working.r_schemas
@@ -309,8 +306,7 @@ let text_of r (item : Item.t) (state : Item.state option) =
     in
     if tx' == tx then r.r_text else Some tx'
 
-let add_or_remove_id ~add m k id =
-  if add then Smap.add_id m k id else Smap.remove_id m k id
+let add_or_remove_id ~add m k id = Smap.update k (Smap.member ~add id) m
 
 (* The one membership rule: the extent [state] puts [item] in, if any,
    with the keys its adjacency lists it under: a sub-object's parent, a
@@ -356,7 +352,7 @@ let same_slot (item : Item.t) a b =
 
 (* [m] with [id] entered ([~add:true]) or dropped under [k], or under
    each of [keys] *)
-let adjacency ~add m k id = if add then Idmap.add m k id else Idmap.remove m k id
+let adjacency ~add m k id = Ident.Map.update k (Smap.member ~add id) m
 
 let rec under ~add m id = function
   | [] -> m
@@ -411,8 +407,8 @@ let extents_of iter =
       Hashtbl.add group key b
   in
   let dependent = Ident.Set.builder () and names = ref Smap.empty in
-  let children = ref Idmap.empty and rels_of = ref Idmap.empty in
-  let inheritors = ref Idmap.empty in
+  let children = ref Ident.Map.empty and rels_of = ref Ident.Map.empty in
+  let inheritors = ref Ident.Map.empty in
   iter (fun (it : Item.t) state ->
       let id = it.Item.id in
       match slot it state with
@@ -423,7 +419,7 @@ let extents_of iter =
         extend (if pattern then patterns else objs) cls id
       | Sub_object parent ->
         Ident.Set.push dependent id;
-        children := Idmap.add !children parent id
+        children := adjacency ~add:true !children parent id
       | Relation { pattern; assoc; endpoints } ->
         rels_of := under ~add:true !rels_of id endpoints;
         extend (if pattern then rel_patterns else rels) assoc id);
@@ -441,8 +437,8 @@ let extents_of iter =
   }
 
 let extents t = t.working.r_ext
-let obj_extent x cls = Smap.set x.x_obj cls
-let rel_extent x assoc = Smap.set x.x_rel assoc
+let obj_extent x cls = Smap.ids (Smap.find_opt cls x.x_obj)
+let rel_extent x assoc = Smap.ids (Smap.find_opt assoc x.x_rel)
 let fold_obj_extents x f init =
   Smap.fold (fun _ s acc -> Ident.Set.fold f s acc) x.x_obj init
 let all_pattern_extent_ids x = Smap.all_ids x.x_pattern
@@ -453,9 +449,9 @@ let live_pattern_count x = cardinals x.x_pattern
 let live_rel_count x = cardinals x.x_rel
 let live_dependent_count x = Ident.Set.cardinal x.x_dependent
 let find_id_by_name x name = Smap.find_opt name x.x_names
-let children_of x id = Idmap.get x.x_children id
-let rels_of x id = Idmap.get x.x_rels_of id
-let inheritors_of x id = Idmap.get x.x_inheritors id
+let children_of x id = Smap.ids (Ident.Map.find_opt id x.x_children)
+let rels_of x id = Smap.ids (Ident.Map.find_opt id x.x_rels_of)
+let inheritors_of x id = Smap.ids (Ident.Map.find_opt id x.x_inheritors)
 
 let fold_live_ids x f init =
   let groups m acc = Smap.fold (fun _ s acc -> Ident.Set.fold f s acc) m acc in
@@ -654,7 +650,7 @@ let build_version_extent t (node : Versioning.node) =
     ve_ext = extents_of (fun add -> Ident.Map.iter (fun _ it -> add it (resolved it)) r.r_items);
     ve_states = states;
     ve_schema =
-      Option.value ~default:r.r_schema (schema_at_revision t node.Versioning.schema_rev);
+      Option.value ~default:(head_schema r) (schema_at_revision t node.Versioning.schema_rev);
     ve_text = None;
     ve_tick = 0;
   }
@@ -705,7 +701,7 @@ let version_extent t vid =
       {
         ve_ext = empty_extents;
         ve_states = Ident.Tbl.create 1;
-        ve_schema = t.working.r_schema;
+        ve_schema = schema t;
         ve_text = None;
         ve_tick = 0;
       }

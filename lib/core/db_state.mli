@@ -103,11 +103,11 @@ val write_stats : t -> Seed_storage.Commit_daemon.stats option
 (** {1 Root fields} *)
 
 val schema : t -> Schema.t
-val set_schema : t -> Schema.t -> unit
+(** The schema in force: the head of {!schemas}. *)
 
 val schemas : t -> (int * Schema.t) list
 (** Every schema revision ever in force, newest first — schema versions
-    in the sense of the paper. *)
+    in the sense of the paper. Never empty. *)
 
 val set_schemas : t -> (int * Schema.t) list -> unit
 val versions : t -> Versioning.t

@@ -49,12 +49,6 @@ let component t =
   | Dependent { role; index; _ } -> Path.component_to_string { Path.name = role; index }
   | Independent | Relationship -> "?"
 
-let obj_state t =
-  match t.current with Some (Obj o) -> Some o | Some (Rel _) | None -> None
-
-let rel_state t =
-  match t.current with Some (Rel r) -> Some r | Some (Obj _) | None -> None
-
 let stamp_at t vid = Version_id.Map.find_opt vid t.history
 
 let stamp t vid =

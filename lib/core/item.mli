@@ -72,11 +72,6 @@ val component : t -> string
 (** A dependent item's own name component, [role] or [role\[i\]] (see
     {!Seed_util.Path}); ["?"] for objects and relationships. *)
 
-val obj_state : t -> obj_state option
-(** Current state when the item is an object. *)
-
-val rel_state : t -> rel_state option
-
 val stamp_at : t -> Version_id.t -> state option
 (** The state stamped exactly at the given version, if any. *)
 

@@ -302,7 +302,7 @@ let r_schema r =
 let r_version_id r = get (Version_id.of_ints (R.list r R.varint))
 
 (* How a record reads a schema-element name: format 1 spells it out
-   ([R.name]), format 2 gives its number in a table ([numbered]). *)
+   ([R.string]), format 2 gives its number in a table ([numbered]). *)
 let numbered names r =
   let i = R.varint r in
   if i < 0 || i >= Array.length names then R.fail "unknown schema-element number";
@@ -393,7 +393,7 @@ let r_meta r =
 
 (* the items' names in the numbers of the meta written before them *)
 let encode_state numbers st =
-  let w = W.create ~initial_size:4096 () in
+  let w = W.create () in
   W.varint w format_version;
   w_meta w st;
   (* the item table folds in id order already *)
@@ -441,7 +441,7 @@ let read_records names records =
             let m = r_meta r in
             names := Some (lazy (numbered_names m.m_schemas));
             (Some m, items)
-          | 1 -> add (r_item R.name r)
+          | 1 -> add (r_item R.string r)
           | 2 -> (
             match !names with
             | Some names -> add (r_item (numbered (Lazy.force names)) r)
@@ -454,14 +454,17 @@ let read_records names records =
 (* Open: one fold from the snapshot into the root                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The version tree is restored only for the meta the root is made
+   from, not for each superseded meta of the journal. *)
 let state_of_meta meta =
+  let* versions = Versioning.restore ~trunk:meta.m_trunk ~nodes:meta.m_nodes in
   let schema = snd (List.hd meta.m_schemas) in
   let st = Db_state.create schema in
   Db_state.set_schemas st meta.m_schemas;
   Ident.Gen.mark_used (Db_state.gen st) (Ident.of_int meta.m_gen);
-  Db_state.set_versions st (Versioning.restore ~trunk:meta.m_trunk ~nodes:meta.m_nodes);
+  Db_state.set_versions st versions;
   Db_state.set_current_base st meta.m_base;
-  st
+  Ok st
 
 (* Fill [st] from the items [snapshot] streams in id order, with the
    journal's items merged in: a journal record replaces the snapshot's
@@ -492,8 +495,8 @@ let decode_snapshot payload records =
       let meta = r_meta r in
       let names = lazy (numbered_names meta.m_schemas) in
       let jmeta, jitems = get (read_records (Some names) records) in
-      let st = state_of_meta (Option.value jmeta ~default:meta) in
-      let elt = if v = 1 then R.name else numbered (Lazy.force names) in
+      let st = get (state_of_meta (Option.value jmeta ~default:meta)) in
+      let elt = if v = 1 then R.string else numbered (Lazy.force names) in
       let last = ref min_int in
       load_items st jitems (fun add ->
           R.iter r (fun r ->
@@ -512,7 +515,7 @@ let load_parts snapshot records =
     let* jmeta, jitems = read_records None records in
     match jmeta with
     | Some meta ->
-      let st = state_of_meta meta in
+      let* st = state_of_meta meta in
       load_items st jitems ignore;
       Ok (Some st)
     | None -> Ok None)
@@ -585,21 +588,19 @@ module Session = struct
   (* the database the directory holds, or a fresh one given [schema]; a
      fresh directory gets an initial meta record so load finds something
      even before the first flush *)
-  let database store ~dir ~schema ~verify snapshot records =
+  let database store ~dir ~schema snapshot records =
     let* st = load_parts snapshot records in
     match (st, schema) with
-    | Some st, _ -> finish st ~verify
+    | Some st, _ -> finish st ~verify:true
     | None, Some schema ->
       let database = Database.create schema in
       let* () = Store.append store [ record_meta (Database.raw database) ] in
       Ok database
     | None, None -> fail (Io_error ("no database in " ^ dir ^ " and no schema given"))
 
-  let open_ ~dir ?schema ?(verify = true) ?io ?sync ?retry ?sleep () =
-    let* store, snapshot, records, recovery =
-      Store.open_dir ?io ?sync ?retry ?sleep dir
-    in
-    match database store ~dir ~schema ~verify snapshot records with
+  let open_ ~dir ?schema ?io ?sync () =
+    let* store, snapshot, records, recovery = Store.open_dir ?io ?sync dir in
+    match database store ~dir ~schema snapshot records with
     | Error _ as e ->
       (* every refusal closes the journal [open_dir] opened *)
       Store.close store;

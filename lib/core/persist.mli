@@ -33,8 +33,8 @@
     pass ({!Db_state.load}) — the delta set from each item's stored
     dirty byte, the journal's record of an item overriding the
     snapshot's; last the root is verified
-    ({!Consistency.check_database}) unless [~verify:false]. A malformed
-    payload is [Error (Corrupt _)], never an exception. *)
+    ({!Consistency.check_database}). A malformed payload is
+    [Error (Corrupt _)], never an exception. *)
 
 open Seed_util
 open Seed_schema
@@ -71,21 +71,18 @@ module Session : sig
   type t
 
   val open_ :
-    dir:string -> ?schema:Schema.t -> ?verify:bool ->
+    dir:string -> ?schema:Schema.t ->
     ?io:Seed_storage.Io.t -> ?sync:Seed_storage.Store.sync_policy ->
-    ?retry:Retry.policy ->
-    ?sleep:(float -> unit) ->
     unit ->
     (t, Seed_error.t) result
-  (** Open (or create, given [schema]) the database at [dir]. Opening an
-      empty directory without a schema fails. A refused open — the
-      snapshot does not decode, verification fails, or a fresh
-      directory's first record cannot be written — closes the store it
-      opened. [sync] (default
-      [`Flush_only]) sets the durability of every journal append; [io]
-      substitutes the I/O environment (fault injection in tests);
-      [retry]/[sleep] the bounded-backoff policy absorbing transient I/O
-      faults (see {!Seed_storage.Store.open_dir}). *)
+  (** Open (or create, given [schema]) the database at [dir], verified
+      like {!load}. Opening an empty directory without a schema fails.
+      A refused open — the snapshot does not decode, verification
+      fails, or a fresh directory's first record cannot be written —
+      closes the store it opened. [sync] (default [`Flush_only]) sets
+      the durability of every journal append; [io] substitutes the I/O
+      environment (fault injection in tests). Transient I/O faults are
+      retried with bounded backoff ({!Seed_storage.Store.open_dir}). *)
 
   val db : t -> Database.t
 

@@ -4,7 +4,7 @@ open Seed_error
 type node = {
   vid : Version_id.t;
   parent : Version_id.t option;
-  children_rev : Version_id.t list;
+  derived : int;
   seq : int;
   schema_rev : int;
   next_branch : int;
@@ -18,9 +18,7 @@ type t = {
 }
 
 let empty = { nodes = Version_id.Map.empty; next_seq = 1; trunk = 0 }
-let create () = empty
 
-let is_empty t = Version_id.Map.is_empty t.nodes
 let mem t vid = Version_id.Map.mem vid t.nodes
 let find t vid = Version_id.Map.find_opt vid t.nodes
 
@@ -29,46 +27,33 @@ let find_res t vid =
   | Some n -> Ok n
   | None -> fail (Unknown_version (Version_id.to_string vid))
 
-let children n = List.rev n.children_rev
-let has_children n = n.children_rev <> []
+let count_derived delta p nodes =
+  Version_id.Map.update p
+    (Option.map (fun pn -> { pn with derived = pn.derived + delta }))
+    nodes
 
-(* The ancestor chain is computed once at creation and stored in the
+(* Adds a leaf under [parent], which must be in [t] ([None] when it is
+   not). The ancestor chain is computed once here and stored in the
    node: parents are immutable and only leaves can be deleted (nobody's
-   ancestor), so the chain stays valid for the node's whole lifetime —
-   the purely functional replacement for the old per-version memo
-   table. *)
-let add_node t ~vid ~parent ~schema_rev =
+   ancestor), so the chain stays valid for the node's whole lifetime. *)
+let attach t ~vid ~parent ~seq ~schema_rev ~next_branch =
   let ancestors =
     match parent with
-    | None -> [ vid ]
-    | Some p -> (
-      match Version_id.Map.find_opt p t.nodes with
-      | Some pn -> vid :: pn.ancestors
-      | None -> assert false)
+    | None -> Some [ vid ]
+    | Some p -> Option.map (fun pn -> vid :: pn.ancestors) (find t p)
   in
-  let node =
-    {
-      vid;
-      parent;
-      children_rev = [];
-      seq = t.next_seq;
-      schema_rev;
-      next_branch = 1;
-      ancestors;
-    }
-  in
-  let nodes = Version_id.Map.add vid node t.nodes in
-  let nodes =
-    match parent with
-    | None -> nodes
-    | Some p ->
-      Version_id.Map.update p
-        (function
-          | Some pn -> Some { pn with children_rev = vid :: pn.children_rev }
-          | None -> assert false)
-        nodes
-  in
-  (vid, { t with nodes; next_seq = t.next_seq + 1 })
+  Option.map
+    (fun ancestors ->
+      let node = { vid; parent; derived = 0; seq; schema_rev; next_branch; ancestors } in
+      let nodes = Version_id.Map.add vid node t.nodes in
+      let nodes = Option.fold ~none:nodes ~some:(fun p -> count_derived 1 p nodes) parent in
+      { t with nodes; next_seq = max t.next_seq (seq + 1) })
+    ancestors
+
+let add_node t ~vid ~parent ~schema_rev =
+  match attach t ~vid ~parent ~seq:t.next_seq ~schema_rev ~next_branch:1 with
+  | Some t -> (vid, t)
+  | None -> assert false
 
 let derive t ~base ~schema_rev =
   match base with
@@ -114,45 +99,22 @@ let state_at t vid =
 
 let delete t vid =
   let* n = find_res t vid in
-  if has_children n then
+  if n.derived > 0 then
     fail
       (Invalid_operation
          (Printf.sprintf "version %s has derived versions and cannot be deleted"
             (Version_id.to_string vid)))
-  else begin
+  else
     let nodes = Version_id.Map.remove vid t.nodes in
-    let nodes =
-      match n.parent with
-      | None -> nodes
-      | Some p ->
-        Version_id.Map.update p
-          (function
-            | Some pn ->
-              Some
-                {
-                  pn with
-                  children_rev =
-                    List.filter
-                      (fun c -> not (Version_id.equal c vid))
-                      pn.children_rev;
-                }
-            | None -> None)
-          nodes
-    in
+    let nodes = Option.fold ~none:nodes ~some:(fun p -> count_derived (-1) p nodes) n.parent in
     (* the latest trunk version may be deleted; the trunk counter keeps
        counting upward so labels are never reused *)
     Ok { t with nodes }
-  end
 
 let all t =
   Version_id.Map.bindings t.nodes
   |> List.map snd
   |> List.sort (fun a b -> Int.compare a.seq b.seq)
-
-let since t vid =
-  match find t vid with
-  | None -> []
-  | Some n -> List.filter (fun m -> m.seq >= n.seq) (all t)
 
 type raw = {
   r_vid : Version_id.t;
@@ -175,57 +137,23 @@ let dump t =
         })
       (all t) )
 
+(* Every writer dumps in creation order, so a parent is always an
+   earlier node: anything else — a self-parented node, a cycle — is a
+   damaged tree, refused rather than followed. *)
 let restore ~trunk ~nodes =
-  (* first pass: nodes without links; children and ancestor chains need
-     every node present *)
-  let next_seq, bare =
-    List.fold_left
-      (fun (next_seq, m) r ->
-        let node =
-          {
-            vid = r.r_vid;
-            parent = r.r_parent;
-            children_rev = [];
-            seq = r.r_seq;
-            schema_rev = r.r_schema_rev;
-            next_branch = r.r_next_branch;
-            ancestors = [];
-          }
-        in
-        (max next_seq (r.r_seq + 1), Version_id.Map.add r.r_vid node m))
-      (1, Version_id.Map.empty)
-      nodes
-  in
-  let children =
-    Version_id.Map.fold
-      (fun vid n acc ->
-        match n.parent with
-        | None -> acc
-        | Some p ->
-          Version_id.Map.update p
-            (function None -> Some [ vid ] | Some l -> Some (vid :: l))
-            acc)
-      bare Version_id.Map.empty
-  in
-  (* ancestor chains: walk parents through [bare] (acyclic by
-     construction of the dump) *)
-  let rec chain vid =
-    match Version_id.Map.find_opt vid bare with
-    | None -> []
-    | Some n -> (
-      match n.parent with None -> [ vid ] | Some p -> vid :: chain p)
-  in
-  let nodes =
-    Version_id.Map.mapi
-      (fun vid n ->
-        {
-          n with
-          ancestors = chain vid;
-          children_rev =
-            (match Version_id.Map.find_opt vid children with
-            | Some l -> l
-            | None -> []);
-        })
-      bare
-  in
-  { nodes; next_seq; trunk }
+  List.fold_left
+    (fun acc r ->
+      let* t = acc in
+      let corrupt why =
+        fail (Corrupt (Printf.sprintf "version %s: %s" (Version_id.to_string r.r_vid) why))
+      in
+      if mem t r.r_vid then corrupt "listed twice"
+      else
+        match
+          attach t ~vid:r.r_vid ~parent:r.r_parent ~seq:r.r_seq
+            ~schema_rev:r.r_schema_rev ~next_branch:r.r_next_branch
+        with
+        | Some t -> Ok t
+        | None -> corrupt "parent is not an earlier version")
+    (Ok { empty with trunk })
+    nodes

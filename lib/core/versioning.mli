@@ -17,9 +17,7 @@ open Seed_util
 type node = {
   vid : Version_id.t;
   parent : Version_id.t option;  (** [None] for first-trunk versions *)
-  children_rev : Version_id.t list;
-      (** derived versions, newest first (prepend keeps creation O(1));
-          read through {!children} for creation order *)
+  derived : int;  (** versions whose parent this is; only a leaf (0) can be deleted *)
   seq : int;  (** global creation order *)
   schema_rev : int;  (** schema revision in force when the snapshot was taken *)
   next_branch : int;  (** next branch index to hand out *)
@@ -33,19 +31,11 @@ type t
 
 val empty : t
 
-val create : unit -> t
-(** Alias of {!empty} for call sites that read better imperatively. *)
-
-val is_empty : t -> bool
-
 val mem : t -> Version_id.t -> bool
 
 val find : t -> Version_id.t -> node option
 
 val find_res : t -> Version_id.t -> (node, Seed_error.t) result
-
-val children : node -> Version_id.t list
-(** Directly derived versions, in creation order. *)
 
 val derive :
   t ->
@@ -77,10 +67,6 @@ val delete : t -> Version_id.t -> (t, Seed_error.t) result
 val all : t -> node list
 (** All versions in creation order. *)
 
-val since : t -> Version_id.t -> node list
-(** Versions created at or after the given one, in creation order —
-    the basis of "find all versions ... beginning with version 2.0". *)
-
 (** {1 Persistence support} *)
 
 type raw = {
@@ -94,6 +80,9 @@ type raw = {
 val dump : t -> int * raw list
 (** [(trunk_count, nodes)] in creation order. *)
 
-val restore : trunk:int -> nodes:raw list -> t
-(** Rebuild a tree from a {!dump}; children lists, ancestor chains and
-    the sequence counter are recomputed. *)
+val restore : trunk:int -> nodes:raw list -> (t, Seed_error.t) result
+(** Rebuild a tree from a {!dump}; child counts, ancestor chains and
+    the sequence counter are recomputed. A dump lists parents before
+    their children, so a node whose parent is not an earlier node — the
+    node itself, one of its descendants, a missing label — or a label
+    listed twice is [Error (Corrupt _)]. *)

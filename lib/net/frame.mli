@@ -18,9 +18,6 @@
     trusted again, so the peer drops the connection and the client
     reconnects and resumes its session. *)
 
-val magic : string
-(** ["SENF"]. *)
-
 val version : int
 (** Current frame/protocol version (3). A server refuses a hello whose
     version it does not speak, so old clients fail loudly and early. *)

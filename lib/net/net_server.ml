@@ -65,8 +65,6 @@ let create ?(config = default_config) ?(now = Unix.gettimeofday)
     reaped = 0;
   }
 
-let engine t = t.eng
-
 (* [out]: the connection's response buffer, reused for every frame *)
 module Conn = struct
   type t = { mutable session : int64 option; out : Buffer.t }
@@ -474,7 +472,7 @@ let handle_conn l fd =
   tr.Transport.close ();
   unregister_conn l fd
 
-let serve ?(host = "127.0.0.1") ?(backlog = 64) ~port core =
+let serve ?(host = "127.0.0.1") ~port core =
   match
     Seed_error.wrap_io (fun () ->
         let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -482,7 +480,7 @@ let serve ?(host = "127.0.0.1") ?(backlog = 64) ~port core =
            Unix.setsockopt sock Unix.SO_REUSEADDR true;
            Unix.bind sock
              (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-           Unix.listen sock backlog
+           Unix.listen sock 64
          with e ->
            (try Unix.close sock with Unix.Unix_error _ -> ());
            raise e);

@@ -59,8 +59,6 @@ val create :
     attempts (the engine mutex is released around it); both default to
     the wall clock and are injectable for tests. *)
 
-val engine : t -> Seed_server.Server.t
-
 (** Per-connection state: which session, if any, the connection has
     authenticated as. *)
 module Conn : sig
@@ -111,14 +109,13 @@ type listener
 
 val serve :
   ?host:string ->
-  ?backlog:int ->
   port:int ->
   t ->
   (listener, Seed_util.Seed_error.t) result
 (** Bind and listen on [host:port] (default host 127.0.0.1; port 0
-    picks an ephemeral port — see {!port}), accept in a background
-    thread, one handler thread per connection. A reaper thread expires
-    sessions even when the server is idle. *)
+    picks an ephemeral port — see {!port}) with a backlog of 64, accept
+    in a background thread, one handler thread per connection. A reaper
+    thread expires sessions even when the server is idle. *)
 
 val port : listener -> int
 

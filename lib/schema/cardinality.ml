@@ -9,7 +9,6 @@ let make min max =
   | _ -> ());
   { min; max }
 
-let exactly n = make n (Some n)
 let opt = make 0 (Some 1)
 let one = make 1 (Some 1)
 let any = make 0 None

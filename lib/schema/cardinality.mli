@@ -17,9 +17,6 @@ type t = private { min : int; max : int option }
 val make : int -> int option -> t
 (** [make min max]; raises [Invalid_argument] on violated invariants. *)
 
-val exactly : int -> t
-(** [exactly n] is [n..n]. *)
-
 val opt : t
 (** [0..1]. *)
 

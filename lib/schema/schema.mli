@@ -29,8 +29,6 @@ val prepare : t -> unit
     the schema is published to other domains, so concurrent readers
     never race on the underlying [Lazy.force]. *)
 
-val empty : t
-
 val validate : t -> (unit, Seed_util.Seed_error.t) result
 (** Whole-schema validation: existence and top-levelness of
     generalization targets, acyclic generalization hierarchies, no

@@ -46,7 +46,6 @@ let to_string = function
   | Date d -> Printf.sprintf "%04d-%02d-%02d" d.year d.month d.day
   | Enum c -> c
 
-let pp ppf v = Fmt.string ppf (to_string v)
 
 let type_name = function
   | String _ -> "STRING"

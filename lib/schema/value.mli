@@ -12,7 +12,6 @@ type t =
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val date : int -> int -> int -> t

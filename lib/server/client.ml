@@ -6,7 +6,6 @@ type t = {
 
 let connect server ~name = { server; client_name = name; queue = [] }
 
-let name t = t.client_name
 
 let checkout t names = Server.checkout t.server ~client:t.client_name ~names
 

@@ -11,8 +11,6 @@ type t
 
 val connect : Server.t -> name:string -> t
 
-val name : t -> string
-
 val checkout : t -> string list -> (unit, Seed_error.t) result
 (** Write-lock objects on the server for this client. *)
 

@@ -3,7 +3,7 @@ open Seed_util
 module Writer = struct
   type t = Buffer.t
 
-  let create ?(initial_size = 256) () = Buffer.create initial_size
+  let create () = Buffer.create 256
   let contents = Buffer.contents
   let length = Buffer.length
 
@@ -50,13 +50,10 @@ module Writer = struct
 end
 
 module Reader = struct
-  (* [names]: the distinct [name]s read so far in this run, made on the
-     first one *)
   type t = {
     src : string;
     mutable pos : int;
     stop : int;  (* the end of the input within [src] *)
-    mutable names : (string, string) Hashtbl.t option;
   }
 
   (* raised by the primitives, caught only by [run] *)
@@ -68,7 +65,7 @@ module Reader = struct
   let run_sub src ~pos ~len f =
     if pos < 0 || len < 0 || pos + len > String.length src then
       invalid_arg "Codec.Reader.run_sub";
-    let r = { src; pos; stop = pos + len; names = None } in
+    let r = { src; pos; stop = pos + len } in
     match f r with
     | v when remaining r = 0 -> Ok v
     | _ ->
@@ -115,22 +112,6 @@ module Reader = struct
     let s = String.sub r.src r.pos len in
     r.pos <- r.pos + len;
     s
-
-  let name r =
-    let s = string r in
-    let names =
-      match r.names with
-      | Some names -> names
-      | None ->
-        let names = Hashtbl.create 64 in
-        r.names <- Some names;
-        names
-    in
-    match Hashtbl.find_opt names s with
-    | Some shared -> shared
-    | None ->
-      Hashtbl.add names s s;
-      s
 
   let option r f =
     match u8 r with 0 -> None | 1 -> Some (f r) | _ -> fail "codec: bad option tag"

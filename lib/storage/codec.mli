@@ -11,7 +11,7 @@ module Writer : sig
   (** A buffer: a framing layer may reserve a header before the encoded
       bytes and copy the whole out once. *)
 
-  val create : ?initial_size:int -> unit -> t
+  val create : unit -> t
   val contents : t -> string
   val length : t -> int
 
@@ -66,10 +66,6 @@ module Reader : sig
   val float : t -> float
   val bool : t -> bool
   val string : t -> string
-
-  val name : t -> string
-  (** A {!string} expected to repeat — a class, role or association
-      name: equal names read in one {!run} share one copy. *)
 
   val option : t -> (t -> 'a) -> 'a option
   val list : t -> (t -> 'a) -> 'a list

@@ -14,10 +14,10 @@
    being fsynced cannot re-enqueue until it completes, so rounds tend to
    alternate between large and singleton batches and the fsync
    amortization stalls near 2x. The leader therefore holds the drain in
-   short naps of [coalesce] seconds while the round is still smaller
+   short naps ([nap]) while the round is still smaller
    than what contention suggests it could reach — the larger of the
-   previous round's size and the store's count of writers currently in
-   flight ([siblings], the commit_siblings idea) — stopping as soon as
+   previous round's size and the count of writers currently inside
+   {!submit} ([active], the commit_siblings idea) — stopping as soon as
    a nap brings no new arrival. Single-threaded neither signal ever
    exceeds the leader's own queued entry, so the window never fires and
    the uncontended latency is untouched. *)
@@ -36,9 +36,8 @@ type ticket = { mutable outcome : (unit, E.t) result option }
 
 type t = {
   write : string list list -> (unit, E.t) result;
-  counts_fsync : bool;
-  coalesce : float;  (* commit-window nap length in seconds; 0 disables *)
-  siblings : unit -> int;  (* writers currently in the store's write path *)
+  always_fsync : bool;  (* count fsyncs and hold the commit window *)
+  active : int Atomic.t;  (* writers currently inside [submit] *)
   m : Mutex.t;
   c : Condition.t;
   mutable queue : (string list * ticket) list;  (* newest first *)
@@ -53,12 +52,18 @@ type t = {
   mutable queue_hwm : int;
 }
 
-let create ~coalesce ~siblings ~counts_fsync write =
+(* The commit window only pays off when the physical write is
+   dominated by an fsync worth amortizing; it is off under
+   [`Flush_only], where writes are near-free. The nap request is tiny
+   because the OS floor rounds it up to tens of microseconds — about
+   half an fsync — which is the hold we actually want. *)
+let nap = 1e-5
+
+let create sync write =
   {
     write;
-    counts_fsync;
-    coalesce;
-    siblings;
+    always_fsync = sync = `Always_fsync;
+    active = Atomic.make 0;
     m = Mutex.create ();
     c = Condition.create ();
     queue = [];
@@ -84,15 +89,15 @@ let lead t =
        here, or the previous round coalesced more — hold the drain so
        they land in this batch instead of forcing one fsync each.
        Stop as soon as a nap brings nobody new. *)
-    (if t.coalesce > 0. then
-       let target = max t.last_round (t.siblings ()) in
+    (if t.always_fsync then
+       let target = max t.last_round (Atomic.get t.active) in
        let arrived = ref true in
        let naps = ref 0 in
        while !arrived && t.queued < target && !naps < 4 do
          let before = t.queued in
          incr naps;
          Mutex.unlock t.m;
-         (try Unix.sleepf t.coalesce with _ -> ());
+         (try Unix.sleepf nap with _ -> ());
          Mutex.lock t.m;
          arrived := t.queued > before
        done);
@@ -119,7 +124,7 @@ let lead t =
     in
     Mutex.lock t.m;
     t.batches <- t.batches + 1;
-    if t.counts_fsync && Result.is_ok res then t.fsyncs <- t.fsyncs + 1;
+    if t.always_fsync && Result.is_ok res then t.fsyncs <- t.fsyncs + 1;
     List.iter (fun (_, tk) -> tk.outcome <- Some res) batch;
     Condition.broadcast t.c
   done
@@ -143,7 +148,11 @@ let rec drive t tk =
           (fun () -> lead t);
         drive t tk)
 
+(* A writer counts in [active] from before it takes [t.m] until it
+   returns or raises: a leader holds its drain while other writers are
+   still on their way to the queue. *)
 let submit t txn =
+  Atomic.incr t.active;
   Mutex.lock t.m;
   let tk = { outcome = None } in
   t.queue <- (txn, tk) :: t.queue;
@@ -151,7 +160,9 @@ let submit t txn =
   t.submitted <- t.submitted + 1;
   if t.queued > t.queue_hwm then t.queue_hwm <- t.queued;
   Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.m)
+    ~finally:(fun () ->
+      Mutex.unlock t.m;
+      Atomic.decr t.active)
     (fun () -> drive t tk)
 
 let pause t =

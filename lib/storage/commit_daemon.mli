@@ -12,37 +12,34 @@
     durable.
 
     There is no background thread to manage: the daemon is a queue plus
-    a leader election, driven entirely by the committers themselves. *)
+    a leader election, driven entirely by the committers themselves. It
+    is made for one journal's sync policy, and counts the writers inside
+    {!submit} itself: that count sizes its commit window. *)
 
 type t
 
 val create :
-  coalesce:float ->
-  siblings:(unit -> int) ->
-  counts_fsync:bool ->
+  Journal.sync_policy ->
   (string list list -> (unit, Seed_util.Seed_error.t) result) ->
   t
-(** [create ~coalesce ~siblings ~counts_fsync write] makes a daemon
-    whose leader lands each drained batch with one call to [write]
-    (typically a retry-wrapped {!Journal.append} on the store's
-    journal). When [counts_fsync], each successful batch also bumps the
-    {!stats} fsync counter — set it iff the journal's policy is
-    [`Always_fsync].
+(** [create sync write] makes a daemon whose leader lands each drained
+    batch with one call to [write] (typically a retry-wrapped
+    {!Journal.append} on the store's journal, opened with the same
+    [sync]).
 
-    A positive [coalesce] enables the adaptive commit window (0
-    disables it): before draining, the leader naps in increments of
-    [coalesce] seconds while the round is still smaller than contention
-    suggests it could reach — the larger of the previous round's size
-    and [siblings ()] (the store passes its count of writers currently
-    inside the write path, the classic [commit_siblings] signal) —
-    stopping as soon as a nap brings no
-    new arrival. Without it, rounds under steady contention alternate
-    between large and singleton batches (the writers of the batch being
-    fsynced cannot re-enqueue until it lands) and the fsync
-    amortization stalls near 2x. Values around 1e-5 s work well — the
-    OS nap floor is tens of microseconds regardless. The window never
-    fires single-threaded, so uncontended commit latency is
-    untouched. *)
+    Under [`Always_fsync] each successful batch bumps the {!stats}
+    fsync counter, and the adaptive commit window is on: before
+    draining, the leader naps in 10 µs increments while the round is
+    still smaller than contention suggests it could reach — the larger
+    of the previous round's size and the number of writers currently
+    inside {!submit} (the classic [commit_siblings] signal) — stopping
+    as soon as a nap brings no new arrival. Without it, rounds under
+    steady contention alternate between large and singleton batches
+    (the writers of the batch being fsynced cannot re-enqueue until it
+    lands) and the fsync amortization stalls near 2x. The OS nap floor
+    is tens of microseconds, about half an fsync. The window never
+    fires single-threaded, so uncontended commit latency is untouched.
+    Under [`Flush_only], where writes are near-free, it is off. *)
 
 val submit : t -> string list -> (unit, Seed_util.Seed_error.t) result
 (** Enqueues the transaction's records and blocks until it is durable per the journal's
@@ -66,7 +63,7 @@ val resume : t -> unit
 type stats = {
   submitted : int;  (** transactions submitted *)
   batches : int;  (** physical writes performed *)
-  fsyncs : int;  (** fsyncs performed (0 unless [counts_fsync]) *)
+  fsyncs : int;  (** fsyncs performed (0 unless [`Always_fsync]) *)
   max_batch : int;  (** most transactions coalesced into one write *)
   queue_hwm : int;  (** queue depth high-water mark *)
 }

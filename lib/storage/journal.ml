@@ -198,24 +198,6 @@ let quarantined s =
   | None -> s.scan_damage
   | Some t -> List.filter (fun d -> d.d_offset <> t.d_offset) s.scan_damage
 
-let records frames = List.concat_map (fun f -> f.f_records) frames
-
-let read_all path =
-  (* Damage only loses the transactions it touches; recovery keeps every
-     intact frame, mirroring WAL semantics. *)
-  let* s = scan path in
-  Ok (records s.frames)
-
-let read_all_strict path =
-  let* s = scan path in
-  match s.scan_damage with
-  | [] -> Ok (records s.frames)
-  | d :: _ ->
-    fail
-      (Corrupt
-         (Printf.sprintf "journal %s: %s at offset %d" path d.d_reason
-            d.d_offset))
-
 let truncate ?(io = Io.real) ?(len = 0) path =
   wrap_io (fun () ->
       if io.Io.exists path then io.Io.truncate path len

@@ -105,14 +105,6 @@ val decode_records : string -> string list option
 (** A frame payload's records; [None] when the payload does not decode
     (never an exception). *)
 
-val read_all : string -> (string list, Seed_util.Seed_error.t) result
-(** The records of {!scan}'s intact frames, in order, epoch-agnostic.
-    Records of damaged transactions are not returned. *)
-
-val read_all_strict : string -> (string list, Seed_util.Seed_error.t) result
-(** Like {!read_all} but any malformed byte — including a torn tail —
-    is an error. Used by tests. *)
-
 val truncate :
   ?io:Io.t -> ?len:int -> string -> (unit, Seed_util.Seed_error.t) result
 (** Cuts the journal at [path] to [len] bytes (default 0, creating the

@@ -12,13 +12,10 @@ type t = {
   dir : string;
   io : Io.t;
   sync_policy : sync_policy;
-  retry : Retry.policy;
   sleep : (float -> unit) option;
   mutable epoch : int;
   log : log;
   daemon : Commit_daemon.t;  (* owns every physical append to [log] *)
-  retried : int Atomic.t;
-  active : int Atomic.t;  (* writers currently inside append *)
 }
 
 let snapshot_path dir = Filename.concat dir "snapshot.bin"
@@ -137,12 +134,12 @@ let pp_recovery ppf r =
            (if r.io_retries = 1 then "y" else "ies")
        else "")
 
-(* Reads one snapshot file. Transient read errors are retried per
-   [retry]; a Corrupt result is re-read once (the corruption may live in
-   the transport, not the medium) before it is believed. *)
-let read_snapshot ~io ~retry ~sleep ~count_retry path =
+(* Reads one snapshot file. Transient read errors are retried with the
+   default policy; a Corrupt result is re-read once (the corruption may
+   live in the transport, not the medium) before it is believed. *)
+let read_snapshot ~io ~sleep ~count_retry path =
   let corrupt_retried = ref false in
-  Retry.with_retry ~policy:retry ?sleep
+  Retry.with_retry ?sleep
     ~should_retry:(function
       | Io_transient _ -> true
       | Corrupt _ when not !corrupt_retried ->
@@ -320,39 +317,28 @@ let settle_journal ~io ~excise ~epoch path j =
    retried there. Re-appending a batch whose first attempt half-landed
    is safe: the scanner quarantines the torn bytes and resynchronizes on
    the retried frames' headers. *)
-let make_daemon ~sync ~retry ~sleep ~retried ~active ~path log =
+let make_daemon ~sync ~sleep ~path log =
   let write txns =
     match log.journal with
     | None -> fail (Io_error ("store closed: " ^ path))
     | Some j ->
       let* () =
-        Retry.with_retry ~policy:retry ?sleep
-          ~on_retry:(fun ~attempt:_ _ -> Atomic.incr retried)
-          (fun () -> Journal.append j txns)
+        Retry.with_retry ?sleep (fun () -> Journal.append j txns)
       in
       log.records <-
         List.fold_left (fun n txn -> n + List.length txn) log.records txns;
       Ok ()
   in
-  (* The commit window only pays off when the physical write is
-     dominated by an fsync worth amortizing; leave it off under
-     [`Flush_only], where writes are near-free. The nap request is tiny
-     because the OS floor rounds it up to tens of microseconds — about
-     half an fsync — which is the hold we actually want. *)
-  let coalesce = if sync = `Always_fsync then 1e-5 else 0. in
-  Commit_daemon.create ~coalesce
-    ~siblings:(fun () -> Atomic.get active)
-    ~counts_fsync:(sync = `Always_fsync) write
+  Commit_daemon.create sync write
 
-let open_dir ?(io = Io.real) ?(sync = `Flush_only)
-    ?(retry = Retry.default_policy) ?sleep dir =
-  let retried = Atomic.make 0 in
-  let count_retry () = Atomic.incr retried in
+let open_dir ?(io = Io.real) ?(sync = `Flush_only) ?sleep dir =
+  let retried = ref 0 in
+  let count_retry () = incr retried in
   let* () = ensure_dir dir in
   let* () = refuse_legacy_files dir in
   let r =
     resolve (fun gen ->
-        read_snapshot ~io ~retry ~sleep ~count_retry (slot_path dir gen))
+        read_snapshot ~io ~sleep ~count_retry (slot_path dir gen))
   in
   let* () =
     (* open refuses a store with nothing intact to stand on rather than
@@ -366,7 +352,7 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
   let snap_epoch = resolved_epoch r in
   let jpath = journal_path dir in
   let scan_with_retry () =
-    Retry.with_retry ~policy:retry ?sleep
+    Retry.with_retry ?sleep
       ~on_retry:(fun ~attempt:_ _ -> count_retry ())
       (fun () -> Journal.scan ~io jpath)
   in
@@ -402,19 +388,15 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
   let* journal = Journal.open_ ~io ~sync ~epoch:snap_epoch jpath in
   let records_replayed = record_count j.live in
   let log = { journal = Some journal; records = records_replayed } in
-  let active = Atomic.make 0 in
   Ok
     ( {
         dir;
         io;
         sync_policy = sync;
-        retry;
         sleep;
         epoch = snap_epoch;
         log;
-        daemon = make_daemon ~sync ~retry ~sleep ~retried ~active ~path:jpath log;
-        retried;
-        active;
+        daemon = make_daemon ~sync ~sleep ~path:jpath log;
       },
       Option.map (fun (_, (_, payload)) -> payload) r.found,
       List.concat_map (fun f -> f.Journal.f_records) j.live,
@@ -426,7 +408,7 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
         ahead_dropped = record_count j.ahead;
         stale_journal = j.stale <> [];
         snapshot_generation = resolved_generation r;
-        io_retries = Atomic.get retried;
+        io_retries = !retried;
         epoch = snap_epoch;
       } )
 
@@ -434,37 +416,20 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
 (* Writes                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The in-flight writer count feeds the daemon's commit window: a
-   leader holds its drain while other writers are still between here
-   and their own enqueue. *)
 let append t records =
   match records with
   | [] -> Ok ()
-  | _ ->
-    Atomic.incr t.active;
-    Fun.protect
-      ~finally:(fun () -> Atomic.decr t.active)
-      (fun () -> Commit_daemon.submit t.daemon records)
+  | _ -> Commit_daemon.submit t.daemon records
 
-let with_retry t f =
-  Retry.with_retry ~policy:t.retry ?sleep:t.sleep
-    ~on_retry:(fun ~attempt:_ _ -> Atomic.incr t.retried)
-    f
+let with_retry t f = Retry.with_retry ?sleep:t.sleep f
 
-(* The daemon is paused around direct journal access (sync,
-   compaction): [Commit_daemon.pause] waits out the in-flight batch, so
-   the journal is quiescent while we hold it. *)
+(* The daemon is paused around compaction's journal swap:
+   [Commit_daemon.pause] waits out the in-flight batch, so the journal
+   is quiescent while we hold it. *)
 let quiesced t f =
   Commit_daemon.pause t.daemon;
   Fun.protect ~finally:(fun () -> Commit_daemon.resume t.daemon) f
 
-let sync t =
-  quiesced t (fun () ->
-      match t.log.journal with
-      | None -> fail (Io_error ("store closed: " ^ t.dir))
-      | Some j -> with_retry t (fun () -> Journal.sync j))
-
-let retries t = Atomic.get t.retried
 let write_stats t = Commit_daemon.stats t.daemon
 
 (* ------------------------------------------------------------------ *)
@@ -600,8 +565,7 @@ let analyze ~io dir =
     map_result
       (fun gen ->
         match
-          read_snapshot ~io ~retry:Retry.default_policy ~sleep:None
-            ~count_retry:ignore (slot_path dir gen)
+          read_snapshot ~io ~sleep:None ~count_retry:ignore (slot_path dir gen)
         with
         | (Ok _ | Error (Corrupt _)) as read -> Ok (gen, read)
         | Error e -> Error e)

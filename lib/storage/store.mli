@@ -90,7 +90,6 @@ val pp_recovery : Format.formatter -> recovery -> unit
 val open_dir :
   ?io:Io.t ->
   ?sync:sync_policy ->
-  ?retry:Seed_util.Retry.policy ->
   ?sleep:(float -> unit) ->
   string ->
   (t * string option * string list * recovery, Seed_util.Seed_error.t)
@@ -99,7 +98,8 @@ val open_dir :
     [(store, snapshot_payload, journal_records, recovery)] — everything
     needed to rebuild the client state, plus what recovery had to do to
     get there. [sync] (default [`Flush_only]) governs {!append};
-    [retry]/[sleep] the transient-fault retry policy and its clock.
+    transient faults are retried with {!Seed_util.Retry.default_policy},
+    pausing with [sleep] (default [Unix.sleepf]).
     A store with no intact snapshot to stand on (a damaged
     [snapshot.bin] and no intact generation) is refused; {!fsck}
     [~repair] quarantines it. A directory holding a [journal.pK]
@@ -115,10 +115,6 @@ val append : t -> string list -> (unit, Seed_util.Seed_error.t) result
     a no-op. Transient I/O errors are retried; a half-written first
     attempt is quarantined by the scanner and resynchronized over on
     recovery, so the retry cannot corrupt. *)
-
-val sync : t -> (unit, Seed_util.Seed_error.t) result
-(** Makes every appended record durable (fsync of the journal, the
-    daemon quiesced around it). *)
 
 val write_stats : t -> Commit_daemon.stats
 (** Group-commit counters: transactions submitted, physical batches,
@@ -138,10 +134,6 @@ val journal_size : t -> int
 
 val epoch : t -> int
 (** The store's current compaction epoch. *)
-
-val retries : t -> int
-(** Transient I/O errors absorbed by retry over the store's lifetime
-    (including the ones during open). *)
 
 val close : t -> unit
 

@@ -8,8 +8,6 @@ type policy = {
 let default_policy =
   { attempts = 5; base_delay = 0.001; max_delay = 0.1; multiplier = 2.0 }
 
-let no_delay = { default_policy with base_delay = 0.0; max_delay = 0.0 }
-
 let delay_for p ~attempt =
   Float.min p.max_delay (p.base_delay *. (p.multiplier ** float_of_int (attempt - 1)))
 

@@ -17,9 +17,6 @@ type policy = {
 val default_policy : policy
 (** 5 attempts, 1ms base, 100ms cap, 2x growth. *)
 
-val no_delay : policy
-(** [default_policy] with zero delays — for tests and in-memory retry. *)
-
 val delay_for : policy -> attempt:int -> float
 (** [delay_for p ~attempt] is the backoff before retry number [attempt]
     (1-based): [min max_delay (base * multiplier^(attempt-1))]. *)

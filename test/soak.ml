@@ -464,8 +464,7 @@ let iteration ~seed ~iter ~verbose =
   in
   let s =
     Seed_error.ok_exn
-      (Persist.Session.open_ ~dir ~schema:(schema ()) ~io:(Faulty.io fr)
-         ~sleep:(fun _ -> ()) ())
+      (Persist.Session.open_ ~dir ~schema:(schema ()) ~io:(Faulty.io fr) ())
   in
   let r = Persist.Session.recovery s in
   if not (Store.recovery_clean r) then

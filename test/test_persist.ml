@@ -476,6 +476,40 @@ let test_decode_rejects_garbage () =
   check_err "empty" (function Seed_error.Corrupt _ -> true | _ -> false)
     (Persist.decode_db "")
 
+(* A snapshot whose version 1.0 names itself as its parent is damage:
+   decoding returns [Corrupt] rather than following the cycle. The
+   payload is a real one with the node's parent field rewritten. *)
+let test_decode_rejects_version_cycle () =
+  let db = fresh_db () in
+  let v1 = ok (DB.create_version db) in
+  let node parent =
+    let module W = Seed_storage.Codec.Writer in
+    let w = W.create () in
+    let vid w v = W.list w W.varint (v : Version_id.t :> int list) in
+    vid w v1;
+    W.option w vid parent;
+    W.varint w 1;
+    W.varint w (Schema.revision (DB.schema db));
+    W.varint w 1;
+    W.contents w
+  in
+  let payload = Persist.encode_db db and good = node None in
+  let at = ref [] in
+  String.iteri
+    (fun i _ ->
+      if i + String.length good <= String.length payload
+         && String.sub payload i (String.length good) = good
+      then at := i :: !at)
+    payload;
+  let i = match !at with [ i ] -> i | _ -> Alcotest.fail "node bytes not unique" in
+  let cyclic =
+    String.sub payload 0 i ^ node (Some v1)
+    ^ String.sub payload (i + String.length good) (String.length payload - i - String.length good)
+  in
+  check_ok "the payload decodes" (Result.map ignore (Persist.decode_db payload));
+  check_err "self-parented version" (function Seed_error.Corrupt _ -> true | _ -> false)
+    (Persist.decode_db cyclic)
+
 (* The decoders' only exception boundary is [Codec.Reader.run]: every
    truncated prefix and every single-byte flip of a valid payload must
    come back as a value, never as an exception. A cut payload is always
@@ -819,6 +853,7 @@ let () =
           tc "history stamps" test_history_survives_roundtrip;
           tc "schema revisions" test_schema_revisions_roundtrip;
           tc "garbage rejected" test_decode_rejects_garbage;
+          tc "version cycle rejected" test_decode_rejects_version_cycle;
           tc "decoders never raise" test_decoders_never_raise;
           tc "reopen equals memory over a journal" (test_reopen_equals_memory ~compaction:`Midway);
           tc "reopen equals memory, journal alone" (test_reopen_equals_memory ~compaction:`Never);

@@ -25,15 +25,22 @@ module Q = Seed_core.Query
 type op =
   | Create of int * string
   | CreatePattern of int
+  | CreateSub of int * string
+  | DeleteSub of int
   | CreateRel of int * int * string
   | Reclassify of int * string
   | Delete of int
   | Inherit of int * int
+  | Uninherit of int * int
   | Snapshot
   | Branch of int
 
 let classes = [ "Thing"; "Data"; "Action"; "InputData"; "OutputData" ]
 let assocs = [ "Access"; "Read"; "Write"; "Contained" ]
+
+(* sub-object roles of objects ([Description], [Keywords], [Text]) and
+   of a [Text] sub-object ([Body]), so children have children too *)
+let roles = [ "Description"; "Keywords"; "Text"; "Body" ]
 
 let op_gen =
   let open QCheck2.Gen in
@@ -41,6 +48,8 @@ let op_gen =
     [
       (5, map2 (fun i c -> Create (i, c)) (int_bound 40) (oneofl classes));
       (1, map (fun i -> CreatePattern i) (int_bound 40));
+      (3, map2 (fun i r -> CreateSub (i, r)) (int_bound 40) (oneofl roles));
+      (1, map (fun i -> DeleteSub i) (int_bound 40));
       ( 3,
         map3
           (fun a b s -> CreateRel (a, b, s))
@@ -48,6 +57,7 @@ let op_gen =
       (3, map2 (fun i c -> Reclassify (i, c)) (int_bound 40) (oneofl classes));
       (2, map (fun i -> Delete i) (int_bound 40));
       (1, map2 (fun p i -> Inherit (p, i)) (int_bound 40) (int_bound 40));
+      (1, map2 (fun p i -> Uninherit (p, i)) (int_bound 40) (int_bound 40));
       (1, return Snapshot);
       (1, map (fun i -> Branch i) (int_bound 8));
     ]
@@ -57,6 +67,7 @@ let ops_gen = QCheck2.Gen.(list_size (int_range 0 60) op_gen)
 type env = {
   db : DB.t;
   mutable objects : Ident.t list;
+  mutable subs : Ident.t list;
   mutable patterns : Ident.t list;
   mutable versions : Version_id.t list;
 }
@@ -78,6 +89,18 @@ let apply env op =
     with
     | Ok id -> env.patterns <- id :: env.patterns
     | Error _ -> ())
+  | CreateSub (i, role) -> (
+    match pick (env.subs @ env.objects @ env.patterns) i with
+    | None -> ()
+    | Some parent -> (
+      let value = if role = "Text" then None else Some (Value.String role) in
+      match DB.create_sub_object env.db ~parent ~role ?value () with
+      | Ok id -> env.subs <- id :: env.subs
+      | Error _ -> ()))
+  | DeleteSub i -> (
+    match pick env.subs i with
+    | None -> ()
+    | Some id -> ignore_result (DB.delete env.db id))
   | CreateRel (a, b, assoc) -> (
     match (pick env.objects a, pick env.objects b) with
     | Some x, Some y ->
@@ -96,6 +119,11 @@ let apply env op =
     | Some pattern, Some inheritor ->
       ignore_result (DB.inherit_pattern env.db ~pattern ~inheritor)
     | _ -> ())
+  | Uninherit (p, i) -> (
+    match (pick env.patterns p, pick env.objects i) with
+    | Some pattern, Some inheritor ->
+      ignore_result (DB.uninherit_pattern env.db ~pattern ~inheritor)
+    | _ -> ())
   | Snapshot -> (
     match DB.create_version env.db with
     | Ok v -> env.versions <- v :: env.versions
@@ -108,7 +136,7 @@ let apply env op =
 
 let run_model ops =
   let env =
-    { db = DB.create (fig3_schema ()); objects = []; patterns = []; versions = [] }
+    { db = DB.create (fig3_schema ()); objects = []; subs = []; patterns = []; versions = [] }
   in
   List.iter (apply env) ops;
   env
@@ -247,6 +275,7 @@ let prop_all_prefixes =
         {
           db = DB.create (fig3_schema ());
           objects = [];
+          subs = [];
           patterns = [];
           versions = [];
         }

@@ -52,7 +52,7 @@ module Faulty = Seed_storage.Faulty_io
 
 let test_crash_point_sweep () =
   (* Inject an abort at every gated I/O step of a full
-     append -> sync -> compact -> append -> compact -> append lifecycle
+     append -> compact -> append -> compact -> append lifecycle
      and prove that recovery always yields a database consistent with
      what had been acknowledged at the moment of the crash. The first
      compaction starts from no snapshot; the second retires one into
@@ -71,7 +71,6 @@ let test_crash_point_sweep () =
       ok (Store.compact store ~snapshot:(String.concat "\n" !acked))
     in
     append records;
-    ok (Store.sync store);
     compact ();
     append middle;
     compact ();

@@ -370,7 +370,7 @@ let test_retry_on_retry_hook () =
   let seen = ref [] in
   let calls = ref 0 in
   let _ =
-    Retry.with_retry ~policy:Retry.no_delay
+    Retry.with_retry ~sleep:ignore
       ~on_retry:(fun ~attempt e -> seen := (attempt, e) :: !seen)
       (fun () ->
         incr calls;

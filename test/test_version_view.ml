@@ -33,12 +33,14 @@ type op =
   | Create of int * string
   | CreatePattern of int
   | CreateSub of int * int
+  | DeleteSub of int
   | SetValue of int * int
   | Rename of int * int
   | CreateRel of int * int * string
   | Reclassify of int * string
   | Delete of int
   | Inherit of int * int
+  | Uninherit of int * int
   | Snapshot
   | Branch of int
   | DeleteVersion of int
@@ -53,6 +55,7 @@ let op_gen =
       (5, map2 (fun i c -> Create (i, c)) (int_bound 40) (oneofl classes));
       (1, map (fun i -> CreatePattern i) (int_bound 40));
       (2, map2 (fun i v -> CreateSub (i, v)) (int_bound 40) (int_bound 99));
+      (1, map (fun i -> DeleteSub i) (int_bound 40));
       (2, map2 (fun i v -> SetValue (i, v)) (int_bound 40) (int_bound 99));
       (2, map2 (fun i n -> Rename (i, n)) (int_bound 40) (int_bound 40));
       ( 3,
@@ -62,6 +65,7 @@ let op_gen =
       (3, map2 (fun i c -> Reclassify (i, c)) (int_bound 40) (oneofl classes));
       (2, map (fun i -> Delete i) (int_bound 40));
       (1, map2 (fun p i -> Inherit (p, i)) (int_bound 40) (int_bound 40));
+      (1, map2 (fun p i -> Uninherit (p, i)) (int_bound 40) (int_bound 40));
       (2, return Snapshot);
       (1, map (fun i -> Branch i) (int_bound 8));
       (1, map (fun i -> DeleteVersion i) (int_bound 8));
@@ -95,16 +99,24 @@ let apply env op =
     | Ok id -> env.patterns <- id :: env.patterns
     | Error _ -> ())
   | CreateSub (i, v) -> (
-    match pick env.objects i with
+    (* a [Description] of an object, or a [Text] holding a [Body], so
+       sub-objects have children too *)
+    let role, value =
+      match v mod 3 with
+      | 0 -> ("Text", None)
+      | 1 -> ("Body", Some (Value.String (Printf.sprintf "d%d" v)))
+      | _ -> ("Description", Some (Value.String (Printf.sprintf "d%d" v)))
+    in
+    match pick (env.subs @ env.objects) i with
     | None -> ()
     | Some parent -> (
-      match
-        DB.create_sub_object env.db ~parent ~role:"Description"
-          ~value:(Value.String (Printf.sprintf "d%d" v))
-          ()
-      with
+      match DB.create_sub_object env.db ~parent ~role ?value () with
       | Ok id -> env.subs <- id :: env.subs
       | Error _ -> ()))
+  | DeleteSub i -> (
+    match pick env.subs i with
+    | None -> ()
+    | Some id -> ignore_result (DB.delete env.db id))
   | SetValue (i, v) -> (
     match pick env.subs i with
     | None -> ()
@@ -133,6 +145,11 @@ let apply env op =
     match (pick env.patterns p, pick env.objects i) with
     | Some pattern, Some inheritor ->
       ignore_result (DB.inherit_pattern env.db ~pattern ~inheritor)
+    | _ -> ())
+  | Uninherit (p, i) -> (
+    match (pick env.patterns p, pick env.objects i) with
+    | Some pattern, Some inheritor ->
+      ignore_result (DB.uninherit_pattern env.db ~pattern ~inheritor)
     | _ -> ())
   | Snapshot -> (
     match DB.create_version env.db with

@@ -9,7 +9,7 @@ module DB = Seed_core.Database
 module History = Seed_core.History
 module Item = Seed_core.Item
 module View = Seed_core.View
-
+module Versioning = Seed_core.Versioning
 
 let test_trunk_labels () =
   let db = fresh_db () in
@@ -337,6 +337,78 @@ let test_schema_update_rejected_when_data_violates () =
   check_ok "third text under old schema"
     (Result.map (fun _ -> ()) (DB.create_sub_object db ~parent:d ~role:"Text" ()))
 
+(* A version taken before a relationship is deleted keeps it: the
+   completeness report with the version selected and the consistency
+   sweep of its view read the version's relationships, not the current
+   adjacency. X meets Access's [by] 1..* through R at 1.0 only. *)
+let test_checks_read_version_relationships () =
+  let db = fresh_db () in
+  let d = ok (DB.create_object db ~cls:"Data" ~name:"D" ()) in
+  let x = ok (DB.create_object db ~cls:"Action" ~name:"X" ()) in
+  let y = ok (DB.create_object db ~cls:"Action" ~name:"Y" ()) in
+  let r = ok (DB.create_relationship db ~assoc:"Access" ~endpoints:[ d; x ] ()) in
+  let _ = ok (DB.create_relationship db ~assoc:"Access" ~endpoints:[ d; y ] ()) in
+  let v1 = ok (DB.create_version db) in
+  check_ok "delete R" (DB.delete db r);
+  let e = ok (DB.create_object db ~cls:"Data" ~name:"E" ()) in
+  let _ = ok (DB.create_relationship db ~assoc:"Access" ~endpoints:[ e; y ] ()) in
+  let flags_x () =
+    List.exists
+      (function
+        | Seed_core.Completeness.Missing_participation { id; _ } -> Ident.equal id x
+        | _ -> false)
+      (DB.completeness_report db)
+  in
+  Alcotest.(check bool) "current report flags X" true (flags_x ());
+  check_ok "select 1.0" (DB.select_version db (Some v1));
+  Alcotest.(check bool) "1.0 report counts R" false (flags_x ());
+  check_ok "back to current" (DB.select_version db None);
+  let v = ok (DB.view_at db v1) in
+  Alcotest.(check (list int)) "1.0 relationships of X" [ Ident.to_int r ]
+    (List.map (fun (it : Item.t) -> Ident.to_int it.Item.id) (View.rels v x));
+  check_ok "1.0 consistent" (Seed_core.Consistency.check_database v);
+  Alcotest.(check bool) "current report still flags X" true (flags_x ())
+
+(* A dump lists parents before their children, so a node whose parent
+   is not an earlier node is damage: restore refuses it instead of
+   following the parent chain around a cycle. *)
+let raw ?parent vid seq =
+  {
+    Versioning.r_vid = Version_id.of_string_exn vid;
+    r_parent = Option.map Version_id.of_string_exn parent;
+    r_seq = seq;
+    r_schema_rev = 1;
+    r_next_branch = 1;
+  }
+
+let is_corrupt = function Seed_error.Corrupt _ -> true | _ -> false
+
+let test_restore_self_parented () =
+  check_err "self-parented" is_corrupt
+    (Versioning.restore ~trunk:1 ~nodes:[ raw ~parent:"1.0" "1.0" 1 ]);
+  check_err "listed twice" is_corrupt
+    (Versioning.restore ~trunk:1 ~nodes:[ raw "1.0" 1; raw "1.0" 2 ])
+
+let test_restore_cycle () =
+  check_err "two-node cycle" is_corrupt
+    (Versioning.restore ~trunk:2
+       ~nodes:[ raw ~parent:"2.0" "1.0" 1; raw ~parent:"1.0" "2.0" 2 ]);
+  (* a live tree's dump restores to itself: trunk, branches, counters *)
+  let db = fresh_db () in
+  let v1 = ok (DB.create_version db) in
+  let v2 = ok (DB.create_version db) in
+  check_ok "branch" (DB.begin_alternative db ~from_:v1 ());
+  let b = ok (DB.create_version db) in
+  let trunk, nodes = Versioning.dump (Seed_core.Db_state.versions (DB.raw db)) in
+  let restored = ok (Versioning.restore ~trunk ~nodes) in
+  Alcotest.(check bool) "same dump" true (Versioning.dump restored = (trunk, nodes));
+  check_err "1.0 has derived versions"
+    (function Seed_error.Invalid_operation _ -> true | _ -> false)
+    (Versioning.delete restored v1);
+  let restored = ok (Versioning.delete restored b) in
+  let restored = ok (Versioning.delete restored v2) in
+  check_ok "1.0 is a leaf again" (Result.map ignore (Versioning.delete restored v1))
+
 let () =
   Alcotest.run "versions"
     [
@@ -358,7 +430,17 @@ let () =
           tc "unsaved-changes guard" test_unsaved_changes_guard;
           tc "trunk continues" test_trunk_continues_after_branching;
         ] );
-      ( "deletion", [ tc "version deletion" test_delete_version ] );
+      ( "deletion",
+        [
+          tc "version deletion" test_delete_version;
+          tc "checks read the version's relationships"
+            test_checks_read_version_relationships;
+        ] );
+      ( "restore",
+        [
+          tc "self-parented version refused" test_restore_self_parented;
+          tc "version cycle refused" test_restore_cycle;
+        ] );
       ( "history",
         [
           tc "versions of an object" test_history_retrieval;
