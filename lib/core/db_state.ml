@@ -281,15 +281,16 @@ let text_doc_of_state (item : Item.t) (state : Item.state option) =
 
 (* One wholesale build over the item table, each item at the state
    [state_of] resolves for it: the current state for the root's index, the
-   resolved one for a version's. *)
+   resolved one for a version's. It walks the table twice, to count and to
+   fill, and builds no list. *)
 let build_text_index items state_of =
-  Text_index.of_docs
-    (Seq.fold_left
-       (fun acc ((id, it) : Ident.t * Item.t) ->
-         match text_doc_of_state it (state_of it) with
-         | Some (path, s) -> (id, path, s) :: acc
-         | None -> acc)
-       [] (Ident.Map.to_rev_seq items))
+  Text_index.of_docs (fun f ->
+      Ident.Map.iter
+        (fun id it ->
+          match text_doc_of_state it (state_of it) with
+          | Some (path, s) -> f id ~path s
+          | None -> ())
+        items)
 
 let current_state (it : Item.t) = it.Item.current
 

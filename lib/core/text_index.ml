@@ -16,19 +16,25 @@ open Seed_util
 (* A document's signature sets one of 126 bits (two words) per trigram
    it holds, and a needle can only occur in a document whose signature
    covers the needle's: most overlay documents are rejected without
-   reading their text. Documents built into a tier set every bit. *)
+   reading their text. Only overlay documents carry one. *)
 type doc = { path : string; text : string; sig_lo : int; sig_hi : int }
 
 (* The removal of a carrier that an older layer holds: no trigrams, and
-   it is told apart by physical equality. *)
-let tomb = { path = ""; text = ""; sig_lo = 0; sig_hi = 0 }
+   it is told apart by physical equality. A tier marks the same removal
+   with the path [gone], also compared by [==]. *)
+let tomb = { path = String.make 1 '\000'; text = ""; sig_lo = 0; sig_hi = 0 }
+let gone = tomb.path
 
+(* A tier's documents are parallel arrays, one slot per entry. A
+   posting holds the slots of one trigram in the smaller of two
+   encodings (below); [counts] holds its number of slots. *)
 type tier = {
   ids : int array;  (* ascending carrier ids *)
-  docs : doc array;  (* per slot; [recent]'s may be tombstones *)
+  paths : string array;  (* per slot; [recent]'s may be [gone] *)
+  texts : string array;
   grams : int array;  (* ascending distinct trigram codes *)
-  posts : Bytes.t array;  (* per trigram: ascending slots, packed *)
-  slots : int;  (* total posting slots, for stats *)
+  counts : int array;  (* per trigram: slots in its posting *)
+  posts : Bytes.t array;  (* per trigram: its slots, encoded *)
 }
 
 type t = {
@@ -59,20 +65,92 @@ let signed path text =
   done;
   { path; text; sig_lo = !lo; sig_hi = !hi }
 
-let unsigned path text = { path; text; sig_lo = -1; sig_hi = -1 }
+(* A posting of a tier of [n] slots is whichever is smaller: a bitmap
+   of (n + 7) / 8 bytes, slot [s] at bit [s land 7] of byte [s lsr 3],
+   or the gaps between its ascending slots, the first taken from -1, as
+   LEB128 varints. A tie goes to the bitmap, so a posting shorter than
+   the bitmap is a varint list: its length tells the encoding. Neither
+   is scanned by the collector. *)
+let bitmap_bytes n = (n + 7) lsr 3
+let is_bitmap p n = Bytes.length p = bitmap_bytes n
+let rec gap_bytes g = if g < 0x80 then 1 else 1 + gap_bytes (g lsr 7)
 
-(* A posting packs its slots as 32-bit ints: half the words of an [int
-   array], and the collector never scans its contents. *)
-let plen p = Bytes.length p lsr 2
-let pget p i = Int32.to_int (Bytes.get_int32_le p (i lsl 2))
-let pset p i v = Bytes.set_int32_le p (i lsl 2) (Int32.of_int v)
+let has_bit p s = Char.code (Bytes.unsafe_get p (s lsr 3)) land (1 lsl (s land 7)) <> 0
 
-(* First index in posting [p]'s slots [lo, hi) holding a value >= [x]. *)
-let rec lower_bound p x lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) lsr 1 in
-    if pget p mid < x then lower_bound p x (mid + 1) hi else lower_bound p x lo mid
+let set_bit p s =
+  let i = s lsr 3 in
+  Bytes.unsafe_set p i (Char.unsafe_chr (Char.code (Bytes.unsafe_get p i) lor (1 lsl (s land 7))))
+
+(* Write gap [g] at [i]; the position after it. *)
+let rec put p i g =
+  if g < 0x80 then begin
+    Bytes.unsafe_set p i (Char.unsafe_chr g);
+    i + 1
+  end
+  else begin
+    Bytes.unsafe_set p i (Char.unsafe_chr (g land 0x7F lor 0x80));
+    put p (i + 1) (g lsr 7)
+  end
+
+(* the index of the lowest set bit of a byte *)
+let low_bit =
+  String.init 256 (fun b ->
+      let rec go i = if i = 8 || b land (1 lsl i) <> 0 then i else go (i + 1) in
+      Char.chr (go 0))
+
+(* The first slot after [s] in bitmap [p], or [max_int]: the rest of
+   [s]'s byte, then whole bytes, the lowest set bit by [low_bit]. *)
+let next_bit p s =
+  let s = s + 1 in
+  let i = ref (s lsr 3) and len = Bytes.length p in
+  let b = ref (if !i < len then Char.code (Bytes.unsafe_get p !i) land (0xFF lsl (s land 7)) else 0) in
+  while !b = 0 && !i < len - 1 do
+    incr i;
+    b := Char.code (Bytes.unsafe_get p !i)
+  done;
+  if !b = 0 then max_int else (!i lsl 3) lor Char.code (String.unsafe_get low_bit !b)
+
+(* Move cursor [k] of [c] — its byte position at [c.(k)], its slot at
+   [c.(k + 1)] — past the next gap of list [p]. *)
+let rec step p c k g shift =
+  let b = Char.code (Bytes.unsafe_get p c.(k)) in
+  c.(k) <- c.(k) + 1;
+  let g = g lor ((b land 0x7F) lsl shift) in
+  if b < 0x80 then c.(k + 1) <- c.(k + 1) + g else step p c k g (shift + 7)
+
+(* A cursor over a posting of a tier of [n] slots is two cells of an int
+   array: a list's byte position, and the slot, -1 before the first and
+   [max_int] past the last. It only moves forward. *)
+let start c k =
+  c.(k) <- 0;
+  c.(k + 1) <- -1
+
+let next p n c k =
+  if is_bitmap p n then c.(k + 1) <- next_bit p c.(k + 1)
+  else if c.(k) < Bytes.length p then step p c k 0 0
+  else c.(k + 1) <- max_int
+
+(* The first [len] slots of [a], ascending, encoded for a tier of [n]
+   slots. *)
+let encode a len n =
+  let vb = ref 0 in
+  for i = 0 to len - 1 do
+    vb := !vb + gap_bytes (a.(i) - if i = 0 then -1 else a.(i - 1))
+  done;
+  if !vb < bitmap_bytes n then begin
+    let p = Bytes.create !vb and at = ref 0 in
+    for i = 0 to len - 1 do
+      at := put p !at (a.(i) - if i = 0 then -1 else a.(i - 1))
+    done;
+    p
+  end
+  else begin
+    let p = Bytes.make (bitmap_bytes n) '\000' in
+    for i = 0 to len - 1 do
+      set_bit p a.(i)
+    done;
+    p
+  end
 
 (* The index of [x] in the ascending [a], or -1. *)
 let find (a : int array) x =
@@ -83,84 +161,120 @@ let find (a : int array) x =
   done;
   if !lo < Array.length a && a.(!lo) = x then !lo else -1
 
-(* The builder's open-addressing table: cells of three ints — trigram
-   code (< 2^24; -1 marks an empty cell), documents holding it, and the
-   slot counted last (pass one) or the fill cursor (pass two). *)
+(* The builder's open-addressing table: cells of four ints — trigram
+   code (< 2^24; -1 marks an empty cell), documents holding it, the slot
+   seen last, and the bytes of its varint gaps (pass one), then a list's
+   write position or -1 for a bitmap (pass two). Pass one visits slots
+   in order, so it sizes every posting exactly and pass two writes each
+   once. *)
 type gtab = { mutable cells : int array; mutable used : int }
 
 let rec probe cells code i mask =
-  let k = Array.unsafe_get cells (3 * i) in
-  if k = code || k < 0 then 3 * i else probe cells code ((i + 1) land mask) mask
+  let k = Array.unsafe_get cells (4 * i) in
+  if k = code || k < 0 then 4 * i else probe cells code ((i + 1) land mask) mask
 
 let cell cells code =
-  let mask = (Array.length cells / 3) - 1 in
+  let mask = (Array.length cells lsr 2) - 1 in
   probe cells code (((code * 0x9E3779B1) lsr 12) land mask) mask
 
 let grow g =
   let old = g.cells in
   g.cells <- Array.make (2 * Array.length old) (-1);
-  for i = 0 to (Array.length old / 3) - 1 do
-    if old.(3 * i) >= 0 then Array.blit old (3 * i) g.cells (cell g.cells old.(3 * i)) 3
+  for i = 0 to (Array.length old / 4) - 1 do
+    if old.(4 * i) >= 0 then Array.blit old (4 * i) g.cells (cell g.cells old.(4 * i)) 4
   done
 
-let count_doc g (slot : int) d =
-  for i = 0 to String.length d.text - 3 do
-    let code = trigram d.text i in
+(* The first two bytes of [text] start a rolling trigram code, which
+   [roll] shifts one byte along: one byte read per trigram. *)
+let rolling text =
+  if String.length text < 3 then 0
+  else (Char.code (String.unsafe_get text 0) lsl 8) lor Char.code (String.unsafe_get text 1)
+
+let roll code text i = ((code lsl 8) lor Char.code (String.unsafe_get text i)) land 0xFFFFFF
+
+(* Cell indexes come from [cell], so the cell accesses below are in
+   bounds. *)
+let count_doc g slot text =
+  let code = ref (rolling text) in
+  for i = 2 to String.length text - 1 do
+    code := roll !code text i;
     let a = g.cells in
-    let c = cell a code in
-    if a.(c) < 0 then begin
-      a.(c) <- code;
+    let c = cell a !code in
+    if Array.unsafe_get a c < 0 then begin
+      a.(c) <- !code;
       a.(c + 1) <- 1;
       a.(c + 2) <- slot;
+      a.(c + 3) <- gap_bytes (slot + 1);
       g.used <- g.used + 1;
-      if 2 * g.used > Array.length a / 3 then grow g
+      if 2 * g.used > Array.length a / 4 then grow g
     end
-    else if a.(c + 2) <> slot then begin
-      a.(c + 1) <- a.(c + 1) + 1;
-      a.(c + 2) <- slot
-    end
-  done
-
-let fill_doc cells posts slot d =
-  for i = 0 to String.length d.text - 3 do
-    let c = cell cells (trigram d.text i) in
-    let p = posts.(c / 3) and f = cells.(c + 2) in
-    if f = 0 || pget p (f - 1) <> slot then begin
-      pset p f slot;
-      cells.(c + 2) <- f + 1
+    else begin
+      let last = Array.unsafe_get a (c + 2) in
+      if last <> slot then begin
+        Array.unsafe_set a (c + 1) (Array.unsafe_get a (c + 1) + 1);
+        Array.unsafe_set a (c + 3) (Array.unsafe_get a (c + 3) + gap_bytes (slot - last));
+        Array.unsafe_set a (c + 2) slot
+      end
     end
   done
 
-(* The tier of [docs] at the ascending carriers [ids], in two passes. *)
-let build ids docs =
-  let g = { cells = Array.make (3 * 1024) (-1); used = 0 } in
-  Array.iteri (count_doc g) docs;
+let fill_doc cells posts slot text =
+  let code = ref (rolling text) in
+  for i = 2 to String.length text - 1 do
+    code := roll !code text i;
+    let c = cell cells !code in
+    let last = Array.unsafe_get cells (c + 2) in
+    if last <> slot then begin
+      let p = Array.unsafe_get posts (c lsr 2) and w = Array.unsafe_get cells (c + 3) in
+      if w < 0 then set_bit p slot else Array.unsafe_set cells (c + 3) (put p w (slot - last));
+      Array.unsafe_set cells (c + 2) slot
+    end
+  done
+
+(* The tier of the documents [paths]/[texts] at the ascending carriers
+   [ids], in two passes. *)
+let build ids paths texts =
+  let n = Array.length ids in
+  let g = { cells = Array.make (4 * 1024) (-1); used = 0 } in
+  Array.iteri (count_doc g) texts;
   let a = g.cells in
   let posts =
-    Array.init (Array.length a / 3) (fun i ->
-        if a.(3 * i) < 0 then Bytes.empty
+    Array.init (Array.length a / 4) (fun i ->
+        if a.(4 * i) < 0 then Bytes.empty
         else begin
-          a.((3 * i) + 2) <- 0;
-          Bytes.create (4 * a.((3 * i) + 1))
+          let vb = a.((4 * i) + 3) and bytes = bitmap_bytes n in
+          a.((4 * i) + 2) <- -1;
+          a.((4 * i) + 3) <- (if vb < bytes then 0 else -1);
+          if vb < bytes then Bytes.create vb else Bytes.make bytes '\000'
         end)
   in
-  Array.iteri (fill_doc a posts) docs;
-  let used = Seq.filter (fun i -> a.(3 * i) >= 0) (Seq.init (Array.length posts) Fun.id) in
-  let used = Array.of_seq used in
-  Array.sort (fun i j -> Int.compare a.(3 * i) a.(3 * j)) used;
-  { ids; docs; grams = Array.map (fun i -> a.(3 * i)) used;
-    posts = Array.map (fun i -> posts.(i)) used;
-    slots = Array.fold_left (fun acc i -> acc + a.((3 * i) + 1)) 0 used }
+  Array.iteri (fill_doc a posts) texts;
+  let used = Array.make g.used 0 and k = ref 0 in
+  for i = 0 to Array.length posts - 1 do
+    if a.(4 * i) >= 0 then begin
+      used.(!k) <- i;
+      incr k
+    end
+  done;
+  Array.sort (fun i j -> Int.compare a.(4 * i) a.(4 * j)) used;
+  { ids; paths; texts; grams = Array.map (fun i -> a.(4 * i)) used;
+    counts = Array.map (fun i -> a.((4 * i) + 1)) used; posts = Array.map (fun i -> posts.(i)) used }
 
-let no_tier = { ids = [||]; docs = [||]; grams = [||]; posts = [||]; slots = 0 }
+let no_tier = { ids = [||]; paths = [||]; texts = [||]; grams = [||]; counts = [||]; posts = [||] }
 
-let of_docs l =
-  let a = Array.of_list l in
-  let docs = Array.map (fun (_, path, text) -> unsigned path text) a in
-  let main = build (Array.map (fun (id, _, _) -> Ident.to_int id) a) docs in
-  { main; recent = no_tier; over = Ident.Map.empty; nover = 0; ndocs = Array.length a }
+let of_docs iter =
+  let n = ref 0 in
+  iter (fun _ ~path:_ _ -> incr n);
+  let ids = Array.make !n 0 and paths = Array.make !n gone and texts = Array.make !n "" in
+  let k = ref 0 in
+  iter (fun id ~path s ->
+      ids.(!k) <- Ident.to_int id;
+      paths.(!k) <- path;
+      texts.(!k) <- s;
+      incr k);
+  { main = build ids paths texts; recent = no_tier; over = Ident.Map.empty; nover = 0; ndocs = !n }
 
-let empty = of_docs []
+let empty = of_docs ignore
 
 (* The new slots of the entries of [n] over those of the older [b], both
    ascending by carrier: a carrier of [n] replaces its entry in [b], and
@@ -181,7 +295,7 @@ let renumber ~drop n b =
     (fun j id ->
       older_below id;
       if !i < Array.length b.ids && b.ids.(!i) = id then incr i;
-      if not (drop && n.docs.(j) == tomb) then begin
+      if not (drop && n.paths.(j) == gone) then begin
         rn.(j) <- !k;
         incr k
       end)
@@ -189,98 +303,125 @@ let renumber ~drop n b =
   older_below max_int;
   (!k, rb, rn)
 
-(* The ids and documents of [n] over [b], placed by [renumber]. *)
+(* The entries of [n] over [b], placed by [renumber], as a tier without
+   postings. *)
 let entries (k, rb, rn) n b =
-  let ids = Array.make k 0 and docs = Array.make k tomb in
+  let ids = Array.make k 0 and paths = Array.make k gone and texts = Array.make k "" in
   let place r src =
     Array.iteri
       (fun i s ->
         if s >= 0 then begin
           ids.(s) <- src.ids.(i);
-          docs.(s) <- src.docs.(i)
+          paths.(s) <- src.paths.(i);
+          texts.(s) <- src.texts.(i)
         end)
       r
   in
   place rb b;
   place rn n;
-  (ids, docs)
+  { no_tier with ids; paths; texts }
 
-(* The slots of [bp] that [rb] keeps. *)
-let kept rb bp =
-  let n = ref 0 in
-  for i = 0 to plen bp - 1 do
-    if rb.(pget bp i) >= 0 then incr n
-  done;
-  !n
+(* Into [dst] from 0, each slot of posting [p] (of a tier of [n]
+   slots) through the map [r], dropping those it maps to -1; returns
+   their count. A bitmap's set bits are taken lowest first, each cleared
+   by [b land (b - 1)]. *)
+let decode p n r dst =
+  let o = ref 0 in
+  if is_bitmap p n then
+    for i = 0 to Bytes.length p - 1 do
+      let b = ref (Char.code (Bytes.unsafe_get p i)) in
+      while !b <> 0 do
+        let s = r.((i lsl 3) lor Char.code (String.unsafe_get low_bit !b)) in
+        if s >= 0 then begin
+          dst.(!o) <- s;
+          incr o
+        end;
+        b := !b land (!b - 1)
+      done
+    done
+  else begin
+    let c = [| 0; -1 |] in
+    while c.(0) < Bytes.length p do
+      step p c 0 0 0;
+      let s = r.(c.(1)) in
+      if s >= 0 then begin
+        dst.(!o) <- s;
+        incr o
+      end
+    done
+  end;
+  !o
 
-(* The [len] slots of [bp] that [rb] keeps merged with those of [np],
-   each renumbered by its tier's map; all ascending. *)
-let merge_posting rb bp rn np len =
-  let nn = plen np in
-  let p = Bytes.create (4 * len) and k = ref 0 and j = ref 0 in
-  let next = ref (if nn > 0 then rn.(pget np 0) else max_int) in
-  for i = 0 to plen bp - 1 do
-    let r = rb.(pget bp i) in
-    if r >= 0 then begin
-      while !next < r do
-        pset p !k !next;
-        incr k;
-        incr j;
-        next := if !j < nn then rn.(pget np !j) else max_int
-      done;
-      pset p !k r;
-      incr k
+(* Into [scratch], the slots of [bp] (of [b]'s [nb]) that [rb] keeps
+   merged with those of [np] (of [n]'s [nn]), each renumbered by its
+   tier's map; all ascending. [bp]'s are decoded into [scratch], [np]'s
+   into [sn], and the two merged from the back. Returns the merged
+   length. *)
+let merge_posting scratch sn rb bp nb rn np nn =
+  let a = decode bp nb rb scratch and c = decode np nn rn sn in
+  let i = ref (a - 1) and j = ref (c - 1) in
+  while !j >= 0 do
+    if !i >= 0 && scratch.(!i) > sn.(!j) then begin
+      scratch.(!i + !j + 1) <- scratch.(!i);
+      decr i
+    end
+    else begin
+      scratch.(!i + !j + 1) <- sn.(!j);
+      decr j
     end
   done;
-  for m = !j to nn - 1 do
-    pset p (!k + m - !j) rn.(pget np m)
-  done;
-  p
+  a + c
 
 (* The tier of [n]'s entries over the older [b]'s: the one merge behind
    a fold and a tier merge, as inverted files merge a buffer into the
    main index. It reads no text: each posting of [b] is renumbered,
-   shadowed slots skipped, and merged with [n]'s; a first pass counts
-   the kept slots, so every merged posting is allocated once at its
-   length. Tombstones carry no postings. *)
+   shadowed slots skipped, and merged with [n]'s in scratch arrays
+   reused for every trigram, then encoded at its exact size. Tombstones
+   carry no postings. *)
 let merge ~drop n b =
   (* a fold into an empty [recent] keeps the overlay's build *)
   if Array.length b.ids = 0 && not drop then n
   else begin
-    let ((_, rb, rn) as slots) = renumber ~drop n b in
-    let ids, docs = entries slots n b in
-    let grams = ref [] and posts = ref [] in
-    let rec go i j =
+    let ((k, rb, rn) as slots) = renumber ~drop n b in
+    let e = entries slots n b in
+    let nb = Array.length b.ids and nn = Array.length n.ids in
+    let scratch = Array.make k 0 and sn = Array.make nn 0 in
+    let most = Array.length b.grams + Array.length n.grams in
+    let grams = Array.make most 0 and counts = Array.make most 0 in
+    let posts = Array.make most Bytes.empty in
+    let rec go i j g =
       let bc = if i < Array.length b.grams then b.grams.(i) else max_int in
       let nc = if j < Array.length n.grams then n.grams.(j) else max_int in
       let code = min bc nc in
-      if code < max_int then begin
-        let pick c k a = if c = code then a.(k) else Bytes.empty in
-        let bp = pick bc i b.posts and np = pick nc j n.posts in
-        let len = kept rb bp + plen np in
+      if code = max_int then g
+      else begin
+        let bp = if bc = code then b.posts.(i) else Bytes.empty in
+        let np = if nc = code then n.posts.(j) else Bytes.empty in
+        let len = merge_posting scratch sn rb bp nb rn np nn in
         if len > 0 then begin
-          grams := code :: !grams;
-          posts := merge_posting rb bp rn np len :: !posts
+          grams.(g) <- code;
+          counts.(g) <- len;
+          posts.(g) <- encode scratch len k
         end;
-        go (if bc = code then i + 1 else i) (if nc = code then j + 1 else j)
+        go (if bc = code then i + 1 else i) (if nc = code then j + 1 else j) (g + Bool.to_int (len > 0))
       end
     in
-    go 0 0;
-    let posts = Array.of_list (List.rev !posts) in
-    let slots = Array.fold_left (fun n p -> n + plen p) 0 posts in
-    { ids; docs; grams = Array.of_list (List.rev !grams); posts; slots }
+    let g = go 0 0 0 in
+    { e with grams = Array.sub grams 0 g; counts = Array.sub counts 0 g; posts = Array.sub posts 0 g }
   end
 
 (* The overlay's entries as a tier without postings. *)
 let overlay t =
-  let ids = Array.make t.nover 0 and docs = Array.make t.nover tomb and k = ref 0 in
+  let ids = Array.make t.nover 0 and paths = Array.make t.nover gone in
+  let texts = Array.make t.nover "" and k = ref 0 in
   Ident.Map.iter
     (fun id d ->
       ids.(!k) <- Ident.to_int id;
-      docs.(!k) <- d;
+      paths.(!k) <- d.path;
+      texts.(!k) <- d.text;
       incr k)
     t.over;
-  { no_tier with ids; docs }
+  { no_tier with ids; paths; texts }
 
 (* The overlay folds into [recent] once it holds over 1/16 of the
    documents (and 256 entries): a larger share makes queries test more
@@ -294,42 +435,51 @@ let tier_share = 4
 
 let fold t =
   let o = overlay t in
-  let recent = merge ~drop:false (build o.ids o.docs) t.recent in
+  let recent = merge ~drop:false (build o.ids o.paths o.texts) t.recent in
   let t = { t with over = Ident.Map.empty; nover = 0 } in
   if tier_share * Array.length recent.ids > Array.length t.main.ids then
     { t with main = merge ~drop:true recent t.main; recent = no_tier }
   else { t with recent }
 
-(* [id]'s newest entry; [tomb] when no layer holds it. *)
-let current t id =
+(* What [id]'s newest entry is, its path and text compared in place with
+   [path] and [text]: [Absent] (no layer holds it, or a tombstone),
+   [Same] (physically these) or [Other]. *)
+type held = Absent | Same | Other
+
+let held p x path text = if p == gone then Absent else if p == path && x == text then Same else Other
+
+let newest t id path text =
   match Ident.Map.find_opt id t.over with
-  | Some d -> d
+  | Some d -> held d.path d.text path text
   | None ->
     let i = find t.recent.ids (Ident.to_int id) in
-    if i >= 0 then t.recent.docs.(i)
+    if i >= 0 then held t.recent.paths.(i) t.recent.texts.(i) path text
     else
       let i = find t.main.ids (Ident.to_int id) in
-      if i < 0 then tomb else t.main.docs.(i)
+      if i < 0 then Absent else held t.main.paths.(i) t.main.texts.(i) path text
 
 (* Set [id]'s overlay entry to [d]; [dn] is the change in documents. A
-   tombstone shadowing no tier entry is no entry at all. *)
+   tombstone shadowing no tier entry is no entry at all. One record is
+   built: this runs on every indexed update. *)
 let set_entry t id d dn =
   let had = Ident.Map.mem id t.over and i = Ident.to_int id in
+  let drop = d == tomb && find t.recent.ids i < 0 && find t.main.ids i < 0 in
   let t =
-    if d == tomb && find t.recent.ids i < 0 && find t.main.ids i < 0 then
-      { t with over = Ident.Map.remove id t.over; nover = t.nover - Bool.to_int had }
-    else { t with over = Ident.Map.add id d t.over; nover = t.nover + Bool.to_int (not had) }
+    { t with
+      over = (if drop then Ident.Map.remove id t.over else Ident.Map.add id d t.over);
+      nover = (if drop then t.nover - Bool.to_int had else t.nover + Bool.to_int (not had));
+      ndocs = t.ndocs + dn }
   in
-  let t = { t with ndocs = t.ndocs + dn } in
   if t.nover > max fold_floor (t.ndocs / fold_share) then fold t else t
 
 let add_doc t id ~path s =
-  let d = current t id in
-  if d == tomb then set_entry t id (signed path s) 1
-  else if d.path == path && d.text == s then t
-  else set_entry t id (signed path s) 0
+  match newest t id path s with
+  | Same -> t
+  | Absent -> set_entry t id (signed path s) 1
+  | Other -> set_entry t id (signed path s) 0
 
-let remove_doc t id = if current t id == tomb then t else set_entry t id tomb (-1)
+let remove_doc t id =
+  match newest t id gone "" with Absent -> t | Same | Other -> set_entry t id tomb (-1)
 
 type probe = { pr_trigrams : int; pr_postings : int; pr_candidates : int; pr_verified : int }
 
@@ -355,103 +505,122 @@ let rec contains_all hay = function
   | [] -> true
   | n :: ns -> string_contains hay n && contains_all hay ns
 
-(* A needle trigram with its posting in every tier: [One] while [recent]
-   is empty, so a one-tier lookup pays no word for the empty tier. *)
-type gram = One of int * Bytes.t | Two of int * Bytes.t * Bytes.t
+(* A needle trigram with the index of its posting in each tier, -1
+   where the tier lacks it: [One] while [recent] is empty, so a one-tier
+   lookup pays no word for the empty tier. *)
+type gram = One of int * int | Two of int * int * int
 
 let code = function One (c, _) | Two (c, _, _) -> c
-let in_main = function One (_, p) | Two (_, p, _) -> p
-let in_recent = function One _ -> Bytes.empty | Two (_, _, p) -> p
-let gram_len g = plen (in_main g) + plen (in_recent g)
+let in_main = function One (_, i) | Two (_, i, _) -> i
+let in_recent = function One _ -> -1 | Two (_, _, i) -> i
+let at main g = if main then in_main g else in_recent g
+let count (tier : tier) i = if i < 0 then 0 else tier.counts.(i)
+let gram_len t g = count t.main (in_main g) + count t.recent (in_recent g)
 
 (* A needle's distinct trigrams with their postings, rarest first:
    looked up once, to size the needle and to intersect. *)
 type lookup = { needle : string; grams : gram list }
 
 let needle l = l.needle
-let by_length a b = Int.compare (gram_len a) (gram_len b)
+let by_length t a b = Int.compare (gram_len t a) (gram_len t b)
 
-let posting (tier : tier) code =
-  let i = find tier.grams code in
-  if i < 0 then Bytes.empty else tier.posts.(i)
+(* the trigram codes of [n] from [i] down to 0, on [acc] *)
+let rec trigrams n i acc = if i < 0 then acc else trigrams n (i - 1) (trigram n i :: acc)
+
+(* the trigram [code] with its postings in [t]'s tiers *)
+let gram t code =
+  if Array.length t.recent.ids = 0 then One (code, find t.main.grams code)
+  else Two (code, find t.main.grams code, find t.recent.grams code)
+
+let rec grams t = function [] -> [] | code :: rest -> gram t code :: grams t rest
 
 let lookup t n =
   if String.length n < min_needle then
     invalid_arg "Text_index.lookup: needle shorter than 3 bytes";
-  let grams =
-    List.init (String.length n - 2) (trigram n)
-    |> List.sort_uniq Int.compare
-    |> List.map (fun code ->
-           if Array.length t.recent.ids = 0 then One (code, posting t.main code)
-           else Two (code, posting t.main code, posting t.recent code))
-    |> List.sort by_length
-  in
-  { needle = n; grams }
+  let codes = List.sort_uniq Int.compare (trigrams n (String.length n - 3) []) in
+  { needle = n; grams = List.sort (by_length t) (grams t codes) }
 
-let estimate t l = gram_len (List.hd l.grams) + t.nover
+let estimate t l = gram_len t (List.hd l.grams) + t.nover
 
 (* the lookups' distinct trigrams, rarest first: one needle's are
    already *)
-let union_grams = function
+let union_grams t = function
   | [ l ] -> l.grams
   | ls ->
     List.concat_map (fun l -> l.grams) ls
     |> List.sort_uniq (fun a b -> Int.compare (code a) (code b))
-    |> List.sort by_length
+    |> List.sort (by_length t)
 
-(* Test each slot of [tier]'s [rarest] posting that [in_rest] finds in
-   every other needle posting and that no newer layer shadows: the
-   overlay, or [newer]. *)
-let walk over newer tier rarest in_rest test =
-  for i = 0 to plen rarest - 1 do
-    let slot = pget rarest i in
-    let id = tier.ids.(slot) in
-    if in_rest slot 0 && find newer.ids id < 0 && not (Ident.Map.mem (Ident.of_int id) over)
-    then test (Ident.of_int id) tier.docs.(slot)
-  done
+(* Every one of [grams] from [k] on has a posting in the tier. *)
+let rec all_held main grams k =
+  k >= Array.length grams || (at main grams.(k) >= 0 && all_held main grams (k + 1))
+
+(* [slot] of [tier] is in the postings of [grams] from [k] on: a bitmap
+   is tested in place, a list read forward by cursor [2 k] of [c]. *)
+let rec in_rest tier main grams c slot k =
+  k >= Array.length grams
+  ||
+  let p = tier.posts.(at main grams.(k)) and n = Array.length tier.ids in
+  (if is_bitmap p n then has_bit p slot
+   else begin
+     while c.((2 * k) + 1) < slot do
+       next p n c (2 * k)
+     done;
+     c.((2 * k) + 1) = slot
+   end)
+  && in_rest tier main grams c slot (k + 1)
+
+(* Test each slot of [tier]'s posting of the rarest of [grams] that
+   [in_rest] finds in every other and that no newer layer shadows: the
+   overlay, or [newer]. A tier lacking a needle trigram holds no
+   answer. *)
+let walk over newer tier main grams c test =
+  if all_held main grams 0 then begin
+    for k = 0 to Array.length grams - 1 do
+      start c (2 * k)
+    done;
+    let p = tier.posts.(at main grams.(0)) and n = Array.length tier.ids in
+    next p n c 0;
+    while c.(1) < max_int do
+      let slot = c.(1) in
+      let id = tier.ids.(slot) in
+      if in_rest tier main grams c slot 1 && find newer.ids id < 0
+         && not (Ident.Map.mem (Ident.of_int id) over)
+      then test (Ident.of_int id) tier.paths.(slot) tier.texts.(slot);
+      next p n c 0
+    done
+  end
 
 let query_probe t ?path lookups =
   if lookups = [] then invalid_arg "Text_index.query_probe: no needle";
-  let grams = union_grams lookups and needles = List.map needle lookups in
-  let postings = List.map in_main grams in
-  let rest = Array.of_list (List.tl postings) in
-  let cursor = Array.make (Array.length rest) 0 in
-  (* [slot] is in every other posting; cursors only move forward *)
-  let rec in_rest slot k =
-    k >= Array.length rest
-    ||
-    let a = rest.(k) in
-    let c = lower_bound a slot cursor.(k) (plen a) in
-    cursor.(k) <- c;
-    c < plen a && pget a c = slot && in_rest slot (k + 1)
-  in
+  let grams = Array.of_list (union_grams t lookups) and needles = List.map needle lookups in
+  let c = Array.make (2 * Array.length grams) 0 in
   let candidates = ref 0 and hits = ref [] in
-  let test id d =
-    if (match path with None -> true | Some p -> String.equal p d.path) then begin
+  let test id p text =
+    if (match path with None -> true | Some q -> String.equal q p) then begin
       incr candidates;
-      if contains_all d.text needles then hits := id :: !hits
+      if contains_all text needles then hits := id :: !hits
     end
   in
-  walk t.over t.recent t.main (List.hd postings) in_rest test;
-  if Array.length t.recent.ids > 0 then begin
-    (* the same walk over [recent]'s postings of the same trigrams *)
-    List.iteri (fun k g -> if k > 0 then rest.(k - 1) <- in_recent g) grams;
-    Array.fill cursor 0 (Array.length cursor) 0;
-    walk t.over no_tier t.recent (in_recent (List.hd grams)) in_rest test
-  end;
+  walk t.over t.recent t.main true grams c test;
+  if Array.length t.recent.ids > 0 then walk t.over no_tier t.recent false grams c test;
   if not (Ident.Map.is_empty t.over) then begin
     let lo = ref 0 and hi = ref 0 in
-    List.iter (fun g -> sign lo hi (code g)) grams;
+    Array.iter (fun g -> sign lo hi (code g)) grams;
     let lo = !lo and hi = !hi in
     Ident.Map.iter
       (fun id d ->
-        if d != tomb && d.sig_lo land lo = lo && d.sig_hi land hi = hi then test id d)
+        if d != tomb && d.sig_lo land lo = lo && d.sig_hi land hi = hi then test id d.path d.text)
       t.over
   end;
+  let postings = ref 0 in
+  for k = 0 to Array.length grams - 1 do
+    postings := !postings + gram_len t grams.(k)
+  done;
   ( !hits,
     {
-      pr_trigrams = List.length grams;
-      pr_postings = List.fold_left (fun acc g -> acc + gram_len g) 0 grams;
+      pr_trigrams = Array.length grams;
+      pr_postings = !postings;
       pr_candidates = !candidates;
       pr_verified = List.length !hits;
     } )
@@ -469,28 +638,31 @@ let union_count a b =
   in
   go 0 0 0
 
+(* The bytes of a tier as laid out: its six arrays (a header word
+   each), three words per slot, three per trigram, and each posting's
+   bytes with its header and padding. *)
+let tier_bytes r =
+  let posts = Array.fold_left (fun acc p -> acc + 8 * (2 + (Bytes.length p / 8))) 0 r.posts in
+  (8 * (6 + (3 * Array.length r.ids) + (3 * Array.length r.grams))) + posts
+
 let stats t =
   let m = t.main and r = t.recent in
-  let slots = m.slots + r.slots in
-  (* 4 bytes per posting slot, words per trigram, tier entry and overlay node *)
-  let words =
-    (3 * (Array.length m.grams + Array.length r.grams))
-    + (7 * (Array.length m.ids + Array.length r.ids))
-    + (12 * t.nover)
-  in
-  { trigrams = union_count m.grams r.grams; postings = slots; docs = t.ndocs;
-    bytes = (4 * slots) + (8 * words); tiers = (if Array.length r.ids = 0 then 1 else 2) }
+  let slots tier = Array.fold_left ( + ) 0 tier.counts in
+  (* an overlay entry is a map node of six words and, but for a
+     tombstone, a document of five *)
+  let over = Ident.Map.fold (fun _ d acc -> acc + if d == tomb then 6 else 11) t.over 0 in
+  { trigrams = union_count m.grams r.grams; postings = slots m + slots r; docs = t.ndocs;
+    bytes = tier_bytes m + tier_bytes r + (8 * over);
+    tiers = (if Array.length r.ids = 0 then 1 else 2) }
 
 (* The live documents as a tier without postings: the overlay over
    [recent] over [main], tombstones dropped. *)
 let live t =
-  let layer ~drop n b =
-    let ids, docs = entries (renumber ~drop n b) n b in
-    { no_tier with ids; docs }
-  in
+  let layer ~drop n b = entries (renumber ~drop n b) n b in
   layer ~drop:true (layer ~drop:false (overlay t) t.recent) t.main
 
 let equal a b =
   let a = live a and b = live b in
-  let same x y = String.equal x.path y.path && String.equal x.text y.text in
-  a.ids = b.ids && Array.for_all2 same a.docs b.docs
+  a.ids = b.ids
+  && Array.for_all2 String.equal a.paths b.paths
+  && Array.for_all2 String.equal a.texts b.texts

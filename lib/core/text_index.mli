@@ -3,20 +3,21 @@
 
     Each indexed string (a document) is owned by exactly one carrier
     item. Two immutable packed tiers, [main] and a smaller [recent],
-    each hold documents in carrier order — id, path and the item's own
-    string — and per trigram a sorted array of the tier's documents
-    containing it. A small persistent overlay holds the carriers changed
-    since. A carrier's newest entry shadows its older ones; a removal
-    that must shadow a tier entry is a tombstone. Once the overlay
-    passes a fixed share of the documents it is merged into [recent],
-    and once [recent] passes a fixed share of [main] it is merged into
-    [main], so a fold rewrites the small tier and [main] is rewritten
-    several times less often. Queries intersect the needle's postings in
-    each tier, skip shadowed slots, verify each candidate against its
-    held text, and test the overlay directly: the answer is exact.
-    Nothing reachable from a [t] is mutated, so it rides in the
-    copy-on-write database root: snapshots freeze it, and rollback
-    restores it by root swap. *)
+    each hold documents in carrier order — parallel arrays of id, path
+    and the item's own string — and per trigram a posting of the tier's
+    documents containing it: a bitmap over the tier's slots or a list of
+    varint slot gaps, whichever is smaller. A small persistent overlay
+    holds the carriers changed since. A carrier's newest entry shadows
+    its older ones; a removal that must shadow a tier entry is a
+    tombstone. Once the overlay passes a fixed share of the documents it
+    is merged into [recent], and once [recent] passes a fixed share of
+    [main] it is merged into [main], so a fold rewrites the small tier
+    and [main] is rewritten several times less often. Queries intersect
+    the needle's postings in each tier, skip shadowed slots, verify each
+    candidate against its held text, and test the overlay directly: the
+    answer is exact. Nothing reachable from a [t] is mutated, so it
+    rides in the copy-on-write database root: snapshots freeze it, and
+    rollback restores it by root swap. *)
 
 open Seed_util
 
@@ -31,9 +32,11 @@ val min_needle : int
 (** Shortest needle the index can answer (3 bytes — one trigram).
     Shorter needles must fall back to a scan. *)
 
-val of_docs : (Ident.t * string * string) list -> t
-(** The index of [(carrier, path, text)] documents in strictly ascending
-    carrier order, built in two passes (count, then fill), as one tier. *)
+val of_docs : ((Ident.t -> path:string -> string -> unit) -> unit) -> t
+(** [of_docs iter] is the index of the documents [iter f] passes to [f]
+    as [f carrier ~path text], in strictly ascending carrier order, as
+    one tier. It calls [iter] twice, to count and to fill, and both calls
+    must pass the same documents. *)
 
 val add_doc : t -> Ident.t -> path:string -> string -> t
 (** Index a carrier's string value under its class path, replacing
@@ -86,7 +89,10 @@ type stats = {
   trigrams : int;  (** distinct trigrams across the tiers *)
   postings : int;  (** posting slots of both tiers, shadowed ones included *)
   docs : int;
-  bytes : int;  (** estimate of posting slots, per-document arrays, overlay *)
+  bytes : int;
+      (** as laid out: encoded postings, the words of the per-trigram and
+          per-slot arrays, overlay nodes (not the strings, which the items
+          hold) *)
   tiers : int;  (** 1, or 2 while [recent] holds entries *)
 }
 

@@ -44,15 +44,15 @@ let with_deadline ?(policy = default_policy) ?(sleep = Unix.sleepf)
   in
   go 1
 
-let with_retry ?(policy = default_policy) ?(sleep = Unix.sleepf)
-    ?(should_retry = transient_only) ?(on_retry = fun ~attempt:_ _ -> ()) f =
-  let attempts = max 1 policy.attempts in
+let with_retry ?(sleep = Unix.sleepf) ?(should_retry = transient_only)
+    ?(on_retry = fun ~attempt:_ _ -> ()) f =
+  let attempts = default_policy.attempts in
   let rec go attempt =
     match f () with
     | Ok _ as ok -> ok
     | Error e when attempt < attempts && should_retry e ->
       on_retry ~attempt e;
-      let d = delay_for policy ~attempt in
+      let d = delay_for default_policy ~attempt in
       if d > 0.0 then sleep d;
       go (attempt + 1)
     | Error (Seed_error.Io_transient m) ->

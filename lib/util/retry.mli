@@ -22,18 +22,17 @@ val delay_for : policy -> attempt:int -> float
     (1-based): [min max_delay (base * multiplier^(attempt-1))]. *)
 
 val with_retry :
-  ?policy:policy ->
   ?sleep:(float -> unit) ->
   ?should_retry:(Seed_error.t -> bool) ->
   ?on_retry:(attempt:int -> Seed_error.t -> unit) ->
   (unit -> ('a, Seed_error.t) result) ->
   ('a, Seed_error.t) result
 (** [with_retry f] runs [f], retrying while it returns an error accepted by
-    [should_retry] (default: only {!Seed_error.Io_transient}) and attempts
-    remain.  Between tries it calls [sleep] (default [Unix.sleepf]) with
-    {!delay_for}.  After the final failed attempt a transient error is
-    surfaced as a permanent [Io_error] so callers never see
-    [Io_transient] escape a retry boundary. *)
+    [should_retry] (default: only {!Seed_error.Io_transient}) and
+    {!default_policy}'s attempts remain.  Between tries it calls [sleep]
+    (default [Unix.sleepf]) with {!delay_for}.  After the final failed
+    attempt a transient error is surfaced as a permanent [Io_error] so
+    callers never see [Io_transient] escape a retry boundary. *)
 
 val with_deadline :
   ?policy:policy ->

@@ -76,8 +76,12 @@ let with_objects db specs =
       ok (Seed_core.Database.create_object db ~cls ~name ()))
     specs
 
+(* Each property draws from one fixed seed, derived from its name: two
+   runs of one commit test the same sequences, and a failure reproduces
+   by rerunning it. *)
 let qcheck_case ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| Hashtbl.hash name |])
     (QCheck2.Test.make ~count ~name gen prop)
 
 let tc name f = Alcotest.test_case name `Quick f

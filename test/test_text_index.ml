@@ -459,8 +459,7 @@ let tiers tx = (Text_index.stats tx).Text_index.tiers
 module Model = Map.Make (Int)
 
 let model_index m =
-  Text_index.of_docs
-    (List.map (fun (id, (path, s)) -> (Ident.of_int id, path, s)) (Model.bindings m))
+  Text_index.of_docs (fun f -> Model.iter (fun id (path, s) -> f (Ident.of_int id) ~path s) m)
 
 let model_probes =
   [ (None, [ "issip" ]); (None, [ "alarm reset" ]); (None, [ "no-such-needle" ]);
@@ -468,7 +467,7 @@ let model_probes =
 
 (* [tx] holds exactly [m]'s documents, and answers every probe as
    containment over them does. *)
-let model_agrees tx m =
+let model_agrees ?(probes = model_probes) tx m =
   Text_index.equal tx (model_index m)
   && Text_index.doc_count tx = Model.cardinal m
   && List.for_all
@@ -484,7 +483,7 @@ let model_agrees tx m =
              m Ident.Set.empty
          in
          Ident.Set.equal naive (query tx ?path needles))
-       model_probes
+       probes
 
 (* 1200 documents over carriers 0..1199, one tier. *)
 let model_start rng =
@@ -587,12 +586,111 @@ let test_tier_rollback () =
   Alcotest.(check bool) "consistent after rollback" true (agrees () && select_agrees env)
 
 (* ------------------------------------------------------------------ *)
+(* Posting encodings                                                    *)
+(*                                                                      *)
+(* A posting is a bitmap over its tier's slots or a list of varint slot *)
+(* gaps, whichever is smaller. The choice is invisible to answers, so   *)
+(* these cases build postings of each kind and each gap width, and      *)
+(* turn one kind into the other through a fold and a tier merge,        *)
+(* checking the index against [of_docs] and every probe against naive   *)
+(* containment.                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let encoding_probes =
+  [ (None, [ "zqxj" ]); (None, [ "the" ]); (None, [ "the"; "zqxj" ]); (None, [ "zqxj 7" ]);
+    (Some "P", [ "zqxj" ]); (Some "Q", [ "the" ]); (None, [ "plain" ]); (None, [ "no-such" ]) ]
+
+(* One tier of 34000 documents: "the" in every one (a bitmap), "zqxj" at
+   slots whose gaps take 1, 2 and 3 varint bytes, each at its
+   boundary. *)
+let test_encodings_one_tier () =
+  let marked = [ 0; 127; 255; 16638; 33022; 33023 ] in
+  let m =
+    Seq.fold_left
+      (fun m id ->
+        let path = if id mod 3 = 0 then "P" else "Q" in
+        let s = if List.mem id marked then Printf.sprintf "the zqxj %d" id else Printf.sprintf "the %d" id in
+        Model.add id (path, s) m)
+      Model.empty (Seq.init 34000 Fun.id)
+  in
+  let tx = model_index m in
+  Alcotest.(check int) "one tier" 1 (tiers tx);
+  Alcotest.(check bool) "index = of_docs, probes = containment" true
+    (model_agrees ~probes:encoding_probes tx m);
+  Alcotest.(check int) "every marked slot found" (List.length marked)
+    (Ident.Set.cardinal (query tx [ "zqxj" ]))
+
+(* Folds into the recent tier and its merge into the main one, checked
+   after each: a fold turns the recent tier's "zqxj" list into a bitmap,
+   and the tier merge drops the removed main documents' tombstones and
+   turns that bitmap into a list over the larger main tier. *)
+let test_encodings_across_merges () =
+  let m =
+    Seq.fold_left
+      (fun m id -> Model.add id ((if id mod 2 = 0 then "P" else "Q"), text id) m)
+      Model.empty (Seq.init 3000 Fun.id)
+  in
+  let state = ref (model_index m, m) in
+  let add id s =
+    let tx, m = !state in
+    state := (Text_index.add_doc tx (Ident.of_int id) ~path:"P" s, Model.add id ("P", s) m)
+  in
+  let remove id =
+    let tx, m = !state in
+    state := (Text_index.remove_doc tx (Ident.of_int id), Model.remove id m)
+  in
+  let check label expected_tiers =
+    let tx, m = !state in
+    Alcotest.(check int) (label ^ ": tiers") expected_tiers (tiers tx);
+    Alcotest.(check bool) (label ^ ": index = of_docs, probes = containment") true
+      (model_agrees ~probes:encoding_probes tx m)
+  in
+  (* 250 removals (tombstones) and 7 marked documents: a list *)
+  for id = 0 to 249 do
+    remove (id * 12)
+  done;
+  for id = 3000 to 3006 do
+    add id (Printf.sprintf "zqxj %d" id)
+  done;
+  check "first fold" 2;
+  (* 257 more marked documents: over half the recent tier, a bitmap *)
+  for id = 3007 to 3263 do
+    add id (Printf.sprintf "the zqxj %d" id)
+  done;
+  check "second fold" 2;
+  (* 257 unmarked ones: the recent tier passes 1/4 of the main one *)
+  for id = 3264 to 3520 do
+    add id (Printf.sprintf "plain %d" id)
+  done;
+  check "tier merge" 1;
+  Alcotest.(check int) "marked documents" 264
+    (Ident.Set.cardinal (query (fst !state) [ "zqxj" ]))
+
+(* The size rule, seen in [stats]: a tier of 200 documents, "abc" in
+   every one and "xyz" in one. "abc" is a 25-byte bitmap (5 words with
+   header and padding) against 200 bytes of gaps; each of "bcx", "cxy"
+   and "xyz" a 1-byte list (2 words) against a 25-byte bitmap. Above
+   the empty index: three words per slot and per trigram, plus these. *)
+let test_encodings_size () =
+  let open Text_index in
+  let t =
+    of_docs (fun f ->
+        for i = 0 to 199 do
+          f (Ident.of_int i) ~path:"P" (if i = 7 then "abcxyz" else "abc")
+        done)
+  in
+  let words = (3 * 200) + (3 * 4) + 5 + (3 * 2) in
+  Alcotest.(check int) "bytes as laid out" (8 * words) ((stats t).bytes - (stats empty).bytes);
+  Alcotest.(check int) "postings" 203 (stats t).postings
+
+(* ------------------------------------------------------------------ *)
 (* Directed cases                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_structure () =
   let open Text_index in
   let id i = Ident.of_int i in
+  let of_docs docs = of_docs (fun f -> List.iter (fun (i, path, s) -> f i ~path s) docs) in
   Alcotest.(check int) "empty" 0 (doc_count empty);
   let docs =
     [ (id 1, "P", "the recovery path"); (id 2, "Q", "recover quickly");
@@ -826,6 +924,10 @@ let () =
         [ tc "churn across tier merges" test_tier_churn;
           tc "snapshot pinned before a tier merge" test_tier_snapshot;
           tc "rollback of a tier-merging transaction" test_tier_rollback ] );
+      ( "encodings",
+        [ tc "bitmap and 1-, 2-, 3-byte gaps" test_encodings_one_tier;
+          tc "a fold and a tier merge change encodings" test_encodings_across_merges;
+          tc "each posting in the smaller encoding" test_encodings_size ] );
       ( "exactness",
         [ tc "pattern root under an exact plan" test_exact_pattern;
           tc "too-common needle makes the plan inexact" test_dropped_needle;

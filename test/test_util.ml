@@ -298,13 +298,12 @@ let test_retry_first_try_no_sleep () =
 
 let test_retry_bounded_attempts () =
   let calls = ref 0 in
-  let policy = { Retry.default_policy with Retry.attempts = 3 } in
   let r =
-    Retry.with_retry ~policy ~sleep:(fun _ -> ()) (fun () ->
+    Retry.with_retry ~sleep:(fun _ -> ()) (fun () ->
         incr calls;
         Seed_error.fail (Seed_error.Io_transient "flaky"))
   in
-  Alcotest.(check int) "exactly attempts calls" 3 !calls;
+  Alcotest.(check int) "exactly attempts calls" Retry.default_policy.Retry.attempts !calls;
   (* the exhausted transient is hardened: callers never see
      Io_transient escape the retry layer *)
   check_err "hardened to permanent"
