@@ -206,15 +206,14 @@ let print_show db name =
       | None -> Ident.to_string vi.View.item.Seed_core.Item.id
     in
     let value =
-      match View.obj_state v vi.View.item with
-      | Some { Seed_core.Item.value = Some value; _ } ->
-        " = " ^ Value.to_string value
+      match View.state v vi.View.item with
+      | Seed_core.Item.Obj { value = Some value; _ } -> " = " ^ Value.to_string value
       | _ -> ""
     in
     let cls =
-      match View.obj_state v vi.View.item with
-      | Some o -> o.Seed_core.Item.cls
-      | None -> "?"
+      match View.state v vi.View.item with
+      | Seed_core.Item.Obj o -> o.cls
+      | Seed_core.Item.Rel _ | Seed_core.Item.Absent -> "?"
     in
     let inherited = if vi.View.via <> None then "  (inherited)" else "" in
     Fmt.pr "%s%s : %s%s%s@." (String.make indent ' ') label cls value
@@ -689,17 +688,17 @@ let diff_cmd =
             (fun id ->
               let describe v =
                 match Seed_core.History.state_in db id v with
-                | Ok (Some (Seed_core.Item.Obj o)) ->
+                | Ok (Seed_core.Item.Obj o) ->
                   Printf.sprintf "%s%s%s"
-                    o.Seed_core.Item.cls
-                    (match o.Seed_core.Item.value with
+                    o.cls
+                    (match o.value with
                     | Some value -> " = " ^ Seed_schema.Value.to_string value
                     | None -> "")
-                    (if o.Seed_core.Item.deleted then " (deleted)" else "")
-                | Ok (Some (Seed_core.Item.Rel r)) ->
-                  Printf.sprintf "%s%s" r.Seed_core.Item.assoc
-                    (if r.Seed_core.Item.rel_deleted then " (deleted)" else "")
-                | Ok None -> "(absent)"
+                    (if o.deleted then " (deleted)" else "")
+                | Ok (Seed_core.Item.Rel r) ->
+                  Printf.sprintf "%s%s" r.assoc
+                    (if r.rel_deleted then " (deleted)" else "")
+                | Ok Seed_core.Item.Absent -> "(absent)"
                 | Error _ -> "(?)"
               in
               let name =

@@ -73,30 +73,30 @@ let rec check_components view (vi : View.vitem) ~cls acc =
   (* undefined leaf values and recursion *)
   List.fold_left
     (fun acc (kid : View.vitem) ->
-      match View.obj_state view kid.View.item with
-      | None -> acc
-      | Some ks ->
+      match View.state view kid.View.item with
+      | Item.Rel _ | Item.Absent -> acc
+      | Item.Obj ks ->
         let acc =
-          match Schema.find_class schema ks.Item.cls with
+          match Schema.find_class schema ks.cls with
           | Some def
-            when def.Class_def.content <> None && ks.Item.value = None ->
+            when def.Class_def.content <> None && ks.value = None ->
             Undefined_value
               {
                 id = kid.View.item.Item.id;
                 subject = subject_name view kid;
-                class_path = ks.Item.cls;
+                class_path = ks.cls;
               }
             :: acc
           | Some _ | None -> acc
         in
-        check_components view kid ~cls:ks.Item.cls acc)
+        check_components view kid ~cls:ks.cls acc)
     acc kids
 
 let check_object view (obj : Item.t) =
   let schema = View.schema view in
-  match View.obj_state view obj with
-  | None -> []
-  | Some st ->
+  match View.state view obj with
+  | Item.Rel _ | Item.Absent -> []
+  | Item.Obj st ->
     let name =
       match View.full_name view obj with
       | Some n -> n
@@ -105,18 +105,18 @@ let check_object view (obj : Item.t) =
     let acc = [] in
     (* covering condition *)
     let acc =
-      match Schema.find_class schema st.Item.cls with
+      match Schema.find_class schema st.cls with
       | Some def when def.Class_def.covering ->
-        Unspecialized_class { id = obj.Item.id; subject = name; cls = st.Item.cls }
+        Unspecialized_class { id = obj.Item.id; subject = name; cls = st.cls }
         :: acc
       | Some _ | None -> acc
     in
     (* undefined own value *)
     let acc =
-      match Schema.find_class schema st.Item.cls with
-      | Some def when def.Class_def.content <> None && st.Item.value = None ->
+      match Schema.find_class schema st.cls with
+      | Some def when def.Class_def.content <> None && st.value = None ->
         Undefined_value
-          { id = obj.Item.id; subject = name; class_path = st.Item.cls }
+          { id = obj.Item.id; subject = name; class_path = st.cls }
         :: acc
       | Some _ | None -> acc
     in
@@ -142,21 +142,21 @@ let check_object view (obj : Item.t) =
               }
             :: acc)
         acc
-        (Schema.participation_constraints schema ~cls:st.Item.cls)
+        (Schema.participation_constraints schema ~cls:st.cls)
     in
     (* component structure *)
-    let acc = check_components view (View.vitem_real obj) ~cls:st.Item.cls acc in
+    let acc = check_components view (View.vitem_real obj) ~cls:st.cls acc in
     List.rev acc
 
 let check_relationship view (rel : Item.t) =
   let schema = View.schema view in
-  match View.rel_state view rel with
-  | None -> []
-  | Some rs ->
+  match View.state view rel with
+  | Item.Obj _ | Item.Absent -> []
+  | Item.Rel rs ->
     let covering =
-      match Schema.find_assoc schema rs.Item.assoc with
+      match Schema.find_assoc schema rs.assoc with
       | Some def when def.Assoc_def.covering ->
-        [ Unspecialized_assoc { id = rel.Item.id; assoc = rs.Item.assoc } ]
+        [ Unspecialized_assoc { id = rel.Item.id; assoc = rs.assoc } ]
       | Some _ | None -> []
     in
     let missing_attrs =
@@ -164,17 +164,17 @@ let check_relationship view (rel : Item.t) =
         (fun (a : Assoc_def.attr) ->
           if
             a.Assoc_def.required
-            && not (List.mem_assoc a.Assoc_def.attr_name rs.Item.rel_attrs)
+            && not (List.mem_assoc a.Assoc_def.attr_name rs.rel_attrs)
           then
             Some
               (Missing_attribute
                  {
                    id = rel.Item.id;
-                   assoc = rs.Item.assoc;
+                   assoc = rs.assoc;
                    attr = a.Assoc_def.attr_name;
                  })
           else None)
-        (Schema.effective_attrs schema rs.Item.assoc)
+        (Schema.effective_attrs schema rs.assoc)
     in
     covering @ missing_attrs
 

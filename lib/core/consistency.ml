@@ -27,13 +27,13 @@ let count_participation view rels (obj : Item.t) ~assoc ~pos =
   List.fold_left
     (fun n (vr : View.vrel) ->
       match View.state view vr.rel with
-      | Some (Item.Rel rs)
+      | Item.Rel rs
         when Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc
              && (match List.nth_opt vr.endpoints pos with
                 | Some e -> Ident.equal e obj.Item.id
                 | None -> false) ->
         n + 1
-      | Some (Item.Rel _ | Item.Obj _) | None -> n)
+      | Item.Rel _ | Item.Obj _ | Item.Absent -> n)
     0 rels
 
 (* ------------------------------------------------------------------ *)
@@ -50,15 +50,15 @@ let rec pattern_roots view (item : Item.t) =
     | Some p -> pattern_roots view p
     | None -> [])
   | Item.Relationship -> (
-    match View.rel_state view item with
-    | Some rs ->
+    match View.state view item with
+    | Item.Rel rs ->
       List.filter_map
         (fun e ->
           match Db_state.find_item (View.db view) e with
           | Some it when View.live_pattern view it -> Some it
           | Some _ | None -> None)
         rs.endpoints
-    | None -> [])
+    | Item.Obj _ | Item.Absent -> [])
 
 (* Applies [f] to the live normal objects whose context exposes [item]
    — the inheritors of its pattern roots, reached through pattern
@@ -82,9 +82,8 @@ let exists_normal_inheritor view item f =
    some normal object's context exposes. *)
 let has_normal_context view (item : Item.t) =
   match View.state view item with
-  | None -> false
-  | Some s ->
-    (not (Item.state_pattern s)) || exists_normal_inheritor view item (fun _ -> true)
+  | Item.Absent -> false
+  | s -> (not (Item.state_pattern s)) || exists_normal_inheritor view item (fun _ -> true)
 
 let normal_inheritor_contexts view item =
   let contexts = ref [] in
@@ -126,18 +125,17 @@ let unknown id = refuse (Unknown_item (Ident.to_string id))
 let require_live view (item : Item.t) =
   if not (View.live view item) then unknown item.Item.id
 
-let obj_state view (item : Item.t) =
-  match View.obj_state view item with Some o -> o | None -> unknown item.Item.id
-
-let live_obj view (item : Item.t) =
+(* An object's class, refusing any other item; [live_cls] refuses a
+   deleted object too. *)
+let obj_cls view (item : Item.t) =
   match View.state view item with
-  | Some (Item.Obj o) when not o.deleted -> o
-  | Some (Item.Obj _ | Item.Rel _) | None -> unknown item.Item.id
+  | Item.Obj o -> o.cls
+  | Item.Rel _ | Item.Absent -> unknown item.Item.id
 
-let live_rel view (item : Item.t) =
+let live_cls view (item : Item.t) =
   match View.state view item with
-  | Some (Item.Rel r) when not r.rel_deleted -> r
-  | Some (Item.Obj _ | Item.Rel _) | None -> unknown item.Item.id
+  | Item.Obj o when not o.deleted -> o.cls
+  | Item.Obj _ | Item.Rel _ | Item.Absent -> unknown item.Item.id
 
 (* Independent objects are classified by top-level classes only. *)
 let require_top_level schema cls =
@@ -207,15 +205,15 @@ let endpoints_fit view def ids =
   List.iteri
     (fun pos id ->
       match View.state_of_id view id with
-      | Some (Item.Obj es) -> endpoint_fits_role (View.schema view) def pos ~cls:es.cls
-      | Some (Item.Rel _) | None -> unknown id)
+      | Item.Obj es -> endpoint_fits_role (View.schema view) def pos ~cls:es.cls
+      | Item.Rel _ | Item.Absent -> unknown id)
     ids
 
 (* The positions where [id] stands among a relationship's [endpoints]
    accept an object of class [cls]. *)
-let bindings_fit view (rs : Item.rel_state) endpoints ~id ~cls =
+let bindings_fit view ~assoc endpoints ~id ~cls =
   let schema = View.schema view in
-  let def = find_assoc schema rs.assoc in
+  let def = find_assoc schema assoc in
   List.iteri
     (fun pos e -> if Ident.equal e id then endpoint_fits_role schema def pos ~cls)
     endpoints
@@ -240,8 +238,8 @@ let children_fit view (item : Item.t) ~cls =
   let schema = View.schema view in
   List.iter
     (fun (child : Item.t) ->
-      match (child.body, View.obj_state view child) with
-      | Item.Dependent { role; _ }, Some cst ->
+      match (child.body, View.state view child) with
+      | Item.Dependent { role; _ }, Item.Obj cst ->
         child_fits_class ~cls ~role ~got:cst.cls
           ~context:(fun () ->
             Printf.sprintf "sub-object %s under re-classified %s" role cls)
@@ -312,17 +310,14 @@ let creates_cycle view ~assoc ~src ~dst ~ignore_rel =
           let nexts =
             View.rels_v view obj
             |> List.filter_map (fun (vr : View.vrel) ->
-                   match
-                     (ignore_rel, View.rel_state view vr.View.rel)
-                   with
+                   match (ignore_rel, View.state view vr.View.rel) with
                    | Some ig, _ when Ident.equal ig vr.View.rel.Item.id -> None
-                   | _, Some rs
-                     when Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc
+                   | _, Item.Rel rs when Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc
                      -> (
                      match vr.View.endpoints with
                      | [ a; b ] when Ident.equal a node -> Some b
                      | _ -> None)
-                   | _, (Some _ | None) -> None)
+                   | _, (Item.Rel _ | Item.Obj _ | Item.Absent) -> None)
           in
           List.exists dfs nexts
       end
@@ -354,7 +349,7 @@ let acyclic view ~levels ~ignore_rel = function
    maxima and acyclicity over its expanded relationship set. *)
 let inheritor_context view (obj : Item.t) =
   let schema = View.schema view in
-  let st = obj_state view obj in
+  let cls = obj_cls view obj in
   let subject () = item_name_for_msg view obj in
   let context () = Printf.sprintf "context of %s" (subject ()) in
   (* the expanded children, grouped into runs of one role *)
@@ -377,14 +372,13 @@ let inheritor_context view (obj : Item.t) =
   let rec check_runs = function
     | [] -> ()
     | (role, _, _) :: _ as l ->
-      let def = ok (Schema.resolve_child schema ~cls:st.cls ~role) in
+      let def = ok (Schema.resolve_child schema ~cls ~role) in
       let expected = Some (Class_def.name def) in
       let rec run count indices = function
         | (r, index, item) :: rest when String.equal r role ->
           (match View.state view item with
-          | Some (Item.Obj cst) ->
-            child_fits_class ~cls:st.cls ~role ~got:cst.cls ~context expected
-          | Some (Item.Rel _) | None -> ());
+          | Item.Obj cst -> child_fits_class ~cls ~role ~got:cst.cls ~context expected
+          | Item.Rel _ | Item.Absent -> ());
           run (count + 1) (index :: indices) rest
         | rest ->
           children_within_max def ~subject count;
@@ -402,14 +396,14 @@ let inheritor_context view (obj : Item.t) =
   let rels = View.rels_v view obj in
   List.iter
     (fun (def, pos, _) -> participation_within_max view rels obj def ~pos ~extra:0)
-    (Schema.participation_constraints schema ~cls:st.cls);
+    (Schema.participation_constraints schema ~cls);
   List.iter
     (fun (vr : View.vrel) ->
       match View.state view vr.View.rel with
-      | Some (Item.Rel rs) ->
+      | Item.Rel rs ->
         acyclic view ~levels:(levels schema rs.assoc)
           ~ignore_rel:(Some vr.View.rel.Item.id) vr.View.endpoints
-      | Some (Item.Obj _) | None -> ())
+      | Item.Obj _ | Item.Absent -> ())
     rels
 
 (* ------------------------------------------------------------------ *)
@@ -423,8 +417,7 @@ let check_new_object view ~cls ~name =
 
 let check_new_sub_object view ~parent ~role ~index ~value =
   run (fun () ->
-      let pstate = live_obj view parent in
-      let def = ok (Schema.resolve_child (View.schema view) ~cls:pstate.cls ~role) in
+      let def = ok (Schema.resolve_child (View.schema view) ~cls:(live_cls view parent) ~role) in
       let card = def.Class_def.card in
       let single =
         Cardinality.equal card Cardinality.one || Cardinality.equal card Cardinality.opt
@@ -478,25 +471,29 @@ let check_new_relationship view ~assoc ~endpoints ~pattern =
 
 let check_set_value view item value =
   run (fun () ->
-      let st = live_obj view item in
-      value_fits_content (find_class (View.schema view) st.cls) value)
+      value_fits_content (find_class (View.schema view) (live_cls view item)) value)
 
 let check_set_rel_attr view item name value =
   run (fun () ->
-      let rs = live_rel view item in
-      attr_fits (View.schema view) ~assoc:rs.assoc name value)
+      match View.state view item with
+      | Item.Rel rs when not rs.rel_deleted -> attr_fits (View.schema view) ~assoc:rs.assoc name value
+      | Item.Rel _ | Item.Obj _ | Item.Absent -> unknown item.Item.id)
 
 let check_rename view (item : Item.t) new_name =
   run (fun () ->
-      let st = obj_state view item in
-      if not (independent item && Option.is_some st.name) then
+      let named =
+        match View.state view item with
+        | Item.Obj o -> Option.is_some o.name
+        | Item.Rel _ | Item.Absent -> unknown item.Item.id
+      in
+      if not (independent item && named) then
         refuse (Invalid_operation "only independent objects can be renamed");
       name_free view ~self:item.Item.id new_name)
 
 let check_reclassify_object view (item : Item.t) ~to_ =
   run (fun () ->
       let schema = View.schema view in
-      let st = obj_state view item in
+      let cls = obj_cls view item in
       if not (independent item) then
         refuse
           (Invalid_operation
@@ -504,8 +501,8 @@ let check_reclassify_object view (item : Item.t) ~to_ =
               their class definition)");
       require_live view item;
       require_top_level schema to_;
-      if not (Schema.same_class_hierarchy schema st.cls to_) then
-        refuse (Not_in_generalization { item_class = st.cls; target = to_ });
+      if not (Schema.same_class_hierarchy schema cls to_) then
+        refuse (Not_in_generalization { item_class = cls; target = to_ });
       (* its own and its inherited pattern children must fit the new
          class, and every relationship it takes part in must accept it *)
       List.iter
@@ -513,49 +510,61 @@ let check_reclassify_object view (item : Item.t) ~to_ =
         (item :: View.transitive_patterns view item);
       List.iter
         (fun (vr : View.vrel) ->
-          Option.iter
-            (fun rs -> bindings_fit view rs vr.View.endpoints ~id:item.Item.id ~cls:to_)
-            (View.rel_state view vr.View.rel))
+          match View.state view vr.View.rel with
+          | Item.Rel rs ->
+            bindings_fit view ~assoc:rs.assoc vr.View.endpoints ~id:item.Item.id ~cls:to_
+          | Item.Obj _ | Item.Absent -> ())
         (View.rels_v view item))
 
 let check_reclassify_rel view (item : Item.t) ~to_ =
   run (fun () ->
       let schema = View.schema view in
-      let rs = live_rel view item in
-      let def = find_assoc schema to_ in
-      if not (Schema.same_assoc_hierarchy schema rs.assoc to_) then
-        refuse (Not_in_generalization { item_class = rs.assoc; target = to_ });
-      endpoints_fit view def rs.endpoints;
-      (* every defined attribute must remain declared (with a compatible
-         type) under the new classification: generalizing a Write with a
-         NumberOfWrites to Access is refused until the attribute is
-         undefined *)
-      List.iter (fun (n, v) -> attr_fits schema ~assoc:to_ n (Some v)) rs.rel_attrs;
-      if (not rs.rel_pattern) || has_normal_context view item then begin
-        (* the levels of the new chain that the old chain did not cover
-           gain this relationship *)
-        let old_levels = levels schema rs.assoc in
-        let entered =
-          List.filter
-            (fun l -> not (List.exists (String.equal l) old_levels))
-            (levels schema to_)
-        in
-        endpoints_within_max view ~levels:entered
-          (List.filter_map (Db_state.find_item (View.db view)) rs.endpoints);
-        acyclic view ~levels:entered ~ignore_rel:(Some item.Item.id) rs.endpoints
-      end)
+      match View.state view item with
+      | Item.Obj _ | Item.Absent -> unknown item.Item.id
+      | Item.Rel rs when rs.rel_deleted -> unknown item.Item.id
+      | Item.Rel rs ->
+        let def = find_assoc schema to_ in
+        if not (Schema.same_assoc_hierarchy schema rs.assoc to_) then
+          refuse (Not_in_generalization { item_class = rs.assoc; target = to_ });
+        endpoints_fit view def rs.endpoints;
+        (* every defined attribute must remain declared (with a compatible
+           type) under the new classification: generalizing a Write with a
+           NumberOfWrites to Access is refused until the attribute is
+           undefined *)
+        List.iter (fun (n, v) -> attr_fits schema ~assoc:to_ n (Some v)) rs.rel_attrs;
+        if (not rs.rel_pattern) || has_normal_context view item then begin
+          (* the levels of the new chain that the old chain did not cover
+             gain this relationship *)
+          let old_levels = levels schema rs.assoc in
+          let entered =
+            List.filter
+              (fun l -> not (List.exists (String.equal l) old_levels))
+              (levels schema to_)
+          in
+          endpoints_within_max view ~levels:entered
+            (List.filter_map (Db_state.find_item (View.db view)) rs.endpoints);
+          acyclic view ~levels:entered ~ignore_rel:(Some item.Item.id) rs.endpoints
+        end)
 
 let check_inheritance view ~pattern ~inheritor =
   run (fun () ->
-      let pst = obj_state view pattern in
-      let ist = obj_state view inheritor in
-      if not (independent pattern && pst.pattern) then
+      let is_pattern =
+        match View.state view pattern with
+        | Item.Obj o -> o.pattern
+        | Item.Rel _ | Item.Absent -> unknown pattern.Item.id
+      in
+      let inherits, normal, cls =
+        match View.state view inheritor with
+        | Item.Obj o -> (o.inherits, not o.pattern, o.cls)
+        | Item.Rel _ | Item.Absent -> unknown inheritor.Item.id
+      in
+      if not (independent pattern && is_pattern) then
         refuse (Pattern_violation "only independent pattern objects can be inherited");
       if not (View.live view pattern && View.live view inheritor) then
         refuse (Pattern_violation "pattern and inheritor must be live");
       if not (independent inheritor) then
         refuse (Pattern_violation "only independent objects can inherit patterns");
-      if List.exists (Ident.equal pattern.Item.id) ist.inherits then
+      if List.exists (Ident.equal pattern.Item.id) inherits then
         refuse (Pattern_violation "pattern already inherited");
       (* cycle through the inherits relation *)
       if Ident.equal pattern.Item.id inheritor.Item.id then
@@ -568,14 +577,13 @@ let check_inheritance view ~pattern ~inheritor =
       (* contexts are dynamic, so Database re-validates the inheritor
          after the (tentative) link; here the pattern's pieces must fit
          a normal inheritor's class *)
-      if not ist.pattern then begin
-        children_fit view pattern ~cls:ist.cls;
+      if normal then begin
+        children_fit view pattern ~cls;
         List.iter
           (fun r ->
-            Option.iter
-              (fun (rs : Item.rel_state) ->
-                bindings_fit view rs rs.endpoints ~id:pattern.Item.id ~cls:ist.cls)
-              (View.rel_state view r))
+            match View.state view r with
+            | Item.Rel rs -> bindings_fit view ~assoc:rs.assoc rs.endpoints ~id:pattern.Item.id ~cls
+            | Item.Obj _ | Item.Absent -> ())
           (View.rels view pattern.Item.id)
       end)
 
@@ -598,15 +606,15 @@ let check_database view =
   let schema = View.schema view in
   let check_item (item : Item.t) =
     match View.state view item with
-    | None -> ()
-    | Some s when Item.state_deleted s -> ()
-    | Some (Item.Obj o) ->
+    | Item.Absent -> ()
+    | s when Item.state_deleted s -> ()
+    | Item.Obj o ->
       value_fits_content (find_class schema o.cls) o.value;
       if independent item then begin
         name_bound view item o.name;
         if not o.pattern then inheritor_context view item
       end
-    | Some (Item.Rel r) ->
+    | Item.Rel r ->
       let def = find_assoc schema r.assoc in
       arity_fits def r.endpoints;
       List.iter (fun (n, v) -> attr_fits schema ~assoc:r.assoc n (Some v)) r.rel_attrs;

@@ -37,10 +37,9 @@ let rec export_subs v buf indent (it : Item.t) =
   List.iter
     (fun (kid : Item.t) ->
       Buffer.add_string buf (pad ^ Item.component kid);
-      (match View.obj_state v kid with
-      | Some { Item.value = Some value; _ } ->
-        Buffer.add_string buf (" = " ^ render_value value)
-      | Some _ | None -> ());
+      (match View.state v kid with
+      | Item.Obj { value = Some value; _ } -> Buffer.add_string buf (" = " ^ render_value value)
+      | Item.Obj _ | Item.Rel _ | Item.Absent -> ());
       if View.children v kid.Item.id = [] then Buffer.add_char buf '\n'
       else begin
         Buffer.add_string buf " {\n";
@@ -58,10 +57,9 @@ let export_object v buf ~pattern (it : Item.t) =
   let cls = Option.value (View.class_path_of v it) ~default:"?" in
   Buffer.add_string buf (if pattern then "pattern " else "object ");
   Buffer.add_string buf (Printf.sprintf "%s : %s" (render_name name) cls);
-  (match View.obj_state v it with
-  | Some { Item.value = Some value; _ } ->
-    Buffer.add_string buf (" = " ^ render_value value)
-  | Some _ | None -> ());
+  (match View.state v it with
+  | Item.Obj { value = Some value; _ } -> Buffer.add_string buf (" = " ^ render_value value)
+  | Item.Obj _ | Item.Rel _ | Item.Absent -> ());
   let inherits =
     View.inherits_of v it
     |> List.filter_map (fun pid ->
@@ -89,16 +87,16 @@ let endpoint_name v e =
   | None -> Ident.to_string e
 
 let export_rel v buf ~pattern (rel : Item.t) =
-  match View.rel_state v rel with
-  | None -> ()
-  | Some rs ->
-    let names = List.map (fun e -> render_name (endpoint_name v e)) rs.Item.endpoints in
+  match View.state v rel with
+  | Item.Obj _ | Item.Absent -> ()
+  | Item.Rel rs ->
+    let names = List.map (fun e -> render_name (endpoint_name v e)) rs.endpoints in
     Buffer.add_string buf
       (Printf.sprintf "%srel %s (%s)"
          (if pattern then "pattern " else "")
-         rs.Item.assoc (String.concat ", " names));
+         rs.assoc (String.concat ", " names));
     (match
-       List.sort (fun (a, _) (b, _) -> String.compare a b) rs.Item.rel_attrs
+       List.sort (fun (a, _) (b, _) -> String.compare a b) rs.rel_attrs
      with
     | [] -> Buffer.add_char buf '\n'
     | attrs ->
@@ -130,12 +128,9 @@ let export_view v =
     List.map
       (fun (r : Item.t) ->
         let key =
-          match View.rel_state v r with
-          | Some rs ->
-            ( rs.Item.assoc,
-              List.map (endpoint_name v) rs.Item.endpoints,
-              rs.Item.rel_pattern )
-          | None -> ("", [], false)
+          match View.state v r with
+          | Item.Rel rs -> (rs.assoc, List.map (endpoint_name v) rs.endpoints, rs.rel_pattern)
+          | Item.Obj _ | Item.Absent -> ("", [], false)
         in
         (key, r))
       rels

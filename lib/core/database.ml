@@ -59,15 +59,15 @@ let with_transaction db f =
 let procedure_names db (it : Item.t) =
   let schema = Db_state.schema db in
   match it.Item.current with
-  | Some (Item.Obj o) ->
+  | Item.Obj o ->
     let chain =
       if it.Item.body = Item.Independent then
-        o.Item.cls :: Schema.class_supers schema o.Item.cls
+        o.cls :: Schema.class_supers schema o.cls
       else begin
         (* a sub-object update also counts as an update of its enclosing
            composite objects: run the procedures of every class-path
            prefix, and the generalization chain of the root *)
-        let components = String.split_on_char '.' o.Item.cls in
+        let components = String.split_on_char '.' o.cls in
         let prefixes =
           List.fold_left
             (fun acc c ->
@@ -87,15 +87,15 @@ let procedure_names db (it : Item.t) =
         | Some def -> def.Class_def.procedures
         | None -> [])
       chain
-  | Some (Item.Rel r) ->
-    let chain = r.Item.assoc :: Schema.assoc_supers schema r.Item.assoc in
+  | Item.Rel r ->
+    let chain = r.assoc :: Schema.assoc_supers schema r.assoc in
     List.concat_map
       (fun a ->
         match Schema.find_assoc schema a with
         | Some def -> def.Assoc_def.procedures
         | None -> [])
       chain
-  | None -> []
+  | Item.Absent -> []
 
 let run_procedures db (it : Item.t) event =
   let names = procedure_names db it in
@@ -127,9 +127,9 @@ let validate ?(recheck_contexts = true) db id event =
   in
   let contexts =
     match it.Item.current with
-    | Some s when recheck_contexts && Item.state_pattern s ->
+    | s when recheck_contexts && Item.state_pattern s ->
       Consistency.normal_inheritor_contexts v it
-    | Some _ | None -> []
+    | _ -> []
   in
   let* () = iter_result (Consistency.check_inheritor_context v) contexts in
   run_procedures db it event
@@ -146,7 +146,7 @@ let create_object db ~cls ~name ?(pattern = false) () =
   let state =
     Item.Obj
       {
-        Item.name = Some name;
+        name = Some name;
         cls;
         value = None;
         pattern;
@@ -190,16 +190,16 @@ let create_sub_object db ~parent ~role ?index ?value () =
     | None, false -> Some (smallest_free (used_indices v parent_item ~role))
   in
   let pattern =
-    match View.obj_state v parent_item with
-    | Some o -> o.Item.pattern
-    | None -> false
+    match View.state v parent_item with
+    | Item.Obj o -> o.pattern
+    | Item.Rel _ | Item.Absent -> false
   in
   Db_state.atomically db @@ fun () ->
   let id = Db_state.fresh_id db in
   let state =
     Item.Obj
       {
-        Item.name = None;
+        name = None;
         cls = Class_def.name def;
         value;
         pattern;
@@ -224,7 +224,7 @@ let create_relationship db ~assoc ~endpoints ?(pattern = false) () =
   let state =
     Item.Rel
       {
-        Item.assoc;
+        assoc;
         endpoints;
         rel_attrs = [];
         rel_pattern = pattern;
@@ -272,64 +272,64 @@ let set_value db id value =
   let v = View.current db in
   let* item = Db_state.find_item_res db id in
   let* () = Consistency.check_set_value v item value in
-  match View.obj_state v item with
-  | None -> fail (Unknown_item (Ident.to_string id))
-  | Some o ->
+  match View.state v item with
+  | Item.Rel _ | Item.Absent -> fail (Unknown_item (Ident.to_string id))
+  | Item.Obj o ->
     Db_state.atomically db @@ fun () ->
-    let old_value = o.Item.value in
-    Db_state.replace_state db id (Item.Obj { o with Item.value });
+    let old_value = o.value in
+    Db_state.replace_state db id (Item.Obj { o with value });
     validate ~recheck_contexts:false db id (Event.Value_updated { id; old_value })
 
 let set_rel_attr db id name value =
   let v = View.current db in
   let* item = Db_state.find_item_res db id in
   let* () = Consistency.check_set_rel_attr v item name value in
-  match View.rel_state v item with
-  | None -> fail (Unknown_item (Ident.to_string id))
-  | Some r ->
+  match View.state v item with
+  | Item.Obj _ | Item.Absent -> fail (Unknown_item (Ident.to_string id))
+  | Item.Rel r ->
     Db_state.atomically db @@ fun () ->
-    let attrs = List.remove_assoc name r.Item.rel_attrs in
+    let attrs = List.remove_assoc name r.rel_attrs in
     let attrs =
       match value with None -> attrs | Some value -> (name, value) :: attrs
     in
-    Db_state.replace_state db id (Item.Rel { r with Item.rel_attrs = attrs });
+    Db_state.replace_state db id (Item.Rel { r with rel_attrs = attrs });
     validate ~recheck_contexts:false db id
       (Event.Value_updated
-         { id; old_value = List.assoc_opt name r.Item.rel_attrs })
+         { id; old_value = List.assoc_opt name r.rel_attrs })
 
 let rel_attr db id name =
   match View.state_of_id (view db) id with
-  | Some (Item.Rel r) -> List.assoc_opt name r.Item.rel_attrs
-  | Some (Item.Obj _) | None -> None
+  | Item.Rel r -> List.assoc_opt name r.rel_attrs
+  | Item.Obj _ | Item.Absent -> None
 
 let rename_object db id new_name =
   let v = View.current db in
   let* item = Db_state.find_item_res db id in
   let* () = Consistency.check_rename v item new_name in
-  match View.obj_state v item with
-  | None -> fail (Unknown_item (Ident.to_string id))
-  | Some o ->
+  match View.state v item with
+  | Item.Rel _ | Item.Absent -> fail (Unknown_item (Ident.to_string id))
+  | Item.Obj o ->
     Db_state.atomically db @@ fun () ->
-    let old_name = Option.value o.Item.name ~default:"" in
-    Db_state.replace_state db id (Item.Obj { o with Item.name = Some new_name });
+    let old_name = Option.value o.name ~default:"" in
+    Db_state.replace_state db id (Item.Obj { o with name = Some new_name });
     validate ~recheck_contexts:false db id (Event.Renamed { id; old_name })
 
 let reclassify db id ~to_ =
   let v = View.current db in
   let* item = Db_state.find_item_res db id in
   match View.state v item with
-  | None -> fail (Unknown_item (Ident.to_string id))
-  | Some (Item.Obj o) ->
+  | Item.Absent -> fail (Unknown_item (Ident.to_string id))
+  | Item.Obj o ->
     let* () = Consistency.check_reclassify_object v item ~to_ in
     Db_state.atomically db @@ fun () ->
-    let from_ = o.Item.cls in
-    Db_state.replace_state db id (Item.Obj { o with Item.cls = to_ });
+    let from_ = o.cls in
+    Db_state.replace_state db id (Item.Obj { o with cls = to_ });
     validate db id (Event.Reclassified { id; from_ })
-  | Some (Item.Rel r) ->
+  | Item.Rel r ->
     let* () = Consistency.check_reclassify_rel v item ~to_ in
     Db_state.atomically db @@ fun () ->
-    let from_ = r.Item.assoc in
-    Db_state.replace_state db id (Item.Rel { r with Item.assoc = to_ });
+    let from_ = r.assoc in
+    Db_state.replace_state db id (Item.Rel { r with assoc = to_ });
     validate db id (Event.Reclassified { id; from_ })
 
 (* the sub-object tree below an object, live items only *)
@@ -353,11 +353,11 @@ let delete db id =
   Db_state.atomically db @@ fun () ->
   let mark_deleted (it : Item.t) =
     match it.Item.current with
-    | Some (Item.Obj o) ->
-      Db_state.replace_state db it.Item.id (Item.Obj { o with Item.deleted = true })
-    | Some (Item.Rel r) ->
-      Db_state.replace_state db it.Item.id (Item.Rel { r with Item.rel_deleted = true })
-    | None -> ()
+    | Item.Obj o ->
+      Db_state.replace_state db it.Item.id (Item.Obj { o with deleted = true })
+    | Item.Rel r ->
+      Db_state.replace_state db it.Item.id (Item.Rel { r with rel_deleted = true })
+    | Item.Absent -> ()
   in
   List.iter mark_deleted cascade;
   validate db id (Event.Deleted id)
@@ -371,12 +371,12 @@ let inherit_pattern db ~pattern ~inheritor =
   let* pat = Db_state.find_item_res db pattern in
   let* inh = Db_state.find_item_res db inheritor in
   let* () = Consistency.check_inheritance v ~pattern:pat ~inheritor:inh in
-  match View.obj_state v inh with
-  | None -> fail (Unknown_item (Ident.to_string inheritor))
-  | Some o ->
+  match View.state v inh with
+  | Item.Rel _ | Item.Absent -> fail (Unknown_item (Ident.to_string inheritor))
+  | Item.Obj o ->
     Db_state.atomically db @@ fun () ->
     Db_state.replace_state db inheritor
-      (Item.Obj { o with Item.inherits = o.Item.inherits @ [ pattern ] });
+      (Item.Obj { o with inherits = o.inherits @ [ pattern ] });
     (* the combined context must be consistent right away, read from
        the record this update wrote: [inh] is the one it superseded *)
     let* inh = Db_state.find_item_res db inheritor in
@@ -389,17 +389,17 @@ let inherit_pattern db ~pattern ~inheritor =
 let uninherit_pattern db ~pattern ~inheritor =
   let v = View.current db in
   let* inh = Db_state.find_item_res db inheritor in
-  match View.obj_state v inh with
-  | None -> fail (Unknown_item (Ident.to_string inheritor))
-  | Some o ->
-    if not (List.exists (Ident.equal pattern) o.Item.inherits) then
+  match View.state v inh with
+  | Item.Rel _ | Item.Absent -> fail (Unknown_item (Ident.to_string inheritor))
+  | Item.Obj o ->
+    if not (List.exists (Ident.equal pattern) o.inherits) then
       fail (Pattern_violation "pattern is not inherited by this object")
     else
       Db_state.atomically db @@ fun () ->
       let inherits =
-        List.filter (fun p -> not (Ident.equal p pattern)) o.Item.inherits
+        List.filter (fun p -> not (Ident.equal p pattern)) o.inherits
       in
-      Db_state.replace_state db inheritor (Item.Obj { o with Item.inherits });
+      Db_state.replace_state db inheritor (Item.Obj { o with inherits });
       Ok ()
 
 (* ------------------------------------------------------------------ *)
@@ -458,7 +458,8 @@ let begin_alternative db ~from_ ?(force = false) () =
   (* the materialized view of [from_] holds every resolved state *)
   let v = View.at db from_ in
   Db_state.map_items db (fun it -> Item.with_current it (View.state v it));
-  Db_state.load db (fun add -> Db_state.iter_items db (fun it -> add it false));
+  Db_state.load db ~capacity:(Db_state.item_count db) (fun add ->
+      Db_state.iter_items db (fun it -> add it false));
   Db_state.set_current_base db (Some from_);
   Ok ()
 
@@ -536,18 +537,18 @@ let full_name db id =
 
 let class_of db id =
   match View.state_of_id (view db) id with
-  | Some (Item.Obj o) -> Some o.Item.cls
-  | Some (Item.Rel _) | None -> None
+  | Item.Obj o -> Some o.cls
+  | Item.Rel _ | Item.Absent -> None
 
 let assoc_of db id =
   match View.state_of_id (view db) id with
-  | Some (Item.Rel r) -> Some r.Item.assoc
-  | Some (Item.Obj _) | None -> None
+  | Item.Rel r -> Some r.assoc
+  | Item.Obj _ | Item.Absent -> None
 
 let get_value db id =
   match View.state_of_id (view db) id with
-  | Some (Item.Obj o) -> o.Item.value
-  | Some (Item.Rel _) | None -> None
+  | Item.Obj o -> o.value
+  | Item.Rel _ | Item.Absent -> None
 
 let exists db id =
   match Db_state.find_item db id with
@@ -566,8 +567,8 @@ let relationships db id =
 
 let endpoints db id =
   match View.state_of_id (view db) id with
-  | Some (Item.Rel r) -> r.Item.endpoints
-  | Some (Item.Obj _) | None -> []
+  | Item.Rel r -> r.endpoints
+  | Item.Obj _ | Item.Absent -> []
 
 let inheritors db id =
   let v = view db in

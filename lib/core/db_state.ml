@@ -7,11 +7,12 @@ open Seed_error
 (*                                                                      *)
 (* Everything a reader can observe — item table, indexes, extents, the  *)
 (* version tree, the schema revisions — lives in one immutable [root]   *)
-(* built from persistent maps. A mutation builds a new root sharing all *)
-(* untouched branches with the old one; publishing it is a single       *)
-(* atomic pointer store, and grabbing a consistent snapshot is a single *)
-(* atomic load. Pinned roots stay valid forever: nothing reachable from *)
-(* a root is ever mutated.                                              *)
+(* built from persistent values: maps, and the item table's base array  *)
+(* with its overlay map. A mutation builds a new root sharing all       *)
+(* untouched parts with the old one; publishing it is a single atomic   *)
+(* pointer store, and grabbing a consistent snapshot is a single atomic *)
+(* load. Pinned roots stay valid forever: nothing reachable from a root *)
+(* is ever mutated.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The live-membership indexes of one state — the current root's, kept
@@ -38,7 +39,7 @@ type extents = {
 
 type root = {
   r_schemas : (int * Schema.t) list;
-  r_items : Item.t Ident.Map.t;
+  r_items : Item_table.t;
   r_ext : extents;
   r_text : Text_index.t option;  (* [None] = text indexing disabled *)
   r_versions : Versioning.t;
@@ -125,7 +126,7 @@ let empty_extents =
 let empty_root schema =
   {
     r_schemas = [ (Schema.revision schema, schema) ];
-    r_items = Ident.Map.empty;
+    r_items = Item_table.empty;
     r_ext = empty_extents;
     r_text = Some Text_index.empty;
     r_versions = Versioning.empty;
@@ -235,19 +236,16 @@ let set_retrieval_version t v =
 let gen t = t.gen
 let fresh_id t = Ident.Gen.next t.gen
 
-let find_item t id = Ident.Map.find_opt id t.working.r_items
+let find_item t id = Item_table.find t.working.r_items id
 
 let find_item_res t id =
   match find_item t id with
   | Some it -> Ok it
   | None -> fail (Unknown_item (Ident.to_string id))
 
-let item_count t = Ident.Map.cardinal t.working.r_items
-
-let iter_items t f = Ident.Map.iter (fun _ it -> f it) t.working.r_items
-
-let fold_items t ~init ~f =
-  Ident.Map.fold (fun _ it acc -> f acc it) t.working.r_items init
+let item_count t = Item_table.count t.working.r_items
+let iter_items t f = Item_table.iter f t.working.r_items
+let fold_items t ~init ~f = Item_table.fold f init t.working.r_items
 
 (* ------------------------------------------------------------------ *)
 (* Extents                                                              *)
@@ -268,42 +266,45 @@ let fold_items t ~init ~f =
    dependent, patterns included) carrying a string value; the class path
    — the full dotted path for sub-objects — is the posting's attribute
    path. This predicate is the single source of truth for what gets
-   indexed: the incremental hooks, the wholesale rebuilds, and the
-   consistency check in the soak harness all go through it. *)
-let text_doc_of_state (item : Item.t) (state : Item.state option) =
+   indexed: the incremental hook, the wholesale rebuilds, and the
+   consistency check in the soak harness all go through it. It
+   allocates nothing, so the rebuild counts carriers with it. *)
+let carries_text (item : Item.t) (state : Item.state) =
   match (item.Item.body, state) with
-  | (Item.Independent | Item.Dependent _), Some (Item.Obj o)
-    when not o.Item.deleted -> (
-    match o.Item.value with
-    | Some (Value.String s) -> Some (o.Item.cls, s)
-    | Some _ | None -> None)
-  | _ -> None
+  | (Item.Independent | Item.Dependent _), Item.Obj o -> (
+    (not o.deleted) && match o.value with Some (Value.String _) -> true | _ -> false)
+  | _ -> false
+
+(* Pass [item]'s document at [state] to [f] when it carries one. *)
+let text_doc f (item : Item.t) (state : Item.state) =
+  match state with
+  | Item.Obj { cls; value = Some (Value.String s); _ } when carries_text item state ->
+    f item.Item.id ~path:cls s
+  | _ -> ()
 
 (* One wholesale build over the item table, each item at the state
    [state_of] resolves for it: the current state for the root's index, the
-   resolved one for a version's. It walks the table twice, to count and to
-   fill, and builds no list. *)
+   resolved one for a version's. It walks the table twice, to count the
+   carriers and to fill, and builds no list. *)
 let build_text_index items state_of =
-  Text_index.of_docs (fun f ->
-      Ident.Map.iter
-        (fun id it ->
-          match text_doc_of_state it (state_of it) with
-          | Some (path, s) -> f id ~path s
-          | None -> ())
-        items)
+  let carriers =
+    Item_table.fold (fun n it -> if carries_text it (state_of it) then n + 1 else n) 0 items
+  in
+  Text_index.of_docs carriers (fun f -> Item_table.iter (fun it -> text_doc f it (state_of it)) items)
 
 let current_state (it : Item.t) = it.Item.current
 
 (* The root's text index brought in line with [item] holding [state]: its
    string indexed, or the carrier dropped. *)
-let text_of r (item : Item.t) (state : Item.state option) =
+let text_of r (item : Item.t) (state : Item.state) =
   match r.r_text with
   | None -> None
   | Some tx ->
     let tx' =
-      match text_doc_of_state item state with
-      | Some (path, s) -> Text_index.add_doc tx item.Item.id ~path s
-      | None -> Text_index.remove_doc tx item.Item.id
+      match state with
+      | Item.Obj { cls; value = Some (Value.String s); _ } when carries_text item state ->
+        Text_index.add_doc tx item.Item.id ~path:cls s
+      | _ -> Text_index.remove_doc tx item.Item.id
     in
     if tx' == tx then r.r_text else Some tx'
 
@@ -319,35 +320,31 @@ type slot =
   | Sub_object of Ident.t
   | Relation of { pattern : bool; assoc : string; endpoints : Ident.t list }
 
-let slot (item : Item.t) (state : Item.state option) =
+let slot (item : Item.t) (state : Item.state) =
   match (item.Item.body, state) with
-  | _, None -> Outside
-  | _, Some s when Item.state_deleted s -> Outside
-  | Item.Independent, Some (Item.Obj o) ->
-    Object
-      { pattern = o.Item.pattern; cls = o.Item.cls; name = o.Item.name; inherits = o.Item.inherits }
-  | Item.Dependent { parent; _ }, Some (Item.Obj _) -> Sub_object parent
-  | Item.Relationship, Some (Item.Rel rel) ->
-    Relation
-      { pattern = rel.Item.rel_pattern; assoc = rel.Item.assoc; endpoints = rel.Item.endpoints }
-  | (Item.Independent | Item.Dependent _), Some (Item.Rel _)
-  | Item.Relationship, Some (Item.Obj _) ->
-    Outside
+  | _, Item.Absent -> Outside
+  | _, s when Item.state_deleted s -> Outside
+  | Item.Independent, Item.Obj o ->
+    Object { pattern = o.pattern; cls = o.cls; name = o.name; inherits = o.inherits }
+  | Item.Dependent { parent; _ }, Item.Obj _ -> Sub_object parent
+  | Item.Relationship, Item.Rel rel ->
+    Relation { pattern = rel.rel_pattern; assoc = rel.assoc; endpoints = rel.endpoints }
+  | (Item.Independent | Item.Dependent _), Item.Rel _ | Item.Relationship, Item.Obj _ -> Outside
 
 (* [slot item a = slot item b] read off the states without building
    either slot, so a value update allocates nothing here; [false] for
    two [Outside] states only costs a move that changes nothing. *)
 let same_slot (item : Item.t) a b =
   match (a, b) with
-  | Some (Item.Obj o), Some (Item.Obj p) -> (
-    (not (o.Item.deleted || p.Item.deleted))
+  | Item.Obj o, Item.Obj p -> (
+    (not (o.deleted || p.deleted))
     &&
     match item.Item.body with
     | Item.Independent ->
       o.pattern = p.pattern && o.cls = p.cls && o.name = p.name && o.inherits = p.inherits
     | Item.Dependent _ | Item.Relationship -> true)
-  | Some (Item.Rel r), Some (Item.Rel q) ->
-    (not (r.Item.rel_deleted || q.Item.rel_deleted))
+  | Item.Rel r, Item.Rel q ->
+    (not (r.rel_deleted || q.rel_deleted))
     && r.rel_pattern = q.rel_pattern && r.assoc = q.assoc && r.endpoints = q.endpoints
   | _ -> false
 
@@ -363,7 +360,7 @@ let rec under ~add m id = function
    name binding is dropped only while it is still this item's. The text
    index has its own hook ([text_of]): the wholesale rebuild builds
    it in one pass. *)
-let membership ~add x (item : Item.t) (state : Item.state option) =
+let membership ~add x (item : Item.t) (state : Item.state) =
   let id = item.Item.id in
   match slot item state with
   | Outside -> x
@@ -468,7 +465,7 @@ let fold_live_ids x f init =
    stores is one the next flush must write. Its callers build one root
    from the pair. *)
 let put r (item : Item.t) =
-  (Ident.Map.add item.id item r.r_items, Ident.Set.add item.id r.r_unflushed)
+  (Item_table.add r.r_items item, Ident.Set.add item.id r.r_unflushed)
 
 (* The two writers of an item's current state; each enters the item in
    the delta set in the same root update. *)
@@ -489,11 +486,11 @@ let add_item t (item : Item.t) =
    a rename, reclassification, (un-)inheritance or delete moves the
    item. *)
 let replace_state t id new_state =
-  match Ident.Map.find_opt id t.working.r_items with
+  match find_item t id with
   | None -> ()
   | Some item ->
     let r = t.working in
-    let item' = Item.with_current item (Some new_state) in
+    let item' = Item.with_current item new_state in
     let r_items, r_unflushed = put r item' in
     t.working <-
       {
@@ -528,10 +525,10 @@ let map_items t f =
   let r = t.working in
   let unflushed = ref r.r_unflushed in
   let items =
-    Ident.Map.mapi
-      (fun id it ->
+    Item_table.map
+      (fun it ->
         let it' = f it in
-        if record_changed it it' then unflushed := Ident.Set.add id !unflushed;
+        if record_changed it it' then unflushed := Ident.Set.add it.Item.id !unflushed;
         it')
       r.r_items
   in
@@ -580,37 +577,25 @@ let unflushed t = t.working.r_unflushed
 let clear_unflushed t =
   t.working <- { t.working with r_unflushed = Ident.Set.empty }
 
-(* The item table grown at its top end, as runs of equal size merged
-   like the digits of a binary counter: joining two runs over disjoint
-   ranges copies only their facing spines, where one insert per key
-   copies a whole search path for each key. Run sizes grow strictly
-   downwards. *)
-let union_disjoint a b = Ident.Map.union (fun _ x _ -> Some x) a b
-
-let rec push_run (n, x) = function
-  | (m, y) :: rest when m = n -> push_run (n + m, union_disjoint y x) rest
-  | runs -> (n, x) :: runs
-
-let of_runs runs = List.fold_left (fun acc (_, x) -> union_disjoint x acc) Ident.Map.empty runs
-
 (* One fold over items arriving in increasing id order: the item table,
    the delta set and every extent at once, with no list of the database.
-   The table grows as runs, the delta set through {!Ident.Set.push}, the
+   The table's base array is allocated once for [capacity] items and
+   filled in place, the delta set grows through {!Ident.Set.push}, the
    extents through the wholesale build as each item arrives, which
    spares a second walk over the finished table (DESIGN §6). *)
-let load t feed =
+let load t ~capacity feed =
   let r = t.working in
-  let items = ref [] and dirty = Ident.Set.builder () in
+  let items = Item_table.builder capacity and dirty = Ident.Set.builder () in
   let r_ext =
     extents_of (fun add ->
         feed (fun (it : Item.t) in_delta ->
             let id = it.Item.id in
-            items := push_run (1, Ident.Map.singleton id it) !items;
+            Item_table.push items it;
             if in_delta then Ident.Set.push dirty id;
             add it it.Item.current;
             Ident.Gen.mark_used t.gen id))
   in
-  let items = of_runs !items in
+  let items = Item_table.build items in
   t.working <-
     {
       r with
@@ -640,15 +625,15 @@ let version_cache_capacity = 8
 
 let build_version_extent t (node : Versioning.node) =
   let r = t.working in
-  let states = Ident.Tbl.create (Ident.Map.cardinal r.r_items) in
+  let states = Ident.Tbl.create (Item_table.count r.r_items) in
   let state_at = Versioning.state_at r.r_versions node.Versioning.vid in
   let resolved (it : Item.t) =
     let s = state_at it in
-    Option.iter (Ident.Tbl.replace states it.Item.id) s;
+    (match s with Item.Absent -> () | s -> Ident.Tbl.replace states it.Item.id s);
     s
   in
   {
-    ve_ext = extents_of (fun add -> Ident.Map.iter (fun _ it -> add it (resolved it)) r.r_items);
+    ve_ext = extents_of (fun add -> Item_table.iter (fun it -> add it (resolved it)) r.r_items);
     ve_states = states;
     ve_schema =
       Option.value ~default:(head_schema r) (schema_at_revision t node.Versioning.schema_rev);
@@ -730,7 +715,8 @@ let version_cache_stats t =
 
 let ve_extents ve = ve.ve_ext
 let ve_schema ve = ve.ve_schema
-let ve_state ve id = Ident.Tbl.find_opt ve.ve_states id
+let ve_state ve id =
+  match Ident.Tbl.find ve.ve_states id with s -> s | exception Not_found -> Item.Absent
 
 (* ------------------------------------------------------------------ *)
 (* Text index                                                           *)

@@ -5,10 +5,12 @@
     {!Database} is the checked operational interface; {!Consistency} and
     {!Completeness} read through these accessors.
 
-    The data lives in an immutable {e root} of persistent maps; a handle
-    ([t]) carries a mutable {e working} root plus an atomically
-    {e published} root. Mutators replace the working root (sharing all
-    untouched branches with the previous one); the outermost
+    The data lives in an immutable {e root} of persistent values: the
+    item table ({!Item_table}: a base array sorted by id plus an overlay
+    map of the items written since), id sets and maps. A handle ([t])
+    carries a mutable {e working} root plus an atomically {e published}
+    root. Mutators replace the working root (sharing all untouched
+    parts with the previous one); the outermost
     {!atomically} step publishes it with a single atomic store. {!freeze} grabs the
     published root into a read-only handle in O(1) — the basis of
     {!Database.snapshot_view} and lock-free multi-domain readers:
@@ -131,6 +133,7 @@ val gen : t -> Ident.Gen.t
 val find_item : t -> Ident.t -> Item.t option
 val find_item_res : t -> Ident.t -> (Item.t, Seed_error.t) result
 val item_count : t -> int
+(** O(1): the table keeps its count. *)
 
 val fresh_id : t -> Ident.t
 
@@ -159,10 +162,12 @@ val map_items : t -> (Item.t -> Item.t) -> unit
     indexes with {!load} afterwards. Only items whose record actually
     changed enter the {!unflushed} set. *)
 
-val load : t -> ((Item.t -> bool -> unit) -> unit) -> unit
-(** [load t feed] rebuilds the working root from the items [feed add]
-    passes to [add item in_delta] in strictly increasing id order: the
-    item table, the delta set (the items fed with [in_delta]), the id
+val load : t -> capacity:int -> ((Item.t -> bool -> unit) -> unit) -> unit
+(** [load t ~capacity feed] rebuilds the working root from the at most
+    [capacity] items [feed add] passes to [add item in_delta] in
+    strictly increasing id order: the item table (its base array
+    allocated once, for [capacity] items), the delta set (the items fed
+    with [in_delta]), the id
     generator (raised to the largest id fed) and the extents (by the
     rule that keeps them incrementally) as they arrive, then the text
     index; the unflushed set is kept. Open
@@ -284,8 +289,8 @@ val ve_schema : version_extent -> Schema.t
 (** The schema revision in force for that version (the current schema
     for an unknown label). *)
 
-val ve_state : version_extent -> Ident.t -> Item.state option
-(** The item's resolved state in that version ([None] = does not
+val ve_state : version_extent -> Ident.t -> Item.state
+(** The item's resolved state in that version ([Absent] = does not
     exist there). *)
 
 (** {1 Text index}

@@ -20,12 +20,12 @@ let rec sub_lines v buf prefix (vi : View.vitem) =
     (fun (kid : View.vitem) ->
       let comp = Item.component kid.View.item in
       let label = if prefix = "" then comp else prefix ^ "." ^ comp in
-      (match View.obj_state v kid.View.item with
-      | Some { Item.value = Some value; _ } ->
+      (match View.state v kid.View.item with
+      | Item.Obj { value = Some value; _ } ->
         Buffer.add_string buf
           (Printf.sprintf "\\n%s = %s" (escape label)
              (escape (Value.to_string value)))
-      | Some _ | None ->
+      | Item.Obj _ | Item.Rel _ | Item.Absent ->
         if View.children_v v kid = [] then
           Buffer.add_string buf (Printf.sprintf "\\n%s" (escape label)));
       sub_lines v buf label kid)
@@ -62,17 +62,17 @@ let of_view ?(include_subs = true) ?(include_patterns = true) v =
   let db = View.db v in
   List.iter
     (fun (rel : Item.t) ->
-      match View.rel_state v rel with
-      | Some rs -> (
+      match View.state v rel with
+      | Item.Rel rs -> (
         match
-          List.map (Db_state.find_item db) rs.Item.endpoints
+          List.map (Db_state.find_item db) rs.endpoints
           |> List.filter_map Fun.id
         with
         | [ a; b ] ->
           Buffer.add_string buf
             (Printf.sprintf "  %s -> %s [label=\"%s\"%s];\n" (node_id a)
-               (node_id b) (escape rs.Item.assoc)
-               (if rs.Item.rel_pattern then ", style=dashed, color=gray40"
+               (node_id b) (escape rs.assoc)
+               (if rs.rel_pattern then ", style=dashed, color=gray40"
                 else ""))
         | endpoints ->
           List.iteri
@@ -80,9 +80,9 @@ let of_view ?(include_subs = true) ?(include_patterns = true) v =
               Buffer.add_string buf
                 (Printf.sprintf "  %s -> %s [label=\"%s/%d\"];\n" (node_id e)
                    (node_id (List.hd endpoints))
-                   (escape rs.Item.assoc) i))
+                   (escape rs.assoc) i))
             endpoints)
-      | None -> ())
+      | Item.Obj _ | Item.Absent -> ())
     (View.all_rels v
     @ (if include_patterns then
          (* pattern relationships, rendered dashed *)
@@ -103,9 +103,9 @@ let of_view ?(include_subs = true) ?(include_patterns = true) v =
               (match (find a, find b) with
               | Some ia, Some ib ->
                 let label =
-                  match View.rel_state v vr.View.rel with
-                  | Some rs -> rs.Item.assoc
-                  | None -> "?"
+                  match View.state v vr.View.rel with
+                  | Item.Rel rs -> rs.assoc
+                  | Item.Obj _ | Item.Absent -> "?"
                 in
                 Buffer.add_string buf
                   (Printf.sprintf

@@ -36,14 +36,10 @@ let find_item_by_name_anywhere db name =
     Db_state.iter_items st (fun it ->
         if !found = None && it.Item.body = Item.Independent then
           let matches = function
-            | Item.Obj { Item.name = Some n; _ } -> String.equal n name
-            | Item.Obj _ | Item.Rel _ -> false
+            | Item.Obj { name = Some n; _ } -> String.equal n name
+            | Item.Obj _ | Item.Rel _ | Item.Absent -> false
           in
-          let in_history = Item.history_exists matches it in
-          let in_current =
-            match it.Item.current with Some s -> matches s | None -> false
-          in
-          if in_history || in_current then found := Some it);
+          if matches it.Item.current || Item.history_exists matches it then found := Some it);
     !found
 
 let versions_of_object db name ?from_ () =
@@ -76,13 +72,14 @@ let version_path db vid =
 let pp_entry ppf e =
   let describe = function
     | Item.Obj o ->
-      Printf.sprintf "class %s%s%s" o.Item.cls
-        (match o.Item.value with
+      Printf.sprintf "class %s%s%s" o.cls
+        (match o.value with
         | Some v -> " = " ^ Seed_schema.Value.to_string v
         | None -> "")
-        (if o.Item.deleted then " (deleted)" else "")
+        (if o.deleted then " (deleted)" else "")
     | Item.Rel r ->
-      Printf.sprintf "assoc %s%s" r.Item.assoc
-        (if r.Item.rel_deleted then " (deleted)" else "")
+      Printf.sprintf "assoc %s%s" r.assoc
+        (if r.rel_deleted then " (deleted)" else "")
+    | Item.Absent -> "absent"
   in
   Fmt.pf ppf "%a: %s" Version_id.pp e.version (describe e.state)

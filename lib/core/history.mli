@@ -30,8 +30,9 @@ val versions_of_object :
     renamed since keeps its identity). *)
 
 val state_in : Database.t -> Ident.t -> Version_id.t ->
-  (Item.state option, Seed_error.t) result
-(** The item's resolved state in the view of the given version. *)
+  (Item.state, Seed_error.t) result
+(** The item's resolved state in the view of the given version
+    ([Absent] when it does not exist there). *)
 
 val changed_between :
   Database.t -> Version_id.t -> Version_id.t ->

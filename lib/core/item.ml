@@ -1,24 +1,23 @@
 open Seed_util
 open Seed_schema
 
-type obj_state = {
-  name : string option;
-  cls : string;
-  value : Value.t option;
-  pattern : bool;
-  inherits : Ident.t list;
-  deleted : bool;
-}
-
-type rel_state = {
-  assoc : string;
-  endpoints : Ident.t list;
-  rel_attrs : (string * Value.t) list;
-  rel_pattern : bool;
-  rel_deleted : bool;
-}
-
-type state = Obj of obj_state | Rel of rel_state
+type state =
+  | Absent
+  | Obj of {
+      name : string option;
+      cls : string;
+      value : Value.t option;
+      pattern : bool;
+      inherits : Ident.t list;
+      deleted : bool;
+    }
+  | Rel of {
+      assoc : string;
+      endpoints : Ident.t list;
+      rel_attrs : (string * Value.t) list;
+      rel_pattern : bool;
+      rel_deleted : bool;
+    }
 
 type body =
   | Independent
@@ -28,36 +27,41 @@ type body =
 type t = {
   id : Ident.t;
   body : body;
-  current : state option;
+  current : state;
   history : state Version_id.Map.t;
 }
 
-let make id body state = { id; body; current = Some state; history = Version_id.Map.empty }
+let make id body state = { id; body; current = state; history = Version_id.Map.empty }
 
 let with_current t current = { t with current }
 
 let state_deleted = function
   | Obj o -> o.deleted
   | Rel r -> r.rel_deleted
+  | Absent -> false
 
 let state_pattern = function
   | Obj o -> o.pattern
   | Rel r -> r.rel_pattern
+  | Absent -> false
+
+let state_live = function
+  | Obj o -> not o.deleted
+  | Rel r -> not r.rel_deleted
+  | Absent -> false
 
 let component t =
   match t.body with
   | Dependent { role; index; _ } -> Path.component_to_string { Path.name = role; index }
   | Independent | Relationship -> "?"
 
-let stamp_at t vid = Version_id.Map.find_opt vid t.history
+let stamp_at t vid =
+  match Version_id.Map.find vid t.history with s -> s | exception Not_found -> Absent
 
 let stamp t vid =
-  let history =
-    match t.current with
-    | Some s -> Version_id.Map.add vid s t.history
-    | None -> t.history
-  in
-  { t with history }
+  match t.current with
+  | Absent -> t
+  | s -> { t with history = Version_id.Map.add vid s t.history }
 
 let drop_stamp t vid =
   if Version_id.Map.mem vid t.history then

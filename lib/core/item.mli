@@ -11,31 +11,37 @@
 open Seed_util
 open Seed_schema
 
-type obj_state = {
-  name : string option;
-      (** independent objects only; dependent names are composed *)
-  cls : string;
-      (** top-level class (independent) or resolved class path such as
-          ["Data.Text.Body"] (dependent); changes on re-classification *)
-  value : Value.t option;  (** leaf content *)
-  pattern : bool;  (** pattern items are invisible to normal retrieval *)
-  inherits : Ident.t list;
-      (** patterns this object inherits, in inheritance order *)
-  deleted : bool;
-}
-
-type rel_state = {
-  assoc : string;  (** association name; changes on re-classification *)
-  endpoints : Ident.t list;
-      (** positional: element [i] plays role [i] of the association *)
-  rel_attrs : (string * Value.t) list;
-      (** relationship attributes (Fig. 3's [NumberOfWrites]); undefined
-          attributes are simply absent *)
-  rel_pattern : bool;
-  rel_deleted : bool;
-}
-
-type state = Obj of obj_state | Rel of rel_state
+type state =
+  | Absent
+      (** the item does not exist in this state of the database: it was
+          created on another branch, or after the version read *)
+  | Obj of {
+      name : string option;
+          (** independent objects only; dependent names are composed *)
+      cls : string;
+          (** top-level class (independent) or resolved class path such as
+              ["Data.Text.Body"] (dependent); changes on re-classification *)
+      value : Value.t option;  (** leaf content *)
+      pattern : bool;  (** pattern items are invisible to normal retrieval *)
+      inherits : Ident.t list;
+          (** patterns this object inherits, in inheritance order *)
+      deleted : bool;
+    }
+  | Rel of {
+      assoc : string;  (** association name; changes on re-classification *)
+      endpoints : Ident.t list;
+          (** positional: element [i] plays role [i] of the association *)
+      rel_attrs : (string * Value.t) list;
+          (** relationship attributes (Fig. 3's [NumberOfWrites]); undefined
+              attributes are simply absent *)
+      rel_pattern : bool;
+      rel_deleted : bool;
+    }
+(** An item's state in one state of the database. [Obj] and [Rel] hold
+    their fields inline, in the constructor's own block, so a present
+    state is one block and an absent one no block at all; a matched
+    record is read or copied ([{ o with … }]) where it is matched, never
+    passed on by itself. *)
 
 type body =
   | Independent
@@ -45,13 +51,13 @@ type body =
 type t = {
   id : Ident.t;
   body : body;
-  current : state option;
-      (** working state; [None] when the item does not exist in the
+  current : state;
+      (** working state; [Absent] when the item does not exist in the
           current alternative (it was created on another branch) *)
   history : state Version_id.Map.t;
       (** version stamps keyed by version label, so resolving one stamp
-          is a map lookup instead of an assoc-list walk; grow-only
-          except for version deletion *)
+          is a map lookup instead of an assoc-list walk; never [Absent];
+          grow-only except for version deletion *)
 }
 (** Items are immutable values: an update replaces the item in the
     database root with a copy carrying the new state, so any pinned
@@ -62,21 +68,26 @@ val make : Ident.t -> body -> state -> t
     Whether it belongs to the next version's delta is the root's
     business: {!Db_state.add_item} enters it there. *)
 
-val with_current : t -> state option -> t
+val with_current : t -> state -> t
 (** Copy with a different working state. *)
 
 val state_deleted : state -> bool
 val state_pattern : state -> bool
+(** [false] for [Absent]. *)
+
+val state_live : state -> bool
+(** Present and not deleted. *)
 
 val component : t -> string
 (** A dependent item's own name component, [role] or [role\[i\]] (see
     {!Seed_util.Path}); ["?"] for objects and relationships. *)
 
-val stamp_at : t -> Version_id.t -> state option
-(** The state stamped exactly at the given version, if any. *)
+val stamp_at : t -> Version_id.t -> state
+(** The state stamped exactly at the given version, [Absent] if none. *)
 
 val stamp : t -> Version_id.t -> t
-(** Copy with the current state recorded under [vid]. *)
+(** Copy with the current state recorded under [vid] ([t] itself when
+    the item is [Absent]). *)
 
 val drop_stamp : t -> Version_id.t -> t
 (** Copy without the stamp for a deleted version ([t] itself when the

@@ -146,23 +146,24 @@ let w_state numbers w (s : Item.state) =
   match s with
   | Item.Obj o ->
     W.u8 w 0;
-    W.option w W.string o.Item.name;
-    w_name numbers w o.Item.cls;
-    W.option w w_value o.Item.value;
-    W.bool w o.Item.pattern;
-    W.list w w_ident o.Item.inherits;
-    W.bool w o.Item.deleted
+    W.option w W.string o.name;
+    w_name numbers w o.cls;
+    W.option w w_value o.value;
+    W.bool w o.pattern;
+    W.list w w_ident o.inherits;
+    W.bool w o.deleted
   | Item.Rel r ->
     W.u8 w 1;
-    w_name numbers w r.Item.assoc;
-    W.list w w_ident r.Item.endpoints;
+    w_name numbers w r.assoc;
+    W.list w w_ident r.endpoints;
     W.list w
       (fun w (n, v) ->
         w_name numbers w n;
         w_value w v)
-      r.Item.rel_attrs;
-    W.bool w r.Item.rel_pattern;
-    W.bool w r.Item.rel_deleted
+      r.rel_attrs;
+    W.bool w r.rel_pattern;
+    W.bool w r.rel_deleted
+  | Item.Absent -> invalid_arg "Persist.w_state: an absent state has no record"
 
 let w_body numbers w (b : Item.body) =
   match b with
@@ -178,9 +179,10 @@ let w_body numbers w (b : Item.body) =
 let w_item numbers delta w (it : Item.t) =
   w_ident w it.Item.id;
   w_body numbers w it.Item.body;
+  (* the current state is stored as an option, [Absent] its [None] *)
   (match it.Item.current with
-  | None -> W.u8 w 0
-  | Some s ->
+  | Item.Absent -> W.u8 w 0
+  | s ->
     W.u8 w 1;
     w_state numbers w s);
   W.bool w (Ident.Set.mem it.Item.id delta);
@@ -317,7 +319,7 @@ let r_state elt r =
     let pattern = R.bool r in
     let inherits = R.list r r_ident in
     let deleted = R.bool r in
-    Item.Obj { Item.name; cls; value; pattern; inherits; deleted }
+    Item.Obj { name; cls; value; pattern; inherits; deleted }
   | 1 ->
     let assoc = elt r in
     let endpoints = R.list r r_ident in
@@ -328,7 +330,7 @@ let r_state elt r =
     in
     let rel_pattern = R.bool r in
     let rel_deleted = R.bool r in
-    Item.Rel { Item.assoc; endpoints; rel_attrs; rel_pattern; rel_deleted }
+    Item.Rel { assoc; endpoints; rel_attrs; rel_pattern; rel_deleted }
   | _ -> R.fail "bad state tag"
 
 (* ids are allocated in creation order, so a sub-object's parent always
@@ -349,7 +351,12 @@ let r_body elt r ~id =
 let r_item elt r =
   let id = r_ident r in
   let body = r_body elt r ~id in
-  let current = R.option r (r_state elt) in
+  let current =
+    match R.u8 r with
+    | 0 -> Item.Absent
+    | 1 -> r_state elt r
+    | _ -> R.fail "codec: bad option tag"
+  in
   let dirty = R.bool r in
   let history =
     R.list r (fun r ->
@@ -466,11 +473,11 @@ let state_of_meta meta =
   Db_state.set_current_base st meta.m_base;
   Ok st
 
-(* Fill [st] from the items [snapshot] streams in id order, with the
-   journal's items merged in: a journal record replaces the snapshot's
-   item of its id, and the others join in id order. *)
-let load_items st journal snapshot =
-  Db_state.load st (fun add ->
+(* Fill [st] from the [count] items [snapshot] streams in id order, with
+   the journal's items merged in: a journal record replaces the
+   snapshot's item of its id, and the others join in id order. *)
+let load_items st journal ~count snapshot =
+  Db_state.load st ~capacity:(count + Ident.Map.cardinal journal) (fun add ->
       let pending = ref (Ident.Map.bindings journal) in
       (* add the journal's items up to [id]; true when one replaces it *)
       let rec take_upto id =
@@ -497,14 +504,18 @@ let decode_snapshot payload records =
       let jmeta, jitems = get (read_records (Some names) records) in
       let st = get (state_of_meta (Option.value jmeta ~default:meta)) in
       let elt = if v = 1 then R.string else numbered (Lazy.force names) in
-      let last = ref min_int in
-      load_items st jitems (fun add ->
-          R.iter r (fun r ->
-              let it, dirty = r_item elt r in
-              let id = Ident.to_int it.Item.id in
-              if id <= !last then R.fail "snapshot items out of id order";
-              last := id;
-              add it dirty));
+      (* every id is above the last one and within the meta's counter:
+         a snapshot is written with its generator past every item *)
+      let last = ref 0 and count = R.count r in
+      load_items st jitems ~count (fun add ->
+          for _ = 1 to count do
+            let it, dirty = r_item elt r in
+            let id = Ident.to_int it.Item.id in
+            if id <= !last then R.fail "snapshot item ids not ascending from #1";
+            if id > meta.m_gen then R.fail "snapshot item id past the id counter";
+            last := id;
+            add it dirty
+          done);
       st)
 
 (* The stored database, [None] when the directory holds none. *)
@@ -516,7 +527,7 @@ let load_parts snapshot records =
     match jmeta with
     | Some meta ->
       let* st = state_of_meta meta in
-      load_items st jitems ignore;
+      load_items st jitems ~count:0 ignore;
       Ok (Some st)
     | None -> Ok None)
 

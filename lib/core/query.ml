@@ -33,29 +33,28 @@ let is_incomplete =
    reads the view's children sets, resolving each node's state once. *)
 let carrier_matches v (it : Item.t) ~path needles =
   let x = View.extents v in
-  let rec walk id (o : Item.obj_state) =
-    (match o.Item.value with
-    | Some (Value.String s) when String.equal path "" || String.equal path o.Item.cls ->
-      Text_index.contains_all s needles
-    | Some _ | None -> false)
-    || Ident.Set.exists child (Db_state.children_of x id)
-  and child c =
-    match View.state_of_id v c with
-    | Some (Item.Obj o) -> walk c o
-    | Some (Item.Rel _) | None -> false
-  in
-  match View.obj_state v it with Some o -> walk it.Item.id o | None -> false
+  let rec walk id (state : Item.state) =
+    match state with
+    | Item.Obj o ->
+      (match o.value with
+      | Some (Value.String s) when String.equal path "" || String.equal path o.cls ->
+        Text_index.contains_all s needles
+      | Some _ | None -> false)
+      || Ident.Set.exists child (Db_state.children_of x id)
+    | Item.Rel _ | Item.Absent -> false
+  and child c = walk c (View.state_of_id v c) in
+  walk it.Item.id (View.state v it)
 
 let rec test p v it =
   match p with
   | In_class cls -> (
-    match View.obj_state v it with
-    | Some o -> String.equal o.Item.cls cls
-    | None -> false)
+    match View.state v it with
+    | Item.Obj o -> String.equal o.cls cls
+    | Item.Rel _ | Item.Absent -> false)
   | Is_a cls -> (
-    match View.obj_state v it with
-    | Some o -> Schema.class_is_a (View.schema v) ~sub:o.Item.cls ~super:cls
-    | None -> false)
+    match View.state v it with
+    | Item.Obj o -> Schema.class_is_a (View.schema v) ~sub:o.cls ~super:cls
+    | Item.Rel _ | Item.Absent -> false)
   | Name_is n -> (
     match View.full_name v it with Some m -> String.equal m n | None -> false)
   | Matches { path; needles } -> carrier_matches v it ~path needles
@@ -346,8 +345,8 @@ let fold_hits v p f init =
    in place. *)
 let hit_name v it =
   match View.state v it with
-  | Some (Item.Obj o) -> o.Item.name
-  | Some (Item.Rel _) | None -> None
+  | Item.Obj o -> o.name
+  | Item.Rel _ | Item.Absent -> None
 
 (* The hits by name (unique among live objects; unnamed ones first),
    ties by id: each name is read once and an index order sorted. Both

@@ -262,19 +262,19 @@ let build ids paths texts =
 
 let no_tier = { ids = [||]; paths = [||]; texts = [||]; grams = [||]; counts = [||]; posts = [||] }
 
-let of_docs iter =
-  let n = ref 0 in
-  iter (fun _ ~path:_ _ -> incr n);
-  let ids = Array.make !n 0 and paths = Array.make !n gone and texts = Array.make !n "" in
+let of_docs n iter =
+  let ids = Array.make n 0 and paths = Array.make n gone and texts = Array.make n "" in
   let k = ref 0 in
   iter (fun id ~path s ->
+      if !k = n then invalid_arg "Text_index.of_docs: more documents than counted";
       ids.(!k) <- Ident.to_int id;
       paths.(!k) <- path;
       texts.(!k) <- s;
       incr k);
-  { main = build ids paths texts; recent = no_tier; over = Ident.Map.empty; nover = 0; ndocs = !n }
+  if !k < n then invalid_arg "Text_index.of_docs: fewer documents than counted";
+  { main = build ids paths texts; recent = no_tier; over = Ident.Map.empty; nover = 0; ndocs = n }
 
-let empty = of_docs ignore
+let empty = of_docs 0 ignore
 
 (* The new slots of the entries of [n] over those of the older [b], both
    ascending by carrier: a carrier of [n] replaces its entry in [b], and

@@ -32,11 +32,11 @@ val min_needle : int
 (** Shortest needle the index can answer (3 bytes — one trigram).
     Shorter needles must fall back to a scan. *)
 
-val of_docs : ((Ident.t -> path:string -> string -> unit) -> unit) -> t
-(** [of_docs iter] is the index of the documents [iter f] passes to [f]
-    as [f carrier ~path text], in strictly ascending carrier order, as
-    one tier. It calls [iter] twice, to count and to fill, and both calls
-    must pass the same documents. *)
+val of_docs : int -> ((Ident.t -> path:string -> string -> unit) -> unit) -> t
+(** [of_docs n iter] is the index of the [n] documents [iter f] passes
+    to [f] as [f carrier ~path text], in strictly ascending carrier
+    order, as one tier. The caller counts them, without building them.
+    @raise Invalid_argument when [iter] passes another number. *)
 
 val add_doc : t -> Ident.t -> path:string -> string -> t
 (** Index a carrier's string value under its class path, replacing

@@ -48,9 +48,9 @@ let common_of view ~member ~assoc =
   let db = View.db view in
   View.rels_v view member
   |> List.filter_map (fun (vr : View.vrel) ->
-         match (vr.View.via, View.rel_state view vr.View.rel) with
-         | Some _, Some rs
-           when Schema.assoc_is_a schema ~sub:rs.Item.assoc ~super:assoc ->
+         match (vr.View.via, View.state view vr.View.rel) with
+         | Some _, Item.Rel rs
+           when Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc ->
            (* an inherited connection; the non-member endpoint is common *)
            List.find_opt
              (fun e -> not (Ident.equal e member.Item.id))
@@ -67,14 +67,14 @@ let shares_common view ~patterns =
   let signature (m : Item.t) =
     View.rels_v view m
     |> List.filter_map (fun (vr : View.vrel) ->
-           match (vr.View.via, View.rel_state view vr.View.rel) with
-           | Some _, Some rs ->
+           match (vr.View.via, View.state view vr.View.rel) with
+           | Some _, Item.Rel rs ->
              let others =
                List.filter
                  (fun e -> not (Ident.equal e m.Item.id))
                  vr.View.endpoints
              in
-             Some (rs.Item.assoc, List.sort Ident.compare others)
+             Some (rs.assoc, List.sort Ident.compare others)
            | _ -> None)
     |> List.sort compare
   in

@@ -89,13 +89,13 @@ let state_at t vid =
   (* not in the tree: only an exact stamp could answer *)
   let chain = match find t vid with None -> [ vid ] | Some n -> n.ancestors in
   let rec first item = function
-    | [] -> None
+    | [] -> Item.Absent
     | v :: rest -> (
       match Item.stamp_at item v with
-      | Some s -> Some s
-      | None -> first item rest)
+      | Item.Absent -> first item rest
+      | s -> s)
   in
-  fun item -> if Item.history_is_empty item then None else first item chain
+  fun item -> if Item.history_is_empty item then Item.Absent else first item chain
 
 let delete t vid =
   let* n = find_res t vid in

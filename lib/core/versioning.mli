@@ -52,9 +52,9 @@ val ancestors : t -> Version_id.t -> Version_id.t list
     implicit trunk predecessors: the parent of trunk version [m.0] is
     [(m-1).0]. *)
 
-val state_at : t -> Version_id.t -> Item.t -> Item.state option
+val state_at : t -> Version_id.t -> Item.t -> Item.state
 (** Resolve an item's state in the view of a version: the stamp at the
-    nearest ancestor. [None] when the item does not exist there. The
+    nearest ancestor. [Absent] when the item does not exist there. The
     precomputed ancestor chain plus the item's stamp map make this
     O(depth × log stamps) without rebuilding the chain per call;
     applied to a version alone, it looks the chain up once for a sweep

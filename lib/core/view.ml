@@ -37,26 +37,14 @@ let schema t =
 let state t (it : Item.t) =
   match t.mode with Current -> it.Item.current | At (_, ve) -> Db_state.ve_state ve it.Item.id
 
-let state_of_id t id = Option.bind (Db_state.find_item t.db_ id) (state t)
-let live_state = function Some s -> not (Item.state_deleted s) | None -> false
-let live t item = live_state (state t item)
+let state_of_id t id =
+  match Db_state.find_item t.db_ id with Some it -> state t it | None -> Item.Absent
 
-let live_as ~pattern = function
-  | Some s -> (not (Item.state_deleted s)) && Item.state_pattern s = pattern
-  | None -> false
+let live t item = Item.state_live (state t item)
+let live_as ~pattern s = Item.state_live s && Item.state_pattern s = pattern
 
 let live_normal t item = live_as ~pattern:false (state t item)
 let live_pattern t item = live_as ~pattern:true (state t item)
-
-let obj_state t item =
-  match state t item with
-  | Some (Item.Obj o) -> Some o
-  | Some (Item.Rel _) | None -> None
-
-let rel_state t item =
-  match state t item with
-  | Some (Item.Rel r) -> Some r
-  | Some (Item.Obj _) | None -> None
 
 let find_object t name =
   match Db_state.find_id_by_name (extents t) name with
@@ -90,7 +78,7 @@ let child t id ~role ?index () = List.find_opt (is_child ~role ~index) (children
 let rels t id = items_of_set t (Db_state.rels_of (extents t) id)
 
 let inherits_of t item =
-  match obj_state t item with Some o -> o.inherits | None -> []
+  match state t item with Item.Obj o -> o.inherits | Item.Rel _ | Item.Absent -> []
 
 let inheritors_of t id = items_of_set t (Db_state.inheritors_of (extents t) id)
 
@@ -116,9 +104,9 @@ let transitive_patterns t item =
 let rec full_name t (item : Item.t) =
   match item.body with
   | Item.Independent -> (
-    match obj_state t item with
-    | Some { name = Some n; deleted = false; _ } -> Some n
-    | Some _ | None -> None)
+    match state t item with
+    | Item.Obj { name = Some n; deleted = false; _ } -> Some n
+    | Item.Obj _ | Item.Rel _ | Item.Absent -> None)
   | Item.Relationship -> None
   | Item.Dependent { parent; _ } -> (
     match Db_state.find_item t.db_ parent with
@@ -151,7 +139,7 @@ let resolve_name t s =
         Option.bind (find_object t root_comp.Path.name) (fun obj -> descend obj rest)
 
 let class_path_of t item =
-  match obj_state t item with Some o -> Some o.cls | None -> None
+  match state t item with Item.Obj o -> Some o.cls | Item.Rel _ | Item.Absent -> None
 
 (* ------------------------------------------------------------------ *)
 (* Pattern expansion                                                    *)
@@ -220,9 +208,9 @@ let rels_v t (obj : Item.t) =
     List.filter_map
       (fun (r : Item.t) ->
         match state t r with
-        | Some (Item.Rel rs) when not rs.rel_pattern ->
+        | Item.Rel rs when not rs.rel_pattern ->
           Some { rel = r; endpoints = rs.endpoints; via = None }
-        | Some _ | None -> None)
+        | Item.Rel _ | Item.Obj _ | Item.Absent -> None)
       (rels t obj.Item.id)
   in
   let endpoint_visible e = live_as ~pattern:false (state_of_id t e) in
@@ -232,7 +220,7 @@ let rels_v t (obj : Item.t) =
         List.filter_map
           (fun (r : Item.t) ->
             match state t r with
-            | Some (Item.Rel rs) ->
+            | Item.Rel rs ->
               let endpoints =
                 List.map
                   (fun e ->
@@ -247,7 +235,7 @@ let rels_v t (obj : Item.t) =
               if List.for_all endpoint_visible others then
                 Some { rel = r; endpoints; via = Some (p.Item.id, obj.Item.id) }
               else None
-            | Some (Item.Obj _) | None -> None)
+            | Item.Obj _ | Item.Absent -> None)
           (rels t p.Item.id))
       (transitive_patterns t obj)
   in

@@ -55,18 +55,18 @@ val text_index : t -> Text_index.t option
     after updating it fetches it again ({!state_of_id},
     [Db_state.find_item]). *)
 
-val state : t -> Item.t -> Item.state option
+val state : t -> Item.t -> Item.state
 (** The handle's state on a current view; the version's resolved state
-    of its id on a version view. *)
+    of its id on a version view; [Absent] where the item does not
+    exist. Readers match on it and read the record in place. *)
 
-val state_of_id : t -> Ident.t -> Item.state option
-(** {!state} of the item fetched by id: the one by-id reader. *)
+val state_of_id : t -> Ident.t -> Item.state
+(** {!state} of the item fetched by id ([Absent] for an unknown id): the
+    one by-id reader. *)
 
 val live : t -> Item.t -> bool
 val live_normal : t -> Item.t -> bool
 val live_pattern : t -> Item.t -> bool
-val obj_state : t -> Item.t -> Item.obj_state option
-val rel_state : t -> Item.t -> Item.rel_state option
 
 (** {1 Raw navigation (no pattern expansion)} *)
 

@@ -58,11 +58,10 @@ let find_rel v ~assoc ~endpoints =
   let matches it =
     View.live_normal v it
     &&
-    match View.rel_state v it with
-    | Some r ->
-      String.equal r.Seed_core.Item.assoc assoc
-      && List.equal Ident.equal r.Seed_core.Item.endpoints ids
-    | None -> false
+    match View.state v it with
+    | Seed_core.Item.Rel r ->
+      String.equal r.assoc assoc && List.equal Ident.equal r.endpoints ids
+    | Seed_core.Item.Obj _ | Seed_core.Item.Absent -> false
   in
   let candidates = match ids with id :: _ -> View.rels v id | [] -> [] in
   match List.find_opt matches candidates with
@@ -80,8 +79,8 @@ let set_text db v path text =
   let schema = View.schema v in
   let cls id =
     match View.state_of_id v id with
-    | Some (Seed_core.Item.Obj o) -> o.cls
-    | Some (Seed_core.Item.Rel _) | None -> ""
+    | Seed_core.Item.Obj o -> o.cls
+    | Seed_core.Item.Rel _ | Seed_core.Item.Absent -> ""
   in
   let read content = Seed_core.Data_text.parse_literal content text in
   match find_path v path with

@@ -158,9 +158,9 @@ let maturity t =
     List.length
       (List.filter
          (fun (r : Item.t) ->
-           match View.rel_state v r with
-           | Some rs -> String.equal rs.Item.assoc name
-           | None -> false)
+           match View.state v r with
+           | Seed_core.Item.Rel rs -> String.equal rs.assoc name
+           | Seed_core.Item.Obj _ | Seed_core.Item.Absent -> false)
          rels)
   in
   {

@@ -123,11 +123,6 @@ module Reader = struct
     if n < 0 || n > remaining r then fail "codec: truncated list length";
     n
 
-  let iter r f =
-    for _ = 1 to count r do
-      f r
-    done
-
   let list r f =
     let rec go acc i = if i = 0 then List.rev acc else go (f r :: acc) (i - 1) in
     go [] (count r)

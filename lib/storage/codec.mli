@@ -70,7 +70,8 @@ module Reader : sig
   val option : t -> (t -> 'a) -> 'a option
   val list : t -> (t -> 'a) -> 'a list
 
-  val iter : t -> (t -> unit) -> unit
-  (** Reads a list's length prefix and calls [f] once per element, in
-      order — {!list} without building the list. *)
+  val count : t -> int
+  (** Reads a list's length prefix, {!fail}ing one past the remaining
+      input (every element takes at least a byte): the caller reads
+      that many elements, as {!list} does without building the list. *)
 end

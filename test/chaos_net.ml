@@ -341,16 +341,16 @@ let fingerprint db =
   |> List.sort (fun (a : Item.t) b -> Ident.compare a.Item.id b.Item.id)
   |> List.iter (fun (it : Item.t) ->
          match View.state v it with
-         | None -> ()
-         | Some (Item.Obj o) ->
+         | Item.Absent -> ()
+         | Item.Obj o ->
            Buffer.add_string buf
              (Printf.sprintf "O%d:%s:%s:%b;"
                 (Ident.to_int it.Item.id)
-                (Option.value o.Item.name ~default:"-")
-                o.Item.cls o.Item.deleted)
-         | Some (Item.Rel r) ->
+                (Option.value o.name ~default:"-")
+                o.cls o.deleted)
+         | Item.Rel r ->
            Buffer.add_string buf
-             (Printf.sprintf "R%d:%s;" (Ident.to_int it.Item.id) r.Item.assoc));
+             (Printf.sprintf "R%d:%s;" (Ident.to_int it.Item.id) r.assoc));
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

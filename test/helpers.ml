@@ -136,8 +136,8 @@ let adjacency_agrees st v state_of =
   let scan keep =
     Db_state.fold_items st ~init:[] ~f:(fun acc it ->
         match state_of it with
-        | Some s when keep it s -> it.Item.id :: acc
-        | Some _ | None -> acc)
+        | Item.Absent -> acc
+        | s -> if keep it s then it.Item.id :: acc else acc)
     |> List.sort Ident.compare
   in
   Db_state.fold_items st ~init:true ~f:(fun agree (p : Item.t) ->
@@ -148,15 +148,15 @@ let adjacency_agrees st v state_of =
          = scan (fun it s ->
                match (it.Item.body, s) with
                | Item.Dependent { parent; _ }, Item.Obj o ->
-                 (not o.Item.deleted) && Ident.equal parent id
+                 (not o.deleted) && Ident.equal parent id
                | _ -> false)
       && ids_of (View.rels v id)
          = scan (fun it s ->
                match (it.Item.body, s) with
-               | Item.Relationship, Item.Rel rs -> (not rs.Item.rel_deleted) && mem rs.Item.endpoints
+               | Item.Relationship, Item.Rel rs -> (not rs.rel_deleted) && mem rs.endpoints
                | _ -> false)
       && ids_of (View.inheritors_of v id)
          = scan (fun it s ->
                match (it.Item.body, s) with
-               | Item.Independent, Item.Obj o -> (not o.Item.deleted) && mem o.Item.inherits
+               | Item.Independent, Item.Obj o -> (not o.deleted) && mem o.inherits
                | _ -> false))

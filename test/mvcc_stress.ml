@@ -144,27 +144,27 @@ let fingerprint st =
   |> List.sort (fun (a : Item.t) b -> Ident.compare a.Item.id b.Item.id)
   |> List.iter (fun (it : Item.t) ->
          match View.state v it with
-         | None -> ()
-         | Some (Item.Obj o) ->
+         | Item.Absent -> ()
+         | Item.Obj o ->
            Buffer.add_string buf
              (Printf.sprintf "O%d:%s:%s:%s:%b:%b;"
                 (Ident.to_int it.Item.id)
-                (Option.value o.Item.name ~default:"-")
-                o.Item.cls
-                (match o.Item.value with
+                (Option.value o.name ~default:"-")
+                o.cls
+                (match o.value with
                 | Some v -> Value.to_string v
                 | None -> "-")
-                o.Item.pattern o.Item.deleted)
-         | Some (Item.Rel r) ->
+                o.pattern o.deleted)
+         | Item.Rel r ->
            Buffer.add_string buf
              (Printf.sprintf "R%d:%s:%s:%b;"
                 (Ident.to_int it.Item.id)
-                r.Item.assoc
+                r.assoc
                 (String.concat ","
                    (List.map
                       (fun i -> string_of_int (Ident.to_int i))
-                      r.Item.endpoints))
-                r.Item.rel_deleted));
+                      r.endpoints))
+                r.rel_deleted));
   Buffer.add_string buf "|";
   Buffer.add_string buf
     (String.concat ","

@@ -193,31 +193,31 @@ let fingerprint db =
   |> List.sort (fun (a : Item.t) b -> Ident.compare a.Item.id b.Item.id)
   |> List.iter (fun (it : Item.t) ->
          match View.state v it with
-         | None -> ()
-         | Some (Item.Obj o) ->
+         | Item.Absent -> ()
+         | Item.Obj o ->
            Buffer.add_string buf
              (Printf.sprintf "O%d:%s:%s:%s:%b:%b:%s;"
                 (Ident.to_int it.Item.id)
-                (Option.value o.Item.name ~default:"-")
-                o.Item.cls
-                (match o.Item.value with
+                (Option.value o.name ~default:"-")
+                o.cls
+                (match o.value with
                 | Some v -> Value.to_string v
                 | None -> "-")
-                o.Item.pattern o.Item.deleted
+                o.pattern o.deleted
                 (String.concat ","
                    (List.map
                       (fun i -> string_of_int (Ident.to_int i))
-                      o.Item.inherits)))
-         | Some (Item.Rel r) ->
+                      o.inherits)))
+         | Item.Rel r ->
            Buffer.add_string buf
              (Printf.sprintf "R%d:%s:%s:%b:%b;"
                 (Ident.to_int it.Item.id)
-                r.Item.assoc
+                r.assoc
                 (String.concat ","
                    (List.map
                       (fun i -> string_of_int (Ident.to_int i))
-                      r.Item.endpoints))
-                r.Item.rel_pattern r.Item.rel_deleted));
+                      r.endpoints))
+                r.rel_pattern r.rel_deleted));
   Buffer.add_string buf "|";
   Buffer.add_string buf
     (String.concat ","
@@ -306,10 +306,10 @@ let naive_select v p =
 let naive_select_rels v ~assoc =
   let schema = View.schema v in
   Db_state.fold_items (View.db v) ~init:[] ~f:(fun acc it ->
-      match (it.Item.body, View.rel_state v it) with
-      | Item.Relationship, Some rs
+      match (it.Item.body, View.state v it) with
+      | Item.Relationship, Item.Rel rs
         when View.live_normal v it
-             && Schema.assoc_is_a schema ~sub:rs.Item.assoc ~super:assoc ->
+             && Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc ->
         it.Item.id :: acc
       | _ -> acc)
   |> List.sort Ident.compare

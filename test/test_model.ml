@@ -88,23 +88,23 @@ let fingerprint_view v =
   List.iter
     (fun (it : Item.t) ->
       match View.state v it with
-      | None -> ()
-      | Some (Item.Obj o) ->
+      | Item.Absent -> ()
+      | Item.Obj o ->
         Buffer.add_string buf
           (Printf.sprintf "O%d:%s:%s:%s:%b:%b:%s;" (Ident.to_int it.Item.id)
-             (Option.value o.Item.name ~default:"-")
-             o.Item.cls
-             (match o.Item.value with Some v -> Value.to_string v | None -> "-")
-             o.Item.pattern o.Item.deleted
+             (Option.value o.name ~default:"-")
+             o.cls
+             (match o.value with Some v -> Value.to_string v | None -> "-")
+             o.pattern o.deleted
              (String.concat ","
-                (List.map (fun i -> string_of_int (Ident.to_int i)) o.Item.inherits)))
-      | Some (Item.Rel r) ->
+                (List.map (fun i -> string_of_int (Ident.to_int i)) o.inherits)))
+      | Item.Rel r ->
         Buffer.add_string buf
           (Printf.sprintf "R%d:%s:%s:%b:%b;" (Ident.to_int it.Item.id)
-             r.Item.assoc
+             r.assoc
              (String.concat ","
-                (List.map (fun i -> string_of_int (Ident.to_int i)) r.Item.endpoints))
-             r.Item.rel_pattern r.Item.rel_deleted))
+                (List.map (fun i -> string_of_int (Ident.to_int i)) r.endpoints))
+             r.rel_pattern r.rel_deleted))
     items;
   Buffer.contents buf
 
@@ -184,8 +184,8 @@ let name_index_agrees env =
   let v = View.current st in
   let scan =
     Seed_core.Db_state.fold_items st ~init:[] ~f:(fun acc it ->
-        match (it.Item.body, View.obj_state v it) with
-        | Item.Independent, Some { Item.name = Some n; deleted = false; _ } ->
+        match (it.Item.body, View.state v it) with
+        | Item.Independent, Item.Obj { name = Some n; deleted = false; _ } ->
           (n, it.Item.id) :: acc
         | _ -> acc)
   in

@@ -41,9 +41,8 @@ let test_snapshot_survives_mutation () =
     (DB.set_value db sub (Some (Seed_schema.Value.String "new")));
   check_ok "rename" (DB.rename_object db id "Doc2");
   let value v i =
-    match View.obj_state v i with
-    | Some { Seed_core.Item.value = Some x; _ } ->
-      Seed_schema.Value.to_string x
+    match View.state v i with
+    | Seed_core.Item.Obj { value = Some x; _ } -> Seed_schema.Value.to_string x
     | _ -> "-"
   in
   let sub_item v name =
@@ -104,6 +103,206 @@ let test_txn_rollback_is_root_swap () =
   Alcotest.(check int)
     "nothing was published by the aborted transaction" before_commits
     (DB.stats db).DB.st_commits
+
+(* --- the item table: base array plus overlay ------------------------ *)
+
+(* A snapshot pinned before the item table folds its overlay into a new
+   base keeps reading its own items. The overlay folds once it holds
+   over 64 items (and 1/16 of the base), so the 300 writes after the
+   snapshot fold it several times. *)
+let test_snapshot_pinned_across_fold () =
+  let db = fresh_db () in
+  let docs =
+    List.init 100 (fun i ->
+        let id = ok (DB.create_object db ~cls:"Data" ~name:(Printf.sprintf "D%d" i) ()) in
+        ok
+          (DB.create_sub_object db ~parent:id ~role:"Description"
+             ~value:(Seed_schema.Value.String (Printf.sprintf "old %d" i)) ()))
+  in
+  let snap = DB.snapshot_view db in
+  List.iteri
+    (fun i d ->
+      check_ok "set_value"
+        (DB.set_value db d (Some (Seed_schema.Value.String (Printf.sprintf "new %d" i)))))
+    docs;
+  for i = 0 to 199 do
+    ignore (ok (DB.create_object db ~cls:"Action" ~name:(Printf.sprintf "A%d" i) ()))
+  done;
+  let value v id =
+    match View.state_of_id v id with
+    | Seed_core.Item.Obj { value = Some x; _ } -> Seed_schema.Value.to_string x
+    | _ -> "-"
+  in
+  List.iteri
+    (fun i d ->
+      Alcotest.(check string) "the snapshot reads its own value" (Printf.sprintf {|"old %d"|} i)
+        (value snap d);
+      Alcotest.(check string) "the live view reads the new value" (Printf.sprintf {|"new %d"|} i)
+        (value (DB.view db) d))
+    docs;
+  Alcotest.(check bool) "the snapshot does not see the later objects" true
+    (View.resolve_name snap "A0" = None && View.resolve_name snap "A199" = None);
+  Alcotest.(check int) "the snapshot's items" 200 (Db_state.item_count (View.db snap));
+  Alcotest.(check int) "the live items" 400 (Db_state.item_count (DB.raw db))
+
+(* A transaction that folds the item table and then fails leaves the
+   table as it was: the rollback swaps the whole root back. *)
+let test_rollback_of_folding_transaction () =
+  let db = fresh_db () in
+  let keep = ok (DB.create_object db ~cls:"Data" ~name:"Keep" ()) in
+  let before = Db_state.item_count (DB.raw db) in
+  let r =
+    DB.with_transaction db (fun () ->
+        for i = 0 to 199 do
+          ignore (ok (DB.create_object db ~cls:"Action" ~name:(Printf.sprintf "T%d" i) ()))
+        done;
+        check_ok "rename" (DB.rename_object db keep "Gone");
+        Seed_error.fail (Seed_error.Invalid_operation "abort"))
+  in
+  Alcotest.(check bool) "transaction failed" true (Result.is_error r);
+  Alcotest.(check int) "item count restored" before (Db_state.item_count (DB.raw db));
+  Alcotest.(check bool) "no trace of the aborted objects" true
+    (DB.find_object db "T0" = None && DB.find_object db "T199" = None);
+  Alcotest.(check bool) "the rename is undone" true
+    (DB.find_object db "Keep" = Some keep && DB.find_object db "Gone" = None);
+  (* the generator moved on: the next id is past the burned ones *)
+  let next = ok (DB.create_object db ~cls:"Action" ~name:"After" ()) in
+  Alcotest.(check bool) "a burned id is not reused" true (Ident.to_int next > before + 200);
+  Alcotest.(check bool) "the item after the gap is found" true
+    (DB.find_object db "After" = Some next)
+
+(* [Item_table] against [Ident.Map]: a table built from ascending ids
+   with gaps, then adds of new ids (with gaps, as rolled-back
+   transactions burn ids), of ids in a gap, and rewrites of present
+   ones, [map]s, savepoints and rollbacks to them. After every step, and again for
+   every table kept along the way at the end, the count, the iteration
+   and fold order and a lookup of every id around the keys (0, negative
+   and extreme ids included) agree, by physical equality of the items. *)
+module Tbl = Seed_core.Item_table
+module Item = Seed_core.Item
+
+type table_op = New of int | Fill of int | Rewrite of int | Save | Rollback | Map_odd
+
+let table_op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (6, map (fun gap -> New gap) (int_range 1 3));
+      (1, map (fun k -> Fill k) nat);
+      (6, map (fun k -> Rewrite k) nat);
+      (1, pure Save);
+      (1, pure Rollback);
+      (1, pure Map_odd);
+    ]
+
+let table_case_gen =
+  QCheck2.Gen.(pair (list_size (int_range 0 300) (int_range 1 3)) (list_size (int_range 0 400) table_op_gen))
+
+let item_of id tag =
+  Item.make (Ident.of_int id) Item.Independent
+    (Item.Obj
+       { name = Some (string_of_int tag); cls = "C"; value = None; pattern = false;
+         inherits = []; deleted = false })
+
+let table_agrees t m =
+  let listed = List.rev (Tbl.fold (fun acc it -> it :: acc) [] t) in
+  let iterated = ref [] in
+  Tbl.iter (fun it -> iterated := it :: !iterated) t;
+  let expected = List.map snd (Ident.Map.bindings m) in
+  let top = match Ident.Map.max_binding_opt m with Some (id, _) -> Ident.to_int id | None -> 0 in
+  let probes = [ 0; -1; min_int; max_int; max_int - 1 ] @ List.init (top + 3) Fun.id in
+  Tbl.count t = Ident.Map.cardinal m
+  && List.equal ( == ) listed expected
+  && List.equal ( == ) (List.rev !iterated) expected
+  && List.for_all
+       (fun i ->
+         let id = Ident.of_int i in
+         match (Tbl.find t id, Ident.Map.find_opt id m) with
+         | Some a, Some b -> a == b
+         | None, None -> true
+         | Some _, None | None, Some _ -> false)
+       probes
+
+let prop_table_model (gaps, ops) =
+  let b = Tbl.builder (List.length gaps) in
+  let last = ref 0 and tag = ref 0 in
+  let fresh id =
+    incr tag;
+    item_of id !tag
+  in
+  let m =
+    List.fold_left
+      (fun m gap ->
+        last := !last + gap;
+        let it = fresh !last in
+        Tbl.push b it;
+        Ident.Map.add it.Item.id it m)
+      Ident.Map.empty gaps
+  in
+  let t = Tbl.build b in
+  let kept = ref [ (t, m) ] and saved = ref [] in
+  let step (t, m) = function
+    | New gap ->
+      last := !last + gap;
+      let it = fresh !last in
+      (Tbl.add t it, Ident.Map.add it.Item.id it m)
+    | Fill k -> (
+      match List.filter (fun i -> not (Ident.Map.mem (Ident.of_int i) m)) (List.init !last succ) with
+      | [] -> (t, m)
+      | gaps ->
+        let it = fresh (List.nth gaps (k mod List.length gaps)) in
+        (Tbl.add t it, Ident.Map.add it.Item.id it m))
+    | Rewrite k -> (
+      match Ident.Map.bindings m with
+      | [] -> (t, m)
+      | l ->
+        let id, _ = List.nth l (k mod List.length l) in
+        let it = fresh (Ident.to_int id) in
+        (Tbl.add t it, Ident.Map.add id it m))
+    | Save ->
+      saved := (t, m) :: !saved;
+      (t, m)
+    | Rollback -> (
+      match !saved with
+      | p :: rest ->
+        saved := rest;
+        p
+      | [] -> (t, m))
+    | Map_odd ->
+      let f (it : Item.t) = if Ident.to_int it.Item.id land 1 = 1 then fresh (Ident.to_int it.Item.id) else it in
+      (* [f] makes a fresh item per call, so the model takes the table's *)
+      let t' = Tbl.map f t in
+      let m' = Ident.Map.mapi (fun id it -> Option.value (Tbl.find t' id) ~default:it) m in
+      (t', m')
+  in
+  let ok_so_far =
+    List.for_all
+      (fun op ->
+        let tm = step (List.hd !kept) op in
+        kept := tm :: !kept;
+        table_agrees (fst tm) (snd tm))
+      ops
+  in
+  ok_so_far && List.for_all (fun (t, m) -> table_agrees t m) !kept
+
+let test_table_builder_refusals () =
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  let b = Tbl.builder 2 in
+  Tbl.push b (item_of 3 0);
+  raises "a repeated id" (fun () -> Tbl.push b (item_of 3 1));
+  raises "a lower id" (fun () -> Tbl.push b (item_of 2 1));
+  Tbl.push b (item_of 7 1);
+  raises "past the capacity" (fun () -> Tbl.push b (item_of 8 2));
+  let t = Tbl.build b in
+  raises "after the build" (fun () -> Tbl.push b (item_of 9 3));
+  Alcotest.(check int) "the built table" 2 (Tbl.count t);
+  let short = Tbl.builder 5 in
+  Tbl.push short (item_of 1 0);
+  Alcotest.(check int) "a builder filled below its capacity" 1 (Tbl.count (Tbl.build short))
 
 (* --- counters ------------------------------------------------------ *)
 
@@ -206,6 +405,13 @@ let () =
         [
           tc "no mid-transaction publish" test_txn_no_mid_publish;
           tc "rollback is a root swap" test_txn_rollback_is_root_swap;
+        ] );
+      ( "item table",
+        [
+          tc "snapshot pinned across a fold" test_snapshot_pinned_across_fold;
+          tc "rollback of a folding transaction" test_rollback_of_folding_transaction;
+          tc "builder refusals" test_table_builder_refusals;
+          qcheck_case ~count:120 "Item_table agrees with Ident.Map" table_case_gen prop_table_model;
         ] );
       ("counters", [ tc "snapshot/commit/cache counters" test_counters ]);
       ( "explain",

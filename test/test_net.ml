@@ -347,7 +347,7 @@ let test_served_reads_match_query () =
                (Seed_core.Item.make id Seed_core.Item.Independent
                   (Seed_core.Item.Obj
                      {
-                       Seed_core.Item.name;
+                       name;
                        cls = "Data";
                        value = None;
                        pattern = false;

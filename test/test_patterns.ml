@@ -85,7 +85,10 @@ let test_pattern_update_propagates () =
   let deadline_of id =
     let item = Option.get (Seed_core.Db_state.find_item (DB.raw db) id) in
     match View.child_v v (View.vitem_real item) ~role:"Deadline" () with
-    | Some kid -> (Option.get (View.obj_state v kid.View.item)).Item.value
+    | Some kid -> (
+      match View.state v kid.View.item with
+      | Seed_core.Item.Obj o -> o.value
+      | Seed_core.Item.Rel _ | Seed_core.Item.Absent -> None)
     | None -> None
   in
   List.iter
@@ -300,8 +303,9 @@ let test_pattern_visibility_in_versions () =
   (match View.child_v old_view (View.vitem_real item) ~role:"Deadline" () with
   | Some kid ->
     Alcotest.(check bool) "old value" true
-      ((Option.get (View.obj_state old_view kid.View.item)).Item.value
-      = Some (Value.date 1986 6 1))
+      (match View.state old_view kid.View.item with
+      | Seed_core.Item.Obj o -> o.value = Some (Value.date 1986 6 1)
+      | Seed_core.Item.Rel _ | Seed_core.Item.Absent -> false)
   | None -> Alcotest.fail "inherited child missing in old view")
 
 let () =

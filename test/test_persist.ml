@@ -510,6 +510,52 @@ let test_decode_rejects_version_cycle () =
   check_err "self-parented version" (function Seed_error.Corrupt _ -> true | _ -> false)
     (Persist.decode_db cyclic)
 
+(* A snapshot's item ids ascend from 1 and stay within its meta's id
+   counter, so an id of 0 or below, one near [max_int] and a repeated one
+   are damage: each decodes to [Corrupt], and none makes the open
+   allocate by the id. The payloads are a real one-object snapshot
+   (A is #1, the last record) with its id rewritten, or its record
+   listed twice. *)
+let test_decode_rejects_bad_ids () =
+  let db = fresh_db () in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  Alcotest.(check int) "A is #1" 1 (Ident.to_int a);
+  let payload = Persist.encode_db db in
+  (* the item count (1) and A's record, which begins with its id (#1 is
+     the varint 0x02), its body (independent, 0x00) and a present
+     object state (0x01 0x00) *)
+  let at =
+    let rec last i =
+      if i < 0 then Alcotest.fail "A's record not found"
+      else if String.sub payload i 5 = "\001\002\000\001\000" then i
+      else last (i - 1)
+    in
+    last (String.length payload - 5)
+  in
+  let head = String.sub payload 0 at in
+  let record = String.sub payload (at + 2) (String.length payload - at - 2) in
+  let varint n =
+    let module W = Seed_storage.Codec.Writer in
+    let w = W.create () in
+    W.varint w n;
+    W.contents w
+  in
+  let with_id n = head ^ "\001" ^ varint n ^ record in
+  check_ok "the unchanged payload decodes" (Result.map ignore (Persist.decode_db (with_id 1)));
+  let refused what payload =
+    let before = Gc.allocated_bytes () in
+    check_err what (function Seed_error.Corrupt _ -> true | _ -> false) (Persist.decode_db payload);
+    Alcotest.(check bool)
+      (what ^ ": nothing allocated by the id") true
+      (Gc.allocated_bytes () -. before < 1e6)
+  in
+  refused "id 0" (with_id 0);
+  refused "negative id" (with_id (-7));
+  refused "id min_int" (with_id min_int);
+  refused "id near max_int" (with_id (max_int - 1));
+  refused "id max_int" (with_id max_int);
+  refused "repeated id" (head ^ "\002" ^ varint 1 ^ record ^ varint 1 ^ record)
+
 (* The decoders' only exception boundary is [Codec.Reader.run]: every
    truncated prefix and every single-byte flip of a valid payload must
    come back as a value, never as an exception. A cut payload is always
@@ -629,7 +675,7 @@ let test_reopen_equals_memory ~compaction () =
   flush ();
   if compaction = `At_end then check_ok "compact" (Persist.Session.compact s);
   let r_item = Option.get (Db_state.find_item (DB.raw db) r) in
-  Alcotest.(check bool) "history-only relationship" true (r_item.Seed_core.Item.current = None);
+  Alcotest.(check bool) "history-only relationship" true (r_item.Seed_core.Item.current = Seed_core.Item.Absent);
   Persist.Session.close s;
   let s2 = ok (Persist.Session.open_ ~dir ()) in
   let db2 = Persist.Session.db s2 in
@@ -677,7 +723,7 @@ let test_reopen_equals_memory ~compaction () =
   let vid = ok (DB.create_version db2) in
   let stamped =
     Db_state.fold_items st2 ~init:[] ~f:(fun acc (it : Seed_core.Item.t) ->
-        if Seed_core.Item.stamp_at it vid <> None then Ident.to_int it.id :: acc else acc)
+        if Seed_core.Item.stamp_at it vid <> Seed_core.Item.Absent then Ident.to_int it.id :: acc else acc)
   in
   Alcotest.(check (list int)) "next version stamps the delta" reopened (List.rev stamped);
   Persist.Session.close s2
@@ -854,6 +900,7 @@ let () =
           tc "schema revisions" test_schema_revisions_roundtrip;
           tc "garbage rejected" test_decode_rejects_garbage;
           tc "version cycle rejected" test_decode_rejects_version_cycle;
+          tc "bad item ids rejected" test_decode_rejects_bad_ids;
           tc "decoders never raise" test_decoders_never_raise;
           tc "reopen equals memory over a journal" (test_reopen_equals_memory ~compaction:`Midway);
           tc "reopen equals memory, journal alone" (test_reopen_equals_memory ~compaction:`Never);

@@ -173,10 +173,10 @@ let naive_in_name_order v p =
 let naive_select_rels v ~assoc =
   let schema = View.schema v in
   Db_state.fold_items (View.db v) ~init:[] ~f:(fun acc it ->
-      match (it.Item.body, View.rel_state v it) with
-      | Item.Relationship, Some rs
+      match (it.Item.body, View.state v it) with
+      | Item.Relationship, Item.Rel rs
         when View.live_normal v it
-             && Schema.assoc_is_a schema ~sub:rs.Item.assoc ~super:assoc ->
+             && Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc ->
         it.Item.id :: acc
       | _ -> acc)
   |> List.sort Ident.compare
@@ -202,9 +202,9 @@ let predicate_pool =
           | None -> false);
       Q.(is_a "Data"
         &&& of_fun (fun v it ->
-                match View.obj_state v it with
-                | Some o -> not o.Item.pattern
-                | None -> false));
+                match View.state v it with
+                | Item.Obj o -> not o.pattern
+                | Item.Rel _ | Item.Absent -> false));
     ]
 
 let views env =

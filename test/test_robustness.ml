@@ -292,10 +292,10 @@ let test_load_verification_catches_tampering () =
   (* break the invariant behind the API's back, then save *)
   let item = Option.get (Seed_core.Db_state.find_item (DB.raw db) d) in
   (match item.Seed_core.Item.current with
-  | Some (Seed_core.Item.Obj o) ->
+  | Seed_core.Item.Obj o ->
     Seed_core.Db_state.unsafe_put_item (DB.raw db)
       (Seed_core.Item.with_current item
-         (Some (Seed_core.Item.Obj { o with Seed_core.Item.cls = "Action" })))
+         (Seed_core.Item.Obj { o with cls = "Action" }))
   | _ -> ());
   check_ok "save" (Persist.save db ~dir);
   check_err "verification refuses" is_membership (Persist.load ~dir ());
@@ -313,7 +313,7 @@ module Db_state = Seed_core.Db_state
 let put db (it : Item.t) = Db_state.unsafe_put_item (DB.raw db) it
 
 let obj_state ?name ?value cls =
-  Item.Obj { Item.name; cls; value; pattern = false; inherits = []; deleted = false }
+  Item.Obj { name; cls; value; pattern = false; inherits = []; deleted = false }
 
 let put_child db ~parent ~role ?index ?value cls =
   let id = Db_state.fresh_id (DB.raw db) in
@@ -324,13 +324,15 @@ let put_rel db assoc ?(attrs = []) endpoints =
   put db
     (Item.make id Item.Relationship
        (Item.Rel
-          { Item.assoc; endpoints; rel_attrs = attrs; rel_pattern = false; rel_deleted = false }))
+          { assoc; endpoints; rel_attrs = attrs; rel_pattern = false; rel_deleted = false }))
 
 let restate db id f =
   let it = Option.get (Db_state.find_item (DB.raw db) id) in
-  put db (Item.with_current it (Option.map f it.Item.current))
+  put db (Item.with_current it (f it.Item.current))
 
-let with_obj f = function Item.Obj o -> Item.Obj (f o) | s -> s
+let with_value value = function Item.Obj o -> Item.Obj { o with value } | s -> s
+let with_cls cls = function Item.Obj o -> Item.Obj { o with cls } | s -> s
+
 let is_invalid = function Seed_error.Invalid_operation _ -> true | _ -> false
 let is_unknown_item = function Seed_error.Unknown_item _ -> true | _ -> false
 let is_unknown_class = function Seed_error.Unknown_class _ -> true | _ -> false
@@ -341,10 +343,10 @@ let tamper_cases =
       is_type,
       fun db d _ ->
         let desc = ok (DB.create_sub_object db ~parent:d ~role:"Description" ()) in
-        restate db desc (with_obj (fun o -> { o with Item.value = Some (Value.Int 3) })) );
+        restate db desc (with_value (Some (Value.Int 3))) );
     ( "value on a class without content",
       is_type,
-      fun db d _ -> restate db d (with_obj (fun o -> { o with Item.value = Some (Value.String "x") }))
+      fun db d _ -> restate db d (with_value (Some (Value.String "x")))
     );
     ( "child of the wrong class",
       is_membership,
@@ -376,7 +378,7 @@ let tamper_cases =
        the unknown class is a name the store knows that is no class *)
     ( "object of an unknown class",
       is_unknown_class,
-      fun db d _ -> restate db d (with_obj (fun o -> { o with Item.cls = "Read" })) );
+      fun db d _ -> restate db d (with_cls "Read") );
     (* a load keeps the last of two bindings of one name *)
     ( "two objects bound to one name",
       is_duplicate,
@@ -416,7 +418,7 @@ let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 let test_refused_open_closes_store () =
   let db = fresh_db () in
   let d = ok (DB.create_object db ~cls:"InputData" ~name:"D" ()) in
-  restate db d (with_obj (fun o -> { o with Item.value = Some (Value.String "x") }));
+  restate db d (with_value (Some (Value.String "x")));
   let dir = tmp_dir () in
   check_ok "save" (Persist.save db ~dir);
   let before = open_fds () in

@@ -374,9 +374,7 @@ let probes_exact st =
       let naive =
         Db_state.fold_items st ~init:Ident.Set.empty ~f:(fun acc it ->
             match it.Item.current with
-            | Some
-                (Item.Obj
-                   { Item.deleted = false; value = Some (Value.String s); cls; _ })
+            | Item.Obj { deleted = false; value = Some (Value.String s); cls; _ }
               when Option.fold ~none:true ~some:(String.equal cls) path
                    && Text_index.contains_all s needles ->
               Ident.Set.add it.Item.id acc
@@ -459,7 +457,8 @@ let tiers tx = (Text_index.stats tx).Text_index.tiers
 module Model = Map.Make (Int)
 
 let model_index m =
-  Text_index.of_docs (fun f -> Model.iter (fun id (path, s) -> f (Ident.of_int id) ~path s) m)
+  Text_index.of_docs (Model.cardinal m) (fun f ->
+      Model.iter (fun id (path, s) -> f (Ident.of_int id) ~path s) m)
 
 let model_probes =
   [ (None, [ "issip" ]); (None, [ "alarm reset" ]); (None, [ "no-such-needle" ]);
@@ -674,7 +673,7 @@ let test_encodings_across_merges () =
 let test_encodings_size () =
   let open Text_index in
   let t =
-    of_docs (fun f ->
+    of_docs 200 (fun f ->
         for i = 0 to 199 do
           f (Ident.of_int i) ~path:"P" (if i = 7 then "abcxyz" else "abc")
         done)
@@ -690,7 +689,9 @@ let test_encodings_size () =
 let test_structure () =
   let open Text_index in
   let id i = Ident.of_int i in
-  let of_docs docs = of_docs (fun f -> List.iter (fun (i, path, s) -> f i ~path s) docs) in
+  let of_docs docs =
+    of_docs (List.length docs) (fun f -> List.iter (fun (i, path, s) -> f i ~path s) docs)
+  in
   Alcotest.(check int) "empty" 0 (doc_count empty);
   let docs =
     [ (id 1, "P", "the recovery path"); (id 2, "Q", "recover quickly");

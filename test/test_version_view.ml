@@ -192,12 +192,12 @@ let run_model ops =
 let ref_state st (it : Item.t) vid =
   let rec go v =
     match Item.stamp_at it v with
-    | Some s -> Some s
-    | None -> (
+    | Item.Absent -> (
       match Versioning.find (Db_state.versions st) v with
-      | None -> None
+      | None -> Item.Absent
       | Some n -> (
-        match n.Versioning.parent with None -> None | Some p -> go p))
+        match n.Versioning.parent with None -> Item.Absent | Some p -> go p))
+    | s -> s
   in
   go vid
 
@@ -207,8 +207,8 @@ let sorted_ids items =
 let ref_fold st vid keep =
   Db_state.fold_items st ~init:[] ~f:(fun acc it ->
       match ref_state st it vid with
-      | Some s when keep it s -> it.Item.id :: acc
-      | Some _ | None -> acc)
+      | Item.Absent -> acc
+      | s -> if keep it s then it.Item.id :: acc else acc)
   |> List.sort Ident.compare
 
 let ref_all_objects st vid =
@@ -234,9 +234,9 @@ let ref_select_rels st vid assoc =
   ref_fold st vid (fun it s ->
       match (it.Item.body, s) with
       | Item.Relationship, Item.Rel rs ->
-        (not rs.Item.rel_deleted)
-        && (not rs.Item.rel_pattern)
-        && Schema.assoc_is_a schema ~sub:rs.Item.assoc ~super:assoc
+        (not rs.rel_deleted)
+        && (not rs.rel_pattern)
+        && Schema.assoc_is_a schema ~sub:rs.assoc ~super:assoc
       | _ -> false)
 
 (* find_object: live independents, patterns included (callers filter) *)
@@ -248,10 +248,9 @@ let ref_find st vid name =
         if it.Item.body <> Item.Independent then None
         else
           match ref_state st it vid with
-          | Some (Item.Obj { Item.name = Some n; deleted = false; _ })
-            when String.equal n name ->
+          | Item.Obj { name = Some n; deleted = false; _ } when String.equal n name ->
             Some it.Item.id
-          | Some _ | None -> None))
+          | Item.Obj _ | Item.Rel _ | Item.Absent -> None))
 
 let ref_changed st v1 v2 =
   Db_state.fold_items st ~init:[] ~f:(fun acc it ->
@@ -277,22 +276,22 @@ let rec to_q = function
   | TOr (a, b) -> Q.( ||| ) (to_q a) (to_q b)
   | TNot a -> Q.not_ (to_q a)
 
-let rec ref_eval schema (o : Item.obj_state) = function
-  | TIn c -> String.equal o.Item.cls c
-  | TIsa c -> Schema.class_is_a schema ~sub:o.Item.cls ~super:c
+let rec ref_eval schema ~cls ~name = function
+  | TIn c -> String.equal cls c
+  | TIsa c -> Schema.class_is_a schema ~sub:cls ~super:c
   | TName n -> (
     (* an independent's full name is its own name *)
-    match o.Item.name with Some m -> String.equal m n | None -> false)
-  | TAnd (a, b) -> ref_eval schema o a && ref_eval schema o b
-  | TOr (a, b) -> ref_eval schema o a || ref_eval schema o b
-  | TNot a -> not (ref_eval schema o a)
+    match name with Some m -> String.equal m n | None -> false)
+  | TAnd (a, b) -> ref_eval schema ~cls ~name a && ref_eval schema ~cls ~name b
+  | TOr (a, b) -> ref_eval schema ~cls ~name a || ref_eval schema ~cls ~name b
+  | TNot a -> not (ref_eval schema ~cls ~name a)
 
 let ref_select st vid p =
   let schema = View.schema (View.at st vid) in
   ref_fold st vid (fun it s ->
       match (it.Item.body, s) with
       | Item.Independent, Item.Obj o ->
-        (not o.Item.deleted) && (not o.Item.pattern) && ref_eval schema o p
+        (not o.deleted) && (not o.pattern) && ref_eval schema ~cls:o.cls ~name:o.name p
       | _ -> false)
 
 (* Planner-recognised shapes, fallback shapes, and mixtures. *)

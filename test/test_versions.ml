@@ -255,7 +255,7 @@ let test_state_in_and_version_path () =
   ok (DB.reclassify db a ~to_:"Data");
   let v2 = ok (DB.create_version db) in
   (match ok (History.state_in db a v1) with
-  | Some (Item.Obj o) -> Alcotest.(check string) "v1 class" "Thing" o.Item.cls
+  | Item.Obj o -> Alcotest.(check string) "v1 class" "Thing" o.cls
   | _ -> Alcotest.fail "expected object state");
   Alcotest.(check (list string)) "path" [ "1.0"; "2.0" ]
     (List.map Version_id.to_string (History.version_path db v2));
