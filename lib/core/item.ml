@@ -32,6 +32,7 @@ type t = {
 }
 
 let make id body state = { id; body; current = state; history = Version_id.Map.empty }
+let none = make (Ident.of_int max_int) Relationship Absent
 
 let with_current t current = { t with current }
 

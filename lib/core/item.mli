@@ -68,6 +68,13 @@ val make : Ident.t -> body -> state -> t
     Whether it belongs to the next version's delta is the root's
     business: {!Db_state.add_item} enters it there. *)
 
+val none : t
+(** The item a fetch by id returns when no item has the id
+    ([Item_table.get]): an [Absent] relationship no table holds, told
+    apart by physical equality, so a miss boxes nothing. Its id,
+    [max_int], is above every stored item's (a snapshot refuses it), so
+    it sorts after them. *)
+
 val with_current : t -> state -> t
 (** Copy with a different working state. *)
 

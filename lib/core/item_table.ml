@@ -38,12 +38,15 @@ let slot t id =
       in
       search 0 (if i >= 0 && i < n then i else n - 1)
 
-let find t id =
-  match Ident.Map.find_opt id t.over with
-  | Some _ as hit -> hit
-  | None ->
+let get t id =
+  if Ident.Map.mem id t.over then Ident.Map.find id t.over
+  else
     let k = slot t (Ident.to_int id) in
-    if k < 0 then None else Some t.base.(k)
+    if k < 0 then Item.none else t.base.(k)
+
+let find t id =
+  let it = get t id in
+  if it == Item.none then None else Some it
 
 (* The overlay's items and the base's it does not replace, merged in id
    order. *)

@@ -22,6 +22,10 @@ val empty : t
 val count : t -> int
 (** The number of items, O(1). *)
 
+val get : t -> Ident.t -> Item.t
+(** The item of that id, {!Item.none} when there is none: a lookup that
+    allocates nothing. *)
+
 val find : t -> Ident.t -> Item.t option
 
 val add : t -> Item.t -> t

@@ -30,8 +30,10 @@ let is_incomplete =
    ([""] = any path) containing every needle. Only the object's {e own}
    subtree is walked — information viewed through pattern inheritance
    is not searched, matching what the trigram index covers. The walk
-   reads the view's children sets, resolving each node's state once. *)
-let carrier_matches v (it : Item.t) ~path needles =
+   reads the view's children sets, resolving each node's state once by
+   a fetch that boxes nothing; its closures are made once per
+   predicate, not per object tested. *)
+let carrier_matches v ~path needles =
   let x = View.extents v in
   let rec walk id (state : Item.state) =
     match state with
@@ -43,25 +45,38 @@ let carrier_matches v (it : Item.t) ~path needles =
       || Ident.Set.exists child (Db_state.children_of x id)
     | Item.Rel _ | Item.Absent -> false
   and child c = walk c (View.state_of_id v c) in
-  walk it.Item.id (View.state v it)
+  fun (it : Item.t) -> walk it.Item.id (View.state v it)
 
-let rec test p v it =
+(* [p] as a test of one item of [v], its closures made once: a scan
+   tests each item without allocating for the predicate. *)
+let rec tester p v : Item.t -> bool =
   match p with
   | In_class cls -> (
-    match View.state v it with
-    | Item.Obj o -> String.equal o.cls cls
-    | Item.Rel _ | Item.Absent -> false)
+    fun it ->
+      match View.state v it with
+      | Item.Obj o -> String.equal o.cls cls
+      | Item.Rel _ | Item.Absent -> false)
   | Is_a cls -> (
-    match View.state v it with
-    | Item.Obj o -> Schema.class_is_a (View.schema v) ~sub:o.cls ~super:cls
-    | Item.Rel _ | Item.Absent -> false)
+    let schema = View.schema v in
+    fun it ->
+      match View.state v it with
+      | Item.Obj o -> Schema.class_is_a schema ~sub:o.cls ~super:cls
+      | Item.Rel _ | Item.Absent -> false)
   | Name_is n -> (
-    match View.full_name v it with Some m -> String.equal m n | None -> false)
-  | Matches { path; needles } -> carrier_matches v it ~path needles
-  | And (p, q) -> test p v it && test q v it
-  | Or (p, q) -> test p v it || test q v it
-  | Not p -> not (test p v it)
-  | Opaque f -> f v it
+    fun it -> match View.full_name v it with Some m -> String.equal m n | None -> false)
+  | Matches { path; needles } -> carrier_matches v ~path needles
+  | And (p, q) ->
+    let p = tester p v and q = tester q v in
+    fun it -> p it && q it
+  | Or (p, q) ->
+    let p = tester p v and q = tester q v in
+    fun it -> p it || q it
+  | Not p ->
+    let p = tester p v in
+    fun it -> not (p it)
+  | Opaque f -> f v
+
+let test p v it = tester p v it
 
 let ( &&& ) p q = And (p, q)
 let ( ||| ) p q = Or (p, q)
@@ -96,51 +111,81 @@ let not_ p = Not p
 (* ------------------------------------------------------------------ *)
 
 (* The independent object owning a carrier: the carrier itself, or the
-   top of its parent chain when the match is inside a sub-object. *)
+   top of its parent chain when the match is inside a sub-object;
+   [Item.none] for a relationship or an unknown id. *)
 let rec root_owner db id =
-  match Db_state.find_item db id with
-  | Some { Item.body = Item.Dependent { parent; _ }; _ } -> root_owner db parent
-  | Some { Item.body = Item.Independent; _ } as owner -> owner
-  | Some { Item.body = Item.Relationship; _ } | None -> None
+  let it = Db_state.get_item db id in
+  match it.Item.body with
+  | Item.Dependent { parent; _ } -> root_owner db parent
+  | Item.Independent -> it
+  | Item.Relationship -> Item.none
+
+(* A growing array: its first [n] cells are the elements, the rest
+   hold [fill] until they are written; full, it is copied into one twice
+   its size. *)
+type 'a buf = { mutable items : 'a array; mutable n : int; fill : 'a }
+
+let buf fill cap = { items = Array.make cap fill; n = 0; fill }
+
+let push b x =
+  if b.n = Array.length b.items then begin
+    let a = Array.make (max 8 (2 * b.n)) b.fill in
+    Array.blit b.items 0 a 0 b.n;
+    b.items <- a
+  end;
+  b.items.(b.n) <- x;
+  b.n <- b.n + 1
+
+(* the elements, in the buffer's own array when it is full *)
+let contents b = if b.n = Array.length b.items then b.items else Array.sub b.items 0 b.n
 
 (* A node's candidates: an id set, or the owners a text lookup fetched,
    ascending by id and distinct, which the fold reads without fetching
    them again. *)
-type cands = Ids of Ident.Set.t | Owners of Item.t array
+type cands = Ids of Ident.Set.t | Owners of Item.t buf
 
 let by_id (a : Item.t) (b : Item.t) = Ident.compare a.Item.id b.Item.id
 
-(* The carriers' owners, each fetched once: sorted in place and
-   deduplicated (the first of each run kept), with no list sort. *)
-let owners db carriers =
-  let found = Array.of_list (List.filter_map (root_owner db) carriers) in
-  Array.stable_sort by_id found;
-  let n = ref 0 in
-  Array.iter
-    (fun o ->
-      if !n = 0 || by_id found.(!n - 1) o <> 0 then begin
-        found.(!n) <- o;
-        incr n
-      end)
-    found;
-  if !n = Array.length found then found else Array.sub found 0 !n
+(* Fetched owners sorted by id in place (the unused cells hold
+   [Item.none], whose id is above every item's), then deduplicated: the
+   first of each run kept. *)
+let sort_owners o =
+  let a = o.items and n = ref 0 in
+  Array_sort.sort by_id a;
+  for i = 0 to o.n - 1 do
+    if !n = 0 || by_id a.(!n - 1) a.(i) <> 0 then begin
+      a.(!n) <- a.(i);
+      incr n
+    end
+  done;
+  o.n <- !n
 
 let ids = function
   | Ids s -> s
-  | Owners a ->
+  | Owners o ->
     let b = Ident.Set.builder () in
-    Array.iter (fun (o : Item.t) -> Ident.Set.push b o.Item.id) a;
+    for i = 0 to o.n - 1 do
+      Ident.Set.push b o.items.(i).Item.id
+    done;
     Ident.Set.build b
 
-let cardinal = function Ids s -> Ident.Set.cardinal s | Owners a -> Array.length a
+let cardinal = function Ids s -> Ident.Set.cardinal s | Owners o -> o.n
 
-(* An intersection with fetched owners keeps them, in order. *)
+(* An intersection with fetched owners keeps them, in order, filtered
+   in place. *)
 let inter x y =
   match (x, y) with
   | Ids a, Ids b -> Ids (Ident.Set.inter a b)
-  | Owners a, other | other, Owners a ->
-    let s = ids other in
-    Owners (Array.of_list (List.filter (fun o -> Ident.Set.mem o.Item.id s) (Array.to_list a)))
+  | Owners o, other | other, Owners o ->
+    let s = ids other and n = ref 0 in
+    for i = 0 to o.n - 1 do
+      if Ident.Set.mem o.items.(i).Item.id s then begin
+        o.items.(!n) <- o.items.(i);
+        incr n
+      end
+    done;
+    o.n <- !n;
+    Owners o
 
 let long_enough n = String.length n >= Text_index.min_needle
 
@@ -148,19 +193,20 @@ let long_enough n = String.length n >= Text_index.min_needle
    and rare enough to beat the scan. Dropping a needle is always sound —
    the rest bound an inexact superset, which the re-test narrows — so a
    needle whose rarest posting list covers over a tenth of the documents
-   is answered by the scan instead of by walking a posting list of
-   comparable size (tiny lists always pass: below 64 candidates the walk
-   is cheap at any ratio). Each needle is looked up once; the probe
-   intersects the same lookups. *)
-let probe_worthy tx needles =
-  let cutoff = max 64 (Text_index.doc_count tx / 10) in
-  List.filter_map
-    (fun n ->
-      if not (long_enough n) then None
-      else
-        let l = Text_index.lookup tx n in
-        if Text_index.estimate tx l <= cutoff then Some l else None)
-    needles
+   ([cutoff]) is answered by the scan instead of by walking a posting
+   list of comparable size (tiny lists always pass: below 64 candidates
+   the walk is cheap at any ratio). Each needle is looked up once; the
+   probe intersects the same lookups. *)
+let rec worthy tx cutoff = function
+  | [] -> []
+  | n :: ns ->
+    let rest = worthy tx cutoff ns in
+    if not (long_enough n) then rest
+    else
+      let l = Text_index.lookup tx n in
+      if Text_index.estimate tx l <= cutoff then l :: rest else rest
+
+let probe_worthy tx needles = worthy tx (max 64 (Text_index.doc_count tx / 10)) needles
 
 type text_probe = {
   tp_path : string;  (* "" = any path *)
@@ -171,23 +217,25 @@ type text_probe = {
   tp_verified : int;
 }
 
-(* What one walk consulted, newest first. Every text node made one
-   lookup (a [texts] entry) or fell back to the scan (counted in
-   [fallbacks]). *)
+(* What one walk consulted. Every text node made one lookup or fell
+   back to the scan, and both are counted; the lists, newest first, are
+   kept only when [explain] reads them. *)
 type consulted = {
+  explain : bool;
+  mutable lookups : int;
+  mutable fallbacks : int;
   mutable classes : string list;
   mutable names : string list;
   mutable texts : text_probe list;
-  mutable fallbacks : int;
 }
 
 (* The plan: the candidate ids and their exactness, or why the walk
    gave up, and what it consulted. Extent sets are shared, not copied:
    [In_class] is the view's set itself, and [Is_a] of a leaf class is a
    union with the empty set. *)
-let walk v p =
+let walk ~explain v p =
   let ext = View.extents v and schema = View.schema v and db = View.db v in
-  let w = { classes = []; names = []; texts = []; fallbacks = 0 } in
+  let w = { explain; lookups = 0; fallbacks = 0; classes = []; names = []; texts = [] } in
   let fallback reason =
     w.fallbacks <- w.fallbacks + 1;
     Error reason
@@ -202,28 +250,34 @@ let walk v p =
           "every containment needle matches too many documents — the scan \
            is cheaper than walking their posting lists"
       | worthy ->
-        let qpath = if String.equal path "" then None else Some path in
-        let carriers, pr = Text_index.query_probe tx ?path:qpath worthy in
-        w.texts <-
-          {
-            tp_path = path;
-            tp_needles = List.map Text_index.needle worthy;
-            tp_trigrams = pr.Text_index.pr_trigrams;
-            tp_postings = pr.Text_index.pr_postings;
-            tp_candidates = pr.Text_index.pr_candidates;
-            tp_verified = pr.Text_index.pr_verified;
-          }
-          :: w.texts;
-        let exact = List.compare_lengths worthy needles = 0 in
-        Ok (Owners (owners db carriers), exact))
+        let found = buf Item.none 8 in
+        let add id =
+          let o = root_owner db id in
+          if o != Item.none then push found o
+        in
+        let pr = Text_index.query_probe tx ~path worthy add in
+        sort_owners found;
+        w.lookups <- w.lookups + 1;
+        if explain then
+          w.texts <-
+            {
+              tp_path = path;
+              tp_needles = List.map Text_index.needle worthy;
+              tp_trigrams = pr.Text_index.pr_trigrams;
+              tp_postings = pr.Text_index.pr_postings;
+              tp_candidates = pr.Text_index.pr_candidates;
+              tp_verified = pr.Text_index.pr_verified;
+            }
+            :: w.texts;
+        Ok (Owners found, List.compare_lengths worthy needles = 0))
   in
   let rec go p =
     match p with
     | In_class cls ->
-      w.classes <- cls :: w.classes;
+      if explain then w.classes <- cls :: w.classes;
       Ok (Ids (Db_state.obj_extent ext cls), true)
     | Is_a cls ->
-      w.classes <- (cls ^ " (and descendants)") :: w.classes;
+      if explain then w.classes <- (cls ^ " (and descendants)") :: w.classes;
       Ok
         ( Ids
             (List.fold_left
@@ -232,7 +286,7 @@ let walk v p =
                (Schema.class_descendants_or_self schema cls)),
           true )
     | Name_is n ->
-      w.names <- n :: w.names;
+      if explain then w.names <- n :: w.names;
       let id = Db_state.find_id_by_name ext n in
       Ok (Ids (Option.fold ~none:Ident.Set.empty ~some:Ident.Set.singleton id), true)
     | Matches { needles; _ } when not (List.exists long_enough needles) ->
@@ -269,7 +323,7 @@ type plan =
   | Scan of { reason : string }
 
 let explain v p =
-  match walk v p with
+  match walk ~explain:true v p with
   | Error reason, _ -> Scan { reason }
   | Ok (cands, exact), w ->
     let via =
@@ -312,33 +366,38 @@ let pp_plan ppf = function
   | Scan { reason } ->
     Fmt.pf ppf "@[<v>plan: full scan of the view@,reason: %s@]" reason
 
+(* The plan [select] and [count] run, as the text hit/fallback
+   counters count it: executing a plan, not explaining it, is what they
+   count. *)
+let run v p =
+  let bound, w = walk ~explain:false v p in
+  Db_state.note_text_queries (View.db v) ~hits:w.lookups ~fallbacks:w.fallbacks;
+  bound
+
+(* the hits a plan can have at most, or none known for a scan *)
+let bound_size = function Ok (c, _) -> cardinal c | Error _ -> 0
+
 (* Fold [f] over the live normal independent objects satisfying [p]:
    the plan's candidates, re-checked on the state fetched with them and
    re-tested unless the plan is exact, or for an unbounded predicate the
    item table, tested: one pass over it, where the extents' ids would
-   each cost a lookup by id. Executing a plan, not explaining it, is
-   what the text hit/fallback counters count. *)
-let fold_hits v p f init =
+   each cost a lookup by id. *)
+let fold_hits v p bound f init =
   let db = View.db v in
-  let bound, w = walk v p in
-  Db_state.note_text_queries db ~hits:(List.length w.texts)
-    ~fallbacks:w.fallbacks;
-  let keep ~exact it acc =
-    if View.live_normal v it && (exact || test p v it) then f it acc else acc
-  in
+  let test = match bound with Ok (_, true) -> fun _ -> true | Ok (_, false) | Error _ -> tester p v in
+  let keep it acc = if View.live_normal v it && test it then f it acc else acc in
   match bound with
-  | Ok (Owners a, exact) -> Array.fold_left (fun acc it -> keep ~exact it acc) init a
-  | Ok (Ids ids, exact) ->
-    Ident.Set.fold
-      (fun id acc ->
-        match Db_state.find_item db id with
-        | Some it -> keep ~exact it acc
-        | None -> acc)
-      ids init
+  | Ok (Owners o, _) ->
+    let acc = ref init in
+    for i = 0 to o.n - 1 do
+      acc := keep o.items.(i) !acc
+    done;
+    !acc
+  | Ok (Ids ids, _) -> Ident.Set.fold (fun id acc -> keep (Db_state.get_item db id) acc) ids init
   | Error _ ->
     Db_state.fold_items db ~init ~f:(fun acc it ->
         match it.Item.body with
-        | Item.Independent -> keep ~exact:false it acc
+        | Item.Independent -> keep it acc
         | Item.Dependent _ | Item.Relationship -> acc)
 
 (* A hit's full name: an independent object's own, read from its state
@@ -349,14 +408,18 @@ let hit_name v it =
   | Item.Rel _ | Item.Absent -> None
 
 (* The hits by name (unique among live objects; unnamed ones first),
-   ties by id: each name is read once and an index order sorted. Both
-   selects sort by merge sort, which makes about half the comparisons
-   of [Array.sort]'s heap sort. *)
+   ties by id, gathered into one array sized by the plan: each name is
+   read once and an index order sorted. Both selects sort by merge sort,
+   which makes about half the comparisons of [Array.sort]'s heap
+   sort. *)
 let select v p =
-  let hits = Array.of_list (fold_hits v p List.cons []) in
+  let bound = run v p in
+  let hits = buf Item.none (bound_size bound) in
+  fold_hits v p bound (fun it () -> push hits it) ();
+  let hits = contents hits in
   let names = Array.map (hit_name v) hits in
   let order = Array.init (Array.length hits) Fun.id in
-  Array.stable_sort
+  Array_sort.sort
     (fun i j ->
       match Option.compare String.compare names.(i) names.(j) with
       | 0 -> by_id hits.(i) hits.(j)
@@ -364,14 +427,19 @@ let select v p =
     order;
   Array.fold_right (fun i acc -> hits.(i) :: acc) order []
 
-(* The named hits' names, sorted once: unique, so no tie to break. *)
+(* The named hits' names, in one array sorted in place: unique, so no
+   tie to break. *)
 let select_names v p =
-  let named it acc = match hit_name v it with Some n -> n :: acc | None -> acc in
-  let names = Array.of_list (fold_hits v p named []) in
-  Array.stable_sort String.compare names;
-  Array.to_list names
+  let bound = run v p in
+  let names = buf "" (bound_size bound) in
+  fold_hits v p bound
+    (fun it () -> match hit_name v it with Some n -> push names n | None -> ())
+    ();
+  let names = contents names in
+  Array_sort.sort String.compare names;
+  names
 
-let count v p = fold_hits v p (fun _ n -> n + 1) 0
+let count v p = fold_hits v p (run v p) (fun _ n -> n + 1) 0
 
 let select_rels v ~assoc =
   let ext = View.extents v in

@@ -71,11 +71,13 @@ val select : View.t -> pred -> Item.t list
 (** All live normal independent objects satisfying the predicate, in
     name order ([String.compare] on full names, which are unique). One
     fold checks each candidate live and normal and re-tests it only when
-    the plan is inexact (or scans); names are derived and sorted once. *)
+    the plan is inexact (or scans), into one array sorted in place. *)
 
-val select_names : View.t -> pred -> string list
+val select_names : View.t -> pred -> string array
 (** The full names of {!select}'s result, in its order — a served
-    read's reply. *)
+    read's reply, which [Wire] encodes from this array. Besides the
+    array, a bounded plan allocates a few words per plan node and per
+    text lookup, and nothing per candidate it reads. *)
 
 val count : View.t -> pred -> int
 (** [List.length (select v p)], from the same loop, with no sort. *)

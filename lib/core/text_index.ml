@@ -505,62 +505,85 @@ let rec contains_all hay = function
   | [] -> true
   | n :: ns -> string_contains hay n && contains_all hay ns
 
-(* A needle trigram with the index of its posting in each tier, -1
-   where the tier lacks it: [One] while [recent] is empty, so a one-tier
-   lookup pays no word for the empty tier. *)
-type gram = One of int * int | Two of int * int * int
-
-let code = function One (c, _) | Two (c, _, _) -> c
-let in_main = function One (_, i) | Two (_, i, _) -> i
-let in_recent = function One _ -> -1 | Two (_, _, i) -> i
-let at main g = if main then in_main g else in_recent g
-let count (tier : tier) i = if i < 0 then 0 else tier.counts.(i)
-let gram_len t g = count t.main (in_main g) + count t.recent (in_recent g)
-
-(* A needle's distinct trigrams with their postings, rarest first:
-   looked up once, to size the needle and to intersect. *)
-type lookup = { needle : string; grams : gram list }
+(* A lookup's distinct trigrams, rarest first, three ints each: the
+   trigram's code and the index of its posting in [main] and in
+   [recent], -1 where the tier lacks it. *)
+type lookup = { needle : string; grams : int array }
 
 let needle l = l.needle
-let by_length t a b = Int.compare (gram_len t a) (gram_len t b)
+let ngrams g = Array.length g / 3
+let code g k = g.(3 * k)
+let at main g k = g.((3 * k) + if main then 1 else 2)
+let count (tier : tier) i = if i < 0 then 0 else tier.counts.(i)
+let gram_len t g k = count t.main (at true g k) + count t.recent (at false g k)
 
-(* the trigram codes of [n] from [i] down to 0, on [acc] *)
-let rec trigrams n i acc = if i < 0 then acc else trigrams n (i - 1) (trigram n i :: acc)
-
-(* the trigram [code] with its postings in [t]'s tiers *)
-let gram t code =
-  if Array.length t.recent.ids = 0 then One (code, find t.main.grams code)
-  else Two (code, find t.main.grams code, find t.recent.grams code)
-
-let rec grams t = function [] -> [] | code :: rest -> gram t code :: grams t rest
+(* The distinct codes of [codes], which it reorders, as lookup grams:
+   looked up once per tier in code order, then each gram's postings
+   keyed above its index there (under 2^24, as the codes are 24-bit), so
+   one int sort puts the rarest first, ties in code order; the cells
+   past the distinct codes are keyed [max_int], to sort last. *)
+let grams_of t codes =
+  let len = Array.length codes and d = ref 0 in
+  Array_sort.sort Int.compare codes;
+  for i = 0 to len - 1 do
+    if !d = 0 || codes.(!d - 1) <> codes.(i) then begin
+      codes.(!d) <- codes.(i);
+      incr d
+    end
+  done;
+  let g = Array.make (3 * !d) 0 in
+  for k = 0 to !d - 1 do
+    g.(3 * k) <- codes.(k);
+    g.((3 * k) + 1) <- find t.main.grams codes.(k);
+    g.((3 * k) + 2) <- find t.recent.grams codes.(k)
+  done;
+  for k = 0 to len - 1 do
+    codes.(k) <- (if k < !d then (gram_len t g k lsl 24) lor k else max_int)
+  done;
+  Array_sort.sort Int.compare codes;
+  let out = Array.make (3 * !d) 0 in
+  for k = 0 to !d - 1 do
+    Array.blit g (3 * (codes.(k) land 0xFFFFFF)) out (3 * k) 3
+  done;
+  out
 
 let lookup t n =
   if String.length n < min_needle then
     invalid_arg "Text_index.lookup: needle shorter than 3 bytes";
-  let codes = List.sort_uniq Int.compare (trigrams n (String.length n - 3) []) in
-  { needle = n; grams = List.sort (by_length t) (grams t codes) }
+  let codes = Array.make (String.length n - 2) 0 in
+  for i = 0 to String.length n - 3 do
+    codes.(i) <- trigram n i
+  done;
+  { needle = n; grams = grams_of t codes }
 
-let estimate t l = gram_len t (List.hd l.grams) + t.nover
+let estimate t l = gram_len t l.grams 0 + t.nover
 
 (* the lookups' distinct trigrams, rarest first: one needle's are
    already *)
 let union_grams t = function
   | [ l ] -> l.grams
   | ls ->
-    List.concat_map (fun l -> l.grams) ls
-    |> List.sort_uniq (fun a b -> Int.compare (code a) (code b))
-    |> List.sort (by_length t)
+    let codes = Array.make (List.fold_left (fun n l -> n + ngrams l.grams) 0 ls) 0 in
+    let k = ref 0 in
+    List.iter
+      (fun l ->
+        for j = 0 to ngrams l.grams - 1 do
+          codes.(!k) <- code l.grams j;
+          incr k
+        done)
+      ls;
+    grams_of t codes
 
 (* Every one of [grams] from [k] on has a posting in the tier. *)
 let rec all_held main grams k =
-  k >= Array.length grams || (at main grams.(k) >= 0 && all_held main grams (k + 1))
+  k >= ngrams grams || (at main grams k >= 0 && all_held main grams (k + 1))
 
 (* [slot] of [tier] is in the postings of [grams] from [k] on: a bitmap
    is tested in place, a list read forward by cursor [2 k] of [c]. *)
 let rec in_rest tier main grams c slot k =
-  k >= Array.length grams
+  k >= ngrams grams
   ||
-  let p = tier.posts.(at main grams.(k)) and n = Array.length tier.ids in
+  let p = tier.posts.(at main grams k) and n = Array.length tier.ids in
   (if is_bitmap p n then has_bit p slot
    else begin
      while c.((2 * k) + 1) < slot do
@@ -576,10 +599,10 @@ let rec in_rest tier main grams c slot k =
    answer. *)
 let walk over newer tier main grams c test =
   if all_held main grams 0 then begin
-    for k = 0 to Array.length grams - 1 do
+    for k = 0 to ngrams grams - 1 do
       start c (2 * k)
     done;
-    let p = tier.posts.(at main grams.(0)) and n = Array.length tier.ids in
+    let p = tier.posts.(at main grams 0) and n = Array.length tier.ids in
     next p n c 0;
     while c.(1) < max_int do
       let slot = c.(1) in
@@ -591,22 +614,31 @@ let walk over newer tier main grams c test =
     done
   end
 
-let query_probe t ?path lookups =
+let rec contains_needles hay = function
+  | [] -> true
+  | l :: ls -> string_contains hay l.needle && contains_needles hay ls
+
+let query_probe t ~path lookups f =
   if lookups = [] then invalid_arg "Text_index.query_probe: no needle";
-  let grams = Array.of_list (union_grams t lookups) and needles = List.map needle lookups in
-  let c = Array.make (2 * Array.length grams) 0 in
-  let candidates = ref 0 and hits = ref [] in
+  let grams = union_grams t lookups in
+  let c = Array.make (2 * ngrams grams) 0 in
+  let candidates = ref 0 and verified = ref 0 in
   let test id p text =
-    if (match path with None -> true | Some q -> String.equal q p) then begin
+    if String.equal path "" || String.equal path p then begin
       incr candidates;
-      if contains_all text needles then hits := id :: !hits
+      if contains_needles text lookups then begin
+        incr verified;
+        f id
+      end
     end
   in
   walk t.over t.recent t.main true grams c test;
   if Array.length t.recent.ids > 0 then walk t.over no_tier t.recent false grams c test;
   if not (Ident.Map.is_empty t.over) then begin
     let lo = ref 0 and hi = ref 0 in
-    Array.iter (fun g -> sign lo hi (code g)) grams;
+    for k = 0 to ngrams grams - 1 do
+      sign lo hi (code grams k)
+    done;
     let lo = !lo and hi = !hi in
     Ident.Map.iter
       (fun id d ->
@@ -614,16 +646,11 @@ let query_probe t ?path lookups =
       t.over
   end;
   let postings = ref 0 in
-  for k = 0 to Array.length grams - 1 do
-    postings := !postings + gram_len t grams.(k)
+  for k = 0 to ngrams grams - 1 do
+    postings := !postings + gram_len t grams k
   done;
-  ( !hits,
-    {
-      pr_trigrams = Array.length grams;
-      pr_postings = !postings;
-      pr_candidates = !candidates;
-      pr_verified = List.length !hits;
-    } )
+  { pr_trigrams = ngrams grams; pr_postings = !postings; pr_candidates = !candidates;
+    pr_verified = !verified }
 
 type stats = { trigrams : int; postings : int; docs : int; bytes : int; tiers : int }
 

@@ -56,12 +56,14 @@ type probe = {
 
 type lookup
 (** A needle's distinct trigrams and their postings in every tier,
-    rarest first: looked up once, both to size the needle ({!estimate})
-    and to answer it ({!query_probe}). *)
+    rarest first, in one int array: looked up once, both to size the
+    needle ({!estimate}) and to answer it ({!query_probe}). *)
 
 val lookup : t -> string -> lookup
-(** One binary search per needle trigram and tier. Raises [Invalid_argument]
-    below {!min_needle}. *)
+(** One binary search per distinct needle trigram and tier, the codes
+    and their postings kept in int arrays and sorted in place: a few
+    words per trigram, nothing boxed. Raises [Invalid_argument] below
+    {!min_needle}. *)
 
 val needle : lookup -> string
 
@@ -70,13 +72,14 @@ val estimate : t -> lookup -> int
     needle: its rarest trigram's postings plus the overlay, so the
     planner can skip needles too common to beat the scan. *)
 
-val query_probe : t -> ?path:string -> lookup list -> Ident.t list * probe
-(** Exactly the carriers whose text contains every looked-up needle
-    (restricted to carriers at [path] when given), in one pass per tier
-    over the union of the needles' trigrams: a list, each once, in no particular
-    order, plus the access-path measurements [Query.explain] renders.
-    The lookups must be of this [t]; raises [Invalid_argument] on an
-    empty list. *)
+val query_probe : t -> path:string -> lookup list -> (Ident.t -> unit) -> probe
+(** [query_probe t ~path lookups f] calls [f] on exactly the carriers
+    whose text contains every looked-up needle, restricted to carriers
+    at [path] unless it is [""], in one pass per tier over the union of
+    the needles' trigrams: each once, in no particular order. It
+    returns the access-path measurements [Query.explain] renders. The
+    lookups must be of this [t]; raises [Invalid_argument] on an empty
+    list. *)
 
 val contains_all : string -> string list -> bool
 (** Every needle occurs in the haystack: the containment test the index

@@ -37,8 +37,7 @@ let schema t =
 let state t (it : Item.t) =
   match t.mode with Current -> it.Item.current | At (_, ve) -> Db_state.ve_state ve it.Item.id
 
-let state_of_id t id =
-  match Db_state.find_item t.db_ id with Some it -> state t it | None -> Item.Absent
+let state_of_id t id = state t (Db_state.get_item t.db_ id)
 
 let live t item = Item.state_live (state t item)
 let live_as ~pattern s = Item.state_live s && Item.state_pattern s = pattern

@@ -215,7 +215,7 @@ let release t = expect_done (rpc t Wire.Release)
 let find t name =
   expect (function Wire.Found r -> Some r | _ -> None) (rpc t (Wire.Find name))
 
-let names_reply = function Wire.Names ns -> Some ns | _ -> None
+let names_reply = function Wire.Names ns -> Some (Array.to_list ns) | _ -> None
 let select_isa t cls = expect names_reply (rpc t (Wire.Select_isa cls))
 let search t ~path needles = expect names_reply (rpc t (Wire.Search { path; needles }))
 

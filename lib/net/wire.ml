@@ -64,7 +64,7 @@ type resp_body =
     }
   | Done
   | Found of string option
-  | Names of string list
+  | Names of string array
   | Stats_reply of server_stats
   | Pong
   | Busy of { retry_after : float }
@@ -309,7 +309,7 @@ let write_response w { rsp_id; rbody } =
     W.option w W.string c
   | Names ns ->
     W.u8 w 3;
-    W.list w W.string ns
+    W.iter w W.string (Array.length ns) (fun f -> Array.iter f ns)
   | Stats_reply s ->
     W.u8 w 4;
     write_stats w s
@@ -349,7 +349,7 @@ let decode_response s =
       Welcome { protocol; session; token; ttl; resumed }
     | 1 -> Done
     | 2 -> Found (R.option r R.string)
-    | 3 -> Names (R.list r R.string)
+    | 3 -> Names (Array.init (R.count r) (fun _ -> R.string r))
     | 4 -> Stats_reply (read_stats r)
     | 5 -> Pong
     | 6 -> Busy { retry_after = R.float r }

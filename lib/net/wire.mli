@@ -80,7 +80,7 @@ type resp_body =
     }
   | Done
   | Found of string option
-  | Names of string list
+  | Names of string array
   | Stats_reply of server_stats
   | Pong
   | Busy of { retry_after : float }

@@ -310,7 +310,7 @@ let do_read env rng cl =
     | Some (Wire.Names names) ->
       List.iter
         (fun n ->
-          if not (List.mem n names) then
+          if not (Array.mem n names) then
             failf "client %s: %s missing from Select_isa Thing" cl.name n)
         cl.objects
     | None | Some (Wire.Err _) -> ()

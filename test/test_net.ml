@@ -119,7 +119,7 @@ let every_response =
       Wire.Done;
       Wire.Found None;
       Wire.Found (Some "Data.Text");
-      Wire.Names [ "A"; "B"; "C" ];
+      Wire.Names [| "A"; "B"; "C" |];
       Wire.Stats_reply
         {
           Wire.sv_sessions = 1;
@@ -152,7 +152,7 @@ let test_wire_response_roundtrips () = List.iter roundtrip_resp every_response
    before the one-buffer path existed. *)
 let test_response_frame_bytes () =
   let w = Buffer.create 16 in
-  let big = { Wire.rsp_id = 99L; rbody = Wire.Names (List.init 20_000 (Printf.sprintf "Name%06d")) } in
+  let big = { Wire.rsp_id = 99L; rbody = Wire.Names (Array.init 20_000 (Printf.sprintf "Name%06d")) } in
   List.iter
     (fun r ->
       Alcotest.(check string) "one-buffer frame"
@@ -164,7 +164,7 @@ let test_response_frame_bytes () =
     (Wire.response_frame w { Wire.rsp_id = 7L; rbody = Wire.Found (Some "Data") });
   Alcotest.(check string) "names frame"
     "\x53\x45\x4e\x46\x03\x16\x00\x00\x00\x25\x09\x3b\x64\x09\x00\x00\x00\x00\x00\x00\x00\x03\x02\x06\x41\x6c\x61\x72\x6d\x73\x04\x4b\x65\x70\x74"
-    (Wire.response_frame w { Wire.rsp_id = 9L; rbody = Wire.Names [ "Alarms"; "Kept" ] })
+    (Wire.response_frame w { Wire.rsp_id = 9L; rbody = Wire.Names [| "Alarms"; "Kept" |] })
 
 let test_wire_garbage_rejected () =
   check_err "garbage request"
@@ -257,7 +257,7 @@ let test_session_lifecycle () =
       (String.ends_with ~suffix:"InputData" cls)
   | _ -> Alcotest.fail "find failed");
   (match (step core conn ~req_id:5L (Wire.Select_isa "Data")).Wire.rbody with
-  | Wire.Names names -> Alcotest.(check bool) "alarms listed" true (List.mem "Alarms" names)
+  | Wire.Names names -> Alcotest.(check bool) "alarms listed" true (Array.mem "Alarms" names)
   | _ -> Alcotest.fail "select failed");
   (* bye ends the session *)
   (match
@@ -309,7 +309,7 @@ let test_served_reads_match_query () =
     req := Int64.succ !req;
     let served =
       match (step core conn ~req_id:!req body).Wire.rbody with
-      | Wire.Names names -> names
+      | Wire.Names names -> Array.to_list names
       | _ -> Alcotest.failf "%s: expected names" what
     in
     let selected = List.filter_map (View.full_name v) (Query.select v p) in
@@ -400,7 +400,7 @@ let test_served_search_counts_text_hits () =
      (step core conn ~req_id:2L (Wire.Search { path = ""; needles = [ "alarm" ] }))
        .Wire.rbody
    with
-  | Wire.Names names -> Alcotest.(check (list string)) "found" [ "Doc" ] names
+  | Wire.Names names -> Alcotest.(check (array string)) "found" [| "Doc" |] names
   | _ -> Alcotest.fail "search failed");
   Alcotest.(check bool)
     "served search counted" true

@@ -690,7 +690,7 @@ let test_reopen_equals_memory ~compaction () =
     [ "Alarms"; "Handler"; "Beacons"; "Late"; "Nobody" ];
   List.iter
     (fun p ->
-      Alcotest.(check (list string)) "select" (Q.select_names v p) (Q.select_names v2 p))
+      Alcotest.(check (array string)) "select" (Q.select_names v p) (Q.select_names v2 p))
     [ Q.is_a "Thing"; Q.is_a "Data"; Q.in_class "Action"; Q.contains "" "alarm"; Q.contains "" "beacon" ];
   let ids st = Db_state.fold_items st ~init:[] ~f:(fun acc (it : Seed_core.Item.t) -> it.id :: acc) in
   let st = DB.raw db and st2 = DB.raw db2 in

@@ -223,7 +223,7 @@ let select_agrees env =
           && explain_sound ~needles:[] ~hits:(List.length planned) v p
           && List.map (fun (it : Item.t) -> it.Item.id) selected
              = naive_in_name_order v p
-          && Q.select_names v p = List.filter_map (View.full_name v) selected)
+          && Array.to_list (Q.select_names v p) = List.filter_map (View.full_name v) selected)
         predicate_pool)
     (views env)
 

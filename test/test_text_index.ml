@@ -359,9 +359,12 @@ let seeded_env ?(objects = 150) () =
 
 (* The carriers of every needle, as a set: one lookup per needle, one
    probe *)
-let query tx ?path needles =
-  Ident.Set.of_list
-    (fst (Text_index.query_probe tx ?path (List.map (Text_index.lookup tx) needles)))
+let query tx ?(path = "") needles =
+  let found = ref Ident.Set.empty in
+  ignore
+    (Text_index.query_probe tx ~path (List.map (Text_index.lookup tx) needles) (fun id ->
+         found := Ident.Set.add id !found));
+  !found
 
 (* Index probes straight from [Text_index.query_probe], whatever the
    planner's cutoff would pick, against the live strings: with an
