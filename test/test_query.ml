@@ -176,6 +176,82 @@ let test_queries_respect_versions () =
   Alcotest.(check int) "not yet data" 0 (Q.count old_view (Q.in_class "Data"));
   Alcotest.(check int) "is data now" 1 (Q.count now_view (Q.in_class "Data"))
 
+(* Served reads allocate in proportion to their answer: the words of one
+   call after a warm-up, each against a fixed bound. An is_a select
+   allocates its names array, one word a hit; a keyword search also the
+   owners it fetched, in an array grown by doubling (at most four words
+   a hit). A box per fetched item or a list between the fold and the
+   array costs two or three words a hit more. [docs n]
+   holds [n] objects named in id order, [n / 4] of them [OutputData]
+   (the rest [Data]), each with a description and one keyword from a
+   pool of 8, so a keyword is on [n / 8] objects. *)
+let docs n =
+  let db = fresh_db () in
+  for i = 0 to n - 1 do
+    let cls = if i mod 4 = 0 then "OutputData" else "Data" in
+    let d = ok (DB.create_object db ~cls ~name:(Printf.sprintf "Doc%05d" i) ()) in
+    let sub role ?index text =
+      ignore (ok (DB.create_sub_object db ~parent:d ~role ?index ~value:(Value.String text) ()))
+    in
+    sub "Description" (Printf.sprintf "report %d on the recovery of alarms" i);
+    sub "Keywords" ~index:0 (Printf.sprintf "keyword%d" (i mod 8))
+  done;
+  DB.view db
+
+(* words allocated straight in the major heap (an array past 256
+   words): major but not promoted *)
+let direct_major () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* the minor and direct major words of one call of [f] after a warm-up,
+   the minor ones read first (reading the counters allocates) *)
+let words f =
+  ignore (f ());
+  let m0 = direct_major () in
+  let w0 = Gc.minor_words () in
+  let r = Sys.opaque_identity (f ()) in
+  let w = Gc.minor_words () -. w0 in
+  (w +. direct_major () -. m0, r)
+
+let under what ~bound w =
+  if w >= float bound then Alcotest.failf "%s allocated %.0f words (bound %d)" what w bound
+
+(* A needle with no hit costs its lookup whatever the store's size, and
+   a needle too common to probe scans with nothing allocated per
+   object. *)
+let test_search_miss_allocation () =
+  let v = docs 400 in
+  let miss ~indexed needle =
+    let p = Q.contains "" needle in
+    (match (Q.explain v p, indexed) with
+    | Q.Indexed { texts = [ _ ]; _ }, true | Q.Scan _, false -> ()
+    | _ -> Alcotest.failf "%S: unexpected plan" needle);
+    let w, names = words (fun () -> Q.select_names v p) in
+    Alcotest.(check int) "no hit" 0 (Array.length names);
+    under (Printf.sprintf "a search of %S with no hit" needle) ~bound:400 w
+  in
+  miss ~indexed:true "recovery of xylophones";
+  miss ~indexed:false "recovery on the report"
+
+let test_is_a_allocation () =
+  List.iter
+    (fun n ->
+      let v = docs n in
+      let w, names = words (fun () -> Q.select_names v (Q.is_a "OutputData")) in
+      Alcotest.(check int) "hits" (n / 4) (Array.length names);
+      under (Printf.sprintf "is_a over %d hits" (n / 4)) ~bound:(150 + (2 * (n / 4))) w)
+    [ 40; 400; 2000 ]
+
+let test_keyword_allocation () =
+  List.iter
+    (fun n ->
+      let v = docs n in
+      let w, names = words (fun () -> Q.select_names v (Q.contains "Thing.Keywords" "keyword3")) in
+      Alcotest.(check int) "hits" (n / 8) (Array.length names);
+      under (Printf.sprintf "a keyword search of %d hits" (n / 8)) ~bound:(200 + (6 * (n / 8))) w)
+    [ 80; 800; 4000 ]
+
 let () =
   Alcotest.run "query"
     [
@@ -202,5 +278,11 @@ let () =
           tc "no phantom rows" test_no_phantom_rows_for_undefined;
           tc "pattern expansion" test_pattern_expansion;
           tc "version views" test_relationships_respect_versions;
+        ] );
+      ( "allocation",
+        [
+          tc "search with no hit" test_search_miss_allocation;
+          tc "is_a select" test_is_a_allocation;
+          tc "keyword search" test_keyword_allocation;
         ] );
     ]
