@@ -221,7 +221,6 @@ type text_probe = {
    back to the scan, and both are counted; the lists, newest first, are
    kept only when [explain] reads them. *)
 type consulted = {
-  explain : bool;
   mutable lookups : int;
   mutable fallbacks : int;
   mutable classes : string list;
@@ -235,7 +234,7 @@ type consulted = {
    union with the empty set. *)
 let walk ~explain v p =
   let ext = View.extents v and schema = View.schema v and db = View.db v in
-  let w = { explain; lookups = 0; fallbacks = 0; classes = []; names = []; texts = [] } in
+  let w = { lookups = 0; fallbacks = 0; classes = []; names = []; texts = [] } in
   let fallback reason =
     w.fallbacks <- w.fallbacks + 1;
     Error reason
@@ -409,9 +408,9 @@ let hit_name v it =
 
 (* The hits by name (unique among live objects; unnamed ones first),
    ties by id, gathered into one array sized by the plan: each name is
-   read once and an index order sorted. Both selects sort by merge sort,
-   which makes about half the comparisons of [Array.sort]'s heap
-   sort. *)
+   read once and an index order sorted. Both selects sort with
+   [Array_sort], a merge sort that allocates one scratch array, none for
+   hits already in order. *)
 let select v p =
   let bound = run v p in
   let hits = buf Item.none (bound_size bound) in

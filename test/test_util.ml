@@ -465,6 +465,18 @@ let test_deadline_already_expired () =
     (function Seed_error.Io_error _ -> true | _ -> false)
     r
 
+(* [Array_sort.sort] against [List.stable_sort] on pairs compared by
+   their first element only, so stability shows; sizes span the
+   insertion runs and several merge passes, values few enough to tie. *)
+let prop_array_sort =
+  qcheck_case ~count:300 "Array_sort.sort = List.stable_sort"
+    QCheck2.Gen.(list_size (int_range 0 300) (pair (int_range 0 20) nat))
+    (fun l ->
+      let cmp (a, _) (b, _) = Int.compare a b in
+      let a = Array.of_list l in
+      Array_sort.sort cmp a;
+      Array.to_list a = List.stable_sort cmp l)
+
 let () =
   Alcotest.run "util"
     [
@@ -496,6 +508,7 @@ let () =
           tc "set builder" test_ident_set_builder;
           prop_ident_set_model;
         ] );
+      ("sort", [ prop_array_sort ]);
       ( "error",
         [
           tc "combinators" test_error_combinators;
