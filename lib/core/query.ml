@@ -47,23 +47,29 @@ let carrier_matches v ~path needles =
   and child c = walk c (View.state_of_id v c) in
   fun (it : Item.t) -> walk it.Item.id (View.state v it)
 
-(* [p] as a test of one item of [v], its closures made once: a scan
-   tests each item without allocating for the predicate. *)
-let rec tester p v : Item.t -> bool =
+let rec test p v it =
   match p with
   | In_class cls -> (
-    fun it ->
-      match View.state v it with
-      | Item.Obj o -> String.equal o.cls cls
-      | Item.Rel _ | Item.Absent -> false)
+    match View.state v it with
+    | Item.Obj o -> String.equal o.cls cls
+    | Item.Rel _ | Item.Absent -> false)
   | Is_a cls -> (
-    let schema = View.schema v in
-    fun it ->
-      match View.state v it with
-      | Item.Obj o -> Schema.class_is_a schema ~sub:o.cls ~super:cls
-      | Item.Rel _ | Item.Absent -> false)
+    match View.state v it with
+    | Item.Obj o -> Schema.class_is_a (View.schema v) ~sub:o.cls ~super:cls
+    | Item.Rel _ | Item.Absent -> false)
   | Name_is n -> (
-    fun it -> match View.full_name v it with Some m -> String.equal m n | None -> false)
+    match View.full_name v it with Some m -> String.equal m n | None -> false)
+  | Matches { path; needles } -> carrier_matches v ~path needles it
+  | And (p, q) -> test p v it && test q v it
+  | Or (p, q) -> test p v it || test q v it
+  | Not p -> not (test p v it)
+  | Opaque f -> f v it
+
+(* [test p v] with the closures of its containment walks made once, for
+   a fold that tests many items: a scan then allocates nothing per
+   item. *)
+let rec tester p v : Item.t -> bool =
+  match p with
   | Matches { path; needles } -> carrier_matches v ~path needles
   | And (p, q) ->
     let p = tester p v and q = tester q v in
@@ -74,9 +80,7 @@ let rec tester p v : Item.t -> bool =
   | Not p ->
     let p = tester p v in
     fun it -> not (p it)
-  | Opaque f -> f v
-
-let test p v it = tester p v it
+  | In_class _ | Is_a _ | Name_is _ | Opaque _ -> test p v
 
 let ( &&& ) p q = And (p, q)
 let ( ||| ) p q = Or (p, q)

@@ -1,5 +1,3 @@
-let run = 8
-
 let insertion cmp a lo hi =
   for i = lo + 1 to hi - 1 do
     let x = a.(i) and j = ref (i - 1) in
@@ -10,44 +8,34 @@ let insertion cmp a lo hi =
     a.(!j + 1) <- x
   done
 
-(* [src]'s sorted runs [lo, mid) and [mid, hi) merged into [dst], the
-   left one first on ties. *)
-let merge cmp src dst lo mid hi =
-  if mid >= hi || cmp src.(mid - 1) src.(mid) <= 0 then Array.blit src lo dst lo (hi - lo)
+(* [a]'s [lo, hi) sorted: halves sorted, then, unless already in
+   order, merged back into [a] from a copy of the left half in [tmp],
+   the left one first on ties. *)
+let rec merge_sort cmp a tmp lo hi =
+  if hi - lo <= 8 then insertion cmp a lo hi
   else begin
-    let i = ref lo and j = ref mid in
-    for k = lo to hi - 1 do
-      if !j >= hi || (!i < mid && cmp src.(!i) src.(!j) <= 0) then begin
-        dst.(k) <- src.(!i);
-        incr i
-      end
-      else begin
-        dst.(k) <- src.(!j);
-        incr j
-      end
-    done
+    let mid = (lo + hi) / 2 in
+    merge_sort cmp a tmp lo mid;
+    merge_sort cmp a tmp mid hi;
+    if cmp a.(mid - 1) a.(mid) > 0 then begin
+      Array.blit a lo tmp lo (mid - lo);
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && cmp tmp.(!i) a.(!j) <= 0) then begin
+          a.(k) <- tmp.(!i);
+          incr i
+        end
+        else begin
+          a.(k) <- a.(!j);
+          incr j
+        end
+      done
+    end
   end
 
 let rec ordered cmp a i = i >= Array.length a || (cmp a.(i - 1) a.(i) <= 0 && ordered cmp a (i + 1))
 
 let sort cmp a =
   let n = Array.length a in
-  if not (ordered cmp a 1) then begin
-    let lo = ref 0 in
-    while !lo < n do
-      insertion cmp a !lo (min n (!lo + run));
-      lo := !lo + run
-    done;
-    let src = ref a and dst = ref (if n > run then Array.make n a.(0) else a) and w = ref run in
-    while !w < n do
-      for r = 0 to (n - 1) / (2 * !w) do
-        let lo = r * 2 * !w in
-        merge cmp !src !dst lo (min n (lo + !w)) (min n (lo + (2 * !w)))
-      done;
-      let s = !src in
-      src := !dst;
-      dst := s;
-      w := 2 * !w
-    done;
-    if !src != a then Array.blit !src 0 a 0 n
-  end
+  if n <= 8 then insertion cmp a 0 n
+  else if not (ordered cmp a 1) then merge_sort cmp a (Array.make n a.(0)) 0 n

@@ -6,7 +6,7 @@
 
 val sort : ('a -> 'a -> int) -> 'a array -> unit
 (** [sort cmp a] sorts [a] in place by [cmp], equal elements kept in
-    their order: runs of 8 by insertion, then merged bottom-up between
-    [a] and one scratch array of its length, a merge of two runs already
-    in order being a copy. An array in order, or of at most 8 elements,
-    allocates nothing. *)
+    their order: a merge sort whose slices of at most 8 are sorted by
+    insertion, merging through one scratch array of [a]'s length and
+    skipping the merge of two halves already in order. An array in
+    order, or of at most 8 elements, allocates nothing. *)
