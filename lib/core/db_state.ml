@@ -448,12 +448,9 @@ let live_pattern_count x = cardinals x.x_pattern
 let live_rel_count x = cardinals x.x_rel
 let live_dependent_count x = Ident.Set.cardinal x.x_dependent
 let find_id_by_name x name = Smap.find_opt name x.x_names
-(* An adjacency's set, with no option boxed on the way: a miss is a
-   second walk's cost, a raised [Not_found] costs more. *)
-let adjacent m id = if Ident.Map.mem id m then Ident.Map.find id m else Ident.Set.empty
-let children_of x id = adjacent x.x_children id
-let rels_of x id = adjacent x.x_rels_of id
-let inheritors_of x id = adjacent x.x_inheritors id
+let children_of x id = Smap.ids (Ident.Map.find_opt id x.x_children)
+let rels_of x id = Smap.ids (Ident.Map.find_opt id x.x_rels_of)
+let inheritors_of x id = Smap.ids (Ident.Map.find_opt id x.x_inheritors)
 
 let fold_live_ids x f init =
   let groups m acc = Smap.fold (fun _ s acc -> Ident.Set.fold f s acc) m acc in

@@ -131,8 +131,9 @@ val set_retrieval_version : t -> Version_id.t option -> unit
 val gen : t -> Ident.Gen.t
 
 val get_item : t -> Ident.t -> Item.t
-(** The item of that id, {!Item.none} when there is none; boxes
-    nothing (the read path's fetch). *)
+(** The item of that id, {!Item.none} when there is none: the read
+    path's fetch, which boxes nothing for an item of the table's base
+    ({!Item_table.get}). *)
 
 val find_item : t -> Ident.t -> Item.t option
 val find_item_res : t -> Ident.t -> (Item.t, Seed_error.t) result

@@ -38,15 +38,21 @@ let slot t id =
       in
       search 0 (if i >= 0 && i < n then i else n - 1)
 
-let get t id =
-  if Ident.Map.mem id t.over then Ident.Map.find id t.over
-  else
-    let k = slot t (Ident.to_int id) in
-    if k < 0 then Item.none else t.base.(k)
+let in_base t id =
+  let k = slot t (Ident.to_int id) in
+  if k < 0 then Item.none else t.base.(k)
+
+(* An overlay hit costs the option [Map.find_opt] returns; a base hit,
+   the read path's usual case, boxes nothing. A raised [Not_found] per
+   overlay miss, or a second walk per overlay hit, costs more time. *)
+let get t id = match Ident.Map.find_opt id t.over with Some it -> it | None -> in_base t id
 
 let find t id =
-  let it = get t id in
-  if it == Item.none then None else Some it
+  match Ident.Map.find_opt id t.over with
+  | Some _ as hit -> hit
+  | None ->
+    let it = in_base t id in
+    if it == Item.none then None else Some it
 
 (* The overlay's items and the base's it does not replace, merged in id
    order. *)

@@ -23,8 +23,9 @@ val count : t -> int
 (** The number of items, O(1). *)
 
 val get : t -> Ident.t -> Item.t
-(** The item of that id, {!Item.none} when there is none: a lookup that
-    allocates nothing. *)
+(** The item of that id, {!Item.none} when there is none. An item of the
+    base costs no allocation; one written since the base was built costs
+    the overlay map's option. *)
 
 val find : t -> Ident.t -> Item.t option
 
