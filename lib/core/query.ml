@@ -31,8 +31,8 @@ let is_incomplete =
    subtree is walked — information viewed through pattern inheritance
    is not searched, matching what the trigram index covers. The walk
    reads the view's children sets, resolving each node's state once by
-   a fetch that boxes nothing; its closures are made once per
-   predicate, not per object tested. *)
+   a fetch that boxes nothing for an item of the table's base; its
+   closures are made once per predicate, not per object tested. *)
 let carrier_matches v ~path needles =
   let x = View.extents v in
   let rec walk id (state : Item.state) =
