@@ -574,14 +574,16 @@ let union_grams t = function
       ls;
     grams_of t codes
 
-(* Every one of [grams] from [k] on has a posting in the tier. *)
-let rec all_held main grams k =
-  k >= ngrams grams || (at main grams k >= 0 && all_held main grams (k + 1))
+(* Every one of the [ng] [grams] from [k] on has a posting in the
+   tier. *)
+let rec all_held main grams ng k =
+  k >= ng || (at main grams k >= 0 && all_held main grams ng (k + 1))
 
-(* [slot] of [tier] is in the postings of [grams] from [k] on: a bitmap
-   is tested in place, a list read forward by cursor [2 k] of [c]. *)
-let rec in_rest tier main grams c slot k =
-  k >= ngrams grams
+(* [slot] of [tier] is in the postings of the [ng] [grams] from [k] on:
+   a bitmap is tested in place, a list read forward by cursor [2 k] of
+   [c]. *)
+let rec in_rest tier main grams ng c slot k =
+  k >= ng
   ||
   let p = tier.posts.(at main grams k) and n = Array.length tier.ids in
   (if is_bitmap p n then has_bit p slot
@@ -591,15 +593,16 @@ let rec in_rest tier main grams c slot k =
      done;
      c.((2 * k) + 1) = slot
    end)
-  && in_rest tier main grams c slot (k + 1)
+  && in_rest tier main grams ng c slot (k + 1)
 
 (* Test each slot of [tier]'s posting of the rarest of [grams] that
    [in_rest] finds in every other and that no newer layer shadows: the
    overlay, or [newer]. A tier lacking a needle trigram holds no
    answer. *)
 let walk over newer tier main grams c test =
-  if all_held main grams 0 then begin
-    for k = 0 to ngrams grams - 1 do
+  let ng = ngrams grams in
+  if all_held main grams ng 0 then begin
+    for k = 0 to ng - 1 do
       start c (2 * k)
     done;
     let p = tier.posts.(at main grams 0) and n = Array.length tier.ids in
@@ -607,7 +610,7 @@ let walk over newer tier main grams c test =
     while c.(1) < max_int do
       let slot = c.(1) in
       let id = tier.ids.(slot) in
-      if in_rest tier main grams c slot 1 && find newer.ids id < 0
+      if in_rest tier main grams ng c slot 1 && find newer.ids id < 0
          && not (Ident.Map.mem (Ident.of_int id) over)
       then test (Ident.of_int id) tier.paths.(slot) tier.texts.(slot);
       next p n c 0
