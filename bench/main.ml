@@ -1089,6 +1089,63 @@ let chaos () =
 (*     against a committing writer, write-path overhead                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Words per edit-style check-in: a checkout and a check-in of three
+   value updates and one keyword sub-object on one document, as the
+   served edit workload sends them. The same check-ins go to a durable
+   server ([`Flush_only], so no fsync wait) and to an in-memory one,
+   alternating round by round: the in-memory arm is the apply (lock
+   cover, name resolution, checks, the update itself), and the durable
+   arm's excess is the flush (record encoding, journal frame, commit
+   queue, write). Documents are visited in turn, each keyword a new
+   index below the role's maximum of 8. *)
+let checkin_row () =
+  let module Server = Seed_server.Server in
+  let module P = Seed_server.Protocol in
+  let docs = 4_000 in
+  let session =
+    ok (Persist.Session.open_ ~dir:(fresh_dir ()) ~schema:Workloads.schema ())
+  in
+  Workloads.served_populate (Persist.Session.db session) docs;
+  ok (Persist.Session.compact session);
+  let durable = Server.of_session session in
+  let memory = Server.create Workloads.schema in
+  Workloads.served_populate (Server.database memory) docs;
+  let names = Array.init docs Workloads.text_doc_name in
+  let batches =
+    Array.init (1 lsl 14) (fun i ->
+        let d = names.(i mod docs) in
+        let text k = Some (Value.String (Printf.sprintf "revision %d of %s (%d)" i d k)) in
+        let set k = P.Set_value { path = d ^ ".Description"; value = text k } in
+        ( [ d ],
+          [
+            set 0;
+            set 1;
+            P.Create_sub
+              { owner = d; role = "Keywords"; index = None; value = text 2 };
+            set 3;
+          ] ))
+  in
+  let arm_of srv =
+    let i = ref 0 in
+    arm (fun () ->
+        let names, ops = batches.(!i land ((1 lsl 14) - 1)) in
+        incr i;
+        ok (Server.checkout srv ~client:"bench" ~names);
+        ok (Server.checkin srv ~client:"bench" ops))
+  in
+  let d, m = measure_ab (arm_of durable) (arm_of memory) in
+  Persist.Session.close session;
+  [
+    ("case", Text "checkin");
+    ("docs", Int docs);
+    ("ops_per_checkin", Int 4);
+    ("checkin_us", us d);
+    ("checkin_words", words d);
+    ("apply_us", us m);
+    ("apply_words", words m);
+    ("flush_words", Num (0, d.words -. m.words));
+  ]
+
 let mvcc () =
   heading "M1"
     "MVCC: snapshot-grab latency, reader domains vs a committing writer, \
@@ -1264,7 +1321,13 @@ let mvcc () =
   in
   table ~title:"single-threaded write path (db of 1000 clusters)" [ write_path ];
   table ~title:"edge churn: create+delete of an edge below a 10-deep chain" [ churn ];
-  write_json "mvcc" (grabs @ readers @ [ write_path; churn ])
+  let checkin = checkin_row () in
+  table
+    ~title:
+      "edit check-in through Server.checkin (checkout, 3 Set_value + 1 \
+       Create_sub): durable vs in memory"
+    [ checkin ];
+  write_json "mvcc" (grabs @ readers @ [ write_path; churn; checkin ])
 
 (* ------------------------------------------------------------------ *)
 

@@ -887,6 +887,41 @@ let test_schema_update_frame_crash_sweep () =
       Alcotest.failf "crash %d: recovered neither the state before the flush nor after it" n
   done
 
+(* The journal's bytes for a fixed sequence of writes, pinned by digest:
+   a fresh session's meta record, creates, value updates, a relationship,
+   a version (a meta change), and then multi-record transactions through
+   the store, four of them appended from four threads at once so the
+   group-commit leader may land them as one batch. The four are equal
+   and a frame in a batch is the same bytes as one written alone, so the
+   file is the same whatever the threads' interleaving. *)
+let journal_digest = "04fc39ee3d57f928bb632b6d4d08c6bc"
+
+let test_journal_bytes_pinned () =
+  let dir = tmp_dir () in
+  let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+  let db = Persist.Session.db s in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"Alarms" ()) in
+  let h = ok (DB.create_object db ~cls:"Action" ~name:"Handler" ()) in
+  let d =
+    ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "alarms") ())
+  in
+  check_ok "flush creates" (Persist.Session.flush s);
+  check_ok "set" (DB.set_value db d (Some (Value.String "alarm data, revised")));
+  let _ = ok (DB.create_sub_object db ~parent:a ~role:"Keywords" ~value:(Value.String "kw") ()) in
+  let _ = ok (DB.create_relationship db ~assoc:"Access" ~endpoints:[ a; h ] ()) in
+  check_ok "flush updates" (Persist.Session.flush s);
+  let _ = ok (DB.create_version db) in
+  check_ok "set after the version" (DB.set_value db d (Some (Value.String "v2")));
+  check_ok "flush the meta" (Persist.Session.flush s);
+  Persist.Session.close s;
+  let store, _, _, _ = ok (Seed_storage.Store.open_dir dir) in
+  check_ok "one transaction" (Seed_storage.Store.append store [ "first"; "second" ]);
+  let append () = check_ok "batched" (Seed_storage.Store.append store [ "x"; "yy"; "zzz" ]) in
+  List.iter Thread.join (List.init 4 (fun _ -> Thread.create append ()));
+  Seed_storage.Store.close store;
+  let bytes = In_channel.with_open_bin (Filename.concat dir "journal.log") In_channel.input_all in
+  Alcotest.(check string) "journal digest" journal_digest (Digest.to_hex (Digest.string bytes))
+
 let () =
   Alcotest.run "persist"
     [
@@ -930,5 +965,6 @@ let () =
           tc "refused version writes nothing" test_refused_version_writes_nothing;
           tc "failed flush keeps the meta pending" test_failed_flush_keeps_meta_pending;
           tc "empty flush allocation" test_empty_flush_allocation;
+          tc "journal bytes pinned" test_journal_bytes_pinned;
         ] );
     ]
