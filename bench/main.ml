@@ -376,7 +376,11 @@ let storage () =
       [
         ("primitive", Text "journal append 4 KiB");
         ( "cost_us",
-          us (measure (fun () -> ok (Seed_storage.Journal.append journal [ [ payload ] ])))
+          us
+            (measure (fun () ->
+                 ok
+                   (Seed_storage.Journal.append journal
+                      [ Seed_storage.Journal.frame ~epoch:0 [ payload ] ]))) 
         );
       ];
     ];

@@ -275,18 +275,24 @@ let participation_within_max view rels obj (def : Assoc_def.t) ~pos ~extra =
     ~card:role.card
     (count_participation view rels obj ~assoc:def.name ~pos + extra)
 
-(* a prospective relationship binding [endpoints] at each of [levels] *)
+(* a prospective relationship binding [endpoints] at each of [levels];
+   an endpoint's relationships are listed only when a level bounds its
+   role, since no count exceeds an unbounded maximum *)
 let endpoints_within_max view ~levels endpoints =
-  if levels <> [] then
-    List.iteri
-      (fun pos (e : Item.t) ->
+  let schema = View.schema view in
+  let bounded pos level =
+    Option.is_some (Assoc_def.nth_role (find_assoc schema level) pos).card.Cardinality.max
+  in
+  List.iteri
+    (fun pos (e : Item.t) ->
+      if List.exists (bounded pos) levels then begin
         let rels = View.rels_v view e in
         List.iter
           (fun level ->
-            participation_within_max view rels e (find_assoc (View.schema view) level)
-              ~pos ~extra:1)
-          levels)
-      endpoints
+            participation_within_max view rels e (find_assoc schema level) ~pos ~extra:1)
+          levels
+      end)
+    endpoints
 
 (* Would adding the directed edge (src → dst) close a cycle in the graph
    of relationships belonging to [assoc]'s subtree? Edges run from role
@@ -415,6 +421,14 @@ let check_new_object view ~cls ~name =
       require_top_level (View.schema view) cls;
       name_free view name)
 
+(* the smallest index no sub-object of the role holds *)
+let smallest_free used =
+  let rec go i = function
+    | [] -> i
+    | x :: rest -> if x = i then go (i + 1) rest else i
+  in
+  go 0 (List.sort_uniq Int.compare used)
+
 let check_new_sub_object view ~parent ~role ~index ~value =
   run (fun () ->
       let def = ok (Schema.resolve_child (View.schema view) ~cls:(live_cls view parent) ~role) in
@@ -426,11 +440,20 @@ let check_new_sub_object view ~parent ~role ~index ~value =
         refuse
           (Invalid_operation
              (Printf.sprintf "role %s admits a single instance; no index allowed" role));
-      (* (role, index) uniqueness among the full (expanded) context; an
-         absent index of a multi-valued role is assigned by the caller *)
-      if (single || Option.is_some index)
-         && Option.is_some (View.child_v view (View.vitem_real parent) ~role ?index ())
-      then
+      (* one fold over the full (expanded) context: how many sub-objects
+         hold the role, the indices they hold, and whether one holds it
+         at [index] already *)
+      let count = ref 0 and used = ref [] and taken = ref false in
+      View.iter_children_v view (View.vitem_real parent) (fun (it : Item.t) ->
+          match it.body with
+          | Item.Dependent d when String.equal d.role role ->
+            incr count;
+            (match d.index with Some i -> used := i :: !used | None -> ());
+            if d.index = index then taken := true
+          | Item.Dependent _ | Item.Independent | Item.Relationship -> ());
+      (* (role, index) uniqueness; an absent index of a multi-valued
+         role is assigned below *)
+      if (single || Option.is_some index) && !taken then
         refuse
           (Duplicate_name
              (item_name_for_msg view parent ^ "." ^ role
@@ -440,9 +463,9 @@ let check_new_sub_object view ~parent ~role ~index ~value =
       if has_normal_context view parent then
         children_within_max def
           ~subject:(fun () -> item_name_for_msg view parent)
-          (count_role (View.children_v view (View.vitem_real parent)) ~role + 1);
+          (!count + 1);
       value_fits_content def value;
-      def)
+      (def, if single || Option.is_some index then index else Some (smallest_free !used)))
 
 let check_new_relationship view ~assoc ~endpoints ~pattern =
   run (fun () ->

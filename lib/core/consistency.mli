@@ -65,8 +65,11 @@ val check_new_sub_object :
   role:string ->
   index:int option ->
   value:Value.t option ->
-  (Class_def.t, Seed_error.t) result
-(** Returns the resolved sub-class definition on success. *)
+  (Class_def.t * int option, Seed_error.t) result
+(** Returns the resolved sub-class definition and the new sub-object's
+    index: [index] as given, or, for a multi-valued role given none,
+    the smallest one no sub-object of the role holds in the expanded
+    context. *)
 
 val check_new_relationship :
   View.t ->

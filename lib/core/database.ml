@@ -56,45 +56,12 @@ let with_transaction db f =
 (* Attached procedures                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* memoized per schema: an update builds no chain *)
 let procedure_names db (it : Item.t) =
   let schema = Db_state.schema db in
   match it.Item.current with
-  | Item.Obj o ->
-    let chain =
-      if it.Item.body = Item.Independent then
-        o.cls :: Schema.class_supers schema o.cls
-      else begin
-        (* a sub-object update also counts as an update of its enclosing
-           composite objects: run the procedures of every class-path
-           prefix, and the generalization chain of the root *)
-        let components = String.split_on_char '.' o.cls in
-        let prefixes =
-          List.fold_left
-            (fun acc c ->
-              match acc with
-              | [] -> [ c ]
-              | last :: _ -> (last ^ "." ^ c) :: acc)
-            [] components
-        in
-        match List.rev prefixes with
-        | root :: _ -> prefixes @ Schema.class_supers schema root
-        | [] -> prefixes
-      end
-    in
-    List.concat_map
-      (fun c ->
-        match Schema.find_class schema c with
-        | Some def -> def.Class_def.procedures
-        | None -> [])
-      chain
-  | Item.Rel r ->
-    let chain = r.assoc :: Schema.assoc_supers schema r.assoc in
-    List.concat_map
-      (fun a ->
-        match Schema.find_assoc schema a with
-        | Some def -> def.Assoc_def.procedures
-        | None -> [])
-      chain
+  | Item.Obj o -> Schema.class_procedures schema o.cls
+  | Item.Rel r -> Schema.assoc_procedures schema r.assoc
   | Item.Absent -> []
 
 let run_procedures db (it : Item.t) event =
@@ -159,35 +126,11 @@ let create_object db ~cls ~name ?(pattern = false) () =
   let* () = validate db id (Event.Created id) in
   Ok id
 
-let used_indices v parent ~role =
-  View.children_v v (View.vitem_real parent)
-  |> List.filter_map (fun (vi : View.vitem) ->
-         match vi.View.item.Item.body with
-         | Item.Dependent d when String.equal d.role role -> d.index
-         | Item.Dependent _ | Item.Independent | Item.Relationship -> None)
-
-let smallest_free used =
-  let sorted = List.sort_uniq Int.compare used in
-  let rec go i = function
-    | [] -> i
-    | x :: rest -> if x = i then go (i + 1) rest else i
-  in
-  go 0 sorted
-
 let create_sub_object db ~parent ~role ?index ?value () =
   let v = View.current db in
   let* parent_item = Db_state.find_item_res db parent in
-  let* def =
+  let* def, index =
     Consistency.check_new_sub_object v ~parent:parent_item ~role ~index ~value
-  in
-  let single =
-    match def.Class_def.card.Cardinality.max with Some 1 -> true | _ -> false
-  in
-  let index =
-    match (index, single) with
-    | Some i, _ -> Some i
-    | None, true -> None
-    | None, false -> Some (smallest_free (used_indices v parent_item ~role))
   in
   let pattern =
     match View.state v parent_item with

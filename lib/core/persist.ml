@@ -5,6 +5,7 @@ module Codec = Seed_storage.Codec
 module W = Codec.Writer
 module R = Codec.Reader
 module Store = Seed_storage.Store
+module Journal = Seed_storage.Journal
 
 (* The snapshot's format. Version 1 spells every schema-element name
    out; version 2 numbers them (below). The reader takes both, the
@@ -420,17 +421,13 @@ let encode_db db =
 (* Record tags: 0 the meta, 1 an item with its names spelled out
    (format 1, read only), 2 an item with its names numbered in the
    table of the last meta before it in stream order. *)
-let record_meta st =
-  let w = W.create () in
+let record_meta w st =
   W.u8 w 0;
-  w_meta w st;
-  W.contents w
+  w_meta w st
 
-let record_item numbers delta it =
-  let w = W.create () in
+let record_item numbers delta w it =
   W.u8 w 2;
-  w_item numbers delta w it;
-  W.contents w
+  w_item numbers delta w it
 
 (* The journal tail, decoded first: the last meta record and the last
    record of each item — a map as small as the tail. [names] is the
@@ -573,11 +570,13 @@ module Session = struct
   }
 
   (* [numbers]: the writer's table of the schema list it is keyed by,
-     physically; only a schema update replaces the list *)
+     physically; only a schema update replaces the list. [frame]: the
+     one journal writer every flush encodes its records into. *)
   type t = {
     database : Database.t;
     store : Store.t;
     recovery : Store.recovery;
+    frame : Journal.writer;
     mutable meta_fingerprint : fingerprint;
     mutable numbers : (int * Schema.t) list * int Numbers.t;
   }
@@ -599,19 +598,22 @@ module Session = struct
   (* the database the directory holds, or a fresh one given [schema]; a
      fresh directory gets an initial meta record so load finds something
      even before the first flush *)
-  let database store ~dir ~schema snapshot records =
+  let database store frame ~dir ~schema snapshot records =
     let* st = load_parts snapshot records in
     match (st, schema) with
     | Some st, _ -> finish st ~verify:true
     | None, Some schema ->
       let database = Database.create schema in
-      let* () = Store.append store [ record_meta (Database.raw database) ] in
+      Journal.start frame ~records:1;
+      Journal.add frame record_meta (Database.raw database);
+      let* () = Store.append_frame store frame in
       Ok database
     | None, None -> fail (Io_error ("no database in " ^ dir ^ " and no schema given"))
 
   let open_ ~dir ?schema ?io ?sync () =
     let* store, snapshot, records, recovery = Store.open_dir ?io ?sync dir in
-    match database store ~dir ~schema snapshot records with
+    let frame = Journal.writer () in
+    match database store frame ~dir ~schema snapshot records with
     | Error _ as e ->
       (* every refusal closes the journal [open_dir] opened *)
       Store.close store;
@@ -625,6 +627,7 @@ module Session = struct
           database;
           store;
           recovery;
+          frame;
           meta_fingerprint = fingerprint st;
           numbers = (schemas, numbers_of schemas);
         }
@@ -641,6 +644,35 @@ module Session = struct
   let db t = t.database
   let recovery t = t.recovery
 
+  (* Writes the root's pending records as one transaction — one
+     journal frame, each record encoded once, straight into it — and
+     clears them once it is durable. A crash mid-write durably persists
+     either the whole batch (meta + items) or none of it: recovery never
+     sees a prefix of a check-in. A failed write leaves the same records
+     pending. *)
+  let write_pending t st =
+    (* the root's unflushed set, in id order: O(items changed), never
+       a scan of the item table *)
+    let items =
+      List.filter_map (Db_state.find_item st) (Ident.Set.elements (Db_state.unflushed st))
+    in
+    let meta = not (meta_unchanged t.meta_fingerprint st) in
+    if items = [] && not meta then Ok ()
+    else begin
+      let frame = t.frame in
+      Journal.start frame ~records:(List.length items + Bool.to_int meta);
+      (* the meta first: the item records number their names in its
+         table, which may be the one a schema update in this batch
+         extended *)
+      if meta then Journal.add frame record_meta st;
+      let item = record_item (numbers t st) (Db_state.dirty st) in
+      List.iter (fun it -> Journal.add frame item it) items;
+      let* () = Store.append_frame t.store frame in
+      Db_state.clear_unflushed st;
+      if meta then t.meta_fingerprint <- fingerprint st;
+      Ok ()
+    end
+
   let flush t =
     let st = Database.raw t.database in
     (* the unflushed set lives in the root, so a rollback would restore
@@ -648,28 +680,17 @@ module Session = struct
        never inside a transaction, an attached procedure or a rule *)
     if Db_state.depth st > 0 then
       fail (Invalid_operation "flush inside a transaction or an update")
-    else
-      (* the root's unflushed set, in id order: O(items changed), never
-         a scan of the item table *)
-      let items =
-        List.filter_map (Db_state.find_item st)
-          (Ident.Set.elements (Db_state.unflushed st))
-      in
-      let meta = not (meta_unchanged t.meta_fingerprint st) in
-      let records = List.map (record_item (numbers t st) (Db_state.dirty st)) items in
-      (* the meta first: the item records number their names in its
-         table, which may be the one a schema update in this batch
-         extended *)
-      let records = if meta then record_meta st :: records else records in
-      (* one transaction, one journal frame: a crash mid-flush durably
-         persists either the whole batch (meta + items) or none of it —
-         recovery can never see a prefix of a checkin. The set and the
-         fingerprint move only once the transaction is durable, so a
-         failed flush leaves the same records pending for the retry. *)
-      let* () = Store.append t.store records in
-      Db_state.clear_unflushed st;
-      if meta then t.meta_fingerprint <- fingerprint st;
-      Ok ()
+    else write_pending t st
+
+  (* The flush is the last thing the outermost step does, so nothing
+     can roll back what it wrote, and the step publishes only once it
+     is durable. A failed flush fails the step: its savepoint swap takes
+     the updates back off, and the unflushed set with them. *)
+  let transaction t f =
+    Database.with_transaction t.database (fun () ->
+        let* x = f () in
+        let* () = write_pending t (Database.raw t.database) in
+        Ok x)
 
   let compact t =
     let st = Database.raw t.database in

@@ -107,7 +107,8 @@ module Session : sig
       stored meta's value and every loaded id, and every durable id
       belongs to a stored item. Costs O(records written), not
       O(database). The batch is one atomic transaction, one journal
-      frame; concurrent flushes coalesce into shared fsyncs via the
+      frame, each record encoded once into the session's one frame
+      writer; concurrent flushes coalesce into shared fsyncs via the
       store's commit daemon. The set is cleared, and the flushed meta
       noted, only after the transaction is appended, so a failed flush
       leaves the same records pending for the next one. Refused with
@@ -115,6 +116,17 @@ module Session : sig
       above 0: a transaction, an attached procedure, a transition rule),
       whose rollback would restore the set without the ids the flush
       wrote: flush between updates. *)
+
+  val transaction :
+    t -> (unit -> ('a, Seed_error.t) result) -> ('a, Seed_error.t) result
+  (** [transaction t f] runs [f] as one transaction
+      ({!Database.with_transaction}) whose last act is a {!flush}:
+      the transaction publishes only once its records are durable. If
+      [f] or the flush fails, the savepoint swap takes every update of
+      [f] back off, the unflushed set with them, so concurrent
+      snapshots never see a state the journal may not hold, and a retry
+      applies to the state before the attempt. Refused like
+      {!Database.with_transaction} inside an atomic step. *)
 
   val compact : t -> (unit, Seed_error.t) result
   (** Write a fresh snapshot (format 2, whatever format the store held)

@@ -72,7 +72,19 @@ let is_child ~role ~index (it : Item.t) =
   | Item.Dependent d -> String.equal d.role role && d.index = index
   | Item.Independent | Item.Relationship -> false
 
-let child t id ~role ?index () = List.find_opt (is_child ~role ~index) (children t id)
+(* the first match in id order, found without listing the children *)
+let child t id ~role ?index () =
+  let found = ref None in
+  ignore
+    (Ident.Set.exists
+       (fun kid ->
+         match Db_state.find_item t.db_ kid with
+         | Some it when is_child ~role ~index it ->
+           found := Some it;
+           true
+         | Some _ | None -> false)
+       (Db_state.children_of (extents t) id));
+  !found
 
 let rels t id = items_of_set t (Db_state.rels_of (extents t) id)
 
@@ -120,22 +132,43 @@ let rec full_name t (item : Item.t) =
    without parsing a path. *)
 let is_plain s = not (String.exists (function '.' | '[' | ']' -> true | _ -> false) s)
 
+(* The component of [s] in [[i, k)] as {!Path.of_string} reads one —
+   [role] or [role[index]] — or [None] when it is malformed. *)
+let component s i k =
+  match String.index_from_opt s i '[' with
+  | Some b when b < k ->
+    if b = i || k <= b + 1 || s.[k - 1] <> ']' then None
+    else (
+      match int_of_string_opt (String.sub s (b + 1) (k - b - 2)) with
+      | Some index when index >= 0 -> Some (String.sub s i (b - i), Some index)
+      | Some _ | None -> None)
+  | Some _ | None -> (
+    match String.index_from_opt s i ']' with
+    | Some c when c < k -> None
+    | Some _ | None -> if k = i then None else Some (String.sub s i (k - i), None))
+
+(* A path read component by component as it is walked, building no
+   component list: the root is an object's plain name, each further
+   component one of the children below. *)
 let resolve_name t s =
   if is_plain s then find_object t s
   else
-    match Path.of_string s with
-    | Error _ | Ok [] -> None
-    | Ok (root_comp :: rest) ->
-      if root_comp.Path.index <> None then None
-      else
-        let rec descend item = function
-          | [] -> Some item
-          | (c : Path.component) :: rest -> (
-            match child t item.Item.id ~role:c.name ?index:c.index () with
-            | Some k -> descend k rest
-            | None -> None)
-        in
-        Option.bind (find_object t root_comp.Path.name) (fun obj -> descend obj rest)
+    let n = String.length s in
+    let next i = Option.value (String.index_from_opt s i '.') ~default:n in
+    let rec descend (item : Item.t) i =
+      let k = next i in
+      match component s i k with
+      | None -> None
+      | Some (role, index) -> (
+        match child t item.Item.id ~role ?index () with
+        | Some kid when k = n -> Some kid
+        | Some kid -> descend kid (k + 1)
+        | None -> None)
+    in
+    let j = next 0 in
+    let root = String.sub s 0 j in
+    if j = 0 || j = n || not (is_plain root) then None
+    else Option.bind (find_object t root) (fun obj -> descend obj (j + 1))
 
 let class_path_of t item =
   match state t item with Item.Obj o -> Some o.cls | Item.Rel _ | Item.Absent -> None
@@ -201,6 +234,18 @@ let children_v t (vi : vitem) =
 
 let child_v t (vi : vitem) ~role ?index () =
   List.find_opt (fun v -> is_child ~role ~index v.item) (children_v t vi)
+
+let iter_children_v t (vi : vitem) f =
+  let iter_kids id =
+    Ident.Set.iter
+      (fun kid -> Option.iter f (Db_state.find_item t.db_ kid))
+      (Db_state.children_of (extents t) id)
+  in
+  iter_kids vi.item.Item.id;
+  match (vi.item.Item.body, vi.via) with
+  | Item.Independent, None ->
+    List.iter (fun (p : Item.t) -> iter_kids p.Item.id) (transitive_patterns t vi.item)
+  | _ -> ()
 
 let rels_v t (obj : Item.t) =
   let real =

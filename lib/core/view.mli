@@ -134,6 +134,10 @@ val children_v : t -> vitem -> vitem list
 val child_v : t -> vitem -> role:string -> ?index:int -> unit -> vitem option
 (** {!child} over {!children_v}: the same component match. *)
 
+val iter_children_v : t -> vitem -> (Item.t -> unit) -> unit
+(** Applies the function to the items of {!children_v}, in its order,
+    without building the list. *)
+
 val rels_v : t -> Item.t -> vrel list
 (** Relationships of an object including inherited pattern
     relationships, with this object substituted for the pattern root.

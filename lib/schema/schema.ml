@@ -22,12 +22,14 @@ type gen_closure = {
 type class_memo = {
   participation : (Assoc_def.t * int * Assoc_def.role) list;
   child_defs : Class_def.t SMap.t;  (** by role, nearest definition *)
+  procedures : string list;  (** attached to an update of an instance *)
 }
 
 type closures = {
   class_closures : gen_closure SMap.t;
   assoc_closures : gen_closure SMap.t;
   class_memos : class_memo SMap.t;
+  assoc_procedures : string list SMap.t;
 }
 
 type t = {
@@ -107,9 +109,47 @@ let own_children_of class_map n =
     class_map []
   |> List.rev
 
+(* The procedures an update of an instance of [cls] runs. A sub-object
+   update also counts as an update of its enclosing composite objects:
+   the procedures of every class-path prefix, longest first, then of the
+   root's generalization chain. A top-level class is its own one prefix,
+   so an independent object runs its class's and its ancestors'. *)
+let class_procedures class_map class_closures (c : Class_def.t) =
+  let prefixes =
+    List.fold_left
+      (fun acc comp ->
+        match acc with [] -> [ comp ] | last :: _ -> (last ^ "." ^ comp) :: acc)
+      [] c.path
+  in
+  let root = List.hd c.path in
+  let supers =
+    match SMap.find_opt root class_closures with Some cl -> cl.up_list | None -> []
+  in
+  List.concat_map
+    (fun n ->
+      match SMap.find_opt n class_map with
+      | Some (d : Class_def.t) -> d.procedures
+      | None -> [])
+    (prefixes @ supers)
+
+(* an association's procedures, then its ancestors' *)
+let assoc_procedures assoc_map assoc_closures =
+  SMap.mapi
+    (fun name _ ->
+      let supers =
+        match SMap.find_opt name assoc_closures with Some cl -> cl.up_list | None -> []
+      in
+      List.concat_map
+        (fun n ->
+          match SMap.find_opt n assoc_map with
+          | Some (d : Assoc_def.t) -> d.procedures
+          | None -> [])
+        (name :: supers))
+    assoc_map
+
 let compute_memos class_map assoc_map class_closures =
   SMap.mapi
-    (fun cls _ ->
+    (fun cls def ->
       (* [class_closures] has an entry for every class of the map *)
       let closure = SMap.find cls class_closures in
       let participation =
@@ -131,17 +171,23 @@ let compute_memos class_map assoc_map class_closures =
             if SMap.mem role m then m else SMap.add role d m)
           m (own_children_of class_map c)
       in
-      { participation; child_defs = List.fold_left add_own SMap.empty (cls :: closure.up_list) })
+      {
+        participation;
+        child_defs = List.fold_left add_own SMap.empty (cls :: closure.up_list);
+        procedures = class_procedures class_map class_closures def;
+      })
     class_map
 
 let compute_closures class_map assoc_map =
   let class_closures =
     compute_closures_of class_map (fun (c : Class_def.t) -> c.super)
   in
+  let assoc_closures = compute_closures_of assoc_map (fun (a : Assoc_def.t) -> a.super) in
   {
     class_closures;
-    assoc_closures = compute_closures_of assoc_map (fun (a : Assoc_def.t) -> a.super);
+    assoc_closures;
     class_memos = compute_memos class_map assoc_map class_closures;
+    assoc_procedures = assoc_procedures assoc_map assoc_closures;
   }
 
 let make ~class_map ~assoc_map ~rev =
@@ -317,6 +363,14 @@ let resolve_attr s ~assoc ~attr =
 
 let participation_constraints s ~cls =
   match class_memo s cls with Some m -> m.participation | None -> []
+
+let class_procedures s cls =
+  match class_memo s cls with Some m -> m.procedures | None -> []
+
+let assoc_procedures s assoc =
+  match SMap.find_opt assoc (Lazy.force s.closures).assoc_procedures with
+  | Some l -> l
+  | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)

@@ -12,12 +12,13 @@
     computed lazily per schema value: [class_is_a]/[assoc_is_a] are a
     single hash/set lookup, not a hierarchy walk, and every
     schema-producing function installs a fresh cache so a new schema
-    revision can never see stale closures. The same cell memoizes two
-    per-class answers the consistency checks ask for every object:
-    {!participation_constraints} and the {!resolve_child} chain (each
-    class's sub-class definitions by role, own before inherited) — built
-    once per schema value and shared by the per-update checks and the
-    load-time sweep. *)
+    revision can never see stale closures. The same cell memoizes the
+    per-class answers every update asks for:
+    {!participation_constraints}, the {!resolve_child} chain (each
+    class's sub-class definitions by role, own before inherited) and
+    the attached procedures ({!class_procedures}, {!assoc_procedures})
+    — built once per schema value and shared by the per-update checks
+    and the load-time sweep. *)
 
 type t
 
@@ -123,3 +124,16 @@ val participation_constraints :
 (** Every [(assoc, position, role)] whose role target is [cls] or one of
     its generalization ancestors — i.e. every participation bound that
     applies to instances of [cls]. *)
+
+val class_procedures : t -> string -> string list
+(** The attached procedures an update of an instance of the class runs,
+    in order: those of every prefix of its class path, longest first
+    (a sub-object update is also an update of its enclosing composite
+    objects), then of the root class's generalization ancestors. For a
+    top-level class: its own, then its ancestors'. [[]] for a name
+    outside the schema. Memoized per schema, like
+    {!participation_constraints}. *)
+
+val assoc_procedures : t -> string -> string list
+(** The attached procedures an update of a relationship of the
+    association runs: its own, then its ancestors'. Memoized. *)

@@ -56,7 +56,8 @@ let checkin t ~client ops =
      do not denote an existing object or pattern cannot be locked
      either (checkout refuses them) — such an op fails inside the
      transaction with the precise error instead *)
-  let exists n = Result.is_ok (Protocol.find_name t.db n) in
+  let current = Seed_core.View.current (Database.raw t.db) in
+  let exists n = Option.is_some (Seed_core.View.find_object current n) in
   let _, touched =
     List.fold_left
       (fun (introduced, touched) op ->
@@ -83,23 +84,18 @@ let checkin t ~client ops =
      instance is never replaced. Its publication on success is the
      check-in's one commit point (the ops inside are nested steps and
      publish nothing), so concurrent snapshots never observe a
-     half-applied batch; it still precedes the flush below *)
+     half-applied batch. A durable server flushes inside that step,
+     after the ops: the batch is one frame on the store's journal,
+     coalesced with concurrent check-ins into shared fsyncs, and it is
+     published only once durable. A failed flush rolls the batch back
+     like a failed op *)
+  let apply () = iter_result (fun op -> Result.map ignore (Protocol.apply t.db op)) ops in
   match
-    Database.with_transaction t.db (fun () ->
-        iter_result (fun op -> Result.map ignore (Protocol.apply t.db op)) ops)
+    match t.session with
+    | None -> Database.with_transaction t.db apply
+    | Some session -> Seed_core.Persist.Session.transaction session apply
   with
   | Ok () ->
-    (* a durable server publishes the committed batch through the
-       store's group-commit daemon: the flush is one transaction, one
-       frame on the store's single journal, and concurrent checkins coalesce
-       into shared fsyncs. On a flush failure the locks are
-       kept and the root's unflushed set is not cleared, so a later
-       flush (or checkin) retries exactly the same records *)
-    let* () =
-      match t.session with
-      | None -> Ok ()
-      | Some session -> Seed_core.Persist.Session.flush session
-    in
     ignore (Lock_table.release t.locks ~client);
     t.checkins <- t.checkins + 1;
     Ok ()

@@ -17,13 +17,15 @@ val create : Schema.t -> t
 (** An in-memory server; see {!of_session} for a durable one. *)
 
 val of_session : Seed_core.Persist.Session.t -> t
-(** A server over a durable session's database: every successful
-    {!checkin} flushes the committed batch through the session — one
-    transaction, written as one journal frame, coalesced with concurrent
-    checkins by the store's group-commit daemon. A flush failure fails the checkin and
-    keeps the client's locks; the un-flushed records stay pending, so
-    the next successful flush carries them. The caller retains
-    ownership of the session (close it after the server). *)
+(** A server over a durable session's database: every {!checkin}
+    flushes its batch through the session ({!Seed_core.Persist.Session.transaction})
+    — one transaction, written as one journal frame, coalesced with
+    concurrent checkins by the store's group-commit daemon — before it
+    publishes: an acknowledged check-in is durable and visible, a
+    failed one neither. A flush failure fails the checkin, rolls its
+    batch back and keeps the client's locks, so a retry applies to the
+    state before the attempt. The caller retains ownership of the
+    session (close it after the server). *)
 
 val database : t -> Seed_core.Database.t
 (** The central database — retrieval operations go straight here. *)
@@ -80,8 +82,8 @@ val checkin :
     Every touched existing object must be covered by the client's
     locks; a failing operation keeps the locks (the client may fix
     and retry). On success the client's locks are released — after the
-    batch has been durably flushed, when the server was built with
-    {!of_session}. *)
+    batch has been durably flushed and published, when the server was
+    built with {!of_session}; a failed flush is a failed operation. *)
 
 val create_version : t -> (Version_id.t, Seed_error.t) result
 (** Global version creation, server-controlled. *)

@@ -40,6 +40,12 @@ module Writer = struct
       u8 b 1;
       f b v
 
+  let count = uvarint
+
+  let buffer b src =
+    uvarint b (Buffer.length src);
+    Buffer.add_buffer b src
+
   let iter b f n each =
     uvarint b n;
     each (f b)

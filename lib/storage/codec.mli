@@ -30,6 +30,14 @@ module Writer : sig
   val string : t -> string -> unit
   (** Varint length prefix followed by the raw bytes. *)
 
+  val buffer : t -> t -> unit
+  (** [buffer w b] writes what [string w (contents b)] writes, without
+      copying [b] out first. *)
+
+  val count : t -> int -> unit
+  (** A list's length prefix, as {!list} writes it: the caller then
+      writes that many elements. *)
+
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
 

@@ -35,12 +35,12 @@ type stats = {
 type ticket = { mutable outcome : (unit, E.t) result option }
 
 type t = {
-  write : string list list -> (unit, E.t) result;
+  write : string list -> (unit, E.t) result;
   always_fsync : bool;  (* count fsyncs and hold the commit window *)
   active : int Atomic.t;  (* writers currently inside [submit] *)
   m : Mutex.t;
   c : Condition.t;
-  mutable queue : (string list * ticket) list;  (* newest first *)
+  mutable queue : (string * ticket) list;  (* sealed frames, newest first *)
   mutable queued : int;
   mutable leader : bool;
   mutable paused : bool;
@@ -151,11 +151,11 @@ let rec drive t tk =
 (* A writer counts in [active] from before it takes [t.m] until it
    returns or raises: a leader holds its drain while other writers are
    still on their way to the queue. *)
-let submit t txn =
+let submit t frame =
   Atomic.incr t.active;
   Mutex.lock t.m;
   let tk = { outcome = None } in
-  t.queue <- (txn, tk) :: t.queue;
+  t.queue <- (frame, tk) :: t.queue;
   t.queued <- t.queued + 1;
   t.submitted <- t.submitted + 1;
   if t.queued > t.queue_hwm then t.queue_hwm <- t.queued;

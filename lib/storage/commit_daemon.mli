@@ -1,7 +1,7 @@
 (** Leader/follower group-commit coalescing for the store's journal.
 
     Concurrently arriving committers {!submit} their transaction's
-    encoded records; the first to find no leader active takes the leader
+    sealed journal frame; the first to find no leader active takes the leader
     role, drains the whole queue, lands everything drained in {e one}
     physical append (one fsync under [`Always_fsync]) via
     {!Journal.append}, and wakes the followers with their
@@ -20,7 +20,7 @@ type t
 
 val create :
   Journal.sync_policy ->
-  (string list list -> (unit, Seed_util.Seed_error.t) result) ->
+  (string list -> (unit, Seed_util.Seed_error.t) result) ->
   t
 (** [create sync write] makes a daemon whose leader lands each drained
     batch with one call to [write] (typically a retry-wrapped
@@ -41,8 +41,8 @@ val create :
     fires single-threaded, so uncontended commit latency is untouched.
     Under [`Flush_only], where writes are near-free, it is off. *)
 
-val submit : t -> string list -> (unit, Seed_util.Seed_error.t) result
-(** Enqueues the transaction's records and blocks until it is durable per the journal's
+val submit : t -> string -> (unit, Seed_util.Seed_error.t) result
+(** Enqueues the transaction's sealed frame and blocks until it is durable per the journal's
     sync policy, either by leading a batch or by being coalesced into
     another committer's. [Ok ()] is a durability ack for this transaction
     (and, transitively, the whole batch it rode in). If the leader's

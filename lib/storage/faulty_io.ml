@@ -123,6 +123,8 @@ let wrap_file t path (f : Io.file) : Io.file =
           raise (Unix.Unix_error (Unix.EIO, "fsync", path));
         (* a lying fsync reports success without flushing anything *)
         if not t.lie_fsync then f.Io.fsync ());
+    (* a length query is no I/O step: sweeps keep their numbering *)
+    size = f.Io.size;
     (* closing after a crash releases the descriptor (as the OS would)
        but, like every raw-fd close, flushes nothing *)
     close = (fun () -> f.Io.close ());

@@ -1,6 +1,7 @@
 type file = {
   write : string -> unit;
   fsync : unit -> unit;
+  size : unit -> int;
   close : unit -> unit;
 }
 
@@ -28,6 +29,7 @@ let of_fd fd =
   {
     write = (fun s -> write_all fd s);
     fsync = (fun () -> Unix.fsync fd);
+    size = (fun () -> (Unix.fstat fd).Unix.st_size);
     close =
       (fun () ->
         if not !closed then begin

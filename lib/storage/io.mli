@@ -18,6 +18,7 @@
 type file = {
   write : string -> unit;  (** append the bytes to the file *)
   fsync : unit -> unit;  (** force file contents to stable storage *)
+  size : unit -> int;  (** the file's current length in bytes *)
   close : unit -> unit;
 }
 (** An open file handle positioned for writing. *)

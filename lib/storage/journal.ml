@@ -7,7 +7,10 @@ type t = {
   jpath : string;
   jepoch : int;
   sync_policy : sync_policy;
+  io : Io.t;
   mutable file : Io.file option;
+  mutable size : int;  (* the end of the last frame that landed *)
+  mutable broken : bool;  (* a failed append could not be cut back *)
 }
 
 (* "SEE4": version 4 of the frame format. One frame holds one whole
@@ -29,7 +32,15 @@ let wrap_io = Seed_error.wrap_io
 let open_ ?(io = Io.real) ?(sync = `Flush_only) ?(epoch = 0) path =
   wrap_io (fun () ->
       let file = io.Io.open_append path in
-      { jpath = path; jepoch = epoch; sync_policy = sync; file = Some file })
+      {
+        jpath = path;
+        jepoch = epoch;
+        sync_policy = sync;
+        io;
+        file = Some file;
+        size = file.Io.size ();
+        broken = false;
+      })
 
 let file_of j =
   match j.file with
@@ -38,44 +49,135 @@ let file_of j =
 
 (* The frame CRC covers epoch, length, and payload — everything after
    the magic — so header corruption is detected like payload
-   corruption. *)
-let frame_crc ~epoch payload =
-  let h = Bytes.create 8 in
-  Bytes.set_int32_le h 0 (Int32.of_int epoch);
-  Bytes.set_int32_le h 4 (Int32.of_int (String.length payload));
-  Crc32.digest ~init:(Crc32.digest_sub h ~pos:0 ~len:8) payload
+   corruption. [b] holds a frame of payload length [len] at [pos]. *)
+let frame_crc b ~pos ~len =
+  Crc32.digest_sub
+    ~init:(Crc32.digest_sub b ~pos:(pos + 4) ~len:8)
+    b ~pos:(pos + header_bytes) ~len
 
-let add_frame b epoch records =
-  let w = Codec.Writer.create () in
-  Codec.Writer.list w Codec.Writer.string records;
-  let payload = Codec.Writer.contents w in
-  Buffer.add_int32_le b magic;
-  Buffer.add_int32_le b (Int32.of_int epoch);
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (frame_crc ~epoch payload);
-  Buffer.add_string b payload
+(* Writes the header of the frame [b] holds, in place. *)
+let put_header b ~epoch =
+  let len = Bytes.length b - header_bytes in
+  Bytes.set_int32_le b 0 magic;
+  Bytes.set_int32_le b 4 (Int32.of_int epoch);
+  Bytes.set_int32_le b 8 (Int32.of_int len);
+  Bytes.set_int32_le b 12 (frame_crc b ~pos:0 ~len)
 
 let decode_records payload =
   Result.to_option
     (Codec.Reader.run payload (fun r -> Codec.Reader.list r Codec.Reader.string))
 
 (* ------------------------------------------------------------------ *)
+(* Building frames                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [frame] holds the frame being built, its header still blank; each
+   record is encoded into [record], then added to [frame] behind its
+   length. Both buffers are reused from frame to frame. *)
+type writer = {
+  frame : Buffer.t;
+  record : Buffer.t;
+  mutable expected : int;
+  mutable added : int;
+}
+
+let writer () =
+  { frame = Buffer.create 512; record = Buffer.create 256; expected = 0; added = 0 }
+
+let blank_header = String.make header_bytes '\000'
+
+let start w ~records =
+  Buffer.clear w.frame;
+  Buffer.add_string w.frame blank_header;
+  Codec.Writer.count w.frame records;
+  w.expected <- records;
+  w.added <- 0
+
+let add w encode x =
+  Buffer.clear w.record;
+  encode w.record x;
+  Codec.Writer.buffer w.frame w.record;
+  w.added <- w.added + 1
+
+let seal w ~epoch =
+  if w.added <> w.expected then invalid_arg "Journal.seal: record count";
+  let b = Bytes.create (Buffer.length w.frame) in
+  Buffer.blit w.frame 0 b 0 (Bytes.length b);
+  put_header b ~epoch;
+  Bytes.unsafe_to_string b
+
+let frame ~epoch records =
+  let w = writer () in
+  start w ~records:(List.length records);
+  List.iter (add w Buffer.add_string) records;
+  seal w ~epoch
+
+(* ------------------------------------------------------------------ *)
 (* Appending                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let append j txns =
-  match txns with
+(* A frame sealed under another epoch (a compaction ran between its
+   seal and its write) is restamped with the journal's. *)
+let restamp j frame =
+  if Int32.to_int (String.get_int32_le frame 4) = j.jepoch then frame
+  else
+    let b = Bytes.of_string frame in
+    put_header b ~epoch:j.jepoch;
+    Bytes.unsafe_to_string b
+
+(* After a failed write or fsync the journal is cut back to the end of
+   the last frame that landed, so nothing of the failed batch can be
+   replayed. A cut that fails too leaves bytes of unknown fate behind
+   the last good frame: the journal then refuses every append until a
+   reopen settles it. *)
+let cut_back j f =
+  match
+    wrap_io (fun () ->
+        j.io.Io.truncate j.jpath j.size;
+        if j.sync_policy = `Always_fsync then f.Io.fsync ())
+  with
+  | Ok () -> ()
+  | Error _ -> j.broken <- true
+
+let append j frames =
+  match frames with
   | [] -> Ok ()
   | _ ->
     let* f = file_of j in
-    wrap_io (fun () ->
-        let b = Buffer.create 512 in
-        List.iter (add_frame b j.jepoch) txns;
-        (* the whole batch goes down in one write (and, under
-           [`Always_fsync], one fsync); each transaction is its own
-           frame, so a crash leaves each one whole or damaged *)
-        f.Io.write (Buffer.contents b);
-        if j.sync_policy = `Always_fsync then f.Io.fsync ())
+    if j.broken then
+      fail
+        (Io_error
+           (j.jpath
+          ^ ": an append failed and could not be cut back; reopen the store"))
+    else
+      (* the whole batch goes down in one write (and, under
+         [`Always_fsync], one fsync); each transaction is its own
+         frame, so a crash leaves each one whole or damaged *)
+      let data =
+        match frames with
+        | [ one ] -> restamp j one
+        | _ -> String.concat "" (List.map (restamp j) frames)
+      in
+      match
+        wrap_io (fun () ->
+            f.Io.write data;
+            if j.sync_policy = `Always_fsync then f.Io.fsync ())
+      with
+      | Ok () ->
+        j.size <- j.size + String.length data;
+        Ok ()
+      | Error _ as e ->
+        cut_back j f;
+        e
+
+(* A frame's record count: the payload's list-length prefix. *)
+let frame_records frame =
+  let rec go pos shift n =
+    let c = Char.code frame.[pos] in
+    let n = n lor ((c land 0x7f) lsl shift) in
+    if c land 0x80 = 0 then n else go (pos + 1) (shift + 7) n
+  in
+  go header_bytes 0 0
 
 let sync j =
   let* f = file_of j in
@@ -141,12 +243,15 @@ let scan ?(io = Io.real) path =
         else if len < 0 then `Bad "negative length"
         else if size - pos - header_bytes < len then `Bad "truncated payload"
         else
-          let payload = String.sub buf (pos + header_bytes) len in
-          if frame_crc ~epoch:ep payload <> crc then `Bad "crc mismatch"
+          if frame_crc (Bytes.unsafe_of_string buf) ~pos ~len <> crc then
+            `Bad "crc mismatch"
           else
-            match decode_records payload with
-            | None -> `Bad "bad transaction payload"
-            | Some records ->
+            match
+              Codec.Reader.run_sub buf ~pos:(pos + header_bytes) ~len (fun r ->
+                  Codec.Reader.list r Codec.Reader.string)
+            with
+            | Error _ -> `Bad "bad transaction payload"
+            | Ok records ->
               `Frame
                 {
                   f_epoch = ep;

@@ -44,14 +44,54 @@ val open_ :
     Records are tagged with [epoch] (default 0); durability of appends
     follows [sync] (default [`Flush_only]). *)
 
-val append : t -> string list list -> (unit, Seed_util.Seed_error.t) result
-(** Appends a batch of transactions, each a list of records, as one
-    frame per transaction in {e one} physical write (and, under
-    [`Always_fsync], one fsync) — the group-commit coalescing primitive
-    used by {!Commit_daemon}. Each transaction keeps its own atomicity:
-    a crash mid-batch leaves every transaction either whole or damaged,
-    and recovery drops a damaged one whole. An empty batch is a
-    no-op. *)
+(** {2 Building frames}
+
+    A transaction's records are encoded once each, straight into the
+    frame that carries them; the header and CRC are written in place
+    when the frame is sealed. *)
+
+type writer
+(** A frame under construction, its two buffers reused from frame to
+    frame. *)
+
+val writer : unit -> writer
+
+val start : writer -> records:int -> unit
+(** Begins a frame of [records] records, discarding any frame the
+    writer held. *)
+
+val add : writer -> (Codec.Writer.t -> 'a -> unit) -> 'a -> unit
+(** [add w encode x] adds one record: what [encode] writes for [x]. *)
+
+val seal : writer -> epoch:int -> string
+(** The whole frame, stamped with [epoch]: one string, ready for
+    {!append}. Raises [Invalid_argument] unless exactly the records
+    {!start} announced were added. *)
+
+val frame : epoch:int -> string list -> string
+(** The sealed frame of a transaction whose records are encoded
+    already. *)
+
+val frame_records : string -> int
+(** The number of records a sealed frame holds. *)
+
+(** {2 Appending} *)
+
+val append : t -> string list -> (unit, Seed_util.Seed_error.t) result
+(** Appends a batch of sealed frames, one per transaction, in {e one}
+    physical write (and, under [`Always_fsync], one fsync) — the
+    group-commit coalescing primitive used by {!Commit_daemon}. A lone
+    frame is written as it is; a frame sealed under another epoch than
+    the journal's is restamped. Each transaction keeps its own
+    atomicity: a crash mid-batch leaves every transaction either whole
+    or damaged, and recovery drops a damaged one whole. An empty batch
+    is a no-op.
+
+    A failed write or fsync cuts the journal back to the end of the
+    last frame that landed (and, under [`Always_fsync], fsyncs the
+    cut), so no byte of the failed batch can be replayed. If the cut
+    fails too, every later append is refused until the journal is
+    reopened. *)
 
 val sync : t -> (unit, Seed_util.Seed_error.t) result
 (** Fsyncs the journal file. *)

@@ -265,7 +265,9 @@ let torn_bytes j =
 let rewrite_journal ~io path ~epoch frames =
   let* () = Journal.truncate ~io path in
   let* j = Journal.open_ ~io ~sync:`Flush_only ~epoch path in
-  let* () = Journal.append j (List.map (fun f -> f.Journal.f_records) frames) in
+  let* () =
+    Journal.append j (List.map (fun f -> Journal.frame ~epoch f.Journal.f_records) frames)
+  in
   let* () = Journal.sync j in
   Journal.close j;
   Ok ()
@@ -314,19 +316,16 @@ let settle_journal ~io ~excise ~epoch path j =
 
 (* Builds the commit daemon over [log]. Its write callback is the only
    code path that appends to the journal; transient write errors are
-   retried there. Re-appending a batch whose first attempt half-landed
-   is safe: the scanner quarantines the torn bytes and resynchronizes on
-   the retried frames' headers. *)
+   retried there. A failed attempt is cut back off the journal before
+   the retry (see {!Journal.append}). *)
 let make_daemon ~sync ~sleep ~path log =
-  let write txns =
+  let write frames =
     match log.journal with
     | None -> fail (Io_error ("store closed: " ^ path))
     | Some j ->
-      let* () =
-        Retry.with_retry ?sleep (fun () -> Journal.append j txns)
-      in
+      let* () = Retry.with_retry ?sleep (fun () -> Journal.append j frames) in
       log.records <-
-        List.fold_left (fun n txn -> n + List.length txn) log.records txns;
+        List.fold_left (fun n f -> n + Journal.frame_records f) log.records frames;
       Ok ()
   in
   Commit_daemon.create sync write
@@ -419,7 +418,9 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only) ?sleep dir =
 let append t records =
   match records with
   | [] -> Ok ()
-  | _ -> Commit_daemon.submit t.daemon records
+  | _ -> Commit_daemon.submit t.daemon (Journal.frame ~epoch:t.epoch records)
+
+let append_frame t w = Commit_daemon.submit t.daemon (Journal.seal w ~epoch:t.epoch)
 
 let with_retry t f = Retry.with_retry ?sleep:t.sleep f
 

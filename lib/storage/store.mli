@@ -116,6 +116,11 @@ val append : t -> string list -> (unit, Seed_util.Seed_error.t) result
     attempt is quarantined by the scanner and resynchronized over on
     recovery, so the retry cannot corrupt. *)
 
+val append_frame : t -> Journal.writer -> (unit, Seed_util.Seed_error.t) result
+(** {!append} of the transaction a {!Journal.writer} holds: its frame is
+    sealed under the store's epoch and handed to the group-commit
+    daemon as it is. *)
+
 val write_stats : t -> Commit_daemon.stats
 (** Group-commit counters: transactions submitted, physical batches,
     fsyncs, largest coalesced batch, queue high-water. *)

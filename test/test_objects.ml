@@ -245,6 +245,48 @@ let test_arity_checked () =
     (function Seed_error.Invalid_operation _ -> true | _ -> false)
     (DB.create_relationship db ~assoc:"Access" ~endpoints:[ alarms ] ())
 
+(* [View.resolve_name] reads a path component by component as it walks
+   it; any string resolves to what the component-list reading of
+   [Path.of_string] resolves it to. The strings are drawn from names,
+   roles, indices, separators and malformed pieces. *)
+let test_resolve_name_matches_path_reading =
+  let db = fresh_db () in
+  let alarms = ok (DB.create_object db ~cls:"Data" ~name:"Alarms" ()) in
+  let _ = ok (DB.create_object db ~cls:"Action" ~name:"B" ()) in
+  let text = ok (DB.create_sub_object db ~parent:alarms ~role:"Text" ()) in
+  let _ = ok (DB.create_sub_object db ~parent:alarms ~role:"Text" ()) in
+  let _ = ok (DB.create_sub_object db ~parent:text ~role:"Body" ~value:(Value.String "b") ()) in
+  let _ = ok (DB.create_sub_object db ~parent:alarms ~role:"Keywords" ~index:1 ()) in
+  let _ = ok (DB.create_sub_object db ~parent:alarms ~role:"Description" ()) in
+  let v = DB.view db in
+  let module View = Seed_core.View in
+  let module Item = Seed_core.Item in
+  let by_path s =
+    match Path.of_string s with
+    | Error _ | Ok [] -> None
+    | Ok (root :: rest) ->
+      if root.Path.index <> None then None
+      else
+        let rec descend (item : Item.t) = function
+          | [] -> Some item
+          | (c : Path.component) :: rest -> (
+            match View.child v item.Item.id ~role:c.Path.name ?index:c.Path.index () with
+            | Some k -> descend k rest
+            | None -> None)
+        in
+        Option.bind (View.find_object v root.Path.name) (fun o -> descend o rest)
+  in
+  let id = Option.map (fun (it : Item.t) -> it.Item.id) in
+  let pieces =
+    [| "Alarms"; "B"; "Text"; "Body"; "Keywords"; "Description"; "."; "."; "["; "]"; "0";
+       "1"; "[0]"; "[1]"; "-1"; "+1"; "0x1"; "1_"; "" |]
+  in
+  qcheck_case ~count:2000 "resolve_name = Path reading"
+    QCheck2.Gen.(list_size (int_range 1 7) (oneofa pieces))
+    (fun l ->
+      let s = String.concat "" l in
+      Option.equal Ident.equal (id (View.resolve_name v s)) (id (by_path s)))
+
 let () =
   Alcotest.run "objects"
     [
@@ -265,6 +307,7 @@ let () =
           tc "single roles unindexed" test_single_role_has_no_index;
           tc "index auto-assignment" test_index_auto_assignment_fills_gaps;
           tc "children listing" test_children_listing;
+          test_resolve_name_matches_path_reading;
         ] );
       ( "relationships",
         [

@@ -552,6 +552,180 @@ let test_protocol_printing () =
       set_text "X.r" "1986-02-05";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Durable check-ins: visible only once durable                         *)
+(* ------------------------------------------------------------------ *)
+
+module Persist = Seed_core.Persist
+module View = Seed_core.View
+module Faulty = Seed_storage.Faulty_io
+
+let tmp_dir =
+  let counter = ref 0 in
+  fun () ->
+    incr counter;
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "seed_server_%d_%d" (Unix.getpid ()) !counter)
+
+let create_x = [ Protocol.Create_object { cls = "Data"; name = "X"; pattern = false } ]
+
+let visible srv = Option.is_some (View.find_object (Server.snapshot srv) "X")
+
+(* the live objects named X a fresh open of [dir] (verify on) finds *)
+let live_x dir =
+  let s = ok (Persist.Session.open_ ~dir ()) in
+  let v = DB.snapshot_view (Persist.Session.db s) in
+  let n =
+    List.length (List.filter (fun it -> View.full_name v it = Some "X") (View.all_objects v))
+  in
+  Persist.Session.close s;
+  n
+
+(* a server over a fresh durable store: its open writes and fsyncs the
+   initial meta record, so the first check-in's write and fsync are
+   number 1 of each *)
+let durable_server ?io () =
+  let dir = tmp_dir () in
+  let session =
+    Persist.Session.open_ ~dir ~schema:(schema ()) ?io ~sync:`Always_fsync ()
+  in
+  Result.map (fun session -> (dir, session, Server.of_session session)) session
+
+(* A check-in whose flush fails is not published: the snapshot and the
+   database do not hold it, the retry succeeds, and a reopen holds
+   exactly what was acknowledged. *)
+let test_failed_flush_invisible fault () =
+  let dir, session, srv = ok (durable_server ~io:(Faulty.io (fault ())) ()) in
+  check_ok "checkout" (Server.checkout srv ~client:"a" ~names:[]);
+  check_err "the flush fails" (function Seed_error.Io_error _ -> true | _ -> false)
+    (Server.checkin srv ~client:"a" create_x);
+  Alcotest.(check bool) "not in the snapshot" false (visible srv);
+  Alcotest.(check bool) "not in the database" true
+    (DB.find_object (Server.database srv) "X" = None);
+  check_ok "the retry" (Server.checkin srv ~client:"a" create_x);
+  Alcotest.(check bool) "in the snapshot once durable" true (visible srv);
+  Persist.Session.close session;
+  Alcotest.(check int) "one live X after reopen" 1 (live_x dir)
+
+(* Every I/O step of one served check-in, failed by a crash (whole or
+   torn), ENOSPC or a failing fsync: an acknowledged check-in is visible
+   and survives a reopen; a failed one is invisible, also after a
+   reopen, and its retry succeeds; a crash publishes nothing and leaves
+   at most one X behind. *)
+let test_checkin_fault_sweep () =
+  let calibrate = Faulty.create () in
+  let _, session, srv = ok (durable_server ~io:(Faulty.io calibrate) ()) in
+  let first = Faulty.steps calibrate in
+  check_ok "calibration" (Server.checkin srv ~client:"a" create_x);
+  let last = Faulty.steps calibrate in
+  Persist.Session.close session;
+  let steps = List.init (last - first) (fun i -> first + i) in
+  let faults =
+    List.concat_map
+      (fun k ->
+        [
+          (Printf.sprintf "crash at step %d" k, fun () -> Faulty.create ~crash_at:k ());
+          ( Printf.sprintf "torn crash at step %d" k,
+            fun () -> Faulty.create ~crash_at:k ~torn:true () );
+        ])
+      steps
+    @ List.concat_map
+        (fun k ->
+          [
+            (Printf.sprintf "ENOSPC on write %d" k, fun () -> Faulty.create ~enospc_write:k ());
+            (Printf.sprintf "EIO on fsync %d" k, fun () -> Faulty.create ~fail_fsync:k ());
+          ])
+        [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (what, fault) ->
+      let dir, session, srv = ok (durable_server ~io:(Faulty.io (fault ())) ()) in
+      let outcome =
+        try `Done (Server.checkin srv ~client:"a" create_x) with Faulty.Crash _ -> `Crashed
+      in
+      let check_visible expected =
+        if visible srv <> expected then
+          Alcotest.failf "%s: X %s the snapshot" what
+            (if expected then "missing from" else "published in")
+      in
+      let expect_live n =
+        Persist.Session.close session;
+        let got = live_x dir in
+        if got <> n then Alcotest.failf "%s: %d live X after reopen, want %d" what got n
+      in
+      match outcome with
+      | `Done (Ok ()) ->
+        check_visible true;
+        expect_live 1
+      | `Done (Error _) ->
+        check_visible false;
+        (match Server.checkin srv ~client:"a" create_x with
+        | Ok () -> check_visible true
+        | Error e -> Alcotest.failf "%s: retry: %s" what (Seed_error.to_string e));
+        expect_live 1
+      | `Crashed ->
+        check_visible false;
+        Persist.Session.close session;
+        if live_x dir > 1 then Alcotest.failf "%s: more than one X after reopen" what)
+    faults
+
+(* Words allocated by the write path, counted as the bench harness
+   counts them (minor words per call): a check-in through
+   [Server.checkin] on a small durable store, the lock cover, the
+   apply, the flush's one frame and the commit queue included. A
+   per-record encode buffer, or an attached-procedure chain rebuilt on
+   every update, each costs more than the margin left above what the
+   write path takes. *)
+let checkin_words srv ~ops_of n =
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    let names, ops = ops_of i in
+    check_ok "checkout" (Server.checkout srv ~client:"a" ~names);
+    let w0 = Gc.minor_words () in
+    let r = Server.checkin srv ~client:"a" ops in
+    total := !total +. (Gc.minor_words () -. w0);
+    check_ok "checkin" r
+  done;
+  !total /. float n
+
+let test_checkin_allocation () =
+  let docs = 100 in
+  let dir = tmp_dir () in
+  let session = ok (Persist.Session.open_ ~dir ~schema:(schema ()) ()) in
+  let db = Persist.Session.db session in
+  let names = Array.init docs (Printf.sprintf "Doc%03d") in
+  Array.iter
+    (fun name ->
+      let d = ok (DB.create_object db ~cls:"Data" ~name ()) in
+      ignore
+        (ok (DB.create_sub_object db ~parent:d ~role:"Description" ~value:(Seed_schema.Value.String "first") ())))
+    names;
+  check_ok "flush" (Persist.Session.flush session);
+  let srv = Server.of_session session in
+  let text i = Some (Seed_schema.Value.String (Printf.sprintf "revision %04d" i)) in
+  let values = Array.init (2 * docs) text in
+  let set round i =
+    let d = names.(i) in
+    ([ d ], [ Protocol.Set_value { path = d ^ ".Description"; value = values.((round * docs) + i) } ])
+  in
+  let keyword i =
+    let d = names.(i) in
+    ([ d ], [ Protocol.Create_sub { owner = d; role = "Keywords"; index = None; value = values.(i) } ])
+  in
+  (* the first round warms the write path up *)
+  ignore (checkin_words srv ~ops_of:(set 0) docs);
+  let set_words = checkin_words srv ~ops_of:(set 1) docs in
+  let sub_words = checkin_words srv ~ops_of:keyword docs in
+  Persist.Session.close session;
+  let under what ~bound w =
+    if w >= float bound then
+      Alcotest.failf "a %s check-in allocated %.0f words (bound %d)" what w bound
+  in
+  (* 622 and 806 words when the bounds were set *)
+  under "Set_value" ~bound:650 set_words;
+  under "Create_sub" ~bound:835 sub_words
+
 let () =
   Alcotest.run "server"
     [
@@ -600,5 +774,14 @@ let () =
           tc "global versions" test_versions_server_controlled;
           tc "patterns via protocol" test_pattern_ops_through_protocol;
           tc "protocol printing" test_protocol_printing;
+        ] );
+      ( "durable check-in",
+        [
+          tc "ENOSPC: invisible, retry succeeds"
+            (test_failed_flush_invisible (fun () -> Faulty.create ~enospc_write:1 ()));
+          tc "failed fsync: invisible, retry succeeds"
+            (test_failed_flush_invisible (fun () -> Faulty.create ~fail_fsync:1 ()));
+          tc "fault sweep over one check-in" test_checkin_fault_sweep;
+          tc "write-path allocation" test_checkin_allocation;
         ] );
     ]

@@ -1,6 +1,10 @@
 open Seed_storage
 open Helpers
 
+(* each transaction's records as one frame; the journal stamps its own
+   epoch on frames sealed under another *)
+let append_txns j txns = Journal.append j (List.map (Journal.frame ~epoch:0) txns)
+
 let tmp_dir =
   let counter = ref 0 in
   fun () ->
@@ -129,14 +133,14 @@ let test_journal_roundtrip () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
-  check_ok "b" (Journal.append j [ [ "beta" ] ]);
+  check_ok "a" (append_txns j [ [ "alpha" ] ]);
+  check_ok "b" (append_txns j [ [ "beta" ] ]);
   check_ok "sync" (Journal.sync j);
   Journal.close j;
   Alcotest.(check (list string)) "read" [ "alpha"; "beta" ] (journal_records path);
   (* appending after reopen preserves earlier records *)
   let j = ok (Journal.open_ path) in
-  check_ok "c" (Journal.append j [ [ "gamma" ] ]);
+  check_ok "c" (append_txns j [ [ "gamma" ] ]);
   Journal.close j;
   Alcotest.(check (list string)) "read 3" [ "alpha"; "beta"; "gamma" ]
     (journal_records path)
@@ -150,8 +154,8 @@ let test_journal_torn_tail () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
-  check_ok "b" (Journal.append j [ [ "beta" ] ]);
+  check_ok "a" (append_txns j [ [ "alpha" ] ]);
+  check_ok "b" (append_txns j [ [ "beta" ] ]);
   Journal.close j;
   (* cut the file mid-record *)
   let size = (Unix.stat path).Unix.st_size in
@@ -165,8 +169,8 @@ let test_journal_corrupt_payload () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
-  check_ok "b" (Journal.append j [ [ "beta" ] ]);
+  check_ok "a" (append_txns j [ [ "alpha" ] ]);
+  check_ok "b" (append_txns j [ [ "beta" ] ]);
   Journal.close j;
   (* flip a byte inside the second record's payload *)
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
@@ -180,7 +184,7 @@ let test_journal_truncate () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
+  check_ok "a" (append_txns j [ [ "alpha" ] ]);
   Journal.close j;
   check_ok "truncate" (Journal.truncate path);
   Alcotest.(check (list string)) "empty" [] (journal_records path)
@@ -195,9 +199,9 @@ let test_group_roundtrip () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "batch" (Journal.append j [ [ "solo" ]; [ "g1"; "g2"; "g3" ] ]);
-  check_ok "empty batch is a no-op" (Journal.append j []);
-  check_ok "tail" (Journal.append j [ [ "tail" ] ]);
+  check_ok "batch" (append_txns j [ [ "solo" ]; [ "g1"; "g2"; "g3" ] ]);
+  check_ok "empty batch is a no-op" (append_txns j []);
+  check_ok "tail" (append_txns j [ [ "tail" ] ]);
   Journal.close j;
   Alcotest.(check (list string)) "records, in order"
     [ "solo"; "g1"; "g2"; "g3"; "tail" ]
@@ -216,9 +220,9 @@ let test_group_roundtrip () =
    appends, returning the journal size between them. *)
 let journal_with path before txn =
   let j = ok (Journal.open_ path) in
-  check_ok "before" (Journal.append j [ before ]);
+  check_ok "before" (append_txns j [ before ]);
   let size = (Unix.stat path).Unix.st_size in
-  check_ok "txn" (Journal.append j [ txn ]);
+  check_ok "txn" (append_txns j [ txn ]);
   Journal.close j;
   size
 
@@ -249,7 +253,7 @@ let test_append_after_torn_txn () =
   let a_end = journal_with path [ "a0" ] [ "a1"; "a2" ] in
   Unix.truncate path (a_end + 9);
   let j = ok (Journal.open_ path) in
-  check_ok "txn b" (Journal.append j [ [ "b1"; "b2" ] ]);
+  check_ok "txn b" (append_txns j [ [ "b1"; "b2" ] ]);
   Journal.close j;
   Alcotest.(check (list string)) "only whole transactions"
     [ "a0"; "b1"; "b2" ] (journal_records path);
@@ -449,7 +453,7 @@ let test_journal_epoch_tagging () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ ~epoch:7 path) in
-  check_ok "a" (Journal.append j [ [ "alpha" ] ]);
+  check_ok "a" (append_txns j [ [ "alpha" ] ]);
   Journal.close j;
   let s = ok (Journal.scan path) in
   Alcotest.(check (list int)) "epochs" [ 7 ]
@@ -489,7 +493,7 @@ let test_journal_ahead_of_snapshot_refused () =
   let dir = tmp_dir () in
   let jpath = Filename.concat dir "journal.log" in
   let j = ok (Journal.open_ ~epoch:3 jpath) in
-  check_ok "r" (Journal.append j [ [ "orphan" ] ]);
+  check_ok "r" (append_txns j [ [ "orphan" ] ]);
   Journal.close j;
   check_err "refused"
     (function Seed_util.Seed_error.Corrupt _ -> true | _ -> false)
@@ -590,15 +594,41 @@ let test_enospc_mid_journal_frame () =
     (function Seed_util.Seed_error.Io_error m -> String.length m > 0 | _ -> false)
     (Store.append store [ "r2-too-big-for-the-disk" ]);
   Store.close store;
-  (* the half-written frame is dropped and cut off on reopen *)
+  (* the failed append cut its half-written frame back off: the journal
+     ends at the last frame that landed *)
   let store, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "intact prefix" [ "r1" ] records;
-  Alcotest.(check bool) "torn" true (report.Store.torn_tail <> None);
-  Alcotest.(check bool) "bytes dropped" true (report.Store.bytes_dropped > 0);
+  Alcotest.(check bool) "no torn tail" true (report.Store.torn_tail = None);
+  Alcotest.(check int) "no bytes dropped" 0 report.Store.bytes_dropped;
   check_ok "can append again" (Store.append store [ "r3" ]);
   Store.close store;
   let _, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "healed" [ "r1"; "r3" ] records;
+  Alcotest.(check bool) "clean" true (Store.recovery_clean report)
+
+(* A failed append whose cut-back fails too (here the cut's fsync)
+   leaves bytes of unknown fate behind the last good frame: the store
+   refuses every append until a reopen, which finds only what landed. *)
+let test_failed_cut_back_refuses_appends () =
+  let dir = tmp_dir () in
+  (* fsync 0 is r1's; write 1 is r2's, and fsync 1 the cut's *)
+  let f = Faulty_io.create ~enospc_write:1 ~fail_fsync:1 () in
+  let store, _, _, _ =
+    ok (Store.open_dir ~io:(Faulty_io.io f) ~sync:`Always_fsync dir)
+  in
+  check_ok "r1" (Store.append store [ "r1" ]);
+  check_err "disk full" (function Seed_util.Seed_error.Io_error _ -> true | _ -> false)
+    (Store.append store [ "r2" ]);
+  check_err "refused until a reopen"
+    (function Seed_util.Seed_error.Io_error _ -> true | _ -> false)
+    (Store.append store [ "r3" ]);
+  Store.close store;
+  let store, _, records, _ = ok (Store.open_dir dir) in
+  Alcotest.(check (list string)) "what landed" [ "r1" ] records;
+  check_ok "appends again" (Store.append store [ "r4" ]);
+  Store.close store;
+  let _, _, records, report = ok (Store.open_dir dir) in
+  Alcotest.(check (list string)) "healed" [ "r1"; "r4" ] records;
   Alcotest.(check bool) "clean" true (Store.recovery_clean report)
 
 let test_crash_during_snapshot_tmp_write () =
@@ -1310,6 +1340,7 @@ let () =
           tc "fsync failure on append" test_fsync_failure_on_append;
           tc "rename failure in snapshot write" test_rename_failure_during_snapshot_write;
           tc "enospc mid-frame" test_enospc_mid_journal_frame;
+          tc "failed cut-back refuses appends" test_failed_cut_back_refuses_appends;
           tc "crash during tmp write" test_crash_during_snapshot_tmp_write;
         ] );
       ( "fsck",
