@@ -11,16 +11,14 @@ module Writer = struct
     if n < 0 || n > 255 then invalid_arg "Codec.Writer.u8";
     Buffer.add_char b (Char.chr n)
 
-  let uvarint b n =
-    (* n must be non-negative; emitted 7 bits at a time. *)
-    let rec go n =
-      if n land lnot 0x7f = 0 then Buffer.add_char b (Char.chr n)
-      else begin
-        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
+  (* n must be non-negative; emitted 7 bits at a time. Recursive at the
+     top level, so a call makes no closure. *)
+  let rec uvarint b n =
+    if n land lnot 0x7f = 0 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      uvarint b (n lsr 7)
+    end
 
   let varint b n =
     (* zig-zag so negative ints stay short *)
@@ -87,15 +85,15 @@ module Reader = struct
     r.pos <- r.pos + 1;
     c
 
-  let uvarint r =
-    let rec go shift acc =
-      let c = u8 r in
-      let acc = acc lor ((c land 0x7f) lsl shift) in
-      if c land 0x80 = 0 then acc
-      else if shift > Sys.int_size - 8 then fail "codec: varint overflow"
-      else go (shift + 7) acc
-    in
-    go 0 0
+  (* recursive at the top level, so a call makes no closure *)
+  let rec uvarint_from r shift acc =
+    let c = u8 r in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c land 0x80 = 0 then acc
+    else if shift > Sys.int_size - 8 then fail "codec: varint overflow"
+    else uvarint_from r (shift + 7) acc
+
+  let uvarint r = uvarint_from r 0 0
 
   let varint r =
     let z = uvarint r in

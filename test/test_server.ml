@@ -722,9 +722,9 @@ let test_checkin_allocation () =
     if w >= float bound then
       Alcotest.failf "a %s check-in allocated %.0f words (bound %d)" what w bound
   in
-  (* 622 and 806 words when the bounds were set *)
-  under "Set_value" ~bound:650 set_words;
-  under "Create_sub" ~bound:835 sub_words
+  (* 586 and 766 words when the bounds were set *)
+  under "Set_value" ~bound:615 set_words;
+  under "Create_sub" ~bound:795 sub_words
 
 let () =
   Alcotest.run "server"
