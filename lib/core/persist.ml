@@ -6,11 +6,14 @@ module W = Codec.Writer
 module R = Codec.Reader
 module Store = Seed_storage.Store
 module Journal = Seed_storage.Journal
+module Snapshot_file = Seed_storage.Snapshot_file
 
 (* The snapshot's format. Version 1 spells every schema-element name
-   out; version 2 numbers them (below). The reader takes both, the
-   writer writes only 2. *)
-let format_version = 2
+   out; version 2 numbers them (below); version 3 packs an item's
+   bookkeeping into one flag word and writes its ids as gaps (the item
+   record, below). The reader takes all three, the writer writes only
+   3. *)
+let format_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Schema-element names, by number                                      *)
@@ -69,30 +72,30 @@ let w_name numbers w n =
 (* Encoders                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let w_ident w id = W.varint w (Ident.to_int id)
-
-let w_value w (v : Value.t) =
+let value_tag (v : Value.t) =
   match v with
-  | Value.String s ->
-    W.u8 w 0;
-    W.string w s
-  | Value.Int i ->
-    W.u8 w 1;
-    W.varint w i
-  | Value.Float f ->
-    W.u8 w 2;
-    W.float w f
-  | Value.Bool b ->
-    W.u8 w 3;
-    W.bool w b
+  | Value.String _ -> 0
+  | Value.Int _ -> 1
+  | Value.Float _ -> 2
+  | Value.Bool _ -> 3
+  | Value.Date _ -> 4
+  | Value.Enum _ -> 5
+
+(* a value's bytes after its tag *)
+let w_value_payload w (v : Value.t) =
+  match v with
+  | Value.String s | Value.Enum s -> W.string w s
+  | Value.Int i -> W.varint w i
+  | Value.Float f -> W.float w f
+  | Value.Bool b -> W.bool w b
   | Value.Date d ->
-    W.u8 w 4;
     W.varint w d.Value.year;
     W.varint w d.Value.month;
     W.varint w d.Value.day
-  | Value.Enum c ->
-    W.u8 w 5;
-    W.string w c
+
+let w_value w v =
+  W.u8 w (value_tag v);
+  w_value_payload w v
 
 let w_value_type w (t : Value_type.t) =
   match t with
@@ -143,53 +146,111 @@ let w_schema w s =
 
 let w_version_id w (v : Version_id.t) = W.list w W.varint (v :> int list)
 
-let w_state numbers w (s : Item.state) =
+(* ------------------------------------------------------------------ *)
+(* The item record (format 3)                                           *)
+(*                                                                      *)
+(* An item is its id, one flag word, then only the fields the flags say *)
+(* are there. Bits of the flag word (DESIGN.md §6, Record format):      *)
+(* ------------------------------------------------------------------ *)
+
+let f_body = 0x3 (* 0 an object, 1 a sub-object, 2 a relationship *)
+let f_dirty = 0x4 (* in the delta set *)
+let f_value = 0x38 (* the value's kind: 0 none, else its tag + 1 *)
+let f_option = 0x40 (* an object's name, or a sub-object's index *)
+let f_absent = 0x80 (* no current state *)
+let f_pattern = 0x100
+let f_deleted = 0x200
+let f_inherits = 0x400 (* a non-empty inherits list *)
+let f_attrs = 0x800 (* a non-empty relationship-attribute list *)
+let f_history = 0x1000 (* a non-empty history *)
+let f_sub_name = 0x2000 (* a sub-object's name *)
+
+let body_kind (b : Item.body) =
+  match b with Item.Independent -> 0 | Item.Dependent _ -> 1 | Item.Relationship -> 2
+
+(* the bit a state of an item of body kind [body] marks its name with:
+   a sub-object's option bit is its index *)
+let name_bit body = if body = 1 then f_sub_name else f_option
+
+(* The flag bits a state of body kind [body] may set; a relationship's
+   state is a [Rel], every other item's an [Obj]. *)
+let state_mask body =
+  if body = 2 then f_pattern lor f_deleted lor f_attrs
+  else f_value lor name_bit body lor f_pattern lor f_deleted lor f_inherits
+
+let nonempty = function [] -> false | _ :: _ -> true
+
+let state_bits body (s : Item.state) =
+  let flag b bit = if b then bit else 0 in
+  match s with
+  | Item.Obj o when body <> 2 ->
+    (match o.value with None -> 0 | Some v -> (value_tag v + 1) lsl 3)
+    lor flag (Option.is_some o.name) (name_bit body)
+    lor flag o.pattern f_pattern lor flag o.deleted f_deleted
+    lor flag (nonempty o.inherits) f_inherits
+  | Item.Rel r when body = 2 ->
+    flag r.rel_pattern f_pattern lor flag r.rel_deleted f_deleted
+    lor flag (nonempty r.rel_attrs) f_attrs
+  | Item.Absent -> f_absent
+  | Item.Obj _ | Item.Rel _ -> invalid_arg "Persist: a state of the wrong kind for its item"
+
+(* ids as signed gaps from the item's own id [id] *)
+let w_ids w id l = W.list w (fun w x -> W.varint w (Ident.to_int x - id)) l
+
+(* the fields of a present state whose flag bits were written before *)
+let w_fields numbers w ~id (s : Item.state) =
   match s with
   | Item.Obj o ->
-    W.u8 w 0;
-    W.option w W.string o.name;
+    (match o.name with Some n -> W.string w n | None -> ());
     w_name numbers w o.cls;
-    W.option w w_value o.value;
-    W.bool w o.pattern;
-    W.list w w_ident o.inherits;
-    W.bool w o.deleted
+    (match o.value with Some v -> w_value_payload w v | None -> ());
+    if nonempty o.inherits then w_ids w id o.inherits
   | Item.Rel r ->
-    W.u8 w 1;
     w_name numbers w r.assoc;
-    W.list w w_ident r.endpoints;
-    W.list w
-      (fun w (n, v) ->
-        w_name numbers w n;
-        w_value w v)
-      r.rel_attrs;
-    W.bool w r.rel_pattern;
-    W.bool w r.rel_deleted
-  | Item.Absent -> invalid_arg "Persist.w_state: an absent state has no record"
+    w_ids w id r.endpoints;
+    if nonempty r.rel_attrs then
+      W.list w
+        (fun w (n, v) ->
+          w_name numbers w n;
+          w_value w v)
+        r.rel_attrs
+  | Item.Absent -> ()
 
-let w_body numbers w (b : Item.body) =
-  match b with
-  | Item.Independent -> W.u8 w 0
+(* An item, its id written as the gap above [prev]: the previous item's
+   id in a snapshot, 0 in a journal record, whose id is so absolute.
+   The dirty bit is the item's membership in the delta set [delta]. *)
+let w_item numbers delta ~prev w (it : Item.t) =
+  let id = Ident.to_int it.Item.id in
+  let body = body_kind it.Item.body in
+  let history = not (Item.history_is_empty it) in
+  let flags =
+    body
+    lor (if Ident.Set.mem it.Item.id delta then f_dirty else 0)
+    lor state_bits body it.Item.current
+    lor (match it.Item.body with Item.Dependent { index = Some _; _ } -> f_option | _ -> 0)
+    lor if history then f_history else 0
+  in
+  W.uvarint w (id - prev);
+  W.uvarint w flags;
+  (match it.Item.body with
   | Item.Dependent { parent; role; index } ->
-    W.u8 w 1;
-    w_ident w parent;
+    (* the parent has the smaller id *)
+    W.uvarint w (id - Ident.to_int parent);
     w_name numbers w role;
-    W.option w W.varint index
-  | Item.Relationship -> W.u8 w 2
-
-(* the dirty byte is the item's membership in the delta set [delta] *)
-let w_item numbers delta w (it : Item.t) =
-  w_ident w it.Item.id;
-  w_body numbers w it.Item.body;
-  (* the current state is stored as an option, [Absent] its [None] *)
-  (match it.Item.current with
-  | Item.Absent -> W.u8 w 0
-  | s ->
-    W.u8 w 1;
-    w_state numbers w s);
-  W.bool w (Ident.Set.mem it.Item.id delta);
-  W.list w
-    (fun w (vid, s) -> w_version_id w vid; w_state numbers w s)
-    (Item.history_bindings it)
+    (match index with Some i -> W.varint w i | None -> ())
+  | Item.Independent | Item.Relationship -> ());
+  w_fields numbers w ~id it.Item.current;
+  if history then begin
+    W.count w (Version_id.Map.cardinal it.Item.history);
+    Version_id.Map.iter
+      (fun vid s ->
+        let bits = state_bits body s in
+        if bits land f_absent <> 0 then invalid_arg "Persist: a stamp of no state";
+        w_version_id w vid;
+        W.uvarint w bits;
+        w_fields numbers w ~id s)
+      it.Item.history
+  end
 
 let w_raw_node w (r : Versioning.raw) =
   w_version_id w r.Versioning.r_vid;
@@ -229,8 +290,8 @@ let get = function
 
 let r_ident r = Ident.of_int (R.varint r)
 
-let r_value r =
-  match R.u8 r with
+let r_value_payload r tag =
+  match tag with
   | 0 -> Value.String (R.string r)
   | 1 -> Value.Int (R.varint r)
   | 2 -> Value.Float (R.float r)
@@ -242,6 +303,8 @@ let r_value r =
     Value.Date { Value.year; month; day }
   | 5 -> Value.Enum (R.string r)
   | _ -> R.fail "bad value tag"
+
+let r_value r = r_value_payload r (R.u8 r)
 
 let r_value_type r =
   match R.u8 r with
@@ -305,25 +368,37 @@ let r_schema r =
 let r_version_id r = get (Version_id.of_ints (R.list r R.varint))
 
 (* How a record reads a schema-element name: format 1 spells it out
-   ([R.string]), format 2 gives its number in a table ([numbered]). *)
+   ([R.string]), formats 2 and 3 give its number in a table
+   ([numbered]). *)
 let numbered names r =
   let i = R.varint r in
   if i < 0 || i >= Array.length names then R.fail "unknown schema-element number";
   Array.unsafe_get names i
 
-let r_state elt r =
-  match R.u8 r with
-  | 0 ->
+(* an id written as its signed gap from [id] (0: the id itself); an
+   overflowed sum is negative too *)
+let r_ref ~id r =
+  let x = id + R.varint r in
+  if x < 1 then R.fail "item reference below #1";
+  Ident.of_int x
+
+(* A state of an item of body [body]. A relationship's state is a [Rel],
+   every other item's an [Obj], and every reference is to #1 or above:
+   the rules format 3's reader applies, so that what an older store
+   opens with, the format-3 writer writes and its reader reads back. *)
+let r_state elt ~body r =
+  match (R.u8 r, body) with
+  | 0, (Item.Independent | Item.Dependent _) ->
     let name = R.option r R.string in
     let cls = elt r in
     let value = R.option r r_value in
     let pattern = R.bool r in
-    let inherits = R.list r r_ident in
+    let inherits = R.list r (r_ref ~id:0) in
     let deleted = R.bool r in
     Item.Obj { name; cls; value; pattern; inherits; deleted }
-  | 1 ->
+  | 1, Item.Relationship ->
     let assoc = elt r in
-    let endpoints = R.list r r_ident in
+    let endpoints = R.list r (r_ref ~id:0) in
     let rel_attrs =
       R.list r (fun r ->
           let n = elt r in
@@ -332,6 +407,7 @@ let r_state elt r =
     let rel_pattern = R.bool r in
     let rel_deleted = R.bool r in
     Item.Rel { assoc; endpoints; rel_attrs; rel_pattern; rel_deleted }
+  | (0 | 1), _ -> R.fail "a state of the wrong kind for its item"
   | _ -> R.fail "bad state tag"
 
 (* ids are allocated in creation order, so a sub-object's parent always
@@ -340,7 +416,7 @@ let r_body elt r ~id =
   match R.u8 r with
   | 0 -> Item.Independent
   | 1 ->
-    let parent = r_ident r in
+    let parent = r_ref ~id:0 r in
     let role = elt r in
     let index = R.option r R.varint in
     if Ident.compare parent id >= 0 then R.fail "sub-object precedes its parent";
@@ -355,16 +431,89 @@ let r_item elt r =
   let current =
     match R.u8 r with
     | 0 -> Item.Absent
-    | 1 -> r_state elt r
+    | 1 -> r_state elt ~body r
     | _ -> R.fail "codec: bad option tag"
   in
   let dirty = R.bool r in
   let history =
     R.list r (fun r ->
         let vid = r_version_id r in
-        (vid, r_state elt r))
+        (vid, r_state elt ~body r))
   in
   ({ Item.id; body; current; history = Item.history_of_bindings history }, dirty)
+
+(* Format 3's item record (the encoder's [w_item]). Every other gap and
+   flag is checked before it is used: a parent gap of 0 or reaching
+   below #1, a reference below #1, a flag outside what the item's kind
+   may set, and a list flagged non-empty with no element are all
+   [Corrupt]. The item's own id is checked by the caller, as an older
+   record's is: above the one before it in a snapshot (a gap of 0 or
+   one that overflows sums to no more than [prev]) and within the id
+   counter. *)
+
+(* a list its flag calls non-empty *)
+let r_nonempty r f = match R.list r f with [] -> R.fail "an empty list flagged non-empty" | l -> l
+
+let r_attr names r =
+  let n = numbered names r in
+  (n, r_value r)
+
+(* the fields of a present state of flags [f] of an item [id] of body
+   kind [body] *)
+let r_fields names r ~id ~body f =
+  let pattern = f land f_pattern <> 0 and deleted = f land f_deleted <> 0 in
+  if body = 2 then
+    let assoc = numbered names r in
+    let endpoints = R.list r (r_ref ~id) in
+    let rel_attrs = if f land f_attrs = 0 then [] else r_nonempty r (r_attr names) in
+    Item.Rel { assoc; endpoints; rel_attrs; rel_pattern = pattern; rel_deleted = deleted }
+  else
+    let name = if f land name_bit body = 0 then None else Some (R.string r) in
+    let cls = numbered names r in
+    let value =
+      match (f land f_value) lsr 3 with 0 -> None | k -> Some (r_value_payload r (k - 1))
+    in
+    let inherits = if f land f_inherits = 0 then [] else r_nonempty r (r_ref ~id) in
+    Item.Obj { name; cls; value; pattern; inherits; deleted }
+
+(* a stamp: its version and its state's flag word and fields *)
+let r_stamp names r ~id ~body =
+  let vid = r_version_id r in
+  let f = R.uvarint r in
+  if f land lnot (state_mask body) <> 0 then R.fail "bad state flag word";
+  (vid, r_fields names r ~id ~body f)
+
+(* an item and its dirty bit; its id is [prev] plus a gap *)
+let r_item3 names r ~prev =
+  let id = prev + R.uvarint r in
+  let f = R.uvarint r in
+  let body = f land f_body in
+  if body = 3 then R.fail "bad body kind";
+  let allowed =
+    f_body lor f_dirty lor f_absent lor f_history
+    lor (if body = 1 then f_option else 0)
+    lor if f land f_absent = 0 then state_mask body else 0
+  in
+  if f land lnot allowed <> 0 then R.fail "bad item flag word";
+  let item_body =
+    match body with
+    | 0 -> Item.Independent
+    | 1 ->
+      (* the parent has the smaller id, so parent chains stay acyclic *)
+      let gap = R.uvarint r in
+      if gap < 1 then R.fail "sub-object precedes its parent";
+      if gap >= id then R.fail "sub-object's parent below #1";
+      let role = numbered names r in
+      let index = if f land f_option = 0 then None else Some (R.varint r) in
+      Item.Dependent { parent = Ident.of_int (id - gap); role; index }
+    | _ -> Item.Relationship
+  in
+  let current = if f land f_absent <> 0 then Item.Absent else r_fields names r ~id ~body f in
+  let history =
+    if f land f_history = 0 then Version_id.Map.empty
+    else Item.history_of_bindings (r_nonempty r (r_stamp names ~id ~body))
+  in
+  ({ Item.id = Ident.of_int id; body = item_body; current; history }, f land f_dirty <> 0)
 
 let r_raw_node r =
   let r_vid = r_version_id r in
@@ -404,9 +553,13 @@ let encode_state numbers st =
   let w = W.create () in
   W.varint w format_version;
   w_meta w st;
-  (* the item table folds in id order already *)
+  (* the item table folds in id order already; each id is a gap from
+     the one before *)
+  let delta = Db_state.dirty st and prev = ref 0 in
   W.iter w
-    (w_item numbers (Db_state.dirty st))
+    (fun w it ->
+      w_item numbers delta ~prev:!prev w it;
+      prev := Ident.to_int it.Item.id)
     (Db_state.item_count st) (Db_state.iter_items st);
   W.contents w
 
@@ -418,16 +571,20 @@ let encode_db db =
 (* Journal records                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Record tags: 0 the meta, 1 an item with its names spelled out
-   (format 1, read only), 2 an item with its names numbered in the
-   table of the last meta before it in stream order. *)
+(* Record tags: 0 the meta; 1 an item with its names spelled out
+   (format 1) and 2 one with its names numbered (format 2), both read
+   only; 3 an item record of format 3, its names numbered in the table
+   of the last meta before it in stream order and its id absolute. *)
 let record_meta w st =
   W.u8 w 0;
   w_meta w st
 
 let record_item numbers delta w it =
-  W.u8 w 2;
-  w_item numbers delta w it
+  W.u8 w 3;
+  w_item numbers delta ~prev:0 w it
+
+(* a record's id is refused at [Item.none]'s *)
+let last_id = max_int - 1
 
 (* The journal tail, decoded first: the last meta record and the last
    record of each item — a map as small as the tail. [names] is the
@@ -439,16 +596,25 @@ let read_records names records =
     (fun acc payload ->
       let* meta, items = acc in
       R.run payload (fun r ->
-          let add ((it, _) as item) = (meta, Ident.Map.add it.Item.id item items) in
+          let add ((it, _) as item) =
+            (* a record's id is absolute, of any tag: checked here *)
+            let id = Ident.to_int it.Item.id in
+            if id < 1 || id > last_id then R.fail "journal item id out of range";
+            (meta, Ident.Map.add it.Item.id item items)
+          in
           match R.u8 r with
           | 0 ->
             let m = r_meta r in
             names := Some (lazy (numbered_names m.m_schemas));
             (Some m, items)
           | 1 -> add (r_item R.string r)
-          | 2 -> (
+          | (2 | 3) as tag -> (
             match !names with
-            | Some names -> add (r_item (numbered (Lazy.force names)) r)
+            | Some names ->
+              let names = Lazy.force names in
+              add
+                (if tag = 2 then r_item (numbered names) r
+                 else r_item3 names r ~prev:0)
             | None -> R.fail "item record before any meta")
           | _ -> R.fail "bad journal record tag"))
     (Ok (None, Ident.Map.empty))
@@ -491,22 +657,25 @@ let load_items st journal ~count snapshot =
 (* The snapshot payload decoded straight into a fresh root, with the
    journal's [records] merged in. The snapshot's meta comes first: its
    table numbers the names of the journal's first records. *)
-let decode_snapshot payload records =
-  R.run payload (fun r ->
+let decode_snapshot (p : Snapshot_file.payload) records =
+  R.run_sub p.file ~pos:p.pos ~len:p.len (fun r ->
       let v = R.varint r in
-      if v <> 1 && v <> format_version then
+      if v < 1 || v > format_version then
         R.fail (Printf.sprintf "unsupported format version %d" v);
       let meta = r_meta r in
       let names = lazy (numbered_names meta.m_schemas) in
       let jmeta, jitems = get (read_records (Some names) records) in
       let st = get (state_of_meta (Option.value jmeta ~default:meta)) in
-      let elt = if v = 1 then R.string else numbered (Lazy.force names) in
+      let table = if v = 1 then [||] else Lazy.force names in
+      let elt = if v = 1 then R.string else numbered table in
       (* every id is above the last one and within the meta's counter:
          a snapshot is written with its generator past every item *)
       let last = ref 0 and count = R.count r in
       load_items st jitems ~count (fun add ->
           for _ = 1 to count do
-            let it, dirty = r_item elt r in
+            let it, dirty =
+              if v = 3 then r_item3 table r ~prev:!last else r_item elt r
+            in
             let id = Ident.to_int it.Item.id in
             if id <= !last then R.fail "snapshot item ids not ascending from #1";
             if id > meta.m_gen then R.fail "snapshot item id past the id counter";
@@ -534,8 +703,10 @@ let finish st ~verify =
   let* () = if verify then Consistency.check_database (View.current st) else Ok () in
   Ok (Database.of_raw st)
 
-let decode_db payload =
-  let* st = decode_snapshot payload [] in
+let decode_db ?(records = []) payload =
+  let* st =
+    decode_snapshot { Snapshot_file.file = payload; pos = 0; len = String.length payload } records
+  in
   finish st ~verify:true
 
 let save db ~dir =

@@ -21,17 +21,21 @@
     first, each revision's new names in sorted order) and never stored.
     Revisions are only ever prepended, so no number moves, and a record
     is decoded with the table of the last meta before it in stream
-    order. The snapshot is [format_version] 2 and journal item records
-    carry tag 2; format-1 snapshots and tag-1 records, which spell the
-    names out, are still read, and compaction rewrites them as format 2
-    (DESIGN.md §6, {i Record format}).
+    order. The snapshot is format 3 and journal item records carry tag
+    3: an item is its id — a gap from the previous item's in a
+    snapshot, absolute in a record — then one varint flag word (body
+    kind, dirty bit, the state's booleans and value kind, which options
+    and lists are present), then only the fields the flags say are
+    there. Format-1 and format-2 snapshots and tag-1 and tag-2 records
+    are still read, and compaction rewrites them as format 3 (DESIGN.md
+    §6, {i Record format}).
 
     Opening is one fold: the snapshot's version and meta are decoded
     first, then the journal's records into a small map, then the
     snapshot's items straight into the root in id order,
     the journal's versions merged in and every index built in the same
     pass ({!Db_state.load}) — the delta set from each item's stored
-    dirty byte, the journal's record of an item overriding the
+    dirty bit, the journal's record of an item overriding the
     snapshot's; last the root is verified
     ({!Consistency.check_database}). A malformed payload is
     [Error (Corrupt _)], never an exception. *)
@@ -48,15 +52,17 @@ val r_value : Seed_storage.Codec.Reader.t -> Value.t
     [Codec.Reader.run]. *)
 
 val encode_db : Database.t -> string
-(** Whole-database snapshot payload, format 2: the meta, then the items
+(** Whole-database snapshot payload, format 3: the meta, then the items
     in id order, as the item table folds them, their names numbered in
     the meta's table. Raises [Invalid_argument] on an item naming no
     element of any schema revision — a bug, since every update checks
     its names against the schema. *)
 
-val decode_db : string -> (Database.t, Seed_error.t) result
-(** A snapshot payload, format 1 or 2, back into a database, verified
-    like {!load}. *)
+val decode_db : ?records:string list -> string -> (Database.t, Seed_error.t) result
+(** A snapshot payload, format 1, 2 or 3, back into a database, with
+    the journal [records] (default none, as
+    {!Seed_storage.Store.open_dir} returns them) merged in as an open
+    merges them, verified like {!load}. *)
 
 val save : Database.t -> dir:string -> (unit, Seed_error.t) result
 (** One-shot: write a snapshot of the database into [dir] (creating it),
@@ -94,7 +100,7 @@ module Session : sig
   val flush : t -> (unit, Seed_error.t) result
   (** Append journal records for the items in the database's
       {!Db_state.unflushed} set — every item whose state, history or
-      membership of the delta set (its dirty byte, written from
+      membership of the delta set (its dirty bit, written from
       {!Db_state.dirty}) changed since the last flush, in id order — plus a
       metadata record when the schema list, the version tree or the
       current base was replaced since the last durable flush, compared
@@ -129,7 +135,7 @@ module Session : sig
       {!Database.with_transaction} inside an atomic step. *)
 
   val compact : t -> (unit, Seed_error.t) result
-  (** Write a fresh snapshot (format 2, whatever format the store held)
+  (** Write a fresh snapshot (format 3, whatever format the store held)
       and truncate the journal; the snapshot holds every item, so the
       unflushed set is cleared. *)
 

@@ -97,16 +97,20 @@ type stats = { locks_held : int; waiters : int }
 let stats t =
   { locks_held = Hashtbl.length t.table; waiters = Hashtbl.length t.waiting }
 
-let covers t ~client names =
-  let missing =
-    List.find_map
-      (fun n ->
-        match holder t n with
-        | Some h when String.equal h client -> None
-        | found -> Some (n, found))
-      names
+(* the smallest name not held, so the error does not depend on the
+   order [each] finds them in; a held name allocates nothing *)
+let covers t ~client each =
+  let missing = ref None in
+  let miss n found =
+    match !missing with
+    | Some (m, _) when String.compare m n <= 0 -> ()
+    | Some _ | None -> missing := Some (n, found)
   in
-  match missing with
+  each (fun n ->
+      match Hashtbl.find t.table n with
+      | h -> if not (String.equal h client) then miss n (Some h)
+      | exception Not_found -> miss n None);
+  match !missing with
   | None -> Ok ()
   | Some (item, Some holder) -> fail (Locked { item; holder })
   | Some (n, None) ->

@@ -66,5 +66,9 @@ val held_by : t -> client:string -> string list
 (** Names this client currently locks, sorted. *)
 
 val covers :
-  t -> client:string -> string list -> (unit, Seed_util.Seed_error.t) result
-(** Check that [client] holds locks on all the given names. *)
+  t -> client:string -> ((string -> unit) -> unit) ->
+  (unit, Seed_util.Seed_error.t) result
+(** [covers t ~client each] checks that [client] holds a lock on every
+    name [each f] passes to [f] (repeats allowed), with no list of them
+    built. The error names the smallest name not held, [Locked] when
+    another client holds it, whatever order [each] finds them in. *)

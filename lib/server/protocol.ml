@@ -26,20 +26,24 @@ let root_of path =
   | Some i -> String.sub path 0 i
   | None -> path
 
-let touches = function
-  | Create_object _ -> []
-  | Create_sub { owner; _ } -> [ root_of owner ]
+let iter_touches op f =
+  match op with
+  | Create_object _ -> ()
+  | Create_sub { owner; _ } -> f (root_of owner)
   (* endpoint paths may address sub-objects: the lockable unit is the
      root object, not the raw path string *)
-  | Create_rel { endpoints; _ } -> List.map root_of endpoints
-  | Set_value { path; _ } | Set_text { path; _ } -> [ root_of path ]
+  | Create_rel { endpoints; _ } | Reclassify_rel { endpoints; _ } ->
+    List.iter (fun e -> f (root_of e)) endpoints
+  | Set_value { path; _ } | Set_text { path; _ } | Delete { path } -> f (root_of path)
   (* the target name is touched too: renaming onto an existing object's
      name contends with that object's namespace *)
-  | Rename { name; new_name } -> [ name; new_name ]
-  | Reclassify_obj { name; _ } -> [ root_of name ]
-  | Reclassify_rel { endpoints; _ } -> List.map root_of endpoints
-  | Delete { path } -> [ root_of path ]
-  | Inherit { pattern; inheritor } -> [ pattern; inheritor ]
+  | Rename { name; new_name } ->
+    f name;
+    f new_name
+  | Reclassify_obj { name; _ } -> f (root_of name)
+  | Inherit { pattern; inheritor } ->
+    f pattern;
+    f inheritor
 
 (* updates always apply to the current version, so every name resolves
    in the current state, whatever version retrieval has selected *)

@@ -41,14 +41,15 @@ type op =
   | Delete of { path : string }
   | Inherit of { pattern : string; inheritor : string }
 
-val touches : op -> string list
-(** Names of independent objects the operation modifies — the set that
-    must be covered by the client's write locks. Paths addressing
-    sub-objects (dotted) are reduced to their root object. [Rename]
-    lists its target name too: it only needs a lock when it collides
-    with an existing object, which the server decides (fresh names
-    cannot be locked). Fresh names introduced by [Create_object] are
-    not listed (the server rejects duplicates at apply time). *)
+val iter_touches : op -> (string -> unit) -> unit
+(** [iter_touches op f] passes [f] each name of an independent object
+    the operation modifies — the set that must be covered by the
+    client's write locks. Paths addressing sub-objects (dotted) are
+    reduced to their root object. [Rename] passes its target name too:
+    it only needs a lock when it collides with an existing object,
+    which the server decides (fresh names cannot be locked). Fresh
+    names introduced by [Create_object] are not passed (the server
+    rejects duplicates at apply time). *)
 
 val find_name :
   Seed_core.Database.t -> string -> (Ident.t, Seed_error.t) result

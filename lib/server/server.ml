@@ -58,25 +58,22 @@ let checkin t ~client ops =
      transaction with the precise error instead *)
   let current = Seed_core.View.current (Database.raw t.db) in
   let exists n = Option.is_some (Seed_core.View.find_object current n) in
-  let _, touched =
-    List.fold_left
-      (fun (introduced, touched) op ->
-        let needed =
-          List.filter
-            (fun n -> (not (List.mem n introduced)) && exists n)
-            (Protocol.touches op)
-        in
-        let introduced =
-          match op with
-          | Protocol.Create_object { name; _ } -> name :: introduced
-          | Protocol.Rename { new_name; _ } -> new_name :: introduced
-          | _ -> introduced
-        in
-        (introduced, needed @ touched))
-      ([], []) ops
+  (* whether one of the first [k] ops introduces [n] *)
+  let rec introduced k n = function
+    | (Protocol.Create_object { name; _ } | Protocol.Rename { new_name = name; _ }) :: _
+      when k > 0 && String.equal name n ->
+      true
+    | _ :: rest when k > 0 -> introduced (k - 1) n rest
+    | _ -> false
   in
-  let touched = List.sort_uniq String.compare touched in
-  let* () = Lock_table.covers t.locks ~client touched in
+  (* each name is checked as it is found: no list of them is built *)
+  let* () =
+    Lock_table.covers t.locks ~client (fun f ->
+        List.iteri
+          (fun k op ->
+            Protocol.iter_touches op (fun n -> if (not (introduced k n ops)) && exists n then f n))
+          ops)
+  in
   (* one in-memory transaction, the outermost atomic step: on failure
      the rollback is a single root swap back to its savepoint — O(1),
      not O(ops applied) — and registered closures (attached procedures,

@@ -21,6 +21,10 @@ module Writer : sig
   val varint : t -> int -> unit
   (** Signed LEB128 (zig-zag). *)
 
+  val uvarint : t -> int -> unit
+  (** Unsigned LEB128 of a non-negative int: seven bits a byte, so a
+      value below 128 is one byte. *)
+
   val i64 : t -> int64 -> unit
   (** Fixed 8 bytes, little-endian. *)
 
@@ -70,6 +74,12 @@ module Reader : sig
 
   val u8 : t -> int
   val varint : t -> int
+
+  val uvarint : t -> int
+  (** Inverse of {!Writer.uvarint}. More than nine bytes is malformed;
+      nine can set the int's top bit, so a caller that needs a
+      non-negative value checks it. *)
+
   val i64 : t -> int64
   val float : t -> float
   val bool : t -> bool

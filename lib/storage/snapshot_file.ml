@@ -38,6 +38,8 @@ let write ?(io = Io.real) path ~epoch payload =
     (* classify through the shared wrapper (transient vs permanent) *)
     wrap_io (fun () -> raise e)
 
+type payload = { file : string; pos : int; len : int }
+
 let read ?(io = Io.real) path =
   if not (io.Io.exists path) then Ok None
   else
@@ -55,8 +57,8 @@ let read ?(io = Io.real) path =
         fail (Corrupt ("snapshot " ^ path ^ ": negative epoch"))
       else if len <> String.length contents - header_bytes then
         fail (Corrupt ("snapshot " ^ path ^ ": bad length"))
-      else
-        let payload = String.sub contents header_bytes len in
-        if Crc32.digest payload <> crc then
-          fail (Corrupt ("snapshot " ^ path ^ ": crc mismatch"))
-        else Ok (Some (epoch, payload))
+      else if
+        (* checked in place: the payload stays where the read put it *)
+        Crc32.digest_sub (Bytes.unsafe_of_string contents) ~pos:header_bytes ~len <> crc
+      then fail (Corrupt ("snapshot " ^ path ^ ": crc mismatch"))
+      else Ok (Some (epoch, { file = contents; pos = header_bytes; len }))

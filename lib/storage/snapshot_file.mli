@@ -14,8 +14,14 @@ val write :
   (unit, Seed_util.Seed_error.t) result
 (** [write path ~epoch payload] atomically replaces [path]. *)
 
+type payload = { file : string; pos : int; len : int }
+(** A snapshot's payload in place: the [len] bytes at [pos] of [file],
+    the file's contents as {!read} read them, so an open holds the file
+    once. *)
+
 val read :
-  ?io:Io.t -> string -> ((int * string) option, Seed_util.Seed_error.t) result
+  ?io:Io.t -> string -> ((int * payload) option, Seed_util.Seed_error.t) result
 (** [read path] is [None] when no snapshot exists,
     [Some (epoch, payload)] when an intact one does, and [Corrupt]
-    otherwise. Reads go through [io] so read faults are injectable. *)
+    otherwise. The CRC is checked in place. Reads go through [io] so
+    read faults are injectable. *)

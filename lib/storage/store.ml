@@ -158,7 +158,7 @@ let slot_path dir = function
   | Some k -> generation_path dir k
 
 type resolved = {
-  found : (int option * (int * string)) option;
+  found : (int option * (int * Snapshot_file.payload)) option;
       (* the newest intact snapshot: its slot, epoch and payload *)
   damaged : (int option * Seed_error.t) list;
       (* unreadable files ahead of it, newest first *)
@@ -548,7 +548,7 @@ type fsck_report = {
 let file_status = function
   | Ok None -> Absent
   | Ok (Some (epoch, payload)) ->
-    Intact { epoch; bytes = String.length payload }
+    Intact { epoch; bytes = payload.Snapshot_file.len }
   | Error (Corrupt m) -> Damaged m
   | Error e -> Damaged (Seed_error.to_string e)
 

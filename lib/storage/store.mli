@@ -92,7 +92,7 @@ val open_dir :
   ?sync:sync_policy ->
   ?sleep:(float -> unit) ->
   string ->
-  (t * string option * string list * recovery, Seed_util.Seed_error.t)
+  (t * Snapshot_file.payload option * string list * recovery, Seed_util.Seed_error.t)
   result
 (** [open_dir dir] creates [dir] if needed and returns
     [(store, snapshot_payload, journal_records, recovery)] — everything

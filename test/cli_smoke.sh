@@ -5,14 +5,15 @@
 # export/import/export round trip into a fresh store, fsck, the shell's
 # show/versions/report printing what the subcommands print, shell updates
 # while an old version is selected, the update commands of `connect`
-# against a background `serve`, and a store written in snapshot format 1
-# (test/fixtures/v1_store) opened, appended to and salvaged.
+# against a background `serve`, and stores written in snapshot formats 1
+# and 2 (test/fixtures/v1_store, v2_store) opened, appended to and
+# salvaged.
 #
 # Usage: test/cli_smoke.sh PATH/TO/seed_cli.exe
 set -euo pipefail
 
 seed="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
-fixture="$(cd "$(dirname "$0")" && pwd)/fixtures/v1_store"
+fixtures="$(cd "$(dirname "$0")" && pwd)/fixtures"
 work="$(mktemp -d)"
 serve_pid=""
 # SIGTERM the background server, wait up to 10 s for it to exit, then
@@ -138,19 +139,22 @@ grep -q '^Gamma : InputData' srv.out || fail "reclassify: $(cat srv.out)"
 "$seed" export srv | grep -q '^rel Access (Gamma, Beta)' ||
   fail "link: $("$seed" export srv)"
 
-# a store the previous release wrote (snapshot format 1) prints what
+# a store an earlier release wrote (snapshot format 1 or 2) prints what
 # that release printed, takes appends, and salvage rewrites it as
-# format 2: the payload's first byte, after the 16-byte header, is the
-# zig-zag varint 2
-cp -r "$fixture/db" v1
-chmod -R u+w v1
-"$seed" export v1 | cmp -s - "$fixture/export.txt" || fail "format-1 export differs"
-"$seed" stats v1 | cmp -s - "$fixture/stats.txt" || fail "format-1 stats differ"
-"$seed" fsck v1 | cmp -s - "$fixture/fsck.txt" || fail "format-1 fsck differs"
-"$seed" add v1 Late --class Module >/dev/null
-"$seed" export v1 >v1.before
-"$seed" salvage v1 >/dev/null || fail "salvage of a format-1 store exited $?"
-[ "$(od -An -tu1 -j16 -N1 v1/snapshot.bin | tr -d ' ')" = 4 ] ||
-  fail "salvage did not write format 2"
-"$seed" export v1 | cmp -s - v1.before || fail "salvage changed the export"
-grep -q '^object Late : Module' v1.before || fail "append to a format-1 store lost"
+# format 3: the payload's first byte, after the 16-byte header, is the
+# zig-zag varint 3
+for v in 1 2; do
+  fixture="$fixtures/v${v}_store"
+  cp -r "$fixture/db" "v$v"
+  chmod -R u+w "v$v"
+  "$seed" export "v$v" | cmp -s - "$fixture/export.txt" || fail "format-$v export differs"
+  "$seed" stats "v$v" | cmp -s - "$fixture/stats.txt" || fail "format-$v stats differ"
+  "$seed" fsck "v$v" | cmp -s - "$fixture/fsck.txt" || fail "format-$v fsck differs"
+  "$seed" add "v$v" Late --class Module >/dev/null
+  "$seed" export "v$v" >"v$v.before"
+  "$seed" salvage "v$v" >/dev/null || fail "salvage of a format-$v store exited $?"
+  [ "$(od -An -tu1 -j16 -N1 "v$v/snapshot.bin" | tr -d ' ')" = 6 ] ||
+    fail "salvage of a format-$v store did not write format 3"
+  "$seed" export "v$v" | cmp -s - "v$v.before" || fail "salvage changed the format-$v export"
+  grep -q '^object Late : Module' "v$v.before" || fail "append to a format-$v store lost"
+done

@@ -10,6 +10,10 @@ let err_of = function
   | Ok _ -> Alcotest.fail "expected an error, got Ok"
   | Error e -> e
 
+(* a snapshot's payload bytes, copied out of the file read that holds
+   them *)
+let payload_string (p : Seed_storage.Snapshot_file.payload) = String.sub p.file p.pos p.len
+
 let check_ok what = function
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%s: unexpected error: %s" what (Seed_error.to_string e)

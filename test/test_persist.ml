@@ -510,51 +510,105 @@ let test_decode_rejects_version_cycle () =
   check_err "self-parented version" (function Seed_error.Corrupt _ -> true | _ -> false)
     (Persist.decode_db cyclic)
 
+let uvarint n =
+  let module W = Seed_storage.Codec.Writer in
+  let w = W.create () in
+  W.uvarint w n;
+  W.contents w
+
+(* the last place [part] occurs in [payload] *)
+let find_last payload part =
+  let n = String.length part in
+  let rec last i =
+    if i < 0 then Alcotest.failf "%S not found" part
+    else if String.sub payload i n = part then i
+    else last (i - 1)
+  in
+  last (String.length payload - n)
+
+(* [payload] comes back [Corrupt], without allocating by a decoded
+   number: under 1 MB. The span starts and ends with a minor
+   collection: an automatic one falling inside it makes the minor words
+   read high by up to the minor heap's size. *)
+let refused what payload =
+  let bytes () =
+    Gc.minor ();
+    Gc.allocated_bytes ()
+  in
+  let before = bytes () in
+  check_err what (function Seed_error.Corrupt _ -> true | _ -> false) (Persist.decode_db payload);
+  Alcotest.(check bool)
+    (what ^ ": nothing allocated by a decoded number") true
+    (bytes () -. before < 1e6)
+
 (* A snapshot's item ids ascend from 1 and stay within its meta's id
-   counter, so an id of 0 or below, one near [max_int] and a repeated one
-   are damage: each decodes to [Corrupt], and none makes the open
-   allocate by the id. The payloads are a real one-object snapshot
-   (A is #1, the last record) with its id rewritten, or its record
-   listed twice. *)
+   counter: each is a gap from the id before, so a gap of 0 (a repeated
+   id), a negative one, one past the counter and one that would
+   overflow near [max_int] are damage, each [Corrupt]. The payloads
+   are a real one-object snapshot (A is #1, the last record) with its
+   gap rewritten, or its record listed twice. *)
 let test_decode_rejects_bad_ids () =
   let db = fresh_db () in
   let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
   Alcotest.(check int) "A is #1" 1 (Ident.to_int a);
   let payload = Persist.encode_db db in
-  (* the item count (1) and A's record, which begins with its id (#1 is
-     the varint 0x02), its body (independent, 0x00) and a present
-     object state (0x01 0x00) *)
-  let at =
-    let rec last i =
-      if i < 0 then Alcotest.fail "A's record not found"
-      else if String.sub payload i 5 = "\001\002\000\001\000" then i
-      else last (i - 1)
-    in
-    last (String.length payload - 5)
-  in
+  (* the item count (1) and A's record: its id's gap from 0 (1), its
+     flag word (a dirty named object, 0x44) and its name *)
+  let at = find_last payload "\001\001\068\001A" in
   let head = String.sub payload 0 at in
   let record = String.sub payload (at + 2) (String.length payload - at - 2) in
-  let varint n =
-    let module W = Seed_storage.Codec.Writer in
-    let w = W.create () in
-    W.varint w n;
-    W.contents w
+  let with_gaps gaps =
+    head ^ uvarint (List.length gaps) ^ String.concat "" (List.map (fun g -> uvarint g ^ record) gaps)
   in
-  let with_id n = head ^ "\001" ^ varint n ^ record in
-  check_ok "the unchanged payload decodes" (Result.map ignore (Persist.decode_db (with_id 1)));
-  let refused what payload =
-    let before = Gc.allocated_bytes () in
-    check_err what (function Seed_error.Corrupt _ -> true | _ -> false) (Persist.decode_db payload);
-    Alcotest.(check bool)
-      (what ^ ": nothing allocated by the id") true
-      (Gc.allocated_bytes () -. before < 1e6)
+  check_ok "the unchanged payload decodes" (Result.map ignore (Persist.decode_db (with_gaps [ 1 ])));
+  refused "id gap 0" (with_gaps [ 0 ]);
+  refused "negative gap" (with_gaps [ -7 ]);
+  refused "gap min_int" (with_gaps [ min_int ]);
+  refused "id past the counter" (with_gaps [ 2 ]);
+  refused "gap near max_int" (with_gaps [ max_int - 1 ]);
+  refused "gap max_int" (with_gaps [ max_int ]);
+  refused "repeated id" (with_gaps [ 1; 0 ]);
+  refused "a second gap overflowing" (with_gaps [ 1; max_int ])
+
+(* Format 3's other numbers and flags, on a real snapshot of A (#1) and
+   its Description (#2): a parent gap of 0 (the sub-object its own
+   parent) or reaching below #1, a reserved flag bit, a flag word with
+   its top bit set, the fourth body kind, the eighth value kind, and
+   bits its kind of item may not set are each [Corrupt]. *)
+let test_decode_rejects_bad_flags () =
+  let db = fresh_db () in
+  let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  let d = ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "d") ()) in
+  Alcotest.(check (list int)) "A is #1, its Description #2" [ 1; 2 ] (List.map Ident.to_int [ a; d ]);
+  let payload = Persist.encode_db db in
+  (* the count (2), A's record (gap, flags, name, class number), then
+     the Description's: gap 1, flags 0x0D (a dirty sub-object holding a
+     string), parent gap 1, then role, class and value *)
+  let at = find_last payload "\002\001\068\001A" in
+  let head = String.sub payload 0 (at + 1) in
+  let a_rest = String.sub payload (at + 3) 3 in
+  let d_rec = String.sub payload (at + 6) (String.length payload - at - 6) in
+  Alcotest.(check string) "the Description's gap, flags and parent gap" "\001\013\001"
+    (String.sub d_rec 0 3);
+  let d_tail = String.sub d_rec 3 (String.length d_rec - 3) in
+  let build ?(a_flags = 0x44) ?(d_flags = 0x0D) ?(parent_gap = 1) () =
+    head ^ "\001" ^ uvarint a_flags ^ a_rest ^ "\001" ^ uvarint d_flags ^ uvarint parent_gap ^ d_tail
   in
-  refused "id 0" (with_id 0);
-  refused "negative id" (with_id (-7));
-  refused "id min_int" (with_id min_int);
-  refused "id near max_int" (with_id (max_int - 1));
-  refused "id max_int" (with_id max_int);
-  refused "repeated id" (head ^ "\002" ^ varint 1 ^ record ^ varint 1 ^ record)
+  Alcotest.(check string) "rebuilt as written" payload (build ());
+  check_ok "the payload decodes" (Result.map ignore (Persist.decode_db payload));
+  refused "parent gap 0" (build ~parent_gap:0 ());
+  refused "parent gap reaching #0" (build ~parent_gap:2 ());
+  refused "parent gap reaching below #0" (build ~parent_gap:3 ());
+  refused "parent gap with its top bit" (build ~parent_gap:min_int ());
+  refused "a reserved flag bit" (build ~d_flags:(0x0D lor 0x4000) ());
+  refused "a high reserved flag bit" (build ~a_flags:(0x44 lor (1 lsl 40)) ());
+  refused "a flag word with its top bit" (build ~a_flags:(0x44 lor min_int) ());
+  refused "the fourth body kind" (build ~d_flags:(0x0D lor 0x3) ());
+  refused "the eighth value kind" (build ~d_flags:(0x0D lor 0x38) ());
+  refused "relationship attributes on a sub-object" (build ~d_flags:(0x0D lor 0x800) ());
+  refused "a sub-object's name bit on an object" (build ~a_flags:(0x44 lor 0x2000) ());
+  refused "state bits on an absent state" (build ~a_flags:(0x44 lor 0x80) ());
+  refused "a history flagged with no stamp" (build ~a_flags:(0x44 lor 0x1000) ())
 
 (* The decoders' only exception boundary is [Codec.Reader.run]: every
    truncated prefix and every single-byte flip of a valid payload must
@@ -588,21 +642,89 @@ let never_raises what decode payload =
     cuts;
   List.iter (fun p -> ignore (run p)) flips
 
-let test_decoders_never_raise () =
-  let db = fresh_db () in
+(* A session's store whose items, between them, set every bit of the
+   format-3 flag word: each body kind, dirty and clean items, string,
+   date and enum values, a name and an index, an absent current state,
+   a pattern and its inheritor, deleted items, relationship attributes,
+   histories, and a sub-object's name (set on the raw root: no update
+   gives one). Every item is in some tag-3 record of the journal, over
+   an empty snapshot. Returns the database, the snapshot payload and
+   the journal's records. *)
+let every_flag_store () =
+  let module Item = Seed_core.Item in
+  let dir = tmp_dir () in
+  let s = ok (Persist.Session.open_ ~dir ~schema:(fig3_schema ()) ()) in
+  check_ok "compact" (Persist.Session.compact s);
+  let db = Persist.Session.db s in
+  let sub parent role value = ok (DB.create_sub_object db ~parent ~role ~value ()) in
   let a = ok (DB.create_object db ~cls:"Data" ~name:"A" ()) in
+  let d = sub a "Description" (Value.String "d") in
+  let _ = sub a "Keywords" (Value.String "kw") in
+  let _ = sub a "Revised" (Value.Date { Value.year = 1986; month = 2; day = 5 }) in
   let h = ok (DB.create_object db ~cls:"Action" ~name:"H" ()) in
-  ignore (ok (DB.create_sub_object db ~parent:a ~role:"Description" ~value:(Value.String "d") ()));
-  ignore (ok (DB.create_relationship db ~assoc:"Access" ~endpoints:[ a; h ] ()));
-  ignore (ok (DB.create_version db));
-  ok (DB.reclassify db a ~to_:"InputData");
-  (* what decodes must also be usable: every item's name resolves *)
-  let names db2 =
-    let v = Seed_core.View.current (DB.raw db2) in
-    Seed_core.Db_state.iter_items (DB.raw db2) (fun it ->
-        ignore (Seed_core.View.full_name v it))
+  let _ = sub h "ErrorHandling" (Value.Enum "abort") in
+  let o = ok (DB.create_object db ~cls:"OutputData" ~name:"O" ()) in
+  let w = ok (DB.create_relationship db ~assoc:"Write" ~endpoints:[ o; h ] ()) in
+  ok (DB.set_rel_attr db w "NumberOfWrites" (Some (Value.Int 3)));
+  let p = ok (DB.create_object db ~cls:"Data" ~name:"P" ~pattern:true ()) in
+  let b = ok (DB.create_object db ~cls:"Data" ~name:"B" ()) in
+  check_ok "inherit" (DB.inherit_pattern db ~pattern:p ~inheritor:b);
+  check_ok "flush" (Persist.Session.flush s);
+  let v1 = ok (DB.create_version db) in
+  (* created after 1.0, then absent from its alternative *)
+  let _ = ok (DB.create_object db ~cls:"Data" ~name:"Late" ()) in
+  check_ok "set" (DB.set_value db d (Some (Value.String "d2")));
+  let _ = ok (DB.create_version db) in
+  ok (DB.begin_alternative db ~from_:v1 ~force:true ());
+  check_ok "delete" (DB.delete db o);
+  let st = DB.raw db in
+  (match (Option.get (Seed_core.Db_state.find_item st d)).Item.current with
+  | Item.Obj o -> Seed_core.Db_state.replace_state st d (Item.Obj { o with name = Some "n" })
+  | Item.Rel _ | Item.Absent -> Alcotest.fail "the Description is an object");
+  check_ok "flush" (Persist.Session.flush s);
+  Persist.Session.close s;
+  let store, snapshot, records, _ = ok (Seed_storage.Store.open_dir dir) in
+  Seed_storage.Store.close store;
+  (db, payload_string (Option.get snapshot), records)
+
+(* a tag-3 record's flag word, after its tag and id *)
+let record_flags record =
+  let rec uvarint i shift acc =
+    let c = Char.code record.[i] in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then (acc, i + 1) else uvarint (i + 1) (shift + 7) acc
   in
-  never_raises "snapshot" (fun p -> Result.map names (Persist.decode_db p)) (Persist.encode_db db);
+  let _, after_id = uvarint 1 0 0 in
+  fst (uvarint after_id 0 0)
+
+(* what decodes must also be usable: every item's name resolves *)
+let names db2 =
+  let v = Seed_core.View.current (DB.raw db2) in
+  Seed_core.Db_state.iter_items (DB.raw db2) (fun it -> ignore (Seed_core.View.full_name v it))
+
+(* [records] with its [i]th record replaced by [p] *)
+let replace_nth i p records = List.mapi (fun j r -> if i = j then p else r) records
+
+let test_decoders_never_raise () =
+  let db, snapshot, records = every_flag_store () in
+  let items = List.filter (fun r -> r.[0] = '\003') records in
+  Alcotest.(check int) "every flag bit set by some record" 0x3fff
+    (List.fold_left (fun acc r -> acc lor record_flags r) 0 items);
+  let encoded = Persist.encode_db db in
+  check_ok "the journal reopens equal to memory"
+    (Result.map
+       (fun db2 -> if not (String.equal encoded (Persist.encode_db db2)) then Alcotest.fail "differs")
+       (Persist.decode_db ~records snapshot));
+  never_raises "snapshot" (fun p -> Result.map names (Persist.decode_db p)) encoded;
+  List.iteri
+    (fun i record ->
+      if record.[0] = '\003' then
+        never_raises "tag-3 record"
+          (fun p ->
+            Result.map names
+              (Persist.decode_db ~records:(replace_nth i p records) snapshot))
+          record)
+    records;
   let module W = Seed_net.Wire in
   never_raises "request"
     (fun p -> Result.map ignore (W.decode_request p))
@@ -742,15 +864,24 @@ let test_schema_revisions_roundtrip () =
   Alcotest.(check bool) "old revision kept" true
     (Seed_core.Db_state.schema_at_revision (DB.raw db2) 1 <> None)
 
-(* A store written by the previous release (snapshot format 1, item
-   records that spell their names out), committed with the export, stats
-   and fsck report of the binary that wrote it: a snapshot and a journal
-   holding dirty and clean items, four versions with a branch, and a
-   schema update in the journal. See fixtures/v1_store/README.md. *)
-let fixture = Filename.concat "fixtures" "v1_store"
+(* Stores written by earlier releases, committed with the export, stats
+   and fsck report of the binary that wrote each: a snapshot and a
+   journal holding dirty and clean items, four versions with a branch,
+   and a schema update in the journal. [v1_store] spells names out
+   (snapshot format 1, tag-1 records); [v2_store] numbers them (format
+   2, tag-2 records) and adds a pattern with an inheritor, deleted
+   items, a second indexed sub-object and a deletion in the journal.
+   See each fixture's README.md. They are found from the test binary,
+   not the working directory: beside it once [dune runtest] has copied
+   them there, else in the source tree it was built from
+   ([_build/default/test]). *)
+let fixtures =
+  let here = Filename.dirname Sys.executable_name in
+  List.find Sys.file_exists
+    [ Filename.concat here "fixtures"; List.fold_left Filename.concat here [ ".."; ".."; ".."; "test"; "fixtures" ] ]
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let copy_fixture () =
+let copy_fixture fixture =
   let src = Filename.concat fixture "db" and dir = tmp_dir () in
   Unix.mkdir dir 0o755;
   Array.iter
@@ -765,16 +896,24 @@ let stored_format dir =
   let module R = Seed_storage.Codec.Reader in
   let store, snapshot, records, _ = ok (Seed_storage.Store.open_dir dir) in
   Seed_storage.Store.close store;
-  let version = Option.map (fun p -> ok (R.run (String.sub p 0 1) R.varint)) snapshot in
+  let version =
+    Option.map
+      (fun (p : Seed_storage.Snapshot_file.payload) ->
+        ok (R.run (String.sub p.file p.pos 1) R.varint))
+      snapshot
+  in
   (version, List.map (fun r -> Char.code r.[0]) records)
 
-let test_v1_fixture () =
+(* The fixture of snapshot format [format] (its item records carry tag
+   [format]) prints what its release printed, takes tag-3 appends,
+   reopens equal to memory, and compacts to format 3. *)
+let test_fixture ~format () =
+  let fixture = Filename.concat fixtures (Printf.sprintf "v%d_store" format) in
   let expected f = read_file (Filename.concat fixture f) in
-  let dir = copy_fixture () in
+  let dir = copy_fixture fixture in
   let version, tags = stored_format dir in
-  Alcotest.(check (option int)) "a format-1 snapshot" (Some 1) version;
-  Alcotest.(check bool) "format-1 item records and a meta" true
-    (List.mem 1 tags && List.mem 0 tags && not (List.mem 2 tags));
+  Alcotest.(check (option int)) "the fixture's snapshot format" (Some format) version;
+  Alcotest.(check (list int)) "the fixture's record tags" [ 0; format ] (List.sort_uniq Int.compare tags);
   let report = ok (Seed_storage.Store.fsck dir) in
   Alcotest.(check bool) "fsck healthy" true report.Seed_storage.Store.fsck_healthy;
   Alcotest.(check string) "fsck report" (expected "fsck.txt")
@@ -785,7 +924,7 @@ let test_v1_fixture () =
   Alcotest.(check string) "export" (expected "export.txt") (export db);
   Alcotest.(check string) "stats" (expected "stats.txt")
     (Fmt.str "%a@." DB.pp_stats (DB.stats db));
-  (* the new binary appends numbered records to the format-1 journal *)
+  (* the new binary appends tag-3 records to the old journal *)
   let kernel = Option.get (DB.find_object db "Kernel") in
   let _ =
     ok (DB.create_sub_object db ~parent:kernel ~role:"Description" ~value:(Value.String "core") ())
@@ -802,10 +941,10 @@ let test_v1_fixture () =
   check_ok "flush" (Persist.Session.flush s);
   Persist.Session.close s;
   let version, tags' = stored_format dir in
-  Alcotest.(check (option int)) "snapshot untouched" (Some 1) version;
+  Alcotest.(check (option int)) "snapshot untouched" (Some format) version;
   let appended = List.filteri (fun i _ -> i >= List.length tags) tags' in
-  Alcotest.(check bool) "numbered item records appended" true
-    (List.mem 2 appended && List.for_all (fun t -> t = 0 || t = 2) appended);
+  Alcotest.(check bool) "tag-3 item records appended" true
+    (List.mem 3 appended && List.for_all (fun t -> t = 0 || t = 3) appended);
   let reopened () =
     let s2 = ok (Persist.Session.open_ ~dir ()) in
     let db2 = Persist.Session.db s2 in
@@ -818,10 +957,131 @@ let test_v1_fixture () =
   let s2 = reopened () in
   check_ok "compact" (Persist.Session.compact s2);
   Persist.Session.close s2;
-  Alcotest.(check bool) "compaction writes format 2" true
-    (stored_format dir = (Some 2, []));
+  Alcotest.(check bool) "compaction writes format 3" true
+    (stored_format dir = (Some 3, []));
   let s3 = reopened () in
   Persist.Session.close s3
+
+(* the snapshot payload and the journal records of the fixture of
+   format [format], read from a copy *)
+let fixture_parts format =
+  let dir = copy_fixture (Filename.concat fixtures (Printf.sprintf "v%d_store" format)) in
+  let store, snapshot, records, _ = ok (Seed_storage.Store.open_dir dir) in
+  Seed_storage.Store.close store;
+  (payload_string (Option.get snapshot), records)
+
+let varint n =
+  let module W = Seed_storage.Codec.Writer in
+  let w = W.create () in
+  W.varint w n;
+  W.contents w
+
+(* [s] with its byte at [i] replaced by [c] *)
+let with_byte s i c = String.mapi (fun j x -> if i = j then c else x) s
+
+(* The older formats' decoders are swept as format 3's are: every cut
+   and flip of [v1_store]'s and [v2_store]'s snapshot, and of each item
+   record (tag 1 or 2) of their journals decoded over that snapshot,
+   comes back as a value. *)
+let test_old_never_raise () =
+  List.iter
+    (fun format ->
+      let snapshot, records = fixture_parts format in
+      check_ok "the fixture decodes" (Result.map names (Persist.decode_db ~records snapshot));
+      never_raises
+        (Printf.sprintf "format-%d snapshot" format)
+        (fun p -> Result.map names (Persist.decode_db p))
+        snapshot;
+      List.iteri
+        (fun i record ->
+          if Char.code record.[0] = format then
+            never_raises
+              (Printf.sprintf "tag-%d record" format)
+              (fun p -> Result.map names (Persist.decode_db ~records:(replace_nth i p records) snapshot))
+              record)
+        records)
+    [ 1; 2 ]
+
+(* An older snapshot's item ids ascend from 1 and stay within its
+   meta's id counter, as format 3's do: [v2_store]'s snapshot with the
+   id of its last item (#18, Alarms' (#1) second keyword) rewritten to
+   0, a negative id, [min_int], one past the counter, [max_int] or the
+   id before it is [Corrupt], and allocates nothing by the id. *)
+let test_old_snapshot_ids () =
+  let payload, _ = fixture_parts 2 in
+  let at = find_last payload (varint 18 ^ "\001" ^ varint 1) in
+  let head = String.sub payload 0 at in
+  let rest = String.sub payload (at + 1) (String.length payload - at - 1) in
+  let with_id n = head ^ varint n ^ rest in
+  Alcotest.(check string) "rebuilt as written" payload (with_id 18);
+  check_ok "the snapshot decodes" (Result.map ignore (Persist.decode_db payload));
+  refused "id 0" (with_id 0);
+  refused "negative id" (with_id (-7));
+  refused "id min_int" (with_id min_int);
+  refused "id past the counter" (with_id 19);
+  refused "id near max_int" (with_id (max_int - 1));
+  refused "id max_int" (with_id max_int);
+  refused "the id before it repeated" (with_id 17)
+
+(* An older record pairs any body with any state tag, and holds its
+   references as absolute ids; the decoder takes what format 3 can
+   write: a relationship's state only on a relationship and an object's
+   only on an object or a sub-object, in the current state and in every
+   stamp, and a reference to #1 or above. In [v2_store], a journal
+   record of an object (Kernel, #19) or a relationship (Contained, #23),
+   and the snapshot record of Beacons (#12: no current state, one
+   stamp), with the body byte after the id changed, are each [Corrupt];
+   so are Kernel's Owner (#20) with its parent, and Contained with its
+   first endpoint, rewritten to 0. *)
+let test_old_state_kind () =
+  let snapshot, records = fixture_parts 2 in
+  let corrupt what r = check_err what (function Seed_error.Corrupt _ -> true | _ -> false) r in
+  let last_record prefix =
+    let i =
+      List.length records - 1
+      - Option.get
+          (List.find_index (fun r -> String.starts_with ~prefix r) (List.rev records))
+    in
+    (i, List.nth records i)
+  in
+  check_ok "the journal decodes" (Result.map ignore (Persist.decode_db ~records snapshot));
+  let kernel, r = last_record ("\002" ^ varint 19 ^ "\000\001\000") in
+  corrupt "an object's state on a relationship"
+    (Persist.decode_db ~records:(replace_nth kernel (with_byte r 2 '\002') records) snapshot);
+  let contained, r = last_record ("\002" ^ varint 23 ^ "\002\001\001") in
+  corrupt "a relationship's state on an object"
+    (Persist.decode_db ~records:(replace_nth contained (with_byte r 2 '\000') records) snapshot);
+  (* after the body, the option, the state tag, the association and the
+     endpoint count *)
+  corrupt "an endpoint #0"
+    (Persist.decode_db ~records:(replace_nth contained (with_byte r 7 '\000') records) snapshot);
+  let owner, r = last_record ("\002" ^ varint 20 ^ "\001" ^ varint 19) in
+  corrupt "a parent #0"
+    (Persist.decode_db ~records:(replace_nth owner (with_byte r 3 '\000') records) snapshot);
+  let beacons = find_last snapshot (varint 12 ^ "\000\000") in
+  check_ok "the snapshot decodes" (Result.map ignore (Persist.decode_db snapshot));
+  corrupt "an object's stamp on a relationship"
+    (Persist.decode_db (with_byte snapshot (beacons + 1) '\002'))
+
+(* The older item records hold absolute ids, checked like a format-3
+   record's: a tag-2 record of [v2_store]'s journal with its id
+   rewritten to 0, -1 or [max_int] ([Item.none]'s) is [Corrupt]. *)
+let test_old_record_ids () =
+  let snapshot, records = fixture_parts 2 in
+  check_ok "the journal decodes" (Result.map ignore (Persist.decode_db ~records snapshot));
+  (* the last tag-2 record: its tag, its id as a one-byte varint, the rest *)
+  let i = List.length records - 1 - Option.get (List.find_index (fun r -> r.[0] = '\002') (List.rev records)) in
+  let record = List.nth records i in
+  Alcotest.(check bool) "a one-byte id" true (Char.code record.[1] < 0x80);
+  let with_id n =
+    replace_nth i ("\002" ^ varint n ^ String.sub record 2 (String.length record - 2)) records
+  in
+  List.iter
+    (fun n ->
+      check_err (Printf.sprintf "id %d" n)
+        (function Seed_error.Corrupt _ -> true | _ -> false)
+        (Persist.decode_db ~records:(with_id n) snapshot))
+    [ 0; -1; max_int ]
 
 (* One flush holds a schema update that adds a class and a create of
    that class: its item records number the class in the table the
@@ -894,7 +1154,7 @@ let test_schema_update_frame_crash_sweep () =
    group-commit leader may land them as one batch. The four are equal
    and a frame in a batch is the same bytes as one written alone, so the
    file is the same whatever the threads' interleaving. *)
-let journal_digest = "04fc39ee3d57f928bb632b6d4d08c6bc"
+let journal_digest = "c10b55f43a0e96e7d18a1e18dae12adf"
 
 let test_journal_bytes_pinned () =
   let dir = tmp_dir () in
@@ -936,6 +1196,7 @@ let () =
           tc "garbage rejected" test_decode_rejects_garbage;
           tc "version cycle rejected" test_decode_rejects_version_cycle;
           tc "bad item ids rejected" test_decode_rejects_bad_ids;
+          tc "bad format-3 flags and gaps rejected" test_decode_rejects_bad_flags;
           tc "decoders never raise" test_decoders_never_raise;
           tc "reopen equals memory over a journal" (test_reopen_equals_memory ~compaction:`Midway);
           tc "reopen equals memory, journal alone" (test_reopen_equals_memory ~compaction:`Never);
@@ -954,7 +1215,12 @@ let () =
         ] );
       ( "format",
         [
-          tc "a format-1 store opens, takes appends, compacts to 2" test_v1_fixture;
+          tc "a format-1 store opens, takes appends, compacts to 3" (test_fixture ~format:1);
+          tc "a format-2 store opens, takes appends, compacts to 3" (test_fixture ~format:2);
+          tc "older record ids out of range rejected" test_old_record_ids;
+          tc "older snapshot item ids rejected" test_old_snapshot_ids;
+          tc "older state kinds and references checked" test_old_state_kind;
+          tc "older decoders never raise" test_old_never_raise;
           tc "schema update and its class in one frame" test_schema_update_frame_crash_sweep;
         ] );
       ( "meta",

@@ -83,7 +83,9 @@ let test_crash_point_sweep () =
     let from_snap =
       match snap with
       | None -> []
-      | Some s -> List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+      | Some p ->
+        List.filter (fun l -> l <> "")
+          (String.split_on_char '\n' (payload_string p))
     in
     (from_snap @ records, report)
   in

@@ -366,15 +366,19 @@ let test_flipped_record_quarantines_txn () =
 (* ------------------------------------------------------------------ *)
 
 let snap_pair = Alcotest.(option (pair int string))
+let snap_string = Option.map payload_string
+
+let read_snap path =
+  Option.map (fun (epoch, p) -> (epoch, payload_string p)) (ok (Snapshot_file.read path))
 
 let test_snapshot_roundtrip () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "s.bin" in
-  Alcotest.check snap_pair "missing" None (ok (Snapshot_file.read path));
+  Alcotest.check snap_pair "missing" None (read_snap path);
   check_ok "write" (Snapshot_file.write path ~epoch:1 "payload");
-  Alcotest.check snap_pair "read" (Some (1, "payload")) (ok (Snapshot_file.read path));
+  Alcotest.check snap_pair "read" (Some (1, "payload")) (read_snap path);
   check_ok "overwrite" (Snapshot_file.write path ~epoch:2 "payload2");
-  Alcotest.check snap_pair "read2" (Some (2, "payload2")) (ok (Snapshot_file.read path));
+  Alcotest.check snap_pair "read2" (Some (2, "payload2")) (read_snap path);
   Alcotest.(check bool) "no tmp left" false (Sys.file_exists (path ^ ".tmp"))
 
 let test_snapshot_corrupt () =
@@ -396,7 +400,7 @@ let test_snapshot_corrupt () =
 let test_store_lifecycle () =
   let dir = tmp_dir () in
   let store, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "fresh snapshot" None snap;
+  Alcotest.(check (option string)) "fresh snapshot" None (snap_string snap);
   Alcotest.(check (list string)) "fresh journal" [] records;
   Alcotest.(check bool) "clean recovery" true (Store.recovery_clean report);
   Alcotest.(check int) "fresh epoch" 0 (Store.epoch store);
@@ -405,7 +409,7 @@ let test_store_lifecycle () =
   Alcotest.(check int) "journal size" 2 (Store.journal_size store);
   Store.close store;
   let store, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "still no snapshot" None snap;
+  Alcotest.(check (option string)) "still no snapshot" None (snap_string snap);
   Alcotest.(check (list string)) "recovered" [ "r1"; "r2" ] records;
   Alcotest.(check int) "replayed count" 2 report.Store.records_replayed;
   check_ok "compact" (Store.compact store ~snapshot:"SNAP");
@@ -414,7 +418,7 @@ let test_store_lifecycle () =
   check_ok "r3" (Store.append store [ "r3" ]);
   Store.close store;
   let store, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "snapshot" (Some "SNAP") snap;
+  Alcotest.(check (option string)) "snapshot" (Some "SNAP") (snap_string snap);
   Alcotest.(check (list string)) "tail" [ "r3" ] records;
   Alcotest.(check bool) "clean after compact" true (Store.recovery_clean report);
   Alcotest.(check bool) "nothing to retire into generation 1" false
@@ -475,7 +479,7 @@ let test_stale_journal_skipped () =
     (Snapshot_file.write (Filename.concat dir "snapshot.bin") ~epoch:1
        "SNAP-r1-r2");
   let store, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "snapshot" (Some "SNAP-r1-r2") snap;
+  Alcotest.(check (option string)) "snapshot" (Some "SNAP-r1-r2") (snap_string snap);
   Alcotest.(check (list string)) "stale records skipped" [] records;
   Alcotest.(check bool) "flagged" true report.Store.stale_journal;
   Alcotest.(check bool) "bytes counted" true (report.Store.bytes_dropped > 0);
@@ -560,7 +564,7 @@ let test_rename_failure_during_snapshot_write () =
   check_ok "r2" (Store.append store [ "r2" ]);
   Store.close store;
   let store, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "still journal-only" None snap;
+  Alcotest.(check (option string)) "still journal-only" None (snap_string snap);
   Alcotest.(check (list string)) "nothing lost" [ "r1"; "r2" ] records;
   Alcotest.(check bool) "clean" true (Store.recovery_clean report);
   check_ok "compact" (Store.compact store ~snapshot:"SNAP");
@@ -575,13 +579,13 @@ let test_rename_failure_during_snapshot_write () =
     (function Seed_util.Seed_error.Io_error _ -> true | _ -> false)
     (Store.compact store ~snapshot:"SNAP2");
   Alcotest.check snap_pair "retired snapshot restored" (Some (1, "SNAP"))
-    (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin")));
+    (read_snap (Filename.concat dir "snapshot.bin"));
   Alcotest.(check bool) "generation 1 empty again" false
     (Sys.file_exists (Filename.concat dir "snapshot.bin.1"));
   check_ok "r4" (Store.append store [ "r4" ]);
   Store.close store;
   let _, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "pre-compaction snapshot" (Some "SNAP") snap;
+  Alcotest.(check (option string)) "pre-compaction snapshot" (Some "SNAP") (snap_string snap);
   Alcotest.(check (list string)) "journal kept" [ "r3"; "r4" ] records;
   Alcotest.(check bool) "clean again" true (Store.recovery_clean report)
 
@@ -650,7 +654,7 @@ let test_crash_during_snapshot_tmp_write () =
    with Faulty_io.Crash _ -> ());
   Alcotest.(check bool) "crashed" true (Faulty_io.crashed f);
   let _, snap, records, _ = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "old snapshot intact" (Some "SNAP1") snap;
+  Alcotest.(check (option string)) "old snapshot intact" (Some "SNAP1") (snap_string snap);
   Alcotest.(check (list string)) "journal intact" [ "r2" ] records
 
 (* ------------------------------------------------------------------ *)
@@ -691,7 +695,7 @@ let test_fsck_torn_tail () =
   Alcotest.(check bool) "repaired" true r.Store.fsck_healthy;
   Alcotest.(check bool) "actions reported" true (r.Store.fsck_repairs <> []);
   let _, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "snapshot kept" (Some "SNAP") snap;
+  Alcotest.(check (option string)) "snapshot kept" (Some "SNAP") (snap_string snap);
   Alcotest.(check (list string)) "tail dropped" [] records;
   Alcotest.(check bool) "clean open" true (Store.recovery_clean report)
 
@@ -715,7 +719,7 @@ let test_fsck_corrupt_snapshot_with_fallback () =
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "repaired" true r.Store.fsck_healthy;
   let _, snap_payload, records, _ = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "fallback data" (Some "SNAP") snap_payload;
+  Alcotest.(check (option string)) "fallback data" (Some "SNAP") (snap_string snap_payload);
   Alcotest.(check (list string)) "journal matches fallback epoch" [ "r2" ] records
 
 let test_fsck_corrupt_snapshot_no_fallback () =
@@ -737,7 +741,7 @@ let test_fsck_corrupt_snapshot_no_fallback () =
   Alcotest.(check bool) "quarantine kept" true
     (Sys.file_exists (Filename.concat dir "snapshot.bin.corrupt"));
   let _, snap_payload, records, _ = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "empty" None snap_payload;
+  Alcotest.(check (option string)) "empty" None (snap_string snap_payload);
   Alcotest.(check (list string)) "no records" [] records
 
 let test_fsck_leftover_tmp_and_fallback () =
@@ -872,7 +876,7 @@ let test_generation_rotation_on_compact () =
   let dir = generations_dir () in
   Alcotest.check snap_pair "generation 1 holds the previous snapshot"
     (Some (1, "S1"))
-    (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin.1")));
+    (read_snap (Filename.concat dir "snapshot.bin.1"));
   Alcotest.(check bool) "the first compact retired nothing" false
     (Sys.file_exists (Filename.concat dir "snapshot.bin.2"));
   (* with snapshot.bin intact, open reads it and the journal, never a
@@ -885,9 +889,9 @@ let test_generation_rotation_on_compact () =
   check_ok "compact3" (Store.compact store ~snapshot:"S3");
   Store.close store;
   Alcotest.check snap_pair "slot 1 rotated" (Some (2, "S2"))
-    (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin.1")));
+    (read_snap (Filename.concat dir "snapshot.bin.1"));
   Alcotest.check snap_pair "slot 2 rotated" (Some (1, "S1"))
-    (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin.2")));
+    (read_snap (Filename.concat dir "snapshot.bin.2"));
   (* two generations are kept: a fourth compact drops S1 for good *)
   let store, _, _, _ = ok (Store.open_dir dir) in
   check_ok "compact4" (Store.compact store ~snapshot:"S4");
@@ -902,7 +906,7 @@ let test_generation_fallback_on_open () =
   let dir = generations_dir () in
   corrupt_file (Filename.concat dir "snapshot.bin");
   let store, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "generation data" (Some "S1") snap;
+  Alcotest.(check (option string)) "generation data" (Some "S1") (snap_string snap);
   Alcotest.(check (list string)) "ahead records dropped" [] records;
   Alcotest.(check (option int)) "generation flagged" (Some 1)
     report.Store.snapshot_generation;
@@ -915,7 +919,7 @@ let test_generation_fallback_on_open () =
   check_ok "append" (Store.append store [ "d" ]);
   Store.close store;
   let _, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "promoted" (Some "S1") snap;
+  Alcotest.(check (option string)) "promoted" (Some "S1") (snap_string snap);
   Alcotest.(check (list string)) "new records" [ "d" ] records;
   Alcotest.(check bool) "second open clean" true (Store.recovery_clean report)
 
@@ -932,7 +936,7 @@ let test_fsck_promotes_generation () =
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "healthy after repair" true r.Store.fsck_healthy;
   let _, snap, _, _ = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "generation promoted" (Some "S1") snap
+  Alcotest.(check (option string)) "generation promoted" (Some "S1") (snap_string snap)
 
 let test_transient_reads_absorbed () =
   (* EINTR-class read faults on open are retried away: the recovery is
@@ -940,7 +944,7 @@ let test_transient_reads_absorbed () =
   let dir = populated_dir () in
   let f = Faulty_io.create ~transient_reads:2 () in
   let store, snap, records, report = ok (Store.open_dir ~io:(Faulty_io.io f) dir) in
-  Alcotest.(check (option string)) "snapshot read" (Some "SNAP") snap;
+  Alcotest.(check (option string)) "snapshot read" (Some "SNAP") (snap_string snap);
   Alcotest.(check (list string)) "journal read" [ "r2" ] records;
   Alcotest.(check bool) "clean" true (Store.recovery_clean report);
   Alcotest.(check bool) "retries counted" true (report.Store.io_retries >= 2);
@@ -953,7 +957,7 @@ let test_flip_read_double_checked () =
   let dir = populated_dir () in
   let f = Faulty_io.create ~flip_read:1 () in
   let _, snap, records, report = ok (Store.open_dir ~io:(Faulty_io.io f) dir) in
-  Alcotest.(check (option string)) "snapshot" (Some "SNAP") snap;
+  Alcotest.(check (option string)) "snapshot" (Some "SNAP") (snap_string snap);
   Alcotest.(check (list string)) "no data lost" [ "r2" ] records;
   Alcotest.(check (list pass)) "nothing quarantined" []
     report.Store.quarantined;
@@ -997,7 +1001,7 @@ let test_lie_fsync_keeps_schedule () =
     check_ok "b" (Store.append store [ "b" ]);
     Store.close store;
     let _, snap, records, _ = ok (Store.open_dir dir) in
-    Alcotest.(check (option string)) "snapshot" (Some "S") snap;
+    Alcotest.(check (option string)) "snapshot" (Some "S") (snap_string snap);
     Alcotest.(check (list string)) "records" [ "b" ] records;
     Faulty_io.steps f
   in
@@ -1043,7 +1047,7 @@ let test_salvage_sweep () =
          not share a transaction group with the damaged frame *)
       let _ = ok (Store.fsck ~repair:true dir) in
       let _, snap, records, report = ok (Store.open_dir dir) in
-      Alcotest.(check (option string)) (name ^ ": snapshot") (Some "BASE") snap;
+      Alcotest.(check (option string)) (name ^ ": snapshot") (Some "BASE") (snap_string snap);
       Alcotest.(check bool) (name ^ ": clean after repair") true
         (Store.recovery_clean report);
       let survived r = List.mem r records in
@@ -1065,7 +1069,7 @@ let test_salvage_sweep () =
   corrupt_file (Filename.concat dir "snapshot.bin.1");
   let _ = ok (Store.fsck ~repair:true dir) in
   let _, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "primary wins" (Some "S2") snap;
+  Alcotest.(check (option string)) "primary wins" (Some "S2") (snap_string snap);
   Alcotest.(check (list string)) "journal intact" [ "c" ] records;
   Alcotest.(check bool) "clean" true (Store.recovery_clean report)
 
@@ -1132,7 +1136,8 @@ let test_open_fsck_parity () =
     Store.close s;
     let s, snap2, records2, second = ok (Store.open_dir dir) in
     Store.close s;
-    Alcotest.(check (option string)) "second open: same snapshot" snap snap2;
+    let snap = snap_string snap in
+    Alcotest.(check (option string)) "second open: same snapshot" snap (snap_string snap2);
     Alcotest.(check (list string)) "second open: same records" records records2;
     (snap, records, second)
   in
