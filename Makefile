@@ -22,9 +22,14 @@ loc:
 # exports of lib/**/*.mli with no caller outside their own module
 # ("(test only)" when only test/ calls them), except the deliberate ones
 # test/unused_exports.allow lists with their reasons: exits 1 on any
-# other. Matching is by word, so a name two modules share hides both.
+# other. Callers are matched by the uid the compiler resolved, read from
+# the .cmti and .cmt files `dune build @check` writes; the checker's own
+# fixture (test/unused/fixture) runs first.
 unused:
-	@bash test/unused_exports.sh
+	@dune build @check ./test/unused_exports.allow \
+	  ./test/unused/unused_exports.exe @test/unused/runtest
+	@./_build/default/test/unused/unused_exports.exe _build/default \
+	  bin bench perfbench examples
 
 fmt:
 	@if command -v ocamlformat >/dev/null 2>&1; then \

@@ -407,13 +407,5 @@ module Full_copy = struct
     let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.objects [] in
     Marshal.to_string (bindings, t.rels) []
 
-  let restore t snap =
-    let bindings, rels =
-      (Marshal.from_string snap 0 : (string * obj) list * rel list)
-    in
-    Hashtbl.reset t.objects;
-    List.iter (fun (k, v) -> Hashtbl.replace t.objects k v) bindings;
-    t.rels <- rels
-
   let size_bytes snap = String.length snap
 end

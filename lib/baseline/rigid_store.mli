@@ -67,6 +67,5 @@ module Full_copy : sig
       (Tichy [13]): space grows with database size, not delta size. *)
 
   val take : t -> snapshot
-  val restore : t -> snapshot -> unit
   val size_bytes : snapshot -> int
 end

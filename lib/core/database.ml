@@ -34,7 +34,6 @@ let register_procedure db name p = Db_state.register_procedure db name p
 (* a step might still undo.                                             *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot db = Db_state.freeze db
 let snapshot_view db = View.current (Db_state.freeze db)
 
 (* A transaction, a version or a schema operation starts only between
@@ -349,8 +348,6 @@ let uninherit_pattern db ~pattern ~inheritor =
 (* Versions                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let current_base (db : t) = Db_state.current_base db
-
 let is_dirty db = not (Ident.Set.is_empty (Db_state.dirty db))
 
 (* Transition rules run inside the step: an update a rule makes is
@@ -432,7 +429,6 @@ let delete_version db vid =
 let versions db = Versioning.all (Db_state.versions db)
 
 let set_text_index_enabled db on = Db_state.set_text_index_enabled db on
-let version_cache_stats db = Db_state.version_cache_stats db
 
 let add_transition_rule db name rule =
   Db_state.set_transition_rules db
@@ -493,11 +489,6 @@ let get_value db id =
   | Item.Obj o -> o.value
   | Item.Rel _ | Item.Absent -> None
 
-let exists db id =
-  match Db_state.find_item db id with
-  | Some it -> View.live (view db) it
-  | None -> false
-
 let children db id =
   let v = view db in
   View.children v id |> List.map (fun (it : Item.t) -> it.Item.id)
@@ -512,10 +503,6 @@ let endpoints db id =
   match View.state_of_id (view db) id with
   | Item.Rel r -> r.endpoints
   | Item.Obj _ | Item.Absent -> []
-
-let inheritors db id =
-  let v = view db in
-  View.inheritors_of v id |> List.map (fun (it : Item.t) -> it.Item.id)
 
 let object_count db = Db_state.live_object_count (View.extents (view db))
 

@@ -47,11 +47,9 @@ val view_at : t -> Version_id.t -> (View.t, Seed_error.t) result
     transaction or a half-applied operation) and are safe to read from
     other domains concurrently with the writer. *)
 
-val snapshot : t -> Db_state.t
-(** A frozen handle pinned to the latest committed state. *)
-
 val snapshot_view : t -> View.t
-(** [View.current (snapshot db)] — the usual entry point for readers. *)
+(** A view of a frozen handle pinned to the latest committed state
+    ({!Db_state.freeze}): the usual entry point for readers. *)
 
 (** {1 Transactions}
 
@@ -185,9 +183,6 @@ val select_version : t -> Version_id.t option -> (unit, Seed_error.t) result
 (** Choose the version retrieval operations read from; [None] restores
     the current version. *)
 
-val current_base : t -> Version_id.t option
-(** The saved version the current state derives from. *)
-
 val is_dirty : t -> bool
 (** Items changed since the last snapshot exist. *)
 
@@ -208,10 +203,6 @@ val delete_version : t -> Version_id.t -> (unit, Seed_error.t) result
 
 val versions : t -> Versioning.node list
 (** All saved versions in creation order. *)
-
-val version_cache_stats : t -> Db_state.version_cache_stats
-(** Counters of the handle's cache of materialized version views (the
-    8 most recently used; see {!Db_state.version_extent}). *)
 
 val set_text_index_enabled : t -> bool -> unit
 (** Enable or disable the trigram text index behind [Query.contains]
@@ -248,7 +239,6 @@ val full_name : t -> Ident.t -> string option
 val class_of : t -> Ident.t -> string option
 val assoc_of : t -> Ident.t -> string option
 val get_value : t -> Ident.t -> Value.t option
-val exists : t -> Ident.t -> bool
 
 val children : t -> Ident.t -> Ident.t list
 (** Live sub-objects in the retrieval view, inherited ones excluded
@@ -258,8 +248,6 @@ val relationships : t -> Ident.t -> Ident.t list
 (** Live relationships (normal, real) of an object. *)
 
 val endpoints : t -> Ident.t -> Ident.t list
-
-val inheritors : t -> Ident.t -> Ident.t list
 
 val object_count : t -> int
 (** Live normal independent objects in the retrieval view. *)
@@ -286,7 +274,7 @@ type stats = {
           ({!Query.explain} counts none) *)
   st_text_fallbacks : int;
       (** text predicates of executed queries that had to scan *)
-  st_snapshots : int;  (** snapshot roots grabbed via {!snapshot} *)
+  st_snapshots : int;  (** snapshot roots grabbed via {!Db_state.freeze} *)
   st_commits : int;  (** roots published (op and transaction commits) *)
   st_durable : bool;  (** a durable session's store is attached *)
   st_txns_submitted : int;

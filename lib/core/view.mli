@@ -76,11 +76,6 @@ val find_object : t -> string -> Item.t option
 val children : t -> Ident.t -> Item.t list
 (** Live sub-objects, in creation order. *)
 
-val child : t -> Ident.t -> role:string -> ?index:int -> unit -> Item.t option
-(** The live sub-object with this role and exactly this index: without
-    [index], only an unindexed (single-valued) one — the inverse of the
-    component {!full_name} prints. *)
-
 val rels : t -> Ident.t -> Item.t list
 (** Live relationships the object takes part in. *)
 
@@ -100,8 +95,10 @@ val full_name : t -> Item.t -> string option
 
 val resolve_name : t -> string -> Item.t option
 (** Inverse of {!full_name}: finds an object or sub-object by composed
-    name, each component matched by {!child} (a multi-valued role needs
-    its index). Does not traverse pattern inheritance. *)
+    name, each component matching the live sub-object with its role and
+    exactly its index (a multi-valued role needs its index, and a
+    component without one names only a single-valued sub-object). Does
+    not traverse pattern inheritance. *)
 
 val class_path_of : t -> Item.t -> string option
 (** The class (independent) or class path (dependent) of an object. *)
@@ -132,7 +129,8 @@ val children_v : t -> vitem -> vitem list
     operation. *)
 
 val child_v : t -> vitem -> role:string -> ?index:int -> unit -> vitem option
-(** {!child} over {!children_v}: the same component match. *)
+(** The child of {!children_v} with this role and exactly this index:
+    the component match of {!resolve_name}. *)
 
 val iter_children_v : t -> vitem -> (Item.t -> unit) -> unit
 (** Applies the function to the items of {!children_v}, in its order,

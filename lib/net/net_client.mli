@@ -39,9 +39,6 @@ type config = {
   retry_policy : Retry.policy;  (** backoff shape for reconnects *)
 }
 
-val default_config : client:string -> config
-(** 2s request timeout, 10s retry window, {!Retry.default_policy}. *)
-
 type t
 
 val create :
@@ -53,8 +50,9 @@ val create :
   unit ->
   t
 (** A client over an arbitrary transport factory. Nothing is dialled
-    until the first request. [now]/[sleep] are injectable for
-    deterministic tests. *)
+    until the first request. [config] defaults to a 2s request timeout,
+    a 10s retry window and {!Retry.default_policy}. [now]/[sleep] are
+    injectable for deterministic tests. *)
 
 val connect_tcp :
   ?config:config -> client:string -> host:string -> port:int -> unit -> t

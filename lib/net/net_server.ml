@@ -420,8 +420,6 @@ let drain t =
   t.is_draining <- true;
   Mutex.unlock t.m
 
-let draining t = t.is_draining
-
 let stats t =
   Mutex.lock t.m;
   Fun.protect

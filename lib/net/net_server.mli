@@ -34,17 +34,15 @@
     byte stream that lost sync is untrustworthy); the session survives
     for the lease window. Admission control sheds load instead of
     queueing it: too many sessions, or more than 128 requests in
-    flight, get [Busy] — never a hang. {!drain} makes the server finish what it is
-    executing and answer everything newly arriving with the retryable
-    [Draining]. No client input may crash the server: [on_frame]
+    flight, get [Busy] — never a hang. {!shutdown} makes the server
+    finish what it is executing and answer everything newly arriving
+    with the retryable [Draining]. No client input may crash the server: [on_frame]
     converts engine exceptions into [Server_error] responses. *)
 
 type config = {
   max_sessions : int;  (** admission cap on live sessions (default 64) *)
   session_ttl : float;  (** session lease seconds; reaping frees its locks *)
 }
-
-val default_config : config
 
 type t
 
@@ -54,8 +52,9 @@ val create :
   ?sleep:(float -> unit) ->
   Seed_server.Server.t ->
   t
-(** A server core over an engine. [now] is the clock of session leases
-    and blocking-checkout deadlines, [sleep] the wait between checkout
+(** A server core over an engine; [config] defaults to 64 sessions and
+    a 30 s lease. [now] is the clock of session leases and
+    blocking-checkout deadlines, [sleep] the wait between checkout
     attempts (the engine mutex is released around it); both default to
     the wall clock and are injectable for tests. *)
 
@@ -91,15 +90,8 @@ val reap : t -> (string * string list) list
 (** Reap every session whose lease has run out and that has no request
     executing; returns [(client, freed locks)] for each. Called
     internally on every frame, where it looks at the sessions only once
-    the earliest lease can have run out; exposed for idle servers and
-    tests. *)
-
-val drain : t -> unit
-(** Stop executing new requests: everything arriving from now on is
-    answered [Draining] (retryable); requests already executing finish
-    normally. *)
-
-val draining : t -> bool
+    the earliest lease can have run out, and by {!serve}'s reaper thread
+    when the server is idle. *)
 
 val stats : t -> Wire.server_stats
 
@@ -120,7 +112,9 @@ val serve :
 val port : listener -> int
 
 val shutdown : ?grace:float -> listener -> unit
-(** Graceful drain: stop accepting, {!drain} the core, let in-flight
-    requests finish, keep answering [Draining] for [grace] seconds
-    (default 0.2) so queued clients get a retryable error instead of a
-    reset, then close every connection and join the threads. *)
+(** Graceful drain: stop accepting, drain the core (everything arriving
+    from now on, through any connection, is answered [Draining]), let
+    in-flight requests finish, keep answering [Draining] for [grace]
+    seconds (default 0.2) so queued clients get a retryable error
+    instead of a reset, then close every connection and join the
+    threads. *)

@@ -1,5 +1,3 @@
-open Seed_util
-
 type t = { min : int; max : int option }
 
 let make min max =
@@ -26,18 +24,3 @@ let to_string c =
   | Some m -> Printf.sprintf "%d..%d" c.min m
 
 let pp ppf c = Fmt.string ppf (to_string c)
-
-let of_string s =
-  let fail () = Seed_error.fail (Seed_error.Invalid_cardinality s) in
-  match String.index_opt s '.' with
-  | Some i when i + 1 < String.length s && s.[i + 1] = '.' ->
-    let lo = String.sub s 0 i in
-    let hi = String.sub s (i + 2) (String.length s - i - 2) in
-    (match (int_of_string_opt lo, hi) with
-    | Some lo, "*" when lo >= 0 -> Ok (make lo None)
-    | Some lo, hi -> (
-      match int_of_string_opt hi with
-      | Some hi when lo >= 0 && hi >= lo -> Ok (make lo (Some hi))
-      | Some _ | None -> fail ())
-    | None, _ -> fail ())
-  | Some _ | None -> fail ()

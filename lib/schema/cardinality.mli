@@ -44,6 +44,3 @@ val to_string : t -> string
 (** Renders as ["0..16"], ["1..*"], ... *)
 
 val pp : Format.formatter -> t -> unit
-
-val of_string : string -> (t, Seed_util.Seed_error.t) result
-(** Parses the ["lo..hi"] / ["lo..*"] syntax. *)

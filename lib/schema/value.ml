@@ -10,34 +10,6 @@ type t =
   | Date of date
   | Enum of string
 
-let equal a b =
-  match (a, b) with
-  | String x, String y -> String.equal x y
-  | Int x, Int y -> Int.equal x y
-  | Float x, Float y -> Float.equal x y
-  | Bool x, Bool y -> Bool.equal x y
-  | Date x, Date y -> x = y
-  | Enum x, Enum y -> String.equal x y
-  | (String _ | Int _ | Float _ | Bool _ | Date _ | Enum _), _ -> false
-
-let compare a b =
-  let rank = function
-    | String _ -> 0
-    | Int _ -> 1
-    | Float _ -> 2
-    | Bool _ -> 3
-    | Date _ -> 4
-    | Enum _ -> 5
-  in
-  match (a, b) with
-  | String x, String y -> String.compare x y
-  | Int x, Int y -> Int.compare x y
-  | Float x, Float y -> Float.compare x y
-  | Bool x, Bool y -> Bool.compare x y
-  | Date x, Date y -> Stdlib.compare x y
-  | Enum x, Enum y -> String.compare x y
-  | _ -> Int.compare (rank a) (rank b)
-
 let to_string = function
   | String s -> Printf.sprintf "%S" s
   | Int i -> string_of_int i

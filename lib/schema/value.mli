@@ -10,8 +10,6 @@ type t =
   | Date of date
   | Enum of string  (** one constant of an [Enum] value type *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_string : t -> string
 
 val date : int -> int -> int -> t

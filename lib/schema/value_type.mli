@@ -19,6 +19,3 @@ val equal : t -> t -> bool
 
 val to_string : t -> string
 (** Upper-case schema rendering: [STRING], [INT], [ENUM(a,b)] ... *)
-
-val of_string : string -> (t, Seed_util.Seed_error.t) result
-(** Parses the {!to_string} rendering. *)

@@ -59,9 +59,6 @@ val stats : t -> stats
 (** Occupancy snapshot for monitoring — are locks piling up? is
     anything wedged waiting? *)
 
-val holder : t -> string -> string option
-(** The holder of a name ([None] if free). *)
-
 val held_by : t -> client:string -> string list
 (** Names this client currently locks, sorted. *)
 

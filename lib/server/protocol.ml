@@ -145,27 +145,3 @@ let apply db op =
     let* p = find_name db pattern in
     let* i = find_name db inheritor in
     on i (Database.inherit_pattern db ~pattern:p ~inheritor:i)
-
-let pp ppf = function
-  | Create_object { cls; name; pattern } ->
-    Fmt.pf ppf "create %s%s : %s" name (if pattern then " (pattern)" else "") cls
-  | Create_sub { owner; role; index; _ } ->
-    Fmt.pf ppf "create sub %s.%s%s" owner role
-      (match index with Some i -> Printf.sprintf "[%d]" i | None -> "")
-  | Create_rel { assoc; endpoints; pattern } ->
-    Fmt.pf ppf "create rel %s(%s)%s" assoc
-      (String.concat ", " endpoints)
-      (if pattern then " (pattern)" else "")
-  | Set_value { path; value } ->
-    Fmt.pf ppf "set %s = %s" path
-      (match value with Some v -> Value.to_string v | None -> "(undefined)")
-  | Set_text { path; text } -> Fmt.pf ppf "set %s = %S" path text
-  | Rename { name; new_name } -> Fmt.pf ppf "rename %s -> %s" name new_name
-  | Reclassify_obj { name; to_ } -> Fmt.pf ppf "reclassify %s as %s" name to_
-  | Reclassify_rel { assoc; endpoints; to_ } ->
-    Fmt.pf ppf "reclassify %s(%s) as %s" assoc
-      (String.concat ", " endpoints)
-      to_
-  | Delete { path } -> Fmt.pf ppf "delete %s" path
-  | Inherit { pattern; inheritor } ->
-    Fmt.pf ppf "%s inherits %s" inheritor pattern

@@ -65,5 +65,3 @@ val apply :
     selected for retrieval: updates always apply to the current version.
     A failing operation changes nothing; a batch is atomic only inside
     a transaction, as [Server.checkin] runs it. *)
-
-val pp : Format.formatter -> op -> unit

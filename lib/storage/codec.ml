@@ -5,7 +5,6 @@ module Writer = struct
 
   let create () = Buffer.create 256
   let contents = Buffer.contents
-  let length = Buffer.length
 
   let u8 b n =
     if n < 0 || n > 255 then invalid_arg "Codec.Writer.u8";

@@ -13,7 +13,6 @@ module Writer : sig
 
   val create : unit -> t
   val contents : t -> string
-  val length : t -> int
 
   val u8 : t -> int -> unit
   (** One byte; raises [Invalid_argument] outside [0..255]. *)

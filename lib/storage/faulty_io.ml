@@ -51,7 +51,6 @@ let create ?(base = Io.real) ?crash_at ?(torn = false) ?fail_fsync ?fail_rename
 
 let steps t = t.step
 let reads t = t.read_count
-let crashed t = t.crashed
 
 (* Checks the crash schedule for the operation about to run. [partial]
    is run before dying when the fault is a torn write. *)

@@ -71,5 +71,3 @@ val steps : t -> int
 
 val reads : t -> int
 (** Whole-file reads attempted so far (separate from {!steps}). *)
-
-val crashed : t -> bool

@@ -517,7 +517,6 @@ let compact t ~snapshot = quiesced t (fun () -> compact_quiesced t ~snapshot)
 
 let journal_size t = t.log.records
 
-let epoch (t : t) = t.epoch
 let close t = close_journal t
 
 (* ------------------------------------------------------------------ *)

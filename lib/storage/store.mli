@@ -137,9 +137,6 @@ val compact : t -> snapshot:string -> (unit, Seed_util.Seed_error.t) result
 val journal_size : t -> int
 (** Records appended since the last compaction (this process's view). *)
 
-val epoch : t -> int
-(** The store's current compaction epoch. *)
-
 val close : t -> unit
 
 (** {2 Offline checking} *)

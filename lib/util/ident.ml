@@ -177,16 +177,6 @@ module Set = struct
     | Tip (_, b) -> popcount b
     | Bin (_, _, l, r) -> cardinal l + cardinal r
 
-  let rec equal s t =
-    s == t
-    ||
-    match (s, t) with
-    | Tip (c, b), Tip (c', b') -> c = c' && b = b'
-    | Bin (p, m, l, r), Bin (p', m', l', r') -> p = p' && m = m' && equal l l' && equal r r'
-    | _ -> false
-
-  let of_list l = List.fold_left (fun s i -> add i s) Empty l
-
   (* The leaf being filled ([bits] = 0: none yet) and, newest first, the
      finished subtrees of the right spine: each differs from the one
      below it at a lower bit than that one from the one below it. *)

@@ -56,7 +56,7 @@ module Map : Map.S with type key = t
     {!fold}, {!iter}, {!exists} and {!elements} visit members in
     increasing {!compare} order, negative ids included. Sets are
     persistent and never mutated. The tree of a set is unique, so
-    structural equality agrees with {!equal}; {!add} of a member and
+    structural equality is set equality; {!add} of a member and
     {!remove} of a non-member return the set itself ([==]). *)
 module Set : sig
   type elt = t
@@ -75,8 +75,6 @@ module Set : sig
   val exists : (elt -> bool) -> t -> bool
   val elements : t -> elt list
   val cardinal : t -> int
-  val equal : t -> t -> bool
-  val of_list : elt list -> t
 
   type builder
   (** Builds a set from ids given in increasing order, in one pass:

@@ -2,9 +2,6 @@ type component = { name : string; index : int option }
 
 type t = component list
 
-let root n = [ { name = n; index = None } ]
-let child ?index p role = p @ [ { name = role; index } ]
-
 let parent = function
   | [] | [ _ ] -> None
   | p -> Some (List.filteri (fun i _ -> i < List.length p - 1) p)
@@ -12,17 +9,6 @@ let parent = function
 let last = function
   | [] -> invalid_arg "Path.last: empty path"
   | p -> List.nth p (List.length p - 1)
-
-let component_equal a b = String.equal a.name b.name && a.index = b.index
-
-let equal a b = List.length a = List.length b && List.for_all2 component_equal a b
-
-let component_compare a b =
-  match String.compare a.name b.name with
-  | 0 -> Option.compare Int.compare a.index b.index
-  | c -> c
-
-let compare a b = List.compare component_compare a b
 
 let component_to_string c =
   match c.index with
@@ -56,5 +42,3 @@ let of_string s =
     Seed_error.fail (Seed_error.Invalid_operation "empty path")
   else
     Seed_error.map_result parse_component (String.split_on_char '.' s)
-
-let of_string_exn s = Seed_error.ok_exn (of_string s)

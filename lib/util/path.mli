@@ -19,20 +19,11 @@ type t = component list
 (** A non-empty list of components; the head is the independent object
     (or top-level class) name. *)
 
-val root : string -> t
-(** [root n] is the one-component path [n]. *)
-
-val child : ?index:int -> t -> string -> t
-(** [child p role] extends [p] with a component. *)
-
 val parent : t -> t option
 (** [parent p] drops the last component; [None] for a root path. *)
 
 val last : t -> component
 (** Final component. Raises [Invalid_argument] on the empty list. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val component_to_string : component -> string
 (** [role] or [role\[i\]]. *)
@@ -43,6 +34,3 @@ val to_string : t -> string
 val of_string : string -> (t, Seed_error.t) result
 (** Parses the dotted syntax. Fails with [Invalid_operation] on empty
     components, malformed indices, or an empty string. *)
-
-val of_string_exn : string -> t
-(** Like {!of_string} but raises {!Seed_error.Error}. *)

@@ -110,9 +110,6 @@ let ok_exn = function Stdlib.Ok v -> v | Stdlib.Error e -> raise (Error e)
 let ( let* ) r f =
   match r with Stdlib.Ok v -> f v | Stdlib.Error _ as e -> e
 
-let ( let+ ) r f =
-  match r with Stdlib.Ok v -> Stdlib.Ok (f v) | Stdlib.Error _ as e -> e
-
 let rec iter_result f = function
   | [] -> Stdlib.Ok ()
   | x :: xs -> (

@@ -69,9 +69,6 @@ val ok_exn : ('a, t) result -> 'a
 val ( let* ) : ('a, t) result -> ('a -> ('b, t) result) -> ('b, t) result
 (** Monadic bind for result-typed SEED operations. *)
 
-val ( let+ ) : ('a, t) result -> ('a -> 'b) -> ('b, t) result
-(** Map for result-typed SEED operations. *)
-
 val iter_result : ('a -> (unit, t) result) -> 'a list -> (unit, t) result
 (** [iter_result f xs] applies [f] to each element, stopping at the first
     error. *)

@@ -34,8 +34,6 @@ let of_string s =
     Seed_error.fail (Seed_error.Unknown_version s)
   else validate (List.map Option.get ints)
 
-let of_string_exn s = Seed_error.ok_exn (of_string s)
-
 module Map = Map.Make (struct
   type nonrec t = t
 

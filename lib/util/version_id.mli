@@ -29,9 +29,6 @@ val child : t -> int -> t
 (** [child l k] is the label of the [k]-th alternative derived from [l]:
     [m.k] when [l] is trunk [m.0], and [l.k] otherwise. [k >= 1]. *)
 
-val compare : t -> t -> int
-(** Lexicographic order; coincides with creation order on the trunk. *)
-
 val equal : t -> t -> bool
 
 val to_string : t -> string
@@ -43,9 +40,8 @@ val of_string : string -> (t, Seed_error.t) result
 (** Parses a dotted label; fails with [Unknown_version] on malformed
     input. *)
 
-val of_string_exn : string -> t
-
 val of_ints : int list -> (t, Seed_error.t) result
 (** Validates and converts a raw component list (storage codec). *)
 
 module Map : Map.S with type key = t
+(** Ordered lexicographically, which is creation order on the trunk. *)

@@ -377,7 +377,7 @@ let iteration ~seed ~iter ~steps ~nclients ~verbose =
   let srv = Server.of_session s in
   let core =
     NS.create
-      ~config:{ NS.default_config with NS.session_ttl = ttl }
+      ~config:{ NS.max_sessions = 64; session_ttl = ttl }
       ~now:(fun () -> !clock)
       ~sleep:(fun d -> clock := !clock +. d)
       srv

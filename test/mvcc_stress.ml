@@ -221,7 +221,7 @@ let reader ~iter ~db ~stop () =
   let observed = Hashtbl.create 64 in
   let checked = ref 0 in
   let check_snapshot () =
-    let st = DB.snapshot db in
+    let st = Db_state.freeze (DB.raw db) in
     let fp = fingerprint st in
     (* frozen: re-fingerprinting the same pinned snapshot after the
        writer has had time to commit more batches yields the same

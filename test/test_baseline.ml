@@ -134,12 +134,7 @@ let test_full_copy_versioning () =
   let snap2 = Rigid.Full_copy.take t in
   (* full copies grow with the database, not with the delta *)
   Alcotest.(check bool) "copies grow" true
-    (Rigid.Full_copy.size_bytes snap2 > Rigid.Full_copy.size_bytes snap1);
-  Rigid.Full_copy.restore t snap1;
-  Alcotest.(check int) "restored" 2 (Rigid.object_count t);
-  Alcotest.(check bool) "events gone" false (Rigid.mem t "Events");
-  Rigid.Full_copy.restore t snap2;
-  Alcotest.(check bool) "events back" true (Rigid.mem t "Events")
+    (Rigid.Full_copy.size_bytes snap2 > Rigid.Full_copy.size_bytes snap1)
 
 let test_raw_store () =
   let t = Raw.create () in

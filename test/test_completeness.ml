@@ -154,7 +154,7 @@ let test_completeness_versus_consistency_partition () =
      information partition that defines SEED *)
   let db = DB.create (fig2_schema ()) in
   let alarms = ok (DB.create_object db ~cls:"Data" ~name:"Alarms" ()) in
-  Alcotest.(check bool) "incomplete but present" true (DB.exists db alarms);
+  Alcotest.(check bool) "incomplete but present" true (DB.full_name db alarms = Some "Alarms");
   let h = ok (DB.create_object db ~cls:"Action" ~name:"H" ()) in
   check_err "self containment refused" is_cycle
     (DB.create_relationship db ~assoc:"Contained" ~endpoints:[ h; h ] ())

@@ -46,8 +46,7 @@ let test_snapshot_survives_mutation () =
     | _ -> "-"
   in
   let sub_item v name =
-    let it = Option.get (View.resolve_name v name) in
-    Option.get (View.child v it.Seed_core.Item.id ~role:"Description" ())
+    Option.get (View.resolve_name v (name ^ ".Description"))
   in
   Alcotest.(check string)
     "snapshot pins the old value" {|"old"|}

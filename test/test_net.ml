@@ -188,7 +188,7 @@ let test_ttl = 10.0
 
 (* [on_sleep] runs after each backoff sleep of a blocking checkout,
    with the engine mutex released: other clients act there. *)
-let make_core ?(config = { NS.default_config with session_ttl = test_ttl })
+let make_core ?(config = { NS.max_sessions = 64; session_ttl = test_ttl })
     ?(on_sleep = ref ignore) () =
   let clock = ref 0.0 in
   let srv = Server.create (fig3_schema ()) in
@@ -914,8 +914,11 @@ let test_drain_answers_retryable () =
   let core, _, _ = make_core () in
   let conn = NS.open_conn core in
   let _ = hello core conn ~client:"alice" () in
-  NS.drain core;
-  Alcotest.(check bool) "draining" true (NS.draining core);
+  (* a shutdown drains the core: whatever still reaches it, through any
+     connection, is answered [Draining] *)
+  (match NS.serve ~port:0 core with
+  | Ok listener -> NS.shutdown ~grace:0.0 listener
+  | Error e -> Alcotest.failf "serve: %s" (Seed_error.to_string e));
   (match (step core conn ~req_id:2L Wire.Ping).Wire.rbody with
   | Wire.Draining -> ()
   | _ -> Alcotest.fail "established sessions must see Draining");
@@ -985,7 +988,7 @@ let test_faulty_transport_delay_and_cut () =
    clock); each dial opens a fresh server-side connection, like a real
    reconnect. *)
 let make_client_harness ?(ttl = test_ttl) () =
-  let config = { NS.default_config with session_ttl = ttl } in
+  let config = { NS.max_sessions = 64; session_ttl = ttl } in
   let core, srv, clock = make_core ~config () in
   let drop_replies = ref 0 in
   let on_drop = ref (fun () -> ()) in
@@ -1124,12 +1127,12 @@ let test_client_retries_busy () =
 
 (* --- TCP loopback ------------------------------------------------------ *)
 
-let with_tcp_server ?(config = NS.default_config) f =
+let with_tcp_server f =
   let srv = Server.create (fig3_schema ()) in
   let db = Server.database srv in
   ignore (ok (DB.create_object db ~cls:"Data" ~name:"Alarms" ()));
   ignore (ok (DB.create_object db ~cls:"Action" ~name:"Handler" ()));
-  let core = NS.create ~config srv in
+  let core = NS.create srv in
   match NS.serve ~port:0 core with
   | Error e -> Alcotest.failf "serve: %s" (Seed_error.to_string e)
   | Ok listener ->
@@ -1216,7 +1219,14 @@ let test_tcp_graceful_drain () =
     NS.shutdown ~grace:0.05 listener;
     (* the server is gone: the client's bounded retry must fail cleanly
        (no hang) with a transport error or a Draining-derived error *)
-    let cfg = { (NC.default_config ~client:"drainee2") with NC.retry_window = 0.4 } in
+    let cfg =
+      {
+        NC.client = "drainee2";
+        request_timeout = 2.0;
+        retry_window = 0.4;
+        retry_policy = Retry.default_policy;
+      }
+    in
     let cl2 = NC.connect_tcp ~config:cfg ~client:"drainee2" ~host:"127.0.0.1" ~port () in
     (match NC.ping cl2 with
     | Ok () -> Alcotest.fail "server should be down"

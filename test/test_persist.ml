@@ -37,7 +37,7 @@ let same_shape db db2 =
   Alcotest.(check int) "objects" (DB.object_count db) (DB.object_count db2);
   Alcotest.(check int) "versions" (List.length (DB.versions db))
     (List.length (DB.versions db2));
-  Alcotest.(check bool) "base" true (DB.current_base db = DB.current_base db2)
+  Alcotest.(check bool) "base" true (Seed_core.Db_state.current_base (DB.raw db) = Seed_core.Db_state.current_base (DB.raw db2))
 
 let test_encode_decode_roundtrip () =
   let db, alarms, v1 = populated () in
@@ -52,7 +52,7 @@ let test_encode_decode_roundtrip () =
   ok (DB.select_version db2 None);
   (* pattern inheritance survives *)
   let p2 = Option.get (DB.find_pattern db2 "Template") in
-  Alcotest.(check bool) "inheritors" true (DB.inheritors db2 p2 <> []);
+  Alcotest.(check bool) "inheritors" true (Seed_core.View.inheritors_of (DB.view db2) p2 <> []);
   (* identity is preserved *)
   Alcotest.(check bool) "ids stable" true (Ident.equal alarms alarms2);
   (* dirty state survives: the inherit was not snapshotted *)
@@ -199,7 +199,7 @@ let meta_of db =
       (fun (rev, sc) -> (rev, Schema.revision sc, Schema_text.print sc))
       (Seed_core.Db_state.schemas st),
     Seed_core.Versioning.dump (Seed_core.Db_state.versions st),
-    Option.map Version_id.to_string (DB.current_base db) )
+    Option.map Version_id.to_string (Seed_core.Db_state.current_base (DB.raw db)) )
 
 let item_ids db =
   Seed_core.Db_state.fold_items (DB.raw db) ~init:[] ~f:(fun acc (it : Seed_core.Item.t) ->
@@ -341,7 +341,7 @@ let test_failed_flush_keeps_meta_pending () =
   let s2 = ok (Persist.Session.open_ ~dir ()) in
   let db2 = Persist.Session.db s2 in
   Alcotest.(check (option string)) "version durable" (Some (Version_id.to_string v))
-    (Option.map Version_id.to_string (DB.current_base db2));
+    (Option.map Version_id.to_string (Seed_core.Db_state.current_base (DB.raw db2)));
   Alcotest.(check bool) "meta durable" true (meta_of db2 = meta_of db);
   Persist.Session.close s2
 

@@ -445,7 +445,7 @@ let test_reads_past_capacity_agree () =
   Alcotest.(check bool) "history agrees" true (history_agrees env.db env.versions);
   Alcotest.(check bool)
     "reads evicted" true
-    ((DB.version_cache_stats env.db).Db_state.vc_evictions > 0)
+    ((Db_state.version_cache_stats (DB.raw env.db)).Db_state.vc_evictions > 0)
 
 let test_delete_version_invalidates () =
   let db = fresh_db () in
@@ -459,11 +459,11 @@ let test_delete_version_invalidates () =
     (List.length (Q.select (View.at st v2) (Q.in_class "Data")));
   ok (DB.begin_alternative db ~from_:v1 ~force:true ());
   check_ok "delete v2" (DB.delete_version db v2);
-  let s0 = DB.version_cache_stats db in
+  let s0 = Db_state.version_cache_stats st in
   let gone = View.at st v2 in
   Alcotest.(check bool)
     "a deleted label is neither served from the cache nor rebuilt" true
-    (DB.version_cache_stats db = s0);
+    (Db_state.version_cache_stats st = s0);
   Alcotest.(check int)
     "deleted version reads as empty" 0
     (List.length (Q.select gone (Q.in_class "Data")));
@@ -475,11 +475,11 @@ let test_cache_stats () =
   let _a = ok (DB.create_object db ~cls:"Data" ~name:"a" ()) in
   let v1 = ok (DB.create_version db) in
   let st = DB.raw db in
-  let s0 = DB.version_cache_stats db in
+  let s0 = Db_state.version_cache_stats st in
   ignore (Q.select (View.at st v1) (Q.in_class "Data"));
   ignore (Q.select (View.at st v1) (Q.is_a "Thing"));
   ignore (Q.count (View.at st v1) (Q.is_a "Thing"));
-  let s1 = DB.version_cache_stats db in
+  let s1 = Db_state.version_cache_stats st in
   Alcotest.(check int)
     "one build for three queries" 1
     (s1.Db_state.vc_misses - s0.Db_state.vc_misses);
@@ -494,11 +494,11 @@ let test_future_label () =
   let a = ok (DB.create_object db ~cls:"Data" ~name:"a" ()) in
   let st = DB.raw db in
   let label = Version_id.trunk 1 in
-  let s0 = DB.version_cache_stats db in
+  let s0 = Db_state.version_cache_stats st in
   let early = View.at st label in
   Alcotest.(check bool)
     "not counted" true
-    (DB.version_cache_stats db = s0);
+    (Db_state.version_cache_stats st = s0);
   Alcotest.(check bool)
     "reads empty" true
     (View.all_objects early = []

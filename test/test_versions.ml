@@ -20,7 +20,7 @@ let test_trunk_labels () =
   let v2 = ok (DB.create_version db) in
   Alcotest.(check string) "second" "2.0" (Version_id.to_string v2);
   Alcotest.(check int) "two versions" 2 (List.length (DB.versions db));
-  Alcotest.(check bool) "base" true (DB.current_base db = Some v2)
+  Alcotest.(check bool) "base" true (Seed_core.Db_state.current_base (DB.raw db) = Some v2)
 
 let test_view_resolution_fig4 () =
   (* Fig. 4: AlarmHandler's Description changes across versions; the view
@@ -374,8 +374,8 @@ let test_checks_read_version_relationships () =
    following the parent chain around a cycle. *)
 let raw ?parent vid seq =
   {
-    Versioning.r_vid = Version_id.of_string_exn vid;
-    r_parent = Option.map Version_id.of_string_exn parent;
+    Versioning.r_vid = ok (Version_id.of_string vid);
+    r_parent = Option.map (fun p -> ok (Version_id.of_string p)) parent;
     r_seq = seq;
     r_schema_rev = 1;
     r_next_branch = 1;
