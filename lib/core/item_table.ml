@@ -4,7 +4,7 @@ type t = {
   base : Item.t array;  (* ascending ids, never written once built *)
   first : int;  (* the id of [base.(0)]; 0 when the base is empty *)
   over : Item.t Ident.Map.t;  (* the items written since [base] was built *)
-  nover : int;  (* cardinal of [over]: stdlib [Map.cardinal] is O(n) *)
+  nover : int;  (* cardinal of [over]: [Ident.Map.cardinal] is O(n) *)
   count : int;  (* the base's items plus the overlay's new ones *)
 }
 
@@ -42,17 +42,14 @@ let in_base t id =
   let k = slot t (Ident.to_int id) in
   if k < 0 then Item.none else t.base.(k)
 
-(* An overlay hit costs the option [Map.find_opt] returns; a base hit,
-   the read path's usual case, boxes nothing. A raised [Not_found] per
-   overlay miss, or a second walk per overlay hit, costs more time. *)
-let get t id = match Ident.Map.find_opt id t.over with Some it -> it | None -> in_base t id
+(* [add] refuses [Item.none], so an overlay miss is told by [==] *)
+let get t id =
+  let it = Ident.Map.find_or ~default:Item.none id t.over in
+  if it == Item.none then in_base t id else it
 
 let find t id =
-  match Ident.Map.find_opt id t.over with
-  | Some _ as hit -> hit
-  | None ->
-    let it = in_base t id in
-    if it == Item.none then None else Some it
+  let it = get t id in
+  if it == Item.none then None else Some it
 
 (* The overlay's items and the base's it does not replace, merged in id
    order. *)
@@ -127,13 +124,16 @@ let fold_overlay t =
     of_base a
   end
 
+(* One walk of the overlay, which reports whether it held the id *)
 let add t (it : Item.t) =
-  let id = it.Item.id in
-  let fresh = not (Ident.Map.mem id t.over) in
+  if it == Item.none then invalid_arg "Item_table.add: Item.none";
+  let id = it.Item.id and fresh = ref true in
+  let over = Ident.Map.add_fresh fresh id it t.over in
+  let fresh = !fresh in
   let t =
     {
       t with
-      over = Ident.Map.add id it t.over;
+      over;
       nover = t.nover + Bool.to_int fresh;
       count = t.count + Bool.to_int (fresh && slot t (Ident.to_int id) < 0);
     }

@@ -23,15 +23,15 @@ val count : t -> int
 (** The number of items, O(1). *)
 
 val get : t -> Ident.t -> Item.t
-(** The item of that id, {!Item.none} when there is none. An item of the
-    base costs no allocation; one written since the base was built costs
-    the overlay map's option. *)
+(** The item of that id, {!Item.none} when there is none; allocates
+    nothing. *)
 
 val find : t -> Ident.t -> Item.t option
 
 val add : t -> Item.t -> t
 (** The table with the item stored under its id, replacing the one
-    there. *)
+    there.
+    @raise Invalid_argument on {!Item.none}. *)
 
 val iter : (Item.t -> unit) -> t -> unit
 (** Items in increasing id order; allocates nothing per item. *)

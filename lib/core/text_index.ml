@@ -41,7 +41,7 @@ type t = {
   main : tier;
   recent : tier;  (* empty after a tier merge *)
   over : doc Ident.Map.t;
-  nover : int;  (* cardinal of [over]: stdlib [Map.cardinal] is O(n) *)
+  nover : int;  (* cardinal of [over]: [Ident.Map.cardinal] is O(n) *)
   ndocs : int;  (* live documents — O(1) for the planner's cutoff *)
 }
 
@@ -448,10 +448,13 @@ type held = Absent | Same | Other
 
 let held p x path text = if p == gone then Absent else if p == path && x == text then Same else Other
 
+(* the overlay's miss in [newest]: a document no layer holds *)
+let unheld = { tomb with path = "" }
+
 let newest t id path text =
-  match Ident.Map.find_opt id t.over with
-  | Some d -> held d.path d.text path text
-  | None ->
+  let d = Ident.Map.find_or ~default:unheld id t.over in
+  if d != unheld then held d.path d.text path text
+  else
     let i = find t.recent.ids (Ident.to_int id) in
     if i >= 0 then held t.recent.paths.(i) t.recent.texts.(i) path text
     else
@@ -462,13 +465,15 @@ let newest t id path text =
    tombstone shadowing no tier entry is no entry at all. One record is
    built: this runs on every indexed update. *)
 let set_entry t id d dn =
-  let had = Ident.Map.mem id t.over and i = Ident.to_int id in
-  let drop = d == tomb && find t.recent.ids i < 0 && find t.main.ids i < 0 in
+  let i = Ident.to_int id and ndocs = t.ndocs + dn in
   let t =
-    { t with
-      over = (if drop then Ident.Map.remove id t.over else Ident.Map.add id d t.over);
-      nover = (if drop then t.nover - Bool.to_int had else t.nover + Bool.to_int (not had));
-      ndocs = t.ndocs + dn }
+    if d == tomb && find t.recent.ids i < 0 && find t.main.ids i < 0 then
+      let over = Ident.Map.remove id t.over in
+      { t with over; nover = t.nover - Bool.to_int (over != t.over); ndocs }
+    else
+      let fresh = ref true in
+      let over = Ident.Map.add_fresh fresh id d t.over in
+      { t with over; nover = t.nover + Bool.to_int !fresh; ndocs }
   in
   if t.nover > max fold_floor (t.ndocs / fold_share) then fold t else t
 
@@ -678,9 +683,9 @@ let tier_bytes r =
 let stats t =
   let m = t.main and r = t.recent in
   let slots tier = Array.fold_left ( + ) 0 tier.counts in
-  (* an overlay entry is a map node of six words and, but for a
-     tombstone, a document of five *)
-  let over = Ident.Map.fold (fun _ d acc -> acc + if d == tomb then 6 else 11) t.over 0 in
+  (* an overlay entry is at most a map leaf of its own (six words)
+     under a branch (five) and, but for a tombstone, a document of five *)
+  let over = Ident.Map.fold (fun _ d acc -> acc + if d == tomb then 11 else 16) t.over 0 in
   { trigrams = union_count m.grams r.grams; postings = slots m + slots r; docs = t.ndocs;
     bytes = tier_bytes m + tier_bytes r + (8 * over);
     tiers = (if Array.length r.ids = 0 then 1 else 2) }

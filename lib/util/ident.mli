@@ -42,8 +42,6 @@ module Gen : sig
   (** Highest integer handed out so far, for persistence. *)
 end
 
-module Map : Map.S with type key = t
-
 (** Sets of identifiers.
 
     Ids are never reused, so the engine's id sets (extents, children,
@@ -88,6 +86,45 @@ module Set : sig
 
   val build : builder -> t
   (** The set of the ids pushed so far; pushing may go on after. *)
+end
+
+(** Maps from identifiers: {!Set}'s tree, each leaf holding its 32 ids'
+    values in an array. A leaf of [n] bindings is [n + 5] words and a
+    branch 5, so a dense run of ids costs about 1.3 words per binding
+    (a balanced tree: 6), a sparse map at most 11 (a leaf of its own
+    under a branch). {!fold}, {!iter} and {!bindings} go in increasing
+    {!compare} order. Maps are persistent. {!find_or}, {!mem} and
+    {!iter} allocate nothing. *)
+module Map : sig
+  type key = t
+  type 'a t
+
+  val empty : 'a t
+  val is_empty : 'a t -> bool
+  val mem : key -> 'a t -> bool
+
+  val find_or : default:'a -> key -> 'a t -> 'a
+  (** The id's value, [default] when the map binds none. *)
+
+  val add : key -> 'a -> 'a t -> 'a t
+  (** The map itself ([==]) when it binds the id to that value ([==])
+      already. *)
+
+  val add_fresh : bool ref -> key -> 'a -> 'a t -> 'a t
+  (** {!add}, setting the flag to whether the map did not bind the id:
+      one walk, for a caller that counts bindings. *)
+
+  val update : key -> ('a option -> 'a option) -> 'a t -> 'a t
+  (** The map itself ([==]) when [f] returns [None] for an unbound id,
+      or [Some] of the bound value ([==]) for a bound one. *)
+
+  val remove : key -> 'a t -> 'a t
+  (** The map itself ([==]) when it binds no such id. *)
+
+  val fold : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+  val iter : (key -> 'a -> unit) -> 'a t -> unit
+  val cardinal : 'a t -> int
+  val bindings : 'a t -> (key * 'a) list
 end
 
 module Tbl : Hashtbl.S with type key = t

@@ -3,8 +3,8 @@
    values replaces the mutable per-class/per-association extent tables:
    adding or removing one member shares all untouched branches with the
    previous map, which is what makes a published root an O(1) snapshot.
-   The operations are written once for any key type: the root's
-   adjacency applies them to [Ident.Map]s. *)
+   [member] is written once for either key type: the root's adjacency
+   applies it to [Ident.Map]s. *)
 
 include Map.Make (String)
 

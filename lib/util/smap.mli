@@ -5,8 +5,8 @@
     (children by parent, relationships by endpoint, inheritors by
     pattern) as [Ident.Set.t Ident.Map.t]: updates share structure with
     the previous map, so grabbing a snapshot of the whole root is a
-    pointer copy and never blocks or copies readers. {!ids} and
-    {!member} serve both key types. *)
+    pointer copy and never blocks or copies readers. {!member} serves
+    both key types. *)
 
 include Map.S with type key = string
 

@@ -170,7 +170,7 @@ let test_rollback_of_folding_transaction () =
   Alcotest.(check bool) "the item after the gap is found" true
     (DB.find_object db "After" = Some next)
 
-(* [Item_table] against [Ident.Map]: a table built from ascending ids
+(* [Item_table] against the stdlib map: a table built from ascending ids
    with gaps, then adds of new ids (with gaps, as rolled-back
    transactions burn ids), of ids in a gap, and rewrites of present
    ones, [map]s, savepoints and rollbacks to them. After every step, and again for
@@ -179,6 +179,7 @@ let test_rollback_of_folding_transaction () =
    and extreme ids included) agree, by physical equality of the items. *)
 module Tbl = Seed_core.Item_table
 module Item = Seed_core.Item
+module Ref = Map.Make (Ident)
 
 type table_op = New of int | Fill of int | Rewrite of int | Save | Rollback | Map_odd
 
@@ -207,16 +208,16 @@ let table_agrees t m =
   let listed = List.rev (Tbl.fold (fun acc it -> it :: acc) [] t) in
   let iterated = ref [] in
   Tbl.iter (fun it -> iterated := it :: !iterated) t;
-  let expected = List.map snd (Ident.Map.bindings m) in
-  let top = match Ident.Map.max_binding_opt m with Some (id, _) -> Ident.to_int id | None -> 0 in
+  let expected = List.map snd (Ref.bindings m) in
+  let top = match Ref.max_binding_opt m with Some (id, _) -> Ident.to_int id | None -> 0 in
   let probes = [ 0; -1; min_int; max_int; max_int - 1 ] @ List.init (top + 3) Fun.id in
-  Tbl.count t = Ident.Map.cardinal m
+  Tbl.count t = Ref.cardinal m
   && List.equal ( == ) listed expected
   && List.equal ( == ) (List.rev !iterated) expected
   && List.for_all
        (fun i ->
          let id = Ident.of_int i in
-         match (Tbl.find t id, Ident.Map.find_opt id m) with
+         match (Tbl.find t id, Ref.find_opt id m) with
          | Some a, Some b -> a == b
          | None, None -> true
          | Some _, None | None, Some _ -> false)
@@ -235,8 +236,8 @@ let prop_table_model (gaps, ops) =
         last := !last + gap;
         let it = fresh !last in
         Tbl.push b it;
-        Ident.Map.add it.Item.id it m)
-      Ident.Map.empty gaps
+        Ref.add it.Item.id it m)
+      Ref.empty gaps
   in
   let t = Tbl.build b in
   let kept = ref [ (t, m) ] and saved = ref [] in
@@ -244,20 +245,20 @@ let prop_table_model (gaps, ops) =
     | New gap ->
       last := !last + gap;
       let it = fresh !last in
-      (Tbl.add t it, Ident.Map.add it.Item.id it m)
+      (Tbl.add t it, Ref.add it.Item.id it m)
     | Fill k -> (
-      match List.filter (fun i -> not (Ident.Map.mem (Ident.of_int i) m)) (List.init !last succ) with
+      match List.filter (fun i -> not (Ref.mem (Ident.of_int i) m)) (List.init !last succ) with
       | [] -> (t, m)
       | gaps ->
         let it = fresh (List.nth gaps (k mod List.length gaps)) in
-        (Tbl.add t it, Ident.Map.add it.Item.id it m))
+        (Tbl.add t it, Ref.add it.Item.id it m))
     | Rewrite k -> (
-      match Ident.Map.bindings m with
+      match Ref.bindings m with
       | [] -> (t, m)
       | l ->
         let id, _ = List.nth l (k mod List.length l) in
         let it = fresh (Ident.to_int id) in
-        (Tbl.add t it, Ident.Map.add id it m))
+        (Tbl.add t it, Ref.add id it m))
     | Save ->
       saved := (t, m) :: !saved;
       (t, m)
@@ -271,7 +272,7 @@ let prop_table_model (gaps, ops) =
       let f (it : Item.t) = if Ident.to_int it.Item.id land 1 = 1 then fresh (Ident.to_int it.Item.id) else it in
       (* [f] makes a fresh item per call, so the model takes the table's *)
       let t' = Tbl.map f t in
-      let m' = Ident.Map.mapi (fun id it -> Option.value (Tbl.find t' id) ~default:it) m in
+      let m' = Ref.mapi (fun id it -> Option.value (Tbl.find t' id) ~default:it) m in
       (t', m')
   in
   let ok_so_far =
@@ -302,6 +303,43 @@ let test_table_builder_refusals () =
   let short = Tbl.builder 5 in
   Tbl.push short (item_of 1 0);
   Alcotest.(check int) "a builder filled below its capacity" 1 (Tbl.count (Tbl.build short))
+
+(* A lookup boxes nothing: an item written since the base was built,
+   through [Item_table.get], and the children of a parent, through
+   [Db_state.children_of]. Each is the median over repeated calls of the
+   minor words of one call, so that a minor collection falling in one
+   call does not count. *)
+let median_words f =
+  let w =
+    Array.init 21 (fun _ ->
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (f ()));
+        Gc.minor_words () -. w0)
+  in
+  Array.sort Float.compare w;
+  w.(10)
+
+let test_lookups_allocate_nothing () =
+  let b = Tbl.builder 100 in
+  for i = 1 to 100 do
+    Tbl.push b (item_of i 0)
+  done;
+  let written = List.map (fun i -> item_of i 1) [ 50; 110; 120 ] in
+  let t = List.fold_left Tbl.add (Tbl.build b) written in
+  let hit (it : Item.t) =
+    Alcotest.(check bool) "an overlay hit" true (Tbl.get t it.Item.id == it);
+    Alcotest.(check (float 0.)) "words of an overlay hit" 0. (median_words (fun () -> Tbl.get t it.Item.id))
+  in
+  List.iter hit written;
+  (match Tbl.add t Item.none with
+   | _ -> Alcotest.fail "Item.none stored"
+   | exception Invalid_argument _ -> ());
+  let db = fresh_db () in
+  let d = ok (DB.create_object db ~cls:"Data" ~name:"Doc" ()) in
+  ignore (ok (DB.create_sub_object db ~parent:d ~role:"Description" ~value:(Seed_schema.Value.String "x") ()));
+  let x = View.extents (DB.view db) in
+  Alcotest.(check int) "one child" 1 (Ident.Set.cardinal (Db_state.children_of x d));
+  Alcotest.(check (float 0.)) "words of a children_of hit" 0. (median_words (fun () -> Db_state.children_of x d))
 
 (* --- counters ------------------------------------------------------ *)
 
@@ -410,6 +448,7 @@ let () =
           tc "snapshot pinned across a fold" test_snapshot_pinned_across_fold;
           tc "rollback of a folding transaction" test_rollback_of_folding_transaction;
           tc "builder refusals" test_table_builder_refusals;
+          tc "lookups allocate nothing" test_lookups_allocate_nothing;
           qcheck_case ~count:120 "Item_table agrees with Ident.Map" table_case_gen prop_table_model;
         ] );
       ("counters", [ tc "snapshot/commit/cache counters" test_counters ]);

@@ -219,6 +219,89 @@ let test_ident_set_builder () =
   Alcotest.check_raises "descending" (Invalid_argument "Ident.Set.push: ids not ascending")
     (fun () -> Ident.Set.push b (Ident.of_int 64))
 
+(* Ident.Map against Stdlib's Map.Make (Int), over the same keys: dense
+   runs across leaf boundaries, sparse ids, 0, negatives and the ends of
+   the int range. [Update]'s function drops a binding or leaves a key
+   unbound in some cases; [Keep] and [Put_current] rebind a key to its
+   own value. A map's tree is unique, so it must equal the one its
+   bindings build. Every map is kept and re-checked at the end. *)
+module IM = Map.Make (Int)
+
+type map_op =
+  | Put of int * int
+  | Put_fresh of int * int
+  | Put_current of int
+  | Update of int * int
+  | Keep of int
+  | Drop of int
+
+let map_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map2 (fun k v -> Put (k, v)) key_gen small_nat);
+        (2, map2 (fun k v -> Put_fresh (k, v)) key_gen small_nat);
+        (1, map (fun k -> Put_current k) key_gen);
+        (2, map2 (fun k v -> Update (k, v)) key_gen small_nat);
+        (1, map (fun k -> Keep k) key_gen);
+        (2, map (fun k -> Drop k) key_gen);
+      ])
+
+let bump v = function
+  | None -> if v land 1 = 0 then Some v else None
+  | Some x -> if (x + v) land 3 = 0 then None else Some (x + v)
+
+let map_agrees (t, m) =
+  let e = IM.bindings m in
+  let listed = List.map (fun (i, v) -> (Ident.to_int i, v)) (Ident.Map.bindings t) in
+  let via_fold = List.rev (Ident.Map.fold (fun i v acc -> (Ident.to_int i, v) :: acc) t []) in
+  let via_iter = ref [] in
+  Ident.Map.iter (fun i v -> via_iter := (Ident.to_int i, v) :: !via_iter) t;
+  let probe k =
+    let id = Ident.of_int k in
+    Ident.Map.find_or ~default:(-1) id t = Option.value (IM.find_opt k m) ~default:(-1)
+    && Ident.Map.mem id t = IM.mem k m
+  in
+  listed = e && via_fold = e && List.rev !via_iter = e
+  && Ident.Map.cardinal t = IM.cardinal m
+  && Ident.Map.is_empty t = IM.is_empty m
+  && List.for_all probe special_keys
+  && List.for_all (fun (k, _) -> probe k && probe (k + 1) && probe (k - 1)) e
+  && t = List.fold_left (fun t (k, v) -> Ident.Map.add (Ident.of_int k) v t) Ident.Map.empty e
+
+(* whether [t'] is [t] itself exactly when the model did not change,
+   and [add_fresh]'s flag says whether the key was unbound *)
+let map_step (t, m) op =
+  let id k = Ident.of_int k in
+  let fresh = ref true in
+  let t', m' =
+    match op with
+    | Put (k, v) -> (Ident.Map.add (id k) v t, IM.add k v m)
+    | Put_fresh (k, v) -> (Ident.Map.add_fresh fresh (id k) v t, IM.add k v m)
+    | Put_current k ->
+      let v = Ident.Map.find_or ~default:k (id k) t in
+      (Ident.Map.add (id k) v t, IM.add k v m)
+    | Update (k, v) -> (Ident.Map.update (id k) (bump v) t, IM.update k (bump v) m)
+    | Keep k -> (Ident.Map.update (id k) Fun.id t, m)
+    | Drop k -> (Ident.Map.remove (id k) t, IM.remove k m)
+  in
+  let reported = match op with Put_fresh (k, _) -> !fresh = not (IM.mem k m) | _ -> true in
+  (reported && (t' == t) = IM.equal Int.equal m m', (t', m'))
+
+let prop_ident_map_model =
+  qcheck_case ~count:500 "Ident.Map agrees with Map.Make (Int)"
+    QCheck2.Gen.(list_size (int_range 0 120) map_op_gen)
+    (fun ops ->
+      let _, ok, kept =
+        List.fold_left
+          (fun (cur, ok, kept) op ->
+            let same, next = map_step cur op in
+            (next, ok && same && map_agrees next, next :: kept))
+          ((Ident.Map.empty, IM.empty), true, [])
+          ops
+      in
+      ok && List.for_all map_agrees kept)
+
 (* ------------------------------------------------------------------ *)
 (* Seed_error combinators                                               *)
 (* ------------------------------------------------------------------ *)
@@ -497,6 +580,7 @@ let () =
           tc "mark_used" test_ident_mark_used;
           tc "set builder" test_ident_set_builder;
           prop_ident_set_model;
+          prop_ident_map_model;
         ] );
       ("sort", [ prop_array_sort ]);
       ( "error",
